@@ -203,6 +203,11 @@ def main() -> None:
         f"{optimizer.state.improvements} action improvements, "
         f"{optimizer.state.splits} splits, {len(tree)} rules"
     )
+    print(
+        f"simulations: {optimizer.state.sealed_simulations} sealed a drowned "
+        f"bottleneck (scores exact), {optimizer.state.truncated_simulations} "
+        "truncated by the event cap (scores cover a prefix)"
+    )
     if cache is not None:
         print(f"result cache: {cache.stats()}")
     path = save_remycc(tree, args.output)

@@ -37,6 +37,7 @@ from repro.runner import (
     SimJob,
     merge_whisker_stats,
     mix_seed,
+    whisker_tree_token,
 )
 from repro.traffic.onoff import ByteFlowWorkload, TimedFlowWorkload
 
@@ -75,6 +76,11 @@ class EvaluationResult:
     specimen_scores: list[float] = field(default_factory=list)
     specimens: list[NetConfig] = field(default_factory=list)
     simulations: int = 0
+    #: How many of those simulations sealed a drowned bottleneck (their
+    #: send-side counters stop at the seal; the score is unaffected) and how
+    #: many ran out of ``max_events_per_sim`` (the score covers a prefix).
+    sealed_simulations: int = 0
+    truncated_simulations: int = 0
 
     def mean_throughput_mbps(self) -> float:
         values = [fs.throughput_bps / 1e6 for fs in self.flow_scores]
@@ -208,7 +214,23 @@ class Evaluator:
         if not trees:
             return []
         self.evaluations += len(trees)
+        if not training:
+            # A read-only pass leaves nothing on the tree, so tables with the
+            # same content (clamping folds neighbouring candidates together)
+            # are simulated once, in first-seen order, and share the result.
+            tokens = [whisker_tree_token(tree) for tree in trees]
+            distinct: dict[str, WhiskerTree] = {}
+            for token, tree in zip(tokens, trees):
+                distinct.setdefault(token, tree)
+            scored = dict(
+                zip(distinct, self._simulate(list(distinct.values()), training=False))
+            )
+            return [scored[token] for token in tokens]
+        return self._simulate(trees, training)
 
+    def _simulate(
+        self, trees: list[WhiskerTree], training: bool
+    ) -> list[EvaluationResult]:
         jobs = []
         for tree in trees:
             for index, specimen in enumerate(self.specimens):
@@ -245,6 +267,10 @@ class Evaluator:
             specimen_scores=specimen_scores,
             specimens=list(self.specimens),
             simulations=len(self.specimens),
+            sealed_simulations=sum(
+                jr.result.sealed_at is not None for jr in batch
+            ),
+            truncated_simulations=sum(jr.result.truncated for jr in batch),
         )
 
     def _score_specimen(

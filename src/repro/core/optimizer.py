@@ -79,6 +79,12 @@ class OptimizerState:
     splits: int = 0
     best_score: float = float("-inf")
     score_history: list[float] = field(default_factory=list)
+    #: Simulations, over all evaluations so far, that sealed a drowned
+    #: bottleneck (harmless: scores are exact) or ran out of
+    #: ``max_events_per_sim`` (not harmless: the score covers a prefix).
+    #: Defaulted so checkpoints written before these existed still load.
+    sealed_simulations: int = 0
+    truncated_simulations: int = 0
 
 
 class RemyOptimizer:
@@ -113,12 +119,30 @@ class RemyOptimizer:
             or self.state.global_epoch >= self.settings.max_epochs
         )
 
+    def _record(self, result: EvaluationResult) -> None:
+        """Charge one budget unit and fold ``result`` into the state."""
+        state = self.state
+        state.evaluations_used += 1
+        if result.score > state.best_score:
+            state.best_score = result.score
+        state.score_history.append(result.score)
+        state.sealed_simulations += result.sealed_simulations
+        state.truncated_simulations += result.truncated_simulations
+        if result.truncated_simulations:
+            logger.warning(
+                "evaluation %d scored %d of %d simulations truncated by "
+                "max_events_per_sim=%s: its score %.4f covers only a prefix "
+                "of those runs",
+                state.evaluations_used,
+                result.truncated_simulations,
+                result.simulations,
+                self.evaluator.settings.max_events_per_sim,
+                result.score,
+            )
+
     def _evaluate(self, training: bool = True) -> EvaluationResult:
-        self.state.evaluations_used += 1
         result = self.evaluator.evaluate(self.tree, training=training)
-        if result.score > self.state.best_score:
-            self.state.best_score = result.score
-        self.state.score_history.append(result.score)
+        self._record(result)
         return result
 
     def _evaluate_candidates(self, trees: list[WhiskerTree]) -> list[EvaluationResult]:
@@ -129,10 +153,7 @@ class RemyOptimizer:
         """
         results = self.evaluator.evaluate_many(trees, training=False)
         for result in results:
-            self.state.evaluations_used += 1
-            if result.score > self.state.best_score:
-                self.state.best_score = result.score
-            self.state.score_history.append(result.score)
+            self._record(result)
         return results
 
     def _candidate_trees(

@@ -53,6 +53,15 @@ class SimulationError(RuntimeError):
     """Raised when the simulator is driven into an inconsistent state."""
 
 
+class EventCapExceeded(SimulationError):
+    """``max_events`` ran out before the requested time was reached.
+
+    The scheduler is left consistent (counters reconciled, the unexecuted
+    event still queued), so a driver may catch this and report a truncated
+    run instead of failing.
+    """
+
+
 class Event:
     """Cancellation handle for a scheduled callback.
 
@@ -321,7 +330,7 @@ class EventScheduler:
                         batch_time = time
                         self.now = time
                     if executed == limit:
-                        raise SimulationError(
+                        raise EventCapExceeded(
                             f"exceeded max_events={max_events} before reaching t={end_time}"
                         )
                     if from_ready:
@@ -341,7 +350,7 @@ class EventScheduler:
                         batch_time = time
                         self.now = time
                     if executed == limit:
-                        raise SimulationError(
+                        raise EventCapExceeded(
                             f"exceeded max_events={max_events} before reaching t={end_time}"
                         )
                     pop(heap)
@@ -363,5 +372,5 @@ class EventScheduler:
         while self.step():
             executed += 1
             if max_events is not None and executed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
+                raise EventCapExceeded(f"exceeded max_events={max_events}")
         return executed

@@ -55,7 +55,12 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Any, Callable, Optional, Union
 
-from repro.netsim.events import EventScheduler, SimulationError, _heappop
+from repro.netsim.events import (
+    EventCapExceeded,
+    EventScheduler,
+    SimulationError,
+    _heappop,
+)
 from repro.netsim.link import ConstantRateLink
 from repro.netsim.network import DumbbellNetwork, NetworkSpec
 from repro.netsim.packet import ACK_PACKET_BYTES, AckInfo, Packet, PacketPool
@@ -282,7 +287,7 @@ class FlatScheduler(EventScheduler):
                     batch_time = time
                     self.now = time
                 if executed == limit:
-                    raise SimulationError(
+                    raise EventCapExceeded(
                         f"exceeded max_events={max_events} before reaching t={end_time}"
                     )
                 if src is heap:
@@ -370,7 +375,7 @@ class FlatScheduler(EventScheduler):
                             batch_time = time
                             self.now = time
                         if executed == limit:
-                            raise SimulationError(
+                            raise EventCapExceeded(
                                 f"exceeded max_events={max_events} "
                                 f"before reaching t={end_time}"
                             )
@@ -404,7 +409,7 @@ class FlatScheduler(EventScheduler):
                     batch_time = time
                     self.now = time
                 if executed == limit:
-                    raise SimulationError(
+                    raise EventCapExceeded(
                         f"exceeded max_events={max_events} before reaching t={end_time}"
                     )
                 if src is lane_a or src is lane_b:
@@ -751,9 +756,14 @@ def _fused_sender_on_ack(
         link, queue = send_inline
         fifo = queue._queue
         capacity_packets = queue.capacity_packets  # fixed at construction
+        # Seal check of an armed link, frozen at fuse time (``seal_drain``
+        # is 0.0 on every other link, which skips it).
+        seal_drain = link._seal_drain
+        seal_budget = link._seal_budget
     else:
         link = queue = fifo = None  # type: ignore[assignment]
         capacity_packets = 0
+        seal_drain = seal_budget = 0.0
     # Pool fast paths are only inlined for non-debug pools: the debug pool's
     # identity tracking must observe every allocate/release.  Debug-ness is
     # fixed at pool construction, so checking once at fuse time is safe.
@@ -880,8 +890,12 @@ def _fused_sender_on_ack(
                 scheduler.cancel_entry(entry)
             sender._rto_event = None
 
-        # _maybe_send, inlined (``transmit`` captured non-None above).
-        if sender.state != "on":
+        # _maybe_send, inlined for as long as the sender feeds the sink
+        # captured above (the state is still "on" here: only _switch_off,
+        # which returned, leaves it).  A sealed sender — ``Sender.seal``
+        # swapped or cleared its ``transmit`` — takes the generic method.
+        if sender.transmit is not transmit:
+            sender._maybe_send()
             return
         retransmit_queue = rq
         while True:
@@ -968,10 +982,21 @@ def _fused_sender_on_ack(
             else:
                 packet.enqueue_time = now
                 fifo.append(packet)
-                queue._bytes += mss_bytes
+                queue._bytes = queued = queue._bytes + mss_bytes
                 queue.enqueues += 1
                 if not link._busy:
                     link._start_transmission()
+                if seal_drain and queued > seal_budget - now * seal_drain:
+                    # ConstantRateLink._receive_sealable's check, inlined:
+                    # this enqueue drowned the link.  Sealing swaps every
+                    # sender's ``transmit``, so finish this send and hand
+                    # the rest of the loop to the generic method.
+                    link.seal()
+                    entry = sender._rto_event
+                    if entry is None or entry[2] is None:
+                        sender._arm_rto()
+                    sender._maybe_send()
+                    return
             entry = sender._rto_event
             if entry is None or entry[2] is None:
                 sender._arm_rto()
@@ -1205,20 +1230,30 @@ def _fused_start_droptail(
 def _fused_receive_droptail(
     scheduler: FlatScheduler, link: ConstantRateLink, queue: DropTailQueue
 ) -> Callable[[Packet], None]:
-    """``receive`` with the DropTail enqueue inlined (tail drop + FIFO append)."""
+    """``receive`` with the DropTail enqueue inlined (tail drop + FIFO append).
+
+    On a link armed by ``arm_seal`` it also carries
+    ``ConstantRateLink._receive_sealable``'s seal check, so both engines
+    seal at the same enqueue; the parameters are frozen at fuse time
+    (``seal_drain`` is 0.0 on every other link, which skips it).
+    """
     fifo = queue._queue
+    seal_drain = link._seal_drain
+    seal_budget = link._seal_budget
 
     def receive(packet: Packet) -> None:
         if len(fifo) >= queue.capacity_packets:
             queue.drops += 1
             packet.release()  # drop sink: tail overflow
             return
-        packet.enqueue_time = scheduler.now
+        packet.enqueue_time = now = scheduler.now
         fifo.append(packet)
-        queue._bytes += packet.size_bytes
+        queue._bytes = queued = queue._bytes + packet.size_bytes
         queue.enqueues += 1
         if not link._busy:
             link._start_transmission()
+        if seal_drain and queued > seal_budget - now * seal_drain:
+            link.seal()
 
     return receive
 

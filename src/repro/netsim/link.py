@@ -127,11 +127,61 @@ class ConstantRateLink(LinkBase):
             raise ValueError(f"link rate must be positive, got {rate_bps}")
         self.rate_bps = rate_bps
         self._busy = False
+        #: Seal check (see :meth:`arm_seal`): the link is drowned once
+        #: ``queued bytes > _seal_budget - now * _seal_drain``.  Unarmed
+        #: links never evaluate it (``receive`` is only rebound when armed).
+        self._seal_drain = 0.0
+        self._seal_budget = 0.0
+        self._on_seal: Optional[Callable[[], None]] = None
 
     @property
     def rate_pps(self) -> float:
         """Nominal rate in 1500-byte packets per second (used by XCP)."""
         return self.rate_bps / (1500 * 8)
+
+    # -- sealing a drowned link ----------------------------------------------
+    def arm_seal(
+        self, end_time: float, mss_bytes: int, on_seal: Callable[[], None]
+    ) -> None:
+        """Watch for the instant nothing enqueued any more can leave by ``end_time``.
+
+        Only sound on a link whose queue is a loss-free, never-dropping FIFO
+        fed ``mss_bytes`` packets (the caller vouches for that; see
+        :attr:`~repro.netsim.network.NetworkSpec.sealable`).  When an enqueue
+        leaves ``Q`` bytes queued at time ``t``, a later arrival waits behind
+        at least ``Q`` minus what the link dequeues in between — at most one
+        packet per serialization time plus the one dequeue that may be
+        imminent — so it cannot start service before ``t + (Q - mss) * 8 /
+        rate``.  Once that exceeds ``end_time`` the link is *drowned*:
+        ``on_seal`` fires (once), and whatever is transmitted afterwards can
+        never be dequeued, delivered or acknowledged within the run.  The
+        threshold carries a second MSS of slack so rounding in the chained
+        event times (thousands of ``t += size * 8 / rate`` steps) can never
+        let a packet the proof calls dead start service at ``end_time``.
+        """
+        self._seal_drain = self.rate_bps / 8
+        self._seal_budget = end_time * self._seal_drain + 2 * mss_bytes
+        self._on_seal = on_seal
+        self.receive = self._receive_sealable  # type: ignore[method-assign]
+
+    def seal(self) -> None:
+        """Declare the link drowned and notify — once, however often the
+        check keeps firing afterwards."""
+        on_seal, self._on_seal = self._on_seal, None
+        if on_seal is not None:
+            on_seal()
+
+    def _receive_sealable(self, packet: Packet) -> None:
+        """:meth:`receive` plus the seal check (armed links only)."""
+        now = self.scheduler.now
+        queue = self.queue
+        if not queue.enqueue(packet, now):
+            return
+        queued = queue.bytes_queued()
+        if not self._busy:
+            self._start_transmission()
+        if queued > self._seal_budget - now * self._seal_drain:
+            self.seal()
 
     def receive(self, packet: Packet) -> None:
         """Packet arrives at the head of the link (from a sender or node)."""

@@ -222,6 +222,24 @@ class NetworkSpec:
             xcp_mean_rtt=self.mean_rtt(),
         )
 
+    @property
+    def sealable(self) -> bool:
+        """Whether a drowned bottleneck may be sealed (README "Performance").
+
+        True for exactly the design-time model of §5.1: a constant-rate link
+        behind the built-in unlimited FIFO with no stochastic loss.  There a
+        packet, once queued, is served strictly in arrival order at a known
+        rate and nothing is ever dropped, so "this packet cannot leave before
+        the run ends" is decidable at enqueue time.  A finite buffer, any
+        AQM, a trace-driven link or ``loss_rate > 0`` breaks one of those
+        premises; a queue *factory* is opaque and never eligible.
+        """
+        return (
+            self.queue == "infinite"
+            and self.delivery_trace is None
+            and self.loss_rate == 0.0
+        )
+
     def effective_rate_bps(self) -> float:
         """Bottleneck rate: the constant rate, or the trace's long-term mean."""
         if self.delivery_trace is None:
@@ -328,6 +346,9 @@ class DumbbellNetwork:
         if spec.loss_rate > 0.0:
             self._loss_rng = random.Random(self.rng.getrandbits(32))
         self.link_losses = 0
+        #: Simulated time at which the bottleneck was sealed (see
+        #: :meth:`arm_seal`); ``None`` while it can still deliver.
+        self.sealed_at: Optional[float] = None
         #: flow id -> FlowStats; the link updates queueing-delay counters
         #: inline instead of calling back through two observer hops.
         self._delay_stats: dict[int, FlowStats] = {}
@@ -336,6 +357,22 @@ class DumbbellNetwork:
         #: flow id -> (one-way delay, receiver callback): precomputed so the
         #: per-packet forward hop is one dict lookup and one post.
         self._data_routes: dict[int, tuple[float, Callable[[Packet], None]]] = {}
+
+    # -- sealing ---------------------------------------------------------------
+    def arm_seal(self, end_time: float) -> None:
+        """Let the bottleneck seal itself once it is drowned (eligible specs only).
+
+        ``end_time`` is when the run stops.  Call before :meth:`attach_flow`:
+        arming rebinds the link's ``receive``, which senders capture there.
+        """
+        link = self.bottleneck
+        if self.spec.sealable and isinstance(link, ConstantRateLink):
+            link.arm_seal(end_time, self.spec.mss_bytes, self._seal)
+
+    def _seal(self) -> None:
+        self.sealed_at = self.scheduler.now
+        for endpoints in self.flows.values():
+            endpoints.sender.seal()
 
     # -- flow attachment -------------------------------------------------------
     def attach_flow(self, flow_id: int, sender: Sender, receiver: Receiver) -> FlowEndpoints:

@@ -185,6 +185,37 @@ class Sender:
         """Set the callback that pushes data packets into the network."""
         self.transmit = transmit
 
+    def seal(self) -> None:
+        """The bottleneck just sealed: stop transmitting what cannot arrive.
+
+        Nothing sent from now on can be delivered or acknowledged within the
+        run (see :meth:`~repro.netsim.link.ConstantRateLink.arm_seal`), so
+        the only trace it could leave on anything but the send-side counters
+        is through this sender's own clockwork — and that needs exactly one
+        packet.  The next *new* segment still goes out: being unacknowledgeable
+        it keeps the flight non-empty for the rest of the on-period, so the
+        retransmission timer keeps being armed, pushed by ACKs and fired (a
+        RemyCC resets its memory on timeout) at exactly the instants the
+        never-ending flight of an unsealed run would produce, and a byte
+        demand can no more complete than it could there.  After it the sender
+        goes quiet for good — ACK processing, RTO and on/off switching carry
+        on, ``_maybe_send`` finds no ``transmit``; in later on-periods no ACK
+        is ever accepted, so there is nothing left to keep exact.
+        Retransmissions before that segment pass through untouched (they
+        leave the flight as it is).
+        """
+        transmit = self.transmit
+        if transmit is None:
+            return
+        forward: TransmitFn = transmit
+
+        def last_segment(packet: Packet) -> None:
+            if not packet.retransmit:
+                self.transmit = None
+            forward(packet)
+
+        self.transmit = last_segment
+
     # ------------------------------------------------------------------ control
     def start(self) -> None:
         """Begin the on/off process (call once, at simulation start)."""
@@ -262,13 +293,15 @@ class Sender:
     # ------------------------------------------------------------------ sending
     def _maybe_send(self) -> None:
         """Send as many packets as the window, pacing and workload allow."""
-        if self.state != "on" or self.transmit is None:
+        if self.state != "on":
             return
         now = self.scheduler.now
         cc = self.cc
         in_flight = self.in_flight
         retransmit_queue = self.retransmit_queue
-        while True:
+        # ``transmit`` is re-read per packet: a sealed sender's last segment
+        # clears it mid-loop (see :meth:`seal`).
+        while self.transmit is not None:
             # Retransmissions are already counted in flight, so sending them
             # does not grow the flight size and must not be window-blocked
             # (otherwise a lost packet could never be repaired).

@@ -16,6 +16,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from repro.netsim.events import EventCapExceeded
 from repro.netsim.invariants import InvariantChecker
 from repro.netsim.kernel import KernelChoice, resolve_kernel
 from repro.netsim.network import DumbbellNetwork, NetworkSpec
@@ -47,6 +48,17 @@ class SimulationResult:
     #: bottleneck *is* the flow-total queueing delay.  Defaulted so results
     #: pickled by older workers still unpickle.
     hop_delays: list[dict[int, HopDelayStats]] = field(default_factory=list)
+    #: Simulated time at which a drowned bottleneck was sealed (``None`` =
+    #: never; only :attr:`~repro.netsim.network.NetworkSpec.sealable`
+    #: topologies can).  From then on the senders stopped transmitting what
+    #: could not be delivered, so ``packets_sent``, ``retransmissions``,
+    #: ``timeouts``, ``losses_detected`` and ``events_processed`` count up
+    #: to the seal (lower bounds on the unsealed run's); every other field
+    #: is exactly what simulating those sends would have produced.
+    sealed_at: Optional[float] = None
+    #: ``max_events`` ran out before ``duration``: the statistics cover
+    #: only the simulated prefix and must not be read as a complete run.
+    truncated: bool = False
 
     # -- per-flow accessors ------------------------------------------------------
     def throughputs_mbps(self) -> list[float]:
@@ -202,6 +214,11 @@ class Simulation:
         self.network: Union[DumbbellNetwork, PathNetwork] = spec.build_network(
             self.scheduler, rng=random.Random(self.master_rng.getrandbits(32))
         )
+        # Before the flows attach (arming rebinds the link's ``receive``)
+        # and before the kernel fuses it.  Whether the topology can seal is
+        # the spec's own property, not a choice made here.
+        if isinstance(self.network, DumbbellNetwork):
+            self.network.arm_seal(duration)
         #: Runtime sanitizer (see :mod:`repro.netsim.invariants`).  Built
         #: before the flows so its counting wrappers are in place when
         #: ``attach_flow`` captures the delivery callbacks.
@@ -244,9 +261,17 @@ class Simulation:
             self.invariant_checker.arm()
         for sender in self.senders:
             sender.start()
-        self.kernel.run(self.scheduler, self.duration, max_events=self.max_events)
+        end_time = self.duration
+        truncated = False
+        try:
+            self.kernel.run(self.scheduler, end_time, max_events=self.max_events)
+        except EventCapExceeded:
+            # Report the prefix that was simulated, flagged, rather than
+            # failing the batch the run belongs to.
+            truncated = True
+            end_time = self.scheduler.now
         for sender in self.senders:
-            sender.finalize(self.duration)
+            sender.finalize(end_time)
         if self.invariant_checker is not None:
             self.invariant_checker.final_check()
         return SimulationResult(
@@ -256,6 +281,8 @@ class Simulation:
             queue_marks=self.network.queue_marks,
             events_processed=self.scheduler.events_processed,
             hop_delays=getattr(self.network, "hop_delay_stats", []),
+            sealed_at=getattr(self.network, "sealed_at", None),
+            truncated=truncated,
         )
 
 

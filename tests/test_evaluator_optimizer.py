@@ -8,6 +8,7 @@ from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer, design_remycc
 from repro.core.whisker_tree import WhiskerTree
+from repro.runner import SerialBackend
 
 
 def tiny_range() -> ConfigRange:
@@ -71,6 +72,43 @@ class TestEvaluator:
         evaluator = Evaluator(config, settings=tiny_settings())
         result = evaluator.evaluate(WhiskerTree(), training=False)
         assert result.mean_throughput_mbps() > 0
+
+    def test_duplicate_candidates_are_simulated_once(self):
+        # At the default action with two magnitudes, clamping the pacing
+        # interval to its floor folds several of the 124 neighbours together.
+        class CountingBackend(SerialBackend):
+            jobs_submitted = 0
+
+            def run_batch(self, jobs):
+                self.jobs_submitted += len(jobs)
+                return super().run_batch(jobs)
+
+        candidates = list(Action.default().neighbors(2))
+        assert len(set(candidates)) < len(candidates)
+        trees = [WhiskerTree(default_action=action) for action in candidates]
+        settings = tiny_settings(sim_duration=0.5)
+
+        backend = CountingBackend()
+        evaluator = Evaluator(tiny_range(), settings=settings, backend=backend)
+        results = evaluator.evaluate_many(trees, training=False)
+        assert backend.jobs_submitted == len(set(candidates)) * settings.num_specimens
+        assert backend.jobs_submitted < len(candidates) * settings.num_specimens
+        # Budget accounting is per candidate, and every candidate — first
+        # occurrence or duplicate — gets the score of its own simulation.
+        assert evaluator.evaluations == len(results) == len(candidates)
+        reference = Evaluator(tiny_range(), settings=settings)
+        for tree, result in zip(trees, results):
+            alone = reference.evaluate(tree, training=False)
+            assert result.score == alone.score
+            assert result.specimen_scores == alone.specimen_scores
+
+    def test_training_evaluations_are_never_deduplicated(self):
+        # A training pass writes usage statistics onto each tree it was
+        # given, so equal tables must still be simulated separately.
+        evaluator = Evaluator(tiny_range(), settings=tiny_settings(sim_duration=0.5))
+        twins = [WhiskerTree(), WhiskerTree()]
+        evaluator.evaluate_many(twins, training=True)
+        assert twins[0].total_use_count() == twins[1].total_use_count() > 0
 
     def test_paper_scale_settings(self):
         settings = EvaluatorSettings.paper_scale()

@@ -11,6 +11,7 @@ objects and the evaluator seed schedule.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -72,6 +73,26 @@ def reference_run():
     return tree, optimizer.state
 
 
+#: sha256 over the reference run's final tree and score history (floats by
+#: ``repr``), recorded before sealing and candidate deduplication landed:
+#: neither may move a rule, an action or a single score.
+REFERENCE_RUN_DIGEST = "08497ec09e3e09d7c0b5e7278b1a263537e3855a0d990ccfc03852aff707873a"
+
+
+class TestPinnedRun:
+    def test_reference_run_keeps_its_tree_and_score_history(self, reference_run):
+        tree, state = reference_run
+        document = [whisker_tree_to_dict(tree), [repr(s) for s in state.score_history]]
+        digest = hashlib.sha256(
+            json.dumps(document, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == REFERENCE_RUN_DIGEST
+        assert (state.evaluations_used, state.improvements, state.splits) == (200, 3, 1)
+        # Most of this run's simulations drown the design-time queue.
+        assert state.sealed_simulations > 100
+        assert state.truncated_simulations == 0
+
+
 class TestCheckpointWriting:
     def test_no_checkpoint_path_is_a_noop(self):
         optimizer = RemyOptimizer(make_evaluator())
@@ -128,6 +149,7 @@ class TestResume:
         assert resumed.state.evaluations_used == ref_state.evaluations_used
         assert resumed.state.improvements == ref_state.improvements
         assert resumed.state.splits == ref_state.splits
+        assert resumed.state.sealed_simulations == ref_state.sealed_simulations
 
     def test_resume_keeps_checkpointing_to_the_same_file(self, tmp_path):
         path = tmp_path / "design.ckpt.json"
