@@ -148,33 +148,3 @@ def test_parallel_neighborhood_evaluation_speedup(benchmark):
         f"expected >= 2x speedup with {WORKERS} workers, got {speedup:.2f}x"
     )
 
-
-def test_thread_backend_neighborhood_evaluation():
-    """ThreadBackend on the same workload: bit-identical, ratio recorded.
-
-    Pure-Python simulation holds the GIL, so threads buy wall-clock only on
-    the pickling/IPC the process pool pays and threads don't — the recorded
-    ``thread_speedup`` (serial / thread seconds) documents where that
-    tradeoff sits on this machine rather than asserting a target.  What IS
-    asserted is determinism: sharing one process must not change a score.
-    """
-    from repro.runner import ThreadBackend
-
-    serial_scores, serial_elapsed = _run(SerialBackend())
-    with ThreadBackend(max_workers=WORKERS) as backend:
-        _run(backend)  # warm the executor outside the timed region
-        thread_scores, thread_elapsed = _run(backend)
-
-    speedup = serial_elapsed / thread_elapsed if thread_elapsed > 0 else float("inf")
-    print(
-        f"\nserial {serial_elapsed:.2f}s, {WORKERS}-thread backend "
-        f"{thread_elapsed:.2f}s ({speedup:.2f}x)"
-    )
-    _RESULT.update(
-        {
-            "thread_workers": WORKERS,
-            "thread_seconds": round(thread_elapsed, 6),
-            "thread_speedup": round(speedup, 3),
-        }
-    )
-    assert thread_scores == serial_scores

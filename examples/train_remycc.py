@@ -18,9 +18,10 @@ full resumable search state (tree, progress counters, settings, seed
 schedule) atomically at every epoch boundary, and ``--resume`` continues
 from it bit-identically after an interruption — the resumed run's final
 tree and score history match an uninterrupted run exactly.  ``--retries N``
-switches the pool to the fault-tolerant
-:class:`~repro.runner.ResilientPoolBackend` (N attempts per chunk, with
-backoff, poison-job isolation and serial degradation).
+gives each chunk of the pool N attempts (with backoff between them, and
+serial degradation once the pool keeps breaking) before a failure is pinned
+on a job; without it a failing chunk is bisected straight away and the run
+stops with an error naming the job.
 
 ``--backend SPEC`` selects any backend directly — including the distributed
 queue (``--backend queue:0.0.0.0:7000``), which coordinates remote workers
@@ -77,8 +78,9 @@ def main() -> None:
         "--retries",
         type=int,
         default=None,
-        help="run the pool fault-tolerantly with this many attempts per "
-        "chunk (requires --workers != 1; see repro.runner.resilience)",
+        help="attempts the pool gives a failing chunk before bisecting it "
+        "down to the failing job (default 1 = no retry; requires "
+        "--workers != 1; see repro.runner.RetryPolicy)",
     )
     parser.add_argument(
         "--backend",
@@ -86,7 +88,7 @@ def main() -> None:
         metavar="SPEC",
         help="explicit execution backend spec (overrides --workers/--retries): "
         "'serial', 'process[:workers[:chunk[:retries]]]', "
-        "'thread[:workers[:chunk]]', or 'queue:host:port[:wait]' to "
+        "or 'queue:host:port[:wait]' to "
         "coordinate remote workers started with "
         "'python -m repro.runner.distributed worker host:port'",
     )

@@ -27,7 +27,6 @@ from repro.experiments.base import (
     remycc_scheme,
     resolve_scenario,
     run_cell_experiment,
-    run_scenario_schemes,
     run_scenario_sweep,
     run_scheme,
     run_schemes,
@@ -42,7 +41,6 @@ __all__ = [
     "remycc_scheme",
     "resolve_scenario",
     "run_cell_experiment",
-    "run_scenario_schemes",
     "run_scenario_sweep",
     "run_scheme",
     "run_schemes",

@@ -20,10 +20,10 @@ Scenarios come from the declarative registry (:mod:`repro.scenarios`): each
 figure harness resolves its base cell by name and applies its paper-scale
 knobs via :meth:`~repro.scenarios.spec.ScenarioSpec.override`, so the
 topology/queue/workload definitions live in exactly one place.
-:func:`run_scenario_schemes` is the shorthand for "run these schemes over
-that registered cell"; :func:`run_scenario_sweep` batches a whole
-``cell × scheme × seed`` grid (collision-free ``mix_seed`` seeding) in one
-backend submission — the runner behind the multi-bottleneck path matrix.
+:func:`run_scenario_sweep` batches a whole ``cell × scheme × seed`` grid
+(collision-free ``mix_seed`` seeding) in one backend submission — the runner
+behind the multi-bottleneck path matrix — and :func:`run_cell_experiment` is
+its single-cell form under the figures' recorded seed arithmetic.
 """
 
 from __future__ import annotations
@@ -292,38 +292,6 @@ def legacy_seed(cell_name: str, base_seed: int, run_index: int) -> int:
     return base_seed * 10_007 + run_index
 
 
-def run_scenario_schemes(
-    scenario: Union[str, ScenarioSpec],
-    schemes: Sequence[SchemeSpec],
-    n_runs: int = 4,
-    duration: Optional[float] = None,
-    base_seed: Optional[int] = None,
-    max_events: Optional[int] = None,
-    backend: Optional[ExecutionBackend] = None,
-) -> list[SchemeSummary]:
-    """Run every scheme over a registered scenario cell as one backend batch.
-
-    The cell supplies the topology (with any trace materialized), the
-    per-flow workloads, and — when not overridden — its canonical duration
-    and seed.  Each scheme still swaps in its own protocols and, if it needs
-    router support, its own queue discipline.  A single-cell
-    :func:`run_scenario_sweep` under the :func:`legacy_seed` derivation, so
-    the recorded figure outputs stay bit-identical.
-    """
-    cell = resolve_scenario(scenario)
-    sweep = run_scenario_sweep(
-        [cell],
-        schemes,
-        n_runs=n_runs,
-        duration=duration,
-        max_events=max_events,
-        backend=backend,
-        base_seed=base_seed,
-        seed_derivation=legacy_seed,
-    )
-    return sweep[cell.name]
-
-
 def sweep_seed(cell_name: str, base_seed: int, run_index: int) -> int:
     """Collision-free per-run seed for the scenario sweep grid.
 
@@ -403,7 +371,7 @@ def run_scenario_sweep(
     """Run a ``cell × scheme × seed`` grid as ONE backend batch.
 
     The sweep runner behind the multi-bottleneck/path matrix and (via
-    :func:`run_scenario_schemes`) every figure harness: each
+    :func:`run_cell_experiment`) every figure harness: each
     ``(cell, scheme, run)`` simulation of the grid is independent, so the
     whole grid ships to the backend at once and a process pool stays
     saturated across cells, not just within one.  ``scenarios`` accepts
@@ -510,18 +478,25 @@ def run_cell_experiment(
     scheme list, run the whole ``scheme × run`` fan-out as one backend batch
     (a single-cell :func:`run_scenario_sweep` under :func:`legacy_seed`
     seeding, so recorded outputs are bit-identical) and fold the summaries
-    into an :class:`ExperimentResult`.
+    into an :class:`ExperimentResult`.  The cell supplies the topology (with
+    any trace materialized), the per-flow workloads, and — when not
+    overridden — its canonical duration and seed; each scheme still swaps in
+    its own protocols and, if it needs router support, its own queue
+    discipline.
     """
     schemes = list(schemes) if schemes is not None else standard_schemes()
-    result = ExperimentResult(name=name, parameters=dict(parameters or {}))
-    for summary in run_scenario_schemes(
-        scenario,
+    cell = resolve_scenario(scenario)
+    sweep = run_scenario_sweep(
+        [cell],
         schemes,
         n_runs=n_runs,
         duration=duration,
-        base_seed=base_seed,
         max_events=max_events,
         backend=backend,
-    ):
+        base_seed=base_seed,
+        seed_derivation=legacy_seed,
+    )
+    result = ExperimentResult(name=name, parameters=dict(parameters or {}))
+    for summary in sweep[cell.name]:
         result.add(summary)
     return result

@@ -3,27 +3,24 @@
 The design loop (§4.3) and the figure harnesses all boil down to batches of
 independent packet-level simulations.  This package describes one simulation
 as a picklable :class:`SimJob`, and runs batches through an
-:class:`ExecutionBackend` — serially in-process (the bit-identical default),
-across a pool of threads (:class:`ThreadBackend`, backend spec
-``thread[:workers[:chunk]]``), across a pool of worker processes, or — for
-long fault-prone runs — through
-the fault-tolerant :class:`ResilientPoolBackend` (retry with deterministic
-backoff, per-chunk timeouts, poison-job bisection, serial degradation; see
-:mod:`repro.runner.resilience`).  :mod:`repro.runner.distributed` scales the
-same batches over the network: a lease-based work queue (:class:`QueueBackend`,
-backend spec ``queue:host:port``) with worker heartbeats, crash recovery and
-graceful degradation, while :mod:`repro.runner.cache` adds a content-addressed
+:class:`ExecutionBackend` — serially in-process (the bit-identical default)
+or across a pool of worker processes (:class:`ProcessPoolBackend`, the one
+local pool: poison-job bisection always, and with a :class:`RetryPolicy`
+retry with deterministic backoff, per-chunk timeouts and serial degradation;
+the policy and verdict types live in :mod:`repro.runner.resilience`).
+:mod:`repro.runner.distributed` scales the same batches over the network: a
+lease-based work queue (:class:`QueueBackend`, backend spec
+``queue:host:port``) with worker heartbeats, crash recovery and graceful
+degradation, while :mod:`repro.runner.cache` adds a content-addressed
 result cache so repeat evaluations of the same ``(rule table, scenario,
 seed)`` are served without running anything.  :mod:`repro.runner.faults`
 provides the seeded chaos harness that makes fault-path tests reproducible.
 """
 
 from repro.runner.backends import (
-    ChunkExecutionError,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     available_workers,
     backend_from_spec,
     prepare_jobs,
@@ -55,12 +52,10 @@ from repro.runner.jobs import (
     run_sim_job,
 )
 from repro.runner.resilience import (
-    CorruptResultError,
     FakeClock,
     JobFailure,
     MonotonicClock,
     PoisonJobError,
-    ResilientPoolBackend,
     RetryPolicy,
     record_failure,
 )
@@ -83,9 +78,7 @@ def __getattr__(name: str) -> object:
 
 __all__ = [
     "CachingBackend",
-    "ChunkExecutionError",
     "ConnectionClosed",
-    "CorruptResultError",
     "ExecutionBackend",
     "FakeClock",
     "FaultPlan",
@@ -97,13 +90,11 @@ __all__ = [
     "PoisonJobError",
     "ProcessPoolBackend",
     "QueueBackend",
-    "ResilientPoolBackend",
     "ResultCache",
     "RetryPolicy",
     "SerialBackend",
     "SimJob",
     "SimJobResult",
-    "ThreadBackend",
     "WhiskerStatsDelta",
     "active_fault_plan",
     "available_workers",

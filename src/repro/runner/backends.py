@@ -11,10 +11,19 @@ harnesses can share it:
 * :class:`ProcessPoolBackend` ships picklable jobs to a pool of worker
   processes.  Workers operate on isolated copies of the rule table, so
   training statistics come back as explicit per-whisker deltas that the
-  caller merges (see :func:`repro.runner.jobs.merge_whisker_stats`).
+  caller merges (see :func:`repro.runner.jobs.merge_whisker_stats`).  It is
+  the only local pool, and it is fault tolerant: a chunk lost to a worker
+  crash, hang, exception or corrupted result is retried as its
+  :class:`~repro.runner.resilience.RetryPolicy` allows, then bisected until
+  the failure is pinned on a single job.
 
 Backends preserve submission order: ``run_batch(jobs)[i]`` is always the
-result of ``jobs[i]``.
+result of ``jobs[i]``.  Determinism under retry: a
+:class:`~repro.runner.jobs.SimJob` is a pure function of its pickled inputs,
+so re-executing a lost chunk reproduces the original results bit-for-bit —
+the pool's results match :class:`SerialBackend`'s no matter how many faults
+were survived along the way (pinned by the golden-parity chaos tests in
+``tests/test_resilience.py``).
 """
 
 from __future__ import annotations
@@ -22,16 +31,23 @@ from __future__ import annotations
 import os
 import pickle
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.runner.jobs import SimJob, SimJobResult, run_sim_job
+from repro.runner.jobs import SimJob, SimJobResult, chunk_result_mismatch, run_sim_job
+from repro.runner.resilience import (
+    BatchEntry,
+    Clock,
+    JobFailure,
+    MonotonicClock,
+    PoisonJobError,
+    RetryPolicy,
+    _WorkItem,
+    record_failure,
+    run_item_serially,
+)
 
 
 def _execute_job_chunk(jobs: Sequence[SimJob], attempt: int = 0) -> list[SimJobResult]:
@@ -43,8 +59,7 @@ def _execute_job_chunk(jobs: Sequence[SimJob], attempt: int = 0) -> list[SimJobR
     message.
 
     ``attempt`` is the number of times this chunk has already been tried
-    (:class:`~repro.runner.resilience.ResilientPoolBackend` increments it on
-    resubmission); it keys the deterministic fault-injection harness, which
+    (:class:`ProcessPoolBackend` increments it on resubmission); it keys the deterministic fault-injection harness, which
     fires only inside armed worker processes (see
     :func:`repro.runner.faults.worker_fault_plan`).
     """
@@ -133,23 +148,6 @@ def prepare_jobs(jobs: Sequence[SimJob]) -> list[SimJob]:
     return prepared
 
 
-class ChunkExecutionError(RuntimeError):
-    """A worker chunk failed under :class:`ProcessPoolBackend`.
-
-    Carries *which* jobs were in the failing chunk (``job_ids``, in
-    submission order) and the chunk's batch offset, with the worker's
-    exception chained as ``__cause__``.  The plain pool backend does not
-    retry — use :class:`~repro.runner.resilience.ResilientPoolBackend` for
-    that — but it does cancel and drain the rest of the batch so no futures
-    leak, and this error tells the caller exactly what was lost.
-    """
-
-    def __init__(self, chunk_start: int, job_ids: Sequence[int], message: str):
-        super().__init__(message)
-        self.chunk_start = chunk_start
-        self.job_ids = list(job_ids)
-
-
 class ExecutionBackend(ABC):
     """Runs batches of independent :class:`SimJob`\\ s."""
 
@@ -207,6 +205,32 @@ class ProcessPoolBackend(ExecutionBackend):
     load balance; pass an explicit value to trade balance against IPC
     (bigger chunks = fewer, larger messages).
 
+    The pool survives worker crashes, hangs and bad results:
+
+    * a chunk lost to a pool break, timeout, exception or corrupt result is
+      retried (after deterministic backoff) up to ``retry.max_attempts``
+      times; chunks still in flight when the pool breaks are resubmitted
+      without being charged an attempt of their own beyond the shared one;
+    * a chunk that exhausts its attempts is **bisected** and each half
+      retried afresh, recursively, until the failure is pinned on a single
+      job — the poison job — which becomes a :class:`JobFailure`;
+    * every pool break or timeout kill rebuilds the pool; after
+      ``retry.max_pool_rebuilds`` rebuilds within one batch the backend
+      *degrades*: the rest of that batch runs serially in this process
+      (fault injection stays off there — it models worker infrastructure,
+      not the math).  The budget is per batch — the next ``run_batch``
+      starts on a fresh pool — and :attr:`degraded` reports whether the
+      last batch degraded;
+    * ``on_failure="raise"`` (default) raises :class:`PoisonJobError` naming
+      every permanently failed job once the rest of the batch has been
+      driven to completion; ``on_failure="return"`` instead places the
+      :class:`JobFailure` in that job's result slot, for callers prepared
+      to handle partial batches.
+
+    ``retry=None`` (the default) is ``RetryPolicy(max_attempts=1)``: no
+    retries, but a failing chunk is still bisected, so the error names the
+    *job* that failed rather than the chunk that carried it.
+
     The pool is created lazily on first use and reused across batches;
     call :meth:`close` (or use the backend as a context manager) to reap the
     workers.
@@ -214,15 +238,30 @@ class ProcessPoolBackend(ExecutionBackend):
 
     shares_memory = False
 
-    def __init__(self, max_workers: Optional[int] = None, chunk_jobs: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        max_workers: Optional[int] = None,
+        chunk_jobs: Optional[int] = None,
+        retry: Optional[RetryPolicy] = None,
+        clock: Optional[Clock] = None,
+        on_failure: str = "raise",
+    ) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if chunk_jobs is not None and chunk_jobs <= 0:
             raise ValueError("chunk_jobs must be positive")
+        if on_failure not in ("raise", "return"):
+            raise ValueError("on_failure must be 'raise' or 'return'")
         self.max_workers = max_workers if max_workers is not None else available_workers()
         self.chunk_jobs = chunk_jobs
+        self.retry = retry if retry is not None else RetryPolicy(max_attempts=1)
+        self.clock: Clock = clock if clock is not None else MonotonicClock()
+        self.on_failure = on_failure
+        self.pool_rebuilds = 0
+        self.degraded = False
         self._executor: Optional[ProcessPoolExecutor] = None
 
+    # -- pool lifecycle ------------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
             # The initializer arms fault injection (a no-op unless a
@@ -236,6 +275,26 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         return self._executor
 
+    def _rebuild_pool(self) -> None:
+        """Tear the executor down hard and count the rebuild.
+
+        Used for both break (workers already dead) and timeout (a worker is
+        alive but hung — it must be terminated, or ``shutdown`` would block
+        on it forever).
+        """
+        self.pool_rebuilds += 1
+        executor = self._executor
+        self._executor = None
+        if executor is None:
+            return
+        processes = getattr(executor, "_processes", None) or {}
+        for process in list(processes.values()):
+            if process.is_alive():
+                process.terminate()
+        executor.shutdown(wait=False, cancel_futures=True)
+        if self.pool_rebuilds > self.retry.max_pool_rebuilds:
+            self.degraded = True
+
     def _chunk_size(self, n_jobs: int) -> int:
         if self.chunk_jobs is not None:
             return self.chunk_jobs
@@ -243,61 +302,160 @@ class ProcessPoolBackend(ExecutionBackend):
         # vary while still amortizing IPC over several jobs per task.
         return max(1, -(-n_jobs // (self.max_workers * 4)))
 
-    def _check_factories_picklable(self, jobs: Sequence[SimJob]) -> None:
-        check_factories_picklable(jobs)
-
-    def _prepare(self, jobs: Sequence[SimJob]) -> list[SimJob]:
-        return prepare_jobs(jobs)
-
+    # -- the batch loop ------------------------------------------------------
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
-        jobs = self._prepare(jobs)
-        if not jobs:
+        # The rebuild budget is per batch: a long-lived pool that degraded
+        # once must not run every later batch in the coordinator.
+        self.pool_rebuilds = 0
+        self.degraded = False
+        prepared = prepare_jobs(jobs)
+        if not prepared:
             return []
-        executor = self._ensure_executor()
-        chunk = self._chunk_size(len(jobs))
-        futures = {
-            executor.submit(_execute_job_chunk, jobs[start : start + chunk]): start
-            for start in range(0, len(jobs), chunk)
-        }
-        # Stream results back chunk by chunk as workers finish, reassembling
-        # submission order (run_batch's ordering contract) by chunk offset.
-        results: list[Optional[SimJobResult]] = [None] * len(jobs)
-        pending = set(futures)
+        chunk = self._chunk_size(len(prepared))
+        queue: list[_WorkItem] = [
+            _WorkItem(start, tuple(prepared[start : start + chunk]))
+            for start in range(0, len(prepared), chunk)
+        ]
+        results: list[Optional[BatchEntry]] = [None] * len(prepared)
+        failures: list[JobFailure] = []
+        solo_queue: list[_WorkItem] = []
+        retry_queue: list[_WorkItem] = []
+        timeout = self.retry.chunk_timeout
+        pending: dict[Future[list[SimJobResult]], tuple[_WorkItem, Optional[float]]]
+        pending = {}
+
+        def charge(item: _WorkItem, kind: str, message: str) -> None:
+            record_failure(
+                item,
+                kind,
+                message,
+                max_attempts=self.retry.max_attempts,
+                results=results,
+                failures=failures,
+                retry_queue=retry_queue,
+                solo_queue=solo_queue,
+            )
+
+        def consume(future: Future[list[SimJobResult]]) -> bool:
+            """Land one finished chunk; ``True`` if it reports a broken pool."""
+            item, _deadline = pending.pop(future)
+            try:
+                chunk_results = future.result()
+                mismatch = chunk_result_mismatch(list(item.jobs), chunk_results)
+            except BrokenProcessPool as exc:
+                charge(item, "crash", repr(exc))
+                return True
+            except Exception as exc:
+                charge(item, "exception", repr(exc))
+                return False
+            if mismatch is not None:
+                charge(
+                    item,
+                    "corrupt",
+                    f"{mismatch} (batch offset {item.start}) — result rejected "
+                    "and the chunk will be re-executed",
+                )
+                return False
+            for offset, result in enumerate(chunk_results):
+                results[item.start + offset] = result
+            return False
+
         try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            while queue or pending or solo_queue:
+                if self.degraded:
+                    # pending is always drained before degradation flips on.
+                    for item in queue + solo_queue:
+                        run_item_serially(item, results, failures)
+                    break
+                if not queue and not pending and solo_queue:
+                    # Solo confirmation: one suspect at a time, nothing else
+                    # in flight, so a failure is unambiguously attributable.
+                    # (Its own retries keep it alone until it passes or is
+                    # condemned.)
+                    queue.append(solo_queue.pop(0))
+
+                executor = self._ensure_executor()
+                try:
+                    for index, item in enumerate(queue):
+                        future = executor.submit(
+                            _execute_job_chunk, list(item.jobs), item.attempt
+                        )
+                        deadline = (
+                            self.clock.now() + timeout if timeout is not None else None
+                        )
+                        pending[future] = (item, deadline)
+                except BrokenProcessPool:
+                    # The pool broke between waves (a crash we had not
+                    # consumed yet).  Requeue the unsubmitted tail; in-flight
+                    # futures are handled by the normal broken-pool wave
+                    # below.  With nothing in flight there is no wave to
+                    # detect the break, so rebuild here or the next iteration
+                    # would resubmit to the same broken executor forever.
+                    queue = queue[index:]
+                    if not pending:
+                        self._rebuild_pool()
+                        continue
+                else:
+                    queue = []
+
+                wait_timeout: Optional[float] = None
+                deadlines = [dl for _, dl in pending.values() if dl is not None]
+                if deadlines:
+                    wait_timeout = max(0.0, min(deadlines) - self.clock.now())
+                done, _ = wait(
+                    set(pending), timeout=wait_timeout, return_when=FIRST_COMPLETED
+                )
+
+                pool_broken = False
                 for future in done:
-                    start = futures[future]
-                    try:
-                        chunk_results = future.result()
-                    except Exception as exc:
-                        failed = jobs[start : start + chunk]
-                        raise ChunkExecutionError(
-                            chunk_start=start,
-                            job_ids=[job.job_id for job in failed],
-                            message=(
-                                f"chunk at batch offset {start} (jobs "
-                                f"{[job.job_id for job in failed]}) failed in "
-                                f"the worker: {exc!r}.  The rest of the batch "
-                                "was cancelled; completed results are "
-                                "discarded (jobs are pure, resubmitting is "
-                                "safe).  For automatic retry/poison-job "
-                                "isolation use ResilientPoolBackend "
-                                "(backend spec 'process:N:C:retries')."
-                            ),
-                        ) from exc
-                    for offset, result in enumerate(chunk_results):
-                        results[start + offset] = result
+                    pool_broken |= consume(future)
+                # A pool break completes the remaining futures exceptionally
+                # in short order — drain them now so one break is handled as
+                # one wave (one rebuild), not one wave per future.
+                if pool_broken:
+                    for future in list(pending):
+                        if future.done():
+                            consume(future)
+
+                # Hang detection: any still-pending chunk past its deadline.
+                expired: list[Future[list[SimJobResult]]] = []
+                if timeout is not None:
+                    now = self.clock.now()
+                    expired = [
+                        future
+                        for future, (_, deadline) in pending.items()
+                        if deadline is not None and deadline <= now and not future.done()
+                    ]
+
+                if pool_broken or expired:
+                    for future in expired:
+                        item, _deadline = pending.pop(future)
+                        charge(item, "timeout", f"chunk exceeded chunk_timeout={timeout}s")
+                    # Whatever else was in flight is collateral of the
+                    # rebuild: resubmit it as-is, without charging an attempt.
+                    retry_queue.extend(item for item, _deadline in pending.values())
+                    pending.clear()
+                    self._rebuild_pool()
+
+                if retry_queue:
+                    delay = max(
+                        self.retry.backoff_seconds(item.attempt, key=item.start)
+                        for item in retry_queue
+                    )
+                    if delay > 0 and not self.degraded:
+                        self.clock.sleep(delay)
+                    queue.extend(retry_queue)
+                    retry_queue.clear()
         except BaseException:
-            # Don't leak the rest of the batch: cancel whatever has not
-            # started and drain what has, so no future is still running when
-            # the error surfaces (the pool stays reusable unless the worker
-            # itself died).
+            # The loop absorbs every worker failure, so this is an interrupt:
+            # drop the chunks no worker has started, or close() would sit
+            # through the whole rest of the batch before reaping the pool.
             for future in pending:
                 future.cancel()
-            if pending:
-                wait(pending)
             raise
+
+        if failures and self.on_failure == "raise":
+            raise PoisonJobError(failures, total_jobs=len(prepared))
         return results  # type: ignore[return-value]  # every slot filled above
 
     def close(self) -> None:
@@ -306,118 +464,19 @@ class ProcessPoolBackend(ExecutionBackend):
             self._executor = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ProcessPoolBackend(max_workers={self.max_workers})"
-
-
-def _run_thread_chunk(jobs: Sequence[SimJob]) -> list[SimJobResult]:
-    """Thread-pool chunk runner: plain in-process execution, no fault plan.
-
-    Fault injection is a *worker-process* concept (armed by the process-pool
-    initializer); threads execute in the submitting process, where injected
-    faults must never fire.
-    """
-    return [run_sim_job(job) for job in jobs]
-
-
-class ThreadBackend(ExecutionBackend):
-    """Fan jobs out over a pool of threads in the submitting process.
-
-    Jobs execute on the caller's own objects — nothing is pickled, so
-    closure ``protocol_factory``\\ s and runtime-registered scenario names
-    work unchanged.  Every job is an independent, fully self-contained
-    simulation (its own scheduler, rngs and flow state seeded from the job
-    alone), so thread scheduling cannot perturb results: per-job output is
-    bit-identical to :class:`SerialBackend`, and ``run_batch`` reassembles
-    submission order like every backend.
-
-    Training-mode rule-table jobs are the one exception to independence —
-    they mutate the shared tree's usage counters in place — so a batch
-    containing any such job degrades to in-order serial execution rather
-    than racing unsynchronized read-modify-write updates across threads.
-
-    This backend trades the process pool's per-chunk pickling/IPC for the
-    interpreter lock: it shines when jobs release the GIL or are too short
-    to amortize IPC, and it is the cheap way to overlap many small jobs
-    without worker processes.  ``chunk_jobs`` bounds per-task submission
-    overhead exactly as in :class:`ProcessPoolBackend` (default: four
-    chunks per worker).
-    """
-
-    shares_memory = True
-
-    def __init__(
-        self, max_workers: Optional[int] = None, chunk_jobs: Optional[int] = None
-    ) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        if chunk_jobs is not None and chunk_jobs <= 0:
-            raise ValueError("chunk_jobs must be positive")
-        self.max_workers = max_workers if max_workers is not None else available_workers()
-        self.chunk_jobs = chunk_jobs
-        self._executor: Optional[ThreadPoolExecutor] = None
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    def _chunk_size(self, n_jobs: int) -> int:
-        if self.chunk_jobs is not None:
-            return self.chunk_jobs
-        return max(1, -(-n_jobs // (self.max_workers * 4)))
-
-    def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
-        if not jobs:
-            return []
-        if any(job.tree is not None and job.training for job in jobs):
-            # Training jobs mutate the caller's tree in place; running them
-            # concurrently would race those updates, so preserve the serial
-            # (bit-identical) contract instead.
-            return [run_sim_job(job) for job in jobs]
-        executor = self._ensure_executor()
-        chunk = self._chunk_size(len(jobs))
-        futures = {
-            executor.submit(_run_thread_chunk, jobs[start : start + chunk]): start
-            for start in range(0, len(jobs), chunk)
-        }
-        results: list[Optional[SimJobResult]] = [None] * len(jobs)
-        pending = set(futures)
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    start = futures[future]
-                    for offset, result in enumerate(future.result()):
-                        results[start + offset] = result
-        except BaseException:
-            # Cancel whatever has not started and drain the rest so no
-            # chunk is still running when the error surfaces.
-            for future in pending:
-                future.cancel()
-            if pending:
-                wait(pending)
-            raise
-        return results  # type: ignore[return-value]  # every slot filled above
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ThreadBackend(max_workers={self.max_workers})"
+        return (
+            f"ProcessPoolBackend(max_workers={self.max_workers}, "
+            f"retry={self.retry!r}, degraded={self.degraded})"
+        )
 
 
 #: Grammar reminder appended to every spec-format error.
 _SPEC_GRAMMAR = (
     "expected 'serial', 'process[:workers[:chunk[:retries]]]' (each field a "
     "positive integer or empty for the default — e.g. 'process', "
-    "'process:8', 'process:8:4', or 'process:::3'; a retries field selects "
-    "ResilientPoolBackend with per-chunk retry and poison-job isolation), "
-    "'thread[:workers[:chunk]]' (ThreadBackend: a thread pool in the "
-    "submitting process — same workers/chunk fields as process, no retries "
-    "field because nothing crosses a process boundary — e.g. 'thread', "
-    "'thread:8', or 'thread::4'), or 'queue:host:port[:wait]' (QueueBackend: "
+    "'process:8', 'process:8:4', or 'process:::3'; retries is the attempts "
+    "a failing chunk gets before it is bisected down to the poison job, "
+    "default 1), or 'queue:host:port[:wait]' (QueueBackend: "
     "bind the distributed coordinator on host:port — empty host means "
     "127.0.0.1, port 0 picks an ephemeral port — and degrade to in-process "
     "execution if no worker registers within 'wait' seconds)."
@@ -450,15 +509,11 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
     :class:`ProcessPoolBackend` with one worker per available CPU;
     ``"process:N"`` → a pool of exactly N workers; ``"process:N:C"`` →
     additionally submit C jobs per worker task (chunk size); and
-    ``"process:N:C:R"`` → a
-    :class:`~repro.runner.resilience.ResilientPoolBackend` allowing up to R
-    attempts per chunk (with the default backoff/timeout policy).  Empty
-    fields keep their defaults, so ``"process::8"`` sets only the chunk size
-    and ``"process:::3"`` only the retry budget.
-
-    ``"thread[:workers[:chunk]]"`` → a :class:`ThreadBackend` with the same
-    workers/chunk semantics (no retries field: threads never lose work to a
-    dead worker process, and fault injection is process-pool-only).
+    ``"process:N:C:R"`` → the same pool allowing up to R attempts per chunk
+    (``RetryPolicy(max_attempts=R)``, default backoff/timeout policy; without
+    the field a failing chunk gets one attempt and is bisected straight
+    away).  Empty fields keep their defaults, so ``"process::8"`` sets only
+    the chunk size and ``"process:::3"`` only the retry budget.
 
     ``"queue:host:port[:wait]"`` → a
     :class:`~repro.runner.distributed.QueueBackend`: bind the distributed
@@ -491,29 +546,11 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
         workers = _spec_field(spec, "workers", fields[0])
         chunk = _spec_field(spec, "chunk", fields[1])
         retries = _spec_field(spec, "retries", fields[2])
-        if retries is not None:
-            # Imported here: resilience subclasses ProcessPoolBackend, so a
-            # module-level import would be circular.
-            from repro.runner.resilience import ResilientPoolBackend, RetryPolicy
-
-            return ResilientPoolBackend(
-                max_workers=workers,
-                chunk_jobs=chunk,
-                retry=RetryPolicy(max_attempts=retries),
-            )
-        return ProcessPoolBackend(max_workers=workers, chunk_jobs=chunk)
-    if name == "thread":
-        fields = arg.split(":") if arg else []
-        if len(fields) > 2:
-            raise ValueError(
-                f"invalid backend spec {spec!r}: too many fields "
-                f"({len(fields)}) — thread takes at most workers and chunk "
-                f"('thread[:workers[:chunk]]'); {_SPEC_GRAMMAR}"
-            )
-        fields += [""] * (2 - len(fields))
-        workers = _spec_field(spec, "workers", fields[0])
-        chunk = _spec_field(spec, "chunk", fields[1])
-        return ThreadBackend(max_workers=workers, chunk_jobs=chunk)
+        return ProcessPoolBackend(
+            max_workers=workers,
+            chunk_jobs=chunk,
+            retry=RetryPolicy(max_attempts=retries) if retries is not None else None,
+        )
     if name == "queue":
         fields = arg.split(":") if arg else []
         if len(fields) < 2:
@@ -562,5 +599,5 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
         return QueueBackend(host=host, port=port)
     raise ValueError(
         f"unknown backend spec {spec!r}: family {name!r} is not one of "
-        f"'serial', 'process', 'thread', or 'queue'; {_SPEC_GRAMMAR}"
+        f"'serial', 'process', or 'queue'; {_SPEC_GRAMMAR}"
     )

@@ -285,7 +285,7 @@ class CachingBackend(ExecutionBackend):
             for slot, result in zip(miss_slots, inner_results):
                 results[slot] = result
                 key = keys[slot]
-                # A resilient inner backend in on_failure="return" mode can
+                # An inner backend in on_failure="return" mode can
                 # hand back JobFailure entries — never cache those.
                 if key is not None and isinstance(result, SimJobResult):
                     self.cache.put(key, result)

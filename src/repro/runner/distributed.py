@@ -14,14 +14,14 @@ corrupted frames along the way:
   discarded idempotently by chunk id.  Every failure verdict goes through
   the shared :func:`~repro.runner.resilience.record_failure` machinery, so
   retry, bisection, solo confirmation and poison-job condemnation behave
-  exactly as in :class:`~repro.runner.resilience.ResilientPoolBackend`.
+  exactly as in :class:`~repro.runner.backends.ProcessPoolBackend`.
   Every method takes ``now`` explicitly — tests drive it with a
   :class:`~repro.runner.resilience.FakeClock` and never sleep.
 * :class:`QueueBackend` — an :class:`~repro.runner.backends.ExecutionBackend`
   that embeds the coordinator: it binds ``host:port``, and ``run_batch``
   pumps a single-threaded ``selectors`` event loop until every slot is
-  filled.  Results are optionally served from / stored to a
-  content-addressed :class:`~repro.runner.cache.ResultCache`.  If no
+  filled.  (Wrap it in :class:`~repro.runner.cache.CachingBackend` to serve
+  repeat jobs from a content-addressed cache without a lease.)  If no
   worker stays registered for ``worker_wait`` seconds, the batch
   *degrades* to in-process serial execution rather than hanging forever.
 * :func:`run_worker` — the worker loop (``python -m
@@ -64,7 +64,6 @@ from repro.runner.backends import (
     _execute_job_chunk,
     prepare_jobs,
 )
-from repro.runner.cache import ResultCache, batch_cache_keys
 from repro.runner.faults import (
     mark_transport_worker,
     mark_worker_process,
@@ -361,9 +360,7 @@ class QueueBackend(ExecutionBackend):
     Memory-isolated like the process pool (``shares_memory = False``):
     jobs are prepared with the shared
     :func:`~repro.runner.backends.prepare_jobs` pass, and training
-    statistics come back as explicit deltas.  Pass a
-    :class:`~repro.runner.cache.ResultCache` to serve repeat evaluations
-    from content-addressed storage instead of any worker.
+    statistics come back as explicit deltas.
 
     If no worker is registered for ``worker_wait`` consecutive seconds
     (never having registered counts from the first pump), the batch
@@ -372,7 +369,7 @@ class QueueBackend(ExecutionBackend):
     wrong.  Failures that survive retry/bisection/solo confirmation raise
     :class:`~repro.runner.resilience.PoisonJobError` (``on_failure="raise"``)
     or land as :class:`~repro.runner.resilience.JobFailure` entries
-    (``on_failure="return"``), matching the resilient pool.
+    (``on_failure="return"``), matching the process pool.
     """
 
     shares_memory = False
@@ -385,7 +382,6 @@ class QueueBackend(ExecutionBackend):
         chunk_jobs: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         clock: Optional[Clock] = None,
-        cache: Optional[ResultCache] = None,
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         worker_wait: float = DEFAULT_WORKER_WAIT,
@@ -401,7 +397,6 @@ class QueueBackend(ExecutionBackend):
         self.chunk_jobs = chunk_jobs
         self.retry = retry if retry is not None else RetryPolicy()
         self.clock: Clock = clock if clock is not None else MonotonicClock()
-        self.cache = cache
         self.lease_timeout = lease_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.heartbeat_interval = max(0.05, heartbeat_timeout / 5.0)
@@ -431,49 +426,17 @@ class QueueBackend(ExecutionBackend):
         if not prepared:
             return []
         self._batch_serial += 1
-        keys: list[Optional[str]] = (
-            batch_cache_keys(prepared)
-            if self.cache is not None
-            else [None] * len(prepared)
+        queue = LeaseQueue(
+            prepared,
+            chunk_jobs=self._chunk_size(len(prepared)),
+            max_attempts=self.retry.max_attempts,
+            lease_timeout=self.lease_timeout,
+            heartbeat_timeout=self.heartbeat_timeout,
         )
-        results: list[Optional[BatchEntry]] = [None] * len(prepared)
-        miss_slots: list[int] = []
-        for slot, (job, key) in enumerate(zip(prepared, keys)):
-            cached = (
-                self.cache.get(key)
-                if self.cache is not None and key is not None
-                else None
-            )
-            if cached is not None:
-                cached.job_id = job.job_id
-                results[slot] = cached
-            else:
-                miss_slots.append(slot)
-        failures: list[JobFailure] = []
-        if miss_slots:
-            miss_jobs = [prepared[slot] for slot in miss_slots]
-            queue = LeaseQueue(
-                miss_jobs,
-                chunk_jobs=self._chunk_size(len(miss_jobs)),
-                max_attempts=self.retry.max_attempts,
-                lease_timeout=self.lease_timeout,
-                heartbeat_timeout=self.heartbeat_timeout,
-            )
-            self._pump(queue)
-            for dense, slot in enumerate(miss_slots):
-                entry = queue.results[dense]
-                results[slot] = entry
-                key = keys[slot]
-                if (
-                    self.cache is not None
-                    and key is not None
-                    and isinstance(entry, SimJobResult)
-                ):
-                    self.cache.put(key, entry)
-            failures = queue.failures
-        if failures and self.on_failure == "raise":
-            raise PoisonJobError(failures, total_jobs=len(prepared))
-        return results  # type: ignore[return-value]  # every slot filled above
+        self._pump(queue)
+        if queue.failures and self.on_failure == "raise":
+            raise PoisonJobError(queue.failures, total_jobs=len(prepared))
+        return queue.results  # type: ignore[return-value]  # every slot filled above
 
     def _chunk_size(self, n_jobs: int) -> int:
         if self.chunk_jobs is not None:
@@ -705,7 +668,6 @@ class QueueBackend(ExecutionBackend):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"QueueBackend({self.address}, retry={self.retry!r}, "
-            f"cache={'yes' if self.cache is not None else 'no'}, "
             f"degraded={self.degraded})"
         )
 

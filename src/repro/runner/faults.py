@@ -1,8 +1,9 @@
 """Deterministic fault injection for the execution layer (chaos harness).
 
 Real design-phase runs (§4.3 at paper scale) lose workers to crashes, hangs
-and OOM kills; the resilience machinery in
-:mod:`repro.runner.resilience` exists to survive that.  Testing it against
+and OOM kills; the retry/bisect machinery of
+:class:`~repro.runner.backends.ProcessPoolBackend` and the distributed
+coordinator exists to survive that.  Testing it against
 *actual* random failures would make the chaos suite flaky, so this module
 injects failures **deterministically**: a :class:`FaultPlan` is a pure
 function of ``(plan seed, job_id, attempt)``, so a given plan produces the
@@ -19,7 +20,7 @@ environment variable (inherited by pool workers at spawn), so a plan must be
 installed *before* the backend creates its pool::
 
     with fault_plan_installed(FaultPlan(seed=7, crash_rate=0.3)):
-        with ResilientPoolBackend(max_workers=2) as backend:
+        with ProcessPoolBackend(max_workers=2, retry=RetryPolicy()) as backend:
             results = backend.run_batch(jobs)
 
 Fault modes, decided once per ``(job_id, attempt)``:
@@ -34,7 +35,7 @@ Fault modes, decided once per ``(job_id, attempt)``:
   (exercises result validation).
 
 ``poison_jobs`` lists job ids that crash on **every** attempt — the
-incurable failure the resilient backend must bisect down to a structured
+incurable failure the pool must bisect down to a structured
 :class:`~repro.runner.resilience.JobFailure`.  All other faults are
 re-rolled per attempt (and can be limited to the first
 ``max_faulty_attempts`` attempts), so retried jobs eventually succeed and,
@@ -286,7 +287,7 @@ def mark_worker_process() -> None:
     Installed by :class:`~repro.runner.backends.ProcessPoolBackend` on every
     pool it creates.  The flag is what keeps injection out of the submitting
     process (and out of :class:`~repro.runner.backends.SerialBackend` and the
-    resilient backend's serial-degradation path).
+    pool's own serial-degradation path).
     """
     global _in_worker_process
     _in_worker_process = True

@@ -244,7 +244,7 @@ def chunk_result_mismatch(
 
     Returns ``None`` when the results line up (same count, same job ids in
     the same order), otherwise a human-readable description of the mismatch.
-    Used by the resilient backend to reject corrupted or misrouted chunk
+    Used by the process pool to reject corrupted or misrouted chunk
     results before they can land in the wrong result slots.
     """
     expected = [job.job_id for job in jobs]

@@ -1,50 +1,33 @@
-"""Fault-tolerant batch execution: retry, backoff, poison-job isolation.
+"""Fault-tolerance policy and verdicts: retry, backoff, poison-job isolation.
 
 The design phase (§4.3) is a long-running, massively parallel search — the
-workload where worker crashes, hangs and OOM kills are routine.  The plain
-:class:`~repro.runner.backends.ProcessPoolBackend` treats any of those as
-fatal for the whole batch; this module adds the layer that survives them:
+workload where worker crashes, hangs and OOM kills are routine.  This module
+holds what the two fault-tolerant backends — the local
+:class:`~repro.runner.backends.ProcessPoolBackend` and the distributed
+coordinator's :class:`~repro.runner.distributed.LeaseQueue` — share; it runs
+no workers of its own:
 
 * :class:`RetryPolicy` — how many attempts a chunk gets, exponential backoff
   with **deterministic** jitter between attempts, an optional per-chunk
   timeout (hang detection), and the pool-rebuild budget before degrading to
   in-process serial execution.  Every wait goes through a :class:`Clock`, so
   tests substitute :class:`FakeClock` and chaos tests never really sleep.
-* :class:`ResilientPoolBackend` — a :class:`ProcessPoolBackend` whose
-  ``run_batch`` detects broken pools (a worker died), per-chunk timeouts
-  (a worker hung) and corrupted results, rebuilds the pool, and resubmits
-  **only the lost chunks**.  A chunk that keeps failing is bisected until
-  the failure is pinned on a single :class:`~repro.runner.jobs.SimJob`,
-  which is reported as a structured :class:`JobFailure` instead of a bare
-  traceback.  After ``max_pool_rebuilds`` rebuilds the backend stops
-  trusting the pool entirely and degrades to serial in-process execution
-  for the remainder of the batch.
-
-Determinism under retry: a :class:`~repro.runner.jobs.SimJob` is a pure
-function of its pickled inputs, so re-executing a lost chunk reproduces the
-original results bit-for-bit.  ``run_batch`` therefore keeps both of the
-plain backends' contracts — submission order (``results[i]`` belongs to
-``jobs[i]``) and bit-identical fingerprints — no matter how many faults were
-survived along the way (pinned by the golden-parity chaos tests in
-``tests/test_resilience.py``).
+* :func:`record_failure` — the verdict on one failed chunk attempt: retry,
+  bisect, solo-confirm, or condemn a single :class:`~repro.runner.jobs.SimJob`
+  as a structured :class:`JobFailure` (collected into a
+  :class:`PoisonJobError`) instead of a bare traceback.
+* :func:`run_item_serially` — the degraded path a backend falls back to
+  once it stops trusting its workers.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Optional, Protocol, Sequence, Union
 
-from repro.runner.backends import ProcessPoolBackend, _execute_job_chunk
-from repro.runner.jobs import (
-    SimJob,
-    SimJobResult,
-    chunk_result_mismatch,
-    run_sim_job,
-)
+from repro.runner.jobs import SimJob, SimJobResult, run_sim_job
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +86,7 @@ class FakeClock:
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard :class:`ResilientPoolBackend` fights for each chunk.
+    """How hard a fault-tolerant backend fights for each chunk.
 
     ``max_attempts`` counts total tries per chunk (1 = no retry).  Backoff
     before the ``n``-th retry is ``backoff_base * backoff_multiplier**(n-1)``
@@ -202,12 +185,8 @@ class PoisonJobError(RuntimeError):
         )
 
 
-class CorruptResultError(RuntimeError):
-    """A worker's chunk result failed validation (wrong shape or job ids)."""
-
-
 # ---------------------------------------------------------------------------
-# The backend
+# Verdicts: what becomes of a failed chunk
 # ---------------------------------------------------------------------------
 @dataclass
 class _WorkItem:
@@ -217,14 +196,14 @@ class _WorkItem:
     jobs: tuple[SimJob, ...]
     attempt: int = 0  # completed (failed) attempts so far
     #: Solo-confirmation stage: this item runs with nothing else in flight,
-    #: so any failure is unambiguously *its* fault (see _record_failure).
+    #: so any failure is unambiguously *its* fault (see record_failure).
     solo: bool = False
 
     def job_ids(self) -> list[int]:
         return [job.job_id for job in self.jobs]
 
 
-#: One slot of a resilient batch result: the job's result, or why it failed.
+#: One slot of a fault-tolerant batch result: the job's result, or why it failed.
 BatchEntry = Union[SimJobResult, JobFailure]
 
 
@@ -242,8 +221,8 @@ def record_failure(
     """Charge one failed attempt to ``item`` and decide its future.
 
     The shared verdict machinery of the fault-tolerant execution layer,
-    used by both :class:`ResilientPoolBackend` and the distributed
-    coordinator's lease queue.  Retry while attempts remain; then bisect
+    used by both :class:`~repro.runner.backends.ProcessPoolBackend` and the
+    distributed coordinator's lease queue.  Retry while attempts remain; then bisect
     multi-job chunks (each half starts over with a fresh attempt budget).
     A *single* job out of attempts is not condemned yet: a pool break (or a
     worker eviction) charges every in-flight chunk — the culprit cannot be
@@ -280,7 +259,7 @@ def run_item_serially(
 ) -> None:
     """Execute one work item in-process — the shared degraded path.
 
-    Used when a backend stops trusting its workers: the resilient pool
+    Used when a backend stops trusting its workers: the process pool
     after too many rebuilds, and the distributed coordinator when no worker
     is alive.  Runs job by job so a genuine per-job exception is attributed
     to that job alone.  Statistics collection mirrors the worker chunk
@@ -304,260 +283,3 @@ def run_item_serially(
             results[item.start + offset] = failure
         else:
             results[item.start + offset] = result
-
-
-class ResilientPoolBackend(ProcessPoolBackend):
-    """A process pool that survives worker crashes, hangs and bad results.
-
-    Semantics on top of :class:`ProcessPoolBackend`:
-
-    * a chunk lost to a pool break, timeout, exception or corrupt result is
-      retried (after deterministic backoff) up to ``retry.max_attempts``
-      times; chunks still in flight when the pool breaks are resubmitted
-      without being charged an attempt of their own beyond the shared one;
-    * a chunk that exhausts its attempts is **bisected** and each half
-      retried afresh, recursively, until the failure is pinned on a single
-      job — the poison job — which becomes a :class:`JobFailure`;
-    * every pool break or timeout kill rebuilds the pool; after
-      ``retry.max_pool_rebuilds`` rebuilds the backend *degrades*: the rest
-      of the batch runs serially in this process (fault injection stays off
-      there — it models worker infrastructure, not the math);
-    * ``on_failure="raise"`` (default) raises :class:`PoisonJobError` naming
-      every permanently failed job once the rest of the batch has been
-      driven to completion; ``on_failure="return"`` instead places the
-      :class:`JobFailure` in that job's result slot, for callers prepared
-      to handle partial batches.
-
-    Both of ``run_batch``'s contracts survive: results come back in
-    submission order, and — because jobs are pure and retries are whole
-    re-executions — they are bit-identical to an undisturbed run.
-    """
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunk_jobs: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        clock: Optional[Clock] = None,
-        on_failure: str = "raise",
-    ) -> None:
-        super().__init__(max_workers=max_workers, chunk_jobs=chunk_jobs)
-        if on_failure not in ("raise", "return"):
-            raise ValueError("on_failure must be 'raise' or 'return'")
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.clock: Clock = clock if clock is not None else MonotonicClock()
-        self.on_failure = on_failure
-        self.pool_rebuilds = 0
-        self.degraded = False
-
-    # -- pool lifecycle ------------------------------------------------------
-    def _rebuild_pool(self) -> None:
-        """Tear the executor down hard and count the rebuild.
-
-        Used for both break (workers already dead) and timeout (a worker is
-        alive but hung — it must be terminated, or ``shutdown`` would block
-        on it forever).
-        """
-        self.pool_rebuilds += 1
-        executor = self._executor
-        self._executor = None
-        if executor is None:
-            return
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            if process.is_alive():
-                process.terminate()
-        executor.shutdown(wait=False, cancel_futures=True)
-        if self.pool_rebuilds > self.retry.max_pool_rebuilds:
-            self.degraded = True
-
-    # -- failure bookkeeping -------------------------------------------------
-    def _record_failure(
-        self,
-        item: _WorkItem,
-        kind: str,
-        message: str,
-        results: list[Optional[BatchEntry]],
-        failures: list[JobFailure],
-        retry_queue: list[_WorkItem],
-        solo_queue: list[_WorkItem],
-    ) -> None:
-        """Delegate to the shared :func:`record_failure` verdict machinery."""
-        record_failure(
-            item,
-            kind,
-            message,
-            max_attempts=self.retry.max_attempts,
-            results=results,
-            failures=failures,
-            retry_queue=retry_queue,
-            solo_queue=solo_queue,
-        )
-
-    @staticmethod
-    def _validate_chunk(item: _WorkItem, chunk_results: list[SimJobResult]) -> None:
-        mismatch = chunk_result_mismatch(list(item.jobs), chunk_results)
-        if mismatch is not None:
-            raise CorruptResultError(
-                f"{mismatch} (batch offset {item.start}) — result rejected "
-                "and the chunk will be re-executed"
-            )
-
-    # -- serial degradation --------------------------------------------------
-    def _run_item_serially(
-        self,
-        item: _WorkItem,
-        results: list[Optional[BatchEntry]],
-        failures: list[JobFailure],
-    ) -> None:
-        """Delegate to the shared :func:`run_item_serially` degraded path."""
-        run_item_serially(item, results, failures)
-
-    # -- the batch loop ------------------------------------------------------
-    def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
-        prepared = self._prepare(jobs)
-        if not prepared:
-            return []
-        chunk = self._chunk_size(len(prepared))
-        queue: list[_WorkItem] = [
-            _WorkItem(start, tuple(prepared[start : start + chunk]))
-            for start in range(0, len(prepared), chunk)
-        ]
-        results: list[Optional[BatchEntry]] = [None] * len(prepared)
-        failures: list[JobFailure] = []
-        solo_queue: list[_WorkItem] = []
-        timeout = self.retry.chunk_timeout
-        pending: dict[Future[list[SimJobResult]], tuple[_WorkItem, Optional[float]]]
-        pending = {}
-
-        while queue or pending or solo_queue:
-            if self.degraded:
-                # pending is always drained before degradation flips on.
-                for item in queue + solo_queue:
-                    self._run_item_serially(item, results, failures)
-                queue = []
-                solo_queue = []
-                break
-            if not queue and not pending and solo_queue:
-                # Solo confirmation: one suspect at a time, nothing else in
-                # flight, so a failure is unambiguously attributable.  (Its
-                # own retries keep it alone until it passes or is condemned.)
-                queue.append(solo_queue.pop(0))
-
-            executor = self._ensure_executor()
-            try:
-                for index, item in enumerate(queue):
-                    future = executor.submit(
-                        _execute_job_chunk, list(item.jobs), item.attempt
-                    )
-                    deadline = (
-                        self.clock.now() + timeout if timeout is not None else None
-                    )
-                    pending[future] = (item, deadline)
-            except BrokenProcessPool:
-                # The pool broke between waves (a crash we had not consumed
-                # yet).  Requeue the unsubmitted tail; in-flight futures are
-                # handled by the normal broken-pool wave below.  With nothing
-                # in flight there is no wave to detect the break, so rebuild
-                # here or the next iteration would resubmit to the same
-                # broken executor forever.
-                queue = queue[index:]
-                if not pending:
-                    self._rebuild_pool()
-                    continue
-            else:
-                queue = []
-
-            wait_timeout: Optional[float] = None
-            deadlines = [dl for _, dl in pending.values() if dl is not None]
-            if deadlines:
-                wait_timeout = max(0.0, min(deadlines) - self.clock.now())
-            done, _ = wait(set(pending), timeout=wait_timeout, return_when=FIRST_COMPLETED)
-
-            retry_queue: list[_WorkItem] = []
-            pool_broken = False
-
-            def consume(future: Future[list[SimJobResult]]) -> None:
-                nonlocal pool_broken
-                item, _deadline = pending.pop(future)
-                try:
-                    chunk_results = future.result()
-                    self._validate_chunk(item, chunk_results)
-                except BrokenProcessPool as exc:
-                    pool_broken = True
-                    self._record_failure(
-                        item, "crash", repr(exc), results, failures,
-                        retry_queue, solo_queue,
-                    )
-                except CorruptResultError as exc:
-                    self._record_failure(
-                        item, "corrupt", str(exc), results, failures,
-                        retry_queue, solo_queue,
-                    )
-                except Exception as exc:
-                    self._record_failure(
-                        item, "exception", repr(exc), results, failures,
-                        retry_queue, solo_queue,
-                    )
-                else:
-                    for offset, result in enumerate(chunk_results):
-                        results[item.start + offset] = result
-
-            for future in done:
-                consume(future)
-            # A pool break completes the remaining futures exceptionally in
-            # short order — drain them now so one break is handled as one
-            # wave (one rebuild), not one wave per future.
-            if pool_broken:
-                for future in list(pending):
-                    if future.done():
-                        consume(future)
-
-            # Hang detection: any still-pending chunk past its deadline.
-            expired: list[Future[list[SimJobResult]]] = []
-            if timeout is not None:
-                now = self.clock.now()
-                expired = [
-                    future
-                    for future, (_, deadline) in pending.items()
-                    if deadline is not None and deadline <= now and not future.done()
-                ]
-
-            if pool_broken or expired:
-                for future in expired:
-                    item, _deadline = pending.pop(future)
-                    self._record_failure(
-                        item,
-                        "timeout",
-                        f"chunk exceeded chunk_timeout={timeout}s",
-                        results,
-                        failures,
-                        retry_queue,
-                        solo_queue,
-                    )
-                # Whatever else was in flight is collateral of the rebuild:
-                # resubmit it as-is, without charging an attempt.
-                for future, (item, _deadline) in pending.items():
-                    retry_queue.append(item)
-                pending.clear()
-                self._rebuild_pool()
-
-            if retry_queue:
-                delay = max(
-                    self.retry.backoff_seconds(item.attempt, key=item.start)
-                    for item in retry_queue
-                )
-                if delay > 0 and not self.degraded:
-                    self.clock.sleep(delay)
-                queue.extend(retry_queue)
-
-        if failures and self.on_failure == "raise":
-            raise PoisonJobError(failures, total_jobs=len(prepared))
-        return results  # type: ignore[return-value]  # every slot filled above
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ResilientPoolBackend(max_workers={self.max_workers}, "
-            f"retry={self.retry!r}, degraded={self.degraded})"
-        )
-

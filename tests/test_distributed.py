@@ -348,13 +348,14 @@ class TestQueueBackendDegradation:
 
     def test_cache_hits_skip_the_queue_entirely(self, serial4):
         cache = ResultCache()
-        backend = QueueBackend(
-            port=0, worker_wait=0.05, poll_interval=0.01,
-            clock=FakeClock(), cache=cache,
+        clock = FakeClock()
+        backend = CachingBackend(
+            QueueBackend(port=0, worker_wait=0.05, poll_interval=0.01, clock=clock),
+            cache,
         )
         try:
             first = backend.run_batch(make_jobs(4))
-            sleeps_after_first = len(backend.clock.sleeps)
+            sleeps_after_first = len(clock.sleeps)
             second = backend.run_batch(make_jobs(4))
         finally:
             backend.close()
@@ -362,7 +363,7 @@ class TestQueueBackendDegradation:
         assert pickle.dumps(second) == pickle.dumps(serial4)
         assert cache.hits == 4
         # The second batch never pumped the event loop — pure cache.
-        assert len(backend.clock.sleeps) == sleeps_after_first
+        assert len(clock.sleeps) == sleeps_after_first
 
     def test_empty_batch_and_closed_backend(self):
         backend = QueueBackend(port=0, worker_wait=0.05, clock=FakeClock())
@@ -603,9 +604,10 @@ class TestLoopbackIntegration:
         jobs = make_jobs(4)
         serial = pickle.dumps(SerialBackend().run_batch(jobs))
         cache = ResultCache()
-        backend = QueueBackend(chunk_jobs=2, worker_wait=60.0, cache=cache)
+        queue = QueueBackend(chunk_jobs=2, worker_wait=60.0)
+        backend = CachingBackend(queue, cache)
         try:
-            with spawn_workers(backend.address, 2):
+            with spawn_workers(queue.address, 2):
                 first = backend.run_batch(jobs)
             # Workers are gone now; the repeat batch must still complete —
             # every job is a cache hit, so no lease is ever needed.
@@ -615,7 +617,7 @@ class TestLoopbackIntegration:
         assert pickle.dumps(first) == serial
         assert pickle.dumps(second) == serial
         assert cache.hits == 4
-        assert not backend.degraded
+        assert not queue.degraded
 
 
 # The distributed chaos sweep: every golden cell through the coordinator

@@ -1,6 +1,6 @@
 """The pluggable simulation-kernel layer: selection, fallback, plumbing.
 
-Four contracts:
+Three contracts:
 
 * **Resolution** — ``kernel="auto"`` picks :class:`FlatKernel` exactly when
   the capability check passes (single-bottleneck dumbbell, no delivery
@@ -14,8 +14,6 @@ Four contracts:
   :class:`ScenarioSpec` and :class:`SimJob`, so it survives pickling and
   crosses process-pool and distributed queue-worker boundaries; every hop
   reproduces the serial fingerprint.
-* **ThreadBackend** — the ``thread[:workers[:chunk]]`` spec arm parses with
-  per-field errors, and threaded batches are bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -48,15 +46,12 @@ from repro.runner import (
     QueueBackend,
     SerialBackend,
     SimJob,
-    ThreadBackend,
-    backend_from_spec,
     run_sim_job,
 )
 from repro.scenarios import (
     ScenarioSpec,
     get_scenario,
     simulation_fingerprint,
-    smoke_scenarios,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -274,82 +269,3 @@ def _spawn_worker(address: str) -> Iterator[subprocess.Popen]:
             proc.kill()
             proc.wait()
 
-
-# ---------------------------------------------------------------------------
-# ThreadBackend: spec grammar and serial parity
-# ---------------------------------------------------------------------------
-class TestThreadBackend:
-    def test_spec_arm_parses(self):
-        with backend_from_spec("thread") as backend:
-            assert isinstance(backend, ThreadBackend)
-        with backend_from_spec("thread:3:2") as backend:
-            assert isinstance(backend, ThreadBackend)
-            assert backend.max_workers == 3
-            assert backend.chunk_jobs == 2
-
-    @pytest.mark.parametrize(
-        "spec, fragment",
-        [
-            ("thread:0", "workers must be positive"),
-            ("thread:x", "workers field 'x' is not an integer"),
-            ("thread::0", "chunk must be positive"),
-            ("thread:1:2:3", "too many fields"),
-        ],
-    )
-    def test_spec_arm_field_errors_restate_the_grammar(self, spec, fragment):
-        with pytest.raises(ValueError) as err:
-            backend_from_spec(spec)
-        assert fragment in str(err.value)
-        assert "thread[:workers[:chunk]]" in str(err.value)
-
-    def test_unknown_family_names_all_four(self):
-        with pytest.raises(ValueError) as err:
-            backend_from_spec("gpu")
-        message = str(err.value)
-        for family in ("'serial'", "'process'", "'thread'", "'queue'"):
-            assert family in message
-
-    def test_rejects_nonpositive_construction(self):
-        with pytest.raises(ValueError):
-            ThreadBackend(max_workers=0)
-        with pytest.raises(ValueError):
-            ThreadBackend(chunk_jobs=0)
-
-    def test_empty_batch(self):
-        with ThreadBackend(max_workers=1) as backend:
-            assert backend.run_batch([]) == []
-
-    def test_threaded_batch_matches_serial_bit_identically(self):
-        jobs = [
-            SimJob.from_scenario(spec.name, job_id=index)
-            for index, spec in enumerate(smoke_scenarios())
-        ]
-        serial = SerialBackend().run_batch(jobs)
-        with ThreadBackend(max_workers=4, chunk_jobs=1) as backend:
-            threaded = backend.run_batch(jobs)
-        assert [r.job_id for r in threaded] == [r.job_id for r in serial]
-        for threaded_result, serial_result in zip(threaded, serial):
-            assert simulation_fingerprint(threaded_result.result) == (
-                simulation_fingerprint(serial_result.result)
-            )
-
-    def test_training_batch_degrades_to_serial_in_order(self):
-        # A training job mutates the shared tree in place: the backend must
-        # not race those updates across threads.
-        from repro.core.whisker_tree import WhiskerTree
-
-        tree = WhiskerTree()
-        jobs = [
-            SimJob(
-                job_id=index,
-                spec=FLAT_SPEC,
-                duration=0.5,
-                seed=index,
-                tree=tree,
-                training=True,
-            )
-            for index in range(3)
-        ]
-        with ThreadBackend(max_workers=3) as backend:
-            results = backend.run_batch(jobs)
-        assert [r.job_id for r in results] == [0, 1, 2]

@@ -13,7 +13,8 @@ pinned:
   of its chunk and reported as a structured :class:`JobFailure` naming
   exactly that job, with every *other* job's result intact;
 * **degradation** — after the pool-rebuild budget is spent the backend
-  finishes the batch serially in-process rather than giving up;
+  finishes the batch serially in-process rather than giving up, and the
+  *next* batch gets a fresh pool and a fresh budget;
 * **fake time** — all backoff waiting goes through the :class:`Clock`
   abstraction, so the timing tests below use :class:`FakeClock` and tier-1
   never really sleeps (lint rule SLP001 enforces the no-bare-sleep side).
@@ -32,7 +33,6 @@ import pytest
 from repro.netsim.network import NetworkSpec
 from repro.protocols.newreno import NewReno
 from repro.runner import (
-    ChunkExecutionError,
     FakeClock,
     FaultPlan,
     InjectedFault,
@@ -40,7 +40,6 @@ from repro.runner import (
     MonotonicClock,
     PoisonJobError,
     ProcessPoolBackend,
-    ResilientPoolBackend,
     RetryPolicy,
     SerialBackend,
     SimJob,
@@ -68,10 +67,10 @@ SPEC = NetworkSpec(
 )
 
 
-def make_jobs(n: int = 6, duration: float = 1.0) -> list[SimJob]:
+def make_jobs(n: int = 6, duration: float = 1.0, first_id: int = 0) -> list[SimJob]:
     return [
         SimJob(
-            job_id=i,
+            job_id=first_id + i,
             spec=SPEC,
             duration=duration,
             seed=100 + i,
@@ -299,7 +298,7 @@ class TestNetworkFaultModes:
 
     def test_pool_survives_aliased_network_faults(self, serial_results):
         # disconnect → crash (pool break + rebuild), stall → a short hang,
-        # corrupt_frame → rejected result, duplicate → no-op: the resilient
+        # corrupt_frame → rejected result, duplicate → no-op: the
         # pool must recover all of them and stay bit-identical to serial.
         plan = FaultPlan(
             seed=21,
@@ -314,7 +313,7 @@ class TestNetworkFaultModes:
             max_attempts=5, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=50
         )
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=2, retry=retry
             ) as backend:
                 results = backend.run_batch(make_jobs())
@@ -322,46 +321,49 @@ class TestNetworkFaultModes:
 
 
 # ---------------------------------------------------------------------------
-# Plain pool: chunk failure cleanup (satellite fix)
+# Default policy (no retries): isolate and name the failing job
 # ---------------------------------------------------------------------------
-class TestPlainPoolChunkFailure:
-    def test_chunk_exception_surfaces_chunk_and_jobs(self):
-        jobs = make_jobs(4)
-        with fault_plan_installed(FaultPlan(seed=3, exception_rate=1.0)):
-            with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
-                with pytest.raises(ChunkExecutionError) as excinfo:
-                    backend.run_batch(jobs)
-        error = excinfo.value
-        assert error.job_ids in ([0, 1], [2, 3])
-        assert str(error.chunk_start) in str(error)
-        # The error text points at the recovery tools.
-        assert "ResilientPoolBackend" in str(error)
+#: Faults some of jobs 0..5 and none of 100..103 (pinned by the first test
+#: below).  Forked workers keep the plan they were born with, so a follow-up
+#: batch on the same pool must use ids the plan leaves alone.
+EXCEPTION_PLAN = FaultPlan(seed=30, exception_rate=0.5)
+FAULTY = [j for j in range(6) if EXCEPTION_PLAN.mode_for(j, 0) == "exception"]
 
-    def test_pool_remains_usable_after_chunk_failure(self):
-        # The cleanup path must drain/cancel pending futures, leaving the
-        # executor reusable for the next batch (the old code leaked them).
-        # Forked workers keep the plan they were born with, so the second
-        # batch uses job ids the plan deterministically leaves alone (the
-        # sanity assertions pin that property of seed 30).
-        plan = FaultPlan(seed=30, exception_rate=0.5)
-        assert any(plan.mode_for(j, 0) == "exception" for j in range(4))
-        assert all(plan.mode_for(j, 0) is None for j in range(100, 104))
-        clean_jobs = [
-            SimJob(
-                job_id=100 + i,
-                spec=SPEC,
-                duration=1.0,
-                seed=100 + i,
-                protocol_factory=NewReno,
-            )
-            for i in range(4)
-        ]
-        with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
-            with fault_plan_installed(plan):
-                with pytest.raises(ChunkExecutionError):
-                    backend.run_batch(make_jobs(4))
-                results = backend.run_batch(clean_jobs)
-        assert [r.job_id for r in results] == [100, 101, 102, 103]
+
+class TestPlainPoolChunkFailure:
+    def test_worker_exception_names_the_jobs_not_the_chunk(self):
+        assert FAULTY and len(FAULTY) < 6
+        assert all(EXCEPTION_PLAN.mode_for(j, 0) is None for j in range(100, 104))
+        with ProcessPoolBackend(max_workers=2, chunk_jobs=3) as backend:
+            assert backend.retry.max_attempts == 1  # the default: no retries
+            with fault_plan_installed(EXCEPTION_PLAN):
+                with pytest.raises(PoisonJobError) as excinfo:
+                    backend.run_batch(make_jobs())
+            # Bisection pinned the failure on the faulty jobs alone — their
+            # chunk mates are not named, and the error counts the whole batch.
+            assert sorted(f.job_id for f in excinfo.value.failures) == FAULTY
+            assert {f.kind for f in excinfo.value.failures} == {"exception"}
+            assert excinfo.value.total_jobs == 6
+            assert backend.pool_rebuilds == 0  # an exception leaves the pool up
+
+    def test_pool_remains_usable_after_chunk_failure(self, serial_results):
+        # on_failure="return" shows the rest of the batch completed, and the
+        # same executor serves the next batch.
+        with ProcessPoolBackend(
+            max_workers=2, chunk_jobs=3, on_failure="return"
+        ) as backend:
+            with fault_plan_installed(EXCEPTION_PLAN):
+                results = backend.run_batch(make_jobs())
+                for index, result in enumerate(results):
+                    if index in FAULTY:
+                        assert isinstance(result, JobFailure)
+                        assert result.job_id == index
+                    else:
+                        assert result == serial_results[index]
+                executor = backend._executor
+                follow_up = backend.run_batch(make_jobs(4, first_id=100))
+            assert backend._executor is executor
+        assert [r.job_id for r in follow_up] == [100, 101, 102, 103]
 
     def test_chunk_result_mismatch_helper(self):
         jobs = make_jobs(2)
@@ -372,15 +374,15 @@ class TestPlainPoolChunkFailure:
 
 
 # ---------------------------------------------------------------------------
-# ResilientPoolBackend: survival scenarios
+# ProcessPoolBackend with a retry policy: survival scenarios
 # ---------------------------------------------------------------------------
 class TestResilientBackend:
     def test_on_failure_validated(self):
         with pytest.raises(ValueError):
-            ResilientPoolBackend(on_failure="ignore")
+            ProcessPoolBackend(on_failure="ignore")
 
     def test_clean_run_matches_serial(self, serial_results):
-        with ResilientPoolBackend(max_workers=2, chunk_jobs=2) as backend:
+        with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
             results = backend.run_batch(make_jobs())
         assert results == serial_results
         assert backend.pool_rebuilds == 0 and not backend.degraded
@@ -393,7 +395,7 @@ class TestResilientBackend:
             max_attempts=5, backoff_base=0.01, backoff_max=0.02, max_pool_rebuilds=20
         )
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=2, retry=retry
             ) as backend:
                 results = backend.run_batch(make_jobs())
@@ -404,7 +406,7 @@ class TestResilientBackend:
         plan = FaultPlan(seed=7, exception_rate=1.0, max_faulty_attempts=1)
         retry = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=2, retry=retry
             ) as backend:
                 results = backend.run_batch(make_jobs())
@@ -415,7 +417,7 @@ class TestResilientBackend:
         plan = FaultPlan(seed=7, corrupt_rate=1.0, max_faulty_attempts=1)
         retry = RetryPolicy(max_attempts=4, backoff_base=0.0, jitter=0.0)
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=2, retry=retry
             ) as backend:
                 results = backend.run_batch(make_jobs())
@@ -436,7 +438,7 @@ class TestResilientBackend:
             max_pool_rebuilds=20,
         )
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=3, retry=retry
             ) as backend:
                 results = backend.run_batch(make_jobs())
@@ -449,7 +451,7 @@ class TestResilientBackend:
             max_attempts=2, backoff_base=0.01, backoff_max=0.02, max_pool_rebuilds=50
         )
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=2, retry=retry
             ) as backend:
                 with pytest.raises(PoisonJobError) as excinfo:
@@ -467,7 +469,7 @@ class TestResilientBackend:
             max_attempts=2, backoff_base=0.01, backoff_max=0.02, max_pool_rebuilds=50
         )
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=2, retry=retry, on_failure="return"
             ) as backend:
                 results = backend.run_batch(make_jobs())
@@ -485,11 +487,27 @@ class TestResilientBackend:
             max_attempts=100, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=1
         )
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=2, retry=retry
             ) as backend:
                 results = backend.run_batch(make_jobs())
         assert backend.degraded
+        assert results == serial_results
+
+    def test_degradation_lasts_one_batch_not_the_pool_lifetime(self, serial_results):
+        # Batch 1 spends the rebuild budget and degrades.  Batch 2 (plan
+        # cleared, so the fresh workers are born fault-free) must get a
+        # fresh budget and run on real workers, not in the coordinator.
+        retry = RetryPolicy(
+            max_attempts=100, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=1
+        )
+        with ProcessPoolBackend(max_workers=2, chunk_jobs=2, retry=retry) as backend:
+            with fault_plan_installed(FaultPlan(seed=7, crash_rate=1.0)):
+                backend.run_batch(make_jobs())
+            assert backend.degraded and backend.pool_rebuilds == 2
+            results = backend.run_batch(make_jobs())
+            assert not backend.degraded and backend.pool_rebuilds == 0
+            assert backend._executor is not None  # workers were started
         assert results == serial_results
 
     def test_backoff_goes_through_the_injected_clock(self):
@@ -500,7 +518,7 @@ class TestResilientBackend:
         plan = FaultPlan(seed=7, exception_rate=1.0, max_faulty_attempts=1)
         retry = RetryPolicy(max_attempts=3, backoff_base=0.5, backoff_max=2.0, seed=2)
         with fault_plan_installed(plan):
-            with ResilientPoolBackend(
+            with ProcessPoolBackend(
                 max_workers=2, chunk_jobs=3, retry=retry, clock=clock
             ) as backend:
                 backend.run_batch(make_jobs())
@@ -515,7 +533,7 @@ class TestResilientBackend:
         assert {round(delay, 12) for delay in clock.sleeps} <= valid
 
     def test_empty_batch(self):
-        with ResilientPoolBackend(max_workers=1) as backend:
+        with ProcessPoolBackend(max_workers=1) as backend:
             assert backend.run_batch([]) == []
 
 
@@ -525,21 +543,25 @@ class TestResilientBackend:
 class TestSpecGrammar:
     def test_retries_arm_builds_resilient_backend(self):
         backend = backend_from_spec("process:2:3:4")
-        assert isinstance(backend, ResilientPoolBackend)
+        assert type(backend) is ProcessPoolBackend
         assert backend.max_workers == 2
         assert backend.chunk_jobs == 3
         assert backend.retry.max_attempts == 4
         backend.close()
         backend = backend_from_spec("process:::5")
-        assert isinstance(backend, ResilientPoolBackend)
         assert backend.retry.max_attempts == 5
         backend.close()
 
     def test_plain_process_specs_still_plain(self):
-        backend = backend_from_spec("process:2:3")
-        assert isinstance(backend, ProcessPoolBackend)
-        assert not isinstance(backend, ResilientPoolBackend)
-        backend.close()
+        # The retries field selects no other class: it only sets
+        # retry.max_attempts, which without it is 1 ("no retries").
+        plain = backend_from_spec("process:2:4")
+        retrying = backend_from_spec("process:2:4:3")
+        assert type(plain) is type(retrying) is ProcessPoolBackend
+        assert plain.retry == RetryPolicy(max_attempts=1)
+        assert retrying.retry == RetryPolicy(max_attempts=3)
+        for attr in ("max_workers", "chunk_jobs", "on_failure"):
+            assert getattr(plain, attr) == getattr(retrying, attr)
 
     @pytest.mark.parametrize(
         "spec", ["process:x", "process:0", "process:-2", "process:1:2:3:4", "gpu"]
@@ -589,14 +611,14 @@ CHAOS_RETRY = RetryPolicy(
 def test_chaos_golden_parity(cell_name):
     """The committed fingerprints survive a 35%-crash-rate chaos run.
 
-    This is the determinism-under-retry acceptance criterion: a resilient
+    This is the determinism-under-retry acceptance criterion: a
     pool run with over a third of chunk attempts dying mid-flight must
     reproduce each cell's committed golden fingerprint bit-identically.
     """
     golden = load_golden()
     job = SimJob.from_scenario(cell_name)
     with fault_plan_installed(CHAOS_PLAN):
-        with ResilientPoolBackend(
+        with ProcessPoolBackend(
             max_workers=2, chunk_jobs=1, retry=CHAOS_RETRY
         ) as backend:
             [result] = backend.run_batch([job])

@@ -26,7 +26,6 @@ from repro.runner import (
     ProcessPoolBackend,
     SerialBackend,
     SimJob,
-    ThreadBackend,
     WhiskerStatsDelta,
     backend_from_spec,
     collect_whisker_stats,
@@ -212,30 +211,19 @@ class TestBackendConstruction:
         with backend_from_spec("process:3") as backend:
             assert isinstance(backend, ProcessPoolBackend)
             assert backend.max_workers == 3
-        with backend_from_spec("thread:2:4") as backend:
-            assert isinstance(backend, ThreadBackend)
-            assert backend.max_workers == 2
-            assert backend.chunk_jobs == 4
         with pytest.raises(ValueError):
             backend_from_spec("gpu")
         with pytest.raises(ValueError):
             backend_from_spec("serial:2")
 
     def test_unknown_spec_error_names_every_family(self):
+        # "thread" was a family once; it is now as unknown as any other.
         with pytest.raises(ValueError) as err:
-            backend_from_spec("gpu")
+            backend_from_spec("thread")
         message = str(err.value)
-        for family in ("serial", "process", "thread", "queue"):
+        assert "family 'thread' is not one of" in message
+        for family in ("'serial'", "'process'", "'queue'"):
             assert family in message
-
-    @pytest.mark.parametrize(
-        "spec",
-        ["thread:0", "thread:-1", "thread:x", "thread::0", "thread:1:2:3"],
-    )
-    def test_thread_spec_field_errors_restate_the_grammar(self, spec):
-        with pytest.raises(ValueError) as err:
-            backend_from_spec(spec)
-        assert "thread[:workers[:chunk]]" in str(err.value)
 
     def test_process_pool_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):

@@ -21,10 +21,7 @@ For each cell of the scenario registry this suite checks:
   cell (the fused :class:`~repro.netsim.kernel.FlatKernel` on
   single-bottleneck dumbbells, :class:`~repro.netsim.kernel.GenericKernel`
   elsewhere) is bit-identical to an explicit generic run, and flat-eligible
-  cells reproduce their committed golden fingerprints under the FlatKernel;
-* **thread parity** — a :class:`~repro.runner.ThreadBackend` run is
-  bit-identical to the serial run (each simulation is self-contained, so
-  sharing the process must not change anything).
+  cells reproduce their committed golden fingerprints under the FlatKernel.
 
 Gating: registry-shape tests always run.  Per-cell simulations run for the
 tier-1 *smoke subset* (one ``smoke=True`` cell per topology) by default; set
@@ -38,7 +35,7 @@ import pickle
 
 import pytest
 
-from repro.runner import ProcessPoolBackend, SerialBackend, SimJob, ThreadBackend
+from repro.runner import ProcessPoolBackend, SerialBackend, SimJob
 from repro.scenarios import (
     all_scenarios,
     get_scenario,
@@ -98,13 +95,6 @@ def _gate(cell_name: str) -> None:
 def pool_backend():
     """One 2-worker pool shared by every backend-parity case."""
     with ProcessPoolBackend(max_workers=2) as backend:
-        yield backend
-
-
-@pytest.fixture(scope="module")
-def thread_backend():
-    """One 2-thread pool shared by every thread-parity case."""
-    with ThreadBackend(max_workers=2) as backend:
         yield backend
 
 
@@ -266,17 +256,6 @@ def test_cell_generic_vs_selected_kernel_parity(cell_name):
             "fingerprint — the fused event chain no longer replays the "
             "generic heap order"
         )
-
-
-@pytest.mark.parametrize("cell_name", ALL_CELLS)
-def test_cell_serial_matches_thread_backend(cell_name, thread_backend):
-    _gate(cell_name)
-    job = SimJob.from_scenario(cell_name)
-    [serial] = SerialBackend().run_batch([job])
-    [threaded] = thread_backend.run_batch([job])
-    assert simulation_fingerprint(threaded.result) == simulation_fingerprint(
-        serial.result
-    )
 
 
 # ---------------------------------------------------------------------------
