@@ -14,20 +14,18 @@ coordinator pump) the distributed run must beat serial by at least 1.3×
 On smaller machines the speedup assertion is skipped but both paths
 still run and must agree on every score.
 
-Each run appends one entry (serial seconds, queue seconds, speedup) to
-the ``BENCH_distributed_eval.json`` trajectory at the repository root
-(override the path with ``BENCH_DISTRIBUTED_EVAL_JSON``, the entry label
-with ``BENCH_LABEL``); the CI bench job gates the newest entry against
-the committed baseline via ``check_bench_regression.py
+A run with ``BENCH_LABEL`` set appends one entry (serial seconds, queue
+seconds, speedup) under that label to the ``BENCH_distributed_eval.json``
+trajectory at the repository root (override the path with
+``BENCH_DISTRIBUTED_EVAL_JSON``); the CI bench job gates the newest entry
+against the committed baseline via ``check_bench_regression.py
 --distributed-baseline/--distributed-current``.
 """
 
-import json
 import os
 import subprocess
 import sys
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -54,30 +52,10 @@ def _write_trajectory():
     yield
     if not _RESULT:
         return
-    from test_bench_simulator_speed import _entry_label
+    from test_bench_simulator_speed import append_trajectory_entry
 
-    path = Path(
-        os.environ.get(
-            "BENCH_DISTRIBUTED_EVAL_JSON", REPO_ROOT / "BENCH_distributed_eval.json"
-        )
-    )
-    history = []
-    if path.exists():
-        try:
-            history = json.loads(path.read_text()).get("history", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    label = _entry_label()
-    if "BENCH_LABEL" not in os.environ:
-        history = [entry for entry in history if entry.get("label") != label]
-    history.append(
-        {
-            "label": label,
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            **_RESULT,
-        }
-    )
-    path.write_text(json.dumps({"schema": 1, "history": history}, indent=1) + "\n")
+    path = os.environ.get("BENCH_DISTRIBUTED_EVAL_JSON", REPO_ROOT / "BENCH_distributed_eval.json")
+    append_trajectory_entry(Path(path), _RESULT)
 
 
 def _design_range() -> ConfigRange:

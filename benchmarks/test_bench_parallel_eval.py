@@ -13,17 +13,15 @@ that the serial baseline stays friendly to CI.  On a ≥ 4-core machine the
 machines the speedup assertion is skipped (there is nothing to parallelize
 onto) but both paths still run and must agree on every score.
 
-Each run appends one entry (serial seconds, pool seconds, speedup) to the
-``BENCH_parallel_eval.json`` trajectory at the repository root (override the
-path with ``BENCH_PARALLEL_EVAL_JSON``, the entry label with ``BENCH_LABEL``)
-— the same labelling/dedup hygiene as ``BENCH_simulator.json``, so the CI
-bench job can publish both trajectories as one artifact.
+A run with ``BENCH_LABEL`` set appends one entry (serial seconds, pool
+seconds, speedup) under that label to the ``BENCH_parallel_eval.json``
+trajectory at the repository root (override the path with
+``BENCH_PARALLEL_EVAL_JSON``) — the same writer as ``BENCH_simulator.json``,
+so the CI bench job can publish both trajectories as one artifact.
 """
 
-import json
 import os
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -50,28 +48,10 @@ def _write_trajectory():
     yield
     if not _RESULT:
         return
-    from test_bench_simulator_speed import _entry_label
+    from test_bench_simulator_speed import append_trajectory_entry
 
-    path = Path(
-        os.environ.get("BENCH_PARALLEL_EVAL_JSON", REPO_ROOT / "BENCH_parallel_eval.json")
-    )
-    history = []
-    if path.exists():
-        try:
-            history = json.loads(path.read_text()).get("history", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    label = _entry_label()
-    if "BENCH_LABEL" not in os.environ:
-        history = [entry for entry in history if entry.get("label") != label]
-    history.append(
-        {
-            "label": label,
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            **_RESULT,
-        }
-    )
-    path.write_text(json.dumps({"schema": 1, "history": history}, indent=1) + "\n")
+    path = os.environ.get("BENCH_PARALLEL_EVAL_JSON", REPO_ROOT / "BENCH_parallel_eval.json")
+    append_trajectory_entry(Path(path), _RESULT)
 
 
 def _design_range() -> ConfigRange:

@@ -18,9 +18,10 @@ cells run (at their shorter canonical duration) in the golden matrix suite,
 so a semantics change in a benchmarked configuration is caught there first.
 
 Each case's events/sec is appended as one trajectory entry to
-``BENCH_simulator.json`` at the repository root (override the path with the
-``BENCH_SIMULATOR_JSON`` environment variable, the entry label with
-``BENCH_LABEL``).  Flat-eligible cases (single-bottleneck dumbbells — see
+``BENCH_simulator.json`` at the repository root — only when ``BENCH_LABEL``
+is set, which is also the entry's label (override the path with the
+``BENCH_SIMULATOR_JSON`` environment variable).  Flat-eligible cases
+(single-bottleneck dumbbells — see
 the README's "Kernel architecture" section) are measured under both
 kernels with interleaved reps: the plain case key records the flat kernel
 (what ``auto`` selects) plus a ``flat_speedup`` median-of-paired-ratios,
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import subprocess
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -138,74 +138,55 @@ def _measure_kernel_pair(case: str, rounds: int = 5) -> dict:
     return measurement
 
 
-def _git_short_sha() -> str:
-    """Short SHA of HEAD, or '' outside a git checkout."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return ""
-    return proc.stdout.strip() if proc.returncode == 0 else ""
+def append_trajectory_entry(path: Path, fields: dict) -> None:
+    """Append one entry to a tracked ``BENCH_*.json`` trajectory file.
 
-
-def _entry_label() -> str:
-    """Label for this run's trajectory entry.
-
-    ``BENCH_LABEL`` wins when set (CI stamps the full commit SHA there);
-    otherwise entries are labelled ``local@<short-sha>`` so a measurement is
-    always traceable to the code that produced it.  A bare ``"local"`` label
-    only appears outside a git checkout.
+    Only when ``BENCH_LABEL`` is set — CI's bench job stamps the commit SHA
+    there on every step, and a deliberate local milestone sets it by hand.
+    A plain ``pytest`` run (tier-1 collects ``benchmarks/``) still measures
+    and asserts but writes nothing, so it leaves ``git status`` clean
+    (pinned by ``tests/test_lint.py::TestRepoHygiene``).  Shared by the
+    parallel- and distributed-eval benches.
     """
     label = os.environ.get("BENCH_LABEL")
-    if label:
-        return label
-    sha = _git_short_sha()
-    return f"local@{sha}" if sha else "local"
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_trajectory():
-    """Append this run's measurements to the events/sec trajectory file.
-
-    Hygiene rule: default-labelled entries (``local@<sha>`` / ``local``)
-    *replace* any previous entry with the same label instead of piling up —
-    re-running the bench on unchanged code must not grow the committed
-    trajectory with duplicates.  Explicitly labelled entries (``BENCH_LABEL``)
-    always append, recording deliberate milestones.
-    """
-    yield
-    if not _RESULTS:
+    if not label:
         return
-    path = Path(os.environ.get("BENCH_SIMULATOR_JSON", REPO_ROOT / "BENCH_simulator.json"))
     history = []
     if path.exists():
         try:
             history = json.loads(path.read_text()).get("history", [])
         except (json.JSONDecodeError, AttributeError):
             history = []
-    calibration = _calibration_rate()
-    label = _entry_label()
-    if "BENCH_LABEL" not in os.environ:
-        history = [entry for entry in history if entry.get("label") != label]
-    entry = {
-        "label": label,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "calibration_rate": round(calibration, 1),
-        "cases": {
-            case: {
-                **measurement,
-                "normalized": round(measurement["events_per_sec"] / calibration, 6),
-            }
-            for case, measurement in sorted(_RESULTS.items())
-        },
-    }
-    history.append(entry)
+    history.append(
+        {
+            "label": label,
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            **fields,
+        }
+    )
     path.write_text(json.dumps({"schema": 1, "history": history}, indent=1) + "\n")
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _write_trajectory():
+    """Append this run's measurements to the events/sec trajectory file."""
+    yield
+    if not _RESULTS or not os.environ.get("BENCH_LABEL"):
+        return  # skip the calibration loop too when nothing will be written
+    calibration = _calibration_rate()
+    append_trajectory_entry(
+        Path(os.environ.get("BENCH_SIMULATOR_JSON", REPO_ROOT / "BENCH_simulator.json")),
+        {
+            "calibration_rate": round(calibration, 1),
+            "cases": {
+                case: {
+                    **measurement,
+                    "normalized": round(measurement["events_per_sec"] / calibration, 6),
+                }
+                for case, measurement in sorted(_RESULTS.items())
+            },
+        },
+    )
 
 
 CASES = list(CASE_SCENARIOS)

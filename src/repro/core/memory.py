@@ -89,7 +89,12 @@ class MemoryTracker:
         return self._min_rtt
 
     def on_ack(self, ack_time: float, echo_sent_time: float, rtt: Optional[float]) -> Memory:
-        """Fold one acknowledgment into the memory and return the new state."""
+        """Fold one acknowledgment into the memory and return the new state.
+
+        This is the reference definition of the update: ``RemyCCProtocol.on_ack``
+        inlines it (and writes this tracker's fields directly), and
+        tests/test_remycc_equivalence.py holds the two equal step by step.
+        """
         if rtt is not None and rtt > 0:
             if self._min_rtt is None or rtt < self._min_rtt:
                 self._min_rtt = rtt

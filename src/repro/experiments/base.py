@@ -116,6 +116,7 @@ def _scheme_jobs(
     first_job_id: int,
     seed_for_run: Optional[Callable[[int, int], int]] = None,
     trace_flows: tuple[int, ...] = (),
+    kernel: str = "auto",
 ) -> list[SimJob]:
     """Build the ``n_runs`` jobs for one scheme over a scenario.
 
@@ -142,6 +143,7 @@ def _scheme_jobs(
             workloads=workloads,
             max_events=max_events,
             trace_flows=trace_flows,
+            kernel=kernel,
         )
         if scheme.tree is not None:
             jobs.append(SimJob(tree=scheme.tree, training=False, **common))
@@ -410,6 +412,7 @@ def run_scenario_sweep(
                     max_events,
                     first_job_id=len(jobs),
                     seed_for_run=seed_for_run,
+                    kernel=cell.kernel,
                 )
             )
             boundaries.append((cell.name, scheme.name, len(jobs)))

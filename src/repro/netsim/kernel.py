@@ -478,7 +478,18 @@ class SimulationKernel:
         end_time: float,
         max_events: Optional[int] = None,
     ) -> int:
-        return scheduler.run_until(end_time, max_events=max_events)
+        # Cyclic GC is pure overhead on the per-packet path of every kernel
+        # (event entries and AckInfo tuples die young and acyclically);
+        # pausing it is observationally free.  Restore the caller's setting
+        # either way.
+        was_enabled = gc.isenabled()
+        if was_enabled:
+            gc.disable()
+        try:
+            return scheduler.run_until(end_time, max_events=max_events)
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class GenericKernel(SimulationKernel):
@@ -519,24 +530,6 @@ class FlatKernel(SimulationKernel):
 
     def create_scheduler(self) -> EventScheduler:
         return FlatScheduler()
-
-    def run(
-        self,
-        scheduler: EventScheduler,
-        end_time: float,
-        max_events: Optional[int] = None,
-    ) -> int:
-        # Cyclic GC is pure overhead on the per-packet path (event entries
-        # and AckInfo tuples die young and acyclically); pausing it is
-        # observationally free.  Restore the caller's setting either way.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            return scheduler.run_until(end_time, max_events=max_events)
-        finally:
-            if was_enabled:
-                gc.enable()
 
     def finalize(self, sim: "Simulation") -> None:
         """Fuse the dumbbell's per-packet chain onto the scheduler's lanes.
@@ -617,7 +610,10 @@ class FlatKernel(SimulationKernel):
                     send_inline = (link, droptail_queue)
                 else:
                     send_inline = None
-                sender.on_ack = _fused_sender_on_ack(scheduler, sender, send_inline)  # type: ignore[method-assign]
+                fused = _fused_sender_on_ack(scheduler, sender, send_inline)
+                sender.on_ack = fused  # type: ignore[method-assign]
+                # Paced sends re-enter the same closure (called with no ACK).
+                sender._pacing_fire = fused  # type: ignore[method-assign]
             on_ack = sender.on_ack
             receiver.send_ack = _ack_lane_poster(scheduler, flow_lane, one_way, on_ack)
             if "on_packet" in receiver.__dict__:
@@ -719,17 +715,19 @@ def _fused_sender_on_ack(
     scheduler: FlatScheduler,
     sender: Sender,
     send_inline: Optional[tuple[ConstantRateLink, DropTailQueue]] = None,
-) -> Callable[[Packet], None]:
+) -> Callable[..., None]:
     """``Sender.on_ack`` with ``_maybe_send``/``_send_one`` inlined.
 
     One closure replaces the per-acknowledgment chain of four frames
     (``on_ack`` → ``_update_recovery_state`` → ``_maybe_send`` →
     ``_send_one``), with the flow's stable per-flow state — the in-flight
     map, the flight frontier, the stats block, the congestion module, the
-    transmit sink — captured as closure cells.  Mutable scalars (sequence
+    transmit sink — captured as closure cells.  Called with no ACK it is
+    ``Sender._pacing_fire``: the pacing timer skips the acknowledgment half
+    and falls into the same send loop.  Mutable scalars (sequence
     counters, RTT estimator, recovery flags, timers) stay on the sender
-    instance: the cold paths (``_switch_on``/``_switch_off``, pacing, RTO
-    fire) still run the generic methods and must see the same state.  The
+    instance: the cold paths (``_switch_on``/``_switch_off``, RTO fire)
+    still run the generic methods and must see the same state.  The
     packet pool's recycle/release fast paths are inlined too (debug pools
     fall back to the methods so leak tracking still observes every packet).
     When ``send_inline`` names the loss-free DropTail bottleneck the sender
@@ -774,121 +772,130 @@ def _fused_sender_on_ack(
         fast_pool = None
         fast_free = None
 
-    def on_ack(ack: Packet) -> None:
-        if not ack.is_ack:
-            raise ValueError("sender got a data packet")
-        if sender.state != "on":
-            ack.release()  # stale ACK from an abandoned flow
-            return
-        if ack.echo_sent_time < sender.on_start_time:
-            ack.release()  # stale ACK from a previous on-period
-            return
-        now = scheduler.now
+    def on_ack(ack: Optional[Packet] = None) -> None:
+        if ack is None:
+            # Pacing timer (``Sender._pacing_fire`` is rebound to this
+            # closure): no acknowledgment half, straight to the send loop.
+            sender._pacing_event = None
+            if sender.state != "on":
+                return
+            now = scheduler.now
+            rq = sender.retransmit_queue
+        else:
+            if not ack.is_ack:
+                raise ValueError("sender got a data packet")
+            if sender.state != "on":
+                ack.release()  # stale ACK from an abandoned flow
+                return
+            if ack.echo_sent_time < sender.on_start_time:
+                ack.release()  # stale ACK from a previous on-period
+                return
+            now = scheduler.now
 
-        ack_seq = ack.ack_seq
-        newly_acked_bytes = 0
-        while frontier and frontier[0] < ack_seq:
-            info = in_flight.pop(heappop(frontier), None)
+            ack_seq = ack.ack_seq
+            newly_acked_bytes = 0
+            while frontier and frontier[0] < ack_seq:
+                info = in_flight.pop(heappop(frontier), None)
+                if info is not None:
+                    newly_acked_bytes += info.size_bytes
+            info = in_flight.pop(ack.sacked_seq, None)
             if info is not None:
                 newly_acked_bytes += info.size_bytes
-        info = in_flight.pop(ack.sacked_seq, None)
-        if info is not None:
-            newly_acked_bytes += info.size_bytes
-        # ``rq`` aliases ``sender.retransmit_queue`` for the rest of the
-        # call: every mutation below is in place (or rebinds both), and the
-        # cold helpers (``_fast_retransmit``) only mutate in place.
-        rq = sender.retransmit_queue
-        if rq:
-            sender.retransmit_queue = rq = deque(s for s in rq if s >= ack_seq)
+            # ``rq`` aliases ``sender.retransmit_queue`` for the rest of the
+            # call: every mutation below is in place (or rebinds both), and the
+            # cold helpers (``_fast_retransmit``) only mutate in place.
+            rq = sender.retransmit_queue
+            if rq:
+                sender.retransmit_queue = rq = deque(s for s in rq if s >= ack_seq)
 
-        # RTT estimation (Karn's rule: ignore retransmitted segments).
-        rtt: Optional[float] = None
-        if not ack.retransmit:
-            rtt = now - ack.echo_sent_time
-            if rtt > 0:
-                min_rtt = sender.min_rtt
-                if min_rtt is None or rtt < min_rtt:
-                    sender.min_rtt = rtt
-                srtt = sender.srtt
-                if srtt is None:
-                    sender.srtt = rtt
-                    sender.rttvar = rtt / 2
-                    rto = rtt + 4 * (rtt / 2)
-                else:
-                    sender.rttvar = rttvar = (
-                        0.75 * sender.rttvar + 0.25 * abs(srtt - rtt)
+            # RTT estimation (Karn's rule: ignore retransmitted segments).
+            rtt: Optional[float] = None
+            if not ack.retransmit:
+                rtt = now - ack.echo_sent_time
+                if rtt > 0:
+                    min_rtt = sender.min_rtt
+                    if min_rtt is None or rtt < min_rtt:
+                        sender.min_rtt = rtt
+                    srtt = sender.srtt
+                    if srtt is None:
+                        sender.srtt = rtt
+                        sender.rttvar = rtt / 2
+                        rto = rtt + 4 * (rtt / 2)
+                    else:
+                        sender.rttvar = rttvar = (
+                            0.75 * sender.rttvar + 0.25 * abs(srtt - rtt)
+                        )
+                        sender.srtt = srtt = 0.875 * srtt + 0.125 * rtt
+                        rto = srtt + 4 * rttvar
+                    sender.rto = (
+                        MAX_RTO if rto > MAX_RTO else (MIN_RTO if rto < MIN_RTO else rto)
                     )
-                    sender.srtt = srtt = 0.875 * srtt + 0.125 * rtt
-                    rto = srtt + 4 * rttvar
-                sender.rto = (
-                    MAX_RTO if rto > MAX_RTO else (MIN_RTO if rto < MIN_RTO else rto)
-                )
-                stats.rtt_sum += rtt
-                stats.rtt_count += 1
-                if stats.min_rtt is None or rtt < stats.min_rtt:
-                    stats.min_rtt = rtt
+                    stats.rtt_sum += rtt
+                    stats.rtt_count += 1
+                    if stats.min_rtt is None or rtt < stats.min_rtt:
+                        stats.min_rtt = rtt
 
-        is_duplicate = ack_seq <= sender.highest_cum_ack
-        # _update_recovery_state, inlined.
-        if not is_duplicate:
-            sender.highest_cum_ack = ack_seq
-            sender.dup_count = 0
-            if sender.in_recovery:
-                if ack_seq > sender.recovery_point:
-                    sender.in_recovery = False
-                elif ack_seq in in_flight and ack_seq not in rq:
-                    rq.appendleft(ack_seq)
-        else:
-            sender.dup_count += 1
-            if sender.dup_count >= DUPACK_THRESHOLD and not sender.in_recovery:
-                sender._fast_retransmit(ack_seq, now)
-
-        cc_on_ack(
-            tuple_new(
-                AckInfo,
-                (
-                    now,
-                    ack.sacked_seq,
-                    ack_seq,
-                    newly_acked_bytes,
-                    rtt,
-                    sender.min_rtt,
-                    ack.echo_sent_time,
-                    ack.receiver_time,
-                    ack.ecn_echo,
-                    len(in_flight),
-                    ack.xcp_feedback,
-                    is_duplicate,
-                ),
-            )
-        )
-
-        if trace_sequence:
-            stats.sequence_trace.append((now, ack_seq))
-
-        ack_pool = ack._pool
-        if ack_pool is not None:
-            if ack_pool._live is None:
-                # PacketPool.release, non-debug branch inlined.
-                ack_pool.released += 1
-                ack_pool._free.append(ack)
+            is_duplicate = ack_seq <= sender.highest_cum_ack
+            # _update_recovery_state, inlined.
+            if not is_duplicate:
+                sender.highest_cum_ack = ack_seq
+                sender.dup_count = 0
+                if sender.in_recovery:
+                    if ack_seq > sender.recovery_point:
+                        sender.in_recovery = False
+                    elif ack_seq in in_flight and ack_seq not in rq:
+                        rq.appendleft(ack_seq)
             else:
-                ack_pool.release(ack)
+                sender.dup_count += 1
+                if sender.dup_count >= DUPACK_THRESHOLD and not sender.in_recovery:
+                    sender._fast_retransmit(ack_seq, now)
 
-        if sender.segments_remaining == 0 and not in_flight and not rq:
-            sender._switch_off()
-            return
+            cc_on_ack(
+                tuple_new(
+                    AckInfo,
+                    (
+                        now,
+                        ack.sacked_seq,
+                        ack_seq,
+                        newly_acked_bytes,
+                        rtt,
+                        sender.min_rtt,
+                        ack.echo_sent_time,
+                        ack.receiver_time,
+                        ack.ecn_echo,
+                        len(in_flight),
+                        ack.xcp_feedback,
+                        is_duplicate,
+                    ),
+                )
+            )
 
-        if in_flight:
-            sender._rto_deadline = deadline = now + sender.rto
-            entry = sender._rto_event
-            if entry is None or entry[2] is None or entry[0] > deadline:
-                sender._arm_rto(restart=True)
-        else:
-            entry = sender._rto_event
-            if entry is not None:
-                scheduler.cancel_entry(entry)
-            sender._rto_event = None
+            if trace_sequence:
+                stats.sequence_trace.append((now, ack_seq))
+
+            ack_pool = ack._pool
+            if ack_pool is not None:
+                if ack_pool._live is None:
+                    # PacketPool.release, non-debug branch inlined.
+                    ack_pool.released += 1
+                    ack_pool._free.append(ack)
+                else:
+                    ack_pool.release(ack)
+
+            if sender.segments_remaining == 0 and not in_flight and not rq:
+                sender._switch_off()
+                return
+
+            if in_flight:
+                sender._rto_deadline = deadline = now + sender.rto
+                entry = sender._rto_event
+                if entry is None or entry[2] is None or entry[0] > deadline:
+                    sender._arm_rto(restart=True)
+            else:
+                entry = sender._rto_event
+                if entry is not None:
+                    scheduler.cancel_entry(entry)
+                sender._rto_event = None
 
         # _maybe_send, inlined for as long as the sender feeds the sink
         # captured above (the state is still "on" here: only _switch_off,

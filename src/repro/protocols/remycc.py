@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.memory import MAX_MEMORY, Memory, MemoryTracker
-from repro.core.whisker import Whisker
+from repro.core.action import MAX_WINDOW_PACKETS
+from repro.core.memory import EWMA_WEIGHT, MAX_MEMORY, MemoryTracker
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.packet import AckInfo
 from repro.protocols.base import CongestionControl
+
+_EWMA_KEEP = 1 - EWMA_WEIGHT
 
 
 class RemyCCProtocol(CongestionControl):
@@ -43,14 +45,14 @@ class RemyCCProtocol(CongestionControl):
         self.training = training
         self.tracker = MemoryTracker()
         # Last-leaf cache: consecutive ACKs usually hit the same rule, so the
-        # previous leaf is revalidated with one cheap containment check
-        # before walking the tree.  ``tree.version`` invalidates the cache
-        # whenever the tree's structure or actions change (split_whisker /
+        # previous leaf is revalidated against its six bounds before walking
+        # the tree.  ``tree.version`` invalidates the cache whenever the
+        # tree's structure or actions change (split_whisker /
         # replace_action); in-place mutation of the cached whisker's action
         # (the optimizer's hill-climb) is visible through the shared object
-        # either way.
-        self._cached_leaf: Optional[Whisker] = None
-        self._cached_version = -1
+        # either way.  Held as (leaf, version, low0, high0, low1, high1,
+        # low2, high2); tree versions start at 0, so -1 never validates.
+        self._cache: tuple = (None, -1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         if label is not None:
             self.name = label
         elif tree.name:
@@ -71,41 +73,70 @@ class RemyCCProtocol(CongestionControl):
         self.intersend_time = initial_action.intersend_seconds
 
     def on_ack(self, ack: AckInfo) -> None:
-        memory = self.tracker.on_ack(ack.now, ack.echo_sent_time, ack.rtt)
-        leaf = self._lookup(memory)
-        action = leaf.use(memory) if self.training else leaf.action
-        self.cwnd = action.apply(self.cwnd)
-        self.intersend_time = action.intersend_seconds
-
-    def _lookup(self, memory: Memory) -> Whisker:
-        """Find the rule for ``memory``, trying the last-leaf cache first."""
+        # The whole per-ACK decision in one frame: ``MemoryTracker.on_ack``,
+        # the clamp, ``MemoryRange.contains_point`` on the cached leaf,
+        # ``Action.apply`` and ``Action.intersend_seconds`` inlined — the same
+        # float expressions in the same order, which
+        # tests/test_remycc_equivalence.py checks against those public pieces.
+        tracker = self.tracker
+        memory = tracker.memory
+        rtt = ack.rtt
+        if rtt is not None and rtt > 0:
+            min_rtt = tracker._min_rtt
+            if min_rtt is None or rtt < min_rtt:
+                tracker._min_rtt = min_rtt = rtt
+            memory.rtt_ratio = rtt / min_rtt
+        ack_time = ack.now
+        echo_time = ack.echo_sent_time
+        last_ack = tracker._last_ack_time
+        last_echo = tracker._last_echo_time
+        tracker._last_ack_time = ack_time
+        tracker._last_echo_time = echo_time
         m0 = memory.ack_ewma
         m1 = memory.send_ewma
         m2 = memory.rtt_ratio
-        if m0 < 0.0:
-            m0 = 0.0
-        elif m0 > MAX_MEMORY:
-            m0 = MAX_MEMORY
-        if m1 < 0.0:
-            m1 = 0.0
-        elif m1 > MAX_MEMORY:
-            m1 = MAX_MEMORY
-        if m2 < 0.0:
-            m2 = 0.0
-        elif m2 > MAX_MEMORY:
-            m2 = MAX_MEMORY
+        if last_ack is not None and last_echo is not None:
+            gap = (ack_time - last_ack) * 1000.0
+            m0 = _EWMA_KEEP * m0 + EWMA_WEIGHT * (gap if gap > 0.0 else 0.0)
+            gap = (echo_time - last_echo) * 1000.0
+            m1 = _EWMA_KEEP * m1 + EWMA_WEIGHT * (gap if gap > 0.0 else 0.0)
+            # All three signals are non-negative by construction, so only
+            # the upper bound can bind.
+            if m0 > MAX_MEMORY:
+                m0 = MAX_MEMORY
+            if m1 > MAX_MEMORY:
+                m1 = MAX_MEMORY
+            if m2 > MAX_MEMORY:
+                memory.rtt_ratio = m2 = MAX_MEMORY
+            memory.ack_ewma = m0
+            memory.send_ewma = m1
+
         tree = self.tree
-        leaf = self._cached_leaf
+        leaf, version, low0, high0, low1, high1, low2, high2 = self._cache
         if (
-            leaf is not None
-            and self._cached_version == tree.version
-            and leaf.domain.contains_point(m0, m1, m2)
+            version != tree.version
+            or m0 < low0 or m0 > high0 or (m0 == high0 and high0 < MAX_MEMORY)
+            or m1 < low1 or m1 > high1 or (m1 == high1 and high1 < MAX_MEMORY)
+            or m2 < low2 or m2 > high2 or (m2 == high2 and high2 < MAX_MEMORY)
         ):
-            return leaf
-        leaf = tree.find_point(m0, m1, m2)
-        self._cached_leaf = leaf
-        self._cached_version = tree.version
-        return leaf
+            leaf = tree.find_point(m0, m1, m2)
+            lower = leaf.domain.lower
+            upper = leaf.domain.upper
+            self._cache = (
+                leaf, tree.version,
+                lower.ack_ewma, upper.ack_ewma,
+                lower.send_ewma, upper.send_ewma,
+                lower.rtt_ratio, upper.rtt_ratio,
+            )
+
+        action = leaf.use(memory) if self.training else leaf.action
+        window = action.window_multiple * self.cwnd + action.window_increment
+        if window < 0.0:
+            window = 0.0
+        elif window > MAX_WINDOW_PACKETS:
+            window = MAX_WINDOW_PACKETS
+        self.cwnd = window
+        self.intersend_time = action.intersend_ms / 1000.0
 
     def on_loss(self, now: float) -> None:
         # RemyCCs do not use loss as a congestion signal (§4.1); the harness's

@@ -22,6 +22,7 @@ from repro.core.memory import MAX_MEMORY, Memory
 from repro.core.pretrained import pretrained_remycc
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.network import NetworkSpec
+from repro.netsim.packet import AckInfo
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.protocols.remycc import RemyCCProtocol
@@ -89,8 +90,15 @@ class TestSameSeedBitIdentical:
 coords = st.floats(min_value=-10.0, max_value=MAX_MEMORY * 1.1, allow_nan=False)
 
 
+def _ack(now, echo_sent_time, rtt):
+    return AckInfo(now, 0, 0, 1500, rtt, None, echo_sent_time, now, False, 1, 0.0, False)
+
+
 class TestLastLeafCache:
-    """The cached lookup must be indistinguishable from tree.find."""
+    """The cached lookup inside ``on_ack`` must be indistinguishable from
+    ``tree.find`` (in training mode the rule an ACK hit is the one whose use
+    count moved).  ``tests/test_remycc_equivalence.py`` holds the step-by-step
+    comparison against an uncached reference."""
 
     def _protocol_with_splits(self, n_splits=4, seed=0):
         tree = pretrained_remycc("delta10")
@@ -100,38 +108,48 @@ class TestLastLeafCache:
             whisker = tree.find(point)
             whisker.use(point)
             tree.split_whisker(whisker)
-        return RemyCCProtocol(tree), tree
+        tree.reset_statistics()
+        return RemyCCProtocol(tree, training=True), tree
 
     @given(points=st.lists(st.tuples(coords, coords, coords), min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None)
     def test_cached_lookup_matches_uncached_find(self, points):
+        # Each point drives one ACK: (ACK gap ms, echo gap ms — negative steps
+        # the echo clock backwards —, RTT as a multiple of 50 ms).
         protocol, tree = self._protocol_with_splits()
-        for point in points:
-            memory = Memory(*point)
-            cached = protocol._lookup(memory)
-            assert cached is tree.find(memory)
+        now = echo = 0.0
+        for ack_gap_ms, echo_gap_ms, ratio in points:
+            now += max(ack_gap_ms, 0.0) / 1000.0
+            echo += echo_gap_ms / 1000.0
+            before = {id(w): w.use_count for w in tree.whiskers()}
+            protocol.on_ack(_ack(now, echo, 0.05 * ratio if ratio >= 1.0 else None))
+            hit = [w for w in tree.whiskers() if w.use_count != before[id(w)]]
+            assert len(hit) == 1 and hit[0] is tree.find(protocol.memory)
 
     def test_cache_invalidated_by_split_whisker(self):
         protocol, tree = self._protocol_with_splits(n_splits=0)
-        memory = Memory(1.0, 1.0, 1.2)
-        leaf = protocol._lookup(memory)
-        assert protocol._lookup(memory) is leaf  # cache hit
-        leaf.use(memory)
+        protocol.on_ack(_ack(1.0, 0.9, 0.12))
+        leaf = tree.find(protocol.memory)
+        protocol.on_ack(_ack(1.0, 0.9, 0.12))  # same memory: cache hit
+        assert leaf.use_count == 2
         tree.split_whisker(leaf)  # bumps tree.version
-        fresh = protocol._lookup(memory)
+        protocol.on_ack(_ack(1.0, 0.9, 0.12))
+        fresh = tree.find(protocol.memory)
         assert fresh is not leaf
-        assert fresh is tree.find(memory)
+        assert (leaf.use_count, fresh.use_count) == (2, 1)
 
     def test_cache_invalidated_by_replace_action(self):
         from repro.core.action import Action
 
         tree = WhiskerTree()
         protocol = RemyCCProtocol(tree)
-        memory = Memory(1.0, 1.0, 1.0)
-        leaf = protocol._lookup(memory)
+        protocol.on_ack(_ack(1.0, 0.9, 0.1))
+        window = protocol.cwnd
         new_action = Action(1.2, 3.0, 0.5)
-        tree.replace_action(leaf, new_action)
-        assert protocol._lookup(memory).action == new_action
+        tree.replace_action(tree.find(protocol.memory), new_action)
+        protocol.on_ack(_ack(1.0, 0.9, 0.1))
+        assert protocol.cwnd == new_action.apply(window)
+        assert protocol.intersend_time == new_action.intersend_seconds
 
     def test_training_counts_match_uncached_reference(self):
         # Two identical simulations, one consulted through the protocol (with

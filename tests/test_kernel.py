@@ -244,6 +244,50 @@ class TestSimJobKernel:
         assert pickle.dumps([simulation_fingerprint(r.result) for r in queued]) == serial
 
 
+class _RecordingBackend(SerialBackend):
+    """Serial execution that keeps the jobs it was handed."""
+
+    def run_batch(self, jobs):
+        self.jobs = list(jobs)
+        return super().run_batch(jobs)
+
+
+class TestSweepKernel:
+    """``run_scenario_sweep`` carries the cell's kernel as ``run_cell_results``
+    does (it used to drop it, so every scheme sweep ran ``auto``)."""
+
+    def test_sweep_jobs_inherit_the_cell_kernel(self):
+        from repro.experiments.base import SchemeSpec, run_scenario_sweep
+
+        pinned = get_scenario("fig4-dumbbell8").override(kernel="generic")
+        default = get_scenario("fig4-dumbbell8").override(name="fig4-auto")
+        backend = _RecordingBackend()
+        sweep = run_scenario_sweep(
+            [pinned, default],
+            [SchemeSpec("NewReno", NewReno), SchemeSpec("NewReno/sfq", NewReno, queue="sfqcodel")],
+            n_runs=2,
+            duration=0.5,
+            backend=backend,
+        )
+        assert [job.kernel for job in backend.jobs] == ["generic"] * 4 + ["auto"] * 4
+        assert set(sweep) == {"fig4-dumbbell8", "fig4-auto"}
+
+    def test_explicit_flat_on_a_path_cell_raises_through_the_sweep(self):
+        from repro.experiments.base import (
+            SchemeSpec,
+            run_cell_results,
+            run_scenario_sweep,
+        )
+
+        cell = get_scenario("parking-lot-2bn").override(kernel="flat")
+        with pytest.raises(KernelUnsupportedError):
+            run_cell_results(cell, duration=0.5)
+        with pytest.raises(KernelUnsupportedError):
+            run_scenario_sweep(
+                [cell], [SchemeSpec("NewReno", NewReno)], n_runs=1, duration=0.5
+            )
+
+
 def _worker_env() -> dict[str, str]:
     env = dict(os.environ)
     existing = env.get("PYTHONPATH")

@@ -10,6 +10,8 @@ violation (the PR 4 pool-leak, a module-level ``random.random()``) is
 caught.
 """
 
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -201,3 +203,39 @@ class TestRepoHygiene:
         gitignore = (REPO_ROOT / ".gitignore").read_text()
         for pattern in ("__pycache__/", "*.pyc", ".pytest_cache/"):
             assert pattern in gitignore
+
+    @pytest.mark.parametrize("label", [None, "milestone"])
+    def test_bench_trajectories_are_written_only_when_labelled(self, tmp_path, label):
+        """Plain tier-1 collects ``benchmarks/``; it must leave the tracked
+        ``BENCH_*.json`` files alone.  A throwaway test module borrows
+        ``test_bench_parallel_eval``'s autouse write fixture and records a
+        measurement; pytest then runs that fixture against a copy of the
+        committed trajectory, with and without ``BENCH_LABEL``."""
+        committed = (REPO_ROOT / "BENCH_parallel_eval.json").read_text()
+        trajectory = tmp_path / "trajectory.json"
+        trajectory.write_text(committed)
+        (tmp_path / "test_borrowed_fixture.py").write_text(
+            "import test_bench_parallel_eval as bench\n"
+            "from test_bench_parallel_eval import _write_trajectory  # noqa: F401\n"
+            "def test_records_a_measurement():\n"
+            "    bench._RESULT.update(workers=4, speedup=1.0)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "BENCH_LABEL"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
+        )
+        env["BENCH_PARALLEL_EVAL_JSON"] = str(trajectory)
+        if label is not None:
+            env["BENCH_LABEL"] = label
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        if label is None:
+            assert trajectory.read_text() == committed
+        else:
+            before = json.loads(committed)["history"]
+            after = json.loads(trajectory.read_text())["history"]
+            assert after[:-1] == before
+            assert after[-1]["label"] == label and after[-1]["speedup"] == 1.0
