@@ -2,8 +2,8 @@
 
 Every benchmark regenerates one table or figure of the paper at a reduced
 scale (fewer repetitions and shorter simulated durations than the paper's
-128 x 100-second runs) and prints the corresponding rows/series, so the
-qualitative comparison recorded in EXPERIMENTS.md can be re-checked from the
+128 x 100-second runs), prints the corresponding rows/series and asserts
+the paper's qualitative shape, so the comparison can be re-checked from the
 benchmark output alone.  ``pytest benchmarks/ --benchmark-only -s`` shows the
 tables inline.
 """

@@ -12,7 +12,7 @@ from repro.experiments.competing import run_vs_compound, run_vs_cubic
 
 def test_competing_vs_compound(bench_once):
     result = bench_once(
-        run_vs_compound, off_times_seconds=(0.2, 0.1, 0.01), n_runs=2, duration=25.0
+        run_vs_compound, off_times_seconds=(0.2, 0.1, 0.01), n_runs=8, duration=25.0
     )
     print()
     print(result.format_table())
@@ -26,7 +26,7 @@ def test_competing_vs_compound(bench_once):
 
 def test_competing_vs_cubic(bench_once):
     result = bench_once(
-        run_vs_cubic, mean_flow_bytes=(100e3, 1e6), n_runs=2, duration=25.0
+        run_vs_cubic, mean_flow_bytes=(100e3, 1e6), n_runs=8, duration=25.0
     )
     print()
     print(result.format_table())

@@ -5,8 +5,8 @@ packet-level simulator, so its events-per-second rate is the number that
 determines how far the paper-scale parameters can be pushed.  The harness
 measures:
 
-* the queue disciplines' overhead under NewReno (the ablation DESIGN.md
-  calls out for the router-assisted baselines),
+* the queue disciplines' overhead under NewReno (what the router-assisted
+  baselines pay),
 * a two-hop path with a congestible reverse hop (multi-hop dispatch plus
   pooled ACK routing through `PathNetwork`), and
 * RemyCC senders over DropTail — the whisker-lookup hot path (octant

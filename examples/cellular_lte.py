@@ -16,15 +16,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.base import remycc_scheme, run_scheme, SchemeSpec
-from repro.experiments.cellular import cellular_spec
-from repro.analysis.frontier import efficient_frontier
-from repro.analysis.summary import format_summary_table
+from repro.experiments.base import ExperimentResult, SchemeSpec, remycc_scheme, run_cells
 from repro.protocols.cubic import Cubic
 from repro.protocols.newreno import NewReno
 from repro.protocols.vegas import Vegas
-from repro.traces.cellular import att_lte_trace, verizon_lte_trace
-from repro.traffic.onoff import ByteFlowWorkload
+from repro.scenarios import TraceSpec, get_scenario
 
 
 def main() -> None:
@@ -36,9 +32,14 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    trace_builder = verizon_lte_trace if args.carrier == "verizon" else att_lte_trace
-    trace = trace_builder(duration_seconds=args.duration, seed=args.seed)
-    spec = cellular_spec(trace, n_flows=args.senders)
+    # The registry's §5.3 cell (50 ms RTT, 1000-packet tail-drop buffer,
+    # 100 kB flows with 0.5 s mean off time) with the trace re-described to
+    # cover the whole run.
+    cell = get_scenario("fig7-lte4" if args.carrier == "verizon" else "fig9-att4").override(
+        n_flows=args.senders,
+        trace=TraceSpec(args.carrier, duration_seconds=args.duration, seed=args.seed),
+    )
+    trace = cell.network_spec().delivery_trace
     print(
         f"{args.carrier} synthetic trace: {len(trace)} delivery opportunities over "
         f"{args.duration:.0f}s (mean {len(trace) * 1500 * 8 / args.duration / 1e6:.1f} Mbps)"
@@ -53,22 +54,22 @@ def main() -> None:
         remycc_scheme("delta10", label="Remy d=10"),
     ]
 
-    def workload(_flow_id: int) -> ByteFlowWorkload:
-        return ByteFlowWorkload.exponential(mean_flow_bytes=100e3, mean_off_seconds=0.5)
-
-    summaries = []
-    for scheme in schemes:
-        summary = run_scheme(
-            scheme, spec, workload, n_runs=args.runs, duration=args.duration, base_seed=args.seed
-        )
-        summaries.append(summary)
-        print(f"ran {scheme.name}")
+    # One batch for the whole scheme x run grid; every scheme sees the same
+    # per-run seeds.
+    [runs] = run_cells(
+        [cell], schemes, n_runs=args.runs, duration=args.duration, base_seed=args.seed
+    )
+    result = ExperimentResult.from_runs(
+        f"{args.carrier} LTE trace, n={args.senders}", schemes, runs
+    )
 
     print()
-    print(format_summary_table(summaries))
-    frontier = [s.scheme for s in efficient_frontier(summaries)]
+    print(result.format_table())
     print()
-    print("efficient frontier (throughput vs queueing delay):", ", ".join(frontier))
+    print(
+        "efficient frontier (throughput vs queueing delay):",
+        ", ".join(result.frontier_names()),
+    )
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ objective, then writes the resulting rule table to JSON so it can be loaded
 into any experiment with :func:`repro.core.serialization.load_remycc`.
 
 The defaults are laptop-scale (minutes); pass ``--paper-scale`` to request
-the paper's 16-specimen, 100-second evaluations (CPU-days in pure Python —
-see DESIGN.md's substitution table).  ``--workers N`` fans the specimen and
+the paper's 16-specimen, 100-second evaluations (CPU-days in pure
+Python).  ``--workers N`` fans the specimen and
 candidate-neighbourhood simulations out over N worker processes, the way the
 paper's design runs used many cores; ``--workers 1`` (the default) keeps the
 bit-identical serial path.

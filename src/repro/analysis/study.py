@@ -14,9 +14,9 @@ parking lots, congested reverse paths, mixed AQM chains — and where the
 model-based BBR lands relative to the learned RemyCCs.
 
 Everything here is a thin layer over :func:`~repro.experiments.base.
-run_scenario_sweep` (one backend batch for the whole grid) and
+run_cells` (one backend batch for the whole grid) and
 :mod:`repro.analysis.summary` / :mod:`repro.analysis.frontier` (the paper's
-§5.1 summary statistics), so the study inherits the sweep's collision-free
+§5.1 summary statistics), so the study inherits the harness's collision-free
 seeding and bit-exact backend parity.
 """
 
@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from repro.analysis.frontier import efficient_frontier
-from repro.analysis.summary import SchemeSummary
+from repro.analysis.summary import SchemeSummary, summarize_runs
 from repro.experiments.base import (
     SchemeSpec,
     resolve_scenario,
-    run_scenario_sweep,
+    run_cells,
     standard_schemes,
 )
 from repro.protocols.bbr import BBR
@@ -172,7 +172,7 @@ def run_study(
     else:
         cell_specs = [resolve_scenario(c) for c in cells]
     scheme_specs = list(schemes) if schemes is not None else study_schemes()
-    sweep = run_scenario_sweep(
+    grid = run_cells(
         cell_specs,
         scheme_specs,
         n_runs=n_runs,
@@ -183,8 +183,11 @@ def run_study(
     result = StudyResult(
         duration=duration if duration is not None else 0.0, n_runs=n_runs
     )
-    for cell in cell_specs:
-        summaries = sweep[cell.name]
+    for cell, cell_runs in zip(cell_specs, grid):
+        summaries = [
+            summarize_runs(scheme.name, runs)
+            for scheme, runs in zip(scheme_specs, cell_runs)
+        ]
         ranked = sorted(
             summaries, key=lambda s: s.median_throughput_mbps(), reverse=True
         )

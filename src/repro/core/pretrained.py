@@ -2,11 +2,11 @@
 
 The paper's RemyCCs were produced by CPU-weeks of offline search on 48- and
 80-core machines.  Re-running that search inside a pure-Python packet-level
-simulator is not feasible in the time budget of this reproduction (see
-DESIGN.md, substitution table), so this module ships compact *synthesized*
-rule tables with the same structure a trained RemyCC has — a piecewise-
-constant map from the three-variable memory space ⟨ack_ewma, send_ewma,
-rtt_ratio⟩ to ⟨window multiple, window increment, intersend time⟩ actions.
+simulator is not feasible in the time budget of this reproduction, so this
+module ships compact *synthesized* rule tables with the same structure a
+trained RemyCC has — a piecewise-constant map from the three-variable memory
+space ⟨ack_ewma, send_ewma, rtt_ratio⟩ to ⟨window multiple, window increment,
+intersend time⟩ actions.
 
 The synthesized policy captures the qualitative behaviour the paper reports
 for trained RemyCCs:

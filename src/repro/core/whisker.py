@@ -83,7 +83,7 @@ class Whisker:
 
     # ------------------------------------------------------------------ misc
     def describe(self) -> str:
-        """Single-line human-readable description (used by examples/EXPERIMENTS)."""
+        """Single-line human-readable description (used by the examples)."""
         low, high = self.domain.as_tuple()
         return (
             f"ack_ewma [{low[0]:.1f},{high[0]:.1f}) "

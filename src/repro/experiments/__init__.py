@@ -21,29 +21,17 @@ Module                          Reproduces
 """
 
 from repro.experiments.base import (
-    ExperimentResult,
     SchemeSpec,
-    legacy_seed,
     remycc_scheme,
-    resolve_scenario,
-    run_cell_experiment,
-    run_scenario_sweep,
-    run_scheme,
-    run_schemes,
+    run_cells,
     standard_schemes,
     sweep_seed,
 )
 
 __all__ = [
-    "ExperimentResult",
     "SchemeSpec",
-    "legacy_seed",
     "remycc_scheme",
-    "resolve_scenario",
-    "run_cell_experiment",
-    "run_scenario_sweep",
-    "run_scheme",
-    "run_schemes",
+    "run_cells",
     "standard_schemes",
     "sweep_seed",
 ]

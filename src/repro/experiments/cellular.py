@@ -1,151 +1,78 @@
 """Figures 7, 8 and 9: trace-driven cellular (LTE) downlink experiments (§5.3).
 
 The bottleneck is a :class:`~repro.netsim.link.TraceDrivenLink` replaying a
-synthetic LTE-like delivery trace (see :mod:`repro.traces.cellular` and the
-substitution table in DESIGN.md), with a 50 ms baseline RTT and a
-1000-packet tail-drop buffer.  Senders alternate between exponentially
-distributed transfers (mean 100 kB) and exponentially distributed pauses
-(mean 0.5 s).  These scenarios probe "model mismatch": the general-purpose
-RemyCCs were designed for 10-20 Mbps fixed-rate links, not a 0-50 Mbps
-time-varying one.
+synthetic LTE-like delivery trace (see :mod:`repro.traces.cellular`), with a
+50 ms baseline RTT and a 1000-packet tail-drop buffer.  Senders alternate
+between exponentially distributed transfers (mean 100 kB) and exponentially
+distributed pauses (mean 0.5 s).  These scenarios probe "model mismatch": the
+general-purpose RemyCCs were designed for 10-20 Mbps fixed-rate links, not a
+0-50 Mbps time-varying one.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.experiments.base import (
     ExperimentResult,
     SchemeSpec,
-    run_cell_experiment,
+    run_cells,
+    standard_schemes,
 )
-from repro.netsim.network import NetworkSpec
 from repro.runner import ExecutionBackend
-from repro.scenarios import TraceSpec, get_scenario
+from repro.scenarios import get_scenario
+
+#: Figure → (registry cell, carrier label).  The cell pins everything else
+#: that tells the three figures apart: sender count, trace kind, trace seed
+#: and base seed.
+CELLULAR_FIGURES = {
+    7: ("fig7-lte4", "Verizon"),
+    8: ("fig8-lte8", "Verizon"),
+    9: ("fig9-att4", "AT&T"),
+}
 
 
-def cellular_spec(
-    delivery_trace: Sequence[float],
-    n_flows: int,
-    rtt: float = 0.050,
-    buffer_packets: int = 1000,
-) -> NetworkSpec:
-    """Trace-driven bottleneck with the §5.3 parameters (registry-based)."""
-    return replace(
-        get_scenario("fig7-lte4").network,
-        delivery_trace=list(delivery_trace),
-        rtt=rtt,
+def run_cellular_figure(
+    figure: int,
+    n_flows: Optional[int] = None,
+    n_runs: int = 2,
+    duration: float = 30.0,
+    schemes: Optional[Sequence[SchemeSpec]] = None,
+    trace_seed: Optional[int] = None,
+    base_seed: Optional[int] = None,
+    backend: Optional[ExecutionBackend] = None,
+) -> ExperimentResult:
+    """One of Figures 7-9: an LTE downlink trace shared by ``n_flows`` senders.
+
+    ``n_flows``, ``trace_seed`` and ``base_seed`` default to the figure's
+    registry cell (Figure 7: Verizon, n = 4; Figure 8: Verizon, n = 8;
+    Figure 9: AT&T, n = 4).
+    """
+    cell_name, carrier = CELLULAR_FIGURES[figure]
+    cell = get_scenario(cell_name)
+    if n_flows is None:
+        n_flows = cell.network.n_flows
+    # The trace is re-described at the harness's duration so it covers the
+    # whole run without cycling.
+    cell = cell.override(
         n_flows=n_flows,
-        buffer_packets=buffer_packets,
+        trace=replace(
+            cell.trace,
+            duration_seconds=duration,
+            seed=cell.trace.seed if trace_seed is None else trace_seed,
+        ),
+    )
+    schemes = list(schemes) if schemes is not None else standard_schemes()
+    [runs] = run_cells(
+        [cell], schemes, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
+    )
+    return ExperimentResult.from_runs(
+        f"Figure {figure}: {carrier} LTE trace, n={n_flows}", schemes, runs
     )
 
 
-def _run_cellular(
-    name: str,
-    base_cell: str,
-    trace_kind: str,
-    trace_seed: int,
-    n_flows: int,
-    n_runs: int,
-    duration: float,
-    schemes: Optional[Sequence[SchemeSpec]],
-    base_seed: int,
-    backend: Optional[ExecutionBackend] = None,
-) -> ExperimentResult:
-    # The registry cell carries the topology; the trace is re-described at
-    # the harness's duration so it covers the whole run without cycling.
-    # Trace materialization is seed-deterministic, so the packet count
-    # recorded below matches the trace each run replays.
-    cell = get_scenario(base_cell).override(
-        n_flows=n_flows,
-        trace=TraceSpec(trace_kind, duration_seconds=duration, seed=trace_seed),
-    )
-    return run_cell_experiment(
-        name=name,
-        scenario=cell,
-        schemes=schemes,
-        n_runs=n_runs,
-        duration=duration,
-        base_seed=base_seed,
-        backend=backend,
-        parameters={
-            "n_flows": n_flows,
-            "rtt_seconds": 0.050,
-            "trace_packets": len(cell.network_spec().delivery_trace),
-            "n_runs": n_runs,
-            "duration": duration,
-        },
-    )
-
-
-def run_figure7(
-    n_flows: int = 4,
-    n_runs: int = 2,
-    duration: float = 30.0,
-    schemes: Optional[Sequence[SchemeSpec]] = None,
-    trace_seed: int = 1,
-    base_seed: int = 71,
-    backend: Optional[ExecutionBackend] = None,
-) -> ExperimentResult:
-    """Figure 7: Verizon LTE downlink trace, n = 4 senders."""
-    return _run_cellular(
-        f"Figure 7: Verizon LTE trace, n={n_flows}",
-        "fig7-lte4",
-        "verizon",
-        trace_seed,
-        n_flows,
-        n_runs,
-        duration,
-        schemes,
-        base_seed,
-        backend=backend,
-    )
-
-
-def run_figure8(
-    n_flows: int = 8,
-    n_runs: int = 2,
-    duration: float = 30.0,
-    schemes: Optional[Sequence[SchemeSpec]] = None,
-    trace_seed: int = 1,
-    base_seed: int = 72,
-    backend: Optional[ExecutionBackend] = None,
-) -> ExperimentResult:
-    """Figure 8: Verizon LTE downlink trace, n = 8 senders."""
-    return _run_cellular(
-        f"Figure 8: Verizon LTE trace, n={n_flows}",
-        "fig8-lte8",
-        "verizon",
-        trace_seed,
-        n_flows,
-        n_runs,
-        duration,
-        schemes,
-        base_seed,
-        backend=backend,
-    )
-
-
-def run_figure9(
-    n_flows: int = 4,
-    n_runs: int = 2,
-    duration: float = 30.0,
-    schemes: Optional[Sequence[SchemeSpec]] = None,
-    trace_seed: int = 2,
-    base_seed: int = 73,
-    backend: Optional[ExecutionBackend] = None,
-) -> ExperimentResult:
-    """Figure 9: AT&T LTE downlink trace, n = 4 senders."""
-    return _run_cellular(
-        f"Figure 9: AT&T LTE trace, n={n_flows}",
-        "fig9-att4",
-        "att",
-        trace_seed,
-        n_flows,
-        n_runs,
-        duration,
-        schemes,
-        base_seed,
-        backend=backend,
-    )
+run_figure7 = partial(run_cellular_figure, 7)
+run_figure8 = partial(run_cellular_figure, 8)
+run_figure9 = partial(run_cellular_figure, 9)

@@ -13,20 +13,19 @@ Two sweeps reproduce the paper's two tables:
   500 ms mean off time.
 
 Each table row is a mixed-protocol cell — the registry's
-``competing-remy-cubic`` with the contender and workload swapped in — run
-through the shared cell runner
-(:func:`~repro.experiments.base.run_cell_results`) under the historical
-``base_seed * 31 + run_index`` seeds, bit-identical to the hand-written
-``Simulation`` loop this replaces.
+``competing-remy-cubic`` with the contender and workload swapped in — and a
+whole table is one :func:`~repro.experiments.base.run_cells` batch.  The rows
+share the registry cell's name, so every row of a table sees the same
+per-run seeds.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional, Sequence
 
-from repro.experiments.base import run_cell_results
+from repro.experiments.base import run_cells
 from repro.runner import ExecutionBackend
 from repro.scenarios import ProtocolSpec, get_scenario
 from repro.traffic.distributions import ExponentialDistribution
@@ -65,43 +64,42 @@ class CompetingResult:
         return "\n".join(lines)
 
 
-def _competing_run(
+def _competing_table(
     other_protocol: str,
     other_name: str,
-    workload: ByteFlowWorkload,
-    setting: str,
+    settings: Sequence[tuple[str, ByteFlowWorkload]],
     n_runs: int,
     duration: float,
     base_seed: int,
-    remy_tree_name: str = "coexist",
-    backend: Optional[ExecutionBackend] = None,
-) -> CompetingRow:
-    """One table row: the RemyCC vs one contender under one workload."""
-    cell = get_scenario("competing-remy-cubic").override(
-        protocols=(
-            ProtocolSpec("remy", tree=remy_tree_name),
-            ProtocolSpec(other_protocol),
-        ),
-        workload=workload,
+    backend: Optional[ExecutionBackend],
+) -> CompetingResult:
+    """One table: the RemyCC vs one contender, a row per (label, workload)."""
+    base_cell = get_scenario("competing-remy-cubic")
+    cells = [
+        base_cell.override(
+            protocols=(ProtocolSpec("remy", tree="coexist"), ProtocolSpec(other_protocol)),
+            workload=workload,
+        )
+        for _setting, workload in settings
+    ]
+    grid = run_cells(
+        cells, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
     )
-    results = run_cell_results(
-        cell,
-        n_runs=n_runs,
-        duration=duration,
-        base_seed=base_seed,
-        seed_derivation=lambda _cell, base, run: base * 31 + run,
-        backend=backend,
-    )
-    remy_tputs = [result.flow_stats[0].throughput_mbps() for result in results]
-    other_tputs = [result.flow_stats[1].throughput_mbps() for result in results]
-    return CompetingRow(
-        setting=setting,
-        remy_mean_mbps=statistics.fmean(remy_tputs),
-        remy_std_mbps=statistics.stdev(remy_tputs) if len(remy_tputs) > 1 else 0.0,
-        other_mean_mbps=statistics.fmean(other_tputs),
-        other_std_mbps=statistics.stdev(other_tputs) if len(other_tputs) > 1 else 0.0,
-        other_name=other_name,
-    )
+    result = CompetingResult(other_name=other_name)
+    for (setting, _workload), [runs] in zip(settings, grid):
+        remy_tputs = [run.flow_stats[0].throughput_mbps() for run in runs]
+        other_tputs = [run.flow_stats[1].throughput_mbps() for run in runs]
+        result.rows.append(
+            CompetingRow(
+                setting=setting,
+                remy_mean_mbps=statistics.fmean(remy_tputs),
+                remy_std_mbps=statistics.stdev(remy_tputs) if len(remy_tputs) > 1 else 0.0,
+                other_mean_mbps=statistics.fmean(other_tputs),
+                other_std_mbps=statistics.stdev(other_tputs) if len(other_tputs) > 1 else 0.0,
+                other_name=other_name,
+            )
+        )
+    return result
 
 
 def run_vs_compound(
@@ -114,20 +112,13 @@ def run_vs_compound(
 ) -> CompetingResult:
     """RemyCC vs Compound: ICSI flow lengths, sweeping the mean off time."""
     flow_sizes = icsi_flow_length_distribution(maximum_bytes=max_flow_bytes)
-    result = CompetingResult(other_name="Compound")
-    for off in off_times_seconds:
-        row = _competing_run(
-            "compound",
-            "Compound",
-            ByteFlowWorkload(flow_size=flow_sizes, mean_off_seconds=off),
-            setting=f"off={off * 1000:.0f} ms",
-            n_runs=n_runs,
-            duration=duration,
-            base_seed=base_seed,
-            backend=backend,
-        )
-        result.rows.append(row)
-    return result
+    settings = [
+        (f"off={off * 1000:.0f} ms", ByteFlowWorkload(flow_size=flow_sizes, mean_off_seconds=off))
+        for off in off_times_seconds
+    ]
+    return _competing_table(
+        "compound", "Compound", settings, n_runs, duration, base_seed, backend
+    )
 
 
 def run_vs_cubic(
@@ -139,20 +130,14 @@ def run_vs_cubic(
     backend: Optional[ExecutionBackend] = None,
 ) -> CompetingResult:
     """RemyCC vs Cubic: exponential flow lengths of mean 100 kB and 1 MB."""
-    result = CompetingResult(other_name="Cubic")
-    for mean_bytes in mean_flow_bytes:
-        row = _competing_run(
-            "cubic",
-            "Cubic",
+    settings = [
+        (
+            f"mean={mean_bytes / 1e3:.0f} kB",
             ByteFlowWorkload(
                 flow_size=ExponentialDistribution(mean_bytes),
                 mean_off_seconds=mean_off_seconds,
             ),
-            setting=f"mean={mean_bytes / 1e3:.0f} kB",
-            n_runs=n_runs,
-            duration=duration,
-            base_seed=base_seed,
-            backend=backend,
         )
-        result.rows.append(row)
-    return result
+        for mean_bytes in mean_flow_bytes
+    ]
+    return _competing_table("cubic", "Cubic", settings, n_runs, duration, base_seed, backend)

@@ -7,12 +7,9 @@ consume the whole bottleneck.  The harness records the RemyCC flow's
 cumulative-acknowledgment trajectory and reports the average rate before and
 after the departure.
 
-The run goes through the shared cell runner
-(:func:`~repro.experiments.base.run_cell_results`): the registry cell
-supplies the topology and the RemyCC pair, the harness overrides the
-paper-scale knobs and the departure schedule, and the single job carries the
-historical seed directly — output is bit-identical to the hand-written
-``Simulation`` loop this replaces.
+The registry cell supplies the topology and the RemyCC pair; the harness
+overrides the paper-scale knobs and the departure schedule and runs the one
+job through :func:`~repro.experiments.base.run_cells`.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.base import run_cell_results
+from repro.experiments.base import run_cells
 from repro.runner import ExecutionBackend
 from repro.scenarios import ProtocolSpec, get_scenario
 from repro.traffic.onoff import FixedOnPeriodWorkload
@@ -66,17 +63,9 @@ def run_figure6(
             FixedOnPeriodWorkload(start=0.0, duration=departure_time),  # the departing competitor
         ),
     )
-    spec = cell.network_spec()
-    result = run_cell_results(
-        cell,
-        n_runs=1,
-        duration=duration,
-        base_seed=seed,
-        # Single run at the recorded figure's historical seed, verbatim.
-        seed_derivation=lambda _cell, base, run: base + run,
-        trace_flows=(0,),
-        backend=backend,
-    )[0]
+    [[[result]]] = run_cells(
+        [cell], n_runs=1, duration=duration, base_seed=seed, trace_flows=(0,), backend=backend
+    )
     trace = result.flow_stats[0].sequence_trace
 
     def rate_between(t0: float, t1: float) -> float:
@@ -86,7 +75,7 @@ def run_figure6(
         (ta, sa), (tb, sb) = points[0], points[-1]
         if tb <= ta:
             return 0.0
-        return (sb - sa) * spec.mss_bytes * 8 / (tb - ta) / 1e6
+        return (sb - sa) * cell.network.mss_bytes * 8 / (tb - ta) / 1e6
 
     # Leave a settling margin after the departure and ignore the initial ramp.
     settle = 4 * rtt

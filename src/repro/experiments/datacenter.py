@@ -14,11 +14,9 @@ together (which preserves the per-flow bandwidth share and the queueing
 dynamics that drive the comparison).  ``scale=1`` reproduces the paper's
 exact parameters.
 
-Both rows run through the shared cell runner
-(:func:`~repro.experiments.base.run_cell_results`): the registry cell
-(pinned at 1/32 scale) is re-scaled via ``override`` and the RemyCC row
-derives from it by swapping the queue and protocol set — output is
-bit-identical to the hand-written ``Simulation`` calls this replaces.
+The registry cell (pinned at 1/32 scale) is re-scaled via ``override`` and
+the RemyCC row derives from it by swapping the queue and protocol set; both
+rows are one :func:`~repro.experiments.base.run_cells` batch.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.experiments.base import run_cell_results
+from repro.experiments.base import run_cells
 from repro.netsim.simulator import SimulationResult
 from repro.runner import ExecutionBackend
 from repro.scenarios import ProtocolSpec, get_scenario
@@ -115,21 +113,14 @@ def run_datacenter(
         queue="droptail",
         protocols=(ProtocolSpec("remy", tree="datacenter"),),
     )
-    # Both rows run at the same seed on purpose: the paper compares the two
-    # schemes on identical workload randomness.
-    common = dict(
-        n_runs=1,
-        duration=duration,
-        base_seed=seed,
-        seed_derivation=lambda _cell, base, run: base + run,
-        backend=backend,
+    # Both cells keep the registry name, so both rows run at the same seed:
+    # the paper compares the two schemes on identical workload randomness.
+    [[[dctcp_run]], [[remy_run]]] = run_cells(
+        [dctcp_cell, remy_cell], n_runs=1, duration=duration, base_seed=seed, backend=backend
     )
-    dctcp_row = _summarise("DCTCP (ECN)", run_cell_results(dctcp_cell, **common)[0])
-    remy_row = _summarise("RemyCC (DropTail)", run_cell_results(remy_cell, **common)[0])
-
     return DatacenterResult(
-        dctcp=dctcp_row,
-        remycc=remy_row,
+        dctcp=_summarise("DCTCP (ECN)", dctcp_run),
+        remycc=_summarise("RemyCC (DropTail)", remy_run),
         scale=scale,
         n_flows=n_flows,
         link_rate_bps=link_rate,

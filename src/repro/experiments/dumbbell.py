@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 from repro.experiments.base import (
     ExperimentResult,
     SchemeSpec,
-    run_cell_experiment,
+    run_cells,
+    standard_schemes,
 )
 from repro.netsim.network import NetworkSpec
 from repro.runner import ExecutionBackend
@@ -65,23 +66,12 @@ def run_figure4(
             mean_flow_bytes=mean_flow_bytes, mean_off_seconds=mean_off_seconds
         ),
     )
-    return run_cell_experiment(
-        name=f"Figure 4: dumbbell, n={n_flows}, {mean_flow_bytes / 1e3:.0f} kB flows",
-        scenario=cell,
-        schemes=schemes,
-        n_runs=n_runs,
-        duration=duration,
-        base_seed=base_seed,
-        backend=backend,
-        parameters={
-            "link_rate_bps": cell.network.link_rate_bps,
-            "rtt_seconds": 0.150,
-            "n_flows": n_flows,
-            "mean_flow_bytes": mean_flow_bytes,
-            "mean_off_seconds": mean_off_seconds,
-            "n_runs": n_runs,
-            "duration": duration,
-        },
+    schemes = list(schemes) if schemes is not None else standard_schemes()
+    [runs] = run_cells(
+        [cell], schemes, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
+    )
+    return ExperimentResult.from_runs(
+        f"Figure 4: dumbbell, n={n_flows}, {mean_flow_bytes / 1e3:.0f} kB flows", schemes, runs
     )
 
 
@@ -109,21 +99,10 @@ def run_figure5(
             mean_off_seconds=mean_off_seconds,
         ),
     )
-    return run_cell_experiment(
-        name=f"Figure 5: dumbbell, n={n_flows}, ICSI flow lengths",
-        scenario=cell,
-        schemes=schemes,
-        n_runs=n_runs,
-        duration=duration,
-        base_seed=base_seed,
-        backend=backend,
-        parameters={
-            "link_rate_bps": cell.network.link_rate_bps,
-            "rtt_seconds": 0.150,
-            "n_flows": n_flows,
-            "flow_length": "Pareto (Figure 3) + 16 kB",
-            "mean_off_seconds": mean_off_seconds,
-            "n_runs": n_runs,
-            "duration": duration,
-        },
+    schemes = list(schemes) if schemes is not None else standard_schemes()
+    [runs] = run_cells(
+        [cell], schemes, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
+    )
+    return ExperimentResult.from_runs(
+        f"Figure 5: dumbbell, n={n_flows}, ICSI flow lengths", schemes, runs
     )

@@ -13,11 +13,11 @@ assumption is violated, while the 10× table is robust across its whole band.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.objective import Objective
-from repro.experiments.base import SchemeSpec, remycc_scheme, run_scheme_results
+from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
 from repro.protocols.cubic import Cubic
 from repro.runner import ExecutionBackend
 from repro.scenarios import get_scenario
@@ -97,46 +97,40 @@ def run_figure11(
 ) -> PriorKnowledgeResult:
     """Sweep the true link speed and score every scheme with the §3.3 objective.
 
-    The per-point ``run`` fan-out goes through the shared raw-results runner
-    (:func:`~repro.experiments.base.run_scheme_results`) under the
-    historical ``base_seed * 13 + run_index`` seeds, bit-identical to the
-    hand-written ``Simulation`` loop this replaces.
+    One cell per link speed, all derived from the same registry cell — so the
+    speeds (and the schemes) share per-run seeds — and one ``run_cells``
+    batch for the whole ``speed × scheme × run`` grid.
     """
     schemes = list(schemes) if schemes is not None else default_schemes()
     objective = Objective.proportional(delta=1.0)
     result = PriorKnowledgeResult()
 
-    # The registry cell carries the base dumbbell topology; the harness keeps
-    # its own workloads (per-flow start_on below), so only the network is
-    # resolved — replace() rather than override(), which would re-validate
-    # the cell's 2-flow per_flow_workloads against the requested n_flows.
-    base_network = get_scenario("fig11-prior-1x").network
-    for speed_mbps in link_speeds_mbps:
-        for scheme in schemes:
-            # The scheme runner applies ``scheme.queue`` itself (sfqCoDel for
-            # the Cubic curve); the base spec pins the tail-drop default.
-            spec = replace(
-                base_network,
-                link_rate_bps=speed_mbps * 1e6,
-                rtt=rtt,
-                n_flows=n_flows,
-                queue="droptail",
-            )
-            run_results = run_scheme_results(
-                scheme,
-                spec,
-                lambda fid: TimedFlowWorkload.exponential(
-                    mean_on_seconds=5.0, mean_off_seconds=5.0, start_on=(fid == 0)
-                ),
-                n_runs=n_runs,
-                duration=duration,
-                base_seed=base_seed,
-                seed_for_run=lambda base, run: base * 13 + run,
-                backend=backend,
-            )
+    # Schemes without router support run over plain tail-drop.
+    base_cell = get_scenario("fig11-prior-1x")
+    workloads = tuple(
+        TimedFlowWorkload.exponential(
+            mean_on_seconds=5.0, mean_off_seconds=5.0, start_on=(fid == 0)
+        )
+        for fid in range(n_flows)
+    )
+    cells = [
+        base_cell.override(
+            link_rate_bps=speed_mbps * 1e6,
+            rtt=rtt,
+            n_flows=n_flows,
+            queue="droptail",
+            per_flow_workloads=workloads,
+        )
+        for speed_mbps in link_speeds_mbps
+    ]
+    grid = run_cells(
+        cells, schemes, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
+    )
+    for speed_mbps, cell_runs in zip(link_speeds_mbps, grid):
+        fair_share = speed_mbps * 1e6 / n_flows
+        for scheme, run_results in zip(schemes, cell_runs):
             scores, tputs, delays = [], [], []
             for run_result in run_results:
-                fair_share = spec.link_rate_bps / n_flows
                 for stats in run_result.active_flows():
                     avg_rtt = stats.avg_rtt() if stats.rtt_count else rtt
                     scores.append(

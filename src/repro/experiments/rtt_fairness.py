@@ -6,11 +6,6 @@ Figure 3 with a mean off time of 0.2 s.  The figure reports each flow's
 *normalised throughput share* as a function of its RTT: a perfectly RTT-fair
 scheme would give every flow 0.25.  The paper finds that the RemyCCs are
 RTT-unfair, but less so than Cubic-over-sfqCoDel.
-
-Each scheme's runs go through the shared raw-results runner
-(:func:`~repro.experiments.base.run_scheme_results`) under the historical
-``base_seed * 577 + run_index`` seeds, bit-identical to the hand-written
-``Simulation`` loop this replaces.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.fairness import jain_index, normalized_shares
-from repro.experiments.base import SchemeSpec, remycc_scheme, run_scheme_results
+from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
 from repro.protocols.cubic import Cubic
 from repro.runner import ExecutionBackend
 from repro.scenarios import FIGURE10_RTTS, get_scenario
@@ -70,27 +65,21 @@ def run_figure10(
 ) -> list[RttFairnessResult]:
     """Run the differing-RTT scenario and return per-scheme share profiles."""
     schemes = list(schemes) if schemes is not None else default_schemes()
-    flow_sizes = icsi_flow_length_distribution(maximum_bytes=max_flow_bytes)
+    # The registry cell pins the four RTTs; schemes without router support
+    # run over plain tail-drop.
+    cell = get_scenario("fig10-rtt-fairness").override(
+        link_rate_bps=link_rate_bps,
+        queue="droptail",
+        workload=ByteFlowWorkload(
+            flow_size=icsi_flow_length_distribution(maximum_bytes=max_flow_bytes),
+            mean_off_seconds=mean_off_seconds,
+        ),
+    )
+    [runs] = run_cells(
+        [cell], schemes, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
+    )
     results = []
-    for scheme in schemes:
-        # The registry cell pins the four RTTs; only the queue (and the
-        # swept link rate) vary per scheme.
-        spec = get_scenario("fig10-rtt-fairness").override(
-            link_rate_bps=link_rate_bps,
-            queue=scheme.queue if scheme.queue is not None else "droptail",
-        ).network_spec()
-        run_results = run_scheme_results(
-            scheme,
-            spec,
-            lambda _fid: ByteFlowWorkload(
-                flow_size=flow_sizes, mean_off_seconds=mean_off_seconds
-            ),
-            n_runs=n_runs,
-            duration=duration,
-            base_seed=base_seed,
-            seed_for_run=lambda base, run: base * 577 + run,
-            backend=backend,
-        )
+    for scheme, run_results in zip(schemes, runs):
         per_run_shares: list[list[float]] = []
         for run_result in run_results:
             throughputs = [stats.throughput_bps() for stats in run_result.flow_stats]

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
-from repro.netsim.kernel import KERNEL_NAMES
 from repro.netsim.sender import Workload
 from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec
 
@@ -72,14 +71,6 @@ class SimJob:
     ``workloads`` holds one on/off workload object per flow; an empty tuple
     means all-always-on sources (the
     :class:`~repro.netsim.simulator.Simulation` default).
-
-    ``kernel`` selects the simulation engine (``"auto"``, ``"generic"`` or
-    ``"flat"``; see :mod:`repro.netsim.kernel`).  It is kept as a plain
-    string — not a resolved kernel object — so the job stays picklable and
-    the choice survives the trip through process pools and the distributed
-    queue; the executing process resolves it when it builds the
-    :class:`~repro.netsim.simulator.Simulation`.  Non-behavioral: every
-    kernel reproduces the same results bit-identically.
     """
 
     job_id: int
@@ -93,7 +84,6 @@ class SimJob:
     scenario: Optional[Union[str, "ScenarioSpec"]] = None
     max_events: Optional[int] = None
     trace_flows: tuple[int, ...] = ()
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         sources = sum(
@@ -108,13 +98,6 @@ class SimJob:
             raise ValueError(
                 f"got {len(self.workloads)} workloads for {self.spec.n_flows} flows"
             )
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"job {self.job_id}: unknown kernel {self.kernel!r}; "
-                f"expected one of {', '.join(KERNEL_NAMES)} (jobs carry the "
-                "kernel as a plain string so it pickles across worker "
-                "boundaries)"
-            )
 
     @classmethod
     def from_scenario(
@@ -125,11 +108,10 @@ class SimJob:
         seed: Optional[int] = None,
         max_events: Optional[int] = None,
         trace_flows: tuple[int, ...] = (),
-        kernel: Optional[str] = None,
     ) -> "SimJob":
         """A job replaying the named registered scenario cell.
 
-        The cell's canonical duration/seed/kernel apply unless overridden.
+        The cell's canonical duration/seed apply unless overridden.
         The resolved spec itself — network, workloads, protocol set — is
         captured at submission time, so the job is fully self-contained:
         cells registered at runtime (not just built-ins) survive the trip
@@ -149,7 +131,6 @@ class SimJob:
             scenario=cell,
             max_events=max_events,
             trace_flows=trace_flows,
-            kernel=cell.kernel if kernel is None else kernel,
         )
 
     def build_protocols(self) -> list["CongestionControl"]:
@@ -278,7 +259,6 @@ def run_sim_job(job: SimJob, collect_stats: bool = False) -> SimJobResult:
         seed=job.seed,
         trace_flows=job.trace_flows,
         max_events=job.max_events,
-        kernel=job.kernel,
     )
     result = simulation.run()
     whisker_stats = None

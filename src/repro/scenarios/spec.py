@@ -35,7 +35,7 @@ import pickle
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.netsim.kernel import KERNEL_NAMES, KernelChoice
+from repro.netsim.kernel import KernelChoice
 from repro.netsim.path import PathSpec
 from repro.netsim.sender import Workload
 from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec
@@ -138,13 +138,6 @@ class ScenarioSpec:
         benchmark, paper-scale figure runs) pass overrides to :meth:`build`.
     smoke:
         Whether the cell belongs to the tier-1 smoke subset.
-    kernel:
-        Simulation-kernel selection (``"auto"``, ``"generic"`` or
-        ``"flat"``; see :mod:`repro.netsim.kernel`).  A plain string, so the
-        choice pickles and crosses process-pool and queue-worker boundaries
-        with the cell.  Non-behavioral — every kernel reproduces the same
-        results bit-identically — so it does not participate in
-        :meth:`cache_token`.
     """
 
     name: str
@@ -159,18 +152,12 @@ class ScenarioSpec:
     duration: float = 3.0
     seed: int = 0
     smoke: bool = False
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("scenario name must not be empty")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(
-                f"{self.name}: unknown kernel {self.kernel!r}; "
-                f"expected one of {KERNEL_NAMES}"
-            )
         n_flows = self.network.n_flows
         if len(self.protocols) not in (1, n_flows):
             raise ValueError(
@@ -271,10 +258,6 @@ class ScenarioSpec:
             return None
         return [self.workload_for(flow_id) for flow_id in range(self.network.n_flows)]
 
-    def workload_factory(self) -> Callable[[int], Optional[Workload]]:
-        """Flow-id → workload callable in the shape ``run_schemes`` consumes."""
-        return self.workload_for
-
     def build(
         self,
         duration: Optional[float] = None,
@@ -283,7 +266,7 @@ class ScenarioSpec:
         use_packet_pool: bool = True,
         debug_packet_pool: bool = False,
         debug_invariants: bool = False,
-        kernel: Optional[KernelChoice] = None,
+        kernel: KernelChoice = "auto",
     ) -> Simulation:
         """Materialize the cell into a ready-to-run :class:`Simulation`."""
         return Simulation(
@@ -296,7 +279,7 @@ class ScenarioSpec:
             use_packet_pool=use_packet_pool,
             debug_packet_pool=debug_packet_pool,
             debug_invariants=debug_invariants,
-            kernel=self.kernel if kernel is None else kernel,
+            kernel=kernel,
         )
 
     def run(self, **build_kwargs: Any) -> SimulationResult:
@@ -364,9 +347,6 @@ class ScenarioSpec:
             network = replace(network, **network_changes)
         if "workload" in changes and "per_flow_workloads" not in changes:
             changes["per_flow_workloads"] = ()
-        spec = self
         if network is not self.network:
-            spec = replace(spec, network=network)
-        if changes:
-            spec = replace(spec, **changes)
-        return spec
+            changes["network"] = network
+        return replace(self, **changes) if changes else self

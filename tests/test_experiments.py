@@ -2,12 +2,19 @@
 
 These use deliberately tiny run counts and durations so the full suite stays
 fast; the benchmarks exercise the same harnesses at larger (still scaled)
-sizes and EXPERIMENTS.md records the qualitative comparison with the paper.
+sizes and assert the paper's qualitative shapes.
 """
 
 import pytest
 
-from repro.experiments.base import ExperimentResult, SchemeSpec, remycc_scheme, standard_schemes
+from repro.experiments.base import (
+    ExperimentResult,
+    SchemeSpec,
+    remycc_scheme,
+    run_cells,
+    standard_schemes,
+    sweep_seed,
+)
 from repro.experiments.competing import run_vs_compound, run_vs_cubic
 from repro.experiments.convergence import run_figure6
 from repro.experiments.datacenter import run_datacenter
@@ -17,6 +24,8 @@ from repro.experiments.rtt_fairness import FIGURE10_RTTS, format_figure10, run_f
 from repro.experiments.summary_tables import run_dumbbell_summary
 from repro.protocols.cubic import Cubic
 from repro.protocols.newreno import NewReno
+from repro.runner import SerialBackend
+from repro.scenarios import get_scenario
 
 #: A reduced comparison set used by the smoke tests (fast but representative).
 FAST_SCHEMES = [
@@ -24,6 +33,87 @@ FAST_SCHEMES = [
     SchemeSpec("Cubic", Cubic),
     remycc_scheme("delta1", label="Remy d=1"),
 ]
+
+
+class RecordingBackend(SerialBackend):
+    """Serial execution that keeps every batch it was handed."""
+
+    def __init__(self):
+        self.batches = []
+
+    def run_batch(self, jobs):
+        self.batches.append(list(jobs))
+        return super().run_batch(jobs)
+
+
+class TestRunCells:
+    """The one harness entry point: job building, seeding, batching."""
+
+    def test_every_job_is_sweep_seeded_and_schemes_share_seeds(self):
+        cells = [get_scenario("fig4-dumbbell8"), get_scenario("parking-lot-2bn")]
+        schemes = [
+            SchemeSpec("NewReno", NewReno),
+            SchemeSpec("Cubic/sfqCoDel", Cubic, queue="sfqcodel"),
+            remycc_scheme("delta1"),
+        ]
+        backend = RecordingBackend()
+        grid = run_cells(cells, schemes, n_runs=2, duration=0.5, base_seed=9, backend=backend)
+        [jobs] = backend.batches
+        assert [len(per_scheme) for per_scheme in grid] == [3, 3]
+        assert all(len(runs) == 2 for per_scheme in grid for runs in per_scheme)
+        expected = [
+            sweep_seed(cell.name, 9, run) for cell in cells for _scheme in schemes for run in (0, 1)
+        ]
+        assert [job.seed for job in jobs] == expected
+        assert [job.job_id for job in jobs] == list(range(12))
+        # A scheme swaps the queue only when it names one.
+        assert [job.spec.queue for job in jobs[:6]] == [
+            "droptail", "droptail", "sfqcodel", "sfqcodel", "droptail", "droptail",
+        ]
+
+    def test_base_seed_defaults_to_each_cells_canonical_seed(self):
+        cell = get_scenario("fig4-dumbbell8")
+        backend = RecordingBackend()
+        run_cells([cell.name], n_runs=2, duration=0.5, backend=backend)
+        assert [job.seed for job in backend.batches[0]] == [
+            sweep_seed(cell.name, cell.seed, 0),
+            sweep_seed(cell.name, cell.seed, 1),
+        ]
+
+    def test_without_schemes_a_mixed_cell_runs_its_own_protocols(self):
+        from repro.protocols.cubic import Cubic as CubicProtocol
+        from repro.protocols.remycc import RemyCCProtocol
+
+        cell = get_scenario("competing-remy-cubic")
+        backend = RecordingBackend()
+        [[[result]]] = run_cells([cell], n_runs=1, duration=1.0, backend=backend)
+        [[job]] = backend.batches
+        assert job.scenario is cell and job.tree is None and job.protocol_factory is None
+        assert [type(p) for p in job.build_protocols()] == [RemyCCProtocol, CubicProtocol]
+        assert len(result.flow_stats) == 2
+
+    def test_n_runs_must_be_positive(self):
+        for n_runs in (0, -1):
+            with pytest.raises(ValueError, match="n_runs"):
+                run_cells(["fig4-dumbbell8"], n_runs=n_runs)
+
+    @pytest.mark.parametrize(
+        "run, kwargs",
+        [
+            (run_figure10, dict(n_runs=1, duration=0.5)),
+            (run_figure11, dict(n_runs=1, duration=0.5)),
+            (run_vs_compound, dict(n_runs=1, duration=0.5)),
+            (run_vs_cubic, dict(n_runs=1, duration=0.5)),
+            (run_datacenter, dict(scale=32, duration=0.2)),
+        ],
+        ids=["figure10", "figure11", "vs_compound", "vs_cubic", "datacenter"],
+    )
+    def test_a_figure_is_one_batch(self, run, kwargs):
+        # A process pool must see the whole figure at once, not drain
+        # between schemes, rows or link speeds.
+        backend = RecordingBackend()
+        run(backend=backend, **kwargs)
+        assert len(backend.batches) == 1
 
 
 class TestBase:
@@ -36,15 +126,13 @@ class TestBase:
     def test_experiment_result_frontier(self):
         from repro.analysis.summary import SchemeSummary
 
-        result = ExperimentResult("x")
         fast = SchemeSummary("fast")
         fast.add_point(2.0, 20.0)
         fast.add_point(2.1, 21.0)
         slow = SchemeSummary("slow")
         slow.add_point(0.5, 30.0)
         slow.add_point(0.6, 31.0)
-        result.add(fast)
-        result.add(slow)
+        result = ExperimentResult("x", {"fast": fast, "slow": slow})
         assert result.frontier_names() == ["fast"]
         assert "fast" in result.format_table()
 

@@ -9,8 +9,8 @@ rewrite relies on:
   counts;
 * the per-protocol last-leaf cache never changes which rule an ACK hits,
   including across ``split_whisker`` (the cache-invalidation invariant);
-* ``run_schemes`` (whole-figure batching) returns exactly what per-scheme
-  ``run_scheme`` batches return.
+* ``run_cells`` (whole-grid batching) returns exactly what one call per
+  (cell, scheme) point returns.
 """
 
 import random
@@ -176,28 +176,42 @@ class TestLastLeafCache:
 
 class TestRunSchemesSharding:
     def test_run_schemes_matches_per_scheme_batches(self):
-        from repro.experiments.base import SchemeSpec, run_scheme, run_schemes
+        # A multi-cell, multi-scheme grid in one run_cells call equals the
+        # same (cell, scheme) points run one call at a time.
+        from repro.analysis.summary import summarize_runs
+        from repro.experiments.base import SchemeSpec, run_cells
+        from repro.scenarios import ScenarioSpec
 
-        spec = NetworkSpec(
-            link_rate_bps=6e6, rtt=0.1, n_flows=2, queue="droptail", buffer_packets=200
-        )
-
-        def workload(_flow_id):
-            return ByteFlowWorkload.exponential(
-                mean_flow_bytes=40e3, mean_off_seconds=0.4
+        cells = [
+            ScenarioSpec(
+                name=f"sharding-{n_flows}flows",
+                description="dumbbell for the grid-vs-single-call check",
+                topology="dumbbell",
+                network=NetworkSpec(
+                    link_rate_bps=6e6, rtt=0.1, n_flows=n_flows, queue="droptail",
+                    buffer_packets=200,
+                ),
+                workload=ByteFlowWorkload.exponential(
+                    mean_flow_bytes=40e3, mean_off_seconds=0.4
+                ),
             )
-
+            for n_flows in (2, 3)
+        ]
         schemes = [
             SchemeSpec("NewReno", NewReno),
             SchemeSpec("Vegas", Vegas),
             SchemeSpec("NewReno/sfqCoDel", NewReno, queue="sfqcodel"),
         ]
-        batched = run_schemes(
-            schemes, spec, workload, n_runs=2, duration=3.0, base_seed=9
-        )
+        run_kwargs = dict(n_runs=2, duration=3.0, base_seed=9)
+        batched = [
+            summarize_runs(scheme.name, runs)
+            for cell_runs in run_cells(cells, schemes, **run_kwargs)
+            for scheme, runs in zip(schemes, cell_runs)
+        ]
         individual = [
-            run_scheme(s, spec, workload, n_runs=2, duration=3.0, base_seed=9)
-            for s in schemes
+            summarize_runs(scheme.name, run_cells([cell], [scheme], **run_kwargs)[0][0])
+            for cell in cells
+            for scheme in schemes
         ]
         assert [s.scheme for s in batched] == [s.scheme for s in individual]
         for one, other in zip(batched, individual):

@@ -1,6 +1,6 @@
-"""The pluggable simulation-kernel layer: selection, fallback, plumbing.
+"""The pluggable simulation-kernel layer: selection and fallback.
 
-Three contracts:
+Two contracts:
 
 * **Resolution** — ``kernel="auto"`` picks :class:`FlatKernel` exactly when
   the capability check passes (single-bottleneck dumbbell, no delivery
@@ -10,21 +10,9 @@ Three contracts:
 * **Parity** — flat and generic runs of the same spec are bit-identical
   (the full registry sweep lives in ``test_scenario_matrix.py``; here the
   resolution-level cases).
-* **Plumbing** — the kernel choice is a plain string on
-  :class:`ScenarioSpec` and :class:`SimJob`, so it survives pickling and
-  crosses process-pool and distributed queue-worker boundaries; every hop
-  reproduces the serial fingerprint.
 """
 
 from __future__ import annotations
-
-import os
-import pickle
-import subprocess
-import sys
-from contextlib import contextmanager
-from pathlib import Path
-from typing import Iterator
 
 import pytest
 
@@ -41,21 +29,7 @@ from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.simulator import Simulation, run_simulation
 from repro.protocols.newreno import NewReno
-from repro.runner import (
-    ProcessPoolBackend,
-    QueueBackend,
-    SerialBackend,
-    SimJob,
-    run_sim_job,
-)
-from repro.scenarios import (
-    ScenarioSpec,
-    get_scenario,
-    simulation_fingerprint,
-)
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-SRC = REPO_ROOT / "src"
+from repro.scenarios import simulation_fingerprint
 
 #: Flat-eligible: a plain single-bottleneck dumbbell.
 FLAT_SPEC = NetworkSpec(
@@ -151,165 +125,3 @@ class TestParity:
         assert simulation_fingerprint(_run(spec, "flat")) == simulation_fingerprint(
             _run(spec, "generic")
         )
-
-
-# ---------------------------------------------------------------------------
-# ScenarioSpec plumbing
-# ---------------------------------------------------------------------------
-class TestScenarioSpecKernel:
-    def test_kernel_field_is_validated(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            get_scenario("fig4-dumbbell8").override(kernel="warp")
-
-    def test_kernel_survives_pickle(self):
-        cell = get_scenario("fig4-dumbbell8").override(kernel="generic")
-        assert pickle.loads(pickle.dumps(cell)).kernel == "generic"
-
-    def test_build_kernel_override_wins_over_cell_default(self):
-        cell = get_scenario("fig4-dumbbell8").override(kernel="generic")
-        assert cell.build(duration=0.5).kernel_name == "generic"
-        assert cell.build(duration=0.5, kernel="flat").kernel_name == "flat"
-
-    def test_cache_token_ignores_the_kernel(self):
-        # The kernel is an engine knob, not a behavioral field: the result
-        # cache must serve a flat-kernel run to a generic-kernel request.
-        cell = get_scenario("fig4-dumbbell8")
-        assert cell.override(kernel="generic").cache_token() == cell.cache_token()
-
-
-# ---------------------------------------------------------------------------
-# SimJob plumbing: pickle, process pool, queue worker
-# ---------------------------------------------------------------------------
-class TestSimJobKernel:
-    def test_invalid_kernel_is_rejected_with_the_choices(self):
-        with pytest.raises(ValueError) as err:
-            SimJob.from_scenario("fig4-dumbbell8", kernel="warp")
-        for name in KERNEL_NAMES:
-            assert name in str(err.value)
-
-    def test_kernel_survives_pickle(self):
-        job = SimJob.from_scenario("fig4-dumbbell8", kernel="generic")
-        assert pickle.loads(pickle.dumps(job)).kernel == "generic"
-
-    def test_from_scenario_inherits_the_cell_kernel(self):
-        assert SimJob.from_scenario("fig4-dumbbell8").kernel == "auto"
-        cell = get_scenario("fig4-dumbbell8").override(kernel="generic")
-        from repro.scenarios import register_scenario, unregister_scenario
-
-        register_scenario(cell.override(name="kernel-test-cell"))
-        try:
-            assert SimJob.from_scenario("kernel-test-cell").kernel == "generic"
-        finally:
-            unregister_scenario("kernel-test-cell")
-
-    def test_run_sim_job_honors_the_kernel(self):
-        generic = run_sim_job(
-            SimJob.from_scenario("fig4-dumbbell8", duration=1.0, kernel="generic")
-        ).result
-        flat = run_sim_job(
-            SimJob.from_scenario("fig4-dumbbell8", duration=1.0, kernel="flat")
-        ).result
-        assert simulation_fingerprint(flat) == simulation_fingerprint(generic)
-
-    def test_kernel_crosses_the_process_pool(self):
-        jobs = [
-            SimJob.from_scenario(
-                "fig4-dumbbell8", job_id=i, duration=1.0, kernel=kernel
-            )
-            for i, kernel in enumerate(("generic", "flat", "auto"))
-        ]
-        serial = SerialBackend().run_batch(jobs)
-        with ProcessPoolBackend(max_workers=2) as backend:
-            pooled = backend.run_batch(jobs)
-        fingerprints = [simulation_fingerprint(r.result) for r in pooled]
-        assert fingerprints == [simulation_fingerprint(r.result) for r in serial]
-        # All three engines agreed on the same cell.
-        assert len({pickle.dumps(f) for f in fingerprints}) == 1
-
-    def test_kernel_crosses_the_queue_worker_boundary(self):
-        jobs = [
-            SimJob.from_scenario("fig4-dumbbell8", job_id=0, duration=1.0, kernel="generic"),
-            SimJob.from_scenario("fig4-dumbbell8", job_id=1, duration=1.0, kernel="flat"),
-        ]
-        serial = pickle.dumps(
-            [simulation_fingerprint(r.result) for r in SerialBackend().run_batch(jobs)]
-        )
-        backend = QueueBackend(worker_wait=60.0)
-        try:
-            with _spawn_worker(backend.address):
-                queued = backend.run_batch(jobs)
-        finally:
-            backend.close()
-        assert not backend.degraded
-        assert pickle.dumps([simulation_fingerprint(r.result) for r in queued]) == serial
-
-
-class _RecordingBackend(SerialBackend):
-    """Serial execution that keeps the jobs it was handed."""
-
-    def run_batch(self, jobs):
-        self.jobs = list(jobs)
-        return super().run_batch(jobs)
-
-
-class TestSweepKernel:
-    """``run_scenario_sweep`` carries the cell's kernel as ``run_cell_results``
-    does (it used to drop it, so every scheme sweep ran ``auto``)."""
-
-    def test_sweep_jobs_inherit_the_cell_kernel(self):
-        from repro.experiments.base import SchemeSpec, run_scenario_sweep
-
-        pinned = get_scenario("fig4-dumbbell8").override(kernel="generic")
-        default = get_scenario("fig4-dumbbell8").override(name="fig4-auto")
-        backend = _RecordingBackend()
-        sweep = run_scenario_sweep(
-            [pinned, default],
-            [SchemeSpec("NewReno", NewReno), SchemeSpec("NewReno/sfq", NewReno, queue="sfqcodel")],
-            n_runs=2,
-            duration=0.5,
-            backend=backend,
-        )
-        assert [job.kernel for job in backend.jobs] == ["generic"] * 4 + ["auto"] * 4
-        assert set(sweep) == {"fig4-dumbbell8", "fig4-auto"}
-
-    def test_explicit_flat_on_a_path_cell_raises_through_the_sweep(self):
-        from repro.experiments.base import (
-            SchemeSpec,
-            run_cell_results,
-            run_scenario_sweep,
-        )
-
-        cell = get_scenario("parking-lot-2bn").override(kernel="flat")
-        with pytest.raises(KernelUnsupportedError):
-            run_cell_results(cell, duration=0.5)
-        with pytest.raises(KernelUnsupportedError):
-            run_scenario_sweep(
-                [cell], [SchemeSpec("NewReno", NewReno)], n_runs=1, duration=0.5
-            )
-
-
-def _worker_env() -> dict[str, str]:
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = str(SRC) if not existing else str(SRC) + os.pathsep + existing
-    return env
-
-
-@contextmanager
-def _spawn_worker(address: str) -> Iterator[subprocess.Popen]:
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.runner.distributed", "worker", address],
-        env=_worker_env(),
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
-    try:
-        yield proc
-    finally:
-        proc.terminate()
-        try:
-            proc.wait(timeout=15)
-        except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
-            proc.kill()
-            proc.wait()
-

@@ -10,6 +10,7 @@ violation (the PR 4 pool-leak, a module-level ``random.random()``) is
 caught.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -239,3 +240,42 @@ class TestRepoHygiene:
             after = json.loads(trajectory.read_text())["history"]
             assert after[:-1] == before
             assert after[-1]["label"] == label and after[-1]["speedup"] == 1.0
+
+
+class TestOneHarnessEntryPoint:
+    """``run_cells`` stays the only job builder and ``sweep_seed`` the only
+    harness seed formula: the figure modules may not touch ``SimJob``,
+    ``run_batch`` or ``mix_seed`` themselves."""
+
+    EXPERIMENTS = REPO_ROOT / "src" / "repro" / "experiments"
+    RESERVED = {"SimJob", "run_batch", "mix_seed"}
+
+    @staticmethod
+    def _names(tree: ast.AST) -> set[str]:
+        names: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+        return names
+
+    def test_only_base_names_the_job_and_seed_primitives(self):
+        offenders = {
+            path.name: sorted(self._names(ast.parse(path.read_text())) & self.RESERVED)
+            for path in sorted(self.EXPERIMENTS.glob("*.py"))
+            if path.name != "base.py"
+        }
+        assert {name: used for name, used in offenders.items() if used} == {}
+
+    def test_base_has_one_function_that_submits_a_batch(self):
+        tree = ast.parse((self.EXPERIMENTS / "base.py").read_text())
+        submitters = [
+            node.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and "run_batch" in self._names(node)
+        ]
+        assert submitters == ["run_cells"]

@@ -355,25 +355,28 @@ class TestClosureFactoryFailFast:
         assert "tree" in message
 
     def test_run_scheme_with_closure_scheme_fails_fast(self):
-        from repro.experiments.base import SchemeSpec, run_scheme
+        # Through the harness entry point (run_cells) rather than a bare job.
+        from repro.experiments.base import SchemeSpec, run_cells
+        from repro.scenarios import ScenarioSpec
         from repro.traffic.onoff import ByteFlowWorkload
 
-        spec = NetworkSpec(
-            link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
-            buffer_packets=100,
+        cell = ScenarioSpec(
+            name="closure-cell",
+            description="two-flow dumbbell for the closure-scheme check",
+            topology="dumbbell",
+            network=NetworkSpec(
+                link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
+                buffer_packets=100,
+            ),
+            workload=ByteFlowWorkload.exponential(
+                mean_flow_bytes=50e3, mean_off_seconds=0.5
+            ),
         )
         scheme = SchemeSpec("closure", lambda: NewReno())
 
-        def workload(_flow_id):
-            return ByteFlowWorkload.exponential(
-                mean_flow_bytes=50e3, mean_off_seconds=0.5
-            )
-
         with ProcessPoolBackend(max_workers=1) as backend:
             with pytest.raises(ValueError, match="picklable"):
-                run_scheme(
-                    scheme, spec, workload, n_runs=1, duration=1.0, backend=backend
-                )
+                run_cells([cell], [scheme], n_runs=1, duration=1.0, backend=backend)
 
     def test_class_factory_still_ships(self):
         job = self._job(NewReno)
@@ -503,24 +506,34 @@ class TestEvaluateMany:
 
 class TestRunSchemeBackends:
     def test_run_scheme_identical_under_process_pool(self):
-        from repro.experiments.base import SchemeSpec, remycc_scheme, run_scheme
+        # A scheme's run_cells fan-out, serial vs. pooled.
+        from repro.analysis.summary import summarize_runs
+        from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
         from repro.netsim.network import NetworkSpec
+        from repro.scenarios import ScenarioSpec
         from repro.traffic.onoff import ByteFlowWorkload
 
-        spec = NetworkSpec(
-            link_rate_bps=6e6, rtt=0.1, n_flows=2, queue="droptail", buffer_packets=200
+        cell = ScenarioSpec(
+            name="pool-parity-cell",
+            description="two-flow dumbbell for serial-vs-pool parity",
+            topology="dumbbell",
+            network=NetworkSpec(
+                link_rate_bps=6e6, rtt=0.1, n_flows=2, queue="droptail", buffer_packets=200
+            ),
+            workload=ByteFlowWorkload.exponential(
+                mean_flow_bytes=50e3, mean_off_seconds=0.5
+            ),
         )
 
-        def workload(_flow_id):
-            return ByteFlowWorkload.exponential(
-                mean_flow_bytes=50e3, mean_off_seconds=0.5
+        def summary_of(scheme, backend=None):
+            [[runs]] = run_cells(
+                [cell], [scheme], n_runs=2, duration=4.0, base_seed=0, backend=backend
             )
+            return summarize_runs(scheme.name, runs)
 
         for scheme in (SchemeSpec("NewReno", NewReno), remycc_scheme("delta1")):
-            serial = run_scheme(scheme, spec, workload, n_runs=2, duration=4.0)
+            serial = summary_of(scheme)
             with ProcessPoolBackend(max_workers=2) as backend:
-                pooled = run_scheme(
-                    scheme, spec, workload, n_runs=2, duration=4.0, backend=backend
-                )
+                pooled = summary_of(scheme, backend=backend)
             assert pooled.throughputs_mbps == serial.throughputs_mbps
             assert pooled.queue_delays_ms == serial.queue_delays_ms

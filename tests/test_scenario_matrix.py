@@ -306,7 +306,8 @@ class TestScenarioSweep:
         assert sweep_seed("a-cell", 3, 2) == mix_seed("scenario-sweep", "a-cell", 3, 2)
 
     def test_sweep_grid_shape_and_determinism(self):
-        from repro.experiments.base import SchemeSpec, run_scenario_sweep
+        from repro.analysis.summary import summarize_runs
+        from repro.experiments.base import SchemeSpec, run_cells
         from repro.protocols.newreno import NewReno
         from repro.protocols.vegas import Vegas
 
@@ -314,7 +315,14 @@ class TestScenarioSweep:
         cells = ["parking-lot-2bn", "reverse-ack-congestion"]
 
         def sweep():
-            return run_scenario_sweep(cells, schemes, n_runs=2, duration=1.0)
+            grid = run_cells(cells, schemes, n_runs=2, duration=1.0)
+            return {
+                cell: [
+                    summarize_runs(scheme.name, runs)
+                    for scheme, runs in zip(schemes, cell_runs)
+                ]
+                for cell, cell_runs in zip(cells, grid)
+            }
 
         first = sweep()
         assert sorted(first) == sorted(cells)

@@ -14,8 +14,9 @@ Two jobs, one tool:
   before and after a hot-path change; the two files must be identical if the
   change preserved simulation semantics.  Beyond the registry cells this
   mode also covers training-mode evaluation, a split rule tree exercised
-  through the octree descent, and a figure-style ``run_schemes`` batch —
-  paths the cell matrix alone does not reach.
+  through the octree descent, and two ``run_cells`` grids (a figure harness
+  and the multi-bottleneck path cells) — paths the cell matrix alone does
+  not reach.
 
 Usage::
 
@@ -44,14 +45,15 @@ def cells_fingerprint(names=None) -> dict:
 
 def extras_fingerprint() -> dict:
     """Determinism cases beyond the scenario matrix (training, split trees,
-    the figure-harness batch path, the path-sweep grid runner)."""
+    a figure harness and a path-cell grid through ``run_cells``)."""
     from repro.core.config import ConfigRange, ParameterRange
     from repro.core.evaluator import Evaluator, EvaluatorSettings
     from repro.core.memory import Memory
     from repro.core.objective import Objective
     from repro.core.pretrained import pretrained_remycc
+    from repro.analysis.summary import summarize_runs
     from repro.core.whisker_tree import WhiskerTree
-    from repro.experiments.base import SchemeSpec, run_scenario_sweep
+    from repro.experiments.base import SchemeSpec, run_cells
     from repro.experiments.dumbbell import run_figure4
     from repro.netsim.network import NetworkSpec
     from repro.netsim.simulator import Simulation
@@ -100,8 +102,8 @@ def extras_fingerprint() -> dict:
     fp["remy-split-tree"] = simulation_fingerprint(sim.run())
     fp["remy-split-tree"]["use_counts"] = [w.use_count for w in split_tree.whiskers()]
 
-    # Figure-style harness (covers run_scheme / batch sharding / the
-    # scenario-resolved workload factory).
+    # Figure-style harness (cell override knobs, scheme fan-out, the
+    # ExperimentResult fold).
     result = run_figure4(
         n_flows=3,
         n_runs=2,
@@ -116,24 +118,20 @@ def extras_fingerprint() -> dict:
         for name, summary in result.summaries.items()
     }
 
-    # Path-sweep grid runner (mix_seed per-run seeding, multi-bottleneck and
-    # congested-reverse topologies through the scheme/backend job path).
-    sweep = run_scenario_sweep(
-        ["parking-lot-2bn", "reverse-ack-congestion"],
-        [SchemeSpec("NewReno", NewReno), SchemeSpec("Vegas", Vegas)],
-        n_runs=2,
-        duration=1.5,
-    )
-    fp["path-sweep-mini"] = {
-        cell: {
-            summary.scheme: {
+    # Multi-cell grid (multi-bottleneck and congested-reverse topologies
+    # through the scheme/backend job path).
+    cells = ["parking-lot-2bn", "reverse-ack-congestion"]
+    schemes = [SchemeSpec("NewReno", NewReno), SchemeSpec("Vegas", Vegas)]
+    grid = run_cells(cells, schemes, n_runs=2, duration=1.5)
+    fp["path-sweep-mini"] = {}
+    for cell, cell_runs in zip(cells, grid):
+        fp["path-sweep-mini"][cell] = {}
+        for scheme, runs in zip(schemes, cell_runs):
+            summary = summarize_runs(scheme.name, runs)
+            fp["path-sweep-mini"][cell][scheme.name] = {
                 "tputs": [repr(v) for v in summary.throughputs_mbps],
                 "delays": [repr(v) for v in summary.queue_delays_ms],
             }
-            for summary in summaries
-        }
-        for cell, summaries in sweep.items()
-    }
     return fp
 
 
