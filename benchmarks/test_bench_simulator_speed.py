@@ -20,13 +20,12 @@ so a semantics change in a benchmarked configuration is caught there first.
 Each case's events/sec is appended as one trajectory entry to
 ``BENCH_simulator.json`` at the repository root — only when ``BENCH_LABEL``
 is set, which is also the entry's label (override the path with the
-``BENCH_SIMULATOR_JSON`` environment variable).  Flat-eligible cases
-(single-bottleneck dumbbells — see
-the README's "Kernel architecture" section) are measured under both
-kernels with interleaved reps: the plain case key records the flat kernel
-(what ``auto`` selects) plus a ``flat_speedup`` median-of-paired-ratios,
-and a ``case[generic]`` companion key records the generic kernel at the
-same calibration.  Entries also record a pure-Python calibration rate so
+``BENCH_SIMULATOR_JSON`` environment variable).  Every case is measured
+under both kernels (see the README's "Kernel architecture" section) with
+interleaved reps: the plain case key records the fused flat kernel (what
+``auto`` selects) plus a ``flat_speedup`` median-of-paired-ratios, and a
+``case[generic]`` companion key records the generic kernel at the same
+calibration.  Entries also record a pure-Python calibration rate so
 trajectories from machines of different speeds stay comparable — see
 ``benchmarks/check_bench_regression.py`` and the README's Performance
 section.
@@ -78,31 +77,15 @@ def _run_case(case: str, kernel: str = "auto") -> tuple[int, float]:
     return result.events_processed, elapsed
 
 
-def _measure(case: str, rounds: int = 3) -> dict:
-    """Best-of-``rounds`` measurement (events/sec is noise-sensitive)."""
-    events = 0
-    best_elapsed = float("inf")
-    for _ in range(rounds):
-        events, elapsed = _run_case(case)
-        best_elapsed = min(best_elapsed, elapsed)
-    measurement = {
-        "events": events,
-        "seconds": round(best_elapsed, 6),
-        "events_per_sec": round(events / best_elapsed, 1),
-    }
-    _RESULTS[case] = measurement
-    return measurement
-
-
 def _measure_kernel_pair(case: str, rounds: int = 5) -> dict:
-    """Interleaved flat-vs-generic measurement for a flat-eligible case.
+    """Interleaved flat-vs-generic measurement of one case.
 
     The two kernels alternate rep by rep, so a slow machine phase hits both
     sides equally; each side keeps its best elapsed (the usual best-of
     policy) and the recorded speedup is the median of the *paired* ratios,
     which is far more stable than a ratio of two independent runs.  Records
-    the plain case key from the flat side — ``auto`` selects the flat kernel
-    for these cells, so that is the engine the trajectory tracks — plus a
+    the plain case key from the flat side — ``auto`` selects the flat kernel,
+    so that is the engine the trajectory tracks — plus a
     ``case[generic]`` companion with the same calibration, making the
     flat-vs-generic ratio readable off a single entry.
     """
@@ -192,26 +175,17 @@ def _write_trajectory():
 CASES = list(CASE_SCENARIOS)
 
 
-def _flat_eligible(case: str) -> bool:
-    from repro.netsim.kernel import FlatKernel
-
-    return FlatKernel.supports(get_scenario(CASE_SCENARIOS[case]).network_spec()) is None
-
-
 @pytest.mark.parametrize("case", CASES)
 def test_simulator_event_rate(benchmark, case):
-    # Flat-eligible cells measure both kernels (interleaved) so the entry
-    # records the flat speedup alongside the rate `auto` actually delivers.
-    measure = _measure_kernel_pair if _flat_eligible(case) else _measure
-    measurement = benchmark.pedantic(measure, args=(case,), rounds=1, iterations=1)
+    # Both kernels, interleaved, so the entry records the flat speedup
+    # alongside the rate `auto` actually delivers.
+    measurement = benchmark.pedantic(
+        _measure_kernel_pair, args=(case,), rounds=1, iterations=1
+    )
     print(
         f"\n{case}: {measurement['events']} events, "
         f"{measurement['events_per_sec']:,.0f} events/sec (4x5s at 10 Mbps)"
-        + (
-            f", flat kernel x{measurement['flat_speedup']:.2f} vs generic"
-            if "flat_speedup" in measurement
-            else ""
-        )
+        f", flat kernel x{measurement['flat_speedup']:.2f} vs generic"
     )
     # Classic RED dropping non-ECN TCP traffic keeps the link lightly used
     # (that is RED working as designed), so it processes far fewer events.

@@ -230,12 +230,23 @@ class CoDelQueue(QueueDiscipline):
         return True
 
     def dequeue(self, now: float) -> Optional[Packet]:
-        if not self._queue:
+        fifo = self._queue
+        if not fifo:
             self._dropping = False
             return None
 
-        packet = self._pop()
-        drop_now = self._should_drop(packet, now)
+        # _pop and _should_drop, inlined for the head packet: the common
+        # dequeue (below target, not dropping) is one frame, not three.
+        packet = fifo.popleft()
+        self._bytes -= packet.size_bytes
+        if now - packet.enqueue_time < self.target or not fifo:
+            self._first_above_time = 0.0
+            drop_now = False
+        elif self._first_above_time == 0.0:
+            self._first_above_time = now + self.interval
+            drop_now = False
+        else:
+            drop_now = now >= self._first_above_time
 
         if self._dropping:
             if not drop_now:

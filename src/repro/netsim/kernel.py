@@ -10,50 +10,55 @@ for every registered cell.
 
 Two kernels ship today:
 
-* :class:`GenericKernel` — today's heap + same-time-FIFO
+* :class:`GenericKernel` — the heap + same-time-FIFO
   :class:`~repro.netsim.events.EventScheduler`, driving the topology's own
-  wiring untouched.  It supports every topology and is bit-identical to the
-  pre-kernel engine *by construction*: selecting it changes no code path.
+  wiring untouched.  It is the parity reference: selecting it changes no
+  code path.
 
-* :class:`FlatKernel` — a specialized engine for the dominant
-  single-bottleneck dumbbell cells.  Two ideas, both order-preserving:
+* :class:`FlatKernel` — the fused engine ``"auto"`` resolves to for every
+  topology.  Two ideas, both order-preserving:
 
-  **Constant-delay lanes.**  The per-packet event chain — serialize at the
-  bottleneck, propagate one way, return the ACK one way — schedules every
-  event a *constant* delay ahead of a non-decreasing clock, so each stream
-  is already sorted by ``(time, sequence)``.  :class:`FlatScheduler` keeps
-  one plain deque per distinct delay and merges the lane heads with the
-  heap top at dispatch; appending is O(1) where the generic heap pays
-  O(log n) twice, and the merged order is exactly what heap-pushing the
-  same entries would produce (unique sequence numbers make the comparison
-  total).  Timers (RTO, pacing, on/off switches) still use the heap.
+  **Fused per-hop and per-flow chains.**  After the simulation is built
+  normally (identical constructor order, identical rng draws), the kernel
+  rebinds the per-packet callbacks to closures that inline their successor
+  scheduling: every constant-rate hop's ``receive`` / dequeue-and-serialize
+  / finish-and-hand-off steps (DropTail bookkeeping inlined, AQM
+  disciplines keep their ``enqueue``/``dequeue`` calls), whose finish step
+  hands the packet to the next hop's fused ``receive``, across the hop's
+  propagation delay, or across the flow's one-way delay to the receiver;
+  every flow's receiver (in-place ACK conversion, ACK emission inlined)
+  and sender (``on_ack`` → window check → send loop in one frame).
+  Trace-driven hops, lossy-hop gates and sanitizer-instrumented flows keep
+  their generic callbacks and reach their fused neighbours through the
+  rebound instance attributes and the network's rewritten next-hop tables.
+  Every float is computed by the same expression in the same order as the
+  generic wiring, and every event still executes (and is counted) at its
+  own timestamp, so fingerprints — which include ``events_processed`` —
+  are unchanged.
 
-  **Fused transmit → propagate → ACK chain.**  After the simulation is
-  built normally (identical constructor order, identical rng draws), the
-  kernel rebinds the per-packet hop callbacks to closures that inline the
-  successor scheduling: the link's dequeue/serialize step appends straight
-  to its serialization lane, delivery appends the receiver callback to the
-  flow's one-way lane through a struct-of-arrays route table, and the
-  receiver's ACK emission appends the sender's handler to the same lane —
-  skipping the generic ``post_after``/heap dispatch for the deterministic
-  successor pattern.  Every float is computed by the same expression in the
-  same order as the generic wiring, and every event still executes (and is
-  counted) at its own timestamp, so fingerprints — which include
-  ``events_processed`` — are unchanged.
-
-Cells the flat kernel cannot express (multi-hop paths, trace-driven links)
-fall back to :class:`GenericKernel`: explicitly requesting ``kernel="flat"``
-for one raises :class:`KernelUnsupportedError` with the reason, while the
-default ``kernel="auto"`` degrades silently and records the choice in
-``Simulation.kernel_name``.
+  **Constant-delay lanes, where there are exactly two.**  A constant-rate
+  dumbbell whose flows share one RTT schedules every per-packet event one
+  of two *constant* delays ahead of a non-decreasing clock (serialize at
+  the bottleneck; propagate one way), so each stream is already sorted by
+  ``(time, sequence)``.  :class:`FlatScheduler` keeps one plain deque per
+  delay and merges the two lane heads with the heap top at dispatch;
+  appending is O(1) where the heap pays O(log n) twice, and the merged
+  order is exactly what heap-pushing the same entries would produce
+  (unique sequence numbers make the comparison total).  Every other
+  topology has more distinct delays than the merge is worth (measured:
+  README "Kernel architecture") and runs the same closures on the plain
+  :class:`~repro.netsim.events.EventScheduler`, posting with an inlined
+  ``heappush``.  The choice is made from the spec in
+  :meth:`FlatKernel.create_scheduler`; it is not a knob.
 """
 
 from __future__ import annotations
 
 import gc
 from collections import deque
+from functools import partial
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Optional, Union, cast
 
 from repro.netsim.events import (
     EventCapExceeded,
@@ -61,7 +66,7 @@ from repro.netsim.events import (
     SimulationError,
     _heappop,
 )
-from repro.netsim.link import ConstantRateLink
+from repro.netsim.link import ConstantRateLink, LinkBase
 from repro.netsim.network import DumbbellNetwork, NetworkSpec
 from repro.netsim.packet import ACK_PACKET_BYTES, AckInfo, Packet, PacketPool
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
@@ -77,42 +82,57 @@ from repro.netsim.sender import (
 if TYPE_CHECKING:  # avoid a cycle: simulator builds kernels, kernels wire sims
     from repro.netsim.simulator import Simulation, TopologySpec
 
-#: Kernel names accepted by ``Simulation(kernel=...)`` and carried (as plain
-#: strings, trivially picklable) by ``ScenarioSpec``/``SimJob``.
+#: Kernel names accepted by ``Simulation(kernel=...)``.
 KERNEL_NAMES = ("auto", "generic", "flat")
 
-#: One per-flow route of the fused chain: (one-way delay, lane, delivery sink).
-_Route = tuple[float, "deque[list[Any]]", Callable[[Packet], None]]
+#: A :class:`FlatScheduler` lane, or ``None`` on the plain heap scheduler.
+_Lane = Optional["deque[list[Any]]"]
 
+#: One hand-off of the fused chain, ``(delay, lane, sink)``: append to
+#: ``lane`` ``delay`` ahead when there is one, else heap-push ``delay``
+#: ahead, else (``delay == 0.0``) call ``sink`` right now.
+_Route = tuple[float, _Lane, Callable[[Packet], None]]
 
-class KernelUnsupportedError(SimulationError):
-    """An explicitly requested kernel cannot express the given topology."""
+#: Hand-off for a packet of a flow that does not cross the hop (should not
+#: happen): the drop sink.
+_NO_ROUTE: _Route = (0.0, None, Packet.release)
 
 
 class FlatScheduler(EventScheduler):
-    """An :class:`EventScheduler` extended with constant-delay FIFO lanes.
+    """An :class:`EventScheduler` extended with two constant-delay FIFO lanes.
 
     A lane is a deque of ``[time, sequence, callback, packet]`` entries that
     is sorted by construction: every append happens at the current clock
-    plus one fixed delay, and both the clock and the sequence counter are
-    non-decreasing, so each lane is a monotone ``(time, sequence)`` stream.
-    :meth:`run_until` merges the lane heads with the heap top and the
-    same-time FIFO lane, which reproduces the exact total order the base
-    scheduler would produce had the entries been heap-pushed — unique
-    sequence numbers make every comparison decisive before the callback
-    slot.  Unlike heap/ready entries, a lane entry's last slot is the bare
-    callback argument (always exactly one on the per-packet chain), saving
-    an args tuple per event.
+    plus the lane's one fixed delay, and both the clock and the sequence
+    counter are non-decreasing, so each lane is a monotone ``(time,
+    sequence)`` stream.  :meth:`run_until` merges the two lane heads with
+    the heap top and the same-time FIFO lane, which reproduces the exact
+    total order the base scheduler would produce had the entries been
+    heap-pushed — unique sequence numbers make every comparison decisive
+    before the callback slot.  Unlike heap/ready entries, a lane entry's
+    last slot is the bare callback argument (always exactly one on the
+    per-packet chain), saving an args tuple per event.
+
+    Callers append ``[self.now + delay, self._sequence, callback, arg]`` to
+    one of :attr:`_lanes` and bump ``_sequence`` themselves — the whole
+    point of a lane is that the append is inlined into the per-packet
+    closures — always with the same ``delay`` float on the same lane (lane
+    sortedness depends on it being constant).  Lane entries are *not*
+    counted into ``_pending``; :attr:`pending` adds the lane lengths
+    instead, keeping two counter updates off every fused append/dispatch
+    pair.
     """
 
-    __slots__ = ("_lanes", "_lane_by_delay", "_heap_version")
+    __slots__ = ("_lanes", "_heap_version")
 
     def __init__(self, start_time: float = 0.0) -> None:
         super().__init__(start_time)
-        self._lanes: list[deque[list[Any]]] = []
-        self._lane_by_delay: dict[float, deque[list[Any]]] = {}
-        #: Bumped on every heap push.  The two-lane dispatch loop caches the
-        #: heap head's timestamp and only re-reads the heap when this moves,
+        #: The serialization lane and the one-way-delay lane of the one
+        #: topology that selects this scheduler (see
+        #: :meth:`FlatKernel.create_scheduler`).
+        self._lanes: tuple[deque[list[Any]], deque[list[Any]]] = (deque(), deque())
+        #: Bumped on every heap push.  The dispatch loop caches the heap
+        #: head's timestamp and only re-reads the heap when this moves,
         #: turning the per-event heap inspection into one float compare.
         #: (Cancellation does not bump it: a cancelled head's timestamp is
         #: still a valid lower bound on every remaining heap event, and the
@@ -163,66 +183,41 @@ class FlatScheduler(EventScheduler):
         self._pending += 1
         return entry
 
-    def lane(self, delay: float) -> deque[list[Any]]:
-        """The shared lane for ``delay``-ahead appends (created on first use).
-
-        Callers append ``[self.now + delay, self._sequence, callback, arg]``
-        and bump ``_sequence`` themselves — the whole point of a lane is
-        that the append is inlined into the per-packet closures.  Lane
-        entries are *not* counted into ``_pending``; ``events_pending``
-        derives their share from the lane lengths instead, keeping two
-        counter updates off every fused append/dispatch pair.  ``delay``
-        must be the exact float the caller adds to ``now`` on every append
-        (lane sortedness depends on it being constant).
-        """
-        if delay <= 0.0:
-            raise SimulationError(f"lane delay must be positive, got {delay!r}")
-        found = self._lane_by_delay.get(delay)
-        if found is not None:
-            return found
-        created: deque[list[Any]] = deque()
-        self._lane_by_delay[delay] = created
-        self._lanes.append(created)
-        return created
-
     # ------------------------------------------------------------------ inspection
     @property
-    def events_pending(self) -> int:
-        """Scheduled-but-unexecuted events, lane entries included."""
-        pending = self._pending
-        for lane in self._lanes:
-            pending += len(lane)
-        return pending
+    def pending(self) -> int:
+        """Queued, not-yet-cancelled events, lane entries included."""
+        lane_a, lane_b = self._lanes
+        return self._pending + len(lane_a) + len(lane_b)
+
+    def _first_lane(self) -> _Lane:
+        """The lane whose head entry is due first (``None``: both empty)."""
+        lane_a, lane_b = self._lanes
+        if lane_a and not (lane_b and lane_b[0] < lane_a[0]):
+            return lane_a
+        return lane_b if lane_b else None
 
     def peek_time(self) -> Optional[float]:
         best = super().peek_time()
-        for lane in self._lanes:
-            if lane and (best is None or lane[0][0] < best):
-                best = lane[0][0]
+        lane = self._first_lane()
+        if lane is not None and (best is None or lane[0][0] < best):
+            return lane[0][0]
         return best
 
     # ------------------------------------------------------------------ execution
     def step(self) -> bool:
+        lane = self._first_lane()
+        if lane is None:
+            return super().step()
         heap = self._heap
         while heap and heap[0][2] is None:
             _heappop(heap)
         ready = self._ready
         while ready and ready[0][2] is None:
             ready.popleft()
-        best_lane: Optional[deque[list[Any]]] = None
-        for lane in self._lanes:
-            if lane and (best_lane is None or lane[0] < best_lane[0]):
-                best_lane = lane
-        if best_lane is None:
+        if (heap and heap[0] < lane[0]) or (ready and ready[0] < lane[0]):
             return super().step()
-        base_head: Optional[list[Any]] = None
-        if ready:
-            base_head = heap[0] if heap and heap[0] < ready[0] else ready[0]
-        elif heap:
-            base_head = heap[0]
-        if base_head is not None and base_head < best_lane[0]:
-            return super().step()
-        entry = best_lane.popleft()
+        entry = lane.popleft()
         self.now = entry[0]
         self._processed += 1
         entry[2](entry[3])
@@ -232,100 +227,14 @@ class FlatScheduler(EventScheduler):
         """Lane-merging dispatch loop (see :meth:`EventScheduler.run_until`).
 
         Identical contract and execution order; the only differences are
-        where due entries come from (heap, same-time FIFO, or a
-        constant-delay lane) and that lane entries dispatch with a bare
-        argument instead of an args tuple.  The dominant configuration —
-        exactly two lanes (one shared one-way delay plus the serialization
-        lane) — runs a straight-line specialization that scans the lane
-        heads without an iterator.
-        """
-        if len(self._lanes) == 2:
-            return self._run_until_two(end_time, max_events)
-        heap = self._heap
-        ready = self._ready
-        lanes = self._lanes
-        pop = _heappop
-        limit = -1 if max_events is None else max_events
-        executed = 0
-        executed_base = 0  # heap/ready dispatches (the _pending-counted ones)
-        batch_time = None  # timestamp currently being dispatched
-        try:
-            while True:
-                # Select the (time, sequence) minimum across the lane heads,
-                # the same-time FIFO lane and the heap top.  Sequence numbers
-                # are unique, so comparisons never reach the callback slot.
-                best: Optional[list[Any]] = None
-                src: Any = None
-                for lane in lanes:
-                    if lane:
-                        head = lane[0]
-                        if best is None or head < best:
-                            best = head
-                            src = lane
-                while ready and ready[0][2] is None:  # lazily cancelled
-                    ready.popleft()
-                if ready:
-                    head = ready[0]
-                    if best is None or head < best:
-                        best = head
-                        src = ready
-                while heap:
-                    head = heap[0]
-                    if head[2] is None:  # lazily cancelled
-                        pop(heap)
-                        continue
-                    if best is None or head < best:
-                        best = head
-                        src = heap
-                    break
-                if best is None:
-                    break
-                time = best[0]
-                if time != batch_time:
-                    if time > end_time:
-                        break
-                    batch_time = time
-                    self.now = time
-                if executed == limit:
-                    raise EventCapExceeded(
-                        f"exceeded max_events={max_events} before reaching t={end_time}"
-                    )
-                if src is heap:
-                    pop(heap)
-                    callback = best[2]
-                    best[2] = None  # mark executed so a late cancel() is a no-op
-                    executed += 1
-                    executed_base += 1
-                    callback(*best[3])
-                elif src is ready:
-                    ready.popleft()
-                    callback = best[2]
-                    best[2] = None
-                    executed += 1
-                    executed_base += 1
-                    callback(*best[3])
-                else:
-                    # Lane entries are internal: never cancelled, no handle
-                    # observes them, and slot 3 is the bare argument.
-                    src.popleft()
-                    executed += 1
-                    best[2](best[3])
-        finally:
-            self._processed += executed
-            self._pending -= executed_base
-        if end_time > self.now:
-            self.now = end_time
-        return executed
-
-    def _run_until_two(self, end_time: float, max_events: Optional[int]) -> int:
-        """:meth:`run_until` specialized for exactly two lanes.
-
-        Same selection logic with the lane scan unrolled into straight-line
-        head comparisons, plus the heap-head cache: the heap's minimum
-        timestamp only changes on a push (versioned) or a pop (done here),
-        so the per-event heap inspection is one float compare against a
-        cached bound.  A lane head strictly earlier than the bound cannot be
-        outrun by any heap entry; ties and later lane heads take the slow
+        where due entries come from (heap, same-time FIFO, or one of the two
+        constant-delay lanes) and that lane entries dispatch with a bare
+        argument instead of an args tuple.  The lane scan is unrolled into
+        straight-line head comparisons, plus the heap-head cache: the heap's
+        minimum timestamp only changes on a push (versioned) or a pop (done
+        here), so the per-event heap inspection is one float compare against
+        a cached bound.  A lane head strictly earlier than the bound cannot
+        be outrun by any heap entry; ties and later lane heads take the slow
         path, which does the full ``(time, sequence)`` merge.
         """
         heap = self._heap
@@ -444,12 +353,10 @@ class SimulationKernel:
 
     The contract, in lifecycle order:
 
-    * :meth:`supports` — static capability check against a topology spec.
-      ``None`` means the kernel can drive it; a string is the human-readable
-      reason it cannot (used verbatim in error messages).
     * :meth:`create_scheduler` — the event scheduler the simulation is built
-      around.  Construction happens *before* any topology wiring, so a
-      kernel cannot perturb the build's rng draw order.
+      around, chosen from the topology spec.  Construction happens *before*
+      any topology wiring, so a kernel cannot perturb the build's rng draw
+      order.
     * :meth:`finalize` — called once the simulation is fully built (network,
       flows, instrumentation).  This is where a specialized kernel may
       rebind per-packet wiring; it must preserve the exact event order,
@@ -461,12 +368,7 @@ class SimulationKernel:
     #: Stable identifier, also the ``Simulation(kernel=...)`` spelling.
     name = "kernel"
 
-    @classmethod
-    def supports(cls, spec: "TopologySpec") -> Optional[str]:
-        """``None`` if this kernel can drive ``spec``, else the reason not."""
-        raise NotImplementedError
-
-    def create_scheduler(self) -> EventScheduler:
+    def create_scheduler(self, spec: "TopologySpec") -> EventScheduler:
         raise NotImplementedError
 
     def finalize(self, sim: "Simulation") -> None:
@@ -493,171 +395,265 @@ class SimulationKernel:
 
 
 class GenericKernel(SimulationKernel):
-    """Today's heap + same-time-FIFO engine; supports every topology.
+    """The heap + same-time-FIFO engine on the topology's own wiring.
 
-    Bit-identical to the pre-kernel engine by construction: it creates the
-    plain :class:`EventScheduler` and leaves the topology's wiring alone.
+    The parity reference: it creates the plain :class:`EventScheduler` and
+    leaves every callback alone.
     """
 
     name = "generic"
 
-    @classmethod
-    def supports(cls, spec: "TopologySpec") -> Optional[str]:
-        return None
-
-    def create_scheduler(self) -> EventScheduler:
+    def create_scheduler(self, spec: "TopologySpec") -> EventScheduler:
         return EventScheduler()
 
 
 class FlatKernel(SimulationKernel):
-    """Specialized single-bottleneck dumbbell engine (see module docstring)."""
+    """The fused engine, for every topology (see module docstring)."""
 
     name = "flat"
 
-    @classmethod
-    def supports(cls, spec: "TopologySpec") -> Optional[str]:
-        if not isinstance(spec, NetworkSpec):
-            return (
-                "multi-hop path topologies schedule per-hop delays the flat "
-                "kernel's single fused bottleneck chain cannot express"
-            )
-        if spec.delivery_trace is not None:
-            return (
-                "trace-driven links schedule delivery opportunities at "
-                "irregular trace instants, not a constant serialization delay"
-            )
-        return None
+    def create_scheduler(self, spec: "TopologySpec") -> EventScheduler:
+        """Lanes where there are exactly two constant delays, else the heap.
 
-    def create_scheduler(self) -> EventScheduler:
-        return FlatScheduler()
+        A constant-rate dumbbell whose flows share one RTT serializes every
+        data packet in one fixed time and propagates everything one fixed
+        one-way delay: two lanes, :class:`FlatScheduler`.  Any other
+        topology (per-flow RTTs, several hops, a trace-driven link) has
+        more distinct delays than the lane merge is worth and builds on the
+        plain :class:`EventScheduler`.
+        """
+        if (
+            isinstance(spec, NetworkSpec)
+            and spec.delivery_trace is None
+            and len({spec.rtt_for_flow(i) for i in range(spec.n_flows)}) == 1
+        ):
+            return FlatScheduler()
+        return EventScheduler()
 
     def finalize(self, sim: "Simulation") -> None:
-        """Fuse the dumbbell's per-packet chain onto the scheduler's lanes.
+        """Fuse every constant-rate hop and every flow of the built network.
 
         The simulation was built by the generic wiring (same constructor
-        order, same rng draws); this pass only *rebinds* the hop callbacks —
-        link serialization, data delivery, ACK return — to closures that
-        inline the successor scheduling.  Each closure mirrors its generic
-        counterpart line for line (same expressions, same order), which the
-        golden matrix and the kernel-parity sweep pin.
+        order, same rng draws); this pass only *rebinds* the per-packet
+        callbacks — hop serialization and hand-off, data delivery, ACK
+        return, the sender's ACK handler — to closures that inline the
+        successor scheduling.  Each closure mirrors its generic counterpart
+        line for line (same expressions, same order), which the golden
+        matrix and the kernel-parity sweep pin.  The dumbbell is the
+        one-forward-hop, ideal-reverse case of the same pass.
         """
         network = sim.network
-        if not isinstance(network, DumbbellNetwork):  # pragma: no cover - guarded
-            raise KernelUnsupportedError(
-                "flat kernel finalize reached a non-dumbbell network; "
-                "the supports() capability check should have rejected it"
-            )
         scheduler = sim.scheduler
-        assert isinstance(scheduler, FlatScheduler)
-        link = network.bottleneck
-        assert isinstance(link, ConstantRateLink)
-        unfused_receive = link.receive  # bound method, compared below
+        spec = sim.spec
+        ser_lane: _Lane = None
+        flow_lane: _Lane = None
+        lane_bytes = -1  # no packet size rides a lane on the heap scheduler
+        if isinstance(scheduler, FlatScheduler):
+            ser_lane, flow_lane = scheduler._lanes
+            lane_bytes = spec.mss_bytes
 
-        # Fused bottleneck: dequeue/serialize appends to the serialization
-        # lane, delivery appends to the flow's one-way lane through the
-        # struct-of-arrays route table (filled below — the closures index it
-        # at dispatch time, never during finalize).  DropTail (and its
-        # InfiniteQueue subclass) additionally inline the FIFO bookkeeping;
-        # other disciplines keep their enqueue/dequeue calls.
-        routes: list[_Route] = [None] * len(network.flows)  # type: ignore[list-item]
-        queue = link.queue
-        mss = sim.spec.mss_bytes
-        ser_lane = scheduler.lane(mss * 8 / link.rate_bps)
-        plain_fifo = (
-            isinstance(queue, DropTailQueue)
-            and type(queue).enqueue is DropTailQueue.enqueue
-            and type(queue).dequeue is DropTailQueue.dequeue
-        )
-        droptail_queue: Optional[DropTailQueue] = None
-        if plain_fifo:
-            assert isinstance(queue, DropTailQueue)
-            droptail_queue = queue
-            fused_start = _fused_start_droptail(scheduler, link, queue, ser_lane, mss)
-            fused_receive = _fused_receive_droptail(scheduler, link, queue)
-            fused_finish = _fused_finish_droptail(
-                scheduler, link, queue, ser_lane, mss, routes
-            )
+        # The two topology classes, reduced to what the pass needs: the hop
+        # chains per direction, a flow's hop indices, a hop's entry point
+        # (read after the hops are fused: a loss-free hop's entry is its
+        # rebound ``receive``; a lossy gate keeps its Bernoulli draw and
+        # reaches the fused ``receive`` through the attribute), and the
+        # network's own next-hop table, which follows the fused routes so
+        # that generic hops — and a late ``link.connect`` spy calling the
+        # original callback — reach the fused closures too.
+        chains: tuple[list[LinkBase], list[LinkBase]]
+        if isinstance(network, DumbbellNetwork):
+            dumbbell = network
+            chains = ([dumbbell.bottleneck], [])
+
+            def hops_of(flow_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+                return (0,), ()
+
+            def entry(direction: int, index: int) -> Callable[[Packet], None]:
+                if dumbbell._loss_rng is not None:
+                    return dumbbell._lossy_receive
+                return dumbbell.bottleneck.receive
+
+            def publish(direction: int, index: int, flow_id: int, route: _Route) -> None:
+                dumbbell._data_routes[flow_id] = (route[0], route[2])
+
         else:
-            fused_start = _fused_start_generic(scheduler, link, queue, ser_lane, mss)
-            fused_receive = _fused_receive_generic(scheduler, link, queue)
-            fused_finish = _fused_finish(scheduler, link, routes)
-        link._start_transmission = fused_start  # type: ignore[method-assign]
-        link._finish_transmission = fused_finish  # type: ignore[method-assign]
-        link.receive = fused_receive  # type: ignore[method-assign]
-        link.deliver = _fused_deliver(scheduler, routes)
-        for endpoints in network.flows.values():
-            # Loss-free senders transmit straight into the bottleneck; the
-            # lossy gate keeps its Bernoulli draw and reaches the fused
-            # ``receive`` through the rebound instance attribute.
-            if endpoints.sender.transmit == unfused_receive:
-                endpoints.sender.transmit = fused_receive
+            path = network
+            chains = (path.forward_links, path.reverse_links)
+            tables = (path._forward_next, path._reverse_next)
 
-        # Per-flow fusing: the sender's ACK fast path and the receiver's
-        # delivery/ACK-return chain.  An instrumented flow (the invariant
-        # sanitizer shadows ``on_ack``/``on_packet`` with counting wrappers)
-        # keeps its wrappers — only the ACK emission is lane-posted — and is
-        # bit-identical either way.
+            def hops_of(flow_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+                return path.spec.forward_hops_for(flow_id), path.spec.reverse_hops_for(flow_id)
+
+            def entry(direction: int, index: int) -> Callable[[Packet], None]:
+                return (path._reverse_entry if direction else path._forward_entry)(index)
+
+            def publish(direction: int, index: int, flow_id: int, route: _Route) -> None:
+                tables[direction][index][flow_id] = _generic_handoff(scheduler, route)
+
+        # Per hop: ``nexts[direction][index][flow_id]`` is where a packet of
+        # the flow goes when its serialization at the hop finishes (filled
+        # per flow below — the closures index it at dispatch time, never
+        # during finalize).  Trace-driven hops stay generic.
+        nexts = tuple(
+            [[_NO_ROUTE] * spec.n_flows for _ in links] for links in chains
+        )
+        for links, hop_tables in zip(chains, nexts):
+            for link, table in zip(links, hop_tables):
+                if isinstance(link, ConstantRateLink):
+                    _fuse_hop(scheduler, link, table, ser_lane, lane_bytes)
+
+        # Per flow: the sender's ACK fast path, the receiver's delivery/ACK
+        # chain, and the flow's hand-off at every hop it crosses.  An
+        # instrumented flow (the invariant sanitizer shadows ``on_ack`` /
+        # ``on_packet`` with counting wrappers) keeps its generic callbacks
+        # and is bit-identical either way.
         for flow_id, endpoints in network.flows.items():
-            one_way = endpoints.rtt / 2
-            flow_lane = scheduler.lane(one_way)
             sender = endpoints.sender
             receiver = endpoints.receiver
+            one_way = endpoints.rtt / 2
+            forward, reverse = hops_of(flow_id)
+            sender.transmit = transmit = entry(0, forward[0])
             if "on_ack" not in sender.__dict__:
                 # The send-side enqueue can only be inlined for loss-free
-                # senders feeding the un-overridden DropTail directly; lossy
-                # gates and AQM disciplines keep the ``transmit`` call.
-                if droptail_queue is not None and sender.transmit is fused_receive:
-                    send_inline = (link, droptail_queue)
-                else:
-                    send_inline = None
+                # senders feeding an un-overridden DropTail directly; lossy
+                # gates, AQM disciplines and trace-driven hops keep the
+                # ``transmit`` call.
+                first = chains[0][forward[0]]
+                send_inline = None
+                if (
+                    isinstance(first, ConstantRateLink)
+                    and transmit is first.receive
+                    and _plain_fifo(first.queue) is not None
+                ):
+                    send_inline = (first, cast(DropTailQueue, first.queue))
                 fused = _fused_sender_on_ack(scheduler, sender, send_inline)
                 sender.on_ack = fused  # type: ignore[method-assign]
                 # Paced sends re-enter the same closure (called with no ACK).
                 sender._pacing_fire = fused  # type: ignore[method-assign]
-            on_ack = sender.on_ack
-            receiver.send_ack = _ack_lane_poster(scheduler, flow_lane, one_way, on_ack)
-            if "on_packet" in receiver.__dict__:
-                deliver_cb = receiver.on_packet
-            else:
-                deliver_cb = _fused_on_packet(scheduler, receiver, flow_lane, one_way, on_ack)
-                receiver.on_packet = deliver_cb  # type: ignore[method-assign]
-            routes[flow_id] = (one_way, flow_lane, deliver_cb)
+            to_sender: _Route = (one_way, flow_lane, sender.on_ack)
+            ack_route = (0.0, None, entry(1, reverse[0])) if reverse else to_sender
+            receiver.send_ack = _generic_handoff(scheduler, ack_route)
+            if "on_packet" not in receiver.__dict__:
+                receiver.on_packet = _fused_on_packet(  # type: ignore[method-assign]
+                    scheduler, receiver, ack_route
+                )
+            to_receiver: _Route = (one_way, flow_lane, receiver.on_packet)
+            for direction, chain, last in ((0, forward, to_receiver), (1, reverse, to_sender)):
+                routes = [(0.0, None, entry(direction, there)) for there in chain[1:]]
+                for index, route in zip(chain, routes + [last]):
+                    publish(direction, index, flow_id, route)
+                    nexts[direction][index][flow_id] = _across(
+                        scheduler, chains[direction][index].propagation_delay, route
+                    )
 
 
 # --------------------------------------------------------------------------
 # Fused-closure factories.  Each mirrors its generic counterpart line for
 # line — same expressions, same evaluation order, same counter updates — so
-# a flat run executes the identical float program.  The generic originals
-# are: ``Receiver.on_packet``, ``DumbbellNetwork._deliver_data``,
+# a fused run executes the identical float program.  The generic originals
+# are: ``Receiver.on_packet``, ``Sender.on_ack``, the networks' per-hop
+# dispatch (``DumbbellNetwork._deliver_data``, ``PathNetwork._*_delivered``),
 # ``ConstantRateLink._start_transmission`` / ``_finish_transmission`` /
 # ``receive`` and ``DropTailQueue.enqueue`` / ``dequeue``.
+#
+# Every closure posts the same way, decided by what it was handed at fuse
+# time: onto a lane when the scheduler has lanes (``[time, sequence,
+# callback, packet]``, not counted into ``_pending``), else straight onto
+# the plain scheduler's heap (``EventScheduler.post_after`` inlined: args
+# tuple, ``_pending`` bumped).  A :class:`FlatScheduler`'s heap pushes carry
+# a version bump, which no packet hand-off pays: the one topology that
+# selects it routes every hand-off over a lane, and the only inline push
+# that can land on its heap — the sender's pacing timer — bumps it.
 # --------------------------------------------------------------------------
 
 
-def _ack_lane_poster(
-    scheduler: FlatScheduler,
-    lane: "deque[list[Any]]",
-    one_way: float,
-    on_ack: Callable[[Packet], None],
+def _generic_handoff(
+    scheduler: EventScheduler, route: _Route
 ) -> Callable[[Packet], None]:
-    """ACK return path: ``post_after(one_way, on_ack, ack)`` as a lane append."""
+    """``route`` as the plain callable the generic wiring stores."""
+    delay, _, sink = route
+    return partial(scheduler.post_after, delay, sink) if delay else sink
 
-    def send_ack(ack: Packet) -> None:
-        lane.append([scheduler.now + one_way, scheduler._sequence, on_ack, ack])
+
+def _plain_fifo(queue: QueueDiscipline) -> Optional["deque[Packet]"]:
+    """The queue's FIFO when it is an un-overridden DropTail (or
+    InfiniteQueue), whose bookkeeping the closures may inline; else ``None``."""
+    if (
+        isinstance(queue, DropTailQueue)
+        and type(queue).enqueue is DropTailQueue.enqueue
+        and type(queue).dequeue is DropTailQueue.dequeue
+    ):
+        return queue._queue
+    return None
+
+
+def _fuse_hop(
+    scheduler: EventScheduler,
+    link: ConstantRateLink,
+    routes: list[_Route],
+    ser_lane: _Lane,
+    lane_bytes: int,
+) -> None:
+    """Rebind one constant-rate hop's per-packet methods to fused closures.
+
+    ``routes`` is the hop's per-flow hand-off table, the hop's own
+    propagation delay already folded in (:func:`_across`).
+    """
+    link._start_transmission = _fused_start(  # type: ignore[method-assign]
+        scheduler, link, ser_lane, lane_bytes
+    )
+    link._finish_transmission = _fused_finish(  # type: ignore[method-assign]
+        scheduler, link, ser_lane, lane_bytes, routes
+    )
+    fuse_receive = (
+        _fused_receive_generic
+        if _plain_fifo(link.queue) is None
+        else _fused_receive_droptail
+    )
+    link.receive = fuse_receive(scheduler, link)  # type: ignore[method-assign]
+
+    def connect(deliver: Callable[[Packet], None]) -> None:
+        # ``link.connect`` after the build (a test spy): every flow's packet
+        # goes to ``deliver`` from now on, exactly as the generic finish
+        # step would hand it over.
+        link.deliver = deliver
+        routes[:] = [(link.propagation_delay, None, deliver)] * len(routes)
+
+    link.connect = connect  # type: ignore[method-assign]
+
+
+def _across(scheduler: EventScheduler, delay: float, route: _Route) -> _Route:
+    """``route`` as a hop with propagation ``delay`` hands it off.
+
+    The generic hop posts its ``deliver`` that far ahead, which then
+    dispatches on the flow: straight into the next hop's entry — posted
+    here in ``deliver``'s place — or across a further delay, which stays a
+    second event.  (Heap scheduler only: the dumbbell bottleneck, the one
+    hop that rides lanes, has no propagation delay.)
+    """
+    if not delay:
+        return route
+    onward, _, sink = route
+    if not onward:
+        return (delay, None, sink)
+    heap = scheduler._heap
+
+    def deliver(packet: Packet) -> None:
+        heappush(heap, [scheduler.now + onward, scheduler._sequence, sink, (packet,)])
         scheduler._sequence += 1
+        scheduler._pending += 1
 
-    return send_ack
+    return (delay, None, deliver)
 
 
 def _fused_on_packet(
-    scheduler: FlatScheduler,
-    receiver: Receiver,
-    lane: "deque[list[Any]]",
-    one_way: float,
-    on_ack: Callable[[Packet], None],
+    scheduler: EventScheduler, receiver: Receiver, ack_route: _Route
 ) -> Callable[[Packet], None]:
     """``Receiver.on_packet`` with ``make_ack``'s in-place pooled conversion
-    and the ACK emission inlined onto the lane."""
+    and the ACK emission inlined: across the one-way delay to the sender on
+    an ideal reverse path, into the first reverse hop on a congested one."""
+    delay, lane, sink = ack_route
+    heap = scheduler._heap
     stats = receiver.stats
     out_of_order = receiver._out_of_order
     flow_id = receiver.flow_id  # fixed at attach time
@@ -705,14 +701,21 @@ def _fused_on_packet(
             ack = packet
         else:
             ack = packet.make_ack(ack_seq=next_expected, receiver_time=now)
-        lane.append([now + one_way, scheduler._sequence, on_ack, ack])
-        scheduler._sequence += 1
+        if lane is not None:
+            lane.append([now + delay, scheduler._sequence, sink, ack])
+            scheduler._sequence += 1
+        elif delay:
+            heappush(heap, [now + delay, scheduler._sequence, sink, (ack,)])
+            scheduler._sequence += 1
+            scheduler._pending += 1
+        else:
+            sink(ack)
 
     return on_packet
 
 
 def _fused_sender_on_ack(
-    scheduler: FlatScheduler,
+    scheduler: EventScheduler,
     sender: Sender,
     send_inline: Optional[tuple[ConstantRateLink, DropTailQueue]] = None,
 ) -> Callable[..., None]:
@@ -727,10 +730,11 @@ def _fused_sender_on_ack(
     and falls into the same send loop.  Mutable scalars (sequence
     counters, RTT estimator, recovery flags, timers) stay on the sender
     instance: the cold paths (``_switch_on``/``_switch_off``, RTO fire)
-    still run the generic methods and must see the same state.  The
-    packet pool's recycle/release fast paths are inlined too (debug pools
+    still run the generic methods and must see the same state.  Arming the
+    pacing timer (``_schedule_pacing`` and its heap push) and the packet
+    pool's recycle/release fast paths are inlined too (debug pools
     fall back to the methods so leak tracking still observes every packet).
-    When ``send_inline`` names the loss-free DropTail bottleneck the sender
+    When ``send_inline`` names the loss-free DropTail hop the sender
     transmits into, the tail-drop enqueue is inlined in place of the
     ``transmit`` call.  Every expression mirrors the generic body in
     evaluation order, which the golden matrix pins.
@@ -740,7 +744,7 @@ def _fused_sender_on_ack(
     stats = sender.stats
     in_flight = sender.in_flight
     frontier = sender._flight_frontier
-    transmit = sender.transmit  # the fused bottleneck receive (or loss gate)
+    transmit = sender.transmit  # the first hop's fused receive (or loss gate)
     pool = sender.pool
     mss_bytes = sender.mss_bytes
     flow_id = sender.flow_id
@@ -749,6 +753,8 @@ def _fused_sender_on_ack(
     uses_ecn = cc.uses_ecn  # class-level constant on every protocol
     tuple_new = tuple.__new__
     sent_new = _SentInfo.__new__
+    heap = scheduler._heap
+    versioned = isinstance(scheduler, FlatScheduler)  # heap pushes bump a version
     assert transmit is not None  # attach_flow wired it before finalize
     if send_inline is not None:
         link, queue = send_inline
@@ -917,7 +923,21 @@ def _fused_sender_on_ack(
             if intersend > 0:
                 next_allowed = sender.last_send_time + intersend
                 if now < next_allowed - 1e-12:
-                    sender._schedule_pacing(next_allowed)
+                    # _schedule_pacing and the heap push under it, inlined
+                    # (``next_allowed`` is in the future, so no clamp).
+                    entry = sender._pacing_event
+                    if entry is not None and entry[2] is not None:  # still armed
+                        if entry[0] <= next_allowed + 1e-12:
+                            return
+                        scheduler.cancel_entry(entry)
+                    sender._pacing_event = entry = [
+                        next_allowed, scheduler._sequence, sender._pacing_fire, ()
+                    ]
+                    scheduler._sequence += 1
+                    heappush(heap, entry)
+                    scheduler._pending += 1
+                    if versioned:
+                        scheduler._heap_version += 1  # type: ignore[attr-defined]
                     return
             # _send_one, inlined.
             if retransmit_queue:
@@ -1011,71 +1031,31 @@ def _fused_sender_on_ack(
     return on_ack
 
 
-def _fused_deliver(
-    scheduler: FlatScheduler, routes: list[_Route]
-) -> Callable[[Packet], None]:
-    """``DumbbellNetwork._deliver_data`` over the struct-of-arrays routes."""
-
-    def deliver(packet: Packet) -> None:
-        try:
-            route = routes[packet.flow_id]
-        except IndexError:
-            packet.release()  # packet from a detached flow (should not happen)
-            return
-        lane = route[1]
-        lane.append([scheduler.now + route[0], scheduler._sequence, route[2], packet])
-        scheduler._sequence += 1
-
-    return deliver
-
-
 def _fused_finish(
-    scheduler: FlatScheduler, link: ConstantRateLink, routes: list[_Route]
-) -> Callable[[Packet], None]:
-    """``ConstantRateLink._finish_transmission``: emit + deliver + successor.
-
-    The dumbbell bottleneck has zero propagation delay, so delivery is the
-    one-way lane append; the run-to-completion successor dequeue goes
-    through the (rebound) ``_start_transmission`` instance attribute.
-    """
-
-    def finish_transmission(packet: Packet) -> None:
-        link.packets_delivered += 1
-        link.bytes_delivered += packet.size_bytes
-        try:
-            route = routes[packet.flow_id]
-        except IndexError:
-            packet.release()  # packet from a detached flow (should not happen)
-        else:
-            route[1].append(
-                [scheduler.now + route[0], scheduler._sequence, route[2], packet]
-            )
-            scheduler._sequence += 1
-        link._start_transmission()
-
-    return finish_transmission
-
-
-def _fused_finish_droptail(
-    scheduler: FlatScheduler,
+    scheduler: EventScheduler,
     link: ConstantRateLink,
-    queue: DropTailQueue,
-    ser_lane: "deque[list[Any]]",
-    mss_bytes: int,
+    ser_lane: _Lane,
+    lane_bytes: int,
     routes: list[_Route],
 ) -> Callable[[Packet], None]:
-    """:func:`_fused_finish` with the DropTail successor dequeue inlined.
+    """``ConstantRateLink._finish_transmission``: emit + hand off + successor.
 
-    The run-to-completion successor — pop the FIFO head, record its queueing
-    delay, start its serialization — is the body of
-    :func:`_fused_start_droptail` pasted in place of the
-    ``_start_transmission()`` call, saving one frame per delivered packet.
+    The hand-off is the flow's route at this hop.  The run-to-completion
+    successor — dequeue the next packet, record its queueing delay, start
+    its serialization — is the body of :func:`_fused_start` pasted in place
+    of the ``_start_transmission()`` call, saving one frame per delivered
+    packet.
     """
-    fifo = queue._queue
+    queue = link.queue
+    fifo = _plain_fifo(queue)
+    droptail = cast(DropTailQueue, queue)  # only touched when ``fifo`` is set
+    # Appended to only when ``lane_bytes`` matches, i.e. on a lane scheduler.
+    ser = cast("deque[list[Any]]", ser_lane)
+    heap = scheduler._heap
     rate_bps = link.rate_bps
-    # Identity-stable references, fixed before finalize runs: the dumbbell
-    # assigns ``delay_stats`` once at construction (and mutates the dict in
-    # place), and dumbbell bottlenecks never carry per-hop accumulators.
+    # Identity-stable references, fixed before finalize runs: the networks
+    # assign ``delay_stats`` / ``hop_delay_stats`` once at construction (and
+    # mutate the dicts in place); reverse hops carry neither.
     # ``delay_observer`` stays a call-time read (tests attach it late).
     stats_map = link.delay_stats
     hop_map = link.hop_delay_stats
@@ -1089,15 +1069,33 @@ def _fused_finish_droptail(
         except IndexError:
             packet.release()  # packet from a detached flow (should not happen)
         else:
-            route[1].append([now + route[0], scheduler._sequence, route[2], packet])
-            scheduler._sequence += 1
-        if not fifo:
+            lane = route[1]
+            if lane is not None:
+                lane.append([now + route[0], scheduler._sequence, route[2], packet])
+                scheduler._sequence += 1
+            elif route[0]:
+                heappush(
+                    heap, [now + route[0], scheduler._sequence, route[2], (packet,)]
+                )
+                scheduler._sequence += 1
+                scheduler._pending += 1
+            else:
+                route[2](packet)
+        if fifo:
+            packet = fifo.popleft()
+            size_bytes = packet.size_bytes
+            droptail._bytes -= size_bytes
+            droptail.dequeues += 1
+        elif fifo is None:
+            dequeued = queue.dequeue(now)
+            if dequeued is None:
+                link._busy = False
+                return
+            packet = dequeued
+            size_bytes = packet.size_bytes
+        else:
             link._busy = False
             return
-        packet = fifo.popleft()
-        size_bytes = packet.size_bytes
-        queue._bytes -= size_bytes
-        queue.dequeues += 1
         if link.delay_observer is not None:
             link.delay_observer(packet, max(0.0, now - packet.enqueue_time))
         elif stats_map is not None:
@@ -1118,11 +1116,11 @@ def _fused_finish_droptail(
                         if delay > hop.max_delay:
                             hop.max_delay = delay
         link._busy = True
-        if size_bytes == mss_bytes:
-            # ``finish_transmission`` is the link's own (rebound)
-            # ``_finish_transmission``; self-referencing the closure skips
-            # the attribute read the generic body pays.
-            ser_lane.append(
+        # ``finish_transmission`` is the link's own (rebound)
+        # ``_finish_transmission``; self-referencing the closure skips the
+        # attribute read the generic body pays.
+        if size_bytes == lane_bytes:
+            ser.append(
                 [
                     now + size_bytes * 8 / rate_bps,
                     scheduler._sequence,
@@ -1131,7 +1129,19 @@ def _fused_finish_droptail(
                 ]
             )
             scheduler._sequence += 1
-        else:
+        elif ser_lane is None:
+            heappush(
+                heap,
+                [
+                    now + size_bytes * 8 / rate_bps,
+                    scheduler._sequence,
+                    finish_transmission,
+                    (packet,),
+                ],
+            )
+            scheduler._sequence += 1
+            scheduler._pending += 1
+        else:  # an off-size packet on a lane scheduler
             scheduler.post_after(
                 size_bytes * 8 / rate_bps, finish_transmission, packet
             )
@@ -1139,63 +1149,47 @@ def _fused_finish_droptail(
     return finish_transmission
 
 
-def _delay_stats_update(
-    link: ConstantRateLink, packet: Packet, now: float
-) -> None:
-    """The generic link's inlined queueing-delay bookkeeping, shared by both
-    fused ``_start_transmission`` variants (identical expression order)."""
-    if link.delay_observer is not None:
-        link.delay_observer(packet, max(0.0, now - packet.enqueue_time))
-        return
-    stats_map = link.delay_stats
-    if stats_map is not None:
-        stats = stats_map.get(packet.flow_id)
-        if stats is not None:
-            delay = now - packet.enqueue_time
-            if delay < 0.0:
-                delay = 0.0
-            stats.queue_delay_sum += delay
-            stats.queue_delay_count += 1
-            if delay > stats.max_queue_delay:
-                stats.max_queue_delay = delay
-            hop_map = link.hop_delay_stats
-            if hop_map is not None:
-                hop = hop_map.get(packet.flow_id)
-                if hop is not None:
-                    hop.delay_sum += delay
-                    hop.count += 1
-                    if delay > hop.max_delay:
-                        hop.max_delay = delay
-
-
-def _fused_start_droptail(
-    scheduler: FlatScheduler,
+def _fused_start(
+    scheduler: EventScheduler,
     link: ConstantRateLink,
-    queue: DropTailQueue,
-    ser_lane: "deque[list[Any]]",
-    mss_bytes: int,
+    ser_lane: _Lane,
+    lane_bytes: int,
 ) -> Callable[[], None]:
-    """``_start_transmission`` with the DropTail dequeue inlined.
+    """``ConstantRateLink._start_transmission``: dequeue, record the wait,
+    serialize.
 
-    Precondition (checked at fuse time): un-overridden DropTail
-    enqueue/dequeue, so the FIFO pop is the whole dequeue story.  The
-    delay-observer/delay-stats precedence is read at call time exactly like
-    the generic body (a test may attach an observer after construction).
+    An un-overridden DropTail's dequeue is the FIFO pop, inlined; any other
+    discipline keeps its own ``dequeue``.  The delay-observer/delay-stats
+    precedence is read at call time exactly like the generic body (a test
+    may attach an observer after construction).
     """
-    fifo = queue._queue
+    queue = link.queue
+    fifo = _plain_fifo(queue)
+    droptail = cast(DropTailQueue, queue)  # only touched when ``fifo`` is set
+    # Appended to only when ``lane_bytes`` matches, i.e. on a lane scheduler.
+    ser = cast("deque[list[Any]]", ser_lane)
+    heap = scheduler._heap
     rate_bps = link.rate_bps
-    stats_map = link.delay_stats  # identity-stable (see _fused_finish_droptail)
+    stats_map = link.delay_stats  # identity-stable (see _fused_finish)
     hop_map = link.hop_delay_stats
 
     def start_transmission() -> None:
-        if not fifo:
+        now = scheduler.now
+        if fifo:
+            packet = fifo.popleft()
+            size_bytes = packet.size_bytes
+            droptail._bytes -= size_bytes
+            droptail.dequeues += 1
+        elif fifo is None:
+            dequeued = queue.dequeue(now)
+            if dequeued is None:
+                link._busy = False
+                return
+            packet = dequeued
+            size_bytes = packet.size_bytes
+        else:
             link._busy = False
             return
-        packet = fifo.popleft()
-        size_bytes = packet.size_bytes
-        queue._bytes -= size_bytes
-        queue.dequeues += 1
-        now = scheduler.now
         if link.delay_observer is not None:
             link.delay_observer(packet, max(0.0, now - packet.enqueue_time))
         elif stats_map is not None:
@@ -1216,8 +1210,8 @@ def _fused_start_droptail(
                         if delay > hop.max_delay:
                             hop.max_delay = delay
         link._busy = True
-        if size_bytes == mss_bytes:
-            ser_lane.append(
+        if size_bytes == lane_bytes:
+            ser.append(
                 [
                     now + size_bytes * 8 / rate_bps,
                     scheduler._sequence,
@@ -1226,7 +1220,19 @@ def _fused_start_droptail(
                 ]
             )
             scheduler._sequence += 1
-        else:
+        elif ser_lane is None:
+            heappush(
+                heap,
+                [
+                    now + size_bytes * 8 / rate_bps,
+                    scheduler._sequence,
+                    link._finish_transmission,
+                    (packet,),
+                ],
+            )
+            scheduler._sequence += 1
+            scheduler._pending += 1
+        else:  # an off-size packet on a lane scheduler
             scheduler.post_after(
                 size_bytes * 8 / rate_bps, link._finish_transmission, packet
             )
@@ -1235,7 +1241,7 @@ def _fused_start_droptail(
 
 
 def _fused_receive_droptail(
-    scheduler: FlatScheduler, link: ConstantRateLink, queue: DropTailQueue
+    scheduler: EventScheduler, link: ConstantRateLink
 ) -> Callable[[Packet], None]:
     """``receive`` with the DropTail enqueue inlined (tail drop + FIFO append).
 
@@ -1244,6 +1250,7 @@ def _fused_receive_droptail(
     seal at the same enqueue; the parameters are frozen at fuse time
     (``seal_drain`` is 0.0 on every other link, which skips it).
     """
+    queue = cast(DropTailQueue, link.queue)
     fifo = queue._queue
     seal_drain = link._seal_drain
     seal_budget = link._seal_budget
@@ -1265,48 +1272,11 @@ def _fused_receive_droptail(
     return receive
 
 
-def _fused_start_generic(
-    scheduler: FlatScheduler,
-    link: ConstantRateLink,
-    queue: QueueDiscipline,
-    ser_lane: "deque[list[Any]]",
-    mss_bytes: int,
-) -> Callable[[], None]:
-    """``_start_transmission`` for AQM disciplines: the queue keeps its own
-    dequeue logic; only the successor scheduling is fused onto the lane."""
-    rate_bps = link.rate_bps
-
-    def start_transmission() -> None:
-        now = scheduler.now
-        packet = queue.dequeue(now)
-        if packet is None:
-            link._busy = False
-            return
-        _delay_stats_update(link, packet, now)
-        link._busy = True
-        size_bytes = packet.size_bytes
-        if size_bytes == mss_bytes:
-            ser_lane.append(
-                [
-                    now + size_bytes * 8 / rate_bps,
-                    scheduler._sequence,
-                    link._finish_transmission,
-                    packet,
-                ]
-            )
-            scheduler._sequence += 1
-        else:
-            scheduler.post_after(
-                size_bytes * 8 / rate_bps, link._finish_transmission, packet
-            )
-
-    return start_transmission
-
-
 def _fused_receive_generic(
-    scheduler: FlatScheduler, link: ConstantRateLink, queue: QueueDiscipline
+    scheduler: EventScheduler, link: ConstantRateLink
 ) -> Callable[[Packet], None]:
     """``receive`` for AQM disciplines (enqueue may drop or ECN-mark)."""
+    queue = link.queue
 
     def receive(packet: Packet) -> None:
         if queue.enqueue(packet, scheduler.now) and not link._busy:
@@ -1320,8 +1290,7 @@ def _fused_receive_generic(
 # --------------------------------------------------------------------------
 
 #: Registry of selectable kernels, by name.  ``"auto"`` is not a kernel: it
-#: resolves to the first specialized kernel whose capability check accepts
-#: the topology, falling back to the generic engine.
+#: resolves to the fused engine, which drives every topology.
 KERNELS: dict[str, type[SimulationKernel]] = {
     GenericKernel.name: GenericKernel,
     FlatKernel.name: FlatKernel,
@@ -1330,39 +1299,20 @@ KERNELS: dict[str, type[SimulationKernel]] = {
 KernelChoice = Union[str, SimulationKernel]
 
 
-def resolve_kernel(kernel: KernelChoice, spec: "TopologySpec") -> SimulationKernel:
-    """Resolve a kernel choice against a topology spec.
+def resolve_kernel(kernel: KernelChoice) -> SimulationKernel:
+    """Resolve a kernel choice.
 
-    * ``"auto"`` (the default everywhere) — :class:`FlatKernel` when the
-      topology is flat-eligible, else :class:`GenericKernel`.
-    * ``"generic"`` / ``"flat"`` — that kernel, or
-      :class:`KernelUnsupportedError` when its capability check rejects the
-      topology (the message names the reason and the ``"auto"`` escape).
-    * a :class:`SimulationKernel` instance — used as-is after the same check.
+    * ``"auto"`` (the default everywhere) and ``"flat"`` — :class:`FlatKernel`.
+    * ``"generic"`` — :class:`GenericKernel`, the parity reference.
+    * a :class:`SimulationKernel` instance — used as-is.
     """
     if isinstance(kernel, SimulationKernel):
-        reason = kernel.supports(spec)
-        if reason is not None:
-            raise KernelUnsupportedError(
-                f"kernel {kernel.name!r} cannot run this topology: {reason}"
-            )
         return kernel
-    if kernel == "auto":
-        if FlatKernel.supports(spec) is None:
-            return FlatKernel()
-        return GenericKernel()
-    cls = KERNELS.get(kernel)
+    cls = KERNELS.get(FlatKernel.name if kernel == "auto" else kernel)
     if cls is None:
         known = ", ".join(repr(name) for name in KERNEL_NAMES)
         raise ValueError(
             f"unknown kernel {kernel!r}: expected one of {known} "
             "(or a SimulationKernel instance)"
-        )
-    reason = cls.supports(spec)
-    if reason is not None:
-        raise KernelUnsupportedError(
-            f"kernel {kernel!r} cannot run this topology: {reason}; "
-            "pass kernel='auto' to fall back to the generic kernel "
-            "automatically"
         )
     return cls()

@@ -98,7 +98,9 @@ class SfqCoDelQueue(QueueDiscipline):
             return False
         bucket = self._bucket(packet.flow_id)
         queue = self._queues[bucket]
-        was_empty = len(queue) == 0
+        # Sub-queue occupancy is read off its deque (here and in dequeue):
+        # ``len(queue)`` and ``bytes_queued()`` are Python frames, six per packet.
+        was_empty = not queue._queue
         if not queue.enqueue(packet, now):
             self.drops += 1  # noqa: PKT001 — sub-queue already released the packet
             return False
@@ -124,7 +126,8 @@ class SfqCoDelQueue(QueueDiscipline):
         while active:
             bucket = active[0]
             queue = self._queues[bucket]
-            if len(queue) == 0:
+            fifo = queue._queue
+            if not fifo:
                 # Defensive: a rotation entry whose sub-queue is
                 # (unexpectedly) empty — retire it.  Served buckets retire
                 # the moment they drain, so this never fires in the normal
@@ -141,11 +144,10 @@ class SfqCoDelQueue(QueueDiscipline):
                 deficits[bucket] += quantum
                 active.rotate(-1)
                 continue
-            before = len(queue)
-            before_bytes = queue.bytes_queued()
+            before = len(fifo)
+            before_bytes = queue._bytes
             packet = queue.dequeue(now)
-            after = len(queue)
-            consumed = before - after - (1 if packet is not None else 0)
+            consumed = before - len(fifo) - (1 if packet is not None else 0)
             # ``consumed`` counts packets CoDel dropped internally; the shared
             # byte total must shed what the sub-queue shed (minus the packet
             # being returned, which is accounted below).
@@ -153,7 +155,7 @@ class SfqCoDelQueue(QueueDiscipline):
                 self._total_packets -= consumed
                 self._total_bytes -= (
                     before_bytes
-                    - queue.bytes_queued()
+                    - queue._bytes
                     - (packet.size_bytes if packet is not None else 0)
                 )
                 self.drops += consumed  # noqa: PKT001 — sub-queue CoDel released the dropped packets
@@ -166,7 +168,7 @@ class SfqCoDelQueue(QueueDiscipline):
             self._total_packets -= 1
             self._total_bytes -= packet.size_bytes
             deficit = deficits[bucket] - packet.size_bytes
-            if len(queue) == 0:
+            if not fifo:
                 # Drained by its own service: retire immediately so a
                 # re-activation rejoins at the tail of the rotation.
                 active.popleft()

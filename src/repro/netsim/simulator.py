@@ -116,12 +116,13 @@ class SimulationResult:
 
 
 class Simulation:
-    """One run of a dumbbell network with a fixed set of flows.
+    """One run of a topology — dumbbell or multi-hop path — with a fixed
+    set of flows.
 
     Parameters
     ----------
     spec:
-        Bottleneck description.
+        Topology description (:data:`TopologySpec`).
     protocols:
         One congestion-control instance per flow (length must equal
         ``spec.n_flows``).
@@ -142,14 +143,13 @@ class Simulation:
         implies the debug packet pool when pooling is enabled.
     kernel:
         Simulation kernel selection (see :mod:`repro.netsim.kernel`):
-        ``"auto"`` (default) picks the specialized flat kernel when the
-        topology supports it and the generic kernel otherwise; ``"generic"``
-        or ``"flat"`` force a kernel (``"flat"`` raises
-        :class:`~repro.netsim.kernel.KernelUnsupportedError` on topologies
-        it cannot express); a :class:`~repro.netsim.kernel.SimulationKernel`
-        instance is used as-is.  Every kernel reproduces the same results
-        bit-identically — the choice is purely a speed/engine knob.  The
-        resolved engine is recorded in :attr:`kernel_name`.
+        ``"auto"`` (default) and ``"flat"`` pick the fused kernel, which
+        drives every topology; ``"generic"`` picks the unfused reference
+        engine the parity tests compare against; a
+        :class:`~repro.netsim.kernel.SimulationKernel` instance is used
+        as-is.  Every kernel reproduces the same results bit-identically —
+        the choice is purely a speed/engine knob.  The resolved engine is
+        recorded in :attr:`kernel_name`.
     """
 
     def __init__(
@@ -184,15 +184,13 @@ class Simulation:
         self.trace_flows = set(trace_flows)
         self.max_events = max_events
 
-        #: The resolved simulation kernel (capability-checked against the
-        #: topology spec) and the scheduler it drives.  Resolution happens
-        #: before any construction so an unsupported explicit choice fails
-        #: fast, and the kernel's scheduler is in place before any wiring.
-        self.kernel = resolve_kernel(kernel, spec)
+        #: The resolved simulation kernel and the scheduler it chose for
+        #: this topology, in place before any wiring.
+        self.kernel = resolve_kernel(kernel)
         #: Name of the engine actually driving this run (``"generic"`` or
         #: ``"flat"``) — what ``kernel="auto"`` resolved to.
         self.kernel_name = self.kernel.name
-        self.scheduler = self.kernel.create_scheduler()
+        self.scheduler = self.kernel.create_scheduler(spec)
         #: Per-simulation packet freelist (see :class:`PacketPool`).  Pooling
         #: is a pure allocation optimisation — results are bit-identical with
         #: it off (``use_packet_pool=False``), which the packet-pool tests

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.events import EventScheduler, SimulationError
+from repro.netsim.kernel import FlatScheduler
 
 
 def test_initial_time_is_zero(scheduler):
@@ -277,3 +278,44 @@ def test_lane_survives_max_events_abort(scheduler):
     assert scheduler.pending == 2
     scheduler.run_until(2.0)
     assert order == ["x", "y"]
+
+
+# ---------------------------------------------------------------------------
+# The ``pending`` contract holds on both schedulers: the fused kernel's
+# FlatScheduler overrides the counter to include its constant-delay lanes.
+# ---------------------------------------------------------------------------
+PENDING_CHECKS = [
+    test_initial_time_is_zero,
+    test_pending_is_maintained_not_scanned,
+    test_cancel_after_execution_is_noop,
+    test_cancelling_the_currently_firing_event_is_safe,
+    test_post_entry_cancellation,
+    test_lane_entries_count_as_pending_and_processed,
+    test_lane_survives_max_events_abort,
+]
+
+
+@pytest.mark.parametrize("scheduler_class", [EventScheduler, FlatScheduler])
+@pytest.mark.parametrize("check", PENDING_CHECKS, ids=lambda check: check.__name__)
+def test_pending_contract_on_both_schedulers(check, scheduler_class):
+    check(scheduler_class())
+
+
+def test_flat_scheduler_pending_counts_constant_delay_lane_entries():
+    scheduler = FlatScheduler()
+    order = []
+    fast, slow = scheduler._lanes
+    for lane, delay, label in ((slow, 0.5, "slow"), (fast, 0.25, "fast")):
+        lane.append([scheduler.now + delay, scheduler._sequence, order.append, label])
+        scheduler._sequence += 1
+    scheduler.post_after(0.25, order.append, "heap")
+    assert scheduler.pending == 3
+    assert scheduler.peek_time() == 0.25
+    assert scheduler.step()  # lane entry first: same time, earlier sequence
+    assert order == ["fast"]
+    assert scheduler.pending == 2
+    assert scheduler.run_until(1.0) == 2
+    assert order == ["fast", "heap", "slow"]
+    assert scheduler.pending == 0
+    assert scheduler.events_processed == 3
+    assert not scheduler.step()

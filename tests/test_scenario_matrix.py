@@ -17,11 +17,10 @@ For each cell of the scenario registry this suite checks:
   (``debug_invariants=True``; conservation, monotonic time, queue
   accounting) and the instrumented run still reproduces the committed
   fingerprint bit-exactly;
-* **kernel parity** — whichever simulation kernel ``auto`` selects for the
-  cell (the fused :class:`~repro.netsim.kernel.FlatKernel` on
-  single-bottleneck dumbbells, :class:`~repro.netsim.kernel.GenericKernel`
-  elsewhere) is bit-identical to an explicit generic run, and flat-eligible
-  cells reproduce their committed golden fingerprints under the FlatKernel.
+* **kernel parity** — the fused :class:`~repro.netsim.kernel.FlatKernel`
+  that ``auto`` selects for every cell is bit-identical to an explicit
+  :class:`~repro.netsim.kernel.GenericKernel` run and reproduces the cell's
+  committed golden fingerprint.
 
 Gating: registry-shape tests always run.  Per-cell simulations run for the
 tier-1 *smoke subset* (one ``smoke=True`` cell per topology) by default; set
@@ -236,26 +235,22 @@ def test_cell_serial_matches_process_pool(cell_name, pool_backend):
 
 @pytest.mark.parametrize("cell_name", ALL_CELLS)
 def test_cell_generic_vs_selected_kernel_parity(cell_name):
-    # The kernel contract: whichever kernel ``auto`` selects for the cell
-    # (the fused FlatKernel on single-bottleneck dumbbells, the generic
-    # heap core everywhere else) is bit-identical to an explicit generic
-    # run.  For flat-eligible cells this doubles as the golden gate: the
-    # FlatKernel must reproduce the committed fingerprint, which predates
-    # its existence.
+    # The kernel contract: the fused FlatKernel ``auto`` selects for every
+    # cell — lanes on uniform-RTT dumbbells, the plain heap elsewhere — is
+    # bit-identical to an explicit generic run, and both reproduce the
+    # committed golden fingerprint, which predates the fused engine.
     _gate(cell_name)
-    from repro.netsim.kernel import FlatKernel
-
     cell = get_scenario(cell_name)
-    selected = simulation_fingerprint(cell.run())
+    sim = cell.build()
+    assert sim.kernel_name == "flat"
+    selected = simulation_fingerprint(sim.run())
     generic = simulation_fingerprint(cell.run(kernel="generic"))
     assert selected == generic
-    if FlatKernel().supports(cell.network_spec()) is None:
-        flat = simulation_fingerprint(cell.run(kernel="flat"))
-        assert flat == load_golden()[cell_name], (
-            f"{cell_name}: FlatKernel diverged from the committed golden "
-            "fingerprint — the fused event chain no longer replays the "
-            "generic heap order"
-        )
+    assert selected == load_golden()[cell_name], (
+        f"{cell_name}: FlatKernel diverged from the committed golden "
+        "fingerprint — the fused event chain no longer replays the "
+        "generic heap order"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,14 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py --sort cumtime --limit 30 ...
     PYTHONPATH=src python tools/profile_hotpath.py --dump /tmp/out  # .pstats per case
     PYTHONPATH=src python tools/profile_hotpath.py --kernel flat    # pin the engine
-    PYTHONPATH=src python tools/profile_hotpath.py --compare-kernels newreno/droptail
+    PYTHONPATH=src python tools/profile_hotpath.py --compare-kernels  # dumbbell, path, trace
 
 ``--kernel {auto,generic,flat}`` pins the simulation kernel under the
-profiler (flat-ineligible cases fall back to generic with a note, rather
-than dying — the comparison sweep should cover every case).
-``--compare-kernels`` skips the profiler entirely and times each case
-under the generic and flat kernels with interleaved paired repetitions
-(alternating kernels rep by rep, reporting the median of paired ratios,
-which cancels machine-load drift), printing the flat-vs-generic speedup.
+profiler.  ``--compare-kernels`` skips the profiler entirely and times each
+case (default: one dumbbell, one path and one trace-driven case) under the
+generic and flat kernels with interleaved paired repetitions (alternating
+kernels rep by rep, reporting the median of paired ratios, which cancels
+machine-load drift), printing the flat-vs-generic speedup.
 
 Dumped ``.pstats`` files can be explored interactively with
 ``python -m pstats /tmp/out/newreno_droptail.pstats`` or visualized with
@@ -37,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.netsim.kernel import KERNEL_NAMES, FlatKernel
+from repro.netsim.kernel import KERNEL_NAMES
 from repro.netsim.simulator import Simulation
 from repro.scenarios import BENCH_CASE_SCENARIOS as CASE_SCENARIOS
 from repro.scenarios import get_scenario
@@ -50,21 +49,23 @@ DEFAULT_CASES = [
     "remy-training/droptail",
 ]
 
+#: ``--compare-kernels`` defaults: the lane scheduler (dumbbell) and the two
+#: heap-scheduler shapes (multi-hop path, trace-driven link).
+COMPARE_CASES = ["newreno/droptail", "newreno/twohop", "newreno/lte4"]
+
+#: Cases timed by ``--compare-kernels`` only — not part of the events/sec
+#: trajectory the speed benchmark records.
+EXTRA_CASE_SCENARIOS = {"newreno/lte4": "fig7-lte4"}
+
 
 def build_simulation(case: str, kernel: str = "auto") -> Simulation:
     """The exact simulation the speed benchmark times for ``case``."""
-    if case not in CASE_SCENARIOS:
+    scenarios = {**CASE_SCENARIOS, **EXTRA_CASE_SCENARIOS}
+    if case not in scenarios:
         raise SystemExit(
-            f"unknown case {case!r} (expected one of {', '.join(CASE_SCENARIOS)})"
+            f"unknown case {case!r} (expected one of {', '.join(scenarios)})"
         )
-    cell = get_scenario(CASE_SCENARIOS[case])
-    if kernel == "flat" and FlatKernel.supports(cell.network_spec()) is not None:
-        print(
-            f"note: {case} is not flat-eligible "
-            f"({FlatKernel.supports(cell.network_spec())}); using generic"
-        )
-        kernel = "generic"
-    return cell.build(duration=5.0, kernel=kernel)
+    return get_scenario(scenarios[case]).build(duration=5.0, kernel=kernel)
 
 
 def profile_case(
@@ -100,11 +101,6 @@ def _timed_run(case: str, kernel: str) -> tuple[float, int]:
 
 def compare_kernels(case: str, reps: int) -> None:
     """Interleaved paired timing: flat vs generic events/sec for ``case``."""
-    cell = get_scenario(CASE_SCENARIOS[case])
-    reason = FlatKernel.supports(cell.network_spec())
-    if reason is not None:
-        print(f"{case}: not flat-eligible ({reason}); skipping")
-        return
     # Alternate the kernels rep by rep so slow machine phases hit both
     # sides equally, then take the median of the per-pair ratios.
     ratios = []
@@ -135,8 +131,8 @@ def main() -> None:
     parser.add_argument(
         "cases",
         nargs="*",
-        default=DEFAULT_CASES,
-        help=f"benchmark cases to profile (default: {' '.join(DEFAULT_CASES)})",
+        help=f"benchmark cases to profile (default: {' '.join(DEFAULT_CASES)}; "
+        f"with --compare-kernels: {' '.join(COMPARE_CASES)})",
     )
     parser.add_argument(
         "--sort",
@@ -157,8 +153,7 @@ def main() -> None:
         "--kernel",
         choices=KERNEL_NAMES,
         default="auto",
-        help="simulation kernel to profile under (default auto; flat falls "
-        "back to generic with a note on ineligible cases)",
+        help="simulation kernel to profile under (default auto)",
     )
     parser.add_argument(
         "--compare-kernels",
@@ -173,7 +168,7 @@ def main() -> None:
         help="paired repetitions per case for --compare-kernels (default 5)",
     )
     args = parser.parse_args()
-    for case in args.cases:
+    for case in args.cases or (COMPARE_CASES if args.compare_kernels else DEFAULT_CASES):
         if args.compare_kernels:
             compare_kernels(case, args.reps)
         else:
