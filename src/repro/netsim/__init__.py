@@ -12,9 +12,9 @@ played by ns-2 in the original work).  It provides:
   :mod:`repro.netsim.sfq`),
 * a reliable-transport sender/receiver harness that hosts any congestion
   control module (:mod:`repro.netsim.sender`, :mod:`repro.netsim.receiver`),
-* topology builders: the single-bottleneck dumbbell
-  (:mod:`repro.netsim.network`) and multi-bottleneck paths with congestible
-  reverse directions (:mod:`repro.netsim.path`), and
+* one topology engine, paths of links with congestible reverse directions
+  (:mod:`repro.netsim.path`), and the paper's single-bottleneck dumbbell as
+  a spec that builds its one-hop case (:mod:`repro.netsim.network`), and
 * the simulation driver plus per-flow statistics
   (:mod:`repro.netsim.simulator`, :mod:`repro.netsim.stats`).
 """
@@ -27,7 +27,7 @@ from repro.netsim.aqm import REDQueue, CoDelQueue
 from repro.netsim.sfq import SfqCoDelQueue
 from repro.netsim.sender import Sender
 from repro.netsim.receiver import Receiver
-from repro.netsim.network import DumbbellNetwork, NetworkSpec, build_queue
+from repro.netsim.network import NetworkSpec, build_queue
 from repro.netsim.path import LinkSpec, PathNetwork, PathSpec
 from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec
 from repro.netsim.stats import FlowStats
@@ -45,7 +45,6 @@ __all__ = [
     "SfqCoDelQueue",
     "Sender",
     "Receiver",
-    "DumbbellNetwork",
     "NetworkSpec",
     "build_queue",
     "LinkSpec",

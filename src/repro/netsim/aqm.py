@@ -37,7 +37,7 @@ class REDQueue(QueueDiscipline):
     Idle decay follows Floyd & Jacobson §4: while the queue sits empty the
     average is decayed as if ``m`` small packets had been transmitted, with
     ``m`` the idle time divided by ``idle_decay_seconds`` (the typical packet
-    transmission time — :meth:`NetworkSpec.make_queue` passes one MSS at the
+    transmission time — :meth:`LinkSpec.make_queue` passes one MSS at the
     link rate).  The decay is applied lazily, at the next arrival to an empty
     queue, so it is a function of *elapsed time* rather than of how often the
     link happened to poll an empty queue.

@@ -37,11 +37,10 @@ and debugging, not for paper-scale sweeps.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.netsim.events import SimulationError
 from repro.netsim.packet import Packet
-from repro.netsim.path import PathNetwork
 from repro.netsim.queue import QueueDiscipline
 from repro.netsim.receiver import Receiver
 from repro.netsim.sender import Sender
@@ -131,12 +130,10 @@ class InvariantChecker:
     # -- checks --------------------------------------------------------------
     def _hops(self) -> list[tuple[str, QueueDiscipline]]:
         network = self.simulation.network
-        if isinstance(network, PathNetwork):
-            return [
-                (link.name, link.queue)
-                for link in network.forward_links + network.reverse_links
-            ]
-        return [(network.bottleneck.name, network.bottleneck.queue)]
+        return [
+            (link.name, link.queue)
+            for link in network.forward_links + network.reverse_links
+        ]
 
     def _drops_total(self) -> int:
         network = self.simulation.network

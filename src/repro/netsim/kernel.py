@@ -66,8 +66,7 @@ from repro.netsim.events import (
     SimulationError,
     _heappop,
 )
-from repro.netsim.link import ConstantRateLink, LinkBase
-from repro.netsim.network import DumbbellNetwork, NetworkSpec
+from repro.netsim.link import ConstantRateLink
 from repro.netsim.packet import ACK_PACKET_BYTES, AckInfo, Packet, PacketPool
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
 from repro.netsim.receiver import Receiver
@@ -415,17 +414,19 @@ class FlatKernel(SimulationKernel):
     def create_scheduler(self, spec: "TopologySpec") -> EventScheduler:
         """Lanes where there are exactly two constant delays, else the heap.
 
-        A constant-rate dumbbell whose flows share one RTT serializes every
-        data packet in one fixed time and propagates everything one fixed
-        one-way delay: two lanes, :class:`FlatScheduler`.  Any other
-        topology (per-flow RTTs, several hops, a trace-driven link) has
-        more distinct delays than the lane merge is worth and builds on the
-        plain :class:`EventScheduler`.
+        A constant-rate dumbbell (:meth:`PathSpec.dumbbell_hop
+        <repro.netsim.path.PathSpec.dumbbell_hop>`, either spelling) whose
+        flows share one RTT serializes every data packet in one fixed time
+        and propagates everything one fixed one-way delay: two lanes,
+        :class:`FlatScheduler`.  Any other topology (per-flow RTTs, several
+        hops, a hop delay, a trace-driven link) has more distinct delays
+        than the lane merge is worth and builds on the plain
+        :class:`EventScheduler`.
         """
+        path = spec.to_path_spec()
         if (
-            isinstance(spec, NetworkSpec)
-            and spec.delivery_trace is None
-            and len({spec.rtt_for_flow(i) for i in range(spec.n_flows)}) == 1
+            path.dumbbell_hop() is not None
+            and len({path.rtt_for_flow(i) for i in range(path.n_flows)}) == 1
         ):
             return FlatScheduler()
         return EventScheduler()
@@ -439,56 +440,24 @@ class FlatKernel(SimulationKernel):
         return, the sender's ACK handler — to closures that inline the
         successor scheduling.  Each closure mirrors its generic counterpart
         line for line (same expressions, same order), which the golden
-        matrix and the kernel-parity sweep pin.  The dumbbell is the
-        one-forward-hop, ideal-reverse case of the same pass.
+        matrix and the kernel-parity sweep pin.
         """
         network = sim.network
         scheduler = sim.scheduler
-        spec = sim.spec
+        spec = network.spec
         ser_lane: _Lane = None
         flow_lane: _Lane = None
         lane_bytes = -1  # no packet size rides a lane on the heap scheduler
         if isinstance(scheduler, FlatScheduler):
             ser_lane, flow_lane = scheduler._lanes
             lane_bytes = spec.mss_bytes
-
-        # The two topology classes, reduced to what the pass needs: the hop
-        # chains per direction, a flow's hop indices, a hop's entry point
-        # (read after the hops are fused: a loss-free hop's entry is its
-        # rebound ``receive``; a lossy gate keeps its Bernoulli draw and
-        # reaches the fused ``receive`` through the attribute), and the
-        # network's own next-hop table, which follows the fused routes so
-        # that generic hops — and a late ``link.connect`` spy calling the
-        # original callback — reach the fused closures too.
-        chains: tuple[list[LinkBase], list[LinkBase]]
-        if isinstance(network, DumbbellNetwork):
-            dumbbell = network
-            chains = ([dumbbell.bottleneck], [])
-
-            def hops_of(flow_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-                return (0,), ()
-
-            def entry(direction: int, index: int) -> Callable[[Packet], None]:
-                if dumbbell._loss_rng is not None:
-                    return dumbbell._lossy_receive
-                return dumbbell.bottleneck.receive
-
-            def publish(direction: int, index: int, flow_id: int, route: _Route) -> None:
-                dumbbell._data_routes[flow_id] = (route[0], route[2])
-
-        else:
-            path = network
-            chains = (path.forward_links, path.reverse_links)
-            tables = (path._forward_next, path._reverse_next)
-
-            def hops_of(flow_id: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-                return path.spec.forward_hops_for(flow_id), path.spec.reverse_hops_for(flow_id)
-
-            def entry(direction: int, index: int) -> Callable[[Packet], None]:
-                return (path._reverse_entry if direction else path._forward_entry)(index)
-
-            def publish(direction: int, index: int, flow_id: int, route: _Route) -> None:
-                tables[direction][index][flow_id] = _generic_handoff(scheduler, route)
+        # The hop chains per direction; the network's own next-hop tables,
+        # which follow the fused routes so that generic hops — and a late
+        # ``link.connect`` spy calling the original callback — reach the
+        # fused closures too; and a hop's entry point, read after the hops
+        # are fused: a loss-free hop's is its rebound ``receive``, a lossy
+        # gate keeps its Bernoulli draw and reads ``receive`` at call time.
+        chains, tables, entry = network.links, network._next, network._entry
 
         # Per hop: ``nexts[direction][index][flow_id]`` is where a packet of
         # the flow goes when its serialization at the hop finishes (filled
@@ -511,7 +480,7 @@ class FlatKernel(SimulationKernel):
             sender = endpoints.sender
             receiver = endpoints.receiver
             one_way = endpoints.rtt / 2
-            forward, reverse = hops_of(flow_id)
+            forward, reverse = spec.forward_hops_for(flow_id), spec.reverse_hops_for(flow_id)
             sender.transmit = transmit = entry(0, forward[0])
             if "on_ack" not in sender.__dict__:
                 # The send-side enqueue can only be inlined for loss-free
@@ -541,7 +510,7 @@ class FlatKernel(SimulationKernel):
             for direction, chain, last in ((0, forward, to_receiver), (1, reverse, to_sender)):
                 routes = [(0.0, None, entry(direction, there)) for there in chain[1:]]
                 for index, route in zip(chain, routes + [last]):
-                    publish(direction, index, flow_id, route)
+                    tables[direction][index][flow_id] = _generic_handoff(scheduler, route)
                     nexts[direction][index][flow_id] = _across(
                         scheduler, chains[direction][index].propagation_delay, route
                     )
@@ -552,7 +521,7 @@ class FlatKernel(SimulationKernel):
 # line — same expressions, same evaluation order, same counter updates — so
 # a fused run executes the identical float program.  The generic originals
 # are: ``Receiver.on_packet``, ``Sender.on_ack``, the networks' per-hop
-# dispatch (``DumbbellNetwork._deliver_data``, ``PathNetwork._*_delivered``),
+# dispatch (``repro.netsim.path._deliver``),
 # ``ConstantRateLink._start_transmission`` / ``_finish_transmission`` /
 # ``receive`` and ``DropTailQueue.enqueue`` / ``dequeue``.
 #

@@ -52,7 +52,7 @@ class LinkBase:
         #: hops into the flow totals), this map is private to one link, so a
         #: multi-hop :class:`~repro.netsim.path.PathNetwork` can answer
         #: *which* bottleneck contributed the queueing.  Updated in addition
-        #: to the flow totals; ``None`` (the dumbbell default) costs one
+        #: to the flow totals; ``None`` (any one-forward-hop path) costs one
         #: attribute check per transmitted packet.
         self.hop_delay_stats: Optional[dict] = None
         self.packets_delivered = 0
@@ -147,7 +147,7 @@ class ConstantRateLink(LinkBase):
 
         Only sound on a link whose queue is a loss-free, never-dropping FIFO
         fed ``mss_bytes`` packets (the caller vouches for that; see
-        :attr:`~repro.netsim.network.NetworkSpec.sealable`).  When an enqueue
+        :attr:`~repro.netsim.path.PathSpec.sealable`).  When an enqueue
         leaves ``Q`` bytes queued at time ``t``, a later arrival waits behind
         at least ``Q`` minus what the link dequeues in between — at most one
         packet per serialization time plus the one dequeue that may be

@@ -1,4 +1,4 @@
-"""Multi-bottleneck path topologies with congestible reverse paths.
+"""The topology engine: paths of links, with congestible reverse paths.
 
 The paper's evaluation — and this reproduction's matrix up to PR 4 — lives on
 single-bottleneck dumbbells whose acknowledgments return over an ideal path.
@@ -7,25 +7,25 @@ networks they were not designed for, needs richer topologies: parking-lot
 chains where flows cross several bottlenecks, and asymmetric paths where the
 ACK stream itself queues behind a congested reverse link.
 
-This module generalizes the topology layer into paths:
+Every topology is a path:
 
 * :class:`LinkSpec` — one hop: rate (or delivery trace), one-way propagation
   delay, buffer, queue/AQM discipline and stochastic loss;
 * :class:`PathSpec` — an ordered chain of forward hops, an (optional) ordered
   chain of reverse hops the acknowledgments traverse, per-flow baseline RTTs
   and, for parking-lot cross traffic, per-flow hop subsets;
-* :class:`PathNetwork` — the materialized topology: flows are wired through
-  their hop chains in both directions, every hop owning its own queue.
+* :class:`PathNetwork` — the materialized topology, the only one: flows are
+  wired through their hop chains in both directions, every hop owning its
+  own queue.
 
-The dumbbell is exactly the one-forward-hop, no-reverse-hop special case:
-:meth:`repro.netsim.network.NetworkSpec.to_path_spec` converts a dumbbell
-spec into a :class:`PathSpec` whose :class:`PathNetwork` run is bit-identical
-to the :class:`~repro.netsim.network.DumbbellNetwork` run (pinned by
-``tests/test_path.py``).  ``DumbbellNetwork`` itself remains the single-hop
-fast path used when a plain :class:`~repro.netsim.network.NetworkSpec` is
-simulated.
+The dumbbell is the one-forward-hop, no-reverse-hop case, and
+:class:`~repro.netsim.network.NetworkSpec` is its paper-facing spelling
+(:meth:`~repro.netsim.network.NetworkSpec.to_path_spec`).  What a dumbbell
+alone can do — seal a drowned bottleneck (:attr:`PathSpec.sealable`), run on
+the two-lane scheduler (:meth:`PathSpec.dumbbell_hop`) — is decided from the
+path's shape, so it does not matter which spelling built it.
 
-Semantics shared with the dumbbell:
+Semantics:
 
 * a flow's ``rtt`` is its baseline two-way propagation delay *excluding*
   per-hop serialization, queueing and each hop's own ``delay``; half is
@@ -37,7 +37,9 @@ Semantics shared with the dumbbell:
 * queueing-delay statistics accumulate per *forward*-hop traversal into the
   owning flow's :class:`~repro.netsim.stats.FlowStats` (so multi-hop cells
   count one sample per hop crossed); reverse-path ACK queueing is visible
-  through the flow's RTT statistics instead.
+  through the flow's RTT statistics instead.  The per-hop breakdown exists
+  only where there is something to break down: with one forward hop it *is*
+  the flow total and no per-hop ledger is kept.
 
 Packet-pool ownership on a path follows the PR 3 rule unchanged: whoever
 holds the last reference releases.  Every hop's queue is a drop sink
@@ -57,10 +59,10 @@ from repro.netsim.events import EventScheduler
 from repro.netsim.link import ConstantRateLink, LinkBase, TraceDrivenLink
 from repro.netsim.network import (
     QUEUE_KINDS,
-    FlowEndpoints,
     QueueFactory,
     build_queue,
     validate_delivery_trace,
+    validate_flows,
 )
 from repro.netsim.packet import Packet
 from repro.netsim.queue import QueueDiscipline
@@ -126,7 +128,7 @@ class LinkSpec:
         if self.delay < 0:
             raise ValueError("delay cannot be negative")
         if self.delivery_trace is not None:
-            validate_delivery_trace(self.delivery_trace, "hop")
+            validate_delivery_trace(self.delivery_trace)
 
     def effective_rate_bps(self, mss_bytes: int = 1500) -> float:
         """The hop's rate: constant, or the trace's long-term mean."""
@@ -251,8 +253,7 @@ class PathSpec:
     mss_bytes: int = 1500
 
     def __post_init__(self) -> None:
-        if self.n_flows <= 0:
-            raise ValueError("n_flows must be positive")
+        validate_flows(self.rtt, self.n_flows, self.mss_bytes)
         self.forward = tuple(self.forward)
         self.reverse = tuple(self.reverse)
         if not self.forward:
@@ -275,13 +276,7 @@ class PathSpec:
         """Baseline RTT for a given flow (supports per-flow RTT sequences)."""
         if isinstance(self.rtt, (int, float)):
             return float(self.rtt)
-        rtts = list(self.rtt)
-        if len(rtts) < self.n_flows:
-            raise ValueError(
-                f"rtt sequence has {len(rtts)} entries but the spec has "
-                f"{self.n_flows} flows"
-            )
-        return float(rtts[flow_id])
+        return float(self.rtt[flow_id])
 
     def mean_rtt(self) -> float:
         """Mean baseline RTT across flows (XCP's control interval)."""
@@ -309,7 +304,46 @@ class PathSpec:
             for i in self.forward_hops_for(flow_id)
         )
 
+    # -- shape -------------------------------------------------------------------
+    def dumbbell_hop(self) -> Optional[LinkSpec]:
+        """The bottleneck when this path is a constant-rate dumbbell, else ``None``.
+
+        That is one constant-rate forward hop with no propagation delay of
+        its own and no reverse hops, however the spec was spelled: every
+        per-packet event is then scheduled one serialization time or one
+        flow's one-way delay ahead, which is what the seal's proof and the
+        two-lane scheduler (:meth:`FlatKernel.create_scheduler
+        <repro.netsim.kernel.FlatKernel.create_scheduler>`) both need.
+        """
+        hop = self.forward[0]
+        one_hop = len(self.forward) == 1 and not self.reverse
+        if one_hop and hop.delay == 0 and hop.delivery_trace is None:
+            return hop
+        return None
+
+    @property
+    def sealable(self) -> bool:
+        """Whether a drowned bottleneck may be sealed (README "Performance").
+
+        True for exactly the design-time model of §5.1: a constant-rate
+        dumbbell (:meth:`dumbbell_hop`) behind the built-in unlimited FIFO
+        with no stochastic loss.  There a packet, once queued, is served
+        strictly in arrival order at a known rate and nothing is ever
+        dropped, so "this packet cannot leave before the run ends" is
+        decidable at enqueue time.  A finite buffer, any AQM, a trace-driven
+        link, ``loss_rate > 0``, a second hop in either direction or a hop
+        delay breaks one of those premises; a queue *factory* is opaque and
+        never eligible.
+        """
+        hop = self.dumbbell_hop()
+        return hop is not None and hop.queue == "infinite" and hop.loss_rate == 0.0
+
     # -- generalisation hooks ---------------------------------------------------
+    def to_path_spec(self) -> "PathSpec":
+        """Itself: the conversion every topology spec offers, so callers
+        normalise without asking which spelling they hold."""
+        return self
+
     def with_queue(self, queue: Union[str, QueueFactory]) -> "PathSpec":
         """A copy with every *forward* hop's queue discipline replaced.
 
@@ -323,21 +357,47 @@ class PathSpec:
             forward=tuple(replace(link, queue=queue) for link in self.forward),
         )
 
-    def build_network(
-        self, scheduler: EventScheduler, rng: Optional[random.Random] = None
-    ) -> "PathNetwork":
-        """Materialize the topology."""
-        return PathNetwork(scheduler, self, rng=rng)
+
+@dataclass
+class FlowEndpoints:
+    """The pieces that make up one attached flow."""
+
+    sender: Sender
+    receiver: Receiver
+    rtt: float
+
+
+def _lossy_entry(
+    rng: random.Random, loss_rate: float, losses: list[int], index: int,
+    link: LinkBase, packet: Packet,
+) -> None:
+    """A hop's Bernoulli loss gate, ahead of its queue (the sender recovers
+    through its normal loss detection)."""
+    if rng.random() < loss_rate:
+        losses[index] += 1
+        packet.release()  # drop sink: stochastic link loss
+        return
+    link.receive(packet)
+
+
+def _deliver(table: dict[int, Callable[[Packet], None]], packet: Packet) -> None:
+    """A hop's far end: hand the packet to its flow's next handler."""
+    handler = table.get(packet.flow_id)
+    if handler is None:
+        packet.release()  # packet from a detached flow (should not happen)
+        return
+    handler(packet)
 
 
 class PathNetwork:
     """Flows wired through ordered chains of links in both directions.
 
-    Construction order is deterministic — every forward hop (queue, then
-    loss rng when enabled), then every reverse hop — so a given network rng
-    yields identical streams run to run.  Packet routing is precomputed per
-    ``(hop, flow)``: each delivery costs one dict lookup plus one call,
-    mirroring the dumbbell's flattened fast path.
+    Per-direction state is indexed ``0`` (forward: data) / ``1`` (reverse:
+    acknowledgments).  Construction order is deterministic — every forward
+    hop (queue, then loss rng when enabled), then every reverse hop — so a
+    given network rng yields identical streams run to run.  Packet routing
+    is precomputed per ``(hop, flow)``: each delivery costs one dict lookup
+    plus one call.
     """
 
     def __init__(
@@ -351,40 +411,33 @@ class PathNetwork:
         self.rng = rng if rng is not None else random.Random(0)
         mean_rtt = spec.mean_rtt()
 
-        self.forward_links: list[LinkBase] = []
-        self.reverse_links: list[LinkBase] = []
-        self._forward_loss: list[Optional[random.Random]] = []
-        self._reverse_loss: list[Optional[random.Random]] = []
-        #: Per-hop counters of packets lost at the hop's entry gate.
-        self.forward_losses = [0] * len(spec.forward)
-        self.reverse_losses = [0] * len(spec.reverse)
-
-        for index, link_spec in enumerate(spec.forward):
-            queue = link_spec.make_queue(self.rng, spec.mss_bytes, mean_rtt)
-            link = link_spec.build_link(
-                scheduler, queue, link_spec.name or f"fwd{index}",
-                mss_bytes=spec.mss_bytes,
-            )
-            link.connect(partial(self._forward_delivered, index))
-            self.forward_links.append(link)
-            self._forward_loss.append(
-                random.Random(self.rng.getrandbits(32))
-                if link_spec.loss_rate > 0.0
-                else None
-            )
-        for index, link_spec in enumerate(spec.reverse):
-            queue = link_spec.make_queue(self.rng, spec.mss_bytes, mean_rtt)
-            link = link_spec.build_link(
-                scheduler, queue, link_spec.name or f"rev{index}",
-                mss_bytes=spec.mss_bytes,
-            )
-            link.connect(partial(self._reverse_delivered, index))
-            self.reverse_links.append(link)
-            self._reverse_loss.append(
-                random.Random(self.rng.getrandbits(32))
-                if link_spec.loss_rate > 0.0
-                else None
-            )
+        chains = (spec.forward, spec.reverse)
+        self.links: tuple[list[LinkBase], list[LinkBase]] = ([], [])
+        #: Per hop: its entry loss gate (``None``: loss-free — no gate, and
+        #: no draw taken from the network rng for one), the gate's count of
+        #: lost packets, and the routing table ``flow id -> handler`` for a
+        #: packet leaving the hop (next hop's entry, or the endpoint partial).
+        self._gates: tuple[list[Optional[Callable[[Packet], None]]], ...] = ([], [])
+        self.losses = tuple([0] * len(chain) for chain in chains)
+        self._next: tuple[list[dict[int, Callable[[Packet], None]]], ...] = tuple(
+            [{} for _ in chain] for chain in chains
+        )
+        for direction, chain in enumerate(chains):
+            for index, hop in enumerate(chain):
+                queue = hop.make_queue(self.rng, spec.mss_bytes, mean_rtt)
+                name = hop.name or f"{'rev' if direction else 'fwd'}{index}"
+                link = hop.build_link(scheduler, queue, name, mss_bytes=spec.mss_bytes)
+                link.connect(partial(_deliver, self._next[direction][index]))
+                self.links[direction].append(link)
+                gate = None
+                if hop.loss_rate > 0.0:
+                    loss_rng = random.Random(self.rng.getrandbits(32))
+                    gate = partial(
+                        _lossy_entry, loss_rng, hop.loss_rate, self.losses[direction], index, link
+                    )
+                self._gates[direction].append(gate)
+        self.forward_links, self.reverse_links = self.links
+        self.forward_losses, self.reverse_losses = self.losses
 
         #: flow id -> FlowStats: every forward hop updates queueing-delay
         #: counters inline through the shared stats map (one sample per hop
@@ -400,46 +453,39 @@ class PathNetwork:
         #: *which* bottleneck contributed a flow's queueing.  Accumulators
         #: are registered in :meth:`attach_flow` for exactly the hops the
         #: flow traverses; the flow-total counters above are untouched.
-        self.hop_delay_stats: list[dict[int, HopDelayStats]] = [
-            {} for _ in spec.forward
-        ]
-        for index, link in enumerate(self.forward_links):
-            link.hop_delay_stats = self.hop_delay_stats[index]
+        #: Empty with one forward hop, whose ledger would repeat the totals.
+        self.hop_delay_stats: list[dict[int, HopDelayStats]] = (
+            [{} for _ in spec.forward] if len(spec.forward) > 1 else []
+        )
+        for link, hop_map in zip(self.forward_links, self.hop_delay_stats):
+            link.hop_delay_stats = hop_map
 
-        #: Per-hop routing: flow id -> handler for a packet leaving the hop
-        #: (next hop's entry, or the endpoint delivery partial).
-        self._forward_next: list[dict[int, Callable[[Packet], None]]] = [
-            {} for _ in spec.forward
-        ]
-        self._reverse_next: list[dict[int, Callable[[Packet], None]]] = [
-            {} for _ in spec.reverse
-        ]
+        #: Simulated time at which the bottleneck was sealed (see
+        #: :meth:`arm_seal`); ``None`` while it can still deliver.
+        self.sealed_at: Optional[float] = None
         self.flows: dict[int, FlowEndpoints] = {}
 
-    # -- hop entries -----------------------------------------------------------
-    def _forward_entry(self, index: int) -> Callable[[Packet], None]:
-        if self._forward_loss[index] is not None:
-            return partial(self._lossy_forward_entry, index)
-        return self.forward_links[index].receive
+    # -- sealing ---------------------------------------------------------------
+    def arm_seal(self, end_time: float) -> None:
+        """Let the bottleneck seal itself once it is drowned
+        (:attr:`PathSpec.sealable` specs only; a no-op on any other).
 
-    def _reverse_entry(self, index: int) -> Callable[[Packet], None]:
-        if self._reverse_loss[index] is not None:
-            return partial(self._lossy_reverse_entry, index)
-        return self.reverse_links[index].receive
+        ``end_time`` is when the run stops.  Call before :meth:`attach_flow`:
+        arming rebinds the link's ``receive``, which senders capture there.
+        """
+        link = self.forward_links[0]
+        if self.spec.sealable and isinstance(link, ConstantRateLink):
+            link.arm_seal(end_time, self.spec.mss_bytes, self._seal)
 
-    def _lossy_forward_entry(self, index: int, packet: Packet) -> None:
-        if self._forward_loss[index].random() < self.spec.forward[index].loss_rate:
-            self.forward_losses[index] += 1
-            packet.release()  # drop sink: stochastic link loss
-            return
-        self.forward_links[index].receive(packet)
+    def _seal(self) -> None:
+        self.sealed_at = self.scheduler.now
+        for endpoints in self.flows.values():
+            endpoints.sender.seal()
 
-    def _lossy_reverse_entry(self, index: int, packet: Packet) -> None:
-        if self._reverse_loss[index].random() < self.spec.reverse[index].loss_rate:
-            self.reverse_losses[index] += 1
-            packet.release()  # drop sink: stochastic link loss
-            return
-        self.reverse_links[index].receive(packet)
+    def _entry(self, direction: int, index: int) -> Callable[[Packet], None]:
+        """Where packets enter a hop: its loss gate if it has one, else the
+        link's ``receive`` as bound right now."""
+        return self._gates[direction][index] or self.links[direction][index].receive
 
     # -- flow attachment -------------------------------------------------------
     def attach_flow(
@@ -450,62 +496,54 @@ class PathNetwork:
             raise ValueError(f"flow {flow_id} already attached")
         spec = self.spec
         rtt = spec.rtt_for_flow(flow_id)
-        one_way = rtt / 2
+        # Each chain ends by handing the packet across the flow's one-way
+        # propagation directly to the endpoint (a partial, not a lambda —
+        # the partial call is C-level, a lambda would cost a frame per
+        # packet).  With no reverse hops that partial *is* the receiver's
+        # ACK callback: the ideal return path.
+        post_after = self.scheduler.post_after
         forward_hops = spec.forward_hops_for(flow_id)
-        reverse_hops = spec.reverse_hops_for(flow_id)
-
-        sender.connect(self._forward_entry(forward_hops[0]))
-        for here, there in zip(forward_hops, forward_hops[1:]):
-            self._forward_next[here][flow_id] = self._forward_entry(there)
-        # The last forward hop hands the packet across the flow's one-way
-        # propagation directly to the receiver (a partial, not a lambda —
-        # the call is C-level, exactly like the dumbbell's route table).
-        self._forward_next[forward_hops[-1]][flow_id] = partial(
-            self.scheduler.post_after, one_way, receiver.on_packet
+        sender.connect(
+            self._route(
+                0, flow_id, forward_hops,
+                partial(post_after, rtt / 2, receiver.on_packet),
+            )
         )
-
-        to_sender = partial(self.scheduler.post_after, one_way, sender.on_ack)
-        if reverse_hops:
-            receiver.connect(self._reverse_entry(reverse_hops[0]))
-            for here, there in zip(reverse_hops, reverse_hops[1:]):
-                self._reverse_next[here][flow_id] = self._reverse_entry(there)
-            self._reverse_next[reverse_hops[-1]][flow_id] = to_sender
-        else:
-            # Ideal reverse path: bind the delay and the sender's ACK
-            # handler directly into the receiver's callback (the dumbbell
-            # wiring, verbatim).
-            receiver.connect(to_sender)
-
-        endpoints = FlowEndpoints(
-            sender=sender, receiver=receiver, stats=sender.stats, rtt=rtt
+        receiver.connect(
+            self._route(
+                1, flow_id, spec.reverse_hops_for(flow_id),
+                partial(post_after, rtt / 2, sender.on_ack),
+            )
         )
+        endpoints = FlowEndpoints(sender=sender, receiver=receiver, rtt=rtt)
         self.flows[flow_id] = endpoints
         self._delay_stats[flow_id] = sender.stats
-        for hop in forward_hops:
-            self.hop_delay_stats[hop][flow_id] = HopDelayStats()
+        if self.hop_delay_stats:
+            for hop in forward_hops:
+                self.hop_delay_stats[hop][flow_id] = HopDelayStats()
         return endpoints
 
-    # -- packet plumbing -------------------------------------------------------
-    def _forward_delivered(self, index: int, packet: Packet) -> None:
-        handler = self._forward_next[index].get(packet.flow_id)
-        if handler is None:
-            packet.release()  # packet from a detached flow (should not happen)
-            return
-        handler(packet)
-
-    def _reverse_delivered(self, index: int, packet: Packet) -> None:
-        handler = self._reverse_next[index].get(packet.flow_id)
-        if handler is None:
-            packet.release()  # ACK from a detached flow (should not happen)
-            return
-        handler(packet)
+    def _route(
+        self,
+        direction: int,
+        flow_id: int,
+        hops: tuple[int, ...],
+        last: Callable[[Packet], None],
+    ) -> Callable[[Packet], None]:
+        """Chain the flow through ``hops`` and on to ``last``; returns where
+        its packets enter (``last`` itself when the chain is empty)."""
+        if not hops:
+            return last
+        table = self._next[direction]
+        for here, there in zip(hops, hops[1:]):
+            table[here][flow_id] = self._entry(direction, there)
+        table[hops[-1]][flow_id] = last
+        return self._entry(direction, hops[0])
 
     # -- introspection ----------------------------------------------------------
     def queues(self) -> list[QueueDiscipline]:
         """Every hop's queue, forward chain first (drop/mark statistics)."""
-        return [link.queue for link in self.forward_links] + [
-            link.queue for link in self.reverse_links
-        ]
+        return [link.queue for link in self.forward_links + self.reverse_links]
 
     @property
     def queue_drops(self) -> int:

@@ -2,11 +2,12 @@
 
 :class:`Simulation` is the top-level entry point used by the examples, the
 Remy evaluator and every experiment harness.  It takes a topology spec — a
-:class:`~repro.netsim.network.NetworkSpec` (single-bottleneck dumbbell, the
-fast path) or a :class:`~repro.netsim.path.PathSpec` (multi-bottleneck path
-with an optionally congestible reverse direction) — one congestion-control
-module and one workload per flow, runs the discrete-event loop for a fixed
-duration and returns a :class:`SimulationResult`.
+:class:`~repro.netsim.network.NetworkSpec` (the paper's single-bottleneck
+dumbbell) or a :class:`~repro.netsim.path.PathSpec` (any path, with an
+optionally congestible reverse direction); two spellings, one
+:class:`~repro.netsim.path.PathNetwork` — one congestion-control module and
+one workload per flow, runs the discrete-event loop for a fixed duration and
+returns a :class:`SimulationResult`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.netsim.events import EventCapExceeded
 from repro.netsim.invariants import InvariantChecker
 from repro.netsim.kernel import KernelChoice, resolve_kernel
-from repro.netsim.network import DumbbellNetwork, NetworkSpec
+from repro.netsim.network import NetworkSpec
 from repro.netsim.packet import PacketPool
 from repro.netsim.path import PathNetwork, PathSpec
 from repro.netsim.receiver import Receiver
@@ -42,14 +43,14 @@ class SimulationResult:
     queue_drops: int = 0
     queue_marks: int = 0
     events_processed: int = 0
-    #: Per-forward-hop queueing-delay attribution (path topologies only):
-    #: one ``flow id ->`` :class:`~repro.netsim.stats.HopDelayStats` map per
-    #: forward hop, in chain order.  Empty for dumbbell runs, whose single
+    #: Per-forward-hop queueing-delay attribution: one ``flow id ->``
+    #: :class:`~repro.netsim.stats.HopDelayStats` map per forward hop, in
+    #: chain order.  Empty for topologies with one forward hop, whose
     #: bottleneck *is* the flow-total queueing delay.  Defaulted so results
     #: pickled by older workers still unpickle.
     hop_delays: list[dict[int, HopDelayStats]] = field(default_factory=list)
     #: Simulated time at which a drowned bottleneck was sealed (``None`` =
-    #: never; only :attr:`~repro.netsim.network.NetworkSpec.sealable`
+    #: never; only :attr:`~repro.netsim.path.PathSpec.sealable`
     #: topologies can).  From then on the senders stopped transmitting what
     #: could not be delivered, so ``packets_sent``, ``retransmissions``,
     #: ``timeouts``, ``losses_detected`` and ``events_processed`` count up
@@ -96,12 +97,12 @@ class SimulationResult:
     # -- per-hop attribution ------------------------------------------------------
     def hop_delay_breakdown(self, flow_id: int) -> list[Optional[HopDelayStats]]:
         """One entry per forward hop: the flow's accumulator there, or
-        ``None`` for hops the flow does not traverse.  Empty for dumbbells."""
+        ``None`` for hops the flow does not traverse.  Empty with one hop."""
         return [hop_map.get(flow_id) for hop_map in self.hop_delays]
 
     def hop_avg_delays_ms(self, flow_id: int) -> list[float]:
         """Mean queueing delay (ms) the flow experienced at each forward hop
-        (0.0 at hops it does not traverse).  Empty for dumbbells."""
+        (0.0 at hops it does not traverse).  Empty with one hop."""
         return [
             hop.avg_delay_ms() if hop is not None else 0.0
             for hop in self.hop_delay_breakdown(flow_id)
@@ -190,7 +191,9 @@ class Simulation:
         #: Name of the engine actually driving this run (``"generic"`` or
         #: ``"flat"``) — what ``kernel="auto"`` resolved to.
         self.kernel_name = self.kernel.name
-        self.scheduler = self.kernel.create_scheduler(spec)
+        # Converted once: scheduler choice, seal and wiring all read this.
+        path_spec = spec.to_path_spec()
+        self.scheduler = self.kernel.create_scheduler(path_spec)
         #: Per-simulation packet freelist (see :class:`PacketPool`).  Pooling
         #: is a pure allocation optimisation — results are bit-identical with
         #: it off (``use_packet_pool=False``), which the packet-pool tests
@@ -205,18 +208,15 @@ class Simulation:
             else None
         )
         self.master_rng = random.Random(seed)
-        #: The topology spec builds its own network class (dumbbell fast
-        #: path or multi-hop path network); both consume exactly one master
-        #: rng draw here, so adding path topologies cannot perturb the
-        #: per-flow random streams of existing dumbbell runs.
-        self.network: Union[DumbbellNetwork, PathNetwork] = spec.build_network(
-            self.scheduler, rng=random.Random(self.master_rng.getrandbits(32))
+        #: The network consumes exactly one master rng draw, whatever its
+        #: shape, so the per-flow random streams do not depend on it.
+        self.network: PathNetwork = PathNetwork(
+            self.scheduler, path_spec, rng=random.Random(self.master_rng.getrandbits(32))
         )
         # Before the flows attach (arming rebinds the link's ``receive``)
         # and before the kernel fuses it.  Whether the topology can seal is
         # the spec's own property, not a choice made here.
-        if isinstance(self.network, DumbbellNetwork):
-            self.network.arm_seal(duration)
+        self.network.arm_seal(duration)
         #: Runtime sanitizer (see :mod:`repro.netsim.invariants`).  Built
         #: before the flows so its counting wrappers are in place when
         #: ``attach_flow`` captures the delivery callbacks.
@@ -278,8 +278,8 @@ class Simulation:
             queue_drops=self.network.queue_drops,
             queue_marks=self.network.queue_marks,
             events_processed=self.scheduler.events_processed,
-            hop_delays=getattr(self.network, "hop_delay_stats", []),
-            sealed_at=getattr(self.network, "sealed_at", None),
+            hop_delays=self.network.hop_delay_stats,
+            sealed_at=self.network.sealed_at,
             truncated=truncated,
         )
 

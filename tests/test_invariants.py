@@ -112,7 +112,7 @@ class TestSeededViolations:
         # object at build time, so a post-construction swap like this one
         # would never see traffic under it.
         sim = build_sim(debug_invariants=True, kernel="generic")
-        sim.network.bottleneck.queue = _LeakyQueue(sim.network.bottleneck.queue)
+        sim.network.forward_links[0].queue = _LeakyQueue(sim.network.forward_links[0].queue)
         with pytest.raises(InvariantViolation) as excinfo:
             sim.run()
         message = str(excinfo.value)
@@ -125,7 +125,7 @@ class TestSeededViolations:
         # counted — conservation breaks in the other direction.
         # Pinned generic for the same post-construction-patch reason.
         sim = build_sim(debug_invariants=True, kernel="generic")
-        queue = sim.network.bottleneck.queue
+        queue = sim.network.forward_links[0].queue
         inner_enqueue = queue.enqueue
 
         def silently_dropping_enqueue(packet, now):
@@ -142,7 +142,7 @@ class TestSeededViolations:
         sim = build_sim(debug_invariants=True)
         checker = sim.invariant_checker
         checker.check_now()  # pristine state passes
-        sim.network.bottleneck.queue._bytes = -1500
+        sim.network.forward_links[0].queue._bytes = -1500
         with pytest.raises(InvariantViolation, match="negative|drift|accumulator"):
             checker.check_now()
 

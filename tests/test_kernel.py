@@ -210,9 +210,8 @@ class TestParity:
 # Hooks bound after the build reach a fused hop
 # ---------------------------------------------------------------------------
 def _hop(sim):
-    """The first forward hop, whatever the topology class."""
-    network = sim.network
-    return getattr(network, "bottleneck", None) or network.forward_links[0]
+    """The first forward hop."""
+    return sim.network.forward_links[0]
 
 
 class TestLateBoundHooks:

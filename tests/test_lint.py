@@ -279,3 +279,45 @@ class TestOneHarnessEntryPoint:
             and "run_batch" in self._names(node)
         ]
         assert submitters == ["run_cells"]
+
+
+class TestOneTopology:
+    """``PathNetwork`` stays the only class that wires flows through links,
+    and the layers above it never ask which spelling built the network."""
+
+    NETSIM = REPO_ROOT / "src" / "repro" / "netsim"
+    TOPOLOGY_NAMES = {"NetworkSpec", "PathSpec", "TopologySpec", "PathNetwork"}
+
+    def test_one_class_attaches_flows(self):
+        owners = [
+            f"{path.name}:{cls.name}"
+            for path in sorted(self.NETSIM.glob("*.py"))
+            for cls in ast.walk(ast.parse(path.read_text()))
+            if isinstance(cls, ast.ClassDef)
+            and any(
+                isinstance(node, ast.FunctionDef) and node.name == "attach_flow"
+                for node in cls.body
+            )
+        ]
+        assert owners == ["path.py:PathNetwork"]
+
+    def test_the_second_network_class_is_not_named_anywhere(self):
+        offenders = [
+            str(path.relative_to(REPO_ROOT))
+            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
+            if "Dumbbell" + "Network" in path.read_text()
+        ]
+        assert offenders == []
+
+    @pytest.mark.parametrize("module", ["kernel.py", "simulator.py", "invariants.py"])
+    def test_no_isinstance_dispatch_on_the_topology(self, module):
+        tree = ast.parse((self.NETSIM / module).read_text())
+        offenders = [
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and TestOneHarnessEntryPoint._names(node.args[1]) & self.TOPOLOGY_NAMES
+        ]
+        assert offenders == []

@@ -22,9 +22,26 @@ class TestNetworkSpec:
         assert spec.rtt_for_flow(3) == 0.2
 
     def test_per_flow_rtt_length_mismatch(self):
-        spec = NetworkSpec(rtt=[0.05], n_flows=2)
-        with pytest.raises(ValueError):
-            spec.rtt_for_flow(1)
+        # Caught where the spec is built, not when flow 1 is attached.
+        with pytest.raises(ValueError, match="1 entries .* 2 flows"):
+            NetworkSpec(rtt=[0.05], n_flows=2)
+        # A longer-than-needed sequence stays legal.
+        assert NetworkSpec(rtt=[0.05, 0.1, 0.2], n_flows=2).rtt_for_flow(1) == 0.1
+
+    @pytest.mark.parametrize("rtt", [-0.1, float("inf"), float("nan"), (0.1, -0.1)])
+    def test_negative_or_non_finite_rtt_rejected(self, rtt):
+        # rtt=-0.1 used to construct, then die inside a callback under the
+        # generic kernel ("negative delay") and *run* under the fused one.
+        with pytest.raises(ValueError, match="rtt must be finite and non-negative"):
+            NetworkSpec(rtt=rtt, n_flows=2)
+
+    def test_zero_rtt_is_valid(self):
+        assert NetworkSpec(rtt=0.0).rtt_for_flow(0) == 0.0
+
+    @pytest.mark.parametrize("mss_bytes", [0, -1500])
+    def test_nonpositive_mss_rejected(self, mss_bytes):
+        with pytest.raises(ValueError, match="mss_bytes must be positive"):
+            NetworkSpec(mss_bytes=mss_bytes)
 
     def test_unknown_queue_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -115,7 +132,7 @@ class TestForwardPathLoss:
         assert lossless.events_processed == baseline.events_processed
         sim, _ = self._run(loss_rate=0.0)
         assert sim.network.link_losses == 0
-        assert sim.network._loss_rng is None
+        assert sim.network._gates == ([None], [])
 
     def test_lossy_runs_are_seed_deterministic(self):
         _, a = self._run(loss_rate=0.05, seed=11)

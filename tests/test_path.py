@@ -1,21 +1,24 @@
-"""Unit and equivalence tests for the multi-bottleneck path subsystem.
+"""Unit tests for the path topology engine.
 
-The load-bearing contract: the dumbbell is the one-forward-hop special case
-of a path.  ``NetworkSpec.to_path_spec()`` run through :class:`PathNetwork`
-must reproduce the :class:`DumbbellNetwork` run bit-identically, for every
-queue discipline, for trace-driven bottlenecks and for stochastic loss.
+The load-bearing contract: there is one network class.  The dumbbell is the
+one-forward-hop case of a path — ``NetworkSpec`` is a spelling of it, not a
+second engine — and what only a dumbbell can do (the two-lane scheduler, the
+seal in ``tests/test_seal.py``) follows the path's shape, not its spelling.
+The goldens pin the numbers; these tests pin the structure.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.netsim.events import EventScheduler
+from repro.netsim.kernel import FlatScheduler
 from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathNetwork, PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
-from repro.scenarios import get_scenario, simulation_fingerprint
+from repro.scenarios import all_scenarios, get_scenario, simulation_fingerprint
 
 
 def _newreno(n):
@@ -102,6 +105,21 @@ class TestPathSpecValidation:
         assert spec.rtt_for_flow(1) == 0.2
         assert spec.mean_rtt() == pytest.approx(0.125)
 
+    def test_short_rtt_sequence_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="1 entries .* 2 flows"):
+            PathSpec(rtt=(0.1,), n_flows=2)
+        assert PathSpec(rtt=(0.1, 0.2, 0.3), n_flows=2).rtt_for_flow(1) == 0.2
+
+    @pytest.mark.parametrize("rtt", [-0.1, float("inf"), float("nan"), (0.1, -0.1)])
+    def test_negative_or_non_finite_rtt_rejected(self, rtt):
+        with pytest.raises(ValueError, match="rtt must be finite and non-negative"):
+            PathSpec(rtt=rtt, n_flows=2)
+
+    def test_zero_rtt_and_positive_mss_required(self):
+        assert PathSpec(rtt=0.0).rtt_for_flow(0) == 0.0
+        with pytest.raises(ValueError, match="mss_bytes must be positive"):
+            PathSpec(mss_bytes=0)
+
     def test_bottleneck_rate_respects_flow_route(self):
         spec = PathSpec(
             forward=(LinkSpec(rate_bps=20e6), LinkSpec(rate_bps=5e6)),
@@ -135,34 +153,33 @@ class TestPathSpecValidation:
         assert clone == spec
 
 
-# Dumbbell cells covering every wiring variant the conversion must preserve:
-# tail-drop, per-flow RTTs over sfqCoDel, RED-rng (DCTCP gateway), the XCP
-# router, a trace-driven bottleneck, and stochastic forward loss.
-EQUIVALENCE_CELLS = [
-    "fig4-dumbbell8",
-    "fig10-rtt-fairness",
-    "datacenter-dctcp",
-    "bench-newreno-xcp",
-    "fig7-lte4",
-    "cellular-lossy",
-]
+class TestOneNetworkClass:
+    def test_every_registered_cell_builds_a_path_network(self):
+        for cell in all_scenarios():
+            sim = cell.build()
+            assert type(sim.network) is PathNetwork, cell.name
+            assert sim.network.spec == cell.network_spec().to_path_spec(), cell.name
 
+    def test_scheduler_follows_the_shape_not_the_spelling(self):
+        def scheduler_of(spec):
+            return type(Simulation(spec, _newreno(spec.n_flows), duration=1.0).scheduler)
 
-class TestDumbbellEquivalence:
-    @pytest.mark.parametrize("cell_name", EQUIVALENCE_CELLS)
-    def test_single_hop_path_is_bit_identical_to_dumbbell(self, cell_name):
-        cell = get_scenario(cell_name)
-        dumbbell = simulation_fingerprint(cell.run())
-        net_spec = cell.network_spec()
-        path_sim = Simulation(
-            net_spec.to_path_spec(),
-            cell.make_protocols(),
-            cell.make_workloads(),
-            duration=cell.duration,
-            seed=cell.seed,
-        )
-        assert isinstance(path_sim.network, PathNetwork)
-        assert simulation_fingerprint(path_sim.run()) == dumbbell
+        dumbbell = NetworkSpec(link_rate_bps=4e6, rtt=0.08, n_flows=2)
+        hop = dumbbell.bottleneck()
+        one_hop = PathSpec(forward=(hop,), rtt=0.08, n_flows=2)
+        assert one_hop == dumbbell.to_path_spec()
+        assert scheduler_of(dumbbell) is scheduler_of(one_hop) is FlatScheduler
+        trace = [0.004 * i for i in range(1, 400)]
+        for name, spec in {
+            "per-flow-rtt": replace(one_hop, rtt=(0.05, 0.08)),
+            "per-flow-rtt-dumbbell": replace(dumbbell, rtt=(0.05, 0.08)),
+            "trace-driven": replace(dumbbell, delivery_trace=trace),
+            "trace-driven-hop": replace(one_hop, forward=(replace(hop, delivery_trace=trace),)),
+            "delayed-hop": replace(one_hop, forward=(replace(hop, delay=0.01),)),
+            "multi-hop": replace(one_hop, forward=(hop, hop)),
+            "reverse-hop": replace(one_hop, reverse=(hop,)),
+        }.items():
+            assert scheduler_of(spec) is EventScheduler, name
 
 
 class TestPathNetwork:
@@ -257,6 +274,16 @@ class TestPathNetwork:
         ).run()
         assert result.hop_delays == []
         assert result.hop_delay_breakdown(0) == []
+
+    def test_one_forward_hop_keeps_no_ledger_even_with_a_reverse_hop(self):
+        # With one forward hop the breakdown *is* the flow total: nothing is
+        # registered, so nothing is paid per packet or pickled per result.
+        sim = get_scenario("reverse-ack-congestion").build()
+        assert len(sim.network.forward_links) == len(sim.network.reverse_links) == 1
+        result = sim.run()
+        assert result.hop_delays == []
+        assert sim.network.forward_links[0].hop_delay_stats is None
+        assert all(stats.queue_delay_count > 0 for stats in result.flow_stats)
 
     def test_reverse_congestion_inflates_rtt(self):
         # Paced open-loop senders well below the forward bottleneck: forward

@@ -1,6 +1,6 @@
 """Sealing a drowned bottleneck (README "Performance").
 
-On a ``NetworkSpec.sealable`` dumbbell the simulator stops simulating sends
+On a ``PathSpec.sealable`` dumbbell the simulator stops simulating sends
 that can never be delivered.  The contract is that nothing but the send-side
 counters (and the event count) can tell: every receiver-side, link-side and
 RTT field of :class:`FlowStats`, every whisker ``use_count`` and sample —
@@ -30,6 +30,7 @@ from repro.core.optimizer import OptimizerSettings, OptimizerState, RemyOptimize
 from repro.core.serialization import save_json_atomic, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.network import NetworkSpec
+from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.sender import AlwaysOnWorkload
 from repro.netsim.simulator import Simulation, SimulationResult
 from repro.netsim.stats import FlowStats
@@ -230,6 +231,12 @@ def test_sealed_run_passes_the_invariant_sanitizer(kernel):
 # ---------------------------------------------------------------------------
 # Eligibility: a property of the topology spec, nothing else
 # ---------------------------------------------------------------------------
+#: The flood dumbbell spelled as the path it is.
+ONE_HOP = PathSpec(
+    forward=(LinkSpec(rate_bps=10e6, queue="infinite", name="bottleneck"),),
+    rtt=0.1,
+    n_flows=3,
+)
 INELIGIBLE = {
     "finite-droptail": flood_spec("droptail", buffer_packets=1000),
     "giant-droptail": flood_spec("droptail"),
@@ -242,14 +249,22 @@ INELIGIBLE = {
     "queue-factory": flood_spec("infinite").with_queue(
         flood_spec("infinite").make_queue
     ),
-    "path": flood_spec("infinite").to_path_spec(),
+    # Paths that are not dumbbells, each with an unlimited first queue.
+    "two-hop": dataclasses.replace(
+        ONE_HOP, forward=(ONE_HOP.forward[0], LinkSpec(rate_bps=20e6))
+    ),
+    "delayed-hop": dataclasses.replace(
+        ONE_HOP, forward=(dataclasses.replace(ONE_HOP.forward[0], delay=0.01),)
+    ),
+    "reverse-hop": dataclasses.replace(ONE_HOP, reverse=(LinkSpec(rate_bps=20e6),)),
 }
 
 
 def test_sealable_is_exactly_the_design_time_model():
-    assert flood_spec("infinite").sealable
+    # A property of the path's shape: either spelling of the dumbbell has it.
+    assert ONE_HOP.sealable and flood_spec("infinite").to_path_spec().sealable
     for name, spec in INELIGIBLE.items():
-        assert not getattr(spec, "sealable", False), name
+        assert not spec.to_path_spec().sealable, name
 
 
 @pytest.mark.parametrize("name", sorted(INELIGIBLE))
@@ -260,15 +275,18 @@ def test_ineligible_topologies_never_seal(name):
 
 
 def test_single_hop_path_simulates_every_send():
-    # The path engine runs the same infinite FIFO unsealed, which makes it a
-    # second reference (and pins that the seal changed nothing else).
-    sealed = run_flood(flood_spec("infinite"))
-    path = run_flood(flood_spec("infinite").to_path_spec())
-    assert exact_fields(sealed[0]) == exact_fields(path[0])
-    assert sealed[1] == path[1]
-    assert sum(s.packets_sent for s in path[0].flow_stats) > sum(
-        s.packets_sent for s in sealed[0].flow_stats
-    )
+    # ... unless it is the sealable shape.  Spelled as a path, the flood
+    # dumbbell seals at the same instant with identical results; behind a
+    # giant DropTail the same one-hop path simulates every send and stays
+    # the unsealed reference.
+    assert ONE_HOP == flood_spec("infinite").to_path_spec()
+    for kernel in ("generic", "flat"):
+        dumbbell = run_flood(flood_spec("infinite"), kernel=kernel)
+        path = run_flood(ONE_HOP, kernel=kernel)
+        assert path[0].sealed_at == dumbbell[0].sealed_at is not None, kernel
+        assert path == dumbbell, kernel
+    reference = run_flood(flood_spec("droptail").to_path_spec())
+    assert_sealed_matches_reference(path, reference)
 
 
 @pytest.mark.parametrize("cell_name", scenario_names())
