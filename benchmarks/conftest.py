@@ -5,7 +5,9 @@ scale (fewer repetitions and shorter simulated durations than the paper's
 128 x 100-second runs), prints the corresponding rows/series and asserts
 the paper's qualitative shape, so the comparison can be re-checked from the
 benchmark output alone.  ``pytest benchmarks/ --benchmark-only -s`` shows the
-tables inline.
+tables inline.  None of them is a performance yardstick — that is ``bench/``
+(``BENCHMARK.json``); the one exception to "a figure or a table" is
+``test_bench_distributed_eval.py``, the ``QueueBackend`` tripwire.
 """
 
 from __future__ import annotations

@@ -83,7 +83,9 @@ class CellStudy:
 class StudyResult:
     """The full grid: one :class:`CellStudy` per swept cell."""
 
-    duration: float
+    #: Simulated seconds per run; ``None`` when every cell ran its own
+    #: canonical duration.
+    duration: Optional[float]
     n_runs: int
     cells: list[CellStudy] = field(default_factory=list)
 
@@ -108,13 +110,18 @@ class StudyResult:
 
     def to_markdown(self) -> str:
         """The committed study artifact: ranked tables, frontier marked."""
+        run_length = (
+            f"{self.duration:g} simulated seconds"
+            if self.duration is not None
+            else "each cell's canonical duration"
+        )
         lines = [
             "# Scheme × path × AQM study",
             "",
             "Ranked per-cell throughput/delay tables over the scenario "
             "registry's dumbbell, AQM and multi-bottleneck path cells.  "
             "Each point pools per-sender results over "
-            f"{self.n_runs} run(s) of {self.duration:g} simulated seconds "
+            f"{self.n_runs} run(s) of {run_length} "
             "(collision-free `sweep_seed` seeding).  `*` marks schemes on "
             "the cell's efficient throughput/delay frontier (higher "
             "throughput, lower queueing delay; see "
@@ -180,9 +187,7 @@ def run_study(
         backend=backend,
         max_events=max_events,
     )
-    result = StudyResult(
-        duration=duration if duration is not None else 0.0, n_runs=n_runs
-    )
+    result = StudyResult(duration=duration, n_runs=n_runs)
     for cell, cell_runs in zip(cell_specs, grid):
         summaries = [
             summarize_runs(scheme.name, runs)
@@ -193,8 +198,4 @@ def run_study(
         )
         frontier = [s.scheme for s in efficient_frontier(summaries)]
         result.cells.append(CellStudy(cell=cell, ranked=ranked, frontier=frontier))
-    if duration is None and result.cells:
-        # Report the canonical durations actually used (they may differ per
-        # cell); the header shows the first cell's as representative.
-        result.duration = result.cells[0].cell.duration
     return result

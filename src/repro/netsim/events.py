@@ -367,10 +367,15 @@ class EventScheduler:
         return executed
 
     def run(self, max_events: Optional[int] = None) -> int:
-        """Run until the event queue is empty.  Returns events executed."""
+        """Run until the event queue is empty.  Returns events executed.
+
+        As in :meth:`run_until`, only an event *beyond* ``max_events`` raises.
+        """
         executed = 0
-        while self.step():
+        while max_events is None or executed < max_events:
+            if not self.step():
+                return executed
             executed += 1
-            if max_events is not None and executed >= max_events:
-                raise EventCapExceeded(f"exceeded max_events={max_events}")
+        if self.pending:
+            raise EventCapExceeded(f"exceeded max_events={max_events}")
         return executed

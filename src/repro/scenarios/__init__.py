@@ -26,7 +26,7 @@ from repro.scenarios.registry import (
     unregister_scenario,
 )
 from repro.scenarios import builtin as _builtin  # noqa: F401  (registers cells)
-from repro.scenarios.builtin import ASYM_RTTS, BENCH_CASE_SCENARIOS, FIGURE10_RTTS
+from repro.scenarios.builtin import ASYM_RTTS, FIGURE10_RTTS
 from repro.scenarios.fingerprint import (
     cell_fingerprint,
     dump_golden,
@@ -50,7 +50,6 @@ __all__ = [
     "topologies",
     "FIGURE10_RTTS",
     "ASYM_RTTS",
-    "BENCH_CASE_SCENARIOS",
     "cell_fingerprint",
     "simulation_fingerprint",
     "flow_fingerprint",

@@ -624,22 +624,8 @@ register_scenario(
 
 
 # ---------------------------------------------------------------------------
-# Benchmark cells (the events/sec harness builds these with duration=5.0)
+# Benchmark cells (bench/'s sim-long workload runs these for seconds of wall)
 # ---------------------------------------------------------------------------
-#: Benchmark case label -> registered cell, the single source of truth
-#: consumed by both ``benchmarks/test_bench_simulator_speed.py`` (the
-#: trajectory harness) and ``tools/profile_hotpath.py`` (which promises to
-#: profile *exactly* the benchmarked simulations).
-BENCH_CASE_SCENARIOS = {
-    "newreno/droptail": "bench-newreno-droptail",
-    "newreno/codel": "bench-newreno-codel",
-    "newreno/sfqcodel": "bench-newreno-sfqcodel",
-    "newreno/red": "bench-newreno-red",
-    "newreno/xcp": "bench-newreno-xcp",
-    "newreno/twohop": "bench-newreno-twohop",
-    "remy/droptail": "bench-remy-droptail",
-    "remy-training/droptail": "bench-remy-training",
-}
 
 
 def _bench_network(queue: str) -> NetworkSpec:

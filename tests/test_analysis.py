@@ -1,5 +1,6 @@
-"""Tests for the analysis helpers (ellipses, frontier, fairness, speedups)."""
+"""Tests for the analysis helpers (ellipses, frontier, fairness, speedups, study)."""
 
+import dataclasses
 import math
 
 import pytest
@@ -9,9 +10,15 @@ from repro.analysis.compare import format_speedup_table, speedup_table
 from repro.analysis.ellipse import fit_gaussian_ellipse
 from repro.analysis.fairness import jain_index, normalized_shares
 from repro.analysis.frontier import efficient_frontier, is_dominated
+from repro.analysis.study import CellStudy, StudyResult, run_study
 from repro.analysis.summary import SchemeSummary, format_summary_table, summarize_runs
+from repro.experiments.base import SchemeSpec
 from repro.netsim.simulator import SimulationResult
 from repro.netsim.stats import FlowStats
+from repro.protocols.newreno import NewReno
+from repro.protocols.vegas import Vegas
+from repro.scenarios import get_scenario
+from tools import run_study as run_study_tool
 
 
 def make_summary(name, tput, delay, n=8):
@@ -148,3 +155,74 @@ class TestSpeedupTable:
         cubic = make_summary("Cubic", 1.0, 15.0)
         text = format_speedup_table(speedup_table(remy, [cubic]), remycc_name="Remy")
         assert "Cubic" in text and "x" in text
+
+
+class TestStudy:
+    """``run_study`` on a two-cell, two-scheme, sub-second grid."""
+
+    SCHEMES = [SchemeSpec("Vegas", Vegas), SchemeSpec("NewReno", NewReno)]
+
+    @staticmethod
+    def cells():
+        return [
+            dataclasses.replace(get_scenario("fig4-dumbbell8"), duration=0.75),
+            dataclasses.replace(get_scenario("chain-3hop"), duration=0.5),
+        ]
+
+    def test_cells_are_ranked_by_median_throughput(self):
+        result = run_study(self.cells(), self.SCHEMES, n_runs=1, duration=0.5)
+        assert [cell_study.cell.name for cell_study in result.cells] == [
+            "fig4-dumbbell8",
+            "chain-3hop",
+        ]
+        for cell_study in result.cells:
+            rows = cell_study.rows()
+            assert [row["rank"] for row in rows] == [1, 2]
+            # NewReno out-sends Vegas in half a second, so the ranking had to
+            # reorder the schemes it was given.
+            assert [row["scheme"] for row in rows] == ["NewReno", "Vegas"]
+            assert rows[0]["median_throughput_mbps"] > rows[1]["median_throughput_mbps"]
+        assert "over 1 run(s) of 0.5 simulated seconds (collision-free" in result.to_markdown()
+
+    def test_header_does_not_pass_one_cell_duration_off_as_every_cells(self):
+        markdown = run_study(self.cells(), self.SCHEMES, n_runs=1).to_markdown()
+        assert "over 1 run(s) of each cell's canonical duration (collision-free" in markdown
+        assert "run(s) of 0.75 simulated seconds" not in markdown
+
+    @staticmethod
+    def synthetic():
+        # "b" out-ranks "a" in both cells and both are on the frontier;
+        # "dominated" is slower and later than either.
+        summaries = [
+            make_summary("dominated", 0.5, 30.0),
+            make_summary("a", 1.0, 2.0),
+            make_summary("b", 2.0, 20.0),
+        ]
+        ranked = sorted(summaries, key=lambda s: s.median_throughput_mbps(), reverse=True)
+        frontier = [s.scheme for s in efficient_frontier(summaries)]
+        return StudyResult(
+            duration=1.0,
+            n_runs=1,
+            cells=[CellStudy(cell, ranked, frontier) for cell in TestStudy.cells()],
+        )
+
+    def test_frontier_schemes_are_marked(self):
+        result = self.synthetic()
+        rows = result.cells[0].rows()
+        assert [(row["scheme"], row["frontier"]) for row in rows] == [
+            ("b", True),
+            ("a", True),
+            ("dominated", False),
+        ]
+        markdown = result.to_markdown()
+        assert "| 1 | b\\* |" in markdown and "| 2 | a\\* |" in markdown
+        assert "| 3 | dominated |" in markdown
+
+    def test_frontier_appearances_break_ties_by_name(self):
+        assert self.synthetic().frontier_appearances() == [("a", 2), ("b", 2), ("dominated", 0)]
+
+    def test_tool_rejects_a_negative_worker_count(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_study_tool.main(["--jobs", "-1", "--cells", "fig4-dumbbell8", "--out", "-"])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -90,6 +90,21 @@ def test_max_events_guard(scheduler):
         scheduler.run_until(100.0, max_events=50)
 
 
+def test_max_events_allows_a_clean_drain_of_exactly_that_many(scheduler):
+    # The cap guards against *exceeding* N, in run() as in run_until().
+    for i in range(3):
+        scheduler.schedule(i * 0.1, lambda: None)
+    assert scheduler.run(max_events=3) == 3
+    assert scheduler.pending == 0
+    # A third due event is what trips a cap of two, and it stays queued.
+    for i in range(3):
+        scheduler.schedule_after(i * 0.1, lambda: None)
+    with pytest.raises(SimulationError):
+        scheduler.run(max_events=2)
+    assert scheduler.events_processed == 5
+    assert scheduler.pending == 1
+
+
 def test_peek_time_skips_cancelled(scheduler):
     first = scheduler.schedule(1.0, lambda: None)
     scheduler.schedule(2.0, lambda: None)
@@ -286,6 +301,7 @@ def test_lane_survives_max_events_abort(scheduler):
 # ---------------------------------------------------------------------------
 PENDING_CHECKS = [
     test_initial_time_is_zero,
+    test_max_events_allows_a_clean_drain_of_exactly_that_many,
     test_pending_is_maintained_not_scanned,
     test_cancel_after_execution_is_noop,
     test_cancelling_the_currently_firing_event_is_safe,

@@ -11,8 +11,6 @@ caught.
 """
 
 import ast
-import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +44,14 @@ def expected_markers(path: Path) -> list[tuple[int, str]]:
         if "# expected: " in line:
             markers.append((lineno, line.rsplit("# expected: ", 1)[1].strip()))
     return sorted(markers)
+
+
+def tracked_files() -> list[str]:
+    """``git ls-files``, or skip the calling test outside a checkout."""
+    proc = subprocess.run(["git", "ls-files"], cwd=REPO_ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        pytest.skip("not a git checkout")
+    return proc.stdout.splitlines()
 
 
 def lint_file(path: Path) -> list[Violation]:
@@ -187,14 +193,9 @@ class TestRepoHygiene:
     GENERATED = ("__pycache__/", ".pyc", ".pytest_cache/", ".hypothesis/", ".benchmarks/")
 
     def test_no_tracked_bytecode_or_caches(self):
-        proc = subprocess.run(
-            ["git", "ls-files"], cwd=REPO_ROOT, capture_output=True, text=True
-        )
-        if proc.returncode != 0:
-            pytest.skip("not a git checkout")
         offenders = [
             line
-            for line in proc.stdout.splitlines()
+            for line in tracked_files()
             if line.endswith(".pyc")
             or any(part in line for part in ("__pycache__/", ".pytest_cache/", ".hypothesis/", ".benchmarks/"))
         ]
@@ -204,42 +205,6 @@ class TestRepoHygiene:
         gitignore = (REPO_ROOT / ".gitignore").read_text()
         for pattern in ("__pycache__/", "*.pyc", ".pytest_cache/"):
             assert pattern in gitignore
-
-    @pytest.mark.parametrize("label", [None, "milestone"])
-    def test_bench_trajectories_are_written_only_when_labelled(self, tmp_path, label):
-        """Plain tier-1 collects ``benchmarks/``; it must leave the tracked
-        ``BENCH_*.json`` files alone.  A throwaway test module borrows
-        ``test_bench_parallel_eval``'s autouse write fixture and records a
-        measurement; pytest then runs that fixture against a copy of the
-        committed trajectory, with and without ``BENCH_LABEL``."""
-        committed = (REPO_ROOT / "BENCH_parallel_eval.json").read_text()
-        trajectory = tmp_path / "trajectory.json"
-        trajectory.write_text(committed)
-        (tmp_path / "test_borrowed_fixture.py").write_text(
-            "import test_bench_parallel_eval as bench\n"
-            "from test_bench_parallel_eval import _write_trajectory  # noqa: F401\n"
-            "def test_records_a_measurement():\n"
-            "    bench._RESULT.update(workers=4, speedup=1.0)\n"
-        )
-        env = {k: v for k, v in os.environ.items() if k != "BENCH_LABEL"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "benchmarks")]
-        )
-        env["BENCH_PARALLEL_EVAL_JSON"] = str(trajectory)
-        if label is not None:
-            env["BENCH_LABEL"] = label
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", str(tmp_path)],
-            cwd=tmp_path, env=env, capture_output=True, text=True,
-        )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        if label is None:
-            assert trajectory.read_text() == committed
-        else:
-            before = json.loads(committed)["history"]
-            after = json.loads(trajectory.read_text())["history"]
-            assert after[:-1] == before
-            assert after[-1]["label"] == label and after[-1]["speedup"] == 1.0
 
 
 class TestOneHarnessEntryPoint:
@@ -321,3 +286,44 @@ class TestOneTopology:
             and TestOneHarnessEntryPoint._names(node.args[1]) & self.TOPOLOGY_NAMES
         ]
         assert offenders == []
+
+
+class TestOneBenchmark:
+    """``bench/`` (``BENCHMARK.json``) stays the only performance yardstick:
+    the events/sec harness, its regression gate, its tracked trajectories and
+    the second name for the bench cells do not come back."""
+
+    GONE_FILES = {
+        "benchmarks/check_bench_regression.py",
+        "benchmarks/test_bench_simulator_speed.py",
+        "benchmarks/test_bench_parallel_eval.py",
+        "benchmarks/test_bench_optimizer.py",
+    }
+    GONE_NAMES = ("BENCH_LABEL", "check_bench_regression", "BENCH_CASE_SCENARIOS")
+    #: The history files, and this guard itself.
+    MAY_NAME_THEM = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_lint.py"}
+
+    def test_the_second_harness_is_not_tracked(self):
+        offenders = [
+            path
+            for path in tracked_files()
+            if path in self.GONE_FILES
+            or (Path(path).name.startswith("BENCH_") and path.endswith(".json"))
+        ]
+        assert offenders == []
+
+    def test_nothing_names_the_deleted_switches(self):
+        offenders = [
+            path
+            for path in tracked_files()
+            if path not in self.MAY_NAME_THEM
+            and any(
+                name in (REPO_ROOT / path).read_text(errors="ignore")
+                for name in self.GONE_NAMES
+            )
+        ]
+        assert offenders == []
+
+    def test_ci_measures_with_the_repo_benchmark(self):
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        assert "bench/run.py" in workflow and "bench/compare.py" in workflow

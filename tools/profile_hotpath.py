@@ -1,14 +1,15 @@
-"""cProfile harness over the events/sec benchmark cases.
+"""cProfile harness over registered scenario cells.
 
 Future performance PRs should start from numbers, not hunches: this tool
-profiles exactly the simulations that ``benchmarks/test_bench_simulator_speed.py``
-times (same topology, protocols, duration and seed), so a hot spot seen here
-is a hot spot in the tracked trajectory.
+profiles any cell of the scenario registry by name, built at a 5-second
+measuring duration.  The ``bench-*`` cells and ``fig7-lte4`` are the ones
+``bench/``'s ``sim-long`` workload times, so a hot spot seen here is a hot
+spot in ``netsim.ns_per_event.<cell>``.
 
 Usage::
 
     PYTHONPATH=src python tools/profile_hotpath.py                  # default cases
-    PYTHONPATH=src python tools/profile_hotpath.py remy/droptail    # one case
+    PYTHONPATH=src python tools/profile_hotpath.py bench-remy-droptail  # one cell
     PYTHONPATH=src python tools/profile_hotpath.py --sort cumtime --limit 30 ...
     PYTHONPATH=src python tools/profile_hotpath.py --dump /tmp/out  # .pstats per case
     PYTHONPATH=src python tools/profile_hotpath.py --kernel flat    # pin the engine
@@ -22,7 +23,7 @@ kernels rep by rep, reporting the median of paired ratios, which cancels
 machine-load drift), printing the flat-vs-generic speedup.
 
 Dumped ``.pstats`` files can be explored interactively with
-``python -m pstats /tmp/out/newreno_droptail.pstats`` or visualized with
+``python -m pstats /tmp/out/bench-newreno-droptail.pstats`` or visualized with
 snakeviz (not bundled).
 """
 
@@ -38,34 +39,28 @@ from pathlib import Path
 
 from repro.netsim.kernel import KERNEL_NAMES
 from repro.netsim.simulator import Simulation
-from repro.scenarios import BENCH_CASE_SCENARIOS as CASE_SCENARIOS
 from repro.scenarios import get_scenario
 
 DEFAULT_CASES = [
-    "newreno/droptail",
-    "newreno/codel",
-    "newreno/twohop",
-    "remy/droptail",
-    "remy-training/droptail",
+    "bench-newreno-droptail",
+    "bench-newreno-codel",
+    "bench-newreno-twohop",
+    "bench-remy-droptail",
+    "bench-remy-training",
 ]
 
 #: ``--compare-kernels`` defaults: the lane scheduler (dumbbell) and the two
 #: heap-scheduler shapes (multi-hop path, trace-driven link).
-COMPARE_CASES = ["newreno/droptail", "newreno/twohop", "newreno/lte4"]
-
-#: Cases timed by ``--compare-kernels`` only — not part of the events/sec
-#: trajectory the speed benchmark records.
-EXTRA_CASE_SCENARIOS = {"newreno/lte4": "fig7-lte4"}
+COMPARE_CASES = ["bench-newreno-droptail", "bench-newreno-twohop", "fig7-lte4"]
 
 
 def build_simulation(case: str, kernel: str = "auto") -> Simulation:
-    """The exact simulation the speed benchmark times for ``case``."""
-    scenarios = {**CASE_SCENARIOS, **EXTRA_CASE_SCENARIOS}
-    if case not in scenarios:
-        raise SystemExit(
-            f"unknown case {case!r} (expected one of {', '.join(scenarios)})"
-        )
-    return get_scenario(scenarios[case]).build(duration=5.0, kernel=kernel)
+    """The registered cell ``case`` at the 5-second measuring duration."""
+    try:
+        cell = get_scenario(case)
+    except KeyError as error:  # the message lists scenario_names()
+        raise SystemExit(error.args[0]) from None
+    return cell.build(duration=5.0, kernel=kernel)
 
 
 def profile_case(
@@ -86,7 +81,7 @@ def profile_case(
     stats.sort_stats(sort).print_stats(limit)
     if dump_dir is not None:
         dump_dir.mkdir(parents=True, exist_ok=True)
-        out = dump_dir / (case.replace("/", "_") + ".pstats")
+        out = dump_dir / f"{case}.pstats"
         stats.dump_stats(out)
         print(f"dumped {out}")
 
@@ -131,7 +126,7 @@ def main() -> None:
     parser.add_argument(
         "cases",
         nargs="*",
-        help=f"benchmark cases to profile (default: {' '.join(DEFAULT_CASES)}; "
+        help=f"registered cells to profile (default: {' '.join(DEFAULT_CASES)}; "
         f"with --compare-kernels: {' '.join(COMPARE_CASES)})",
     )
     parser.add_argument(

@@ -82,6 +82,8 @@ def main(argv=None) -> int:
         help=f"output markdown path, or '-' for stdout (default {DEFAULT_OUT})",
     )
     args = parser.parse_args(argv)
+    if args.jobs is not None and args.jobs < 0:
+        parser.error(f"--jobs must be 0 (all cores) or a worker count, not {args.jobs}")
 
     duration = args.duration
     if duration is None:
