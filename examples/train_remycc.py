@@ -10,8 +10,8 @@ The defaults are laptop-scale (minutes); pass ``--paper-scale`` to request
 the paper's 16-specimen, 100-second evaluations (CPU-days in pure
 Python).  ``--workers N`` fans the specimen and
 candidate-neighbourhood simulations out over N worker processes, the way the
-paper's design runs used many cores; ``--workers 1`` (the default) keeps the
-bit-identical serial path.
+paper's design runs used many cores; ``--workers 1`` (the default) runs them
+in this process.  The designed tree is the same at every width.
 
 Long runs should checkpoint: ``--checkpoint design.ckpt.json`` writes the
 full resumable search state (tree, progress counters, settings, seed
@@ -71,8 +71,8 @@ def main() -> None:
         "--workers",
         type=int,
         default=1,
-        help="simulation worker processes (1 = serial, bit-identical; "
-        "0 = one per available CPU)",
+        help="simulation worker processes (1 = serial; 0 = one per available "
+        "CPU; the designed tree is the same at every width)",
     )
     parser.add_argument(
         "--retries",

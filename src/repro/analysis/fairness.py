@@ -16,10 +16,14 @@ def jain_index(allocations: Sequence[float]) -> float:
     values = [max(0.0, float(x)) for x in allocations]
     if not values:
         raise ValueError("need at least one allocation")
+    peak = max(values)
+    if peak == 0:
+        return 1.0
+    # The index is scale-invariant; dividing by the largest allocation first
+    # keeps the squares of tiny allocations from going subnormal.
+    values = [x / peak for x in values]
     total = sum(values)
     squares = sum(x * x for x in values)
-    if squares == 0:
-        return 1.0
     return total * total / (len(values) * squares)
 
 

@@ -10,12 +10,16 @@ paper relies on).
 
 The specimen simulations of one evaluation are independent, so the evaluator
 submits them as one batch to an :class:`~repro.runner.ExecutionBackend`; the
-default :class:`~repro.runner.SerialBackend` runs them in-process exactly as
-the pre-backend code did, while a
+default :class:`~repro.runner.SerialBackend` runs them in-process, while a
 :class:`~repro.runner.ProcessPoolBackend` fans them out across cores the way
 the paper's design runs did.  :meth:`Evaluator.evaluate_many` extends the
 same batching across several candidate rule tables at once (the optimizer
 scores a whole action neighbourhood per batch).
+
+A training evaluation's rule-usage statistics take one path on every backend:
+each job returns its own per-rule summary and the evaluator *sets* the tree's
+statistics to their fold, in specimen order — so scores, use counts and split
+points are a pure function of the ordered jobs, whatever ran them.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from repro.runner import (
     ResultCache,
     SerialBackend,
     SimJob,
-    merge_whisker_stats,
+    SimJobResult,
     mix_seed,
     whisker_tree_token,
 )
@@ -189,9 +193,10 @@ class Evaluator:
     def evaluate(self, tree: WhiskerTree, training: bool = True) -> EvaluationResult:
         """Simulate ``tree`` on every specimen and total the objective.
 
-        ``training=True`` records per-whisker use counts and triggering
-        memories on the tree (required by the optimizer's most-used-rule and
-        split steps); pass ``False`` for a read-only scoring pass.
+        ``training=True`` replaces the tree's per-whisker use counts and
+        triggering-memory samples with this evaluation's (required by the
+        optimizer's most-used-rule and split steps); pass ``False`` for a
+        read-only scoring pass.
         """
         return self.evaluate_many([tree], training=training)[0]
 
@@ -243,14 +248,27 @@ class Evaluator:
         per_tree = len(self.specimens)
         for tree_index, tree in enumerate(trees):
             batch = job_results[tree_index * per_tree : (tree_index + 1) * per_tree]
-            if training and not self.backend.shares_memory:
-                # Workers simulated isolated copies of the tree; fold their
-                # usage deltas into the master copy in specimen order.
-                merge_whisker_stats(
-                    tree, [jr.whisker_stats for jr in batch if jr.whisker_stats is not None]
-                )
+            if training:
+                self._set_usage(tree, batch)
             results.append(self._score_tree(batch))
         return results
+
+    @staticmethod
+    def _set_usage(tree: WhiskerTree, batch: Sequence[SimJobResult]) -> None:
+        """Set ``tree``'s statistics to the fold of its jobs' usage summaries."""
+        whiskers = tree.whiskers()
+        for job_result in batch:
+            # A JobFailure (on_failure="return") has no such field at all.
+            summary = getattr(job_result, "whisker_stats", None)
+            if summary is None or len(summary) != len(whiskers):
+                found = "no usage summary" if summary is None else f"usage for {len(summary)} rules"
+                raise ValueError(
+                    f"training job {job_result.job_id} returned {found} for a tree "
+                    f"of {len(whiskers)} rules (a failed job, or a result cached by "
+                    "an older version: clear the cache directory)"
+                )
+        for index, whisker in enumerate(whiskers):
+            whisker.set_usage([job_result.whisker_stats[index] for job_result in batch])
 
     def _score_tree(self, batch) -> EvaluationResult:
         flow_scores: list[FlowScore] = []

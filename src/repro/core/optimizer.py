@@ -180,9 +180,9 @@ class RemyOptimizer:
         table (structure, actions, epochs), the :class:`OptimizerState`
         counters and score history, both settings objects, and the
         evaluator's specimen seed schedule.  Per-whisker usage statistics
-        are deliberately *not* captured — every epoch begins by resetting
-        them and re-simulating (see :meth:`_run_epoch`) — which is exactly
-        why the epoch boundary is a bit-identical resume point.
+        are deliberately *not* captured — every epoch begins with a training
+        evaluation that replaces them (see :meth:`_run_epoch`) — which is
+        exactly why the epoch boundary is a bit-identical resume point.
         """
         state = asdict(self.state)
         # JSON has no -inf; None marks "no evaluation recorded yet".
@@ -315,7 +315,6 @@ class RemyOptimizer:
         self.tree.set_epoch(epoch)
         if self._budget_exhausted():
             return
-        self.tree.reset_statistics()
         baseline = self._evaluate(training=True)
         best_score = baseline.score
         while not self._budget_exhausted():
@@ -373,7 +372,6 @@ class RemyOptimizer:
         """
         if len(self.tree) >= self.settings.max_rules:
             return
-        self.tree.reset_statistics()
         self._evaluate(training=True)
         whisker = self.tree.most_used()
         if whisker is None:

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.core.action import Action
 from repro.core.memory import MAX_MEMORY, Memory, MemoryRange
-from repro.core.whisker import Whisker
+from repro.core.whisker import Whisker, WhiskerUsage
 
 
 class _Node:
@@ -248,6 +248,10 @@ class WhiskerTree:
     def reset_statistics(self) -> None:
         for whisker in self.whiskers():
             whisker.reset_statistics()
+
+    def usage(self) -> list[WhiskerUsage]:
+        """Every rule's statistics, in :meth:`whiskers` order."""
+        return [whisker.usage() for whisker in self.whiskers()]
 
     def set_epoch(self, epoch: int) -> None:
         """Mark every rule as belonging to ``epoch`` (§4.3 step 1)."""

@@ -3,11 +3,14 @@
 The design loop (§4.3) and the figure harnesses all boil down to batches of
 independent packet-level simulations.  This package describes one simulation
 as a picklable :class:`SimJob`, and runs batches through an
-:class:`ExecutionBackend` — serially in-process (the bit-identical default)
+:class:`ExecutionBackend` — serially in-process (the default)
 or across a pool of worker processes (:class:`ProcessPoolBackend`, the one
 local pool: poison-job bisection always, and with a :class:`RetryPolicy`
 retry with deterministic backoff, per-chunk timeouts and serial degradation;
 the policy and verdict types live in :mod:`repro.runner.resilience`).
+Every backend executes a job the same way (:func:`run_sim_job`): a
+training-mode job returns its own rule-usage summary in its result and the
+caller folds them, so what a batch yields never depends on where it ran.
 :mod:`repro.runner.distributed` scales the same batches over the network: a
 lease-based work queue (:class:`QueueBackend`, backend spec
 ``queue:host:port``) with worker heartbeats, crash recovery and graceful
@@ -44,10 +47,7 @@ from repro.runner.faults import (
 from repro.runner.jobs import (
     SimJob,
     SimJobResult,
-    WhiskerStatsDelta,
     chunk_result_mismatch,
-    collect_whisker_stats,
-    merge_whisker_stats,
     mix_seed,
     run_sim_job,
 )
@@ -95,19 +95,16 @@ __all__ = [
     "SerialBackend",
     "SimJob",
     "SimJobResult",
-    "WhiskerStatsDelta",
     "active_fault_plan",
     "available_workers",
     "backend_from_spec",
     "batch_cache_keys",
     "chunk_result_mismatch",
     "clear_fault_plan",
-    "collect_whisker_stats",
     "fault_plan_installed",
     "install_fault_plan",
     "job_cache_key",
     "mark_transport_worker",
-    "merge_whisker_stats",
     "mix_seed",
     "prepare_jobs",
     "record_failure",

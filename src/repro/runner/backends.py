@@ -5,20 +5,21 @@ cores (§4.3); this module provides that execution layer as a pluggable
 interface so the evaluator, the optimizer's candidate fan-out and the figure
 harnesses can share it:
 
-* :class:`SerialBackend` (the default everywhere) runs each job in-process on
-  the caller's own objects — training runs mutate the caller's tree in place,
-  exactly like the pre-backend code path, so results stay bit-identical.
+* :class:`SerialBackend` (the default everywhere) runs each job in-process,
+  one after the other.
 * :class:`ProcessPoolBackend` ships picklable jobs to a pool of worker
-  processes.  Workers operate on isolated copies of the rule table, so
-  training statistics come back as explicit per-whisker deltas that the
-  caller merges (see :func:`repro.runner.jobs.merge_whisker_stats`).  It is
+  processes, which operate on isolated copies of the rule table.  It is
   the only local pool, and it is fault tolerant: a chunk lost to a worker
   crash, hang, exception or corrupted result is retried as its
   :class:`~repro.runner.resilience.RetryPolicy` allows, then bisected until
   the failure is pinned on a single job.
 
 Backends preserve submission order: ``run_batch(jobs)[i]`` is always the
-result of ``jobs[i]``.  Determinism under retry: a
+result of ``jobs[i]``, and every backend executes a job the same way
+(:func:`repro.runner.jobs.run_sim_job`): a training-mode job starts from
+zeroed statistics and returns its own per-whisker usage summary in the
+result, which the caller folds — nothing is accumulated in place, so what a
+batch yields does not depend on where it ran.  Determinism under retry: a
 :class:`~repro.runner.jobs.SimJob` is a pure function of its pickled inputs,
 so re-executing a lost chunk reproduces the original results bit-for-bit —
 the pool's results match :class:`SerialBackend`'s no matter how many faults
@@ -70,7 +71,7 @@ def _execute_job_chunk(jobs: Sequence[SimJob], attempt: int = 0) -> list[SimJobR
     for job in jobs:
         if plan is not None:
             plan.apply_before_run(job.job_id, attempt)
-        result = run_sim_job(job, collect_stats=job.training and job.tree is not None)
+        result = run_sim_job(job)
         if plan is not None:
             result = plan.apply_after_run(job.job_id, attempt, result)
         results.append(result)
@@ -118,8 +119,8 @@ def prepare_jobs(jobs: Sequence[SimJob]) -> list[SimJob]:
     queue alike): factories are probed for picklability, scenario *names*
     are resolved against the submitting process's registry (a worker only
     has the built-in cells), and each distinct rule table is replaced by a
-    statistics-free copy via the JSON serialization round trip, so workers
-    start from zeroed counters and their returned deltas are pure.
+    statistics-free copy via the JSON serialization round trip, so stale
+    sample lists never cross the process boundary.
     """
     # Imported here rather than at module scope: repro.core's package
     # __init__ imports the evaluator, which imports this package.
@@ -151,11 +152,9 @@ def prepare_jobs(jobs: Sequence[SimJob]) -> list[SimJob]:
 class ExecutionBackend(ABC):
     """Runs batches of independent :class:`SimJob`\\ s."""
 
-    #: Whether jobs execute on the caller's own objects.  When ``True``,
-    #: training runs mutate the submitted tree directly and no statistics
-    #: merge is needed; when ``False``, callers must fold the returned
-    #: ``whisker_stats`` deltas into their tree.
-    shares_memory: bool = True
+    #: Inert: bench/run.py's ``RecordingBackend`` copies it from the backend it
+    #: wraps, and ``bench/`` is frozen (ROADMAP item 1 drops both).
+    shares_memory = False
 
     @abstractmethod
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
@@ -172,9 +171,7 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process, sequential execution — the bit-identical default."""
-
-    shares_memory = True
+    """In-process, sequential execution — the default."""
 
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
         return [run_sim_job(job) for job in jobs]
@@ -190,9 +187,7 @@ class ProcessPoolBackend(ExecutionBackend):
     jobs require a module-level factory (a protocol class qualifies — a
     closure does not).  Before shipping, each distinct tree in the batch is
     replaced by a statistics-free copy (via the JSON serialization round
-    trip) so workers start from zeroed counters and their returned deltas
-    are pure, and so stale sample reservoirs never cross the process
-    boundary.
+    trip) so stale sample lists never cross the process boundary.
 
     Submission is *chunked*: the batch is cut into runs of ``chunk_jobs``
     consecutive jobs and each chunk is one worker task — one pickle of the
@@ -235,8 +230,6 @@ class ProcessPoolBackend(ExecutionBackend):
     call :meth:`close` (or use the backend as a context manager) to reap the
     workers.
     """
-
-    shares_memory = False
 
     def __init__(
         self,

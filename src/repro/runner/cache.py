@@ -28,9 +28,9 @@ should — keys deliberately exclude job ids, tree names and epoch counters
 so reordered batches and resumed runs keep hitting.
 
 Uncacheable jobs (``None`` key) are passed straight through: closure
-protocol factories (no stable qualified name) and — under a
-``shares_memory`` backend — training jobs, whose in-place tree mutation a
-cache hit would silently skip.
+protocol factories have no stable qualified name.  Training jobs cache like
+any other, on every backend — their statistics are part of the stored
+result, not a side effect a hit would skip.
 """
 
 from __future__ import annotations
@@ -145,25 +145,10 @@ def job_cache_key(
     return f"{protocol}/{_environment_token(job)}/{job.seed}"
 
 
-def batch_cache_keys(
-    jobs: Sequence[SimJob], skip_training: bool = False
-) -> list[Optional[str]]:
-    """Per-job cache keys for one batch (shared-tree hashing memoized).
-
-    ``skip_training=True`` marks training jobs uncacheable — required when
-    the executing backend shares memory with the caller, where a training
-    run's purpose is partly its in-place statistics mutation and a cache
-    hit would silently skip it.  Memory-isolated backends return statistics
-    explicitly in the result, so their training jobs cache fine.
-    """
+def batch_cache_keys(jobs: Sequence[SimJob]) -> list[Optional[str]]:
+    """Per-job cache keys for one batch (shared-tree hashing memoized)."""
     tree_tokens: dict[int, str] = {}
-    keys: list[Optional[str]] = []
-    for job in jobs:
-        if skip_training and job.training and job.tree is not None:
-            keys.append(None)
-        else:
-            keys.append(job_cache_key(job, tree_tokens))
-    return keys
+    return [job_cache_key(job, tree_tokens) for job in jobs]
 
 
 class ResultCache:
@@ -267,10 +252,9 @@ class CachingBackend(ExecutionBackend):
     def __init__(self, inner: ExecutionBackend, cache: ResultCache) -> None:
         self.inner = inner
         self.cache = cache
-        self.shares_memory = inner.shares_memory
 
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
-        keys = batch_cache_keys(jobs, skip_training=self.shares_memory)
+        keys = batch_cache_keys(jobs)
         results: list[Optional[SimJobResult]] = [None] * len(jobs)
         miss_slots: list[int] = []
         for slot, (job, key) in enumerate(zip(jobs, keys)):

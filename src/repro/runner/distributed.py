@@ -357,10 +357,9 @@ class QueueBackend(ExecutionBackend):
     filled.  Workers connect with ``python -m repro.runner.distributed
     worker host:port``.
 
-    Memory-isolated like the process pool (``shares_memory = False``):
-    jobs are prepared with the shared
-    :func:`~repro.runner.backends.prepare_jobs` pass, and training
-    statistics come back as explicit deltas.
+    Jobs are prepared with the same
+    :func:`~repro.runner.backends.prepare_jobs` pass as the process pool's
+    and run through the same worker entry point.
 
     If no worker is registered for ``worker_wait`` consecutive seconds
     (never having registered counts from the first pump), the batch
@@ -371,8 +370,6 @@ class QueueBackend(ExecutionBackend):
     or land as :class:`~repro.runner.resilience.JobFailure` entries
     (``on_failure="return"``), matching the process pool.
     """
-
-    shares_memory = False
 
     def __init__(
         self,

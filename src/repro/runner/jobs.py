@@ -8,18 +8,19 @@ picklable form so an :class:`~repro.runner.backends.ExecutionBackend` can run
 it in this process or ship it to a worker process; a :class:`SimJobResult`
 carries the outcome back.
 
-Training-mode RemyCC jobs additionally return per-whisker usage deltas
-(:class:`WhiskerStatsDelta`, one per leaf in the tree's deterministic
-depth-first order — the same ordering contract as
-:mod:`repro.core.serialization`) so the master process can merge statistics
-into its own tree instead of relying on in-place mutation, which process
-isolation would silently discard.
+Every training-mode RemyCC job — whichever backend runs it — starts from
+zeroed statistics and returns its own per-rule usage summary (one
+:class:`~repro.core.whisker.WhiskerUsage` per leaf in the tree's
+deterministic depth-first order — the same ordering contract as
+:mod:`repro.core.serialization`); the evaluator folds the summaries of one
+evaluation into its tree in submission order, so the statistics are a pure
+function of the ordered jobs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.netsim.sender import Workload
@@ -29,6 +30,7 @@ if TYPE_CHECKING:
     # Annotation-only imports.  repro.core's package __init__ imports the
     # evaluator, which imports this package, so a runtime import of
     # repro.core here would be circular (likewise for protocols).
+    from repro.core.whisker import WhiskerUsage
     from repro.core.whisker_tree import WhiskerTree
     from repro.protocols.base import CongestionControl
     from repro.scenarios.spec import ScenarioSpec
@@ -156,66 +158,17 @@ class SimJob:
 
 
 @dataclass
-class WhiskerStatsDelta:
-    """Usage accumulated by one whisker during one job (worker-side)."""
-
-    use_count: int
-    samples: list[tuple[float, float, float]] = field(default_factory=list)
-
-
-@dataclass
 class SimJobResult:
     """Outcome of one :class:`SimJob`, picklable for the return trip.
 
-    ``whisker_stats`` is populated only for training-mode RemyCC jobs run
-    under a memory-isolated backend: one delta per tree leaf, in the tree's
-    depth-first leaf order.
+    ``whisker_stats`` is populated for training-mode RemyCC jobs, and only
+    those: one usage summary per tree leaf, in the tree's depth-first leaf
+    order, covering this job alone.
     """
 
     job_id: int
     result: SimulationResult
-    whisker_stats: Optional[list[WhiskerStatsDelta]] = None
-
-
-def collect_whisker_stats(tree: "WhiskerTree") -> list[WhiskerStatsDelta]:
-    """Snapshot per-whisker usage in depth-first leaf order."""
-    return [
-        WhiskerStatsDelta(use_count=w.use_count, samples=list(w._samples))
-        for w in tree.whiskers()
-    ]
-
-
-def merge_whisker_stats(
-    tree: "WhiskerTree", batches: list[list[WhiskerStatsDelta]]
-) -> None:
-    """Fold worker-side usage deltas into the master tree.
-
-    ``batches`` must be in job-submission order so the merge is
-    deterministic.  Use counts add exactly; sample reservoirs are refilled
-    with the same append-then-ring policy as :meth:`Whisker.use`, keyed off
-    the master's running use count.  (When a single whisker fires more than
-    ``SAMPLE_RESERVOIR`` times inside one job, the reconstructed reservoir
-    can retain a slightly different sample subset than a fully serial run —
-    use counts, and therefore rule selection, are unaffected.)
-    """
-    from repro.core.whisker import SAMPLE_RESERVOIR
-
-    whiskers = tree.whiskers()
-    for batch in batches:
-        if len(batch) != len(whiskers):
-            raise ValueError(
-                f"stats delta has {len(batch)} entries for {len(whiskers)} rules"
-            )
-        for whisker, delta in zip(whiskers, batch):
-            start = whisker.use_count
-            whisker.use_count += delta.use_count
-            for offset, sample in enumerate(delta.samples):
-                if len(whisker._samples) < SAMPLE_RESERVOIR:
-                    whisker._samples.append(sample)
-                else:
-                    # Whisker.use increments the count before writing, so the
-                    # k-th replayed sample (1-based) lands at start + k.
-                    whisker._samples[(start + offset + 1) % SAMPLE_RESERVOIR] = sample
+    whisker_stats: Optional[list["WhiskerUsage"]] = None
 
 
 def chunk_result_mismatch(
@@ -235,22 +188,18 @@ def chunk_result_mismatch(
     return f"worker returned results for job ids {got}, expected {expected}"
 
 
-def run_sim_job(job: SimJob, collect_stats: bool = False) -> SimJobResult:
+def run_sim_job(job: SimJob) -> SimJobResult:
     """Execute one job in the current process.
 
-    ``collect_stats=True`` snapshots the tree's per-whisker usage after the
-    run (for backends that execute on an isolated copy of the tree and must
-    send statistics back explicitly); in-process backends leave it ``False``
-    because training runs already mutate the caller's tree directly.
-
-    A collected snapshot must be a pure per-job delta, but the tree object
-    may be shared with other jobs in the same worker (a chunk of jobs is
-    unpickled as one message, so jobs of one chunk reference one tree
-    copy), so the statistics are zeroed before the run rather than
-    trusting the tree to arrive clean.
+    A training-mode rule-table job returns the tree's per-whisker usage over
+    this run alone.  The tree object may be the caller's own, or shared with
+    other jobs of the same chunk (a chunk is unpickled as one message, so its
+    jobs reference one tree copy), so its statistics are zeroed before the
+    run rather than trusting the tree to arrive clean.
     """
-    if collect_stats and job.tree is not None and job.training:
-        job.tree.reset_statistics()
+    tree = job.tree if job.training else None
+    if tree is not None:
+        tree.reset_statistics()
     simulation = Simulation(
         job.spec,
         job.build_protocols(),
@@ -261,7 +210,8 @@ def run_sim_job(job: SimJob, collect_stats: bool = False) -> SimJobResult:
         max_events=job.max_events,
     )
     result = simulation.run()
-    whisker_stats = None
-    if collect_stats and job.tree is not None and job.training:
-        whisker_stats = collect_whisker_stats(job.tree)
-    return SimJobResult(job_id=job.job_id, result=result, whisker_stats=whisker_stats)
+    return SimJobResult(
+        job_id=job.job_id,
+        result=result,
+        whisker_stats=tree.usage() if tree is not None else None,
+    )

@@ -262,16 +262,12 @@ def run_item_serially(
     Used when a backend stops trusting its workers: the process pool
     after too many rebuilds, and the distributed coordinator when no worker
     is alive.  Runs job by job so a genuine per-job exception is attributed
-    to that job alone.  Statistics collection mirrors the worker chunk
-    entry point, so training-mode delta merging is unaffected by
-    degradation.  Injected faults do not fire here: this is not a worker
-    process.
+    to that job alone.  Injected faults do not fire here: this is not a
+    worker process.
     """
     for offset, job in enumerate(item.jobs):
         try:
-            result = run_sim_job(
-                job, collect_stats=job.training and job.tree is not None
-            )
+            result = run_sim_job(job)
         except Exception as exc:
             failure = JobFailure(
                 job_id=job.job_id,

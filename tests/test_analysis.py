@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.compare import format_speedup_table, speedup_table
 from repro.analysis.ellipse import fit_gaussian_ellipse
@@ -132,10 +132,17 @@ class TestFairness:
             jain_index([])
 
     @given(values=st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=20))
+    @example(values=[1e-161] * 5)  # squares used to go subnormal: 1.012 ...
+    @example(values=[2.2e-162] * 7)  # ... and 0.98, for perfectly equal shares
     @settings(max_examples=100, deadline=None)
     def test_jain_bounds(self, values):
         index = jain_index(values)
         assert 0.0 < index <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("scale", [1e-161, 1.0, 1e6])
+    def test_jain_of_equal_allocations_is_exactly_one(self, scale):
+        for n in (1, 5, 7):
+            assert jain_index([scale] * n) == 1.0
 
 
 class TestSpeedupTable:

@@ -35,7 +35,7 @@ from typing import Iterator, Optional
 
 import pytest
 
-from repro.core.config import ConfigRange, ParameterRange
+from repro.core.config import ConfigRange, ParameterRange, general_purpose_range
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer
@@ -55,7 +55,6 @@ from repro.runner import (
     SerialBackend,
     SimJob,
     backend_from_spec,
-    batch_cache_keys,
     fault_plan_installed,
     job_cache_key,
     whisker_tree_token,
@@ -406,15 +405,6 @@ class TestCacheKeys:
         other.set_epoch(41)
         assert whisker_tree_token(one) == whisker_tree_token(other)
 
-    def test_training_jobs_skipped_only_when_memory_is_shared(self):
-        tree = WhiskerTree(name="t")
-        job = replace(
-            make_jobs(1)[0], protocol_factory=None, tree=tree, training=True
-        )
-        assert batch_cache_keys([job], skip_training=True) == [None]
-        [key] = batch_cache_keys([job], skip_training=False)
-        assert key is not None and key.startswith("tree:")
-
 
 class TestResultCache:
     def test_memory_hit_is_bit_identical_and_isolated(self, serial4):
@@ -478,6 +468,34 @@ class TestCachingBackend:
         results = backend.run_batch(make_jobs(4))
         assert inner.batches == [[0, 1], [2, 3]]
         assert pickle.dumps(results) == pickle.dumps(serial4)
+
+    def test_warm_training_evaluation_on_serial_is_all_hits(self):
+        # Training statistics travel in the result, so a hit carries them:
+        # nothing is simulated and the tree ends up exactly as after the
+        # cold evaluation — also in-process, where statistics used to be a
+        # side effect a hit would have skipped.
+        cache = ResultCache()
+        inner = _CountingSerial()
+        evaluator = Evaluator(
+            tiny_range(),
+            settings=EvaluatorSettings(num_specimens=2, sim_duration=1.0, seed=3),
+            backend=inner,
+            cache=cache,
+        )
+
+        def usage(tree):
+            return [(w.use_count, w.median_trigger().as_tuple()) for w in tree.whiskers()]
+
+        cold_tree = WhiskerTree(name="cold")
+        cold = evaluator.evaluate(cold_tree, training=True)
+        assert sum(count for count, _ in usage(cold_tree)) > 0
+        misses = cache.misses
+        warm_tree = WhiskerTree(name="warm")
+        warm = evaluator.evaluate(warm_tree, training=True)
+        assert cache.misses == misses
+        assert inner.batches == [[0, 1]]
+        assert warm.score == cold.score
+        assert usage(warm_tree) == usage(cold_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -738,3 +756,54 @@ class TestOptimizerOverQueue:
         assert whisker_tree_to_dict(resumed_tree) == whisker_tree_to_dict(ref_tree)
         assert resumed.state.score_history == reference.state.score_history
         assert resumed.state.evaluations_used == reference.state.evaluations_used
+
+
+# ---------------------------------------------------------------------------
+# One statistics path: the designed tree does not depend on what ran the jobs
+# ---------------------------------------------------------------------------
+class TestSameTreeByConstruction:
+    """The pinned design run of ``bench/`` (``design-serial`` / ``design-pool``).
+
+    Its split evaluation fires the root rule more than the sample bound in
+    one job, which is where in-place accumulation and merged worker deltas
+    used to keep different samples: serial and pooled runs split the root at
+    different points.
+    """
+
+    @staticmethod
+    def design(backend, cache=None):
+        evaluator = Evaluator(
+            general_purpose_range(),
+            Objective.proportional(1.0),
+            EvaluatorSettings(num_specimens=2, sim_duration=2.0, seed=0),
+            backend=backend,
+            cache=cache,
+        )
+        optimizer = RemyOptimizer(
+            evaluator,
+            tree=WhiskerTree(name="pinned"),
+            settings=OptimizerSettings(
+                epochs_per_split=1, max_epochs=2, max_evaluations=105, candidate_magnitudes=1
+            ),
+        )
+        tree = optimizer.optimize()
+        return (
+            whisker_tree_token(tree),
+            tree._root.split_point,
+            [repr(score) for score in optimizer.state.score_history],
+        )
+
+    def test_every_backend_designs_the_same_tree(self):
+        outcomes = {"serial": self.design(SerialBackend())}
+        outcomes["serial + cache"] = self.design(SerialBackend(), cache=ResultCache())
+        for spec in ("process:2", "process:2:1", "process:2:7"):
+            with backend_from_spec(spec) as backend:
+                outcomes[spec] = self.design(backend)
+        with QueueBackend(worker_wait=120.0) as backend:
+            with spawn_workers(backend.address, 2):
+                outcomes["queue"] = self.design(backend)
+            assert not backend.degraded
+        token, split_point, history = outcomes["serial"]
+        assert split_point is not None and len(history) == 106
+        for name, outcome in outcomes.items():
+            assert outcome == (token, split_point, history), name

@@ -11,6 +11,7 @@ caught.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -327,3 +328,34 @@ class TestOneBenchmark:
     def test_ci_measures_with_the_repo_benchmark(self):
         workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
         assert "bench/run.py" in workflow and "bench/compare.py" in workflow
+
+
+class TestOneStatisticsPath:
+    """Rule-usage statistics take one path — every job returns its summary,
+    the evaluator folds them — and one module knows the sampling policy."""
+
+    SRC = REPO_ROOT / "src"
+    POLICY_WORDS = ("_samples", "_sample_stride", "SAMPLE_RESERVOIR")
+    GONE_NAMES = ("collect_stats", "skip_training", "merge_whisker_stats")
+
+    def _lines_naming(self, pattern: str) -> list[str]:
+        return [
+            f"{path.relative_to(self.SRC)}:{lineno}"
+            for path in sorted(self.SRC.rglob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(pattern, line)
+        ]
+
+    def test_only_the_whisker_module_knows_the_sampling_policy(self):
+        # Whole words: BBR's ``_bw_samples`` is a different name.
+        pattern = r"(?<![A-Za-z0-9_])(" + "|".join(self.POLICY_WORDS) + r")(?![A-Za-z0-9_])"
+        files = {line.rsplit(":", 1)[0] for line in self._lines_naming(pattern)}
+        assert files == {"repro/core/whisker.py"}
+
+    def test_the_second_path_is_not_named_anywhere(self):
+        assert self._lines_naming("|".join(self.GONE_NAMES)) == []
+
+    def test_one_inert_attribute_survives_for_the_frozen_bench(self):
+        # bench/run.py's RecordingBackend reads it; nothing under src/ does.
+        [line] = self._lines_naming("shares_memory")
+        assert line.startswith("repro/runner/backends.py:")

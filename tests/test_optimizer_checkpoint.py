@@ -2,11 +2,12 @@
 
 The acceptance property: a run interrupted at an epoch boundary and resumed
 from its checkpoint produces exactly the same final tree and score history
-as an uninterrupted run.  That works because ``_run_epoch`` begins by
-resetting the per-whisker statistics and re-evaluating, so the epoch
+as an uninterrupted run.  That works because ``_run_epoch`` begins with a
+training evaluation that replaces the per-whisker statistics, so the epoch
 boundary depends on nothing but what the checkpoint captures — tree
 structure/actions/epochs, the ``OptimizerState`` counters, both settings
-objects and the evaluator seed schedule.
+objects and the evaluator seed schedule.  The backend is not among them: a
+run may be resumed on a box of a different width.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.config import ConfigRange, ParameterRange
+from repro.core.config import ConfigRange, ParameterRange, general_purpose_range
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
 from repro.core.optimizer import (
@@ -28,6 +29,7 @@ from repro.core.optimizer import (
 )
 from repro.core.serialization import save_json_atomic, save_remycc, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
+from repro.runner import ProcessPoolBackend, whisker_tree_token
 
 
 def tiny_range() -> ConfigRange:
@@ -150,6 +152,42 @@ class TestResume:
         assert resumed.state.improvements == ref_state.improvements
         assert resumed.state.splits == ref_state.splits
         assert resumed.state.sealed_simulations == ref_state.sealed_simulations
+
+    def test_serial_checkpoint_resumed_on_a_pool_matches_the_serial_run(self, tmp_path):
+        # Long enough that the post-resume split evaluation fires one rule
+        # more than the sample bound in its last specimen — the case in which
+        # a pool used to keep a different sample than a serial run.
+        def evaluator(backend=None):
+            return Evaluator(
+                general_purpose_range(),
+                Objective.proportional(delta=1.0),
+                EvaluatorSettings(num_specimens=2, sim_duration=4.0, seed=0),
+                backend=backend,
+            )
+
+        settings = OptimizerSettings(
+            max_epochs=2, max_evaluations=90, epochs_per_split=1, improvement_threshold=1.0
+        )
+        reference = RemyOptimizer(evaluator(), tree=WhiskerTree(name="ckpt"), settings=settings)
+        reference.optimize()
+        assert reference.state.splits == 2
+
+        path = tmp_path / "design.ckpt.json"
+        partial = RemyOptimizer(
+            evaluator(),
+            tree=WhiskerTree(name="ckpt"),
+            settings=replace(settings, max_epochs=1),
+            checkpoint_path=path,
+        )
+        partial.optimize()
+        assert (partial.state.global_epoch, partial.state.splits) == (1, 1)
+
+        with ProcessPoolBackend(max_workers=2) as backend:
+            resumed = RemyOptimizer.resume_from_checkpoint(path, evaluator(backend))
+            resumed.settings = replace(resumed.settings, max_epochs=settings.max_epochs)
+            resumed.optimize()
+        assert whisker_tree_token(resumed.tree) == whisker_tree_token(reference.tree)
+        assert resumed.state.score_history == reference.state.score_history
 
     def test_resume_keeps_checkpointing_to_the_same_file(self, tmp_path):
         path = tmp_path / "design.ckpt.json"

@@ -3,9 +3,9 @@
 The two properties that matter:
 
 * **determinism** — ``SerialBackend`` and ``ProcessPoolBackend`` must produce
-  identical evaluation results (scores *and* per-whisker use counts) for the
-  same evaluator seed, so choosing a worker count is purely a wall-clock
-  decision; and
+  identical evaluation results (scores, per-whisker use counts *and* split
+  points) for the same evaluator seed, so choosing a worker count is purely a
+  wall-clock decision; and
 * **seed hygiene** — distinct ``(evaluator seed, specimen index)`` pairs must
   never share a packet schedule (regression test for the old
   ``seed * 7919 + index`` derivation).
@@ -17,7 +17,7 @@ from repro.core.config import ConfigRange, ParameterRange
 from repro.core.evaluator import Evaluator, EvaluatorSettings, specimen_seed
 from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer
-from repro.core.whisker import SAMPLE_RESERVOIR, Whisker
+from repro.core.whisker import SAMPLE_RESERVOIR, WhiskerUsage
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.network import NetworkSpec
 from repro.netsim.simulator import Simulation
@@ -26,10 +26,7 @@ from repro.runner import (
     ProcessPoolBackend,
     SerialBackend,
     SimJob,
-    WhiskerStatsDelta,
     backend_from_spec,
-    collect_whisker_stats,
-    merge_whisker_stats,
     mix_seed,
     run_sim_job,
 )
@@ -135,71 +132,106 @@ class TestSimJob:
 # ---------------------------------------------------------------------------
 # Whisker statistics transport
 # ---------------------------------------------------------------------------
+class RewritingBackend(SerialBackend):
+    """Runs every job for real, then lets the test rewrite its usage summary."""
+
+    def __init__(self, rewrite):
+        self.rewrite = rewrite
+
+    def run_batch(self, jobs):
+        results = super().run_batch(jobs)
+        for index, job_result in enumerate(results):
+            job_result.whisker_stats = self.rewrite(index, job_result.whisker_stats)
+        return results
+
+
 class TestWhiskerStatsMerge:
+    def _evaluate(self, rewrite) -> WhiskerTree:
+        evaluator = Evaluator(
+            tiny_range(), settings=tiny_settings(sim_duration=0.5),
+            backend=RewritingBackend(rewrite),
+        )
+        tree = WhiskerTree()
+        evaluator.evaluate(tree, training=True)
+        return tree
+
     def test_collect_matches_tree_state(self):
         tree = WhiskerTree()
         from repro.core.memory import Memory
 
         tree.use(Memory(1.0, 2.0, 3.0))
         tree.use(Memory(4.0, 5.0, 6.0))
-        [delta] = collect_whisker_stats(tree)
-        assert delta.use_count == 2
-        assert len(delta.samples) == 2
+        [usage] = tree.usage()
+        assert usage.use_count == 2
+        assert usage.samples == [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]
+        tree.reset_statistics()
+        assert len(usage.samples) == 2  # a snapshot, not a view
 
     def test_merge_adds_use_counts_in_job_order(self):
-        tree = WhiskerTree()
-        batches = [
-            [WhiskerStatsDelta(use_count=3, samples=[(1.0, 1.0, 1.0)] * 3)],
-            [WhiskerStatsDelta(use_count=4, samples=[(2.0, 2.0, 2.0)] * 4)],
+        per_job = [
+            [WhiskerUsage(3, 1, [(1.0, 1.0, 1.0)] * 3)],
+            [WhiskerUsage(4, 1, [(2.0, 2.0, 2.0)] * 4)],
         ]
-        merge_whisker_stats(tree, batches)
-        [whisker] = tree.whiskers()
+        [whisker] = self._evaluate(lambda index, _: per_job[index]).whiskers()
         assert whisker.use_count == 7
-        assert len(whisker._samples) == 7
-        assert whisker._samples[:3] == [(1.0, 1.0, 1.0)] * 3
+        assert whisker._samples == [(1.0, 1.0, 1.0)] * 3 + [(2.0, 2.0, 2.0)] * 4
 
     def test_merge_respects_sample_reservoir_cap(self):
-        tree = WhiskerTree()
-        big = [
-            WhiskerStatsDelta(
-                use_count=SAMPLE_RESERVOIR + 10,
-                samples=[(float(i), 0.0, 0.0) for i in range(SAMPLE_RESERVOIR)],
-            )
-        ]
-        merge_whisker_stats(tree, [big, big])
-        [whisker] = tree.whiskers()
-        assert whisker.use_count == 2 * (SAMPLE_RESERVOIR + 10)
-        assert len(whisker._samples) == SAMPLE_RESERVOIR
-
-    def test_merge_ring_slot_matches_serial_use(self):
-        from repro.core.memory import Memory
-
-        # Serial ground truth: fill the reservoir, then three more uses.
-        serial_tree = WhiskerTree()
-        [serial_whisker] = serial_tree.whiskers()
-        fill = [(float(i), 0.0, 0.0) for i in range(SAMPLE_RESERVOIR)]
-        extra = [(900.0, 0.0, 0.0), (901.0, 0.0, 0.0), (902.0, 0.0, 0.0)]
-        for sample in fill + extra:
-            serial_whisker.use(Memory(*sample))
-
-        # The same history delivered as two job deltas must land each sample
-        # in the same ring slot.
-        merged_tree = WhiskerTree()
-        merge_whisker_stats(
-            merged_tree,
-            [
-                [WhiskerStatsDelta(use_count=len(fill), samples=fill)],
-                [WhiskerStatsDelta(use_count=len(extra), samples=extra)],
-            ],
-        )
-        [merged_whisker] = merged_tree.whiskers()
-        assert merged_whisker._samples == serial_whisker._samples
-        assert merged_whisker.use_count == serial_whisker.use_count
+        uses = SAMPLE_RESERVOIR + 10
+        big = [WhiskerUsage(uses, 2, [(float(i), 0.0, 0.0) for i in range(uses // 2)])]
+        [whisker] = self._evaluate(lambda index, _: big).whiskers()
+        assert whisker.use_count == 2 * uses
+        assert 2 * (uses // 4) == len(whisker._samples) < SAMPLE_RESERVOIR
 
     def test_merge_rejects_mismatched_rule_count(self):
+        with pytest.raises(ValueError, match="job 1 returned usage for 2 rules"):
+            self._evaluate(lambda index, stats: stats * (1 + index))
+
+    def test_training_result_without_statistics_is_an_error(self):
+        # A JobFailure slot, or an entry cached before results carried
+        # statistics: folding the other jobs alone would be silently wrong.
+        with pytest.raises(ValueError, match="job 0 returned no usage summary"):
+            self._evaluate(lambda index, stats: None)
+
+    def test_split_sample_spans_every_specimen_and_the_whole_of_each(self):
+        # §4.3 step 5 splits "at the median memory value that triggered" the
+        # rule: over the whole evaluation, not the tail of its last
+        # simulation.
+        per_job = []
+
+        def record(index, stats):
+            per_job.append(stats[0])
+            return stats
+
+        evaluator = Evaluator(
+            tiny_range(), settings=tiny_settings(), backend=RewritingBackend(record)
+        )
         tree = WhiskerTree()
-        with pytest.raises(ValueError):
-            merge_whisker_stats(tree, [[WhiskerStatsDelta(1), WhiskerStatsDelta(1)]])
+        evaluator.evaluate(tree, training=True)
+        [whisker] = tree.whiskers()
+        first, last = per_job
+        assert first.use_count > 0 and last.use_count > SAMPLE_RESERVOIR
+        assert whisker.use_count == first.use_count + last.use_count
+        merged = whisker.usage()
+        assert len(merged.samples) < SAMPLE_RESERVOIR
+        position = 0
+        for job in per_job:
+            step = merged.stride // job.stride
+            share = merged.samples[position : position + job.use_count // merged.stride]
+            position += len(share)
+            assert share == job.samples[step - 1 :: step]
+            # Early triggers of the job as well as late ones.
+            assert job.samples.index(share[0]) < len(job.samples) // 2
+            assert job.samples.index(share[-1]) > len(job.samples) // 2
+        assert position == len(merged.samples)
+
+    def test_second_training_evaluation_replaces_the_first(self):
+        evaluator = Evaluator(tiny_range(), settings=tiny_settings())
+        tree = WhiskerTree()
+        evaluator.evaluate(tree, training=True)
+        first = [(w.use_count, list(w._samples)) for w in tree.whiskers()]
+        evaluator.evaluate(tree, training=True)
+        assert [(w.use_count, list(w._samples)) for w in tree.whiskers()] == first
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +425,22 @@ class TestClosureFactoryFailFast:
 class TestBackendDeterminism:
     """Serial and process-pool execution must be indistinguishable."""
 
-    def _evaluate(self, backend, training):
+    def _evaluate(self, backend, training, settings=None):
         evaluator = Evaluator(
-            tiny_range(), Objective.proportional(1.0), tiny_settings(), backend=backend
+            tiny_range(),
+            Objective.proportional(1.0),
+            settings if settings is not None else tiny_settings(),
+            backend=backend,
         )
         tree = WhiskerTree()
         result = evaluator.evaluate(tree, training=training)
-        counts = [w.use_count for w in tree.whiskers()]
-        return result, counts
+        usage = [(w.use_count, w.median_trigger().as_tuple()) for w in tree.whiskers()]
+        return result, usage
 
     def test_serial_and_process_results_identical(self):
-        serial_result, serial_counts = self._evaluate(SerialBackend(), training=True)
+        serial_result, serial_usage = self._evaluate(SerialBackend(), training=True)
         with ProcessPoolBackend(max_workers=2) as backend:
-            pool_result, pool_counts = self._evaluate(backend, training=True)
+            pool_result, pool_usage = self._evaluate(backend, training=True)
 
         assert pool_result.score == serial_result.score
         assert pool_result.specimen_scores == serial_result.specimen_scores
@@ -416,36 +451,37 @@ class TestBackendDeterminism:
             (fs.specimen_index, fs.flow_id, fs.throughput_bps, fs.score)
             for fs in serial_result.flow_scores
         ]
-        assert pool_counts == serial_counts
-        assert sum(pool_counts) > 0
+        assert pool_usage == serial_usage
+        assert sum(count for count, _ in pool_usage) > 0
 
     def test_use_counts_identical_when_jobs_share_a_chunk(self):
-        # executor.map pickles whole chunks, so jobs of one chunk share a
-        # single tree object inside the worker.  With 16 specimens and 2
-        # workers the chunksize is 2; a stats snapshot that isn't reset
-        # per-job would include the chunk-mate's usage and double-count.
-        settings = tiny_settings(num_specimens=16, sim_duration=1.0)
+        # A chunk is pickled whole, so jobs of one chunk share a single tree
+        # object inside the worker.  With 16 specimens and 2 workers the
+        # chunk size is 2; a stats snapshot that isn't reset per job would
+        # include the chunk-mate's usage and double-count.  The runs are long
+        # enough for the rule to outgrow the sample bound inside one job, so
+        # the split point depends on every job's thinned sample.
+        settings = tiny_settings(num_specimens=16, sim_duration=2.0)
+        per_job_uses = []
 
-        def run(backend):
-            evaluator = Evaluator(
-                tiny_range(), Objective.proportional(1.0), settings, backend=backend
-            )
-            tree = WhiskerTree()
-            result = evaluator.evaluate(tree, training=True)
-            return result, [w.use_count for w in tree.whiskers()]
+        def record(index, stats):
+            per_job_uses.append(stats[0].use_count)
+            return stats
 
-        serial_result, serial_counts = run(SerialBackend())
+        serial_result, serial_usage = self._evaluate(RewritingBackend(record), True, settings)
+        assert max(per_job_uses) > SAMPLE_RESERVOIR
         with ProcessPoolBackend(max_workers=2) as backend:
-            pool_result, pool_counts = run(backend)
-        assert pool_counts == serial_counts
+            pool_result, pool_usage = self._evaluate(backend, True, settings)
+        assert pool_usage == serial_usage
         assert pool_result.score == serial_result.score
 
     def test_process_training_does_not_require_merge_for_scoring(self):
         serial_result, _ = self._evaluate(SerialBackend(), training=False)
         with ProcessPoolBackend(max_workers=2) as backend:
-            pool_result, pool_counts = self._evaluate(backend, training=False)
+            pool_result, pool_usage = self._evaluate(backend, training=False)
         assert pool_result.score == serial_result.score
-        assert pool_counts == [0]  # read-only pass leaves the master untouched
+        # A read-only pass leaves the master untouched.
+        assert [count for count, _ in pool_usage] == [0]
 
     def test_optimizer_trajectory_identical_across_backends(self):
         def run(backend):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.action import Action
 from repro.core.memory import MAX_MEMORY, Memory, MemoryRange
-from repro.core.whisker import Whisker
+from repro.core.whisker import SAMPLE_RESERVOIR, Whisker
 from repro.core.whisker_tree import WhiskerTree
 
 coords = st.floats(min_value=0.0, max_value=MAX_MEMORY, allow_nan=False)
@@ -45,6 +45,67 @@ class TestWhisker:
     def test_describe_mentions_action(self):
         whisker = Whisker(domain=MemoryRange.whole_space())
         assert "m=" in whisker.describe()
+
+
+def used(uses: int, job: float = 0.0) -> Whisker:
+    """A rule fired ``uses`` times; its k-th trigger is the memory (k, job, 0)."""
+    whisker = Whisker(domain=MemoryRange.whole_space())
+    for k in range(1, uses + 1):
+        whisker.use(Memory(float(k), job, 0.0))
+    return whisker
+
+
+class TestUsageSummary:
+    """The bounded trigger sample behind the split point, and its fold."""
+
+    @given(st.integers(min_value=0, max_value=5 * SAMPLE_RESERVOIR))
+    @settings(max_examples=30, deadline=None)
+    def test_kept_samples_are_every_stride_th_trigger(self, uses):
+        usage = used(uses).usage()
+        stride = usage.stride
+        assert usage.use_count == uses
+        assert stride & (stride - 1) == 0  # a power of two
+        assert [sample[0] for sample in usage.samples] == [
+            float(k) for k in range(stride, uses + 1, stride)
+        ]
+        assert len(usage.samples) < SAMPLE_RESERVOIR
+        # ... and no coarser than the bound forced.
+        assert stride == 1 or uses // (stride // 2) >= SAMPLE_RESERVOIR
+
+    def test_reused_whisker_samples_like_a_fresh_one(self):
+        whisker = used(3 * SAMPLE_RESERVOIR)
+        assert whisker.usage().stride > 1
+        whisker.reset_statistics()
+        for k in range(1, 11):
+            whisker.use(Memory(float(k), 0.0, 0.0))
+        assert whisker.usage() == used(10).usage()
+
+    @given(st.integers(min_value=0, max_value=3 * SAMPLE_RESERVOIR))
+    @settings(max_examples=20, deadline=None)
+    def test_fold_of_one_job_is_the_identity(self, uses):
+        summary = used(uses).usage()
+        target = used(7)  # set, not added to
+        target.set_usage([summary])
+        assert target.usage() == summary
+
+    @given(st.lists(st.integers(min_value=0, max_value=4 * SAMPLE_RESERVOIR), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_fold_sums_counts_stays_bounded_and_represents_every_job(self, uses):
+        parts = [used(count, job=float(job)).usage() for job, count in enumerate(uses)]
+        target = used(7)
+        target.set_usage(parts)
+        merged = target.usage()
+        assert merged.use_count == sum(uses)
+        assert len(merged.samples) < SAMPLE_RESERVOIR
+        assert merged.stride >= max((part.stride for part in parts), default=1)
+        # Every job, in submission order, contributes its triggers S, 2S, …
+        # for the merged stride S — in proportion to its uses, wherever in
+        # the job they fell, and at least once if it fired S times.
+        assert merged.samples == [
+            (float(k), float(job), 0.0)
+            for job, count in enumerate(uses)
+            for k in range(merged.stride, count + 1, merged.stride)
+        ]
 
 
 class TestWhiskerTree:
