@@ -6,8 +6,7 @@ scale (fewer repetitions and shorter simulated durations than the paper's
 the paper's qualitative shape, so the comparison can be re-checked from the
 benchmark output alone.  ``pytest benchmarks/ --benchmark-only -s`` shows the
 tables inline.  None of them is a performance yardstick — that is ``bench/``
-(``BENCHMARK.json``); the one exception to "a figure or a table" is
-``test_bench_distributed_eval.py``, the ``QueueBackend`` tripwire.
+(``BENCHMARK.json``).
 """
 
 from __future__ import annotations

@@ -23,12 +23,9 @@ serial degradation once the pool keeps breaking) before a failure is pinned
 on a job; without it a failing chunk is bisected straight away and the run
 stops with an error naming the job.
 
-``--backend SPEC`` selects any backend directly — including the distributed
-queue (``--backend queue:0.0.0.0:7000``), which coordinates remote workers
-started with ``python -m repro.runner.distributed worker host:7000`` through
-a crash-safe lease queue.  ``--cache DIR`` adds a content-addressed result
-cache keyed by (rule table, scenario, seed): repeat evaluations — including
-the replayed prefix of a resumed run — are served from disk bit-identically.
+``--cache DIR`` adds a content-addressed result cache keyed by (rule table,
+scenario, seed): repeat evaluations — including the replayed prefix of a
+resumed run — are served from disk bit-identically.
 
 Usage::
 
@@ -38,8 +35,8 @@ Usage::
         --checkpoint design.ckpt.json          # long fault-prone run
     python examples/train_remycc.py --workers 8 --retries 3 \
         --checkpoint design.ckpt.json --resume # ... continue after a crash
-    python examples/train_remycc.py --backend queue:127.0.0.1:7000 \
-        --cache design-cache/                  # distributed + cached
+    python examples/train_remycc.py --workers 8 \
+        --cache design-cache/                  # pooled + cached
 """
 
 from __future__ import annotations
@@ -83,16 +80,6 @@ def main() -> None:
         "--workers != 1; see repro.runner.RetryPolicy)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help="explicit execution backend spec (overrides --workers/--retries): "
-        "'serial', 'process[:workers[:chunk[:retries]]]', "
-        "or 'queue:host:port[:wait]' to "
-        "coordinate remote workers started with "
-        "'python -m repro.runner.distributed worker host:port'",
-    )
-    parser.add_argument(
         "--cache",
         default=None,
         metavar="DIR",
@@ -128,11 +115,7 @@ def main() -> None:
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint PATH")
     retries = f":{args.retries}" if args.retries is not None else ""
-    if args.backend is not None:
-        if args.workers != 1 or args.retries is not None:
-            parser.error("--backend SPEC replaces --workers/--retries; pass one or the other")
-        backend = backend_from_spec(args.backend)
-    elif args.workers == 1:
+    if args.workers == 1:
         if args.retries is not None:
             parser.error("--retries needs a process pool (--workers != 1)")
         backend = backend_from_spec("serial")

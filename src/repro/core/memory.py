@@ -189,33 +189,40 @@ class MemoryRange:
         return product
 
     def split(self, at: Optional[Memory] = None) -> list["MemoryRange"]:
-        """Split into 2**3 = 8 sub-regions at ``at`` (default: the center).
+        """Split at ``at`` (default: the center) into up to 2**3 = 8 sub-regions.
 
-        Degenerate split points (on a boundary) are nudged to the center in
-        that dimension so that every child has positive extent.
+        Degenerate split coordinates (on a boundary) are nudged to the
+        center in that dimension so that every child has positive extent.
+        A dimension with no float strictly between its bounds — zero or one
+        ulp wide, so even its "center" is an endpoint — is not split: every
+        child keeps the parent's extent there and the upper-half children
+        are left out (as Remy's own ``MemoryRange::bisect`` does), because a
+        zero-width sliver at ``MAX_MEMORY`` would contain the point its
+        sibling already does.  Either way the children tile the region.
         """
         point = at if at is not None else self.center()
-        center = self.center()
-        coords = []
-        for value, low, high, mid in zip(point, self.lower, self.upper, center):
-            if not (low < value < high):
-                value = mid
-            coords.append(value)
-        split_point = Memory(*coords)
+        cuts: list[Optional[float]] = []
+        for value, low, high, mid in zip(point, self.lower, self.upper, self.center()):
+            cut = value if low < value < high else mid
+            cuts.append(cut if low < cut < high else None)
 
         children = []
         for code in range(2 ** MEMORY_DIMENSIONS):
             lows, highs = [], []
-            for dim, (low, high, mid) in enumerate(
-                zip(self.lower, self.upper, split_point)
-            ):
-                if code & (1 << dim):
-                    lows.append(mid)
+            for dim, (low, high, cut) in enumerate(zip(self.lower, self.upper, cuts)):
+                if cut is None:
+                    if code & (1 << dim):
+                        break  # an unsplit dimension has no upper half
+                    lows.append(low)
+                    highs.append(high)
+                elif code & (1 << dim):
+                    lows.append(cut)
                     highs.append(high)
                 else:
                     lows.append(low)
-                    highs.append(mid)
-            children.append(MemoryRange(Memory(*lows), Memory(*highs)))
+                    highs.append(cut)
+            else:
+                children.append(MemoryRange(Memory(*lows), Memory(*highs)))
         return children
 
     def as_tuple(self) -> tuple[tuple[float, float, float], tuple[float, float, float]]:

@@ -119,7 +119,7 @@ class Whisker:
         return Memory(*medians)
 
     def split(self) -> list["Whisker"]:
-        """Subdivide this rule into eight children sharing its action (§4.3 step 5)."""
+        """Subdivide this rule into (normally eight) children sharing its action (§4.3 step 5)."""
         split_point = self.median_trigger()
         children = []
         for child_domain in self.domain.split(split_point):

@@ -9,8 +9,8 @@ harnesses can share it:
   one after the other.
 * :class:`ProcessPoolBackend` ships picklable jobs to a pool of worker
   processes, which operate on isolated copies of the rule table.  It is
-  the only local pool, and it is fault tolerant: a chunk lost to a worker
-  crash, hang, exception or corrupted result is retried as its
+  the only parallel backend, and it is fault tolerant: a chunk lost to a
+  worker crash, hang, exception or corrupted result is retried as its
   :class:`~repro.runner.resilience.RetryPolicy` allows, then bisected until
   the failure is pinned on a single job.
 
@@ -115,10 +115,9 @@ def check_factories_picklable(jobs: Sequence[SimJob]) -> None:
 def prepare_jobs(jobs: Sequence[SimJob]) -> list[SimJob]:
     """Make a batch safe to ship across a process boundary.
 
-    Shared by every memory-isolated backend (process pool and distributed
-    queue alike): factories are probed for picklability, scenario *names*
-    are resolved against the submitting process's registry (a worker only
-    has the built-in cells), and each distinct rule table is replaced by a
+    Factories are probed for picklability, scenario *names* are resolved
+    against the submitting process's registry (a worker only has the
+    built-in cells), and each distinct rule table is replaced by a
     statistics-free copy via the JSON serialization round trip, so stale
     sample lists never cross the process boundary.
     """
@@ -298,7 +297,7 @@ class ProcessPoolBackend(ExecutionBackend):
     # -- the batch loop ------------------------------------------------------
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
         # The rebuild budget is per batch: a long-lived pool that degraded
-        # once must not run every later batch in the coordinator.
+        # once must not run every later batch in the submitting process.
         self.pool_rebuilds = 0
         self.degraded = False
         prepared = prepare_jobs(jobs)
@@ -465,14 +464,11 @@ class ProcessPoolBackend(ExecutionBackend):
 
 #: Grammar reminder appended to every spec-format error.
 _SPEC_GRAMMAR = (
-    "expected 'serial', 'process[:workers[:chunk[:retries]]]' (each field a "
+    "expected 'serial' or 'process[:workers[:chunk[:retries]]]' (each field a "
     "positive integer or empty for the default — e.g. 'process', "
     "'process:8', 'process:8:4', or 'process:::3'; retries is the attempts "
     "a failing chunk gets before it is bisected down to the poison job, "
-    "default 1), or 'queue:host:port[:wait]' (QueueBackend: "
-    "bind the distributed coordinator on host:port — empty host means "
-    "127.0.0.1, port 0 picks an ephemeral port — and degrade to in-process "
-    "execution if no worker registers within 'wait' seconds)."
+    "default 1)."
 )
 
 
@@ -508,15 +504,6 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
     away).  Empty fields keep their defaults, so ``"process::8"`` sets only
     the chunk size and ``"process:::3"`` only the retry budget.
 
-    ``"queue:host:port[:wait]"`` → a
-    :class:`~repro.runner.distributed.QueueBackend`: bind the distributed
-    coordinator on ``host:port`` (empty host → ``127.0.0.1``; port ``0`` →
-    an ephemeral port, readable from ``backend.port``) and lease job chunks
-    to remote workers started with ``python -m repro.runner.distributed
-    worker host:port``.  The optional ``wait`` (float seconds) bounds how
-    long a batch tolerates having *no* live workers before degrading to
-    in-process serial execution.
-
     Malformed specs raise a :class:`ValueError` that restates the grammar
     instead of a bare ``int()`` traceback.
     """
@@ -544,53 +531,7 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
             chunk_jobs=chunk,
             retry=RetryPolicy(max_attempts=retries) if retries is not None else None,
         )
-    if name == "queue":
-        fields = arg.split(":") if arg else []
-        if len(fields) < 2:
-            raise ValueError(
-                f"invalid backend spec {spec!r}: queue needs both a host and "
-                f"a port ('queue:host:port[:wait]', e.g. "
-                f"'queue:127.0.0.1:7000' or 'queue::0'); {_SPEC_GRAMMAR}"
-            )
-        if len(fields) > 3:
-            raise ValueError(
-                f"invalid backend spec {spec!r}: too many fields "
-                f"({len(fields)}); {_SPEC_GRAMMAR}"
-            )
-        host = fields[0] or "127.0.0.1"
-        try:
-            port = int(fields[1])
-        except ValueError:
-            raise ValueError(
-                f"invalid backend spec {spec!r}: port field {fields[1]!r} is "
-                f"not an integer; {_SPEC_GRAMMAR}"
-            ) from None
-        if not 0 <= port <= 65535:
-            raise ValueError(
-                f"invalid backend spec {spec!r}: port must lie in [0, 65535] "
-                f"(0 = ephemeral), got {port}; {_SPEC_GRAMMAR}"
-            )
-        wait: Optional[float] = None
-        if len(fields) == 3 and fields[2]:
-            try:
-                wait = float(fields[2])
-            except ValueError:
-                raise ValueError(
-                    f"invalid backend spec {spec!r}: wait field {fields[2]!r} "
-                    f"is not a number of seconds; {_SPEC_GRAMMAR}"
-                ) from None
-            if wait <= 0:
-                raise ValueError(
-                    f"invalid backend spec {spec!r}: wait must be positive "
-                    f"seconds, got {wait}; {_SPEC_GRAMMAR}"
-                )
-        # Imported here: distributed imports this module for prepare_jobs.
-        from repro.runner.distributed import QueueBackend
-
-        if wait is not None:
-            return QueueBackend(host=host, port=port, worker_wait=wait)
-        return QueueBackend(host=host, port=port)
     raise ValueError(
         f"unknown backend spec {spec!r}: family {name!r} is not one of "
-        f"'serial', 'process', or 'queue'; {_SPEC_GRAMMAR}"
+        f"'serial' or 'process'; {_SPEC_GRAMMAR}"
     )

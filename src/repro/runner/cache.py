@@ -18,14 +18,16 @@ module memoizes it:
   recomputation, which the cache tests pin byte-for-byte;
 * a :class:`CachingBackend` wraps any :class:`ExecutionBackend` with a
   look-aside check per job, so ``Evaluator``/``RemyOptimizer`` get caching
-  locally with one constructor argument, and the distributed coordinator
-  (:mod:`repro.runner.distributed`) serves the same cache to its workers.
+  with one constructor argument.
 
 What *legitimately* invalidates a cache: a simulator behavior change (the
 golden fingerprints move), a different interpreter major.minor (pickle
 bytes differ), or an edit to the key derivation itself.  Nothing else
 should — keys deliberately exclude job ids, tree names and epoch counters
-so reordered batches and resumed runs keep hitting.
+so reordered batches and resumed runs keep hitting.  A stored entry that no
+longer loads as a :class:`SimJobResult` (a truncated file, a pickle from a
+commit whose result classes differ) is a counted miss: the job runs and the
+entry is overwritten.
 
 Uncacheable jobs (``None`` key) are passed straight through: closure
 protocol factories have no stable qualified name.  Training jobs cache like
@@ -170,6 +172,8 @@ class ResultCache:
             self._dir.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
+        #: Misses whose entry existed but did not load (see :meth:`get`).
+        self.unreadable = 0
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -195,11 +199,30 @@ class ResultCache:
         return payload
 
     def get(self, key: str) -> Optional[SimJobResult]:
+        """A fresh result object for ``key``, or ``None`` on a miss.
+
+        A cache directory is input from outside the process, so an entry
+        that does not load as a :class:`SimJobResult` is a miss, not a
+        crash that every later run would repeat on the same key: it is
+        counted in ``unreadable`` and dropped, the caller runs the job, and
+        :meth:`put` replaces the file.
+        """
         payload = self.get_bytes(key)
         if payload is None:
             return None
-        result = pickle.loads(payload)
-        assert isinstance(result, SimJobResult)
+        try:
+            result = pickle.loads(payload)
+        except Exception:
+            # Foreign bytes make pickle raise nearly anything: UnpicklingError
+            # or EOFError on a truncated file, AttributeError/ImportError on
+            # an entry whose classes have since moved.
+            result = None
+        if not isinstance(result, SimJobResult):
+            self.hits -= 1  # get_bytes counted the lookup as a hit
+            self.misses += 1
+            self.unreadable += 1
+            del self._memory[key]
+            return None
         return result
 
     def put_bytes(self, key: str, payload: bytes) -> None:
@@ -231,7 +254,7 @@ class ResultCache:
         rate = self.hits / total if total else 0.0
         return (
             f"{self.hits} hits / {total} lookups ({rate:.0%}), "
-            f"{len(self._memory)} entries"
+            f"{len(self._memory)} entries, {self.unreadable} unreadable"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

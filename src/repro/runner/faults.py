@@ -2,13 +2,12 @@
 
 Real design-phase runs (§4.3 at paper scale) lose workers to crashes, hangs
 and OOM kills; the retry/bisect machinery of
-:class:`~repro.runner.backends.ProcessPoolBackend` and the distributed
-coordinator exists to survive that.  Testing it against
-*actual* random failures would make the chaos suite flaky, so this module
-injects failures **deterministically**: a :class:`FaultPlan` is a pure
-function of ``(plan seed, job_id, attempt)``, so a given plan produces the
-same crash/hang/exception/corruption schedule on every run — chaos tests are
-ordinary reproducible tests.
+:class:`~repro.runner.backends.ProcessPoolBackend` exists to survive that.
+Testing it against *actual* random failures would make the chaos suite
+flaky, so this module injects failures **deterministically**: a
+:class:`FaultPlan` is a pure function of ``(plan seed, job_id, attempt)``,
+so a given plan produces the same crash/hang/exception/corruption schedule
+on every run — chaos tests are ordinary reproducible tests.
 
 Faults fire only inside pool worker processes (the pool initializer marks
 them via :func:`mark_worker_process`), never in the submitting process: the
@@ -41,26 +40,6 @@ re-rolled per attempt (and can be limited to the first
 ``max_faulty_attempts`` attempts), so retried jobs eventually succeed and,
 because jobs are pure functions of their inputs, produce bit-identical
 results to an undisturbed run.
-
-Network fault modes (the distributed-coordinator vocabulary), decided by an
-**independent** draw per ``(job_id, attempt)`` so adding network rates to a
-plan never perturbs the legacy schedule above:
-
-* ``disconnect``    — the worker drops its coordinator connection mid-chunk
-  (the chunk's lease expires or the eviction path fires);
-* ``stall``         — the worker stops heartbeating for ``stall_seconds``
-  (exercises heartbeat-timeout eviction and the late-result path);
-* ``corrupt_frame`` — the worker's result frame fails its checksum (the
-  framing layer must reject it);
-* ``duplicate``     — the worker sends its result twice (the coordinator
-  must discard the second idempotently).
-
-The same vocabulary drives the *local* pool chaos tests: outside a socket
-worker, :meth:`FaultPlan.apply_before_run` maps each network mode onto its
-in-process analogue (``disconnect`` → crash, ``stall`` → hang,
-``corrupt_frame`` → corrupted result, ``duplicate`` → no-op), while a
-distributed worker (marked via :func:`mark_transport_worker`) applies them
-natively at the transport layer instead.
 """
 
 from __future__ import annotations
@@ -83,25 +62,6 @@ CORRUPTED_JOB_ID = -1
 
 #: Set by :func:`mark_worker_process` (the pool initializer) in workers.
 _in_worker_process = False
-
-#: Set by :func:`mark_transport_worker` in distributed (socket) workers:
-#: network fault modes are applied natively at the transport layer there,
-#: so the in-process aliasing in :meth:`FaultPlan.apply_before_run` /
-#: :meth:`FaultPlan.apply_after_run` must not fire a second time.
-_network_faults_at_transport = False
-
-#: In-process analogues for the network fault modes (applied in pool
-#: workers, where there is no transport to fault): a dropped connection is
-#: indistinguishable from a worker death, a stalled heartbeat from a hang;
-#: a corrupted frame surfaces as a corrupted result (see
-#: :meth:`FaultPlan.apply_after_run`); a duplicated result has no local
-#: analogue (the pool cannot deliver a future twice).
-_NETWORK_LOCAL_ALIAS: dict[str, Optional[str]] = {
-    "disconnect": "crash",
-    "stall": "hang",
-    "corrupt_frame": None,
-    "duplicate": None,
-}
 
 #: Plan installed in this process (workers inherit it via fork or re-read
 #: the environment variable under spawn).
@@ -131,15 +91,6 @@ class FaultPlan:
     hang_seconds: float = 30.0
     poison_jobs: tuple[int, ...] = ()
     max_faulty_attempts: Optional[int] = None
-    #: Network fault rates (independent draw — see :meth:`network_mode_for`).
-    disconnect_rate: float = 0.0
-    stall_rate: float = 0.0
-    corrupt_frame_rate: float = 0.0
-    duplicate_result_rate: float = 0.0
-    #: How long a ``stall`` suppresses heartbeats (distributed workers) /
-    #: hangs the job (the local alias).  Small values keep real-clock
-    #: integration tests fast; the default models a genuinely wedged worker.
-    stall_seconds: float = 5.0
 
     def __post_init__(self) -> None:
         rates = (
@@ -148,22 +99,12 @@ class FaultPlan:
             self.exception_rate,
             self.corrupt_rate,
         )
-        network_rates = (
-            self.disconnect_rate,
-            self.stall_rate,
-            self.corrupt_frame_rate,
-            self.duplicate_result_rate,
-        )
-        if any(rate < 0.0 or rate > 1.0 for rate in rates + network_rates):
+        if any(rate < 0.0 or rate > 1.0 for rate in rates):
             raise ValueError("fault rates must lie in [0, 1]")
         if sum(rates) > 1.0 + 1e-12:
             raise ValueError("fault rates must sum to at most 1")
-        if sum(network_rates) > 1.0 + 1e-12:
-            raise ValueError("network fault rates must sum to at most 1")
         if self.hang_seconds <= 0:
             raise ValueError("hang_seconds must be positive")
-        if self.stall_seconds <= 0:
-            raise ValueError("stall_seconds must be positive")
         if self.max_faulty_attempts is not None and self.max_faulty_attempts < 0:
             raise ValueError("max_faulty_attempts must be non-negative")
 
@@ -195,49 +136,10 @@ class FaultPlan:
             draw -= rate
         return None
 
-    def network_mode_for(self, job_id: int, attempt: int) -> Optional[str]:
-        """The network fault (if any) for one execution attempt of one job.
-
-        A **separate** seeded draw (key prefix ``netfault:``) from
-        :meth:`mode_for`'s, so plans that add network rates reproduce the
-        exact legacy crash/hang/exception/corrupt schedule of a plan
-        without them — existing chaos expectations survive unperturbed.
-        ``max_faulty_attempts`` applies here too, so retried chunks
-        eventually cross the network cleanly.
-        """
-        if (
-            self.max_faulty_attempts is not None
-            and attempt >= self.max_faulty_attempts
-        ):
-            return None
-        draw = random.Random(f"netfault:{self.seed}:{job_id}:{attempt}").random()
-        for mode, rate in (
-            ("disconnect", self.disconnect_rate),
-            ("stall", self.stall_rate),
-            ("corrupt_frame", self.corrupt_frame_rate),
-            ("duplicate", self.duplicate_result_rate),
-        ):
-            if draw < rate:
-                return mode
-            draw -= rate
-        return None
-
     # -- worker-side application ---------------------------------------------
     def apply_before_run(self, job_id: int, attempt: int) -> None:
-        """Fire a pre-execution fault (crash / hang / exception), if any.
-
-        Outside a transport-marked (distributed) worker, network fault
-        modes fall through to their in-process analogues here, so one plan
-        vocabulary drives both the local pool chaos matrix and the
-        coordinator's transport faults.
-        """
+        """Fire a pre-execution fault (crash / hang / exception), if any."""
         mode = self.mode_for(job_id, attempt)
-        hang_for = self.hang_seconds
-        if mode is None and not _network_faults_at_transport:
-            network_mode = self.network_mode_for(job_id, attempt)
-            if network_mode is not None:
-                mode = _NETWORK_LOCAL_ALIAS[network_mode]
-                hang_for = self.stall_seconds  # a stall hangs for its own span
         if mode == "crash":
             # A real worker death (segfault/OOM-kill analogue): skips every
             # Python-level cleanup and breaks the whole pool.
@@ -246,7 +148,7 @@ class FaultPlan:
             # Deliberately a bare sleep: this *is* the hang being injected,
             # not coordination waiting, so it must not go through a fakeable
             # clock.  noqa: SLP001 below names this exemption.
-            time.sleep(hang_for)  # noqa: SLP001 — injected hang
+            time.sleep(self.hang_seconds)  # noqa: SLP001 — injected hang
         elif mode == "exception":
             raise InjectedFault(
                 f"injected exception for job {job_id} (attempt {attempt})"
@@ -255,16 +157,8 @@ class FaultPlan:
     def apply_after_run(
         self, job_id: int, attempt: int, result: SimJobResult
     ) -> SimJobResult:
-        """Corrupt the result in transit when the mode says so.
-
-        In a local pool worker, a ``corrupt_frame`` network draw also lands
-        here: without a framing layer to damage, the nearest analogue is a
-        result that fails validation.
-        """
-        corrupt = self.mode_for(job_id, attempt) == "corrupt"
-        if not corrupt and not _network_faults_at_transport:
-            corrupt = self.network_mode_for(job_id, attempt) == "corrupt_frame"
-        if corrupt:
+        """Corrupt the result in transit when the mode says so."""
+        if self.mode_for(job_id, attempt) == "corrupt":
             return replace(result, job_id=CORRUPTED_JOB_ID)
         return result
 
@@ -291,19 +185,6 @@ def mark_worker_process() -> None:
     """
     global _in_worker_process
     _in_worker_process = True
-
-
-def mark_transport_worker() -> None:
-    """Distributed-worker initializer: network faults fire at the transport.
-
-    A socket worker injects ``disconnect``/``stall``/``corrupt_frame``/
-    ``duplicate`` natively (dropping its connection, suppressing heartbeats,
-    damaging the frame, re-sending the result), so the in-process aliases in
-    :meth:`FaultPlan.apply_before_run` must not fire a second time for the
-    same ``(job, attempt)``.
-    """
-    global _network_faults_at_transport
-    _network_faults_at_transport = True
 
 
 def install_fault_plan(plan: FaultPlan) -> None:

@@ -2,10 +2,9 @@
 
 The design phase (§4.3) is a long-running, massively parallel search — the
 workload where worker crashes, hangs and OOM kills are routine.  This module
-holds what the two fault-tolerant backends — the local
-:class:`~repro.runner.backends.ProcessPoolBackend` and the distributed
-coordinator's :class:`~repro.runner.distributed.LeaseQueue` — share; it runs
-no workers of its own:
+holds the policy side of the one fault-tolerant backend,
+:class:`~repro.runner.backends.ProcessPoolBackend`; it runs no workers of
+its own:
 
 * :class:`RetryPolicy` — how many attempts a chunk gets, exponential backoff
   with **deterministic** jitter between attempts, an optional per-chunk
@@ -220,18 +219,16 @@ def record_failure(
 ) -> None:
     """Charge one failed attempt to ``item`` and decide its future.
 
-    The shared verdict machinery of the fault-tolerant execution layer,
-    used by both :class:`~repro.runner.backends.ProcessPoolBackend` and the
-    distributed coordinator's lease queue.  Retry while attempts remain; then bisect
-    multi-job chunks (each half starts over with a fresh attempt budget).
-    A *single* job out of attempts is not condemned yet: a pool break (or a
-    worker eviction) charges every in-flight chunk — the culprit cannot be
-    told from its victims — so an innocent job can exhaust its attempts
-    purely collaterally.  It is instead promoted to the
-    **solo-confirmation** queue — re-run with nothing else in flight
-    (locally) or on a fresh lease (distributed), where a failure is
-    unambiguously its own — and only a job that also exhausts its solo
-    attempts becomes a :class:`JobFailure`.
+    The verdict machinery of
+    :class:`~repro.runner.backends.ProcessPoolBackend`.  Retry while
+    attempts remain; then bisect multi-job chunks (each half starts over
+    with a fresh attempt budget).  A *single* job out of attempts is not
+    condemned yet: a pool break charges every in-flight chunk — the culprit
+    cannot be told from its victims — so an innocent job can exhaust its
+    attempts purely collaterally.  It is instead promoted to the
+    **solo-confirmation** queue — re-run with nothing else in flight, where
+    a failure is unambiguously its own — and only a job that also exhausts
+    its solo attempts becomes a :class:`JobFailure`.
     """
     attempt = item.attempt + 1
     if attempt < max_attempts:
@@ -257,13 +254,12 @@ def run_item_serially(
     results: list[Optional[BatchEntry]],
     failures: list[JobFailure],
 ) -> None:
-    """Execute one work item in-process — the shared degraded path.
+    """Execute one work item in-process — the degraded path.
 
-    Used when a backend stops trusting its workers: the process pool
-    after too many rebuilds, and the distributed coordinator when no worker
-    is alive.  Runs job by job so a genuine per-job exception is attributed
-    to that job alone.  Injected faults do not fire here: this is not a
-    worker process.
+    Used when the process pool stops trusting its workers (too many
+    rebuilds in one batch).  Runs job by job so a genuine per-job exception
+    is attributed to that job alone.  Injected faults do not fire here:
+    this is not a worker process.
     """
     for offset, job in enumerate(item.jobs):
         try:

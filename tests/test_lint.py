@@ -55,6 +55,20 @@ def tracked_files() -> list[str]:
     return proc.stdout.splitlines()
 
 
+#: What may name deleted code: the history files, and the guards below.
+MAY_NAME_DELETED = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_lint.py"}
+
+
+def tracked_files_naming(names: tuple[str, ...]) -> list[str]:
+    """Tracked files, outside ``MAY_NAME_DELETED``, whose text has any of ``names``."""
+    return [
+        path
+        for path in tracked_files()
+        if path not in MAY_NAME_DELETED
+        and any(name in (REPO_ROOT / path).read_text(errors="ignore") for name in names)
+    ]
+
+
 def lint_file(path: Path) -> list[Violation]:
     return run_rules([load_module(path)], all_rules())
 
@@ -62,8 +76,8 @@ def lint_file(path: Path) -> list[Violation]:
 class TestFixtures:
     def test_fixture_tree_is_complete(self):
         # One bad + one good fixture per rule, and every rule is exercised.
-        assert len(BAD_FIXTURES) == 7
-        assert len(GOOD_FIXTURES) == 7
+        assert len(BAD_FIXTURES) == 6
+        assert len(GOOD_FIXTURES) == 6
         covered = {rule for path in BAD_FIXTURES for _, rule in expected_markers(path)}
         assert covered == {rule.rule_id for rule in all_rules()}
 
@@ -301,8 +315,6 @@ class TestOneBenchmark:
         "benchmarks/test_bench_optimizer.py",
     }
     GONE_NAMES = ("BENCH_LABEL", "check_bench_regression", "BENCH_CASE_SCENARIOS")
-    #: The history files, and this guard itself.
-    MAY_NAME_THEM = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_lint.py"}
 
     def test_the_second_harness_is_not_tracked(self):
         offenders = [
@@ -314,16 +326,7 @@ class TestOneBenchmark:
         assert offenders == []
 
     def test_nothing_names_the_deleted_switches(self):
-        offenders = [
-            path
-            for path in tracked_files()
-            if path not in self.MAY_NAME_THEM
-            and any(
-                name in (REPO_ROOT / path).read_text(errors="ignore")
-                for name in self.GONE_NAMES
-            )
-        ]
-        assert offenders == []
+        assert tracked_files_naming(self.GONE_NAMES) == []
 
     def test_ci_measures_with_the_repo_benchmark(self):
         workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
@@ -359,3 +362,74 @@ class TestOneStatisticsPath:
         # bench/run.py's RecordingBackend reads it; nothing under src/ does.
         [line] = self._lines_naming("shares_memory")
         assert line.startswith("repro/runner/backends.py:")
+
+
+class TestOneParallelBackend:
+    """``ProcessPoolBackend`` stays the one place a batch runs in parallel:
+    the distributed stack (coordinator, lease queue, wire framing, the
+    network-fault vocabulary and its socket lint rule) does not come back."""
+
+    SRC = REPO_ROOT / "src" / "repro"
+    GONE_FILES = {
+        "src/repro/runner/distributed.py",
+        "src/repro/runner/wire.py",
+        "tests/test_distributed.py",
+        "benchmarks/test_bench_distributed_eval.py",
+    }
+    GONE_NAMES = (
+        "QueueBackend",
+        "LeaseQueue",
+        "run_worker",
+        "runner.distributed",
+        "runner.wire",
+        "mark_transport_worker",
+        "network_mode_for",
+        "SOC001",
+    )
+
+    def test_the_stack_is_not_tracked(self):
+        offenders = [
+            path
+            for path in tracked_files()
+            if path in self.GONE_FILES or path.startswith("tools/lint/fixtures/sockets/")
+        ]
+        assert offenders == []
+
+    def test_nothing_names_the_stack(self):
+        assert tracked_files_naming(self.GONE_NAMES) == []
+
+    @staticmethod
+    def _imported_modules(tree: ast.AST) -> set[str]:
+        modules: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules.add(node.module)
+        return {name.split(".")[0] for name in modules}
+
+    def test_no_module_opens_a_socket(self):
+        offenders = [
+            str(path.relative_to(self.SRC))
+            for path in sorted(self.SRC.rglob("*.py"))
+            if {"socket", "selectors"} & self._imported_modules(ast.parse(path.read_text()))
+        ]
+        assert offenders == []
+
+    def test_the_backends_are_these_four(self):
+        backends = sorted(
+            cls.name
+            for path in (self.SRC / "runner").glob("*.py")
+            for cls in ast.walk(ast.parse(path.read_text()))
+            if isinstance(cls, ast.ClassDef)
+            and any(
+                isinstance(node, ast.FunctionDef) and node.name == "run_batch"
+                for node in cls.body
+            )
+        )
+        assert backends == [
+            "CachingBackend",
+            "ExecutionBackend",
+            "ProcessPoolBackend",
+            "SerialBackend",
+        ]

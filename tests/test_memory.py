@@ -1,5 +1,7 @@
 """Unit and property-based tests for RemyCC memory and memory regions."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +138,29 @@ class TestMemoryRange:
         region = MemoryRange(Memory(0, 0, 0), Memory(8, 8, 8))
         children = region.split(at=Memory(0, 0, 0))  # degenerate split point
         assert all(child.volume() > 0 for child in children)
+
+    @pytest.mark.parametrize("low", [0.0, 1234.5, math.nextafter(MAX_MEMORY, 0.0)])
+    @pytest.mark.parametrize("thin", [0, 1, 2])
+    def test_a_dimension_with_no_interior_float_is_not_split(self, low, thin):
+        # One ulp wide in dimension ``thin``: its "center" rounds to an
+        # endpoint, so nudging there would make a zero-width child.
+        high = math.nextafter(low, math.inf)
+        lower, upper = [0.0, 0.0, 0.0], [8.0, 8.0, 8.0]
+        lower[thin], upper[thin] = low, high
+        region = MemoryRange(Memory(*lower), Memory(*upper))
+        for at in (None, Memory(*lower), Memory(*upper), Memory(4.0, 4.0, 4.0)):
+            children = region.split(at)
+            assert len(children) == 4
+            for child in children:
+                for dim, (child_low, child_high) in enumerate(zip(child.lower, child.upper)):
+                    assert child_low < child_high
+                    if dim == thin:
+                        assert (child_low, child_high) == (low, high)
+            for probe in (low, high):
+                point = [1.0, 1.0, 1.0]
+                point[thin] = probe
+                holders = [c for c in children if c.contains(Memory(*point))]
+                assert len(holders) == int(region.contains(Memory(*point)))
 
     @given(point=st.tuples(coords, coords, coords))
     @settings(max_examples=100, deadline=None)

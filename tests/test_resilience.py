@@ -50,7 +50,6 @@ from repro.runner import (
     fault_plan_installed,
     install_fault_plan,
 )
-from repro.runner import faults
 from repro.runner.faults import CORRUPTED_JOB_ID, iter_fault_schedule, worker_fault_plan
 from repro.scenarios import (
     get_scenario,
@@ -167,6 +166,13 @@ class TestFaultPlan:
         plan = FaultPlan(seed=9, crash_rate=0.25, poison_jobs=(1, 2))
         assert FaultPlan.from_json(plan.to_json()) == plan
 
+    def test_from_json_rejects_a_field_the_plan_does_not_have(self):
+        # REPRO_FAULT_PLAN is input from outside the process: a plan written
+        # for the deleted network vocabulary must fail loudly, not run as a
+        # weaker plan with the unknown rate silently dropped.
+        with pytest.raises(TypeError, match="disconnect_rate"):
+            FaultPlan.from_json('{"seed": 1, "disconnect_rate": 0.1}')
+
     def test_install_and_context_manager_restore(self):
         clear_fault_plan()
         assert active_fault_plan() is None
@@ -191,133 +197,6 @@ class TestFaultPlan:
         plan = FaultPlan(seed=0, exception_rate=1.0)
         with pytest.raises(InjectedFault):
             plan.apply_before_run(3, 0)
-
-
-# ---------------------------------------------------------------------------
-# Network fault vocabulary (the distributed-coordinator modes)
-# ---------------------------------------------------------------------------
-class TestNetworkFaultModes:
-    def test_network_rate_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlan(disconnect_rate=1.5)
-        with pytest.raises(ValueError):
-            FaultPlan(stall_rate=0.6, corrupt_frame_rate=0.6)
-        with pytest.raises(ValueError):
-            FaultPlan(stall_seconds=0.0)
-
-    def test_network_draw_is_deterministic_and_covers_every_mode(self):
-        plan = FaultPlan(
-            seed=4,
-            disconnect_rate=0.2,
-            stall_rate=0.2,
-            corrupt_frame_rate=0.2,
-            duplicate_result_rate=0.2,
-        )
-        schedule = [
-            plan.network_mode_for(job_id, attempt)
-            for job_id in range(60)
-            for attempt in range(2)
-        ]
-        assert schedule == [
-            plan.network_mode_for(job_id, attempt)
-            for job_id in range(60)
-            for attempt in range(2)
-        ]
-        assert set(schedule) == {
-            "disconnect", "stall", "corrupt_frame", "duplicate", None
-        }
-
-    def test_network_draw_is_independent_of_the_legacy_schedule(self):
-        # Adding network rates must not perturb the crash/hang/exception/
-        # corrupt schedule: existing chaos expectations stay pinned.
-        legacy = FaultPlan(seed=11, crash_rate=0.3, exception_rate=0.3)
-        combined = FaultPlan(
-            seed=11,
-            crash_rate=0.3,
-            exception_rate=0.3,
-            disconnect_rate=0.2,
-            stall_rate=0.2,
-        )
-        jobs = list(range(50))
-        assert iter_fault_schedule(legacy, jobs, attempts=3) == iter_fault_schedule(
-            combined, jobs, attempts=3
-        )
-        # And the two draws are genuinely decorrelated: some (job, attempt)
-        # pairs carry a network fault but no legacy fault, and vice versa.
-        pairs = [(j, a) for j in jobs for a in range(3)]
-        net_only = [
-            p for p in pairs
-            if combined.network_mode_for(*p) and not combined.mode_for(*p)
-        ]
-        legacy_only = [
-            p for p in pairs
-            if combined.mode_for(*p) and not combined.network_mode_for(*p)
-        ]
-        assert net_only and legacy_only
-
-    def test_max_faulty_attempts_limits_network_injection_too(self):
-        plan = FaultPlan(seed=0, disconnect_rate=1.0, max_faulty_attempts=2)
-        assert plan.network_mode_for(1, 0) == "disconnect"
-        assert plan.network_mode_for(1, 1) == "disconnect"
-        assert plan.network_mode_for(1, 2) is None
-
-    def test_network_fields_survive_json_round_trip(self):
-        plan = FaultPlan(
-            seed=9,
-            disconnect_rate=0.1,
-            stall_rate=0.2,
-            corrupt_frame_rate=0.05,
-            duplicate_result_rate=0.15,
-            stall_seconds=1.25,
-        )
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_corrupt_frame_aliases_to_a_corrupted_result_locally(self, serial_results):
-        # In a pool worker there is no frame to damage, so the nearest
-        # analogue is a result that fails validation.
-        plan = FaultPlan(seed=0, corrupt_frame_rate=1.0)
-        corrupted = plan.apply_after_run(0, 0, serial_results[0])
-        assert corrupted.job_id == CORRUPTED_JOB_ID
-
-    def test_duplicate_has_no_local_analogue(self, serial_results):
-        # A pool cannot deliver a future twice: the duplicate mode must be
-        # a no-op locally (neither a pre-run fault nor a corrupted result).
-        plan = FaultPlan(seed=0, duplicate_result_rate=1.0)
-        plan.apply_before_run(0, 0)  # must not raise or exit
-        assert plan.apply_after_run(0, 0, serial_results[0]) == serial_results[0]
-
-    def test_transport_workers_suppress_the_local_aliases(
-        self, serial_results, monkeypatch
-    ):
-        # A distributed worker applies network faults natively at the
-        # socket layer; the in-process aliasing must not fire a second time
-        # for the same (job, attempt).
-        plan = FaultPlan(seed=0, corrupt_frame_rate=1.0, stall_rate=0.0)
-        monkeypatch.setattr(faults, "_network_faults_at_transport", True)
-        assert plan.apply_after_run(0, 0, serial_results[0]) == serial_results[0]
-
-    def test_pool_survives_aliased_network_faults(self, serial_results):
-        # disconnect → crash (pool break + rebuild), stall → a short hang,
-        # corrupt_frame → rejected result, duplicate → no-op: the
-        # pool must recover all of them and stay bit-identical to serial.
-        plan = FaultPlan(
-            seed=21,
-            disconnect_rate=0.25,
-            stall_rate=0.25,
-            corrupt_frame_rate=0.25,
-            duplicate_result_rate=0.25,
-            stall_seconds=0.2,
-            max_faulty_attempts=1,
-        )
-        retry = RetryPolicy(
-            max_attempts=5, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=50
-        )
-        with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=2, retry=retry
-            ) as backend:
-                results = backend.run_batch(make_jobs())
-        assert results == serial_results
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +376,7 @@ class TestResilientBackend:
     def test_degradation_lasts_one_batch_not_the_pool_lifetime(self, serial_results):
         # Batch 1 spends the rebuild budget and degrades.  Batch 2 (plan
         # cleared, so the fresh workers are born fault-free) must get a
-        # fresh budget and run on real workers, not in the coordinator.
+        # fresh budget and run on real workers, not in this process.
         retry = RetryPolicy(
             max_attempts=100, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=1
         )
@@ -579,6 +458,19 @@ class TestSpecGrammar:
         with pytest.raises(ValueError, match="retries"):
             backend_from_spec("process:1:1:no")
 
+    def test_unknown_family_error_lists_every_family(self):
+        with pytest.raises(ValueError) as excinfo:
+            backend_from_spec("gpu:8")
+        message = str(excinfo.value)
+        assert "'serial'" in message
+        assert "'process'" in message
+        assert "'queue'" not in message
+
+    def test_queue_is_an_unknown_family(self):
+        # It was a family once; it is now as unknown as any other.
+        with pytest.raises(ValueError, match="family 'queue' is not one of"):
+            backend_from_spec("queue::0")
+
 
 # ---------------------------------------------------------------------------
 # Golden-matrix chaos parity (the acceptance sweep)
@@ -587,20 +479,17 @@ CHAOS_CELLS = (
     scenario_names() if CHAOS_FULL else sorted(s.name for s in smoke_scenarios())
 )
 
-#: ≥30% of (job, attempt) pairs crash — plus an independent draw of the
-#: network fault vocabulary, which the local pool recovers through its
-#: aliases (disconnect → crash, stall → a short hang, corrupt_frame → a
-#: rejected result, duplicate → no-op).  Retries re-roll, so with a
-#: generous attempt budget every cell eventually lands a clean execution.
+#: Over 40% of (job, attempt) pairs crash, and a few hang briefly or come
+#: back corrupted, so one sweep exercises the pool-break, slow-chunk and
+#: rejected-result paths.  Retries re-roll, so with a generous attempt
+#: budget every cell eventually lands a clean execution.
 CHAOS_PLAN = FaultPlan(
     seed=1302,
-    crash_rate=0.35,
+    crash_rate=0.415,
+    hang_rate=0.03,
+    corrupt_rate=0.03,
+    hang_seconds=0.3,
     max_faulty_attempts=3,
-    disconnect_rate=0.10,
-    stall_rate=0.05,
-    corrupt_frame_rate=0.05,
-    duplicate_result_rate=0.05,
-    stall_seconds=0.3,
 )
 CHAOS_RETRY = RetryPolicy(
     max_attempts=25, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=10_000
@@ -609,10 +498,10 @@ CHAOS_RETRY = RetryPolicy(
 
 @pytest.mark.parametrize("cell_name", CHAOS_CELLS)
 def test_chaos_golden_parity(cell_name):
-    """The committed fingerprints survive a 35%-crash-rate chaos run.
+    """The committed fingerprints survive a 41%-crash-rate chaos run.
 
     This is the determinism-under-retry acceptance criterion: a
-    pool run with over a third of chunk attempts dying mid-flight must
+    pool run with four in ten chunk attempts dying mid-flight must
     reproduce each cell's committed golden fingerprint bit-identically.
     """
     golden = load_golden()

@@ -13,7 +13,7 @@ The two properties that matter:
 
 import pytest
 
-from repro.core.config import ConfigRange, ParameterRange
+from repro.core.config import ConfigRange, ParameterRange, general_purpose_range
 from repro.core.evaluator import Evaluator, EvaluatorSettings, specimen_seed
 from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer
@@ -24,11 +24,13 @@ from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.runner import (
     ProcessPoolBackend,
+    ResultCache,
     SerialBackend,
     SimJob,
     backend_from_spec,
     mix_seed,
     run_sim_job,
+    whisker_tree_token,
 )
 
 
@@ -254,7 +256,7 @@ class TestBackendConstruction:
             backend_from_spec("thread")
         message = str(err.value)
         assert "family 'thread' is not one of" in message
-        for family in ("'serial'", "'process'", "'queue'"):
+        for family in ("'serial'", "'process'"):
             assert family in message
 
     def test_process_pool_rejects_nonpositive_workers(self):
@@ -573,3 +575,50 @@ class TestRunSchemeBackends:
                 pooled = summary_of(scheme, backend=backend)
             assert pooled.throughputs_mbps == serial.throughputs_mbps
             assert pooled.queue_delays_ms == serial.queue_delays_ms
+
+
+# ---------------------------------------------------------------------------
+# One statistics path: the designed tree does not depend on what ran the jobs
+# ---------------------------------------------------------------------------
+class TestSameTreeByConstruction:
+    """The pinned design run of ``bench/`` (``design-serial`` / ``design-pool``).
+
+    Its split evaluation fires the root rule more than the sample bound in
+    one job, which is where in-place accumulation and merged worker deltas
+    used to keep different samples: serial and pooled runs split the root at
+    different points.
+    """
+
+    @staticmethod
+    def design(backend, cache=None):
+        evaluator = Evaluator(
+            general_purpose_range(),
+            Objective.proportional(1.0),
+            EvaluatorSettings(num_specimens=2, sim_duration=2.0, seed=0),
+            backend=backend,
+            cache=cache,
+        )
+        optimizer = RemyOptimizer(
+            evaluator,
+            tree=WhiskerTree(name="pinned"),
+            settings=OptimizerSettings(
+                epochs_per_split=1, max_epochs=2, max_evaluations=105, candidate_magnitudes=1
+            ),
+        )
+        tree = optimizer.optimize()
+        return (
+            whisker_tree_token(tree),
+            tree._root.split_point,
+            [repr(score) for score in optimizer.state.score_history],
+        )
+
+    def test_every_backend_designs_the_same_tree(self):
+        outcomes = {"serial": self.design(SerialBackend())}
+        outcomes["serial + cache"] = self.design(SerialBackend(), cache=ResultCache())
+        for spec in ("process:2", "process:2:1", "process:2:7"):
+            with backend_from_spec(spec) as backend:
+                outcomes[spec] = self.design(backend)
+        token, split_point, history = outcomes["serial"]
+        assert split_point is not None and len(history) == 106
+        for name, outcome in outcomes.items():
+            assert outcome == (token, split_point, history), name

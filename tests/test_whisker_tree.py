@@ -1,7 +1,7 @@
 """Unit and property-based tests for whiskers and the whisker tree."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.action import Action
 from repro.core.memory import MAX_MEMORY, Memory, MemoryRange
@@ -215,6 +215,16 @@ class TestOctantLookup:
     @given(
         points=st.lists(memories, min_size=1, max_size=40),
         split_seeds=st.lists(memories, min_size=3, max_size=8),
+    )
+    # The third split lands on a region one ulp wide in rtt_ratio, whose
+    # "center" is MAX_MEMORY itself: that dimension must not be split.
+    @example(
+        points=[Memory(0.0, 0.0, MAX_MEMORY), Memory(0.0, 0.0, 16383.999999999998)],
+        split_seeds=[
+            Memory(0.0, 0.0, 0.0),
+            Memory(0.0, 0.0, 16383.999999999998),
+            Memory(0.0, 0.0, 16384.0),
+        ],
     )
     @settings(max_examples=50, deadline=None)
     def test_octant_index_matches_region_scan(self, points, split_seeds):

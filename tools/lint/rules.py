@@ -24,11 +24,6 @@ SLP001     No bare ``time.sleep`` in ``repro/runner``: every wait must be
            tests can substitute a fake clock and never really sleep (the
            two sanctioned sites — the real-``Clock`` implementation and the
            fault plan's injected hang — carry explanatory ``noqa``\\ s).
-SOC001     No socket created (or connection accepted) in ``repro/runner``
-           without an explicit timeout: a socket left in its default
-           blocking mode can hang the coordinator or a worker forever on a
-           dead peer.  Pass ``timeout=`` at creation, or call
-           ``settimeout()``/``setblocking()`` in the same scope.
 =========  ==================================================================
 """
 
@@ -506,108 +501,6 @@ class BareSleepRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# SOC001: no socket without an explicit timeout in the execution layer
-# ---------------------------------------------------------------------------
-
-#: ``socket.<name>(...)`` calls that create a socket object.
-_SOCKET_FACTORIES = frozenset(
-    {"socket", "create_connection", "create_server", "socketpair"}
-)
-#: Method calls that put a socket into a definite (non-default-blocking)
-#: timeout regime; either one in the same scope clears the flag.
-_TIMEOUT_CONFIGURATORS = frozenset({"settimeout", "setblocking"})
-
-
-def _own_scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Every node belonging directly to ``scope`` (nested functions excluded).
-
-    Class bodies are transparent (their methods are separate scopes anyway),
-    so a module-level class's statements count as module scope and a
-    method's statements count as that method.
-    """
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def _has_timeout_argument(node: ast.Call, factory: str) -> bool:
-    if any(keyword.arg == "timeout" for keyword in node.keywords):
-        return True
-    # socket.create_connection(address, timeout) — positional form.
-    return factory == "create_connection" and len(node.args) >= 2
-
-
-class SocketWithoutTimeoutRule(LintRule):
-    """SOC001: a socket that could block forever on a dead peer."""
-
-    rule_id = "SOC001"
-    description = (
-        "no socket created (and no .accept()) in repro/runner without an "
-        "explicit timeout: pass timeout= at creation or call settimeout()/"
-        "setblocking() in the same scope — default-blocking sockets hang "
-        "the coordinator/worker forever on a dead peer"
-    )
-
-    def applies_to(self, module: ModuleInfo) -> bool:
-        return (
-            "runner" in module.path.parts or "sockets" in module.path.parts
-        )
-
-    def check(self, module: ModuleInfo) -> Iterator[Violation]:
-        scopes: list[ast.AST] = [module.tree]
-        scopes.extend(
-            node
-            for node in ast.walk(module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        )
-        for scope in scopes:
-            own_nodes = list(_own_scope_nodes(scope))
-            configured = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _TIMEOUT_CONFIGURATORS
-                for node in own_nodes
-            )
-            if configured:
-                continue
-            for node in own_nodes:
-                if not isinstance(node, ast.Call):
-                    continue
-                named = _attribute_call_name(node)
-                if (
-                    named is not None
-                    and named[0] == "socket"
-                    and named[1] in _SOCKET_FACTORIES
-                ):
-                    if not _has_timeout_argument(node, named[1]):
-                        yield self.violation(
-                            module,
-                            node,
-                            f"socket.{named[1]}() without an explicit "
-                            "timeout: pass timeout= or call settimeout()/"
-                            "setblocking() in the same scope, or a dead "
-                            "peer blocks this call path forever",
-                        )
-                elif (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "accept"
-                    and not node.args
-                    and not node.keywords
-                ):
-                    yield self.violation(
-                        module,
-                        node,
-                        f"{ast.unparse(node.func.value)}.accept() on a "
-                        "socket with no timeout configured in this scope: "
-                        "call settimeout()/setblocking() so a vanished "
-                        "client cannot park the acceptor forever",
-                    )
-
-
-# ---------------------------------------------------------------------------
 # FLT001: no float sum() over unordered containers
 # ---------------------------------------------------------------------------
 
@@ -657,5 +550,4 @@ def all_rules() -> list[LintRule]:
         NondeterministicCallRule(),
         BareSleepRule(),
         MissingSlotsRule(),
-        SocketWithoutTimeoutRule(),
     ]
