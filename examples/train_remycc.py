@@ -11,7 +11,9 @@ the paper's 16-specimen, 100-second evaluations (CPU-days in pure
 Python).  ``--workers N`` fans the specimen and
 candidate-neighbourhood simulations out over N worker processes, the way the
 paper's design runs used many cores; ``--workers 1`` (the default) runs them
-in this process.  The designed tree is the same at every width.
+in this process.  The designed tree is the same at every width.  Within one
+rule's climb no action is simulated twice: the evaluation count printed at the
+end is what the budget was charged, and says how much of it was remembered.
 
 Long runs should checkpoint: ``--checkpoint design.ckpt.json`` writes the
 full resumable search state (tree, progress counters, settings, seed
@@ -184,8 +186,9 @@ def main() -> None:
     print(tree.describe())
     print()
     print(
-        f"finished in {elapsed:.1f}s: {optimizer.state.evaluations_used} evaluations, "
-        f"{optimizer.state.improvements} action improvements, "
+        f"finished in {elapsed:.1f}s: {optimizer.state.evaluations_used} evaluations "
+        f"scored, {optimizer.state.remembered_evaluations} of them remembered, not "
+        f"re-simulated; {optimizer.state.improvements} action improvements, "
         f"{optimizer.state.splits} splits, {len(tree)} rules"
     )
     print(

@@ -15,6 +15,7 @@ example: r ± 0.01, r ± 0.08, r ± 0.64, ...).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator
@@ -40,6 +41,11 @@ INTERSEND_GRANULARITY = 0.05
 #: Geometric growth factor between candidate magnitudes (0.01 → 0.08 → 0.64).
 CANDIDATE_GROWTH = 8.0
 
+#: Decimal places of the lattice candidate actions live on: finer than any step
+#: the search takes (the smallest is 0.01), seven orders coarser than the float
+#: error a walk accumulates — so ``a + d - d`` is ``a`` again, as equal floats.
+ACTION_DECIMALS = 9
+
 #: Maximum congestion window (packets) an action may produce.
 MAX_WINDOW_PACKETS = 1_000_000.0
 
@@ -53,6 +59,10 @@ class Action:
     intersend_ms: float = DEFAULT_INTERSEND_MS
 
     def __post_init__(self) -> None:
+        for name in self.__slots__:
+            # NaN passes every comparison below (and is unequal to itself).
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.window_multiple < 0:
             raise ValueError("window_multiple must be non-negative")
         if self.intersend_ms <= 0:
@@ -86,9 +96,17 @@ class Action:
         three components (excluding the all-unchanged candidate).  With the
         default ``magnitudes=2`` this yields 5*5*5 - 1 = 124 candidates,
         matching the paper's "roughly 100".
+
+        Every candidate component is rounded to ``ACTION_DECIMALS`` places
+        before it is clamped, so away from a clamp ``a in b.neighbors()`` for
+        every ``b in a.neighbors()`` as *equal floats* — which is what lets
+        the optimizer's per-climb memo recognise an action it has scored.
         """
         if magnitudes < 1:
             raise ValueError("magnitudes must be at least 1")
+
+        def placed(value: float, low: float, high: float) -> float:
+            return min(max(round(value, ACTION_DECIMALS), low), high)
 
         def deltas(granularity: float) -> list[float]:
             steps = [0.0]
@@ -106,15 +124,9 @@ class Action:
             if dm == 0.0 and db == 0.0 and dr == 0.0:
                 continue
             candidate = Action(
-                window_multiple=min(
-                    max(self.window_multiple + dm, MIN_WINDOW_MULTIPLE), MAX_WINDOW_MULTIPLE
-                ),
-                window_increment=min(
-                    max(self.window_increment + db, MIN_WINDOW_INCREMENT), MAX_WINDOW_INCREMENT
-                ),
-                intersend_ms=min(
-                    max(self.intersend_ms + dr, MIN_INTERSEND_MS), MAX_INTERSEND_MS
-                ),
+                placed(self.window_multiple + dm, MIN_WINDOW_MULTIPLE, MAX_WINDOW_MULTIPLE),
+                placed(self.window_increment + db, MIN_WINDOW_INCREMENT, MAX_WINDOW_INCREMENT),
+                placed(self.intersend_ms + dr, MIN_INTERSEND_MS, MAX_INTERSEND_MS),
             )
             if candidate != self:
                 yield candidate

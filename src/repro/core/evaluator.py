@@ -41,7 +41,6 @@ from repro.runner import (
     SimJob,
     SimJobResult,
     mix_seed,
-    whisker_tree_token,
 )
 from repro.traffic.onoff import ByteFlowWorkload, TimedFlowWorkload
 
@@ -136,14 +135,16 @@ class Evaluator:
         self.backend = backend if backend is not None else SerialBackend()
         self.cache = cache
         if cache is not None:
-            # Look-aside memoization by (rule table, specimen, seed): the
-            # hill climb re-scores its baseline constantly, and a resumed
-            # run replays whole epochs — both become cache hits that are
-            # bit-identical to recomputation.
+            # Look-aside memoization by (rule table, specimen, seed), carried
+            # across processes: a resumed or repeated run replays whole
+            # epochs as cache hits, bit-identical to recomputation.  (Repeats
+            # *within* one climb never get this far — the optimizer's memo.)
             self.backend = CachingBackend(self.backend, cache)
         self.specimens = config_range.specimens(
             self.settings.num_specimens, seed=self.settings.seed
         )
+        #: Rule tables actually simulated (or served by ``cache``) — not the
+        #: optimizer's budget count, which also charges remembered candidates.
         self.evaluations = 0
 
     # -- specimen construction ---------------------------------------------------
@@ -214,28 +215,15 @@ class Evaluator:
         :class:`~repro.runner.ProcessPoolBackend`'s chunked submission
         cheap: consecutive jobs share a rule table, so each chunk pickles
         that table once rather than once per job.
+
+        Every table given is simulated, equal content or not: the evaluator
+        folds nothing.  Not scoring the same candidate twice is the caller's
+        business (``RemyOptimizer._improve_whisker`` keeps a per-climb memo).
         """
         trees = list(trees)
         if not trees:
             return []
         self.evaluations += len(trees)
-        if not training:
-            # A read-only pass leaves nothing on the tree, so tables with the
-            # same content (clamping folds neighbouring candidates together)
-            # are simulated once, in first-seen order, and share the result.
-            tokens = [whisker_tree_token(tree) for tree in trees]
-            distinct: dict[str, WhiskerTree] = {}
-            for token, tree in zip(tokens, trees):
-                distinct.setdefault(token, tree)
-            scored = dict(
-                zip(distinct, self._simulate(list(distinct.values()), training=False))
-            )
-            return [scored[token] for token in tokens]
-        return self._simulate(trees, training)
-
-    def _simulate(
-        self, trees: list[WhiskerTree], training: bool
-    ) -> list[EvaluationResult]:
         jobs = []
         for tree in trees:
             for index, specimen in enumerate(self.specimens):

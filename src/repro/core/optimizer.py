@@ -85,6 +85,9 @@ class OptimizerState:
     #: Defaulted so checkpoints written before these existed still load.
     sealed_simulations: int = 0
     truncated_simulations: int = 0
+    #: Evaluations, of ``evaluations_used``, whose result the climb memo
+    #: already held: charged and recorded like any other, not re-simulated.
+    remembered_evaluations: int = 0
 
 
 class RemyOptimizer:
@@ -144,17 +147,6 @@ class RemyOptimizer:
         result = self.evaluator.evaluate(self.tree, training=training)
         self._record(result)
         return result
-
-    def _evaluate_candidates(self, trees: list[WhiskerTree]) -> list[EvaluationResult]:
-        """Score a batch of candidate tables (one budget unit per table).
-
-        The candidates share specimens and seeds, so a parallel evaluator
-        backend can run the whole neighbourhood concurrently.
-        """
-        results = self.evaluator.evaluate_many(trees, training=False)
-        for result in results:
-            self._record(result)
-        return results
 
     def _candidate_trees(
         self, whisker_index: int, actions: list[Action]
@@ -315,53 +307,69 @@ class RemyOptimizer:
         self.tree.set_epoch(epoch)
         if self._budget_exhausted():
             return
-        baseline = self._evaluate(training=True)
-        best_score = baseline.score
+        incumbent = self._evaluate(training=True)
         while not self._budget_exhausted():
             whisker = self.tree.most_used(epoch=epoch)
             if whisker is None:
                 # No rule in this epoch remains used: the epoch is finished.
                 break
-            improved_score = self._improve_whisker(whisker, best_score)
-            best_score = max(best_score, improved_score)
+            incumbent = self._improve_whisker(whisker, incumbent)
             whisker.epoch = epoch + 1
             self._notify(
-                f"improved rule to score {improved_score:.4f} "
+                f"improved rule to score {incumbent.score:.4f} "
                 f"(action {whisker.action.as_tuple()})"
             )
 
-    def _improve_whisker(self, whisker: Whisker, baseline_score: float) -> float:
+    def _improve_whisker(
+        self, whisker: Whisker, incumbent: EvaluationResult
+    ) -> EvaluationResult:
         """Step 3: hill-climb the rule's action over its candidate neighbourhood.
 
-        Each round scores the whole neighbourhood as one
-        :meth:`Evaluator.evaluate_many` batch — the candidates are
-        independent by construction (same specimens, same seeds), so a
-        parallel backend runs them concurrently.
+        ``incumbent`` is the evaluation of the tree as it stands; the result
+        of the tree as the climb leaves it is returned.  Each round scores
+        the whole neighbourhood as one :meth:`Evaluator.evaluate_many` batch
+        — the candidates are independent by construction (same specimens,
+        same seeds), so a parallel backend runs them concurrently.
+
+        The climb remembers what it has scored (Remy's ``eval_cache_``):
+        successive neighbourhoods overlap, clamping folds neighbours
+        together, and while one rule climbs the rest of the tree is fixed, so
+        an action names its table and a remembered result cannot go stale.
+        Only actions not yet in ``scored`` are simulated; every candidate, in
+        neighbour order, is still charged one evaluation and recorded — so
+        budget, ``score_history`` and the chosen action are exactly those of
+        a climb that re-simulates everything.  The memo dies with the call.
         """
-        best_score = baseline_score
+        scored = {whisker.action: incumbent}
         whisker_index = next(
             i for i, w in enumerate(self.tree.whiskers()) if w is whisker
         )
         improved = True
         while improved and not self._budget_exhausted():
             improved = False
-            candidates = list(whisker.action.neighbors(self.settings.candidate_magnitudes))
             remaining = self.settings.max_evaluations - self.state.evaluations_used
-            if remaining <= 0:
-                break
-            candidates = candidates[:remaining]
-            trees = self._candidate_trees(whisker_index, candidates)
-            results = self._evaluate_candidates(trees)
+            candidates = list(
+                whisker.action.neighbors(self.settings.candidate_magnitudes)
+            )[:remaining]
+            fresh = [action for action in dict.fromkeys(candidates) if action not in scored]
+            if fresh:
+                trees = self._candidate_trees(whisker_index, fresh)
+                scored.update(
+                    zip(fresh, self.evaluator.evaluate_many(trees, training=False))
+                )
+            self.state.remembered_evaluations += len(candidates) - len(fresh)
             best_action = whisker.action
-            for candidate, result in zip(candidates, results):
-                if result.score > best_score + self.settings.improvement_threshold:
-                    best_score = result.score
+            for candidate in candidates:
+                result = scored[candidate]
+                self._record(result)
+                if result.score > incumbent.score + self.settings.improvement_threshold:
+                    incumbent = result
                     best_action = candidate
             if best_action != whisker.action:
                 whisker.action = best_action
                 self.state.improvements += 1
                 improved = True
-        return best_score
+        return incumbent
 
     def _split_most_used(self) -> None:
         """Step 5: subdivide the most-used rule at its median trigger.

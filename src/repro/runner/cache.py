@@ -1,10 +1,11 @@
-"""Content-addressed result cache: hill-climb re-visits are free.
+"""Content-addressed result cache: results carried across processes and runs.
 
-The Remy design loop re-evaluates the *same* whisker tree on the *same*
-specimen set constantly — the hill climb revisits its baseline after every
-rejected candidate, and a resumed run replays whole epochs.  Every such
-re-visit is a pure function of ``(rule table, scenario, seed)``, so this
-module memoizes it:
+A simulation is a pure function of ``(rule table, scenario, seed)``, and whole
+runs repeat them: a ``--resume`` replays the epochs since its checkpoint, a
+re-run with the same seed replays everything, a sweep re-visits its cells.
+(Repeats *within* one rule's climb never reach a backend — the optimizer
+remembers those itself, see ``RemyOptimizer._improve_whisker``.)  This module
+memoizes the rest:
 
 * a **cache key** is derived from the job's content, never its identity:
   the whisker-tree hash (structure + actions, *excluding* per-whisker

@@ -8,7 +8,7 @@ from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer, design_remycc
 from repro.core.whisker_tree import WhiskerTree
-from repro.runner import SerialBackend
+from repro.runner import SerialBackend, whisker_tree_token
 
 
 def tiny_range() -> ConfigRange:
@@ -24,6 +24,16 @@ def tiny_range() -> ConfigRange:
 
 def tiny_settings(num_specimens=2, sim_duration=3.0) -> EvaluatorSettings:
     return EvaluatorSettings(num_specimens=num_specimens, sim_duration=sim_duration, seed=1)
+
+
+class CountingBackend(SerialBackend):
+    jobs_submitted = 0
+    batches = 0
+
+    def run_batch(self, jobs):
+        self.jobs_submitted += len(jobs)
+        self.batches += 1
+        return super().run_batch(jobs)
 
 
 class TestEvaluator:
@@ -49,6 +59,17 @@ class TestEvaluator:
         b = evaluator.evaluate(tree, training=False)
         assert a.score == pytest.approx(b.score)
 
+    def test_training_and_read_only_evaluations_score_equal(self):
+        # The climb memo is seeded with the epoch's training evaluation and
+        # serves it where a read-only candidate evaluation would have run.
+        evaluator = Evaluator(tiny_range(), settings=tiny_settings())
+        tree = WhiskerTree()
+        trained = evaluator.evaluate(tree, training=True)
+        read_only = evaluator.evaluate(tree, training=False)
+        assert trained.score == read_only.score
+        assert trained.specimen_scores == read_only.specimen_scores
+        assert trained.flow_scores == read_only.flow_scores
+
     def test_obviously_bad_action_scores_worse(self):
         evaluator = Evaluator(tiny_range(), Objective.proportional(1.0), tiny_settings())
         from repro.core.pretrained import pretrained_remycc
@@ -72,35 +93,6 @@ class TestEvaluator:
         evaluator = Evaluator(config, settings=tiny_settings())
         result = evaluator.evaluate(WhiskerTree(), training=False)
         assert result.mean_throughput_mbps() > 0
-
-    def test_duplicate_candidates_are_simulated_once(self):
-        # At the default action with two magnitudes, clamping the pacing
-        # interval to its floor folds several of the 124 neighbours together.
-        class CountingBackend(SerialBackend):
-            jobs_submitted = 0
-
-            def run_batch(self, jobs):
-                self.jobs_submitted += len(jobs)
-                return super().run_batch(jobs)
-
-        candidates = list(Action.default().neighbors(2))
-        assert len(set(candidates)) < len(candidates)
-        trees = [WhiskerTree(default_action=action) for action in candidates]
-        settings = tiny_settings(sim_duration=0.5)
-
-        backend = CountingBackend()
-        evaluator = Evaluator(tiny_range(), settings=settings, backend=backend)
-        results = evaluator.evaluate_many(trees, training=False)
-        assert backend.jobs_submitted == len(set(candidates)) * settings.num_specimens
-        assert backend.jobs_submitted < len(candidates) * settings.num_specimens
-        # Budget accounting is per candidate, and every candidate — first
-        # occurrence or duplicate — gets the score of its own simulation.
-        assert evaluator.evaluations == len(results) == len(candidates)
-        reference = Evaluator(tiny_range(), settings=settings)
-        for tree, result in zip(trees, results):
-            alone = reference.evaluate(tree, training=False)
-            assert result.score == alone.score
-            assert result.specimen_scores == alone.specimen_scores
 
     def test_training_evaluations_are_never_deduplicated(self):
         # A training pass writes usage statistics onto each tree it was
@@ -202,3 +194,174 @@ class TestOptimizer:
         assert tree.name == "test-cc"
         assert state.evaluations_used > 0
         assert state.score_history
+
+
+def memo_free_epoch(evaluator, tree, settings):
+    """One design epoch (§4.3 steps 1-3) by a climb with no memory.
+
+    Written against the paper, not against ``RemyOptimizer``: every neighbour
+    of every incumbent is simulated by its own ``Evaluator.evaluate`` call on
+    the tree itself, duplicates and revisits included.  Same threshold, same
+    budget rule (a neighbourhood is cut to what the budget still allows).
+    Returns the score history and the accepted actions, in order.
+    """
+    budget = settings.max_evaluations
+    tree.set_epoch(0)
+    best = evaluator.evaluate(tree, training=True).score
+    history, accepted = [best], []
+    while len(history) < budget:
+        whisker = tree.most_used(epoch=0)
+        if whisker is None:
+            break
+        improved = True
+        while improved and len(history) < budget:
+            improved = False
+            centre = winner = whisker.action
+            neighbours = list(centre.neighbors(settings.candidate_magnitudes))
+            for candidate in neighbours[: budget - len(history)]:
+                whisker.action = candidate
+                score = evaluator.evaluate(tree, training=False).score
+                history.append(score)
+                if score > best + settings.improvement_threshold:
+                    best, winner = score, candidate
+            whisker.action = winner
+            if winner != centre:
+                accepted.append(winner)
+                improved = True
+        whisker.epoch = 1
+    return history, accepted
+
+
+def climb_evaluator(backend=None):
+    """tests/test_optimizer_checkpoint.py's run: at threshold 0.05 its first
+    three neighbourhoods each improve."""
+    return Evaluator(
+        tiny_range(),
+        Objective.proportional(1.0),
+        EvaluatorSettings(num_specimens=2, sim_duration=1.0, seed=3),
+        backend=backend,
+    )
+
+
+def split_tree():
+    tree = WhiskerTree()
+    climb_evaluator().evaluate(tree, training=True)
+    tree.split_whisker(tree.most_used())
+    return tree
+
+
+class TestClimbMemo:
+    """Within one rule's climb no action is simulated twice — and nothing
+    else about the search changes."""
+
+    #: name -> (start tree, settings overrides, expected (evaluations_used,
+    #: remembered_evaluations, improvements, candidate batches))
+    CASES = {
+        # Four whole neighbourhoods; steps of two, one and one axes leave
+        # 11 + 17 + 17 of the next neighbourhood already scored (the least
+        # a step can leave is 7 of 26).
+        "default-start": (WhiskerTree, dict(max_evaluations=120), (105, 45, 3, 4)),
+        # Clamping the pacing interval folds 25 of the first 124.
+        "two-magnitudes": (
+            WhiskerTree,
+            dict(max_evaluations=250, candidate_magnitudes=2),
+            (250, 33, 2, 2),
+        ),
+        # The budget cuts the second neighbourhood after 10 candidates ...
+        "cut-mid-list": (WhiskerTree, dict(max_evaluations=37), (37, 5, 2, 2)),
+        # ... or leaves one candidate, already scored: charged, no batch.
+        "cut-to-a-remembered-candidate": (
+            WhiskerTree,
+            dict(max_evaluations=28),
+            (28, 1, 1, 1),
+        ),
+        # Six rules climbed in one epoch: every climb after the first starts
+        # from the previous climb's winning result, not the epoch baseline.
+        "eight-rules": (split_tree, dict(max_evaluations=400), (287, 79, 5, 11)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_memo_free_reference_climb_agrees(self, case):
+        make_tree, overrides, expected = self.CASES[case]
+        settings = OptimizerSettings(max_epochs=1, improvement_threshold=0.05, **overrides)
+
+        reference_backend = CountingBackend()
+        reference_tree = make_tree()
+        history, accepted = memo_free_epoch(
+            climb_evaluator(reference_backend), reference_tree, settings
+        )
+
+        backend = CountingBackend()
+        evaluator = climb_evaluator(backend)
+        optimizer = RemyOptimizer(evaluator, tree=make_tree(), settings=settings)
+        optimizer.optimize()
+        state = optimizer.state
+
+        assert state.score_history == history  # bit for bit, no tolerance
+        assert state.improvements == len(accepted)
+        assert whisker_tree_token(optimizer.tree) == whisker_tree_token(reference_tree)
+        assert [w.action for w in optimizer.tree.whiskers()] == [
+            w.action for w in reference_tree.whiskers()
+        ]
+        assert (
+            state.evaluations_used,
+            state.remembered_evaluations,
+            state.improvements,
+            backend.batches - 1,
+        ) == expected
+
+        # What is charged is every candidate; what is simulated is the rest.
+        simulated = state.evaluations_used - state.remembered_evaluations
+        assert evaluator.evaluations == simulated
+        assert backend.jobs_submitted == simulated * evaluator.settings.num_specimens
+        assert backend.jobs_submitted < reference_backend.jobs_submitted
+        assert (
+            reference_backend.jobs_submitted
+            == state.evaluations_used * evaluator.settings.num_specimens
+        )
+
+    def test_a_climb_that_improves_nothing_submits_one_batch(self):
+        backend = CountingBackend()
+        optimizer = RemyOptimizer(
+            climb_evaluator(backend),
+            settings=OptimizerSettings(
+                max_epochs=1, max_evaluations=120, improvement_threshold=1e9
+            ),
+        )
+        optimizer.optimize()
+        assert optimizer.state.improvements == 0
+        assert optimizer.state.evaluations_used == 1 + 26
+        assert optimizer.state.remembered_evaluations == 0
+        assert backend.batches == 2  # the epoch's training evaluation + one
+
+    def test_duplicate_candidates_are_simulated_once(self):
+        # At the default action with two magnitudes, clamping the pacing
+        # interval to its floor folds several of the 124 neighbours together.
+        candidates = list(Action.default().neighbors(2))
+        assert len(set(candidates)) < len(candidates)
+        settings = tiny_settings(sim_duration=0.5)
+
+        backend = CountingBackend()
+        evaluator = Evaluator(tiny_range(), settings=settings, backend=backend)
+        optimizer = RemyOptimizer(
+            evaluator,
+            settings=OptimizerSettings(
+                max_epochs=1,
+                max_evaluations=1 + len(candidates),
+                candidate_magnitudes=2,
+                improvement_threshold=1e9,
+            ),
+        )
+        optimizer.optimize()
+        submitted = backend.jobs_submitted - settings.num_specimens  # the baseline
+        assert submitted == len(set(candidates)) * settings.num_specimens
+        assert submitted < len(candidates) * settings.num_specimens
+        # Budget accounting is per candidate, and every candidate — first
+        # occurrence or duplicate — gets the score of its own simulation.
+        scores = optimizer.state.score_history[1:]
+        assert optimizer.state.evaluations_used - 1 == len(scores) == len(candidates)
+        assert optimizer.state.remembered_evaluations == len(candidates) - len(set(candidates))
+        reference = Evaluator(tiny_range(), settings=settings)
+        for action, score in zip(candidates, scores):
+            alone = reference.evaluate(WhiskerTree(default_action=action), training=False)
+            assert score == alone.score

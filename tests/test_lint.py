@@ -364,6 +364,106 @@ class TestOneStatisticsPath:
         assert line.startswith("repro/runner/backends.py:")
 
 
+class TestOneCandidateMemo:
+    """One rule's climb remembers what it scored, in one place
+    (``RemyOptimizer._improve_whisker``), unconditionally: the evaluator
+    folds nothing, and no setting, argument, flag or environment variable
+    sizes the memo or turns it off."""
+
+    CORE = REPO_ROOT / "src" / "repro" / "core"
+    FIELDS = {
+        "OptimizerSettings": [
+            "epochs_per_split",
+            "candidate_magnitudes",
+            "max_epochs",
+            "max_evaluations",
+            "max_rules",
+            "improvement_threshold",
+        ],
+        "OptimizerState": [
+            "global_epoch",
+            "evaluations_used",
+            "improvements",
+            "splits",
+            "best_score",
+            "score_history",
+            "sealed_simulations",
+            "truncated_simulations",
+            "remembered_evaluations",
+        ],
+        "RemyOptimizer": ["self", "evaluator", "tree", "settings", "progress", "checkpoint_path"],
+        "EvaluatorSettings": [
+            "num_specimens",
+            "sim_duration",
+            "seed",
+            "queue_kind",
+            "buffer_packets",
+            "mss_bytes",
+            "max_events_per_sim",
+        ],
+        "Evaluator": ["self", "config_range", "objective", "settings", "backend", "cache"],
+    }
+    TRAINING_FLAGS = [
+        "--delta",
+        "--output",
+        "--specimens",
+        "--sim-duration",
+        "--max-epochs",
+        "--max-evaluations",
+        "--paper-scale",
+        "--seed",
+        "--workers",
+        "--retries",
+        "--cache",
+        "--checkpoint",
+        "--resume",
+    ]
+
+    def test_the_evaluator_folds_nothing(self):
+        assert "whisker_tree_token" not in (self.CORE / "evaluator.py").read_text()
+
+    @staticmethod
+    def _fields_or_init_parameters(cls: ast.ClassDef) -> list[str]:
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                arguments = node.args
+                assert not (arguments.vararg or arguments.kwarg or arguments.kwonlyargs)
+                return [arg.arg for arg in arguments.posonlyargs + arguments.args]
+        return [
+            node.target.id
+            for node in cls.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        ]
+
+    def test_the_memo_has_no_knob(self):
+        found = {
+            cls.name: self._fields_or_init_parameters(cls)
+            for module in ("optimizer.py", "evaluator.py")
+            for cls in ast.parse((self.CORE / module).read_text()).body
+            if isinstance(cls, ast.ClassDef) and cls.name in self.FIELDS
+        }
+        assert found == self.FIELDS
+
+    def test_the_core_reads_no_environment_variable(self):
+        offenders = [
+            path.name
+            for path in sorted(self.CORE.glob("*.py"))
+            if re.search(r"environ|getenv", path.read_text())
+        ]
+        assert offenders == []
+
+    def test_the_training_example_gained_no_flag(self):
+        example = ast.parse((REPO_ROOT / "examples" / "train_remycc.py").read_text())
+        flags = [
+            node.args[0].value
+            for node in ast.walk(example)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+        ]
+        assert sorted(flags) == sorted(self.TRAINING_FLAGS)
+
+
 class TestOneParallelBackend:
     """``ProcessPoolBackend`` stays the one place a batch runs in parallel:
     the distributed stack (coordinator, lease queue, wire framing, the

@@ -42,13 +42,14 @@ def tiny_range() -> ConfigRange:
     )
 
 
-def make_evaluator(seed: int = 3, num_specimens: int = 2) -> Evaluator:
+def make_evaluator(seed: int = 3, num_specimens: int = 2, backend=None) -> Evaluator:
     return Evaluator(
         tiny_range(),
         Objective.proportional(delta=1.0),
         EvaluatorSettings(
             num_specimens=num_specimens, sim_duration=1.0, seed=seed
         ),
+        backend=backend,
     )
 
 
@@ -76,8 +77,8 @@ def reference_run():
 
 
 #: sha256 over the reference run's final tree and score history (floats by
-#: ``repr``), recorded before sealing and candidate deduplication landed:
-#: neither may move a rule, an action or a single score.
+#: ``repr``), recorded before sealing, candidate deduplication and the climb
+#: memo landed: none of them may move a rule, an action or a single score.
 REFERENCE_RUN_DIGEST = "08497ec09e3e09d7c0b5e7278b1a263537e3855a0d990ccfc03852aff707873a"
 
 
@@ -188,6 +189,54 @@ class TestResume:
             resumed.optimize()
         assert whisker_tree_token(resumed.tree) == whisker_tree_token(reference.tree)
         assert resumed.state.score_history == reference.state.score_history
+
+    def test_pool_resume_ends_with_the_whole_state_of_the_serial_run(self, tmp_path):
+        # The climb memo dies with each climb, so nothing of it has to cross
+        # the checkpoint: what it remembered is a counter like the others.
+        # From eight rules at the default action both epochs improve a rule
+        # and both remember candidates (79, then 17 more).
+        def eight_rules():
+            tree = WhiskerTree(name="ckpt")
+            make_evaluator().evaluate(tree, training=True)
+            tree.split_whisker(tree.most_used())
+            return tree
+
+        settings = OptimizerSettings(
+            max_epochs=2, max_evaluations=500, improvement_threshold=0.05
+        )
+        reference = RemyOptimizer(make_evaluator(), tree=eight_rules(), settings=settings)
+        reference.optimize()
+
+        path = tmp_path / "design.ckpt.json"
+        partial = RemyOptimizer(
+            make_evaluator(),
+            tree=eight_rules(),
+            settings=replace(settings, max_epochs=1),
+            checkpoint_path=path,
+        )
+        partial.optimize()
+        assert (
+            0
+            < partial.state.remembered_evaluations
+            < reference.state.remembered_evaluations
+        )
+
+        with ProcessPoolBackend(max_workers=2) as backend:
+            resumed = RemyOptimizer.resume_from_checkpoint(
+                path, make_evaluator(backend=backend)
+            )
+            resumed.settings = replace(resumed.settings, max_epochs=settings.max_epochs)
+            resumed.optimize()
+        assert resumed.state == reference.state
+        assert whisker_tree_token(resumed.tree) == whisker_tree_token(reference.tree)
+
+    def test_checkpoint_written_before_the_memo_still_loads(self, tmp_path):
+        optimizer = RemyOptimizer(make_evaluator())
+        document = optimizer.checkpoint_dict()
+        assert document["state"].pop("remembered_evaluations") == 0
+        path = save_json_atomic(document, tmp_path / "old.json")
+        restored = RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
+        assert restored.state.remembered_evaluations == 0
 
     def test_resume_keeps_checkpointing_to_the_same_file(self, tmp_path):
         path = tmp_path / "design.ckpt.json"

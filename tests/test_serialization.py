@@ -65,6 +65,18 @@ def test_unsupported_version_rejected():
         whisker_tree_from_dict(data)
 
 
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity"])
+def test_a_table_with_a_non_finite_action_does_not_load(tmp_path, spelling):
+    # ``json.loads`` accepts these three words; a rule carrying one would
+    # poison every congestion window it touches.
+    path = save_remycc(WhiskerTree(default_action=Action(0.9, 2.0, 1.5)), tmp_path / "remy.json")
+    text = path.read_text()
+    assert text.count("2.0") == 1
+    path.write_text(text.replace("2.0", spelling))
+    with pytest.raises(ValueError, match="window_increment must be finite"):
+        load_remycc(path)
+
+
 @given(points=st.lists(memories, min_size=1, max_size=25))
 @settings(max_examples=30, deadline=None)
 def test_restored_tree_gives_identical_lookups(points):
