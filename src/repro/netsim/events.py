@@ -244,6 +244,17 @@ class EventScheduler:
         """
         self._processed -= 1
 
+    def clear(self) -> None:
+        """Drop everything still queued (a finished simulation's teardown),
+        marking each entry executed so cancelling a handle that outlived the
+        run stays a no-op; emptied in place (the fused closures alias the heap)."""
+        for entry in (*self._heap, *self._ready):
+            entry[2] = None
+            entry[3] = ()
+        self._heap.clear()
+        self._ready.clear()
+        self._pending = 0
+
     # ------------------------------------------------------------------ inspection
     def peek_time(self) -> Optional[float]:
         """Return the timestamp of the next pending event, or ``None``."""

@@ -50,11 +50,14 @@ Two kernels ship today:
   :class:`~repro.netsim.events.EventScheduler`, posting with an inlined
   ``heappush``.  The choice is made from the spec in
   :meth:`FlatKernel.create_scheduler`; it is not a knob.
+
+The fused closures are stored on the objects they capture — cycles by design,
+cut by ``release()`` when ``Simulation.run`` ends, which is why no closure may
+name itself.  The collector pause is the caller's (``gc_paused``), not a kernel's.
 """
 
 from __future__ import annotations
 
-import gc
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
@@ -188,6 +191,11 @@ class FlatScheduler(EventScheduler):
         """Queued, not-yet-cancelled events, lane entries included."""
         lane_a, lane_b = self._lanes
         return self._pending + len(lane_a) + len(lane_b)
+
+    def clear(self) -> None:
+        super().clear()
+        for lane in self._lanes:  # nothing holds a handle on a lane entry
+            lane.clear()
 
     def _first_lane(self) -> _Lane:
         """The lane whose head entry is due first (``None``: both empty)."""
@@ -379,18 +387,11 @@ class SimulationKernel:
         end_time: float,
         max_events: Optional[int] = None,
     ) -> int:
-        # Cyclic GC is pure overhead on the per-packet path of every kernel
-        # (event entries and AckInfo tuples die young and acyclically);
-        # pausing it is observationally free.  Restore the caller's setting
-        # either way.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
-            return scheduler.run_until(end_time, max_events=max_events)
-        finally:
-            if was_enabled:
-                gc.enable()
+        # The cyclic collector is paused by the caller, not here:
+        # ``Simulation.run`` pauses it through teardown and ``run_sim_job``
+        # from the build on — a half-wired graph is as pointless to traverse
+        # as the event loop's acyclic young garbage.
+        return scheduler.run_until(end_time, max_events=max_events)
 
 
 class GenericKernel(SimulationKernel):
@@ -1085,15 +1086,14 @@ def _fused_finish(
                         if delay > hop.max_delay:
                             hop.max_delay = delay
         link._busy = True
-        # ``finish_transmission`` is the link's own (rebound)
-        # ``_finish_transmission``; self-referencing the closure skips the
-        # attribute read the generic body pays.
+        # Posted through the link's (rebound) attribute, like ``_fused_start``:
+        # a closure naming itself is a cycle ``LinkBase.release`` cannot cut.
         if size_bytes == lane_bytes:
             ser.append(
                 [
                     now + size_bytes * 8 / rate_bps,
                     scheduler._sequence,
-                    finish_transmission,
+                    link._finish_transmission,
                     packet,
                 ]
             )
@@ -1104,7 +1104,7 @@ def _fused_finish(
                 [
                     now + size_bytes * 8 / rate_bps,
                     scheduler._sequence,
-                    finish_transmission,
+                    link._finish_transmission,
                     (packet,),
                 ],
             )
@@ -1112,7 +1112,7 @@ def _fused_finish(
             scheduler._pending += 1
         else:  # an off-size packet on a lane scheduler
             scheduler.post_after(
-                size_bytes * 8 / rate_bps, finish_transmission, packet
+                size_bytes * 8 / rate_bps, link._finish_transmission, packet
             )
 
     return finish_transmission

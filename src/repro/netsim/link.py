@@ -63,6 +63,13 @@ class LinkBase:
         """Set the callback that receives packets at the far end of the link."""
         self.deliver = deliver
 
+    def release(self) -> None:
+        """Cut the hop's wiring once its simulation has run — callbacks, and what
+        shadows a method (kernel closure, armed seal, spy); queue and counters stay."""
+        self.deliver = self.delay_observer = None
+        for name in ("receive", "connect", "_start_transmission", "_finish_transmission"):
+            self.__dict__.pop(name, None)
+
     # -- helpers -------------------------------------------------------------
     def _observe_wait(self, packet: Packet) -> None:
         """Report how long the packet waited in the queue (excludes its own
@@ -170,6 +177,10 @@ class ConstantRateLink(LinkBase):
         on_seal, self._on_seal = self._on_seal, None
         if on_seal is not None:
             on_seal()
+
+    def release(self) -> None:
+        super().release()
+        self._on_seal = None
 
     def _receive_sealable(self, packet: Packet) -> None:
         """:meth:`receive` plus the seal check (armed links only)."""

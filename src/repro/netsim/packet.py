@@ -250,6 +250,11 @@ class PacketPool:
         self.released += 1
         self._free.append(packet)
 
+    def clear(self) -> None:
+        """Drop the freelist (in place: the fused sender aliases it), cutting
+        the ``Packet._pool`` cycle; counters and debug accounting stay."""
+        self._free.clear()
+
     @property
     def in_use(self) -> Optional[int]:
         """Live pooled packets (debug mode only; ``None`` otherwise)."""

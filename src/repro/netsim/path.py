@@ -482,6 +482,18 @@ class PathNetwork:
         for endpoints in self.flows.values():
             endpoints.sender.seal()
 
+    def release(self) -> None:
+        """Cut every hop's and endpoint's wiring once the simulation has run:
+        what is left — links, queues, flows, counters — is data."""
+        for links, tables, gates in zip(self.links, self._next, self._gates):
+            for link, table in zip(links, tables):
+                link.release()
+                table.clear()
+            gates[:] = [None] * len(gates)
+        for endpoints in self.flows.values():
+            endpoints.sender.release()
+            endpoints.receiver.release()
+
     def _entry(self, direction: int, index: int) -> Callable[[Packet], None]:
         """Where packets enter a hop: its loss gate if it has one, else the
         link's ``receive`` as bound right now."""

@@ -39,6 +39,11 @@ class Receiver:
         """Set the callback used to return acknowledgments to the sender."""
         self.send_ack = send_ack
 
+    def release(self) -> None:
+        """Cut the endpoint's wiring once its simulation has run."""
+        self.send_ack = None
+        self.__dict__.pop("on_packet", None)  # kernel closure or sanitizer wrapper
+
     def reset(self) -> None:
         """Forget reassembly state (used when a sender restarts sequencing)."""
         self.next_expected = 0

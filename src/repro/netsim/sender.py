@@ -185,6 +185,15 @@ class Sender:
         """Set the callback that pushes data packets into the network."""
         self.transmit = transmit
 
+    def release(self) -> None:
+        """Cut the endpoint's wiring once its simulation has run (transmit
+        sink, timers, rebound handlers); transport state and stats stay."""
+        self.transmit = None
+        self._on_until_event = self._rto_event = None
+        self._pacing_event = self._switch_event = None
+        for name in ("on_ack", "_pacing_fire"):  # kernel closure or sanitizer wrapper
+            self.__dict__.pop(name, None)
+
     def seal(self) -> None:
         """The bottleneck just sealed: stop transmitting what cannot arrive.
 

@@ -12,12 +12,15 @@ returns a :class:`SimulationResult`.
 
 from __future__ import annotations
 
+import gc
+import math
 import random
 import statistics
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
-from repro.netsim.events import EventCapExceeded
+from repro.netsim.events import EventCapExceeded, SimulationError
 from repro.netsim.invariants import InvariantChecker
 from repro.netsim.kernel import KernelChoice, resolve_kernel
 from repro.netsim.network import NetworkSpec
@@ -116,9 +119,34 @@ class SimulationResult:
         )
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector for the span and restore the caller's
+    setting on every exit path (nested: a no-op).  A simulation's garbage
+    dies by reference count — event entries and ``AckInfo`` tuples as it
+    runs, the whole graph once :meth:`Simulation.run` has cut its wiring —
+    so a collection during its build or run traverses a live graph for nothing.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 class Simulation:
     """One run of a topology — dumbbell or multi-hop path — with a fixed
     set of flows.
+
+    One lifecycle: build, :meth:`run` once, read.  A finished simulation
+    holds data, not wiring — ``run`` ends by emptying the scheduler, cutting
+    every callback between endpoints, hops and kernel closures and dropping
+    the packet freelist, so dropping the object frees it by reference count
+    alone.  Flow statistics, ``cc`` state, queue/link/pool counters,
+    ``sealed_at`` and the scheduler's clock and event count stay readable.
 
     Parameters
     ----------
@@ -175,8 +203,8 @@ class Simulation:
             raise ValueError(
                 f"got {len(workloads)} workloads for {spec.n_flows} flows"
             )
-        if duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(duration) and duration > 0):
+            raise ValueError(f"duration must be positive and finite, got {duration!r}")
         self.spec = spec
         self.protocols = list(protocols)
         self.workloads = list(workloads) if workloads is not None else [None] * spec.n_flows
@@ -225,6 +253,7 @@ class Simulation:
         )
         self.senders: list[Sender] = []
         self.receivers: list[Receiver] = []
+        self._ran = False
         self._build_flows()
         # The simulation is fully built (identical construction order and
         # rng draws regardless of kernel); a specialized kernel may now
@@ -254,24 +283,36 @@ class Simulation:
             self.receivers.append(receiver)
 
     def run(self) -> SimulationResult:
-        """Execute the simulation and return per-flow statistics."""
-        if self.invariant_checker is not None:
-            self.invariant_checker.arm()
-        for sender in self.senders:
-            sender.start()
+        """Execute the simulation, dismantle its wiring and return per-flow
+        statistics.  Terminal: a second call raises."""
+        if self._ran:
+            raise SimulationError("a simulation runs once: build another to run again")
+        self._ran = True
         end_time = self.duration
         truncated = False
-        try:
-            self.kernel.run(self.scheduler, end_time, max_events=self.max_events)
-        except EventCapExceeded:
-            # Report the prefix that was simulated, flagged, rather than
-            # failing the batch the run belongs to.
-            truncated = True
-            end_time = self.scheduler.now
-        for sender in self.senders:
-            sender.finalize(end_time)
-        if self.invariant_checker is not None:
-            self.invariant_checker.final_check()
+        with gc_paused():
+            if self.invariant_checker is not None:
+                self.invariant_checker.arm()
+            for sender in self.senders:
+                sender.start()
+            try:
+                self.kernel.run(self.scheduler, end_time, max_events=self.max_events)
+            except EventCapExceeded:
+                # Report the prefix that was simulated, flagged, rather than
+                # failing the batch the run belongs to.
+                truncated = True
+                end_time = self.scheduler.now
+            for sender in self.senders:
+                sender.finalize(end_time)
+            if self.invariant_checker is not None:
+                self.invariant_checker.final_check()
+            # Cut the cycles (queued timers <-> endpoints, closures stored on
+            # what they capture, pooled packets <-> pool) so reference counting
+            # frees the graph; a sanitizer keeps its one (checker <-> simulation).
+            self.scheduler.clear()
+            self.network.release()
+            if self.packet_pool is not None:
+                self.packet_pool.clear()
         return SimulationResult(
             duration=self.duration,
             flow_stats=[sender.stats for sender in self.senders],

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from repro.netsim.sender import Workload
-from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec
+from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec, gc_paused
 
 if TYPE_CHECKING:
     # Annotation-only imports.  repro.core's package __init__ imports the
@@ -196,20 +196,24 @@ def run_sim_job(job: SimJob) -> SimJobResult:
     other jobs of the same chunk (a chunk is unpickled as one message, so its
     jobs reference one tree copy), so its statistics are zeroed before the
     run rather than trusting the tree to arrive clean.
+
+    The simulation is built, run and dropped with the cyclic collector
+    paused: a finished :class:`Simulation` is acyclic, so it is freed on the
+    spot and the collector is handed nothing to find.
     """
     tree = job.tree if job.training else None
     if tree is not None:
         tree.reset_statistics()
-    simulation = Simulation(
-        job.spec,
-        job.build_protocols(),
-        list(job.workloads) if job.workloads else None,
-        duration=job.duration,
-        seed=job.seed,
-        trace_flows=job.trace_flows,
-        max_events=job.max_events,
-    )
-    result = simulation.run()
+    with gc_paused():
+        result = Simulation(
+            job.spec,
+            job.build_protocols(),
+            list(job.workloads) if job.workloads else None,
+            duration=job.duration,
+            seed=job.seed,
+            trace_flows=job.trace_flows,
+            max_events=job.max_events,
+        ).run()
     return SimJobResult(
         job_id=job.job_id,
         result=result,

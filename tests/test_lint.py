@@ -533,3 +533,126 @@ class TestOneParallelBackend:
             "ProcessPoolBackend",
             "SerialBackend",
         ]
+
+
+class TestOneCollectorPause:
+    """The cyclic collector is paused in one place (``gc_paused``, around a
+    simulation's run-and-dismantle span and around a job's build → run →
+    drop), a finished simulation is acyclic by construction, and nothing —
+    argument, field, threshold, freeze, environment variable — turns either
+    off."""
+
+    SRC = REPO_ROOT / "src"
+    NETSIM = SRC / "repro" / "netsim"
+    SIGNATURES = {
+        "Simulation.__init__": [
+            "self",
+            "spec",
+            "protocols",
+            "workloads",
+            "duration",
+            "seed",
+            "trace_flows",
+            "max_events",
+            "use_packet_pool",
+            "debug_packet_pool",
+            "debug_invariants",
+            "kernel",
+        ],
+        "Simulation.run": ["self"],
+        "run_sim_job": ["job"],
+        "SimJob": [
+            "job_id",
+            "spec",
+            "duration",
+            "seed",
+            "workloads",
+            "tree",
+            "training",
+            "protocol_factory",
+            "scenario",
+            "max_events",
+            "trace_flows",
+        ],
+    }
+
+    @staticmethod
+    def _python_files(*roots: str) -> list[Path]:
+        return [path for root in roots for path in sorted((REPO_ROOT / root).rglob("*.py"))]
+
+    def test_one_function_switches_the_collector(self):
+        switches = {
+            (str(path.relative_to(self.SRC)), function.name)
+            for path in self._python_files("src")
+            for function in ast.walk(ast.parse(path.read_text()))
+            if isinstance(function, (ast.FunctionDef, ast.Lambda))
+            for node in ast.walk(function)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("disable", "enable")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "gc"
+        }
+        assert switches == {("repro/netsim/simulator.py", "gc_paused")}
+        # Two lines, as ``git grep`` prints them: no comment or docstring offers it either.
+        lines = [
+            f"{path.name}: {line.strip()}"
+            for path in self._python_files("src")
+            for line in path.read_text().splitlines()
+            if re.search(r"gc\.(disable|enable)", line)
+        ]
+        assert lines == ["simulator.py: gc.disable()", "simulator.py: gc.enable()"]
+
+    def test_the_kernel_does_not_import_gc(self):
+        kernel = ast.parse((self.NETSIM / "kernel.py").read_text())
+        assert "gc" not in TestOneParallelBackend._imported_modules(kernel)
+
+    def test_no_threshold_no_freeze_no_environment_variable(self):
+        files = self._python_files("src", "tools", "examples")
+        tuned = [
+            str(path.relative_to(REPO_ROOT))
+            for path in files
+            if re.search(r"set_threshold|gc\.freeze", path.read_text())
+        ]
+        assert tuned == []
+        reads_environment = {
+            str(path.relative_to(REPO_ROOT))
+            for path in files
+            if re.search(r"environ|getenv", path.read_text())
+        }
+        # The fault plan's variable, and a cache-key helper named "_environment_token".
+        assert reads_environment == {"src/repro/runner/faults.py", "src/repro/runner/cache.py"}
+
+    def test_the_lifecycle_has_no_knob(self):
+        import dataclasses
+        import inspect
+
+        from repro.netsim.simulator import Simulation
+        from repro.runner.jobs import SimJob, run_sim_job
+
+        found = {
+            "Simulation.__init__": list(inspect.signature(Simulation.__init__).parameters),
+            "Simulation.run": list(inspect.signature(Simulation.run).parameters),
+            "run_sim_job": list(inspect.signature(run_sim_job).parameters),
+            "SimJob": [field.name for field in dataclasses.fields(SimJob)],
+        }
+        assert found == self.SIGNATURES
+
+    def test_no_fused_closure_names_itself(self):
+        # A function <-> cell self-cycle is the one kind nothing can cut from
+        # outside; ``_fused_finish`` posts ``link._finish_transmission``.
+        kernel = ast.parse((self.NETSIM / "kernel.py").read_text())
+        closures = [
+            inner
+            for factory in kernel.body
+            if isinstance(factory, ast.FunctionDef)
+            for inner in factory.body
+            if isinstance(inner, ast.FunctionDef)
+        ]
+        assert "finish_transmission" in {inner.name for inner in closures}
+        offenders = [
+            inner.name
+            for inner in closures
+            for node in ast.walk(inner)
+            if isinstance(node, ast.Name) and node.id == inner.name
+        ]
+        assert offenders == []
