@@ -1,59 +1,40 @@
-"""Pluggable simulation kernels: the dispatch engine behind a ``Simulation``.
+"""The fused wiring: what ``Simulation(kernel="auto")`` does after the build.
 
-A *kernel* owns the two mechanical halves of a run — the event scheduler
-that orders callbacks and the per-simulation wiring that routes packets
-between senders, links and receivers.  Everything semantic (congestion
-control, queue disciplines, workload draws, statistics) is kernel-agnostic:
-swapping kernels must reproduce the committed golden fingerprints
-bit-identically, and ``tests/test_scenario_matrix.py`` asserts exactly that
-for every registered cell.
+A simulation is always built by the generic wiring (identical constructor
+order, identical rng draws) on the one
+:class:`~repro.netsim.events.EventScheduler`.  ``kernel="generic"`` runs it
+as built — the parity reference.  ``kernel="auto"`` (the default) then calls
+:func:`fuse`, which changes nothing semantic: swapping it out must reproduce
+the committed golden fingerprints bit-identically, and
+``tests/test_scenario_matrix.py`` asserts exactly that for every registered
+cell.  Two ideas, both order-preserving:
 
-Two kernels ship today:
+**Fused per-hop and per-flow chains.**  :func:`fuse` rebinds the per-packet
+callbacks to closures that inline their successor scheduling: every
+constant-rate hop's ``receive`` / dequeue-and-serialize / finish-and-hand-off
+steps (DropTail bookkeeping inlined, AQM disciplines keep their
+``enqueue``/``dequeue`` calls), whose finish step hands the packet to the
+next hop's fused ``receive``, across the hop's propagation delay, or across
+the flow's one-way delay to the receiver; every flow's receiver (in-place
+ACK conversion, ACK emission inlined) and sender (``on_ack`` → window check
+→ send loop in one frame).  Trace-driven hops, lossy-hop gates and
+sanitizer-instrumented flows keep their generic callbacks and reach their
+fused neighbours through the rebound instance attributes and the network's
+rewritten next-hop tables.  Every float is computed by the same expression
+in the same order as the generic wiring, and every event still executes (and
+is counted) at its own timestamp, so fingerprints — which include
+``events_processed`` — are unchanged.
 
-* :class:`GenericKernel` — the heap + same-time-FIFO
-  :class:`~repro.netsim.events.EventScheduler`, driving the topology's own
-  wiring untouched.  It is the parity reference: selecting it changes no
-  code path.
-
-* :class:`FlatKernel` — the fused engine ``"auto"`` resolves to for every
-  topology.  Two ideas, both order-preserving:
-
-  **Fused per-hop and per-flow chains.**  After the simulation is built
-  normally (identical constructor order, identical rng draws), the kernel
-  rebinds the per-packet callbacks to closures that inline their successor
-  scheduling: every constant-rate hop's ``receive`` / dequeue-and-serialize
-  / finish-and-hand-off steps (DropTail bookkeeping inlined, AQM
-  disciplines keep their ``enqueue``/``dequeue`` calls), whose finish step
-  hands the packet to the next hop's fused ``receive``, across the hop's
-  propagation delay, or across the flow's one-way delay to the receiver;
-  every flow's receiver (in-place ACK conversion, ACK emission inlined)
-  and sender (``on_ack`` → window check → send loop in one frame).
-  Trace-driven hops, lossy-hop gates and sanitizer-instrumented flows keep
-  their generic callbacks and reach their fused neighbours through the
-  rebound instance attributes and the network's rewritten next-hop tables.
-  Every float is computed by the same expression in the same order as the
-  generic wiring, and every event still executes (and is counted) at its
-  own timestamp, so fingerprints — which include ``events_processed`` —
-  are unchanged.
-
-  **Constant-delay lanes, where there are exactly two.**  A constant-rate
-  dumbbell whose flows share one RTT schedules every per-packet event one
-  of two *constant* delays ahead of a non-decreasing clock (serialize at
-  the bottleneck; propagate one way), so each stream is already sorted by
-  ``(time, sequence)``.  :class:`FlatScheduler` keeps one plain deque per
-  delay and merges the two lane heads with the heap top at dispatch;
-  appending is O(1) where the heap pays O(log n) twice, and the merged
-  order is exactly what heap-pushing the same entries would produce
-  (unique sequence numbers make the comparison total).  Every other
-  topology has more distinct delays than the merge is worth (measured:
-  README "Kernel architecture") and runs the same closures on the plain
-  :class:`~repro.netsim.events.EventScheduler`, posting with an inlined
-  ``heappush``.  The choice is made from the spec in
-  :meth:`FlatKernel.create_scheduler`; it is not a knob.
+**Constant-delay lanes, where there are exactly two.**  On a constant-rate
+dumbbell whose flows share one RTT, :func:`fuse` routes every serialization
+and every one-way hand-off onto the scheduler's two lanes (see
+:mod:`repro.netsim.events`); on every other shape the same closures post
+onto the heap with an inlined ``heappush``.  The choice is read off the
+spec; it is not a knob.
 
 The fused closures are stored on the objects they capture — cycles by design,
 cut by ``release()`` when ``Simulation.run`` ends, which is why no closure may
-name itself.  The collector pause is the caller's (``gc_paused``), not a kernel's.
+name itself.  The collector pause is the caller's (``gc_paused``).
 """
 
 from __future__ import annotations
@@ -61,14 +42,9 @@ from __future__ import annotations
 from collections import deque
 from functools import partial
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union, cast
+from typing import TYPE_CHECKING, Any, Callable, Optional, cast
 
-from repro.netsim.events import (
-    EventCapExceeded,
-    EventScheduler,
-    SimulationError,
-    _heappop,
-)
+from repro.netsim.events import EventScheduler
 from repro.netsim.link import ConstantRateLink
 from repro.netsim.packet import ACK_PACKET_BYTES, AckInfo, Packet, PacketPool
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
@@ -81,13 +57,10 @@ from repro.netsim.sender import (
     _SentInfo,
 )
 
-if TYPE_CHECKING:  # avoid a cycle: simulator builds kernels, kernels wire sims
-    from repro.netsim.simulator import Simulation, TopologySpec
+if TYPE_CHECKING:  # avoid a cycle: the simulator calls fuse, fuse reads sims
+    from repro.netsim.simulator import Simulation
 
-#: Kernel names accepted by ``Simulation(kernel=...)``.
-KERNEL_NAMES = ("auto", "generic", "flat")
-
-#: A :class:`FlatScheduler` lane, or ``None`` on the plain heap scheduler.
+#: One of the scheduler's constant-delay lanes, or ``None``: post on the heap.
 _Lane = Optional["deque[list[Any]]"]
 
 #: One hand-off of the fused chain, ``(delay, lane, sink)``: append to
@@ -100,421 +73,98 @@ _Route = tuple[float, _Lane, Callable[[Packet], None]]
 _NO_ROUTE: _Route = (0.0, None, Packet.release)
 
 
-class FlatScheduler(EventScheduler):
-    """An :class:`EventScheduler` extended with two constant-delay FIFO lanes.
+def fuse(sim: "Simulation") -> None:
+    """Fuse every constant-rate hop and every flow of the built network.
 
-    A lane is a deque of ``[time, sequence, callback, packet]`` entries that
-    is sorted by construction: every append happens at the current clock
-    plus the lane's one fixed delay, and both the clock and the sequence
-    counter are non-decreasing, so each lane is a monotone ``(time,
-    sequence)`` stream.  :meth:`run_until` merges the two lane heads with
-    the heap top and the same-time FIFO lane, which reproduces the exact
-    total order the base scheduler would produce had the entries been
-    heap-pushed — unique sequence numbers make every comparison decisive
-    before the callback slot.  Unlike heap/ready entries, a lane entry's
-    last slot is the bare callback argument (always exactly one on the
-    per-packet chain), saving an args tuple per event.
+    This pass only *rebinds* the per-packet callbacks — hop serialization
+    and hand-off, data delivery, ACK return, the sender's ACK handler — to
+    closures that inline the successor scheduling.  Each closure mirrors its
+    generic counterpart line for line (same expressions, same order), which
+    the golden matrix and the kernel-parity sweep pin.
 
-    Callers append ``[self.now + delay, self._sequence, callback, arg]`` to
-    one of :attr:`_lanes` and bump ``_sequence`` themselves — the whole
-    point of a lane is that the append is inlined into the per-packet
-    closures — always with the same ``delay`` float on the same lane (lane
-    sortedness depends on it being constant).  Lane entries are *not*
-    counted into ``_pending``; :attr:`pending` adds the lane lengths
-    instead, keeping two counter updates off every fused append/dispatch
-    pair.
+    Lanes where there are exactly two constant delays: a constant-rate
+    dumbbell (:meth:`PathSpec.dumbbell_hop
+    <repro.netsim.path.PathSpec.dumbbell_hop>`, either spelling) whose flows
+    share one RTT serializes every data packet in one fixed time and
+    propagates everything one fixed one-way delay.  Any other topology
+    (per-flow RTTs, several hops, a hop delay, a trace-driven link) has more
+    distinct delays than the lane merge is worth and stays on the heap.
     """
+    network = sim.network
+    scheduler = sim.scheduler
+    spec = network.spec
+    ser_lane: _Lane = None
+    flow_lane: _Lane = None
+    lane_bytes = -1  # no packet size rides a lane on the heap
+    if (
+        spec.dumbbell_hop() is not None
+        and len({spec.rtt_for_flow(i) for i in range(spec.n_flows)}) == 1
+    ):
+        ser_lane, flow_lane = scheduler._lanes
+        lane_bytes = spec.mss_bytes
+    # The hop chains per direction; the network's own next-hop tables,
+    # which follow the fused routes so that generic hops — and a late
+    # ``link.connect`` spy calling the original callback — reach the
+    # fused closures too; and a hop's entry point, read after the hops
+    # are fused: a loss-free hop's is its rebound ``receive``, a lossy
+    # gate keeps its Bernoulli draw and reads ``receive`` at call time.
+    chains, tables, entry = network.links, network._next, network._entry
 
-    __slots__ = ("_lanes", "_heap_version")
+    # Per hop: ``nexts[direction][index][flow_id]`` is where a packet of
+    # the flow goes when its serialization at the hop finishes (filled
+    # per flow below — the closures index it at dispatch time, never
+    # during fuse).  Trace-driven hops stay generic.
+    nexts = tuple(
+        [[_NO_ROUTE] * spec.n_flows for _ in links] for links in chains
+    )
+    for links, hop_tables in zip(chains, nexts):
+        for link, table in zip(links, hop_tables):
+            if isinstance(link, ConstantRateLink):
+                _fuse_hop(scheduler, link, table, ser_lane, lane_bytes)
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        super().__init__(start_time)
-        #: The serialization lane and the one-way-delay lane of the one
-        #: topology that selects this scheduler (see
-        #: :meth:`FlatKernel.create_scheduler`).
-        self._lanes: tuple[deque[list[Any]], deque[list[Any]]] = (deque(), deque())
-        #: Bumped on every heap push.  The dispatch loop caches the heap
-        #: head's timestamp and only re-reads the heap when this moves,
-        #: turning the per-event heap inspection into one float compare.
-        #: (Cancellation does not bump it: a cancelled head's timestamp is
-        #: still a valid lower bound on every remaining heap event, and the
-        #: slow path purges it when the clock reaches that bound.)
-        self._heap_version = 0
-
-    # -- heap-push overrides: identical semantics + a version bump ---------
-    def _push(
-        self, time: float, callback: Callable[..., None], args: tuple[Any, ...]
-    ) -> list[Any]:
-        self._heap_version += 1
-        return super()._push(time, callback, args)
-
-    def post(self, time: float, callback: Callable[..., None], *args: Any) -> None:
-        now = self.now
-        if time <= now:
-            if time < now - 1e-12:
-                raise SimulationError(
-                    f"cannot schedule event at t={time:.9f} before now={now:.9f}"
+    # Per flow: the sender's ACK fast path, the receiver's delivery/ACK
+    # chain, and the flow's hand-off at every hop it crosses.  An
+    # instrumented flow (the invariant sanitizer shadows ``on_ack`` /
+    # ``on_packet`` with counting wrappers) keeps its generic callbacks
+    # and is bit-identical either way.
+    for flow_id, endpoints in network.flows.items():
+        sender = endpoints.sender
+        receiver = endpoints.receiver
+        one_way = endpoints.rtt / 2
+        forward, reverse = spec.forward_hops_for(flow_id), spec.reverse_hops_for(flow_id)
+        sender.transmit = transmit = entry(0, forward[0])
+        if "on_ack" not in sender.__dict__:
+            # The send-side enqueue can only be inlined for loss-free
+            # senders feeding an un-overridden DropTail directly; lossy
+            # gates, AQM disciplines and trace-driven hops keep the
+            # ``transmit`` call.
+            first = chains[0][forward[0]]
+            send_inline = None
+            if (
+                isinstance(first, ConstantRateLink)
+                and transmit is first.receive
+                and _plain_fifo(first.queue) is not None
+            ):
+                send_inline = (first, cast(DropTailQueue, first.queue))
+            fused = _fused_sender_on_ack(scheduler, sender, send_inline)
+            sender.on_ack = fused  # type: ignore[method-assign]
+            # Paced sends re-enter the same closure (called with no ACK).
+            sender._pacing_fire = fused  # type: ignore[method-assign]
+        to_sender: _Route = (one_way, flow_lane, sender.on_ack)
+        ack_route = (0.0, None, entry(1, reverse[0])) if reverse else to_sender
+        receiver.send_ack = _generic_handoff(scheduler, ack_route)
+        if "on_packet" not in receiver.__dict__:
+            receiver.on_packet = _fused_on_packet(  # type: ignore[method-assign]
+                scheduler, receiver, ack_route
+            )
+        to_receiver: _Route = (one_way, flow_lane, receiver.on_packet)
+        for direction, chain, last in ((0, forward, to_receiver), (1, reverse, to_sender)):
+            routes = [(0.0, None, entry(direction, there)) for there in chain[1:]]
+            for index, route in zip(chain, routes + [last]):
+                tables[direction][index][flow_id] = _generic_handoff(scheduler, route)
+                nexts[direction][index][flow_id] = _across(
+                    scheduler, chains[direction][index].propagation_delay, route
                 )
-            self._ready.append([now, self._sequence, callback, args])
-        else:
-            heappush(self._heap, [time, self._sequence, callback, args])
-            self._heap_version += 1
-        self._sequence += 1
-        self._pending += 1
-
-    def post_after(self, delay: float, callback: Callable[..., None], *args: Any) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        if delay == 0:
-            self._ready.append([self.now, self._sequence, callback, args])
-        else:
-            heappush(self._heap, [self.now + delay, self._sequence, callback, args])
-            self._heap_version += 1
-        self._sequence += 1
-        self._pending += 1
-
-    def post_entry_after(
-        self, delay: float, callback: Callable[..., None], *args: Any
-    ) -> list[Any]:
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
-        entry = [self.now + delay, self._sequence, callback, args]
-        self._sequence += 1
-        heappush(self._heap, entry)
-        self._heap_version += 1
-        self._pending += 1
-        return entry
-
-    # ------------------------------------------------------------------ inspection
-    @property
-    def pending(self) -> int:
-        """Queued, not-yet-cancelled events, lane entries included."""
-        lane_a, lane_b = self._lanes
-        return self._pending + len(lane_a) + len(lane_b)
-
-    def clear(self) -> None:
-        super().clear()
-        for lane in self._lanes:  # nothing holds a handle on a lane entry
-            lane.clear()
-
-    def _first_lane(self) -> _Lane:
-        """The lane whose head entry is due first (``None``: both empty)."""
-        lane_a, lane_b = self._lanes
-        if lane_a and not (lane_b and lane_b[0] < lane_a[0]):
-            return lane_a
-        return lane_b if lane_b else None
-
-    def peek_time(self) -> Optional[float]:
-        best = super().peek_time()
-        lane = self._first_lane()
-        if lane is not None and (best is None or lane[0][0] < best):
-            return lane[0][0]
-        return best
-
-    # ------------------------------------------------------------------ execution
-    def step(self) -> bool:
-        lane = self._first_lane()
-        if lane is None:
-            return super().step()
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            _heappop(heap)
-        ready = self._ready
-        while ready and ready[0][2] is None:
-            ready.popleft()
-        if (heap and heap[0] < lane[0]) or (ready and ready[0] < lane[0]):
-            return super().step()
-        entry = lane.popleft()
-        self.now = entry[0]
-        self._processed += 1
-        entry[2](entry[3])
-        return True
-
-    def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
-        """Lane-merging dispatch loop (see :meth:`EventScheduler.run_until`).
-
-        Identical contract and execution order; the only differences are
-        where due entries come from (heap, same-time FIFO, or one of the two
-        constant-delay lanes) and that lane entries dispatch with a bare
-        argument instead of an args tuple.  The lane scan is unrolled into
-        straight-line head comparisons, plus the heap-head cache: the heap's
-        minimum timestamp only changes on a push (versioned) or a pop (done
-        here), so the per-event heap inspection is one float compare against
-        a cached bound.  A lane head strictly earlier than the bound cannot
-        be outrun by any heap entry; ties and later lane heads take the slow
-        path, which does the full ``(time, sequence)`` merge.
-        """
-        heap = self._heap
-        ready = self._ready
-        lane_a, lane_b = self._lanes
-        pop = _heappop
-        limit = -1 if max_events is None else max_events
-        executed = 0
-        executed_base = 0  # heap/ready dispatches (the _pending-counted ones)
-        batch_time = None  # timestamp currently being dispatched
-        cached_version = self._heap_version - 1  # force the initial read
-        heap_time = 0.0
-        heap_live = False
-        try:
-            while True:
-                if lane_a:
-                    best: Optional[list[Any]] = lane_a[0]
-                    src: Any = lane_a
-                    if lane_b:
-                        head = lane_b[0]
-                        if head < best:
-                            best = head
-                            src = lane_b
-                elif lane_b:
-                    best = lane_b[0]
-                    src = lane_b
-                else:
-                    best = None
-                    src = None
-                if not ready:
-                    version = self._heap_version
-                    if version != cached_version:
-                        cached_version = version
-                        while heap and heap[0][2] is None:  # lazily cancelled
-                            pop(heap)
-                        if heap:
-                            heap_time = heap[0][0]
-                            heap_live = True
-                        else:
-                            heap_live = False
-                    if best is not None and (not heap_live or best[0] < heap_time):
-                        # Fast path: a lane entry is strictly first.
-                        time = best[0]
-                        if time != batch_time:
-                            if time > end_time:
-                                break
-                            batch_time = time
-                            self.now = time
-                        if executed == limit:
-                            raise EventCapExceeded(
-                                f"exceeded max_events={max_events} "
-                                f"before reaching t={end_time}"
-                            )
-                        src.popleft()
-                        executed += 1
-                        best[2](best[3])
-                        continue
-                # Slow path: the ready lane or the heap head may be due.
-                while ready and ready[0][2] is None:  # lazily cancelled
-                    ready.popleft()
-                if ready:
-                    head = ready[0]
-                    if best is None or head < best:
-                        best = head
-                        src = ready
-                while heap:
-                    head = heap[0]
-                    if head[2] is None:  # lazily cancelled
-                        pop(heap)
-                        continue
-                    if best is None or head < best:
-                        best = head
-                        src = heap
-                    break
-                if best is None:
-                    break
-                time = best[0]
-                if time != batch_time:
-                    if time > end_time:
-                        break
-                    batch_time = time
-                    self.now = time
-                if executed == limit:
-                    raise EventCapExceeded(
-                        f"exceeded max_events={max_events} before reaching t={end_time}"
-                    )
-                if src is lane_a or src is lane_b:
-                    src.popleft()
-                    executed += 1
-                    best[2](best[3])
-                elif src is heap:
-                    pop(heap)
-                    cached_version -= 1  # head changed: force a re-read
-                    callback = best[2]
-                    best[2] = None  # mark executed so a late cancel() is a no-op
-                    executed += 1
-                    executed_base += 1
-                    callback(*best[3])
-                else:
-                    ready.popleft()
-                    callback = best[2]
-                    best[2] = None
-                    executed += 1
-                    executed_base += 1
-                    callback(*best[3])
-        finally:
-            self._processed += executed
-            self._pending -= executed_base
-        if end_time > self.now:
-            self.now = end_time
-        return executed
-
-
-class SimulationKernel:
-    """Interface every simulation kernel implements.
-
-    The contract, in lifecycle order:
-
-    * :meth:`create_scheduler` — the event scheduler the simulation is built
-      around, chosen from the topology spec.  Construction happens *before*
-      any topology wiring, so a kernel cannot perturb the build's rng draw
-      order.
-    * :meth:`finalize` — called once the simulation is fully built (network,
-      flows, instrumentation).  This is where a specialized kernel may
-      rebind per-packet wiring; it must preserve the exact event order,
-      float arithmetic and event counts of the generic wiring.
-    * :meth:`run` — drive the scheduler for the run; returns the number of
-      events executed.
-    """
-
-    #: Stable identifier, also the ``Simulation(kernel=...)`` spelling.
-    name = "kernel"
-
-    def create_scheduler(self, spec: "TopologySpec") -> EventScheduler:
-        raise NotImplementedError
-
-    def finalize(self, sim: "Simulation") -> None:
-        """Hook run after the simulation is built; default: nothing."""
-
-    def run(
-        self,
-        scheduler: EventScheduler,
-        end_time: float,
-        max_events: Optional[int] = None,
-    ) -> int:
-        # The cyclic collector is paused by the caller, not here:
-        # ``Simulation.run`` pauses it through teardown and ``run_sim_job``
-        # from the build on — a half-wired graph is as pointless to traverse
-        # as the event loop's acyclic young garbage.
-        return scheduler.run_until(end_time, max_events=max_events)
-
-
-class GenericKernel(SimulationKernel):
-    """The heap + same-time-FIFO engine on the topology's own wiring.
-
-    The parity reference: it creates the plain :class:`EventScheduler` and
-    leaves every callback alone.
-    """
-
-    name = "generic"
-
-    def create_scheduler(self, spec: "TopologySpec") -> EventScheduler:
-        return EventScheduler()
-
-
-class FlatKernel(SimulationKernel):
-    """The fused engine, for every topology (see module docstring)."""
-
-    name = "flat"
-
-    def create_scheduler(self, spec: "TopologySpec") -> EventScheduler:
-        """Lanes where there are exactly two constant delays, else the heap.
-
-        A constant-rate dumbbell (:meth:`PathSpec.dumbbell_hop
-        <repro.netsim.path.PathSpec.dumbbell_hop>`, either spelling) whose
-        flows share one RTT serializes every data packet in one fixed time
-        and propagates everything one fixed one-way delay: two lanes,
-        :class:`FlatScheduler`.  Any other topology (per-flow RTTs, several
-        hops, a hop delay, a trace-driven link) has more distinct delays
-        than the lane merge is worth and builds on the plain
-        :class:`EventScheduler`.
-        """
-        path = spec.to_path_spec()
-        if (
-            path.dumbbell_hop() is not None
-            and len({path.rtt_for_flow(i) for i in range(path.n_flows)}) == 1
-        ):
-            return FlatScheduler()
-        return EventScheduler()
-
-    def finalize(self, sim: "Simulation") -> None:
-        """Fuse every constant-rate hop and every flow of the built network.
-
-        The simulation was built by the generic wiring (same constructor
-        order, same rng draws); this pass only *rebinds* the per-packet
-        callbacks — hop serialization and hand-off, data delivery, ACK
-        return, the sender's ACK handler — to closures that inline the
-        successor scheduling.  Each closure mirrors its generic counterpart
-        line for line (same expressions, same order), which the golden
-        matrix and the kernel-parity sweep pin.
-        """
-        network = sim.network
-        scheduler = sim.scheduler
-        spec = network.spec
-        ser_lane: _Lane = None
-        flow_lane: _Lane = None
-        lane_bytes = -1  # no packet size rides a lane on the heap scheduler
-        if isinstance(scheduler, FlatScheduler):
-            ser_lane, flow_lane = scheduler._lanes
-            lane_bytes = spec.mss_bytes
-        # The hop chains per direction; the network's own next-hop tables,
-        # which follow the fused routes so that generic hops — and a late
-        # ``link.connect`` spy calling the original callback — reach the
-        # fused closures too; and a hop's entry point, read after the hops
-        # are fused: a loss-free hop's is its rebound ``receive``, a lossy
-        # gate keeps its Bernoulli draw and reads ``receive`` at call time.
-        chains, tables, entry = network.links, network._next, network._entry
-
-        # Per hop: ``nexts[direction][index][flow_id]`` is where a packet of
-        # the flow goes when its serialization at the hop finishes (filled
-        # per flow below — the closures index it at dispatch time, never
-        # during finalize).  Trace-driven hops stay generic.
-        nexts = tuple(
-            [[_NO_ROUTE] * spec.n_flows for _ in links] for links in chains
-        )
-        for links, hop_tables in zip(chains, nexts):
-            for link, table in zip(links, hop_tables):
-                if isinstance(link, ConstantRateLink):
-                    _fuse_hop(scheduler, link, table, ser_lane, lane_bytes)
-
-        # Per flow: the sender's ACK fast path, the receiver's delivery/ACK
-        # chain, and the flow's hand-off at every hop it crosses.  An
-        # instrumented flow (the invariant sanitizer shadows ``on_ack`` /
-        # ``on_packet`` with counting wrappers) keeps its generic callbacks
-        # and is bit-identical either way.
-        for flow_id, endpoints in network.flows.items():
-            sender = endpoints.sender
-            receiver = endpoints.receiver
-            one_way = endpoints.rtt / 2
-            forward, reverse = spec.forward_hops_for(flow_id), spec.reverse_hops_for(flow_id)
-            sender.transmit = transmit = entry(0, forward[0])
-            if "on_ack" not in sender.__dict__:
-                # The send-side enqueue can only be inlined for loss-free
-                # senders feeding an un-overridden DropTail directly; lossy
-                # gates, AQM disciplines and trace-driven hops keep the
-                # ``transmit`` call.
-                first = chains[0][forward[0]]
-                send_inline = None
-                if (
-                    isinstance(first, ConstantRateLink)
-                    and transmit is first.receive
-                    and _plain_fifo(first.queue) is not None
-                ):
-                    send_inline = (first, cast(DropTailQueue, first.queue))
-                fused = _fused_sender_on_ack(scheduler, sender, send_inline)
-                sender.on_ack = fused  # type: ignore[method-assign]
-                # Paced sends re-enter the same closure (called with no ACK).
-                sender._pacing_fire = fused  # type: ignore[method-assign]
-            to_sender: _Route = (one_way, flow_lane, sender.on_ack)
-            ack_route = (0.0, None, entry(1, reverse[0])) if reverse else to_sender
-            receiver.send_ack = _generic_handoff(scheduler, ack_route)
-            if "on_packet" not in receiver.__dict__:
-                receiver.on_packet = _fused_on_packet(  # type: ignore[method-assign]
-                    scheduler, receiver, ack_route
-                )
-            to_receiver: _Route = (one_way, flow_lane, receiver.on_packet)
-            for direction, chain, last in ((0, forward, to_receiver), (1, reverse, to_sender)):
-                routes = [(0.0, None, entry(direction, there)) for there in chain[1:]]
-                for index, route in zip(chain, routes + [last]):
-                    tables[direction][index][flow_id] = _generic_handoff(scheduler, route)
-                    nexts[direction][index][flow_id] = _across(
-                        scheduler, chains[direction][index].propagation_delay, route
-                    )
 
 
 # --------------------------------------------------------------------------
@@ -527,13 +177,13 @@ class FlatKernel(SimulationKernel):
 # ``receive`` and ``DropTailQueue.enqueue`` / ``dequeue``.
 #
 # Every closure posts the same way, decided by what it was handed at fuse
-# time: onto a lane when the scheduler has lanes (``[time, sequence,
-# callback, packet]``, not counted into ``_pending``), else straight onto
-# the plain scheduler's heap (``EventScheduler.post_after`` inlined: args
-# tuple, ``_pending`` bumped).  A :class:`FlatScheduler`'s heap pushes carry
-# a version bump, which no packet hand-off pays: the one topology that
-# selects it routes every hand-off over a lane, and the only inline push
-# that can land on its heap — the sender's pacing timer — bumps it.
+# time: onto a lane on a lane topology (``[time, sequence, callback,
+# packet]``), else straight onto the heap (``EventScheduler.post_after``
+# inlined, args tuple).  A heap push that can happen while lanes hold
+# entries must bump ``_heap_version`` (the lane merge trusts a cached heap
+# head until it moves); no packet hand-off pays that: the one topology with
+# lanes routes every hand-off over a lane, and the only inline push that can
+# land on its heap — the sender's pacing timer — bumps it.
 # --------------------------------------------------------------------------
 
 
@@ -542,7 +192,10 @@ def _generic_handoff(
 ) -> Callable[[Packet], None]:
     """``route`` as the plain callable the generic wiring stores."""
     delay, _, sink = route
-    return partial(scheduler.post_after, delay, sink) if delay else sink
+    if not delay:
+        return sink
+    # The entry ``post_after`` returns is dropped: nothing cancels a hand-off.
+    return cast("Callable[[Packet], None]", partial(scheduler.post_after, delay, sink))
 
 
 def _plain_fifo(queue: QueueDiscipline) -> Optional["deque[Packet]"]:
@@ -598,8 +251,8 @@ def _across(scheduler: EventScheduler, delay: float, route: _Route) -> _Route:
     The generic hop posts its ``deliver`` that far ahead, which then
     dispatches on the flow: straight into the next hop's entry — posted
     here in ``deliver``'s place — or across a further delay, which stays a
-    second event.  (Heap scheduler only: the dumbbell bottleneck, the one
-    hop that rides lanes, has no propagation delay.)
+    second event.  (Heap only: the dumbbell bottleneck, the one hop that
+    rides lanes, has no propagation delay.)
     """
     if not delay:
         return route
@@ -611,7 +264,6 @@ def _across(scheduler: EventScheduler, delay: float, route: _Route) -> _Route:
     def deliver(packet: Packet) -> None:
         heappush(heap, [scheduler.now + onward, scheduler._sequence, sink, (packet,)])
         scheduler._sequence += 1
-        scheduler._pending += 1
 
     return (delay, None, deliver)
 
@@ -677,7 +329,6 @@ def _fused_on_packet(
         elif delay:
             heappush(heap, [now + delay, scheduler._sequence, sink, (ack,)])
             scheduler._sequence += 1
-            scheduler._pending += 1
         else:
             sink(ack)
 
@@ -724,8 +375,7 @@ def _fused_sender_on_ack(
     tuple_new = tuple.__new__
     sent_new = _SentInfo.__new__
     heap = scheduler._heap
-    versioned = isinstance(scheduler, FlatScheduler)  # heap pushes bump a version
-    assert transmit is not None  # attach_flow wired it before finalize
+    assert transmit is not None  # attach_flow wired it before fuse
     if send_inline is not None:
         link, queue = send_inline
         fifo = queue._queue
@@ -905,9 +555,7 @@ def _fused_sender_on_ack(
                     ]
                     scheduler._sequence += 1
                     heappush(heap, entry)
-                    scheduler._pending += 1
-                    if versioned:
-                        scheduler._heap_version += 1  # type: ignore[attr-defined]
+                    scheduler._heap_version += 1
                     return
             # _send_one, inlined.
             if retransmit_queue:
@@ -1019,11 +667,11 @@ def _fused_finish(
     queue = link.queue
     fifo = _plain_fifo(queue)
     droptail = cast(DropTailQueue, queue)  # only touched when ``fifo`` is set
-    # Appended to only when ``lane_bytes`` matches, i.e. on a lane scheduler.
+    # Appended to only when ``lane_bytes`` matches, i.e. on a lane topology.
     ser = cast("deque[list[Any]]", ser_lane)
     heap = scheduler._heap
     rate_bps = link.rate_bps
-    # Identity-stable references, fixed before finalize runs: the networks
+    # Identity-stable references, fixed before fuse runs: the networks
     # assign ``delay_stats`` / ``hop_delay_stats`` once at construction (and
     # mutate the dicts in place); reverse hops carry neither.
     # ``delay_observer`` stays a call-time read (tests attach it late).
@@ -1048,7 +696,6 @@ def _fused_finish(
                     heap, [now + route[0], scheduler._sequence, route[2], (packet,)]
                 )
                 scheduler._sequence += 1
-                scheduler._pending += 1
             else:
                 route[2](packet)
         if fifo:
@@ -1109,8 +756,7 @@ def _fused_finish(
                 ],
             )
             scheduler._sequence += 1
-            scheduler._pending += 1
-        else:  # an off-size packet on a lane scheduler
+        else:  # an off-size packet on a lane topology
             scheduler.post_after(
                 size_bytes * 8 / rate_bps, link._finish_transmission, packet
             )
@@ -1135,7 +781,7 @@ def _fused_start(
     queue = link.queue
     fifo = _plain_fifo(queue)
     droptail = cast(DropTailQueue, queue)  # only touched when ``fifo`` is set
-    # Appended to only when ``lane_bytes`` matches, i.e. on a lane scheduler.
+    # Appended to only when ``lane_bytes`` matches, i.e. on a lane topology.
     ser = cast("deque[list[Any]]", ser_lane)
     heap = scheduler._heap
     rate_bps = link.rate_bps
@@ -1200,8 +846,7 @@ def _fused_start(
                 ],
             )
             scheduler._sequence += 1
-            scheduler._pending += 1
-        else:  # an off-size packet on a lane scheduler
+        else:  # an off-size packet on a lane topology
             scheduler.post_after(
                 size_bytes * 8 / rate_bps, link._finish_transmission, packet
             )
@@ -1252,36 +897,3 @@ def _fused_receive_generic(
             link._start_transmission()
 
     return receive
-
-
-# --------------------------------------------------------------------------
-# Kernel selection
-# --------------------------------------------------------------------------
-
-#: Registry of selectable kernels, by name.  ``"auto"`` is not a kernel: it
-#: resolves to the fused engine, which drives every topology.
-KERNELS: dict[str, type[SimulationKernel]] = {
-    GenericKernel.name: GenericKernel,
-    FlatKernel.name: FlatKernel,
-}
-
-KernelChoice = Union[str, SimulationKernel]
-
-
-def resolve_kernel(kernel: KernelChoice) -> SimulationKernel:
-    """Resolve a kernel choice.
-
-    * ``"auto"`` (the default everywhere) and ``"flat"`` — :class:`FlatKernel`.
-    * ``"generic"`` — :class:`GenericKernel`, the parity reference.
-    * a :class:`SimulationKernel` instance — used as-is.
-    """
-    if isinstance(kernel, SimulationKernel):
-        return kernel
-    cls = KERNELS.get(FlatKernel.name if kernel == "auto" else kernel)
-    if cls is None:
-        known = ", ".join(repr(name) for name in KERNEL_NAMES)
-        raise ValueError(
-            f"unknown kernel {kernel!r}: expected one of {known} "
-            "(or a SimulationKernel instance)"
-        )
-    return cls()

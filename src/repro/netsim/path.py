@@ -21,9 +21,10 @@ Every topology is a path:
 The dumbbell is the one-forward-hop, no-reverse-hop case, and
 :class:`~repro.netsim.network.NetworkSpec` is its paper-facing spelling
 (:meth:`~repro.netsim.network.NetworkSpec.to_path_spec`).  What a dumbbell
-alone can do — seal a drowned bottleneck (:attr:`PathSpec.sealable`), run on
-the two-lane scheduler (:meth:`PathSpec.dumbbell_hop`) — is decided from the
-path's shape, so it does not matter which spelling built it.
+alone can do — seal a drowned bottleneck (:attr:`PathSpec.sealable`), ride
+the scheduler's two constant-delay lanes (:meth:`PathSpec.dumbbell_hop`) —
+is decided from the path's shape, so it does not matter which spelling
+built it.
 
 Semantics:
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union, cast
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.link import ConstantRateLink, LinkBase, TraceDrivenLink
@@ -312,8 +313,8 @@ class PathSpec:
         its own and no reverse hops, however the spec was spelled: every
         per-packet event is then scheduled one serialization time or one
         flow's one-way delay ahead, which is what the seal's proof and the
-        two-lane scheduler (:meth:`FlatKernel.create_scheduler
-        <repro.netsim.kernel.FlatKernel.create_scheduler>`) both need.
+        scheduler's two constant-delay lanes (:func:`repro.netsim.kernel.fuse`)
+        both need.
         """
         hop = self.forward[0]
         one_hop = len(self.forward) == 1 and not self.reverse
@@ -512,8 +513,9 @@ class PathNetwork:
         # propagation directly to the endpoint (a partial, not a lambda —
         # the partial call is C-level, a lambda would cost a frame per
         # packet).  With no reverse hops that partial *is* the receiver's
-        # ACK callback: the ideal return path.
-        post_after = self.scheduler.post_after
+        # ACK callback: the ideal return path.  (The entry ``post_after``
+        # returns is dropped: nothing cancels a hand-off.)
+        post_after = cast("Callable[..., None]", self.scheduler.post_after)
         forward_hops = spec.forward_hops_for(flow_id)
         sender.connect(
             self._route(

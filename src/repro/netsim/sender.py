@@ -58,8 +58,8 @@ class FlowDemand:
             raise ValueError("exactly one of size_bytes or duration must be set")
         if self.size_bytes is not None and self.size_bytes <= 0:
             raise ValueError("size_bytes must be positive")
-        if self.duration is not None and self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if self.duration is not None and not self.duration > 0:  # NaN-failing form
+            raise ValueError(f"duration must be positive, got {self.duration!r}")
 
 
 class Workload:
@@ -82,8 +82,8 @@ class AlwaysOnWorkload(Workload):
     """A source that switches on at ``start_delay`` and never stops."""
 
     def __init__(self, start_delay: float = 0.0) -> None:
-        if start_delay < 0:
-            raise ValueError("start_delay cannot be negative")
+        if not start_delay >= 0:  # NaN-failing form
+            raise ValueError(f"start_delay cannot be negative, got {start_delay!r}")
         self.start_delay = start_delay
 
     def first_on_delay(self, rng: random.Random) -> float:
@@ -163,10 +163,9 @@ class Sender:
         self.rttvar: Optional[float] = None
         self.rto = 1.0
 
-        # Workload bookkeeping.  Timers are raw scheduler heap entries
-        # (:meth:`EventScheduler.post_entry_after`), not Event handles: the
-        # RTO is cancelled and rearmed on every acknowledgment, so the
-        # handle allocation would sit directly on the hot path.
+        # Workload bookkeeping.  Timers are the scheduler entries
+        # :meth:`EventScheduler.post_after` returns — the entry is its own
+        # cancellation token, so rearming allocates no handle.
         self.segments_remaining: Optional[int] = None
         self.on_start_time = 0.0
         self._on_until_event: Optional[list] = None
@@ -232,7 +231,7 @@ class Sender:
             raise RuntimeError("sender already started")
         self.state = "off"
         delay = self.workload.first_on_delay(self.rng)
-        self._switch_event = self.scheduler.post_entry_after(delay, self._switch_on)
+        self._switch_event = self.scheduler.post_after(delay, self._switch_on)
 
     def finalize(self, end_time: float) -> None:
         """Close the books at the end of the simulation."""
@@ -267,7 +266,7 @@ class Sender:
         else:
             self.segments_remaining = None
             if demand.duration is not None and math.isfinite(demand.duration):
-                self._on_until_event = self.scheduler.post_entry_after(
+                self._on_until_event = self.scheduler.post_after(
                     demand.duration, self._switch_off
                 )
         self._maybe_send()
@@ -291,7 +290,7 @@ class Sender:
 
         off_duration = self.workload.next_off_duration(self.rng)
         if math.isfinite(off_duration):
-            self._switch_event = self.scheduler.post_entry_after(
+            self._switch_event = self.scheduler.post_after(
                 off_duration, self._switch_on
             )
 
@@ -341,7 +340,7 @@ class Sender:
             if entry[0] <= when + 1e-12:
                 return
             self.scheduler.cancel_entry(entry)
-        self._pacing_event = self.scheduler.post_entry(when, self._pacing_fire)
+        self._pacing_event = self.scheduler.post(when, self._pacing_fire)
 
     def _pacing_fire(self) -> None:
         self._pacing_event = None
@@ -563,7 +562,7 @@ class Sender:
             return
         else:
             self._rto_deadline = self.scheduler.now + self.rto
-        self._rto_event = self.scheduler.post_entry_after(self.rto, self._rto_fire)
+        self._rto_event = self.scheduler.post_after(self.rto, self._rto_fire)
 
     def _rto_fire(self) -> None:
         scheduler = self.scheduler
@@ -574,7 +573,7 @@ class Sender:
             # is exactly where the cancel-and-repush scheme would have fired).
             # Pure timer bookkeeping, not a simulation event.
             scheduler.uncount_event()
-            self._rto_event = scheduler.post_entry(self._rto_deadline, self._rto_fire)
+            self._rto_event = scheduler.post(self._rto_deadline, self._rto_fire)
             return
         self._rto_event = None
         if self.state != "on" or not self.in_flight:

@@ -6,8 +6,11 @@ Remy evaluator and every experiment harness.  It takes a topology spec — a
 dumbbell) or a :class:`~repro.netsim.path.PathSpec` (any path, with an
 optionally congestible reverse direction); two spellings, one
 :class:`~repro.netsim.path.PathNetwork` — one congestion-control module and
-one workload per flow, runs the discrete-event loop for a fixed duration and
-returns a :class:`SimulationResult`.
+one workload per flow, builds the generic wiring on the one
+:class:`~repro.netsim.events.EventScheduler`, fuses it
+(:func:`repro.netsim.kernel.fuse`, unless ``kernel="generic"``), runs the
+scheduler's dispatch loop for a fixed duration and returns a
+:class:`SimulationResult`.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
-from repro.netsim.events import EventCapExceeded, SimulationError
+from repro.netsim.events import EventCapExceeded, EventScheduler, SimulationError
 from repro.netsim.invariants import InvariantChecker
-from repro.netsim.kernel import KernelChoice, resolve_kernel
+from repro.netsim.kernel import fuse
 from repro.netsim.network import NetworkSpec
 from repro.netsim.packet import PacketPool
 from repro.netsim.path import PathNetwork, PathSpec
@@ -171,14 +174,10 @@ class Simulation:
         sampling schedule and at completion.  Results stay bit-identical;
         implies the debug packet pool when pooling is enabled.
     kernel:
-        Simulation kernel selection (see :mod:`repro.netsim.kernel`):
-        ``"auto"`` (default) and ``"flat"`` pick the fused kernel, which
-        drives every topology; ``"generic"`` picks the unfused reference
-        engine the parity tests compare against; a
-        :class:`~repro.netsim.kernel.SimulationKernel` instance is used
-        as-is.  Every kernel reproduces the same results bit-identically —
-        the choice is purely a speed/engine knob.  The resolved engine is
-        recorded in :attr:`kernel_name`.
+        ``"auto"`` (default) fuses the built wiring
+        (:func:`repro.netsim.kernel.fuse`), on every topology;
+        ``"generic"`` runs it unfused — the reference the parity tests
+        compare against.  Both reproduce the same results bit-identically.
     """
 
     def __init__(
@@ -193,7 +192,7 @@ class Simulation:
         use_packet_pool: bool = True,
         debug_packet_pool: bool = False,
         debug_invariants: bool = False,
-        kernel: KernelChoice = "auto",
+        kernel: str = "auto",
     ) -> None:
         if len(protocols) != spec.n_flows:
             raise ValueError(
@@ -205,6 +204,8 @@ class Simulation:
             )
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"duration must be positive and finite, got {duration!r}")
+        if kernel not in ("auto", "generic"):
+            raise ValueError(f"unknown kernel {kernel!r}: expected 'auto' or 'generic'")
         self.spec = spec
         self.protocols = list(protocols)
         self.workloads = list(workloads) if workloads is not None else [None] * spec.n_flows
@@ -213,15 +214,9 @@ class Simulation:
         self.trace_flows = set(trace_flows)
         self.max_events = max_events
 
-        #: The resolved simulation kernel and the scheduler it chose for
-        #: this topology, in place before any wiring.
-        self.kernel = resolve_kernel(kernel)
-        #: Name of the engine actually driving this run (``"generic"`` or
-        #: ``"flat"``) — what ``kernel="auto"`` resolved to.
-        self.kernel_name = self.kernel.name
-        # Converted once: scheduler choice, seal and wiring all read this.
+        self.scheduler = EventScheduler()
+        # Converted once: seal, wiring and fusion all read this.
         path_spec = spec.to_path_spec()
-        self.scheduler = self.kernel.create_scheduler(path_spec)
         #: Per-simulation packet freelist (see :class:`PacketPool`).  Pooling
         #: is a pure allocation optimisation — results are bit-identical with
         #: it off (``use_packet_pool=False``), which the packet-pool tests
@@ -242,8 +237,8 @@ class Simulation:
             self.scheduler, path_spec, rng=random.Random(self.master_rng.getrandbits(32))
         )
         # Before the flows attach (arming rebinds the link's ``receive``)
-        # and before the kernel fuses it.  Whether the topology can seal is
-        # the spec's own property, not a choice made here.
+        # and before fusion.  Whether the topology can seal is the spec's
+        # own property, not a choice made here.
         self.network.arm_seal(duration)
         #: Runtime sanitizer (see :mod:`repro.netsim.invariants`).  Built
         #: before the flows so its counting wrappers are in place when
@@ -256,9 +251,9 @@ class Simulation:
         self._ran = False
         self._build_flows()
         # The simulation is fully built (identical construction order and
-        # rng draws regardless of kernel); a specialized kernel may now
-        # rebind the per-packet wiring.
-        self.kernel.finalize(self)
+        # rng draws either way); fusion only rebinds the per-packet wiring.
+        if kernel == "auto":
+            fuse(self)
 
     def _build_flows(self) -> None:
         for flow_id in range(self.spec.n_flows):
@@ -296,7 +291,7 @@ class Simulation:
             for sender in self.senders:
                 sender.start()
             try:
-                self.kernel.run(self.scheduler, end_time, max_events=self.max_events)
+                self.scheduler.run_until(end_time, max_events=self.max_events)
             except EventCapExceeded:
                 # Report the prefix that was simulated, flagged, rather than
                 # failing the batch the run belongs to.
@@ -331,7 +326,7 @@ def run_simulation(
     workloads: Optional[Sequence[Optional[Workload]]] = None,
     duration: float = 100.0,
     seed: int = 0,
-    kernel: KernelChoice = "auto",
+    kernel: str = "auto",
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`Simulation` and run it."""
     return Simulation(

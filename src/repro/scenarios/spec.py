@@ -35,7 +35,6 @@ import pickle
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.netsim.kernel import KernelChoice
 from repro.netsim.path import PathSpec
 from repro.netsim.sender import Workload
 from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec
@@ -266,7 +265,7 @@ class ScenarioSpec:
         use_packet_pool: bool = True,
         debug_packet_pool: bool = False,
         debug_invariants: bool = False,
-        kernel: KernelChoice = "auto",
+        kernel: str = "auto",
     ) -> Simulation:
         """Materialize the cell into a ready-to-run :class:`Simulation`."""
         return Simulation(

@@ -30,8 +30,8 @@ class ConstantDistribution(Distribution):
     """Always returns the same value (degenerate distribution)."""
 
     def __init__(self, value: float):
-        if value < 0:
-            raise ValueError("value must be non-negative")
+        if not value >= 0:  # NaN-failing form
+            raise ValueError(f"value must be non-negative, got {value!r}")
         self.value = float(value)
 
     def sample(self, rng: random.Random) -> float:
@@ -45,8 +45,8 @@ class UniformDistribution(Distribution):
     """Uniform on [low, high] — the paper's design ranges are uniform draws."""
 
     def __init__(self, low: float, high: float):
-        if high < low:
-            raise ValueError("high must be >= low")
+        if not high >= low:  # NaN-failing form
+            raise ValueError(f"high must be >= low, got low={low!r}, high={high!r}")
         self.low = float(low)
         self.high = float(high)
 
@@ -61,8 +61,8 @@ class ExponentialDistribution(Distribution):
     """Exponential with the given mean (on/off durations, flow sizes)."""
 
     def __init__(self, mean: float):
-        if mean <= 0:
-            raise ValueError("mean must be positive")
+        if not mean > 0:  # NaN-failing form
+            raise ValueError(f"mean must be positive, got {mean!r}")
         self._mean = float(mean)
 
     def sample(self, rng: random.Random) -> float:

@@ -30,8 +30,10 @@ class FixedOnPeriodWorkload(Workload):
     """
 
     def __init__(self, start: float, duration: float):
-        if start < 0 or duration <= 0:
-            raise ValueError("start must be >= 0 and duration > 0")
+        if not (start >= 0 and duration > 0):  # NaN-failing form
+            raise ValueError(
+                f"start must be >= 0 and duration > 0, got start={start!r}, duration={duration!r}"
+            )
         self.start = start
         self.duration = duration
 
@@ -54,8 +56,8 @@ class OnOffWorkload(Workload):
         start_on: bool = False,
         initial_delay: Optional[Distribution] = None,
     ):
-        if mean_off_seconds < 0:
-            raise ValueError("mean_off_seconds cannot be negative")
+        if not mean_off_seconds >= 0:  # NaN-failing form
+            raise ValueError(f"mean_off_seconds cannot be negative, got {mean_off_seconds!r}")
         self.off_distribution: Distribution
         if mean_off_seconds == 0:
             self.off_distribution = ConstantDistribution(0.0)
@@ -122,8 +124,8 @@ class TimedFlowWorkload(OnOffWorkload):
         initial_delay: Optional[Distribution] = None,
     ):
         super().__init__(mean_off_seconds, start_on=start_on, initial_delay=initial_delay)
-        if min_seconds <= 0:
-            raise ValueError("min_seconds must be positive")
+        if not min_seconds > 0:  # NaN-failing form
+            raise ValueError(f"min_seconds must be positive, got {min_seconds!r}")
         self.on_duration = on_duration
         self.min_seconds = min_seconds
 

@@ -30,3 +30,18 @@ def small_dumbbell() -> NetworkSpec:
         queue="droptail",
         buffer_packets=200,
     )
+
+
+@pytest.fixture
+def rides_lanes():
+    """Whether a built simulation's constant-delay lanes hold entries
+    part-way through its run (lanes are the fused wiring's choice, read off
+    the spec's shape; nothing public names it)."""
+
+    def check(sim) -> bool:
+        for sender in sim.senders:
+            sender.start()
+        sim.scheduler.run_until(0.5)
+        return any(sim.scheduler._lanes)
+
+    return check

@@ -108,7 +108,7 @@ class TestSeededViolations:
         # The acceptance-named regression: reintroduce the PR 3/4 leak shape
         # at runtime (count the drop, never release the packet) and the
         # conservation identity must break at a sample.
-        # Pinned generic: the flat kernel's fused closures bind the queue
+        # Pinned generic: the fused closures bind the queue
         # object at build time, so a post-construction swap like this one
         # would never see traffic under it.
         sim = build_sim(debug_invariants=True, kernel="generic")

@@ -1,12 +1,11 @@
-"""The pluggable simulation-kernel layer: selection, parity, late-bound hooks.
+"""The fused wiring (``kernel="auto"``): lane rule, parity, late-bound hooks.
 
 Three contracts:
 
-* **Resolution** — ``kernel="auto"`` is the fused :class:`FlatKernel` on
-  every topology; the *scheduler* under it is chosen from the spec (lanes
-  for a constant-rate dumbbell whose flows share one RTT, the plain heap
-  for everything else).  ``"generic"`` stays selectable as the parity
-  reference.
+* **Lanes** — ``kernel="auto"`` fuses every topology; the scheduler's two
+  constant-delay lanes are used on a constant-rate dumbbell whose flows
+  share one RTT and stay empty on everything else.  ``"generic"`` stays
+  selectable as the parity reference; nothing else is accepted.
 * **Parity** — fused and generic runs of the same spec are bit-identical
   (the full registry sweep lives in ``test_scenario_matrix.py``; here the
   shapes no registered cell reaches).
@@ -20,26 +19,19 @@ from dataclasses import replace
 
 import pytest
 
-from repro.netsim.events import EventScheduler
-from repro.netsim.kernel import (
-    KERNEL_NAMES,
-    FlatKernel,
-    FlatScheduler,
-    GenericKernel,
-    resolve_kernel,
-)
 from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.scenarios import all_scenarios, simulation_fingerprint
+from tools import profile_hotpath
 
 #: The two-lane shape: a constant-rate dumbbell, one RTT for every flow.
 FLAT_SPEC = NetworkSpec(
     link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail", buffer_packets=100
 )
 
-#: A multi-hop path topology (heap scheduler under the fused kernel).
+#: A multi-hop path topology (fused, on the heap).
 PATH_SPEC = PathSpec(
     forward=(
         LinkSpec(rate_bps=4e6, delay=0.02),
@@ -64,64 +56,43 @@ def _fingerprint(spec, kernel, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Resolution and scheduler selection
+# Kernel choice and the lane rule
 # ---------------------------------------------------------------------------
 class TestResolution:
-    def test_auto_picks_flat_for_dumbbell(self):
-        kernel = resolve_kernel("auto")
-        assert isinstance(kernel, FlatKernel)
-        assert isinstance(kernel.create_scheduler(FLAT_SPEC), FlatScheduler)
+    def test_auto_rides_the_lanes_on_a_dumbbell(self, rides_lanes):
+        assert rides_lanes(_build(FLAT_SPEC))
 
-    def test_auto_picks_flat_on_the_heap_for_path(self):
-        assert type(resolve_kernel("auto").create_scheduler(PATH_SPEC)) is EventScheduler
+    def test_auto_stays_on_the_heap_for_a_path(self, rides_lanes):
+        assert not rides_lanes(_build(PATH_SPEC))
 
-    def test_auto_picks_flat_on_the_heap_for_delivery_trace(self):
-        traced = replace(FLAT_SPEC, delivery_trace=TRACE)
-        assert type(FlatKernel().create_scheduler(traced)) is EventScheduler
+    def test_auto_stays_on_the_heap_for_a_delivery_trace(self, rides_lanes):
+        assert not rides_lanes(_build(replace(FLAT_SPEC, delivery_trace=TRACE)))
 
-    def test_per_flow_rtts_select_the_heap_and_equal_ones_the_lanes(self):
-        kernel = FlatKernel()
-        mixed = replace(FLAT_SPEC, rtt=(0.05, 0.08))
-        assert type(kernel.create_scheduler(mixed)) is EventScheduler
-        same = replace(FLAT_SPEC, rtt=(0.08, 0.08))
-        assert isinstance(kernel.create_scheduler(same), FlatScheduler)
+    def test_per_flow_rtts_select_the_heap_and_equal_ones_the_lanes(self, rides_lanes):
+        assert not rides_lanes(_build(replace(FLAT_SPEC, rtt=(0.05, 0.08))))
+        assert rides_lanes(_build(replace(FLAT_SPEC, rtt=(0.08, 0.08))))
 
-    def test_explicit_flat_is_accepted_on_every_topology(self):
-        assert isinstance(resolve_kernel("flat"), FlatKernel)
-        traced = replace(FLAT_SPEC, delivery_trace=TRACE)
-        for spec in (FLAT_SPEC, PATH_SPEC, traced):
-            assert _build(spec, "flat").kernel_name == "flat"
-
-    def test_explicit_generic_is_always_accepted(self):
-        kernel = resolve_kernel("generic")
-        assert isinstance(kernel, GenericKernel)
+    def test_generic_never_rides_the_lanes(self, rides_lanes):
         for spec in (FLAT_SPEC, PATH_SPEC):
-            assert type(kernel.create_scheduler(spec)) is EventScheduler
+            assert not rides_lanes(_build(spec, "generic"))
 
-    def test_unknown_kernel_name_lists_the_choices(self):
+    @pytest.mark.parametrize("kernel", ["flat", "warp", None])
+    def test_unknown_kernel_name_lists_the_choices(self, kernel):
         with pytest.raises(ValueError) as err:
-            resolve_kernel("warp")
-        for name in KERNEL_NAMES:
-            assert name in str(err.value)
+            _build(FLAT_SPEC, kernel)
+        assert "'auto'" in str(err.value) and "'generic'" in str(err.value)
 
-    def test_kernel_instances_pass_through(self):
-        kernel = GenericKernel()
-        assert resolve_kernel(kernel) is kernel
-
-    def test_simulation_records_resolved_kernel_name(self):
-        assert _build(FLAT_SPEC).kernel_name == "flat"
-        assert _build(PATH_SPEC).kernel_name == "flat"
-        assert _build(PATH_SPEC, "generic").kernel_name == "generic"
-
-    def test_every_registry_cell_resolves_to_the_fused_kernel(self):
+    def test_every_registry_cell_is_fused_under_auto(self):
         for cell in all_scenarios():
-            assert cell.build().kernel_name == "flat", cell.name
+            sender = cell.build().senders[0]
+            assert "on_ack" in sender.__dict__, cell.name
+            assert "on_ack" not in cell.build(kernel="generic").senders[0].__dict__
 
     def test_a_lane_with_the_serialization_delay_equal_to_the_one_way_delay(self):
         # 1500 B at 12 Mbps serializes in 1 ms, the one-way delay of a 2 ms
         # RTT: both lanes carry the same delay and still merge in order.
         spec = replace(FLAT_SPEC, link_rate_bps=12e6, rtt=0.002)
-        assert _fingerprint(spec, "flat") == _fingerprint(spec, "generic")
+        assert _fingerprint(spec, "auto") == _fingerprint(spec, "generic")
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +149,20 @@ PARITY_SPECS = {
 
 
 class TestParity:
-    def test_flat_matches_generic_on_dumbbell(self):
-        generic = _fingerprint(FLAT_SPEC, "generic")
-        assert _fingerprint(FLAT_SPEC, "flat") == generic
-        assert _fingerprint(FLAT_SPEC, "auto") == generic
+    def test_fused_matches_generic_on_dumbbell(self):
+        assert _fingerprint(FLAT_SPEC, "auto") == _fingerprint(FLAT_SPEC, "generic")
 
-    def test_flat_parity_with_ecn_marking_queue(self):
+    def test_fused_parity_with_ecn_marking_queue(self):
         # AQM cells exercise the generic (non-DropTail) fused path.
         spec = replace(FLAT_SPEC, queue="codel")
-        assert _fingerprint(spec, "flat") == _fingerprint(spec, "generic")
+        assert _fingerprint(spec, "auto") == _fingerprint(spec, "generic")
 
     @pytest.mark.parametrize("shape", list(PARITY_SPECS))
     def test_fused_matches_generic(self, shape):
         spec = PARITY_SPECS[shape]
         generic = _build(spec, "generic").run()
         assert generic.total_bytes_received() > 0
-        assert _fingerprint(spec, "flat") == simulation_fingerprint(generic)
+        assert _fingerprint(spec, "auto") == simulation_fingerprint(generic)
 
     @pytest.mark.parametrize(
         "options",
@@ -203,7 +172,7 @@ class TestParity:
     @pytest.mark.parametrize("shape", ["parking-lot-mixed-reverse", "hop-delays-everywhere"])
     def test_fused_path_parity_under_build_options(self, shape, options):
         spec = PARITY_SPECS[shape]
-        assert _fingerprint(spec, "flat", **options) == _fingerprint(spec, "generic")
+        assert _fingerprint(spec, "auto", **options) == _fingerprint(spec, "generic")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +199,7 @@ class TestLateBoundHooks:
             link.connect(spy)
             return seen, simulation_fingerprint(sim.run())
 
-        fused_seen, fused = run("flat")
+        fused_seen, fused = run("auto")
         generic_seen, generic = run("generic")
         assert len(fused_seen) > 100
         assert fused_seen == generic_seen
@@ -245,6 +214,30 @@ class TestLateBoundHooks:
             sim.run()
             return delays
 
-        fused = run("flat")
+        fused = run("auto")
         assert len(fused) > 100
         assert fused == run("generic")
+
+
+# ---------------------------------------------------------------------------
+# tools/profile_hotpath.py: the fused-vs-generic timing the bench CI job runs
+# ---------------------------------------------------------------------------
+class TestProfileTool:
+    def test_compare_kernels_prints_both_rates(self, capsys):
+        profile_hotpath.main(["--compare-kernels", "--reps", "1", "bench-newreno-droptail"])
+        [line] = capsys.readouterr().out.splitlines()
+        assert line.startswith("bench-newreno-droptail: ")
+        assert "| generic " in line and "| fused " in line and "ev/s" in line
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_compare_kernels_rejects_fewer_than_one_rep(self, capsys, reps):
+        with pytest.raises(SystemExit) as exit_info:
+            profile_hotpath.main(["--compare-kernels", "--reps", reps, "bench-newreno-droptail"])
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_the_flat_spelling_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            profile_hotpath.main(["--kernel", "flat", "bench-newreno-droptail"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'flat'" in capsys.readouterr().err

@@ -18,7 +18,7 @@ class TestConstantRateLink:
         arrivals = []
         link.connect(lambda p: arrivals.append((scheduler.now, p.seq)))
         link.receive(_packet(0))
-        scheduler.run()
+        scheduler.run_until(10.0)
         assert arrivals == [(pytest.approx(0.001), 0)]
 
     def test_back_to_back_packets_are_serialized(self, scheduler):
@@ -27,7 +27,7 @@ class TestConstantRateLink:
         link.connect(lambda p: arrivals.append(scheduler.now))
         for seq in range(3):
             link.receive(_packet(seq))
-        scheduler.run()
+        scheduler.run_until(10.0)
         assert arrivals == [pytest.approx(0.001), pytest.approx(0.002), pytest.approx(0.003)]
 
     def test_propagation_delay_added(self, scheduler):
@@ -35,7 +35,7 @@ class TestConstantRateLink:
         arrivals = []
         link.connect(lambda p: arrivals.append(scheduler.now))
         link.receive(_packet(0))
-        scheduler.run()
+        scheduler.run_until(10.0)
         assert arrivals == [pytest.approx(0.051)]
 
     def test_delay_observer_reports_queueing_wait_only(self, scheduler):
@@ -45,19 +45,19 @@ class TestConstantRateLink:
         link.connect(lambda p: None)
         link.receive(_packet(0))
         link.receive(_packet(1))  # waits one serialization time in the queue
-        scheduler.run()
+        scheduler.run_until(10.0)
         assert observed[0] == pytest.approx(0.0)
         assert observed[1] == pytest.approx(0.001)
 
     def test_throughput_matches_rate(self, scheduler):
         link = ConstantRateLink(scheduler, rate_bps=8e6)
         delivered = []
-        link.connect(lambda p: delivered.append(p))
+        link.connect(lambda p: delivered.append(scheduler.now))
         for seq in range(100):
             link.receive(_packet(seq))
-        scheduler.run()
+        scheduler.run_until(10.0)
         # 100 packets * 1500 bytes at 8 Mbps = 0.15 s
-        assert scheduler.now == pytest.approx(0.15)
+        assert delivered[-1] == pytest.approx(0.15)
         assert link.bytes_delivered == 150000
 
     def test_rejects_nonpositive_rate(self, scheduler):
@@ -68,7 +68,7 @@ class TestConstantRateLink:
         link = ConstantRateLink(scheduler, rate_bps=1e6)
         link.receive(_packet(0))
         with pytest.raises(RuntimeError):
-            scheduler.run()
+            scheduler.run_until(10.0)
 
 
 class TestTraceDrivenLink:
@@ -78,14 +78,14 @@ class TestTraceDrivenLink:
         link.connect(lambda p: arrivals.append(scheduler.now))
         for seq in range(3):
             link.receive(_packet(seq))
-        scheduler.run()
+        scheduler.run_until(10.0)
         assert arrivals == [pytest.approx(0.01), pytest.approx(0.02), pytest.approx(0.05)]
 
     def test_opportunities_without_packets_are_wasted(self, scheduler):
         link = TraceDrivenLink(scheduler, delivery_times=[0.01, 0.02, 0.03], cyclic=False)
         link.connect(lambda p: None)
         link.start()
-        scheduler.run()
+        scheduler.run_until(10.0)
         assert link.wasted_opportunities == 3
 
     def test_cyclic_trace_repeats(self, scheduler):

@@ -656,3 +656,81 @@ class TestOneCollectorPause:
             if isinstance(node, ast.Name) and node.id == inner.name
         ]
         assert offenders == []
+
+
+class TestOneScheduler:
+    """``EventScheduler`` stays the only scheduler — one heap, two lanes, one
+    ``run_until`` — and the kernel layer stays one function: no scheduler
+    subclass, no kernel class, no test-only scheduling API, no knob."""
+
+    SRC = REPO_ROOT / "src" / "repro"
+    NETSIM = SRC / "netsim"
+    GONE_NAMES = (
+        "FlatScheduler",
+        "SimulationKernel",
+        "GenericKernel",
+        "FlatKernel",
+        "resolve_kernel",
+        "KERNEL_NAMES",
+        "kernel_name",
+        "post_now",
+        "schedule_after",
+        "peek_time",
+        "post_entry",
+        "_ready",
+        "_pending",
+    )
+
+    @staticmethod
+    def _classes(path: Path) -> list[ast.ClassDef]:
+        return [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+
+    def test_one_class_dispatches(self):
+        owners = [
+            f"{path.name}:{cls.name}"
+            for path in sorted(self.NETSIM.glob("*.py"))
+            for cls in self._classes(path)
+            if any(isinstance(node, ast.FunctionDef) and node.name == "run_until" for node in cls.body)
+        ]
+        assert owners == ["events.py:EventScheduler"]
+
+    def test_nothing_subclasses_the_scheduler(self):
+        subclasses = [
+            f"{path.relative_to(REPO_ROOT)}:{cls.name}"
+            for root in ("src", "tools", "examples", "tests")
+            for path in sorted((REPO_ROOT / root).rglob("*.py"))
+            for cls in self._classes(path)
+            if "EventScheduler" in {ast.unparse(base).rsplit(".", 1)[-1] for base in cls.bases}
+        ]
+        assert subclasses == []
+
+    def test_the_kernel_module_defines_no_class(self):
+        assert self._classes(self.NETSIM / "kernel.py") == []
+
+    def test_the_deleted_names_are_gone(self):
+        pattern = re.compile(r"(?<![A-Za-z0-9_])(" + "|".join(self.GONE_NAMES) + r")")
+        offenders = [
+            f"{path.relative_to(REPO_ROOT)}:{lineno}"
+            for root in ("src", "tools", "examples")
+            for path in sorted((REPO_ROOT / root).rglob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if pattern.search(line)
+        ]
+        assert offenders == []
+
+    def test_the_kernel_choice_is_auto_or_generic_and_adds_no_knob(self):
+        import inspect
+
+        from repro.netsim.network import NetworkSpec
+        from repro.netsim.simulator import Simulation
+        from repro.protocols.newreno import NewReno
+
+        assert list(inspect.signature(Simulation.__init__).parameters) == (
+            TestOneCollectorPause.SIGNATURES["Simulation.__init__"]
+        )
+        spec = NetworkSpec(n_flows=1)
+        for kernel in ("auto", "generic"):
+            Simulation(spec, [NewReno()], duration=1.0, kernel=kernel)
+        with pytest.raises(ValueError) as err:
+            Simulation(spec, [NewReno()], duration=1.0, kernel="flat")
+        assert "'auto'" in str(err.value) and "'generic'" in str(err.value)

@@ -11,10 +11,10 @@ so the counts follow from arithmetic alone — no golden of ours is consulted:
 * λ = 0.8 C: every segment finds the link idle — no drops, and every
   queueing-delay sample is exactly 0.
 
-Each case runs under both kernels (the flat kernel's pacing timer is the
+Each case runs under both kernels (under ``auto`` the pacing timer is the
 fused per-flow closure; the generic one walks ``_pacing_fire`` →
 ``_maybe_send`` → ``_send_one``) and under the invariant sanitizer, whose
-instrumented senders keep the generic methods on the flat kernel too.
+instrumented senders keep the generic methods under ``auto`` too.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def _simulation(load: float, kernel: str, debug_invariants: bool) -> Simulation:
 
 ENGINES = pytest.mark.parametrize(
     "kernel,debug_invariants",
-    [("generic", False), ("flat", False), ("generic", True), ("flat", True)],
-    ids=["generic", "flat", "generic-sanitized", "flat-sanitized"],
+    [("generic", False), ("auto", False), ("generic", True), ("auto", True)],
+    ids=["generic", "auto", "generic-sanitized", "auto-sanitized"],
 )
 
 
@@ -99,11 +99,11 @@ def test_underload_never_queues(kernel, debug_invariants):
     assert stats.queue_delay_sum == 0.0 and stats.max_queue_delay == 0.0
 
 
-def test_the_flat_kernel_fuses_the_pacing_timer_unless_instrumented():
+def test_auto_fuses_the_pacing_timer_unless_instrumented():
     def pacing_is_fused(sim: Simulation) -> bool:
         sender = sim.network.flows[0].sender
         return sender.__dict__.get("_pacing_fire") is sender.on_ack
 
-    assert pacing_is_fused(_simulation(1.25, "flat", False))
-    assert not pacing_is_fused(_simulation(1.25, "flat", True))
+    assert pacing_is_fused(_simulation(1.25, "auto", False))
+    assert not pacing_is_fused(_simulation(1.25, "auto", True))
     assert not pacing_is_fused(_simulation(1.25, "generic", False))

@@ -2,9 +2,10 @@
 
 The load-bearing contract: there is one network class.  The dumbbell is the
 one-forward-hop case of a path — ``NetworkSpec`` is a spelling of it, not a
-second engine — and what only a dumbbell can do (the two-lane scheduler, the
-seal in ``tests/test_seal.py``) follows the path's shape, not its spelling.
-The goldens pin the numbers; these tests pin the structure.
+second engine — and what only a dumbbell can do (the scheduler's two
+constant-delay lanes, the seal in ``tests/test_seal.py``) follows the path's
+shape, not its spelling.  The goldens pin the numbers; these tests pin the
+structure.
 """
 
 import random
@@ -13,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from repro.netsim.events import EventScheduler
-from repro.netsim.kernel import FlatScheduler
 from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathNetwork, PathSpec
 from repro.netsim.simulator import Simulation
@@ -160,15 +160,15 @@ class TestOneNetworkClass:
             assert type(sim.network) is PathNetwork, cell.name
             assert sim.network.spec == cell.network_spec().to_path_spec(), cell.name
 
-    def test_scheduler_follows_the_shape_not_the_spelling(self):
-        def scheduler_of(spec):
-            return type(Simulation(spec, _newreno(spec.n_flows), duration=1.0).scheduler)
+    def test_lanes_follow_the_shape_not_the_spelling(self, rides_lanes):
+        def lanes(spec):
+            return rides_lanes(Simulation(spec, _newreno(spec.n_flows), duration=1.0))
 
         dumbbell = NetworkSpec(link_rate_bps=4e6, rtt=0.08, n_flows=2)
         hop = dumbbell.bottleneck()
         one_hop = PathSpec(forward=(hop,), rtt=0.08, n_flows=2)
         assert one_hop == dumbbell.to_path_spec()
-        assert scheduler_of(dumbbell) is scheduler_of(one_hop) is FlatScheduler
+        assert lanes(dumbbell) and lanes(one_hop)
         trace = [0.004 * i for i in range(1, 400)]
         for name, spec in {
             "per-flow-rtt": replace(one_hop, rtt=(0.05, 0.08)),
@@ -179,7 +179,7 @@ class TestOneNetworkClass:
             "multi-hop": replace(one_hop, forward=(hop, hop)),
             "reverse-hop": replace(one_hop, reverse=(hop,)),
         }.items():
-            assert scheduler_of(spec) is EventScheduler, name
+            assert not lanes(spec), name
 
 
 class TestPathNetwork:

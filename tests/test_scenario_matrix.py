@@ -17,10 +17,10 @@ For each cell of the scenario registry this suite checks:
   (``debug_invariants=True``; conservation, monotonic time, queue
   accounting) and the instrumented run still reproduces the committed
   fingerprint bit-exactly;
-* **kernel parity** — the fused :class:`~repro.netsim.kernel.FlatKernel`
-  that ``auto`` selects for every cell is bit-identical to an explicit
-  :class:`~repro.netsim.kernel.GenericKernel` run and reproduces the cell's
-  committed golden fingerprint.
+* **kernel parity** — the fused wiring (:func:`~repro.netsim.kernel.fuse`)
+  that ``auto`` applies to every cell is bit-identical to an explicit
+  ``kernel="generic"`` run and reproduces the cell's committed golden
+  fingerprint.
 
 Gating: registry-shape tests always run.  Per-cell simulations run for the
 tier-1 *smoke subset* (one ``smoke=True`` cell per topology) by default; set
@@ -235,19 +235,17 @@ def test_cell_serial_matches_process_pool(cell_name, pool_backend):
 
 @pytest.mark.parametrize("cell_name", ALL_CELLS)
 def test_cell_generic_vs_selected_kernel_parity(cell_name):
-    # The kernel contract: the fused FlatKernel ``auto`` selects for every
-    # cell — lanes on uniform-RTT dumbbells, the plain heap elsewhere — is
+    # The kernel contract: the fused wiring ``auto`` applies to every cell —
+    # lanes on uniform-RTT dumbbells, the plain heap elsewhere — is
     # bit-identical to an explicit generic run, and both reproduce the
     # committed golden fingerprint, which predates the fused engine.
     _gate(cell_name)
     cell = get_scenario(cell_name)
-    sim = cell.build()
-    assert sim.kernel_name == "flat"
-    selected = simulation_fingerprint(sim.run())
+    selected = simulation_fingerprint(cell.run())
     generic = simulation_fingerprint(cell.run(kernel="generic"))
     assert selected == generic
     assert selected == load_golden()[cell_name], (
-        f"{cell_name}: FlatKernel diverged from the committed golden "
+        f"{cell_name}: the fused wiring diverged from the committed golden "
         "fingerprint — the fused event chain no longer replays the "
         "generic heap order"
     )

@@ -147,7 +147,7 @@ def references():
     return get
 
 
-@pytest.mark.parametrize("kernel", ["generic", "flat"])
+@pytest.mark.parametrize("kernel", ["generic", "auto"])
 @pytest.mark.parametrize("training", [True, False], ids=["training", "execution"])
 @pytest.mark.parametrize("workload_kind", ["timed", "byte"])
 def test_sealed_run_matches_unsealed_reference(references, workload_kind, training, kernel):
@@ -158,14 +158,14 @@ def test_sealed_run_matches_unsealed_reference(references, workload_kind, traini
 @pytest.mark.parametrize("workload_kind", ["timed", "byte"])
 def test_both_kernels_seal_at_the_same_instant(workload_kind):
     generic, _ = run_flood(flood_spec("infinite"), workload_kind, kernel="generic")
-    flat, _ = run_flood(flood_spec("infinite"), workload_kind, kernel="flat")
+    fused, _ = run_flood(flood_spec("infinite"), workload_kind, kernel="auto")
     assert generic.sealed_at is not None
-    assert flat.sealed_at == generic.sealed_at
-    # Past the seal the two engines still do the same thing.
-    assert [dataclasses.asdict(s) for s in flat.flow_stats] == [
+    assert fused.sealed_at == generic.sealed_at
+    # Past the seal the two wirings still do the same thing.
+    assert [dataclasses.asdict(s) for s in fused.flow_stats] == [
         dataclasses.asdict(s) for s in generic.flow_stats
     ]
-    assert flat.events_processed == generic.events_processed
+    assert fused.events_processed == generic.events_processed
 
 
 def test_sealed_at_is_past_the_point_of_no_return():
@@ -179,7 +179,7 @@ def test_sealed_at_is_past_the_point_of_no_return():
     assert delivered <= capacity + 1
 
 
-@pytest.mark.parametrize("kernel", ["generic", "flat"])
+@pytest.mark.parametrize("kernel", ["generic", "auto"])
 def test_retransmission_clock_survives_the_seal(kernel):
     """The case a sender that simply fell silent at the seal gets wrong.
 
@@ -216,7 +216,7 @@ def test_retransmission_clock_survives_the_seal(kernel):
     assert sealed[0].flow_stats[0].timeouts == reference[0].flow_stats[0].timeouts
 
 
-@pytest.mark.parametrize("kernel", ["generic", "flat"])
+@pytest.mark.parametrize("kernel", ["generic", "auto"])
 def test_sealed_run_passes_the_invariant_sanitizer(kernel):
     plain = run_flood(flood_spec("infinite"), kernel=kernel)
     checked = run_flood(flood_spec("infinite"), kernel=kernel, debug_invariants=True)
@@ -280,7 +280,7 @@ def test_single_hop_path_simulates_every_send():
     # giant DropTail the same one-hop path simulates every send and stays
     # the unsealed reference.
     assert ONE_HOP == flood_spec("infinite").to_path_spec()
-    for kernel in ("generic", "flat"):
+    for kernel in ("generic", "auto"):
         dumbbell = run_flood(flood_spec("infinite"), kernel=kernel)
         path = run_flood(ONE_HOP, kernel=kernel)
         assert path[0].sealed_at == dumbbell[0].sealed_at is not None, kernel

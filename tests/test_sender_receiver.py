@@ -58,10 +58,10 @@ class LossyWire:
             self.drop_seqs.discard(packet.seq)
             return
         self.delivered.append(packet.seq)
-        self.scheduler.schedule_after(self.delay, self.receiver.on_packet, packet)
+        self.scheduler.post_after(self.delay, self.receiver.on_packet, packet)
 
     def send_ack(self, ack: Packet) -> None:
-        self.scheduler.schedule_after(self.delay, self.sender.on_ack, ack)
+        self.scheduler.post_after(self.delay, self.sender.on_ack, ack)
 
 
 def build_pair(scheduler, cc, workload, drop_seqs=()):
@@ -238,7 +238,7 @@ def test_stale_acks_from_previous_on_period_do_not_fire_loss(scheduler):
         rng=random.Random(0),
     )
     receiver = Receiver(0, scheduler, stats=stats)
-    sender.connect(lambda p: scheduler.schedule_after(0.05, receiver.on_packet, p))
+    sender.connect(lambda p: scheduler.post_after(0.05, receiver.on_packet, p))
 
     # Period 1 sends 8-packet bursts every 0.115 s round trip, so it covers
     # seqs 0..71 before switching off at 0.95 s; its last burst's ACKs
@@ -253,7 +253,7 @@ def test_stale_acks_from_previous_on_period_do_not_fire_loss(scheduler):
         return 0.065 if ack.ack_seq < PERIOD1_TOP_ACK else 0.05
 
     receiver.connect(
-        lambda a: scheduler.schedule_after(ack_delay(a), sender.on_ack, a)
+        lambda a: scheduler.post_after(ack_delay(a), sender.on_ack, a)
     )
 
     stale_seen_while_on = []

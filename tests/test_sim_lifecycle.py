@@ -26,10 +26,9 @@ from repro.core.config import general_purpose_range
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.events import EventScheduler, SimulationError
-from repro.netsim.kernel import FlatScheduler
 from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathSpec
-from repro.netsim.sender import Sender
+from repro.netsim.sender import Sender, Workload
 from repro.netsim.simulator import Simulation, gc_paused
 from repro.protocols import NewReno
 from repro.runner import SerialBackend, SimJob
@@ -281,40 +280,36 @@ def test_a_second_run_is_an_error_raised_before_anything_is_touched(kernel):
 # ---------------------------------------------------------------------------
 # Bugfix: clear() leaves late cancels harmless
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("scheduler_type", [EventScheduler, FlatScheduler])
-def test_clear_empties_every_lane_and_marks_entries_executed(scheduler_type):
-    scheduler = scheduler_type()
+def test_clear_empties_every_lane_and_marks_entries_executed():
+    scheduler = EventScheduler()
     calls = []
-    event = scheduler.schedule(1.0, calls.append, "heap")
-    entry = scheduler.post_entry_after(2.0, calls.append, "entry")
-    same_time = scheduler.schedule(0.0, calls.append, "heap-now")
-    scheduler.post_now(calls.append, "ready")
-    if scheduler_type is FlatScheduler:
-        for lane in scheduler._lanes:
-            lane.append([0.5, scheduler._sequence, calls.append, "lane"])
-            scheduler._sequence += 1
-    assert scheduler.pending == (6 if scheduler_type is FlatScheduler else 4)
+    entry = scheduler.post(1.0, calls.append, "heap")
+    later = scheduler.post_after(2.0, calls.append, "entry")
+    same_time = scheduler.post(0.0, calls.append, "heap-now")
+    for lane in scheduler._lanes:
+        lane.append([0.5, scheduler._sequence, calls.append, "lane"])
+        scheduler._sequence += 1
+    assert scheduler.pending == 5
     scheduler.clear()
-    assert scheduler.pending == 0 and scheduler.peek_time() is None
-    assert entry[2] is None and entry[3] == ()
-    event.cancel()
-    same_time.cancel()
-    scheduler.cancel_entry(entry)
     assert scheduler.pending == 0
-    assert scheduler.run() == 0 and calls == []
+    assert later[2] is None and later[3] == ()
+    for token in (entry, same_time, later):
+        scheduler.cancel_entry(token)
+    assert scheduler.pending == 0
+    assert scheduler.run_until(10.0) == 0 and calls == []
     scheduler.post_after(1.0, calls.append, "after")  # still a working scheduler
-    assert scheduler.pending == 1 and scheduler.run() == 1 and calls == ["after"]
+    assert scheduler.pending == 1 and scheduler.run_until(20.0) == 1 and calls == ["after"]
 
 
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
 def test_a_timer_handle_that_outlives_the_run_cancels_to_nothing(kernel):
     sim = build(DUMBBELL, kernel)
-    handle = sim.scheduler.schedule(10.0, lambda: None)  # beyond the run's end
+    handle = sim.scheduler.post(10.0, lambda: None)  # beyond the run's end
     rto_entries = []
     sim.scheduler.post(1.0, lambda: rto_entries.extend(s._rto_event for s in sim.senders))
     sim.run()
     assert rto_entries and all(entry is not None for entry in rto_entries)
-    handle.cancel()
+    sim.scheduler.cancel_entry(handle)
     for entry in rto_entries:
         sim.scheduler.cancel_entry(entry)
     assert sim.scheduler.pending == 0
@@ -339,3 +334,21 @@ class TestNonFiniteDuration:
         )
         with pytest.raises(ValueError, match="positive and finite"):
             evaluator.evaluate(WhiskerTree())
+
+
+# ---------------------------------------------------------------------------
+# Bugfix: a NaN start delay neither poisons the clock nor hangs the run
+# ---------------------------------------------------------------------------
+class NanStart(Workload):
+    """Switches on after NaN seconds: what a NaN-producing draw would do."""
+
+    def first_on_delay(self, rng):
+        return math.nan
+
+
+@pytest.mark.parametrize("kernel", ["auto", "generic"])
+def test_a_nan_start_delay_fails_loudly(kernel):
+    sim = build(DUMBBELL, kernel, workloads=[NanStart(), None], max_events=50_000)
+    with pytest.raises(SimulationError, match="nan"):
+        sim.run()
+    assert not math.isnan(sim.scheduler.now)

@@ -21,7 +21,8 @@ from repro.traffic.flowsize import (
     icsi_flow_length_distribution,
 )
 from repro.traffic.incast import IncastWorkload
-from repro.traffic.onoff import ByteFlowWorkload, TimedFlowWorkload
+from repro.netsim.sender import AlwaysOnWorkload, FlowDemand
+from repro.traffic.onoff import ByteFlowWorkload, FixedOnPeriodWorkload, TimedFlowWorkload
 
 
 class TestDistributions:
@@ -139,3 +140,42 @@ class TestWorkloads:
     def test_incast_validation(self):
         with pytest.raises(ValueError):
             IncastWorkload.exponential(1e6, epoch_seconds=0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FlowDemand(duration=NAN),
+        lambda: AlwaysOnWorkload(NAN),
+        lambda: FixedOnPeriodWorkload(NAN, 1.0),
+        lambda: FixedOnPeriodWorkload(0.0, NAN),
+        lambda: TimedFlowWorkload.exponential(mean_on_seconds=NAN, mean_off_seconds=1.0),
+        lambda: TimedFlowWorkload.exponential(mean_on_seconds=1.0, mean_off_seconds=NAN),
+        lambda: ExponentialDistribution(NAN),
+        lambda: ConstantDistribution(NAN),
+        lambda: UniformDistribution(NAN, 1.0),
+        lambda: UniformDistribution(0.0, NAN),
+    ],
+    ids=[
+        "flow-demand-duration",
+        "always-on-start-delay",
+        "fixed-on-period-start",
+        "fixed-on-period-duration",
+        "timed-flow-mean-on",
+        "timed-flow-mean-off",
+        "exponential",
+        "constant",
+        "uniform-low",
+        "uniform-high",
+    ],
+)
+def test_a_nan_parameter_is_rejected_at_construction(build):
+    with pytest.raises(ValueError, match="nan"):
+        build()
+
+
+def test_an_infinite_duration_is_still_the_always_on_demand():
+    assert FlowDemand(duration=math.inf).duration == math.inf

@@ -12,15 +12,16 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py bench-remy-droptail  # one cell
     PYTHONPATH=src python tools/profile_hotpath.py --sort cumtime --limit 30 ...
     PYTHONPATH=src python tools/profile_hotpath.py --dump /tmp/out  # .pstats per case
-    PYTHONPATH=src python tools/profile_hotpath.py --kernel flat    # pin the engine
+    PYTHONPATH=src python tools/profile_hotpath.py --kernel generic  # the unfused wiring
     PYTHONPATH=src python tools/profile_hotpath.py --compare-kernels  # dumbbell, path, trace
 
-``--kernel {auto,generic,flat}`` pins the simulation kernel under the
-profiler.  ``--compare-kernels`` skips the profiler entirely and times each
-case (default: one dumbbell, one path and one trace-driven case) under the
-generic and flat kernels with interleaved paired repetitions (alternating
-kernels rep by rep, reporting the median of paired ratios, which cancels
-machine-load drift), printing the flat-vs-generic speedup.
+``--kernel {auto,generic}`` picks the wiring under the profiler: ``auto``
+(the default) is fused, ``generic`` is the unfused reference.
+``--compare-kernels`` skips the profiler entirely and times each case
+(default: one dumbbell, one path and one trace-driven case) fused and
+generic with interleaved paired repetitions (alternating rep by rep,
+reporting the median of paired ratios, which cancels machine-load drift),
+printing the fused-vs-generic speedup.
 
 Dumped ``.pstats`` files can be explored interactively with
 ``python -m pstats /tmp/out/bench-newreno-droptail.pstats`` or visualized with
@@ -37,7 +38,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.netsim.kernel import KERNEL_NAMES
 from repro.netsim.simulator import Simulation
 from repro.scenarios import get_scenario
 
@@ -49,8 +49,8 @@ DEFAULT_CASES = [
     "bench-remy-training",
 ]
 
-#: ``--compare-kernels`` defaults: the lane scheduler (dumbbell) and the two
-#: heap-scheduler shapes (multi-hop path, trace-driven link).
+#: ``--compare-kernels`` defaults: a lane topology (dumbbell) and the two
+#: heap-only shapes (multi-hop path, trace-driven link).
 COMPARE_CASES = ["bench-newreno-droptail", "bench-newreno-twohop", "fig7-lte4"]
 
 
@@ -75,7 +75,7 @@ def profile_case(
     print(f"\n{'=' * 72}")
     print(
         f"case {case}: {result.events_processed} events "
-        f"(kernel {simulation.kernel_name})"
+        f"(kernel {kernel})"
     )
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(sort).print_stats(limit)
@@ -95,33 +95,33 @@ def _timed_run(case: str, kernel: str) -> tuple[float, int]:
 
 
 def compare_kernels(case: str, reps: int) -> None:
-    """Interleaved paired timing: flat vs generic events/sec for ``case``."""
-    # Alternate the kernels rep by rep so slow machine phases hit both
+    """Interleaved paired timing: fused vs generic events/sec for ``case``."""
+    # Alternate the wirings rep by rep so slow machine phases hit both
     # sides equally, then take the median of the per-pair ratios.
     ratios = []
     generic_best = float("inf")
-    flat_best = float("inf")
+    fused_best = float("inf")
     events = 0
     for _ in range(reps):
         generic_s, events = _timed_run(case, "generic")
-        flat_s, flat_events = _timed_run(case, "flat")
-        if flat_events != events:
+        fused_s, fused_events = _timed_run(case, "auto")
+        if fused_events != events:
             raise SystemExit(
                 f"{case}: kernel parity violation — generic ran {events} "
-                f"events, flat ran {flat_events}"
+                f"events, fused ran {fused_events}"
             )
-        ratios.append(generic_s / flat_s)
+        ratios.append(generic_s / fused_s)
         generic_best = min(generic_best, generic_s)
-        flat_best = min(flat_best, flat_s)
+        fused_best = min(fused_best, fused_s)
     print(
         f"{case}: {events} events | generic {events / generic_best:10.0f} ev/s"
-        f" | flat {events / flat_best:10.0f} ev/s"
-        f" | flat speedup x{statistics.median(ratios):.2f}"
+        f" | fused {events / fused_best:10.0f} ev/s"
+        f" | fused speedup x{statistics.median(ratios):.2f}"
         f" (median of {reps} paired reps)"
     )
 
 
-def main() -> None:
+def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "cases",
@@ -146,15 +146,15 @@ def main() -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=KERNEL_NAMES,
+        choices=("auto", "generic"),
         default="auto",
-        help="simulation kernel to profile under (default auto)",
+        help="wiring to profile: auto (fused, the default) or generic",
     )
     parser.add_argument(
         "--compare-kernels",
         action="store_true",
-        help="instead of profiling, time each case under the generic and "
-        "flat kernels (interleaved paired reps) and print the speedup",
+        help="instead of profiling, time each case fused and generic "
+        "(interleaved paired reps) and print the speedup",
     )
     parser.add_argument(
         "--reps",
@@ -162,7 +162,9 @@ def main() -> None:
         default=5,
         help="paired repetitions per case for --compare-kernels (default 5)",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error(f"--reps must be at least 1, got {args.reps}")
     for case in args.cases or (COMPARE_CASES if args.compare_kernels else DEFAULT_CASES):
         if args.compare_kernels:
             compare_kernels(case, args.reps)
