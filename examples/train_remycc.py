@@ -19,11 +19,10 @@ Long runs should checkpoint: ``--checkpoint design.ckpt.json`` writes the
 full resumable search state (tree, progress counters, settings, seed
 schedule) atomically at every epoch boundary, and ``--resume`` continues
 from it bit-identically after an interruption — the resumed run's final
-tree and score history match an uninterrupted run exactly.  ``--retries N``
-gives each chunk of the pool N attempts (with backoff between them, and
-serial degradation once the pool keeps breaking) before a failure is pinned
-on a job; without it a failing chunk is bisected straight away and the run
-stops with an error naming the job.
+tree and score history match an uninterrupted run exactly.  The pool itself
+survives a dead worker: a broken pool is rebuilt once, and if it breaks
+again the batch finishes in this process (with a warning); a job that
+raises stops the run with its own error, naming the job.
 
 ``--cache DIR`` adds a content-addressed result cache keyed by (rule table,
 scenario, seed): repeat evaluations — including the replayed prefix of a
@@ -33,9 +32,9 @@ Usage::
 
     python examples/train_remycc.py --delta 1.0 --output my_remycc.json
     python examples/train_remycc.py --workers 8 --max-evaluations 1000
-    python examples/train_remycc.py --workers 8 --retries 3 \
-        --checkpoint design.ckpt.json          # long fault-prone run
-    python examples/train_remycc.py --workers 8 --retries 3 \
+    python examples/train_remycc.py --workers 8 \
+        --checkpoint design.ckpt.json          # long run
+    python examples/train_remycc.py --workers 8 \
         --checkpoint design.ckpt.json --resume # ... continue after a crash
     python examples/train_remycc.py --workers 8 \
         --cache design-cache/                  # pooled + cached
@@ -74,14 +73,6 @@ def main() -> None:
         "CPU; the designed tree is the same at every width)",
     )
     parser.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        help="attempts the pool gives a failing chunk before bisecting it "
-        "down to the failing job (default 1 = no retry; requires "
-        "--workers != 1; see repro.runner.RetryPolicy)",
-    )
-    parser.add_argument(
         "--cache",
         default=None,
         metavar="DIR",
@@ -112,19 +103,14 @@ def main() -> None:
 
     if args.workers < 0:
         parser.error(f"--workers must be >= 0, got {args.workers}")
-    if args.retries is not None and args.retries <= 0:
-        parser.error(f"--retries must be positive, got {args.retries}")
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint PATH")
-    retries = f":{args.retries}" if args.retries is not None else ""
     if args.workers == 1:
-        if args.retries is not None:
-            parser.error("--retries needs a process pool (--workers != 1)")
         backend = backend_from_spec("serial")
     elif args.workers == 0:
-        backend = backend_from_spec(f"process::{retries}" if retries else "process")
+        backend = backend_from_spec("process")
     else:
-        backend = backend_from_spec(f"process:{args.workers}:{retries}" if retries else f"process:{args.workers}")
+        backend = backend_from_spec(f"process:{args.workers}")
 
     cache = ResultCache(args.cache) if args.cache is not None else None
     evaluator = Evaluator(

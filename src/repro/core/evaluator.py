@@ -246,14 +246,14 @@ class Evaluator:
         """Set ``tree``'s statistics to the fold of its jobs' usage summaries."""
         whiskers = tree.whiskers()
         for job_result in batch:
-            # A JobFailure (on_failure="return") has no such field at all.
+            # A result cached by an older version may lack the field.
             summary = getattr(job_result, "whisker_stats", None)
             if summary is None or len(summary) != len(whiskers):
                 found = "no usage summary" if summary is None else f"usage for {len(summary)} rules"
                 raise ValueError(
                     f"training job {job_result.job_id} returned {found} for a tree "
-                    f"of {len(whiskers)} rules (a failed job, or a result cached by "
-                    "an older version: clear the cache directory)"
+                    f"of {len(whiskers)} rules (a result cached by an older "
+                    "version: clear the cache directory)"
                 )
         for index, whisker in enumerate(whiskers):
             whisker.set_usage([job_result.whisker_stats[index] for job_result in batch])

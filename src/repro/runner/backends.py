@@ -9,46 +9,34 @@ harnesses can share it:
   one after the other.
 * :class:`ProcessPoolBackend` ships picklable jobs to a pool of worker
   processes, which operate on isolated copies of the rule table.  It is
-  the only parallel backend, and it is fault tolerant: a chunk lost to a
-  worker crash, hang, exception or corrupted result is retried as its
-  :class:`~repro.runner.resilience.RetryPolicy` allows, then bisected until
-  the failure is pinned on a single job.
+  the only parallel backend, and it has one recovery rule: a pool that
+  breaks (a worker died) is rebuilt once, and a second break in the same
+  batch finishes the rest of it in this process, with a warning.
 
 Backends preserve submission order: ``run_batch(jobs)[i]`` is always the
 result of ``jobs[i]``, and every backend executes a job the same way
-(:func:`repro.runner.jobs.run_sim_job`): a training-mode job starts from
-zeroed statistics and returns its own per-whisker usage summary in the
-result, which the caller folds — nothing is accumulated in place, so what a
-batch yields does not depend on where it ran.  Determinism under retry: a
-:class:`~repro.runner.jobs.SimJob` is a pure function of its pickled inputs,
-so re-executing a lost chunk reproduces the original results bit-for-bit —
-the pool's results match :class:`SerialBackend`'s no matter how many faults
-were survived along the way (pinned by the golden-parity chaos tests in
-``tests/test_resilience.py``).
+(:func:`repro.runner.jobs.run_sim_job`), so what a batch yields does not
+depend on where it ran.  A :class:`~repro.runner.jobs.SimJob` is a pure
+function of its pickled inputs, so re-running a lost chunk — on a rebuilt
+pool or in this process — reproduces its results bit-for-bit (pinned by the
+golden-parity crash tests in ``tests/test_resilience.py``).
 """
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 from abc import ABC, abstractmethod
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from typing import Optional, Sequence
 
+from repro.runner.faults import active_fault_plan, mark_worker_process, worker_fault_plan
 from repro.runner.jobs import SimJob, SimJobResult, chunk_result_mismatch, run_sim_job
-from repro.runner.resilience import (
-    BatchEntry,
-    Clock,
-    JobFailure,
-    MonotonicClock,
-    PoisonJobError,
-    RetryPolicy,
-    _WorkItem,
-    record_failure,
-    run_item_serially,
-)
+
+logger = logging.getLogger(__name__)
 
 
 def _execute_job_chunk(jobs: Sequence[SimJob], attempt: int = 0) -> list[SimJobResult]:
@@ -56,25 +44,20 @@ def _execute_job_chunk(jobs: Sequence[SimJob], attempt: int = 0) -> list[SimJobR
 
     Module-level so it pickles by reference.  The chunk is pickled as a
     single object, so jobs sharing a rule table serialize that table once
-    per chunk instead of once per job, and the results travel back as one
-    message.
-
-    ``attempt`` is the number of times this chunk has already been tried
-    (:class:`ProcessPoolBackend` increments it on resubmission); it keys the deterministic fault-injection harness, which
-    fires only inside armed worker processes (see
-    :func:`repro.runner.faults.worker_fault_plan`).
+    per chunk, and the results travel back as one message.  A job that
+    raises is re-raised with a note naming it.  ``attempt`` (0, or 1 on a
+    rebuilt pool) keys the crash harness, armed in pool workers only.
     """
-    from repro.runner.faults import worker_fault_plan
-
     plan = worker_fault_plan()
     results = []
     for job in jobs:
         if plan is not None:
-            plan.apply_before_run(job.job_id, attempt)
-        result = run_sim_job(job)
-        if plan is not None:
-            result = plan.apply_after_run(job.job_id, attempt, result)
-        results.append(result)
+            plan.apply(job.job_id, attempt)
+        try:
+            results.append(run_sim_job(job))
+        except Exception as exc:
+            exc.add_note(f"job {job.job_id}")
+            raise
     return results
 
 
@@ -88,10 +71,8 @@ def available_workers() -> int:
 def check_factories_picklable(jobs: Sequence[SimJob]) -> None:
     """Fail fast, with a clear error, on factories that cannot ship.
 
-    Without this, a closure ``protocol_factory`` (e.g. a lambda closing
-    over a rule table) dies deep inside the executor with a bare pickle
-    traceback — after workers have already been spawned.  Each distinct
-    factory is probed once per batch.
+    Without this, a closure ``protocol_factory`` dies inside the executor
+    with a bare pickle traceback.  Each distinct factory is probed once.
     """
     probed: set[int] = set()
     for job in jobs:
@@ -116,10 +97,9 @@ def prepare_jobs(jobs: Sequence[SimJob]) -> list[SimJob]:
     """Make a batch safe to ship across a process boundary.
 
     Factories are probed for picklability, scenario *names* are resolved
-    against the submitting process's registry (a worker only has the
-    built-in cells), and each distinct rule table is replaced by a
-    statistics-free copy via the JSON serialization round trip, so stale
-    sample lists never cross the process boundary.
+    against this process's registry (a worker only has the built-in cells),
+    and each distinct rule table is replaced by a statistics-free copy (the
+    JSON serialization round trip), so stale samples never cross.
     """
     # Imported here rather than at module scope: repro.core's package
     # __init__ imports the evaluator, which imports this package.
@@ -130,10 +110,8 @@ def prepare_jobs(jobs: Sequence[SimJob]) -> list[SimJob]:
     prepared = []
     for job in jobs:
         if isinstance(job.scenario, str):
-            # Resolve names against the *submitting* process's registry:
-            # a worker only has the built-in cells, so a runtime-registered
-            # name would die there with a bare KeyError.  (Unknown names
-            # also fail fast here, before any worker is spawned.)
+            # A runtime-registered name would die in the worker with a bare
+            # KeyError; unknown names fail here, before any worker spawns.
             from repro.scenarios import get_scenario
 
             job = replace(job, scenario=get_scenario(job.scenario))
@@ -182,110 +160,51 @@ class SerialBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Fan jobs out over a pool of worker processes, a chunk at a time.
 
-    Jobs must be picklable: rule-table jobs always are; ``protocol_factory``
-    jobs require a module-level factory (a protocol class qualifies — a
-    closure does not).  Before shipping, each distinct tree in the batch is
-    replaced by a statistics-free copy (via the JSON serialization round
-    trip) so stale sample lists never cross the process boundary.
+    Jobs must be picklable (see :func:`prepare_jobs`).  The batch is cut
+    into runs of ``chunk_jobs`` consecutive jobs, and each chunk is one
+    worker task — one pickle of the jobs, one result message back — which
+    amortizes IPC over sub-100 ms jobs.  ``chunk_jobs=None`` (the default)
+    targets four chunks per worker for load balance.
 
-    Submission is *chunked*: the batch is cut into runs of ``chunk_jobs``
-    consecutive jobs and each chunk is one worker task — one pickle of the
-    jobs (shared rule tables serialize once per chunk), one simulation loop
-    in the worker, one result message back.  That amortizes IPC for the
-    sub-100 ms jobs the flattened simulator produces, where per-job dispatch
-    overhead would otherwise eat the parallel speedup.  Results stream back
-    per chunk as workers finish and are reassembled into submission order.
-    ``chunk_jobs=None`` (the default) targets four chunks per worker for
-    load balance; pass an explicit value to trade balance against IPC
-    (bigger chunks = fewer, larger messages).
+    One recovery rule, with a budget per batch: a broken pool (a worker
+    died) is rebuilt once and only the chunks without a result are
+    resubmitted (``pool_rebuilds`` becomes 1); a second break finishes those
+    chunks in this process, sets ``degraded`` and logs a warning.  A design
+    run that dies anyway resumes from its last epoch checkpoint.
 
-    The pool survives worker crashes, hangs and bad results:
+    A job that raises in a worker is re-raised here as its own exception,
+    with a note naming the job: a deterministic job fails the same way every
+    time, so it is not retried.  The chunks not yet started are cancelled
+    and the pool stays usable.  A chunk whose results do not match its jobs
+    is a :class:`RuntimeError`.
 
-    * a chunk lost to a pool break, timeout, exception or corrupt result is
-      retried (after deterministic backoff) up to ``retry.max_attempts``
-      times; chunks still in flight when the pool breaks are resubmitted
-      without being charged an attempt of their own beyond the shared one;
-    * a chunk that exhausts its attempts is **bisected** and each half
-      retried afresh, recursively, until the failure is pinned on a single
-      job — the poison job — which becomes a :class:`JobFailure`;
-    * every pool break or timeout kill rebuilds the pool; after
-      ``retry.max_pool_rebuilds`` rebuilds within one batch the backend
-      *degrades*: the rest of that batch runs serially in this process
-      (fault injection stays off there — it models worker infrastructure,
-      not the math).  The budget is per batch — the next ``run_batch``
-      starts on a fresh pool — and :attr:`degraded` reports whether the
-      last batch degraded;
-    * ``on_failure="raise"`` (default) raises :class:`PoisonJobError` naming
-      every permanently failed job once the rest of the batch has been
-      driven to completion; ``on_failure="return"`` instead places the
-      :class:`JobFailure` in that job's result slot, for callers prepared
-      to handle partial batches.
-
-    ``retry=None`` (the default) is ``RetryPolicy(max_attempts=1)``: no
-    retries, but a failing chunk is still bisected, so the error names the
-    *job* that failed rather than the chunk that carried it.
-
-    The pool is created lazily on first use and reused across batches;
-    call :meth:`close` (or use the backend as a context manager) to reap the
-    workers.
+    The pool is created lazily and reused across batches; call :meth:`close`
+    (or use the backend as a context manager) to reap the workers.
     """
 
     def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        chunk_jobs: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        clock: Optional[Clock] = None,
-        on_failure: str = "raise",
+        self, max_workers: Optional[int] = None, chunk_jobs: Optional[int] = None
     ) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if chunk_jobs is not None and chunk_jobs <= 0:
             raise ValueError("chunk_jobs must be positive")
-        if on_failure not in ("raise", "return"):
-            raise ValueError("on_failure must be 'raise' or 'return'")
         self.max_workers = max_workers if max_workers is not None else available_workers()
         self.chunk_jobs = chunk_jobs
-        self.retry = retry if retry is not None else RetryPolicy(max_attempts=1)
-        self.clock: Clock = clock if clock is not None else MonotonicClock()
-        self.on_failure = on_failure
         self.pool_rebuilds = 0
         self.degraded = False
         self._executor: Optional[ProcessPoolExecutor] = None
 
-    # -- pool lifecycle ------------------------------------------------------
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
-            # The initializer arms fault injection (a no-op unless a
-            # FaultPlan is installed) and, more importantly, marks the
-            # process as a *worker*: injected faults must never fire in the
-            # submitting process or in serial fallback paths.
-            from repro.runner.faults import mark_worker_process
-
+            # Hands each worker the installed crash plan (usually none);
+            # crashes must never fire in the submitting process.
             self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers, initializer=mark_worker_process
+                max_workers=self.max_workers,
+                initializer=mark_worker_process,
+                initargs=(active_fault_plan(),),
             )
         return self._executor
-
-    def _rebuild_pool(self) -> None:
-        """Tear the executor down hard and count the rebuild.
-
-        Used for both break (workers already dead) and timeout (a worker is
-        alive but hung — it must be terminated, or ``shutdown`` would block
-        on it forever).
-        """
-        self.pool_rebuilds += 1
-        executor = self._executor
-        self._executor = None
-        if executor is None:
-            return
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            if process.is_alive():
-                process.terminate()
-        executor.shutdown(wait=False, cancel_futures=True)
-        if self.pool_rebuilds > self.retry.max_pool_rebuilds:
-            self.degraded = True
 
     def _chunk_size(self, n_jobs: int) -> int:
         if self.chunk_jobs is not None:
@@ -294,161 +213,64 @@ class ProcessPoolBackend(ExecutionBackend):
         # vary while still amortizing IPC over several jobs per task.
         return max(1, -(-n_jobs // (self.max_workers * 4)))
 
-    # -- the batch loop ------------------------------------------------------
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
-        # The rebuild budget is per batch: a long-lived pool that degraded
-        # once must not run every later batch in the submitting process.
+        # The budget is per batch: a long-lived pool that degraded once must
+        # not run every later batch in the submitting process.
         self.pool_rebuilds = 0
         self.degraded = False
         prepared = prepare_jobs(jobs)
         if not prepared:
             return []
-        chunk = self._chunk_size(len(prepared))
-        queue: list[_WorkItem] = [
-            _WorkItem(start, tuple(prepared[start : start + chunk]))
-            for start in range(0, len(prepared), chunk)
-        ]
-        results: list[Optional[BatchEntry]] = [None] * len(prepared)
-        failures: list[JobFailure] = []
-        solo_queue: list[_WorkItem] = []
-        retry_queue: list[_WorkItem] = []
-        timeout = self.retry.chunk_timeout
-        pending: dict[Future[list[SimJobResult]], tuple[_WorkItem, Optional[float]]]
-        pending = {}
-
-        def charge(item: _WorkItem, kind: str, message: str) -> None:
-            record_failure(
-                item,
-                kind,
-                message,
-                max_attempts=self.retry.max_attempts,
-                results=results,
-                failures=failures,
-                retry_queue=retry_queue,
-                solo_queue=solo_queue,
-            )
-
-        def consume(future: Future[list[SimJobResult]]) -> bool:
-            """Land one finished chunk; ``True`` if it reports a broken pool."""
-            item, _deadline = pending.pop(future)
+        size = self._chunk_size(len(prepared))
+        chunks = [prepared[start : start + size] for start in range(0, len(prepared), size)]
+        done: dict[int, list[SimJobResult]] = {}
+        for attempt in (0, 1):
             try:
-                chunk_results = future.result()
-                mismatch = chunk_result_mismatch(list(item.jobs), chunk_results)
-            except BrokenProcessPool as exc:
-                charge(item, "crash", repr(exc))
-                return True
-            except Exception as exc:
-                charge(item, "exception", repr(exc))
-                return False
-            if mismatch is not None:
-                charge(
-                    item,
-                    "corrupt",
-                    f"{mismatch} (batch offset {item.start}) — result rejected "
-                    "and the chunk will be re-executed",
-                )
-                return False
-            for offset, result in enumerate(chunk_results):
-                results[item.start + offset] = result
-            return False
+                self._run_on_pool(chunks, done, attempt)
+                break
+            except BrokenProcessPool:
+                self.close()  # the next submission builds a fresh pool
+                self.pool_rebuilds = 1
+        else:  # the pool broke twice
+            self.degraded = True
+            left = [index for index in range(len(chunks)) if index not in done]
+            logger.warning(
+                "process pool broke twice in one batch: finishing its last %d "
+                "of %d jobs in this process",
+                sum(len(chunks[index]) for index in left),
+                len(prepared),
+            )
+            for index in left:
+                done[index] = _execute_job_chunk(chunks[index])
+        return [result for index in range(len(chunks)) for result in done[index]]
 
+    def _run_on_pool(
+        self, chunks: list[list[SimJob]], done: dict[int, list[SimJobResult]], attempt: int
+    ) -> None:
+        """Run every chunk without a result on the pool, filling ``done``.
+
+        Raises :class:`BrokenProcessPool` when a worker dies.  On any
+        exception the chunks no worker has started are cancelled, or
+        :meth:`close` would sit through the rest of the batch.
+        """
+        executor = self._ensure_executor()
+        pending = {
+            executor.submit(_execute_job_chunk, chunk, attempt): index
+            for index, chunk in enumerate(chunks)
+            if index not in done
+        }
         try:
-            while queue or pending or solo_queue:
-                if self.degraded:
-                    # pending is always drained before degradation flips on.
-                    for item in queue + solo_queue:
-                        run_item_serially(item, results, failures)
-                    break
-                if not queue and not pending and solo_queue:
-                    # Solo confirmation: one suspect at a time, nothing else
-                    # in flight, so a failure is unambiguously attributable.
-                    # (Its own retries keep it alone until it passes or is
-                    # condemned.)
-                    queue.append(solo_queue.pop(0))
-
-                executor = self._ensure_executor()
-                try:
-                    for index, item in enumerate(queue):
-                        future = executor.submit(
-                            _execute_job_chunk, list(item.jobs), item.attempt
-                        )
-                        deadline = (
-                            self.clock.now() + timeout if timeout is not None else None
-                        )
-                        pending[future] = (item, deadline)
-                except BrokenProcessPool:
-                    # The pool broke between waves (a crash we had not
-                    # consumed yet).  Requeue the unsubmitted tail; in-flight
-                    # futures are handled by the normal broken-pool wave
-                    # below.  With nothing in flight there is no wave to
-                    # detect the break, so rebuild here or the next iteration
-                    # would resubmit to the same broken executor forever.
-                    queue = queue[index:]
-                    if not pending:
-                        self._rebuild_pool()
-                        continue
-                else:
-                    queue = []
-
-                wait_timeout: Optional[float] = None
-                deadlines = [dl for _, dl in pending.values() if dl is not None]
-                if deadlines:
-                    wait_timeout = max(0.0, min(deadlines) - self.clock.now())
-                done, _ = wait(
-                    set(pending), timeout=wait_timeout, return_when=FIRST_COMPLETED
-                )
-
-                pool_broken = False
-                for future in done:
-                    pool_broken |= consume(future)
-                # A pool break completes the remaining futures exceptionally
-                # in short order — drain them now so one break is handled as
-                # one wave (one rebuild), not one wave per future.
-                if pool_broken:
-                    for future in list(pending):
-                        if future.done():
-                            consume(future)
-
-                # Hang detection: any still-pending chunk past its deadline.
-                expired: list[Future[list[SimJobResult]]] = []
-                if timeout is not None:
-                    now = self.clock.now()
-                    expired = [
-                        future
-                        for future, (_, deadline) in pending.items()
-                        if deadline is not None and deadline <= now and not future.done()
-                    ]
-
-                if pool_broken or expired:
-                    for future in expired:
-                        item, _deadline = pending.pop(future)
-                        charge(item, "timeout", f"chunk exceeded chunk_timeout={timeout}s")
-                    # Whatever else was in flight is collateral of the
-                    # rebuild: resubmit it as-is, without charging an attempt.
-                    retry_queue.extend(item for item, _deadline in pending.values())
-                    pending.clear()
-                    self._rebuild_pool()
-
-                if retry_queue:
-                    delay = max(
-                        self.retry.backoff_seconds(item.attempt, key=item.start)
-                        for item in retry_queue
-                    )
-                    if delay > 0 and not self.degraded:
-                        self.clock.sleep(delay)
-                    queue.extend(retry_queue)
-                    retry_queue.clear()
+            for future in as_completed(pending):
+                index = pending[future]
+                results = future.result()
+                mismatch = chunk_result_mismatch(chunks[index], results)
+                if mismatch is not None:
+                    raise RuntimeError(f"chunk {index} of the batch: {mismatch}")
+                done[index] = results
         except BaseException:
-            # The loop absorbs every worker failure, so this is an interrupt:
-            # drop the chunks no worker has started, or close() would sit
-            # through the whole rest of the batch before reaping the pool.
             for future in pending:
                 future.cancel()
             raise
-
-        if failures and self.on_failure == "raise":
-            raise PoisonJobError(failures, total_jobs=len(prepared))
-        return results  # type: ignore[return-value]  # every slot filled above
 
     def close(self) -> None:
         if self._executor is not None:
@@ -458,17 +280,15 @@ class ProcessPoolBackend(ExecutionBackend):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ProcessPoolBackend(max_workers={self.max_workers}, "
-            f"retry={self.retry!r}, degraded={self.degraded})"
+            f"chunk_jobs={self.chunk_jobs})"
         )
 
 
 #: Grammar reminder appended to every spec-format error.
 _SPEC_GRAMMAR = (
-    "expected 'serial' or 'process[:workers[:chunk[:retries]]]' (each field a "
-    "positive integer or empty for the default — e.g. 'process', "
-    "'process:8', 'process:8:4', or 'process:::3'; retries is the attempts "
-    "a failing chunk gets before it is bisected down to the poison job, "
-    "default 1)."
+    "expected 'serial' or 'process[:workers[:chunk]]' (each field a positive "
+    "integer or empty for the default — e.g. 'process', 'process:8', "
+    "'process:8:4' or 'process::4')."
 )
 
 
@@ -479,14 +299,11 @@ def _spec_field(spec: str, field: str, value: str) -> Optional[int]:
     try:
         parsed = int(value)
     except ValueError:
-        raise ValueError(
-            f"invalid backend spec {spec!r}: {field} field {value!r} is not "
-            f"an integer; {_SPEC_GRAMMAR}"
-        ) from None
+        parsed = 0
     if parsed <= 0:
         raise ValueError(
-            f"invalid backend spec {spec!r}: {field} must be positive, "
-            f"got {parsed}; {_SPEC_GRAMMAR}"
+            f"invalid backend spec {spec!r}: {field} field {value!r} is not "
+            f"a positive integer; {_SPEC_GRAMMAR}"
         )
     return parsed
 
@@ -497,41 +314,26 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
     ``"serial"`` → :class:`SerialBackend`; ``"process"`` →
     :class:`ProcessPoolBackend` with one worker per available CPU;
     ``"process:N"`` → a pool of exactly N workers; ``"process:N:C"`` →
-    additionally submit C jobs per worker task (chunk size); and
-    ``"process:N:C:R"`` → the same pool allowing up to R attempts per chunk
-    (``RetryPolicy(max_attempts=R)``, default backoff/timeout policy; without
-    the field a failing chunk gets one attempt and is bisected straight
-    away).  Empty fields keep their defaults, so ``"process::8"`` sets only
-    the chunk size and ``"process:::3"`` only the retry budget.
-
-    Malformed specs raise a :class:`ValueError` that restates the grammar
-    instead of a bare ``int()`` traceback.
+    additionally submit C jobs per worker task (chunk size).  Empty fields
+    keep their defaults, so ``"process::8"`` sets only the chunk size.
+    Malformed specs raise a :class:`ValueError` that restates the grammar.
     """
     name, _, arg = spec.partition(":")
-    if name == "serial":
-        if arg:
-            raise ValueError(
-                f"invalid backend spec {spec!r}: serial takes no argument; "
-                f"{_SPEC_GRAMMAR}"
-            )
-        return SerialBackend()
-    if name == "process":
-        fields = arg.split(":") if arg else []
-        if len(fields) > 3:
-            raise ValueError(
-                f"invalid backend spec {spec!r}: too many fields "
-                f"({len(fields)}); {_SPEC_GRAMMAR}"
-            )
-        fields += [""] * (3 - len(fields))
-        workers = _spec_field(spec, "workers", fields[0])
-        chunk = _spec_field(spec, "chunk", fields[1])
-        retries = _spec_field(spec, "retries", fields[2])
-        return ProcessPoolBackend(
-            max_workers=workers,
-            chunk_jobs=chunk,
-            retry=RetryPolicy(max_attempts=retries) if retries is not None else None,
+    fields = arg.split(":") if arg else []
+    if name not in ("serial", "process"):
+        raise ValueError(
+            f"unknown backend spec {spec!r}: family {name!r} is not one of "
+            f"'serial' or 'process'; {_SPEC_GRAMMAR}"
         )
-    raise ValueError(
-        f"unknown backend spec {spec!r}: family {name!r} is not one of "
-        f"'serial' or 'process'; {_SPEC_GRAMMAR}"
+    allowed = 2 if name == "process" else 0
+    if len(fields) > allowed:
+        raise ValueError(
+            f"invalid backend spec {spec!r}: {name} takes at most {allowed} "
+            f"field(s), got {len(fields)}; {_SPEC_GRAMMAR}"
+        )
+    if name == "serial":
+        return SerialBackend()
+    workers, chunk = (fields + ["", ""])[:2]
+    return ProcessPoolBackend(
+        _spec_field(spec, "workers", workers), _spec_field(spec, "chunk", chunk)
     )

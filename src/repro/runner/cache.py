@@ -4,36 +4,27 @@ A simulation is a pure function of ``(rule table, scenario, seed)``, and whole
 runs repeat them: a ``--resume`` replays the epochs since its checkpoint, a
 re-run with the same seed replays everything, a sweep re-visits its cells.
 (Repeats *within* one rule's climb never reach a backend — the optimizer
-remembers those itself, see ``RemyOptimizer._improve_whisker``.)  This module
-memoizes the rest:
+remembers those itself.)  This module memoizes the rest:
 
 * a **cache key** is derived from the job's content, never its identity:
-  the whisker-tree hash (structure + actions, *excluding* per-whisker
-  epochs and statistics, which do not affect simulation), a scenario
-  fingerprint (network spec, workloads, duration, trace, protocol source —
-  hashed from pickled bytes, since workload objects have no stable
-  ``repr``), and the simulation seed;
+  the whisker-tree hash (structure + actions, not epochs or statistics), a
+  scenario fingerprint (hashed from pickled bytes, since workload objects
+  have no stable ``repr``), and the simulation seed;
 * a :class:`ResultCache` stores the **pickled** :class:`SimJobResult`
-  bytes (in memory, optionally mirrored to a directory), so a hit replays
-  the exact object graph the simulation produced — bit-identical to
-  recomputation, which the cache tests pin byte-for-byte;
+  bytes (in memory, optionally mirrored to a directory), so a hit is
+  bit-identical to recomputation;
 * a :class:`CachingBackend` wraps any :class:`ExecutionBackend` with a
-  look-aside check per job, so ``Evaluator``/``RemyOptimizer`` get caching
-  with one constructor argument.
+  look-aside check per job.
 
 What *legitimately* invalidates a cache: a simulator behavior change (the
 golden fingerprints move), a different interpreter major.minor (pickle
-bytes differ), or an edit to the key derivation itself.  Nothing else
-should — keys deliberately exclude job ids, tree names and epoch counters
-so reordered batches and resumed runs keep hitting.  A stored entry that no
-longer loads as a :class:`SimJobResult` (a truncated file, a pickle from a
-commit whose result classes differ) is a counted miss: the job runs and the
-entry is overwritten.
+bytes differ), or an edit to the key derivation itself.  A stored entry that
+no longer loads as a :class:`SimJobResult` is a counted miss: the job runs
+and the entry is overwritten.
 
-Uncacheable jobs (``None`` key) are passed straight through: closure
-protocol factories have no stable qualified name.  Training jobs cache like
-any other, on every backend — their statistics are part of the stored
-result, not a side effect a hit would skip.
+Uncacheable jobs (``None`` key: closure protocol factories) are passed
+straight through.  Training jobs cache like any other — their statistics
+are part of the stored result.
 """
 
 from __future__ import annotations
@@ -293,9 +284,7 @@ class CachingBackend(ExecutionBackend):
             for slot, result in zip(miss_slots, inner_results):
                 results[slot] = result
                 key = keys[slot]
-                # An inner backend in on_failure="return" mode can
-                # hand back JobFailure entries — never cache those.
-                if key is not None and isinstance(result, SimJobResult):
+                if key is not None:
                     self.cache.put(key, result)
         return results  # type: ignore[return-value]  # every slot filled above
 

@@ -1,20 +1,16 @@
 """Picklable descriptions of one specimen simulation (the unit of fan-out).
 
-The Remy design loop and the figure harnesses both reduce to the same shape
-of work: many *independent* packet-level simulations whose inputs are fixed
-up front (network spec, protocols, workloads, seed) and whose outputs are
-per-flow statistics.  A :class:`SimJob` captures one such simulation in a
-picklable form so an :class:`~repro.runner.backends.ExecutionBackend` can run
-it in this process or ship it to a worker process; a :class:`SimJobResult`
-carries the outcome back.
+The Remy design loop and the figure harnesses both reduce to many
+*independent* packet-level simulations whose inputs are fixed up front.  A
+:class:`SimJob` captures one in a picklable form so an
+:class:`~repro.runner.backends.ExecutionBackend` can run it here or in a
+worker process; a :class:`SimJobResult` carries the outcome back.
 
-Every training-mode RemyCC job — whichever backend runs it — starts from
-zeroed statistics and returns its own per-rule usage summary (one
-:class:`~repro.core.whisker.WhiskerUsage` per leaf in the tree's
-deterministic depth-first order — the same ordering contract as
-:mod:`repro.core.serialization`); the evaluator folds the summaries of one
-evaluation into its tree in submission order, so the statistics are a pure
-function of the ordered jobs.
+Every training-mode RemyCC job starts from zeroed statistics and returns its
+own per-rule usage summary (one :class:`~repro.core.whisker.WhiskerUsage` per
+leaf, in the tree's depth-first order); the evaluator folds the summaries of
+one evaluation in submission order, so the statistics are a pure function of
+the ordered jobs.
 """
 
 from __future__ import annotations
@@ -43,10 +39,7 @@ def mix_seed(*components: object) -> int:
 
     The components are rendered to a string and fed through
     ``random.Random``'s string seeding (which hashes via SHA-512), so any two
-    distinct component tuples get statistically independent seeds.  This
-    replaces arithmetic derivations like ``seed * 7919 + index``, where
-    ``(seed=1, index=0)`` and ``(seed=0, index=7919)`` share a packet
-    schedule.
+    distinct component tuples get statistically independent seeds.
     """
     key = ":".join(repr(component) for component in components)
     return random.Random(key).getrandbits(32)
@@ -63,12 +56,8 @@ class SimJob:
       constructor (e.g. a protocol class); or
     * ``scenario`` — a :class:`~repro.scenarios.spec.ScenarioSpec` (or the
       name of a registered one), whose (possibly mixed) protocol set is
-      materialized in whichever process runs the job.  A spec object is
-      self-contained; a *name* is resolved against the registry of the
-      executing process, so runtime-registered cells should ship the spec
-      itself (:meth:`from_scenario` does, and
-      :class:`~repro.runner.backends.ProcessPoolBackend` resolves names at
-      submission time for the same reason).
+      materialized in whichever process runs the job (a pool resolves
+      names at submission, see :func:`~repro.runner.backends.prepare_jobs`).
 
     ``workloads`` holds one on/off workload object per flow; an empty tuple
     means all-always-on sources (the
@@ -113,12 +102,9 @@ class SimJob:
     ) -> "SimJob":
         """A job replaying the named registered scenario cell.
 
-        The cell's canonical duration/seed apply unless overridden.
-        The resolved spec itself — network, workloads, protocol set — is
-        captured at submission time, so the job is fully self-contained:
-        cells registered at runtime (not just built-ins) survive the trip
-        to a worker process, and mixed protocol sets rebuild from the
-        embedded spec there.
+        The cell's canonical duration/seed apply unless overridden.  The job
+        embeds the resolved spec, so runtime-registered cells and mixed
+        protocol sets survive the trip to a worker process.
         """
         from repro.scenarios import get_scenario
 
@@ -176,10 +162,8 @@ def chunk_result_mismatch(
 ) -> Optional[str]:
     """Describe how a worker's chunk results fail to match the submitted jobs.
 
-    Returns ``None`` when the results line up (same count, same job ids in
-    the same order), otherwise a human-readable description of the mismatch.
-    Used by the process pool to reject corrupted or misrouted chunk
-    results before they can land in the wrong result slots.
+    ``None`` when the results line up (same job ids in the same order),
+    otherwise a description of the mismatch.
     """
     expected = [job.job_id for job in jobs]
     got = [result.job_id for result in results]
@@ -192,10 +176,8 @@ def run_sim_job(job: SimJob) -> SimJobResult:
     """Execute one job in the current process.
 
     A training-mode rule-table job returns the tree's per-whisker usage over
-    this run alone.  The tree object may be the caller's own, or shared with
-    other jobs of the same chunk (a chunk is unpickled as one message, so its
-    jobs reference one tree copy), so its statistics are zeroed before the
-    run rather than trusting the tree to arrive clean.
+    this run alone.  The tree may be shared with other jobs of the same
+    chunk, so its statistics are zeroed before the run.
 
     The simulation is built, run and dropped with the cyclic collector
     paused: a finished :class:`Simulation` is acyclic, so it is freed on the

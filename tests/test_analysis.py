@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import multiprocessing
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -227,6 +228,12 @@ class TestStudy:
 
     def test_frontier_appearances_break_ties_by_name(self):
         assert self.synthetic().frontier_appearances() == [("a", 2), ("b", 2), ("dominated", 0)]
+
+    def test_tool_reaps_its_worker_pool(self, capsys):
+        args = ["--jobs", "2", "--cells", "fig4-dumbbell8", "--runs", "1", "--duration", "0.5"]
+        assert run_study_tool.main(args + ["--out", "-"]) == 0
+        assert "| NewReno" in capsys.readouterr().out
+        assert multiprocessing.active_children() == []
 
     def test_tool_rejects_a_negative_worker_count(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

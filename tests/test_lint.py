@@ -76,8 +76,8 @@ def lint_file(path: Path) -> list[Violation]:
 class TestFixtures:
     def test_fixture_tree_is_complete(self):
         # One bad + one good fixture per rule, and every rule is exercised.
-        assert len(BAD_FIXTURES) == 6
-        assert len(GOOD_FIXTURES) == 6
+        assert len(BAD_FIXTURES) == 5
+        assert len(GOOD_FIXTURES) == 5
         covered = {rule for path in BAD_FIXTURES for _, rule in expected_markers(path)}
         assert covered == {rule.rule_id for rule in all_rules()}
 
@@ -413,7 +413,6 @@ class TestOneCandidateMemo:
         "--paper-scale",
         "--seed",
         "--workers",
-        "--retries",
         "--cache",
         "--checkpoint",
         "--resume",
@@ -535,6 +534,79 @@ class TestOneParallelBackend:
         ]
 
 
+class TestOneRecoveryRule:
+    """``ProcessPoolBackend`` has one recovery rule — a broken pool is rebuilt
+    once, then the batch finishes in this process — so the retry layer
+    (policy, clocks, bisection, poison verdicts, the hang / exception /
+    corrupt fault modes, the no-sleep lint rule) does not come back."""
+
+    RUNNER = REPO_ROOT / "src" / "repro" / "runner"
+    GONE_NAMES = (
+        "RetryPolicy",
+        "Clock",
+        "MonotonicClock",
+        "FakeClock",
+        "JobFailure",
+        "PoisonJobError",
+        "_WorkItem",
+        "BatchEntry",
+        "record_failure",
+        "run_item_serially",
+        "on_failure",
+        "chunk_timeout",
+        "max_pool_rebuilds",
+        "InjectedFault",
+        "CORRUPTED_JOB_ID",
+        "iter_fault_schedule",
+        "hang_seconds",
+        "poison_jobs",
+        "REPRO_FAULT_PLAN",
+        "runner.resilience",
+        "--retries",
+        "SLP001",
+    )
+
+    def test_the_retry_layer_is_not_tracked(self):
+        offenders = [
+            path
+            for path in tracked_files()
+            if path == "src/repro/runner/resilience.py"
+            or path.startswith("tools/lint/fixtures/runner/")
+        ]
+        assert offenders == []
+
+    def test_the_deleted_names_are_gone(self):
+        pattern = re.compile(
+            r"(?<![A-Za-z0-9_])(" + "|".join(map(re.escape, self.GONE_NAMES)) + r")(?![A-Za-z0-9_])"
+        )
+        offenders = [
+            f"{path}:{lineno}"
+            for path in tracked_files()
+            if path.split("/", 1)[0] in ("src", "tools", "examples", ".github")
+            for lineno, line in enumerate(
+                (REPO_ROOT / path).read_text(errors="ignore").splitlines(), start=1
+            )
+            if pattern.search(line)
+        ]
+        assert offenders == []
+
+    def test_the_pool_takes_a_width_and_a_chunk_size_only(self):
+        import inspect
+
+        from repro.runner import ProcessPoolBackend
+
+        parameters = list(inspect.signature(ProcessPoolBackend.__init__).parameters)
+        assert parameters == ["self", "max_workers", "chunk_jobs"]
+
+    def test_nothing_in_the_runner_sleeps(self):
+        offenders = [
+            path.name
+            for path in sorted(self.RUNNER.glob("*.py"))
+            if re.search(r"\bsleep\b", path.read_text())
+        ]
+        assert offenders == []
+
+
 class TestOneCollectorPause:
     """The cyclic collector is paused in one place (``gc_paused``, around a
     simulation's run-and-dismantle span and around a job's build → run →
@@ -619,8 +691,8 @@ class TestOneCollectorPause:
             for path in files
             if re.search(r"environ|getenv", path.read_text())
         }
-        # The fault plan's variable, and a cache-key helper named "_environment_token".
-        assert reads_environment == {"src/repro/runner/faults.py", "src/repro/runner/cache.py"}
+        # Only a cache-key helper named "_environment_token".
+        assert reads_environment == {"src/repro/runner/cache.py"}
 
     def test_the_lifecycle_has_no_knob(self):
         import dataclasses

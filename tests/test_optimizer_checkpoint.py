@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 from dataclasses import replace
 
 import pytest
@@ -29,7 +30,12 @@ from repro.core.optimizer import (
 )
 from repro.core.serialization import save_json_atomic, save_remycc, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
-from repro.runner import ProcessPoolBackend, whisker_tree_token
+from repro.runner import (
+    FaultPlan,
+    ProcessPoolBackend,
+    fault_plan_installed,
+    whisker_tree_token,
+)
 
 
 def tiny_range() -> ConfigRange:
@@ -252,6 +258,57 @@ class TestResume:
         resumed.settings = replace(resumed.settings, max_epochs=2)
         resumed.optimize()
         assert json.loads(path.read_text())["state"]["global_epoch"] == 2
+
+
+class RecoveryLog(ProcessPoolBackend):
+    """A pool that records ``(pool_rebuilds, degraded)`` after every batch."""
+
+    def __init__(self, max_workers: int) -> None:
+        super().__init__(max_workers)
+        self.outcomes: list[tuple[int, bool]] = []
+
+    def run_batch(self, jobs):
+        results = super().run_batch(jobs)
+        self.outcomes.append((self.pool_rebuilds, self.degraded))
+        return results
+
+
+class TestWorkerDeath:
+    """A worker dies mid-design-run: every batch still completes, and the run
+    ends with the serial reference run's tree and score history."""
+
+    @staticmethod
+    def design_on_a_pool(plan):
+        with fault_plan_installed(plan), RecoveryLog(max_workers=2) as backend:
+            optimizer = RemyOptimizer(
+                make_evaluator(backend=backend), tree=WhiskerTree(name="ckpt"), settings=SETTINGS
+            )
+            optimizer.optimize()
+        return optimizer, backend.outcomes
+
+    @staticmethod
+    def assert_same_run(optimizer, reference_run):
+        ref_tree, ref_state = reference_run
+        assert whisker_tree_token(optimizer.tree) == whisker_tree_token(ref_tree)
+        assert optimizer.state.score_history == ref_state.score_history
+
+    def test_every_batch_survives_on_a_rebuilt_pool(self, reference_run):
+        # Every chunk's first attempt kills its worker.
+        plan = FaultPlan(seed=5, crash_rate=1.0, max_faulty_attempts=1)
+        optimizer, outcomes = self.design_on_a_pool(plan)
+        self.assert_same_run(optimizer, reference_run)
+        assert outcomes and set(outcomes) == {(1, False)}
+
+    def test_a_pool_that_keeps_breaking_finishes_every_batch_here(
+        self, reference_run, caplog
+    ):
+        with caplog.at_level(logging.WARNING, logger="repro.runner.backends"):
+            optimizer, outcomes = self.design_on_a_pool(FaultPlan(seed=5, crash_rate=1.0))
+        self.assert_same_run(optimizer, reference_run)
+        assert outcomes and set(outcomes) == {(1, True)}
+        warnings = [r.getMessage() for r in caplog.records if r.name == "repro.runner.backends"]
+        assert len(warnings) == len(outcomes)
+        assert all("jobs in this process" in message for message in warnings)
 
 
 class TestResumeGuards:

@@ -1,65 +1,48 @@
-"""Crash-path tests for the fault-tolerant execution layer.
+"""Crash-path tests for the process pool's one recovery rule.
 
-Every scenario here injects failures through a seeded
-:class:`~repro.runner.FaultPlan` — the chaos harness is deterministic, so
-these are ordinary reproducible tests, not flaky ones.  The properties
-pinned:
+:class:`~repro.runner.ProcessPoolBackend` rebuilds a broken pool once and
+resubmits only the chunks without a result; a second break in the same
+batch finishes the rest of it in this process, with a warning.  Workers are
+killed through a seeded :class:`~repro.runner.FaultPlan`, so these are
+ordinary reproducible tests.  The properties pinned:
 
-* **determinism under retry** — whatever mix of crashes, hangs, exceptions
-  and corrupted results a batch survives, the results are bit-identical to
-  an undisturbed serial run (jobs are pure functions of their pickled
-  inputs, so a retry is a pure re-execution);
-* **poison isolation** — a job that fails on every attempt is bisected out
-  of its chunk and reported as a structured :class:`JobFailure` naming
-  exactly that job, with every *other* job's result intact;
-* **degradation** — after the pool-rebuild budget is spent the backend
-  finishes the batch serially in-process rather than giving up, and the
-  *next* batch gets a fresh pool and a fresh budget;
-* **fake time** — all backoff waiting goes through the :class:`Clock`
-  abstraction, so the timing tests below use :class:`FakeClock` and tier-1
-  never really sleeps (lint rule SLP001 enforces the no-bare-sleep side).
+* **determinism across recovery** — whether a batch ran clean, on a rebuilt
+  pool or partly in this process, its results are bit-identical to a serial
+  run (jobs are pure functions of their pickled inputs);
+* **a failing job names itself** — a job that raises in a worker is
+  re-raised here as its own exception with a note naming the job, and the
+  pool serves the next batch;
+* **the budget is per batch** — a batch that finished in this process does
+  not condemn the next one to it.
 
-Gating: the golden-matrix chaos parity sweep runs over the smoke scenario
-cells by default; set ``CHAOS_MATRIX=full`` (the CI chaos job does) to run
-every registered cell.
+The golden parity sweep runs over the smoke scenario cells; serial-vs-pool
+parity of every cell is pinned by ``tests/test_scenario_matrix.py`` under
+``SCENARIO_MATRIX=full``.
 """
 
 from __future__ import annotations
 
-import os
+import logging
+from dataclasses import replace
 
 import pytest
 
 from repro.netsim.network import NetworkSpec
 from repro.protocols.newreno import NewReno
 from repro.runner import (
-    FakeClock,
     FaultPlan,
-    InjectedFault,
-    JobFailure,
-    MonotonicClock,
-    PoisonJobError,
     ProcessPoolBackend,
-    RetryPolicy,
     SerialBackend,
     SimJob,
     active_fault_plan,
     backend_from_spec,
     chunk_result_mismatch,
-    clear_fault_plan,
     fault_plan_installed,
-    install_fault_plan,
+    run_sim_job,
 )
-from repro.runner.faults import CORRUPTED_JOB_ID, iter_fault_schedule, worker_fault_plan
-from repro.scenarios import (
-    get_scenario,
-    load_golden,
-    scenario_names,
-    simulation_fingerprint,
-    smoke_scenarios,
-)
-
-CHAOS_FULL = os.environ.get("CHAOS_MATRIX", "").lower() in {"full", "all", "1"}
+from repro.runner import backends
+from repro.runner.faults import worker_fault_plan
+from repro.scenarios import load_golden, simulation_fingerprint, smoke_scenarios
 
 SPEC = NetworkSpec(
     link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail", buffer_packets=100
@@ -85,164 +68,93 @@ def serial_results():
 
 
 # ---------------------------------------------------------------------------
-# RetryPolicy / clocks (no pool involved)
-# ---------------------------------------------------------------------------
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(chunk_timeout=0.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(max_pool_rebuilds=-1)
-
-    def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(
-            backoff_base=0.1, backoff_multiplier=2.0, backoff_max=0.5, jitter=0.0
-        )
-        assert policy.backoff_seconds(0) == 0.0
-        assert policy.backoff_seconds(1) == pytest.approx(0.1)
-        assert policy.backoff_seconds(2) == pytest.approx(0.2)
-        assert policy.backoff_seconds(3) == pytest.approx(0.4)
-        assert policy.backoff_seconds(4) == pytest.approx(0.5)  # capped
-        assert policy.backoff_seconds(10) == pytest.approx(0.5)
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_max=10.0, jitter=0.2, seed=5)
-        # Same (attempt, key) -> same delay; different keys decorrelate.
-        assert policy.backoff_seconds(2, key=0) == policy.backoff_seconds(2, key=0)
-        assert policy.backoff_seconds(2, key=0) != policy.backoff_seconds(2, key=8)
-        for key in range(10):
-            delay = policy.backoff_seconds(1, key=key)
-            assert 0.8 <= delay <= 1.2
-
-    def test_fake_clock_records_sleeps_and_advances(self):
-        clock = FakeClock()
-        clock.sleep(1.5)
-        clock.advance(0.5)
-        assert clock.now() == pytest.approx(2.0)
-        assert clock.sleeps == [1.5]
-
-    def test_monotonic_clock_is_monotonic(self):
-        clock = MonotonicClock()
-        assert clock.now() <= clock.now()
-
-
-# ---------------------------------------------------------------------------
-# FaultPlan (the chaos harness itself)
+# FaultPlan (the crash harness itself)
 # ---------------------------------------------------------------------------
 class TestFaultPlan:
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             FaultPlan(crash_rate=1.5)
         with pytest.raises(ValueError):
-            FaultPlan(crash_rate=0.6, hang_rate=0.6)
+            FaultPlan(crash_rate=-0.1)
         with pytest.raises(ValueError):
-            FaultPlan(hang_seconds=0.0)
+            FaultPlan(max_faulty_attempts=-1)
 
     def test_mode_is_deterministic_per_job_and_attempt(self):
-        plan = FaultPlan(seed=11, crash_rate=0.3, exception_rate=0.3)
-        schedule = iter_fault_schedule(plan, list(range(50)), attempts=3)
-        assert schedule == iter_fault_schedule(plan, list(range(50)), attempts=3)
-        modes = {mode for _, _, mode in schedule}
-        assert "crash" in modes and "exception" in modes and None in modes
+        plan = FaultPlan(seed=11, crash_rate=0.5)
+        schedule = [plan.crashes(job, attempt) for job in range(50) for attempt in (0, 1)]
+        assert schedule == [
+            FaultPlan(seed=11, crash_rate=0.5).crashes(job, attempt)
+            for job in range(50)
+            for attempt in (0, 1)
+        ]
+        assert True in schedule and False in schedule
 
-    def test_poison_jobs_always_crash(self):
-        plan = FaultPlan(seed=0, poison_jobs=(4,))
-        assert all(plan.mode_for(4, attempt) == "crash" for attempt in range(10))
-        assert plan.mode_for(5, 0) is None
+    def test_full_crash_rate_crashes_every_attempt(self):
+        plan = FaultPlan(seed=0, crash_rate=1.0)
+        assert all(plan.crashes(4, attempt) for attempt in range(10))
+        assert not FaultPlan(seed=0).crashes(4, 0)
 
     def test_max_faulty_attempts_limits_injection(self):
-        plan = FaultPlan(seed=0, crash_rate=1.0, max_faulty_attempts=2)
-        assert plan.mode_for(1, 0) == "crash"
-        assert plan.mode_for(1, 1) == "crash"
-        assert plan.mode_for(1, 2) is None
-
-    def test_json_round_trip(self):
-        plan = FaultPlan(seed=9, crash_rate=0.25, poison_jobs=(1, 2))
-        assert FaultPlan.from_json(plan.to_json()) == plan
-
-    def test_from_json_rejects_a_field_the_plan_does_not_have(self):
-        # REPRO_FAULT_PLAN is input from outside the process: a plan written
-        # for the deleted network vocabulary must fail loudly, not run as a
-        # weaker plan with the unknown rate silently dropped.
-        with pytest.raises(TypeError, match="disconnect_rate"):
-            FaultPlan.from_json('{"seed": 1, "disconnect_rate": 0.1}')
+        plan = FaultPlan(seed=0, crash_rate=1.0, max_faulty_attempts=1)
+        assert plan.crashes(1, 0)
+        assert not plan.crashes(1, 1)
 
     def test_install_and_context_manager_restore(self):
-        clear_fault_plan()
         assert active_fault_plan() is None
         outer = FaultPlan(seed=1, crash_rate=0.1)
-        install_fault_plan(outer)
-        try:
+        with fault_plan_installed(outer):
             with fault_plan_installed(FaultPlan(seed=2)) as inner:
                 assert active_fault_plan() == inner
             assert active_fault_plan() == outer
-        finally:
-            clear_fault_plan()
         assert active_fault_plan() is None
 
     def test_injection_is_worker_gated(self):
-        # The master process is never marked as a worker, so even an
-        # installed plan must not fire here (the serial-degradation path
-        # depends on this).
+        # Only the pool initializer arms a plan, so even an installed plan
+        # must not fire here (the in-process finish depends on this).
         with fault_plan_installed(FaultPlan(seed=1, crash_rate=1.0)):
             assert worker_fault_plan() is None
 
-    def test_exception_mode_raises_injected_fault(self):
-        plan = FaultPlan(seed=0, exception_rate=1.0)
-        with pytest.raises(InjectedFault):
-            plan.apply_before_run(3, 0)
-
 
 # ---------------------------------------------------------------------------
-# Default policy (no retries): isolate and name the failing job
+# A job that raises, and a chunk that comes back wrong
 # ---------------------------------------------------------------------------
-#: Faults some of jobs 0..5 and none of 100..103 (pinned by the first test
-#: below).  Forked workers keep the plan they were born with, so a follow-up
-#: batch on the same pool must use ids the plan leaves alone.
-EXCEPTION_PLAN = FaultPlan(seed=30, exception_rate=0.5)
-FAULTY = [j for j in range(6) if EXCEPTION_PLAN.mode_for(j, 0) == "exception"]
+def failing_batch() -> list[SimJob]:
+    """Six jobs whose fourth (job 3) cannot run: its duration is NaN."""
+    jobs = make_jobs()
+    jobs[3] = replace(jobs[3], duration=float("nan"))
+    return jobs
+
+
+def reversed_chunk(jobs, attempt=0):
+    """A worker entry point that returns a chunk's results out of order."""
+    return [run_sim_job(job) for job in reversed(jobs)]
 
 
 class TestPlainPoolChunkFailure:
     def test_worker_exception_names_the_jobs_not_the_chunk(self):
-        assert FAULTY and len(FAULTY) < 6
-        assert all(EXCEPTION_PLAN.mode_for(j, 0) is None for j in range(100, 104))
         with ProcessPoolBackend(max_workers=2, chunk_jobs=3) as backend:
-            assert backend.retry.max_attempts == 1  # the default: no retries
-            with fault_plan_installed(EXCEPTION_PLAN):
-                with pytest.raises(PoisonJobError) as excinfo:
-                    backend.run_batch(make_jobs())
-            # Bisection pinned the failure on the faulty jobs alone — their
-            # chunk mates are not named, and the error counts the whole batch.
-            assert sorted(f.job_id for f in excinfo.value.failures) == FAULTY
-            assert {f.kind for f in excinfo.value.failures} == {"exception"}
-            assert excinfo.value.total_jobs == 6
-            assert backend.pool_rebuilds == 0  # an exception leaves the pool up
+            with pytest.raises(ValueError, match="finite") as excinfo:
+                backend.run_batch(failing_batch())
+        # The job's own exception, not a wrapper, and the note names the
+        # job rather than the chunk that carried it.
+        assert type(excinfo.value) is ValueError
+        assert excinfo.value.__notes__ == ["job 3"]
+        assert backend.pool_rebuilds == 0  # an exception leaves the pool up
 
     def test_pool_remains_usable_after_chunk_failure(self, serial_results):
-        # on_failure="return" shows the rest of the batch completed, and the
-        # same executor serves the next batch.
-        with ProcessPoolBackend(
-            max_workers=2, chunk_jobs=3, on_failure="return"
-        ) as backend:
-            with fault_plan_installed(EXCEPTION_PLAN):
-                results = backend.run_batch(make_jobs())
-                for index, result in enumerate(results):
-                    if index in FAULTY:
-                        assert isinstance(result, JobFailure)
-                        assert result.job_id == index
-                    else:
-                        assert result == serial_results[index]
-                executor = backend._executor
-                follow_up = backend.run_batch(make_jobs(4, first_id=100))
+        with ProcessPoolBackend(max_workers=2, chunk_jobs=3) as backend:
+            with pytest.raises(ValueError):
+                backend.run_batch(failing_batch())
+            executor = backend._executor
+            results = backend.run_batch(make_jobs())
             assert backend._executor is executor
-        assert [r.job_id for r in follow_up] == [100, 101, 102, 103]
+        assert results == serial_results
+
+    def test_corrupt_chunk_result_is_a_hard_error(self, monkeypatch):
+        monkeypatch.setattr(backends, "_execute_job_chunk", reversed_chunk)
+        with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
+            with pytest.raises(RuntimeError, match="expected"):
+                backend.run_batch(make_jobs())
 
     def test_chunk_result_mismatch_helper(self):
         jobs = make_jobs(2)
@@ -253,13 +165,9 @@ class TestPlainPoolChunkFailure:
 
 
 # ---------------------------------------------------------------------------
-# ProcessPoolBackend with a retry policy: survival scenarios
+# The recovery rule: rebuild once, then finish in this process
 # ---------------------------------------------------------------------------
 class TestResilientBackend:
-    def test_on_failure_validated(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(on_failure="ignore")
-
     def test_clean_run_matches_serial(self, serial_results):
         with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
             results = backend.run_batch(make_jobs())
@@ -267,180 +175,65 @@ class TestResilientBackend:
         assert backend.pool_rebuilds == 0 and not backend.degraded
 
     def test_worker_crash_resubmits_lost_chunks(self, serial_results):
-        # Every job's first attempt dies via os._exit in the worker; the
-        # pool breaks, is rebuilt, and the lost chunks are re-executed.
+        # Every chunk's first attempt dies via os._exit in the worker; the
+        # pool breaks, is rebuilt once, and the lost chunks run again.
         plan = FaultPlan(seed=7, crash_rate=1.0, max_faulty_attempts=1)
-        retry = RetryPolicy(
-            max_attempts=5, backoff_base=0.01, backoff_max=0.02, max_pool_rebuilds=20
-        )
         with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=2, retry=retry
-            ) as backend:
+            with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
                 results = backend.run_batch(make_jobs())
         assert results == serial_results
-        assert backend.pool_rebuilds >= 1
+        assert backend.pool_rebuilds == 1 and not backend.degraded
 
-    def test_injected_exceptions_are_retried(self, serial_results):
-        plan = FaultPlan(seed=7, exception_rate=1.0, max_faulty_attempts=1)
-        retry = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
-        with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=2, retry=retry
-            ) as backend:
-                results = backend.run_batch(make_jobs())
+    def test_degrades_to_serial_after_rebuild_budget(self, serial_results, caplog):
+        # Workers crash on *every* attempt: the rebuilt pool breaks too, and
+        # the batch finishes here (crashes are worker-gated, so this is clean).
+        with fault_plan_installed(FaultPlan(seed=7, crash_rate=1.0)):
+            with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
+                with caplog.at_level(logging.WARNING, logger="repro.runner.backends"):
+                    results = backend.run_batch(make_jobs())
         assert results == serial_results
-        assert backend.pool_rebuilds == 0  # exceptions don't break the pool
-
-    def test_corrupt_results_are_rejected_and_retried(self, serial_results):
-        plan = FaultPlan(seed=7, corrupt_rate=1.0, max_faulty_attempts=1)
-        retry = RetryPolicy(max_attempts=4, backoff_base=0.0, jitter=0.0)
-        with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=2, retry=retry
-            ) as backend:
-                results = backend.run_batch(make_jobs())
-        assert results == serial_results
-        assert all(r.job_id != CORRUPTED_JOB_ID for r in results)
-
-    def test_hung_worker_is_timed_out_and_killed(self, serial_results):
-        # First attempt of every job hangs for 60s; the 1s chunk timeout
-        # must fire, terminate the hung worker, rebuild and retry.
-        plan = FaultPlan(
-            seed=7, hang_rate=1.0, hang_seconds=60.0, max_faulty_attempts=1
-        )
-        retry = RetryPolicy(
-            max_attempts=4,
-            chunk_timeout=1.0,
-            backoff_base=0.01,
-            backoff_max=0.02,
-            max_pool_rebuilds=20,
-        )
-        with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=3, retry=retry
-            ) as backend:
-                results = backend.run_batch(make_jobs())
-        assert results == serial_results
-        assert backend.pool_rebuilds >= 1
-
-    def test_poison_job_bisected_to_job_failure_raise_mode(self):
-        plan = FaultPlan(seed=7, poison_jobs=(3,))
-        retry = RetryPolicy(
-            max_attempts=2, backoff_base=0.01, backoff_max=0.02, max_pool_rebuilds=50
-        )
-        with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=2, retry=retry
-            ) as backend:
-                with pytest.raises(PoisonJobError) as excinfo:
-                    backend.run_batch(make_jobs())
-        # Solo confirmation: ONLY the poison job is condemned — its chunk
-        # mates and pool-break collateral all complete.
-        assert [f.job_id for f in excinfo.value.failures] == [3]
-        assert excinfo.value.failures[0].kind == "crash"
-        assert excinfo.value.total_jobs == 6
-        assert "job 3" in str(excinfo.value)
-
-    def test_poison_job_return_mode_keeps_other_results(self, serial_results):
-        plan = FaultPlan(seed=7, poison_jobs=(3,))
-        retry = RetryPolicy(
-            max_attempts=2, backoff_base=0.01, backoff_max=0.02, max_pool_rebuilds=50
-        )
-        with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=2, retry=retry, on_failure="return"
-            ) as backend:
-                results = backend.run_batch(make_jobs())
-        assert isinstance(results[3], JobFailure)
-        assert results[3].job_id == 3
-        for index in (0, 1, 2, 4, 5):
-            assert results[index] == serial_results[index]
-
-    def test_degrades_to_serial_after_rebuild_budget(self, serial_results):
-        # Workers crash on *every* attempt; after max_pool_rebuilds the
-        # backend must stop trusting the pool and finish in-process
-        # (injection is worker-gated, so the serial path is clean).
-        plan = FaultPlan(seed=7, crash_rate=1.0)
-        retry = RetryPolicy(
-            max_attempts=100, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=1
-        )
-        with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=2, retry=retry
-            ) as backend:
-                results = backend.run_batch(make_jobs())
-        assert backend.degraded
-        assert results == serial_results
+        assert backend.pool_rebuilds == 1 and backend.degraded
+        [record] = caplog.records
+        assert "6 of 6 jobs in this process" in record.getMessage()
 
     def test_degradation_lasts_one_batch_not_the_pool_lifetime(self, serial_results):
-        # Batch 1 spends the rebuild budget and degrades.  Batch 2 (plan
-        # cleared, so the fresh workers are born fault-free) must get a
-        # fresh budget and run on real workers, not in this process.
-        retry = RetryPolicy(
-            max_attempts=100, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=1
-        )
-        with ProcessPoolBackend(max_workers=2, chunk_jobs=2, retry=retry) as backend:
+        # Batch 1 finishes here.  Batch 2 (plan gone, so the fresh workers
+        # are born fault-free) gets a fresh budget and runs on real workers.
+        with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
             with fault_plan_installed(FaultPlan(seed=7, crash_rate=1.0)):
                 backend.run_batch(make_jobs())
-            assert backend.degraded and backend.pool_rebuilds == 2
+            assert backend.degraded and backend.pool_rebuilds == 1
             results = backend.run_batch(make_jobs())
             assert not backend.degraded and backend.pool_rebuilds == 0
             assert backend._executor is not None  # workers were started
         assert results == serial_results
 
-    def test_backoff_goes_through_the_injected_clock(self):
-        # With a FakeClock, retries record their backoff waits instead of
-        # really sleeping — this test completing quickly IS the assertion
-        # that no real sleep happens on the retry path.
-        clock = FakeClock()
-        plan = FaultPlan(seed=7, exception_rate=1.0, max_faulty_attempts=1)
-        retry = RetryPolicy(max_attempts=3, backoff_base=0.5, backoff_max=2.0, seed=2)
-        with fault_plan_installed(plan):
-            with ProcessPoolBackend(
-                max_workers=2, chunk_jobs=3, retry=retry, clock=clock
-            ) as backend:
-                backend.run_batch(make_jobs())
-        assert clock.sleeps, "retries should have waited via the clock"
-        # Every recorded wait is a deterministic RetryPolicy delay for some
-        # (attempt, chunk-start) pair.
-        valid = {
-            round(retry.backoff_seconds(attempt, key=start), 12)
-            for attempt in (1, 2)
-            for start in (0, 3)
-        }
-        assert {round(delay, 12) for delay in clock.sleeps} <= valid
-
     def test_empty_batch(self):
         with ProcessPoolBackend(max_workers=1) as backend:
             assert backend.run_batch([]) == []
+            assert backend._executor is None  # no pool for nothing
 
 
 # ---------------------------------------------------------------------------
-# Spec grammar (satellite fix)
+# Spec grammar
 # ---------------------------------------------------------------------------
+GRAMMAR = "process[:workers[:chunk]]"
+
+
 class TestSpecGrammar:
-    def test_retries_arm_builds_resilient_backend(self):
-        backend = backend_from_spec("process:2:3:4")
-        assert type(backend) is ProcessPoolBackend
-        assert backend.max_workers == 2
-        assert backend.chunk_jobs == 3
-        assert backend.retry.max_attempts == 4
-        backend.close()
-        backend = backend_from_spec("process:::5")
-        assert backend.retry.max_attempts == 5
-        backend.close()
+    def test_retries_field_is_rejected(self):
+        for spec in ("process:2:4:3", "process:::3"):
+            with pytest.raises(ValueError) as excinfo:
+                backend_from_spec(spec)
+            assert GRAMMAR in str(excinfo.value)
+            assert "retries" not in str(excinfo.value)
 
     def test_plain_process_specs_still_plain(self):
-        # The retries field selects no other class: it only sets
-        # retry.max_attempts, which without it is 1 ("no retries").
-        plain = backend_from_spec("process:2:4")
-        retrying = backend_from_spec("process:2:4:3")
-        assert type(plain) is type(retrying) is ProcessPoolBackend
-        assert plain.retry == RetryPolicy(max_attempts=1)
-        assert retrying.retry == RetryPolicy(max_attempts=3)
-        for attr in ("max_workers", "chunk_jobs", "on_failure"):
-            assert getattr(plain, attr) == getattr(retrying, attr)
+        with backend_from_spec("process:2:4") as backend:
+            assert type(backend) is ProcessPoolBackend
+            assert (backend.max_workers, backend.chunk_jobs) == (2, 4)
+        with backend_from_spec("process::4") as backend:
+            assert backend.chunk_jobs == 4
 
     @pytest.mark.parametrize(
         "spec", ["process:x", "process:0", "process:-2", "process:1:2:3:4", "gpu"]
@@ -448,15 +241,13 @@ class TestSpecGrammar:
     def test_malformed_specs_raise_instructive_errors(self, spec):
         with pytest.raises(ValueError) as excinfo:
             backend_from_spec(spec)
-        assert "process[:workers[:chunk[:retries]]]" in str(excinfo.value)
+        assert GRAMMAR in str(excinfo.value)
 
     def test_field_name_in_error(self):
         with pytest.raises(ValueError, match="workers"):
             backend_from_spec("process:zero")
         with pytest.raises(ValueError, match="chunk"):
             backend_from_spec("process:1:huge")
-        with pytest.raises(ValueError, match="retries"):
-            backend_from_spec("process:1:1:no")
 
     def test_unknown_family_error_lists_every_family(self):
         with pytest.raises(ValueError) as excinfo:
@@ -473,45 +264,42 @@ class TestSpecGrammar:
 
 
 # ---------------------------------------------------------------------------
-# Golden-matrix chaos parity (the acceptance sweep)
+# Golden parity across every recovery path (the acceptance sweep)
 # ---------------------------------------------------------------------------
-CHAOS_CELLS = (
-    scenario_names() if CHAOS_FULL else sorted(s.name for s in smoke_scenarios())
-)
+CRASH_CELLS = sorted(s.name for s in smoke_scenarios())
 
-#: Over 40% of (job, attempt) pairs crash, and a few hang briefly or come
-#: back corrupted, so one sweep exercises the pool-break, slow-chunk and
-#: rejected-result paths.  Retries re-roll, so with a generous attempt
-#: budget every cell eventually lands a clean execution.
-CHAOS_PLAN = FaultPlan(
-    seed=1302,
-    crash_rate=0.415,
-    hang_rate=0.03,
-    corrupt_rate=0.03,
-    hang_seconds=0.3,
-    max_faulty_attempts=3,
-)
-CHAOS_RETRY = RetryPolicy(
-    max_attempts=25, backoff_base=0.0, jitter=0.0, max_pool_rebuilds=10_000
-)
+#: Half of all (job, attempt) pairs kill their worker.  Each cell runs as
+#: the job numbered by its position, so over the smoke cells this seed
+#: covers all three paths: clean, rebuilt once, and finished here.
+CRASH_PLAN = FaultPlan(seed=1310, crash_rate=0.5)
 
 
-@pytest.mark.parametrize("cell_name", CHAOS_CELLS)
+def expected_recovery(job_id: int) -> tuple[int, bool]:
+    """``(pool_rebuilds, degraded)`` the plan dictates for a one-job batch."""
+    first, second = (CRASH_PLAN.crashes(job_id, attempt) for attempt in (0, 1))
+    return int(first), first and second
+
+
+def test_crash_sweep_covers_every_recovery_path():
+    paths = {expected_recovery(job_id) for job_id in range(len(CRASH_CELLS))}
+    assert paths == {(0, False), (1, False), (1, True)}
+
+
+@pytest.mark.parametrize("cell_name", CRASH_CELLS)
 def test_chaos_golden_parity(cell_name):
-    """The committed fingerprints survive a 41%-crash-rate chaos run.
+    """The committed fingerprints survive worker deaths.
 
-    This is the determinism-under-retry acceptance criterion: a
-    pool run with four in ten chunk attempts dying mid-flight must
-    reproduce each cell's committed golden fingerprint bit-identically.
+    A pool run whose workers die mid-flight — once, or on the rebuilt pool
+    too — must reproduce each cell's committed golden fingerprint
+    bit-identically.
     """
-    golden = load_golden()
-    job = SimJob.from_scenario(cell_name)
-    with fault_plan_installed(CHAOS_PLAN):
-        with ProcessPoolBackend(
-            max_workers=2, chunk_jobs=1, retry=CHAOS_RETRY
-        ) as backend:
+    job_id = CRASH_CELLS.index(cell_name)
+    job = SimJob.from_scenario(cell_name, job_id=job_id)
+    with fault_plan_installed(CRASH_PLAN):
+        with ProcessPoolBackend(max_workers=2, chunk_jobs=1) as backend:
             [result] = backend.run_batch([job])
-    assert simulation_fingerprint(result.result) == golden[cell_name], (
-        f"{cell_name} fingerprint diverged under fault injection — the "
-        "retry path is not a pure re-execution"
+    assert (backend.pool_rebuilds, backend.degraded) == expected_recovery(job_id)
+    assert simulation_fingerprint(result.result) == load_golden()[cell_name], (
+        f"{cell_name} fingerprint diverged across a worker death — re-running "
+        "a lost chunk is not a pure re-execution"
     )

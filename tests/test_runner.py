@@ -190,8 +190,8 @@ class TestWhiskerStatsMerge:
             self._evaluate(lambda index, stats: stats * (1 + index))
 
     def test_training_result_without_statistics_is_an_error(self):
-        # A JobFailure slot, or an entry cached before results carried
-        # statistics: folding the other jobs alone would be silently wrong.
+        # An entry cached before results carried statistics: folding the
+        # other jobs alone would be silently wrong.
         with pytest.raises(ValueError, match="job 0 returned no usage summary"):
             self._evaluate(lambda index, stats: None)
 

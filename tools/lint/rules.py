@@ -19,11 +19,6 @@ SLT001     Classes defined in ``repro/netsim`` and instantiated on the
 FLT001     No float accumulation via ``sum()`` over an unordered container:
            float addition is not associative, so a set-ordered sum is not
            reproducible.
-SLP001     No bare ``time.sleep`` in ``repro/runner``: every wait must be
-           routed through a ``Clock``/``RetryPolicy`` so the resilience
-           tests can substitute a fake clock and never really sleep (the
-           two sanctioned sites — the real-``Clock`` implementation and the
-           fault plan's injected hang — carry explanatory ``noqa``\\ s).
 =========  ==================================================================
 """
 
@@ -461,46 +456,6 @@ class MissingSlotsRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# SLP001: no bare time.sleep in the execution layer
-# ---------------------------------------------------------------------------
-
-
-class BareSleepRule(LintRule):
-    """SLP001: an unfakeable real sleep inside ``repro/runner``."""
-
-    rule_id = "SLP001"
-    description = (
-        "no bare time.sleep in repro/runner — waiting must go through a "
-        "Clock (see repro.runner.resilience) so tests can fake time; the "
-        "Clock implementation and injected hangs carry explanatory noqas"
-    )
-
-    def applies_to(self, module: ModuleInfo) -> bool:
-        return "runner" in module.path.parts
-
-    def check(self, module: ModuleInfo) -> Iterator[Violation]:
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                if _attribute_call_name(node) == ("time", "sleep"):
-                    yield self.violation(
-                        module,
-                        node,
-                        "bare time.sleep(): route the wait through a Clock "
-                        "so tests can substitute FakeClock and never really "
-                        "sleep",
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module == "time":
-                for alias in node.names:
-                    if alias.name == "sleep":
-                        yield self.violation(
-                            module,
-                            node,
-                            "importing sleep from time invites unfakeable "
-                            "waits; use a Clock object instead",
-                        )
-
-
-# ---------------------------------------------------------------------------
 # FLT001: no float sum() over unordered containers
 # ---------------------------------------------------------------------------
 
@@ -548,6 +503,5 @@ def all_rules() -> list[LintRule]:
         UnorderedIterationRule(),
         DropWithoutReleaseRule(),
         NondeterministicCallRule(),
-        BareSleepRule(),
         MissingSlotsRule(),
     ]

@@ -104,9 +104,10 @@ def main(argv=None) -> int:
         f"({type(backend).__name__})",
         file=sys.stderr,
     )
-    result = run_study(
-        cells=cells, n_runs=n_runs, duration=duration, backend=backend
-    )
+    with backend:
+        result = run_study(
+            cells=cells, n_runs=n_runs, duration=duration, backend=backend
+        )
     markdown = result.to_markdown()
     if args.out == "-":
         sys.stdout.write(markdown)
