@@ -53,16 +53,6 @@ class SchemeSummary:
     def mean_queue_delay_ms(self) -> float:
         return statistics.fmean(self.queue_delays_ms) if self.queue_delays_ms else 0.0
 
-    def throughput_stdev(self) -> float:
-        if len(self.throughputs_mbps) < 2:
-            return 0.0
-        return statistics.stdev(self.throughputs_mbps)
-
-    def delay_stdev(self) -> float:
-        if len(self.queue_delays_ms) < 2:
-            return 0.0
-        return statistics.stdev(self.queue_delays_ms)
-
     # -- ellipse --------------------------------------------------------------------
     def ellipse(self) -> Optional[GaussianEllipse]:
         """1-sigma ellipse over (queueing delay, throughput) points."""

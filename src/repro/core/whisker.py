@@ -128,10 +128,6 @@ class Whisker:
             )
         return children
 
-    def with_action(self, action: Action) -> "Whisker":
-        """Copy of this rule with a different action (statistics reset)."""
-        return Whisker(domain=self.domain, action=action, epoch=self.epoch)
-
     # ------------------------------------------------------------------ misc
     def describe(self) -> str:
         """Single-line human-readable description (used by the examples)."""

@@ -241,9 +241,6 @@ class WhiskerTree:
     def __len__(self) -> int:
         return sum(1 for _ in self._leaves())
 
-    def num_rules(self) -> int:
-        return len(self)
-
     # ------------------------------------------------------------------ optimizer
     def reset_statistics(self) -> None:
         for whisker in self.whiskers():

@@ -2,7 +2,7 @@
 
 One scheduler: a binary heap of plain ``[time, sequence, callback, args]``
 list entries, plus two constant-delay FIFO lanes that stay empty unless the
-fused wiring (:func:`repro.netsim.kernel.fuse`) routes a uniform-RTT
+wiring (:mod:`repro.netsim.kernel`) routes a uniform-RTT
 dumbbell's per-packet hand-offs onto them.  The monotonically increasing
 sequence number makes ordering deterministic when two events share the same
 timestamp, which in turn makes every simulation reproducible for a given

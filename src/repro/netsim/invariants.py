@@ -29,8 +29,8 @@ sampler callback starts with :meth:`EventScheduler.uncount_event`, reads
 state without touching any rng, and re-posts itself — so
 ``events_processed``, all flow statistics and therefore the golden
 fingerprints are bit-identical with the sanitizer on or off (the matrix
-suite asserts exactly that).  Cost: two counting wrappers on the per-flow
-delivery sinks plus ~:data:`DEFAULT_SAMPLES` full-state walks per run —
+suite asserts exactly that).  Cost: one counting wrapper on each sender's
+ACK sink plus ~:data:`DEFAULT_SAMPLES` full-state walks per run —
 roughly 10-30% wall-clock on the benchmark cells, so the mode is for CI
 and debugging, not for paper-scale sweeps.
 """
@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING
 from repro.netsim.events import SimulationError
 from repro.netsim.packet import Packet
 from repro.netsim.queue import QueueDiscipline
-from repro.netsim.receiver import Receiver
 from repro.netsim.sender import Sender
 
 if TYPE_CHECKING:  # import cycle: simulator imports this module
@@ -73,37 +72,34 @@ class InvariantChecker:
         #: Acknowledgments digested by the senders (including stale ACKs a
         #: switched-off flow releases unprocessed — they left the system).
         self.acks_consumed = 0
-        #: Data packets that reached their receiver (duplicates included).
-        self.data_arrivals = 0
         self.checks_run = 0
         self._last_now = float("-inf")
         self._next_sample = 1
 
     # -- instrumentation ----------------------------------------------------
-    def instrument_flow(self, sender: Sender, receiver: Receiver) -> None:
-        """Install counting wrappers on the flow's two delivery sinks.
+    def instrument_flow(self, sender: Sender) -> None:
+        """Count the acknowledgments the sender digests: a wrapper becomes
+        its ACK sink, around the sender's own closure.
 
-        Must run *before* the network captures ``sender.on_ack`` /
-        ``receiver.on_packet`` in ``attach_flow`` (both classes are
-        deliberately un-slotted, so an instance attribute shadows the bound
-        method).  The wrappers only count — no rng draws, no scheduling —
-        so instrumented runs stay bit-identical.
+        Must run *before* ``attach_flow`` captures ``sender.on_ack``.  The
+        wrapper only counts — no rng draws, no scheduling — so instrumented
+        runs stay bit-identical.
         """
-        inner_on_ack = sender.on_ack
 
         def counted_on_ack(ack: Packet) -> None:
-            inner_on_ack(ack)
+            sender._send(ack)
             self.acks_consumed += 1
 
-        sender.on_ack = counted_on_ack  # type: ignore[method-assign]
+        sender.on_ack = counted_on_ack
 
-        inner_on_packet = receiver.on_packet
-
-        def counted_on_packet(packet: Packet) -> None:
-            self.data_arrivals += 1
-            inner_on_packet(packet)
-
-        receiver.on_packet = counted_on_packet  # type: ignore[method-assign]
+    @property
+    def data_arrivals(self) -> int:
+        """Data packets that reached their receiver (duplicates included):
+        each is counted as received or as a duplicate."""
+        return sum(
+            receiver.stats.packets_received + receiver.duplicates
+            for receiver in self.simulation.receivers
+        )
 
     # -- scheduling ----------------------------------------------------------
     def arm(self) -> None:

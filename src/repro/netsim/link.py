@@ -4,16 +4,20 @@ A link owns a queue discipline and a propagation delay.  Arriving packets are
 offered to the queue; the link serializes packets at its transmission rate
 (constant-rate links) or at trace-defined delivery instants (trace-driven
 links, modelling a time-varying cellular downlink) and hands each transmitted
-packet to a delivery callback after the propagation delay.
+packet on along its flow's route after the propagation delay.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from collections import deque
+from heapq import heappush
+from typing import Any, Callable, Optional, Sequence, Union, cast
 
 from repro.netsim.events import EventScheduler
+from repro.netsim.kernel import NO_ROUTE, Lane, Route, across, hand_off, plain_fifo, unwired
 from repro.netsim.packet import Packet
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
+from repro.netsim.stats import FlowStats, HopDelayStats
 
 DeliverFn = Callable[[Packet], None]
 DelayObserver = Callable[[Packet, float], None]
@@ -33,93 +37,114 @@ class LinkBase:
         self.queue = queue if queue is not None else DropTailQueue()
         self.propagation_delay = propagation_delay
         self.name = name
+        #: The far end of the link: the callback :meth:`connect` set, or, on
+        #: a routed link, the per-flow onward hand-off (see :meth:`route`).
         self.deliver: Optional[DeliverFn] = None
         #: Optional callback invoked with (packet, queueing_delay_seconds)
-        #: whenever a packet leaves the queue; used for delay statistics.
+        #: whenever a packet leaves the queue; takes precedence over the
+        #: statistics maps below.
         self.delay_observer: Optional[DelayObserver] = None
-        #: Fast path for the common consumer of the delay observer: a map
-        #: from flow id to a :class:`~repro.netsim.stats.FlowStats` whose
-        #: queueing-delay counters the link updates inline (two callback
-        #: hops per transmitted packet otherwise).  Takes precedence over
-        #: ``delay_observer`` when set.  The map may be shared by several
-        #: links — a multi-hop :class:`~repro.netsim.path.PathNetwork`
-        #: attaches one map to every forward hop, so a flow accumulates one
-        #: queueing-delay sample per hop traversed.
-        self.delay_stats: Optional[dict] = None
-        #: Optional per-(flow, this-hop) attribution map: flow id ->
-        #: :class:`~repro.netsim.stats.HopDelayStats`.  Unlike
-        #: ``delay_stats`` (shared across a path's forward hops, folding all
-        #: hops into the flow totals), this map is private to one link, so a
-        #: multi-hop :class:`~repro.netsim.path.PathNetwork` can answer
-        #: *which* bottleneck contributed the queueing.  Updated in addition
-        #: to the flow totals; ``None`` (any one-forward-hop path) costs one
-        #: attribute check per transmitted packet.
-        self.hop_delay_stats: Optional[dict] = None
+        #: Flow id -> :class:`~repro.netsim.stats.FlowStats` whose
+        #: queueing-delay counters the link updates inline, one sample per
+        #: transmitted packet.  A :class:`~repro.netsim.path.PathNetwork`
+        #: registers each flow at every forward hop it crosses (reverse hops
+        #: stay empty: ACK queueing shows in the RTT statistics instead).
+        self.delay_stats: dict[int, FlowStats] = {}
+        #: Flow id -> :class:`~repro.netsim.stats.HopDelayStats`: which hop
+        #: of a multi-hop forward chain contributed a flow's queueing.
+        #: Updated in addition to ``delay_stats``; empty on a one-forward-hop
+        #: path, whose breakdown would repeat the flow totals.
+        self.hop_delay_stats: dict[int, HopDelayStats] = {}
         self.packets_delivered = 0
         self.bytes_delivered = 0
+        #: Per flow id, where a packet goes once it leaves this hop: the
+        #: route as seen from the near end (propagation delay folded in, see
+        #: :func:`~repro.netsim.kernel.across`) and from the far end.
+        self._routes: list[Route] = []
+        self._onward: list[Route] = []
 
     # -- wiring --------------------------------------------------------------
     def connect(self, deliver: DeliverFn) -> None:
-        """Set the callback that receives packets at the far end of the link."""
+        """Send every packet to ``deliver`` at the far end from now on: a
+        standalone link's one callback, or a spy on a routed one."""
         self.deliver = deliver
+        self._routes[:] = [(self.propagation_delay, None, deliver)] * len(self._routes)
+
+    def route(self, flow_id: int, onward: Route) -> None:
+        """Hand packets of ``flow_id`` on along ``onward`` from the far end;
+        ``deliver`` becomes that per-flow hand-off."""
+        missing = flow_id + 1 - len(self._onward)
+        if missing > 0:
+            self._onward.extend([NO_ROUTE] * missing)
+            self._routes.extend([NO_ROUTE] * missing)
+        self._onward[flow_id] = onward
+        self._routes[flow_id] = across(self.scheduler, self.propagation_delay, onward)
+        self.deliver = self._far_end
+
+    def _far_end(self, packet: Packet) -> None:
+        hand_off(self.scheduler, self._onward[packet.flow_id], packet)
 
     def release(self) -> None:
-        """Cut the hop's wiring once its simulation has run — callbacks, and what
-        shadows a method (kernel closure, armed seal, spy); queue and counters stay."""
+        """Cut the hop's wiring once its simulation has run (callbacks and
+        routes); queue and counters stay."""
         self.deliver = self.delay_observer = None
-        for name in ("receive", "connect", "_start_transmission", "_finish_transmission"):
-            self.__dict__.pop(name, None)
+        self._routes.clear()
+        self._onward.clear()
 
     # -- helpers -------------------------------------------------------------
     def _observe_wait(self, packet: Packet) -> None:
         """Report how long the packet waited in the queue (excludes its own
-        serialization time) to the delay statistics, if any are attached.
-
-        An explicitly set ``delay_observer`` wins over ``delay_stats`` so
-        that overriding the hook on a wired-up network keeps working the way
-        it always has; the stats map is the allocation-free default path.
-        """
+        serialization time) to the delay observer or statistics."""
         observer = self.delay_observer
         if observer is not None:
             observer(packet, max(0.0, self.scheduler.now - packet.enqueue_time))
             return
-        stats_map = self.delay_stats
-        if stats_map is not None:
-            stats = stats_map.get(packet.flow_id)
-            if stats is not None:
-                delay = self.scheduler.now - packet.enqueue_time
-                if delay < 0.0:
-                    delay = 0.0
-                stats.queue_delay_sum += delay
-                stats.queue_delay_count += 1
-                if delay > stats.max_queue_delay:
-                    stats.max_queue_delay = delay
-                hop_map = self.hop_delay_stats
-                if hop_map is not None:
-                    hop = hop_map.get(packet.flow_id)
-                    if hop is not None:
-                        hop.delay_sum += delay
-                        hop.count += 1
-                        if delay > hop.max_delay:
-                            hop.max_delay = delay
+        stats = self.delay_stats.get(packet.flow_id)
+        if stats is not None:
+            delay = self.scheduler.now - packet.enqueue_time
+            if delay < 0.0:
+                delay = 0.0
+            stats.queue_delay_sum += delay
+            stats.queue_delay_count += 1
+            if delay > stats.max_queue_delay:
+                stats.max_queue_delay = delay
+            hop = self.hop_delay_stats.get(packet.flow_id)
+            if hop is not None:
+                hop.delay_sum += delay
+                hop.count += 1
+                if delay > hop.max_delay:
+                    hop.max_delay = delay
 
     def _emit(self, packet: Packet) -> None:
-        """Record a departure and schedule arrival at the far end."""
-        if self.deliver is None:
-            raise RuntimeError(f"{self.name}: deliver callback not connected")
+        """Record a departure and hand the packet on along its flow's route,
+        or, on a link no network routed, to the ``deliver`` callback."""
         self.packets_delivered += 1
         self.bytes_delivered += packet.size_bytes
-        if self.propagation_delay > 0:
-            self.scheduler.post_after(self.propagation_delay, self.deliver, packet)
-        else:
-            self.deliver(packet)
-
-    def receive(self, packet: Packet) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
+        try:
+            route = self._routes[packet.flow_id]
+        except IndexError:
+            if self.deliver is None:
+                raise RuntimeError(f"{self.name}: deliver callback not connected") from None
+            route = (self.propagation_delay, None, self.deliver)
+        hand_off(self.scheduler, route, packet)
 
 
 class ConstantRateLink(LinkBase):
-    """A fixed-rate link that serializes packets at ``rate_bps`` bits/second."""
+    """A fixed-rate link that serializes packets at ``rate_bps`` bits/second.
+
+    Its per-packet steps are closures built here, once: ``receive`` (the
+    DropTail enqueue inlined; any other discipline keeps its ``enqueue``),
+    ``_start_transmission`` (dequeue, record the wait, serialize) and
+    ``_finish_transmission`` (count, hand the packet on along its flow's
+    route, and start the successor: the body of ``_start_transmission``
+    pasted in place of the call, one frame less per packet).  With
+    ``lane_bytes`` set, every serialization of a packet that size rides the
+    scheduler's serialization lane; otherwise it goes on the heap.
+    """
+
+    receive: Callable[[Packet], None]
+    _start_transmission: Callable[[], None]
+    _finish_transmission: Callable[[Packet], None]
 
     def __init__(
         self,
@@ -128,6 +153,7 @@ class ConstantRateLink(LinkBase):
         queue: Optional[QueueDiscipline] = None,
         propagation_delay: float = 0.0,
         name: str = "link",
+        lane_bytes: Optional[int] = None,
     ) -> None:
         super().__init__(scheduler, queue, propagation_delay, name)
         if rate_bps <= 0:
@@ -136,10 +162,162 @@ class ConstantRateLink(LinkBase):
         self._busy = False
         #: Seal check (see :meth:`arm_seal`): the link is drowned once
         #: ``queued bytes > _seal_budget - now * _seal_drain``.  Unarmed
-        #: links never evaluate it (``receive`` is only rebound when armed).
+        #: links keep ``_seal_drain == 0.0``, which skips the check.
         self._seal_drain = 0.0
         self._seal_budget = 0.0
         self._on_seal: Optional[Callable[[], None]] = None
+
+        link = self
+        discipline = self.queue
+        fifo = plain_fifo(discipline)
+        droptail = cast(DropTailQueue, discipline)  # only touched when ``fifo`` is set
+        heap = scheduler._heap
+        ser_lane: Lane = scheduler._lanes[0] if lane_bytes is not None else None
+        # Appended to only when ``lane_bytes`` matches, i.e. on a lane topology.
+        ser = cast("deque[list[Any]]", ser_lane)
+        size_on_lane = -1 if lane_bytes is None else lane_bytes
+        routes = self._routes
+        # Filled in place as flows attach; ``delay_observer`` stays a
+        # call-time read (tests attach it late).
+        stats_map = self.delay_stats
+        hop_map = self.hop_delay_stats
+
+        def finish_transmission(packet: Packet) -> None:
+            now = scheduler.now
+            try:
+                route = routes[packet.flow_id]
+            except IndexError:
+                link._emit(packet)  # a link no network routed
+            else:
+                link.packets_delivered += 1
+                link.bytes_delivered += packet.size_bytes
+                lane = route[1]
+                if lane is not None:
+                    lane.append([now + route[0], scheduler._sequence, route[2], packet])
+                    scheduler._sequence += 1
+                elif route[0]:
+                    heappush(heap, [now + route[0], scheduler._sequence, route[2], (packet,)])
+                    scheduler._sequence += 1
+                else:
+                    route[2](packet)
+            if fifo:
+                packet = fifo.popleft()
+                size_bytes = packet.size_bytes
+                droptail._bytes -= size_bytes
+                droptail.dequeues += 1
+            elif fifo is None:
+                dequeued = discipline.dequeue(now)
+                if dequeued is None:
+                    link._busy = False
+                    return
+                packet = dequeued
+                size_bytes = packet.size_bytes
+            else:
+                link._busy = False
+                return
+            if link.delay_observer is not None:
+                link.delay_observer(packet, max(0.0, now - packet.enqueue_time))
+            elif stats_map:
+                stats = stats_map.get(packet.flow_id)
+                if stats is not None:
+                    delay = now - packet.enqueue_time
+                    if delay < 0.0:
+                        delay = 0.0
+                    stats.queue_delay_sum += delay
+                    stats.queue_delay_count += 1
+                    if delay > stats.max_queue_delay:
+                        stats.max_queue_delay = delay
+                    if hop_map:
+                        hop = hop_map.get(packet.flow_id)
+                        if hop is not None:
+                            hop.delay_sum += delay
+                            hop.count += 1
+                            if delay > hop.max_delay:
+                                hop.max_delay = delay
+            link._busy = True
+            # Posted through the link's attribute: a closure naming itself
+            # is a cycle ``release`` cannot cut.
+            done = now + size_bytes * 8 / rate_bps
+            if size_bytes == size_on_lane:
+                ser.append([done, scheduler._sequence, link._finish_transmission, packet])
+                scheduler._sequence += 1
+            elif ser_lane is None:
+                heappush(heap, [done, scheduler._sequence, link._finish_transmission, (packet,)])
+                scheduler._sequence += 1
+            else:  # an off-size packet on a lane topology
+                scheduler.post_after(size_bytes * 8 / rate_bps, link._finish_transmission, packet)
+
+        def start_transmission() -> None:
+            now = scheduler.now
+            if fifo:
+                packet = fifo.popleft()
+                size_bytes = packet.size_bytes
+                droptail._bytes -= size_bytes
+                droptail.dequeues += 1
+            elif fifo is None:
+                dequeued = discipline.dequeue(now)
+                if dequeued is None:
+                    link._busy = False
+                    return
+                packet = dequeued
+                size_bytes = packet.size_bytes
+            else:
+                link._busy = False
+                return
+            if link.delay_observer is not None:
+                link.delay_observer(packet, max(0.0, now - packet.enqueue_time))
+            elif stats_map:
+                stats = stats_map.get(packet.flow_id)
+                if stats is not None:
+                    delay = now - packet.enqueue_time
+                    if delay < 0.0:
+                        delay = 0.0
+                    stats.queue_delay_sum += delay
+                    stats.queue_delay_count += 1
+                    if delay > stats.max_queue_delay:
+                        stats.max_queue_delay = delay
+                    if hop_map:
+                        hop = hop_map.get(packet.flow_id)
+                        if hop is not None:
+                            hop.delay_sum += delay
+                            hop.count += 1
+                            if delay > hop.max_delay:
+                                hop.max_delay = delay
+            link._busy = True
+            done = now + size_bytes * 8 / rate_bps
+            if size_bytes == size_on_lane:
+                ser.append([done, scheduler._sequence, finish_transmission, packet])
+                scheduler._sequence += 1
+            elif ser_lane is None:
+                heappush(heap, [done, scheduler._sequence, finish_transmission, (packet,)])
+                scheduler._sequence += 1
+            else:  # an off-size packet on a lane topology
+                scheduler.post_after(size_bytes * 8 / rate_bps, finish_transmission, packet)
+
+        if fifo is not None:
+
+            def receive(packet: Packet) -> None:
+                if len(fifo) >= droptail.capacity_packets:
+                    droptail.drops += 1
+                    packet.release()  # drop sink: tail overflow
+                    return
+                packet.enqueue_time = scheduler.now
+                fifo.append(packet)
+                droptail._bytes += packet.size_bytes
+                droptail.enqueues += 1
+                if not link._busy:
+                    start_transmission()
+
+        else:
+
+            def receive(packet: Packet) -> None:
+                # Any other discipline: its enqueue may drop or ECN-mark.
+                if discipline.enqueue(packet, scheduler.now) and not link._busy:
+                    start_transmission()
+
+        self.receive = receive
+        self._start_transmission = start_transmission
+        self._finish_transmission = finish_transmission
 
     @property
     def rate_pps(self) -> float:
@@ -165,11 +343,14 @@ class ConstantRateLink(LinkBase):
         threshold carries a second MSS of slack so rounding in the chained
         event times (thousands of ``t += size * 8 / rate`` steps) can never
         let a packet the proof calls dead start service at ``end_time``.
+
+        The check runs in the senders' inlined enqueue
+        (:meth:`~repro.netsim.sender.Sender.connect`), which every sender
+        feeding such a link takes; arm before the senders are connected.
         """
         self._seal_drain = self.rate_bps / 8
         self._seal_budget = end_time * self._seal_drain + 2 * mss_bytes
         self._on_seal = on_seal
-        self.receive = self._receive_sealable  # type: ignore[method-assign]
 
     def seal(self) -> None:
         """Declare the link drowned and notify — once, however often the
@@ -181,75 +362,7 @@ class ConstantRateLink(LinkBase):
     def release(self) -> None:
         super().release()
         self._on_seal = None
-
-    def _receive_sealable(self, packet: Packet) -> None:
-        """:meth:`receive` plus the seal check (armed links only)."""
-        now = self.scheduler.now
-        queue = self.queue
-        if not queue.enqueue(packet, now):
-            return
-        queued = queue.bytes_queued()
-        if not self._busy:
-            self._start_transmission()
-        if queued > self._seal_budget - now * self._seal_drain:
-            self.seal()
-
-    def receive(self, packet: Packet) -> None:
-        """Packet arrives at the head of the link (from a sender or node)."""
-        accepted = self.queue.enqueue(packet, self.scheduler.now)
-        if accepted and not self._busy:
-            self._start_transmission()
-
-    def _start_transmission(self) -> None:
-        scheduler = self.scheduler
-        packet = self.queue.dequeue(scheduler.now)
-        if packet is None:
-            self._busy = False
-            return
-        # _observe_wait, inlined on the per-packet path (same precedence:
-        # an explicit delay_observer overrides the delay_stats fast path).
-        if self.delay_observer is not None:
-            self.delay_observer(packet, max(0.0, scheduler.now - packet.enqueue_time))
-        else:
-            stats_map = self.delay_stats
-            if stats_map is not None:
-                stats = stats_map.get(packet.flow_id)
-                if stats is not None:
-                    delay = scheduler.now - packet.enqueue_time
-                    if delay < 0.0:
-                        delay = 0.0
-                    stats.queue_delay_sum += delay
-                    stats.queue_delay_count += 1
-                    if delay > stats.max_queue_delay:
-                        stats.max_queue_delay = delay
-                    hop_map = self.hop_delay_stats
-                    if hop_map is not None:
-                        hop = hop_map.get(packet.flow_id)
-                        if hop is not None:
-                            hop.delay_sum += delay
-                            hop.count += 1
-                            if delay > hop.max_delay:
-                                hop.max_delay = delay
-        self._busy = True
-        # Serialization delay: size / rate.
-        scheduler.post_after(
-            packet.size_bytes * 8 / self.rate_bps, self._finish_transmission, packet
-        )
-
-    def _finish_transmission(self, packet: Packet) -> None:
-        # _emit, inlined: serialization finished, hand the packet across the
-        # propagation delay and immediately start serializing the successor
-        # (the run-to-completion chain: transmit -> dequeue -> next transmit).
-        deliver = self.deliver
-        if deliver is None:
-            raise RuntimeError(f"{self.name}: deliver callback not connected")
-        self.packets_delivered += 1
-        self.bytes_delivered += packet.size_bytes
-        if self.propagation_delay > 0:
-            self.scheduler.post_after(self.propagation_delay, deliver, packet)
-        else:
-            deliver(packet)
-        self._start_transmission()
+        self.receive = self._start_transmission = self._finish_transmission = unwired
 
 
 class TraceDrivenLink(LinkBase):
@@ -339,3 +452,7 @@ class TraceDrivenLink(LinkBase):
         if span <= 0:
             return float("inf")
         return (len(self.delivery_times) - 1) * self.mss_bytes * 8 / span
+
+
+#: A hop of a path: either kind of link.
+Link = Union[ConstantRateLink, TraceDrivenLink]

@@ -45,8 +45,8 @@ Semantics:
 Packet-pool ownership on a path follows the PR 3 rule unchanged: whoever
 holds the last reference releases.  Every hop's queue is a drop sink
 (``release()`` on overflow/AQM drops, in any direction), the per-hop loss
-gates are drop sinks, and a packet delivered beyond its flow's route (a
-detached flow) is released by the dispatcher.
+gates are drop sinks, and a hop drops a packet of a flow that does not
+cross it (:data:`~repro.netsim.kernel.NO_ROUTE`; should not happen).
 """
 
 from __future__ import annotations
@@ -54,10 +54,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence, Union, cast
+from typing import Callable, Optional, Sequence, Union
 
 from repro.netsim.events import EventScheduler
-from repro.netsim.link import ConstantRateLink, LinkBase, TraceDrivenLink
+from repro.netsim.kernel import Lane, Route
+from repro.netsim.link import ConstantRateLink, Link, TraceDrivenLink
 from repro.netsim.network import (
     QUEUE_KINDS,
     QueueFactory,
@@ -69,7 +70,7 @@ from repro.netsim.packet import Packet
 from repro.netsim.queue import QueueDiscipline
 from repro.netsim.receiver import Receiver
 from repro.netsim.sender import Sender
-from repro.netsim.stats import FlowStats, HopDelayStats
+from repro.netsim.stats import HopDelayStats
 
 
 @dataclass
@@ -168,8 +169,10 @@ class LinkSpec:
         queue: QueueDiscipline,
         name: str,
         mss_bytes: int = 1500,
-    ) -> LinkBase:
-        """Materialize the hop (constant-rate or trace-driven)."""
+        lane_bytes: Optional[int] = None,
+    ) -> Link:
+        """Materialize the hop (constant-rate or trace-driven; ``lane_bytes``:
+        see :class:`~repro.netsim.link.ConstantRateLink`)."""
         if self.delivery_trace is not None:
             return TraceDrivenLink(
                 scheduler,
@@ -185,6 +188,7 @@ class LinkSpec:
             queue=queue,
             propagation_delay=self.delay,
             name=name,
+            lane_bytes=lane_bytes,
         )
 
 
@@ -313,7 +317,7 @@ class PathSpec:
         its own and no reverse hops, however the spec was spelled: every
         per-packet event is then scheduled one serialization time or one
         flow's one-way delay ahead, which is what the seal's proof and the
-        scheduler's two constant-delay lanes (:func:`repro.netsim.kernel.fuse`)
+        scheduler's two constant-delay lanes (:mod:`repro.netsim.kernel`)
         both need.
         """
         hop = self.forward[0]
@@ -370,7 +374,7 @@ class FlowEndpoints:
 
 def _lossy_entry(
     rng: random.Random, loss_rate: float, losses: list[int], index: int,
-    link: LinkBase, packet: Packet,
+    link: Link, packet: Packet,
 ) -> None:
     """A hop's Bernoulli loss gate, ahead of its queue (the sender recovers
     through its normal loss detection)."""
@@ -381,24 +385,16 @@ def _lossy_entry(
     link.receive(packet)
 
 
-def _deliver(table: dict[int, Callable[[Packet], None]], packet: Packet) -> None:
-    """A hop's far end: hand the packet to its flow's next handler."""
-    handler = table.get(packet.flow_id)
-    if handler is None:
-        packet.release()  # packet from a detached flow (should not happen)
-        return
-    handler(packet)
-
-
 class PathNetwork:
     """Flows wired through ordered chains of links in both directions.
 
     Per-direction state is indexed ``0`` (forward: data) / ``1`` (reverse:
     acknowledgments).  Construction order is deterministic — every forward
     hop (queue, then loss rng when enabled), then every reverse hop — so a
-    given network rng yields identical streams run to run.  Packet routing
-    is precomputed per ``(hop, flow)``: each delivery costs one dict lookup
-    plus one call.
+    given network rng yields identical streams run to run.  Routing is
+    precomputed per ``(hop, flow)`` (:meth:`attach_flow`); ``lanes=False``
+    (``Simulation(kernel="generic")``) keeps the scheduler's constant-delay
+    lanes empty on every shape.
     """
 
     def __init__(
@@ -406,29 +402,39 @@ class PathNetwork:
         scheduler: EventScheduler,
         spec: PathSpec,
         rng: Optional[random.Random] = None,
+        lanes: bool = True,
     ) -> None:
         self.scheduler = scheduler
         self.spec = spec
         self.rng = rng if rng is not None else random.Random(0)
         mean_rtt = spec.mean_rtt()
+        # The lanes, where there are exactly two constant delays: a
+        # constant-rate dumbbell whose flows share one RTT serializes every
+        # data packet in one fixed time and propagates everything one fixed
+        # one-way delay.  Any other shape has more distinct delays than the
+        # lane merge is worth and stays on the heap.
+        lanes = (
+            lanes
+            and spec.dumbbell_hop() is not None
+            and len({spec.rtt_for_flow(i) for i in range(spec.n_flows)}) == 1
+        )
+        lane_bytes = spec.mss_bytes if lanes else None
+        self._flow_lane: Lane = scheduler._lanes[1] if lanes else None
 
         chains = (spec.forward, spec.reverse)
-        self.links: tuple[list[LinkBase], list[LinkBase]] = ([], [])
+        self.links: tuple[list[Link], list[Link]] = ([], [])
         #: Per hop: its entry loss gate (``None``: loss-free — no gate, and
-        #: no draw taken from the network rng for one), the gate's count of
-        #: lost packets, and the routing table ``flow id -> handler`` for a
-        #: packet leaving the hop (next hop's entry, or the endpoint partial).
+        #: no draw taken from the network rng for one) and the gate's count
+        #: of lost packets.
         self._gates: tuple[list[Optional[Callable[[Packet], None]]], ...] = ([], [])
         self.losses = tuple([0] * len(chain) for chain in chains)
-        self._next: tuple[list[dict[int, Callable[[Packet], None]]], ...] = tuple(
-            [{} for _ in chain] for chain in chains
-        )
         for direction, chain in enumerate(chains):
             for index, hop in enumerate(chain):
                 queue = hop.make_queue(self.rng, spec.mss_bytes, mean_rtt)
                 name = hop.name or f"{'rev' if direction else 'fwd'}{index}"
-                link = hop.build_link(scheduler, queue, name, mss_bytes=spec.mss_bytes)
-                link.connect(partial(_deliver, self._next[direction][index]))
+                link = hop.build_link(
+                    scheduler, queue, name, mss_bytes=spec.mss_bytes, lane_bytes=lane_bytes
+                )
                 self.links[direction].append(link)
                 gate = None
                 if hop.loss_rate > 0.0:
@@ -439,27 +445,16 @@ class PathNetwork:
                 self._gates[direction].append(gate)
         self.forward_links, self.reverse_links = self.links
         self.forward_losses, self.reverse_losses = self.losses
-
-        #: flow id -> FlowStats: every forward hop updates queueing-delay
-        #: counters inline through the shared stats map (one sample per hop
-        #: traversed).  Reverse hops deliberately do not: ACK queueing is
-        #: observable through RTT statistics, and mixing 40-byte-ACK sojourn
-        #: times into the forward queue-delay metric would corrupt it.
-        self._delay_stats: dict[int, FlowStats] = {}
-        for link in self.forward_links:
-            link.delay_stats = self._delay_stats
-
-        #: Per-forward-hop attribution: one ``flow id ->``
-        #: :class:`~repro.netsim.stats.HopDelayStats` map per hop, answering
-        #: *which* bottleneck contributed a flow's queueing.  Accumulators
-        #: are registered in :meth:`attach_flow` for exactly the hops the
-        #: flow traverses; the flow-total counters above are untouched.
-        #: Empty with one forward hop, whose ledger would repeat the totals.
+        #: Per-forward-hop attribution, one ``flow id ->``
+        #: :class:`~repro.netsim.stats.HopDelayStats` map per hop (each
+        #: link's own), filled in :meth:`attach_flow` for exactly the hops a
+        #: flow traverses.  Empty with one forward hop, whose ledger would
+        #: repeat the flow totals.
         self.hop_delay_stats: list[dict[int, HopDelayStats]] = (
-            [{} for _ in spec.forward] if len(spec.forward) > 1 else []
+            [link.hop_delay_stats for link in self.forward_links]
+            if len(spec.forward) > 1
+            else []
         )
-        for link, hop_map in zip(self.forward_links, self.hop_delay_stats):
-            link.hop_delay_stats = hop_map
 
         #: Simulated time at which the bottleneck was sealed (see
         #: :meth:`arm_seal`); ``None`` while it can still deliver.
@@ -472,7 +467,7 @@ class PathNetwork:
         (:attr:`PathSpec.sealable` specs only; a no-op on any other).
 
         ``end_time`` is when the run stops.  Call before :meth:`attach_flow`:
-        arming rebinds the link's ``receive``, which senders capture there.
+        the senders freeze the seal check when they are connected.
         """
         link = self.forward_links[0]
         if self.spec.sealable and isinstance(link, ConstantRateLink):
@@ -486,10 +481,9 @@ class PathNetwork:
     def release(self) -> None:
         """Cut every hop's and endpoint's wiring once the simulation has run:
         what is left — links, queues, flows, counters — is data."""
-        for links, tables, gates in zip(self.links, self._next, self._gates):
-            for link, table in zip(links, tables):
+        for links, gates in zip(self.links, self._gates):
+            for link in links:
                 link.release()
-                table.clear()
             gates[:] = [None] * len(gates)
         for endpoints in self.flows.values():
             endpoints.sender.release()
@@ -497,62 +491,48 @@ class PathNetwork:
 
     def _entry(self, direction: int, index: int) -> Callable[[Packet], None]:
         """Where packets enter a hop: its loss gate if it has one, else the
-        link's ``receive`` as bound right now."""
+        link's ``receive``."""
         return self._gates[direction][index] or self.links[direction][index].receive
 
     # -- flow attachment -------------------------------------------------------
     def attach_flow(
         self, flow_id: int, sender: Sender, receiver: Receiver
     ) -> FlowEndpoints:
-        """Wire a sender/receiver pair through its hop chains."""
+        """Wire a sender/receiver pair through its hop chains.
+
+        Every hand-off is a route ``(delay, lane, sink)`` (see
+        :mod:`repro.netsim.kernel`): hop to hop directly, and across the
+        flow's one-way propagation delay from the last hop of each chain to
+        the endpoint — the receiver's ACK path *is* that hand-off when the
+        flow has no reverse hops (the ideal return path).
+        """
         if flow_id in self.flows:
             raise ValueError(f"flow {flow_id} already attached")
         spec = self.spec
         rtt = spec.rtt_for_flow(flow_id)
-        # Each chain ends by handing the packet across the flow's one-way
-        # propagation directly to the endpoint (a partial, not a lambda —
-        # the partial call is C-level, a lambda would cost a frame per
-        # packet).  With no reverse hops that partial *is* the receiver's
-        # ACK callback: the ideal return path.  (The entry ``post_after``
-        # returns is dropped: nothing cancels a hand-off.)
-        post_after = cast("Callable[..., None]", self.scheduler.post_after)
-        forward_hops = spec.forward_hops_for(flow_id)
-        sender.connect(
-            self._route(
-                0, flow_id, forward_hops,
-                partial(post_after, rtt / 2, receiver.on_packet),
-            )
-        )
-        receiver.connect(
-            self._route(
-                1, flow_id, spec.reverse_hops_for(flow_id),
-                partial(post_after, rtt / 2, sender.on_ack),
-            )
-        )
+        forward, reverse = spec.forward_hops_for(flow_id), spec.reverse_hops_for(flow_id)
+        transmit = self._entry(0, forward[0])
+        first = self.forward_links[forward[0]]
+        if isinstance(first, ConstantRateLink) and transmit is first.receive:
+            sender.connect(transmit, first)  # no loss gate: it may fill the queue itself
+        else:
+            sender.connect(transmit)
+        to_sender: Route = (rtt / 2, self._flow_lane, sender.on_ack)
+        delay, lane, send_ack = (0.0, None, self._entry(1, reverse[0])) if reverse else to_sender
+        receiver.connect(send_ack, delay, lane)
+        to_receiver: Route = (rtt / 2, self._flow_lane, receiver.on_packet)
+        for direction, chain, last in ((0, forward, to_receiver), (1, reverse, to_sender)):
+            onward: list[Route] = [(0.0, None, self._entry(direction, hop)) for hop in chain[1:]]
+            for hop, route in zip(chain, onward + [last]):
+                self.links[direction][hop].route(flow_id, route)
         endpoints = FlowEndpoints(sender=sender, receiver=receiver, rtt=rtt)
         self.flows[flow_id] = endpoints
-        self._delay_stats[flow_id] = sender.stats
-        if self.hop_delay_stats:
-            for hop in forward_hops:
-                self.hop_delay_stats[hop][flow_id] = HopDelayStats()
+        for hop in forward:
+            link = self.forward_links[hop]
+            link.delay_stats[flow_id] = sender.stats
+            if self.hop_delay_stats:
+                link.hop_delay_stats[flow_id] = HopDelayStats()
         return endpoints
-
-    def _route(
-        self,
-        direction: int,
-        flow_id: int,
-        hops: tuple[int, ...],
-        last: Callable[[Packet], None],
-    ) -> Callable[[Packet], None]:
-        """Chain the flow through ``hops`` and on to ``last``; returns where
-        its packets enter (``last`` itself when the chain is empty)."""
-        if not hops:
-            return last
-        table = self._next[direction]
-        for here, there in zip(hops, hops[1:]):
-            table[here][flow_id] = self._entry(direction, there)
-        table[hops[-1]][flow_id] = last
-        return self._entry(direction, hops[0])
 
     # -- introspection ----------------------------------------------------------
     def queues(self) -> list[QueueDiscipline]:

@@ -8,10 +8,12 @@ the echoed sender timestamp and any ECN / XCP header fields.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable, Optional
 
 from repro.netsim.events import EventScheduler
-from repro.netsim.packet import Packet
+from repro.netsim.kernel import Lane, unwired
+from repro.netsim.packet import ACK_PACKET_BYTES, Packet
 from repro.netsim.stats import FlowStats
 
 SendAckFn = Callable[[Packet], None]
@@ -24,65 +26,94 @@ class Receiver:
         self,
         flow_id: int,
         scheduler: EventScheduler,
-        send_ack: Optional[SendAckFn] = None,
         stats: Optional[FlowStats] = None,
     ) -> None:
         self.flow_id = flow_id
         self.scheduler = scheduler
-        self.send_ack = send_ack
         self.stats = stats if stats is not None else FlowStats(flow_id)
         self.next_expected = 0
         self._out_of_order: set[int] = set()
         self.duplicates = 0
+        #: Where the network delivers this flow's data: the closure
+        #: :meth:`connect` builds (until then, and after :meth:`release`,
+        #: a sink that drops what reaches it).
+        self.on_packet: Callable[[Packet], None] = unwired
 
-    def connect(self, send_ack: SendAckFn) -> None:
-        """Set the callback used to return acknowledgments to the sender."""
-        self.send_ack = send_ack
+    def connect(self, send_ack: SendAckFn, delay: float = 0.0, lane: Lane = None) -> None:
+        """Return acknowledgments to ``send_ack``, ``delay`` seconds ahead (on
+        ``lane`` when one is given), and build :attr:`on_packet`.
+
+        Each arriving data packet is its delivery sink: a pooled packet is
+        converted into its acknowledgment in place (``Packet.make_ack``
+        inlined), so nothing may touch the data packet afterwards — the
+        ACK's eventual sink, normally the sender, releases the instance.
+        """
+        receiver = self
+        scheduler = self.scheduler
+        heap = scheduler._heap
+        stats = self.stats
+        out_of_order = self._out_of_order
+        flow_id = self.flow_id
+
+        def on_packet(packet: Packet) -> None:
+            if packet.is_ack:
+                raise ValueError("receiver got an ACK packet")
+            if packet.flow_id != flow_id:
+                raise ValueError(
+                    f"receiver for flow {flow_id} got packet of flow {packet.flow_id}"
+                )
+            seq = packet.seq
+            next_expected = receiver.next_expected
+            if seq >= next_expected and seq not in out_of_order:
+                stats.bytes_received += packet.size_bytes
+                stats.packets_received += 1
+                if seq == next_expected:
+                    next_expected += 1
+                    # Drain any buffered out-of-order segments now in order.
+                    while next_expected in out_of_order:
+                        out_of_order.discard(next_expected)
+                        next_expected += 1
+                    receiver.next_expected = next_expected
+                else:
+                    out_of_order.add(seq)
+            else:
+                receiver.duplicates += 1
+            # In every branch the local ``next_expected`` ends equal to
+            # ``receiver.next_expected``, so the ACK fields read the local.
+            now = scheduler.now
+            if packet._pool is not None:
+                # Packet.make_ack, pooled branch inlined: the dead data
+                # packet becomes its acknowledgment in place.
+                packet.size_bytes = ACK_PACKET_BYTES
+                packet.is_ack = True
+                packet.ack_seq = next_expected
+                packet.sacked_seq = seq
+                packet.echo_sent_time = packet.sent_time
+                packet.sent_time = now
+                packet.receiver_time = now
+                packet.ecn_echo = packet.ecn_marked
+                packet.ecn_capable = False
+                packet.ecn_marked = False
+                packet.enqueue_time = 0.0
+                ack = packet
+            else:
+                ack = packet.make_ack(ack_seq=next_expected, receiver_time=now)
+            if lane is not None:
+                lane.append([now + delay, scheduler._sequence, send_ack, ack])
+                scheduler._sequence += 1
+            elif delay:
+                heappush(heap, [now + delay, scheduler._sequence, send_ack, (ack,)])
+                scheduler._sequence += 1
+            else:
+                send_ack(ack)
+
+        self.on_packet = on_packet
 
     def release(self) -> None:
         """Cut the endpoint's wiring once its simulation has run."""
-        self.send_ack = None
-        self.__dict__.pop("on_packet", None)  # kernel closure or sanitizer wrapper
+        self.on_packet = unwired
 
     def reset(self) -> None:
         """Forget reassembly state (used when a sender restarts sequencing)."""
         self.next_expected = 0
         self._out_of_order.clear()
-
-    def on_packet(self, packet: Packet) -> None:
-        """Handle an arriving data packet and emit its acknowledgment.
-
-        This is the data packet's delivery sink: ``make_ack`` converts a
-        pooled packet into its acknowledgment in place, so the packet must
-        not be touched after that call (the ACK's eventual sink — normally
-        the sender's ``on_ack`` — releases the instance back to the pool).
-        """
-        if packet.is_ack:
-            raise ValueError("receiver got an ACK packet")
-        if packet.flow_id != self.flow_id:
-            raise ValueError(
-                f"receiver for flow {self.flow_id} got packet of flow {packet.flow_id}"
-            )
-
-        seq = packet.seq
-        next_expected = self.next_expected
-        if seq >= next_expected and seq not in self._out_of_order:
-            stats = self.stats  # record_delivery, inlined on the per-packet path
-            stats.bytes_received += packet.size_bytes
-            stats.packets_received += 1
-            if seq == next_expected:
-                next_expected += 1
-                # Drain any buffered out-of-order segments that are now in order.
-                while next_expected in self._out_of_order:
-                    self._out_of_order.discard(next_expected)
-                    next_expected += 1
-                self.next_expected = next_expected
-            else:
-                self._out_of_order.add(seq)
-        else:
-            self.duplicates += 1
-
-        ack = packet.make_ack(ack_seq=self.next_expected, receiver_time=self.scheduler.now)
-        if self.send_ack is None:
-            raise RuntimeError("receiver has no ACK path connected")
-        self.send_ack(ack)

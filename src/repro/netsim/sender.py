@@ -15,15 +15,16 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Optional, cast
 
 from repro.netsim.events import EventScheduler
+from repro.netsim.kernel import plain_fifo, unwired
 from repro.netsim.packet import AckInfo, Packet, PacketPool
+from repro.netsim.queue import DropTailQueue
 from repro.netsim.stats import FlowStats
 
 if TYPE_CHECKING:  # imported only for type annotations; avoids a package cycle
+    from repro.netsim.link import ConstantRateLink
     from repro.protocols.base import CongestionControl
 
 TransmitFn = Callable[[Packet], None]
@@ -112,7 +113,6 @@ class Sender:
         flow_id: int,
         scheduler: EventScheduler,
         cc: "CongestionControl",
-        transmit: Optional[TransmitFn] = None,
         workload: Optional[Workload] = None,
         stats: Optional[FlowStats] = None,
         mss_bytes: int = 1500,
@@ -123,15 +123,14 @@ class Sender:
         self.flow_id = flow_id
         self.scheduler = scheduler
         self.cc = cc
-        self.transmit = transmit
         self.workload = workload if workload is not None else AlwaysOnWorkload()
         self.stats = stats if stats is not None else FlowStats(flow_id)
         self.mss_bytes = mss_bytes
         self.rng = rng if rng is not None else random.Random(flow_id)
         self.trace_sequence = trace_sequence
         #: Optional per-simulator packet freelist.  When set, data packets
-        #: are drawn from it and acknowledgments are released back at the
-        #: end of :meth:`on_ack` (the ACK's delivery sink).
+        #: are drawn from it and acknowledgments are released back once
+        #: processed (the sender is the ACK's delivery sink).
         self.pool = pool
         # Skip the per-packet on_packet_sent call for modules that keep the
         # base class's no-op (everything except XCP).
@@ -140,6 +139,13 @@ class Sender:
         self._cc_observes_sends = (
             type(cc).on_packet_sent is not CongestionControl.on_packet_sent
         )
+        #: Where data packets go (see :meth:`connect` and :meth:`seal`).
+        self.transmit: Optional[TransmitFn] = None
+        #: The sender's one per-packet closure (see :meth:`connect`); until
+        #: then, and after :meth:`release`, a sink that drops what reaches it.
+        self._send: Callable[[Optional[Packet]], None] = unwired
+        #: A wrapper installed around ``_send`` as the ACK sink (:attr:`on_ack`).
+        self._ack_sink: Optional[TransmitFn] = None
 
         # Transport state.  ``in_flight`` maps seq -> _SentInfo; the frontier
         # is a min-heap over in-flight sequence numbers (with lazy deletion:
@@ -176,22 +182,350 @@ class Sender:
         #: notices the deadline moved, and re-posts itself (a rare,
         #: uncounted bookkeeping check — RTO is hundreds of ACK intervals).
         self._rto_deadline = 0.0
+        #: The pacing timer's entry (already run once ``entry[2] is None``).
         self._pacing_event: Optional[list] = None
         self._switch_event: Optional[list] = None
 
     # ------------------------------------------------------------------ wiring
-    def connect(self, transmit: TransmitFn) -> None:
-        """Set the callback that pushes data packets into the network."""
+    @property
+    def on_ack(self) -> TransmitFn:
+        """Where the network delivers this flow's acknowledgments: the
+        sender's closure, or a wrapper set around it (the invariant
+        sanitizer counts through one; set it before the flow is attached)."""
+        return self._ack_sink or self._send
+
+    @on_ack.setter
+    def on_ack(self, sink: TransmitFn) -> None:
+        self._ack_sink = sink
+
+    def connect(
+        self, transmit: TransmitFn, link: Optional["ConstantRateLink"] = None
+    ) -> None:
+        """Send data packets into ``transmit`` and build the sender's closure.
+
+        Called with an acknowledgment, the closure processes it — releases
+        the acknowledged flight, estimates the RTT, updates the recovery
+        state, calls ``cc.on_ack``, pushes the RTO — and falls into the send
+        loop, all in one frame.  Called with none, by the pacing,
+        retransmission and switch-on timers, it runs the send loop alone.
+        The flow's stable state (in-flight map, flight frontier, stats block,
+        congestion module, sink) lives in closure cells; mutable scalars
+        (sequence counters, RTT estimator, recovery flags, timers) stay on
+        the instance, where the cold paths read them.  The packet pool's
+        freelist fast paths are inlined for non-debug pools (a debug pool
+        must observe every packet).
+
+        ``link`` is the constant-rate hop ``transmit`` enters when no loss
+        gate sits in between.  If its queue is a plain FIFO, the send loop
+        fills it directly (tail drop and, on a link armed by
+        :meth:`~repro.netsim.link.ConstantRateLink.arm_seal`, the seal check
+        inlined) instead of calling ``transmit``.  A sealed sender
+        (:meth:`seal`) re-reads its sink per packet and stops once it is gone.
+        """
         self.transmit = transmit
+        sender = self
+        scheduler = self.scheduler
+        heap = scheduler._heap
+        cc = self.cc
+        cc_on_ack = cc.on_ack
+        stats = self.stats
+        in_flight = self.in_flight
+        frontier = self._flight_frontier
+        pool = self.pool
+        mss_bytes = self.mss_bytes
+        flow_id = self.flow_id
+        trace_sequence = self.trace_sequence
+        cc_observes_sends = self._cc_observes_sends
+        uses_ecn = cc.uses_ecn  # class-level constant on every protocol
+        tuple_new = tuple.__new__
+        sent_new = _SentInfo.__new__
+        # The inlined enqueue's state, touched only when ``fifo`` is set.
+        hop = cast("ConstantRateLink", link)
+        droptail = cast(DropTailQueue, None if link is None else link.queue)
+        fifo = None if link is None else plain_fifo(droptail)
+        if fifo is not None:
+            capacity_packets = droptail.capacity_packets  # fixed at construction
+            # An armed link's seal check, frozen here (``seal_drain`` is 0.0
+            # on every other link, which skips it).
+            seal_drain, seal_budget = hop._seal_drain, hop._seal_budget
+            start = hop._start_transmission
+        else:
+            capacity_packets, seal_drain, seal_budget, start = 0, 0.0, 0.0, unwired
+        # Debug-ness is fixed at pool construction, so checking once is safe.
+        if pool is not None and pool._live is None:
+            fast_pool: Optional[PacketPool] = pool
+            fast_free: Optional[list[Packet]] = pool._free
+        else:
+            fast_pool = None
+            fast_free = None
+
+        def ack_and_send(ack: Optional[Packet] = None) -> None:
+            if ack is None:
+                # A timer: no acknowledgment half, straight to the send loop.
+                if sender.state != "on":
+                    return
+                now = scheduler.now
+                rq = sender.retransmit_queue
+            else:
+                if not ack.is_ack:
+                    raise ValueError("sender got a data packet")
+                if sender.state != "on":
+                    ack.release()  # stale ACK from an abandoned flow
+                    return
+                # An ACK still in flight from a *previous* on-period echoes a
+                # send time before this one began; processed, three of them
+                # would fire a spurious fast retransmit on a lossless flow.
+                if ack.echo_sent_time < sender.on_start_time:
+                    ack.release()  # stale ACK from a previous on-period
+                    return
+                now = scheduler.now
+
+                # Cumulative acknowledgment: walk the ordered frontier (an
+                # entry no longer in flight is simply discarded), then
+                # release the segment that triggered this ACK selectively.
+                ack_seq = ack.ack_seq
+                newly_acked_bytes = 0
+                while frontier and frontier[0] < ack_seq:
+                    info = in_flight.pop(heappop(frontier), None)
+                    if info is not None:
+                        newly_acked_bytes += info.size_bytes
+                info = in_flight.pop(ack.sacked_seq, None)
+                if info is not None:
+                    newly_acked_bytes += info.size_bytes
+                # ``rq`` aliases ``sender.retransmit_queue`` for the rest of
+                # the call: every mutation below is in place (or rebinds
+                # both), and the cold helpers only mutate in place.
+                rq = sender.retransmit_queue
+                if rq:
+                    sender.retransmit_queue = rq = deque(s for s in rq if s >= ack_seq)
+
+                # RTT estimation (RFC 6298; Karn's rule: ignore retransmitted
+                # segments).
+                rtt: Optional[float] = None
+                if not ack.retransmit:
+                    rtt = now - ack.echo_sent_time
+                    if rtt > 0:
+                        min_rtt = sender.min_rtt
+                        if min_rtt is None or rtt < min_rtt:
+                            sender.min_rtt = rtt
+                        srtt = sender.srtt
+                        if srtt is None:
+                            sender.srtt = rtt
+                            sender.rttvar = rtt / 2
+                            rto = rtt + 4 * (rtt / 2)
+                        else:
+                            sender.rttvar = rttvar = (
+                                0.75 * sender.rttvar + 0.25 * abs(srtt - rtt)
+                            )
+                            sender.srtt = srtt = 0.875 * srtt + 0.125 * rtt
+                            rto = srtt + 4 * rttvar
+                        sender.rto = (
+                            MAX_RTO if rto > MAX_RTO else (MIN_RTO if rto < MIN_RTO else rto)
+                        )
+                        stats.rtt_sum += rtt
+                        stats.rtt_count += 1
+                        if stats.min_rtt is None or rtt < stats.min_rtt:
+                            stats.min_rtt = rtt
+
+                # A duplicate ACK does not advance the cumulative point, even
+                # if it selectively acknowledges an out-of-order segment.
+                is_duplicate = ack_seq <= sender.highest_cum_ack
+                if not is_duplicate:
+                    sender.highest_cum_ack = ack_seq
+                    sender.dup_count = 0
+                    if sender.in_recovery:
+                        if ack_seq > sender.recovery_point:
+                            sender.in_recovery = False
+                        elif ack_seq in in_flight and ack_seq not in rq:
+                            # NewReno partial ACK: the segment the cumulative
+                            # point now stops at is the next hole.
+                            rq.appendleft(ack_seq)
+                else:
+                    sender.dup_count += 1
+                    if sender.dup_count >= DUPACK_THRESHOLD and not sender.in_recovery:
+                        sender._fast_retransmit(ack_seq, now)
+
+                # AckInfo built through tuple.__new__: the namedtuple
+                # constructor costs a frame per acknowledgment.
+                cc_on_ack(
+                    tuple_new(
+                        AckInfo,
+                        (
+                            now,
+                            ack.sacked_seq,
+                            ack_seq,
+                            newly_acked_bytes,
+                            rtt,
+                            sender.min_rtt,
+                            ack.echo_sent_time,
+                            ack.receiver_time,
+                            ack.ecn_echo,
+                            len(in_flight),
+                            ack.xcp_feedback,
+                            is_duplicate,
+                        ),
+                    )
+                )
+
+                if trace_sequence:
+                    stats.sequence_trace.append((now, ack_seq))
+
+                # Every field is digested: the ACK instance is dead.
+                ack_pool = ack._pool
+                if ack_pool is not None:
+                    if ack_pool._live is None:
+                        # PacketPool.release, non-debug branch inlined.
+                        ack_pool.released += 1
+                        ack_pool._free.append(ack)
+                    else:
+                        ack_pool.release(ack)
+
+                # Flow complete (None == 0 is False: unlimited demands never are).
+                if sender.segments_remaining == 0 and not in_flight and not rq:
+                    sender._switch_off()
+                    return
+
+                if in_flight:
+                    # _arm_rto(restart=True), suppression fast path: move the
+                    # deadline, keep the armed entry when it fires no later.
+                    sender._rto_deadline = deadline = now + sender.rto
+                    entry = sender._rto_event
+                    if entry is None or entry[2] is None or entry[0] > deadline:
+                        sender._arm_rto(restart=True)
+                else:
+                    entry = sender._rto_event
+                    if entry is not None:
+                        scheduler.cancel_entry(entry)
+                    sender._rto_event = None
+
+            # The send loop: as many packets as the window, pacing and
+            # workload allow, for as long as the sender has a sink.
+            sink = sender.transmit
+            retransmit_queue = rq
+            while sink is not None:
+                # Retransmissions are already counted in flight, so they are
+                # never window-blocked (a lost packet must stay repairable).
+                if not retransmit_queue:
+                    remaining = sender.segments_remaining
+                    if remaining is not None and remaining <= 0:
+                        return
+                    # Admission window, never below one packet.
+                    window = cc.cwnd
+                    if len(in_flight) >= (window if window > 1.0 else 1.0):
+                        return
+                intersend = cc.intersend_time
+                if intersend > 0:
+                    next_allowed = sender.last_send_time + intersend
+                    if now < next_allowed - 1e-12:
+                        # Arm the pacing timer (``next_allowed`` is in the
+                        # future, so no clamp); a timer set for no later
+                        # stays armed.
+                        entry = sender._pacing_event
+                        if entry is not None and entry[2] is not None:
+                            if entry[0] <= next_allowed + 1e-12:
+                                return
+                            scheduler.cancel_entry(entry)
+                        sender._pacing_event = entry = [
+                            next_allowed, scheduler._sequence, sender._send, ()
+                        ]
+                        scheduler._sequence += 1
+                        heappush(heap, entry)
+                        scheduler._heap_version += 1
+                        return
+                if retransmit_queue:
+                    seq = retransmit_queue.popleft()
+                    retransmit = True
+                else:
+                    seq = sender.next_seq
+                    sender.next_seq = seq + 1
+                    if sender.segments_remaining is not None:
+                        sender.segments_remaining -= 1
+                    retransmit = False
+                if fast_free:
+                    # PacketPool.data, freelist-hit branch inlined (non-debug).
+                    # ``retransmit``/``ecn_capable`` resets are folded into
+                    # the unconditional stores a few lines down.
+                    assert fast_pool is not None
+                    packet = fast_free.pop()
+                    fast_pool.recycled += 1
+                    packet.flow_id = flow_id
+                    packet.seq = seq
+                    packet.size_bytes = mss_bytes
+                    packet.sent_time = now
+                    packet.first_sent_time = now
+                    packet.is_ack = False
+                    packet.ack_seq = -1
+                    packet.sacked_seq = -1
+                    packet.echo_sent_time = 0.0
+                    packet.ecn_marked = False
+                    packet.ecn_echo = False
+                    packet.enqueue_time = 0.0
+                    packet.xcp_cwnd = 0.0
+                    packet.xcp_rtt = 0.0
+                    packet.xcp_demand = 0.0
+                    packet.xcp_feedback = 0.0
+                    packet.receiver_time = 0.0
+                elif pool is not None:
+                    packet = pool.data(flow_id, seq, mss_bytes, now)
+                else:
+                    packet = Packet(flow_id, seq, size_bytes=mss_bytes, sent_time=now)
+                packet.retransmit = retransmit
+                packet.ecn_capable = uses_ecn
+                info = in_flight.get(seq)
+                if info is not None and retransmit:
+                    packet.first_sent_time = info.first_sent_time
+                    info.sent_time = now
+                    info.retransmitted = True
+                else:
+                    # _SentInfo by slot stores: no dataclass __init__ frame.
+                    info = sent_new(_SentInfo)
+                    info.sent_time = now
+                    info.first_sent_time = now
+                    info.retransmitted = retransmit
+                    info.size_bytes = mss_bytes
+                    in_flight[seq] = info
+                    heappush(frontier, seq)
+                stats.packets_sent += 1
+                if retransmit:
+                    stats.retransmissions += 1
+                if cc_observes_sends:
+                    cc.on_packet_sent(packet, now)
+                sender.last_send_time = now
+                if sink is not transmit:
+                    # Sealed: the last new segment clears the sink (see seal).
+                    sink(packet)
+                    sink = sender.transmit
+                elif fifo is None:
+                    transmit(packet)
+                elif len(fifo) >= capacity_packets:
+                    droptail.drops += 1
+                    packet.release()  # drop sink: tail overflow
+                else:
+                    packet.enqueue_time = now
+                    fifo.append(packet)
+                    droptail._bytes = queued = droptail._bytes + mss_bytes
+                    droptail.enqueues += 1
+                    if not hop._busy:
+                        start()
+                    if seal_drain and queued > seal_budget - now * seal_drain:
+                        # This enqueue drowned the link: sealing swaps every
+                        # sender's sink, this one's included.
+                        hop.seal()
+                        sink = sender.transmit
+                # The RTO timer, armed on the first send of a window.
+                entry = sender._rto_event
+                if entry is None or entry[2] is None:
+                    sender._arm_rto()
+
+        self._send = ack_and_send
 
     def release(self) -> None:
-        """Cut the endpoint's wiring once its simulation has run (transmit
-        sink, timers, rebound handlers); transport state and stats stay."""
-        self.transmit = None
+        """Cut the endpoint's wiring once its simulation has run (sink,
+        closure, timers); transport state and stats stay."""
+        self.transmit = self._ack_sink = None
+        self._send = unwired
         self._on_until_event = self._rto_event = None
         self._pacing_event = self._switch_event = None
-        for name in ("on_ack", "_pacing_fire"):  # kernel closure or sanitizer wrapper
-            self.__dict__.pop(name, None)
 
     def seal(self) -> None:
         """The bottleneck just sealed: stop transmitting what cannot arrive.
@@ -207,7 +541,7 @@ class Sender:
         never-ending flight of an unsealed run would produce, and a byte
         demand can no more complete than it could there.  After it the sender
         goes quiet for good — ACK processing, RTO and on/off switching carry
-        on, ``_maybe_send`` finds no ``transmit``; in later on-periods no ACK
+        on, the send loop finds no ``transmit``; in later on-periods no ACK
         is ever accepted, so there is nothing left to keep exact.
         Retransmissions before that segment pass through untouched (they
         leave the flight as it is).
@@ -239,10 +573,6 @@ class Sender:
             self.stats.record_on_time(end_time - self.on_start_time)
             self.state = "off"
 
-    @property
-    def is_on(self) -> bool:
-        return self.state == "on"
-
     # ------------------------------------------------------------------ on/off
     def _switch_on(self) -> None:
         now = self.scheduler.now
@@ -269,7 +599,7 @@ class Sender:
                 self._on_until_event = self.scheduler.post_after(
                     demand.duration, self._switch_off
                 )
-        self._maybe_send()
+        self._send()
 
     def _switch_off(self) -> None:
         if self.state != "on":
@@ -298,238 +628,6 @@ class Sender:
         if entry is not None:
             self.scheduler.cancel_entry(entry)
 
-    # ------------------------------------------------------------------ sending
-    def _maybe_send(self) -> None:
-        """Send as many packets as the window, pacing and workload allow."""
-        if self.state != "on":
-            return
-        now = self.scheduler.now
-        cc = self.cc
-        in_flight = self.in_flight
-        retransmit_queue = self.retransmit_queue
-        # ``transmit`` is re-read per packet: a sealed sender's last segment
-        # clears it mid-loop (see :meth:`seal`).
-        while self.transmit is not None:
-            # Retransmissions are already counted in flight, so sending them
-            # does not grow the flight size and must not be window-blocked
-            # (otherwise a lost packet could never be repaired).
-            if not retransmit_queue:
-                # A flow with a byte demand stops once its segments run out
-                # (None means an unlimited / duration-bounded demand).
-                remaining = self.segments_remaining
-                if remaining is not None and remaining <= 0:
-                    return
-                # Admission window: never below one packet to avoid deadlock.
-                # (cc.cwnd read directly: the ``window`` property is defined
-                # as exactly cwnd, and the descriptor call is measurable in
-                # this loop.)
-                window = cc.cwnd
-                if len(in_flight) >= (window if window > 1.0 else 1.0):
-                    return
-            intersend = cc.intersend_time
-            if intersend > 0:
-                next_allowed = self.last_send_time + intersend
-                if now < next_allowed - 1e-12:
-                    self._schedule_pacing(next_allowed)
-                    return
-            self._send_one(now)
-
-    def _schedule_pacing(self, when: float) -> None:
-        entry = self._pacing_event
-        if entry is not None and entry[2] is not None:  # still armed
-            if entry[0] <= when + 1e-12:
-                return
-            self.scheduler.cancel_entry(entry)
-        self._pacing_event = self.scheduler.post(when, self._pacing_fire)
-
-    def _pacing_fire(self) -> None:
-        self._pacing_event = None
-        self._maybe_send()
-
-    def _send_one(self, now: float) -> None:
-        if self.retransmit_queue:
-            seq = self.retransmit_queue.popleft()
-            retransmit = True
-        else:
-            seq = self.next_seq
-            self.next_seq += 1
-            if self.segments_remaining is not None:
-                self.segments_remaining -= 1
-            retransmit = False
-
-        pool = self.pool
-        if pool is not None:
-            packet = pool.data(self.flow_id, seq, self.mss_bytes, now)
-        else:
-            packet = Packet(self.flow_id, seq, size_bytes=self.mss_bytes, sent_time=now)
-        packet.retransmit = retransmit
-        packet.ecn_capable = self.cc.uses_ecn
-        info = self.in_flight.get(seq)
-        if info is not None and retransmit:
-            packet.first_sent_time = info.first_sent_time
-            info.sent_time = now
-            info.retransmitted = True
-        else:
-            self.in_flight[seq] = _SentInfo(now, now, retransmit, self.mss_bytes)
-            heappush(self._flight_frontier, seq)
-
-        stats = self.stats  # record_send, inlined on the per-packet path
-        stats.packets_sent += 1
-        if retransmit:
-            stats.retransmissions += 1
-        if self._cc_observes_sends:
-            self.cc.on_packet_sent(packet, now)
-        self.last_send_time = now
-        self.transmit(packet)
-        # _arm_rto(), armed check inlined: on all but the first send of a
-        # window the timer is already running.
-        entry = self._rto_event
-        if entry is None or entry[2] is None:
-            self._arm_rto()
-
-    # ------------------------------------------------------------------ receiving
-    def on_ack(self, ack: Packet) -> None:
-        """Process an acknowledgment arriving from the network."""
-        if not ack.is_ack:
-            raise ValueError("sender got a data packet")
-        if self.state != "on":
-            ack.release()  # stale ACK from an abandoned flow
-            return
-        # An ACK still in flight from a *previous* on-period (it survived the
-        # off gap) echoes a send time before this period began.  Processing it
-        # would classify it as a duplicate (its cumulative ack cannot advance
-        # past a restarted flow's) and three of them would fire a spurious
-        # fast retransmit / cc.on_loss on a flow that has lost nothing.
-        if ack.echo_sent_time < self.on_start_time:
-            ack.release()  # stale ACK from a previous on-period
-            return
-        now = self.scheduler.now
-
-        ack_seq = ack.ack_seq
-        in_flight = self.in_flight
-        frontier = self._flight_frontier
-        newly_acked_bytes = 0
-        # Cumulative acknowledgment releases everything below ack_seq: walk
-        # the ordered frontier instead of scanning the whole flight.  A
-        # frontier entry whose seq is no longer in flight (selectively acked
-        # earlier, or re-pushed on retransmission) is simply discarded.
-        while frontier and frontier[0] < ack_seq:
-            info = in_flight.pop(heappop(frontier), None)
-            if info is not None:
-                newly_acked_bytes += info.size_bytes
-        # The specific segment that generated this ACK may be above the
-        # cumulative point (out-of-order arrival): release it selectively.
-        info = in_flight.pop(ack.sacked_seq, None)
-        if info is not None:
-            newly_acked_bytes += info.size_bytes
-        # Anything cumulatively acknowledged no longer needs retransmission.
-        if self.retransmit_queue:
-            self.retransmit_queue = deque(
-                s for s in self.retransmit_queue if s >= ack_seq
-            )
-
-        # RTT estimation (Karn's rule: ignore retransmitted segments).
-        rtt: Optional[float] = None
-        if not ack.retransmit:
-            rtt = now - ack.echo_sent_time
-            if rtt > 0:
-                # _update_rtt, inlined on the per-ACK path (RFC 6298).
-                if self.min_rtt is None or rtt < self.min_rtt:
-                    self.min_rtt = rtt
-                srtt = self.srtt
-                if srtt is None:
-                    self.srtt = rtt
-                    self.rttvar = rtt / 2
-                    rto = rtt + 4 * (rtt / 2)
-                else:
-                    self.rttvar = rttvar = 0.75 * self.rttvar + 0.25 * abs(srtt - rtt)
-                    self.srtt = srtt = 0.875 * srtt + 0.125 * rtt
-                    rto = srtt + 4 * rttvar
-                self.rto = MAX_RTO if rto > MAX_RTO else (MIN_RTO if rto < MIN_RTO else rto)
-                stats = self.stats  # record_rtt, inlined on the per-ACK path
-                stats.rtt_sum += rtt
-                stats.rtt_count += 1
-                if stats.min_rtt is None or rtt < stats.min_rtt:
-                    stats.min_rtt = rtt
-
-        # A duplicate ACK is one whose cumulative acknowledgment does not
-        # advance — even if it selectively acknowledges an out-of-order
-        # segment (that is exactly the situation that signals a hole).
-        is_duplicate = ack_seq <= self.highest_cum_ack
-        self._update_recovery_state(ack, now, is_duplicate)
-
-        # AckInfo built through tuple.__new__: the namedtuple constructor
-        # costs a Python frame per acknowledgment; all twelve fields are
-        # supplied positionally either way.
-        self.cc.on_ack(
-            tuple.__new__(
-                AckInfo,
-                (
-                    now,
-                    ack.sacked_seq,
-                    ack_seq,
-                    newly_acked_bytes,
-                    rtt,
-                    self.min_rtt,
-                    ack.echo_sent_time,
-                    ack.receiver_time,
-                    ack.ecn_echo,
-                    len(in_flight),
-                    ack.xcp_feedback,
-                    is_duplicate,
-                ),
-            )
-        )
-
-        if self.trace_sequence:
-            self.stats.sequence_trace.append((now, ack_seq))
-
-        # This handler is the ACK's delivery sink: every field has been
-        # digested into AckInfo/our own state, so the instance is dead.
-        # (Packet.release, inlined on the per-ACK path.)
-        pool = ack._pool
-        if pool is not None:
-            pool.release(ack)
-
-        # _flow_complete(), inlined on the per-ACK path (None == 0 is False,
-        # so always-on flows never trip it).
-        if self.segments_remaining == 0 and not in_flight and not self.retransmit_queue:
-            self._switch_off()
-            return
-
-        if in_flight:
-            # _arm_rto(restart=True), suppression fast path inlined: move
-            # the deadline and keep the armed entry when it fires no later.
-            self._rto_deadline = deadline = now + self.rto
-            entry = self._rto_event
-            if entry is None or entry[2] is None or entry[0] > deadline:
-                self._arm_rto(restart=True)
-        else:
-            self._cancel(self._rto_event)
-            self._rto_event = None
-        self._maybe_send()
-
-    def _update_recovery_state(self, ack: Packet, now: float, is_duplicate: bool) -> None:
-        if not is_duplicate:
-            self.highest_cum_ack = ack.ack_seq
-            self.dup_count = 0
-            if self.in_recovery:
-                if ack.ack_seq > self.recovery_point:
-                    self.in_recovery = False
-                elif (
-                    ack.ack_seq in self.in_flight
-                    and ack.ack_seq not in self.retransmit_queue
-                ):
-                    # NewReno-style partial ACK: the cumulative point advanced
-                    # but is still below the recovery point, so the segment it
-                    # now stops at is the next hole — retransmit it directly
-                    # without waiting for three more duplicates or an RTO.
-                    self.retransmit_queue.appendleft(ack.ack_seq)
-        elif is_duplicate:
-            self.dup_count += 1
-            if self.dup_count >= DUPACK_THRESHOLD and not self.in_recovery:
-                self._fast_retransmit(ack.ack_seq, now)
-
     def _fast_retransmit(self, missing_seq: int, now: float) -> None:
         self.in_recovery = True
         self.recovery_point = self.next_seq - 1
@@ -539,10 +637,7 @@ class Sender:
         self.stats.record_loss()
         self.cc.on_loss(now)
 
-    # ------------------------------------------------------------------ RTT / RTO
-    # (RTT estimation — RFC 6298 — and flow-completion detection both live
-    # inlined in on_ack: they run once per acknowledgment.)
-
+    # ------------------------------------------------------------------ RTO
     def _arm_rto(self, restart: bool = False) -> None:
         entry = self._rto_event
         if restart:
@@ -592,4 +687,4 @@ class Sender:
         self.cc.on_timeout(now)
         self.rto = min(MAX_RTO, self.rto * 2)
         self._arm_rto()
-        self._maybe_send()
+        self._send()

@@ -6,11 +6,10 @@ Remy evaluator and every experiment harness.  It takes a topology spec — a
 dumbbell) or a :class:`~repro.netsim.path.PathSpec` (any path, with an
 optionally congestible reverse direction); two spellings, one
 :class:`~repro.netsim.path.PathNetwork` — one congestion-control module and
-one workload per flow, builds the generic wiring on the one
-:class:`~repro.netsim.events.EventScheduler`, fuses it
-(:func:`repro.netsim.kernel.fuse`, unless ``kernel="generic"``), runs the
-scheduler's dispatch loop for a fixed duration and returns a
-:class:`SimulationResult`.
+one workload per flow, wires it on the one
+:class:`~repro.netsim.events.EventScheduler` (the per-packet closures of
+:mod:`repro.netsim.kernel`), runs the scheduler's dispatch loop for a fixed
+duration and returns a :class:`SimulationResult`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 
 from repro.netsim.events import EventCapExceeded, EventScheduler, SimulationError
 from repro.netsim.invariants import InvariantChecker
-from repro.netsim.kernel import fuse
 from repro.netsim.network import NetworkSpec
 from repro.netsim.packet import PacketPool
 from repro.netsim.path import PathNetwork, PathSpec
@@ -146,7 +144,7 @@ class Simulation:
 
     One lifecycle: build, :meth:`run` once, read.  A finished simulation
     holds data, not wiring — ``run`` ends by emptying the scheduler, cutting
-    every callback between endpoints, hops and kernel closures and dropping
+    every callback between endpoints, hops and their closures and dropping
     the packet freelist, so dropping the object frees it by reference count
     alone.  Flow statistics, ``cc`` state, queue/link/pool counters,
     ``sealed_at`` and the scheduler's clock and event count stay readable.
@@ -174,10 +172,11 @@ class Simulation:
         sampling schedule and at completion.  Results stay bit-identical;
         implies the debug packet pool when pooling is enabled.
     kernel:
-        ``"auto"`` (default) fuses the built wiring
-        (:func:`repro.netsim.kernel.fuse`), on every topology;
-        ``"generic"`` runs it unfused — the reference the parity tests
-        compare against.  Both reproduce the same results bit-identically.
+        ``"auto"`` (default) posts a uniform-RTT constant-rate dumbbell's
+        per-packet hand-offs on the scheduler's two constant-delay lanes;
+        ``"generic"`` leaves the lanes empty, the heap-only reference the
+        parity tests compare against (see :mod:`repro.netsim.kernel`).
+        Both reproduce the same results bit-identically.
     """
 
     def __init__(
@@ -234,15 +233,18 @@ class Simulation:
         #: The network consumes exactly one master rng draw, whatever its
         #: shape, so the per-flow random streams do not depend on it.
         self.network: PathNetwork = PathNetwork(
-            self.scheduler, path_spec, rng=random.Random(self.master_rng.getrandbits(32))
+            self.scheduler,
+            path_spec,
+            rng=random.Random(self.master_rng.getrandbits(32)),
+            lanes=kernel == "auto",
         )
-        # Before the flows attach (arming rebinds the link's ``receive``)
-        # and before fusion.  Whether the topology can seal is the spec's
+        # Before the flows attach (the senders freeze the seal check when
+        # they are connected).  Whether the topology can seal is the spec's
         # own property, not a choice made here.
         self.network.arm_seal(duration)
         #: Runtime sanitizer (see :mod:`repro.netsim.invariants`).  Built
-        #: before the flows so its counting wrappers are in place when
-        #: ``attach_flow`` captures the delivery callbacks.
+        #: before the flows so its counting wrapper is in place when
+        #: ``attach_flow`` captures the ACK sink.
         self.invariant_checker: Optional[InvariantChecker] = (
             InvariantChecker(self) if debug_invariants else None
         )
@@ -250,10 +252,6 @@ class Simulation:
         self.receivers: list[Receiver] = []
         self._ran = False
         self._build_flows()
-        # The simulation is fully built (identical construction order and
-        # rng draws either way); fusion only rebinds the per-packet wiring.
-        if kernel == "auto":
-            fuse(self)
 
     def _build_flows(self) -> None:
         for flow_id in range(self.spec.n_flows):
@@ -272,7 +270,7 @@ class Simulation:
             )
             receiver = Receiver(flow_id, self.scheduler, stats=stats)
             if self.invariant_checker is not None:
-                self.invariant_checker.instrument_flow(sender, receiver)
+                self.invariant_checker.instrument_flow(sender)
             self.network.attach_flow(flow_id, sender, receiver)
             self.senders.append(sender)
             self.receivers.append(receiver)

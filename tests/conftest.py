@@ -35,7 +35,7 @@ def small_dumbbell() -> NetworkSpec:
 @pytest.fixture
 def rides_lanes():
     """Whether a built simulation's constant-delay lanes hold entries
-    part-way through its run (lanes are the fused wiring's choice, read off
+    part-way through its run (lanes are ``kernel="auto"``'s choice, read off
     the spec's shape; nothing public names it)."""
 
     def check(sim) -> bool:

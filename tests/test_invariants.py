@@ -15,10 +15,13 @@ Three contracts:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.netsim.invariants import InvariantChecker, InvariantViolation
 from repro.netsim.network import NetworkSpec
+from repro.netsim.queue import DropTailQueue
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.scenarios import get_scenario, simulation_fingerprint
@@ -42,23 +45,30 @@ def build_sim(**kwargs) -> Simulation:
     )
 
 
-class _LeakyQueue:
-    """Proxy seeding the PR 3/4 bug: drops counted, ``release()`` forgotten."""
+class _LeakyQueue(DropTailQueue):
+    """Seeds the PR 3/4 bug: drops counted, ``release()`` forgotten."""
 
-    def __init__(self, inner):
-        self._inner = inner
+    def __init__(self):
+        super().__init__(capacity_packets=SPEC.buffer_packets)
 
     def enqueue(self, packet, now):
-        if len(self._inner) >= 4:
-            self._inner.drops += 1  # noqa: PKT001 — the seeded leak under test
+        if len(self) >= 4:
+            self.drops += 1  # noqa: PKT001 — the seeded leak under test
             return False
-        return self._inner.enqueue(packet, now)
+        return super().enqueue(packet, now)
 
-    def __len__(self):
-        return len(self._inner)
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
+class _SilentlyDroppingQueue(DropTailQueue):
+    """The dual: the packet is released, the drop never counted."""
+
+    def __init__(self):
+        super().__init__(capacity_packets=SPEC.buffer_packets)
+
+    def enqueue(self, packet, now):
+        if len(self) >= 4:
+            packet.release()
+            return False
+        return super().enqueue(packet, now)
 
 
 class TestCleanRuns:
@@ -104,15 +114,16 @@ class TestCleanRuns:
 
 
 class TestSeededViolations:
-    def test_counted_drop_without_release_is_caught(self):
+    # The faulty queues come in through the spec's queue factory, so each
+    # case runs the one engine under either kernel spelling.
+    @pytest.mark.parametrize("kernel", ["auto", "generic"])
+    def test_counted_drop_without_release_is_caught(self, kernel):
         # The acceptance-named regression: reintroduce the PR 3/4 leak shape
         # at runtime (count the drop, never release the packet) and the
         # conservation identity must break at a sample.
-        # Pinned generic: the fused closures bind the queue
-        # object at build time, so a post-construction swap like this one
-        # would never see traffic under it.
-        sim = build_sim(debug_invariants=True, kernel="generic")
-        sim.network.forward_links[0].queue = _LeakyQueue(sim.network.forward_links[0].queue)
+        sim = build_sim(
+            spec=replace(SPEC, queue=_LeakyQueue), debug_invariants=True, kernel=kernel
+        )
         with pytest.raises(InvariantViolation) as excinfo:
             sim.run()
         message = str(excinfo.value)
@@ -120,21 +131,15 @@ class TestSeededViolations:
         assert "invariant sanitizer dump" in message
         assert "hop" in message and "flow 0" in message
 
-    def test_uncounted_drop_is_caught(self):
+    @pytest.mark.parametrize("kernel", ["auto", "generic"])
+    def test_uncounted_drop_is_caught(self, kernel):
         # Dual failure mode: the packet is released but the drop never
         # counted — conservation breaks in the other direction.
-        # Pinned generic for the same post-construction-patch reason.
-        sim = build_sim(debug_invariants=True, kernel="generic")
-        queue = sim.network.forward_links[0].queue
-        inner_enqueue = queue.enqueue
-
-        def silently_dropping_enqueue(packet, now):
-            if len(queue) >= 4:
-                packet.release()
-                return False
-            return inner_enqueue(packet, now)
-
-        queue.enqueue = silently_dropping_enqueue
+        sim = build_sim(
+            spec=replace(SPEC, queue=_SilentlyDroppingQueue),
+            debug_invariants=True,
+            kernel=kernel,
+        )
         with pytest.raises(InvariantViolation, match="conservation"):
             sim.run()
 

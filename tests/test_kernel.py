@@ -1,16 +1,16 @@
-"""The fused wiring (``kernel="auto"``): lane rule, parity, late-bound hooks.
+"""The kernel choice (lanes vs heap): lane rule, parity, late-bound hooks.
 
 Three contracts:
 
-* **Lanes** — ``kernel="auto"`` fuses every topology; the scheduler's two
-  constant-delay lanes are used on a constant-rate dumbbell whose flows
-  share one RTT and stay empty on everything else.  ``"generic"`` stays
-  selectable as the parity reference; nothing else is accepted.
-* **Parity** — fused and generic runs of the same spec are bit-identical
-  (the full registry sweep lives in ``test_scenario_matrix.py``; here the
-  shapes no registered cell reaches).
+* **Lanes** — under ``kernel="auto"`` the scheduler's two constant-delay
+  lanes are used on a constant-rate dumbbell whose flows share one RTT and
+  stay empty on everything else; ``"generic"`` runs the same closures with
+  both lanes empty, as the parity reference.  Nothing else is accepted.
+* **Parity** — lane and heap runs of the same spec are bit-identical (the
+  full registry sweep lives in ``test_scenario_matrix.py``; here the shapes
+  no registered cell reaches).
 * **Late binding** — ``link.connect(...)`` and ``delay_observer`` assigned
-  after the build are honoured by a fused hop.
+  after the build are honoured by a hop.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ FLAT_SPEC = NetworkSpec(
     link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail", buffer_packets=100
 )
 
-#: A multi-hop path topology (fused, on the heap).
+#: A multi-hop path topology (on the heap).
 PATH_SPEC = PathSpec(
     forward=(
         LinkSpec(rate_bps=4e6, delay=0.02),
@@ -83,10 +83,17 @@ class TestResolution:
         assert "'auto'" in str(err.value) and "'generic'" in str(err.value)
 
     def test_every_registry_cell_is_fused_under_auto(self):
+        # One engine: under either spelling every flow's ACK and data sinks
+        # are the closures its sender and receiver built when wired.
         for cell in all_scenarios():
-            sender = cell.build().senders[0]
-            assert "on_ack" in sender.__dict__, cell.name
-            assert "on_ack" not in cell.build(kernel="generic").senders[0].__dict__
+            for kernel in ("auto", "generic"):
+                sim = cell.build(kernel=kernel)
+                sinks = {sender.on_ack.__qualname__ for sender in sim.senders}
+                sinks |= {receiver.on_packet.__qualname__ for receiver in sim.receivers}
+                assert sinks == {
+                    "Sender.connect.<locals>.ack_and_send",
+                    "Receiver.connect.<locals>.on_packet",
+                }, (cell.name, kernel)
 
     def test_a_lane_with_the_serialization_delay_equal_to_the_one_way_delay(self):
         # 1500 B at 12 Mbps serializes in 1 ms, the one-way delay of a 2 ms
@@ -153,7 +160,8 @@ class TestParity:
         assert _fingerprint(FLAT_SPEC, "auto") == _fingerprint(FLAT_SPEC, "generic")
 
     def test_fused_parity_with_ecn_marking_queue(self):
-        # AQM cells exercise the generic (non-DropTail) fused path.
+        # AQM cells exercise the closures' enqueue/dequeue calls (no inlined
+        # DropTail).
         spec = replace(FLAT_SPEC, queue="codel")
         assert _fingerprint(spec, "auto") == _fingerprint(spec, "generic")
 
@@ -176,7 +184,7 @@ class TestParity:
 
 
 # ---------------------------------------------------------------------------
-# Hooks bound after the build reach a fused hop
+# Hooks bound after the build reach a hop
 # ---------------------------------------------------------------------------
 def _hop(sim):
     """The first forward hop."""
@@ -220,14 +228,15 @@ class TestLateBoundHooks:
 
 
 # ---------------------------------------------------------------------------
-# tools/profile_hotpath.py: the fused-vs-generic timing the bench CI job runs
+# tools/profile_hotpath.py: the lanes-vs-heap timing the bench CI job runs
 # ---------------------------------------------------------------------------
 class TestProfileTool:
     def test_compare_kernels_prints_both_rates(self, capsys):
         profile_hotpath.main(["--compare-kernels", "--reps", "1", "bench-newreno-droptail"])
         [line] = capsys.readouterr().out.splitlines()
         assert line.startswith("bench-newreno-droptail: ")
-        assert "| generic " in line and "| fused " in line and "ev/s" in line
+        assert "| heap " in line and "| lanes " in line and "ev/s" in line
+        assert "lanes speedup" in line
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_compare_kernels_rejects_fewer_than_one_rep(self, capsys, reps):

@@ -711,16 +711,18 @@ class TestOneCollectorPause:
 
     def test_no_fused_closure_names_itself(self):
         # A function <-> cell self-cycle is the one kind nothing can cut from
-        # outside; ``_fused_finish`` posts ``link._finish_transmission``.
-        kernel = ast.parse((self.NETSIM / "kernel.py").read_text())
+        # outside; ``finish_transmission`` posts ``link._finish_transmission``.
         closures = [
             inner
-            for factory in kernel.body
-            if isinstance(factory, ast.FunctionDef)
-            for inner in factory.body
-            if isinstance(inner, ast.FunctionDef)
+            for path in sorted(self.NETSIM.glob("*.py"))
+            for outer in ast.walk(ast.parse(path.read_text()))
+            if isinstance(outer, ast.FunctionDef)
+            for inner in ast.walk(outer)
+            if isinstance(inner, ast.FunctionDef) and inner is not outer
         ]
-        assert "finish_transmission" in {inner.name for inner in closures}
+        assert {"ack_and_send", "on_packet", "finish_transmission"} <= {
+            inner.name for inner in closures
+        }
         offenders = [
             inner.name
             for inner in closures
@@ -728,6 +730,115 @@ class TestOneCollectorPause:
             if isinstance(node, ast.Name) and node.id == inner.name
         ]
         assert offenders == []
+
+
+class TestOneEngine:
+    """One engine: every per-packet step is one closure, built once by the
+    object it serves.  The generic twins that repeated the closures line for
+    line, the pass that rebound them over a built simulation and the per-hop
+    dispatch tables do not come back, and nothing in the engine reads an
+    instance ``__dict__``."""
+
+    NETSIM = REPO_ROOT / "src" / "repro" / "netsim"
+    #: Names a second ACK handler, send loop, receiver ACK emission, hop
+    #: step or rebinding pass would take (the deleted ones among them).
+    WATCHED = {
+        "on_ack", "ack_and_send", "_send", "_maybe_send", "_send_one",
+        "_schedule_pacing", "_pacing_fire", "_update_recovery_state",
+        "on_packet", "receive", "_receive_sealable",
+        "start_transmission", "finish_transmission",
+        "_start_transmission", "_finish_transmission",
+        "_deliver", "_generic_handoff", "fuse", "_fuse_hop",
+    }
+    #: Where each watched name is defined, and nowhere else.
+    DEFINED = [
+        "link.py:ConstantRateLink.__init__.finish_transmission",
+        "link.py:ConstantRateLink.__init__.receive",  # the DropTail variant
+        "link.py:ConstantRateLink.__init__.receive",  # any other discipline
+        "link.py:ConstantRateLink.__init__.start_transmission",
+        "link.py:TraceDrivenLink.receive",
+        "receiver.py:Receiver.connect.on_packet",
+        "sender.py:Sender.connect.ack_and_send",
+        "sender.py:Sender.on_ack",  # the property's getter: returns the sink
+        "sender.py:Sender.on_ack",  # and its setter
+    ]
+
+    @classmethod
+    def _modules(cls) -> list[tuple[str, ast.Module]]:
+        return [
+            (path.name, ast.parse(path.read_text())) for path in sorted(cls.NETSIM.glob("*.py"))
+        ]
+
+    @staticmethod
+    def _definitions(node: ast.AST, prefix: str) -> list[tuple[str, ast.AST]]:
+        found = []
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}" if prefix else child.name
+                found.append((name, child))
+                found += TestOneEngine._definitions(child, name)
+            else:
+                found += TestOneEngine._definitions(child, prefix)
+        return found
+
+    def test_each_step_is_defined_once(self):
+        defined = sorted(
+            f"{module}:{name}"
+            for module, tree in self._modules()
+            for name, node in self._definitions(tree, "")
+            if isinstance(node, ast.FunctionDef) and node.name in self.WATCHED
+        )
+        assert defined == self.DEFINED
+
+    def test_no_instance_dict_is_read(self):
+        offenders = [
+            f"{module}:{node.lineno}"
+            for module, tree in self._modules()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+        ]
+        assert offenders == []
+
+    def test_no_method_is_rebound(self):
+        # ``self.<method> = ...`` inside a class with that method (or a base
+        # here with it), and the mypy escape that rebinding anything else needs.
+        methods: dict[str, set[str]] = {}
+        bases: dict[str, list[str]] = {}
+        for _, tree in self._modules():
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef):
+                    methods[cls.name] = {
+                        node.name for node in cls.body if isinstance(node, ast.FunctionDef)
+                    }
+                    bases[cls.name] = [ast.unparse(base) for base in cls.bases]
+
+        def inherited(name: str) -> set[str]:
+            own = set(methods.get(name, ()))
+            for base in bases.get(name, []):
+                own |= inherited(base)
+            return own
+
+        offenders = [
+            f"{module}:{node.lineno}"
+            for module, tree in self._modules()
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in ast.walk(cls)
+            if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"
+            and target.attr in inherited(cls.name)
+        ]
+        assert offenders == []
+        ignores = [
+            f"{path.name}:{lineno}"
+            for path in sorted(self.NETSIM.glob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if "method-assign" in line
+        ]
+        assert ignores == []
 
 
 class TestOneScheduler:

@@ -11,10 +11,9 @@ so the counts follow from arithmetic alone — no golden of ours is consulted:
 * λ = 0.8 C: every segment finds the link idle — no drops, and every
   queueing-delay sample is exactly 0.
 
-Each case runs under both kernels (under ``auto`` the pacing timer is the
-fused per-flow closure; the generic one walks ``_pacing_fire`` →
-``_maybe_send`` → ``_send_one``) and under the invariant sanitizer, whose
-instrumented senders keep the generic methods under ``auto`` too.
+Each case runs under both kernels and under the invariant sanitizer; in
+all four the pacing timer re-enters the sender's one closure, which skips
+the acknowledgment half and falls into the send loop.
 """
 
 from __future__ import annotations
@@ -99,11 +98,14 @@ def test_underload_never_queues(kernel, debug_invariants):
     assert stats.queue_delay_sum == 0.0 and stats.max_queue_delay == 0.0
 
 
-def test_auto_fuses_the_pacing_timer_unless_instrumented():
-    def pacing_is_fused(sim: Simulation) -> bool:
-        sender = sim.network.flows[0].sender
-        return sender.__dict__.get("_pacing_fire") is sender.on_ack
-
-    assert pacing_is_fused(_simulation(1.25, "auto", False))
-    assert not pacing_is_fused(_simulation(1.25, "auto", True))
-    assert not pacing_is_fused(_simulation(1.25, "generic", False))
+@ENGINES
+def test_the_pacing_timer_runs_the_senders_one_closure(kernel, debug_invariants):
+    sim = _simulation(1.25, kernel, debug_invariants)
+    sender = sim.senders[0]
+    closure = sender._send
+    armed = []
+    # Off every pacing instant (multiples of r = 1.6 ms): a timer is armed.
+    sim.scheduler.post(1.0003, lambda: armed.append(sender._pacing_event[2]))
+    sim.run()
+    assert armed == [closure]
+    assert closure.__qualname__ == "Sender.connect.<locals>.ack_and_send"

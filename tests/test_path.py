@@ -282,7 +282,7 @@ class TestPathNetwork:
         assert len(sim.network.forward_links) == len(sim.network.reverse_links) == 1
         result = sim.run()
         assert result.hop_delays == []
-        assert sim.network.forward_links[0].hop_delay_stats is None
+        assert sim.network.forward_links[0].hop_delay_stats == {}
         assert all(stats.queue_delay_count > 0 for stats in result.flow_stats)
 
     def test_reverse_congestion_inflates_rtt(self):

@@ -17,10 +17,10 @@ For each cell of the scenario registry this suite checks:
   (``debug_invariants=True``; conservation, monotonic time, queue
   accounting) and the instrumented run still reproduces the committed
   fingerprint bit-exactly;
-* **kernel parity** — the fused wiring (:func:`~repro.netsim.kernel.fuse`)
-  that ``auto`` applies to every cell is bit-identical to an explicit
-  ``kernel="generic"`` run and reproduces the cell's committed golden
-  fingerprint.
+* **kernel parity** — the ``auto`` run (constant-delay lanes on
+  uniform-RTT dumbbells, see :mod:`repro.netsim.kernel`) is bit-identical
+  to an explicit ``kernel="generic"`` run (heap only) and reproduces the
+  cell's committed golden fingerprint.
 
 Gating: registry-shape tests always run.  Per-cell simulations run for the
 tier-1 *smoke subset* (one ``smoke=True`` cell per topology) by default; set
@@ -235,7 +235,7 @@ def test_cell_serial_matches_process_pool(cell_name, pool_backend):
 
 @pytest.mark.parametrize("cell_name", ALL_CELLS)
 def test_cell_generic_vs_selected_kernel_parity(cell_name):
-    # The kernel contract: the fused wiring ``auto`` applies to every cell —
+    # The kernel contract: what ``auto`` runs on every cell —
     # lanes on uniform-RTT dumbbells, the plain heap elsewhere — is
     # bit-identical to an explicit generic run, and both reproduce the
     # committed golden fingerprint, which predates the fused engine.
@@ -245,9 +245,8 @@ def test_cell_generic_vs_selected_kernel_parity(cell_name):
     generic = simulation_fingerprint(cell.run(kernel="generic"))
     assert selected == generic
     assert selected == load_golden()[cell_name], (
-        f"{cell_name}: the fused wiring diverged from the committed golden "
-        "fingerprint — the fused event chain no longer replays the "
-        "generic heap order"
+        f"{cell_name}: the engine diverged from the committed golden "
+        "fingerprint — the event chain no longer replays the recorded order"
     )
 
 

@@ -2,7 +2,7 @@
 
 One lifecycle — build, run once, read — and one invariant: a finished
 simulation holds data, not wiring.  ``Simulation.run()`` ends by emptying the
-scheduler and cutting every callback between endpoints, hops and kernel
+scheduler and cutting every callback between endpoints, hops and their
 closures, so dropping the object frees it by reference count alone; counted
 here exactly, with the cyclic collector off: build, run, ``del``,
 ``gc.collect() == 0``.  ``run_sim_job`` pauses the collector from the build
@@ -26,9 +26,10 @@ from repro.core.config import general_purpose_range
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.events import EventScheduler, SimulationError
+from repro.netsim.kernel import unwired
 from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathSpec
-from repro.netsim.sender import Sender, Workload
+from repro.netsim.sender import Workload
 from repro.netsim.simulator import Simulation, gc_paused
 from repro.protocols import NewReno
 from repro.runner import SerialBackend, SimJob
@@ -251,7 +252,7 @@ def test_a_finished_simulation_still_reads(kernel):
     for sender, stats in zip(sim.senders, result.flow_stats):
         assert sender.stats is stats and stats.packets_received > 0
         assert sender.cc.cwnd >= 1.0
-        assert sender.on_ack.__func__ is Sender.on_ack
+        assert sender.on_ack is unwired  # the closure is gone
         assert sender.transmit is None
     queue = sim.network.forward_links[0].queue
     assert queue.drops == result.queue_drops > 0

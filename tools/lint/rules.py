@@ -366,7 +366,6 @@ _HOT_METHOD_PREFIXES = (
     "run_until",
     "post",
     "_send",
-    "_deliver",
     "_transmit",
     "_finish",
     "_lossy",
@@ -376,10 +375,13 @@ _HOT_METHOD_PREFIXES = (
     "_opportunity",
     "_rto",
     "_pacing",
-    "_maybe_send",
     "_observe",
     "_fast",
-    "_start_transmission",
+    "start_transmission",
+    "finish_transmission",
+    "ack_and_send",
+    "hand_off",
+    "_far_end",
     "_should_drop",
     "_push",
 )

@@ -12,16 +12,18 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py bench-remy-droptail  # one cell
     PYTHONPATH=src python tools/profile_hotpath.py --sort cumtime --limit 30 ...
     PYTHONPATH=src python tools/profile_hotpath.py --dump /tmp/out  # .pstats per case
-    PYTHONPATH=src python tools/profile_hotpath.py --kernel generic  # the unfused wiring
+    PYTHONPATH=src python tools/profile_hotpath.py --kernel generic  # heap only
     PYTHONPATH=src python tools/profile_hotpath.py --compare-kernels  # dumbbell, path, trace
 
-``--kernel {auto,generic}`` picks the wiring under the profiler: ``auto``
-(the default) is fused, ``generic`` is the unfused reference.
-``--compare-kernels`` skips the profiler entirely and times each case
-(default: one dumbbell, one path and one trace-driven case) fused and
-generic with interleaved paired repetitions (alternating rep by rep,
-reporting the median of paired ratios, which cancels machine-load drift),
-printing the fused-vs-generic speedup.
+``--kernel {auto,generic}`` picks the spelling under the profiler.  Both run
+the same closures; ``auto`` (the default) posts a uniform-RTT dumbbell's
+hand-offs on the scheduler's two constant-delay lanes, ``generic`` leaves
+them empty.  ``--compare-kernels`` skips the profiler entirely and times
+each case (default: one dumbbell, one path and one trace-driven case) on the
+heap and with lanes, in interleaved paired repetitions (alternating rep by
+rep, reporting the median of paired ratios, which cancels machine-load
+drift), printing the lanes-vs-heap speedup.  Only the dumbbell has lanes to
+ride, so the path and trace ratios measure noise around x1.00.
 
 Dumped ``.pstats`` files can be explored interactively with
 ``python -m pstats /tmp/out/bench-newreno-droptail.pstats`` or visualized with
@@ -95,28 +97,28 @@ def _timed_run(case: str, kernel: str) -> tuple[float, int]:
 
 
 def compare_kernels(case: str, reps: int) -> None:
-    """Interleaved paired timing: fused vs generic events/sec for ``case``."""
-    # Alternate the wirings rep by rep so slow machine phases hit both
+    """Interleaved paired timing: lanes vs heap events/sec for ``case``."""
+    # Alternate the spellings rep by rep so slow machine phases hit both
     # sides equally, then take the median of the per-pair ratios.
     ratios = []
-    generic_best = float("inf")
-    fused_best = float("inf")
+    heap_best = float("inf")
+    lanes_best = float("inf")
     events = 0
     for _ in range(reps):
-        generic_s, events = _timed_run(case, "generic")
-        fused_s, fused_events = _timed_run(case, "auto")
-        if fused_events != events:
+        heap_s, events = _timed_run(case, "generic")
+        lanes_s, lanes_events = _timed_run(case, "auto")
+        if lanes_events != events:
             raise SystemExit(
-                f"{case}: kernel parity violation — generic ran {events} "
-                f"events, fused ran {fused_events}"
+                f"{case}: kernel parity violation — the heap ran {events} "
+                f"events, the lanes {lanes_events}"
             )
-        ratios.append(generic_s / fused_s)
-        generic_best = min(generic_best, generic_s)
-        fused_best = min(fused_best, fused_s)
+        ratios.append(heap_s / lanes_s)
+        heap_best = min(heap_best, heap_s)
+        lanes_best = min(lanes_best, lanes_s)
     print(
-        f"{case}: {events} events | generic {events / generic_best:10.0f} ev/s"
-        f" | fused {events / fused_best:10.0f} ev/s"
-        f" | fused speedup x{statistics.median(ratios):.2f}"
+        f"{case}: {events} events | heap {events / heap_best:10.0f} ev/s"
+        f" | lanes {events / lanes_best:10.0f} ev/s"
+        f" | lanes speedup x{statistics.median(ratios):.2f}"
         f" (median of {reps} paired reps)"
     )
 
@@ -148,12 +150,13 @@ def main(argv: list[str] | None = None) -> None:
         "--kernel",
         choices=("auto", "generic"),
         default="auto",
-        help="wiring to profile: auto (fused, the default) or generic",
+        help="spelling to profile: auto (lanes where the shape has them, the "
+        "default) or generic (heap only)",
     )
     parser.add_argument(
         "--compare-kernels",
         action="store_true",
-        help="instead of profiling, time each case fused and generic "
+        help="instead of profiling, time each case on the heap and with lanes "
         "(interleaved paired reps) and print the speedup",
     )
     parser.add_argument(
