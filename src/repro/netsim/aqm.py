@@ -90,7 +90,6 @@ class REDQueue(QueueDiscipline):
             self.marks += 1
             return True
         self.drops += 1
-        packet.release()  # drop sink: RED early drop
         return False
 
     def _red_probability(self) -> float:
@@ -103,7 +102,6 @@ class REDQueue(QueueDiscipline):
     def enqueue(self, packet: Packet, now: float) -> bool:
         if len(self._queue) >= self.capacity_packets:
             self.drops += 1
-            packet.release()  # drop sink: tail overflow
             return False
 
         instantaneous = len(self._queue)
@@ -221,7 +219,6 @@ class CoDelQueue(QueueDiscipline):
     def enqueue(self, packet: Packet, now: float) -> bool:
         if len(self._queue) >= self.capacity_packets:
             self.drops += 1
-            packet.release()  # drop sink: tail overflow
             return False
         packet.enqueue_time = now
         self._queue.append(packet)
@@ -264,11 +261,7 @@ class CoDelQueue(QueueDiscipline):
                     if not self._queue:
                         self._dropping = False
                         self.dequeues += 1
-                        if not drop_now:
-                            return packet
-                        packet.release()  # drop sink: CoDel head drop
-                        return None
-                    packet.release()  # drop sink: CoDel head drop
+                        return None if drop_now else packet
                     packet = self._pop()
                     drop_now = self._should_drop(packet, now)
                     if not drop_now:
@@ -282,7 +275,6 @@ class CoDelQueue(QueueDiscipline):
                 self.marks += 1
             else:
                 self.drops += 1
-                packet.release()  # drop sink: CoDel head drop
                 if not self._queue:
                     self._dropping = False
                     return None

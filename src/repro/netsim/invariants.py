@@ -7,13 +7,17 @@ modes on a compiled simulator.  It verifies, on a sampling schedule and at
 completion:
 
 * **conservation** — every data packet sent is accounted for:
-  ``packets_sent == drops + acks_consumed + in_flight``.  Drops are the sum
+  ``packets_sent == drops + acks_consumed + held``.  Drops are the sum
   of every queue's congestive drops plus every stochastic loss gate, in
   both directions; ``acks_consumed`` counts acknowledgments digested by the
   senders (each delivered data packet becomes exactly one ACK, so a
-  consumed ACK retires one sent packet); ``in_flight`` is the debug packet
-  pool's live count.  A drop path that forgets ``release()`` — the PR 3/4
-  leak class — breaks the identity at the next sample;
+  consumed ACK retires one sent packet); ``held`` is a census of where
+  packets sit — every hop's queue length plus the ``Packet`` arguments of
+  the live heap entries and of the lane entries (a packet being serialized
+  or propagated is the argument of the event that delivers it).  The census
+  counts where packets are, not what any component says it did, so a drop
+  nobody counts or a packet queued twice breaks the identity at the next
+  sample;
 * **monotonic scheduler time** — the clock never moves backwards between
   samples;
 * **queue accounting** — every hop's byte count is non-negative (including
@@ -62,7 +66,12 @@ class InvariantViolation(SimulationError):
 
 
 class InvariantChecker:
-    """Conservation/monotonicity/accounting checks for one simulation."""
+    """Conservation/monotonicity/accounting checks for one simulation.
+
+    Conservation balances the senders' ``packets_sent`` against counted
+    drops, consumed acknowledgments and a :meth:`census` of the packets
+    held in queues and scheduled events — an exact identity at every sample.
+    """
 
     def __init__(self, simulation: "Simulation", samples: int = DEFAULT_SAMPLES) -> None:
         if samples <= 0:
@@ -70,8 +79,10 @@ class InvariantChecker:
         self.simulation = simulation
         self.samples = samples
         #: Acknowledgments digested by the senders (including stale ACKs a
-        #: switched-off flow releases unprocessed — they left the system).
+        #: switched-off flow drops unprocessed — they left the system).
         self.acks_consumed = 0
+        #: Packets the last check's :meth:`census` found held.
+        self.held = 0
         self.checks_run = 0
         self._last_now = float("-inf")
         self._next_sample = 1
@@ -138,6 +149,23 @@ class InvariantChecker:
     def _packets_sent(self) -> int:
         return sum(s.stats.packets_sent for s in self.simulation.senders)
 
+    def census(self) -> tuple[int, int]:
+        """Packets held right now: ``(queued, scheduled)`` — in hop queues,
+        and as the argument of a live heap entry or a lane entry (a lane
+        entry's argument is bare, a heap entry's is an args tuple)."""
+        scheduler = self.simulation.scheduler
+        queued = sum(len(queue) for _, queue in self._hops())
+        scheduled = sum(
+            isinstance(arg, Packet)
+            for entry in scheduler._heap
+            if entry[2] is not None
+            for arg in entry[3]
+        )
+        scheduled += sum(
+            isinstance(entry[3], Packet) for lane in scheduler._lanes for entry in lane
+        )
+        return queued, scheduled
+
     def check_now(self) -> None:
         """Run every invariant against the current state; raise on failure."""
         self.checks_run += 1
@@ -173,26 +201,16 @@ class InvariantChecker:
         self._check_conservation()
 
     def _check_conservation(self) -> None:
-        pool = self.simulation.packet_pool
         sent = self._packets_sent()
-        retired = self._drops_total() + self.acks_consumed
-        if pool is not None and pool.in_use is not None:
-            if sent - retired != pool.in_use:
-                self._fail(
-                    "packet conservation violated: "
-                    f"sent={sent} != drops+losses={self._drops_total()} "
-                    f"+ acks_consumed={self.acks_consumed} "
-                    f"+ in_flight={pool.in_use} "
-                    "(a drop or delivery sink is leaking, or releasing "
-                    "twice)"
-                )
-        elif sent < retired:
-            # Without the debug pool the in-flight population is unknown,
-            # but it can never be negative.
+        queued, scheduled = self.census()
+        self.held = queued + scheduled
+        if sent != self._drops_total() + self.acks_consumed + self.held:
             self._fail(
-                f"packet conservation violated: sent={sent} < "
-                f"drops+losses={self._drops_total()} + "
-                f"acks_consumed={self.acks_consumed}"
+                "packet conservation violated: "
+                f"sent={sent} != drops+losses={self._drops_total()} "
+                f"+ acks_consumed={self.acks_consumed} "
+                f"+ held={self.held} (queued={queued}, scheduled={scheduled}) "
+                "(a drop went uncounted, or a packet is held twice)"
             )
 
     def final_check(self) -> None:
@@ -216,12 +234,8 @@ class InvariantChecker:
             f"queue_drops={sim.network.queue_drops} "
             f"link_losses={sim.network.link_losses}",
         ]
-        pool = sim.packet_pool
-        if pool is not None:
-            lines.append(
-                f"pool: allocated={pool.allocated} recycled={pool.recycled} "
-                f"released={pool.released} in_use={pool.in_use}"
-            )
+        queued, scheduled = self.census()
+        lines.append(f"census: queued={queued} scheduled={scheduled}")
         for hop_name, queue in self._hops():
             lines.append(
                 f"hop {hop_name!r}: {type(queue).__name__} "

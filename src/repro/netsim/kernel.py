@@ -53,8 +53,6 @@ Route = tuple[float, Lane, Callable[[Packet], None]]
 def unwired(packet: Optional[Packet] = None) -> None:
     """The sink of whatever is not (or no longer) wired: drops the packet,
     if there is one."""
-    if packet is not None:
-        packet.release()
 
 
 #: The hand-off for a flow that does not cross a hop (should not happen).

@@ -15,6 +15,7 @@ from typing import Any, Callable, Optional, Sequence, Union, cast
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.kernel import NO_ROUTE, Lane, Route, across, hand_off, plain_fifo, unwired
+from repro.netsim.network import validate_delivery_trace, validate_mss
 from repro.netsim.packet import Packet
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
 from repro.netsim.stats import FlowStats, HopDelayStats
@@ -299,7 +300,6 @@ class ConstantRateLink(LinkBase):
             def receive(packet: Packet) -> None:
                 if len(fifo) >= droptail.capacity_packets:
                     droptail.drops += 1
-                    packet.release()  # drop sink: tail overflow
                     return
                 packet.enqueue_time = scheduler.now
                 fifo.append(packet)
@@ -387,14 +387,9 @@ class TraceDrivenLink(LinkBase):
         mss_bytes: int = 1500,
     ) -> None:
         super().__init__(scheduler, queue, propagation_delay, name)
-        if len(delivery_times) == 0:
-            raise ValueError("delivery_times must not be empty")
-        if mss_bytes <= 0:
-            raise ValueError("mss_bytes must be positive")
-        times = list(delivery_times)
-        if any(b < a for a, b in zip(times, times[1:])):
-            raise ValueError("delivery_times must be non-decreasing")
-        self.delivery_times = times
+        validate_delivery_trace(delivery_times)
+        validate_mss(mss_bytes)
+        self.delivery_times = list(delivery_times)
         self.mss_bytes = mss_bytes
         self.cyclic = cyclic
         self._index = 0

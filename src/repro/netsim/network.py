@@ -36,8 +36,9 @@ def validate_delivery_trace(delivery_trace: Sequence[float]) -> None:
     """Fail fast on malformed delivery traces (every spec kind's hops).
 
     An empty trace used to slip through construction and crash later with an
-    ``IndexError`` inside ``effective_rate_bps``; a decreasing one failed
-    only deep inside :class:`~repro.netsim.link.TraceDrivenLink`.
+    ``IndexError`` inside ``effective_rate_bps``.  Specs check at
+    construction; :class:`~repro.netsim.link.TraceDrivenLink` checks again,
+    for links built directly.
     """
     times = list(delivery_trace)
     if not times:
@@ -55,6 +56,12 @@ def validate_delivery_trace(delivery_trace: Sequence[float]) -> None:
             )
 
 
+def validate_mss(mss_bytes: int) -> None:
+    """Fail fast on a non-positive segment size (specs and trace links)."""
+    if mss_bytes <= 0:
+        raise ValueError("mss_bytes must be positive")
+
+
 def validate_flows(
     rtt: Union[float, Sequence[float]], n_flows: int, mss_bytes: int
 ) -> None:
@@ -67,8 +74,7 @@ def validate_flows(
     """
     if n_flows <= 0:
         raise ValueError("n_flows must be positive")
-    if mss_bytes <= 0:
-        raise ValueError("mss_bytes must be positive")
+    validate_mss(mss_bytes)
     if isinstance(rtt, (int, float)):
         rtts = [float(rtt)]
     else:

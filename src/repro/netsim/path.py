@@ -42,11 +42,11 @@ Semantics:
   only where there is something to break down: with one forward hop it *is*
   the flow total and no per-hop ledger is kept.
 
-Packet-pool ownership on a path follows the PR 3 rule unchanged: whoever
-holds the last reference releases.  Every hop's queue is a drop sink
-(``release()`` on overflow/AQM drops, in any direction), the per-hop loss
-gates are drop sinks, and a hop drops a packet of a flow that does not
-cross it (:data:`~repro.netsim.kernel.NO_ROUTE`; should not happen).
+A packet dies where it is dropped, and the drop is counted there: every
+hop's queue (overflow and AQM drops, in either direction) and every per-hop
+loss gate.  A hop hands a packet of a flow that does not cross it to
+:data:`~repro.netsim.kernel.NO_ROUTE` (should not happen; uncounted, so the
+sanitizer's conservation check would flag it).
 """
 
 from __future__ import annotations
@@ -380,7 +380,6 @@ def _lossy_entry(
     through its normal loss detection)."""
     if rng.random() < loss_rate:
         losses[index] += 1
-        packet.release()  # drop sink: stochastic link loss
         return
     link.receive(packet)
 

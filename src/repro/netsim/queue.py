@@ -66,7 +66,6 @@ class DropTailQueue(QueueDiscipline):
     def enqueue(self, packet: Packet, now: float) -> bool:
         if len(self._queue) >= self.capacity_packets:
             self.drops += 1
-            packet.release()  # drop sink: tail overflow
             return False
         packet.enqueue_time = now
         self._queue.append(packet)

@@ -43,10 +43,13 @@ class Receiver:
         """Return acknowledgments to ``send_ack``, ``delay`` seconds ahead (on
         ``lane`` when one is given), and build :attr:`on_packet`.
 
-        Each arriving data packet is its delivery sink: a pooled packet is
-        converted into its acknowledgment in place (``Packet.make_ack``
-        inlined), so nothing may touch the data packet afterwards — the
-        ACK's eventual sink, normally the sender, releases the instance.
+        Each arriving data packet becomes its acknowledgment in place: the
+        data packet is dead once acknowledged, so no second object is built.
+        ``flow_id``, ``seq``, ``first_sent_time``, ``retransmit`` (Karn's
+        rule) and the XCP header (the router feedback) carry over; the send
+        time is echoed, the ECN mark becomes the echo, and the ECN bits and
+        ``enqueue_time`` are reset.  Nothing may touch the data packet
+        afterwards.
         """
         receiver = self
         scheduler = self.scheduler
@@ -81,23 +84,18 @@ class Receiver:
             # In every branch the local ``next_expected`` ends equal to
             # ``receiver.next_expected``, so the ACK fields read the local.
             now = scheduler.now
-            if packet._pool is not None:
-                # Packet.make_ack, pooled branch inlined: the dead data
-                # packet becomes its acknowledgment in place.
-                packet.size_bytes = ACK_PACKET_BYTES
-                packet.is_ack = True
-                packet.ack_seq = next_expected
-                packet.sacked_seq = seq
-                packet.echo_sent_time = packet.sent_time
-                packet.sent_time = now
-                packet.receiver_time = now
-                packet.ecn_echo = packet.ecn_marked
-                packet.ecn_capable = False
-                packet.ecn_marked = False
-                packet.enqueue_time = 0.0
-                ack = packet
-            else:
-                ack = packet.make_ack(ack_seq=next_expected, receiver_time=now)
+            ack = packet
+            ack.size_bytes = ACK_PACKET_BYTES
+            ack.is_ack = True
+            ack.ack_seq = next_expected
+            ack.sacked_seq = seq
+            ack.echo_sent_time = ack.sent_time
+            ack.sent_time = now
+            ack.receiver_time = now
+            ack.ecn_echo = ack.ecn_marked
+            ack.ecn_capable = False
+            ack.ecn_marked = False
+            ack.enqueue_time = 0.0
             if lane is not None:
                 lane.append([now + delay, scheduler._sequence, send_ack, ack])
                 scheduler._sequence += 1

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional, cast
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.kernel import plain_fifo, unwired
-from repro.netsim.packet import AckInfo, Packet, PacketPool
+from repro.netsim.packet import AckInfo, Packet
 from repro.netsim.queue import DropTailQueue
 from repro.netsim.stats import FlowStats
 
@@ -118,7 +118,6 @@ class Sender:
         mss_bytes: int = 1500,
         rng: Optional[random.Random] = None,
         trace_sequence: bool = False,
-        pool: Optional[PacketPool] = None,
     ) -> None:
         self.flow_id = flow_id
         self.scheduler = scheduler
@@ -128,10 +127,6 @@ class Sender:
         self.mss_bytes = mss_bytes
         self.rng = rng if rng is not None else random.Random(flow_id)
         self.trace_sequence = trace_sequence
-        #: Optional per-simulator packet freelist.  When set, data packets
-        #: are drawn from it and acknowledgments are released back once
-        #: processed (the sender is the ACK's delivery sink).
-        self.pool = pool
         # Skip the per-packet on_packet_sent call for modules that keep the
         # base class's no-op (everything except XCP).
         from repro.protocols.base import CongestionControl
@@ -211,9 +206,8 @@ class Sender:
         The flow's stable state (in-flight map, flight frontier, stats block,
         congestion module, sink) lives in closure cells; mutable scalars
         (sequence counters, RTT estimator, recovery flags, timers) stay on
-        the instance, where the cold paths read them.  The packet pool's
-        freelist fast paths are inlined for non-debug pools (a debug pool
-        must observe every packet).
+        the instance, where the cold paths read them.  The acknowledgment
+        dies here: once digested, nothing holds it.
 
         ``link`` is the constant-rate hop ``transmit`` enters when no loss
         gate sits in between.  If its queue is a plain FIFO, the send loop
@@ -231,7 +225,6 @@ class Sender:
         stats = self.stats
         in_flight = self.in_flight
         frontier = self._flight_frontier
-        pool = self.pool
         mss_bytes = self.mss_bytes
         flow_id = self.flow_id
         trace_sequence = self.trace_sequence
@@ -239,6 +232,7 @@ class Sender:
         uses_ecn = cc.uses_ecn  # class-level constant on every protocol
         tuple_new = tuple.__new__
         sent_new = _SentInfo.__new__
+        packet_new = Packet.__new__
         # The inlined enqueue's state, touched only when ``fifo`` is set.
         hop = cast("ConstantRateLink", link)
         droptail = cast(DropTailQueue, None if link is None else link.queue)
@@ -251,13 +245,6 @@ class Sender:
             start = hop._start_transmission
         else:
             capacity_packets, seal_drain, seal_budget, start = 0, 0.0, 0.0, unwired
-        # Debug-ness is fixed at pool construction, so checking once is safe.
-        if pool is not None and pool._live is None:
-            fast_pool: Optional[PacketPool] = pool
-            fast_free: Optional[list[Packet]] = pool._free
-        else:
-            fast_pool = None
-            fast_free = None
 
         def ack_and_send(ack: Optional[Packet] = None) -> None:
             if ack is None:
@@ -270,13 +257,11 @@ class Sender:
                 if not ack.is_ack:
                     raise ValueError("sender got a data packet")
                 if sender.state != "on":
-                    ack.release()  # stale ACK from an abandoned flow
-                    return
+                    return  # stale ACK from an abandoned flow
                 # An ACK still in flight from a *previous* on-period echoes a
                 # send time before this one began; processed, three of them
                 # would fire a spurious fast retransmit on a lossless flow.
                 if ack.echo_sent_time < sender.on_start_time:
-                    ack.release()  # stale ACK from a previous on-period
                     return
                 now = scheduler.now
 
@@ -370,16 +355,6 @@ class Sender:
                 if trace_sequence:
                     stats.sequence_trace.append((now, ack_seq))
 
-                # Every field is digested: the ACK instance is dead.
-                ack_pool = ack._pool
-                if ack_pool is not None:
-                    if ack_pool._live is None:
-                        # PacketPool.release, non-debug branch inlined.
-                        ack_pool.released += 1
-                        ack_pool._free.append(ack)
-                    else:
-                        ack_pool.release(ack)
-
                 # Flow complete (None == 0 is False: unlimited demands never are).
                 if sender.segments_remaining == 0 and not in_flight and not rq:
                     sender._switch_off()
@@ -441,36 +416,28 @@ class Sender:
                     if sender.segments_remaining is not None:
                         sender.segments_remaining -= 1
                     retransmit = False
-                if fast_free:
-                    # PacketPool.data, freelist-hit branch inlined (non-debug).
-                    # ``retransmit``/``ecn_capable`` resets are folded into
-                    # the unconditional stores a few lines down.
-                    assert fast_pool is not None
-                    packet = fast_free.pop()
-                    fast_pool.recycled += 1
-                    packet.flow_id = flow_id
-                    packet.seq = seq
-                    packet.size_bytes = mss_bytes
-                    packet.sent_time = now
-                    packet.first_sent_time = now
-                    packet.is_ack = False
-                    packet.ack_seq = -1
-                    packet.sacked_seq = -1
-                    packet.echo_sent_time = 0.0
-                    packet.ecn_marked = False
-                    packet.ecn_echo = False
-                    packet.enqueue_time = 0.0
-                    packet.xcp_cwnd = 0.0
-                    packet.xcp_rtt = 0.0
-                    packet.xcp_demand = 0.0
-                    packet.xcp_feedback = 0.0
-                    packet.receiver_time = 0.0
-                elif pool is not None:
-                    packet = pool.data(flow_id, seq, mss_bytes, now)
-                else:
-                    packet = Packet(flow_id, seq, size_bytes=mss_bytes, sent_time=now)
-                packet.retransmit = retransmit
+                # Packet by slot stores, every slot as ``Packet.__init__``
+                # sets it: no constructor frame per transmission.
+                packet = packet_new(Packet)
+                packet.flow_id = flow_id
+                packet.seq = seq
+                packet.size_bytes = mss_bytes
+                packet.sent_time = now
+                packet.first_sent_time = now
+                packet.is_ack = False
+                packet.ack_seq = -1
+                packet.sacked_seq = -1
+                packet.echo_sent_time = 0.0
                 packet.ecn_capable = uses_ecn
+                packet.ecn_marked = False
+                packet.ecn_echo = False
+                packet.retransmit = retransmit
+                packet.enqueue_time = 0.0
+                packet.xcp_cwnd = 0.0
+                packet.xcp_rtt = 0.0
+                packet.xcp_demand = 0.0
+                packet.xcp_feedback = 0.0
+                packet.receiver_time = 0.0
                 info = in_flight.get(seq)
                 if info is not None and retransmit:
                     packet.first_sent_time = info.first_sent_time
@@ -498,8 +465,7 @@ class Sender:
                 elif fifo is None:
                     transmit(packet)
                 elif len(fifo) >= capacity_packets:
-                    droptail.drops += 1
-                    packet.release()  # drop sink: tail overflow
+                    droptail.drops += 1  # tail overflow: the packet dies here
                 else:
                     packet.enqueue_time = now
                     fifo.append(packet)

@@ -94,7 +94,6 @@ class SfqCoDelQueue(QueueDiscipline):
     def enqueue(self, packet: Packet, now: float) -> bool:
         if self._total_packets >= self.capacity_packets:
             self.drops += 1
-            packet.release()  # drop sink: shared-buffer overflow
             return False
         bucket = self._bucket(packet.flow_id)
         queue = self._queues[bucket]
@@ -102,7 +101,7 @@ class SfqCoDelQueue(QueueDiscipline):
         # ``len(queue)`` and ``bytes_queued()`` are Python frames, six per packet.
         was_empty = not queue._queue
         if not queue.enqueue(packet, now):
-            self.drops += 1  # noqa: PKT001 — sub-queue already released the packet
+            self.drops += 1
             return False
         self._total_packets += 1
         self._total_bytes += packet.size_bytes
@@ -158,7 +157,7 @@ class SfqCoDelQueue(QueueDiscipline):
                     - queue._bytes
                     - (packet.size_bytes if packet is not None else 0)
                 )
-                self.drops += consumed  # noqa: PKT001 — sub-queue CoDel released the dropped packets
+                self.drops += consumed
             if packet is None:
                 # CoDel drained the bucket during service: retire it.
                 active.popleft()

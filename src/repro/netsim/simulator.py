@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
 from repro.netsim.events import EventCapExceeded, EventScheduler, SimulationError
 from repro.netsim.invariants import InvariantChecker
 from repro.netsim.network import NetworkSpec
-from repro.netsim.packet import PacketPool
 from repro.netsim.path import PathNetwork, PathSpec
 from repro.netsim.receiver import Receiver
 from repro.netsim.sender import Sender, Workload
@@ -143,11 +142,12 @@ class Simulation:
     set of flows.
 
     One lifecycle: build, :meth:`run` once, read.  A finished simulation
-    holds data, not wiring — ``run`` ends by emptying the scheduler, cutting
-    every callback between endpoints, hops and their closures and dropping
-    the packet freelist, so dropping the object frees it by reference count
-    alone.  Flow statistics, ``cc`` state, queue/link/pool counters,
-    ``sealed_at`` and the scheduler's clock and event count stay readable.
+    holds data, not wiring — ``run`` ends by emptying the scheduler and
+    cutting every callback between endpoints, hops and their closures, so
+    dropping the object frees it by reference count alone (packets are
+    plain objects, freed the same way the moment they die).  Flow
+    statistics, ``cc`` state, queue/link counters, ``sealed_at`` and the
+    scheduler's clock and event count stay readable.
 
     Parameters
     ----------
@@ -166,11 +166,14 @@ class Simulation:
     trace_flows:
         Flow ids whose (time, cumulative-ack) trajectory should be recorded
         (used by the Figure 6 convergence experiment).
+    max_events:
+        Stop after this many events (``None``: no cap; else an int ≥ 0) and
+        flag the result ``truncated``.
     debug_invariants:
         Arm the runtime sanitizer (:mod:`repro.netsim.invariants`):
-        conservation, monotonic time and queue-accounting checks on a
-        sampling schedule and at completion.  Results stay bit-identical;
-        implies the debug packet pool when pooling is enabled.
+        conservation (by a census of the packets held in queues and
+        scheduled events), monotonic time and queue-accounting checks on a
+        sampling schedule and at completion.  Results stay bit-identical.
     kernel:
         ``"auto"`` (default) posts a uniform-RTT constant-rate dumbbell's
         per-packet hand-offs on the scheduler's two constant-delay lanes;
@@ -188,8 +191,6 @@ class Simulation:
         seed: int = 0,
         trace_flows: Sequence[int] = (),
         max_events: Optional[int] = None,
-        use_packet_pool: bool = True,
-        debug_packet_pool: bool = False,
         debug_invariants: bool = False,
         kernel: str = "auto",
     ) -> None:
@@ -203,6 +204,10 @@ class Simulation:
             )
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError(f"duration must be positive and finite, got {duration!r}")
+        # The cap stops only at ``executed == max_events``: a negative or
+        # fractional value would never match and silently lift it.
+        if max_events is not None and not (isinstance(max_events, int) and max_events >= 0):
+            raise ValueError(f"max_events must be None or an int >= 0, got {max_events!r}")
         if kernel not in ("auto", "generic"):
             raise ValueError(f"unknown kernel {kernel!r}: expected 'auto' or 'generic'")
         self.spec = spec
@@ -216,19 +221,6 @@ class Simulation:
         self.scheduler = EventScheduler()
         # Converted once: seal, wiring and fusion all read this.
         path_spec = spec.to_path_spec()
-        #: Per-simulation packet freelist (see :class:`PacketPool`).  Pooling
-        #: is a pure allocation optimisation — results are bit-identical with
-        #: it off (``use_packet_pool=False``), which the packet-pool tests
-        #: exploit; ``debug_packet_pool=True`` arms double-free and leak
-        #: detection at some bookkeeping cost.
-        #: ``debug_invariants`` additionally arms the pool's leak detector:
-        #: the sanitizer's conservation identity needs an exact in-flight
-        #: count, which only the debug pool tracks.
-        self.packet_pool: Optional[PacketPool] = (
-            PacketPool(debug=debug_packet_pool or debug_invariants)
-            if use_packet_pool
-            else None
-        )
         self.master_rng = random.Random(seed)
         #: The network consumes exactly one master rng draw, whatever its
         #: shape, so the per-flow random streams do not depend on it.
@@ -266,7 +258,6 @@ class Simulation:
                 mss_bytes=self.spec.mss_bytes,
                 rng=flow_rng,
                 trace_sequence=flow_id in self.trace_flows,
-                pool=self.packet_pool,
             )
             receiver = Receiver(flow_id, self.scheduler, stats=stats)
             if self.invariant_checker is not None:
@@ -300,12 +291,10 @@ class Simulation:
             if self.invariant_checker is not None:
                 self.invariant_checker.final_check()
             # Cut the cycles (queued timers <-> endpoints, closures stored on
-            # what they capture, pooled packets <-> pool) so reference counting
-            # frees the graph; a sanitizer keeps its one (checker <-> simulation).
+            # what they capture) so reference counting frees the graph; a
+            # sanitizer keeps its one (checker <-> simulation).
             self.scheduler.clear()
             self.network.release()
-            if self.packet_pool is not None:
-                self.packet_pool.clear()
         return SimulationResult(
             duration=self.duration,
             flow_stats=[sender.stats for sender in self.senders],

@@ -120,7 +120,6 @@ class XCPRouterQueue(QueueDiscipline):
         self._maybe_advance_interval(now)
         if len(self._queue) >= self.capacity_packets:
             self.drops += 1
-            packet.release()  # drop sink: tail overflow
             return False
         # Measure the arriving traffic for the efficiency/fairness controllers.
         self._arrived_packets += 1

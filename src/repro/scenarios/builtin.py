@@ -656,7 +656,7 @@ register_scenario(
         description=(
             "events/sec benchmark: 4 always-on NewReno senders over a "
             "two-hop path with a congestible reverse hop (multi-hop "
-            "dispatch + pooled ACK routing cost)"
+            "dispatch + reverse-path ACK routing cost)"
         ),
         topology="bench",
         network=PathSpec(

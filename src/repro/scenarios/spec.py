@@ -262,8 +262,6 @@ class ScenarioSpec:
         duration: Optional[float] = None,
         seed: Optional[int] = None,
         max_events: Optional[int] = None,
-        use_packet_pool: bool = True,
-        debug_packet_pool: bool = False,
         debug_invariants: bool = False,
         kernel: str = "auto",
     ) -> Simulation:
@@ -275,8 +273,6 @@ class ScenarioSpec:
             duration=self.duration if duration is None else duration,
             seed=self.seed if seed is None else seed,
             max_events=max_events,
-            use_packet_pool=use_packet_pool,
-            debug_packet_pool=debug_packet_pool,
             debug_invariants=debug_invariants,
             kernel=kernel,
         )

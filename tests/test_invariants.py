@@ -8,9 +8,13 @@ Three contracts:
   with the mode on or off (the per-cell version of this lives in the
   scenario-matrix suite; here it is the direct unit check);
 * each seeded violation class is caught with a diagnostic naming the
-  offending hop/flow — the counted-drop-without-release leak (the PR 3/4
-  bug shape), an uncounted drop, negative queue byte accounting (the
-  sfqCoDel drift class) and backwards scheduler time.
+  offending hop/flow — a packet queued twice, an uncounted drop, negative
+  queue byte accounting (the sfqCoDel drift class) and backwards scheduler
+  time.
+
+Conservation is checked against a census of where packets sit (queues,
+heap entries, lane entries), so it holds exactly at every sample and on
+every drop path.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from repro.netsim.queue import DropTailQueue
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.scenarios import get_scenario, simulation_fingerprint
+from repro.traffic.onoff import ByteFlowWorkload, FixedOnPeriodWorkload
 
 #: A drop-heavy dumbbell: tiny buffer, aggressive flows — every run takes
 #: the tail-drop path many times, which is exactly the path the seeded
-#: leak corrupts.
+#: faults corrupt.
 SPEC = NetworkSpec(
     link_rate_bps=2e6, rtt=0.05, n_flows=2, queue="droptail", buffer_packets=8
 )
+DURATION = 3.0
 
 
 def build_sim(**kwargs) -> Simulation:
@@ -39,34 +45,37 @@ def build_sim(**kwargs) -> Simulation:
     return Simulation(
         spec,
         [NewReno() for _ in range(spec.n_flows)],
-        duration=kwargs.pop("duration", 3.0),
+        duration=kwargs.pop("duration", DURATION),
         seed=kwargs.pop("seed", 1),
         **kwargs,
     )
 
 
-class _LeakyQueue(DropTailQueue):
-    """Seeds the PR 3/4 bug: drops counted, ``release()`` forgotten."""
+class _DuplicatingQueue(DropTailQueue):
+    """Enqueues one packet twice, in the run's last 10 ms: sent once, held
+    twice until the final sample (a copy needs a serialization plus a
+    one-way delay to reach the receiver)."""
 
     def __init__(self):
         super().__init__(capacity_packets=SPEC.buffer_packets)
+        self.duplicated = False
 
     def enqueue(self, packet, now):
-        if len(self) >= 4:
-            self.drops += 1  # noqa: PKT001 — the seeded leak under test
+        if not super().enqueue(packet, now):
             return False
-        return super().enqueue(packet, now)
+        if now >= DURATION - 0.01 and not self.duplicated:
+            self.duplicated = super().enqueue(packet, now)
+        return True
 
 
 class _SilentlyDroppingQueue(DropTailQueue):
-    """The dual: the packet is released, the drop never counted."""
+    """Drops the packet and never counts the drop."""
 
     def __init__(self):
         super().__init__(capacity_packets=SPEC.buffer_packets)
 
     def enqueue(self, packet, now):
         if len(self) >= 4:
-            packet.release()
             return False
         return super().enqueue(packet, now)
 
@@ -98,15 +107,33 @@ class TestCleanRuns:
         sanitized = build_sim(debug_invariants=True).run()
         assert sanitized.events_processed == plain.events_processed
 
-    def test_sanitizer_implies_debug_pool(self):
-        sim = build_sim(debug_invariants=True)
-        assert sim.packet_pool is not None
-        assert sim.packet_pool.in_use == 0  # debug pool tracks liveness
-
-    def test_clean_run_without_pool_still_checks(self):
-        sim = build_sim(debug_invariants=True, use_packet_pool=False)
-        sim.run()
+    @pytest.mark.parametrize("queue", ["droptail", "codel", "sfqcodel", "red"])
+    def test_every_drop_path_balances(self, queue):
+        # Tail overflow, RED early drop and CoDel's in-dequeue head drop all
+        # fire; the census balances after every one of them.
+        spec = NetworkSpec(link_rate_bps=6e6, rtt=0.05, n_flows=3, queue=queue, buffer_packets=25)
+        workloads = [
+            ByteFlowWorkload.exponential(mean_flow_bytes=80e3, mean_off_seconds=0.2)
+            for _ in range(3)
+        ]
+        sim = build_sim(spec=spec, workloads=workloads, seed=13, debug_invariants=True)
+        result = sim.run()
+        assert result.queue_drops > 0
         assert sim.invariant_checker.checks_run == sim.invariant_checker.samples + 1
+
+    def test_a_drained_run_holds_nothing(self):
+        # Two seconds on through a tiny buffer, then silence: once the network
+        # drains, every packet sent was dropped or acknowledged (the ACKs of
+        # the last flight reach a switched-off sender, which drops them).
+        spec = NetworkSpec(link_rate_bps=8e6, rtt=0.04, n_flows=3, queue="droptail", buffer_packets=12)
+        workloads = [FixedOnPeriodWorkload(start=0.0, duration=2.0) for _ in range(3)]
+        sim = build_sim(spec=spec, workloads=workloads, duration=4.0, seed=5, debug_invariants=True)
+        result = sim.run()
+        checker = sim.invariant_checker
+        assert result.total_bytes_received() > 0 and result.queue_drops > 0
+        assert checker.held == 0
+        sent = sum(stats.packets_sent for stats in result.flow_stats)
+        assert sent == result.queue_drops + checker.acks_consumed
 
     def test_rejects_nonpositive_sample_count(self):
         with pytest.raises(ValueError, match="samples"):
@@ -117,23 +144,24 @@ class TestSeededViolations:
     # The faulty queues come in through the spec's queue factory, so each
     # case runs the one engine under either kernel spelling.
     @pytest.mark.parametrize("kernel", ["auto", "generic"])
-    def test_counted_drop_without_release_is_caught(self, kernel):
-        # The acceptance-named regression: reintroduce the PR 3/4 leak shape
-        # at runtime (count the drop, never release the packet) and the
-        # conservation identity must break at a sample.
+    def test_duplicated_packet_is_caught(self, kernel):
+        # One packet held in two places: the census counts it twice against
+        # one send, and the identity breaks (lanes under "auto", heap only
+        # under "generic").
         sim = build_sim(
-            spec=replace(SPEC, queue=_LeakyQueue), debug_invariants=True, kernel=kernel
+            spec=replace(SPEC, queue=_DuplicatingQueue), debug_invariants=True, kernel=kernel
         )
         with pytest.raises(InvariantViolation) as excinfo:
             sim.run()
+        assert sim.network.forward_links[0].queue.duplicated
         message = str(excinfo.value)
-        assert "conservation" in message
+        assert "conservation" in message and "held=" in message
         assert "invariant sanitizer dump" in message
         assert "hop" in message and "flow 0" in message
 
     @pytest.mark.parametrize("kernel", ["auto", "generic"])
     def test_uncounted_drop_is_caught(self, kernel):
-        # Dual failure mode: the packet is released but the drop never
+        # Dual failure mode: the packet vanishes but the drop is never
         # counted — conservation breaks in the other direction.
         sim = build_sim(
             spec=replace(SPEC, queue=_SilentlyDroppingQueue),

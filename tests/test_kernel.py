@@ -172,11 +172,7 @@ class TestParity:
         assert generic.total_bytes_received() > 0
         assert _fingerprint(spec, "auto") == simulation_fingerprint(generic)
 
-    @pytest.mark.parametrize(
-        "options",
-        [{"debug_invariants": True}, {"use_packet_pool": False}],
-        ids=["debug-invariants", "no-packet-pool"],
-    )
+    @pytest.mark.parametrize("options", [{"debug_invariants": True}], ids=["debug-invariants"])
     @pytest.mark.parametrize("shape", ["parking-lot-mixed-reverse", "hop-delays-everywhere"])
     def test_fused_path_parity_under_build_options(self, shape, options):
         spec = PARITY_SPECS[shape]

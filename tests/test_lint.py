@@ -6,8 +6,7 @@ Every rule ships with positive/negative fixture files under
 and these tests assert the rule reports *exactly* those (line, rule) pairs
 — no misses, no extras.  The suite also locks in the acceptance criteria:
 the linter runs clean over ``src/`` itself, and reintroducing a seeded
-violation (the PR 4 pool-leak, a module-level ``random.random()``) is
-caught.
+violation (a module-level ``random.random()``) is caught.
 """
 
 import ast
@@ -76,8 +75,8 @@ def lint_file(path: Path) -> list[Violation]:
 class TestFixtures:
     def test_fixture_tree_is_complete(self):
         # One bad + one good fixture per rule, and every rule is exercised.
-        assert len(BAD_FIXTURES) == 5
-        assert len(GOOD_FIXTURES) == 5
+        assert len(BAD_FIXTURES) == 4
+        assert len(GOOD_FIXTURES) == 4
         covered = {rule for path in BAD_FIXTURES for _, rule in expected_markers(path)}
         assert covered == {rule.rule_id for rule in all_rules()}
 
@@ -101,13 +100,6 @@ class TestFixtures:
 
 class TestSeededViolations:
     """The acceptance-named regressions are caught when reintroduced."""
-
-    def test_pr4_pool_leak_class_is_caught(self):
-        # bad_drop_leak.py reintroduces the PR 3/4 bug shape: a drop sink
-        # that counts the drop but never releases the pooled packet.
-        violations = lint_file(FIXTURES / "packets" / "bad_drop_leak.py")
-        assert {v.rule_id for v in violations} == {"PKT001"}
-        assert len(violations) == 3
 
     def test_module_level_random_is_caught(self):
         violations = lint_file(FIXTURES / "determinism" / "bad_module_random.py")
@@ -133,23 +125,18 @@ class TestSeededViolations:
 
 class TestSuppression:
     def test_noqa_silences_only_the_named_rule(self, tmp_path):
-        target = tmp_path / "leak.py"
+        target = tmp_path / "draws.py"
         target.write_text(
-            "class Q:\n"
-            "    def enqueue(self, packet):\n"
-            "        self.drops += 1  # noqa: PKT001 — handed to the wire\n"
-            "        self.link_losses += 1  # noqa: ORD001 (wrong rule)\n"
+            "import random\n"
+            "A = random.random()  # noqa: RND001 — seeded elsewhere\n"
+            "B = random.random()  # noqa: ORD001 (wrong rule)\n"
         )
         violations = lint_paths([target])
-        assert [(v.rule_id, v.line) for v in violations] == [("PKT001", 4)]
+        assert [(v.rule_id, v.line) for v in violations] == [("RND001", 3)]
 
     def test_bare_noqa_silences_every_rule(self, tmp_path):
-        target = tmp_path / "leak.py"
-        target.write_text(
-            "class Q:\n"
-            "    def enqueue(self, packet):\n"
-            "        self.drops += 1  # noqa\n"
-        )
+        target = tmp_path / "draws.py"
+        target.write_text("import random\nA = random.random()  # noqa\n")
         assert lint_paths([target]) == []
 
 
@@ -194,7 +181,7 @@ class TestCommandLine:
     def test_select_restricts_rules(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import random\nSEED = random.random()\n")
-        proc = self.run_cli("--select", "PKT001", str(bad))
+        proc = self.run_cli("--select", "ORD001", str(bad))
         assert proc.returncode == 0
 
 
@@ -626,8 +613,6 @@ class TestOneCollectorPause:
             "seed",
             "trace_flows",
             "max_events",
-            "use_packet_pool",
-            "debug_packet_pool",
             "debug_invariants",
             "kernel",
         ],
@@ -917,3 +902,45 @@ class TestOneScheduler:
         with pytest.raises(ValueError) as err:
             Simulation(spec, [NewReno()], duration=1.0, kernel="flat")
         assert "'auto'" in str(err.value) and "'generic'" in str(err.value)
+
+
+class TestOnePacketLifetime:
+    """A packet is a plain object: the sender builds it, the receiver turns
+    it into its ACK, and reference counting frees it where it dies.  The
+    pool, its release discipline and the lint rule that policed it do not
+    come back."""
+
+    ROOTS = ("src", "tools")
+    GONE = re.compile(r"PacketPool|packet_pool|\._pool\b")
+    #: Whose ``release()`` may be called: the teardown of a finished
+    #: simulation's wiring, never a packet.
+    TEARDOWN = {"self.network", "link", "endpoints.sender", "endpoints.receiver", "super()"}
+
+    @classmethod
+    def _files(cls) -> list[Path]:
+        return [path for root in cls.ROOTS for path in sorted((REPO_ROOT / root).rglob("*.py"))]
+
+    def test_the_pool_is_not_named(self):
+        offenders = [
+            f"{path.relative_to(REPO_ROOT)}:{lineno}"
+            for path in self._files()
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if self.GONE.search(line)
+        ]
+        assert offenders == []
+
+    def test_packet_has_no_release_method(self):
+        from repro.netsim.packet import Packet
+
+        assert not hasattr(Packet, "release")
+
+    def test_only_wiring_is_released(self):
+        released = {
+            ast.unparse(node.func.value)
+            for path in self._files()
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "release"
+        }
+        assert released <= self.TEARDOWN

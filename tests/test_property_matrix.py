@@ -162,12 +162,11 @@ def test_properties_hold(shape, aqm, rtt_mode, mix_name):
     assert checker is not None
     assert checker.checks_run == checker.samples + 1
 
-    # Conservation, asserted explicitly on the final state (the sanitizer
-    # already verified it at every sample).
+    # Conservation, asserted explicitly on the final state's census (the
+    # sanitizer already verified it at every sample).
     sent = sum(stats.packets_sent for stats in result.flow_stats)
     drops = sim.network.queue_drops + sim.network.link_losses
-    assert sim.packet_pool is not None
-    assert sent == drops + checker.acks_consumed + sim.packet_pool.in_use
+    assert sent == drops + checker.acks_consumed + checker.held
 
     # No starvation: every flow is always-on and must have delivered data.
     for stats in result.flow_stats:

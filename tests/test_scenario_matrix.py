@@ -1,4 +1,4 @@
-"""The golden-fingerprint matrix: every registered cell, three contracts.
+"""The golden-fingerprint matrix: every registered cell, four contracts.
 
 For each cell of the scenario registry this suite checks:
 
@@ -6,9 +6,6 @@ For each cell of the scenario registry this suite checks:
   reproduces the committed fingerprint in ``tests/golden/fingerprints.json``
   bit-exactly (regenerate deliberately with
   ``PYTHONPATH=src python tools/fingerprint.py --update``);
-* **packet-pool parity** — the pooled run is bit-identical to the same run
-  with pooling disabled (the freelist is a pure allocation optimisation, on
-  every queue discipline / drop path the matrix reaches);
 * **backend parity** — a :class:`~repro.runner.ProcessPoolBackend` run of the
   cell's :class:`~repro.runner.SimJob` matches the serial run, including for
   cells with mixed protocol sets (which ship as a registry name and are
@@ -194,17 +191,6 @@ def test_cell_matches_golden_fingerprint(cell_name):
         "semantics change is deliberate, regenerate with "
         "tools/fingerprint.py --update"
     )
-
-
-@pytest.mark.parametrize("cell_name", ALL_CELLS)
-def test_cell_pooled_matches_unpooled(cell_name):
-    _gate(cell_name)
-    cell = get_scenario(cell_name)
-    pooled = simulation_fingerprint(
-        cell.run(use_packet_pool=True, debug_packet_pool=True)
-    )
-    unpooled = simulation_fingerprint(cell.run(use_packet_pool=False))
-    assert pooled == unpooled
 
 
 @pytest.mark.parametrize("cell_name", ALL_CELLS)

@@ -96,9 +96,8 @@ def test_a_finished_cell_leaves_the_collector_nothing(cell_name):
     # classes behind, none of them the simulation's.
     cell.run()
     for kernel in ("auto", "generic"):
-        for pooled in (True, False):
-            found = leftovers(lambda: cell.build(kernel=kernel, use_packet_pool=pooled).run())
-            assert found == 0, f"kernel={kernel} use_packet_pool={pooled}"
+        found = leftovers(lambda: cell.build(kernel=kernel).run())
+        assert found == 0, f"kernel={kernel}"
 
 
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
@@ -247,7 +246,7 @@ class TestCollectorSetting:
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
 def test_a_finished_simulation_still_reads(kernel):
-    sim = build(DUMBBELL, kernel, debug_packet_pool=True)
+    sim = build(DUMBBELL, kernel)
     result = sim.run()
     for sender, stats in zip(sim.senders, result.flow_stats):
         assert sender.stats is stats and stats.packets_received > 0
@@ -256,9 +255,6 @@ def test_a_finished_simulation_still_reads(kernel):
         assert sender.transmit is None
     queue = sim.network.forward_links[0].queue
     assert queue.drops == result.queue_drops > 0
-    assert sim.packet_pool.recycled > 0 and sim.packet_pool.free_count == 0
-    sim.packet_pool.check_leaks(expected_in_use=sim.packet_pool.in_use)
-    assert sim.packet_pool.in_use >= len(queue)  # queued, plus in flight at the end
     assert sim.scheduler.events_processed == result.events_processed > 0
     assert sim.scheduler.now == sim.duration
     assert sim.scheduler.pending == 0
@@ -353,3 +349,27 @@ def test_a_nan_start_delay_fails_loudly(kernel):
     with pytest.raises(SimulationError, match="nan"):
         sim.run()
     assert not math.isnan(sim.scheduler.now)
+
+
+# ---------------------------------------------------------------------------
+# Bugfix: a negative or fractional event cap is rejected, not silently lifted
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("max_events", [-1, -5, 1.5], ids=["-1", "-5", "1.5"])
+class TestInvalidEventCap:
+    def test_simulation(self, max_events):
+        with pytest.raises(ValueError, match=f"max_events must be None or an int >= 0, got {max_events!r}"):
+            Simulation(DUMBBELL, [NewReno(), NewReno()], duration=1.0, max_events=max_events)
+
+    def test_scenario_build(self, max_events):
+        with pytest.raises(ValueError, match="max_events"):
+            get_scenario("bench-newreno-droptail").build(max_events=max_events)
+
+    def test_the_evaluators_first_job(self, max_events):
+        settings = EvaluatorSettings(num_specimens=1, sim_duration=1.0, max_events_per_sim=max_events)
+        with pytest.raises(ValueError, match="max_events"):
+            Evaluator(general_purpose_range(), settings=settings).evaluate(WhiskerTree())
+
+
+def test_a_zero_event_cap_truncates_at_once():
+    result = build(DUMBBELL, max_events=0).run()
+    assert result.truncated and result.events_processed == 0

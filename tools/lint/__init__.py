@@ -1,16 +1,11 @@
 """Custom AST lint pass encoding this repository's correctness invariants.
 
-The simulator's whole test strategy rests on two contracts that ordinary
-linters know nothing about:
-
-* **determinism** — a run is a pure function of its seed (the golden
-  fingerprints in ``tests/golden/fingerprints.json`` pin this bit-exactly),
-  so no simulator code may consult ambient entropy or iterate containers
-  whose order is not deterministic;
-* **packet ownership** — pooled :class:`~repro.netsim.packet.Packet`
-  instances must be released exactly once, at a delivery or drop sink
-  (every pool-leak bug shipped so far was a drop branch that counted the
-  drop but forgot the ``release()``).
+The simulator's whole test strategy rests on a contract that ordinary
+linters know nothing about: **determinism** — a run is a pure function of
+its seed (the golden fingerprints in ``tests/golden/fingerprints.json`` pin
+this bit-exactly), so no simulator code may consult ambient entropy or
+iterate containers whose order is not deterministic — and on keeping the
+per-event path cheap.
 
 Each rule in :mod:`tools.lint.rules` mechanises one of those invariants.
 Run the pass with::
@@ -19,8 +14,7 @@ Run the pass with::
 
 Suppression: a trailing ``# noqa: RULE1[, RULE2]`` comment silences the
 named rules on that line (bare ``# noqa`` silences all); every suppression
-should say why, the way ``repro/netsim/sfq.py`` annotates its
-ownership-transferred drop counter.
+should say why.
 """
 
 from __future__ import annotations

@@ -6,9 +6,6 @@ Rule       Invariant
 RND001     No ambient entropy or wall-clock reads: all randomness flows
            through a caller-supplied ``random.Random`` (the §4.3 same-seed
            contract behind the golden fingerprints).
-PKT001     Every drop path that counts a dropped packet must also call
-           ``release()`` (or carry a ``# noqa: PKT001`` explaining who now
-           owns the instance) — the PR 3/4 pool-leak class.
 ORD001     No iteration over ``set``/``frozenset`` contents in
            ``repro/netsim`` hot paths: set order is not part of the
            determinism contract (membership tests are fine; wrap in
@@ -240,73 +237,6 @@ class NondeterministicCallRule(LintRule):
 
 
 # ---------------------------------------------------------------------------
-# PKT001: drop paths must release the packet
-# ---------------------------------------------------------------------------
-
-#: Attribute names that count dropped packets (``self.drops += 1`` style).
-_DROP_COUNTER_ATTRS = frozenset({"drops", "link_losses"})
-#: Attribute names indexed per hop (``self.forward_losses[i] += 1`` style).
-_DROP_COUNTER_MAPS = frozenset({"forward_losses", "reverse_losses"})
-
-
-def _is_drop_counter_increment(node: ast.stmt) -> bool:
-    if not isinstance(node, ast.AugAssign) or not isinstance(node.op, ast.Add):
-        return False
-    target = node.target
-    if isinstance(target, ast.Attribute):
-        return target.attr in _DROP_COUNTER_ATTRS
-    if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Attribute):
-        return target.value.attr in _DROP_COUNTER_MAPS
-    return False
-
-
-def _suite_calls_release(suite: Sequence[ast.stmt]) -> bool:
-    for stmt in suite:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "release"
-            ):
-                return True
-    return False
-
-
-def _iter_suites(tree: ast.AST) -> Iterator[Sequence[ast.stmt]]:
-    """Every statement suite (body / orelse / finalbody list) in the tree."""
-    for node in ast.walk(tree):
-        for attr in ("body", "orelse", "finalbody"):
-            suite = getattr(node, attr, None)
-            if isinstance(suite, list) and suite and isinstance(suite[0], ast.stmt):
-                yield suite
-
-
-class DropWithoutReleaseRule(LintRule):
-    """PKT001: a counted drop whose suite never hands the packet back."""
-
-    rule_id = "PKT001"
-    description = (
-        "every suite that counts a dropped packet (drops/link_losses/"
-        "forward_losses/reverse_losses += 1) must also call .release() or "
-        "carry a noqa naming the new owner"
-    )
-
-    def check(self, module: ModuleInfo) -> Iterator[Violation]:
-        for suite in _iter_suites(module.tree):
-            if _suite_calls_release(suite):
-                continue
-            for stmt in suite:
-                if _is_drop_counter_increment(stmt):
-                    target = ast.unparse(stmt.target)
-                    yield self.violation(
-                        module,
-                        stmt,
-                        f"drop counted ({target} += 1) but no .release() in "
-                        "this branch — the dropped Packet leaks from the pool",
-                    )
-
-
-# ---------------------------------------------------------------------------
 # ORD001: no iteration over unordered containers in netsim
 # ---------------------------------------------------------------------------
 
@@ -359,9 +289,7 @@ _HOT_METHOD_PREFIXES = (
     "receive",
     "deliver",
     "transmit",
-    "data",
     "release",
-    "make_ack",
     "step",
     "run_until",
     "post",
@@ -503,7 +431,6 @@ def all_rules() -> list[LintRule]:
     return [
         FloatSumOverSetRule(),
         UnorderedIterationRule(),
-        DropWithoutReleaseRule(),
         NondeterministicCallRule(),
         MissingSlotsRule(),
     ]
