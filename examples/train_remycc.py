@@ -11,22 +11,19 @@ the paper's 16-specimen, 100-second evaluations (CPU-days in pure
 Python).  ``--workers N`` fans the specimen and
 candidate-neighbourhood simulations out over N worker processes, the way the
 paper's design runs used many cores; ``--workers 1`` (the default) runs them
-in this process.  The designed tree is the same at every width.  Within one
-rule's climb no action is simulated twice: the evaluation count printed at the
+in this process.  The designed tree is the same at every width.  Between two
+splits no rule table is simulated twice: the evaluation count printed at the
 end is what the budget was charged, and says how much of it was remembered.
 
 Long runs should checkpoint: ``--checkpoint design.ckpt.json`` writes the
 full resumable search state (tree, progress counters, settings, seed
 schedule) atomically at every epoch boundary, and ``--resume`` continues
 from it bit-identically after an interruption — the resumed run's final
-tree and score history match an uninterrupted run exactly.  The pool itself
+tree and score history match an uninterrupted run exactly (it starts with
+an empty memo, so it may simulate more and remember less).  The pool itself
 survives a dead worker: a broken pool is rebuilt once, and if it breaks
 again the batch finishes in this process (with a warning); a job that
 raises stops the run with its own error, naming the job.
-
-``--cache DIR`` adds a content-addressed result cache keyed by (rule table,
-scenario, seed): repeat evaluations — including the replayed prefix of a
-resumed run — are served from disk bit-identically.
 
 Usage::
 
@@ -36,8 +33,6 @@ Usage::
         --checkpoint design.ckpt.json          # long run
     python examples/train_remycc.py --workers 8 \
         --checkpoint design.ckpt.json --resume # ... continue after a crash
-    python examples/train_remycc.py --workers 8 \
-        --cache design-cache/                  # pooled + cached
 """
 
 from __future__ import annotations
@@ -52,7 +47,7 @@ from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer
 from repro.core.serialization import save_remycc
 from repro.core.whisker_tree import WhiskerTree
-from repro.runner import ResultCache, backend_from_spec
+from repro.runner import backend_from_spec
 
 
 def main() -> None:
@@ -71,14 +66,6 @@ def main() -> None:
         default=1,
         help="simulation worker processes (1 = serial; 0 = one per available "
         "CPU; the designed tree is the same at every width)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="content-addressed result cache directory: repeat evaluations "
-        "of the same (rule table, scenario, seed) are served from disk, "
-        "bit-identically — a resumed run replays its prefix for free",
     )
     parser.add_argument(
         "--checkpoint",
@@ -112,13 +99,11 @@ def main() -> None:
     else:
         backend = backend_from_spec(f"process:{args.workers}")
 
-    cache = ResultCache(args.cache) if args.cache is not None else None
     evaluator = Evaluator(
         general_purpose_range(),
         Objective.proportional(delta=args.delta),
         evaluator_settings,
         backend=backend,
-        cache=cache,
     )
 
     def progress(message, state):
@@ -182,8 +167,6 @@ def main() -> None:
         f"bottleneck (scores exact), {optimizer.state.truncated_simulations} "
         "truncated by the event cap (scores cover a prefix)"
     )
-    if cache is not None:
-        print(f"result cache: {cache.stats()}")
     path = save_remycc(tree, args.output)
     print(f"saved rule table to {path}")
 

@@ -100,7 +100,7 @@ class Action:
         Every candidate component is rounded to ``ACTION_DECIMALS`` places
         before it is clamped, so away from a clamp ``a in b.neighbors()`` for
         every ``b in a.neighbors()`` as *equal floats* — which is what lets
-        the optimizer's per-climb memo recognise an action it has scored.
+        the optimizer's design memo recognise an action it has scored.
         """
         if magnitudes < 1:
             raise ValueError("magnitudes must be at least 1")

@@ -33,15 +33,7 @@ from repro.core.objective import Objective
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.network import NetworkSpec
 from repro.netsim.simulator import SimulationResult
-from repro.runner import (
-    CachingBackend,
-    ExecutionBackend,
-    ResultCache,
-    SerialBackend,
-    SimJob,
-    SimJobResult,
-    mix_seed,
-)
+from repro.runner import ExecutionBackend, SerialBackend, SimJob, SimJobResult, mix_seed
 from repro.traffic.onoff import ByteFlowWorkload, TimedFlowWorkload
 
 
@@ -112,6 +104,10 @@ class EvaluatorSettings:
     mss_bytes: int = 1500
     max_events_per_sim: Optional[int] = 2_000_000
 
+    def __post_init__(self) -> None:
+        if self.num_specimens < 1:  # or every table scores 0.0, simulating nothing
+            raise ValueError(f"num_specimens must be at least 1, got {self.num_specimens}")
+
     @classmethod
     def paper_scale(cls, seed: int = 0) -> "EvaluatorSettings":
         """The settings the paper actually used (expensive in pure Python)."""
@@ -119,7 +115,10 @@ class EvaluatorSettings:
 
 
 class Evaluator:
-    """Scores whisker trees against a design range and objective."""
+    """Scores whisker trees against a design range and objective.
+
+    It remembers nothing: the design memo is the optimizer's.
+    """
 
     def __init__(
         self,
@@ -127,24 +126,16 @@ class Evaluator:
         objective: Optional[Objective] = None,
         settings: Optional[EvaluatorSettings] = None,
         backend: Optional[ExecutionBackend] = None,
-        cache: Optional[ResultCache] = None,
     ):
         self.config_range = config_range
         self.objective = objective if objective is not None else Objective.proportional(1.0)
         self.settings = settings if settings is not None else EvaluatorSettings()
         self.backend = backend if backend is not None else SerialBackend()
-        self.cache = cache
-        if cache is not None:
-            # Look-aside memoization by (rule table, specimen, seed), carried
-            # across processes: a resumed or repeated run replays whole
-            # epochs as cache hits, bit-identical to recomputation.  (Repeats
-            # *within* one climb never get this far — the optimizer's memo.)
-            self.backend = CachingBackend(self.backend, cache)
         self.specimens = config_range.specimens(
             self.settings.num_specimens, seed=self.settings.seed
         )
-        #: Rule tables actually simulated (or served by ``cache``) — not the
-        #: optimizer's budget count, which also charges remembered candidates.
+        #: Rule tables actually simulated — not the optimizer's budget count,
+        #: which also charges remembered candidates.
         self.evaluations = 0
 
     # -- specimen construction ---------------------------------------------------
@@ -218,7 +209,7 @@ class Evaluator:
 
         Every table given is simulated, equal content or not: the evaluator
         folds nothing.  Not scoring the same candidate twice is the caller's
-        business (``RemyOptimizer._improve_whisker`` keeps a per-climb memo).
+        business (``RemyOptimizer`` keeps a design memo).
         """
         trees = list(trees)
         if not trees:
@@ -246,14 +237,12 @@ class Evaluator:
         """Set ``tree``'s statistics to the fold of its jobs' usage summaries."""
         whiskers = tree.whiskers()
         for job_result in batch:
-            # A result cached by an older version may lack the field.
-            summary = getattr(job_result, "whisker_stats", None)
-            if summary is None or len(summary) != len(whiskers):
-                found = "no usage summary" if summary is None else f"usage for {len(summary)} rules"
+            # An ExecutionBackend returns every training job's usage summary.
+            summary = job_result.whisker_stats or []
+            if len(summary) != len(whiskers):
                 raise ValueError(
-                    f"training job {job_result.job_id} returned {found} for a tree "
-                    f"of {len(whiskers)} rules (a result cached by an older "
-                    "version: clear the cache directory)"
+                    f"training job {job_result.job_id} returned usage for "
+                    f"{len(summary)} rules for a tree of {len(whiskers)} rules"
                 )
         for index, whisker in enumerate(whiskers):
             whisker.set_usage([job_result.whisker_stats[index] for job_result in batch])

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
@@ -67,6 +68,27 @@ class OptimizerSettings:
             raise ValueError("candidate_magnitudes must be at least 1")
         if self.max_epochs <= 0 or self.max_evaluations <= 0:
             raise ValueError("budgets must be positive")
+        if not (math.isfinite(self.improvement_threshold) and self.improvement_threshold >= 0):
+            # Negative accepts worse actions; NaN accepts none.
+            raise ValueError("improvement_threshold must be finite and non-negative")
+
+
+@dataclass(frozen=True)
+class ScoreCard:
+    """What the search reads of one evaluation: its score and its counts.
+
+    The design memo keeps these, not :class:`EvaluationResult`\\ s, whose
+    per-flow lists grow with the specimen set.
+    """
+
+    score: float
+    simulations: int
+    sealed_simulations: int
+    truncated_simulations: int
+
+    @classmethod
+    def of(cls, r: EvaluationResult) -> "ScoreCard":
+        return cls(r.score, r.simulations, r.sealed_simulations, r.truncated_simulations)
 
 
 @dataclass
@@ -85,8 +107,10 @@ class OptimizerState:
     #: Defaulted so checkpoints written before these existed still load.
     sealed_simulations: int = 0
     truncated_simulations: int = 0
-    #: Evaluations, of ``evaluations_used``, whose result the climb memo
+    #: Evaluations, of ``evaluations_used``, whose result the design memo
     #: already held: charged and recorded like any other, not re-simulated.
+    #: A resumed run starts with an empty memo, so this count depends on
+    #: where the run resumed; ``score_history`` does not.
     remembered_evaluations: int = 0
 
 
@@ -109,6 +133,9 @@ class RemyOptimizer:
         self.checkpoint_path = (
             Path(checkpoint_path) if checkpoint_path is not None else None
         )
+        #: The design memo: every rule table scored since the last split,
+        #: keyed by its rules' actions in depth-first order.
+        self._memo: dict[tuple[Action, ...], ScoreCard] = {}
 
     # ------------------------------------------------------------------ helpers
     def _notify(self, message: str) -> None:
@@ -122,7 +149,7 @@ class RemyOptimizer:
             or self.state.global_epoch >= self.settings.max_epochs
         )
 
-    def _record(self, result: EvaluationResult) -> None:
+    def _record(self, result: ScoreCard) -> None:
         """Charge one budget unit and fold ``result`` into the state."""
         state = self.state
         state.evaluations_used += 1
@@ -143,8 +170,8 @@ class RemyOptimizer:
                 result.score,
             )
 
-    def _evaluate(self, training: bool = True) -> EvaluationResult:
-        result = self.evaluator.evaluate(self.tree, training=training)
+    def _evaluate(self, training: bool = True) -> ScoreCard:
+        result = ScoreCard.of(self.evaluator.evaluate(self.tree, training=training))
         self._record(result)
         return result
 
@@ -320,9 +347,7 @@ class RemyOptimizer:
                 f"(action {whisker.action.as_tuple()})"
             )
 
-    def _improve_whisker(
-        self, whisker: Whisker, incumbent: EvaluationResult
-    ) -> EvaluationResult:
+    def _improve_whisker(self, whisker: Whisker, incumbent: ScoreCard) -> ScoreCard:
         """Step 3: hill-climb the rule's action over its candidate neighbourhood.
 
         ``incumbent`` is the evaluation of the tree as it stands; the result
@@ -331,19 +356,25 @@ class RemyOptimizer:
         — the candidates are independent by construction (same specimens,
         same seeds), so a parallel backend runs them concurrently.
 
-        The climb remembers what it has scored (Remy's ``eval_cache_``):
-        successive neighbourhoods overlap, clamping folds neighbours
-        together, and while one rule climbs the rest of the tree is fixed, so
-        an action names its table and a remembered result cannot go stale.
-        Only actions not yet in ``scored`` are simulated; every candidate, in
-        neighbour order, is still charged one evaluation and recorded — so
-        budget, ``score_history`` and the chosen action are exactly those of
-        a climb that re-simulates everything.  The memo dies with the call.
+        The search remembers what it has scored (Remy's ``eval_cache_``) in
+        one design memo keyed by the whole rule table — every rule's action,
+        the candidate's in the climbed slot — and cleared by a split: a
+        later climb, even in a later epoch, may revisit a table.  Only tables
+        not yet in the memo are simulated; every candidate, in neighbour
+        order, is still charged one evaluation and recorded — so budget,
+        ``score_history`` and the chosen action are exactly those of a climb
+        that re-simulates everything.
         """
-        scored = {whisker.action: incumbent}
-        whisker_index = next(
-            i for i, w in enumerate(self.tree.whiskers()) if w is whisker
-        )
+        memo = self._memo
+        whiskers = self.tree.whiskers()
+        slot = next(i for i, w in enumerate(whiskers) if w is whisker)
+        before = tuple(w.action for w in whiskers[:slot])
+        after = tuple(w.action for w in whiskers[slot + 1 :])
+
+        def table(action: Action) -> tuple[Action, ...]:
+            return (*before, action, *after)
+
+        memo[table(whisker.action)] = incumbent
         improved = True
         while improved and not self._budget_exhausted():
             improved = False
@@ -351,16 +382,15 @@ class RemyOptimizer:
             candidates = list(
                 whisker.action.neighbors(self.settings.candidate_magnitudes)
             )[:remaining]
-            fresh = [action for action in dict.fromkeys(candidates) if action not in scored]
+            fresh = [a for a in dict.fromkeys(candidates) if table(a) not in memo]
             if fresh:
-                trees = self._candidate_trees(whisker_index, fresh)
-                scored.update(
-                    zip(fresh, self.evaluator.evaluate_many(trees, training=False))
-                )
+                trees = self._candidate_trees(slot, fresh)
+                results = self.evaluator.evaluate_many(trees, training=False)
+                memo.update((table(a), ScoreCard.of(r)) for a, r in zip(fresh, results))
             self.state.remembered_evaluations += len(candidates) - len(fresh)
             best_action = whisker.action
             for candidate in candidates:
-                result = scored[candidate]
+                result = memo[table(candidate)]
                 self._record(result)
                 if result.score > incumbent.score + self.settings.improvement_threshold:
                     incumbent = result
@@ -376,7 +406,8 @@ class RemyOptimizer:
 
         The split itself is structural (cheap); it is performed even when the
         evaluation budget has just run out so that a budget-bounded run still
-        produces the octree structure its epoch count implies.
+        produces the octree structure its epoch count implies.  No table of
+        the old shape can come back, so the design memo is cleared.
         """
         if len(self.tree) >= self.settings.max_rules:
             return
@@ -385,6 +416,7 @@ class RemyOptimizer:
         if whisker is None:
             return
         self.tree.split_whisker(whisker)
+        self._memo.clear()
         self.state.splits += 1
         self._notify(f"split most-used rule; tree now has {len(self.tree)} rules")
 

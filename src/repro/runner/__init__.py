@@ -8,9 +8,9 @@ pool of worker processes (:class:`ProcessPoolBackend`, the one place a batch
 runs in parallel, with one recovery rule: a broken pool is rebuilt once,
 then the batch finishes in this process).
 Every backend executes a job the same way (:func:`run_sim_job`), so what a
-batch yields never depends on where it ran.  :mod:`repro.runner.cache` adds
-a content-addressed result cache; :mod:`repro.runner.faults` kills pool
-workers on a seeded schedule, so the recovery rule has reproducible tests.
+batch yields never depends on where it ran, and every job given is run.
+:mod:`repro.runner.faults` kills pool workers on a seeded schedule, so the
+recovery rule has reproducible tests.
 """
 
 from repro.runner.backends import (
@@ -21,13 +21,6 @@ from repro.runner.backends import (
     backend_from_spec,
     prepare_jobs,
 )
-from repro.runner.cache import (
-    CachingBackend,
-    ResultCache,
-    batch_cache_keys,
-    job_cache_key,
-    whisker_tree_token,
-)
 from repro.runner.faults import FaultPlan, active_fault_plan, fault_plan_installed
 from repro.runner.jobs import (
     SimJob,
@@ -35,24 +28,21 @@ from repro.runner.jobs import (
     chunk_result_mismatch,
     mix_seed,
     run_sim_job,
+    whisker_tree_token,
 )
 
 __all__ = [
-    "CachingBackend",
     "ExecutionBackend",
     "FaultPlan",
     "ProcessPoolBackend",
-    "ResultCache",
     "SerialBackend",
     "SimJob",
     "SimJobResult",
     "active_fault_plan",
     "available_workers",
     "backend_from_spec",
-    "batch_cache_keys",
     "chunk_result_mismatch",
     "fault_plan_installed",
-    "job_cache_key",
     "mix_seed",
     "prepare_jobs",
     "run_sim_job",

@@ -15,6 +15,8 @@ the ordered jobs.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
@@ -43,6 +45,36 @@ def mix_seed(*components: object) -> int:
     """
     key = ":".join(repr(component) for component in components)
     return random.Random(key).getrandbits(32)
+
+
+def whisker_tree_token(tree: "WhiskerTree") -> str:
+    """Content hash of a rule table: structure and actions only.
+
+    Per-whisker ``epoch`` counters and the tree ``name`` are stripped before
+    hashing — neither affects how the tree maps memories to actions.
+    Statistics (use counts, sample reservoirs) never enter the serialized
+    form at all.
+    """
+    # Imported here rather than at module scope: repro.core's package
+    # __init__ imports the evaluator, which imports this package.
+    from repro.core.serialization import whisker_tree_to_dict
+
+    data = whisker_tree_to_dict(tree)
+    data.pop("name", None)
+    _strip_epochs(data.get("root", {}))
+    canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _strip_epochs(node: dict[str, object]) -> None:
+    whisker = node.get("whisker")
+    if isinstance(whisker, dict):
+        whisker.pop("epoch", None)
+    children = node.get("children")
+    if isinstance(children, list):
+        for child in children:
+            if isinstance(child, dict):
+                _strip_epochs(child)
 
 
 @dataclass(frozen=True)

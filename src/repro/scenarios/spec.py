@@ -30,8 +30,6 @@ Three sub-specs keep the cell declarative where instantiation is non-trivial:
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
@@ -280,33 +278,6 @@ class ScenarioSpec:
     def run(self, **build_kwargs: Any) -> SimulationResult:
         """Build and run the cell; see :meth:`build` for the overrides."""
         return self.build(**build_kwargs).run()
-
-    def cache_token(self) -> str:
-        """Content digest of everything that shapes this cell's simulations.
-
-        Used by the result cache (:mod:`repro.runner.cache`) as the scenario
-        half of a job's cache key.  Only *behavioral* fields participate —
-        network, protocol set, workloads, trace, duration, seed — so two
-        cells that simulate identically share a token regardless of their
-        registry ``name``/``description``/``topology``/``smoke`` labels.
-        The digest hashes the pickled field tuple (workload objects have no
-        stable ``repr``, but they pickle deterministically), which also
-        means the token is only meaningful within one interpreter
-        major.minor version — a legitimate cache-invalidation boundary.
-        """
-        payload = (
-            self.network,
-            self.protocols,
-            self.workload,
-            self.per_flow_workloads,
-            self.trace,
-            self.trace_link,
-            self.duration,
-            self.seed,
-        )
-        return hashlib.sha256(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        ).hexdigest()
 
     # -- derivation ----------------------------------------------------------
     def override(self, **changes: Any) -> "ScenarioSpec":

@@ -29,10 +29,12 @@ def tiny_settings(num_specimens=2, sim_duration=3.0) -> EvaluatorSettings:
 class CountingBackend(SerialBackend):
     jobs_submitted = 0
     batches = 0
+    candidate_batches = 0
 
     def run_batch(self, jobs):
         self.jobs_submitted += len(jobs)
         self.batches += 1
+        self.candidate_batches += not jobs[0].training
         return super().run_batch(jobs)
 
 
@@ -60,7 +62,7 @@ class TestEvaluator:
         assert a.score == pytest.approx(b.score)
 
     def test_training_and_read_only_evaluations_score_equal(self):
-        # The climb memo is seeded with the epoch's training evaluation and
+        # The design memo is seeded with the epoch's training evaluation and
         # serves it where a read-only candidate evaluation would have run.
         evaluator = Evaluator(tiny_range(), settings=tiny_settings())
         tree = WhiskerTree()
@@ -107,6 +109,12 @@ class TestEvaluator:
         assert settings.num_specimens == 16
         assert settings.sim_duration == 100.0
 
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_an_evaluation_needs_a_specimen(self, count):
+        # No specimen would score every table 0.0 from no simulation.
+        with pytest.raises(ValueError, match="num_specimens"):
+            EvaluatorSettings(num_specimens=count)
+
 
 class TestOptimizer:
     def test_settings_validation(self):
@@ -116,6 +124,11 @@ class TestOptimizer:
             OptimizerSettings(candidate_magnitudes=0)
         with pytest.raises(ValueError):
             OptimizerSettings(max_epochs=0)
+        # A negative threshold accepts worse actions; NaN accepts none.
+        for threshold in (-1.0, -1e-9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="improvement_threshold"):
+                OptimizerSettings(improvement_threshold=threshold)
+        assert OptimizerSettings(improvement_threshold=0.0).improvement_threshold == 0.0
 
     def test_optimization_improves_or_maintains_score(self):
         evaluator = Evaluator(tiny_range(), Objective.proportional(1.0), tiny_settings())
@@ -196,39 +209,52 @@ class TestOptimizer:
         assert state.score_history
 
 
-def memo_free_epoch(evaluator, tree, settings):
-    """One design epoch (§4.3 steps 1-3) by a climb with no memory.
+def memo_free_run(evaluator, tree, settings):
+    """The design loop (§4.3 steps 1-5) with no memory at all.
 
-    Written against the paper, not against ``RemyOptimizer``: every neighbour
-    of every incumbent is simulated by its own ``Evaluator.evaluate`` call on
-    the tree itself, duplicates and revisits included.  Same threshold, same
-    budget rule (a neighbourhood is cut to what the budget still allows).
-    Returns the score history and the accepted actions, in order.
+    Written against the paper, not against ``RemyOptimizer``: every epoch
+    starts from a training evaluation, every neighbour of every incumbent is
+    simulated by its own ``Evaluator.evaluate`` call on the tree itself
+    (duplicates, revisits and tables an earlier epoch scored included), and
+    every ``epochs_per_split`` epochs the most-used rule of a fresh training
+    evaluation is split.  Same threshold, same budget rule (a neighbourhood
+    is cut to what the budget still allows; the split's evaluation is charged
+    even past it).  Returns the score history and the accepted actions.
     """
     budget = settings.max_evaluations
-    tree.set_epoch(0)
-    best = evaluator.evaluate(tree, training=True).score
-    history, accepted = [best], []
-    while len(history) < budget:
-        whisker = tree.most_used(epoch=0)
-        if whisker is None:
-            break
-        improved = True
-        while improved and len(history) < budget:
-            improved = False
-            centre = winner = whisker.action
-            neighbours = list(centre.neighbors(settings.candidate_magnitudes))
-            for candidate in neighbours[: budget - len(history)]:
-                whisker.action = candidate
-                score = evaluator.evaluate(tree, training=False).score
-                history.append(score)
-                if score > best + settings.improvement_threshold:
-                    best, winner = score, candidate
-            whisker.action = winner
-            if winner != centre:
-                accepted.append(winner)
-                improved = True
-        whisker.epoch = 1
+    history, accepted = [], []
+
+    def evaluate(training):
+        history.append(evaluator.evaluate(tree, training=training).score)
+        return history[-1]
+
+    epoch = 0
+    while len(history) < budget and epoch < settings.max_epochs:
+        tree.set_epoch(epoch)
+        best = evaluate(training=True)
+        while len(history) < budget:
+            whisker = tree.most_used(epoch=epoch)
+            if whisker is None:
+                break
+            improved = True
+            while improved and len(history) < budget:
+                improved = False
+                centre = winner = whisker.action
+                neighbours = list(centre.neighbors(settings.candidate_magnitudes))
+                for candidate in neighbours[: budget - len(history)]:
+                    whisker.action = candidate
+                    score = evaluate(training=False)
+                    if score > best + settings.improvement_threshold:
+                        best, winner = score, candidate
+                whisker.action = winner
+                if winner != centre:
+                    accepted.append(winner)
+                    improved = True
+            whisker.epoch = epoch + 1
+        epoch += 1
+        if epoch % settings.epochs_per_split == 0 and len(tree) < settings.max_rules:
+            evaluate(training=True)
+            tree.split_whisker(tree.most_used())
     return history, accepted
 
 
@@ -251,12 +277,27 @@ def split_tree():
 
 
 class TestClimbMemo:
-    """Within one rule's climb no action is simulated twice — and nothing
+    """Between two splits no rule table is simulated twice — and nothing
     else about the search changes."""
 
     #: name -> (start tree, settings overrides, expected (evaluations_used,
-    #: remembered_evaluations, improvements, candidate batches))
+    #: remembered_evaluations, improvements, candidate batches)).  Jobs
+    #: submitted are (evaluations_used - remembered_evaluations) x 2 specimens.
     CASES = {
+        # Later epochs climb the one rule again over a table nothing has
+        # changed since: 124 jobs, where a memo that dies with each climb
+        # submits 228.
+        "three-epochs": (
+            WhiskerTree,
+            dict(max_epochs=3, max_evaluations=300),
+            (159, 97, 3, 4),
+        ),
+        # A split every second epoch clears the memo: 442 jobs, not 712.
+        "split-clears-the-memo": (
+            WhiskerTree,
+            dict(max_epochs=4, max_evaluations=400, epochs_per_split=2),
+            (401, 180, 3, 10),
+        ),
         # Four whole neighbourhoods; steps of two, one and one axes leave
         # 11 + 17 + 17 of the next neighbourhood already scored (the least
         # a step can leave is 7 of 26).
@@ -283,11 +324,13 @@ class TestClimbMemo:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_memo_free_reference_climb_agrees(self, case):
         make_tree, overrides, expected = self.CASES[case]
-        settings = OptimizerSettings(max_epochs=1, improvement_threshold=0.05, **overrides)
+        settings = OptimizerSettings(
+            **{"max_epochs": 1, "improvement_threshold": 0.05, **overrides}
+        )
 
         reference_backend = CountingBackend()
         reference_tree = make_tree()
-        history, accepted = memo_free_epoch(
+        history, accepted = memo_free_run(
             climb_evaluator(reference_backend), reference_tree, settings
         )
 
@@ -307,7 +350,7 @@ class TestClimbMemo:
             state.evaluations_used,
             state.remembered_evaluations,
             state.improvements,
-            backend.batches - 1,
+            backend.candidate_batches,
         ) == expected
 
         # What is charged is every candidate; what is simulated is the rest.

@@ -352,10 +352,10 @@ class TestOneStatisticsPath:
 
 
 class TestOneCandidateMemo:
-    """One rule's climb remembers what it scored, in one place
-    (``RemyOptimizer._improve_whisker``), unconditionally: the evaluator
-    folds nothing, and no setting, argument, flag or environment variable
-    sizes the memo or turns it off."""
+    """A design run remembers what it scored in one place (the optimizer's
+    design memo, filled by ``RemyOptimizer._improve_whisker``),
+    unconditionally: the evaluator folds nothing, and no setting, argument,
+    flag or environment variable sizes the memo or turns it off."""
 
     CORE = REPO_ROOT / "src" / "repro" / "core"
     FIELDS = {
@@ -388,7 +388,7 @@ class TestOneCandidateMemo:
             "mss_bytes",
             "max_events_per_sim",
         ],
-        "Evaluator": ["self", "config_range", "objective", "settings", "backend", "cache"],
+        "Evaluator": ["self", "config_range", "objective", "settings", "backend"],
     }
     TRAINING_FLAGS = [
         "--delta",
@@ -400,7 +400,6 @@ class TestOneCandidateMemo:
         "--paper-scale",
         "--seed",
         "--workers",
-        "--cache",
         "--checkpoint",
         "--resume",
     ]
@@ -448,6 +447,28 @@ class TestOneCandidateMemo:
             and node.func.attr == "add_argument"
         ]
         assert sorted(flags) == sorted(self.TRAINING_FLAGS)
+
+
+class TestOneDesignMemo:
+    """The design memo is the one way a design run avoids re-simulating a
+    table: the content-addressed result cache, its keys and its backend
+    wrapper do not come back."""
+
+    GONE_NAMES = (
+        "ResultCache",
+        "CachingBackend",
+        "job_cache_key",
+        "batch_cache_keys",
+        "cache_token",
+        "runner.cache",
+    )
+
+    def test_the_cache_is_not_tracked(self):
+        gone = {"src/repro/runner/cache.py", "tests/test_cache.py"}
+        assert [path for path in tracked_files() if path in gone] == []
+
+    def test_nothing_names_the_cache(self):
+        assert tracked_files_naming(self.GONE_NAMES) == []
 
 
 class TestOneParallelBackend:
@@ -502,7 +523,7 @@ class TestOneParallelBackend:
         ]
         assert offenders == []
 
-    def test_the_backends_are_these_four(self):
+    def test_the_backends_are_these_three(self):
         backends = sorted(
             cls.name
             for path in (self.SRC / "runner").glob("*.py")
@@ -513,12 +534,7 @@ class TestOneParallelBackend:
                 for node in cls.body
             )
         )
-        assert backends == [
-            "CachingBackend",
-            "ExecutionBackend",
-            "ProcessPoolBackend",
-            "SerialBackend",
-        ]
+        assert backends == ["ExecutionBackend", "ProcessPoolBackend", "SerialBackend"]
 
 
 class TestOneRecoveryRule:
@@ -676,8 +692,7 @@ class TestOneCollectorPause:
             for path in files
             if re.search(r"environ|getenv", path.read_text())
         }
-        # Only a cache-key helper named "_environment_token".
-        assert reads_environment == {"src/repro/runner/cache.py"}
+        assert reads_environment == set()
 
     def test_the_lifecycle_has_no_knob(self):
         import dataclasses

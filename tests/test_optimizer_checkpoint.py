@@ -197,10 +197,10 @@ class TestResume:
         assert resumed.state.score_history == reference.state.score_history
 
     def test_pool_resume_ends_with_the_whole_state_of_the_serial_run(self, tmp_path):
-        # The climb memo dies with each climb, so nothing of it has to cross
-        # the checkpoint: what it remembered is a counter like the others.
-        # From eight rules at the default action both epochs improve a rule
-        # and both remember candidates (79, then 17 more).
+        # A resumed run starts with an empty design memo.  From eight rules
+        # at the default action both epochs improve a rule and both remember
+        # candidates (79, then 17 more); epoch 1 revisits no table epoch 0
+        # scored, so even the remembered count matches.
         def eight_rules():
             tree = WhiskerTree(name="ckpt")
             make_evaluator().evaluate(tree, training=True)

@@ -36,13 +36,7 @@ from repro.netsim.simulator import Simulation, SimulationResult
 from repro.netsim.stats import FlowStats
 from repro.protocols.constant_rate import ConstantRate
 from repro.protocols.remycc import RemyCCProtocol
-from repro.runner import (
-    CachingBackend,
-    ProcessPoolBackend,
-    ResultCache,
-    SerialBackend,
-    SimJob,
-)
+from repro.runner import ProcessPoolBackend, SerialBackend, SimJob
 from repro.scenarios import get_scenario, scenario_names, smoke_scenarios
 from repro.traces.cellular import verizon_lte_trace
 from repro.traffic.onoff import ByteFlowWorkload, TimedFlowWorkload
@@ -299,9 +293,9 @@ def test_no_registered_cell_seals_at_canonical_size(cell_name):
 
 
 # ---------------------------------------------------------------------------
-# Backends and the result cache carry the sealed result unchanged
+# Backends carry the sealed result unchanged
 # ---------------------------------------------------------------------------
-def test_serial_pool_and_cache_return_the_same_sealed_result(tmp_path):
+def test_serial_and_pool_return_the_same_sealed_result():
     spec = flood_spec("infinite")
     job = SimJob(
         job_id=0,
@@ -315,14 +309,8 @@ def test_serial_pool_and_cache_return_the_same_sealed_result(tmp_path):
     [serial] = SerialBackend().run_batch([job])
     with ProcessPoolBackend(max_workers=2) as pool:
         [pooled] = pool.run_batch([job])
-    cache = ResultCache(tmp_path / "cache")
-    caching = CachingBackend(SerialBackend(), cache)
-    [miss] = caching.run_batch([job])
-    [hit] = caching.run_batch([job])
-    assert (cache.hits, cache.misses) == (1, 1)
     assert serial.result.sealed_at is not None
-    for other in (pooled, miss, hit):
-        assert other.result == serial.result
+    assert pooled.result == serial.result
 
 
 def test_results_pickled_before_the_flags_existed_still_load():
