@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import statistics
 
-from repro.core.pretrained import pretrained_remycc
+from repro.core.serialization import pretrained_remycc
 from repro.experiments.datacenter import run_datacenter
 from repro.netsim.network import NetworkSpec
 from repro.netsim.simulator import Simulation
@@ -63,9 +63,9 @@ def main() -> None:
     print()
     incast_demo(args.scale, args.duration, args.seed)
     print()
-    print("The RemyCC used here was synthesized for the minimum-potential-delay")
-    print(f"objective over the datacenter design range and has "
-          f"{len(pretrained_remycc('datacenter'))} rules.")
+    print("The RemyCC used here (results/remycc/datacenter.json) targets the")
+    print(f"minimum-potential-delay objective over the datacenter design range "
+          f"and has {len(pretrained_remycc('datacenter'))} rules.")
 
 
 if __name__ == "__main__":

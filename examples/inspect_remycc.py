@@ -4,8 +4,9 @@
 The paper notes that "digging through the dozens of rules in a RemyCC and
 figuring out their purpose and function is a challenging job in reverse-
 engineering" (§6).  This example makes that job easier: it prints any rule
-table (pre-built or trained with ``examples/train_remycc.py``) sorted by use
-and shows how the action changes as the congestion signals sweep through
+table — a named one from ``results/remycc/<name>.json``, or any file written
+by ``save_remycc`` (for instance by ``examples/train_remycc.py``) — and shows
+how the action changes as the congestion signals sweep through
 representative values.
 
 Usage::
@@ -19,16 +20,17 @@ from __future__ import annotations
 import argparse
 
 from repro.core.memory import Memory
-from repro.core.pretrained import pretrained_remycc, pretrained_tree_names
-from repro.core.serialization import load_remycc
+from repro.core.serialization import load_remycc, pretrained_remycc, pretrained_tree_names
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
-        "--name", default="delta1", help=f"pretrained table name ({', '.join(pretrained_tree_names())})"
+        "--name",
+        default="delta1",
+        help=f"named table in results/remycc/ ({', '.join(pretrained_tree_names())})",
     )
-    parser.add_argument("--load", help="load a JSON rule table instead of a pretrained one")
+    parser.add_argument("--load", help="load this JSON rule table instead of a named one")
     parser.add_argument("--max-rules", type=int, default=20, help="how many rules to print")
     args = parser.parse_args()
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.summary import SchemeSummary, format_summary_table
-from repro.core.pretrained import pretrained_remycc
+from repro.core.serialization import pretrained_remycc
 from repro.netsim.network import NetworkSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.cubic import Cubic

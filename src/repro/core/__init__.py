@@ -23,10 +23,10 @@ Submodules
     The greedy search of §4.3: improve the most-used whisker, cycle epochs,
     and subdivide the most-used rule every K epochs.
 ``serialization``
-    JSON persistence for whisker trees (so trained RemyCCs can be shipped).
-``pretrained``
-    Small RemyCCs optimized offline with this package, used by the
-    experiment harnesses in place of CPU-weeks of search.
+    JSON persistence for whisker trees, and the named RemyCCs the experiment
+    harnesses run: rule tables built from a hand-written policy (not by the
+    optimizer), stored as files under ``results/remycc/`` and loaded by
+    ``pretrained_remycc(name)``.
 """
 
 from repro.core.memory import Memory, MemoryRange, MAX_MEMORY
@@ -38,7 +38,7 @@ from repro.core.objective import Objective, alpha_fairness_utility
 from repro.core.evaluator import Evaluator, EvaluationResult
 from repro.core.optimizer import RemyOptimizer, OptimizerSettings, OptimizerState
 from repro.core.serialization import whisker_tree_to_dict, whisker_tree_from_dict, save_remycc, load_remycc, save_json_atomic
-from repro.core.pretrained import pretrained_remycc, pretrained_tree_names
+from repro.core.serialization import pretrained_remycc, pretrained_tree_names
 
 __all__ = [
     "Memory",

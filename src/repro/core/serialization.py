@@ -1,9 +1,14 @@
 """Persistence for RemyCC rule tables.
 
-Trained whisker trees are serialized to plain JSON so they can be shipped
-with the package, inspected by hand (each rule is human-readable) and
-reloaded into the runtime.  The format preserves the octree structure so a
-reloaded tree performs lookups identically to the original.
+Whisker trees are serialized to plain JSON so they can be shipped with the
+package, inspected by hand (each rule is human-readable) and reloaded into
+the runtime.  The format preserves the octree structure so a reloaded tree
+performs lookups identically to the original.
+
+The named tables every experiment runs (``delta1``, ``1x``, ``datacenter``,
+...) are such files, one per name under ``results/remycc/``.  Each also
+records where the table came from in a top-level ``origin`` key, which
+loading ignores.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ def _node_from_dict(data: dict[str, Any]) -> _Node:
     node.children = [_node_from_dict(child) for child in data["children"]]
     # Re-derive the fast-descent metadata so reloaded trees keep the
     # three-comparison octant descent (or the grid-edge bisection for
-    # pretrained-style grid nodes; anything else falls back to the scan).
+    # the grid nodes of the named tables; anything else falls back to the scan).
     index_node(node)
     return node
 
@@ -122,3 +127,21 @@ def load_remycc(path: Union[str, Path]) -> WhiskerTree:
     """Load a rule table previously written by :func:`save_remycc`."""
     data = json.loads(Path(path).read_text())
     return whisker_tree_from_dict(data)
+
+
+#: One ``<name>.json`` per named RemyCC, at the repository root.
+REMYCC_DIR = Path(__file__).resolve().parents[3] / "results" / "remycc"
+
+
+def pretrained_tree_names() -> list[str]:
+    """Names accepted by :func:`pretrained_remycc`."""
+    return sorted(path.stem for path in REMYCC_DIR.glob("*.json"))
+
+
+def pretrained_remycc(name: str) -> WhiskerTree:
+    """Load the named rule table from ``results/remycc/`` (a fresh tree per call)."""
+    if name not in pretrained_tree_names():
+        raise ValueError(
+            f"unknown pretrained RemyCC {name!r}; available: {pretrained_tree_names()}"
+        )
+    return load_remycc(REMYCC_DIR / f"{name}.json")

@@ -25,9 +25,9 @@ class _Node:
     ``split_point = (s0, s1, s2)``: lookup then computes the child index with
     three float comparisons instead of scanning children.  Nodes whose
     children form a row-major 2-D grid over (ack_ewma, rtt_ratio) — the shape
-    the synthesized pretrained tables attach under the root — store the bin
-    edges in ``grid_index`` and are descended by bisection.  Anything else is
-    scanned linearly.
+    the named tables under ``results/remycc/`` attach under the root — store
+    the bin edges in ``grid_index`` and are descended by bisection.  Anything
+    else is scanned linearly.
     """
 
     __slots__ = ("domain", "whisker", "children", "split_point", "grid_index")
@@ -76,11 +76,12 @@ def detect_grid_partition(
 ) -> Optional[tuple[tuple[float, ...], tuple[float, ...], int]]:
     """Return bisection metadata if ``node``'s children tile a 2-D grid.
 
-    The synthesized pretrained tables (see :mod:`repro.core.pretrained`)
-    attach a flat row-major grid of cells under the root: children iterate
+    The named tables under ``results/remycc/`` (loaded by
+    :func:`repro.core.serialization.pretrained_remycc`) attach a flat
+    row-major grid of cells under the root: children iterate
     ack_ewma bins in the outer loop and rtt_ratio bins in the inner loop,
     and every cell spans the node's full send_ewma extent.  For such nodes
-    lookup can bisect the two sorted edge lists instead of scanning ~112
+    lookup can bisect the two sorted edge lists instead of scanning 126
     cells with a containment test each.
 
     Returns ``(interior_ack_edges, interior_ratio_edges, n_ratio_bins)`` —

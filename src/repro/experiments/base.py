@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.frontier import efficient_frontier
 from repro.analysis.summary import SchemeSummary, format_summary_table, summarize_runs
-from repro.core.pretrained import pretrained_remycc
+from repro.core.serialization import pretrained_remycc
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.simulator import SimulationResult
 from repro.protocols.base import CongestionControl

@@ -227,7 +227,7 @@ class ScenarioSpec:
         flows, and the last-leaf cache invariant is exercised under sharing).
         """
         # Imported here: protocols imports repro.core, keep this module light.
-        from repro.core.pretrained import pretrained_remycc
+        from repro.core.serialization import pretrained_remycc
         from repro.core.whisker_tree import WhiskerTree
         from repro.protocols import PROTOCOLS
         from repro.protocols.remycc import RemyCCProtocol
@@ -238,7 +238,9 @@ class ScenarioSpec:
             proto = self.protocol_spec_for(flow_id)
             if proto.name == "remy":
                 assert proto.tree is not None  # __post_init__ guarantees it
-                tree = trees.setdefault(proto.tree, pretrained_remycc(proto.tree))
+                tree = trees.get(proto.tree)
+                if tree is None:
+                    tree = trees[proto.tree] = pretrained_remycc(proto.tree)
                 protocols.append(RemyCCProtocol(tree, training=proto.training))
             else:
                 protocols.append(PROTOCOLS[proto.name]())

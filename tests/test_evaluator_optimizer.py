@@ -74,7 +74,7 @@ class TestEvaluator:
 
     def test_obviously_bad_action_scores_worse(self):
         evaluator = Evaluator(tiny_range(), Objective.proportional(1.0), tiny_settings())
-        from repro.core.pretrained import pretrained_remycc
+        from repro.core.serialization import pretrained_remycc
 
         good = pretrained_remycc("delta1")
         # A tree that never opens its window and paces at 1 s cannot use the link.

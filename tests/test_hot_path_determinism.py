@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.memory import MAX_MEMORY, Memory
-from repro.core.pretrained import pretrained_remycc
+from repro.core.serialization import pretrained_remycc
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.network import NetworkSpec
 from repro.netsim.packet import AckInfo

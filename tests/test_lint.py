@@ -68,6 +68,26 @@ def tracked_files_naming(names: tuple[str, ...]) -> list[str]:
     ]
 
 
+#: Deleted names, each mapped to the numbered CHANGES.md entry that deleted
+#: it.  No tracked file outside ``MAY_NAME_DELETED`` may name one again.
+RETIRED = {
+    "repro.core.pretrained": 31,
+    "PolicySettings": 31,
+    "synthesize_remycc": 31,
+    "DEFAULT_ACK_BINS_MS": 31,
+    "DEFAULT_RATIO_BINS_RELATIVE": 31,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RETIRED))
+def test_retired_name_is_not_named(name):
+    assert tracked_files_naming((name,)) == []
+
+
+def test_retired_modules_are_untracked():
+    assert "src/repro/core/pretrained.py" not in tracked_files()
+
+
 def lint_file(path: Path) -> list[Violation]:
     return run_rules([load_module(path)], all_rules())
 

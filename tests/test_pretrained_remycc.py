@@ -1,31 +1,67 @@
-"""Tests for the pretrained rule tables and the RemyCC runtime protocol."""
+"""Tests for the named rule tables and the RemyCC runtime protocol."""
+
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.action import MIN_INTERSEND_MS
 from repro.core.memory import MAX_MEMORY, Memory
-from repro.core.pretrained import (
-    PolicySettings,
+from repro.core.serialization import (
+    REMYCC_DIR,
     pretrained_remycc,
     pretrained_tree_names,
-    synthesize_remycc,
+    whisker_tree_to_dict,
 )
 from repro.netsim.packet import AckInfo
 from repro.protocols.remycc import RemyCCProtocol
+from repro.runner.jobs import whisker_tree_token
+from repro.scenarios import ProtocolSpec, get_scenario
 
 coords = st.floats(min_value=0.0, max_value=MAX_MEMORY, allow_nan=False)
+
+#: ``whisker_tree_token`` of every table under ``results/remycc/``.  The
+#: golden cells cover only ``delta1``, ``1x`` and ``coexist``, so for the
+#: other four this pin is the only guard.  Replacing a table (for instance
+#: by a designed one) updates its pin in the same change.
+TOKENS = {
+    "delta0.1": "1c50cbaf45bfd5f63ddf37769c02108cae087feb424621ee58006fa359dd5724",
+    "delta1": "4ba9cfc04e8a58c9815c3ee4502f89588a6170adb0b65ff73896d6d4db0842cd",
+    "delta10": "4bec09576773b1dee5797f2ef48558a02e2417e0bc54cbc5dbf188601c76c2f2",
+    "1x": "9281c82b448a83db03991bc5dbdf818159951e1db9706188dcad748cdf35a5f5",
+    "10x": "4bbb74ef7dab1b1a424bab587af60eb3cfab3b3c06dbdaa7e52baaa26dc64b84",
+    "datacenter": "8c2e8508a6025fa9c2075a7b6b0ed2e12bb89b1af0d6384d5ef2e40ff3383f5c",
+    "coexist": "01fe9ae448fb00c72ebc113c338856bc2361e98d3e8b08045544a775c115c46b",
+}
 
 
 class TestPretrainedTables:
     def test_all_names_build(self):
-        for name in pretrained_tree_names():
-            tree = pretrained_remycc(name)
-            assert len(tree) > 50  # comparable to the paper's 162-204 rules
+        # One file per pinned table, and nothing else under results/remycc/.
+        assert pretrained_tree_names() == sorted(TOKENS)
+
+    @pytest.mark.parametrize("name", sorted(TOKENS))
+    def test_table_file(self, name):
+        raw = json.loads((REMYCC_DIR / f"{name}.json").read_text())
+        tree = pretrained_remycc(name)
+        assert raw.pop("origin") == "synthesized"
+        assert raw == whisker_tree_to_dict(tree)
+        assert len(tree) == 126
+        assert tree._root.grid_index is not None
+        assert whisker_tree_token(tree) == TOKENS[name]
+
+    def test_every_call_returns_a_fresh_tree(self):
+        first = pretrained_remycc("delta1")
+        assert pretrained_remycc("delta1") is not first
+        first.split_whisker(first.find(Memory(1.0, 1.0, 1.2)))
+        assert len(first) > 126
+        again = pretrained_remycc("delta1")
+        assert len(again) == 126
+        assert whisker_tree_token(again) == TOKENS["delta1"]
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            pretrained_remycc("nope")
+        for name in ("nope", "../STUDY", "delta1.json", ""):
+            with pytest.raises(ValueError, match="available"):
+                pretrained_remycc(name)
 
     def test_lookup_is_total_over_memory_space(self):
         tree = pretrained_remycc("delta1")
@@ -60,19 +96,6 @@ class TestPretrainedTables:
         action = tree.action_for(fast_state)
         # 15 Mbps is 1250 packets/s: the 1x table never paces much faster.
         assert action.intersend_ms >= 1000.0 / (1250 * 1.06)
-
-    def test_policy_settings_validation(self):
-        with pytest.raises(ValueError):
-            PolicySettings(target_ratio=0.9)
-        with pytest.raises(ValueError):
-            PolicySettings(target_ratio=1.2, growth_per_ms=0)
-        with pytest.raises(ValueError):
-            PolicySettings(target_ratio=1.2, backoff_multiple=1.5)
-
-    def test_synthesize_custom_policy(self):
-        tree = synthesize_remycc("custom", PolicySettings(target_ratio=1.4))
-        assert tree.name == "custom"
-        assert tree.action_for(Memory(1, 1, 1.1)).intersend_ms >= MIN_INTERSEND_MS
 
 
 class TestRemyCCProtocol:
@@ -143,3 +166,40 @@ class TestRemyCCProtocol:
         tree = pretrained_remycc("delta10")
         assert RemyCCProtocol(tree).name == tree.name
         assert RemyCCProtocol(tree, label="custom").name == "custom"
+
+
+class TestTableLoadsPerCell:
+    """A cell loads each distinct table once; its flows share that tree."""
+
+    @pytest.fixture
+    def loads(self, monkeypatch):
+        import repro.core.serialization as serialization
+
+        names = []
+        real = serialization.load_remycc
+
+        def counting(path):
+            names.append(path.stem)
+            return real(path)
+
+        monkeypatch.setattr(serialization, "load_remycc", counting)
+        return names
+
+    def test_four_remy_flows_load_one_table(self, loads):
+        protocols = get_scenario("bench-remy-droptail").make_protocols()
+        assert loads == ["delta1"]
+        assert len({id(p.tree) for p in protocols}) == 1
+
+    def test_mixed_cell_loads_each_name_once(self, loads):
+        mixed = get_scenario("bench-remy-droptail").override(
+            protocols=(
+                ProtocolSpec("remy", "coexist"),
+                ProtocolSpec("cubic"),
+                ProtocolSpec("remy", "delta1"),
+                ProtocolSpec("remy", "coexist"),
+            )
+        )
+        protocols = mixed.make_protocols()
+        assert loads == ["coexist", "delta1"]
+        assert protocols[0].tree is protocols[3].tree
+        assert protocols[0].tree is not protocols[2].tree

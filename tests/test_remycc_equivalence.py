@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.action import Action
 from repro.core.memory import MAX_MEMORY, Memory, MemoryTracker
-from repro.core.pretrained import pretrained_remycc
+from repro.core.serialization import pretrained_remycc
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.packet import AckInfo
 from repro.protocols.remycc import RemyCCProtocol

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.action import Action
 from repro.core.memory import MAX_MEMORY, Memory
-from repro.core.pretrained import pretrained_remycc
 from repro.core.serialization import (
     load_remycc,
+    pretrained_remycc,
     save_remycc,
     whisker_tree_from_dict,
     whisker_tree_to_dict,

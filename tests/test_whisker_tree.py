@@ -264,7 +264,7 @@ class TestOctantLookup:
         # The synthesized pretrained tables attach a flat (non-octant) grid of
         # cells under the root; lookups resolve them by bisecting the
         # (ack_ewma, rtt_ratio) bin edges.
-        from repro.core.pretrained import pretrained_remycc
+        from repro.core.serialization import pretrained_remycc
 
         tree = pretrained_remycc("delta1")
         assert tree._root.split_point is None
@@ -316,7 +316,7 @@ class TestGridBisection:
     )
     @settings(max_examples=40, deadline=None)
     def test_bisection_matches_linear_scan(self, points):
-        from repro.core.pretrained import pretrained_remycc
+        from repro.core.serialization import pretrained_remycc
 
         tree = pretrained_remycc("delta10")
         assert tree._root.grid_index is not None
@@ -328,7 +328,7 @@ class TestGridBisection:
         # Bin edges are the boundary-semantics trap (lower inclusive, upper
         # exclusive except at MAX_MEMORY): probe each edge exactly, and a
         # nudge either side.
-        from repro.core.pretrained import pretrained_remycc
+        from repro.core.serialization import pretrained_remycc
 
         tree = pretrained_remycc("delta1")
         ack_edges, ratio_edges, _ = tree._root.grid_index
@@ -348,7 +348,7 @@ class TestGridBisection:
     def test_octant_splits_inside_a_grid_keep_both_descents(self):
         # Splitting a grid cell turns that leaf into an octant node; the grid
         # bisection at the root and the octant descent below must compose.
-        from repro.core.pretrained import pretrained_remycc
+        from repro.core.serialization import pretrained_remycc
 
         tree = pretrained_remycc("delta1")
         point = Memory(1.0, 1.0, 1.2)
@@ -359,7 +359,7 @@ class TestGridBisection:
         assert tree.find(point) is self._reference_scan(tree, point)
 
     def test_serialization_round_trip_preserves_grid_index(self):
-        from repro.core.pretrained import pretrained_remycc
+        from repro.core.serialization import pretrained_remycc
         from repro.core.serialization import whisker_tree_from_dict, whisker_tree_to_dict
 
         tree = pretrained_remycc("delta0.1")

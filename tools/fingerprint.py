@@ -50,7 +50,7 @@ def extras_fingerprint() -> dict:
     from repro.core.evaluator import Evaluator, EvaluatorSettings
     from repro.core.memory import Memory
     from repro.core.objective import Objective
-    from repro.core.pretrained import pretrained_remycc
+    from repro.core.serialization import pretrained_remycc
     from repro.analysis.summary import summarize_runs
     from repro.core.whisker_tree import WhiskerTree
     from repro.experiments.base import SchemeSpec, run_cells
