@@ -7,13 +7,24 @@ and these tests assert the rule reports *exactly* those (line, rule) pairs
 — no misses, no extras.  The suite also locks in the acceptance criteria:
 the linter runs clean over ``src/`` itself, and reintroducing a seeded
 violation (a module-level ``random.random()``) is caught.
+
+The second half holds the repository guards, one table per job: ``RETIRED``
+(every deleted name and path), ``KNOBS`` (every option of the entry points),
+then one small ``TestOne*`` class per settled design for the live structural
+invariants.  A change that deletes a name adds it to ``RETIRED``; one that adds
+or drops an option edits ``KNOBS``.
 """
 
 import ast
+import dataclasses
+import functools
+import importlib
+import inspect
 import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Any
 
 import pytest
 
@@ -24,9 +35,11 @@ from tools.lint import (
     load_module,
     run_rules,
 )
-from tools.lint.rules import all_rules
+from tools.lint.rules import _HOT_METHOD_PREFIXES, all_rules
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src" / "repro"
+NETSIM = SRC / "netsim"
 FIXTURES = REPO_ROOT / "tools" / "lint" / "fixtures"
 
 BAD_FIXTURES = sorted(
@@ -52,40 +65,6 @@ def tracked_files() -> list[str]:
     if proc.returncode != 0:
         pytest.skip("not a git checkout")
     return proc.stdout.splitlines()
-
-
-#: What may name deleted code: the history files, and the guards below.
-MAY_NAME_DELETED = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_lint.py"}
-
-
-def tracked_files_naming(names: tuple[str, ...]) -> list[str]:
-    """Tracked files, outside ``MAY_NAME_DELETED``, whose text has any of ``names``."""
-    return [
-        path
-        for path in tracked_files()
-        if path not in MAY_NAME_DELETED
-        and any(name in (REPO_ROOT / path).read_text(errors="ignore") for name in names)
-    ]
-
-
-#: Deleted names, each mapped to the numbered CHANGES.md entry that deleted
-#: it.  No tracked file outside ``MAY_NAME_DELETED`` may name one again.
-RETIRED = {
-    "repro.core.pretrained": 31,
-    "PolicySettings": 31,
-    "synthesize_remycc": 31,
-    "DEFAULT_ACK_BINS_MS": 31,
-    "DEFAULT_RATIO_BINS_RELATIVE": 31,
-}
-
-
-@pytest.mark.parametrize("name", sorted(RETIRED))
-def test_retired_name_is_not_named(name):
-    assert tracked_files_naming((name,)) == []
-
-
-def test_retired_modules_are_untracked():
-    assert "src/repro/core/pretrained.py" not in tracked_files()
 
 
 def lint_file(path: Path) -> list[Violation]:
@@ -116,6 +95,13 @@ class TestFixtures:
         # seeded-violation corpus.
         walked = iter_python_files([REPO_ROOT / "tools"])
         assert not any("fixtures" in path.parts for path in walked)
+
+
+def test_every_slt001_prefix_starts_a_netsim_def():
+    # A prefix whose functions were deleted matches nothing and only
+    # widens the rule for whatever code takes the name next.
+    defs = {node.name for _, node in nodes_in(ast.FunctionDef, "src/repro/netsim")}
+    assert [p for p in _HOT_METHOD_PREFIXES if not any(d.startswith(p) for d in defs)] == []
 
 
 class TestSeededViolations:
@@ -209,18 +195,13 @@ class TestRepoHygiene:
     """No generated artifacts (bytecode, tool caches) may be tracked.
 
     The seed accidentally committed 51 ``__pycache__/*.pyc`` files; this
-    test (and the matching CI lint-job step) keeps them from coming back.
+    test keeps them from coming back.
     """
 
-    GENERATED = ("__pycache__/", ".pyc", ".pytest_cache/", ".hypothesis/", ".benchmarks/")
+    GENERATED = re.compile(r"__pycache__/|\.pyc$|\.pytest_cache/|\.hypothesis/|\.benchmarks/")
 
     def test_no_tracked_bytecode_or_caches(self):
-        offenders = [
-            line
-            for line in tracked_files()
-            if line.endswith(".pyc")
-            or any(part in line for part in ("__pycache__/", ".pytest_cache/", ".hypothesis/", ".benchmarks/"))
-        ]
+        offenders = [path for path in tracked_files() if self.GENERATED.search(path)]
         assert offenders == [], f"generated files are tracked: {offenders[:10]}"
 
     def test_gitignore_covers_generated_artifacts(self):
@@ -229,740 +210,468 @@ class TestRepoHygiene:
             assert pattern in gitignore
 
 
+# --- RETIRED: what was deleted stays deleted --------------------------------
+#: Deleted names and paths, each mapped to the numbered CHANGES.md entry that
+#: deleted it.  An entry with a ``/`` is a path: no tracked file is it or sits
+#: under it.  Any other entry is a name: no tracked file outside
+#: ``MAY_NAME_DELETED`` names it.
+RETIRED = {
+    **dict.fromkeys(("DumbbellNetwork",), 19),
+    **dict.fromkeys((
+        "benchmarks/check_bench_regression.py", "benchmarks/test_bench_simulator_speed.py",
+        "benchmarks/test_bench_parallel_eval.py", "benchmarks/test_bench_optimizer.py",
+        "BENCH_LABEL", "check_bench_regression", "BENCH_CASE_SCENARIOS"), 20),
+    **dict.fromkeys(("collect_stats", "skip_training", "merge_whisker_stats"), 21),
+    **dict.fromkeys((
+        "src/repro/runner/distributed.py", "src/repro/runner/wire.py", "tests/test_distributed.py",
+        "benchmarks/test_bench_distributed_eval.py", "tools/lint/fixtures/sockets",
+        "QueueBackend", "LeaseQueue", "run_worker", "runner.distributed", "runner.wire",
+        "mark_transport_worker", "network_mode_for", "SOC001"), 22),
+    **dict.fromkeys((
+        "FlatScheduler", "SimulationKernel", "GenericKernel", "FlatKernel", "resolve_kernel",
+        "KERNEL_NAMES", "kernel_name", "post_now", "schedule_after", "peek_time", "post_entry",
+        "_ready", "_pending"), 25),
+    **dict.fromkeys((
+        "src/repro/runner/resilience.py", "tools/lint/fixtures/runner", "RetryPolicy", "Clock",
+        "MonotonicClock", "FakeClock", "JobFailure", "PoisonJobError", "_WorkItem", "BatchEntry",
+        "record_failure", "run_item_serially", "on_failure", "chunk_timeout", "max_pool_rebuilds",
+        "InjectedFault", "CORRUPTED_JOB_ID", "iter_fault_schedule", "hang_seconds", "poison_jobs",
+        "REPRO_FAULT_PLAN", "runner.resilience", "--retries", "SLP001"), 26),
+    **dict.fromkeys(("PacketPool", "packet_pool", "_pool"), 28),
+    **dict.fromkeys((
+        "src/repro/runner/cache.py", "tests/test_cache.py", "ResultCache", "CachingBackend",
+        "job_cache_key", "batch_cache_keys", "cache_token", "runner.cache"), 30),
+    **dict.fromkeys((
+        "src/repro/core/pretrained.py", "repro.core.pretrained", "PolicySettings",
+        "synthesize_remycc", "DEFAULT_ACK_BINS_MS", "DEFAULT_RATIO_BINS_RELATIVE"), 31),
+}
+
+#: What may name deleted code: the history files, and the guards here.
+MAY_NAME_DELETED = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_lint.py"}
+
+#: (name, file) pairs allowed until a benchmark change may edit ``bench/``.
+STALE_IN_BENCH = {("FlatKernel", "bench/README.md"), ("merge_whisker_stats", "bench/README.md")}
+
+#: A name starts where the character before it is not an identifier
+#: character, past any leading underscores: ``self._pending`` names ``_pending``
+#: and ``self._packet_pool`` names ``packet_pool``, but ``test_pending`` names
+#: neither ``_pending`` nor ``pending``.
+NAME_START = r"(?<![A-Za-z0-9_])_*"
+
+
+def retired_offenders(texts: dict[str, str]) -> set[tuple[str, str]]:
+    """``(entry, path)`` for every ``RETIRED`` entry that ``{path: text}`` breaks."""
+    names = [entry for entry in RETIRED if "/" not in entry]
+    any_name = re.compile(NAME_START + "(" + "|".join(map(re.escape, names)) + ")")
+    paths = [entry for entry in RETIRED if "/" in entry]
+    found = {
+        (entry, path) for entry in paths for path in texts if f"{path}/".startswith(f"{entry}/")
+    }
+    for path, text in texts.items():
+        if path not in MAY_NAME_DELETED and any_name.search(text):
+            named = [name for name in names if re.search(NAME_START + re.escape(name), text)]
+            found |= {(name, path) for name in named}
+    return found - STALE_IN_BENCH
+
+
+@functools.cache
+def repository_offenders() -> frozenset[tuple[str, str]]:
+    """``retired_offenders`` of every tracked file, each read once."""
+    texts = {path: (REPO_ROOT / path).read_text(errors="ignore") for path in tracked_files()}
+    return frozenset(retired_offenders(texts))
+
+
+@pytest.mark.parametrize("entry", sorted(RETIRED))
+def test_retired_name_is_not_named(entry):
+    assert sorted(path for name, path in repository_offenders() if name == entry) == []
+
+
+def test_the_retired_matcher_draws_the_name_boundary():
+    texts = {
+        "src/repro/a.py": "self._pending = []\nfrom repro.runner.cache import ResultStore\n",
+        # Leading underscores are skipped; a name inside a longer one is another name.
+        "src/repro/b.py": "self._packet_pool = None\nclass LegacyDumbbellNetwork: ...\n",
+        "src/repro/runner/cache.py": "", "tools/lint/fixtures/sockets/bad_socket.py": "",
+        "tests/test_events.py": "def test_pending_counts_live_entries(unknown_kernel_name): ...\n",
+        "bench/README.md": "`FlatKernel`", "bench/run.py": "FlatKernel()",
+        "CHANGES.md": "FlatScheduler",
+    }
+    assert retired_offenders(texts) == {
+        ("_pending", "src/repro/a.py"), ("runner.cache", "src/repro/a.py"),
+        ("packet_pool", "src/repro/b.py"),
+        ("src/repro/runner/cache.py", "src/repro/runner/cache.py"),
+        ("tools/lint/fixtures/sockets", "tools/lint/fixtures/sockets/bad_socket.py"),
+        ("FlatKernel", "bench/run.py"),
+    }
+
+
+def test_bench_is_the_one_yardstick():
+    # No events/sec trajectory is tracked beside it, and CI measures with it.
+    names = [Path(path).name for path in tracked_files() if path.endswith(".json")]
+    assert [name for name in names if name.startswith("BENCH_")] == []
+    workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    assert "bench/run.py" in workflow and "bench/compare.py" in workflow
+
+
+# --- KNOBS: every option, in one place ---------------------------------------
+#: ``module:qualname`` -> its parameters (a dataclass's fields), and a script
+#: -> its command-line flags.  An option is added or dropped here, and the
+#: guard that settled each group reads its targets with ``assert_knobs``, so
+#: no knob slips in beside the design memo, the collector pause, the pool's
+#: one recovery rule or the one scheduler.
+KNOBS = {
+    "repro.core.optimizer:OptimizerSettings": [
+        "epochs_per_split", "candidate_magnitudes", "max_epochs", "max_evaluations", "max_rules",
+        "improvement_threshold"],
+    "repro.core.optimizer:OptimizerState": [
+        "global_epoch", "evaluations_used", "improvements", "splits", "best_score",
+        "score_history", "sealed_simulations", "truncated_simulations", "remembered_evaluations"],
+    "repro.core.optimizer:RemyOptimizer.__init__": [
+        "self", "evaluator", "tree", "settings", "progress", "checkpoint_path"],
+    "repro.core.evaluator:EvaluatorSettings": [
+        "num_specimens", "sim_duration", "seed", "queue_kind", "buffer_packets", "mss_bytes",
+        "max_events_per_sim"],
+    "repro.core.evaluator:Evaluator.__init__": [
+        "self", "config_range", "objective", "settings", "backend"],
+    "repro.netsim.simulator:Simulation.__init__": [
+        "self", "spec", "protocols", "workloads", "duration", "seed", "trace_flows", "max_events",
+        "debug_invariants", "kernel"],
+    "repro.netsim.simulator:Simulation.run": ["self"],
+    "repro.runner.jobs:run_sim_job": ["job"],
+    "repro.runner.jobs:SimJob": [
+        "job_id", "spec", "duration", "seed", "workloads", "tree", "training", "protocol_factory",
+        "scenario", "max_events", "trace_flows"],
+    "repro.runner:ProcessPoolBackend.__init__": ["self", "max_workers", "chunk_jobs"],
+    "examples/train_remycc.py": [
+        "--delta", "--output", "--specimens", "--sim-duration", "--max-epochs",
+        "--max-evaluations", "--paper-scale", "--seed", "--workers", "--checkpoint", "--resume"],
+}
+
+
+def knobs_of(target: str) -> list[str]:
+    """The parameters of ``module:qualname``, or the flags a script adds.
+
+    A dataclass has its fields (``init=False`` ones too), then any other
+    annotated class attribute (a ``ClassVar``), so neither kind slips past.
+    """
+    if target.endswith(".py"):
+        script = tree_of(REPO_ROOT / target)
+        calls = [node for node in ast.walk(script) if isinstance(node, ast.Call)]
+        adds = [call for call in calls if getattr(call.func, "attr", "") == "add_argument"]
+        return [call.args[0].value for call in adds]
+    module, _, qualname = target.partition(":")
+    found = importlib.import_module(module)
+    for attribute in qualname.split("."):
+        found = getattr(found, attribute)
+    if not dataclasses.is_dataclass(found):
+        return list(inspect.signature(found).parameters)
+    fields = [field.name for field in dataclasses.fields(found)]
+    return fields + [name for name in inspect.get_annotations(found) if name not in fields]
+
+
+def assert_knobs(*prefixes: str) -> None:
+    """Each ``KNOBS`` target starting with one of ``prefixes`` has exactly its options."""
+    targets = [target for target in KNOBS if target.startswith(prefixes)]
+    assert targets, f"no KNOBS target starts with {prefixes}"
+    assert {target: knobs_of(target) for target in targets} == {t: KNOBS[t] for t in targets}
+
+
+# --- Live structural guards ---------------------------------------------------
+@functools.cache
+def tree_of(path: Path) -> ast.Module:
+    return ast.parse(path.read_text())
+
+
+def py_files(*roots: str) -> list[Path]:
+    """Every ``.py`` file under each root (a path relative to the repository)."""
+    return [path for root in roots for path in sorted((REPO_ROOT / root).rglob("*.py"))]
+
+
+def nodes_in(kind: type | tuple[type, ...], *roots: str) -> list[tuple[Path, Any]]:
+    """``(file, node)`` for every ``kind`` node of every ``.py`` file under ``roots``."""
+    walks = [(path, ast.walk(tree_of(path))) for path in py_files(*roots)]
+    return [(path, node) for path, nodes in walks for node in nodes if isinstance(node, kind)]
+
+
+def lines_matching(pattern: str, *roots: str) -> list[tuple[str, str]]:
+    """``(file, stripped line)`` for each line under ``roots`` that ``pattern`` finds."""
+    lines = [(path, line) for path in py_files(*roots) for line in path.read_text().splitlines()]
+    found = [(path, line.strip()) for path, line in lines if re.search(pattern, line)]
+    return [(str(path.relative_to(REPO_ROOT)), line) for path, line in found]
+
+
+def names_in(node: ast.AST) -> set[str]:
+    """Every name, attribute and imported name under ``node``."""
+    nodes = list(ast.walk(node))
+    return (
+        {child.id for child in nodes if isinstance(child, ast.Name)}
+        | {child.attr for child in nodes if isinstance(child, ast.Attribute)}
+        | {child.name.rpartition(".")[2] for child in nodes if isinstance(child, ast.alias)}
+    )
+
+
+def imports_of(tree: ast.AST) -> set[str]:
+    """The top-level packages ``tree`` imports."""
+    nodes = list(ast.walk(tree))
+    modules = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    modules |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module}
+    return {name.split(".")[0] for name in modules}
+
+
+def classes_with(method: str, root: str) -> list[str]:
+    """``file:Class`` for each class under ``root`` whose body defines ``method``."""
+    return [
+        f"{path.relative_to(REPO_ROOT)}:{cls.name}" for path, cls in nodes_in(ast.ClassDef, root)
+        if any(isinstance(node, ast.FunctionDef) and node.name == method for node in cls.body)
+    ]
+
+
+def definitions(node: ast.AST, prefix: str = "") -> list[tuple[str, ast.AST]]:
+    """``(dotted name, node)`` for every function and class under ``node``."""
+    found: list[tuple[str, ast.AST]] = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}" if prefix else child.name
+            found += [(name, child), *definitions(child, name)]
+        else:
+            found += definitions(child, prefix)
+    return found
+
+
 class TestOneHarnessEntryPoint:
-    """``run_cells`` stays the only job builder and ``sweep_seed`` the only
-    harness seed formula: the figure modules may not touch ``SimJob``,
-    ``run_batch`` or ``mix_seed`` themselves."""
-
-    EXPERIMENTS = REPO_ROOT / "src" / "repro" / "experiments"
-    RESERVED = {"SimJob", "run_batch", "mix_seed"}
-
-    @staticmethod
-    def _names(tree: ast.AST) -> set[str]:
-        names: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-        return names
+    """``run_cells`` stays the only job builder and ``sweep_seed`` the only harness seed."""
 
     def test_only_base_names_the_job_and_seed_primitives(self):
-        offenders = {
-            path.name: sorted(self._names(ast.parse(path.read_text())) & self.RESERVED)
-            for path in sorted(self.EXPERIMENTS.glob("*.py"))
-            if path.name != "base.py"
+        reserved = {"SimJob", "run_batch", "mix_seed"}
+        base = SRC / "experiments" / "base.py"
+        used = {
+            str(path.relative_to(REPO_ROOT)): names_in(tree_of(path)) & reserved
+            for path in py_files("src/repro/experiments")
+            if path != base
         }
-        assert {name: used for name, used in offenders.items() if used} == {}
+        assert {module: names for module, names in used.items() if names} == {}
 
     def test_base_has_one_function_that_submits_a_batch(self):
-        tree = ast.parse((self.EXPERIMENTS / "base.py").read_text())
-        submitters = [
-            node.name
-            for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and "run_batch" in self._names(node)
-        ]
-        assert submitters == ["run_cells"]
+        base = tree_of(SRC / "experiments" / "base.py")
+        kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+        functions = [node for node in ast.walk(base) if isinstance(node, kinds)]
+        assert [f.name for f in functions if "run_batch" in names_in(f)] == ["run_cells"]
 
 
 class TestOneTopology:
-    """``PathNetwork`` stays the only class that wires flows through links,
-    and the layers above it never ask which spelling built the network."""
-
-    NETSIM = REPO_ROOT / "src" / "repro" / "netsim"
-    TOPOLOGY_NAMES = {"NetworkSpec", "PathSpec", "TopologySpec", "PathNetwork"}
+    """``PathNetwork`` alone wires flows; the layers above never ask which spelling built it."""
 
     def test_one_class_attaches_flows(self):
-        owners = [
-            f"{path.name}:{cls.name}"
-            for path in sorted(self.NETSIM.glob("*.py"))
-            for cls in ast.walk(ast.parse(path.read_text()))
-            if isinstance(cls, ast.ClassDef)
-            and any(
-                isinstance(node, ast.FunctionDef) and node.name == "attach_flow"
-                for node in cls.body
-            )
-        ]
-        assert owners == ["path.py:PathNetwork"]
-
-    def test_the_second_network_class_is_not_named_anywhere(self):
-        offenders = [
-            str(path.relative_to(REPO_ROOT))
-            for path in sorted((REPO_ROOT / "src").rglob("*.py"))
-            if "Dumbbell" + "Network" in path.read_text()
-        ]
-        assert offenders == []
+        attaching = classes_with("attach_flow", "src/repro/netsim")
+        assert attaching == ["src/repro/netsim/path.py:PathNetwork"]
 
     @pytest.mark.parametrize("module", ["kernel.py", "simulator.py", "invariants.py"])
     def test_no_isinstance_dispatch_on_the_topology(self, module):
-        tree = ast.parse((self.NETSIM / module).read_text())
+        topology = {"NetworkSpec", "PathSpec", "TopologySpec", "PathNetwork"}
         offenders = [
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and TestOneHarnessEntryPoint._names(node.args[1]) & self.TOPOLOGY_NAMES
+            node.lineno for node in ast.walk(tree_of(NETSIM / module))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
+            and names_in(node.args[1]) & topology
         ]
         assert offenders == []
 
 
-class TestOneBenchmark:
-    """``bench/`` (``BENCHMARK.json``) stays the only performance yardstick:
-    the events/sec harness, its regression gate, its tracked trajectories and
-    the second name for the bench cells do not come back."""
+class TestOneScheduler:
+    """``EventScheduler`` alone dispatches events, and the kernel choice adds no knob."""
 
-    GONE_FILES = {
-        "benchmarks/check_bench_regression.py",
-        "benchmarks/test_bench_simulator_speed.py",
-        "benchmarks/test_bench_parallel_eval.py",
-        "benchmarks/test_bench_optimizer.py",
-    }
-    GONE_NAMES = ("BENCH_LABEL", "check_bench_regression", "BENCH_CASE_SCENARIOS")
+    def test_one_class_dispatches(self):
+        dispatching = classes_with("run_until", "src/repro/netsim")
+        assert dispatching == ["src/repro/netsim/events.py:EventScheduler"]
 
-    def test_the_second_harness_is_not_tracked(self):
-        offenders = [
-            path
-            for path in tracked_files()
-            if path in self.GONE_FILES
-            or (Path(path).name.startswith("BENCH_") and path.endswith(".json"))
+    def test_nothing_subclasses_the_scheduler(self):
+        subclasses = [
+            f"{path.relative_to(REPO_ROOT)}:{cls.name}"
+            for path, cls in nodes_in(ast.ClassDef, "src", "tools", "examples", "tests")
+            if "EventScheduler" in {ast.unparse(base).rsplit(".", 1)[-1] for base in cls.bases}
         ]
-        assert offenders == []
+        assert subclasses == []
 
-    def test_nothing_names_the_deleted_switches(self):
-        assert tracked_files_naming(self.GONE_NAMES) == []
+    def test_the_kernel_module_defines_no_class(self):
+        kernel = ast.walk(tree_of(NETSIM / "kernel.py"))
+        assert [node.name for node in kernel if isinstance(node, ast.ClassDef)] == []
 
-    def test_ci_measures_with_the_repo_benchmark(self):
-        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
-        assert "bench/run.py" in workflow and "bench/compare.py" in workflow
+    def test_the_kernel_choice_is_auto_or_generic_and_adds_no_knob(self):
+        # An unknown name's ValueError is tests/test_kernel.py's to pin.
+        from repro.netsim.network import NetworkSpec
+        from repro.netsim.simulator import Simulation
+        from repro.protocols.newreno import NewReno
 
-
-class TestOneStatisticsPath:
-    """Rule-usage statistics take one path — every job returns its summary,
-    the evaluator folds them — and one module knows the sampling policy."""
-
-    SRC = REPO_ROOT / "src"
-    POLICY_WORDS = ("_samples", "_sample_stride", "SAMPLE_RESERVOIR")
-    GONE_NAMES = ("collect_stats", "skip_training", "merge_whisker_stats")
-
-    def _lines_naming(self, pattern: str) -> list[str]:
-        return [
-            f"{path.relative_to(self.SRC)}:{lineno}"
-            for path in sorted(self.SRC.rglob("*.py"))
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-            if re.search(pattern, line)
-        ]
-
-    def test_only_the_whisker_module_knows_the_sampling_policy(self):
-        # Whole words: BBR's ``_bw_samples`` is a different name.
-        pattern = r"(?<![A-Za-z0-9_])(" + "|".join(self.POLICY_WORDS) + r")(?![A-Za-z0-9_])"
-        files = {line.rsplit(":", 1)[0] for line in self._lines_naming(pattern)}
-        assert files == {"repro/core/whisker.py"}
-
-    def test_the_second_path_is_not_named_anywhere(self):
-        assert self._lines_naming("|".join(self.GONE_NAMES)) == []
-
-    def test_one_inert_attribute_survives_for_the_frozen_bench(self):
-        # bench/run.py's RecordingBackend reads it; nothing under src/ does.
-        [line] = self._lines_naming("shares_memory")
-        assert line.startswith("repro/runner/backends.py:")
-
-
-class TestOneCandidateMemo:
-    """A design run remembers what it scored in one place (the optimizer's
-    design memo, filled by ``RemyOptimizer._improve_whisker``),
-    unconditionally: the evaluator folds nothing, and no setting, argument,
-    flag or environment variable sizes the memo or turns it off."""
-
-    CORE = REPO_ROOT / "src" / "repro" / "core"
-    FIELDS = {
-        "OptimizerSettings": [
-            "epochs_per_split",
-            "candidate_magnitudes",
-            "max_epochs",
-            "max_evaluations",
-            "max_rules",
-            "improvement_threshold",
-        ],
-        "OptimizerState": [
-            "global_epoch",
-            "evaluations_used",
-            "improvements",
-            "splits",
-            "best_score",
-            "score_history",
-            "sealed_simulations",
-            "truncated_simulations",
-            "remembered_evaluations",
-        ],
-        "RemyOptimizer": ["self", "evaluator", "tree", "settings", "progress", "checkpoint_path"],
-        "EvaluatorSettings": [
-            "num_specimens",
-            "sim_duration",
-            "seed",
-            "queue_kind",
-            "buffer_packets",
-            "mss_bytes",
-            "max_events_per_sim",
-        ],
-        "Evaluator": ["self", "config_range", "objective", "settings", "backend"],
-    }
-    TRAINING_FLAGS = [
-        "--delta",
-        "--output",
-        "--specimens",
-        "--sim-duration",
-        "--max-epochs",
-        "--max-evaluations",
-        "--paper-scale",
-        "--seed",
-        "--workers",
-        "--checkpoint",
-        "--resume",
-    ]
-
-    def test_the_evaluator_folds_nothing(self):
-        assert "whisker_tree_token" not in (self.CORE / "evaluator.py").read_text()
-
-    @staticmethod
-    def _fields_or_init_parameters(cls: ast.ClassDef) -> list[str]:
-        for node in cls.body:
-            if isinstance(node, ast.FunctionDef) and node.name == "__init__":
-                arguments = node.args
-                assert not (arguments.vararg or arguments.kwarg or arguments.kwonlyargs)
-                return [arg.arg for arg in arguments.posonlyargs + arguments.args]
-        return [
-            node.target.id
-            for node in cls.body
-            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
-        ]
-
-    def test_the_memo_has_no_knob(self):
-        found = {
-            cls.name: self._fields_or_init_parameters(cls)
-            for module in ("optimizer.py", "evaluator.py")
-            for cls in ast.parse((self.CORE / module).read_text()).body
-            if isinstance(cls, ast.ClassDef) and cls.name in self.FIELDS
-        }
-        assert found == self.FIELDS
-
-    def test_the_core_reads_no_environment_variable(self):
-        offenders = [
-            path.name
-            for path in sorted(self.CORE.glob("*.py"))
-            if re.search(r"environ|getenv", path.read_text())
-        ]
-        assert offenders == []
-
-    def test_the_training_example_gained_no_flag(self):
-        example = ast.parse((REPO_ROOT / "examples" / "train_remycc.py").read_text())
-        flags = [
-            node.args[0].value
-            for node in ast.walk(example)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "add_argument"
-        ]
-        assert sorted(flags) == sorted(self.TRAINING_FLAGS)
-
-
-class TestOneDesignMemo:
-    """The design memo is the one way a design run avoids re-simulating a
-    table: the content-addressed result cache, its keys and its backend
-    wrapper do not come back."""
-
-    GONE_NAMES = (
-        "ResultCache",
-        "CachingBackend",
-        "job_cache_key",
-        "batch_cache_keys",
-        "cache_token",
-        "runner.cache",
-    )
-
-    def test_the_cache_is_not_tracked(self):
-        gone = {"src/repro/runner/cache.py", "tests/test_cache.py"}
-        assert [path for path in tracked_files() if path in gone] == []
-
-    def test_nothing_names_the_cache(self):
-        assert tracked_files_naming(self.GONE_NAMES) == []
+        assert_knobs("repro.netsim.simulator:Simulation.__init__")
+        for kernel in ("auto", "generic"):
+            Simulation(NetworkSpec(n_flows=1), [NewReno()], duration=1.0, kernel=kernel)
 
 
 class TestOneParallelBackend:
-    """``ProcessPoolBackend`` stays the one place a batch runs in parallel:
-    the distributed stack (coordinator, lease queue, wire framing, the
-    network-fault vocabulary and its socket lint rule) does not come back."""
-
-    SRC = REPO_ROOT / "src" / "repro"
-    GONE_FILES = {
-        "src/repro/runner/distributed.py",
-        "src/repro/runner/wire.py",
-        "tests/test_distributed.py",
-        "benchmarks/test_bench_distributed_eval.py",
-    }
-    GONE_NAMES = (
-        "QueueBackend",
-        "LeaseQueue",
-        "run_worker",
-        "runner.distributed",
-        "runner.wire",
-        "mark_transport_worker",
-        "network_mode_for",
-        "SOC001",
-    )
-
-    def test_the_stack_is_not_tracked(self):
-        offenders = [
-            path
-            for path in tracked_files()
-            if path in self.GONE_FILES or path.startswith("tools/lint/fixtures/sockets/")
-        ]
-        assert offenders == []
-
-    def test_nothing_names_the_stack(self):
-        assert tracked_files_naming(self.GONE_NAMES) == []
-
-    @staticmethod
-    def _imported_modules(tree: ast.AST) -> set[str]:
-        modules: set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                modules.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                modules.add(node.module)
-        return {name.split(".")[0] for name in modules}
+    """Three in-process ``run_batch`` backends, and no module opens a socket."""
 
     def test_no_module_opens_a_socket(self):
         offenders = [
-            str(path.relative_to(self.SRC))
-            for path in sorted(self.SRC.rglob("*.py"))
-            if {"socket", "selectors"} & self._imported_modules(ast.parse(path.read_text()))
+            str(path.relative_to(REPO_ROOT)) for path in py_files("src")
+            if {"socket", "selectors"} & imports_of(tree_of(path))
         ]
         assert offenders == []
 
     def test_the_backends_are_these_three(self):
-        backends = sorted(
-            cls.name
-            for path in (self.SRC / "runner").glob("*.py")
-            for cls in ast.walk(ast.parse(path.read_text()))
-            if isinstance(cls, ast.ClassDef)
-            and any(
-                isinstance(node, ast.FunctionDef) and node.name == "run_batch"
-                for node in cls.body
-            )
-        )
-        assert backends == ["ExecutionBackend", "ProcessPoolBackend", "SerialBackend"]
+        backends = sorted(classes_with("run_batch", "src/repro/runner"))
+        assert backends == [
+            "src/repro/runner/backends.py:ExecutionBackend",
+            "src/repro/runner/backends.py:ProcessPoolBackend",
+            "src/repro/runner/backends.py:SerialBackend",
+        ]
 
 
 class TestOneRecoveryRule:
-    """``ProcessPoolBackend`` has one recovery rule — a broken pool is rebuilt
-    once, then the batch finishes in this process — so the retry layer
-    (policy, clocks, bisection, poison verdicts, the hang / exception /
-    corrupt fault modes, the no-sleep lint rule) does not come back."""
-
-    RUNNER = REPO_ROOT / "src" / "repro" / "runner"
-    GONE_NAMES = (
-        "RetryPolicy",
-        "Clock",
-        "MonotonicClock",
-        "FakeClock",
-        "JobFailure",
-        "PoisonJobError",
-        "_WorkItem",
-        "BatchEntry",
-        "record_failure",
-        "run_item_serially",
-        "on_failure",
-        "chunk_timeout",
-        "max_pool_rebuilds",
-        "InjectedFault",
-        "CORRUPTED_JOB_ID",
-        "iter_fault_schedule",
-        "hang_seconds",
-        "poison_jobs",
-        "REPRO_FAULT_PLAN",
-        "runner.resilience",
-        "--retries",
-        "SLP001",
-    )
-
-    def test_the_retry_layer_is_not_tracked(self):
-        offenders = [
-            path
-            for path in tracked_files()
-            if path == "src/repro/runner/resilience.py"
-            or path.startswith("tools/lint/fixtures/runner/")
-        ]
-        assert offenders == []
-
-    def test_the_deleted_names_are_gone(self):
-        pattern = re.compile(
-            r"(?<![A-Za-z0-9_])(" + "|".join(map(re.escape, self.GONE_NAMES)) + r")(?![A-Za-z0-9_])"
-        )
-        offenders = [
-            f"{path}:{lineno}"
-            for path in tracked_files()
-            if path.split("/", 1)[0] in ("src", "tools", "examples", ".github")
-            for lineno, line in enumerate(
-                (REPO_ROOT / path).read_text(errors="ignore").splitlines(), start=1
-            )
-            if pattern.search(line)
-        ]
-        assert offenders == []
+    """The pool's one recovery rule takes no option, and nothing in the runner waits."""
 
     def test_the_pool_takes_a_width_and_a_chunk_size_only(self):
-        import inspect
-
-        from repro.runner import ProcessPoolBackend
-
-        parameters = list(inspect.signature(ProcessPoolBackend.__init__).parameters)
-        assert parameters == ["self", "max_workers", "chunk_jobs"]
+        assert_knobs("repro.runner:ProcessPoolBackend.__init__")
 
     def test_nothing_in_the_runner_sleeps(self):
-        offenders = [
-            path.name
-            for path in sorted(self.RUNNER.glob("*.py"))
-            if re.search(r"\bsleep\b", path.read_text())
-        ]
-        assert offenders == []
+        assert lines_matching(r"\bsleep\b", "src/repro/runner") == []
+
+
+class TestOneStatisticsPath:
+    """Statistics take one path: the whisker module's."""
+
+    def test_only_the_whisker_module_knows_the_sampling_policy(self):
+        # Whole words: BBR's ``_bw_samples`` is a different name.
+        policy = r"(?<![A-Za-z0-9_])(_samples|_sample_stride|SAMPLE_RESERVOIR)(?![A-Za-z0-9_])"
+        assert {path for path, _ in lines_matching(policy, "src")} == {"src/repro/core/whisker.py"}
+
+    def test_one_inert_attribute_survives_for_the_frozen_bench(self):
+        # bench/run.py's RecordingBackend reads it, nothing under src/ does
+        # (ROADMAP item 1 drops both).
+        [(path, _)] = lines_matching("shares_memory", "src")
+        assert path == "src/repro/runner/backends.py"
+
+
+class TestOneCandidateMemo:
+    """The design memo has no knob, and the evaluator folds nothing."""
+
+    def test_the_evaluator_folds_nothing(self):
+        assert "whisker_tree_token" not in (SRC / "core" / "evaluator.py").read_text()
+
+    def test_the_memo_has_no_knob(self):
+        assert_knobs("repro.core.")
+
+    def test_the_training_example_gained_no_flag(self):
+        assert_knobs("examples/train_remycc.py")
 
 
 class TestOneCollectorPause:
-    """The cyclic collector is paused in one place (``gc_paused``, around a
-    simulation's run-and-dismantle span and around a job's build → run →
-    drop), a finished simulation is acyclic by construction, and nothing —
-    argument, field, threshold, freeze, environment variable — turns either
-    off."""
-
-    SRC = REPO_ROOT / "src"
-    NETSIM = SRC / "repro" / "netsim"
-    SIGNATURES = {
-        "Simulation.__init__": [
-            "self",
-            "spec",
-            "protocols",
-            "workloads",
-            "duration",
-            "seed",
-            "trace_flows",
-            "max_events",
-            "debug_invariants",
-            "kernel",
-        ],
-        "Simulation.run": ["self"],
-        "run_sim_job": ["job"],
-        "SimJob": [
-            "job_id",
-            "spec",
-            "duration",
-            "seed",
-            "workloads",
-            "tree",
-            "training",
-            "protocol_factory",
-            "scenario",
-            "max_events",
-            "trace_flows",
-        ],
-    }
-
-    @staticmethod
-    def _python_files(*roots: str) -> list[Path]:
-        return [path for root in roots for path in sorted((REPO_ROOT / root).rglob("*.py"))]
+    """``gc_paused`` wraps a simulation's run and a job's build → run → drop;
+    no threshold, freeze, environment variable or option changes it."""
 
     def test_one_function_switches_the_collector(self):
         switches = {
-            (str(path.relative_to(self.SRC)), function.name)
-            for path in self._python_files("src")
-            for function in ast.walk(ast.parse(path.read_text()))
-            if isinstance(function, (ast.FunctionDef, ast.Lambda))
+            (str(path.relative_to(REPO_ROOT)), getattr(function, "name", "lambda"))
+            for path, function in nodes_in((ast.FunctionDef, ast.Lambda), "src")
             for node in ast.walk(function)
-            if isinstance(node, ast.Attribute)
-            and node.attr in ("disable", "enable")
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "gc"
+            if isinstance(node, ast.Attribute) and ast.unparse(node) in ("gc.disable", "gc.enable")
         }
-        assert switches == {("repro/netsim/simulator.py", "gc_paused")}
-        # Two lines, as ``git grep`` prints them: no comment or docstring offers it either.
-        lines = [
-            f"{path.name}: {line.strip()}"
-            for path in self._python_files("src")
-            for line in path.read_text().splitlines()
-            if re.search(r"gc\.(disable|enable)", line)
-        ]
-        assert lines == ["simulator.py: gc.disable()", "simulator.py: gc.enable()"]
+        simulator = "src/repro/netsim/simulator.py"
+        assert switches == {(simulator, "gc_paused")}
+        # Two lines: no comment or docstring offers it either.
+        gc_lines = lines_matching(r"gc\.(disable|enable)", "src")
+        assert gc_lines == [(simulator, "gc.disable()"), (simulator, "gc.enable()")]
 
     def test_the_kernel_does_not_import_gc(self):
-        kernel = ast.parse((self.NETSIM / "kernel.py").read_text())
-        assert "gc" not in TestOneParallelBackend._imported_modules(kernel)
+        assert "gc" not in imports_of(tree_of(NETSIM / "kernel.py"))
 
     def test_no_threshold_no_freeze_no_environment_variable(self):
-        files = self._python_files("src", "tools", "examples")
-        tuned = [
-            str(path.relative_to(REPO_ROOT))
-            for path in files
-            if re.search(r"set_threshold|gc\.freeze", path.read_text())
-        ]
-        assert tuned == []
-        reads_environment = {
-            str(path.relative_to(REPO_ROOT))
-            for path in files
-            if re.search(r"environ|getenv", path.read_text())
-        }
-        assert reads_environment == set()
+        knobs = r"set_threshold|gc\.freeze|environ|getenv"
+        assert lines_matching(knobs, "src", "tools", "examples") == []
 
     def test_the_lifecycle_has_no_knob(self):
-        import dataclasses
-        import inspect
-
-        from repro.netsim.simulator import Simulation
-        from repro.runner.jobs import SimJob, run_sim_job
-
-        found = {
-            "Simulation.__init__": list(inspect.signature(Simulation.__init__).parameters),
-            "Simulation.run": list(inspect.signature(Simulation.run).parameters),
-            "run_sim_job": list(inspect.signature(run_sim_job).parameters),
-            "SimJob": [field.name for field in dataclasses.fields(SimJob)],
-        }
-        assert found == self.SIGNATURES
+        assert_knobs("repro.netsim.simulator:", "repro.runner.jobs:")
 
     def test_no_fused_closure_names_itself(self):
         # A function <-> cell self-cycle is the one kind nothing can cut from
         # outside; ``finish_transmission`` posts ``link._finish_transmission``.
         closures = [
             inner
-            for path in sorted(self.NETSIM.glob("*.py"))
-            for outer in ast.walk(ast.parse(path.read_text()))
-            if isinstance(outer, ast.FunctionDef)
+            for _, outer in nodes_in(ast.FunctionDef, "src/repro/netsim")
             for inner in ast.walk(outer)
             if isinstance(inner, ast.FunctionDef) and inner is not outer
         ]
-        assert {"ack_and_send", "on_packet", "finish_transmission"} <= {
-            inner.name for inner in closures
-        }
+        assert {"ack_and_send", "on_packet", "finish_transmission"} <= {f.name for f in closures}
         offenders = [
-            inner.name
-            for inner in closures
-            for node in ast.walk(inner)
-            if isinstance(node, ast.Name) and node.id == inner.name
+            inner.name for inner in closures
+            for node in ast.walk(inner) if isinstance(node, ast.Name) and node.id == inner.name
         ]
         assert offenders == []
+
+
+#: Names a second ACK handler, send loop, receiver ACK emission, hop step or
+#: rebinding pass would take (the deleted ones among them) ...
+ENGINE_STEPS = {
+    "on_ack", "ack_and_send", "_send", "_maybe_send", "_send_one", "_schedule_pacing",
+    "_pacing_fire", "_update_recovery_state", "on_packet", "receive", "_receive_sealable",
+    "start_transmission", "finish_transmission", "_start_transmission", "_finish_transmission",
+    "_deliver", "_generic_handoff", "fuse", "_fuse_hop",
+}
+#: ... and where each is defined, and nowhere else.
+ENGINE_STEPS_DEFINED = [
+    "link.py:ConstantRateLink.__init__.finish_transmission",
+    "link.py:ConstantRateLink.__init__.receive",  # the DropTail variant
+    "link.py:ConstantRateLink.__init__.receive",  # any other discipline
+    "link.py:ConstantRateLink.__init__.start_transmission",
+    "link.py:TraceDrivenLink.receive",
+    "receiver.py:Receiver.connect.on_packet",
+    "sender.py:Sender.connect.ack_and_send",
+    "sender.py:Sender.on_ack",  # the property's getter: returns the sink
+    "sender.py:Sender.on_ack",  # and its setter
+]
 
 
 class TestOneEngine:
-    """One engine: every per-packet step is one closure, built once by the
-    object it serves.  The generic twins that repeated the closures line for
-    line, the pass that rebound them over a built simulation and the per-hop
-    dispatch tables do not come back, and nothing in the engine reads an
-    instance ``__dict__``."""
-
-    NETSIM = REPO_ROOT / "src" / "repro" / "netsim"
-    #: Names a second ACK handler, send loop, receiver ACK emission, hop
-    #: step or rebinding pass would take (the deleted ones among them).
-    WATCHED = {
-        "on_ack", "ack_and_send", "_send", "_maybe_send", "_send_one",
-        "_schedule_pacing", "_pacing_fire", "_update_recovery_state",
-        "on_packet", "receive", "_receive_sealable",
-        "start_transmission", "finish_transmission",
-        "_start_transmission", "_finish_transmission",
-        "_deliver", "_generic_handoff", "fuse", "_fuse_hop",
-    }
-    #: Where each watched name is defined, and nowhere else.
-    DEFINED = [
-        "link.py:ConstantRateLink.__init__.finish_transmission",
-        "link.py:ConstantRateLink.__init__.receive",  # the DropTail variant
-        "link.py:ConstantRateLink.__init__.receive",  # any other discipline
-        "link.py:ConstantRateLink.__init__.start_transmission",
-        "link.py:TraceDrivenLink.receive",
-        "receiver.py:Receiver.connect.on_packet",
-        "sender.py:Sender.connect.ack_and_send",
-        "sender.py:Sender.on_ack",  # the property's getter: returns the sink
-        "sender.py:Sender.on_ack",  # and its setter
-    ]
-
-    @classmethod
-    def _modules(cls) -> list[tuple[str, ast.Module]]:
-        return [
-            (path.name, ast.parse(path.read_text())) for path in sorted(cls.NETSIM.glob("*.py"))
-        ]
-
-    @staticmethod
-    def _definitions(node: ast.AST, prefix: str) -> list[tuple[str, ast.AST]]:
-        found = []
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                name = f"{prefix}.{child.name}" if prefix else child.name
-                found.append((name, child))
-                found += TestOneEngine._definitions(child, name)
-            else:
-                found += TestOneEngine._definitions(child, prefix)
-        return found
+    """One engine: every per-packet step is one closure, built once by the object it serves."""
 
     def test_each_step_is_defined_once(self):
         defined = sorted(
-            f"{module}:{name}"
-            for module, tree in self._modules()
-            for name, node in self._definitions(tree, "")
-            if isinstance(node, ast.FunctionDef) and node.name in self.WATCHED
+            f"{path.name}:{name}" for path in py_files("src/repro/netsim")
+            for name, node in definitions(tree_of(path))
+            if isinstance(node, ast.FunctionDef) and node.name in ENGINE_STEPS
         )
-        assert defined == self.DEFINED
+        assert defined == ENGINE_STEPS_DEFINED
 
     def test_no_instance_dict_is_read(self):
-        offenders = [
-            f"{module}:{node.lineno}"
-            for module, tree in self._modules()
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "__dict__"
-        ]
-        assert offenders == []
+        # A rebinding pass would walk ``__dict__``.
+        attributes = nodes_in(ast.Attribute, "src/repro/netsim")
+        assert [node.lineno for _, node in attributes if node.attr == "__dict__"] == []
 
     def test_no_method_is_rebound(self):
         # ``self.<method> = ...`` inside a class with that method (or a base
         # here with it), and the mypy escape that rebinding anything else needs.
-        methods: dict[str, set[str]] = {}
-        bases: dict[str, list[str]] = {}
-        for _, tree in self._modules():
-            for cls in ast.walk(tree):
-                if isinstance(cls, ast.ClassDef):
-                    methods[cls.name] = {
-                        node.name for node in cls.body if isinstance(node, ast.FunctionDef)
-                    }
-                    bases[cls.name] = [ast.unparse(base) for base in cls.bases]
+        classes = [cls for _, cls in nodes_in(ast.ClassDef, "src/repro/netsim")]
+        methods = {
+            cls.name: {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+            for cls in classes
+        }
+        bases = {cls.name: [ast.unparse(base) for base in cls.bases] for cls in classes}
 
         def inherited(name: str) -> set[str]:
-            own = set(methods.get(name, ()))
-            for base in bases.get(name, []):
-                own |= inherited(base)
-            return own
+            own = methods.get(name, set())
+            return own.union(*(inherited(base) for base in bases.get(name, [])))
 
         offenders = [
-            f"{module}:{node.lineno}"
-            for module, tree in self._modules()
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef)
-            for node in ast.walk(cls)
-            if isinstance(node, ast.Assign)
+            f"{cls.name}:{node.lineno}"
+            for cls in classes for node in ast.walk(cls) if isinstance(node, ast.Assign)
             for target in node.targets
-            if isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-            and target.attr in inherited(cls.name)
+            if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+            and target.value.id == "self" and target.attr in inherited(cls.name)
         ]
         assert offenders == []
-        ignores = [
-            f"{path.name}:{lineno}"
-            for path in sorted(self.NETSIM.glob("*.py"))
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-            if "method-assign" in line
-        ]
-        assert ignores == []
-
-
-class TestOneScheduler:
-    """``EventScheduler`` stays the only scheduler — one heap, two lanes, one
-    ``run_until`` — and the kernel layer stays one function: no scheduler
-    subclass, no kernel class, no test-only scheduling API, no knob."""
-
-    SRC = REPO_ROOT / "src" / "repro"
-    NETSIM = SRC / "netsim"
-    GONE_NAMES = (
-        "FlatScheduler",
-        "SimulationKernel",
-        "GenericKernel",
-        "FlatKernel",
-        "resolve_kernel",
-        "KERNEL_NAMES",
-        "kernel_name",
-        "post_now",
-        "schedule_after",
-        "peek_time",
-        "post_entry",
-        "_ready",
-        "_pending",
-    )
-
-    @staticmethod
-    def _classes(path: Path) -> list[ast.ClassDef]:
-        return [node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
-
-    def test_one_class_dispatches(self):
-        owners = [
-            f"{path.name}:{cls.name}"
-            for path in sorted(self.NETSIM.glob("*.py"))
-            for cls in self._classes(path)
-            if any(isinstance(node, ast.FunctionDef) and node.name == "run_until" for node in cls.body)
-        ]
-        assert owners == ["events.py:EventScheduler"]
-
-    def test_nothing_subclasses_the_scheduler(self):
-        subclasses = [
-            f"{path.relative_to(REPO_ROOT)}:{cls.name}"
-            for root in ("src", "tools", "examples", "tests")
-            for path in sorted((REPO_ROOT / root).rglob("*.py"))
-            for cls in self._classes(path)
-            if "EventScheduler" in {ast.unparse(base).rsplit(".", 1)[-1] for base in cls.bases}
-        ]
-        assert subclasses == []
-
-    def test_the_kernel_module_defines_no_class(self):
-        assert self._classes(self.NETSIM / "kernel.py") == []
-
-    def test_the_deleted_names_are_gone(self):
-        pattern = re.compile(r"(?<![A-Za-z0-9_])(" + "|".join(self.GONE_NAMES) + r")")
-        offenders = [
-            f"{path.relative_to(REPO_ROOT)}:{lineno}"
-            for root in ("src", "tools", "examples")
-            for path in sorted((REPO_ROOT / root).rglob("*.py"))
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-            if pattern.search(line)
-        ]
-        assert offenders == []
-
-    def test_the_kernel_choice_is_auto_or_generic_and_adds_no_knob(self):
-        import inspect
-
-        from repro.netsim.network import NetworkSpec
-        from repro.netsim.simulator import Simulation
-        from repro.protocols.newreno import NewReno
-
-        assert list(inspect.signature(Simulation.__init__).parameters) == (
-            TestOneCollectorPause.SIGNATURES["Simulation.__init__"]
-        )
-        spec = NetworkSpec(n_flows=1)
-        for kernel in ("auto", "generic"):
-            Simulation(spec, [NewReno()], duration=1.0, kernel=kernel)
-        with pytest.raises(ValueError) as err:
-            Simulation(spec, [NewReno()], duration=1.0, kernel="flat")
-        assert "'auto'" in str(err.value) and "'generic'" in str(err.value)
+        assert lines_matching("method-assign", "src/repro/netsim") == []
 
 
 class TestOnePacketLifetime:
-    """A packet is a plain object: the sender builds it, the receiver turns
-    it into its ACK, and reference counting frees it where it dies.  The
-    pool, its release discipline and the lint rule that policed it do not
-    come back."""
-
-    ROOTS = ("src", "tools")
-    GONE = re.compile(r"PacketPool|packet_pool|\._pool\b")
-    #: Whose ``release()`` may be called: the teardown of a finished
-    #: simulation's wiring, never a packet.
-    TEARDOWN = {"self.network", "link", "endpoints.sender", "endpoints.receiver", "super()"}
-
-    @classmethod
-    def _files(cls) -> list[Path]:
-        return [path for root in cls.ROOTS for path in sorted((REPO_ROOT / root).rglob("*.py"))]
-
-    def test_the_pool_is_not_named(self):
-        offenders = [
-            f"{path.relative_to(REPO_ROOT)}:{lineno}"
-            for path in self._files()
-            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
-            if self.GONE.search(line)
-        ]
-        assert offenders == []
+    """A packet is a plain object: nothing releases it, only a finished simulation's wiring."""
 
     def test_packet_has_no_release_method(self):
         from repro.netsim.packet import Packet
@@ -970,12 +679,7 @@ class TestOnePacketLifetime:
         assert not hasattr(Packet, "release")
 
     def test_only_wiring_is_released(self):
-        released = {
-            ast.unparse(node.func.value)
-            for path in self._files()
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "release"
-        }
-        assert released <= self.TEARDOWN
+        calls = [call.func for _, call in nodes_in(ast.Call, "src", "tools")]
+        released = {ast.unparse(f.value) for f in calls if getattr(f, "attr", "") == "release"}
+        wiring = {"self.network", "link", "endpoints.sender", "endpoints.receiver", "super()"}
+        assert released <= wiring
