@@ -7,11 +7,11 @@ delay); Cubic is the most throughput-aggressive human baseline; Vegas the
 most delay-conscious.
 """
 
-from repro.experiments.dumbbell import run_figure4
+from repro.experiments.clouds import run_cloud_figure
 
 
 def test_figure4_dumbbell_8_senders(bench_once):
-    result = bench_once(run_figure4, n_runs=2, duration=20.0)
+    result = bench_once(run_cloud_figure, 4, n_runs=2, duration=20.0)
     print()
     print(result.format_table())
     print("efficient frontier:", ", ".join(result.frontier_names()))

@@ -11,7 +11,7 @@ actually compete with on equal (no router support) terms.
 """
 
 from repro.analysis.frontier import efficient_frontier
-from repro.experiments.dumbbell import run_figure5
+from repro.experiments.clouds import run_cloud_figure
 
 #: Schemes that need in-network assistance (excluded from the end-to-end
 #: frontier assertion below).
@@ -19,7 +19,7 @@ ROUTER_ASSISTED = {"Cubic/sfqCoDel", "XCP"}
 
 
 def test_figure5_dumbbell_12_senders(bench_once):
-    result = bench_once(run_figure5, n_runs=1, duration=20.0)
+    result = bench_once(run_cloud_figure, 5, n_runs=1, duration=20.0)
     print()
     print(result.format_table())
     print("efficient frontier:", ", ".join(result.frontier_names()))

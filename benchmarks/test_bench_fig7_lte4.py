@@ -6,11 +6,11 @@ define or share the efficient frontier; Vegas has the lowest delay and
 throughput.
 """
 
-from repro.experiments.cellular import run_figure7
+from repro.experiments.clouds import run_cloud_figure
 
 
 def test_figure7_verizon_lte_4_senders(bench_once):
-    result = bench_once(run_figure7, n_flows=4, n_runs=2, duration=25.0)
+    result = bench_once(run_cloud_figure, 7, n_runs=2, duration=25.0)
     print()
     print(result.format_table())
     print("efficient frontier:", ", ".join(result.frontier_names()))

@@ -5,11 +5,11 @@ together and the router-assisted schemes improve; at least some RemyCCs
 remain on or near the efficient frontier.
 """
 
-from repro.experiments.cellular import run_figure8
+from repro.experiments.clouds import run_cloud_figure
 
 
 def test_figure8_verizon_lte_8_senders(bench_once):
-    result = bench_once(run_figure8, n_flows=8, n_runs=1, duration=25.0)
+    result = bench_once(run_cloud_figure, 8, n_runs=1, duration=25.0)
     print()
     print(result.format_table())
     print("efficient frontier:", ", ".join(result.frontier_names()))

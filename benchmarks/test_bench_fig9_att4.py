@@ -4,11 +4,11 @@ Expected shape (paper): a slower, choppier link than the Verizon trace; two
 of the three RemyCCs sit on the efficient frontier.
 """
 
-from repro.experiments.cellular import run_figure9
+from repro.experiments.clouds import run_cloud_figure
 
 
 def test_figure9_att_lte_4_senders(bench_once):
-    result = bench_once(run_figure9, n_flows=4, n_runs=2, duration=25.0)
+    result = bench_once(run_cloud_figure, 9, n_runs=2, duration=25.0)
     print()
     print(result.format_table())
     print("efficient frontier:", ", ".join(result.frontier_names()))

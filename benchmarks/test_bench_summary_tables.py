@@ -6,11 +6,11 @@ paper); on the LTE trace the speedups are smaller but still >= 1 for the
 end-to-end schemes.
 """
 
-from repro.experiments.summary_tables import run_dumbbell_summary, run_lte_summary
+from repro.experiments.summary_tables import run_summary_table
 
 
 def test_summary_table_dumbbell(bench_once):
-    table = bench_once(run_dumbbell_summary, n_runs=2, duration=20.0)
+    table = bench_once(run_summary_table, 4, n_runs=2, duration=20.0)
     print()
     print(table.format())
     for baseline in ("Compound", "NewReno", "Cubic", "Vegas"):
@@ -21,7 +21,7 @@ def test_summary_table_dumbbell(bench_once):
 
 
 def test_summary_table_lte(bench_once):
-    table = bench_once(run_lte_summary, n_runs=2, duration=25.0)
+    table = bench_once(run_summary_table, 7, n_runs=2, duration=25.0)
     print()
     print(table.format())
     for baseline in ("NewReno", "Vegas"):

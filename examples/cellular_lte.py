@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.base import ExperimentResult, SchemeSpec, remycc_scheme, run_cells
+from repro.experiments.base import SchemeSpec, remycc_scheme
+from repro.experiments.clouds import run_cloud_figure
 from repro.protocols.cubic import Cubic
 from repro.protocols.newreno import NewReno
 from repro.protocols.vegas import Vegas
-from repro.scenarios import TraceSpec, get_scenario
 
 
 def main() -> None:
@@ -29,21 +29,7 @@ def main() -> None:
     parser.add_argument("--senders", type=int, default=4)
     parser.add_argument("--duration", type=float, default=30.0)
     parser.add_argument("--runs", type=int, default=2)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
-
-    # The registry's §5.3 cell (50 ms RTT, 1000-packet tail-drop buffer,
-    # 100 kB flows with 0.5 s mean off time) with the trace re-described to
-    # cover the whole run.
-    cell = get_scenario("fig7-lte4" if args.carrier == "verizon" else "fig9-att4").override(
-        n_flows=args.senders,
-        trace=TraceSpec(args.carrier, duration_seconds=args.duration, seed=args.seed),
-    )
-    trace = cell.network_spec().delivery_trace
-    print(
-        f"{args.carrier} synthetic trace: {len(trace)} delivery opportunities over "
-        f"{args.duration:.0f}s (mean {len(trace) * 1500 * 8 / args.duration / 1e6:.1f} Mbps)"
-    )
 
     schemes = [
         SchemeSpec("NewReno", NewReno),
@@ -53,17 +39,16 @@ def main() -> None:
         remycc_scheme("delta0.1", label="Remy d=0.1"),
         remycc_scheme("delta10", label="Remy d=10"),
     ]
-
-    # One batch for the whole scheme x run grid; every scheme sees the same
-    # per-run seeds.
-    [runs] = run_cells(
-        [cell], schemes, n_runs=args.runs, duration=args.duration, base_seed=args.seed
+    # The §5.3 cell of the carrier (Figure 7: Verizon, Figure 9: AT&T): 50 ms
+    # RTT, 1000-packet tail-drop buffer, 100 kB flows with 0.5 s mean off time.
+    result = run_cloud_figure(
+        7 if args.carrier == "verizon" else 9,
+        n_flows=args.senders,
+        n_runs=args.runs,
+        duration=args.duration,
+        schemes=schemes,
     )
-    result = ExperimentResult.from_runs(
-        f"{args.carrier} LTE trace, n={args.senders}", schemes, runs
-    )
 
-    print()
     print(result.format_table())
     print()
     print(

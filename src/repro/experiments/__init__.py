@@ -2,16 +2,16 @@
 
 Every harness exposes a ``run_*`` function returning a structured result that
 the corresponding benchmark in ``benchmarks/`` prints in the same shape as
-the paper's figure or table.  All harnesses accept scaled-down defaults
-(fewer runs, shorter simulated durations) so they complete in seconds with a
-pure-Python simulator, plus explicit parameters for paper-scale runs.
+the paper's figure or table.  A harness resolves its registry cell, overrides
+only the axis its figure sweeps, and takes the run size (``n_runs``,
+``duration``) as options: scaled down by default so it completes in seconds
+with a pure-Python simulator, raised for paper-scale runs.
 
 ==============================  ============================================
 Module                          Reproduces
 ==============================  ============================================
-``experiments.dumbbell``        Figures 4 and 5 (single-bottleneck dumbbell)
+``experiments.clouds``          Figures 4, 5 (dumbbell) and 7, 8, 9 (LTE)
 ``experiments.convergence``     Figure 6 (sequence plot / convergence)
-``experiments.cellular``        Figures 7, 8, 9 (LTE trace-driven links)
 ``experiments.rtt_fairness``    Figure 10 (RTT unfairness)
 ``experiments.datacenter``      §5.5 table (DCTCP vs RemyCC)
 ``experiments.competing``       §5.6 tables (RemyCC vs Compound / Cubic)

@@ -20,8 +20,9 @@ picklable module-level callable such as a protocol class — fails fast on the
 process-pool backend and can only run serially.)
 
 Cells come from the declarative registry (:mod:`repro.scenarios`): each
-figure harness resolves its base cell by name and applies its paper-scale
-knobs via :meth:`~repro.scenarios.spec.ScenarioSpec.override`, so the
+figure harness resolves its base cell by name and, via
+:meth:`~repro.scenarios.spec.ScenarioSpec.override`, changes only the axis
+its figure sweeps (a link speed, a queue, a workload, a scale), so the
 topology/queue/workload definitions live in exactly one place.
 """
 

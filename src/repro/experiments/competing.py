@@ -28,7 +28,6 @@ from typing import Optional, Sequence
 from repro.experiments.base import run_cells
 from repro.runner import ExecutionBackend
 from repro.scenarios import ProtocolSpec, get_scenario
-from repro.traffic.distributions import ExponentialDistribution
 from repro.traffic.flowsize import icsi_flow_length_distribution
 from repro.traffic.onoff import ByteFlowWorkload
 
@@ -70,8 +69,8 @@ def _competing_table(
     settings: Sequence[tuple[str, ByteFlowWorkload]],
     n_runs: int,
     duration: float,
-    base_seed: int,
     backend: Optional[ExecutionBackend],
+    base_seed: Optional[int] = None,
 ) -> CompetingResult:
     """One table: the RemyCC vs one contender, a row per (label, workload)."""
     base_cell = get_scenario("competing-remy-cubic")
@@ -106,38 +105,31 @@ def run_vs_compound(
     off_times_seconds: tuple[float, ...] = (0.200, 0.100, 0.010),
     n_runs: int = 3,
     duration: float = 30.0,
-    max_flow_bytes: float = 20e6,
-    base_seed: int = 61,
     backend: Optional[ExecutionBackend] = None,
 ) -> CompetingResult:
     """RemyCC vs Compound: ICSI flow lengths, sweeping the mean off time."""
-    flow_sizes = icsi_flow_length_distribution(maximum_bytes=max_flow_bytes)
+    flow_sizes = icsi_flow_length_distribution(maximum_bytes=20e6)
     settings = [
         (f"off={off * 1000:.0f} ms", ByteFlowWorkload(flow_size=flow_sizes, mean_off_seconds=off))
         for off in off_times_seconds
     ]
-    return _competing_table(
-        "compound", "Compound", settings, n_runs, duration, base_seed, backend
-    )
+    return _competing_table("compound", "Compound", settings, n_runs, duration, backend)
 
 
 def run_vs_cubic(
     mean_flow_bytes: tuple[float, ...] = (100e3, 1e6),
-    mean_off_seconds: float = 0.5,
     n_runs: int = 3,
     duration: float = 30.0,
-    base_seed: int = 62,
     backend: Optional[ExecutionBackend] = None,
 ) -> CompetingResult:
     """RemyCC vs Cubic: exponential flow lengths of mean 100 kB and 1 MB."""
+    off = get_scenario("competing-remy-cubic").workload.off_distribution
     settings = [
         (
             f"mean={mean_bytes / 1e3:.0f} kB",
-            ByteFlowWorkload(
-                flow_size=ExponentialDistribution(mean_bytes),
-                mean_off_seconds=mean_off_seconds,
-            ),
+            ByteFlowWorkload.exponential(mean_bytes, mean_off_seconds=off.mean()),
         )
         for mean_bytes in mean_flow_bytes
     ]
-    return _competing_table("cubic", "Cubic", settings, n_runs, duration, base_seed, backend)
+    # 62, not the cell's 61: this table keeps the randomness its rows were always run on.
+    return _competing_table("cubic", "Cubic", settings, n_runs, duration, backend, base_seed=62)

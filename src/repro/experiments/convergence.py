@@ -7,9 +7,9 @@ consume the whole bottleneck.  The harness records the RemyCC flow's
 cumulative-acknowledgment trajectory and reports the average rate before and
 after the departure.
 
-The registry cell supplies the topology and the RemyCC pair; the harness
-overrides the paper-scale knobs and the departure schedule and runs the one
-job through :func:`~repro.experiments.base.run_cells`.
+The registry cell supplies the topology, the RemyCC pair and the seed; the
+harness overrides only the departure schedule and runs the one job through
+:func:`~repro.experiments.base.run_cells`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional
 
 from repro.experiments.base import run_cells
 from repro.runner import ExecutionBackend
-from repro.scenarios import ProtocolSpec, get_scenario
+from repro.scenarios import get_scenario
 from repro.traffic.onoff import FixedOnPeriodWorkload
 
 
@@ -43,28 +43,21 @@ class ConvergenceResult:
 
 
 def run_figure6(
-    tree_name: str = "delta1",
-    link_rate_bps: float = 15e6,
-    rtt: float = 0.150,
     duration: float = 30.0,
     departure_time: float = 15.0,
-    seed: int = 66,
     backend: Optional[ExecutionBackend] = None,
 ) -> ConvergenceResult:
     """Run the Figure 6 scenario and return the convergence summary."""
     if not 0 < departure_time < duration:
         raise ValueError("departure_time must fall inside the run")
     cell = get_scenario("fig6-convergence").override(
-        link_rate_bps=link_rate_bps,
-        rtt=rtt,
-        protocols=(ProtocolSpec("remy", tree=tree_name),),
         per_flow_workloads=(
             FixedOnPeriodWorkload(start=0.0, duration=duration),        # the observed flow
             FixedOnPeriodWorkload(start=0.0, duration=departure_time),  # the departing competitor
         ),
     )
     [[[result]]] = run_cells(
-        [cell], n_runs=1, duration=duration, base_seed=seed, trace_flows=(0,), backend=backend
+        [cell], n_runs=1, duration=duration, trace_flows=(0,), backend=backend
     )
     trace = result.flow_stats[0].sequence_trace
 
@@ -78,7 +71,7 @@ def run_figure6(
         return (sb - sa) * cell.network.mss_bytes * 8 / (tb - ta) / 1e6
 
     # Leave a settling margin after the departure and ignore the initial ramp.
-    settle = 4 * rtt
+    settle = 4 * cell.network.rtt_for_flow(0)
     rate_before = rate_between(duration * 0.2, departure_time)
     rate_after = rate_between(departure_time + settle, duration)
     return ConvergenceResult(
@@ -86,5 +79,5 @@ def run_figure6(
         rate_before_mbps=rate_before,
         rate_after_mbps=rate_after,
         sequence_trace=trace,
-        link_rate_mbps=link_rate_bps / 1e6,
+        link_rate_mbps=cell.network.link_rate_bps / 1e6,
     )

@@ -81,8 +81,6 @@ def _summarise(scheme: str, result: SimulationResult) -> DatacenterRow:
 def run_datacenter(
     scale: int = 16,
     duration: float = 3.0,
-    seed: int = 5,
-    marking_threshold_packets: float = 65.0,
     backend: Optional[ExecutionBackend] = None,
 ) -> DatacenterResult:
     """Run the §5.5 comparison at ``1/scale`` of the paper's absolute size.
@@ -95,17 +93,17 @@ def run_datacenter(
         raise ValueError("scale must be a positive divisor of 64")
     n_flows = 64 // scale
     link_rate = 10e9 / scale
-    mean_flow_bytes = 20e6 / scale
 
     # DCTCP over the ECN-marking gateway: the registry cell (pinned at 1/32
-    # scale) re-scaled to the requested size.
-    dctcp_cell = get_scenario("datacenter-dctcp").override(
+    # scale, with the RTT, marking threshold, off time and seed) re-scaled to
+    # the requested size.
+    cell = get_scenario("datacenter-dctcp")
+    dctcp_cell = cell.override(
         link_rate_bps=link_rate,
-        rtt=0.004,
         n_flows=n_flows,
-        dctcp_marking_threshold=marking_threshold_packets,
         workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=mean_flow_bytes, mean_off_seconds=0.1
+            mean_flow_bytes=20e6 / scale,
+            mean_off_seconds=cell.workload.off_distribution.mean(),
         ),
     )
     # RemyCC (minimum-potential-delay objective) over plain DropTail.
@@ -116,7 +114,7 @@ def run_datacenter(
     # Both cells keep the registry name, so both rows run at the same seed:
     # the paper compares the two schemes on identical workload randomness.
     [[[dctcp_run]], [[remy_run]]] = run_cells(
-        [dctcp_cell, remy_cell], n_runs=1, duration=duration, base_seed=seed, backend=backend
+        [dctcp_cell, remy_cell], n_runs=1, duration=duration, backend=backend
     )
     return DatacenterResult(
         dctcp=_summarise("DCTCP (ECN)", dctcp_run),

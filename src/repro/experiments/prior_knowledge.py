@@ -21,7 +21,6 @@ from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
 from repro.protocols.cubic import Cubic
 from repro.runner import ExecutionBackend
 from repro.scenarios import get_scenario
-from repro.traffic.onoff import TimedFlowWorkload
 
 #: Link speeds swept in the scaled-down default run (the paper sweeps roughly
 #: 1-100 Mbps on a log axis; these points cover the same structure: below the
@@ -88,11 +87,8 @@ def default_schemes() -> list[SchemeSpec]:
 def run_figure11(
     link_speeds_mbps: Sequence[float] = DEFAULT_LINK_SPEEDS_MBPS,
     schemes: Optional[Sequence[SchemeSpec]] = None,
-    n_flows: int = 2,
     n_runs: int = 2,
     duration: float = 20.0,
-    rtt: float = 0.150,
-    base_seed: int = 110,
     backend: Optional[ExecutionBackend] = None,
 ) -> PriorKnowledgeResult:
     """Sweep the true link speed and score every scheme with the §3.3 objective.
@@ -105,27 +101,16 @@ def run_figure11(
     objective = Objective.proportional(delta=1.0)
     result = PriorKnowledgeResult()
 
-    # Schemes without router support run over plain tail-drop.
+    # The registry cell pins the senders, their workloads, the RTT and the
+    # seed; schemes without router support run over plain tail-drop.
     base_cell = get_scenario("fig11-prior-1x")
-    workloads = tuple(
-        TimedFlowWorkload.exponential(
-            mean_on_seconds=5.0, mean_off_seconds=5.0, start_on=(fid == 0)
-        )
-        for fid in range(n_flows)
-    )
+    n_flows = base_cell.network.n_flows
+    rtt = base_cell.network.rtt_for_flow(0)
     cells = [
-        base_cell.override(
-            link_rate_bps=speed_mbps * 1e6,
-            rtt=rtt,
-            n_flows=n_flows,
-            queue="droptail",
-            per_flow_workloads=workloads,
-        )
+        base_cell.override(link_rate_bps=speed_mbps * 1e6, queue="droptail")
         for speed_mbps in link_speeds_mbps
     ]
-    grid = run_cells(
-        cells, schemes, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
-    )
+    grid = run_cells(cells, schemes, n_runs=n_runs, duration=duration, backend=backend)
     for speed_mbps, cell_runs in zip(link_speeds_mbps, grid):
         fair_share = speed_mbps * 1e6 / n_flows
         for scheme, run_results in zip(schemes, cell_runs):

@@ -19,8 +19,6 @@ from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
 from repro.protocols.cubic import Cubic
 from repro.runner import ExecutionBackend
 from repro.scenarios import FIGURE10_RTTS, get_scenario
-from repro.traffic.flowsize import icsi_flow_length_distribution
-from repro.traffic.onoff import ByteFlowWorkload
 
 __all__ = ["FIGURE10_RTTS", "RttFairnessResult", "run_figure10", "format_figure10"]
 
@@ -57,27 +55,14 @@ def run_figure10(
     schemes: Optional[Sequence[SchemeSpec]] = None,
     n_runs: int = 4,
     duration: float = 30.0,
-    link_rate_bps: float = 10e6,
-    mean_off_seconds: float = 0.2,
-    max_flow_bytes: float = 20e6,
-    base_seed: int = 100,
     backend: Optional[ExecutionBackend] = None,
 ) -> list[RttFairnessResult]:
     """Run the differing-RTT scenario and return per-scheme share profiles."""
     schemes = list(schemes) if schemes is not None else default_schemes()
-    # The registry cell pins the four RTTs; schemes without router support
-    # run over plain tail-drop.
-    cell = get_scenario("fig10-rtt-fairness").override(
-        link_rate_bps=link_rate_bps,
-        queue="droptail",
-        workload=ByteFlowWorkload(
-            flow_size=icsi_flow_length_distribution(maximum_bytes=max_flow_bytes),
-            mean_off_seconds=mean_off_seconds,
-        ),
-    )
-    [runs] = run_cells(
-        [cell], schemes, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
-    )
+    # The registry cell pins the link, the four RTTs, the workload and the
+    # seed; schemes without router support run over plain tail-drop.
+    cell = get_scenario("fig10-rtt-fairness").override(queue="droptail")
+    [runs] = run_cells([cell], schemes, n_runs=n_runs, duration=duration, backend=backend)
     results = []
     for scheme, run_results in zip(schemes, runs):
         per_run_shares: list[list[float]] = []

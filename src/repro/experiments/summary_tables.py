@@ -4,10 +4,10 @@ The paper's introduction condenses two experiments into tables of, for each
 existing protocol, the RemyCC's median-throughput speedup and median
 queueing-delay reduction:
 
-* the 15 Mbps dumbbell with eight senders (the Figure 4 scenario), and
-* the Verizon LTE downlink trace with four senders (the Figure 7 scenario).
+* the 15 Mbps dumbbell with eight senders (Figure 4), and
+* the Verizon LTE downlink trace with four senders (Figure 7).
 
-These harnesses simply run the corresponding figure experiment and convert
+:func:`run_summary_table` simply runs the corresponding figure and converts
 its summaries into :class:`~repro.analysis.compare.SpeedupRow` rows.
 """
 
@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.compare import SpeedupRow, format_speedup_table, speedup_table
-from repro.experiments.base import ExperimentResult, SchemeSpec, standard_schemes
-from repro.experiments.cellular import run_figure7
-from repro.experiments.dumbbell import run_figure4
+from repro.experiments.base import ExperimentResult, SchemeSpec
+from repro.experiments.clouds import run_cloud_figure
 
 #: The baselines named in the §1 tables, in the paper's order.
 SUMMARY_BASELINES = ("Compound", "NewReno", "Cubic", "Vegas", "Cubic/sfqCoDel", "XCP")
@@ -44,43 +43,25 @@ class SummaryTable:
         return f"== {self.name} ==\n" + format_speedup_table(self.rows, remycc_name=self.remycc)
 
 
-def _build_table(
-    name: str,
-    experiment: ExperimentResult,
-    remy_scheme: str,
-    baselines: Sequence[str] = SUMMARY_BASELINES,
+def run_summary_table(
+    figure: int,
+    *,
+    n_runs: int,
+    duration: float = 30.0,
+    remy_scheme: str = "Remy d=0.1",
+    schemes: Optional[Sequence[SchemeSpec]] = None,
 ) -> SummaryTable:
+    """The §1 table of ``figure`` (4: the dumbbell, 7: the LTE downlink).
+
+    Rows compare ``remy_scheme`` against each of :data:`SUMMARY_BASELINES`
+    that ``schemes`` (default: the standard comparison set) runs.
+    """
+    experiment = run_cloud_figure(figure, n_runs=n_runs, duration=duration, schemes=schemes)
     remy_summary = experiment[remy_scheme]
-    baseline_summaries = [experiment[b] for b in baselines if b in experiment.summaries]
-    rows = speedup_table(remy_summary, baseline_summaries)
-    return SummaryTable(name=name, remycc=remy_scheme, rows=rows, experiment=experiment)
-
-
-def run_dumbbell_summary(
-    n_runs: int = 4,
-    duration: float = 30.0,
-    remy_scheme: str = "Remy d=0.1",
-    schemes: Optional[Sequence[SchemeSpec]] = None,
-) -> SummaryTable:
-    """The first §1 table: dumbbell, 15 Mbps, eight senders."""
-    experiment = run_figure4(n_runs=n_runs, duration=duration, schemes=schemes)
-    return _build_table(
-        "Summary: 15 Mbps dumbbell, n=8 (speedup vs existing protocols)",
-        experiment,
-        remy_scheme,
-    )
-
-
-def run_lte_summary(
-    n_runs: int = 2,
-    duration: float = 30.0,
-    remy_scheme: str = "Remy d=0.1",
-    schemes: Optional[Sequence[SchemeSpec]] = None,
-) -> SummaryTable:
-    """The second §1 table: Verizon LTE downlink trace, four senders."""
-    experiment = run_figure7(n_runs=n_runs, duration=duration, schemes=schemes)
-    return _build_table(
-        "Summary: Verizon LTE downlink, n=4 (speedup vs existing protocols)",
-        experiment,
-        remy_scheme,
+    baselines = [experiment[b] for b in SUMMARY_BASELINES if b in experiment.summaries]
+    return SummaryTable(
+        name=f"Summary: {experiment.name} (speedup vs existing protocols)",
+        remycc=remy_scheme,
+        rows=speedup_table(remy_summary, baselines),
+        experiment=experiment,
     )

@@ -5,8 +5,12 @@ fast; the benchmarks exercise the same harnesses at larger (still scaled)
 sizes and assert the paper's qualitative shapes.
 """
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments import base
 from repro.experiments.base import (
     ExperimentResult,
     SchemeSpec,
@@ -18,10 +22,10 @@ from repro.experiments.base import (
 from repro.experiments.competing import run_vs_compound, run_vs_cubic
 from repro.experiments.convergence import run_figure6
 from repro.experiments.datacenter import run_datacenter
-from repro.experiments.dumbbell import dumbbell_spec, run_figure4, run_figure5
+from repro.experiments.clouds import run_cloud_figure
 from repro.experiments.prior_knowledge import run_figure11
 from repro.experiments.rtt_fairness import FIGURE10_RTTS, format_figure10, run_figure10
-from repro.experiments.summary_tables import run_dumbbell_summary
+from repro.experiments.summary_tables import run_summary_table
 from repro.protocols.cubic import Cubic
 from repro.protocols.newreno import NewReno
 from repro.runner import SerialBackend
@@ -44,6 +48,44 @@ class RecordingBackend(SerialBackend):
     def run_batch(self, jobs):
         self.batches.append(list(jobs))
         return super().run_batch(jobs)
+
+
+def retraced(cell):
+    """A cellular cell with its trace re-described at the 0.2 s runs below."""
+    return cell.override(trace=replace(cell.trace, duration_seconds=0.2))
+
+
+#: Every harness entry point, called with only its run size and the axis its
+#: figure sweeps, beside the registry cell it runs and that axis applied to it.
+HARNESS_AXES = {
+    "figure4": (lambda: run_cloud_figure(4, n_runs=1, duration=0.2), "fig4-dumbbell8", None),
+    "figure5": (lambda: run_cloud_figure(5, n_runs=1, duration=0.2), "fig5-dumbbell12", None),
+    "figure6": (lambda: run_figure6(duration=3.0, departure_time=1.5), "fig6-convergence", None),
+    "figure7": (lambda: run_cloud_figure(7, n_runs=1, duration=0.2), "fig7-lte4", retraced),
+    "figure8": (lambda: run_cloud_figure(8, n_runs=1, duration=0.2), "fig8-lte8", retraced),
+    "figure9": (lambda: run_cloud_figure(9, n_runs=1, duration=0.2), "fig9-att4", retraced),
+    "figure10": (
+        lambda: run_figure10(n_runs=1, duration=0.2), "fig10-rtt-fairness",
+        lambda cell: cell.override(queue="droptail"),
+    ),
+    "figure11": (
+        lambda: run_figure11(link_speeds_mbps=(8.0,), n_runs=1, duration=0.2), "fig11-prior-1x",
+        lambda cell: cell.override(link_rate_bps=8e6, queue="droptail"),
+    ),
+    "datacenter": (lambda: run_datacenter(scale=32, duration=0.2), "datacenter-dctcp", None),
+    # The off=0.2 s row is the registry's ICSI workload.
+    "vs_compound": (
+        lambda: run_vs_compound(off_times_seconds=(0.2,), n_runs=1, duration=0.2),
+        "competing-remy-cubic",
+        lambda cell: cell.override(workload=get_scenario("fig5-dumbbell12").workload),
+    ),
+    "vs_cubic": (
+        lambda: run_vs_cubic(mean_flow_bytes=(100e3,), n_runs=1, duration=0.2),
+        "competing-remy-cubic",
+        lambda cell: cell.override(seed=62),
+    ),
+    "summary_table": (lambda: run_summary_table(7, n_runs=1, duration=0.2), "fig7-lte4", retraced),
+}
 
 
 class TestRunCells:
@@ -115,6 +157,23 @@ class TestRunCells:
         run(backend=backend, **kwargs)
         assert len(backend.batches) == 1
 
+    @pytest.mark.parametrize("entry", sorted(HARNESS_AXES))
+    def test_a_harness_restates_nothing(self, entry, monkeypatch):
+        # Each job runs the registry cell but for the swept axis and the queue a
+        # scheme (or the datacenter's DropTail RemyCC row) brings.
+        run, cell_name, axis = HARNESS_AXES[entry]
+        cell = get_scenario(cell_name)
+        cell = axis(cell) if axis else cell
+        backend = RecordingBackend()
+        monkeypatch.setattr(base, "SerialBackend", lambda: backend)
+        run()
+        [jobs] = backend.batches
+        spec = cell.network_spec()
+        workloads = pickle.dumps(tuple(cell.make_workloads() or ()))
+        assert [job.spec.with_queue(spec.queue) for job in jobs] == [spec] * len(jobs)
+        assert [pickle.dumps(job.workloads) for job in jobs] == [workloads] * len(jobs)
+        assert {job.seed for job in jobs} == {sweep_seed(cell.name, cell.seed, 0)}
+
 
 class TestBase:
     def test_standard_schemes_cover_paper_comparison_set(self):
@@ -137,7 +196,7 @@ class TestBase:
         assert "fast" in result.format_table()
 
     def test_dumbbell_spec_matches_paper_parameters(self):
-        spec = dumbbell_spec(8)
+        spec = get_scenario("fig4-dumbbell8").network
         assert spec.link_rate_bps == 15e6
         assert spec.rtt_for_flow(0) == 0.150
         assert spec.buffer_packets == 1000
@@ -146,21 +205,21 @@ class TestBase:
 
 class TestDumbbell:
     def test_figure4_smoke(self):
-        result = run_figure4(n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES)
+        result = run_cloud_figure(4, n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES)
         assert set(result.schemes()) == {s.name for s in FAST_SCHEMES}
         for summary in result.summaries.values():
             assert summary.n_points > 0
             assert summary.median_throughput_mbps() > 0
 
     def test_figure4_remy_outperforms_newreno(self):
-        result = run_figure4(n_flows=4, n_runs=2, duration=12.0, schemes=FAST_SCHEMES)
+        result = run_cloud_figure(4, n_flows=4, n_runs=2, duration=12.0, schemes=FAST_SCHEMES)
         assert (
             result["Remy d=1"].median_throughput_mbps()
             > result["NewReno"].median_throughput_mbps()
         )
 
     def test_figure5_smoke(self):
-        result = run_figure5(n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES)
+        result = run_cloud_figure(5, n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES)
         assert len(result.summaries) == len(FAST_SCHEMES)
 
 
@@ -237,25 +296,11 @@ class TestPriorKnowledge:
             assert result.score_at("RemyCC 10x", speed) > -6.0
         assert "Figure 11" in result.format_table()
 
-    def test_figure11_accepts_nondefault_flow_count(self):
-        # Regression: the base cell carries 2 per-flow workloads; resolving
-        # only its network must not re-validate them against n_flows=3.
-        from repro.experiments.base import SchemeSpec
-        from repro.protocols.newreno import NewReno
-
-        result = run_figure11(
-            link_speeds_mbps=(8.0,),
-            schemes=[SchemeSpec("NewReno", NewReno)],
-            n_flows=3,
-            n_runs=1,
-            duration=4.0,
-        )
-        assert result.points and result.points[0].scheme == "NewReno"
-
 
 class TestSummaryTables:
     def test_dumbbell_summary_rows(self):
-        table = run_dumbbell_summary(
+        table = run_summary_table(
+            4,
             n_runs=1,
             duration=8.0,
             remy_scheme="Remy d=1",

@@ -244,6 +244,11 @@ RETIRED = {
     **dict.fromkeys((
         "src/repro/core/pretrained.py", "repro.core.pretrained", "PolicySettings",
         "synthesize_remycc", "DEFAULT_ACK_BINS_MS", "DEFAULT_RATIO_BINS_RELATIVE"), 31),
+    **dict.fromkeys((
+        "src/repro/experiments/dumbbell.py", "src/repro/experiments/cellular.py",
+        "experiments.dumbbell", "experiments.cellular", "run_figure4", "run_figure5",
+        "run_figure7", "run_figure8", "run_figure9", "run_cellular_figure", "CELLULAR_FIGURES",
+        "dumbbell_spec", "run_dumbbell_summary", "run_lte_summary"), 34),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -318,7 +323,7 @@ def test_bench_is_the_one_yardstick():
 #: -> its command-line flags.  An option is added or dropped here, and the
 #: guard that settled each group reads its targets with ``assert_knobs``, so
 #: no knob slips in beside the design memo, the collector pause, the pool's
-#: one recovery rule or the one scheduler.
+#: one recovery rule, the one scheduler or a figure harness's sweep axis.
 KNOBS = {
     "repro.core.optimizer:OptimizerSettings": [
         "epochs_per_split", "candidate_magnitudes", "max_epochs", "max_evaluations", "max_rules",
@@ -342,6 +347,18 @@ KNOBS = {
         "job_id", "spec", "duration", "seed", "workloads", "tree", "training", "protocol_factory",
         "scenario", "max_events", "trace_flows"],
     "repro.runner:ProcessPoolBackend.__init__": ["self", "max_workers", "chunk_jobs"],
+    "repro.experiments.clouds:run_cloud_figure": [
+        "figure", "n_runs", "duration", "schemes", "n_flows", "backend"],
+    "repro.experiments.convergence:run_figure6": ["duration", "departure_time", "backend"],
+    "repro.experiments.rtt_fairness:run_figure10": ["schemes", "n_runs", "duration", "backend"],
+    "repro.experiments.prior_knowledge:run_figure11": [
+        "link_speeds_mbps", "schemes", "n_runs", "duration", "backend"],
+    "repro.experiments.datacenter:run_datacenter": ["scale", "duration", "backend"],
+    "repro.experiments.competing:run_vs_compound": [
+        "off_times_seconds", "n_runs", "duration", "backend"],
+    "repro.experiments.competing:run_vs_cubic": ["mean_flow_bytes", "n_runs", "duration", "backend"],
+    "repro.experiments.summary_tables:run_summary_table": [
+        "figure", "n_runs", "duration", "remy_scheme", "schemes"],
     "examples/train_remycc.py": [
         "--delta", "--output", "--specimens", "--sim-duration", "--max-epochs",
         "--max-evaluations", "--paper-scale", "--seed", "--workers", "--checkpoint", "--resume"],
@@ -456,6 +473,18 @@ class TestOneHarnessEntryPoint:
         kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
         functions = [node for node in ast.walk(base) if isinstance(node, kinds)]
         assert [f.name for f in functions if "run_batch" in names_in(f)] == ["run_cells"]
+
+    def test_a_figure_harness_takes_its_run_size_and_sweep_axis_only(self):
+        # The cell supplies everything else: no seed, rate, RTT or workload
+        # option restates it, and no harness appears beside these eight.
+        harnesses = [
+            f"repro.experiments.{path.stem}:{node.name}"
+            for path in py_files("src/repro/experiments") if path.stem != "base"
+            for node in tree_of(path).body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("run_")
+        ]
+        assert sorted(harnesses) == sorted(t for t in KNOBS if t.startswith("repro.experiments."))
+        assert_knobs("repro.experiments.")
 
 
 class TestOneTopology:

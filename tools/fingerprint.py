@@ -54,7 +54,7 @@ def extras_fingerprint() -> dict:
     from repro.analysis.summary import summarize_runs
     from repro.core.whisker_tree import WhiskerTree
     from repro.experiments.base import SchemeSpec, run_cells
-    from repro.experiments.dumbbell import run_figure4
+    from repro.experiments.clouds import run_cloud_figure
     from repro.netsim.network import NetworkSpec
     from repro.netsim.simulator import Simulation
     from repro.protocols.newreno import NewReno
@@ -102,9 +102,10 @@ def extras_fingerprint() -> dict:
     fp["remy-split-tree"] = simulation_fingerprint(sim.run())
     fp["remy-split-tree"]["use_counts"] = [w.use_count for w in split_tree.whiskers()]
 
-    # Figure-style harness (cell override knobs, scheme fan-out, the
+    # Figure-style harness (the sender-count override, scheme fan-out, the
     # ExperimentResult fold).
-    result = run_figure4(
+    result = run_cloud_figure(
+        4,
         n_flows=3,
         n_runs=2,
         duration=3.0,
