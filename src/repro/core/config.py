@@ -72,7 +72,9 @@ class NetConfig:
     mean_on_seconds: float
     mean_off_seconds: float
     mean_on_bytes: Optional[float] = None
-    buffer_packets: Optional[int] = None  # None = unlimited (design-time default)
+    #: The bottleneck queue: ``None`` is the unlimited FIFO of §5.1, an
+    #: integer a DropTail queue of that many packets.
+    buffer_packets: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.link_speed_bps <= 0:
@@ -81,10 +83,6 @@ class NetConfig:
             raise ValueError("rtt_seconds must be positive")
         if self.n_senders <= 0:
             raise ValueError("n_senders must be positive")
-
-    def bdp_packets(self, mss_bytes: int = 1500) -> float:
-        """Bandwidth-delay product of the specimen, in packets."""
-        return self.link_speed_bps * self.rtt_seconds / (mss_bytes * 8)
 
     def describe(self) -> str:
         return (
@@ -107,7 +105,7 @@ class ConfigRange:
     #: When set, "on" periods are measured in bytes drawn from an exponential
     #: distribution with this mean, instead of in seconds.
     mean_on_bytes: Optional[ParameterRange] = None
-    #: Design-time queue capacity; ``None`` models the unlimited queue of §5.1.
+    #: Copied into every specimen (see :attr:`NetConfig.buffer_packets`).
     buffer_packets: Optional[int] = None
 
     def sample(self, rng: random.Random) -> NetConfig:

@@ -99,9 +99,6 @@ class EvaluatorSettings:
     num_specimens: int = 4
     sim_duration: float = 8.0
     seed: int = 0
-    queue_kind: str = "infinite"
-    buffer_packets: int = 1000
-    mss_bytes: int = 1500
     max_events_per_sim: Optional[int] = 2_000_000
 
     def __post_init__(self) -> None:
@@ -140,19 +137,17 @@ class Evaluator:
 
     # -- specimen construction ---------------------------------------------------
     def _spec_for(self, specimen: NetConfig) -> NetworkSpec:
-        queue_kind = self.settings.queue_kind
-        buffer_packets = self.settings.buffer_packets
-        if specimen.buffer_packets is not None:
-            buffer_packets = specimen.buffer_packets
-        elif queue_kind == "infinite":
-            buffer_packets = 1000  # ignored by the infinite queue
+        # The specimen's own buffer: none is the unlimited FIFO of §5.1.
+        if specimen.buffer_packets is None:
+            queue, buffer_packets = "infinite", NetworkSpec.buffer_packets
+        else:
+            queue, buffer_packets = "droptail", specimen.buffer_packets
         return NetworkSpec(
             link_rate_bps=specimen.link_speed_bps,
             rtt=specimen.rtt_seconds,
             n_flows=specimen.n_senders,
-            queue=queue_kind,
+            queue=queue,
             buffer_packets=buffer_packets,
-            mss_bytes=self.settings.mss_bytes,
         )
 
     def _workload_for(self, specimen: NetConfig):

@@ -42,7 +42,17 @@ ProgressCallback = Callable[[str, "OptimizerState"], None]
 
 #: ``kind`` marker distinguishing checkpoints from plain RemyCC files.
 CHECKPOINT_KIND = "remy-optimizer-checkpoint"
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+
+
+def _design_inputs(evaluator: Evaluator) -> dict[str, Any]:
+    """What a design run scores against, as checkpoint JSON: every evaluator
+    setting under its own name, the objective and the drawn specimens."""
+    return {
+        **asdict(evaluator.settings),
+        "objective": asdict(evaluator.objective),
+        "specimens": [asdict(specimen) for specimen in evaluator.specimens],
+    }
 
 
 @dataclass
@@ -197,8 +207,9 @@ class RemyOptimizer:
 
         Captures everything the search depends on going forward: the rule
         table (structure, actions, epochs), the :class:`OptimizerState`
-        counters and score history, both settings objects, and the
-        evaluator's specimen seed schedule.  Per-whisker usage statistics
+        counters and score history, both settings objects, the objective,
+        the drawn specimens (their queues among them) and the evaluator's
+        specimen seed schedule.  Per-whisker usage statistics
         are deliberately *not* captured — every epoch begins with a training
         evaluation that replaces them (see :meth:`_run_epoch`) — which is
         exactly why the epoch boundary is a bit-identical resume point.
@@ -213,7 +224,7 @@ class RemyOptimizer:
             "tree": whisker_tree_to_dict(self.tree),
             "state": state,
             "settings": asdict(self.settings),
-            "evaluator_settings": asdict(self.evaluator.settings),
+            "design_inputs": _design_inputs(self.evaluator),
             "seed_schedule": [
                 specimen_seed(self.evaluator.settings.seed, index)
                 for index in range(self.evaluator.settings.num_specimens)
@@ -244,9 +255,10 @@ class RemyOptimizer:
     ) -> "RemyOptimizer":
         """Restore an optimizer from a checkpoint written by :meth:`save_checkpoint`.
 
-        ``evaluator`` must be constructed with the same settings the
-        checkpointed run used — the checkpoint records them and the specimen
-        seed schedule, and resume refuses a mismatch rather than silently
+        ``evaluator`` must be constructed with the same settings, objective
+        and design range the checkpointed run used — the checkpoint records
+        them (the range as its drawn specimens) and the specimen seed
+        schedule, and resume refuses a mismatch rather than silently
         continuing a *different* search.  The returned optimizer continues
         bit-identically: calling :meth:`optimize` produces the same final
         tree and score history as the uninterrupted run.  ``checkpoint_path``
@@ -263,8 +275,8 @@ class RemyOptimizer:
         version = data.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
-        recorded = data["evaluator_settings"]
-        current = asdict(evaluator.settings)
+        recorded = data["design_inputs"]
+        current = _design_inputs(evaluator)
         if recorded != current:
             diffs = sorted(
                 key
@@ -272,9 +284,9 @@ class RemyOptimizer:
                 if recorded.get(key) != current.get(key)
             )
             raise ValueError(
-                "evaluator settings differ from the checkpointed run "
-                f"(fields: {', '.join(diffs)}); resuming would evaluate on "
-                "different specimens and break bit-identical continuation"
+                "evaluator settings, objective or specimens differ from the "
+                f"checkpointed run (fields: {', '.join(diffs)}); resuming would "
+                "continue a different search and break bit-identical continuation"
             )
         schedule = [
             specimen_seed(evaluator.settings.seed, index)

@@ -14,13 +14,14 @@ else push it on the heap ``delay`` ahead, else (``delay == 0.0``) call
 ``sink`` right now.  Lossy gates, trace-driven hops and the sanitizer's
 counting wrapper are sinks like any other.
 
-``Simulation(kernel=...)`` chooses only the lanes.  Under ``"auto"`` (the
-default) a constant-rate dumbbell whose flows share one RTT posts every
+A constant-rate dumbbell whose flows share one RTT posts every
 serialization and every one-way hand-off on the scheduler's two
-constant-delay lanes (see :mod:`repro.netsim.events`); every other shape,
-and every shape under ``"generic"``, posts the same entries on the heap.
-Both spellings run the same float program in the same event order, so they
-reproduce the committed golden fingerprints bit-identically.
+constant-delay lanes (see :mod:`repro.netsim.events`); every other shape
+posts the same entries on the heap, and so does every shape under the
+heap-only reference (a :class:`~repro.netsim.simulator.Simulation` subclass
+with ``_lanes = False``).  Both run the same float program in the same
+event order, so they reproduce the committed golden fingerprints
+bit-identically.
 
 A heap push that can happen while lanes hold entries must bump
 ``_heap_version`` (the lane merge trusts a cached heap head until it moves).

@@ -234,7 +234,13 @@ class NetworkSpec:
         return float(self.rtt[flow_id])
 
     def bandwidth_delay_product_packets(self, flow_id: int = 0) -> float:
-        """Bandwidth-delay product in packets (useful for sanity checks)."""
+        """Bandwidth-delay product in packets: link rate × the flow's round trip.
+
+        The round trip, not the one-way delay, because a window must cover
+        the data in flight until its ACK returns.  The NIST dumbbell script
+        in SNIPPETS.md multiplies packets per ms by the *one-way* delay, half
+        of this; its Mbps variant uses the round trip, as here.
+        """
         return self.link_rate_bps * self.rtt_for_flow(flow_id) / (self.mss_bytes * 8)
 
     def make_queue(self, rng: Optional[random.Random] = None) -> QueueDiscipline:

@@ -392,8 +392,8 @@ class PathNetwork:
     hop (queue, then loss rng when enabled), then every reverse hop — so a
     given network rng yields identical streams run to run.  Routing is
     precomputed per ``(hop, flow)`` (:meth:`attach_flow`); ``lanes=False``
-    (``Simulation(kernel="generic")``) keeps the scheduler's constant-delay
-    lanes empty on every shape.
+    (the heap-only reference, ``Simulation._lanes``) keeps the scheduler's
+    constant-delay lanes empty on every shape.
     """
 
     def __init__(

@@ -174,13 +174,14 @@ class Simulation:
         conservation (by a census of the packets held in queues and
         scheduled events), monotonic time and queue-accounting checks on a
         sampling schedule and at completion.  Results stay bit-identical.
-    kernel:
-        ``"auto"`` (default) posts a uniform-RTT constant-rate dumbbell's
-        per-packet hand-offs on the scheduler's two constant-delay lanes;
-        ``"generic"`` leaves the lanes empty, the heap-only reference the
-        parity tests compare against (see :mod:`repro.netsim.kernel`).
-        Both reproduce the same results bit-identically.
+
+    A uniform-RTT constant-rate dumbbell posts its per-packet hand-offs on
+    the scheduler's two constant-delay lanes (see :mod:`repro.netsim.kernel`).
+    A subclass that sets ``_lanes = False`` leaves them empty: the heap-only
+    reference the parity tests compare against, bit-identical by contract.
     """
+
+    _lanes = True
 
     def __init__(
         self,
@@ -192,7 +193,6 @@ class Simulation:
         trace_flows: Sequence[int] = (),
         max_events: Optional[int] = None,
         debug_invariants: bool = False,
-        kernel: str = "auto",
     ) -> None:
         if len(protocols) != spec.n_flows:
             raise ValueError(
@@ -208,8 +208,6 @@ class Simulation:
         # fractional value would never match and silently lift it.
         if max_events is not None and not (isinstance(max_events, int) and max_events >= 0):
             raise ValueError(f"max_events must be None or an int >= 0, got {max_events!r}")
-        if kernel not in ("auto", "generic"):
-            raise ValueError(f"unknown kernel {kernel!r}: expected 'auto' or 'generic'")
         self.spec = spec
         self.protocols = list(protocols)
         self.workloads = list(workloads) if workloads is not None else [None] * spec.n_flows
@@ -228,7 +226,7 @@ class Simulation:
             self.scheduler,
             path_spec,
             rng=random.Random(self.master_rng.getrandbits(32)),
-            lanes=kernel == "auto",
+            lanes=self._lanes,
         )
         # Before the flows attach (the senders freeze the seal check when
         # they are connected).  Whether the topology can seal is the spec's
@@ -306,16 +304,3 @@ class Simulation:
             truncated=truncated,
         )
 
-
-def run_simulation(
-    spec: TopologySpec,
-    protocols: Sequence["CongestionControl"],
-    workloads: Optional[Sequence[Optional[Workload]]] = None,
-    duration: float = 100.0,
-    seed: int = 0,
-    kernel: str = "auto",
-) -> SimulationResult:
-    """Convenience wrapper: build a :class:`Simulation` and run it."""
-    return Simulation(
-        spec, protocols, workloads, duration=duration, seed=seed, kernel=kernel
-    ).run()

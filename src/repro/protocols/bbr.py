@@ -127,7 +127,7 @@ class BBR(CongestionControl):
         self._probe_rtt_round_stamp = now
 
     # -------------------------------------------------------------- the model
-    def _bdp_packets(self) -> float:
+    def _estimated_bdp(self) -> float:
         """Estimated bandwidth-delay product in packets (0 before estimates)."""
         if self.btl_bw <= 0.0 or self.rt_prop is None:
             return 0.0
@@ -181,7 +181,7 @@ class BBR(CongestionControl):
         """
         round_length = self.rt_prop if self.rt_prop is not None else 0.0
         phase_over = now - self._cycle_stamp > round_length
-        if self.pacing_gain < 1.0 and in_flight_packets <= self._bdp_packets():
+        if self.pacing_gain < 1.0 and in_flight_packets <= self._estimated_bdp():
             phase_over = True
         if not phase_over:
             return
@@ -256,7 +256,7 @@ class BBR(CongestionControl):
                 self.pacing_gain = 1.0 / STARTUP_GAIN
                 self.cwnd_gain = STARTUP_GAIN
         if self.state == "drain":
-            if in_flight_packets <= self._bdp_packets():
+            if in_flight_packets <= self._estimated_bdp():
                 self.state = "probe_bw"
                 self.cycle_index = 0
                 self._cycle_stamp = now
@@ -282,7 +282,7 @@ class BBR(CongestionControl):
         if self.state == "probe_rtt":
             self.cwnd = MIN_CWND
             return
-        bdp = self._bdp_packets()
+        bdp = self._estimated_bdp()
         if bdp > 0.0:
             self.cwnd = max(self.cwnd_gain * bdp, MIN_CWND)
         else:

@@ -161,10 +161,9 @@ class ProcessPoolBackend(ExecutionBackend):
     """Fan jobs out over a pool of worker processes, a chunk at a time.
 
     Jobs must be picklable (see :func:`prepare_jobs`).  The batch is cut
-    into runs of ``chunk_jobs`` consecutive jobs, and each chunk is one
+    into four runs of consecutive jobs per worker, and each chunk is one
     worker task — one pickle of the jobs, one result message back — which
-    amortizes IPC over sub-100 ms jobs.  ``chunk_jobs=None`` (the default)
-    targets four chunks per worker for load balance.
+    amortizes IPC over sub-100 ms jobs and still balances the load.
 
     One recovery rule, with a budget per batch: a broken pool (a worker
     died) is rebuilt once and only the chunks without a result are
@@ -182,15 +181,10 @@ class ProcessPoolBackend(ExecutionBackend):
     (or use the backend as a context manager) to reap the workers.
     """
 
-    def __init__(
-        self, max_workers: Optional[int] = None, chunk_jobs: Optional[int] = None
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if chunk_jobs is not None and chunk_jobs <= 0:
-            raise ValueError("chunk_jobs must be positive")
         self.max_workers = max_workers if max_workers is not None else available_workers()
-        self.chunk_jobs = chunk_jobs
         self.pool_rebuilds = 0
         self.degraded = False
         self._executor: Optional[ProcessPoolExecutor] = None
@@ -206,13 +200,6 @@ class ProcessPoolBackend(ExecutionBackend):
             )
         return self._executor
 
-    def _chunk_size(self, n_jobs: int) -> int:
-        if self.chunk_jobs is not None:
-            return self.chunk_jobs
-        # Four chunks per worker keeps the pool balanced when job durations
-        # vary while still amortizing IPC over several jobs per task.
-        return max(1, -(-n_jobs // (self.max_workers * 4)))
-
     def run_batch(self, jobs: Sequence[SimJob]) -> list[SimJobResult]:
         # The budget is per batch: a long-lived pool that degraded once must
         # not run every later batch in the submitting process.
@@ -221,7 +208,7 @@ class ProcessPoolBackend(ExecutionBackend):
         prepared = prepare_jobs(jobs)
         if not prepared:
             return []
-        size = self._chunk_size(len(prepared))
+        size = max(1, -(-len(prepared) // (self.max_workers * 4)))
         chunks = [prepared[start : start + size] for start in range(0, len(prepared), size)]
         done: dict[int, list[SimJobResult]] = {}
         for attempt in (0, 1):
@@ -278,34 +265,14 @@ class ProcessPoolBackend(ExecutionBackend):
             self._executor = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcessPoolBackend(max_workers={self.max_workers}, "
-            f"chunk_jobs={self.chunk_jobs})"
-        )
+        return f"ProcessPoolBackend(max_workers={self.max_workers})"
 
 
 #: Grammar reminder appended to every spec-format error.
 _SPEC_GRAMMAR = (
-    "expected 'serial' or 'process[:workers[:chunk]]' (each field a positive "
-    "integer or empty for the default — e.g. 'process', 'process:8', "
-    "'process:8:4' or 'process::4')."
+    "expected 'serial' or 'process[:workers]' (workers a positive integer; "
+    "without it, one per available CPU)."
 )
-
-
-def _spec_field(spec: str, field: str, value: str) -> Optional[int]:
-    """Parse one ``:``-separated spec field: empty → default, else int > 0."""
-    if not value:
-        return None
-    try:
-        parsed = int(value)
-    except ValueError:
-        parsed = 0
-    if parsed <= 0:
-        raise ValueError(
-            f"invalid backend spec {spec!r}: {field} field {value!r} is not "
-            f"a positive integer; {_SPEC_GRAMMAR}"
-        )
-    return parsed
 
 
 def backend_from_spec(spec: str) -> ExecutionBackend:
@@ -313,27 +280,20 @@ def backend_from_spec(spec: str) -> ExecutionBackend:
 
     ``"serial"`` → :class:`SerialBackend`; ``"process"`` →
     :class:`ProcessPoolBackend` with one worker per available CPU;
-    ``"process:N"`` → a pool of exactly N workers; ``"process:N:C"`` →
-    additionally submit C jobs per worker task (chunk size).  Empty fields
-    keep their defaults, so ``"process::8"`` sets only the chunk size.
-    Malformed specs raise a :class:`ValueError` that restates the grammar.
+    ``"process:N"`` → a pool of exactly N workers.  Malformed specs raise a
+    :class:`ValueError` that restates the grammar.
     """
-    name, _, arg = spec.partition(":")
-    fields = arg.split(":") if arg else []
+    name, _, workers = spec.partition(":")
     if name not in ("serial", "process"):
         raise ValueError(
             f"unknown backend spec {spec!r}: family {name!r} is not one of "
             f"'serial' or 'process'; {_SPEC_GRAMMAR}"
         )
-    allowed = 2 if name == "process" else 0
-    if len(fields) > allowed:
+    if not workers:
+        return SerialBackend() if name == "serial" else ProcessPoolBackend()
+    if name == "serial" or not (workers.isdecimal() and int(workers) > 0):
         raise ValueError(
-            f"invalid backend spec {spec!r}: {name} takes at most {allowed} "
-            f"field(s), got {len(fields)}; {_SPEC_GRAMMAR}"
+            f"invalid backend spec {spec!r}: {workers!r} is not a workers field "
+            f"(a positive integer, after 'process' only); {_SPEC_GRAMMAR}"
         )
-    if name == "serial":
-        return SerialBackend()
-    workers, chunk = (fields + ["", ""])[:2]
-    return ProcessPoolBackend(
-        _spec_field(spec, "workers", workers), _spec_field(spec, "chunk", chunk)
-    )
+    return ProcessPoolBackend(int(workers))

@@ -263,7 +263,6 @@ class ScenarioSpec:
         seed: Optional[int] = None,
         max_events: Optional[int] = None,
         debug_invariants: bool = False,
-        kernel: str = "auto",
     ) -> Simulation:
         """Materialize the cell into a ready-to-run :class:`Simulation`."""
         return Simulation(
@@ -274,7 +273,6 @@ class ScenarioSpec:
             seed=self.seed if seed is None else seed,
             max_events=max_events,
             debug_invariants=debug_invariants,
-            kernel=kernel,
         )
 
     def run(self, **build_kwargs: Any) -> SimulationResult:

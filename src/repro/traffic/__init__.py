@@ -2,14 +2,13 @@
 
 Senders switch between "off" periods (exponentially distributed) and "on"
 periods whose demand is expressed either as a number of bytes (drawn from an
-exponential or heavy-tailed empirical distribution) or as a duration in
+exponential or heavy-tailed Pareto distribution) or as a duration in
 seconds (videoconference-style sources).
 """
 
 from repro.traffic.distributions import (
     ConstantDistribution,
     Distribution,
-    EmpiricalDistribution,
     ExponentialDistribution,
     ParetoDistribution,
     UniformDistribution,
@@ -29,7 +28,6 @@ __all__ = [
     "ExponentialDistribution",
     "ParetoDistribution",
     "UniformDistribution",
-    "EmpiricalDistribution",
     "icsi_flow_length_distribution",
     "ICSI_PARETO_ALPHA",
     "ICSI_PARETO_XM",

@@ -8,10 +8,8 @@ specimen networks in the simulation of each candidate action").
 
 from __future__ import annotations
 
-import bisect
 import random
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 
 class Distribution(ABC):
@@ -119,43 +117,3 @@ class ParetoDistribution(Distribution):
                 )
             return self.shift + core
         return self.shift + self.alpha * self.xm / (self.alpha - 1.0)
-
-
-class EmpiricalDistribution(Distribution):
-    """Samples from an empirical CDF given as (value, cumulative_probability) points."""
-
-    def __init__(self, points: Sequence[tuple[float, float]]):
-        if len(points) < 2:
-            raise ValueError("need at least two CDF points")
-        values = [p[0] for p in points]
-        probs = [p[1] for p in points]
-        if any(b < a for a, b in zip(probs, probs[1:])):
-            raise ValueError("cumulative probabilities must be non-decreasing")
-        if any(b < a for a, b in zip(values, values[1:])):
-            raise ValueError("values must be non-decreasing")
-        if not (0.0 <= probs[0] and abs(probs[-1] - 1.0) < 1e-9):
-            raise ValueError("cumulative probabilities must end at 1.0")
-        self.values = list(values)
-        self.probs = list(probs)
-
-    def sample(self, rng: random.Random) -> float:
-        u = rng.random()
-        index = bisect.bisect_left(self.probs, u)
-        index = min(index, len(self.values) - 1)
-        if index == 0:
-            return self.values[0]
-        # Linear interpolation between adjacent CDF points.
-        p0, p1 = self.probs[index - 1], self.probs[index]
-        v0, v1 = self.values[index - 1], self.values[index]
-        if p1 <= p0:
-            return v1
-        fraction = (u - p0) / (p1 - p0)
-        return v0 + fraction * (v1 - v0)
-
-    def mean(self) -> float:
-        # Mean of the piecewise-linear interpolated distribution.
-        total = 0.0
-        for i in range(1, len(self.values)):
-            weight = self.probs[i] - self.probs[i - 1]
-            total += weight * (self.values[i] + self.values[i - 1]) / 2
-        return total

@@ -8,6 +8,35 @@ import pytest
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.network import NetworkSpec
+from repro.netsim.simulator import Simulation
+
+
+class HeapOnlySimulation(Simulation):
+    """The heap-only reference the parity tests compare against: the same
+    closures on the same scheduler, its two constant-delay lanes left empty."""
+
+    _lanes = False
+
+    @classmethod
+    def of(cls, cell) -> "HeapOnlySimulation":
+        """``cell.build()``, heap only."""
+        return cls(
+            cell.network_spec(), cell.make_protocols(), cell.make_workloads(),
+            duration=cell.duration, seed=cell.seed,
+        )
+
+
+@pytest.fixture(scope="session")
+def heap_only() -> type[HeapOnlySimulation]:
+    return HeapOnlySimulation
+
+
+@pytest.fixture
+def sim_class(kernel) -> type[Simulation]:
+    """What a test parametrized over ``kernel`` builds: ``"auto"`` is
+    :class:`Simulation` (lanes where the shape allows them), ``"generic"``
+    the heap-only reference."""
+    return {"auto": Simulation, "generic": HeapOnlySimulation}[kernel]
 
 
 @pytest.fixture
@@ -35,8 +64,8 @@ def small_dumbbell() -> NetworkSpec:
 @pytest.fixture
 def rides_lanes():
     """Whether a built simulation's constant-delay lanes hold entries
-    part-way through its run (lanes are ``kernel="auto"``'s choice, read off
-    the spec's shape; nothing public names it)."""
+    part-way through its run (lanes are read off the spec's shape; nothing
+    public names them)."""
 
     def check(sim) -> bool:
         for sender in sim.senders:

@@ -17,6 +17,7 @@ from repro.core.config import (
     wide_rtt_range,
 )
 from repro.core.objective import Objective, alpha_fairness_utility
+from repro.netsim.network import NetworkSpec
 
 
 class TestParameterRange:
@@ -79,7 +80,9 @@ class TestConfigRange:
             link_speed_bps=12e6, rtt_seconds=0.1, n_senders=2,
             mean_on_seconds=1, mean_off_seconds=1,
         )
-        assert config.bdp_packets() == pytest.approx(100.0)
+        # The one BDP helper is the topology's: rate × round trip.
+        spec = NetworkSpec(link_rate_bps=config.link_speed_bps, rtt=config.rtt_seconds)
+        assert spec.bandwidth_delay_product_packets() == pytest.approx(100.0)
         assert "Mbps" in config.describe()
 
 

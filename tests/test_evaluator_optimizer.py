@@ -1,13 +1,18 @@
 """Tests for the Remy evaluator and the greedy optimizer (§4.3)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import config
 from repro.core.action import Action
 from repro.core.config import ConfigRange, ParameterRange
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer, design_remycc
 from repro.core.whisker_tree import WhiskerTree
+from repro.netsim.network import NetworkSpec
+from repro.netsim.queue import DropTailQueue
 from repro.runner import SerialBackend, whisker_tree_token
 
 
@@ -114,6 +119,34 @@ class TestEvaluator:
         # No specimen would score every table 0.0 from no simulation.
         with pytest.raises(ValueError, match="num_specimens"):
             EvaluatorSettings(num_specimens=count)
+
+    def test_the_range_buffer_sizes_every_specimen_queue(self):
+        # It used to be copied into every specimen and then ignored: the
+        # evaluator built the unlimited queue whatever the range said.
+        evaluator = Evaluator(replace(tiny_range(), buffer_packets=50), settings=tiny_settings())
+        for specimen in evaluator.specimens:
+            queue = evaluator._spec_for(specimen).make_queue()
+            assert type(queue) is DropTailQueue and queue.capacity_packets == 50
+
+    @pytest.mark.parametrize(
+        "design_range",
+        [config.general_purpose_range, config.exact_link_range, config.tenfold_link_range,
+         config.datacenter_range, config.wide_rtt_range],
+        ids=lambda make: make.__name__,
+    )
+    def test_every_published_range_keeps_its_unlimited_queue(self, design_range):
+        # The spec every specimen of a published range was simulated on
+        # before the queue came from the range: §5.1's unlimited FIFO.
+        evaluator = Evaluator(design_range(), settings=EvaluatorSettings(num_specimens=4))
+        for specimen in evaluator.specimens:
+            assert evaluator._spec_for(specimen) == NetworkSpec(
+                link_rate_bps=specimen.link_speed_bps,
+                rtt=specimen.rtt_seconds,
+                n_flows=specimen.n_senders,
+                queue="infinite",
+                buffer_packets=1000,
+                mss_bytes=1500,
+            )
 
 
 class TestOptimizer:

@@ -40,9 +40,9 @@ SPEC = NetworkSpec(
 DURATION = 3.0
 
 
-def build_sim(**kwargs) -> Simulation:
+def build_sim(sim_class=Simulation, **kwargs) -> Simulation:
     spec = kwargs.pop("spec", SPEC)
-    return Simulation(
+    return sim_class(
         spec,
         [NewReno() for _ in range(spec.n_flows)],
         duration=kwargs.pop("duration", DURATION),
@@ -142,14 +142,14 @@ class TestCleanRuns:
 
 class TestSeededViolations:
     # The faulty queues come in through the spec's queue factory, so each
-    # case runs the one engine under either kernel spelling.
+    # case runs the one engine with lanes and on the heap only.
     @pytest.mark.parametrize("kernel", ["auto", "generic"])
-    def test_duplicated_packet_is_caught(self, kernel):
+    def test_duplicated_packet_is_caught(self, sim_class):
         # One packet held in two places: the census counts it twice against
-        # one send, and the identity breaks (lanes under "auto", heap only
-        # under "generic").
+        # one send, and the identity breaks (on the lanes under "auto", on
+        # the heap under "generic").
         sim = build_sim(
-            spec=replace(SPEC, queue=_DuplicatingQueue), debug_invariants=True, kernel=kernel
+            sim_class, spec=replace(SPEC, queue=_DuplicatingQueue), debug_invariants=True
         )
         with pytest.raises(InvariantViolation) as excinfo:
             sim.run()
@@ -160,13 +160,11 @@ class TestSeededViolations:
         assert "hop" in message and "flow 0" in message
 
     @pytest.mark.parametrize("kernel", ["auto", "generic"])
-    def test_uncounted_drop_is_caught(self, kernel):
+    def test_uncounted_drop_is_caught(self, sim_class):
         # Dual failure mode: the packet vanishes but the drop is never
         # counted — conservation breaks in the other direction.
         sim = build_sim(
-            spec=replace(SPEC, queue=_SilentlyDroppingQueue),
-            debug_invariants=True,
-            kernel=kernel,
+            sim_class, spec=replace(SPEC, queue=_SilentlyDroppingQueue), debug_invariants=True
         )
         with pytest.raises(InvariantViolation, match="conservation"):
             sim.run()

@@ -1,11 +1,11 @@
-"""The kernel choice (lanes vs heap): lane rule, parity, late-bound hooks.
+"""Lanes vs heap: lane rule, parity, late-bound hooks.
 
 Three contracts:
 
-* **Lanes** — under ``kernel="auto"`` the scheduler's two constant-delay
-  lanes are used on a constant-rate dumbbell whose flows share one RTT and
-  stay empty on everything else; ``"generic"`` runs the same closures with
-  both lanes empty, as the parity reference.  Nothing else is accepted.
+* **Lanes** — a :class:`Simulation` uses the scheduler's two constant-delay
+  lanes on a constant-rate dumbbell whose flows share one RTT and leaves
+  them empty on everything else; the heap-only reference (the ``heap_only``
+  fixture, ``_lanes = False``) runs the same closures with both lanes empty.
 * **Parity** — lane and heap runs of the same spec are bit-identical (the
   full registry sweep lives in ``test_scenario_matrix.py``; here the shapes
   no registered cell reaches).
@@ -44,19 +44,18 @@ PATH_SPEC = PathSpec(
 TRACE = [0.004 * i for i in range(1, 600)]
 
 
-def _build(spec, kernel="auto", seed=7, duration=2.0, **kwargs):
-    return Simulation(
-        spec, [NewReno() for _ in range(spec.n_flows)], duration=duration,
-        seed=seed, kernel=kernel, **kwargs,
+def _build(spec, sim_class=Simulation, seed=7, duration=2.0, **kwargs):
+    return sim_class(
+        spec, [NewReno() for _ in range(spec.n_flows)], duration=duration, seed=seed, **kwargs,
     )
 
 
-def _fingerprint(spec, kernel, **kwargs):
-    return simulation_fingerprint(_build(spec, kernel, **kwargs).run())
+def _fingerprint(spec, sim_class, **kwargs):
+    return simulation_fingerprint(_build(spec, sim_class, **kwargs).run())
 
 
 # ---------------------------------------------------------------------------
-# Kernel choice and the lane rule
+# The lane rule
 # ---------------------------------------------------------------------------
 class TestResolution:
     def test_auto_rides_the_lanes_on_a_dumbbell(self, rides_lanes):
@@ -72,34 +71,27 @@ class TestResolution:
         assert not rides_lanes(_build(replace(FLAT_SPEC, rtt=(0.05, 0.08))))
         assert rides_lanes(_build(replace(FLAT_SPEC, rtt=(0.08, 0.08))))
 
-    def test_generic_never_rides_the_lanes(self, rides_lanes):
+    def test_generic_never_rides_the_lanes(self, rides_lanes, heap_only):
         for spec in (FLAT_SPEC, PATH_SPEC):
-            assert not rides_lanes(_build(spec, "generic"))
+            assert not rides_lanes(_build(spec, heap_only))
 
-    @pytest.mark.parametrize("kernel", ["flat", "warp", None])
-    def test_unknown_kernel_name_lists_the_choices(self, kernel):
-        with pytest.raises(ValueError) as err:
-            _build(FLAT_SPEC, kernel)
-        assert "'auto'" in str(err.value) and "'generic'" in str(err.value)
-
-    def test_every_registry_cell_is_fused_under_auto(self):
-        # One engine: under either spelling every flow's ACK and data sinks
-        # are the closures its sender and receiver built when wired.
+    def test_every_registry_cell_is_fused_under_auto(self, heap_only):
+        # One engine: lanes or not, every flow's ACK and data sinks are the
+        # closures its sender and receiver built when wired.
         for cell in all_scenarios():
-            for kernel in ("auto", "generic"):
-                sim = cell.build(kernel=kernel)
+            for sim in (cell.build(), heap_only.of(cell)):
                 sinks = {sender.on_ack.__qualname__ for sender in sim.senders}
                 sinks |= {receiver.on_packet.__qualname__ for receiver in sim.receivers}
                 assert sinks == {
                     "Sender.connect.<locals>.ack_and_send",
                     "Receiver.connect.<locals>.on_packet",
-                }, (cell.name, kernel)
+                }, (cell.name, type(sim).__name__)
 
-    def test_a_lane_with_the_serialization_delay_equal_to_the_one_way_delay(self):
+    def test_a_lane_with_the_serialization_delay_equal_to_the_one_way_delay(self, heap_only):
         # 1500 B at 12 Mbps serializes in 1 ms, the one-way delay of a 2 ms
         # RTT: both lanes carry the same delay and still merge in order.
         spec = replace(FLAT_SPEC, link_rate_bps=12e6, rtt=0.002)
-        assert _fingerprint(spec, "auto") == _fingerprint(spec, "generic")
+        assert _fingerprint(spec, Simulation) == _fingerprint(spec, heap_only)
 
 
 # ---------------------------------------------------------------------------
@@ -156,27 +148,27 @@ PARITY_SPECS = {
 
 
 class TestParity:
-    def test_fused_matches_generic_on_dumbbell(self):
-        assert _fingerprint(FLAT_SPEC, "auto") == _fingerprint(FLAT_SPEC, "generic")
+    def test_fused_matches_generic_on_dumbbell(self, heap_only):
+        assert _fingerprint(FLAT_SPEC, Simulation) == _fingerprint(FLAT_SPEC, heap_only)
 
-    def test_fused_parity_with_ecn_marking_queue(self):
+    def test_fused_parity_with_ecn_marking_queue(self, heap_only):
         # AQM cells exercise the closures' enqueue/dequeue calls (no inlined
         # DropTail).
         spec = replace(FLAT_SPEC, queue="codel")
-        assert _fingerprint(spec, "auto") == _fingerprint(spec, "generic")
+        assert _fingerprint(spec, Simulation) == _fingerprint(spec, heap_only)
 
     @pytest.mark.parametrize("shape", list(PARITY_SPECS))
-    def test_fused_matches_generic(self, shape):
+    def test_fused_matches_generic(self, shape, heap_only):
         spec = PARITY_SPECS[shape]
-        generic = _build(spec, "generic").run()
+        generic = _build(spec, heap_only).run()
         assert generic.total_bytes_received() > 0
-        assert _fingerprint(spec, "auto") == simulation_fingerprint(generic)
+        assert _fingerprint(spec, Simulation) == simulation_fingerprint(generic)
 
     @pytest.mark.parametrize("options", [{"debug_invariants": True}], ids=["debug-invariants"])
     @pytest.mark.parametrize("shape", ["parking-lot-mixed-reverse", "hop-delays-everywhere"])
-    def test_fused_path_parity_under_build_options(self, shape, options):
+    def test_fused_path_parity_under_build_options(self, shape, options, heap_only):
         spec = PARITY_SPECS[shape]
-        assert _fingerprint(spec, "auto", **options) == _fingerprint(spec, "generic")
+        assert _fingerprint(spec, Simulation, **options) == _fingerprint(spec, heap_only)
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +181,9 @@ def _hop(sim):
 
 class TestLateBoundHooks:
     @pytest.mark.parametrize("spec", [FLAT_SPEC, PATH_SPEC], ids=["lanes", "heap"])
-    def test_connect_after_build_fires_and_keeps_parity(self, spec):
-        def run(kernel):
-            sim = _build(spec, kernel)
+    def test_connect_after_build_fires_and_keeps_parity(self, spec, heap_only):
+        def run(sim_class):
+            sim = _build(spec, sim_class)
             link = _hop(sim)
             original = link.deliver
             seen = []
@@ -203,24 +195,24 @@ class TestLateBoundHooks:
             link.connect(spy)
             return seen, simulation_fingerprint(sim.run())
 
-        fused_seen, fused = run("auto")
-        generic_seen, generic = run("generic")
+        fused_seen, fused = run(Simulation)
+        generic_seen, generic = run(heap_only)
         assert len(fused_seen) > 100
         assert fused_seen == generic_seen
-        assert fused == generic == _fingerprint(spec, "generic")
+        assert fused == generic == _fingerprint(spec, heap_only)
 
     @pytest.mark.parametrize("spec", [FLAT_SPEC, PATH_SPEC], ids=["lanes", "heap"])
-    def test_delay_observer_after_build_fires(self, spec):
-        def run(kernel):
-            sim = _build(spec, kernel)
+    def test_delay_observer_after_build_fires(self, spec, heap_only):
+        def run(sim_class):
+            sim = _build(spec, sim_class)
             delays = []
             _hop(sim).delay_observer = lambda packet, delay: delays.append(delay)
             sim.run()
             return delays
 
-        fused = run("auto")
+        fused = run(Simulation)
         assert len(fused) > 100
-        assert fused == run("generic")
+        assert fused == run(heap_only)
 
 
 # ---------------------------------------------------------------------------
@@ -245,4 +237,4 @@ class TestProfileTool:
         with pytest.raises(SystemExit) as exit_info:
             profile_hotpath.main(["--kernel", "flat", "bench-newreno-droptail"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'flat'" in capsys.readouterr().err
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err

@@ -249,6 +249,8 @@ RETIRED = {
         "experiments.dumbbell", "experiments.cellular", "run_figure4", "run_figure5",
         "run_figure7", "run_figure8", "run_figure9", "run_cellular_figure", "CELLULAR_FIGURES",
         "dumbbell_spec", "run_dumbbell_summary", "run_lte_summary"), 34),
+    **dict.fromkeys((
+        "run_simulation", "chunk_jobs", "queue_kind", "EmpiricalDistribution", "bdp_packets"), 35),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -334,19 +336,18 @@ KNOBS = {
     "repro.core.optimizer:RemyOptimizer.__init__": [
         "self", "evaluator", "tree", "settings", "progress", "checkpoint_path"],
     "repro.core.evaluator:EvaluatorSettings": [
-        "num_specimens", "sim_duration", "seed", "queue_kind", "buffer_packets", "mss_bytes",
-        "max_events_per_sim"],
+        "num_specimens", "sim_duration", "seed", "max_events_per_sim"],
     "repro.core.evaluator:Evaluator.__init__": [
         "self", "config_range", "objective", "settings", "backend"],
     "repro.netsim.simulator:Simulation.__init__": [
         "self", "spec", "protocols", "workloads", "duration", "seed", "trace_flows", "max_events",
-        "debug_invariants", "kernel"],
+        "debug_invariants"],
     "repro.netsim.simulator:Simulation.run": ["self"],
     "repro.runner.jobs:run_sim_job": ["job"],
     "repro.runner.jobs:SimJob": [
         "job_id", "spec", "duration", "seed", "workloads", "tree", "training", "protocol_factory",
         "scenario", "max_events", "trace_flows"],
-    "repro.runner:ProcessPoolBackend.__init__": ["self", "max_workers", "chunk_jobs"],
+    "repro.runner:ProcessPoolBackend.__init__": ["self", "max_workers"],
     "repro.experiments.clouds:run_cloud_figure": [
         "figure", "n_runs", "duration", "schemes", "n_flows", "backend"],
     "repro.experiments.convergence:run_figure6": ["duration", "departure_time", "backend"],
@@ -506,7 +507,7 @@ class TestOneTopology:
 
 
 class TestOneScheduler:
-    """``EventScheduler`` alone dispatches events, and the kernel choice adds no knob."""
+    """``EventScheduler`` alone dispatches events, and its lanes add no knob."""
 
     def test_one_class_dispatches(self):
         dispatching = classes_with("run_until", "src/repro/netsim")
@@ -524,15 +525,16 @@ class TestOneScheduler:
         kernel = ast.walk(tree_of(NETSIM / "kernel.py"))
         assert [node.name for node in kernel if isinstance(node, ast.ClassDef)] == []
 
-    def test_the_kernel_choice_is_auto_or_generic_and_adds_no_knob(self):
-        # An unknown name's ValueError is tests/test_kernel.py's to pin.
-        from repro.netsim.network import NetworkSpec
-        from repro.netsim.simulator import Simulation
-        from repro.protocols.newreno import NewReno
-
+    def test_the_lanes_are_a_private_class_attribute_and_add_no_knob(self):
+        # Only the parity reference (tests/conftest.py) and the profiling
+        # tool's lanes-vs-heap timing override it.
         assert_knobs("repro.netsim.simulator:Simulation.__init__")
-        for kernel in ("auto", "generic"):
-            Simulation(NetworkSpec(n_flows=1), [NewReno()], duration=1.0, kernel=kernel)
+        overrides = lines_matching(r"^\s*_lanes = ", "src", "tests", "tools", "examples")
+        assert overrides == [
+            ("src/repro/netsim/simulator.py", "_lanes = True"),
+            ("tests/conftest.py", "_lanes = False"),
+            ("tools/profile_hotpath.py", "_lanes = False"),
+        ]
 
 
 class TestOneParallelBackend:
@@ -557,7 +559,7 @@ class TestOneParallelBackend:
 class TestOneRecoveryRule:
     """The pool's one recovery rule takes no option, and nothing in the runner waits."""
 
-    def test_the_pool_takes_a_width_and_a_chunk_size_only(self):
+    def test_the_pool_takes_a_width_only(self):
         assert_knobs("repro.runner:ProcessPoolBackend.__init__")
 
     def test_nothing_in_the_runner_sleeps(self):

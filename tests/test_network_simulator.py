@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim.network import NetworkSpec, QUEUE_KINDS
 from repro.netsim.sender import AlwaysOnWorkload
-from repro.netsim.simulator import Simulation, run_simulation
+from repro.netsim.simulator import Simulation
 from repro.protocols.constant_rate import ConstantRate
 from repro.protocols.newreno import NewReno
 from repro.traffic.onoff import ByteFlowWorkload
@@ -196,17 +196,8 @@ class TestSimulation:
         with pytest.raises(ValueError):
             Simulation(small_dumbbell, [NewReno(), NewReno()], [None], duration=1.0)
 
-    def test_run_simulation_wrapper(self, small_dumbbell):
-        result = run_simulation(
-            small_dumbbell, [NewReno(), NewReno()], None, duration=2.0, seed=0
-        )
-        assert result.duration == 2.0
-        assert len(result.flow_stats) == 2
-
     def test_result_summary_helpers(self, small_dumbbell):
-        result = run_simulation(
-            small_dumbbell, [NewReno(), NewReno()], None, duration=5.0, seed=0
-        )
+        result = Simulation(small_dumbbell, [NewReno(), NewReno()], duration=5.0, seed=0).run()
         assert result.median_throughput_mbps() > 0
         assert result.mean_throughput_mbps() > 0
         assert result.total_bytes_received() > 0

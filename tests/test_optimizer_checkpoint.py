@@ -6,8 +6,9 @@ as an uninterrupted run.  That works because ``_run_epoch`` begins with a
 training evaluation that replaces the per-whisker statistics, so the epoch
 boundary depends on nothing but what the checkpoint captures — tree
 structure/actions/epochs, the ``OptimizerState`` counters, both settings
-objects and the evaluator seed schedule.  The backend is not among them: a
-run may be resumed on a box of a different width.
+objects, the objective, the drawn specimens and the evaluator seed
+schedule.  The backend is not among them: a run may be resumed on a box of
+a different width.
 """
 
 from __future__ import annotations
@@ -48,10 +49,12 @@ def tiny_range() -> ConfigRange:
     )
 
 
-def make_evaluator(seed: int = 3, num_specimens: int = 2, backend=None) -> Evaluator:
+def make_evaluator(
+    seed: int = 3, num_specimens: int = 2, backend=None, delta: float = 1.0, config_range=None
+) -> Evaluator:
     return Evaluator(
-        tiny_range(),
-        Objective.proportional(delta=1.0),
+        tiny_range() if config_range is None else config_range,
+        Objective.proportional(delta=delta),
         EvaluatorSettings(
             num_specimens=num_specimens, sim_duration=1.0, seed=seed
         ),
@@ -120,7 +123,7 @@ class TestCheckpointWriting:
         assert data["kind"] == CHECKPOINT_KIND
         assert data["format_version"] == CHECKPOINT_FORMAT_VERSION
         assert data["state"]["global_epoch"] == 1
-        assert data["evaluator_settings"]["seed"] == 3
+        assert data["design_inputs"]["seed"] == 3
         assert len(data["seed_schedule"]) == 2
         # Atomic write: no temp file left behind.
         assert not list(tmp_path.glob("*.tmp"))
@@ -334,6 +337,31 @@ class TestResumeGuards:
             RemyOptimizer.resume_from_checkpoint(
                 path, make_evaluator(num_specimens=3)
             )
+
+    def test_rejects_a_different_objective(self, tmp_path):
+        path = self._checkpoint(tmp_path)
+        with pytest.raises(ValueError, match=r"differ.*\(fields: objective\)"):
+            RemyOptimizer.resume_from_checkpoint(path, make_evaluator(delta=10.0))
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"link_speed_bps": ParameterRange.exact(5e6)}, {"buffer_packets": 50}],
+        ids=["link-speed", "buffer"],
+    )
+    def test_rejects_a_different_design_range(self, tmp_path, change):
+        path = self._checkpoint(tmp_path)
+        other = replace(tiny_range(), **change)
+        with pytest.raises(ValueError, match=r"differ.*\(fields: specimens\)"):
+            RemyOptimizer.resume_from_checkpoint(path, make_evaluator(config_range=other))
+
+    def test_rejects_format_version_1(self, tmp_path):
+        # Version 1 recorded neither the objective nor the specimens.
+        path = self._checkpoint(tmp_path)
+        data = json.loads(path.read_text())
+        data["format_version"] = 1
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="unsupported checkpoint format version 1"):
+            RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
 
     def test_rejects_non_checkpoint_files(self, tmp_path):
         table = tmp_path / "table.json"

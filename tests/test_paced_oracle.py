@@ -11,9 +11,10 @@ so the counts follow from arithmetic alone — no golden of ours is consulted:
 * λ = 0.8 C: every segment finds the link idle — no drops, and every
   queueing-delay sample is exactly 0.
 
-Each case runs under both kernels and under the invariant sanitizer; in
-all four the pacing timer re-enters the sender's one closure, which skips
-the acknowledgment half and falls into the send loop.
+Each case runs with lanes and on the heap only, with and without the
+invariant sanitizer; in all four the pacing timer re-enters the sender's
+one closure, which skips the acknowledgment half and falls into the send
+loop.
 """
 
 from __future__ import annotations
@@ -53,14 +54,14 @@ class FixedRate(CongestionControl):
         pass
 
 
-def _simulation(load: float, kernel: str, debug_invariants: bool) -> Simulation:
+def _simulation(load: float, sim_class: type[Simulation], debug_invariants: bool) -> Simulation:
     spec = NetworkSpec(
         link_rate_bps=RATE_BPS, rtt=0.05, n_flows=1,
         queue="droptail", buffer_packets=BUFFER_PACKETS,
     )
-    return Simulation(
+    return sim_class(
         spec, [FixedRate(SERIALIZATION / load)], [AlwaysOnWorkload()],
-        duration=DURATION, seed=3, kernel=kernel, debug_invariants=debug_invariants,
+        duration=DURATION, seed=3, debug_invariants=debug_invariants,
     )
 
 
@@ -72,9 +73,9 @@ ENGINES = pytest.mark.parametrize(
 
 
 @ENGINES
-def test_overload_delivers_capacity_over_offered(kernel, debug_invariants):
+def test_overload_delivers_capacity_over_offered(sim_class, debug_invariants):
     load = 1.25
-    result = _simulation(load, kernel, debug_invariants).run()
+    result = _simulation(load, sim_class, debug_invariants).run()
     stats = result.flow_stats[0]
     sent = math.floor(DURATION / (SERIALIZATION / load)) + 1
     assert stats.packets_sent == sent
@@ -86,9 +87,9 @@ def test_overload_delivers_capacity_over_offered(kernel, debug_invariants):
 
 
 @ENGINES
-def test_underload_never_queues(kernel, debug_invariants):
+def test_underload_never_queues(sim_class, debug_invariants):
     load = 0.8
-    result = _simulation(load, kernel, debug_invariants).run()
+    result = _simulation(load, sim_class, debug_invariants).run()
     stats = result.flow_stats[0]
     sent = math.floor(DURATION / (SERIALIZATION / load)) + 1
     assert stats.packets_sent == sent
@@ -99,8 +100,8 @@ def test_underload_never_queues(kernel, debug_invariants):
 
 
 @ENGINES
-def test_the_pacing_timer_runs_the_senders_one_closure(kernel, debug_invariants):
-    sim = _simulation(1.25, kernel, debug_invariants)
+def test_the_pacing_timer_runs_the_senders_one_closure(sim_class, debug_invariants):
+    sim = _simulation(1.25, sim_class, debug_invariants)
     sender = sim.senders[0]
     closure = sender._send
     armed = []

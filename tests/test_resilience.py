@@ -49,7 +49,13 @@ SPEC = NetworkSpec(
 )
 
 
-def make_jobs(n: int = 6, duration: float = 1.0, first_id: int = 0) -> list[SimJob]:
+#: Jobs per batch.  A two-worker pool cuts a batch into four chunks per
+#: worker, so sixteen jobs make eight chunks of two: every crash below loses
+#: a chunk that carries more than one job.
+BATCH = 16
+
+
+def make_jobs(n: int = BATCH, duration: float = 1.0, first_id: int = 0) -> list[SimJob]:
     return [
         SimJob(
             job_id=first_id + i,
@@ -119,7 +125,7 @@ class TestFaultPlan:
 # A job that raises, and a chunk that comes back wrong
 # ---------------------------------------------------------------------------
 def failing_batch() -> list[SimJob]:
-    """Six jobs whose fourth (job 3) cannot run: its duration is NaN."""
+    """A batch whose fourth job (job 3) cannot run: its duration is NaN."""
     jobs = make_jobs()
     jobs[3] = replace(jobs[3], duration=float("nan"))
     return jobs
@@ -132,7 +138,7 @@ def reversed_chunk(jobs, attempt=0):
 
 class TestPlainPoolChunkFailure:
     def test_worker_exception_names_the_jobs_not_the_chunk(self):
-        with ProcessPoolBackend(max_workers=2, chunk_jobs=3) as backend:
+        with ProcessPoolBackend(max_workers=2) as backend:
             with pytest.raises(ValueError, match="finite") as excinfo:
                 backend.run_batch(failing_batch())
         # The job's own exception, not a wrapper, and the note names the
@@ -142,7 +148,7 @@ class TestPlainPoolChunkFailure:
         assert backend.pool_rebuilds == 0  # an exception leaves the pool up
 
     def test_pool_remains_usable_after_chunk_failure(self, serial_results):
-        with ProcessPoolBackend(max_workers=2, chunk_jobs=3) as backend:
+        with ProcessPoolBackend(max_workers=2) as backend:
             with pytest.raises(ValueError):
                 backend.run_batch(failing_batch())
             executor = backend._executor
@@ -152,7 +158,7 @@ class TestPlainPoolChunkFailure:
 
     def test_corrupt_chunk_result_is_a_hard_error(self, monkeypatch):
         monkeypatch.setattr(backends, "_execute_job_chunk", reversed_chunk)
-        with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
+        with ProcessPoolBackend(max_workers=2) as backend:
             with pytest.raises(RuntimeError, match="expected"):
                 backend.run_batch(make_jobs())
 
@@ -169,7 +175,7 @@ class TestPlainPoolChunkFailure:
 # ---------------------------------------------------------------------------
 class TestResilientBackend:
     def test_clean_run_matches_serial(self, serial_results):
-        with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
+        with ProcessPoolBackend(max_workers=2) as backend:
             results = backend.run_batch(make_jobs())
         assert results == serial_results
         assert backend.pool_rebuilds == 0 and not backend.degraded
@@ -179,7 +185,7 @@ class TestResilientBackend:
         # pool breaks, is rebuilt once, and the lost chunks run again.
         plan = FaultPlan(seed=7, crash_rate=1.0, max_faulty_attempts=1)
         with fault_plan_installed(plan):
-            with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
+            with ProcessPoolBackend(max_workers=2) as backend:
                 results = backend.run_batch(make_jobs())
         assert results == serial_results
         assert backend.pool_rebuilds == 1 and not backend.degraded
@@ -188,18 +194,18 @@ class TestResilientBackend:
         # Workers crash on *every* attempt: the rebuilt pool breaks too, and
         # the batch finishes here (crashes are worker-gated, so this is clean).
         with fault_plan_installed(FaultPlan(seed=7, crash_rate=1.0)):
-            with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
+            with ProcessPoolBackend(max_workers=2) as backend:
                 with caplog.at_level(logging.WARNING, logger="repro.runner.backends"):
                     results = backend.run_batch(make_jobs())
         assert results == serial_results
         assert backend.pool_rebuilds == 1 and backend.degraded
         [record] = caplog.records
-        assert "6 of 6 jobs in this process" in record.getMessage()
+        assert f"{BATCH} of {BATCH} jobs in this process" in record.getMessage()
 
     def test_degradation_lasts_one_batch_not_the_pool_lifetime(self, serial_results):
         # Batch 1 finishes here.  Batch 2 (plan gone, so the fresh workers
         # are born fault-free) gets a fresh budget and runs on real workers.
-        with ProcessPoolBackend(max_workers=2, chunk_jobs=2) as backend:
+        with ProcessPoolBackend(max_workers=2) as backend:
             with fault_plan_installed(FaultPlan(seed=7, crash_rate=1.0)):
                 backend.run_batch(make_jobs())
             assert backend.degraded and backend.pool_rebuilds == 1
@@ -217,26 +223,24 @@ class TestResilientBackend:
 # ---------------------------------------------------------------------------
 # Spec grammar
 # ---------------------------------------------------------------------------
-GRAMMAR = "process[:workers[:chunk]]"
+GRAMMAR = "process[:workers]"
 
 
 class TestSpecGrammar:
     def test_retries_field_is_rejected(self):
-        for spec in ("process:2:4:3", "process:::3"):
+        for spec in ("process:2:4:3", "process:::3", "process:2:4", "process::4"):
             with pytest.raises(ValueError) as excinfo:
                 backend_from_spec(spec)
             assert GRAMMAR in str(excinfo.value)
             assert "retries" not in str(excinfo.value)
 
     def test_plain_process_specs_still_plain(self):
-        with backend_from_spec("process:2:4") as backend:
+        with backend_from_spec("process:2") as backend:
             assert type(backend) is ProcessPoolBackend
-            assert (backend.max_workers, backend.chunk_jobs) == (2, 4)
-        with backend_from_spec("process::4") as backend:
-            assert backend.chunk_jobs == 4
+            assert backend.max_workers == 2
 
     @pytest.mark.parametrize(
-        "spec", ["process:x", "process:0", "process:-2", "process:1:2:3:4", "gpu"]
+        "spec", ["process:x", "process:0", "process:-2", "process:1:2:3:4", "serial:2", "gpu"]
     )
     def test_malformed_specs_raise_instructive_errors(self, spec):
         with pytest.raises(ValueError) as excinfo:
@@ -246,7 +250,7 @@ class TestSpecGrammar:
     def test_field_name_in_error(self):
         with pytest.raises(ValueError, match="workers"):
             backend_from_spec("process:zero")
-        with pytest.raises(ValueError, match="chunk"):
+        with pytest.raises(ValueError, match="'1:huge' is not a workers field"):
             backend_from_spec("process:1:huge")
 
     def test_unknown_family_error_lists_every_family(self):
@@ -296,7 +300,7 @@ def test_chaos_golden_parity(cell_name):
     job_id = CRASH_CELLS.index(cell_name)
     job = SimJob.from_scenario(cell_name, job_id=job_id)
     with fault_plan_installed(CRASH_PLAN):
-        with ProcessPoolBackend(max_workers=2, chunk_jobs=1) as backend:
+        with ProcessPoolBackend(max_workers=2) as backend:
             [result] = backend.run_batch([job])
     assert (backend.pool_rebuilds, backend.degraded) == expected_recovery(job_id)
     assert simulation_fingerprint(result.result) == load_golden()[cell_name], (

@@ -612,7 +612,7 @@ class TestSameTreeByConstruction:
 
     def test_every_backend_designs_the_same_tree(self):
         outcomes = {"serial": self.design(SerialBackend())}
-        for spec in ("process:2", "process:2:1", "process:2:7"):
+        for spec in ("process:1", "process:2"):
             with backend_from_spec(spec) as backend:
                 outcomes[spec] = self.design(backend)
         token, split_point, history = outcomes["serial"]

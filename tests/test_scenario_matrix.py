@@ -14,10 +14,10 @@ For each cell of the scenario registry this suite checks:
   (``debug_invariants=True``; conservation, monotonic time, queue
   accounting) and the instrumented run still reproduces the committed
   fingerprint bit-exactly;
-* **kernel parity** — the ``auto`` run (constant-delay lanes on
-  uniform-RTT dumbbells, see :mod:`repro.netsim.kernel`) is bit-identical
-  to an explicit ``kernel="generic"`` run (heap only) and reproduces the
-  cell's committed golden fingerprint.
+* **kernel parity** — the cell's run (constant-delay lanes on uniform-RTT
+  dumbbells, see :mod:`repro.netsim.kernel`) is bit-identical to a
+  heap-only run (the ``heap_only`` fixture) and reproduces the cell's
+  committed golden fingerprint.
 
 Gating: registry-shape tests always run.  Per-cell simulations run for the
 tier-1 *smoke subset* (one ``smoke=True`` cell per topology) by default; set
@@ -220,15 +220,15 @@ def test_cell_serial_matches_process_pool(cell_name, pool_backend):
 
 
 @pytest.mark.parametrize("cell_name", ALL_CELLS)
-def test_cell_generic_vs_selected_kernel_parity(cell_name):
-    # The kernel contract: what ``auto`` runs on every cell —
-    # lanes on uniform-RTT dumbbells, the plain heap elsewhere — is
-    # bit-identical to an explicit generic run, and both reproduce the
-    # committed golden fingerprint, which predates the fused engine.
+def test_cell_generic_vs_selected_kernel_parity(cell_name, heap_only):
+    # The kernel contract: what every cell runs — lanes on uniform-RTT
+    # dumbbells, the plain heap elsewhere — is bit-identical to a heap-only
+    # run, and both reproduce the committed golden fingerprint, which
+    # predates the fused engine.
     _gate(cell_name)
     cell = get_scenario(cell_name)
     selected = simulation_fingerprint(cell.run())
-    generic = simulation_fingerprint(cell.run(kernel="generic"))
+    generic = simulation_fingerprint(heap_only.of(cell).run())
     assert selected == generic
     assert selected == load_golden()[cell_name], (
         f"{cell_name}: the engine diverged from the committed golden "

@@ -83,17 +83,16 @@ def flood_workloads(kind: str, n_flows: int):
     ]
 
 
-def run_flood(spec, workload_kind="timed", training=True, kernel="auto", **sim_kwargs):
+def run_flood(spec, workload_kind="timed", training=True, sim_class=Simulation, **sim_kwargs):
     """One RemyCC flood; returns the result and the per-whisker statistics."""
     tree = WhiskerTree(default_action=RUNAWAY)
     protocols = [RemyCCProtocol(tree, training=training) for _ in range(spec.n_flows)]
-    result = Simulation(
+    result = sim_class(
         spec,
         protocols,
         flood_workloads(workload_kind, spec.n_flows),
         duration=DURATION,
         seed=FLOOD_SEED,
-        kernel=kernel,
         **sim_kwargs,
     ).run()
     whiskers = [(w.use_count, list(w._samples)) for w in tree.whiskers()]
@@ -126,7 +125,7 @@ def assert_sealed_matches_reference(sealed, reference) -> None:
 # Bit-equality against the giant-DropTail reference
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def references():
+def references(heap_only):
     """Reference runs, one per (workload, training) — simulated once."""
     cache: dict[tuple[str, bool], tuple] = {}
 
@@ -134,7 +133,7 @@ def references():
         key = (workload_kind, training)
         if key not in cache:
             cache[key] = run_flood(
-                flood_spec("droptail"), workload_kind, training, kernel="generic"
+                flood_spec("droptail"), workload_kind, training, heap_only
             )
         return cache[key]
 
@@ -144,15 +143,15 @@ def references():
 @pytest.mark.parametrize("kernel", ["generic", "auto"])
 @pytest.mark.parametrize("training", [True, False], ids=["training", "execution"])
 @pytest.mark.parametrize("workload_kind", ["timed", "byte"])
-def test_sealed_run_matches_unsealed_reference(references, workload_kind, training, kernel):
-    sealed = run_flood(flood_spec("infinite"), workload_kind, training, kernel)
+def test_sealed_run_matches_unsealed_reference(references, workload_kind, training, sim_class):
+    sealed = run_flood(flood_spec("infinite"), workload_kind, training, sim_class)
     assert_sealed_matches_reference(sealed, references(workload_kind, training))
 
 
 @pytest.mark.parametrize("workload_kind", ["timed", "byte"])
-def test_both_kernels_seal_at_the_same_instant(workload_kind):
-    generic, _ = run_flood(flood_spec("infinite"), workload_kind, kernel="generic")
-    fused, _ = run_flood(flood_spec("infinite"), workload_kind, kernel="auto")
+def test_both_kernels_seal_at_the_same_instant(workload_kind, heap_only):
+    generic, _ = run_flood(flood_spec("infinite"), workload_kind, sim_class=heap_only)
+    fused, _ = run_flood(flood_spec("infinite"), workload_kind)
     assert generic.sealed_at is not None
     assert fused.sealed_at == generic.sealed_at
     # Past the seal the two wirings still do the same thing.
@@ -174,7 +173,7 @@ def test_sealed_at_is_past_the_point_of_no_return():
 
 
 @pytest.mark.parametrize("kernel", ["generic", "auto"])
-def test_retransmission_clock_survives_the_seal(kernel):
+def test_retransmission_clock_survives_the_seal(sim_class):
     """The case a sender that simply fell silent at the seal gets wrong.
 
     Flow 0 (a one-packet-window RemyCC) is overtaken by an open-loop flood,
@@ -191,13 +190,12 @@ def test_retransmission_clock_survives_the_seal(kernel):
         spec = NetworkSpec(
             link_rate_bps=1e6, rtt=0.05, n_flows=2, queue=queue, buffer_packets=GIANT_BUFFER
         )
-        result = Simulation(
+        result = sim_class(
             spec,
             [RemyCCProtocol(tree, training=True), ConstantRate(2500.0)],
             [AlwaysOnWorkload(0.0), AlwaysOnWorkload(0.5)],
             duration=10.0,
             seed=1,
-            kernel=kernel,
         ).run()
         return result, [(w.use_count, list(w._samples)) for w in tree.whiskers()]
 
@@ -211,9 +209,9 @@ def test_retransmission_clock_survives_the_seal(kernel):
 
 
 @pytest.mark.parametrize("kernel", ["generic", "auto"])
-def test_sealed_run_passes_the_invariant_sanitizer(kernel):
-    plain = run_flood(flood_spec("infinite"), kernel=kernel)
-    checked = run_flood(flood_spec("infinite"), kernel=kernel, debug_invariants=True)
+def test_sealed_run_passes_the_invariant_sanitizer(sim_class):
+    plain = run_flood(flood_spec("infinite"), sim_class=sim_class)
+    checked = run_flood(flood_spec("infinite"), sim_class=sim_class, debug_invariants=True)
     assert checked[0].sealed_at == plain[0].sealed_at is not None
     assert [dataclasses.asdict(s) for s in checked[0].flow_stats] == [
         dataclasses.asdict(s) for s in plain[0].flow_stats
@@ -268,17 +266,17 @@ def test_ineligible_topologies_never_seal(name):
     assert sum(stats.packets_sent for stats in result.flow_stats) > 0
 
 
-def test_single_hop_path_simulates_every_send():
+def test_single_hop_path_simulates_every_send(heap_only):
     # ... unless it is the sealable shape.  Spelled as a path, the flood
     # dumbbell seals at the same instant with identical results; behind a
     # giant DropTail the same one-hop path simulates every send and stays
     # the unsealed reference.
     assert ONE_HOP == flood_spec("infinite").to_path_spec()
-    for kernel in ("generic", "auto"):
-        dumbbell = run_flood(flood_spec("infinite"), kernel=kernel)
-        path = run_flood(ONE_HOP, kernel=kernel)
-        assert path[0].sealed_at == dumbbell[0].sealed_at is not None, kernel
-        assert path == dumbbell, kernel
+    for sim_class in (heap_only, Simulation):
+        dumbbell = run_flood(flood_spec("infinite"), sim_class=sim_class)
+        path = run_flood(ONE_HOP, sim_class=sim_class)
+        assert path[0].sealed_at == dumbbell[0].sealed_at is not None, sim_class
+        assert path == dumbbell, sim_class
     reference = run_flood(flood_spec("droptail").to_path_spec())
     assert_sealed_matches_reference(path, reference)
 
@@ -324,21 +322,22 @@ def test_results_pickled_before_the_flags_existed_still_load():
 # ---------------------------------------------------------------------------
 # The design loop: same tree, same scores, counted seals
 # ---------------------------------------------------------------------------
-def design_range() -> ConfigRange:
+def design_range(buffer_packets=None) -> ConfigRange:
     return ConfigRange(
         link_speed_bps=ParameterRange.exact(4e6),
         rtt_seconds=ParameterRange.exact(0.08),
         n_senders=ParameterRange.exact(2),
         mean_on_seconds=ParameterRange.exact(2.0),
         mean_off_seconds=ParameterRange.exact(1.0),
+        buffer_packets=buffer_packets,
     )
 
 
-def design_run(**evaluator_fields):
+def design_run(buffer_packets=None):
     evaluator = Evaluator(
-        design_range(),
+        design_range(buffer_packets),
         Objective.proportional(delta=1.0),
-        EvaluatorSettings(num_specimens=2, sim_duration=1.0, seed=3, **evaluator_fields),
+        EvaluatorSettings(num_specimens=2, sim_duration=1.0, seed=3),
     )
     optimizer = RemyOptimizer(
         evaluator,
@@ -351,9 +350,8 @@ def design_run(**evaluator_fields):
 
 def test_design_run_is_unchanged_by_sealing():
     sealed_tree, sealed_state = design_run()
-    reference_tree, reference_state = design_run(
-        queue_kind="droptail", buffer_packets=GIANT_BUFFER
-    )
+    # A giant DropTail buffer from the range: the unsealed reference.
+    reference_tree, reference_state = design_run(buffer_packets=GIANT_BUFFER)
     assert sealed_state.sealed_simulations > 0
     assert reference_state.sealed_simulations == 0
     assert sealed_tree == reference_tree

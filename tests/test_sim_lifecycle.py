@@ -67,9 +67,9 @@ def leftovers(life) -> int:
         return gc.collect()
 
 
-def build(spec, kernel="auto", **options) -> Simulation:
+def build(spec, sim_class=Simulation, **options) -> Simulation:
     protocols = [NewReno() for _ in range(spec.n_flows)]
-    return Simulation(spec, protocols, duration=2.0, seed=5, kernel=kernel, **options)
+    return sim_class(spec, protocols, duration=2.0, seed=5, **options)
 
 
 def design_jobs(count: int, action: Action = Action.default()) -> list[SimJob]:
@@ -88,26 +88,25 @@ def design_jobs(count: int, action: Action = Action.default()) -> list[SimJob]:
 # The invariant: nothing left for the collector
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("cell_name", scenario_names())
-def test_a_finished_cell_leaves_the_collector_nothing(cell_name):
+def test_a_finished_cell_leaves_the_collector_nothing(cell_name, heap_only):
     if not FULL_MATRIX and cell_name not in SMOKE_CELLS:
         pytest.skip(f"{cell_name} runs in the full matrix only (set SCENARIO_MATRIX=full)")
     cell = get_scenario(cell_name)
     # Warm once: a first import leaves dataclass(slots=True)'s discarded
     # classes behind, none of them the simulation's.
     cell.run()
-    for kernel in ("auto", "generic"):
-        found = leftovers(lambda: cell.build(kernel=kernel).run())
-        assert found == 0, f"kernel={kernel}"
+    assert leftovers(lambda: cell.build().run()) == 0
+    assert leftovers(lambda: heap_only.of(cell).run()) == 0, "heap only"
 
 
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
-def test_a_sealed_design_specimen(kernel):
+def test_a_sealed_design_specimen(sim_class):
     [job] = design_jobs(1, RUNAWAY)
 
     def life():
-        sim = Simulation(
+        sim = sim_class(
             job.spec, job.build_protocols(), list(job.workloads),
-            duration=job.duration, seed=job.seed, kernel=kernel,
+            duration=job.duration, seed=job.seed,
         )
         assert sim.run().sealed_at is not None
 
@@ -118,19 +117,19 @@ def test_a_sealed_design_specimen(kernel):
 
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
 class TestCasesTheMatrixDoesNotReach:
-    def test_a_run_truncated_by_max_events(self, kernel):
-        assert build(DUMBBELL, kernel, max_events=500).run().truncated
-        assert leftovers(lambda: build(DUMBBELL, kernel, max_events=500).run()) == 0
+    def test_a_run_truncated_by_max_events(self, sim_class):
+        assert build(DUMBBELL, sim_class, max_events=500).run().truncated
+        assert leftovers(lambda: build(DUMBBELL, sim_class, max_events=500).run()) == 0
 
     @pytest.mark.parametrize("spec", [TWO_HOP, LOSSY, TRACE], ids=["two-hop", "lossy-gate", "trace"])
-    def test_paths_gates_and_trace_links(self, kernel, spec):
-        assert build(spec, kernel).run().total_bytes_received() > 0
-        assert leftovers(lambda: build(spec, kernel).run()) == 0
+    def test_paths_gates_and_trace_links(self, sim_class, spec):
+        assert build(spec, sim_class).run().total_bytes_received() > 0
+        assert leftovers(lambda: build(spec, sim_class).run()) == 0
 
     @pytest.mark.parametrize("spec", [DUMBBELL, TWO_HOP], ids=["lanes", "heap"])
-    def test_hooks_bound_after_the_build(self, kernel, spec):
+    def test_hooks_bound_after_the_build(self, sim_class, spec):
         def life():
-            sim = build(spec, kernel, trace_flows=(0,))
+            sim = build(spec, sim_class, trace_flows=(0,))
             link = sim.network.forward_links[0]
             original, seen = link.deliver, []
 
@@ -148,10 +147,10 @@ class TestCasesTheMatrixDoesNotReach:
 
 
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
-def test_endpoints_hops_and_protocols_die_with_the_simulation(kernel):
+def test_endpoints_hops_and_protocols_die_with_the_simulation(sim_class):
     gc.collect()
     with gc_paused():
-        sim = build(TWO_HOP, kernel)
+        sim = build(TWO_HOP, sim_class)
         result = sim.run()
         refs = [
             weakref.ref(obj)
@@ -245,8 +244,8 @@ class TestCollectorSetting:
 # What survives run(): every datum a caller reads afterwards
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
-def test_a_finished_simulation_still_reads(kernel):
-    sim = build(DUMBBELL, kernel)
+def test_a_finished_simulation_still_reads(sim_class):
+    sim = build(DUMBBELL, sim_class)
     result = sim.run()
     for sender, stats in zip(sim.senders, result.flow_stats):
         assert sender.stats is stats and stats.packets_received > 0
@@ -264,8 +263,8 @@ def test_a_finished_simulation_still_reads(kernel):
 # Bugfix: a simulation runs once, and says so
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
-def test_a_second_run_is_an_error_raised_before_anything_is_touched(kernel):
-    sim = build(DUMBBELL, kernel)
+def test_a_second_run_is_an_error_raised_before_anything_is_touched(sim_class):
+    sim = build(DUMBBELL, sim_class)
     result = sim.run()
     sent = [stats.packets_sent for stats in result.flow_stats]
     with pytest.raises(SimulationError, match="runs once"):
@@ -299,8 +298,8 @@ def test_clear_empties_every_lane_and_marks_entries_executed():
 
 
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
-def test_a_timer_handle_that_outlives_the_run_cancels_to_nothing(kernel):
-    sim = build(DUMBBELL, kernel)
+def test_a_timer_handle_that_outlives_the_run_cancels_to_nothing(sim_class):
+    sim = build(DUMBBELL, sim_class)
     handle = sim.scheduler.post(10.0, lambda: None)  # beyond the run's end
     rto_entries = []
     sim.scheduler.post(1.0, lambda: rto_entries.extend(s._rto_event for s in sim.senders))
@@ -344,8 +343,8 @@ class NanStart(Workload):
 
 
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
-def test_a_nan_start_delay_fails_loudly(kernel):
-    sim = build(DUMBBELL, kernel, workloads=[NanStart(), None], max_events=50_000)
+def test_a_nan_start_delay_fails_loudly(sim_class):
+    sim = build(DUMBBELL, sim_class, workloads=[NanStart(), None], max_events=50_000)
     with pytest.raises(SimulationError, match="nan"):
         sim.run()
     assert not math.isnan(sim.scheduler.now)

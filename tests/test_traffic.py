@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.traffic.distributions import (
     ConstantDistribution,
-    EmpiricalDistribution,
     ExponentialDistribution,
     ParetoDistribution,
     UniformDistribution,
@@ -69,19 +68,6 @@ class TestDistributions:
     def test_pareto_finite_mean_for_large_alpha(self):
         dist = ParetoDistribution(xm=100, alpha=2.0)
         assert dist.mean() == pytest.approx(200.0)
-
-    def test_empirical_interpolation(self):
-        dist = EmpiricalDistribution([(0.0, 0.0), (10.0, 0.5), (20.0, 1.0)])
-        rng = random.Random(4)
-        samples = [dist.sample(rng) for _ in range(2000)]
-        assert all(0.0 <= s <= 20.0 for s in samples)
-        assert dist.mean() == pytest.approx(10.0)
-
-    def test_empirical_validation(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([(0.0, 0.0)])
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([(0.0, 0.5), (1.0, 0.4), (2.0, 1.0)])
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)

@@ -12,18 +12,17 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py bench-remy-droptail  # one cell
     PYTHONPATH=src python tools/profile_hotpath.py --sort cumtime --limit 30 ...
     PYTHONPATH=src python tools/profile_hotpath.py --dump /tmp/out  # .pstats per case
-    PYTHONPATH=src python tools/profile_hotpath.py --kernel generic  # heap only
     PYTHONPATH=src python tools/profile_hotpath.py --compare-kernels  # dumbbell, path, trace
 
-``--kernel {auto,generic}`` picks the spelling under the profiler.  Both run
-the same closures; ``auto`` (the default) posts a uniform-RTT dumbbell's
-hand-offs on the scheduler's two constant-delay lanes, ``generic`` leaves
-them empty.  ``--compare-kernels`` skips the profiler entirely and times
-each case (default: one dumbbell, one path and one trace-driven case) on the
-heap and with lanes, in interleaved paired repetitions (alternating rep by
-rep, reporting the median of paired ratios, which cancels machine-load
-drift), printing the lanes-vs-heap speedup.  Only the dumbbell has lanes to
-ride, so the path and trace ratios measure noise around x1.00.
+The profiler sees what every caller runs: a uniform-RTT dumbbell posts its
+hand-offs on the scheduler's two constant-delay lanes.  ``--compare-kernels``
+skips the profiler entirely and times each case (default: one dumbbell, one
+path and one trace-driven case) with lanes and on the heap only (the same
+closures with the lanes left empty, ``Simulation._lanes = False``), in
+interleaved paired repetitions (alternating rep by rep, reporting the median
+of paired ratios, which cancels machine-load drift), printing the
+lanes-vs-heap speedup.  Only the dumbbell has lanes to ride, so the path and
+trace ratios measure noise around x1.00.
 
 Dumped ``.pstats`` files can be explored interactively with
 ``python -m pstats /tmp/out/bench-newreno-droptail.pstats`` or visualized with
@@ -56,29 +55,33 @@ DEFAULT_CASES = [
 COMPARE_CASES = ["bench-newreno-droptail", "bench-newreno-twohop", "fig7-lte4"]
 
 
-def build_simulation(case: str, kernel: str = "auto") -> Simulation:
+class HeapOnlySimulation(Simulation):
+    """The same closures with the scheduler's constant-delay lanes left empty."""
+
+    _lanes = False
+
+
+def build_simulation(case: str, sim_class: type[Simulation] = Simulation) -> Simulation:
     """The registered cell ``case`` at the 5-second measuring duration."""
     try:
         cell = get_scenario(case)
     except KeyError as error:  # the message lists scenario_names()
         raise SystemExit(error.args[0]) from None
-    return cell.build(duration=5.0, kernel=kernel)
+    return sim_class(
+        cell.network_spec(), cell.make_protocols(), cell.make_workloads(),
+        duration=5.0, seed=cell.seed,
+    )
 
 
-def profile_case(
-    case: str, sort: str, limit: int, dump_dir: Path | None, kernel: str
-) -> None:
-    simulation = build_simulation(case, kernel)
+def profile_case(case: str, sort: str, limit: int, dump_dir: Path | None) -> None:
+    simulation = build_simulation(case)
     profiler = cProfile.Profile()
     profiler.enable()
     result = simulation.run()
     profiler.disable()
 
     print(f"\n{'=' * 72}")
-    print(
-        f"case {case}: {result.events_processed} events "
-        f"(kernel {kernel})"
-    )
+    print(f"case {case}: {result.events_processed} events")
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.sort_stats(sort).print_stats(limit)
     if dump_dir is not None:
@@ -88,9 +91,9 @@ def profile_case(
         print(f"dumped {out}")
 
 
-def _timed_run(case: str, kernel: str) -> tuple[float, int]:
+def _timed_run(case: str, sim_class: type[Simulation]) -> tuple[float, int]:
     """(seconds, events) for one fresh build-and-run of ``case``."""
-    simulation = build_simulation(case, kernel)
+    simulation = build_simulation(case, sim_class)
     start = time.perf_counter()
     result = simulation.run()
     return time.perf_counter() - start, result.events_processed
@@ -98,18 +101,18 @@ def _timed_run(case: str, kernel: str) -> tuple[float, int]:
 
 def compare_kernels(case: str, reps: int) -> None:
     """Interleaved paired timing: lanes vs heap events/sec for ``case``."""
-    # Alternate the spellings rep by rep so slow machine phases hit both
+    # Alternate the two sides rep by rep so slow machine phases hit both
     # sides equally, then take the median of the per-pair ratios.
     ratios = []
     heap_best = float("inf")
     lanes_best = float("inf")
     events = 0
     for _ in range(reps):
-        heap_s, events = _timed_run(case, "generic")
-        lanes_s, lanes_events = _timed_run(case, "auto")
+        heap_s, events = _timed_run(case, HeapOnlySimulation)
+        lanes_s, lanes_events = _timed_run(case, Simulation)
         if lanes_events != events:
             raise SystemExit(
-                f"{case}: kernel parity violation — the heap ran {events} "
+                f"{case}: lanes-vs-heap parity violation — the heap ran {events} "
                 f"events, the lanes {lanes_events}"
             )
         ratios.append(heap_s / lanes_s)
@@ -147,13 +150,6 @@ def main(argv: list[str] | None = None) -> None:
         help="also dump a .pstats file per case into DIR",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("auto", "generic"),
-        default="auto",
-        help="spelling to profile: auto (lanes where the shape has them, the "
-        "default) or generic (heap only)",
-    )
-    parser.add_argument(
         "--compare-kernels",
         action="store_true",
         help="instead of profiling, time each case on the heap and with lanes "
@@ -172,7 +168,7 @@ def main(argv: list[str] | None = None) -> None:
         if args.compare_kernels:
             compare_kernels(case, args.reps)
         else:
-            profile_case(case, args.sort, args.limit, args.dump, args.kernel)
+            profile_case(case, args.sort, args.limit, args.dump)
 
 
 if __name__ == "__main__":
