@@ -22,12 +22,6 @@ class SpeedupRow:
     median_speedup: float
     median_delay_reduction: float
 
-    def format(self) -> str:
-        return (
-            f"{self.baseline:20s} {self.median_speedup:10.2f}x "
-            f"{self.median_delay_reduction:10.2f}x"
-        )
-
 
 def speedup_table(
     remycc: SchemeSummary, baselines: Sequence[SchemeSummary]
@@ -53,14 +47,3 @@ def speedup_table(
             )
         )
     return rows
-
-
-def format_speedup_table(rows: Sequence[SpeedupRow], remycc_name: str = "RemyCC") -> str:
-    """Plain-text rendering matching the §1 tables."""
-    header = f"{'Protocol':20s} {'Median speedup':>11s} {'Median delay reduction':>23s}"
-    lines = [f"{remycc_name} versus:", header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.baseline:20s} {row.median_speedup:10.2f}x {row.median_delay_reduction:22.2f}x"
-        )
-    return "\n".join(lines)

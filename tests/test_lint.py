@@ -213,8 +213,8 @@ class TestRepoHygiene:
 # --- RETIRED: what was deleted stays deleted --------------------------------
 #: Deleted names and paths, each mapped to the numbered CHANGES.md entry that
 #: deleted it.  An entry with a ``/`` is a path: no tracked file is it or sits
-#: under it.  Any other entry is a name: no tracked file outside
-#: ``MAY_NAME_DELETED`` names it.
+#: under it (a trailing ``/`` names a directory).  Any other entry is a name: no
+#: tracked file outside ``MAY_NAME_DELETED`` names it.
 RETIRED = {
     **dict.fromkeys(("DumbbellNetwork",), 19),
     **dict.fromkeys((
@@ -251,6 +251,10 @@ RETIRED = {
         "dumbbell_spec", "run_dumbbell_summary", "run_lte_summary"), 34),
     **dict.fromkeys((
         "run_simulation", "chunk_jobs", "queue_kind", "EmpiricalDistribution", "bdp_packets"), 35),
+    **dict.fromkeys((
+        "benchmarks/", "src/repro/experiments/summary_tables.py", "experiments.summary_tables",
+        "run_summary_table", "SummaryTable", "SUMMARY_BASELINES", "format_speedup_table",
+        "format_figure10", "bench_once", "pytest_benchmark", "pytest-benchmark"), 36),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -272,7 +276,8 @@ def retired_offenders(texts: dict[str, str]) -> set[tuple[str, str]]:
     any_name = re.compile(NAME_START + "(" + "|".join(map(re.escape, names)) + ")")
     paths = [entry for entry in RETIRED if "/" in entry]
     found = {
-        (entry, path) for entry in paths for path in texts if f"{path}/".startswith(f"{entry}/")
+        (entry, path) for entry in paths for path in texts
+        if f"{path}/".startswith(f"{entry.rstrip('/')}/")
     }
     for path, text in texts.items():
         if path not in MAY_NAME_DELETED and any_name.search(text):
@@ -302,13 +307,15 @@ def test_the_retired_matcher_draws_the_name_boundary():
         "tests/test_events.py": "def test_pending_counts_live_entries(unknown_kernel_name): ...\n",
         "bench/README.md": "`FlatKernel`", "bench/run.py": "FlatKernel()",
         "CHANGES.md": "FlatScheduler",
+        # A trailing ``/`` retires a directory, not a path that only starts like it.
+        "benchmarks/conftest.py": "", "benchmarks_old.txt": "",
     }
     assert retired_offenders(texts) == {
         ("_pending", "src/repro/a.py"), ("runner.cache", "src/repro/a.py"),
         ("packet_pool", "src/repro/b.py"),
         ("src/repro/runner/cache.py", "src/repro/runner/cache.py"),
         ("tools/lint/fixtures/sockets", "tools/lint/fixtures/sockets/bad_socket.py"),
-        ("FlatKernel", "bench/run.py"),
+        ("FlatKernel", "bench/run.py"), ("benchmarks/", "benchmarks/conftest.py"),
     }
 
 
@@ -358,8 +365,6 @@ KNOBS = {
     "repro.experiments.competing:run_vs_compound": [
         "off_times_seconds", "n_runs", "duration", "backend"],
     "repro.experiments.competing:run_vs_cubic": ["mean_flow_bytes", "n_runs", "duration", "backend"],
-    "repro.experiments.summary_tables:run_summary_table": [
-        "figure", "n_runs", "duration", "remy_scheme", "schemes"],
     "examples/train_remycc.py": [
         "--delta", "--output", "--specimens", "--sim-duration", "--max-epochs",
         "--max-evaluations", "--paper-scale", "--seed", "--workers", "--checkpoint", "--resume"],
@@ -477,7 +482,7 @@ class TestOneHarnessEntryPoint:
 
     def test_a_figure_harness_takes_its_run_size_and_sweep_axis_only(self):
         # The cell supplies everything else: no seed, rate, RTT or workload
-        # option restates it, and no harness appears beside these eight.
+        # option restates it, and no harness appears beside these seven.
         harnesses = [
             f"repro.experiments.{path.stem}:{node.name}"
             for path in py_files("src/repro/experiments") if path.stem != "base"
