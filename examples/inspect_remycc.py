@@ -7,7 +7,9 @@ engineering" (§6).  This example makes that job easier: it prints any rule
 table — a named one from ``results/remycc/<name>.json``, or any file written
 by ``save_remycc`` (for instance by ``examples/train_remycc.py``) — and shows
 how the action changes as the congestion signals sweep through
-representative values.
+representative values.  It first prints where the table came from (its
+``origin``) and, for a designed table, its ``design`` block: the design
+problem, the evaluation size, the search shape and how the search went.
 
 Usage::
 
@@ -18,9 +20,46 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import json
+from pathlib import Path
 
 from repro.core.memory import Memory
-from repro.core.serialization import load_remycc, pretrained_remycc, pretrained_tree_names
+from repro.core.objective import Objective
+from repro.core.serialization import (
+    REMYCC_DIR,
+    load_remycc,
+    pretrained_remycc,
+    pretrained_tree_names,
+)
+
+
+def describe_range(design_range: dict) -> str:
+    """A design range as ``field low-high`` pairs (one value if exact)."""
+    parts = []
+    for name, value in design_range.items():
+        if isinstance(value, dict):
+            low, high = value["low"], value["high"]
+            parts.append(f"{name} {low:g}" if low == high else f"{name} {low:g}-{high:g}")
+        elif value is not None:
+            parts.append(f"{name} {value}")
+    return ", ".join(parts)
+
+
+def print_design(design: dict) -> None:
+    """The ``design`` block ``examples/train_remycc.py`` writes."""
+    history = design["score_history"]
+    print(f"Designed as {design['table']!r}:")
+    print(f"  range: {describe_range(design['range'])}")
+    print(f"  objective: {Objective(**design['objective']).describe()}")
+    print(
+        f"  specimens: {design['num_specimens']} x {design['sim_duration']:g} s "
+        f"(seed {design['seed']})"
+    )
+    print("  search: " + ", ".join(f"{k}={v}" for k, v in design["search"].items()))
+    print(
+        f"  {design['evaluations']} evaluations, final score {history[-1]:.4f} "
+        f"(best {max(history):.4f})"
+    )
 
 
 def main() -> None:
@@ -35,7 +74,11 @@ def main() -> None:
     args = parser.parse_args()
 
     tree = load_remycc(args.load) if args.load else pretrained_remycc(args.name)
-    print(f"RemyCC {tree.name!r}: {len(tree)} rules\n")
+    document = json.loads(Path(args.load or REMYCC_DIR / f"{args.name}.json").read_text())
+    print(f"RemyCC {tree.name!r}: {len(tree)} rules, origin {document.get('origin', 'unrecorded')}")
+    if "design" in document:
+        print_design(document["design"])
+    print()
 
     print(f"First {args.max_rules} rules (by memory region):")
     for whisker in tree.whiskers()[: args.max_rules]:

@@ -2,9 +2,17 @@
 """Run the Remy design procedure (§4.3) and save the resulting RemyCC.
 
 This drives the actual optimizer — specimen sampling, greedy per-rule action
-improvement and octree splitting — over a configurable design range and
-objective, then writes the resulting rule table to JSON so it can be loaded
-into any experiment with :func:`repro.core.serialization.load_remycc`.
+improvement and octree splitting — over one named design problem, then
+writes the resulting rule table to JSON so it can be loaded into any
+experiment with :func:`repro.core.serialization.load_remycc`.  ``--table
+NAME`` picks the problem: a key of :data:`repro.core.config.TABLES`, which
+maps each named RemyCC under ``results/remycc/`` to its design range and
+objective.  The file is the table ``remy-NAME`` with ``"origin":
+"designed"`` and a ``design`` block that loading ignores: the table name,
+the evaluator settings, objective and drawn specimens, the range, the search
+shape, and the evaluations used with their score history.  Nothing in it
+depends on the backend or the clock, so serial and pooled runs write the
+same bytes.
 
 The defaults are laptop-scale (minutes); pass ``--paper-scale`` to request
 the paper's 16-specimen, 100-second evaluations (CPU-days in pure
@@ -27,7 +35,9 @@ raises stops the run with its own error, naming the job.
 
 Usage::
 
-    python examples/train_remycc.py --delta 1.0 --output my_remycc.json
+    python examples/train_remycc.py --table delta1 --output my_remycc.json
+    python examples/train_remycc.py --table 1x \
+        --output results/remycc/1x.json       # replace a named table
     python examples/train_remycc.py --workers 8 --max-evaluations 1000
     python examples/train_remycc.py --workers 8 \
         --checkpoint design.ckpt.json          # long run
@@ -39,20 +49,24 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
-from repro.core.config import general_purpose_range
+from repro.core.config import TABLES
 from repro.core.evaluator import Evaluator, EvaluatorSettings
-from repro.core.objective import Objective
-from repro.core.optimizer import OptimizerSettings, RemyOptimizer
-from repro.core.serialization import save_remycc
+from repro.core.optimizer import OptimizerSettings, RemyOptimizer, design_inputs
+from repro.core.serialization import save_json_atomic, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
 from repro.runner import backend_from_spec
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--delta", type=float, default=1.0, help="delay weight of the objective")
+    parser.add_argument(
+        "--table",
+        choices=sorted(TABLES),
+        default="delta1",
+        help="the design problem (range and objective) of this named RemyCC",
+    )
     parser.add_argument("--output", default="remycc.json", help="where to save the rule table")
     parser.add_argument("--specimens", type=int, default=3, help="network specimens per evaluation")
     parser.add_argument("--sim-duration", type=float, default=6.0, help="seconds simulated per specimen")
@@ -99,12 +113,8 @@ def main() -> None:
     else:
         backend = backend_from_spec(f"process:{args.workers}")
 
-    evaluator = Evaluator(
-        general_purpose_range(),
-        Objective.proportional(delta=args.delta),
-        evaluator_settings,
-        backend=backend,
-    )
+    design_range, objective = TABLES[args.table]
+    evaluator = Evaluator(design_range, objective, evaluator_settings, backend=backend)
 
     def progress(message, state):
         print(
@@ -132,7 +142,7 @@ def main() -> None:
     else:
         optimizer = RemyOptimizer(
             evaluator,
-            tree=WhiskerTree(name=f"trained-delta{args.delta:g}"),
+            tree=WhiskerTree(name=f"remy-{args.table}"),
             settings=OptimizerSettings(
                 max_epochs=args.max_epochs,
                 max_evaluations=args.max_evaluations,
@@ -143,7 +153,7 @@ def main() -> None:
             checkpoint_path=args.checkpoint,
         )
 
-    print(f"designing a RemyCC for: {evaluator.objective.describe()}")
+    print(f"designing {args.table}: {objective.describe()}")
     print(f"design range: {len(evaluator.specimens)} specimens, e.g. {evaluator.specimens[0].describe()}")
     print(f"execution backend: {backend!r}")
     start = time.time()
@@ -157,7 +167,7 @@ def main() -> None:
     print(tree.describe())
     print()
     print(
-        f"finished in {elapsed:.1f}s: {optimizer.state.evaluations_used} evaluations "
+        f"finished in {elapsed:.3f}s: {optimizer.state.evaluations_used} evaluations "
         f"scored, {optimizer.state.remembered_evaluations} of them remembered, not "
         f"re-simulated; {optimizer.state.improvements} action improvements, "
         f"{optimizer.state.splits} splits, {len(tree)} rules"
@@ -167,7 +177,17 @@ def main() -> None:
         f"bottleneck (scores exact), {optimizer.state.truncated_simulations} "
         "truncated by the event cap (scores cover a prefix)"
     )
-    path = save_remycc(tree, args.output)
+    document = whisker_tree_to_dict(tree)
+    document["origin"] = "designed"
+    document["design"] = {
+        "table": args.table,
+        **design_inputs(evaluator),
+        "range": asdict(design_range),
+        "search": asdict(optimizer.settings),
+        "evaluations": optimizer.state.evaluations_used,
+        "score_history": optimizer.state.score_history,
+    }
+    path = save_json_atomic(document, args.output)
     print(f"saved rule table to {path}")
 
 

@@ -13,7 +13,8 @@ Submodules
     A rule (memory region → action) and the octree of rules that constitutes
     a RemyCC.
 ``config``
-    Network/traffic model ranges supplied as prior assumptions at design time.
+    Network/traffic model ranges supplied as prior assumptions at design time,
+    and ``TABLES``: each named RemyCC's design problem (range and objective).
 ``objective``
     Alpha-fairness utility functions and the per-flow scoring of Equation 1.
 ``evaluator``

@@ -6,10 +6,11 @@ of multiplexing, plus the traffic model's mean on/off durations.  Drawing
 from a range yields a concrete :class:`NetConfig` ("network specimen"), which
 the evaluator turns into a simulator topology.
 
-The module also provides the paper's published design ranges (§5.1): the
-general-purpose dumbbell model, the exact-link-speed "1×" and tenfold "10×"
-models of Figure 11, the datacenter model of §5.5 and the wide-RTT model used
-for the competing-protocols experiment of §5.6.
+A design problem is a range and an objective (§3.3); ``TABLES`` holds the
+paper's published ones (§5.1, §5.5, §5.6), one per named RemyCC under
+``results/remycc/``, and ``examples/train_remycc.py --table NAME`` designs
+any of them.  ``general_purpose_range()`` is the §5.1 dumbbell model the
+three ``delta*`` tables share.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from typing import Optional
+
+from repro.core.objective import Objective
 
 
 @dataclass(frozen=True)
@@ -48,18 +51,6 @@ class ParameterRange:
         if self.is_exact:
             return int(round(self.low))
         return rng.randint(int(round(self.low)), int(round(self.high)))
-
-    def midpoint(self) -> float:
-        return (self.low + self.high) / 2
-
-    def contains(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
-    def span_factor(self) -> float:
-        """Ratio high/low — the "10×" in the paper's Figure 11 terminology."""
-        if self.low <= 0:
-            return float("inf")
-        return self.high / self.low
 
 
 @dataclass(frozen=True)
@@ -129,7 +120,7 @@ class ConfigRange:
 
 
 # ---------------------------------------------------------------------------
-# The paper's published design ranges (§5.1, §5.5, §5.6).
+# The paper's published design problems (§5.1, §5.5, §5.6).
 # ---------------------------------------------------------------------------
 
 def general_purpose_range() -> ConfigRange:
@@ -143,48 +134,55 @@ def general_purpose_range() -> ConfigRange:
     )
 
 
-def exact_link_range(link_speed_bps: float = 15e6, rtt_seconds: float = 0.150) -> ConfigRange:
-    """The "1×" model of Figure 11: link speed known exactly a priori."""
-    return ConfigRange(
-        link_speed_bps=ParameterRange.exact(link_speed_bps),
-        rtt_seconds=ParameterRange.exact(rtt_seconds),
-        n_senders=ParameterRange.exact(2),
-        mean_on_seconds=ParameterRange.exact(5.0),
-        mean_off_seconds=ParameterRange.exact(5.0),
-    )
-
-
-def tenfold_link_range(
-    low_bps: float = 4.7e6, high_bps: float = 47e6, rtt_seconds: float = 0.150
-) -> ConfigRange:
-    """The "10×" model of Figure 11: link speed within a tenfold range."""
-    return ConfigRange(
-        link_speed_bps=ParameterRange(low_bps, high_bps),
-        rtt_seconds=ParameterRange.exact(rtt_seconds),
-        n_senders=ParameterRange.exact(2),
-        mean_on_seconds=ParameterRange.exact(5.0),
-        mean_off_seconds=ParameterRange.exact(5.0),
-    )
-
-
-def datacenter_range() -> ConfigRange:
-    """The §5.5 datacenter model: 10 Gbps, 4 ms RTT, up to 64 senders, 20 MB flows."""
-    return ConfigRange(
-        link_speed_bps=ParameterRange.exact(10e9),
-        rtt_seconds=ParameterRange.exact(0.004),
-        n_senders=ParameterRange(1, 64),
-        mean_on_seconds=ParameterRange.exact(1.0),
-        mean_off_seconds=ParameterRange.exact(0.1),
-        mean_on_bytes=ParameterRange.exact(20e6),
-    )
-
-
-def wide_rtt_range() -> ConfigRange:
-    """The §5.6 model designed to co-exist with buffer-filling competitors."""
-    return ConfigRange(
-        link_speed_bps=ParameterRange.exact(15e6),
-        rtt_seconds=ParameterRange(0.100, 10.0),
-        n_senders=ParameterRange(1, 2),
-        mean_on_seconds=ParameterRange.exact(5.0),
-        mean_off_seconds=ParameterRange.exact(0.5),
-    )
+#: Every named RemyCC's design problem: its prior model of the network and
+#: its objective (§3.1, §3.3), keyed by its file stem under ``results/remycc/``.
+TABLES: dict[str, tuple[ConfigRange, Objective]] = {
+    # §5.1: one uncertain dumbbell, three delay weights.
+    **{
+        f"delta{delta:g}": (general_purpose_range(), Objective.proportional(delta))
+        for delta in (0.1, 1.0, 10.0)
+    },
+    # Figure 11: the link speed known exactly ("1×") or within a tenfold
+    # range ("10×"), at the δ = 1 that figure scores every scheme with.
+    # Two senders at 150 ms, on 5 s / off 5 s as in every default range.
+    "1x": (
+        ConfigRange(
+            link_speed_bps=ParameterRange.exact(15e6),
+            rtt_seconds=ParameterRange.exact(0.150),
+            n_senders=ParameterRange.exact(2),
+        ),
+        Objective.proportional(1.0),
+    ),
+    "10x": (
+        ConfigRange(
+            link_speed_bps=ParameterRange(4.7e6, 47e6),
+            rtt_seconds=ParameterRange.exact(0.150),
+            n_senders=ParameterRange.exact(2),
+        ),
+        Objective.proportional(1.0),
+    ),
+    # §5.5: 10 Gbps, 4 ms RTT, up to 64 senders of 20 MB flows.
+    "datacenter": (
+        ConfigRange(
+            link_speed_bps=ParameterRange.exact(10e9),
+            rtt_seconds=ParameterRange.exact(0.004),
+            n_senders=ParameterRange(1, 64),
+            mean_on_seconds=ParameterRange.exact(1.0),
+            mean_off_seconds=ParameterRange.exact(0.1),
+            mean_on_bytes=ParameterRange.exact(20e6),
+        ),
+        Objective.min_potential_delay(),
+    ),
+    # §5.6: designed to co-exist with buffer-filling competitors over RTTs
+    # up to 10 s.  The repo never states the paper's δ for it; δ = 1 here.
+    "coexist": (
+        ConfigRange(
+            link_speed_bps=ParameterRange.exact(15e6),
+            rtt_seconds=ParameterRange(0.100, 10.0),
+            n_senders=ParameterRange(1, 2),
+            mean_on_seconds=ParameterRange.exact(5.0),
+            mean_off_seconds=ParameterRange.exact(0.5),
+        ),
+        Objective.proportional(1.0),
+    ),
+}

@@ -14,7 +14,10 @@ and delay respectively, and ``delta`` weights delay against throughput.  The
 paper explores two settings: ``alpha = beta = 1`` (proportional fairness in
 both, used with delta in {0.1, 1, 10}) and ``alpha = 2, delta = 0`` (minimum
 potential delay fairness, i.e. maximising -1/throughput, used for the
-datacenter RemyCC).
+datacenter RemyCC).  :data:`repro.core.config.TABLES` pairs every named
+RemyCC with the objective it is designed for: the first setting at its δ
+for the ``delta*`` tables, at δ = 1 for ``1x``, ``10x`` and ``coexist``, and
+the second for ``datacenter``.
 """
 
 from __future__ import annotations

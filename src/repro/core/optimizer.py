@@ -45,9 +45,10 @@ CHECKPOINT_KIND = "remy-optimizer-checkpoint"
 CHECKPOINT_FORMAT_VERSION = 2
 
 
-def _design_inputs(evaluator: Evaluator) -> dict[str, Any]:
-    """What a design run scores against, as checkpoint JSON: every evaluator
-    setting under its own name, the objective and the drawn specimens."""
+def design_inputs(evaluator: Evaluator) -> dict[str, Any]:
+    """What a design run scores against, as JSON: every evaluator setting
+    under its own name, the objective and the drawn specimens.  A checkpoint
+    records it, and so does a designed table's ``design`` block."""
     return {
         **asdict(evaluator.settings),
         "objective": asdict(evaluator.objective),
@@ -224,7 +225,7 @@ class RemyOptimizer:
             "tree": whisker_tree_to_dict(self.tree),
             "state": state,
             "settings": asdict(self.settings),
-            "design_inputs": _design_inputs(self.evaluator),
+            "design_inputs": design_inputs(self.evaluator),
             "seed_schedule": [
                 specimen_seed(self.evaluator.settings.seed, index)
                 for index in range(self.evaluator.settings.num_specimens)
@@ -276,7 +277,7 @@ class RemyOptimizer:
         if version != CHECKPOINT_FORMAT_VERSION:
             raise ValueError(f"unsupported checkpoint format version {version}")
         recorded = data["design_inputs"]
-        current = _design_inputs(evaluator)
+        current = design_inputs(evaluator)
         if recorded != current:
             diffs = sorted(
                 key
@@ -432,18 +433,3 @@ class RemyOptimizer:
         self.state.splits += 1
         self._notify(f"split most-used rule; tree now has {len(self.tree)} rules")
 
-
-def design_remycc(
-    config_range,
-    objective,
-    evaluator_settings=None,
-    optimizer_settings: Optional[OptimizerSettings] = None,
-    name: str = "remycc",
-    default_action: Optional[Action] = None,
-) -> tuple[WhiskerTree, OptimizerState]:
-    """Convenience wrapper: run the full Remy design phase and return the result."""
-    evaluator = Evaluator(config_range, objective, evaluator_settings)
-    tree = WhiskerTree(default_action=default_action, name=name)
-    optimizer = RemyOptimizer(evaluator, tree=tree, settings=optimizer_settings)
-    optimizer.optimize()
-    return optimizer.tree, optimizer.state

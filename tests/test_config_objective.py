@@ -7,14 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import (
+    TABLES,
     ConfigRange,
     NetConfig,
     ParameterRange,
-    datacenter_range,
-    exact_link_range,
     general_purpose_range,
-    tenfold_link_range,
-    wide_rtt_range,
 )
 from repro.core.objective import Objective, alpha_fairness_utility
 from repro.netsim.network import NetworkSpec
@@ -25,7 +22,6 @@ class TestParameterRange:
         r = ParameterRange.exact(5.0)
         assert r.is_exact
         assert r.sample(random.Random(0)) == 5.0
-        assert r.span_factor() == 1.0
 
     def test_sampling_stays_within_bounds(self):
         r = ParameterRange(1.0, 3.0)
@@ -44,12 +40,6 @@ class TestParameterRange:
         with pytest.raises(ValueError):
             ParameterRange(3.0, 1.0)
 
-    def test_contains_and_midpoint(self):
-        r = ParameterRange(2.0, 4.0)
-        assert r.contains(3.0)
-        assert not r.contains(5.0)
-        assert r.midpoint() == 3.0
-
 
 class TestConfigRange:
     def test_sample_produces_valid_netconfig(self):
@@ -65,10 +55,18 @@ class TestConfigRange:
         assert range_.specimens(5, seed=3) != range_.specimens(5, seed=4)
 
     def test_paper_design_ranges(self):
-        assert exact_link_range().link_speed_bps.is_exact
-        assert tenfold_link_range().link_speed_bps.span_factor() == pytest.approx(10.0)
-        assert datacenter_range().mean_on_bytes is not None
-        assert wide_rtt_range().rtt_seconds.high == 10.0
+        assert TABLES["1x"][0].link_speed_bps.is_exact
+        tenfold = TABLES["10x"][0].link_speed_bps
+        assert tenfold.high / tenfold.low == pytest.approx(10.0)
+        assert TABLES["datacenter"][0].mean_on_bytes is not None
+        assert TABLES["coexist"][0].rtt_seconds.high == 10.0
+        # The δ rows share §5.1's range; Figure 11 scores 1x and 10x at δ = 1;
+        # the datacenter table maximises -1/throughput (§5.5).
+        for delta in (0.1, 1.0, 10.0):
+            assert TABLES[f"delta{delta:g}"] == (general_purpose_range(), Objective.proportional(delta))
+        for name in ("1x", "10x", "coexist"):
+            assert TABLES[name][1] == Objective.proportional(1.0)
+        assert TABLES["datacenter"][1] == Objective.min_potential_delay()
 
     def test_netconfig_validation(self):
         with pytest.raises(ValueError):

@@ -4,12 +4,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import config
 from repro.core.action import Action
-from repro.core.config import ConfigRange, ParameterRange
+from repro.core.config import TABLES, ConfigRange, ParameterRange
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
-from repro.core.optimizer import OptimizerSettings, RemyOptimizer, design_remycc
+from repro.core.optimizer import OptimizerSettings, RemyOptimizer
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.network import NetworkSpec
 from repro.netsim.queue import DropTailQueue
@@ -128,16 +127,17 @@ class TestEvaluator:
             queue = evaluator._spec_for(specimen).make_queue()
             assert type(queue) is DropTailQueue and queue.capacity_packets == 50
 
+    # One case per distinct range, named for what the range is; the three
+    # delta tables share general_purpose_range.
     @pytest.mark.parametrize(
-        "design_range",
-        [config.general_purpose_range, config.exact_link_range, config.tenfold_link_range,
-         config.datacenter_range, config.wide_rtt_range],
-        ids=lambda make: make.__name__,
+        "name",
+        ["delta1", "1x", "10x", "datacenter", "coexist"],
+        ids=["general_purpose", "exact_link", "tenfold_link", "datacenter", "wide_rtt"],
     )
-    def test_every_published_range_keeps_its_unlimited_queue(self, design_range):
+    def test_every_published_range_keeps_its_unlimited_queue(self, name):
         # The spec every specimen of a published range was simulated on
         # before the queue came from the range: §5.1's unlimited FIFO.
-        evaluator = Evaluator(design_range(), settings=EvaluatorSettings(num_specimens=4))
+        evaluator = Evaluator(TABLES[name][0], settings=EvaluatorSettings(num_specimens=4))
         for specimen in evaluator.specimens:
             assert evaluator._spec_for(specimen) == NetworkSpec(
                 link_rate_bps=specimen.link_speed_bps,
@@ -226,20 +226,6 @@ class TestOptimizer:
         )
         optimizer.optimize()
         assert messages
-
-    def test_design_remycc_wrapper(self):
-        tree, state = design_remycc(
-            tiny_range(),
-            Objective.proportional(1.0),
-            evaluator_settings=tiny_settings(num_specimens=1, sim_duration=1.5),
-            optimizer_settings=OptimizerSettings(
-                max_epochs=1, max_evaluations=10, candidate_magnitudes=1
-            ),
-            name="test-cc",
-        )
-        assert tree.name == "test-cc"
-        assert state.evaluations_used > 0
-        assert state.score_history
 
 
 def memo_free_run(evaluator, tree, settings):

@@ -255,6 +255,9 @@ RETIRED = {
         "benchmarks/", "src/repro/experiments/summary_tables.py", "experiments.summary_tables",
         "run_summary_table", "SummaryTable", "SUMMARY_BASELINES", "format_speedup_table",
         "format_figure10", "bench_once", "pytest_benchmark", "pytest-benchmark"), 36),
+    **dict.fromkeys((
+        "design_remycc", "exact_link_range", "tenfold_link_range", "datacenter_range",
+        "wide_rtt_range", "midpoint", "span_factor"), 37),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -366,7 +369,7 @@ KNOBS = {
         "off_times_seconds", "n_runs", "duration", "backend"],
     "repro.experiments.competing:run_vs_cubic": ["mean_flow_bytes", "n_runs", "duration", "backend"],
     "examples/train_remycc.py": [
-        "--delta", "--output", "--specimens", "--sim-duration", "--max-epochs",
+        "--table", "--output", "--specimens", "--sim-duration", "--max-epochs",
         "--max-evaluations", "--paper-scale", "--seed", "--workers", "--checkpoint", "--resume"],
 }
 

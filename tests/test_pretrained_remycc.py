@@ -1,15 +1,23 @@
 """Tests for the named rule tables and the RemyCC runtime protocol."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import TABLES
 from repro.core.memory import MAX_MEMORY, Memory
 from repro.core.serialization import (
     REMYCC_DIR,
+    load_remycc,
     pretrained_remycc,
     pretrained_tree_names,
+    whisker_tree_from_dict,
     whisker_tree_to_dict,
 )
 from repro.netsim.packet import AckInfo
@@ -36,8 +44,9 @@ TOKENS = {
 
 class TestPretrainedTables:
     def test_all_names_build(self):
-        # One file per pinned table, and nothing else under results/remycc/.
-        assert pretrained_tree_names() == sorted(TOKENS)
+        # One file per pinned table, and nothing else under results/remycc/;
+        # every table has its design problem.
+        assert sorted(TABLES) == pretrained_tree_names() == sorted(TOKENS)
 
     @pytest.mark.parametrize("name", sorted(TOKENS))
     def test_table_file(self, name):
@@ -96,6 +105,52 @@ class TestPretrainedTables:
         action = tree.action_for(fast_state)
         # 15 Mbps is 1250 packets/s: the 1x table never paces much faster.
         assert action.intersend_ms >= 1000.0 / (1250 * 1.06)
+
+
+def train(*args: str) -> subprocess.CompletedProcess:
+    """``examples/train_remycc.py`` with ``args``, run from the repository root."""
+    root = REMYCC_DIR.parents[1]
+    return subprocess.run(
+        [sys.executable, str(root / "examples" / "train_remycc.py"), *args],
+        cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+
+
+class TestDesignedTable:
+    """``train_remycc.py --table NAME`` designs a named table's problem."""
+
+    def test_the_file_records_its_design_problem(self, tmp_path):
+        out = tmp_path / "1x.json"
+        proc = train(
+            "--table", "1x", "--specimens", "1", "--sim-duration", "0.5",
+            "--max-epochs", "1", "--max-evaluations", "3", "--output", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        raw = json.loads(out.read_text())
+        assert raw.pop("origin") == "designed"
+        design = raw.pop("design")
+        design_range, objective = TABLES["1x"]
+        assert design["table"] == "1x"
+        assert design["range"] == asdict(design_range)
+        assert design["objective"] == asdict(objective)
+        assert (design["num_specimens"], design["sim_duration"]) == (1, 0.5)
+        assert design["search"]["max_evaluations"] == 3
+        assert design["evaluations"] == len(design["score_history"]) >= 1
+        # The loader ignores the block: the table is the tree without it.
+        tree = load_remycc(out)
+        assert tree.name == "remy-1x"
+        assert whisker_tree_token(tree) == whisker_tree_token(whisker_tree_from_dict(raw))
+
+    def test_an_unknown_table_is_refused_with_the_names(self, tmp_path):
+        proc = train("--table", "delta2", "--output", str(tmp_path / "out.json"))
+        assert proc.returncode == 2
+        refusal, _, names = proc.stderr.partition("choose from")
+        assert "--table" in refusal and "invalid choice" in refusal and "delta2" in refusal
+        assert sorted(re.findall(r"[\w.]+", names)) == sorted(TABLES)
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestRemyCCProtocol:
