@@ -12,7 +12,9 @@ on along a :data:`Route` ``(delay, lane, sink)`` that
 computes per flow: append it to ``lane`` ``delay`` ahead when there is one,
 else push it on the heap ``delay`` ahead, else (``delay == 0.0``) call
 ``sink`` right now.  Lossy gates, trace-driven hops and the sanitizer's
-counting wrapper are sinks like any other.
+counting wrapper are sinks like any other.  A link owns its queue: the
+sender calls its first hop's entry, and only the link's closures know the
+queue's bookkeeping and the seal check.
 
 A constant-rate dumbbell whose flows share one RTT posts every
 serialization and every one-way hand-off on the scheduler's two
@@ -98,7 +100,8 @@ def across(scheduler: EventScheduler, delay: float, route: Route) -> Route:
 
 def plain_fifo(queue: QueueDiscipline) -> Optional["deque[Packet]"]:
     """The queue's FIFO when it is an un-overridden DropTail (or
-    InfiniteQueue), whose bookkeeping the closures may inline; else ``None``."""
+    InfiniteQueue), whose bookkeeping the link's closures may inline; else
+    ``None``."""
     if (
         isinstance(queue, DropTailQueue)
         and type(queue).enqueue is DropTailQueue.enqueue

@@ -56,7 +56,6 @@ class LinkBase:
         #: Updated in addition to ``delay_stats``; empty on a one-forward-hop
         #: path, whose breakdown would repeat the flow totals.
         self.hop_delay_stats: dict[int, HopDelayStats] = {}
-        self.packets_delivered = 0
         self.bytes_delivered = 0
         #: Per flow id, where a packet goes once it leaves this hop: the
         #: route as seen from the near end (propagation delay folded in, see
@@ -119,7 +118,6 @@ class LinkBase:
     def _emit(self, packet: Packet) -> None:
         """Record a departure and hand the packet on along its flow's route,
         or, on a link no network routed, to the ``deliver`` callback."""
-        self.packets_delivered += 1
         self.bytes_delivered += packet.size_bytes
         try:
             route = self._routes[packet.flow_id]
@@ -134,17 +132,18 @@ class ConstantRateLink(LinkBase):
     """A fixed-rate link that serializes packets at ``rate_bps`` bits/second.
 
     Its per-packet steps are closures built here, once: ``receive`` (the
-    DropTail enqueue inlined; any other discipline keeps its ``enqueue``),
-    ``_start_transmission`` (dequeue, record the wait, serialize) and
-    ``_finish_transmission`` (count, hand the packet on along its flow's
-    route, and start the successor: the body of ``_start_transmission``
-    pasted in place of the call, one frame less per packet).  With
-    ``lane_bytes`` set, every serialization of a packet that size rides the
-    scheduler's serialization lane; otherwise it goes on the heap.
+    DropTail enqueue inlined, with the seal check of :meth:`arm_seal`; any
+    other discipline keeps its ``enqueue``), which calls
+    ``start_transmission`` (dequeue, record the wait, serialize) when the
+    link is idle, and ``_finish_transmission`` (count, hand the packet on
+    along its flow's route, and start the successor: the body of
+    ``start_transmission`` pasted in place of the call, one frame less per
+    packet).  With ``lane_bytes`` set, every serialization of a packet that
+    size rides the scheduler's serialization lane; otherwise it goes on the
+    heap.
     """
 
     receive: Callable[[Packet], None]
-    _start_transmission: Callable[[], None]
     _finish_transmission: Callable[[Packet], None]
 
     def __init__(
@@ -190,7 +189,6 @@ class ConstantRateLink(LinkBase):
             except IndexError:
                 link._emit(packet)  # a link no network routed
             else:
-                link.packets_delivered += 1
                 link.bytes_delivered += packet.size_bytes
                 lane = route[1]
                 if lane is not None:
@@ -301,12 +299,15 @@ class ConstantRateLink(LinkBase):
                 if len(fifo) >= droptail.capacity_packets:
                     droptail.drops += 1
                     return
-                packet.enqueue_time = scheduler.now
+                packet.enqueue_time = now = scheduler.now
                 fifo.append(packet)
-                droptail._bytes += packet.size_bytes
+                droptail._bytes = queued = droptail._bytes + packet.size_bytes
                 droptail.enqueues += 1
                 if not link._busy:
                     start_transmission()
+                seal_drain = link._seal_drain
+                if seal_drain and queued > link._seal_budget - now * seal_drain:
+                    link.seal()  # this enqueue drowned the link
 
         else:
 
@@ -316,7 +317,6 @@ class ConstantRateLink(LinkBase):
                     start_transmission()
 
         self.receive = receive
-        self._start_transmission = start_transmission
         self._finish_transmission = finish_transmission
 
     @property
@@ -344,9 +344,9 @@ class ConstantRateLink(LinkBase):
         event times (thousands of ``t += size * 8 / rate`` steps) can never
         let a packet the proof calls dead start service at ``end_time``.
 
-        The check runs in the senders' inlined enqueue
-        (:meth:`~repro.netsim.sender.Sender.connect`), which every sender
-        feeding such a link takes; arm before the senders are connected.
+        The check runs in the link's DropTail ``receive``, after the enqueue
+        and the start of service, on every packet that enters the queue,
+        whoever hands it in.
         """
         self._seal_drain = self.rate_bps / 8
         self._seal_budget = end_time * self._seal_drain + 2 * mss_bytes
@@ -362,7 +362,7 @@ class ConstantRateLink(LinkBase):
     def release(self) -> None:
         super().release()
         self._on_seal = None
-        self.receive = self._start_transmission = self._finish_transmission = unwired
+        self.receive = self._finish_transmission = unwired
 
 
 class TraceDrivenLink(LinkBase):

@@ -34,10 +34,8 @@ class Packet:
     size_bytes:
         Wire size of the packet.
     sent_time:
-        Sender timestamp at (re)transmission; echoed by the receiver.
-    first_sent_time:
-        Sender timestamp of the segment's *first* transmission (Karn's
-        algorithm: retransmitted segments do not update RTT estimates).
+        Sender timestamp at (re)transmission; echoed by the receiver (and,
+        on an acknowledgment, the receiver's timestamp).
     is_ack:
         True for acknowledgments flowing back to the sender.
     ack_seq:
@@ -49,7 +47,8 @@ class Packet:
     ecn_capable / ecn_marked / ecn_echo:
         Explicit Congestion Notification bits (used by DCTCP/RED).
     retransmit:
-        True if this transmission is a retransmission.
+        True if this transmission is a retransmission (Karn's algorithm:
+        its acknowledgment gives no RTT sample).
     enqueue_time:
         Stamped by queues on arrival; used by CoDel for sojourn time.
     xcp_*:
@@ -63,7 +62,6 @@ class Packet:
         "seq",
         "size_bytes",
         "sent_time",
-        "first_sent_time",
         "is_ack",
         "ack_seq",
         "sacked_seq",
@@ -77,7 +75,6 @@ class Packet:
         "xcp_rtt",
         "xcp_demand",
         "xcp_feedback",
-        "receiver_time",
     )
 
     def __init__(
@@ -92,7 +89,6 @@ class Packet:
         self.seq = seq
         self.size_bytes = size_bytes
         self.sent_time = sent_time
-        self.first_sent_time = sent_time
         self.is_ack = is_ack
         self.ack_seq = -1
         self.sacked_seq = -1
@@ -106,7 +102,6 @@ class Packet:
         self.xcp_rtt = 0.0
         self.xcp_demand = 0.0
         self.xcp_feedback = 0.0
-        self.receiver_time = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "ACK" if self.is_ack else "DATA"
@@ -116,33 +111,26 @@ class Packet:
 class AckInfo(NamedTuple):
     """Digest of an acknowledgment handed to a congestion-control module.
 
-    All times are absolute simulation seconds unless stated otherwise.
-    A NamedTuple rather than a frozen dataclass: one is built per ACK, and a
-    tuple constructs several times faster than a frozen dataclass (whose
-    ``__init__`` goes through ``object.__setattr__`` per field) while staying
-    just as immutable.
+    All times are absolute simulation seconds unless stated otherwise.  It
+    carries what some module in :mod:`repro.protocols` reads (the RemyCC's
+    three signals come from ``now``, ``echo_sent_time`` and ``rtt``, §4.1)
+    and nothing else; a module that keeps more state, such as a minimum
+    RTT, keeps it itself.  A NamedTuple rather than a frozen dataclass: one
+    is built per ACK, and a tuple constructs several times faster than a
+    frozen dataclass (whose ``__init__`` goes through ``object.__setattr__``
+    per field) while staying just as immutable.
     """
 
     now: float
-    #: Segment whose arrival produced this ACK.
-    acked_seq: int
-    #: Cumulative acknowledgment (next expected segment).
-    cumulative_ack: int
     #: Bytes newly acknowledged by this ACK (0 for duplicate ACKs).
     newly_acked_bytes: int
     #: Round-trip time measured from this ACK (None for retransmitted segments).
     rtt: Optional[float]
-    #: Minimum RTT observed on the connection so far.
-    min_rtt: Optional[float]
     #: Sender timestamp echoed by the receiver (time the data packet left).
     echo_sent_time: float
-    #: Receiver timestamp when the data packet arrived.
-    receiver_time: float
     #: True if the receiver echoed an ECN congestion-experienced mark.
     ecn_echo: bool = False
     #: Number of packets currently in flight (after accounting this ACK).
     in_flight: int = 0
     #: XCP feedback echoed from the router (change in cwnd, packets).
     xcp_feedback: float = 0.0
-    #: True if this ACK is a duplicate (no new data acknowledged).
-    is_duplicate: bool = False

@@ -465,8 +465,7 @@ class PathNetwork:
         """Let the bottleneck seal itself once it is drowned
         (:attr:`PathSpec.sealable` specs only; a no-op on any other).
 
-        ``end_time`` is when the run stops.  Call before :meth:`attach_flow`:
-        the senders freeze the seal check when they are connected.
+        ``end_time`` is when the run stops.
         """
         link = self.forward_links[0]
         if self.spec.sealable and isinstance(link, ConstantRateLink):
@@ -510,12 +509,7 @@ class PathNetwork:
         spec = self.spec
         rtt = spec.rtt_for_flow(flow_id)
         forward, reverse = spec.forward_hops_for(flow_id), spec.reverse_hops_for(flow_id)
-        transmit = self._entry(0, forward[0])
-        first = self.forward_links[forward[0]]
-        if isinstance(first, ConstantRateLink) and transmit is first.receive:
-            sender.connect(transmit, first)  # no loss gate: it may fill the queue itself
-        else:
-            sender.connect(transmit)
+        sender.connect(self._entry(0, forward[0]))
         to_sender: Route = (rtt / 2, self._flow_lane, sender.on_ack)
         delay, lane, send_ack = (0.0, None, self._entry(1, reverse[0])) if reverse else to_sender
         receiver.connect(send_ack, delay, lane)

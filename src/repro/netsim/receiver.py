@@ -45,11 +45,11 @@ class Receiver:
 
         Each arriving data packet becomes its acknowledgment in place: the
         data packet is dead once acknowledged, so no second object is built.
-        ``flow_id``, ``seq``, ``first_sent_time``, ``retransmit`` (Karn's
-        rule) and the XCP header (the router feedback) carry over; the send
-        time is echoed, the ECN mark becomes the echo, and the ECN bits and
-        ``enqueue_time`` are reset.  Nothing may touch the data packet
-        afterwards.
+        ``flow_id``, ``seq``, ``retransmit`` (Karn's rule) and the XCP
+        header (the router feedback) carry over; the send time is echoed and
+        replaced by the receiver's, the ECN mark becomes the echo, and the
+        ECN bits and ``enqueue_time`` are reset.  Nothing may touch the data
+        packet afterwards.
         """
         receiver = self
         scheduler = self.scheduler
@@ -91,7 +91,6 @@ class Receiver:
             ack.sacked_seq = seq
             ack.echo_sent_time = ack.sent_time
             ack.sent_time = now
-            ack.receiver_time = now
             ack.ecn_echo = ack.ecn_marked
             ack.ecn_capable = False
             ack.ecn_marked = False

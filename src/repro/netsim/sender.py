@@ -15,16 +15,14 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Callable, Optional, cast
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.events import EventScheduler
-from repro.netsim.kernel import plain_fifo, unwired
+from repro.netsim.kernel import unwired
 from repro.netsim.packet import AckInfo, Packet
-from repro.netsim.queue import DropTailQueue
 from repro.netsim.stats import FlowStats
 
 if TYPE_CHECKING:  # imported only for type annotations; avoids a package cycle
-    from repro.netsim.link import ConstantRateLink
     from repro.protocols.base import CongestionControl
 
 TransmitFn = Callable[[Packet], None]
@@ -97,14 +95,6 @@ class AlwaysOnWorkload(Workload):
         return FlowDemand(duration=math.inf)
 
 
-@dataclass(slots=True)
-class _SentInfo:
-    sent_time: float
-    first_sent_time: float
-    retransmitted: bool
-    size_bytes: int
-
-
 class Sender:
     """Sending endpoint for a single flow."""
 
@@ -142,14 +132,14 @@ class Sender:
         #: A wrapper installed around ``_send`` as the ACK sink (:attr:`on_ack`).
         self._ack_sink: Optional[TransmitFn] = None
 
-        # Transport state.  ``in_flight`` maps seq -> _SentInfo; the frontier
+        # Transport state.  ``in_flight`` maps seq -> bytes; the frontier
         # is a min-heap over in-flight sequence numbers (with lazy deletion:
         # a selectively-acked seq leaves a stale entry behind), so cumulative
         # ACKs release packets in O(released · log n) instead of scanning the
         # whole flight per ACK.
         self.state = "idle"  # idle -> off/on cycles
         self.next_seq = 0
-        self.in_flight: dict[int, _SentInfo] = {}
+        self.in_flight: dict[int, int] = {}
         self._flight_frontier: list[int] = []
         self.retransmit_queue: deque[int] = deque()
         self.highest_cum_ack = 0
@@ -159,7 +149,6 @@ class Sender:
         self.last_send_time = -math.inf
 
         # RTT estimation (RFC 6298 style).
-        self.min_rtt: Optional[float] = None
         self.srtt: Optional[float] = None
         self.rttvar: Optional[float] = None
         self.rto = 1.0
@@ -179,7 +168,6 @@ class Sender:
         self._rto_deadline = 0.0
         #: The pacing timer's entry (already run once ``entry[2] is None``).
         self._pacing_event: Optional[list] = None
-        self._switch_event: Optional[list] = None
 
     # ------------------------------------------------------------------ wiring
     @property
@@ -193,9 +181,7 @@ class Sender:
     def on_ack(self, sink: TransmitFn) -> None:
         self._ack_sink = sink
 
-    def connect(
-        self, transmit: TransmitFn, link: Optional["ConstantRateLink"] = None
-    ) -> None:
+    def connect(self, transmit: TransmitFn) -> None:
         """Send data packets into ``transmit`` and build the sender's closure.
 
         Called with an acknowledgment, the closure processes it — releases
@@ -209,12 +195,11 @@ class Sender:
         the instance, where the cold paths read them.  The acknowledgment
         dies here: once digested, nothing holds it.
 
-        ``link`` is the constant-rate hop ``transmit`` enters when no loss
-        gate sits in between.  If its queue is a plain FIFO, the send loop
-        fills it directly (tail drop and, on a link armed by
-        :meth:`~repro.netsim.link.ConstantRateLink.arm_seal`, the seal check
-        inlined) instead of calling ``transmit``.  A sealed sender
-        (:meth:`seal`) re-reads its sink per packet and stops once it is gone.
+        ``transmit`` is the entry of the flow's first hop (its loss gate or
+        its link's ``receive``); the hop owns its queue, tail drop and seal
+        check.  The loop re-reads :attr:`transmit` after every packet, since
+        a packet that drowns the bottleneck swaps it (:meth:`seal`), and
+        stops once it is gone.
         """
         self.transmit = transmit
         sender = self
@@ -231,20 +216,7 @@ class Sender:
         cc_observes_sends = self._cc_observes_sends
         uses_ecn = cc.uses_ecn  # class-level constant on every protocol
         tuple_new = tuple.__new__
-        sent_new = _SentInfo.__new__
         packet_new = Packet.__new__
-        # The inlined enqueue's state, touched only when ``fifo`` is set.
-        hop = cast("ConstantRateLink", link)
-        droptail = cast(DropTailQueue, None if link is None else link.queue)
-        fifo = None if link is None else plain_fifo(droptail)
-        if fifo is not None:
-            capacity_packets = droptail.capacity_packets  # fixed at construction
-            # An armed link's seal check, frozen here (``seal_drain`` is 0.0
-            # on every other link, which skips it).
-            seal_drain, seal_budget = hop._seal_drain, hop._seal_budget
-            start = hop._start_transmission
-        else:
-            capacity_packets, seal_drain, seal_budget, start = 0, 0.0, 0.0, unwired
 
         def ack_and_send(ack: Optional[Packet] = None) -> None:
             if ack is None:
@@ -271,12 +243,8 @@ class Sender:
                 ack_seq = ack.ack_seq
                 newly_acked_bytes = 0
                 while frontier and frontier[0] < ack_seq:
-                    info = in_flight.pop(heappop(frontier), None)
-                    if info is not None:
-                        newly_acked_bytes += info.size_bytes
-                info = in_flight.pop(ack.sacked_seq, None)
-                if info is not None:
-                    newly_acked_bytes += info.size_bytes
+                    newly_acked_bytes += in_flight.pop(heappop(frontier), 0)
+                newly_acked_bytes += in_flight.pop(ack.sacked_seq, 0)
                 # ``rq`` aliases ``sender.retransmit_queue`` for the rest of
                 # the call: every mutation below is in place (or rebinds
                 # both), and the cold helpers only mutate in place.
@@ -290,9 +258,6 @@ class Sender:
                 if not ack.retransmit:
                     rtt = now - ack.echo_sent_time
                     if rtt > 0:
-                        min_rtt = sender.min_rtt
-                        if min_rtt is None or rtt < min_rtt:
-                            sender.min_rtt = rtt
                         srtt = sender.srtt
                         if srtt is None:
                             sender.srtt = rtt
@@ -314,8 +279,7 @@ class Sender:
 
                 # A duplicate ACK does not advance the cumulative point, even
                 # if it selectively acknowledges an out-of-order segment.
-                is_duplicate = ack_seq <= sender.highest_cum_ack
-                if not is_duplicate:
+                if ack_seq > sender.highest_cum_ack:
                     sender.highest_cum_ack = ack_seq
                     sender.dup_count = 0
                     if sender.in_recovery:
@@ -337,17 +301,12 @@ class Sender:
                         AckInfo,
                         (
                             now,
-                            ack.sacked_seq,
-                            ack_seq,
                             newly_acked_bytes,
                             rtt,
-                            sender.min_rtt,
                             ack.echo_sent_time,
-                            ack.receiver_time,
                             ack.ecn_echo,
                             len(in_flight),
                             ack.xcp_feedback,
-                            is_duplicate,
                         ),
                     )
                 )
@@ -423,7 +382,6 @@ class Sender:
                 packet.seq = seq
                 packet.size_bytes = mss_bytes
                 packet.sent_time = now
-                packet.first_sent_time = now
                 packet.is_ack = False
                 packet.ack_seq = -1
                 packet.sacked_seq = -1
@@ -437,20 +395,10 @@ class Sender:
                 packet.xcp_rtt = 0.0
                 packet.xcp_demand = 0.0
                 packet.xcp_feedback = 0.0
-                packet.receiver_time = 0.0
-                info = in_flight.get(seq)
-                if info is not None and retransmit:
-                    packet.first_sent_time = info.first_sent_time
-                    info.sent_time = now
-                    info.retransmitted = True
-                else:
-                    # _SentInfo by slot stores: no dataclass __init__ frame.
-                    info = sent_new(_SentInfo)
-                    info.sent_time = now
-                    info.first_sent_time = now
-                    info.retransmitted = retransmit
-                    info.size_bytes = mss_bytes
-                    in_flight[seq] = info
+                # A retransmission still in flight keeps its entry; one
+                # selectively acknowledged meanwhile re-enters the flight.
+                if not retransmit or seq not in in_flight:
+                    in_flight[seq] = mss_bytes
                     heappush(frontier, seq)
                 stats.packets_sent += 1
                 if retransmit:
@@ -458,26 +406,8 @@ class Sender:
                 if cc_observes_sends:
                     cc.on_packet_sent(packet, now)
                 sender.last_send_time = now
-                if sink is not transmit:
-                    # Sealed: the last new segment clears the sink (see seal).
-                    sink(packet)
-                    sink = sender.transmit
-                elif fifo is None:
-                    transmit(packet)
-                elif len(fifo) >= capacity_packets:
-                    droptail.drops += 1  # tail overflow: the packet dies here
-                else:
-                    packet.enqueue_time = now
-                    fifo.append(packet)
-                    droptail._bytes = queued = droptail._bytes + mss_bytes
-                    droptail.enqueues += 1
-                    if not hop._busy:
-                        start()
-                    if seal_drain and queued > seal_budget - now * seal_drain:
-                        # This enqueue drowned the link: sealing swaps every
-                        # sender's sink, this one's included.
-                        hop.seal()
-                        sink = sender.transmit
+                sink(packet)
+                sink = sender.transmit  # sealing swaps it (see seal)
                 # The RTO timer, armed on the first send of a window.
                 entry = sender._rto_event
                 if entry is None or entry[2] is None:
@@ -490,8 +420,7 @@ class Sender:
         closure, timers); transport state and stats stay."""
         self.transmit = self._ack_sink = None
         self._send = unwired
-        self._on_until_event = self._rto_event = None
-        self._pacing_event = self._switch_event = None
+        self._on_until_event = self._rto_event = self._pacing_event = None
 
     def seal(self) -> None:
         """The bottleneck just sealed: stop transmitting what cannot arrive.
@@ -530,8 +459,7 @@ class Sender:
         if self.state != "idle":
             raise RuntimeError("sender already started")
         self.state = "off"
-        delay = self.workload.first_on_delay(self.rng)
-        self._switch_event = self.scheduler.post_after(delay, self._switch_on)
+        self.scheduler.post_after(self.workload.first_on_delay(self.rng), self._switch_on)
 
     def finalize(self, end_time: float) -> None:
         """Close the books at the end of the simulation."""
@@ -549,7 +477,6 @@ class Sender:
         self.retransmit_queue.clear()
         self.dup_count = 0
         self.in_recovery = False
-        self.min_rtt = None
         self.srtt = None
         self.rttvar = None
         self.rto = 1.0
@@ -586,9 +513,7 @@ class Sender:
 
         off_duration = self.workload.next_off_duration(self.rng)
         if math.isfinite(off_duration):
-            self._switch_event = self.scheduler.post_after(
-                off_duration, self._switch_on
-            )
+            self.scheduler.post_after(off_duration, self._switch_on)
 
     def _cancel(self, entry: Optional[list]) -> None:
         if entry is not None:

@@ -228,9 +228,8 @@ class Simulation:
             rng=random.Random(self.master_rng.getrandbits(32)),
             lanes=self._lanes,
         )
-        # Before the flows attach (the senders freeze the seal check when
-        # they are connected).  Whether the topology can seal is the spec's
-        # own property, not a choice made here.
+        # Whether the topology can seal is the spec's own property, not a
+        # choice made here.
         self.network.arm_seal(duration)
         #: Runtime sanitizer (see :mod:`repro.netsim.invariants`).  Built
         #: before the flows so its counting wrapper is in place when

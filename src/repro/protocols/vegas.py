@@ -34,14 +34,10 @@ class Vegas(CongestionControl):
         self.beta = beta
         self.base_rtt: Optional[float] = None
         self.ssthresh = float("inf")
-        self._acks_this_rtt = 0
-        self._adjust_due = 0.0
 
     def on_flow_start(self, now: float) -> None:
         self.base_rtt = None
         self.ssthresh = float("inf")
-        self._acks_this_rtt = 0
-        self._adjust_due = 0.0
 
     @property
     def in_slow_start(self) -> bool:

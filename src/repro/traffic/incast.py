@@ -33,7 +33,6 @@ class IncastWorkload(Workload):
         self.epoch_seconds = epoch_seconds
         self.jitter = UniformDistribution(0.0, jitter_seconds) if jitter_seconds > 0 else None
         self.min_bytes = min_bytes
-        self._elapsed_epochs = 0
 
     @classmethod
     def exponential(

@@ -91,7 +91,7 @@ coords = st.floats(min_value=-10.0, max_value=MAX_MEMORY * 1.1, allow_nan=False)
 
 
 def _ack(now, echo_sent_time, rtt):
-    return AckInfo(now, 0, 0, 1500, rtt, None, echo_sent_time, now, False, 1, 0.0, False)
+    return AckInfo(now, 1500, rtt, echo_sent_time, False, 1, 0.0)
 
 
 class TestLastLeafCache:

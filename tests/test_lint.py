@@ -258,6 +258,9 @@ RETIRED = {
     **dict.fromkeys((
         "design_remycc", "exact_link_range", "tenfold_link_range", "datacenter_range",
         "wide_rtt_range", "midpoint", "span_factor"), 37),
+    **dict.fromkeys((
+        "_SentInfo", "first_sent_time", "receiver_time", "cumulative_ack", "is_duplicate",
+        "packets_delivered", "_switch_event"), 39),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -679,6 +682,14 @@ class TestOneEngine:
         )
         assert defined == ENGINE_STEPS_DEFINED
 
+    def test_the_endpoints_do_not_know_the_queue(self):
+        # A link owns its queue: a sender hands each packet to its first
+        # hop's entry, and the queue's bookkeeping and the seal's arithmetic
+        # stay in link.py.
+        queue = {"plain_fifo", "DropTailQueue", "capacity_packets", "_seal_drain", "_seal_budget"}
+        for endpoint in ("sender.py", "receiver.py"):
+            assert names_in(tree_of(NETSIM / endpoint)) & queue == set(), endpoint
+
     def test_no_instance_dict_is_read(self):
         # A rebinding pass would walk ``__dict__``.
         attributes = nodes_in(ast.Attribute, "src/repro/netsim")
@@ -722,3 +733,46 @@ class TestOnePacketLifetime:
         released = {ast.unparse(f.value) for f in calls if getattr(f, "attr", "") == "release"}
         wiring = {"self.network", "link", "endpoints.sender", "endpoints.receiver", "super()"}
         assert released <= wiring
+
+
+def attributes(ctx: type, *roots: str) -> set[str]:
+    """Every attribute name accessed in context ``ctx`` (``ast.Load`` or
+    ``ast.Store``; an augmented assignment stores) under ``roots``."""
+    return {node.attr for _, node in nodes_in(ast.Attribute, *roots) if isinstance(node.ctx, ctx)}
+
+
+class TestNoWriteOnlyState:
+    """What the engine and the protocols store, something reads: no counter,
+    timer handle, packet slot or digest field is kept for nobody."""
+
+    def test_every_stored_attribute_is_loaded_somewhere(self):
+        stored = attributes(ast.Store, "src/repro/netsim", "src/repro/protocols")
+        loaded = attributes(ast.Load, "src", "tests", "tools", "bench", "examples")
+        assert sorted(stored - loaded) == []
+
+    def test_every_packet_slot_is_loaded_in_src(self):
+        from repro.netsim.packet import AckInfo, Packet
+
+        # A slot the sender only copies into the ACK digest is read when a
+        # protocol reads the field it lands in.
+        [digest] = [
+            node.args[1] for node in ast.walk(tree_of(NETSIM / "sender.py"))
+            if isinstance(node, ast.Call) and node.args and ast.unparse(node.args[0]) == "AckInfo"
+        ]
+        copied_to = {id(element): field for field, element in zip(AckInfo._fields, digest.elts)}
+        read_by_protocols = attributes(ast.Load, "src/repro/protocols")
+
+        def is_read(node: ast.Attribute) -> bool:
+            field = copied_to.get(id(node))
+            return field is None or field in read_by_protocols
+
+        loaded = {
+            node.attr for _, node in nodes_in(ast.Attribute, "src")
+            if isinstance(node.ctx, ast.Load) and is_read(node)
+        }
+        assert [slot for slot in Packet.__slots__ if slot not in loaded] == []
+
+    def test_every_ack_digest_field_is_read_by_a_protocol(self):
+        from repro.netsim.packet import AckInfo
+
+        assert sorted(set(AckInfo._fields) - attributes(ast.Load, "src/repro/protocols")) == []

@@ -13,7 +13,6 @@ def test_data_packet_defaults():
     assert packet.size_bytes == DATA_PACKET_BYTES
     assert not packet.is_ack
     assert packet.sent_time == 1.25
-    assert packet.first_sent_time == 1.25
     assert not packet.retransmit
     assert not packet.ecn_marked
 
@@ -33,7 +32,6 @@ def _ack_for(packet: Packet, now: float = 2.4) -> Packet:
 
 def test_receiver_converts_the_data_packet_into_its_ack_in_place():
     packet = Packet(flow_id=1, seq=10, sent_time=2.0)
-    packet.first_sent_time = 1.5
     packet.retransmit = True
     packet.ecn_capable = True
     packet.ecn_marked = True
@@ -42,12 +40,12 @@ def test_receiver_converts_the_data_packet_into_its_ack_in_place():
     ack = _ack_for(packet)
     assert ack is packet  # no second object
     # Carried over: the segment's identity, Karn's rule, the XCP header.
-    assert (ack.flow_id, ack.seq, ack.first_sent_time, ack.retransmit) == (1, 10, 1.5, True)
+    assert (ack.flow_id, ack.seq, ack.retransmit) == (1, 10, True)
     assert (ack.xcp_cwnd, ack.xcp_rtt, ack.xcp_demand, ack.xcp_feedback) == (7.0, 0.2, 1.5, 3.5)
     # Written: the acknowledgment fields and the echoes.
     assert ack.is_ack and ack.size_bytes == ACK_PACKET_BYTES
     assert (ack.ack_seq, ack.sacked_seq) == (11, 10)
-    assert (ack.echo_sent_time, ack.sent_time, ack.receiver_time) == (2.0, 2.4, 2.4)
+    assert (ack.echo_sent_time, ack.sent_time) == (2.0, 2.4)
     assert ack.ecn_echo is True
     # Reset: the ECN bits and the queue stamp.
     assert (ack.ecn_capable, ack.ecn_marked, ack.enqueue_time) == (False, False, 0.0)
@@ -64,13 +62,9 @@ def test_receiver_ack_carries_the_retransmit_flag():
 def test_ack_info_is_frozen():
     info = AckInfo(
         now=1.0,
-        acked_seq=1,
-        cumulative_ack=2,
         newly_acked_bytes=1500,
         rtt=0.1,
-        min_rtt=0.1,
         echo_sent_time=0.9,
-        receiver_time=0.95,
     )
     assert info.rtt == 0.1
     try:

@@ -154,17 +154,8 @@ class TestDesignedTable:
 
 
 class TestRemyCCProtocol:
-    def _ack(self, now, rtt, seq=0):
-        return AckInfo(
-            now=now,
-            acked_seq=seq,
-            cumulative_ack=seq + 1,
-            newly_acked_bytes=1500,
-            rtt=rtt,
-            min_rtt=rtt,
-            echo_sent_time=now - rtt,
-            receiver_time=now - rtt / 2,
-        )
+    def _ack(self, now, rtt):
+        return AckInfo(now=now, newly_acked_bytes=1500, rtt=rtt, echo_sent_time=now - rtt)
 
     def test_flow_start_applies_startup_rule(self):
         tree = pretrained_remycc("delta1")
@@ -180,8 +171,8 @@ class TestRemyCCProtocol:
         cc.reset(0.0)
         before = cc.cwnd
         now = 0.15
-        for i in range(20):
-            cc.on_ack(self._ack(now, rtt=0.15, seq=i))
+        for _ in range(20):
+            cc.on_ack(self._ack(now, rtt=0.15))
             now += 0.01
         assert cc.cwnd != before
         assert cc.intersend_time > 0

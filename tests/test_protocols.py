@@ -14,16 +14,12 @@ from repro.protocols.newreno import NewReno
 from repro.protocols.vegas import Vegas
 
 
-def make_ack(now=1.0, rtt=0.1, newly_acked=1500, ecn=False, seq=0, in_flight=0):
+def make_ack(now=1.0, rtt=0.1, newly_acked=1500, ecn=False, in_flight=0):
     return AckInfo(
         now=now,
-        acked_seq=seq,
-        cumulative_ack=seq + 1,
         newly_acked_bytes=newly_acked,
         rtt=rtt,
-        min_rtt=rtt,
         echo_sent_time=now - rtt,
-        receiver_time=now - rtt / 2,
         ecn_echo=ecn,
         in_flight=in_flight,
     )
@@ -31,8 +27,8 @@ def make_ack(now=1.0, rtt=0.1, newly_acked=1500, ecn=False, seq=0, in_flight=0):
 
 def feed_acks(cc, count, rtt=0.1, start=1.0, spacing=0.01, ecn=False):
     now = start
-    for i in range(count):
-        cc.on_ack(make_ack(now=now, rtt=rtt, seq=i, ecn=ecn))
+    for _ in range(count):
+        cc.on_ack(make_ack(now=now, rtt=rtt, ecn=ecn))
         now += spacing
     return cc
 
@@ -141,8 +137,8 @@ class TestCubic:
             cc.ssthresh = 1
             cc.w_max = 40
             now = 0.0
-            for i in range(40):
-                cc.on_ack(make_ack(now=now, rtt=rtt, seq=i))
+            for _ in range(40):
+                cc.on_ack(make_ack(now=now, rtt=rtt))
                 now += 0.05
             return cc.cwnd
 
@@ -247,8 +243,8 @@ class TestBBR:
 
     def _drive(self, cc, start, count, rtt=0.1, in_flight=30.0):
         now = start
-        for i in range(count):
-            cc.on_ack(make_ack(now=now, rtt=rtt, seq=i, in_flight=in_flight))
+        for _ in range(count):
+            cc.on_ack(make_ack(now=now, rtt=rtt, in_flight=in_flight))
             now += 0.01
         return now
 
@@ -258,7 +254,7 @@ class TestBBR:
         # Keep in-flight above the BDP so DRAIN is observable as a state.
         now = self._drive(cc, start=1.0, count=50, in_flight=30.0)
         assert cc.state == "drain"
-        cc.on_ack(make_ack(now=now, rtt=0.1, seq=50, in_flight=5.0))
+        cc.on_ack(make_ack(now=now, rtt=0.1, in_flight=5.0))
         assert cc.state == "probe_bw"
         return cc, now
 
@@ -294,10 +290,10 @@ class TestBBR:
     def test_probe_bw_cycles_through_gain_phases(self):
         cc, now = self._probe_bw_cc()
         # A full rt_prop in the probing phase moves on to the drain phase.
-        cc.on_ack(make_ack(now=now + 0.11, rtt=0.1, seq=0, in_flight=30.0))
+        cc.on_ack(make_ack(now=now + 0.11, rtt=0.1, in_flight=30.0))
         assert cc.pacing_gain == pytest.approx(0.75)
         # The drain phase ends early once in-flight falls to the BDP.
-        cc.on_ack(make_ack(now=now + 0.12, rtt=0.1, seq=0, in_flight=5.0))
+        cc.on_ack(make_ack(now=now + 0.12, rtt=0.1, in_flight=5.0))
         assert cc.pacing_gain == pytest.approx(1.0)
 
     def test_probe_rtt_entered_when_min_rtt_estimate_expires(self):
@@ -305,13 +301,13 @@ class TestBBR:
         # No sample below 0.1 s for over MIN_RTT_WINDOW seconds: the filter
         # expires, the current (inflated) sample is adopted, and the flow
         # drops to the window floor to re-observe the propagation delay.
-        cc.on_ack(make_ack(now=now + 10.5, rtt=0.15, seq=0, in_flight=3.0))
+        cc.on_ack(make_ack(now=now + 10.5, rtt=0.15, in_flight=3.0))
         assert cc.state == "probe_rtt"
         assert cc.cwnd == pytest.approx(4.0)
         assert cc.rt_prop == pytest.approx(0.15)
         # After PROBE_RTT_DURATION plus one round at the floor, the flow
         # returns to PROBE_BW at the start of the gain cycle.
-        cc.on_ack(make_ack(now=now + 10.8, rtt=0.15, seq=0, in_flight=3.0))
+        cc.on_ack(make_ack(now=now + 10.8, rtt=0.15, in_flight=3.0))
         assert cc.state == "probe_bw"
         assert cc.pacing_gain == pytest.approx(1.25)
         assert cc.cwnd > 4.0

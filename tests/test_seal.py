@@ -29,8 +29,12 @@ from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, OptimizerState, RemyOptimizer
 from repro.core.serialization import save_json_atomic, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
+from repro.netsim.events import EventScheduler
+from repro.netsim.link import ConstantRateLink
 from repro.netsim.network import NetworkSpec
+from repro.netsim.packet import Packet
 from repro.netsim.path import LinkSpec, PathSpec
+from repro.netsim.queue import InfiniteQueue
 from repro.netsim.sender import AlwaysOnWorkload
 from repro.netsim.simulator import Simulation, SimulationResult
 from repro.netsim.stats import FlowStats
@@ -170,6 +174,24 @@ def test_sealed_at_is_past_the_point_of_no_return():
     capacity = spec.link_rate_bps * DURATION / (spec.mss_bytes * 8)
     assert 0.0 < result.sealed_at < DURATION
     assert delivered <= capacity + 1
+
+
+def test_an_armed_link_seals_itself_on_a_direct_receive():
+    # The check belongs to the link: packets handed straight to ``receive``,
+    # with no sender anywhere, drown it just the same.  At 1500 bytes/s and
+    # a run ending at 1 s the budget is 1 s of service plus 2 MSS = 4500
+    # bytes; the enqueue that leaves more than that queued seals, once.
+    scheduler = EventScheduler()
+    link = ConstantRateLink(scheduler, rate_bps=12_000.0, queue=InfiniteQueue())
+    link.connect(lambda packet: None)
+    seals: list[int] = []
+    link.arm_seal(end_time=1.0, mss_bytes=1500, on_seal=lambda: seals.append(len(link.queue)))
+    for seq in range(4):  # the first starts service at once: 4500 bytes queued
+        link.receive(Packet(0, seq))
+    assert seals == []
+    for seq in range(4, 8):
+        link.receive(Packet(0, seq))
+    assert seals == [4]
 
 
 @pytest.mark.parametrize("kernel", ["generic", "auto"])

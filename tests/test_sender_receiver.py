@@ -101,7 +101,6 @@ def test_rtt_estimation(scheduler):
     sender.start()
     scheduler.run_until(5.0)
     # The wire delay is 0.05 s each way -> RTT = 0.1 s.
-    assert sender.min_rtt == pytest.approx(0.1, rel=1e-6)
     assert stats.rtt_count > 0
     assert stats.min_rtt == pytest.approx(0.1, rel=1e-6)
 

@@ -12,13 +12,9 @@ from repro.protocols.xcp import XCP, XCPRouterQueue
 def make_ack(feedback=0.0, rtt=0.1, newly_acked=1500):
     return AckInfo(
         now=1.0,
-        acked_seq=0,
-        cumulative_ack=1,
         newly_acked_bytes=newly_acked,
         rtt=rtt,
-        min_rtt=rtt,
         echo_sent_time=0.9,
-        receiver_time=0.95,
         xcp_feedback=feedback,
     )
 
