@@ -18,7 +18,7 @@ import statistics
 
 from repro.core.serialization import pretrained_remycc
 from repro.experiments.datacenter import run_datacenter
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.dctcp import DCTCP
 from repro.protocols.remycc import RemyCCProtocol
@@ -29,12 +29,8 @@ def incast_demo(scale: int, duration: float) -> None:
     """Synchronised flow arrivals over a shallow-buffered datacenter link."""
     n_flows = max(2, 16 // scale * 4)
     link_rate = 10e9 / scale
-    spec = NetworkSpec(
-        link_rate_bps=link_rate,
-        rtt=0.004,
-        n_flows=n_flows,
-        queue="red-dctcp",
-        buffer_packets=200,
+    spec = PathSpec.dumbbell(
+        n_flows, rtt=0.004, rate_bps=link_rate, queue="red-dctcp", buffer_packets=200
     )
     protocols = [DCTCP() for _ in range(n_flows)]
     workloads = [

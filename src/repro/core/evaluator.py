@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from repro.core.config import ConfigRange, NetConfig
 from repro.core.objective import Objective
 from repro.core.whisker_tree import WhiskerTree
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.simulator import SimulationResult
 from repro.runner import ExecutionBackend, SerialBackend, SimJob, SimJobResult, mix_seed
 from repro.traffic.onoff import ByteFlowWorkload, TimedFlowWorkload
@@ -57,6 +57,8 @@ class FlowScore:
     specimen_index: int
     flow_id: int
     throughput_bps: float
+    #: As measured: 0.0 when no RTT was sampled (the score falls back to the
+    #: base RTT, see :meth:`~repro.core.objective.Objective.score_stats`).
     avg_rtt_seconds: float
     avg_queue_delay_seconds: float
     score: float
@@ -136,16 +138,16 @@ class Evaluator:
         self.evaluations = 0
 
     # -- specimen construction ---------------------------------------------------
-    def _spec_for(self, specimen: NetConfig) -> NetworkSpec:
+    def _spec_for(self, specimen: NetConfig) -> PathSpec:
         # The specimen's own buffer: none is the unlimited FIFO of §5.1.
         if specimen.buffer_packets is None:
-            queue, buffer_packets = "infinite", NetworkSpec.buffer_packets
+            queue, buffer_packets = "infinite", LinkSpec.buffer_packets
         else:
             queue, buffer_packets = "droptail", specimen.buffer_packets
-        return NetworkSpec(
-            link_rate_bps=specimen.link_speed_bps,
-            rtt=specimen.rtt_seconds,
+        return PathSpec.dumbbell(
             n_flows=specimen.n_senders,
+            rtt=specimen.rtt_seconds,
+            rate_bps=specimen.link_speed_bps,
             queue=queue,
             buffer_packets=buffer_packets,
         )
@@ -273,23 +275,14 @@ class Evaluator:
                 # The source never switched on during the (short) simulation;
                 # it expresses no preference, so it contributes no score.
                 continue
-            throughput = stats.throughput_bps()
-            avg_rtt = stats.avg_rtt() if stats.rtt_count else specimen.rtt_seconds
-            avg_delay = stats.avg_queue_delay()
-            score = self.objective.score_flow(
-                throughput_bps=throughput,
-                delay_seconds=max(avg_rtt, specimen.rtt_seconds),
-                fair_share_bps=fair_share,
-                min_rtt_seconds=specimen.rtt_seconds,
-            )
             scores.append(
                 FlowScore(
                     specimen_index=index,
                     flow_id=stats.flow_id,
-                    throughput_bps=throughput,
-                    avg_rtt_seconds=avg_rtt,
-                    avg_queue_delay_seconds=avg_delay,
-                    score=score,
+                    throughput_bps=stats.throughput_bps(),
+                    avg_rtt_seconds=stats.avg_rtt(),
+                    avg_queue_delay_seconds=stats.avg_queue_delay(),
+                    score=self.objective.score_stats(stats, fair_share, specimen.rtt_seconds),
                 )
             )
         return scores

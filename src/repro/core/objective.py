@@ -24,6 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.netsim.stats import FlowStats
 
 #: Floor applied to throughput (as a fraction of the fair share) and delay
 #: (as a fraction of the minimum RTT) before taking logarithms, so a flow
@@ -76,6 +80,19 @@ class Objective:
         if self.delta != 0.0:
             score -= self.delta * alpha_fairness_utility(delay, self.beta)
         return score
+
+    def score_stats(
+        self, stats: "FlowStats", fair_share_bps: float, min_rtt_seconds: float
+    ) -> float:
+        """Score one simulated flow: its throughput, and its mean RTT floored
+        at the base RTT (the base RTT itself when no RTT was sampled)."""
+        avg_rtt = stats.avg_rtt() if stats.rtt_count else min_rtt_seconds
+        return self.score_flow(
+            throughput_bps=stats.throughput_bps(),
+            delay_seconds=max(avg_rtt, min_rtt_seconds),
+            fair_share_bps=fair_share_bps,
+            min_rtt_seconds=min_rtt_seconds,
+        )
 
     # -- the paper's named settings --------------------------------------------
     @classmethod

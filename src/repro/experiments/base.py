@@ -159,7 +159,7 @@ def run_cells(
             factory = scheme.protocol_factory if scheme is not None and tree is None else None
             scheme_spec = spec
             if scheme is not None and scheme.queue is not None:
-                scheme_spec = spec.with_queue(scheme.queue)
+                scheme_spec = spec.with_hops(queue=scheme.queue)
             for run_index in range(n_runs):
                 jobs.append(
                     SimJob(

@@ -72,5 +72,5 @@ def run_figure6(
         rate_before_mbps=rate_before,
         rate_after_mbps=rate_after,
         sequence_trace=trace,
-        link_rate_mbps=cell.network.link_rate_bps / 1e6,
+        link_rate_mbps=cell.network.bottleneck_rate_bps() / 1e6,
     )

@@ -99,7 +99,7 @@ def run_datacenter(
     # the requested size.
     cell = get_scenario("datacenter-dctcp")
     dctcp_cell = cell.override(
-        link_rate_bps=link_rate,
+        rate_bps=link_rate,
         n_flows=n_flows,
         workload=ByteFlowWorkload.exponential(
             mean_flow_bytes=20e6 / scale,

@@ -84,7 +84,7 @@ def run_figure11(
     n_flows = base_cell.network.n_flows
     rtt = base_cell.network.rtt_for_flow(0)
     cells = [
-        base_cell.override(link_rate_bps=speed_mbps * 1e6, queue="droptail")
+        base_cell.override(rate_bps=speed_mbps * 1e6, queue="droptail")
         for speed_mbps in link_speeds_mbps
     ]
     grid = run_cells(cells, schemes, n_runs=n_runs, duration=duration, backend=backend)
@@ -94,15 +94,7 @@ def run_figure11(
             scores, tputs, delays = [], [], []
             for run_result in run_results:
                 for stats in run_result.active_flows():
-                    avg_rtt = stats.avg_rtt() if stats.rtt_count else rtt
-                    scores.append(
-                        objective.score_flow(
-                            throughput_bps=stats.throughput_bps(),
-                            delay_seconds=max(avg_rtt, rtt),
-                            fair_share_bps=fair_share,
-                            min_rtt_seconds=rtt,
-                        )
-                    )
+                    scores.append(objective.score_stats(stats, fair_share, rtt))
                     tputs.append(stats.throughput_mbps())
                     delays.append(stats.avg_queue_delay_ms())
             result.points.append(

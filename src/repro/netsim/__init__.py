@@ -12,9 +12,10 @@ played by ns-2 in the original work).  It provides:
   :mod:`repro.netsim.sfq`),
 * a reliable-transport sender/receiver harness that hosts any congestion
   control module (:mod:`repro.netsim.sender`, :mod:`repro.netsim.receiver`),
-* one topology engine, paths of links with congestible reverse directions
-  (:mod:`repro.netsim.path`), and the paper's single-bottleneck dumbbell as
-  a spec that builds its one-hop case (:mod:`repro.netsim.network`), and
+* one topology spec and engine, paths of links with congestible reverse
+  directions, the paper's single-bottleneck dumbbell being the one-hop case
+  (:mod:`repro.netsim.path`), with the queue factory every hop shares
+  (:mod:`repro.netsim.network`), and
 * the simulation driver plus per-flow statistics
   (:mod:`repro.netsim.simulator`, :mod:`repro.netsim.stats`).
 """
@@ -27,9 +28,9 @@ from repro.netsim.aqm import REDQueue, CoDelQueue
 from repro.netsim.sfq import SfqCoDelQueue
 from repro.netsim.sender import Sender
 from repro.netsim.receiver import Receiver
-from repro.netsim.network import NetworkSpec, build_queue
+from repro.netsim.network import build_queue
 from repro.netsim.path import LinkSpec, PathNetwork, PathSpec
-from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec
+from repro.netsim.simulator import Simulation, SimulationResult
 from repro.netsim.stats import FlowStats
 
 __all__ = [
@@ -45,13 +46,11 @@ __all__ = [
     "SfqCoDelQueue",
     "Sender",
     "Receiver",
-    "NetworkSpec",
     "build_queue",
     "LinkSpec",
     "PathNetwork",
     "PathSpec",
     "Simulation",
     "SimulationResult",
-    "TopologySpec",
     "FlowStats",
 ]

@@ -1,39 +1,32 @@
-"""The paper-facing topology spec: the dumbbell network of Figure 2.
+"""What every hop of every topology shares: queue construction and fail-fast checks.
 
-A :class:`NetworkSpec` describes the bottleneck (rate or trace, queue
-discipline, buffer, per-flow round-trip times).  All data packets share the
-single bottleneck queue in the forward direction; acknowledgments return
-over an uncongested path, as in the paper's single-bottleneck evaluation
-topologies.  The spec is a constructor, not an engine:
-:meth:`NetworkSpec.to_path_spec` spells it as the one-forward-hop,
-ideal-reverse :class:`~repro.netsim.path.PathSpec`, and
-:class:`~repro.netsim.path.PathNetwork` is the one class that wires flows
-through links.  The queue factory and the fail-fast checks every spec kind
-shares live here.
+:func:`build_queue` turns a queue kind name (one of :data:`QUEUE_KINDS`) or a
+factory into a :class:`~repro.netsim.queue.QueueDiscipline`, so a queue kind
+behaves identically wherever it appears.  The ``validate_*`` helpers are the
+checks :class:`~repro.netsim.path.LinkSpec`, :class:`~repro.netsim.path.PathSpec`
+and the trace-driven link run at construction.  The topology itself — the
+paper's dumbbell included (:meth:`~repro.netsim.path.PathSpec.dumbbell`) — is
+a :class:`~repro.netsim.path.PathSpec`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.netsim.aqm import CoDelQueue, REDQueue
 from repro.netsim.queue import DropTailQueue, InfiniteQueue, QueueDiscipline
 from repro.netsim.sfq import SfqCoDelQueue
 
-if TYPE_CHECKING:  # path imports this module; the spec converts lazily
-    from repro.netsim.path import LinkSpec, PathSpec
-
 QueueFactory = Callable[[], QueueDiscipline]
 
-#: Built-in queue discipline names accepted by :class:`NetworkSpec`.
+#: Built-in queue discipline names a :class:`~repro.netsim.path.LinkSpec` accepts.
 QUEUE_KINDS = ("droptail", "infinite", "codel", "sfqcodel", "red", "red-dctcp", "xcp")
 
 
 def validate_delivery_trace(delivery_trace: Sequence[float]) -> None:
-    """Fail fast on malformed delivery traces (every spec kind's hops).
+    """Fail fast on malformed delivery traces (every trace-driven hop).
 
     An empty trace used to slip through construction and crash later with an
     ``IndexError`` inside ``effective_rate_bps``.  Specs check at
@@ -65,7 +58,7 @@ def validate_mss(mss_bytes: int) -> None:
 def validate_flows(
     rtt: Union[float, Sequence[float]], n_flows: int, mss_bytes: int
 ) -> None:
-    """Fail fast on the per-flow fields (shared by every spec kind).
+    """Fail fast on a path's per-flow fields.
 
     A negative RTT used to die inside a callback (``negative delay``) under
     the generic kernel and to *run* under the fused one, whose closures post
@@ -154,120 +147,3 @@ def build_queue(
             control_interval=max(xcp_mean_rtt, 0.01),
         )
     raise ValueError(f"unknown queue kind {queue!r}; expected one of {QUEUE_KINDS}")
-
-
-@dataclass
-class NetworkSpec:
-    """Parameters of a single-bottleneck (dumbbell) network.
-
-    Parameters
-    ----------
-    link_rate_bps:
-        Bottleneck rate in bits/second (ignored when ``delivery_trace`` is set).
-    rtt:
-        Baseline round-trip propagation delay in seconds.  Either a scalar
-        applied to every flow or a per-flow sequence (Figure 10 uses
-        different RTTs per flow).
-    n_flows:
-        Number of sender-receiver pairs sharing the bottleneck.
-    queue:
-        Queue discipline name (one of :data:`QUEUE_KINDS`) or a factory
-        returning a :class:`~repro.netsim.queue.QueueDiscipline`.
-    buffer_packets:
-        Bottleneck buffer size in packets (ignored for ``infinite``).
-    delivery_trace:
-        Optional sequence of packet-delivery timestamps; when given, the
-        bottleneck is a :class:`~repro.netsim.link.TraceDrivenLink` replaying
-        a cellular trace instead of a constant-rate link.
-    loss_rate:
-        Probability that a data packet is lost on the forward path *before*
-        reaching the bottleneck queue (stochastic non-congestive loss, e.g. a
-        lossy radio segment).  Acknowledgments are never lost — the return
-        path stays ideal, as in the paper's single-bottleneck topologies.
-    mss_bytes:
-        Data segment size.
-    """
-
-    link_rate_bps: float = 15e6
-    rtt: Union[float, Sequence[float]] = 0.150
-    n_flows: int = 2
-    queue: Union[str, QueueFactory] = "droptail"
-    buffer_packets: int = 1000
-    delivery_trace: Optional[Sequence[float]] = None
-    loss_rate: float = 0.0
-    mss_bytes: int = 1500
-    #: CoDel / RED parameters, consulted only by the relevant queue kinds.
-    codel_target: float = 0.005
-    codel_interval: float = 0.100
-    red_min_thresh: float = 20.0
-    red_max_thresh: float = 60.0
-    dctcp_marking_threshold: float = 65.0
-
-    def __post_init__(self) -> None:
-        # The checks are the path spec's own: the flow fields here, the
-        # bottleneck's by building the one hop it becomes.
-        validate_flows(self.rtt, self.n_flows, self.mss_bytes)
-        self.bottleneck()
-
-    def bottleneck(self) -> "LinkSpec":
-        """The bottleneck as the one hop of :meth:`to_path_spec`."""
-        from repro.netsim.path import LinkSpec
-
-        return LinkSpec(
-            rate_bps=self.link_rate_bps,
-            queue=self.queue,
-            buffer_packets=self.buffer_packets,
-            delivery_trace=self.delivery_trace,
-            loss_rate=self.loss_rate,
-            codel_target=self.codel_target,
-            codel_interval=self.codel_interval,
-            red_min_thresh=self.red_min_thresh,
-            red_max_thresh=self.red_max_thresh,
-            dctcp_marking_threshold=self.dctcp_marking_threshold,
-            name="bottleneck",
-        )
-
-    def rtt_for_flow(self, flow_id: int) -> float:
-        """Baseline RTT for a given flow (supports per-flow RTT sequences)."""
-        if isinstance(self.rtt, (int, float)):
-            return float(self.rtt)
-        return float(self.rtt[flow_id])
-
-    def bandwidth_delay_product_packets(self, flow_id: int = 0) -> float:
-        """Bandwidth-delay product in packets: link rate × the flow's round trip.
-
-        The round trip, not the one-way delay, because a window must cover
-        the data in flight until its ACK returns.  The NIST dumbbell script
-        in SNIPPETS.md multiplies packets per ms by the *one-way* delay, half
-        of this; its Mbps variant uses the round trip, as here.
-        """
-        return self.link_rate_bps * self.rtt_for_flow(flow_id) / (self.mss_bytes * 8)
-
-    def make_queue(self, rng: Optional[random.Random] = None) -> QueueDiscipline:
-        """Instantiate the configured queue discipline."""
-        path = self.to_path_spec()
-        return path.forward[0].make_queue(rng, self.mss_bytes, path.mean_rtt())
-
-    def effective_rate_bps(self) -> float:
-        """Bottleneck rate: the constant rate, or the trace's long-term mean."""
-        return self.bottleneck().effective_rate_bps(self.mss_bytes)
-
-    # -- generalisation hooks ---------------------------------------------------
-    def with_queue(self, queue: Union[str, QueueFactory]) -> "NetworkSpec":
-        """A copy with the bottleneck queue discipline replaced (the hook the
-        scheme runner uses; :class:`~repro.netsim.path.PathSpec` offers the
-        same method, applied to every forward hop)."""
-        return replace(self, queue=queue)
-
-    def to_path_spec(self) -> "PathSpec":
-        """This dumbbell as the :class:`~repro.netsim.path.PathSpec` it is:
-        one forward hop with no propagation delay of its own and an ideal
-        reverse path.  Every simulation of a dumbbell runs this spec."""
-        from repro.netsim.path import PathSpec
-
-        return PathSpec(
-            forward=(self.bottleneck(),),
-            rtt=self.rtt,
-            n_flows=self.n_flows,
-            mss_bytes=self.mss_bytes,
-        )

@@ -18,13 +18,11 @@ Every topology is a path:
   wired through their hop chains in both directions, every hop owning its
   own queue.
 
-The dumbbell is the one-forward-hop, no-reverse-hop case, and
-:class:`~repro.netsim.network.NetworkSpec` is its paper-facing spelling
-(:meth:`~repro.netsim.network.NetworkSpec.to_path_spec`).  What a dumbbell
-alone can do — seal a drowned bottleneck (:attr:`PathSpec.sealable`), ride
-the scheduler's two constant-delay lanes (:meth:`PathSpec.dumbbell_hop`) —
-is decided from the path's shape, so it does not matter which spelling
-built it.
+The paper's dumbbell is the one-forward-hop, no-reverse-hop case, built by
+:meth:`PathSpec.dumbbell`.  What a dumbbell alone can do — seal a drowned
+bottleneck (:attr:`PathSpec.sealable`), ride the scheduler's two
+constant-delay lanes (:meth:`PathSpec.dumbbell_hop`) — is decided from the
+path's shape, so it does not matter which constructor built it.
 
 Semantics:
 
@@ -54,7 +52,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.kernel import Lane, Route
@@ -276,6 +274,29 @@ class PathSpec:
                 "reverse", allow_empty=True,
             )
 
+    @classmethod
+    def dumbbell(
+        cls,
+        n_flows: int = 2,
+        rtt: Union[float, Sequence[float]] = 0.150,
+        mss_bytes: int = 1500,
+        **hop: Any,
+    ) -> "PathSpec":
+        """The paper's single-bottleneck network (Figure 2, §5.1).
+
+        All data shares one forward hop — ``hop`` takes :class:`LinkSpec`'s
+        fields (``rate_bps``, ``queue``, ``buffer_packets``,
+        ``delivery_trace``, ``loss_rate``, ...) — and acknowledgments return
+        over the ideal reverse path.  The defaults are §5.1's baseline: two
+        flows, 150 ms, 15 Mbps into a 1000-packet tail-drop queue.
+        """
+        return cls(
+            forward=(LinkSpec(name="bottleneck", **hop),),
+            rtt=rtt,
+            n_flows=n_flows,
+            mss_bytes=mss_bytes,
+        )
+
     # -- per-flow accessors -----------------------------------------------------
     def rtt_for_flow(self, flow_id: int) -> float:
         """Baseline RTT for a given flow (supports per-flow RTT sequences)."""
@@ -309,12 +330,26 @@ class PathSpec:
             for i in self.forward_hops_for(flow_id)
         )
 
+    def bandwidth_delay_product_packets(self, flow_id: int = 0) -> float:
+        """Bandwidth-delay product in packets: the flow's narrowest forward-hop
+        rate × its round trip, hop ``delay``s included.
+
+        The round trip, not the one-way delay, because a window must cover
+        the data in flight until its ACK returns.  The NIST dumbbell script
+        in SNIPPETS.md multiplies packets per ms by the *one-way* delay, half
+        of this; its Mbps variant uses the round trip, as here.
+        """
+        hop_delays = sum(self.forward[i].delay for i in self.forward_hops_for(flow_id))
+        hop_delays += sum(self.reverse[i].delay for i in self.reverse_hops_for(flow_id))
+        round_trip = self.rtt_for_flow(flow_id) + hop_delays
+        return self.bottleneck_rate_bps(flow_id) * round_trip / (self.mss_bytes * 8)
+
     # -- shape -------------------------------------------------------------------
     def dumbbell_hop(self) -> Optional[LinkSpec]:
         """The bottleneck when this path is a constant-rate dumbbell, else ``None``.
 
         That is one constant-rate forward hop with no propagation delay of
-        its own and no reverse hops, however the spec was spelled: every
+        its own and no reverse hops, whichever constructor built it: every
         per-packet event is then scheduled one serialization time or one
         flow's one-way delay ahead, which is what the seal's proof and the
         scheduler's two constant-delay lanes (:mod:`repro.netsim.kernel`)
@@ -344,22 +379,18 @@ class PathSpec:
         return hop is not None and hop.queue == "infinite" and hop.loss_rate == 0.0
 
     # -- generalisation hooks ---------------------------------------------------
-    def to_path_spec(self) -> "PathSpec":
-        """Itself: the conversion every topology spec offers, so callers
-        normalise without asking which spelling they hold."""
-        return self
+    def with_hops(self, **link_fields: Any) -> "PathSpec":
+        """A copy with ``link_fields`` replaced on every *forward* hop.
 
-    def with_queue(self, queue: Union[str, QueueFactory]) -> "PathSpec":
-        """A copy with every *forward* hop's queue discipline replaced.
-
-        The scheme runner's router-support hook (``SchemeSpec.queue``): a
-        scheme that needs sfqCoDel/XCP/RED gateways needs them at every
-        forward bottleneck.  Reverse hops keep their configured disciplines
-        — the scheme under test does not administer the ACK path.
+        The scheme runner's router-support hook (``SchemeSpec.queue``) and
+        :meth:`~repro.scenarios.spec.ScenarioSpec.override`'s per-hop knobs:
+        a scheme that needs sfqCoDel/XCP/RED gateways needs them at every
+        forward bottleneck.  Reverse hops keep their configuration — the
+        scheme under test does not administer the ACK path.
         """
         return replace(
             self,
-            forward=tuple(replace(link, queue=queue) for link in self.forward),
+            forward=tuple(replace(link, **link_fields) for link in self.forward),
         )
 
 

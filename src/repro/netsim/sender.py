@@ -320,12 +320,7 @@ class Sender:
                     return
 
                 if in_flight:
-                    # _arm_rto(restart=True), suppression fast path: move the
-                    # deadline, keep the armed entry when it fires no later.
-                    sender._rto_deadline = deadline = now + sender.rto
-                    entry = sender._rto_event
-                    if entry is None or entry[2] is None or entry[0] > deadline:
-                        sender._arm_rto(restart=True)
+                    sender._arm_rto(restart=True)
                 else:
                     entry = sender._rto_event
                     if entry is not None:

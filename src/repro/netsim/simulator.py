@@ -2,11 +2,10 @@
 
 :class:`Simulation` is the top-level entry point used by the examples, the
 Remy evaluator and every experiment harness.  It takes a topology spec — a
-:class:`~repro.netsim.network.NetworkSpec` (the paper's single-bottleneck
-dumbbell) or a :class:`~repro.netsim.path.PathSpec` (any path, with an
-optionally congestible reverse direction); two spellings, one
-:class:`~repro.netsim.path.PathNetwork` — one congestion-control module and
-one workload per flow, wires it on the one
+:class:`~repro.netsim.path.PathSpec`, any path with an optionally
+congestible reverse direction, the paper's single-bottleneck dumbbell
+(:meth:`~repro.netsim.path.PathSpec.dumbbell`) included — one
+congestion-control module and one workload per flow, wires it on the one
 :class:`~repro.netsim.events.EventScheduler` (the per-packet closures of
 :mod:`repro.netsim.kernel`), runs the scheduler's dispatch loop for a fixed
 duration and returns a :class:`SimulationResult`.
@@ -20,18 +19,14 @@ import random
 import statistics
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.netsim.events import EventCapExceeded, EventScheduler, SimulationError
 from repro.netsim.invariants import InvariantChecker
-from repro.netsim.network import NetworkSpec
 from repro.netsim.path import PathNetwork, PathSpec
 from repro.netsim.receiver import Receiver
 from repro.netsim.sender import Sender, Workload
 from repro.netsim.stats import FlowStats, HopDelayStats
-
-#: Topology descriptions a :class:`Simulation` accepts.
-TopologySpec = Union[NetworkSpec, PathSpec]
 
 if TYPE_CHECKING:  # type annotations only; avoids a netsim <-> protocols cycle
     from repro.protocols.base import CongestionControl
@@ -152,7 +147,7 @@ class Simulation:
     Parameters
     ----------
     spec:
-        Topology description (:data:`TopologySpec`).
+        Topology description.
     protocols:
         One congestion-control instance per flow (length must equal
         ``spec.n_flows``).
@@ -185,7 +180,7 @@ class Simulation:
 
     def __init__(
         self,
-        spec: TopologySpec,
+        spec: PathSpec,
         protocols: Sequence["CongestionControl"],
         workloads: Optional[Sequence[Optional[Workload]]] = None,
         duration: float = 100.0,
@@ -217,14 +212,12 @@ class Simulation:
         self.max_events = max_events
 
         self.scheduler = EventScheduler()
-        # Converted once: seal, wiring and fusion all read this.
-        path_spec = spec.to_path_spec()
         self.master_rng = random.Random(seed)
         #: The network consumes exactly one master rng draw, whatever its
         #: shape, so the per-flow random streams do not depend on it.
         self.network: PathNetwork = PathNetwork(
             self.scheduler,
-            path_spec,
+            spec,
             rng=random.Random(self.master_rng.getrandbits(32)),
             lanes=self._lanes,
         )

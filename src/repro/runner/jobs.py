@@ -21,8 +21,9 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
+from repro.netsim.path import PathSpec
 from repro.netsim.sender import Workload
-from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec, gc_paused
+from repro.netsim.simulator import Simulation, SimulationResult, gc_paused
 
 if TYPE_CHECKING:
     # Annotation-only imports.  repro.core's package __init__ imports the
@@ -97,7 +98,7 @@ class SimJob:
     """
 
     job_id: int
-    spec: TopologySpec
+    spec: PathSpec
     duration: float
     seed: int
     workloads: tuple[Workload, ...] = ()

@@ -32,9 +32,6 @@ congested/ACK-dropping reverse paths, and a multi-hop cellular tail link.
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.scenarios.registry import register_scenario
 from repro.scenarios.spec import ProtocolSpec, ScenarioSpec, TraceSpec
@@ -52,19 +49,6 @@ FIGURE10_RTTS = (0.050, 0.100, 0.150, 0.200)
 #: Per-flow RTTs of the beyond-paper asymmetric dumbbell (a 10× RTT spread,
 #: wider than Figure 10's 4×).
 ASYM_RTTS = (0.030, 0.075, 0.150, 0.300)
-
-
-def _dumbbell(n_flows: int, **overrides: Any) -> NetworkSpec:
-    """The §5.1 baseline bottleneck: 15 Mbps, 150 ms, 1000-packet tail-drop."""
-    params: dict[str, Any] = dict(
-        link_rate_bps=15e6,
-        rtt=0.150,
-        n_flows=n_flows,
-        queue="droptail",
-        buffer_packets=1000,
-    )
-    params.update(overrides)
-    return NetworkSpec(**params)
 
 
 def _paper_onoff() -> ByteFlowWorkload:
@@ -88,7 +72,7 @@ register_scenario(
         name="fig4-dumbbell8",
         description="Figure 4 dumbbell: 8 senders, exponential 100 kB flows over DropTail",
         topology="dumbbell",
-        network=_dumbbell(8),
+        network=PathSpec.dumbbell(8),
         protocols=(ProtocolSpec("newreno"),),
         workload=_paper_onoff(),
         duration=3.0,
@@ -102,7 +86,7 @@ register_scenario(
         name="fig5-dumbbell12",
         description="Figure 5 dumbbell: 12 senders, heavy-tailed ICSI flow lengths",
         topology="dumbbell",
-        network=_dumbbell(12),
+        network=PathSpec.dumbbell(12),
         protocols=(ProtocolSpec("cubic"),),
         workload=_icsi_onoff(),
         duration=3.0,
@@ -115,7 +99,7 @@ register_scenario(
         name="fig6-convergence",
         description="Figure 6: RemyCC flow with a competitor departing mid-run",
         topology="dumbbell",
-        network=_dumbbell(2),
+        network=PathSpec.dumbbell(2),
         protocols=(ProtocolSpec("remy", tree="delta1"),),
         per_flow_workloads=(
             FixedOnPeriodWorkload(start=0.0, duration=3.0),  # observed flow
@@ -131,13 +115,7 @@ register_scenario(
         name="fig7-lte4",
         description="Figure 7: Verizon LTE downlink trace, 4 senders over DropTail",
         topology="cellular",
-        network=NetworkSpec(
-            link_rate_bps=15e6,  # nominal; trace governs delivery
-            rtt=0.050,
-            n_flows=4,
-            queue="droptail",
-            buffer_packets=1000,
-        ),
+        network=PathSpec.dumbbell(4, rtt=0.050),  # nominal rate; the trace governs
         trace=TraceSpec("verizon", duration_seconds=4.0, seed=1),
         protocols=(ProtocolSpec("newreno"),),
         workload=_paper_onoff(),
@@ -152,13 +130,7 @@ register_scenario(
         name="fig8-lte8",
         description="Figure 8: Verizon LTE downlink trace, 8 senders",
         topology="cellular",
-        network=NetworkSpec(
-            link_rate_bps=15e6,
-            rtt=0.050,
-            n_flows=8,
-            queue="droptail",
-            buffer_packets=1000,
-        ),
+        network=PathSpec.dumbbell(8, rtt=0.050),
         trace=TraceSpec("verizon", duration_seconds=4.0, seed=1),
         protocols=(ProtocolSpec("cubic"),),
         workload=_paper_onoff(),
@@ -172,13 +144,7 @@ register_scenario(
         name="fig9-att4",
         description="Figure 9: AT&T LTE downlink trace (slower, choppier), 4 senders",
         topology="cellular",
-        network=NetworkSpec(
-            link_rate_bps=15e6,
-            rtt=0.050,
-            n_flows=4,
-            queue="droptail",
-            buffer_packets=1000,
-        ),
+        network=PathSpec.dumbbell(4, rtt=0.050),
         trace=TraceSpec("att", duration_seconds=4.0, seed=2),
         protocols=(ProtocolSpec("vegas"),),
         workload=_paper_onoff(),
@@ -192,8 +158,8 @@ register_scenario(
         name="fig10-rtt-fairness",
         description="Figure 10: four RTTs (50-200 ms) sharing Cubic-over-sfqCoDel",
         topology="rtt",
-        network=NetworkSpec(
-            link_rate_bps=10e6,
+        network=PathSpec.dumbbell(
+            rate_bps=10e6,
             rtt=FIGURE10_RTTS,
             n_flows=len(FIGURE10_RTTS),
             queue="sfqcodel",
@@ -212,7 +178,7 @@ register_scenario(
         name="fig11-prior-1x",
         description="Figure 11: exact-prior RemyCC (1x table) at its 15 Mbps design point",
         topology="dumbbell",
-        network=_dumbbell(2),
+        network=PathSpec.dumbbell(2),
         protocols=(ProtocolSpec("remy", tree="1x"),),
         per_flow_workloads=(
             TimedFlowWorkload.exponential(
@@ -232,8 +198,8 @@ register_scenario(
         name="datacenter-dctcp",
         description="§5.5 datacenter at 1/32 scale: DCTCP over an ECN-marking gateway",
         topology="datacenter",
-        network=NetworkSpec(
-            link_rate_bps=10e9 / 32,
+        network=PathSpec.dumbbell(
+            rate_bps=10e9 / 32,
             rtt=0.004,
             n_flows=2,
             queue="red-dctcp",
@@ -255,7 +221,7 @@ register_scenario(
         name="competing-remy-cubic",
         description="§5.6 incremental deployment: coexistence RemyCC sharing with Cubic",
         topology="dumbbell",
-        network=_dumbbell(2),
+        network=PathSpec.dumbbell(2),
         protocols=(
             ProtocolSpec("remy", tree="coexist"),
             ProtocolSpec("cubic"),
@@ -272,8 +238,8 @@ register_scenario(
         name="xcp-router",
         description="XCP endpoints over the explicit-feedback XCP router (§5 baseline)",
         topology="dumbbell",
-        network=NetworkSpec(
-            link_rate_bps=10e6,
+        network=PathSpec.dumbbell(
+            rate_bps=10e6,
             rtt=0.05,
             n_flows=4,
             queue="xcp",
@@ -294,7 +260,7 @@ register_scenario(
         name="dumbbell-asym-rtt",
         description="Asymmetric-RTT dumbbell: 10x RTT spread (30-300 ms) over DropTail",
         topology="rtt",
-        network=_dumbbell(len(ASYM_RTTS), rtt=ASYM_RTTS),
+        network=PathSpec.dumbbell(len(ASYM_RTTS), rtt=ASYM_RTTS),
         protocols=(ProtocolSpec("newreno"),),
         workload=ByteFlowWorkload.exponential(
             mean_flow_bytes=100e3, mean_off_seconds=0.3
@@ -309,8 +275,8 @@ register_scenario(
         name="bursty-onoff-codel",
         description="Bursty on/off sources (40 kB flows, 50 ms off) over single-queue CoDel",
         topology="dumbbell",
-        network=NetworkSpec(
-            link_rate_bps=12e6,
+        network=PathSpec.dumbbell(
+            rate_bps=12e6,
             rtt=0.060,
             n_flows=6,
             queue="codel",
@@ -330,8 +296,8 @@ register_scenario(
         name="incast-sfqcodel",
         description="Datacenter incast (synchronised arrivals) over a shallow sfqCoDel gateway",
         topology="datacenter",
-        network=NetworkSpec(
-            link_rate_bps=200e6,
+        network=PathSpec.dumbbell(
+            rate_bps=200e6,
             rtt=0.002,
             n_flows=8,
             queue="sfqcodel",
@@ -351,14 +317,7 @@ register_scenario(
         name="cellular-lossy",
         description="Lossy-link cellular: Verizon trace with 1% stochastic forward loss",
         topology="cellular",
-        network=NetworkSpec(
-            link_rate_bps=15e6,
-            rtt=0.050,
-            n_flows=4,
-            queue="droptail",
-            buffer_packets=1000,
-            loss_rate=0.01,
-        ),
+        network=PathSpec.dumbbell(4, rtt=0.050, loss_rate=0.01),
         trace=TraceSpec("verizon", duration_seconds=4.0, seed=9),
         protocols=(ProtocolSpec("newreno"),),
         workload=_paper_onoff(),
@@ -566,7 +525,7 @@ register_scenario(
         name="bbr-dumbbell-droptail",
         description="BBR on the §5.1 dumbbell: 4 senders, deep tail-drop buffer",
         topology="aqm",
-        network=_dumbbell(4),
+        network=PathSpec.dumbbell(4),
         protocols=(ProtocolSpec("bbr"),),
         workload=_paper_onoff(),
         duration=3.0,
@@ -580,8 +539,8 @@ register_scenario(
         name="bbr-dumbbell-codel",
         description="BBR over a single-queue CoDel gateway: sojourn drops vs. the model",
         topology="aqm",
-        network=NetworkSpec(
-            link_rate_bps=12e6,
+        network=PathSpec.dumbbell(
+            rate_bps=12e6,
             rtt=0.080,
             n_flows=4,
             queue="codel",
@@ -628,9 +587,9 @@ register_scenario(
 # ---------------------------------------------------------------------------
 
 
-def _bench_network(queue: str) -> NetworkSpec:
-    return NetworkSpec(
-        link_rate_bps=10e6, rtt=0.05, n_flows=4, queue=queue, buffer_packets=500
+def _bench_network(queue: str) -> PathSpec:
+    return PathSpec.dumbbell(
+        rate_bps=10e6, rtt=0.05, n_flows=4, queue=queue, buffer_packets=500
     )
 
 

@@ -4,7 +4,7 @@ The paper's whole argument rests on evaluating schemes over a *matrix* of
 network scenarios (dumbbell, cellular trace, datacenter incast, differing
 RTTs) rather than a single benchmark.  A :class:`ScenarioSpec` captures one
 cell of that matrix declaratively — a picklable value object bundling the
-:class:`~repro.netsim.network.NetworkSpec`, the per-flow traffic workloads,
+:class:`~repro.netsim.path.PathSpec`, the per-flow traffic workloads,
 the protocol set, and a canonical ``(duration, seed)`` — and materializes it
 into a ready-to-run :class:`~repro.netsim.simulator.Simulation`.
 
@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.netsim.path import PathSpec
+from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.sender import Workload
-from repro.netsim.simulator import Simulation, SimulationResult, TopologySpec
+from repro.netsim.simulator import Simulation, SimulationResult
 from repro.traces.cellular import att_lte_trace, verizon_lte_trace
 
 if TYPE_CHECKING:  # annotation-only: avoids importing protocols at module load
@@ -111,15 +111,14 @@ class ScenarioSpec:
         ``rtt``, ``path``, ``bench``) used to pick the tier-1 smoke subset —
         one smoke cell per topology.
     network:
-        The topology description: a single-bottleneck
-        :class:`~repro.netsim.network.NetworkSpec` or a multi-bottleneck
-        :class:`~repro.netsim.path.PathSpec`.  For trace-driven cells leave
-        the trace unset on the network and supply ``trace`` instead (for a
-        path, also name the trace-driven hop via ``trace_link``).
+        The topology: a :class:`~repro.netsim.path.PathSpec` (the paper's
+        dumbbell is :meth:`~repro.netsim.path.PathSpec.dumbbell`).  For
+        trace-driven cells leave the trace unset on the network and supply
+        ``trace`` instead.
     trace_link:
-        Index of the forward hop that replays ``trace`` when ``network`` is
-        a :class:`~repro.netsim.path.PathSpec` (e.g. the cellular tail link
-        of a multi-hop path).  Ignored without ``trace``.
+        Index of the forward hop that replays ``trace`` (e.g. the cellular
+        tail link of a multi-hop path; a dumbbell's one hop is ``0``).
+        Ignored without ``trace``.
     protocols:
         Either a single :class:`ProtocolSpec` applied to every flow, or one
         per flow (mixed protocol sets, e.g. a RemyCC competing with Cubic).
@@ -140,12 +139,12 @@ class ScenarioSpec:
     name: str
     description: str
     topology: str
-    network: TopologySpec
+    network: PathSpec
     protocols: tuple[ProtocolSpec, ...] = (ProtocolSpec(),)
     workload: Optional[Workload] = None
     per_flow_workloads: tuple[Workload, ...] = ()
     trace: Optional[TraceSpec] = None
-    trace_link: Optional[int] = None
+    trace_link: int = 0
     duration: float = 3.0
     seed: int = 0
     smoke: bool = False
@@ -166,52 +165,28 @@ class ScenarioSpec:
                 f"{self.name}: got {len(self.per_flow_workloads)} per-flow "
                 f"workloads for {n_flows} flows"
             )
-        is_path = isinstance(self.network, PathSpec)
-        if is_path:
-            if self.trace is not None:
-                if self.trace_link is None:
-                    raise ValueError(
-                        f"{self.name}: a path cell with a trace must name "
-                        "the trace-driven forward hop via trace_link"
-                    )
-                if not 0 <= self.trace_link < len(self.network.forward):
-                    raise ValueError(
-                        f"{self.name}: trace_link {self.trace_link} out of "
-                        f"range for {len(self.network.forward)} forward hops"
-                    )
-                if self.network.forward[self.trace_link].delivery_trace is not None:
-                    raise ValueError(
-                        f"{self.name}: hop {self.trace_link} already has a "
-                        "delivery_trace; set either that or trace, not both"
-                    )
-        else:
-            if self.trace_link is not None:
+        if self.trace is not None:
+            if not 0 <= self.trace_link < len(self.network.forward):
                 raise ValueError(
-                    f"{self.name}: trace_link only applies to PathSpec cells"
+                    f"{self.name}: trace_link {self.trace_link} out of "
+                    f"range for {len(self.network.forward)} forward hops"
                 )
-            if self.network.delivery_trace is not None and self.trace is not None:
+            if self.network.forward[self.trace_link].delivery_trace is not None:
                 raise ValueError(
-                    f"{self.name}: set either network.delivery_trace or trace, not both"
+                    f"{self.name}: hop {self.trace_link} already has a "
+                    "delivery_trace; set either that or trace, not both"
                 )
 
     # -- materialization -----------------------------------------------------
-    def network_spec(self) -> TopologySpec:
+    def network_spec(self) -> PathSpec:
         """The topology spec to simulate, with any trace materialized."""
         if self.trace is None:
             return self.network
-        if isinstance(self.network, PathSpec):
-            assert self.trace_link is not None  # __post_init__ guarantees it
-            trace_hop = replace(
-                self.network.forward[self.trace_link],
-                delivery_trace=self.trace.delivery_times(),
-            )
-            forward = (
-                self.network.forward[: self.trace_link]
-                + (trace_hop,)
-                + self.network.forward[self.trace_link + 1 :]
-            )
-            return replace(self.network, forward=forward)
-        return replace(self.network, delivery_trace=self.trace.delivery_times())
+        forward = list(self.network.forward)
+        forward[self.trace_link] = replace(
+            forward[self.trace_link], delivery_trace=self.trace.delivery_times()
+        )
+        return replace(self.network, forward=tuple(forward))
 
     def protocol_spec_for(self, flow_id: int) -> ProtocolSpec:
         if len(self.protocols) == 1:
@@ -281,19 +256,21 @@ class ScenarioSpec:
 
     # -- derivation ----------------------------------------------------------
     def override(self, **changes: Any) -> "ScenarioSpec":
-        """A copy with scenario- and/or network-level fields replaced.
+        """A copy with scenario-, path- and/or hop-level fields replaced.
 
-        Keyword arguments naming fields of the embedded network's own class
-        (``n_flows``, ``queue``, ``link_rate_bps``, ... for a
-        :class:`NetworkSpec`; ``forward``, ``reverse``, ``rtt``, ... for a
-        :class:`~repro.netsim.path.PathSpec`) are applied to the embedded
-        network; the rest are applied to the scenario itself.  This is how
-        the figure harnesses expose paper-scale knobs while still resolving
-        the base topology from the registry.
+        Keyword arguments naming :class:`~repro.netsim.path.PathSpec` fields
+        (``n_flows``, ``rtt``, ``forward``, ...) are applied to the embedded
+        network, and those naming :class:`~repro.netsim.path.LinkSpec` fields
+        (``rate_bps``, ``queue``, ``buffer_packets``, ...) to every forward
+        hop (:meth:`~repro.netsim.path.PathSpec.with_hops`) — except
+        ``name``, which is the scenario's.  The rest are applied to the
+        scenario itself.  This is how the figure harnesses expose
+        paper-scale knobs while still resolving the base topology from the
+        registry.
 
         Composition rules: an explicit ``network=`` replacement is applied
-        first, with network-field kwargs from the same call layered on top of
-        it; a ``workload=`` template override also clears
+        first, then path fields, then hop fields from the same call; a
+        ``workload=`` template override also clears
         ``per_flow_workloads`` (which would otherwise keep winning via
         :meth:`workload_for`'s precedence) unless the same call replaces the
         per-flow list explicitly.
@@ -304,13 +281,15 @@ class ScenarioSpec:
         harness that only needs the topology should ``replace()`` the
         ``network`` field directly instead.
         """
-        network_fields = {f.name for f in fields(type(self.network))}
         network = changes.pop("network", self.network)
-        network_changes = {
-            key: changes.pop(key) for key in list(changes) if key in network_fields
-        }
-        if network_changes:
-            network = replace(network, **network_changes)
+        path_fields = {f.name for f in fields(PathSpec)}
+        hop_fields = {f.name for f in fields(LinkSpec)} - {"name"}
+        path_changes = {key: changes.pop(key) for key in list(changes) if key in path_fields}
+        hop_changes = {key: changes.pop(key) for key in list(changes) if key in hop_fields}
+        if path_changes:
+            network = replace(network, **path_changes)
+        if hop_changes:
+            network = network.with_hops(**hop_changes)
         if "workload" in changes and "per_flow_workloads" not in changes:
             changes["per_flow_workloads"] = ()
         if network is not self.network:

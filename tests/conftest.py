@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.netsim.events import EventScheduler
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.simulator import Simulation
 
 
@@ -50,10 +50,10 @@ def rng() -> random.Random:
 
 
 @pytest.fixture
-def small_dumbbell() -> NetworkSpec:
+def small_dumbbell() -> PathSpec:
     """A 2-flow, 4 Mbps dumbbell that simulates quickly."""
-    return NetworkSpec(
-        link_rate_bps=4e6,
+    return PathSpec.dumbbell(
+        rate_bps=4e6,
         rtt=0.100,
         n_flows=2,
         queue="droptail",

@@ -14,7 +14,8 @@ from repro.core.config import (
     general_purpose_range,
 )
 from repro.core.objective import Objective, alpha_fairness_utility
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
+from repro.netsim.stats import FlowStats
 
 
 class TestParameterRange:
@@ -79,7 +80,7 @@ class TestConfigRange:
             mean_on_seconds=1, mean_off_seconds=1,
         )
         # The one BDP helper is the topology's: rate × round trip.
-        spec = NetworkSpec(link_rate_bps=config.link_speed_bps, rtt=config.rtt_seconds)
+        spec = PathSpec.dumbbell(rate_bps=config.link_speed_bps, rtt=config.rtt_seconds)
         assert spec.bandwidth_delay_product_packets() == pytest.approx(100.0)
         assert "Mbps" in config.describe()
 
@@ -139,6 +140,17 @@ class TestObjective:
         score = objective.score_flow(0.0, 0.1, fair_share_bps=1e6, min_rtt_seconds=0.1)
         assert math.isfinite(score)
         assert score < objective.score_flow(1e3, 0.1, fair_share_bps=1e6, min_rtt_seconds=0.1)
+
+    def test_score_stats_floors_the_flow_rtt_at_the_base_rtt(self):
+        # One §3.3 per-flow score for the evaluator and Figure 11: the mean
+        # RTT, floored at the base RTT, which also stands in when no RTT
+        # was sampled.
+        objective = Objective.proportional(delta=1.0)
+        stats = FlowStats(0, bytes_received=125_000, on_time=1.0, rtt_sum=0.6, rtt_count=2)
+        assert objective.score_stats(stats, 2e6, 0.1) == objective.score_flow(1e6, 0.3, 2e6, 0.1)
+        assert objective.score_stats(stats, 2e6, 0.5) == objective.score_flow(1e6, 0.5, 2e6, 0.5)
+        unsampled = FlowStats(0, bytes_received=125_000, on_time=1.0)
+        assert objective.score_stats(unsampled, 2e6, 0.1) == objective.score_flow(1e6, 0.1, 2e6, 0.1)
 
     def test_describe(self):
         assert "delay" in Objective.min_potential_delay().describe()

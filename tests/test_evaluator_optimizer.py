@@ -10,7 +10,7 @@ from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer
 from repro.core.whisker_tree import WhiskerTree
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.queue import DropTailQueue
 from repro.runner import SerialBackend, whisker_tree_token
 
@@ -124,7 +124,7 @@ class TestEvaluator:
         # evaluator built the unlimited queue whatever the range said.
         evaluator = Evaluator(replace(tiny_range(), buffer_packets=50), settings=tiny_settings())
         for specimen in evaluator.specimens:
-            queue = evaluator._spec_for(specimen).make_queue()
+            queue = evaluator._spec_for(specimen).forward[0].make_queue()
             assert type(queue) is DropTailQueue and queue.capacity_packets == 50
 
     # One case per distinct range, named for what the range is; the three
@@ -139,8 +139,8 @@ class TestEvaluator:
         # before the queue came from the range: §5.1's unlimited FIFO.
         evaluator = Evaluator(TABLES[name][0], settings=EvaluatorSettings(num_specimens=4))
         for specimen in evaluator.specimens:
-            assert evaluator._spec_for(specimen) == NetworkSpec(
-                link_rate_bps=specimen.link_speed_bps,
+            assert evaluator._spec_for(specimen) == PathSpec.dumbbell(
+                rate_bps=specimen.link_speed_bps,
                 rtt=specimen.rtt_seconds,
                 n_flows=specimen.n_senders,
                 queue="infinite",

@@ -69,7 +69,7 @@ HARNESS_AXES = {
     ),
     "figure11": (
         lambda: run_figure11(link_speeds_mbps=(8.0,), n_runs=1, duration=0.2), "fig11-prior-1x",
-        lambda cell: cell.override(link_rate_bps=8e6, queue="droptail"),
+        lambda cell: cell.override(rate_bps=8e6, queue="droptail"),
     ),
     "datacenter": (lambda: run_datacenter(scale=32, duration=0.2), "datacenter-dctcp", None),
     # The off=0.2 s row is the registry's ICSI workload.
@@ -107,7 +107,7 @@ class TestRunCells:
         assert [job.seed for job in jobs] == expected
         assert [job.job_id for job in jobs] == list(range(12))
         # A scheme swaps the queue only when it names one.
-        assert [job.spec.queue for job in jobs[:6]] == [
+        assert [job.spec.forward[0].queue for job in jobs[:6]] == [
             "droptail", "droptail", "sfqcodel", "sfqcodel", "droptail", "droptail",
         ]
 
@@ -168,7 +168,8 @@ class TestRunCells:
         [jobs] = backend.batches
         spec = cell.network_spec()
         workloads = pickle.dumps(tuple(cell.make_workloads() or ()))
-        assert [job.spec.with_queue(spec.queue) for job in jobs] == [spec] * len(jobs)
+        queue = spec.forward[0].queue
+        assert [job.spec.with_hops(queue=queue) for job in jobs] == [spec] * len(jobs)
         assert [pickle.dumps(job.workloads) for job in jobs] == [workloads] * len(jobs)
         assert {job.seed for job in jobs} == {sweep_seed(cell.name, cell.seed, 0)}
 
@@ -195,10 +196,11 @@ class TestBase:
 
     def test_dumbbell_spec_matches_paper_parameters(self):
         spec = get_scenario("fig4-dumbbell8").network
-        assert spec.link_rate_bps == 15e6
+        [hop] = spec.forward
+        assert hop.rate_bps == 15e6
         assert spec.rtt_for_flow(0) == 0.150
-        assert spec.buffer_packets == 1000
-        assert spec.queue == "droptail"
+        assert hop.buffer_packets == 1000
+        assert hop.queue == "droptail"
 
 
 class TestDumbbell:

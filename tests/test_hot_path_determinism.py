@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.memory import MAX_MEMORY, Memory
 from repro.core.serialization import pretrained_remycc
 from repro.core.whisker_tree import WhiskerTree
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.packet import AckInfo
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
@@ -51,8 +51,8 @@ def _flow_fingerprint(result):
 
 
 def _run(queue="droptail", seed=11, remy=False, duration=3.0):
-    spec = NetworkSpec(
-        link_rate_bps=8e6, rtt=0.06, n_flows=3, queue=queue, buffer_packets=150
+    spec = PathSpec.dumbbell(
+        rate_bps=8e6, rtt=0.06, n_flows=3, queue=queue, buffer_packets=150
     )
     if remy:
         tree = pretrained_remycc("delta1")
@@ -155,8 +155,8 @@ class TestLastLeafCache:
         # Two identical simulations, one consulted through the protocol (with
         # cache), one replayed against a reference tree via tree.use: the
         # per-whisker use counts must agree.
-        spec = NetworkSpec(
-            link_rate_bps=8e6, rtt=0.06, n_flows=2, queue="droptail", buffer_packets=150
+        spec = PathSpec.dumbbell(
+            rate_bps=8e6, rtt=0.06, n_flows=2, queue="droptail", buffer_packets=150
         )
         tree_a = pretrained_remycc("delta1")
         tree_b = pretrained_remycc("delta1")
@@ -187,8 +187,8 @@ class TestRunSchemesSharding:
                 name=f"sharding-{n_flows}flows",
                 description="dumbbell for the grid-vs-single-call check",
                 topology="dumbbell",
-                network=NetworkSpec(
-                    link_rate_bps=6e6, rtt=0.1, n_flows=n_flows, queue="droptail",
+                network=PathSpec.dumbbell(
+                    rate_bps=6e6, rtt=0.1, n_flows=n_flows, queue="droptail",
                     buffer_packets=200,
                 ),
                 workload=ByteFlowWorkload.exponential(

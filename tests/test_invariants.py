@@ -19,12 +19,10 @@ every drop path.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.netsim.invariants import InvariantChecker, InvariantViolation
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.queue import DropTailQueue
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
@@ -34,8 +32,8 @@ from repro.traffic.onoff import ByteFlowWorkload, FixedOnPeriodWorkload
 #: A drop-heavy dumbbell: tiny buffer, aggressive flows — every run takes
 #: the tail-drop path many times, which is exactly the path the seeded
 #: faults corrupt.
-SPEC = NetworkSpec(
-    link_rate_bps=2e6, rtt=0.05, n_flows=2, queue="droptail", buffer_packets=8
+SPEC = PathSpec.dumbbell(
+    rate_bps=2e6, rtt=0.05, n_flows=2, queue="droptail", buffer_packets=8
 )
 DURATION = 3.0
 
@@ -57,7 +55,7 @@ class _DuplicatingQueue(DropTailQueue):
     one-way delay to reach the receiver)."""
 
     def __init__(self):
-        super().__init__(capacity_packets=SPEC.buffer_packets)
+        super().__init__(capacity_packets=SPEC.forward[0].buffer_packets)
         self.duplicated = False
 
     def enqueue(self, packet, now):
@@ -72,7 +70,7 @@ class _SilentlyDroppingQueue(DropTailQueue):
     """Drops the packet and never counts the drop."""
 
     def __init__(self):
-        super().__init__(capacity_packets=SPEC.buffer_packets)
+        super().__init__(capacity_packets=SPEC.forward[0].buffer_packets)
 
     def enqueue(self, packet, now):
         if len(self) >= 4:
@@ -111,7 +109,7 @@ class TestCleanRuns:
     def test_every_drop_path_balances(self, queue):
         # Tail overflow, RED early drop and CoDel's in-dequeue head drop all
         # fire; the census balances after every one of them.
-        spec = NetworkSpec(link_rate_bps=6e6, rtt=0.05, n_flows=3, queue=queue, buffer_packets=25)
+        spec = PathSpec.dumbbell(rate_bps=6e6, rtt=0.05, n_flows=3, queue=queue, buffer_packets=25)
         workloads = [
             ByteFlowWorkload.exponential(mean_flow_bytes=80e3, mean_off_seconds=0.2)
             for _ in range(3)
@@ -125,7 +123,7 @@ class TestCleanRuns:
         # Two seconds on through a tiny buffer, then silence: once the network
         # drains, every packet sent was dropped or acknowledged (the ACKs of
         # the last flight reach a switched-off sender, which drops them).
-        spec = NetworkSpec(link_rate_bps=8e6, rtt=0.04, n_flows=3, queue="droptail", buffer_packets=12)
+        spec = PathSpec.dumbbell(rate_bps=8e6, rtt=0.04, n_flows=3, queue="droptail", buffer_packets=12)
         workloads = [FixedOnPeriodWorkload(start=0.0, duration=2.0) for _ in range(3)]
         sim = build_sim(spec=spec, workloads=workloads, duration=4.0, seed=5, debug_invariants=True)
         result = sim.run()
@@ -149,7 +147,7 @@ class TestSeededViolations:
         # one send, and the identity breaks (on the lanes under "auto", on
         # the heap under "generic").
         sim = build_sim(
-            sim_class, spec=replace(SPEC, queue=_DuplicatingQueue), debug_invariants=True
+            sim_class, spec=SPEC.with_hops(queue=_DuplicatingQueue), debug_invariants=True
         )
         with pytest.raises(InvariantViolation) as excinfo:
             sim.run()
@@ -164,7 +162,7 @@ class TestSeededViolations:
         # Dual failure mode: the packet vanishes but the drop is never
         # counted — conservation breaks in the other direction.
         sim = build_sim(
-            sim_class, spec=replace(SPEC, queue=_SilentlyDroppingQueue), debug_invariants=True
+            sim_class, spec=SPEC.with_hops(queue=_SilentlyDroppingQueue), debug_invariants=True
         )
         with pytest.raises(InvariantViolation, match="conservation"):
             sim.run()

@@ -19,7 +19,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
@@ -27,8 +26,8 @@ from repro.scenarios import all_scenarios, simulation_fingerprint
 from tools import profile_hotpath
 
 #: The two-lane shape: a constant-rate dumbbell, one RTT for every flow.
-FLAT_SPEC = NetworkSpec(
-    link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail", buffer_packets=100
+FLAT_SPEC = PathSpec.dumbbell(
+    rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail", buffer_packets=100
 )
 
 #: A multi-hop path topology (on the heap).
@@ -65,7 +64,7 @@ class TestResolution:
         assert not rides_lanes(_build(PATH_SPEC))
 
     def test_auto_stays_on_the_heap_for_a_delivery_trace(self, rides_lanes):
-        assert not rides_lanes(_build(replace(FLAT_SPEC, delivery_trace=TRACE)))
+        assert not rides_lanes(_build(FLAT_SPEC.with_hops(delivery_trace=TRACE)))
 
     def test_per_flow_rtts_select_the_heap_and_equal_ones_the_lanes(self, rides_lanes):
         assert not rides_lanes(_build(replace(FLAT_SPEC, rtt=(0.05, 0.08))))
@@ -90,7 +89,7 @@ class TestResolution:
     def test_a_lane_with_the_serialization_delay_equal_to_the_one_way_delay(self, heap_only):
         # 1500 B at 12 Mbps serializes in 1 ms, the one-way delay of a 2 ms
         # RTT: both lanes carry the same delay and still merge in order.
-        spec = replace(FLAT_SPEC, link_rate_bps=12e6, rtt=0.002)
+        spec = replace(FLAT_SPEC.with_hops(rate_bps=12e6), rtt=0.002)
         assert _fingerprint(spec, Simulation) == _fingerprint(spec, heap_only)
 
 
@@ -141,7 +140,7 @@ PARITY_SPECS = {
         rtt=0.05,
         n_flows=2,
     ),
-    "trace-driven-dumbbell-lossy": NetworkSpec(
+    "trace-driven-dumbbell-lossy": PathSpec.dumbbell(
         delivery_trace=TRACE, rtt=0.05, n_flows=2, loss_rate=0.02
     ),
 }
@@ -154,7 +153,7 @@ class TestParity:
     def test_fused_parity_with_ecn_marking_queue(self, heap_only):
         # AQM cells exercise the closures' enqueue/dequeue calls (no inlined
         # DropTail).
-        spec = replace(FLAT_SPEC, queue="codel")
+        spec = FLAT_SPEC.with_hops(queue="codel")
         assert _fingerprint(spec, Simulation) == _fingerprint(spec, heap_only)
 
     @pytest.mark.parametrize("shape", list(PARITY_SPECS))

@@ -261,6 +261,7 @@ RETIRED = {
     **dict.fromkeys((
         "_SentInfo", "first_sent_time", "receiver_time", "cumulative_ack", "is_duplicate",
         "packets_delivered", "_switch_event"), 39),
+    **dict.fromkeys(("NetworkSpec", "TopologySpec", "to_path_spec", "with_queue"), 40),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -499,18 +500,29 @@ class TestOneHarnessEntryPoint:
         assert_knobs("repro.experiments.")
 
 
+#: The engine's driver and sanitizer, the scenario spec and every harness:
+#: each reads the one topology spec without asking what shape it is.
+TOPOLOGY_READERS = [
+    NETSIM / "kernel.py", NETSIM / "simulator.py", NETSIM / "invariants.py",
+    SRC / "scenarios" / "spec.py", *py_files("src/repro/experiments"),
+]
+
+
 class TestOneTopology:
-    """``PathNetwork`` alone wires flows; the layers above never ask which spelling built it."""
+    """``PathSpec`` is the one topology spec and ``PathNetwork`` alone wires flows."""
 
     def test_one_class_attaches_flows(self):
         attaching = classes_with("attach_flow", "src/repro/netsim")
         assert attaching == ["src/repro/netsim/path.py:PathNetwork"]
 
-    @pytest.mark.parametrize("module", ["kernel.py", "simulator.py", "invariants.py"])
+    @pytest.mark.parametrize(
+        "module", TOPOLOGY_READERS,
+        ids=lambda path: str(path.relative_to(NETSIM if path.parent == NETSIM else SRC)),
+    )
     def test_no_isinstance_dispatch_on_the_topology(self, module):
-        topology = {"NetworkSpec", "PathSpec", "TopologySpec", "PathNetwork"}
+        topology = {"PathSpec", "LinkSpec", "PathNetwork"}
         offenders = [
-            node.lineno for node in ast.walk(tree_of(NETSIM / module))
+            node.lineno for node in ast.walk(tree_of(module))
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance"
             and names_in(node.args[1]) & topology
         ]

@@ -23,7 +23,7 @@ import math
 
 import pytest
 
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.sender import AlwaysOnWorkload
 from repro.netsim.simulator import Simulation
 from repro.protocols.base import CongestionControl
@@ -55,8 +55,8 @@ class FixedRate(CongestionControl):
 
 
 def _simulation(load: float, sim_class: type[Simulation], debug_invariants: bool) -> Simulation:
-    spec = NetworkSpec(
-        link_rate_bps=RATE_BPS, rtt=0.05, n_flows=1,
+    spec = PathSpec.dumbbell(
+        rate_bps=RATE_BPS, rtt=0.05, n_flows=1,
         queue="droptail", buffer_packets=BUFFER_PACKETS,
     )
     return sim_class(

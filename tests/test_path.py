@@ -1,10 +1,10 @@
 """Unit tests for the path topology engine.
 
-The load-bearing contract: there is one network class.  The dumbbell is the
-one-forward-hop case of a path — ``NetworkSpec`` is a spelling of it, not a
-second engine — and what only a dumbbell can do (the scheduler's two
-constant-delay lanes, the seal in ``tests/test_seal.py``) follows the path's
-shape, not its spelling.  The goldens pin the numbers; these tests pin the
+The load-bearing contract: there is one topology spec and one network class.
+The dumbbell is the one-forward-hop case of a path — ``PathSpec.dumbbell``
+builds it, not a second spec or engine — and what only a dumbbell can do (the
+scheduler's two constant-delay lanes, the seal in ``tests/test_seal.py``)
+follows the path's shape, not the constructor that built it.  The goldens pin the numbers; these tests pin the
 structure.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import replace
 import pytest
 
 from repro.netsim.events import EventScheduler
-from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathNetwork, PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
@@ -129,16 +128,22 @@ class TestPathSpecValidation:
         assert spec.bottleneck_rate_bps(0) == 5e6
         assert spec.bottleneck_rate_bps(1) == 20e6
 
-    def test_with_queue_replaces_forward_hops_only(self):
+    def test_with_hops_replaces_forward_hops_only(self):
         spec = PathSpec(
             forward=(LinkSpec(queue="droptail"), LinkSpec(queue="codel")),
             reverse=(LinkSpec(queue="droptail"),),
         )
-        swapped = spec.with_queue("sfqcodel")
-        assert all(link.queue == "sfqcodel" for link in swapped.forward)
-        assert swapped.reverse[0].queue == "droptail"
+        swapped = spec.with_hops(queue="sfqcodel", rate_bps=5e6)
+        assert all(link.queue == "sfqcodel" and link.rate_bps == 5e6 for link in swapped.forward)
+        assert swapped.reverse == spec.reverse
         # The original is untouched (value semantics).
         assert spec.forward[0].queue == "droptail"
+
+    def test_the_dumbbell_is_one_named_forward_hop(self):
+        spec = PathSpec.dumbbell(4, rtt=0.05, rate_bps=10e6, queue="codel", buffer_packets=300)
+        hop = LinkSpec(name="bottleneck", rate_bps=10e6, queue="codel", buffer_packets=300)
+        assert spec == PathSpec(forward=(hop,), rtt=0.05, n_flows=4)
+        assert spec.dumbbell_hop() == hop
 
     def test_pickles(self):
         import pickle
@@ -158,22 +163,21 @@ class TestOneNetworkClass:
         for cell in all_scenarios():
             sim = cell.build()
             assert type(sim.network) is PathNetwork, cell.name
-            assert sim.network.spec == cell.network_spec().to_path_spec(), cell.name
+            assert sim.network.spec == cell.network_spec(), cell.name
 
     def test_lanes_follow_the_shape_not_the_spelling(self, rides_lanes):
         def lanes(spec):
             return rides_lanes(Simulation(spec, _newreno(spec.n_flows), duration=1.0))
 
-        dumbbell = NetworkSpec(link_rate_bps=4e6, rtt=0.08, n_flows=2)
-        hop = dumbbell.bottleneck()
+        dumbbell = PathSpec.dumbbell(rate_bps=4e6, rtt=0.08, n_flows=2)
+        hop = LinkSpec(rate_bps=4e6)
         one_hop = PathSpec(forward=(hop,), rtt=0.08, n_flows=2)
-        assert one_hop == dumbbell.to_path_spec()
         assert lanes(dumbbell) and lanes(one_hop)
         trace = [0.004 * i for i in range(1, 400)]
         for name, spec in {
             "per-flow-rtt": replace(one_hop, rtt=(0.05, 0.08)),
             "per-flow-rtt-dumbbell": replace(dumbbell, rtt=(0.05, 0.08)),
-            "trace-driven": replace(dumbbell, delivery_trace=trace),
+            "trace-driven": dumbbell.with_hops(delivery_trace=trace),
             "trace-driven-hop": replace(one_hop, forward=(replace(hop, delivery_trace=trace),)),
             "delayed-hop": replace(one_hop, forward=(replace(hop, delay=0.01),)),
             "multi-hop": replace(one_hop, forward=(hop, hop)),
@@ -270,7 +274,7 @@ class TestPathNetwork:
 
     def test_dumbbell_results_have_no_hop_breakdown(self):
         result = Simulation(
-            NetworkSpec(n_flows=2), _newreno(2), None, duration=1.0, seed=8
+            PathSpec.dumbbell(n_flows=2), _newreno(2), None, duration=1.0, seed=8
         ).run()
         assert result.hop_delays == []
         assert result.hop_delay_breakdown(0) == []

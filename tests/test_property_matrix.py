@@ -34,7 +34,6 @@ from typing import Optional, Sequence, Union
 
 import pytest
 
-from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.cubic import Cubic
@@ -84,10 +83,9 @@ def build_combination(
     protocol_classes = FLOW_MIXES[mix_name]
     n_flows = len(protocol_classes)
     rtt = _rtts(rtt_mode, n_flows)
-    spec: Union[NetworkSpec, PathSpec]
     if shape == "dumbbell":
-        spec = NetworkSpec(
-            link_rate_bps=8e6,
+        spec = PathSpec.dumbbell(
+            rate_bps=8e6,
             rtt=rtt,
             n_flows=n_flows,
             queue=aqm,

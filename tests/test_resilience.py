@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.protocols.newreno import NewReno
 from repro.runner import (
     FaultPlan,
@@ -44,8 +44,8 @@ from repro.runner import backends
 from repro.runner.faults import worker_fault_plan
 from repro.scenarios import load_golden, simulation_fingerprint, smoke_scenarios
 
-SPEC = NetworkSpec(
-    link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail", buffer_packets=100
+SPEC = PathSpec.dumbbell(
+    rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail", buffer_packets=100
 )
 
 

@@ -19,7 +19,7 @@ from repro.core.objective import Objective
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer
 from repro.core.whisker import SAMPLE_RESERVOIR, WhiskerUsage
 from repro.core.whisker_tree import WhiskerTree
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.runner import (
@@ -83,9 +83,9 @@ class TestSeedDerivation:
 # Jobs
 # ---------------------------------------------------------------------------
 class TestSimJob:
-    def _spec(self, n_flows=2) -> NetworkSpec:
-        return NetworkSpec(
-            link_rate_bps=4e6, rtt=0.08, n_flows=n_flows, queue="droptail",
+    def _spec(self, n_flows=2) -> PathSpec:
+        return PathSpec.dumbbell(
+            rate_bps=4e6, rtt=0.08, n_flows=n_flows, queue="droptail",
             buffer_packets=100,
         )
 
@@ -298,8 +298,8 @@ class TestScenarioJobs:
         )
 
     def test_scenario_is_exclusive_with_other_sources(self):
-        spec = NetworkSpec(
-            link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
+        spec = PathSpec.dumbbell(
+            rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
             buffer_packets=100,
         )
         with pytest.raises(ValueError):
@@ -358,8 +358,8 @@ class TestClosureFactoryFailFast:
     """Closure factories must fail fast with a clear error on the pool."""
 
     def _job(self, factory) -> SimJob:
-        spec = NetworkSpec(
-            link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
+        spec = PathSpec.dumbbell(
+            rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
             buffer_packets=100,
         )
         return SimJob(
@@ -397,8 +397,8 @@ class TestClosureFactoryFailFast:
             name="closure-cell",
             description="two-flow dumbbell for the closure-scheme check",
             topology="dumbbell",
-            network=NetworkSpec(
-                link_rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
+            network=PathSpec.dumbbell(
+                rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
                 buffer_packets=100,
             ),
             workload=ByteFlowWorkload.exponential(
@@ -546,7 +546,6 @@ class TestRunSchemeBackends:
         # A scheme's run_cells fan-out, serial vs. pooled.
         from repro.analysis.summary import summarize_runs
         from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
-        from repro.netsim.network import NetworkSpec
         from repro.scenarios import ScenarioSpec
         from repro.traffic.onoff import ByteFlowWorkload
 
@@ -554,8 +553,8 @@ class TestRunSchemeBackends:
             name="pool-parity-cell",
             description="two-flow dumbbell for serial-vs-pool parity",
             topology="dumbbell",
-            network=NetworkSpec(
-                link_rate_bps=6e6, rtt=0.1, n_flows=2, queue="droptail", buffer_packets=200
+            network=PathSpec.dumbbell(
+                rate_bps=6e6, rtt=0.1, n_flows=2, queue="droptail", buffer_packets=200
             ),
             workload=ByteFlowWorkload.exponential(
                 mean_flow_bytes=50e3, mean_off_seconds=0.5

@@ -150,7 +150,7 @@ class TestRegistryShape:
         cell = get_scenario("fig4-dumbbell8")
         varied = cell.override(n_flows=3, duration=1.0, seed=7)
         assert varied.network.n_flows == 3
-        assert varied.network.link_rate_bps == cell.network.link_rate_bps
+        assert varied.network.forward == cell.network.forward
         assert (varied.duration, varied.seed) == (1.0, 7)
         # The registered cell itself is untouched.
         assert get_scenario("fig4-dumbbell8").network.n_flows == 8
@@ -174,8 +174,19 @@ class TestRegistryShape:
         cell = get_scenario("fig4-dumbbell8")
         other = get_scenario("bursty-onoff-codel").network
         varied = cell.override(network=other, n_flows=3)
-        assert varied.network.queue == "codel"  # from the replacement
+        assert varied.network.forward[0].queue == "codel"  # from the replacement
         assert varied.network.n_flows == 3  # the kwarg layered on top of it
+
+    def test_override_sends_hop_fields_to_every_forward_hop(self):
+        # Two forward hops and a reverse hop: a hop field lands on each
+        # forward hop, the ACK path is left alone, and ``name`` (a LinkSpec
+        # field too) still names the scenario.
+        cell = get_scenario("bench-newreno-twohop")
+        varied = cell.override(queue="codel", rate_bps=3e6, name="twohop-codel")
+        assert [(hop.queue, hop.rate_bps) for hop in varied.network.forward] == [("codel", 3e6)] * 2
+        assert [hop.name for hop in varied.network.forward] == [hop.name for hop in cell.network.forward]
+        assert varied.network.reverse == cell.network.reverse
+        assert varied.name == "twohop-codel"
 
 
 # ---------------------------------------------------------------------------

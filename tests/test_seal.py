@@ -31,7 +31,6 @@ from repro.core.serialization import save_json_atomic, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.events import EventScheduler
 from repro.netsim.link import ConstantRateLink
-from repro.netsim.network import NetworkSpec
 from repro.netsim.packet import Packet
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.queue import InfiniteQueue
@@ -63,16 +62,16 @@ DURATION = 2.0
 FLOOD_SEED = 2
 
 
-def flood_spec(queue: str, **overrides) -> NetworkSpec:
+def flood_spec(queue: str, **overrides) -> PathSpec:
     fields = dict(
-        link_rate_bps=10e6,
+        rate_bps=10e6,
         rtt=0.1,
         n_flows=3,
         queue=queue,
         buffer_packets=GIANT_BUFFER if queue == "droptail" else 1000,
     )
     fields.update(overrides)
-    return NetworkSpec(**fields)
+    return PathSpec.dumbbell(**fields)
 
 
 def flood_workloads(kind: str, n_flows: int):
@@ -171,7 +170,7 @@ def test_sealed_at_is_past_the_point_of_no_return():
     # At the seal the backlog outlasts the run: fewer packets were delivered
     # by the end than had been accepted by the seal.
     delivered = sum(stats.queue_delay_count for stats in result.flow_stats)
-    capacity = spec.link_rate_bps * DURATION / (spec.mss_bytes * 8)
+    capacity = spec.forward[0].rate_bps * DURATION / (spec.mss_bytes * 8)
     assert 0.0 < result.sealed_at < DURATION
     assert delivered <= capacity + 1
 
@@ -209,8 +208,8 @@ def test_retransmission_clock_survives_the_seal(sim_class):
 
     def run(queue):
         tree = WhiskerTree(default_action=Action(1.0, 0.0, 0.01))
-        spec = NetworkSpec(
-            link_rate_bps=1e6, rtt=0.05, n_flows=2, queue=queue, buffer_packets=GIANT_BUFFER
+        spec = PathSpec.dumbbell(
+            rate_bps=1e6, rtt=0.05, n_flows=2, queue=queue, buffer_packets=GIANT_BUFFER
         )
         result = sim_class(
             spec,
@@ -245,7 +244,7 @@ def test_sealed_run_passes_the_invariant_sanitizer(sim_class):
 # ---------------------------------------------------------------------------
 # Eligibility: a property of the topology spec, nothing else
 # ---------------------------------------------------------------------------
-#: The flood dumbbell spelled as the path it is.
+#: The flood dumbbell built hop by hop.
 ONE_HOP = PathSpec(
     forward=(LinkSpec(rate_bps=10e6, queue="infinite", name="bottleneck"),),
     rtt=0.1,
@@ -260,9 +259,7 @@ INELIGIBLE = {
     "trace-driven": flood_spec(
         "infinite", delivery_trace=verizon_lte_trace(duration_seconds=4.0, seed=1)
     ),
-    "queue-factory": flood_spec("infinite").with_queue(
-        flood_spec("infinite").make_queue
-    ),
+    "queue-factory": flood_spec("infinite").with_hops(queue=ONE_HOP.forward[0].make_queue),
     # Paths that are not dumbbells, each with an unlimited first queue.
     "two-hop": dataclasses.replace(
         ONE_HOP, forward=(ONE_HOP.forward[0], LinkSpec(rate_bps=20e6))
@@ -275,10 +272,10 @@ INELIGIBLE = {
 
 
 def test_sealable_is_exactly_the_design_time_model():
-    # A property of the path's shape: either spelling of the dumbbell has it.
-    assert ONE_HOP.sealable and flood_spec("infinite").to_path_spec().sealable
+    # A property of the path's shape: either constructor of the dumbbell has it.
+    assert ONE_HOP.sealable and flood_spec("infinite").sealable
     for name, spec in INELIGIBLE.items():
-        assert not spec.to_path_spec().sealable, name
+        assert not spec.sealable, name
 
 
 @pytest.mark.parametrize("name", sorted(INELIGIBLE))
@@ -289,17 +286,17 @@ def test_ineligible_topologies_never_seal(name):
 
 
 def test_single_hop_path_simulates_every_send(heap_only):
-    # ... unless it is the sealable shape.  Spelled as a path, the flood
+    # ... unless it is the sealable shape.  Built hop by hop, the flood
     # dumbbell seals at the same instant with identical results; behind a
     # giant DropTail the same one-hop path simulates every send and stays
     # the unsealed reference.
-    assert ONE_HOP == flood_spec("infinite").to_path_spec()
+    assert ONE_HOP == flood_spec("infinite")
     for sim_class in (heap_only, Simulation):
         dumbbell = run_flood(flood_spec("infinite"), sim_class=sim_class)
         path = run_flood(ONE_HOP, sim_class=sim_class)
         assert path[0].sealed_at == dumbbell[0].sealed_at is not None, sim_class
         assert path == dumbbell, sim_class
-    reference = run_flood(flood_spec("droptail").to_path_spec())
+    reference = run_flood(flood_spec("droptail"))
     assert_sealed_matches_reference(path, reference)
 
 

@@ -27,7 +27,6 @@ from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.events import EventScheduler, SimulationError
 from repro.netsim.kernel import unwired
-from repro.netsim.network import NetworkSpec
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.sender import Workload
 from repro.netsim.simulator import Simulation, gc_paused
@@ -43,7 +42,7 @@ SMOKE_CELLS = {spec.name for spec in smoke_scenarios()}
 #: ``tests/test_seal.py``'s runaway rule: it drowns an unlimited queue.
 RUNAWAY = Action(window_multiple=1.01, window_increment=2.0, intersend_ms=0.002)
 
-DUMBBELL = NetworkSpec(link_rate_bps=4e6, rtt=0.1, n_flows=2, queue="droptail", buffer_packets=50)
+DUMBBELL = PathSpec.dumbbell(rate_bps=4e6, rtt=0.1, n_flows=2, queue="droptail", buffer_packets=50)
 TWO_HOP = PathSpec(
     forward=(LinkSpec(rate_bps=6e6, delay=0.005), LinkSpec(rate_bps=4e6, queue="codel")),
     reverse=(LinkSpec(rate_bps=1e6, buffer_packets=30),),

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.network import NetworkSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.packet import AckInfo, Packet
 from repro.netsim.sender import AlwaysOnWorkload
 from repro.netsim.simulator import Simulation
@@ -92,14 +92,14 @@ class TestXCPRouter:
 
 class TestXCPEndToEnd:
     def test_single_flow_converges_to_high_utilization_with_small_queue(self):
-        spec = NetworkSpec(link_rate_bps=8e6, rtt=0.1, n_flows=1, queue="xcp")
+        spec = PathSpec.dumbbell(rate_bps=8e6, rtt=0.1, n_flows=1, queue="xcp")
         result = Simulation(spec, [XCP()], [AlwaysOnWorkload()], duration=15.0, seed=0).run()
         stats = result.flow_stats[0]
         assert stats.throughput_mbps() > 5.5
         assert stats.avg_queue_delay_ms() < 40
 
     def test_two_flows_share_fairly(self):
-        spec = NetworkSpec(link_rate_bps=8e6, rtt=0.1, n_flows=2, queue="xcp")
+        spec = PathSpec.dumbbell(rate_bps=8e6, rtt=0.1, n_flows=2, queue="xcp")
         result = Simulation(
             spec,
             [XCP(), XCP()],

@@ -55,7 +55,7 @@ def extras_fingerprint() -> dict:
     from repro.core.whisker_tree import WhiskerTree
     from repro.experiments.base import SchemeSpec, run_cells
     from repro.experiments.clouds import run_cloud_figure
-    from repro.netsim.network import NetworkSpec
+    from repro.netsim.path import PathSpec
     from repro.netsim.simulator import Simulation
     from repro.protocols.newreno import NewReno
     from repro.protocols.remycc import RemyCCProtocol
@@ -89,9 +89,7 @@ def extras_fingerprint() -> dict:
     for i in range(40):
         w.use(Memory(1.0 + i * 0.01, 1.0, 1.2))
     split_tree.split_whisker(w)
-    spec = NetworkSpec(
-        link_rate_bps=10e6, rtt=0.05, n_flows=2, queue="droptail", buffer_packets=120
-    )
+    spec = PathSpec.dumbbell(rtt=0.05, rate_bps=10e6, buffer_packets=120)
     sim = Simulation(
         spec,
         [RemyCCProtocol(split_tree, training=True) for _ in range(2)],
