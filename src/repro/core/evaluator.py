@@ -269,11 +269,13 @@ class Evaluator:
         self, result: SimulationResult, specimen: NetConfig, index: int
     ) -> list[FlowScore]:
         fair_share = specimen.link_speed_bps / specimen.n_senders
+        mss_bytes = self._spec_for(specimen).mss_bytes
         scores = []
         for stats in result.flow_stats:
-            if stats.on_time <= 0:
-                # The source never switched on during the (short) simulation;
-                # it expresses no preference, so it contributes no score.
+            score = self.objective.score_stats(
+                stats, fair_share, specimen.rtt_seconds, mss_bytes
+            )
+            if score is None:
                 continue
             scores.append(
                 FlowScore(
@@ -282,7 +284,7 @@ class Evaluator:
                     throughput_bps=stats.throughput_bps(),
                     avg_rtt_seconds=stats.avg_rtt(),
                     avg_queue_delay_seconds=stats.avg_queue_delay(),
-                    score=self.objective.score_stats(stats, fair_share, specimen.rtt_seconds),
+                    score=score,
                 )
             )
         return scores

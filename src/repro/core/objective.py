@@ -18,29 +18,32 @@ datacenter RemyCC).  :data:`repro.core.config.TABLES` pairs every named
 RemyCC with the objective it is designed for: the first setting at its δ
 for the ``delta*`` tables, at δ = 1 for ``1x``, ``10x`` and ``coexist``, and
 the second for ``datacenter``.
+
+:meth:`Objective.score_stats` scores a simulated flow: throughput over its
+"on" time as a fraction of its fair share, delay as a multiple of the base
+RTT.  It owns two rules the paper leaves implicit:
+
+- **A flow on for less than its base RTT is not scored**, like a flow that
+  never switched on: no ACK could have reached its sender while it was on.
+- **A flow that delivered nothing scores one MSS over its on-time.**
+  ``U_alpha(0)`` is -infinity for ``alpha >= 1``; one packet is the least a
+  served flow delivers, so the penalty is finite and grows with the wait.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     from repro.netsim.stats import FlowStats
 
-#: Floor applied to throughput (as a fraction of the fair share) and delay
-#: (as a fraction of the minimum RTT) before taking logarithms, so a flow
-#: that transferred nothing contributes a large-but-finite penalty instead of
-#: destroying the sum with -infinity.
-UTILITY_FLOOR = 1e-6
-
 
 def alpha_fairness_utility(x: float, alpha: float) -> float:
     """The alpha-fairness utility ``U_alpha(x)`` (Srikant 2004, §3.3)."""
-    if x < 0:
-        raise ValueError("alpha-fairness utility is defined for non-negative x")
-    x = max(x, UTILITY_FLOOR)
+    if x <= 0:
+        raise ValueError("alpha-fairness utility is defined for positive x")
     if math.isclose(alpha, 1.0):
         return math.log(x)
     return x ** (1.0 - alpha) / (1.0 - alpha)
@@ -53,46 +56,28 @@ class Objective:
     alpha: float = 1.0
     beta: float = 1.0
     delta: float = 1.0
-    #: Normalise throughput by the per-flow fair share (link rate / senders)
-    #: and delay by the minimum RTT, so scores are comparable across network
-    #: specimens with different absolute rates and RTTs.
-    normalize: bool = True
-
-    def score_flow(
-        self,
-        throughput_bps: float,
-        delay_seconds: float,
-        fair_share_bps: float = 1.0,
-        min_rtt_seconds: float = 1.0,
-    ) -> float:
-        """Score one flow's (throughput, average RTT-or-delay) outcome."""
-        if fair_share_bps <= 0 or min_rtt_seconds <= 0:
-            raise ValueError("fair_share_bps and min_rtt_seconds must be positive")
-        if self.normalize:
-            throughput = throughput_bps / fair_share_bps
-            delay = delay_seconds / min_rtt_seconds
-        else:
-            throughput = throughput_bps
-            delay = delay_seconds
-        throughput = max(throughput, UTILITY_FLOOR)
-        delay = max(delay, UTILITY_FLOOR)
-        score = alpha_fairness_utility(throughput, self.alpha)
-        if self.delta != 0.0:
-            score -= self.delta * alpha_fairness_utility(delay, self.beta)
-        return score
 
     def score_stats(
-        self, stats: "FlowStats", fair_share_bps: float, min_rtt_seconds: float
-    ) -> float:
-        """Score one simulated flow: its throughput, and its mean RTT floored
-        at the base RTT (the base RTT itself when no RTT was sampled)."""
-        avg_rtt = stats.avg_rtt() if stats.rtt_count else min_rtt_seconds
-        return self.score_flow(
-            throughput_bps=stats.throughput_bps(),
-            delay_seconds=max(avg_rtt, min_rtt_seconds),
-            fair_share_bps=fair_share_bps,
-            min_rtt_seconds=min_rtt_seconds,
-        )
+        self,
+        stats: "FlowStats",
+        fair_share_bps: float,
+        base_rtt_seconds: float,
+        mss_bytes: int,
+    ) -> Optional[float]:
+        """Score one simulated flow, or ``None`` if it was on for less than
+        its base RTT (see the module docstring).  Its mean RTT is floored at
+        the base RTT, which also stands in when no RTT was sampled."""
+        if fair_share_bps <= 0 or base_rtt_seconds <= 0:
+            raise ValueError("fair_share_bps and base_rtt_seconds must be positive")
+        if stats.on_time < base_rtt_seconds:
+            return None
+        throughput_bps = (stats.bytes_received or mss_bytes) * 8 / stats.on_time
+        score = alpha_fairness_utility(throughput_bps / fair_share_bps, self.alpha)
+        if self.delta != 0.0:
+            avg_rtt = stats.avg_rtt() if stats.rtt_count else base_rtt_seconds
+            delay = max(avg_rtt, base_rtt_seconds) / base_rtt_seconds
+            score -= self.delta * alpha_fairness_utility(delay, self.beta)
+        return score
 
     # -- the paper's named settings --------------------------------------------
     @classmethod

@@ -69,7 +69,7 @@ class SimulationResult:
         return [stats.avg_queue_delay_ms() for stats in self.flow_stats]
 
     def active_flows(self) -> list[FlowStats]:
-        """Flows that were on at least once and received data."""
+        """Flows that were on for some time, whether or not they received data."""
         return [stats for stats in self.flow_stats if stats.on_time > 0]
 
     # -- summary metrics ----------------------------------------------------------

@@ -13,9 +13,12 @@ from repro.core.config import (
     ParameterRange,
     general_purpose_range,
 )
+from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective, alpha_fairness_utility
+from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.path import PathSpec
 from repro.netsim.stats import FlowStats
+from repro.runner import SerialBackend
 
 
 class TestParameterRange:
@@ -99,6 +102,12 @@ class TestAlphaFairness:
         with pytest.raises(ValueError):
             alpha_fairness_utility(-1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+    def test_rejects_zero_input(self, alpha):
+        # No scored flow has zero throughput (see Objective.score_stats).
+        with pytest.raises(ValueError):
+            alpha_fairness_utility(0.0, alpha)
+
     @given(
         x=st.floats(min_value=0.01, max_value=100.0),
         y=st.floats(min_value=0.01, max_value=100.0),
@@ -110,36 +119,74 @@ class TestAlphaFairness:
         assert alpha_fairness_utility(low, alpha) <= alpha_fairness_utility(high, alpha) + 1e-12
 
 
+#: The MSS every scored flow below is simulated with.
+MSS = 1500
+
+
+def flow(throughput_bps: float, delay_seconds: float, on_time: float = 1.0) -> FlowStats:
+    """A flow that delivered ``throughput_bps`` over ``on_time`` at one RTT sample."""
+    return FlowStats(
+        0,
+        bytes_received=round(throughput_bps * on_time / 8),
+        on_time=on_time,
+        rtt_sum=delay_seconds,
+        rtt_count=1,
+    )
+
+
+def score(objective, throughput_bps, delay_seconds, fair_share_bps, base_rtt_seconds):
+    return objective.score_stats(
+        flow(throughput_bps, delay_seconds), fair_share_bps, base_rtt_seconds, MSS
+    )
+
+
 class TestObjective:
     def test_higher_throughput_scores_better(self):
         objective = Objective.proportional(delta=1.0)
-        low = objective.score_flow(1e6, 0.1, fair_share_bps=2e6, min_rtt_seconds=0.1)
-        high = objective.score_flow(2e6, 0.1, fair_share_bps=2e6, min_rtt_seconds=0.1)
+        low = score(objective, 1e6, 0.1, fair_share_bps=2e6, base_rtt_seconds=0.1)
+        high = score(objective, 2e6, 0.1, fair_share_bps=2e6, base_rtt_seconds=0.1)
         assert high > low
 
     def test_higher_delay_scores_worse(self):
         objective = Objective.proportional(delta=1.0)
-        fast = objective.score_flow(1e6, 0.1, fair_share_bps=1e6, min_rtt_seconds=0.1)
-        slow = objective.score_flow(1e6, 0.3, fair_share_bps=1e6, min_rtt_seconds=0.1)
+        fast = score(objective, 1e6, 0.1, fair_share_bps=1e6, base_rtt_seconds=0.1)
+        slow = score(objective, 1e6, 0.3, fair_share_bps=1e6, base_rtt_seconds=0.1)
         assert fast > slow
 
     def test_delta_weights_delay_penalty(self):
         light = Objective.proportional(delta=0.1)
         heavy = Objective.proportional(delta=10.0)
-        args = dict(throughput_bps=1e6, delay_seconds=0.3, fair_share_bps=1e6, min_rtt_seconds=0.1)
-        assert light.score_flow(**args) > heavy.score_flow(**args)
+        args = dict(throughput_bps=1e6, delay_seconds=0.3, fair_share_bps=1e6, base_rtt_seconds=0.1)
+        assert score(light, **args) > score(heavy, **args)
 
     def test_min_potential_delay_ignores_delay(self):
         objective = Objective.min_potential_delay()
-        a = objective.score_flow(1e6, 0.1, fair_share_bps=1e6, min_rtt_seconds=0.1)
-        b = objective.score_flow(1e6, 10.0, fair_share_bps=1e6, min_rtt_seconds=0.1)
+        a = score(objective, 1e6, 0.1, fair_share_bps=1e6, base_rtt_seconds=0.1)
+        b = score(objective, 1e6, 10.0, fair_share_bps=1e6, base_rtt_seconds=0.1)
         assert a == pytest.approx(b)
 
-    def test_zero_throughput_is_finite_penalty(self):
+    @pytest.mark.parametrize(
+        "objective", [Objective.proportional(1.0), Objective.min_potential_delay()],
+        ids=["alpha1", "alpha2"],
+    )
+    def test_nothing_delivered_scores_one_mss(self, objective):
+        # No RTT was sampled, so the delay term is U_beta(1) = 0 and the
+        # score is the throughput term of one MSS over 2 s alone.
+        nothing = objective.score_stats(FlowStats(0, on_time=2.0), 1e6, 0.1, MSS)
+        assert math.isfinite(nothing)
+        assert nothing == alpha_fairness_utility(MSS * 8 / 2.0 / 1e6, objective.alpha)
+        one_packet = FlowStats(0, bytes_received=MSS, packets_received=1, on_time=2.0)
+        assert nothing == objective.score_stats(one_packet, 1e6, 0.1, MSS)
+        # Waiting longer for nothing costs more.
+        assert objective.score_stats(FlowStats(0, on_time=4.0), 1e6, 0.1, MSS) < nothing
+
+    def test_a_flow_on_for_less_than_its_base_rtt_is_not_scored(self):
         objective = Objective.proportional(delta=1.0)
-        score = objective.score_flow(0.0, 0.1, fair_share_bps=1e6, min_rtt_seconds=0.1)
-        assert math.isfinite(score)
-        assert score < objective.score_flow(1e3, 0.1, fair_share_bps=1e6, min_rtt_seconds=0.1)
+        for on_time in (0.0, 0.05, 0.0999):
+            for delivered in (0, MSS):
+                stats = FlowStats(0, bytes_received=delivered, on_time=on_time)
+                assert objective.score_stats(stats, 1e6, 0.1, MSS) is None
+        assert objective.score_stats(FlowStats(0, on_time=0.1), 1e6, 0.1, MSS) is not None
 
     def test_score_stats_floors_the_flow_rtt_at_the_base_rtt(self):
         # One §3.3 per-flow score for the evaluator and Figure 11: the mean
@@ -147,10 +194,11 @@ class TestObjective:
         # was sampled.
         objective = Objective.proportional(delta=1.0)
         stats = FlowStats(0, bytes_received=125_000, on_time=1.0, rtt_sum=0.6, rtt_count=2)
-        assert objective.score_stats(stats, 2e6, 0.1) == objective.score_flow(1e6, 0.3, 2e6, 0.1)
-        assert objective.score_stats(stats, 2e6, 0.5) == objective.score_flow(1e6, 0.5, 2e6, 0.5)
+        half = 125_000 * 8 / 1.0 / 2e6
+        assert objective.score_stats(stats, 2e6, 0.1, MSS) == math.log(half) - math.log(0.3 / 0.1)
+        assert objective.score_stats(stats, 2e6, 0.5, MSS) == math.log(half) - math.log(0.5 / 0.5)
         unsampled = FlowStats(0, bytes_received=125_000, on_time=1.0)
-        assert objective.score_stats(unsampled, 2e6, 0.1) == objective.score_flow(1e6, 0.1, 2e6, 0.1)
+        assert objective.score_stats(unsampled, 2e6, 0.1, MSS) == math.log(half) - math.log(1.0)
 
     def test_describe(self):
         assert "delay" in Objective.min_potential_delay().describe()
@@ -158,7 +206,7 @@ class TestObjective:
 
     def test_invalid_normalisation_inputs(self):
         with pytest.raises(ValueError):
-            Objective().score_flow(1.0, 1.0, fair_share_bps=0.0, min_rtt_seconds=1.0)
+            score(Objective(), 1.0, 1.0, fair_share_bps=0.0, base_rtt_seconds=1.0)
 
     @given(
         tput_a=st.floats(min_value=1e3, max_value=1e9),
@@ -170,6 +218,49 @@ class TestObjective:
         """The metric always prefers more throughput, all else equal (§3.3)."""
         objective = Objective.proportional(delta=delta)
         low, high = sorted((tput_a, tput_b))
-        score_low = objective.score_flow(low, 0.2, fair_share_bps=1e6, min_rtt_seconds=0.1)
-        score_high = objective.score_flow(high, 0.2, fair_share_bps=1e6, min_rtt_seconds=0.1)
+        score_low = score(objective, low, 0.2, fair_share_bps=1e6, base_rtt_seconds=0.1)
+        score_high = score(objective, high, 0.2, fair_share_bps=1e6, base_rtt_seconds=0.1)
         assert score_high >= score_low - 1e-9
+
+
+class AddsAFlow(SerialBackend):
+    """Runs every job, then appends one more flow, which delivered nothing,
+    to each result: a sender that switched on ``on_time`` before the end."""
+
+    def __init__(self, on_time: float):
+        self.on_time = on_time
+
+    def run_batch(self, jobs):
+        results = super().run_batch(jobs)
+        for job_result in results:
+            job_result.result.flow_stats.append(FlowStats(99, on_time=self.on_time))
+        return results
+
+
+class TestEvaluatorScoresServableFlows:
+    RTT = 0.08
+
+    def score(self, backend=None):
+        evaluator = Evaluator(
+            ConfigRange(
+                link_speed_bps=ParameterRange.exact(4e6),
+                rtt_seconds=ParameterRange.exact(self.RTT),
+                n_senders=ParameterRange.exact(2),
+                mean_on_seconds=ParameterRange.exact(2.0),
+                mean_off_seconds=ParameterRange.exact(1.0),
+            ),
+            Objective.proportional(1.0),
+            EvaluatorSettings(num_specimens=2, sim_duration=1.0, seed=3),
+            backend=backend,
+        )
+        return evaluator.evaluate(WhiskerTree(), training=False)
+
+    def test_an_unservable_flow_leaves_the_score_bit_identical(self):
+        plain = self.score()
+        added = self.score(AddsAFlow(on_time=self.RTT * 0.99))
+        assert added.score == plain.score  # bit for bit
+        assert added.flow_scores == plain.flow_scores
+        # The same flow on for one base RTT is scored, and it moves the score.
+        served = self.score(AddsAFlow(on_time=self.RTT))
+        assert [fs.flow_id for fs in served.flow_scores].count(99) == 2
+        assert served.score != plain.score

@@ -262,6 +262,7 @@ RETIRED = {
         "_SentInfo", "first_sent_time", "receiver_time", "cumulative_ack", "is_duplicate",
         "packets_delivered", "_switch_event"), 39),
     **dict.fromkeys(("NetworkSpec", "TopologySpec", "to_path_spec", "with_queue"), 40),
+    **dict.fromkeys(("UTILITY_FLOOR", "score_flow"), 41),
 }
 
 #: What may name deleted code: the history files, and the guards here.

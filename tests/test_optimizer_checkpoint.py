@@ -86,9 +86,11 @@ def reference_run():
 
 
 #: sha256 over the reference run's final tree and score history (floats by
-#: ``repr``), recorded before sealing, candidate deduplication and the climb
+#: ``repr``).  Recorded before sealing, candidate deduplication and the climb
 #: memo landed: none of them may move a rule, an action or a single score.
-REFERENCE_RUN_DIGEST = "08497ec09e3e09d7c0b5e7278b1a263537e3855a0d990ccfc03852aff707873a"
+#: Re-recorded once, when a flow on for less than its base RTT stopped being
+#: scored and a flow that delivered nothing stopped scoring a constant.
+REFERENCE_RUN_DIGEST = "5e79cccf3bff7029b73558deb46378dab61dc4ca18040018372240d496cf7933"
 
 
 class TestPinnedRun:
@@ -99,7 +101,7 @@ class TestPinnedRun:
             json.dumps(document, sort_keys=True).encode()
         ).hexdigest()
         assert digest == REFERENCE_RUN_DIGEST
-        assert (state.evaluations_used, state.improvements, state.splits) == (200, 3, 1)
+        assert (state.evaluations_used, state.improvements, state.splits) == (200, 1, 1)
         # Most of this run's simulations drown the design-time queue.
         assert state.sealed_simulations > 100
         assert state.truncated_simulations == 0
@@ -202,8 +204,9 @@ class TestResume:
     def test_pool_resume_ends_with_the_whole_state_of_the_serial_run(self, tmp_path):
         # A resumed run starts with an empty design memo.  From eight rules
         # at the default action both epochs improve a rule and both remember
-        # candidates (79, then 17 more); epoch 1 revisits no table epoch 0
-        # scored, so even the remembered count matches.
+        # candidates.  Where epoch 1 revisits a table epoch 0 scored, the
+        # resumed run simulates it again: its remembered count falls short by
+        # exactly those simulations, and every other field is the same.
         def eight_rules():
             tree = WhiskerTree(name="ckpt")
             make_evaluator().evaluate(tree, training=True)
@@ -213,12 +216,14 @@ class TestResume:
         settings = OptimizerSettings(
             max_epochs=2, max_evaluations=500, improvement_threshold=0.05
         )
-        reference = RemyOptimizer(make_evaluator(), tree=eight_rules(), settings=settings)
+        reference_evaluator = make_evaluator()
+        reference = RemyOptimizer(reference_evaluator, tree=eight_rules(), settings=settings)
         reference.optimize()
 
         path = tmp_path / "design.ckpt.json"
+        partial_evaluator = make_evaluator()
         partial = RemyOptimizer(
-            make_evaluator(),
+            partial_evaluator,
             tree=eight_rules(),
             settings=replace(settings, max_epochs=1),
             checkpoint_path=path,
@@ -231,12 +236,22 @@ class TestResume:
         )
 
         with ProcessPoolBackend(max_workers=2) as backend:
-            resumed = RemyOptimizer.resume_from_checkpoint(
-                path, make_evaluator(backend=backend)
-            )
+            resumed_evaluator = make_evaluator(backend=backend)
+            resumed = RemyOptimizer.resume_from_checkpoint(path, resumed_evaluator)
             resumed.settings = replace(resumed.settings, max_epochs=settings.max_epochs)
             resumed.optimize()
-        assert resumed.state == reference.state
+        extra_simulations = (
+            partial_evaluator.evaluations
+            + resumed_evaluator.evaluations
+            - reference_evaluator.evaluations
+        )
+        shortfall = (
+            reference.state.remembered_evaluations - resumed.state.remembered_evaluations
+        )
+        assert shortfall == extra_simulations
+        assert replace(resumed.state, remembered_evaluations=0) == replace(
+            reference.state, remembered_evaluations=0
+        )
         assert whisker_tree_token(resumed.tree) == whisker_tree_token(reference.tree)
 
     def test_checkpoint_written_before_the_memo_still_loads(self, tmp_path):
@@ -342,6 +357,17 @@ class TestResumeGuards:
         path = self._checkpoint(tmp_path)
         with pytest.raises(ValueError, match=r"differ.*\(fields: objective\)"):
             RemyOptimizer.resume_from_checkpoint(path, make_evaluator(delta=10.0))
+
+    def test_rejects_a_checkpoint_scored_under_the_old_floor(self, tmp_path):
+        # Before a flow that delivered nothing scored one MSS over its
+        # on-time, the objective had a ``normalize`` field and such a flow
+        # scored a constant.  Scores from the two rules must not mix.
+        path = self._checkpoint(tmp_path)
+        data = json.loads(path.read_text())
+        data["design_inputs"]["objective"]["normalize"] = True
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"differ.*\(fields: objective\)"):
+            RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
 
     @pytest.mark.parametrize(
         "change",
