@@ -15,7 +15,7 @@ played by ns-2 in the original work).  It provides:
 * one topology spec and engine, paths of links with congestible reverse
   directions, the paper's single-bottleneck dumbbell being the one-hop case
   (:mod:`repro.netsim.path`), with the queue factory every hop shares
-  (:mod:`repro.netsim.network`), and
+  (:func:`repro.netsim.queue.build_queue`), and
 * the simulation driver plus per-flow statistics
   (:mod:`repro.netsim.simulator`, :mod:`repro.netsim.stats`).
 """
@@ -23,12 +23,11 @@ played by ns-2 in the original work).  It provides:
 from repro.netsim.events import EventScheduler
 from repro.netsim.packet import Packet, AckInfo
 from repro.netsim.link import ConstantRateLink, TraceDrivenLink
-from repro.netsim.queue import DropTailQueue, InfiniteQueue
+from repro.netsim.queue import DropTailQueue, InfiniteQueue, build_queue
 from repro.netsim.aqm import REDQueue, CoDelQueue
 from repro.netsim.sfq import SfqCoDelQueue
 from repro.netsim.sender import Sender
 from repro.netsim.receiver import Receiver
-from repro.netsim.network import build_queue
 from repro.netsim.path import LinkSpec, PathNetwork, PathSpec
 from repro.netsim.simulator import Simulation, SimulationResult
 from repro.netsim.stats import FlowStats

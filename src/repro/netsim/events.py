@@ -19,21 +19,27 @@ cancelled entry stays queued until popped.  Work posted for *right now*
 runs after everything already due at the current timestamp, in posting
 order — the ``(time, sequence)`` order gives that for free.
 
-**Constant-delay lanes.**  A constant-rate dumbbell whose flows share one
-RTT schedules every per-packet event one of two *constant* delays ahead of
-a non-decreasing clock (serialize at the bottleneck; propagate one way), so
-each stream is already sorted by ``(time, sequence)``.  A lane is a plain
-deque of such entries, appended in O(1) where the heap pays O(log n) twice;
+**Constant-delay lanes.**  A lane is a plain deque of entries appended in
+``(time, sequence)`` order, in O(1) where the heap pays O(log n) twice;
 :meth:`~EventScheduler.run_until` merges the two lane heads with the heap
 top, which reproduces exactly the order heap-pushing the same entries would
-produce.  Every other topology has more distinct delays than the merge is
-worth (README "Kernel architecture") and leaves the lanes empty.
+produce.  Only a constant-rate dumbbell whose flows share one RTT uses them.
+On its FIFO bottleneck (the eager path, :mod:`repro.netsim.link`) every
+packet's one event is its ACK, posted at enqueue one serialization-chained
+finish time plus one RTT ahead: those times grow with the enqueue order, so
+lane 1 holds the ACKs and lane 0 stays empty.  Behind an AQM the events are
+the event path's, each one of two *constant* delays ahead of a
+non-decreasing clock (serialize at the bottleneck on lane 0; propagate one
+way on lane 1).  Every other topology has more distinct delays than the
+merge is worth (README "Kernel architecture") and leaves the lanes empty.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from collections import deque
+from types import FrameType
 from typing import Any, Callable, Optional
 
 _heappush = heapq.heappush
@@ -56,7 +62,7 @@ class EventCapExceeded(SimulationError):
 class EventScheduler:
     """Heap plus two constant-delay lanes, with deterministic tie-breaking."""
 
-    __slots__ = ("_heap", "_lanes", "_sequence", "_heap_version", "now", "_processed")
+    __slots__ = ("_heap", "_lanes", "_sequence", "_heap_version", "now", "_processed", "_loop")
 
     def __init__(self) -> None:
         self._heap: list[list[Any]] = []
@@ -80,11 +86,23 @@ class EventScheduler:
         #: property): it is read on every hop of the per-packet hot path.
         self.now = 0.0
         self._processed = 0
+        #: The frame of the running :meth:`run_until` (``None`` between
+        #: calls): its dispatch loop counts in a local.
+        self._loop: Optional[FrameType] = None
 
     @property
     def events_processed(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
+        """Number of events executed so far, the one executing included.
+
+        The dispatch loop counts in a local and adds it to ``_processed``
+        when it returns, so mid-run (a sanitizer sample, a callback) the
+        count is read off the running loop's frame: no store per event.
+        """
+        loop = self._loop
+        if loop is None:
+            return self._processed
+        executed: int = loop.f_locals["executed"]
+        return self._processed + executed
 
     @property
     def pending(self) -> int:
@@ -135,13 +153,12 @@ class EventScheduler:
     def uncount_event(self) -> None:
         """Exclude the currently executing callback from ``events_processed``.
 
-        For suppressed-timer bookkeeping (see the sender's RTO rearm): a
-        timer whose deadline moved while it sat in the heap fires, notices,
-        and re-posts itself at the new deadline without touching simulation
-        state.  Uncounting those checks keeps ``events_processed`` — the
-        basis of the benchmark's event counts and the determinism
-        fingerprints — a measure of *simulation* events, independent of how
-        timers are implemented.
+        For suppressed-timer bookkeeping (see the sender's RTO deadline): a
+        timer that fires before its deadline notices and re-posts itself
+        without touching simulation state.  Uncounting those checks keeps
+        ``events_processed`` — the basis of the benchmark's event counts and
+        the determinism fingerprints — a measure of *simulation* events,
+        independent of how timers are implemented.
         """
         self._processed -= 1
 
@@ -168,7 +185,8 @@ class EventScheduler:
 
         The simulator's dispatch loop.  Entries due at one timestamp are
         dispatched back to back (the clock is stored once per distinct
-        timestamp) and ``events_processed`` is reconciled once per call.
+        timestamp) and ``_processed`` is reconciled once per call (mid-run,
+        :attr:`events_processed` reads the loop's local count).
         With both lanes empty it is the plain heap loop.  Otherwise the lane
         heads merge with the heap top: a lane head strictly earlier than the
         cached heap-head bound (re-read only when ``_heap_version`` moves)
@@ -185,6 +203,7 @@ class EventScheduler:
         cached_version = self._heap_version - 1  # force the first read
         heap_time = 0.0
         heap_live = False
+        self._loop = sys._getframe()
         try:
             while True:
                 if lane_a or lane_b:
@@ -241,22 +260,22 @@ class EventScheduler:
                         src.popleft()
                         best[2](best[3])
                 elif heap:
-                    entry = heap[0]
+                    entry = pop(heap)
                     callback = entry[2]
                     if callback is None:  # lazily cancelled
-                        pop(heap)
                         continue
                     time = entry[0]
                     if time != batch_time:
                         if time > end_time:
+                            _heappush(heap, entry)  # not due: queued as it was
                             break
                         batch_time = time
                         self.now = time
                     if executed == limit:
+                        _heappush(heap, entry)
                         raise EventCapExceeded(
                             f"exceeded max_events={max_events} before reaching t={end_time}"
                         )
-                    pop(heap)
                     entry[2] = None  # mark executed so a late cancel is a no-op
                     executed += 1
                     callback(*entry[3])
@@ -264,6 +283,7 @@ class EventScheduler:
                     break
         finally:
             self._processed += executed
+            self._loop = None
         if end_time > self.now:
             self.now = end_time
         return executed

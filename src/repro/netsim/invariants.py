@@ -14,10 +14,13 @@ completion:
   consumed ACK retires one sent packet); ``held`` is a census of where
   packets sit — every hop's queue length plus the ``Packet`` arguments of
   the live heap entries and of the lane entries (a packet being serialized
-  or propagated is the argument of the event that delivers it).  The census
-  counts where packets are, not what any component says it did, so a drop
-  nobody counts or a packet queued twice breaks the identity at the next
-  sample;
+  or propagated is the argument of the event that delivers it).  Behind an
+  eager FIFO bottleneck (:class:`~repro.netsim.link.ConstantRateLink`) a
+  packet is acknowledged when it is enqueued, so from then on it is held as
+  its ACK entry's argument, and the hop's queue object stays empty (its
+  backlog holds records, not packets).  The census counts where packets
+  are, not what any component says it did, so a drop nobody counts or a
+  packet queued twice breaks the identity at the next sample;
 * **monotonic scheduler time** — the clock never moves backwards between
   samples;
 * **queue accounting** — every hop's byte count is non-negative (including
@@ -106,7 +109,8 @@ class InvariantChecker:
     @property
     def data_arrivals(self) -> int:
         """Data packets that reached their receiver (duplicates included):
-        each is counted as received or as a duplicate."""
+        each is counted as received or as a duplicate (mid-run, an eager
+        bottleneck's arrivals count from their enqueue)."""
         return sum(
             receiver.stats.packets_received + receiver.duplicates
             for receiver in self.simulation.receivers

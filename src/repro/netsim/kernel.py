@@ -16,20 +16,30 @@ counting wrapper are sinks like any other.  A link owns its queue: the
 sender calls its first hop's entry, and only the link's closures know the
 queue's bookkeeping and the seal check.
 
-A constant-rate dumbbell whose flows share one RTT posts every
-serialization and every one-way hand-off on the scheduler's two
-constant-delay lanes (see :mod:`repro.netsim.events`); every other shape
-posts the same entries on the heap, and so does every shape under the
-heap-only reference (a :class:`~repro.netsim.simulator.Simulation` subclass
-with ``_lanes = False``).  Both run the same float program in the same
-event order, so they reproduce the committed golden fingerprints
-bit-identically.
+A dumbbell's FIFO bottleneck (DropTail or unlimited) is *eager*: its
+``receive`` computes each packet's service and arrival at enqueue and hands
+the packet to the receiver then, so the packet's only event is its ACK
+(:class:`~repro.netsim.link.ConstantRateLink`).  Every other hop keeps the
+*event path*: a finish event per packet and a hand-off along the route.
+The reference for the eager path is a
+:class:`~repro.netsim.simulator.Simulation` subclass with ``_eager =
+False``: the event path everywhere, every result but ``events_processed``
+bit-identical.
+
+A constant-rate dumbbell whose flows share one RTT posts its per-packet
+events on the scheduler's two constant-delay lanes (see
+:mod:`repro.netsim.events`): the ACKs behind an eager bottleneck, every
+serialization and one-way hand-off behind an AQM.  Every other shape posts
+the same entries on the heap, and so does every shape under the heap-only
+reference (a subclass with ``_lanes = False``).  Both run the same float
+program in the same event order, so they reproduce the committed golden
+fingerprints bit-identically.
 
 A heap push that can happen while lanes hold entries must bump
 ``_heap_version`` (the lane merge trusts a cached heap head until it moves).
 No inlined packet hand-off pays that: the one topology with lanes routes
-every hand-off over a lane, and the only inline push that can land on its
-heap, the sender's pacing timer, bumps it.
+every hand-off and every ACK over a lane, and the only inline push that can
+land on its heap, the sender's pacing timer, bumps it.
 
 The closures are stored on the objects they capture.  These cycles are by
 design and are cut by ``release()`` when ``Simulation.run`` ends, which is
@@ -53,9 +63,9 @@ Lane = Optional["deque[list[Any]]"]
 Route = tuple[float, Lane, Callable[[Packet], None]]
 
 
-def unwired(packet: Optional[Packet] = None) -> None:
+def unwired(packet: Optional[Packet] = None, at: Optional[float] = None) -> None:
     """The sink of whatever is not (or no longer) wired: drops the packet,
-    if there is one."""
+    if there is one (an eager hop also passes its arrival time)."""
 
 
 #: The hand-off for a flow that does not cross a hop (should not happen).

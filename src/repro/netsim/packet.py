@@ -7,8 +7,10 @@ rewritten in a real network.
 
 One lifetime: the sender builds a data packet per transmission, the
 receiver turns it into its acknowledgment in place (the data packet is dead
-once acknowledged), and the last reference — the sender's ACK handler, or
-the queue or loss gate that drops it — lets reference counting free it.
+once acknowledged), and the sender's ACK handler, once it has digested the
+acknowledgment, rewrites it into the next data packet it sends.  The last
+reference — that handler when it sends nothing, or the queue or loss gate
+that drops a packet — lets reference counting free it.
 """
 
 from __future__ import annotations

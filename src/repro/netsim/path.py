@@ -20,9 +20,10 @@ Every topology is a path:
 
 The paper's dumbbell is the one-forward-hop, no-reverse-hop case, built by
 :meth:`PathSpec.dumbbell`.  What a dumbbell alone can do — seal a drowned
-bottleneck (:attr:`PathSpec.sealable`), ride the scheduler's two
-constant-delay lanes (:meth:`PathSpec.dumbbell_hop`) — is decided from the
-path's shape, so it does not matter which constructor built it.
+bottleneck (:attr:`PathSpec.sealable`), serve a FIFO bottleneck eagerly (one
+event per data packet) and ride the scheduler's two constant-delay lanes
+(:meth:`PathSpec.dumbbell_hop`) — is decided from the path's shape, so it
+does not matter which constructor built it.
 
 Semantics:
 
@@ -49,6 +50,7 @@ sanitizer's conservation check would flag it).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 from functools import partial
@@ -56,19 +58,44 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.kernel import Lane, Route
-from repro.netsim.link import ConstantRateLink, Link, TraceDrivenLink
-from repro.netsim.network import (
-    QUEUE_KINDS,
-    QueueFactory,
-    build_queue,
+from repro.netsim.link import (
+    ConstantRateLink,
+    Link,
+    TraceDrivenLink,
     validate_delivery_trace,
-    validate_flows,
+    validate_mss,
 )
 from repro.netsim.packet import Packet
-from repro.netsim.queue import QueueDiscipline
+from repro.netsim.queue import QUEUE_KINDS, QueueDiscipline, QueueFactory, build_queue
 from repro.netsim.receiver import Receiver
 from repro.netsim.sender import Sender
 from repro.netsim.stats import HopDelayStats
+
+
+def validate_flows(
+    rtt: Union[float, Sequence[float]], n_flows: int, mss_bytes: int
+) -> None:
+    """Fail fast on a path's per-flow fields.
+
+    A negative RTT used to die inside a callback (``negative delay``) on the
+    heap and to *run* on the lanes, whose entries are ``now + delay``
+    unchecked; a short RTT sequence surfaced only when the missing flow was
+    attached.
+    """
+    if n_flows <= 0:
+        raise ValueError("n_flows must be positive")
+    validate_mss(mss_bytes)
+    if isinstance(rtt, (int, float)):
+        rtts = [float(rtt)]
+    else:
+        rtts = list(rtt)
+        if len(rtts) < n_flows:
+            raise ValueError(
+                f"rtt sequence has {len(rtts)} entries but the spec has {n_flows} flows"
+            )
+    for value in rtts:
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"rtt must be finite and non-negative, got {value!r}")
 
 
 @dataclass
@@ -86,7 +113,7 @@ class LinkSpec:
         model wire length between routers.
     queue:
         Queue discipline name (one of
-        :data:`~repro.netsim.network.QUEUE_KINDS`) or a factory returning a
+        :data:`~repro.netsim.queue.QUEUE_KINDS`) or a factory returning a
         :class:`~repro.netsim.queue.QueueDiscipline`.
     buffer_packets:
         Buffer size in packets.
@@ -168,9 +195,10 @@ class LinkSpec:
         name: str,
         mss_bytes: int = 1500,
         lane_bytes: Optional[int] = None,
+        eager: bool = False,
     ) -> Link:
-        """Materialize the hop (constant-rate or trace-driven; ``lane_bytes``:
-        see :class:`~repro.netsim.link.ConstantRateLink`)."""
+        """Materialize the hop (constant-rate or trace-driven; ``lane_bytes``
+        and ``eager``: see :class:`~repro.netsim.link.ConstantRateLink`)."""
         if self.delivery_trace is not None:
             return TraceDrivenLink(
                 scheduler,
@@ -187,6 +215,7 @@ class LinkSpec:
             propagation_delay=self.delay,
             name=name,
             lane_bytes=lane_bytes,
+            eager=eager,
         )
 
 
@@ -353,7 +382,9 @@ class PathSpec:
         per-packet event is then scheduled one serialization time or one
         flow's one-way delay ahead, which is what the seal's proof and the
         scheduler's two constant-delay lanes (:mod:`repro.netsim.kernel`)
-        both need.
+        both need.  Every route out of the hop is then a flow's one-way delay
+        to its receiver, which is what the eager FIFO path needs
+        (:class:`~repro.netsim.link.ConstantRateLink`).
         """
         hop = self.forward[0]
         one_hop = len(self.forward) == 1 and not self.reverse
@@ -424,7 +455,9 @@ class PathNetwork:
     given network rng yields identical streams run to run.  Routing is
     precomputed per ``(hop, flow)`` (:meth:`attach_flow`); ``lanes=False``
     (the heap-only reference, ``Simulation._lanes``) keeps the scheduler's
-    constant-delay lanes empty on every shape.
+    constant-delay lanes empty on every shape, and ``eager=False`` (the
+    event-path reference, ``Simulation._eager``) keeps a dumbbell's FIFO
+    bottleneck on its finish and arrival events.
     """
 
     def __init__(
@@ -433,6 +466,7 @@ class PathNetwork:
         spec: PathSpec,
         rng: Optional[random.Random] = None,
         lanes: bool = True,
+        eager: bool = True,
     ) -> None:
         self.scheduler = scheduler
         self.spec = spec
@@ -450,6 +484,10 @@ class PathNetwork:
         )
         lane_bytes = spec.mss_bytes if lanes else None
         self._flow_lane: Lane = scheduler._lanes[1] if lanes else None
+        # A dumbbell's FIFO bottleneck computes its service and its
+        # receivers' arrivals at enqueue (the link keeps any other queue on
+        # its events).
+        eager = eager and spec.dumbbell_hop() is not None
 
         chains = (spec.forward, spec.reverse)
         self.links: tuple[list[Link], list[Link]] = ([], [])
@@ -463,7 +501,8 @@ class PathNetwork:
                 queue = hop.make_queue(self.rng, spec.mss_bytes, mean_rtt)
                 name = hop.name or f"{'rev' if direction else 'fwd'}{index}"
                 link = hop.build_link(
-                    scheduler, queue, name, mss_bytes=spec.mss_bytes, lane_bytes=lane_bytes
+                    scheduler, queue, name, mss_bytes=spec.mss_bytes,
+                    lane_bytes=lane_bytes, eager=eager,
                 )
                 self.links[direction].append(link)
                 gate = None
@@ -507,6 +546,28 @@ class PathNetwork:
         for endpoints in self.flows.values():
             endpoints.sender.seal()
 
+    def settle(self, until: float) -> None:
+        """Settle what the eager path accounted ahead of time, once the run
+        has stopped at ``until`` (its end, or where ``max_events`` cut it).
+
+        Each hop records the waits of the packets whose service started by
+        then (:meth:`~repro.netsim.link.LinkBase.settle`), and each arrival
+        an eager hop counted that falls after ``until`` is taken back
+        (:meth:`~repro.netsim.receiver.Receiver.retract`).  Such an arrival's
+        ACK is still queued, and its ``sent_time`` is the arrival's time: an
+        arrival event, had there been one, would have run by ``until``.
+        """
+        for link in self.forward_links:
+            link.settle(until)
+        # An ACK entry is the one kind with a fifth slot; its argument is an
+        # args tuple on the heap and bare on a lane.
+        scheduler = self.scheduler
+        queued = [(entry[3][0], entry[4]) for entry in scheduler._heap if len(entry) == 5]
+        queued += [(entry[3], entry[4]) for lane in scheduler._lanes for entry in lane if len(entry) == 5]
+        for ack, counted in queued:
+            if ack.sent_time > until:
+                self.flows[ack.flow_id].receiver.retract(counted)
+
     def release(self) -> None:
         """Cut every hop's and endpoint's wiring once the simulation has run:
         what is left — links, queues, flows, counters — is data."""
@@ -544,6 +605,11 @@ class PathNetwork:
         to_sender: Route = (rtt / 2, self._flow_lane, sender.on_ack)
         delay, lane, send_ack = (0.0, None, self._entry(1, reverse[0])) if reverse else to_sender
         receiver.connect(send_ack, delay, lane)
+        for hop in forward:
+            link = self.forward_links[hop]
+            link.delay_stats[flow_id] = sender.stats
+            if self.hop_delay_stats:
+                link.hop_delay_stats[flow_id] = HopDelayStats()
         to_receiver: Route = (rtt / 2, self._flow_lane, receiver.on_packet)
         for direction, chain, last in ((0, forward, to_receiver), (1, reverse, to_sender)):
             onward: list[Route] = [(0.0, None, self._entry(direction, hop)) for hop in chain[1:]]
@@ -551,11 +617,6 @@ class PathNetwork:
                 self.links[direction][hop].route(flow_id, route)
         endpoints = FlowEndpoints(sender=sender, receiver=receiver, rtt=rtt)
         self.flows[flow_id] = endpoints
-        for hop in forward:
-            link = self.forward_links[hop]
-            link.delay_stats[flow_id] = sender.stats
-            if self.hop_delay_stats:
-                link.hop_delay_stats[flow_id] = HopDelayStats()
         return endpoints
 
     # -- introspection ----------------------------------------------------------

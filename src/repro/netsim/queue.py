@@ -1,16 +1,20 @@
-"""Basic queueing disciplines: the abstract interface, DropTail and infinite queues.
+"""Queueing disciplines: the abstract interface, DropTail and infinite
+queues, and :func:`build_queue`, the one construction path behind every hop.
 
 A queue is attached to a link.  The link calls :meth:`QueueDiscipline.enqueue`
 when a packet arrives and :meth:`QueueDiscipline.dequeue` when the link is
 ready to transmit the next packet.  Active-queue-management variants live in
-:mod:`repro.netsim.aqm` and :mod:`repro.netsim.sfq`.
+:mod:`repro.netsim.aqm` and :mod:`repro.netsim.sfq`.  :func:`build_queue`
+turns a queue kind name (one of :data:`QUEUE_KINDS`) or a factory into a
+discipline, so a queue kind behaves identically wherever it appears.
 """
 
 from __future__ import annotations
 
+import random
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Optional
+from typing import Callable, Optional, Union
 
 from repro.netsim.packet import Packet
 
@@ -101,3 +105,82 @@ class InfiniteQueue(DropTailQueue):
         # Effectively unbounded; chosen large enough that no sane simulation
         # ever reaches it while still being a finite int.
         self.capacity_packets = 10**9
+
+
+QueueFactory = Callable[[], QueueDiscipline]
+
+#: Built-in queue discipline names a :class:`~repro.netsim.path.LinkSpec` accepts.
+QUEUE_KINDS = ("droptail", "infinite", "codel", "sfqcodel", "red", "red-dctcp", "xcp")
+
+
+def build_queue(
+    queue: Union[str, QueueFactory],
+    *,
+    buffer_packets: int,
+    rng: Optional[random.Random] = None,
+    codel_target: float = 0.005,
+    codel_interval: float = 0.100,
+    red_min_thresh: float = 20.0,
+    red_max_thresh: float = 60.0,
+    dctcp_marking_threshold: float = 65.0,
+    red_idle_decay_seconds: float = 0.001,
+    xcp_rate_bps: float = 10e6,
+    xcp_mean_rtt: float = 0.05,
+) -> QueueDiscipline:
+    """Instantiate a queue discipline from a kind name (or factory).
+
+    The single construction path behind every hop of every topology
+    (:meth:`~repro.netsim.path.LinkSpec.make_queue`), so a queue kind
+    behaves identically wherever it appears.
+    """
+    # The AQM modules build on this one, so they are imported here; XCP's
+    # router lives with its protocol (protocols depend on netsim, not the
+    # reverse).
+    from repro.netsim.aqm import CoDelQueue, REDQueue
+    from repro.netsim.sfq import SfqCoDelQueue
+
+    if callable(queue):
+        return queue()
+    if queue == "droptail":
+        return DropTailQueue(capacity_packets=buffer_packets)
+    if queue == "infinite":
+        return InfiniteQueue()
+    if queue == "codel":
+        return CoDelQueue(
+            capacity_packets=buffer_packets,
+            target=codel_target,
+            interval=codel_interval,
+        )
+    if queue == "sfqcodel":
+        return SfqCoDelQueue(
+            capacity_packets=buffer_packets,
+            target=codel_target,
+            interval=codel_interval,
+        )
+    if queue == "red":
+        return REDQueue(
+            capacity_packets=buffer_packets,
+            min_thresh=red_min_thresh,
+            max_thresh=red_max_thresh,
+            rng=rng,
+            idle_decay_seconds=red_idle_decay_seconds,
+        )
+    if queue == "red-dctcp":
+        return REDQueue(
+            capacity_packets=buffer_packets,
+            min_thresh=dctcp_marking_threshold,
+            max_thresh=dctcp_marking_threshold + 1,
+            dctcp_mode=True,
+            ecn=True,
+            rng=rng,
+            idle_decay_seconds=red_idle_decay_seconds,
+        )
+    if queue == "xcp":
+        from repro.protocols.xcp import XCPRouterQueue
+
+        return XCPRouterQueue(
+            capacity_packets=buffer_packets,
+            link_rate_bps=xcp_rate_bps,
+            control_interval=max(xcp_mean_rtt, 0.01),
+        )
+    raise ValueError(f"unknown queue kind {queue!r}; expected one of {QUEUE_KINDS}")

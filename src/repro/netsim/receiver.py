@@ -4,6 +4,11 @@ The paper keeps receivers unchanged: they simply acknowledge arriving data.
 Our receiver produces one acknowledgment per arriving data packet, carrying
 the cumulative acknowledgment, the sequence number that triggered the ACK,
 the echoed sender timestamp and any ECN / XCP header fields.
+
+On an eager FIFO dumbbell (:class:`~repro.netsim.link.ConstantRateLink`)
+the bottleneck knows each packet's arrival time when it enqueues it and
+hands the packet over then: the receiver acknowledges it as of that time and
+posts the ACK, so a data packet costs one event, the ACK's.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ class Receiver:
         #: Where the network delivers this flow's data: the closure
         #: :meth:`connect` builds (until then, and after :meth:`release`,
         #: a sink that drops what reaches it).
-        self.on_packet: Callable[[Packet], None] = unwired
+        self.on_packet: Callable[..., None] = unwired
 
     def connect(self, send_ack: SendAckFn, delay: float = 0.0, lane: Lane = None) -> None:
         """Return acknowledgments to ``send_ack``, ``delay`` seconds ahead (on
@@ -50,6 +55,15 @@ class Receiver:
         replaced by the receiver's, the ECN mark becomes the echo, and the
         ECN bits and ``enqueue_time`` are reset.  Nothing may touch the data
         packet afterwards.
+
+        ``on_packet(packet)`` is the arrival event; ``on_packet(packet, at)``
+        is an eager FIFO hop (:class:`~repro.netsim.link.ConstantRateLink`)
+        handing the packet over at enqueue, to arrive at ``at``: the packet
+        is acknowledged as of ``at`` and the ACK posted ``delay`` after it,
+        so the arrival itself costs no event.  Either way the ACK entry
+        carries a fifth slot, the bytes the arrival added to
+        ``bytes_received`` (0 for a duplicate), which :meth:`retract` takes
+        back for an arrival timed after the run stopped.
         """
         receiver = self
         scheduler = self.scheduler
@@ -58,7 +72,7 @@ class Receiver:
         out_of_order = self._out_of_order
         flow_id = self.flow_id
 
-        def on_packet(packet: Packet) -> None:
+        def on_packet(packet: Packet, at: Optional[float] = None) -> None:
             if packet.is_ack:
                 raise ValueError("receiver got an ACK packet")
             if packet.flow_id != flow_id:
@@ -67,23 +81,27 @@ class Receiver:
                 )
             seq = packet.seq
             next_expected = receiver.next_expected
-            if seq >= next_expected and seq not in out_of_order:
-                stats.bytes_received += packet.size_bytes
+            # ``out_of_order`` only ever holds segments past ``next_expected``.
+            if seq == next_expected or seq > next_expected and seq not in out_of_order:
+                counted = packet.size_bytes
+                stats.bytes_received += counted
                 stats.packets_received += 1
                 if seq == next_expected:
                     next_expected += 1
                     # Drain any buffered out-of-order segments now in order.
-                    while next_expected in out_of_order:
-                        out_of_order.discard(next_expected)
-                        next_expected += 1
+                    if out_of_order:
+                        while next_expected in out_of_order:
+                            out_of_order.discard(next_expected)
+                            next_expected += 1
                     receiver.next_expected = next_expected
                 else:
                     out_of_order.add(seq)
             else:
+                counted = 0
                 receiver.duplicates += 1
             # In every branch the local ``next_expected`` ends equal to
             # ``receiver.next_expected``, so the ACK fields read the local.
-            now = scheduler.now
+            now = scheduler.now if at is None else at
             ack = packet
             ack.size_bytes = ACK_PACKET_BYTES
             ack.is_ack = True
@@ -96,15 +114,25 @@ class Receiver:
             ack.ecn_marked = False
             ack.enqueue_time = 0.0
             if lane is not None:
-                lane.append([now + delay, scheduler._sequence, send_ack, ack])
+                lane.append([now + delay, scheduler._sequence, send_ack, ack, counted])
                 scheduler._sequence += 1
-            elif delay:
-                heappush(heap, [now + delay, scheduler._sequence, send_ack, (ack,)])
+            elif delay or at is not None:
+                heappush(heap, [now + delay, scheduler._sequence, send_ack, (ack,), counted])
                 scheduler._sequence += 1
             else:
                 send_ack(ack)
 
         self.on_packet = on_packet
+
+    def retract(self, counted: int) -> None:
+        """Take back an arrival counted ahead of its time: one that an eager
+        hop acknowledged at enqueue but that falls after the instant the run
+        stopped.  ``counted`` is its ACK entry's fifth slot."""
+        if counted:
+            self.stats.bytes_received -= counted
+            self.stats.packets_received -= 1
+        else:
+            self.duplicates -= 1
 
     def release(self) -> None:
         """Cut the endpoint's wiring once its simulation has run."""

@@ -160,11 +160,13 @@ class Sender:
         self.on_start_time = 0.0
         self._on_until_event: Optional[list] = None
         self._rto_event: Optional[list] = None
-        #: Authoritative RTO deadline.  Each ACK moves this float instead of
-        #: cancelling and re-pushing the heap entry (two O(log n) operations
-        #: per acknowledgment); the armed entry fires at its original time,
-        #: notices the deadline moved, and re-posts itself (a rare,
-        #: uncounted bookkeeping check — RTO is hundreds of ACK intervals).
+        #: Authoritative RTO deadline.  Each ACK moves this float (and arms
+        #: the timer if none is armed).  The entry is posted at most
+        #: ``MIN_RTO`` ahead, no later than any deadline an ACK can set
+        #: (``rto >= MIN_RTO``), so it never has to be cancelled: when it
+        #: fires before the deadline it re-posts itself, again at most
+        #: ``MIN_RTO`` on (an uncounted bookkeeping check), and the timeout
+        #: fires exactly at the deadline.
         self._rto_deadline = 0.0
         #: The pacing timer's entry (already run once ``entry[2] is None``).
         self._pacing_event: Optional[list] = None
@@ -193,7 +195,8 @@ class Sender:
         congestion module, sink) lives in closure cells; mutable scalars
         (sequence counters, RTT estimator, recovery flags, timers) stay on
         the instance, where the cold paths read them.  The acknowledgment
-        dies here: once digested, nothing holds it.
+        dies here: once digested, nothing holds it, so the send loop rewrites
+        it into the first data packet it sends.
 
         ``transmit`` is the entry of the flow's first hop (its loss gate or
         its link's ``receive``); the hop owns its queue, tail drop and seal
@@ -320,7 +323,10 @@ class Sender:
                     return
 
                 if in_flight:
-                    sender._arm_rto(restart=True)
+                    sender._rto_deadline = now + sender.rto
+                    entry = sender._rto_event
+                    if entry is None or entry[2] is None:
+                        sender._arm_rto()
                 else:
                     entry = sender._rto_event
                     if entry is not None:
@@ -371,9 +377,14 @@ class Sender:
                         sender.segments_remaining -= 1
                     retransmit = False
                 # Packet by slot stores, every slot as ``Packet.__init__``
-                # sets it: no constructor frame per transmission.
-                packet = packet_new(Packet)
-                packet.flow_id = flow_id
+                # sets it: no constructor frame per transmission.  The
+                # digested acknowledgment, which nothing else holds, becomes
+                # the first one (same flow, every other slot rewritten).
+                if ack is None:
+                    packet = packet_new(Packet)
+                    packet.flow_id = flow_id
+                else:
+                    packet, ack = ack, None
                 packet.seq = seq
                 packet.size_bytes = mss_bytes
                 packet.sent_time = now
@@ -524,37 +535,26 @@ class Sender:
         self.cc.on_loss(now)
 
     # ------------------------------------------------------------------ RTO
-    def _arm_rto(self, restart: bool = False) -> None:
+    def _arm_rto(self) -> None:
+        """Arm the retransmission timer, unless it is armed: the deadline
+        ``rto`` ahead, the entry at most ``MIN_RTO`` ahead (see
+        ``_rto_deadline``)."""
         entry = self._rto_event
-        if restart:
-            # Suppression rearm: move the deadline forward and keep the armed
-            # entry as long as it fires no later than the deadline (the fire
-            # re-checks and re-posts).  If the deadline moved *earlier* than
-            # the armed entry — the retransmission timeout shrank, e.g. while
-            # the RTT estimator converges from the initial 1 s RTO — fall
-            # back to cancel-and-repush so the timeout cannot fire late.
-            deadline = self.scheduler.now + self.rto
-            self._rto_deadline = deadline
-            if entry is not None and entry[2] is not None:  # still armed
-                if entry[0] <= deadline:
-                    return
-                self.scheduler.cancel_entry(entry)
-        elif entry is not None and entry[2] is not None:  # still armed
+        if entry is not None and entry[2] is not None:  # still armed
             return
-        else:
-            self._rto_deadline = self.scheduler.now + self.rto
-        self._rto_event = self.scheduler.post_after(self.rto, self._rto_fire)
+        self._rto_deadline = self.scheduler.now + self.rto
+        self._rto_event = self.scheduler.post_after(MIN_RTO, self._rto_fire)
 
     def _rto_fire(self) -> None:
         scheduler = self.scheduler
         now = scheduler.now
-        if now < self._rto_deadline:
-            # The deadline was pushed out by acknowledgments while this entry
-            # sat in the heap: re-post at the authoritative deadline (which
-            # is exactly where the cancel-and-repush scheme would have fired).
-            # Pure timer bookkeeping, not a simulation event.
+        deadline = self._rto_deadline
+        if now < deadline:
+            # Not yet: re-post at the deadline, or ``MIN_RTO`` on if that is
+            # sooner (an ACK may still pull the deadline in that far).  Pure
+            # timer bookkeeping, not a simulation event.
             scheduler.uncount_event()
-            self._rto_event = scheduler.post(self._rto_deadline, self._rto_fire)
+            self._rto_event = scheduler.post(min(deadline, now + MIN_RTO), self._rto_fire)
             return
         self._rto_event = None
         if self.state != "on" or not self.in_flight:

@@ -99,10 +99,14 @@ class SfqCoDelQueue(QueueDiscipline):
         queue = self._queues[bucket]
         # Sub-queue occupancy is read off its deque (here and in dequeue):
         # ``len(queue)`` and ``bytes_queued()`` are Python frames, six per packet.
-        was_empty = not queue._queue
-        if not queue.enqueue(packet, now):
-            self.drops += 1
-            return False
+        fifo = queue._queue
+        was_empty = not fifo
+        # The sub-queue's ``enqueue``, inlined.  It cannot overflow: it holds
+        # at most the shared total, which is below its (equal) capacity.
+        packet.enqueue_time = now
+        fifo.append(packet)
+        queue._bytes += packet.size_bytes
+        queue.enqueues += 1
         self._total_packets += 1
         self._total_bytes += packet.size_bytes
         if was_empty and not self._in_active[bucket]:

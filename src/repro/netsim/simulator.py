@@ -170,13 +170,19 @@ class Simulation:
         scheduled events), monotonic time and queue-accounting checks on a
         sampling schedule and at completion.  Results stay bit-identical.
 
-    A uniform-RTT constant-rate dumbbell posts its per-packet hand-offs on
-    the scheduler's two constant-delay lanes (see :mod:`repro.netsim.kernel`).
-    A subclass that sets ``_lanes = False`` leaves them empty: the heap-only
-    reference the parity tests compare against, bit-identical by contract.
+    A dumbbell's FIFO bottleneck serves each data packet at enqueue, so the
+    packet costs one event, its ACK (the eager path, see
+    :class:`~repro.netsim.link.ConstantRateLink`); a uniform-RTT dumbbell
+    posts its per-packet events on the scheduler's two constant-delay lanes
+    (see :mod:`repro.netsim.kernel`).  Two private class attributes switch
+    those off for the references the parity tests compare against: a
+    subclass with ``_lanes = False`` leaves the lanes empty (bit-identical,
+    events included), one with ``_eager = False`` keeps the finish and
+    arrival events (bit-identical but for ``events_processed``).
     """
 
     _lanes = True
+    _eager = True
 
     def __init__(
         self,
@@ -220,6 +226,7 @@ class Simulation:
             spec,
             rng=random.Random(self.master_rng.getrandbits(32)),
             lanes=self._lanes,
+            eager=self._eager,
         )
         # Whether the topology can seal is the spec's own property, not a
         # choice made here.
@@ -276,6 +283,7 @@ class Simulation:
                 # failing the batch the run belongs to.
                 truncated = True
                 end_time = self.scheduler.now
+            self.network.settle(end_time)
             for sender in self.senders:
                 sender.finalize(end_time)
             if self.invariant_checker is not None:

@@ -2,7 +2,7 @@
 
 DCTCP reacts to the *extent* of congestion rather than its presence: the
 switch marks packets with ECN whenever the instantaneous queue exceeds a
-threshold K (see ``red-dctcp`` in :func:`repro.netsim.network.build_queue`);
+threshold K (see ``red-dctcp`` in :func:`repro.netsim.queue.build_queue`);
 the sender keeps an EWMA ``alpha`` of the fraction of marked packets per RTT
 and cuts its window by ``alpha / 2`` once per RTT.  Otherwise it behaves like
 Reno (slow start, additive increase, halving on loss).

@@ -26,9 +26,28 @@ class HeapOnlySimulation(Simulation):
         )
 
 
+class EventPathSimulation(Simulation):
+    """The event-path reference the eager FIFO tests compare against: a
+    dumbbell's FIFO bottleneck keeps its finish and arrival events (every
+    result but ``events_processed`` bit-identical by contract)."""
+
+    _eager = False
+
+
+class EventPathHeapOnlySimulation(EventPathSimulation):
+    """The event path with the scheduler's lanes left empty."""
+
+    _lanes = False
+
+
 @pytest.fixture(scope="session")
 def heap_only() -> type[HeapOnlySimulation]:
     return HeapOnlySimulation
+
+
+@pytest.fixture(scope="session")
+def event_path() -> type[EventPathSimulation]:
+    return EventPathSimulation
 
 
 @pytest.fixture

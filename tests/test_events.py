@@ -129,6 +129,26 @@ def test_events_processed_counter(scheduler):
     assert scheduler.events_processed == 5
 
 
+def test_events_processed_counts_mid_run(scheduler):
+    # The dispatch loop keeps its count in a local; a callback reading the
+    # counter sees every event so far, itself included, and an uncounted one
+    # (a sampler) is excluded without the counter ever going negative.
+    seen = []
+
+    def read(uncount=False):
+        if uncount:
+            scheduler.uncount_event()
+        seen.append(scheduler.events_processed)
+
+    for i in range(5):
+        scheduler.post(i * 0.1, read, i == 2)
+    scheduler.run_until(1.0)
+    scheduler.post(1.5, read)
+    scheduler.run_until(2.0)
+    assert seen == [1, 2, 2, 3, 4, 5]
+    assert scheduler.events_processed == 5
+
+
 # ---------------------------------------------------------------------------
 # Entries as cancellation tokens; ``pending`` is a scan of live entries.
 # ---------------------------------------------------------------------------

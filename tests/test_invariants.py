@@ -105,6 +105,27 @@ class TestCleanRuns:
         sanitized = build_sim(debug_invariants=True).run()
         assert sanitized.events_processed == plain.events_processed
 
+    def test_the_dump_counts_the_events_run_so_far(self):
+        # A mid-run dump used to print the count reconciled at the last
+        # return of the dispatch loop, minus every uncounted sample so far.
+        spec = PathSpec.dumbbell(rate_bps=4e6, rtt=0.1, n_flows=2)
+        sim = Simulation(spec, [NewReno(), NewReno()], duration=3.0, seed=1, debug_invariants=True)
+        checker = sim.invariant_checker
+        dumps = []
+        check_now = checker.check_now
+
+        def check_and_dump():
+            check_now()
+            dumps.append((sim.scheduler.now, checker._dump()))
+
+        checker.check_now = check_and_dump
+        sim.run()
+        now, dump = dumps[len(dumps) // 2 - 1]
+        assert now == 1.5
+        [events] = [int(field[len("events="):].rstrip(",")) for field in dump.split() if field.startswith("events=")]
+        prefix = Simulation(spec, [NewReno(), NewReno()], duration=1.5, seed=1).run()
+        assert events == prefix.events_processed > 0
+
     @pytest.mark.parametrize("queue", ["droptail", "codel", "sfqcodel", "red"])
     def test_every_drop_path_balances(self, queue):
         # Tail overflow, RED early drop and CoDel's in-dequeue head drop all

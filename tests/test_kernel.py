@@ -10,7 +10,8 @@ Three contracts:
   full registry sweep lives in ``test_scenario_matrix.py``; here the shapes
   no registered cell reaches).
 * **Late binding** — ``link.connect(...)`` and ``delay_observer`` assigned
-  after the build are honoured by a hop.
+  after the build are honoured by a hop (an eager FIFO hop hands itself to
+  the event path).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.netsim.events import SimulationError
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
@@ -180,7 +182,7 @@ def _hop(sim):
 
 class TestLateBoundHooks:
     @pytest.mark.parametrize("spec", [FLAT_SPEC, PATH_SPEC], ids=["lanes", "heap"])
-    def test_connect_after_build_fires_and_keeps_parity(self, spec, heap_only):
+    def test_connect_after_build_fires_and_keeps_parity(self, spec, heap_only, event_path):
         def run(sim_class):
             sim = _build(spec, sim_class)
             link = _hop(sim)
@@ -198,7 +200,8 @@ class TestLateBoundHooks:
         generic_seen, generic = run(heap_only)
         assert len(fused_seen) > 100
         assert fused_seen == generic_seen
-        assert fused == generic == _fingerprint(spec, heap_only)
+        # A spy at the far end puts an eager hop on the event path.
+        assert fused == generic == _fingerprint(spec, event_path)
 
     @pytest.mark.parametrize("spec", [FLAT_SPEC, PATH_SPEC], ids=["lanes", "heap"])
     def test_delay_observer_after_build_fires(self, spec, heap_only):
@@ -212,6 +215,21 @@ class TestLateBoundHooks:
         fused = run(Simulation)
         assert len(fused) > 100
         assert fused == run(heap_only)
+
+    @pytest.mark.parametrize("hook", ["connect", "delay_observer"])
+    def test_a_hook_bound_after_an_eager_hops_first_packet_is_refused(self, hook):
+        # The eager hop has served packets by arithmetic; the event path
+        # cannot take over its backlog.
+        sim = _build(FLAT_SPEC)
+        for sender in sim.senders:
+            sender.start()
+        sim.scheduler.run_until(0.2)
+        if hook == "connect":
+            _hop(sim).connect(lambda packet: None)
+        else:
+            _hop(sim).delay_observer = lambda packet, delay: None
+        with pytest.raises(SimulationError, match="no eager route"):
+            sim.scheduler.run_until(0.4)
 
 
 # ---------------------------------------------------------------------------

@@ -556,8 +556,18 @@ class TestOneScheduler:
         overrides = lines_matching(r"^\s*_lanes = ", "src", "tests", "tools", "examples")
         assert overrides == [
             ("src/repro/netsim/simulator.py", "_lanes = True"),
-            ("tests/conftest.py", "_lanes = False"),
+            ("tests/conftest.py", "_lanes = False"),  # heap only
+            ("tests/conftest.py", "_lanes = False"),  # the event path, heap only
             ("tools/profile_hotpath.py", "_lanes = False"),
+        ]
+
+    def test_the_eager_fifo_is_a_private_class_attribute_and_adds_no_knob(self):
+        # Only the event-path references (tests/conftest.py) override it.
+        assert_knobs("repro.netsim.simulator:Simulation.__init__")
+        overrides = lines_matching(r"^\s*_eager = ", "src", "tests", "tools", "examples")
+        assert overrides == [
+            ("src/repro/netsim/simulator.py", "_eager = True"),
+            ("tests/conftest.py", "_eager = False"),
         ]
 
 
@@ -647,7 +657,7 @@ class TestOneCollectorPause:
 
     def test_no_fused_closure_names_itself(self):
         # A function <-> cell self-cycle is the one kind nothing can cut from
-        # outside; ``finish_transmission`` posts ``link._finish_transmission``.
+        # outside; ``start_transmission`` posts ``link._finish_transmission``.
         closures = [
             inner
             for _, outer in nodes_in(ast.FunctionDef, "src/repro/netsim")
@@ -660,6 +670,17 @@ class TestOneCollectorPause:
             for node in ast.walk(inner) if isinstance(node, ast.Name) and node.id == inner.name
         ]
         assert offenders == []
+        # Nor may two closures name each other (``finish_transmission`` calls
+        # ``start_transmission``, which must post through the attribute).
+        names = {
+            id(inner): {node.id for node in ast.walk(inner) if isinstance(node, ast.Name)}
+            for inner in closures
+        }
+        mutual = [
+            (a.name, b.name) for a in closures for b in closures
+            if a is not b and b.name in names[id(a)] and a.name in names[id(b)]
+        ]
+        assert mutual == []
 
 
 #: Names a second ACK handler, send loop, receiver ACK emission, hop step or
@@ -676,7 +697,8 @@ ENGINE_STEPS_DEFINED = [
     "link.py:ConstantRateLink.__init__.receive",  # the DropTail variant
     "link.py:ConstantRateLink.__init__.receive",  # any other discipline
     "link.py:ConstantRateLink.__init__.start_transmission",
-    "link.py:TraceDrivenLink.receive",
+    "link.py:TraceDrivenLink.__init__.receive",  # the DropTail variant
+    "link.py:TraceDrivenLink.__init__.receive",  # any other discipline
     "receiver.py:Receiver.connect.on_packet",
     "sender.py:Sender.connect.ack_and_send",
     "sender.py:Sender.on_ack",  # the property's getter: returns the sink

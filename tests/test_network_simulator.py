@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.network import QUEUE_KINDS
+from repro.netsim.queue import QUEUE_KINDS
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.sender import AlwaysOnWorkload
 from repro.netsim.simulator import Simulation

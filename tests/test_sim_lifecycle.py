@@ -117,8 +117,9 @@ def test_a_sealed_design_specimen(sim_class):
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
 class TestCasesTheMatrixDoesNotReach:
     def test_a_run_truncated_by_max_events(self, sim_class):
-        assert build(DUMBBELL, sim_class, max_events=500).run().truncated
-        assert leftovers(lambda: build(DUMBBELL, sim_class, max_events=500).run()) == 0
+        cap = build(DUMBBELL, sim_class).run().events_processed // 2
+        assert build(DUMBBELL, sim_class, max_events=cap).run().truncated
+        assert leftovers(lambda: build(DUMBBELL, sim_class, max_events=cap).run()) == 0
 
     @pytest.mark.parametrize("spec", [TWO_HOP, LOSSY, TRACE], ids=["two-hop", "lossy-gate", "trace"])
     def test_paths_gates_and_trace_links(self, sim_class, spec):
@@ -143,6 +144,31 @@ class TestCasesTheMatrixDoesNotReach:
 
         life()
         assert leftovers(life) == 0
+
+
+@pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("kernel", ["auto", "generic"])
+def test_a_truncated_run_counts_nothing_after_its_stop(sim_class, fraction):
+    """The eager hop accounts arrivals and waits at enqueue, ahead of their
+    time: a run cut by ``max_events`` must count exactly what an uncapped run
+    ending at the instant it stopped counts.  (On the event path the cap may
+    stop the run between two events of that instant, an arrival among
+    them.)"""
+    cap = int(build(DUMBBELL, sim_class).run().events_processed * fraction)
+    capped = build(DUMBBELL, sim_class, max_events=cap)
+    result = capped.run()
+    assert result.truncated
+    stop = capped.scheduler.now
+    uncapped = sim_class(DUMBBELL, [NewReno(), NewReno()], duration=stop, seed=5).run()
+
+    def fields(result):
+        return [
+            (s.bytes_received, s.packets_received, s.queue_delay_sum, s.queue_delay_count, s.max_queue_delay)
+            for s in result.flow_stats
+        ]
+
+    assert fields(result) == fields(uncapped)
+    assert sum(s.packets_received for s in result.flow_stats) > 0
 
 
 @pytest.mark.parametrize("kernel", ["auto", "generic"])
@@ -211,9 +237,10 @@ class TestCollectorSetting:
         assert gc.isenabled() is caller_setting
 
     def test_after_a_normal_and_a_truncated_job(self, caller_setting):
-        assert not run_sim_job(_job()).result.truncated
+        uncapped = run_sim_job(_job()).result
+        assert not uncapped.truncated
         assert gc.isenabled() is caller_setting
-        assert run_sim_job(_job(max_events=300)).result.truncated
+        assert run_sim_job(_job(max_events=uncapped.events_processed // 2)).result.truncated
         assert gc.isenabled() is caller_setting
 
     def test_after_a_protocol_that_raises(self, caller_setting):

@@ -300,7 +300,6 @@ _HOT_METHOD_PREFIXES = (
     "_emit",
     "_opportunity",
     "_rto",
-    "_observe",
     "_fast",
     "start_transmission",
     "finish_transmission",
