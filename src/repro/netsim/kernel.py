@@ -72,19 +72,6 @@ def unwired(packet: Optional[Packet] = None, at: Optional[float] = None) -> None
 NO_ROUTE: Route = (0.0, None, unwired)
 
 
-def hand_off(scheduler: EventScheduler, route: Route, packet: Packet) -> None:
-    """Send ``packet`` along ``route`` now: the cold paths' hand-off, which
-    the per-packet closures inline."""
-    delay, lane, sink = route
-    if lane is not None:
-        lane.append([scheduler.now + delay, scheduler._sequence, sink, packet])
-        scheduler._sequence += 1
-    elif delay:
-        scheduler.post_after(delay, sink, packet)
-    else:
-        sink(packet)
-
-
 def across(scheduler: EventScheduler, delay: float, route: Route) -> Route:
     """``route`` as seen from the near end of a hop with propagation ``delay``.
 

@@ -13,14 +13,12 @@ from collections import deque
 from heapq import heappush
 from typing import Any, Callable, Optional, Sequence, Union, cast
 
-from repro.netsim.events import EventScheduler, SimulationError
-from repro.netsim.kernel import NO_ROUTE, Lane, Route, across, hand_off, plain_fifo, unwired
+from repro.netsim.events import EventScheduler
+from repro.netsim.kernel import NO_ROUTE, Lane, Route, across, plain_fifo, unwired
 from repro.netsim.packet import Packet
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
 from repro.netsim.stats import FlowStats, HopDelayStats
 
-DeliverFn = Callable[[Packet], None]
-DelayObserver = Callable[[Packet, float], None]
 #: An eager FIFO hop's hand-off for one flow: ``(delay, arrive, stats)``.
 Arrival = tuple[float, Callable[..., None], Optional[FlowStats]]
 
@@ -73,10 +71,6 @@ class LinkBase:
         self.queue = queue if queue is not None else DropTailQueue()
         self.propagation_delay = propagation_delay
         self.name = name
-        #: The far end of the link: the callback :meth:`connect` set, or, on
-        #: a routed link, the per-flow onward hand-off (see :meth:`route`).
-        self.deliver: Optional[DeliverFn] = None
-        self._observer: Optional[DelayObserver] = None
         #: Flow id -> :class:`~repro.netsim.stats.FlowStats` whose
         #: queueing-delay counters the link updates inline, one sample per
         #: transmitted packet.  A :class:`~repro.netsim.path.PathNetwork`
@@ -89,54 +83,20 @@ class LinkBase:
         #: path, whose breakdown would repeat the flow totals.
         self.hop_delay_stats: dict[int, HopDelayStats] = {}
         self.bytes_delivered = 0
-        #: Per flow id, where a packet goes once it leaves this hop: the
-        #: route as seen from the near end (propagation delay folded in, see
-        #: :func:`~repro.netsim.kernel.across`) and from the far end.
+        #: Per flow id, where a packet goes once it leaves this hop, as seen
+        #: from the near end (propagation delay folded in, see
+        #: :func:`~repro.netsim.kernel.across`); set by :meth:`route`.
         self._routes: list[Route] = []
-        self._onward: list[Route] = []
-        #: An eager FIFO hop's per-flow :data:`Arrival`: the route's one-way
-        #: delay, its sink (the receiver's ``on_packet``) and the flow's
-        #: queueing statistics.  Empty on the event path; a hook bound after
-        #: the build empties it, which hands the hop to the event path.
-        self._arrivals: list[Arrival] = []
         #: What :meth:`settle` runs (an eager FIFO hop's backlog retirement).
         self._retire: Callable[[float], None] = _nothing_owed
 
-    @property
-    def delay_observer(self) -> Optional[DelayObserver]:
-        """Optional callback invoked with ``(packet, queueing_delay_seconds)``
-        whenever a packet leaves the queue; takes precedence over the
-        statistics maps.  Setting one puts an eager hop on the event path."""
-        return self._observer
-
-    @delay_observer.setter
-    def delay_observer(self, observer: Optional[DelayObserver]) -> None:
-        self._observer = observer
-        if observer is not None:
-            self._arrivals.clear()
-
-    # -- wiring --------------------------------------------------------------
-    def connect(self, deliver: DeliverFn) -> None:
-        """Send every packet to ``deliver`` at the far end from now on: a
-        standalone link's one callback, or a spy on a routed one (which puts
-        an eager hop on the event path)."""
-        self.deliver = deliver
-        self._routes[:] = [(self.propagation_delay, None, deliver)] * len(self._routes)
-        self._arrivals.clear()
-
     def route(self, flow_id: int, onward: Route) -> None:
-        """Hand packets of ``flow_id`` on along ``onward`` from the far end;
-        ``deliver`` becomes that per-flow hand-off."""
-        missing = flow_id + 1 - len(self._onward)
+        """Hand packets of ``flow_id`` on along ``onward`` from the far end:
+        the one way to wire a hop, done before its first packet."""
+        missing = flow_id + 1 - len(self._routes)
         if missing > 0:
-            self._onward.extend([NO_ROUTE] * missing)
             self._routes.extend([NO_ROUTE] * missing)
-        self._onward[flow_id] = onward
         self._routes[flow_id] = across(self.scheduler, self.propagation_delay, onward)
-        self.deliver = self._far_end
-
-    def _far_end(self, packet: Packet) -> None:
-        hand_off(self.scheduler, self._onward[packet.flow_id], packet)
 
     def settle(self, until: float) -> None:
         """Record the wait of every packet whose service starts by ``until``,
@@ -145,26 +105,10 @@ class LinkBase:
         self._retire(until)
 
     def release(self) -> None:
-        """Cut the hop's wiring once its simulation has run (callbacks and
+        """Cut the hop's wiring once its simulation has run (closures and
         routes); queue and counters stay."""
-        self.deliver = self._observer = None
         self._routes.clear()
-        self._onward.clear()
-        self._arrivals.clear()
         self._retire = _nothing_owed
-
-    # -- helpers -------------------------------------------------------------
-    def _emit(self, packet: Packet) -> None:
-        """Record a departure and hand the packet on along its flow's route,
-        or, on a link no network routed, to the ``deliver`` callback."""
-        self.bytes_delivered += packet.size_bytes
-        try:
-            route = self._routes[packet.flow_id]
-        except IndexError:
-            if self.deliver is None:
-                raise RuntimeError(f"{self.name}: deliver callback not connected") from None
-            route = (self.propagation_delay, None, self.deliver)
-        hand_off(self.scheduler, route, packet)
 
 
 class ConstantRateLink(LinkBase):
@@ -196,9 +140,8 @@ class ConstantRateLink(LinkBase):
     timed after the stop is counted.  :class:`~repro.netsim.path.PathNetwork`
     sets ``eager`` only where every route out of the hop is the flow's
     one-way delay to its receiver (a dumbbell with the ideal reverse path).
-    A hook bound after the build (:meth:`connect`, ``delay_observer``) puts
-    the hop back on the event path; it must be bound before the hop's first
-    packet.
+    Either path reads its per-flow hand-offs from :meth:`route`, the one
+    wiring; nothing switches a hop from one path to the other.
     """
 
     receive: Callable[[Packet], None]
@@ -219,6 +162,11 @@ class ConstantRateLink(LinkBase):
             raise ValueError(f"link rate must be positive, got {rate_bps}")
         self.rate_bps = rate_bps
         self._busy = False
+        #: An eager FIFO hop's per-flow :data:`Arrival`: the route's one-way
+        #: delay, its sink (the receiver's ``on_packet``) and the flow's
+        #: queueing statistics, set by :meth:`route`.  Empty on the event
+        #: path.
+        self._arrivals: list[Arrival] = []
         #: Seal check (see :meth:`arm_seal`): the link is drowned once
         #: ``queued bytes > _seal_budget - now * _seal_drain``.  Unarmed
         #: links keep ``_seal_drain == 0.0``, which skips the check.
@@ -236,28 +184,23 @@ class ConstantRateLink(LinkBase):
         ser = cast("deque[list[Any]]", ser_lane)
         size_on_lane = -1 if lane_bytes is None else lane_bytes
         routes = self._routes
-        # Filled in place as flows attach; ``_observer`` stays a
-        # call-time read (tests attach it late).
+        # Filled in place as flows attach.
         stats_map = self.delay_stats
         hop_map = self.hop_delay_stats
 
         def finish_transmission(packet: Packet) -> None:
             now = scheduler.now
-            try:
-                route = routes[packet.flow_id]
-            except IndexError:
-                link._emit(packet)  # a link no network routed
+            route = routes[packet.flow_id]
+            link.bytes_delivered += packet.size_bytes
+            lane = route[1]
+            if lane is not None:
+                lane.append([now + route[0], scheduler._sequence, route[2], packet])
+                scheduler._sequence += 1
+            elif route[0]:
+                heappush(heap, [now + route[0], scheduler._sequence, route[2], (packet,)])
+                scheduler._sequence += 1
             else:
-                link.bytes_delivered += packet.size_bytes
-                lane = route[1]
-                if lane is not None:
-                    lane.append([now + route[0], scheduler._sequence, route[2], packet])
-                    scheduler._sequence += 1
-                elif route[0]:
-                    heappush(heap, [now + route[0], scheduler._sequence, route[2], (packet,)])
-                    scheduler._sequence += 1
-                else:
-                    route[2](packet)
+                route[2](packet)
             start_transmission()
 
         def start_transmission() -> None:
@@ -277,9 +220,7 @@ class ConstantRateLink(LinkBase):
             else:
                 link._busy = False
                 return
-            if link._observer is not None:
-                link._observer(packet, max(0.0, now - packet.enqueue_time))
-            elif stats_map:
+            if stats_map:
                 stats = stats_map.get(packet.flow_id)
                 if stats is not None:
                     delay = now - packet.enqueue_time
@@ -340,7 +281,6 @@ class ConstantRateLink(LinkBase):
         if not self._eager:
             return
 
-        event_receive = receive
         arrivals = self._arrivals
         #: Accepted packets whose service had not started at the last
         #: enqueue, in service order: ``(start, wait, stats, size, prior)``,
@@ -367,18 +307,7 @@ class ConstantRateLink(LinkBase):
 
         def eager_receive(packet: Packet) -> None:
             nonlocal free_at, last_start, backlog_bytes
-            try:
-                delay, arrive, stats = arrivals[packet.flow_id]
-            except IndexError:
-                # A hook bound after the build: the event path carries the
-                # hop, which it can only do from the first packet on.
-                if free_at:
-                    raise SimulationError(
-                        f"{link.name}: flow {packet.flow_id} has no eager route "
-                        "(a hook bound after the hop's first packet?)"
-                    ) from None
-                event_receive(packet)
-                return
+            delay, arrive, stats = arrivals[packet.flow_id]
             now = scheduler.now
             while backlog:
                 start, wait, waited, size, prior = backlog[0]
@@ -473,6 +402,7 @@ class ConstantRateLink(LinkBase):
 
     def release(self) -> None:
         super().release()
+        self._arrivals.clear()
         self._on_seal = None
         self.receive = self._finish_transmission = unwired
 
@@ -545,37 +475,30 @@ class TraceDrivenLink(LinkBase):
             if packet is None:
                 link.wasted_opportunities += 1
             else:
-                if link._observer is not None:
-                    link._observer(packet, max(0.0, now - packet.enqueue_time))
+                stats = stats_map.get(packet.flow_id)
+                if stats is not None:
+                    delay = now - packet.enqueue_time
+                    if delay < 0.0:
+                        delay = 0.0
+                    stats.queue_delay_sum += delay
+                    stats.queue_delay_count += 1
+                    if delay > stats.max_queue_delay:
+                        stats.max_queue_delay = delay
+                    hop = hop_map.get(packet.flow_id)
+                    if hop is not None:
+                        hop.delay_sum += delay
+                        hop.count += 1
+                        if delay > hop.max_delay:
+                            hop.max_delay = delay
+                route = routes[packet.flow_id]
+                link.bytes_delivered += packet.size_bytes
+                # No lane holds entries beside a trace link (it is never a
+                # dumbbell's), so a heap push needs no ``_heap_version``.
+                if route[0]:
+                    heappush(heap, [now + route[0], scheduler._sequence, route[2], (packet,)])
+                    scheduler._sequence += 1
                 else:
-                    stats = stats_map.get(packet.flow_id)
-                    if stats is not None:
-                        delay = now - packet.enqueue_time
-                        if delay < 0.0:
-                            delay = 0.0
-                        stats.queue_delay_sum += delay
-                        stats.queue_delay_count += 1
-                        if delay > stats.max_queue_delay:
-                            stats.max_queue_delay = delay
-                        hop = hop_map.get(packet.flow_id)
-                        if hop is not None:
-                            hop.delay_sum += delay
-                            hop.count += 1
-                            if delay > hop.max_delay:
-                                hop.max_delay = delay
-                try:
-                    route = routes[packet.flow_id]
-                except IndexError:
-                    link._emit(packet)  # a link no network routed
-                else:
-                    link.bytes_delivered += packet.size_bytes
-                    # No lane holds entries beside a trace link (it is never a
-                    # dumbbell's), so a heap push needs no ``_heap_version``.
-                    if route[0]:
-                        heappush(heap, [now + route[0], scheduler._sequence, route[2], (packet,)])
-                        scheduler._sequence += 1
-                    else:
-                        route[2](packet)
+                    route[2](packet)
             if index >= n_times:
                 if not cyclic:
                     return

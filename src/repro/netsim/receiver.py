@@ -137,8 +137,3 @@ class Receiver:
     def release(self) -> None:
         """Cut the endpoint's wiring once its simulation has run."""
         self.on_packet = unwired
-
-    def reset(self) -> None:
-        """Forget reassembly state (used when a sender restarts sequencing)."""
-        self.next_expected = 0
-        self._out_of_order.clear()

@@ -123,37 +123,6 @@ class SimJob:
                 f"got {len(self.workloads)} workloads for {self.spec.n_flows} flows"
             )
 
-    @classmethod
-    def from_scenario(
-        cls,
-        name: str,
-        job_id: int = 0,
-        duration: Optional[float] = None,
-        seed: Optional[int] = None,
-        max_events: Optional[int] = None,
-        trace_flows: tuple[int, ...] = (),
-    ) -> "SimJob":
-        """A job replaying the named registered scenario cell.
-
-        The cell's canonical duration/seed apply unless overridden.  The job
-        embeds the resolved spec, so runtime-registered cells and mixed
-        protocol sets survive the trip to a worker process.
-        """
-        from repro.scenarios import get_scenario
-
-        cell = get_scenario(name)
-        workloads = cell.make_workloads()
-        return cls(
-            job_id=job_id,
-            spec=cell.network_spec(),
-            duration=cell.duration if duration is None else duration,
-            seed=cell.seed if seed is None else seed,
-            workloads=tuple(workloads) if workloads is not None else (),
-            scenario=cell,
-            max_events=max_events,
-            trace_flows=trace_flows,
-        )
-
     def build_protocols(self) -> list["CongestionControl"]:
         """Instantiate one congestion-control module per flow."""
         # Imported here rather than at module scope: protocols import

@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.path import PathSpec
 from repro.netsim.simulator import Simulation
+from repro.runner import SimJob
+from repro.scenarios import get_scenario
+
+
+def cell_job(name: str, **fields) -> SimJob:
+    """The job replaying registered cell ``name`` as ``run_cells`` builds
+    it, with ``fields`` replaced."""
+    cell = get_scenario(name)
+    job = SimJob(
+        job_id=0, spec=cell.network_spec(), duration=cell.duration, seed=cell.seed,
+        workloads=tuple(cell.make_workloads() or ()), scenario=cell,
+    )
+    return replace(job, **fields)
 
 
 class HeapOnlySimulation(Simulation):

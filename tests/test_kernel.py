@@ -1,17 +1,15 @@
-"""Lanes vs heap: lane rule, parity, late-bound hooks.
+"""Lanes vs heap: lane rule and parity.
 
-Three contracts:
+Two contracts:
 
 * **Lanes** — a :class:`Simulation` uses the scheduler's two constant-delay
   lanes on a constant-rate dumbbell whose flows share one RTT and leaves
   them empty on everything else; the heap-only reference (the ``heap_only``
   fixture, ``_lanes = False``) runs the same closures with both lanes empty.
-* **Parity** — lane and heap runs of the same spec are bit-identical (the
-  full registry sweep lives in ``test_scenario_matrix.py``; here the shapes
-  no registered cell reaches).
-* **Late binding** — ``link.connect(...)`` and ``delay_observer`` assigned
-  after the build are honoured by a hop (an eager FIFO hop hands itself to
-  the event path).
+* **Parity** — lane and heap runs of the same spec are bit-identical, in
+  their results and per ACK at every sender (the full registry sweep lives
+  in ``test_scenario_matrix.py``; here the shapes no registered cell
+  reaches).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.netsim.events import SimulationError
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
@@ -152,6 +149,18 @@ class TestParity:
     def test_fused_matches_generic_on_dumbbell(self, heap_only):
         assert _fingerprint(FLAT_SPEC, Simulation) == _fingerprint(FLAT_SPEC, heap_only)
 
+    @pytest.mark.parametrize("spec", [FLAT_SPEC, PATH_SPEC], ids=["dumbbell", "path"])
+    def test_every_flows_ack_trace_matches_generic(self, spec, heap_only):
+        # Per packet, not only per result: every ACK reaches its sender at
+        # the same instant with the same cumulative point.
+        def traces(sim_class):
+            result = _build(spec, sim_class, trace_flows=range(spec.n_flows)).run()
+            return [stats.sequence_trace for stats in result.flow_stats]
+
+        fused = traces(Simulation)
+        assert all(len(trace) > 100 for trace in fused)
+        assert fused == traces(heap_only)
+
     def test_fused_parity_with_ecn_marking_queue(self, heap_only):
         # AQM cells exercise the closures' enqueue/dequeue calls (no inlined
         # DropTail).
@@ -170,66 +179,6 @@ class TestParity:
     def test_fused_path_parity_under_build_options(self, shape, options, heap_only):
         spec = PARITY_SPECS[shape]
         assert _fingerprint(spec, Simulation, **options) == _fingerprint(spec, heap_only)
-
-
-# ---------------------------------------------------------------------------
-# Hooks bound after the build reach a hop
-# ---------------------------------------------------------------------------
-def _hop(sim):
-    """The first forward hop."""
-    return sim.network.forward_links[0]
-
-
-class TestLateBoundHooks:
-    @pytest.mark.parametrize("spec", [FLAT_SPEC, PATH_SPEC], ids=["lanes", "heap"])
-    def test_connect_after_build_fires_and_keeps_parity(self, spec, heap_only, event_path):
-        def run(sim_class):
-            sim = _build(spec, sim_class)
-            link = _hop(sim)
-            original = link.deliver
-            seen = []
-
-            def spy(packet):
-                seen.append((sim.scheduler.now, packet.flow_id, packet.seq))
-                original(packet)
-
-            link.connect(spy)
-            return seen, simulation_fingerprint(sim.run())
-
-        fused_seen, fused = run(Simulation)
-        generic_seen, generic = run(heap_only)
-        assert len(fused_seen) > 100
-        assert fused_seen == generic_seen
-        # A spy at the far end puts an eager hop on the event path.
-        assert fused == generic == _fingerprint(spec, event_path)
-
-    @pytest.mark.parametrize("spec", [FLAT_SPEC, PATH_SPEC], ids=["lanes", "heap"])
-    def test_delay_observer_after_build_fires(self, spec, heap_only):
-        def run(sim_class):
-            sim = _build(spec, sim_class)
-            delays = []
-            _hop(sim).delay_observer = lambda packet, delay: delays.append(delay)
-            sim.run()
-            return delays
-
-        fused = run(Simulation)
-        assert len(fused) > 100
-        assert fused == run(heap_only)
-
-    @pytest.mark.parametrize("hook", ["connect", "delay_observer"])
-    def test_a_hook_bound_after_an_eager_hops_first_packet_is_refused(self, hook):
-        # The eager hop has served packets by arithmetic; the event path
-        # cannot take over its backlog.
-        sim = _build(FLAT_SPEC)
-        for sender in sim.senders:
-            sender.start()
-        sim.scheduler.run_until(0.2)
-        if hook == "connect":
-            _hop(sim).connect(lambda packet: None)
-        else:
-            _hop(sim).delay_observer = lambda packet, delay: None
-        with pytest.raises(SimulationError, match="no eager route"):
-            sim.scheduler.run_until(0.4)
 
 
 # ---------------------------------------------------------------------------

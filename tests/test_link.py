@@ -5,6 +5,7 @@ import pytest
 from repro.netsim.events import EventScheduler
 from repro.netsim.link import ConstantRateLink, TraceDrivenLink
 from repro.netsim.packet import Packet
+from repro.netsim.stats import FlowStats
 
 
 def _packet(seq: int, size: int = 1500) -> Packet:
@@ -16,7 +17,7 @@ class TestConstantRateLink:
         # 12 Mbps -> a 1500-byte packet takes exactly 1 ms to transmit.
         link = ConstantRateLink(scheduler, rate_bps=12e6)
         arrivals = []
-        link.connect(lambda p: arrivals.append((scheduler.now, p.seq)))
+        link.route(0, (0.0, None, lambda p: arrivals.append((scheduler.now, p.seq))))
         link.receive(_packet(0))
         scheduler.run_until(10.0)
         assert arrivals == [(pytest.approx(0.001), 0)]
@@ -24,7 +25,7 @@ class TestConstantRateLink:
     def test_back_to_back_packets_are_serialized(self, scheduler):
         link = ConstantRateLink(scheduler, rate_bps=12e6)
         arrivals = []
-        link.connect(lambda p: arrivals.append(scheduler.now))
+        link.route(0, (0.0, None, lambda p: arrivals.append(scheduler.now)))
         for seq in range(3):
             link.receive(_packet(seq))
         scheduler.run_until(10.0)
@@ -33,26 +34,26 @@ class TestConstantRateLink:
     def test_propagation_delay_added(self, scheduler):
         link = ConstantRateLink(scheduler, rate_bps=12e6, propagation_delay=0.05)
         arrivals = []
-        link.connect(lambda p: arrivals.append(scheduler.now))
+        link.route(0, (0.0, None, lambda p: arrivals.append(scheduler.now)))
         link.receive(_packet(0))
         scheduler.run_until(10.0)
         assert arrivals == [pytest.approx(0.051)]
 
-    def test_delay_observer_reports_queueing_wait_only(self, scheduler):
+    def test_delay_stats_record_queueing_wait_only(self, scheduler):
         link = ConstantRateLink(scheduler, rate_bps=12e6)
-        observed = []
-        link.delay_observer = lambda p, d: observed.append(d)
-        link.connect(lambda p: None)
+        link.delay_stats[0] = stats = FlowStats(0)
+        link.route(0, (0.0, None, lambda p: None))
         link.receive(_packet(0))
         link.receive(_packet(1))  # waits one serialization time in the queue
         scheduler.run_until(10.0)
-        assert observed[0] == pytest.approx(0.0)
-        assert observed[1] == pytest.approx(0.001)
+        assert stats.queue_delay_count == 2
+        assert stats.queue_delay_sum == pytest.approx(0.001)
+        assert stats.max_queue_delay == pytest.approx(0.001)
 
     def test_throughput_matches_rate(self, scheduler):
         link = ConstantRateLink(scheduler, rate_bps=8e6)
         delivered = []
-        link.connect(lambda p: delivered.append(scheduler.now))
+        link.route(0, (0.0, None, lambda p: delivered.append(scheduler.now)))
         for seq in range(100):
             link.receive(_packet(seq))
         scheduler.run_until(10.0)
@@ -65,9 +66,10 @@ class TestConstantRateLink:
             ConstantRateLink(scheduler, rate_bps=0)
 
     def test_requires_connection(self, scheduler):
+        # A link no route wires has nowhere to send a packet.
         link = ConstantRateLink(scheduler, rate_bps=1e6)
         link.receive(_packet(0))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(IndexError):
             scheduler.run_until(10.0)
 
 
@@ -75,7 +77,7 @@ class TestTraceDrivenLink:
     def test_packets_released_at_trace_instants(self, scheduler):
         link = TraceDrivenLink(scheduler, delivery_times=[0.01, 0.02, 0.05], cyclic=False)
         arrivals = []
-        link.connect(lambda p: arrivals.append(scheduler.now))
+        link.route(0, (0.0, None, lambda p: arrivals.append(scheduler.now)))
         for seq in range(3):
             link.receive(_packet(seq))
         scheduler.run_until(10.0)
@@ -83,7 +85,7 @@ class TestTraceDrivenLink:
 
     def test_opportunities_without_packets_are_wasted(self, scheduler):
         link = TraceDrivenLink(scheduler, delivery_times=[0.01, 0.02, 0.03], cyclic=False)
-        link.connect(lambda p: None)
+        link.route(0, (0.0, None, lambda p: None))
         link.start()
         scheduler.run_until(10.0)
         assert link.wasted_opportunities == 3
@@ -91,7 +93,7 @@ class TestTraceDrivenLink:
     def test_cyclic_trace_repeats(self, scheduler):
         link = TraceDrivenLink(scheduler, delivery_times=[0.0, 0.01, 0.02], cyclic=True)
         arrivals = []
-        link.connect(lambda p: arrivals.append(scheduler.now))
+        link.route(0, (0.0, None, lambda p: arrivals.append(scheduler.now)))
         for seq in range(5):
             link.receive(_packet(seq))
         scheduler.run_until(0.2)

@@ -263,6 +263,8 @@ RETIRED = {
         "packets_delivered", "_switch_event"), 39),
     **dict.fromkeys(("NetworkSpec", "TopologySpec", "to_path_spec", "with_queue"), 40),
     **dict.fromkeys(("UTILITY_FLOOR", "score_flow"), 41),
+    **dict.fromkeys((
+        "delay_observer", "DelayObserver", "DeliverFn", "hand_off", "_far_end", "_emit"), 43),
 }
 
 #: What may name deleted code: the history files, and the guards here.

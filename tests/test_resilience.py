@@ -27,6 +27,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import cell_job
 from repro.netsim.path import PathSpec
 from repro.protocols.newreno import NewReno
 from repro.runner import (
@@ -298,7 +299,7 @@ def test_chaos_golden_parity(cell_name):
     bit-identically.
     """
     job_id = CRASH_CELLS.index(cell_name)
-    job = SimJob.from_scenario(cell_name, job_id=job_id)
+    job = cell_job(cell_name, job_id=job_id)
     with fault_plan_installed(CRASH_PLAN):
         with ProcessPoolBackend(max_workers=2) as backend:
             [result] = backend.run_batch([job])

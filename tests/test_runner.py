@@ -13,6 +13,7 @@ The two properties that matter:
 
 import pytest
 
+from conftest import cell_job
 from repro.core.config import ConfigRange, ParameterRange, general_purpose_range
 from repro.core.evaluator import Evaluator, EvaluatorSettings, specimen_seed
 from repro.core.objective import Objective
@@ -274,14 +275,9 @@ class TestScenarioJobs:
     def test_from_scenario_matches_direct_cell_run(self):
         from repro.scenarios import get_scenario, simulation_fingerprint
 
-        job = SimJob.from_scenario("fig4-dumbbell8")
-        cell = get_scenario("fig4-dumbbell8")
-        assert job.duration == cell.duration
-        assert job.seed == cell.seed
-        assert job.spec.n_flows == cell.network.n_flows
-        result = run_sim_job(job)
+        result = run_sim_job(cell_job("fig4-dumbbell8"))
         assert simulation_fingerprint(result.result) == simulation_fingerprint(
-            cell.run()
+            get_scenario("fig4-dumbbell8").run()
         )
 
     def test_mixed_protocol_cell_crosses_the_process_boundary(self):
@@ -289,7 +285,7 @@ class TestScenarioJobs:
 
         # competing-remy-cubic mixes a RemyCC and Cubic — inexpressible as a
         # single tree or factory; the registry name ships instead.
-        job = SimJob.from_scenario("competing-remy-cubic")
+        job = cell_job("competing-remy-cubic")
         [serial] = SerialBackend().run_batch([job])
         with ProcessPoolBackend(max_workers=2) as backend:
             [pooled] = backend.run_batch([job])
@@ -313,8 +309,13 @@ class TestScenarioJobs:
             )
 
     def test_from_scenario_accepts_overrides(self):
-        job = SimJob.from_scenario("fig4-dumbbell8", job_id=3, duration=1.0, seed=9)
-        assert (job.job_id, job.duration, job.seed) == (3, 1.0, 9)
+        # The job's duration and seed run, not the cell's own.
+        from repro.scenarios import get_scenario, simulation_fingerprint
+
+        result = run_sim_job(cell_job("fig4-dumbbell8", duration=1.0, seed=9))
+        assert simulation_fingerprint(result.result) == simulation_fingerprint(
+            get_scenario("fig4-dumbbell8").run(duration=1.0, seed=9)
+        )
 
     def test_runtime_registered_cell_survives_the_pool(self):
         # A cell registered in THIS process does not exist in a fresh
@@ -332,7 +333,7 @@ class TestScenarioJobs:
         custom = replace(base, name="runtime-only-cell", duration=1.0, smoke=False)
         register_scenario(custom)
         try:
-            by_spec = SimJob.from_scenario("runtime-only-cell")
+            by_spec = cell_job("runtime-only-cell")
             by_name = replace(by_spec, scenario="runtime-only-cell")
             [serial] = SerialBackend().run_batch([by_spec])
             with ProcessPoolBackend(max_workers=1) as backend:
@@ -345,10 +346,7 @@ class TestScenarioJobs:
         assert simulation_fingerprint(from_name.result) == expected
 
     def test_unknown_scenario_name_fails_fast_on_the_pool(self):
-        job = SimJob.from_scenario("fig4-dumbbell8", duration=1.0)
-        from dataclasses import replace
-
-        bad = replace(job, scenario="never-registered")
+        bad = cell_job("fig4-dumbbell8", duration=1.0, scenario="never-registered")
         with ProcessPoolBackend(max_workers=1) as backend:
             with pytest.raises(KeyError, match="never-registered"):
                 backend.run_batch([bad])

@@ -31,7 +31,9 @@ import pickle
 
 import pytest
 
-from repro.runner import ProcessPoolBackend, SerialBackend, SimJob
+from conftest import cell_job
+from repro.netsim.simulator import Simulation
+from repro.runner import ProcessPoolBackend, SerialBackend
 from repro.scenarios import (
     all_scenarios,
     get_scenario,
@@ -222,7 +224,7 @@ def test_cell_passes_under_invariant_sanitizer(cell_name):
 @pytest.mark.parametrize("cell_name", ALL_CELLS)
 def test_cell_serial_matches_process_pool(cell_name, pool_backend):
     _gate(cell_name)
-    job = SimJob.from_scenario(cell_name)
+    job = cell_job(cell_name)
     [serial] = SerialBackend().run_batch([job])
     [pooled] = pool_backend.run_batch([job])
     assert simulation_fingerprint(pooled.result) == simulation_fingerprint(
@@ -251,30 +253,24 @@ def test_cell_generic_vs_selected_kernel_parity(cell_name, heap_only):
 # Reverse-path determinism and the mix_seed-seeded sweep runner (always runs)
 # ---------------------------------------------------------------------------
 class TestReversePathDeterminism:
-    def _ack_delivery_order(self, cell_name: str) -> list[tuple[int, int, int]]:
-        """Exact ACK delivery order off the cell's reverse bottleneck."""
-        sim = get_scenario(cell_name).build()
-        link = sim.network.reverse_links[0]
-        original = link.deliver
-        order: list[tuple[int, int, int]] = []
-
-        def spy(packet):
-            order.append((packet.flow_id, packet.ack_seq, packet.seq))
-            original(packet)
-
-        link.connect(spy)
-        sim.run()
-        return order
+    def _ack_trace(self, cell_name: str) -> list[list[tuple[float, int]]]:
+        """Per flow, when each ACK reached the sender and what it acked."""
+        cell = get_scenario(cell_name)
+        sim = Simulation(
+            cell.network_spec(), cell.make_protocols(), cell.make_workloads(),
+            duration=cell.duration, seed=cell.seed, trace_flows=range(cell.network.n_flows),
+        )
+        return [stats.sequence_trace for stats in sim.run().flow_stats]
 
     @pytest.mark.parametrize("cell_name", ["reverse-ack-congestion", "reverse-sfq-ack"])
     def test_reverse_ack_ordering_is_reproducible(self, cell_name):
-        # Stronger than result fingerprints: the exact per-packet order in
-        # which ACKs leave the congested reverse bottleneck — the product of
-        # queueing, DRR rotation and (time, sequence) event ordering — must
-        # replay identically for the cell's canonical seed.
-        first = self._ack_delivery_order(cell_name)
-        second = self._ack_delivery_order(cell_name)
-        assert len(first) > 100, "reverse path carried almost no ACKs"
+        # Stronger than result fingerprints: the exact instant each ACK that
+        # crossed the congested reverse bottleneck reaches its sender — the
+        # product of queueing, DRR rotation and (time, sequence) event
+        # ordering — must replay identically for the cell's canonical seed.
+        first = self._ack_trace(cell_name)
+        second = self._ack_trace(cell_name)
+        assert sum(map(len, first)) > 100, "reverse path carried almost no ACKs"
         assert first == second
 
     def test_congested_reverse_cell_fingerprint_is_seed_deterministic(self):

@@ -182,7 +182,7 @@ def test_an_armed_link_seals_itself_on_a_direct_receive():
     # bytes; the enqueue that leaves more than that queued seals, once.
     scheduler = EventScheduler()
     link = ConstantRateLink(scheduler, rate_bps=12_000.0, queue=InfiniteQueue())
-    link.connect(lambda packet: None)
+    link.route(0, (0.0, None, lambda packet: None))
     seals: list[int] = []
     link.arm_seal(end_time=1.0, mss_bytes=1500, on_seal=lambda: seals.append(len(link.queue)))
     for seq in range(4):  # the first starts service at once: 4500 bytes queued

@@ -297,15 +297,12 @@ _HOT_METHOD_PREFIXES = (
     "_lossy",
     "_mark_or_drop",
     "_pop",
-    "_emit",
     "_opportunity",
     "_rto",
     "_fast",
     "start_transmission",
     "finish_transmission",
     "ack_and_send",
-    "hand_off",
-    "_far_end",
     "_should_drop",
 )
 
