@@ -18,9 +18,7 @@ import argparse
 
 from repro.experiments.base import SchemeSpec, remycc_scheme
 from repro.experiments.clouds import run_cloud_figure
-from repro.protocols.cubic import Cubic
-from repro.protocols.newreno import NewReno
-from repro.protocols.vegas import Vegas
+from repro.scenarios import ProtocolSpec
 
 
 def main() -> None:
@@ -32,10 +30,11 @@ def main() -> None:
     args = parser.parse_args()
 
     schemes = [
-        SchemeSpec("NewReno", NewReno),
-        SchemeSpec("Cubic", Cubic),
-        SchemeSpec("Vegas", Vegas),
-        SchemeSpec("Cubic/sfqCoDel", Cubic, queue="sfqcodel"),
+        SchemeSpec("NewReno", ProtocolSpec("newreno")),
+        SchemeSpec("Cubic", ProtocolSpec("cubic")),
+        SchemeSpec("Vegas", ProtocolSpec("vegas")),
+        # Cubic plus the router support it needs: the cell's queue swapped.
+        SchemeSpec("Cubic/sfqCoDel", ProtocolSpec("cubic"), queue="sfqcodel"),
         remycc_scheme("delta0.1", label="Remy d=0.1"),
         remycc_scheme("delta10", label="Remy d=10"),
     ]

@@ -18,9 +18,7 @@ import argparse
 
 from repro.experiments.base import SchemeSpec, remycc_scheme
 from repro.experiments.clouds import run_cloud_figure
-from repro.protocols.cubic import Cubic
-from repro.protocols.newreno import NewReno
-from repro.protocols.vegas import Vegas
+from repro.scenarios import ProtocolSpec
 
 
 def main() -> None:
@@ -30,9 +28,10 @@ def main() -> None:
     args = parser.parse_args()
 
     schemes = [
-        SchemeSpec("NewReno", NewReno),
-        SchemeSpec("Cubic", Cubic),
-        SchemeSpec("Vegas", Vegas),
+        # A scheme names its protocol by its key in repro.protocols.PROTOCOLS.
+        SchemeSpec("NewReno", ProtocolSpec("newreno")),
+        SchemeSpec("Cubic", ProtocolSpec("cubic")),
+        SchemeSpec("Vegas", ProtocolSpec("vegas")),
         remycc_scheme("delta1", label="RemyCC (d=1)"),
     ]
     result = run_cloud_figure(

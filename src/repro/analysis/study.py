@@ -33,9 +33,8 @@ from repro.experiments.base import (
     run_cells,
     standard_schemes,
 )
-from repro.protocols.bbr import BBR
 from repro.runner import ExecutionBackend
-from repro.scenarios import ScenarioSpec, iter_scenarios
+from repro.scenarios import ProtocolSpec, ScenarioSpec, iter_scenarios
 
 #: Topology tags the study sweeps: the single-bottleneck dumbbells, the
 #: multi-bottleneck/reverse-path cells, and the BBR-vs-AQM cells.
@@ -44,7 +43,7 @@ STUDY_TOPOLOGIES = ("dumbbell", "aqm", "path")
 
 def bbr_scheme() -> SchemeSpec:
     """BBR as a sweep scheme (end-to-end: keeps each cell's own queue)."""
-    return SchemeSpec("BBR", BBR)
+    return SchemeSpec("BBR", ProtocolSpec("bbr"))
 
 
 def study_schemes() -> list[SchemeSpec]:

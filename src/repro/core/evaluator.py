@@ -152,7 +152,7 @@ class Evaluator:
             buffer_packets=buffer_packets,
         )
 
-    def _workload_for(self, specimen: NetConfig):
+    def _specimen_workload(self, specimen: NetConfig):
         if specimen.mean_on_bytes is not None:
             return ByteFlowWorkload.exponential(
                 mean_flow_bytes=specimen.mean_on_bytes,
@@ -172,7 +172,7 @@ class Evaluator:
             spec=spec,
             duration=self.settings.sim_duration,
             seed=specimen_seed(self.settings.seed, index),
-            workloads=tuple(self._workload_for(specimen) for _ in range(specimen.n_senders)),
+            workloads=tuple(self._specimen_workload(specimen) for _ in range(specimen.n_senders)),
             tree=tree,
             training=training,
             max_events=self.settings.max_events_per_sim,

@@ -1,9 +1,10 @@
 """Shared infrastructure for the experiment harnesses.
 
-A :class:`SchemeSpec` bundles a congestion-control scheme with the bottleneck
-queue discipline it requires (Cubic-over-sfqCoDel needs the sfqCoDel gateway,
-XCP needs the XCP router, DCTCP needs the ECN-marking RED gateway; everything
-else runs over plain DropTail).
+A :class:`SchemeSpec` bundles a congestion-control scheme, named by a
+:class:`~repro.scenarios.spec.ProtocolSpec` like every cell's flows, with the
+bottleneck queue discipline it requires (Cubic-over-sfqCoDel needs the
+sfqCoDel gateway, XCP needs the XCP router, DCTCP needs the ECN-marking RED
+gateway; everything else keeps the cell's queue).
 
 :func:`run_cells` is the one harness entry point: it builds every
 ``(cell, scheme, run)`` simulation of a grid, seeds each run with
@@ -13,11 +14,9 @@ batch and hands back the raw per-run results.  Every figure harness is cells
 (throughput, delay)-cloud figures reduce into an :class:`ExperimentResult`.
 The simulations are independent, so passing a
 :class:`~repro.runner.ProcessPoolBackend` spreads them across cores with
-results bit-identical to the default :class:`~repro.runner.SerialBackend`.
-(RemyCC schemes parallelize because the rule table itself ships to the
-workers; a scheme whose ``protocol_factory`` is a closure — rather than a
-picklable module-level callable such as a protocol class — fails fast on the
-process-pool backend and can only run serially.)
+results bit-identical to the default :class:`~repro.runner.SerialBackend`:
+a job names its protocols, so it pickles by construction, and a worker loads
+a named RemyCC table itself.
 
 Cells come from the declarative registry (:mod:`repro.scenarios`): each
 figure harness resolves its base cell by name and, via
@@ -29,25 +28,14 @@ topology/queue/workload definitions live in exactly one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.analysis.frontier import efficient_frontier
 from repro.analysis.summary import SchemeSummary, format_summary_table, summarize_runs
-from repro.core.serialization import pretrained_remycc
-from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.simulator import SimulationResult
-from repro.protocols.base import CongestionControl
-from repro.protocols.compound import CompoundTCP
-from repro.protocols.cubic import Cubic
-from repro.protocols.newreno import NewReno
-from repro.protocols.remycc import RemyCCProtocol
-from repro.protocols.vegas import Vegas
-from repro.protocols.xcp import XCP
 from repro.runner import ExecutionBackend, SerialBackend, SimJob
 from repro.runner.jobs import mix_seed
-from repro.scenarios import ScenarioSpec, get_scenario
-
-ProtocolFactory = Callable[[], CongestionControl]
+from repro.scenarios import ProtocolSpec, ScenarioSpec, get_scenario
 
 
 @dataclass(frozen=True)
@@ -55,20 +43,16 @@ class SchemeSpec:
     """A named congestion-control scheme plus the router support it needs."""
 
     name: str
-    protocol_factory: ProtocolFactory
+    #: What runs on every flow of a cell under this scheme.
+    protocol: ProtocolSpec
     #: Queue discipline the scheme runs over (None = keep the scenario's queue).
     queue: Optional[str] = None
-    #: RemyCC rule table, when the scheme is a RemyCC.  Set so the scheme can
-    #: be described picklably to a process-pool backend (the factory lambda
-    #: closing over the tree cannot cross a process boundary).
-    tree: Optional[WhiskerTree] = None
 
 
 def remycc_scheme(tree_name: str, label: Optional[str] = None) -> SchemeSpec:
-    """A scheme running the named pretrained RemyCC over DropTail."""
-    tree = pretrained_remycc(tree_name)
+    """A scheme running the named pretrained RemyCC over the cell's queue."""
     label = label if label is not None else f"Remy {tree_name}"
-    return SchemeSpec(label, lambda t=tree: RemyCCProtocol(t), queue=None, tree=tree)
+    return SchemeSpec(label, ProtocolSpec("remy", tree=tree_name))
 
 
 def standard_schemes(
@@ -82,12 +66,12 @@ def standard_schemes(
     three general-purpose RemyCCs.
     """
     schemes = [
-        SchemeSpec("NewReno", NewReno),
-        SchemeSpec("Vegas", Vegas),
-        SchemeSpec("Cubic", Cubic),
-        SchemeSpec("Compound", CompoundTCP),
-        SchemeSpec("Cubic/sfqCoDel", Cubic, queue="sfqcodel"),
-        SchemeSpec("XCP", XCP, queue="xcp"),
+        SchemeSpec("NewReno", ProtocolSpec("newreno")),
+        SchemeSpec("Vegas", ProtocolSpec("vegas")),
+        SchemeSpec("Cubic", ProtocolSpec("cubic")),
+        SchemeSpec("Compound", ProtocolSpec("compound")),
+        SchemeSpec("Cubic/sfqCoDel", ProtocolSpec("cubic"), queue="sfqcodel"),
+        SchemeSpec("XCP", ProtocolSpec("xcp"), queue="xcp"),
     ]
     if include_remy:
         for name in remy_names:
@@ -130,13 +114,13 @@ def run_cells(
     """Run a ``cell × scheme × run`` grid as ONE backend batch.
 
     ``cells`` are registered names and/or explicit specs.  Each scheme swaps
-    in its own protocols and, if it needs router support, its own queue;
+    in its own protocol and, if it needs router support, its own queue;
     ``schemes=None`` runs every cell once under its own (possibly mixed)
     protocol set.  ``duration`` and ``base_seed`` override the cells'
     canonical values; run ``r`` of a cell is seeded
-    ``sweep_seed(cell.name, base seed, r)`` whatever the scheme.  Jobs are
-    self-contained and picklable, and protocols are instantiated fresh in
-    whichever process runs each job, so the whole grid ships to ``backend``
+    ``sweep_seed(cell.name, base seed, r)`` whatever the scheme.  Jobs name
+    their protocols, which are instantiated fresh in whichever process runs
+    each job, so the whole grid ships to ``backend``
     (default :class:`~repro.runner.SerialBackend`) at once and a process
     pool stays saturated across cells, not just within one.
 
@@ -152,11 +136,7 @@ def run_cells(
         spec = cell.network_spec()
         workloads = tuple(cell.make_workloads() or ())
         for scheme in scheme_slots:
-            # Exactly one protocol source per job: the cell's own set, the
-            # scheme's rule table (the factory lambda closing over it cannot
-            # be pickled), or the scheme's factory.
-            tree = scheme.tree if scheme is not None else None
-            factory = scheme.protocol_factory if scheme is not None and tree is None else None
+            protocols = cell.protocols if scheme is None else (scheme.protocol,)
             scheme_spec = spec
             if scheme is not None and scheme.queue is not None:
                 scheme_spec = spec.with_hops(queue=scheme.queue)
@@ -172,9 +152,7 @@ def run_cells(
                             run_index,
                         ),
                         workloads=workloads,
-                        tree=tree,
-                        protocol_factory=factory,
-                        scenario=cell if scheme is None else None,
+                        protocols=protocols,
                         max_events=max_events,
                         trace_flows=trace_flows,
                     )

@@ -63,7 +63,7 @@ def _competing_table(
     cells = [
         base_cell.override(
             protocols=(ProtocolSpec("remy", tree="coexist"), ProtocolSpec(other_protocol)),
-            workload=workload,
+            workloads=(workload,),
         )
         for _setting, workload in settings
     ]
@@ -107,7 +107,7 @@ def run_vs_cubic(
     backend: Optional[ExecutionBackend] = None,
 ) -> CompetingResult:
     """RemyCC vs Cubic: exponential flow lengths of mean 100 kB and 1 MB."""
-    off = get_scenario("competing-remy-cubic").workload.off_distribution
+    off = get_scenario("competing-remy-cubic").workloads[0].off_distribution
     settings = [
         (
             f"mean={mean_bytes / 1e3:.0f} kB",

@@ -44,7 +44,7 @@ def run_figure6(
     if not 0 < departure_time < duration:
         raise ValueError("departure_time must fall inside the run")
     cell = get_scenario("fig6-convergence").override(
-        per_flow_workloads=(
+        workloads=(
             FixedOnPeriodWorkload(start=0.0, duration=duration),        # the observed flow
             FixedOnPeriodWorkload(start=0.0, duration=departure_time),  # the departing competitor
         ),

@@ -101,9 +101,11 @@ def run_datacenter(
     dctcp_cell = cell.override(
         rate_bps=link_rate,
         n_flows=n_flows,
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=20e6 / scale,
-            mean_off_seconds=cell.workload.off_distribution.mean(),
+        workloads=(
+            ByteFlowWorkload.exponential(
+                mean_flow_bytes=20e6 / scale,
+                mean_off_seconds=cell.workloads[0].off_distribution.mean(),
+            ),
         ),
     )
     # RemyCC (minimum-potential-delay objective) over plain DropTail.

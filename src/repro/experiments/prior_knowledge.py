@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 
 from repro.core.objective import Objective
 from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
-from repro.protocols.cubic import Cubic
 from repro.runner import ExecutionBackend
-from repro.scenarios import get_scenario
+from repro.scenarios import ProtocolSpec, get_scenario
 
 #: Link speeds swept in the scaled-down default run (the paper sweeps roughly
 #: 1-100 Mbps on a log axis; these points cover the same structure: below the
@@ -57,7 +56,7 @@ def default_schemes() -> list[SchemeSpec]:
     return [
         remycc_scheme("1x", label="RemyCC 1x"),
         remycc_scheme("10x", label="RemyCC 10x"),
-        SchemeSpec("Cubic/sfqCoDel", Cubic, queue="sfqcodel"),
+        SchemeSpec("Cubic/sfqCoDel", ProtocolSpec("cubic"), queue="sfqcodel"),
     ]
 
 

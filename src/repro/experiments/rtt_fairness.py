@@ -16,9 +16,8 @@ from typing import Optional, Sequence
 
 from repro.analysis.fairness import jain_index, normalized_shares
 from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
-from repro.protocols.cubic import Cubic
 from repro.runner import ExecutionBackend
-from repro.scenarios import FIGURE10_RTTS, get_scenario
+from repro.scenarios import FIGURE10_RTTS, ProtocolSpec, get_scenario
 
 __all__ = ["FIGURE10_RTTS", "RttFairnessResult", "run_figure10"]
 
@@ -44,7 +43,7 @@ class RttFairnessResult:
 def default_schemes() -> list[SchemeSpec]:
     """The four schemes of Figure 10."""
     return [
-        SchemeSpec("Cubic/sfqCoDel", Cubic, queue="sfqcodel"),
+        SchemeSpec("Cubic/sfqCoDel", ProtocolSpec("cubic"), queue="sfqcodel"),
         remycc_scheme("delta0.1", label="Remy d=0.1"),
         remycc_scheme("delta1", label="Remy d=1"),
         remycc_scheme("delta10", label="Remy d=10"),

@@ -415,7 +415,7 @@ class TraceDrivenLink(LinkBase):
     delivered, at which point exactly one MTU-sized packet may leave.  This
     class reproduces that behaviour from a sequence of delivery timestamps
     (seconds, ascending).  If the simulation outlasts the trace, the trace is
-    repeated with a time offset (``cyclic=True``, the default).
+    repeated with a time offset.
 
     Its per-packet steps are closures built here, once, like
     :class:`ConstantRateLink`'s: ``receive`` (start the opportunity clock on
@@ -434,7 +434,6 @@ class TraceDrivenLink(LinkBase):
         delivery_times: Sequence[float],
         queue: Optional[QueueDiscipline] = None,
         propagation_delay: float = 0.0,
-        cyclic: bool = True,
         name: str = "trace-link",
         mss_bytes: int = 1500,
     ) -> None:
@@ -500,8 +499,6 @@ class TraceDrivenLink(LinkBase):
                 else:
                     route[2](packet)
             if index >= n_times:
-                if not cyclic:
-                    return
                 offset += cycle
                 index = 0
             when = offset + times[index]

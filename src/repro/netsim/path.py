@@ -134,12 +134,9 @@ class LinkSpec:
     loss_rate: float = 0.0
     delivery_trace: Optional[Sequence[float]] = None
     name: str = ""
-    #: CoDel / RED parameters, consulted only by the relevant queue kinds.
-    codel_target: float = 0.005
-    codel_interval: float = 0.100
+    #: RED parameters, consulted only by the ``red`` queue kind.
     red_min_thresh: float = 20.0
     red_max_thresh: float = 60.0
-    dctcp_marking_threshold: float = 65.0
 
     def __post_init__(self) -> None:
         if self.rate_bps <= 0 and self.delivery_trace is None:
@@ -178,11 +175,8 @@ class LinkSpec:
             self.queue,
             buffer_packets=self.buffer_packets,
             rng=rng,
-            codel_target=self.codel_target,
-            codel_interval=self.codel_interval,
             red_min_thresh=self.red_min_thresh,
             red_max_thresh=self.red_max_thresh,
-            dctcp_marking_threshold=self.dctcp_marking_threshold,
             red_idle_decay_seconds=mss_bytes * 8 / self.effective_rate_bps(mss_bytes),
             xcp_rate_bps=self.effective_rate_bps(mss_bytes),
             xcp_mean_rtt=mean_rtt,

@@ -112,17 +112,18 @@ QueueFactory = Callable[[], QueueDiscipline]
 #: Built-in queue discipline names a :class:`~repro.netsim.path.LinkSpec` accepts.
 QUEUE_KINDS = ("droptail", "infinite", "codel", "sfqcodel", "red", "red-dctcp", "xcp")
 
+#: DCTCP's marking threshold K in packets (``red-dctcp``), the value the
+#: DCTCP paper recommends for 10 Gbps links.
+DCTCP_MARKING_THRESHOLD = 65.0
+
 
 def build_queue(
     queue: Union[str, QueueFactory],
     *,
     buffer_packets: int,
     rng: Optional[random.Random] = None,
-    codel_target: float = 0.005,
-    codel_interval: float = 0.100,
     red_min_thresh: float = 20.0,
     red_max_thresh: float = 60.0,
-    dctcp_marking_threshold: float = 65.0,
     red_idle_decay_seconds: float = 0.001,
     xcp_rate_bps: float = 10e6,
     xcp_mean_rtt: float = 0.05,
@@ -146,17 +147,9 @@ def build_queue(
     if queue == "infinite":
         return InfiniteQueue()
     if queue == "codel":
-        return CoDelQueue(
-            capacity_packets=buffer_packets,
-            target=codel_target,
-            interval=codel_interval,
-        )
+        return CoDelQueue(capacity_packets=buffer_packets)
     if queue == "sfqcodel":
-        return SfqCoDelQueue(
-            capacity_packets=buffer_packets,
-            target=codel_target,
-            interval=codel_interval,
-        )
+        return SfqCoDelQueue(capacity_packets=buffer_packets)
     if queue == "red":
         return REDQueue(
             capacity_packets=buffer_packets,
@@ -168,8 +161,8 @@ def build_queue(
     if queue == "red-dctcp":
         return REDQueue(
             capacity_packets=buffer_packets,
-            min_thresh=dctcp_marking_threshold,
-            max_thresh=dctcp_marking_threshold + 1,
+            min_thresh=DCTCP_MARKING_THRESHOLD,
+            max_thresh=DCTCP_MARKING_THRESHOLD + 1,
             dctcp_mode=True,
             ecn=True,
             rng=rng,

@@ -7,8 +7,10 @@ harnesses can share it:
 
 * :class:`SerialBackend` (the default everywhere) runs each job in-process,
   one after the other.
-* :class:`ProcessPoolBackend` ships picklable jobs to a pool of worker
-  processes, which operate on isolated copies of the rule table.  It is
+* :class:`ProcessPoolBackend` ships jobs to a pool of worker processes.
+  A job pickles by construction: it names its protocols (a worker loads a
+  named rule table itself) or carries the design loop's candidate table,
+  of which each worker gets an isolated copy.  It is
   the only parallel backend, and it has one recovery rule: a pool that
   breaks (a worker died) is rebuilt once, and a second break in the same
   batch finishes the rest of it in this process, with a warning.
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import os
-import pickle
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -68,53 +69,21 @@ def available_workers() -> int:
     return os.cpu_count() or 1
 
 
-def check_factories_picklable(jobs: Sequence[SimJob]) -> None:
-    """Fail fast, with a clear error, on factories that cannot ship.
-
-    Without this, a closure ``protocol_factory`` dies inside the executor
-    with a bare pickle traceback.  Each distinct factory is probed once.
-    """
-    probed: set[int] = set()
-    for job in jobs:
-        factory = job.protocol_factory
-        if factory is None or id(factory) in probed:
-            continue
-        probed.add(id(factory))
-        try:
-            pickle.dumps(factory)
-        except Exception as exc:
-            raise ValueError(
-                f"protocol_factory {factory!r} (job {job.job_id}) is not "
-                "picklable, so it cannot cross a process boundary: "
-                "closures and lambdas do not pickle.  Use a module-level "
-                "callable (e.g. the protocol class), describe the scheme "
-                "by its rule table (tree=...) or a registered scenario "
-                "(scenario=...), or run on SerialBackend."
-            ) from exc
-
-
 def prepare_jobs(jobs: Sequence[SimJob]) -> list[SimJob]:
     """Make a batch safe to ship across a process boundary.
 
-    Factories are probed for picklability, scenario *names* are resolved
-    against this process's registry (a worker only has the built-in cells),
-    and each distinct rule table is replaced by a statistics-free copy (the
-    JSON serialization round trip), so stale samples never cross.
+    Every job pickles by construction (its protocols are named, not built),
+    so the one step is the rule tables: each distinct ``tree`` is replaced
+    by a statistics-free copy (the JSON serialization round trip), so stale
+    samples never cross.
     """
     # Imported here rather than at module scope: repro.core's package
     # __init__ imports the evaluator, which imports this package.
     from repro.core.serialization import whisker_tree_from_dict, whisker_tree_to_dict
 
-    check_factories_picklable(jobs)
     clean_trees: dict[int, object] = {}
     prepared = []
     for job in jobs:
-        if isinstance(job.scenario, str):
-            # A runtime-registered name would die in the worker with a bare
-            # KeyError; unknown names fail here, before any worker spawns.
-            from repro.scenarios import get_scenario
-
-            job = replace(job, scenario=get_scenario(job.scenario))
         if job.tree is not None:
             key = id(job.tree)
             if key not in clean_trees:
@@ -160,7 +129,7 @@ class SerialBackend(ExecutionBackend):
 class ProcessPoolBackend(ExecutionBackend):
     """Fan jobs out over a pool of worker processes, a chunk at a time.
 
-    Jobs must be picklable (see :func:`prepare_jobs`).  The batch is cut
+    Each batch goes through :func:`prepare_jobs` first.  The batch is cut
     into four runs of consecutive jobs per worker, and each chunk is one
     worker task — one pickle of the jobs, one result message back — which
     amortizes IPC over sub-100 ms jobs and still balances the load.

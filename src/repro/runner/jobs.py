@@ -19,7 +19,7 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.netsim.path import PathSpec
 from repro.netsim.sender import Workload
@@ -32,9 +32,7 @@ if TYPE_CHECKING:
     from repro.core.whisker import WhiskerUsage
     from repro.core.whisker_tree import WhiskerTree
     from repro.protocols.base import CongestionControl
-    from repro.scenarios.spec import ScenarioSpec
-
-ProtocolFactory = Callable[[], "CongestionControl"]
+    from repro.scenarios.spec import ProtocolSpec
 
 
 def mix_seed(*components: object) -> int:
@@ -82,15 +80,10 @@ def _strip_epochs(node: dict[str, object]) -> None:
 class SimJob:
     """One specimen simulation, described picklably.
 
-    Exactly one protocol source must be set:
-
-    * ``tree`` — a RemyCC rule table executed at every sender;
-    * ``protocol_factory`` — a picklable zero-argument congestion-control
-      constructor (e.g. a protocol class); or
-    * ``scenario`` — a :class:`~repro.scenarios.spec.ScenarioSpec` (or the
-      name of a registered one), whose (possibly mixed) protocol set is
-      materialized in whichever process runs the job (a pool resolves
-      names at submission, see :func:`~repro.runner.backends.prepare_jobs`).
+    Exactly one protocol source is set: ``tree``, the design loop's
+    in-memory RemyCC rule table executed at every sender, or ``protocols``,
+    :class:`~repro.scenarios.spec.ProtocolSpec`\\ s (one for every flow, or
+    one per flow) materialized in whichever process runs the job.
 
     ``workloads`` holds one on/off workload object per flow; an empty tuple
     means all-always-on sources (the
@@ -104,20 +97,13 @@ class SimJob:
     workloads: tuple[Workload, ...] = ()
     tree: Optional["WhiskerTree"] = None
     training: bool = False
-    protocol_factory: Optional[ProtocolFactory] = None
-    scenario: Optional[Union[str, "ScenarioSpec"]] = None
+    protocols: tuple["ProtocolSpec", ...] = ()
     max_events: Optional[int] = None
     trace_flows: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        sources = sum(
-            source is not None
-            for source in (self.tree, self.protocol_factory, self.scenario)
-        )
-        if sources != 1:
-            raise ValueError(
-                "exactly one of tree, protocol_factory or scenario must be set"
-            )
+        if (self.tree is None) == (not self.protocols):
+            raise ValueError("exactly one of tree or protocols must be set")
         if self.workloads and len(self.workloads) != self.spec.n_flows:
             raise ValueError(
                 f"got {len(self.workloads)} workloads for {self.spec.n_flows} flows"
@@ -128,21 +114,14 @@ class SimJob:
         # Imported here rather than at module scope: protocols import
         # repro.core, so a top-level import would be circular.
         from repro.protocols.remycc import RemyCCProtocol
+        from repro.scenarios.spec import build_protocols
 
-        if self.tree is not None:
-            return [
-                RemyCCProtocol(self.tree, training=self.training)
-                for _ in range(self.spec.n_flows)
-            ]
-        if self.scenario is not None:
-            cell = self.scenario
-            if isinstance(cell, str):
-                from repro.scenarios import get_scenario
-
-                cell = get_scenario(cell)
-            return cell.make_protocols()
-        assert self.protocol_factory is not None
-        return [self.protocol_factory() for _ in range(self.spec.n_flows)]
+        if self.tree is None:
+            return build_protocols(self.protocols, self.spec.n_flows)
+        return [
+            RemyCCProtocol(self.tree, training=self.training)
+            for _ in range(self.spec.n_flows)
+        ]
 
 
 @dataclass

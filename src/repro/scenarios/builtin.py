@@ -74,7 +74,7 @@ register_scenario(
         topology="dumbbell",
         network=PathSpec.dumbbell(8),
         protocols=(ProtocolSpec("newreno"),),
-        workload=_paper_onoff(),
+        workloads=(_paper_onoff(),),
         duration=3.0,
         seed=42,
         smoke=True,
@@ -88,7 +88,7 @@ register_scenario(
         topology="dumbbell",
         network=PathSpec.dumbbell(12),
         protocols=(ProtocolSpec("cubic"),),
-        workload=_icsi_onoff(),
+        workloads=(_icsi_onoff(),),
         duration=3.0,
         seed=43,
     )
@@ -101,7 +101,7 @@ register_scenario(
         topology="dumbbell",
         network=PathSpec.dumbbell(2),
         protocols=(ProtocolSpec("remy", tree="delta1"),),
-        per_flow_workloads=(
+        workloads=(
             FixedOnPeriodWorkload(start=0.0, duration=3.0),  # observed flow
             FixedOnPeriodWorkload(start=0.0, duration=1.5),  # departing competitor
         ),
@@ -118,7 +118,7 @@ register_scenario(
         network=PathSpec.dumbbell(4, rtt=0.050),  # nominal rate; the trace governs
         trace=TraceSpec("verizon", duration_seconds=4.0, seed=1),
         protocols=(ProtocolSpec("newreno"),),
-        workload=_paper_onoff(),
+        workloads=(_paper_onoff(),),
         duration=4.0,
         seed=71,
         smoke=True,
@@ -133,7 +133,7 @@ register_scenario(
         network=PathSpec.dumbbell(8, rtt=0.050),
         trace=TraceSpec("verizon", duration_seconds=4.0, seed=1),
         protocols=(ProtocolSpec("cubic"),),
-        workload=_paper_onoff(),
+        workloads=(_paper_onoff(),),
         duration=4.0,
         seed=72,
     )
@@ -147,7 +147,7 @@ register_scenario(
         network=PathSpec.dumbbell(4, rtt=0.050),
         trace=TraceSpec("att", duration_seconds=4.0, seed=2),
         protocols=(ProtocolSpec("vegas"),),
-        workload=_paper_onoff(),
+        workloads=(_paper_onoff(),),
         duration=4.0,
         seed=73,
     )
@@ -166,7 +166,7 @@ register_scenario(
             buffer_packets=1000,
         ),
         protocols=(ProtocolSpec("cubic"),),
-        workload=_icsi_onoff(),
+        workloads=(_icsi_onoff(),),
         duration=3.0,
         seed=100,
         smoke=True,
@@ -180,7 +180,7 @@ register_scenario(
         topology="dumbbell",
         network=PathSpec.dumbbell(2),
         protocols=(ProtocolSpec("remy", tree="1x"),),
-        per_flow_workloads=(
+        workloads=(
             TimedFlowWorkload.exponential(
                 mean_on_seconds=5.0, mean_off_seconds=5.0, start_on=True
             ),
@@ -204,12 +204,9 @@ register_scenario(
             n_flows=2,
             queue="red-dctcp",
             buffer_packets=1000,
-            dctcp_marking_threshold=65.0,
         ),
         protocols=(ProtocolSpec("dctcp"),),
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=20e6 / 32, mean_off_seconds=0.1
-        ),
+        workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=20e6 / 32, mean_off_seconds=0.1),),
         duration=2.0,
         seed=5,
         smoke=True,
@@ -226,7 +223,7 @@ register_scenario(
             ProtocolSpec("remy", tree="coexist"),
             ProtocolSpec("cubic"),
         ),
-        workload=_paper_onoff(),
+        workloads=(_paper_onoff(),),
         duration=3.0,
         seed=61,
     )
@@ -262,9 +259,7 @@ register_scenario(
         topology="rtt",
         network=PathSpec.dumbbell(len(ASYM_RTTS), rtt=ASYM_RTTS),
         protocols=(ProtocolSpec("newreno"),),
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=100e3, mean_off_seconds=0.3
-        ),
+        workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=100e3, mean_off_seconds=0.3),),
         duration=3.0,
         seed=201,
     )
@@ -283,9 +278,7 @@ register_scenario(
             buffer_packets=300,
         ),
         protocols=(ProtocolSpec("newreno"),),
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=40e3, mean_off_seconds=0.05
-        ),
+        workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=40e3, mean_off_seconds=0.05),),
         duration=3.0,
         seed=202,
     )
@@ -304,8 +297,8 @@ register_scenario(
             buffer_packets=96,
         ),
         protocols=(ProtocolSpec("cubic"),),
-        workload=IncastWorkload.exponential(
-            mean_flow_bytes=60e3, epoch_seconds=0.05, jitter_seconds=0.002
+        workloads=(
+            IncastWorkload.exponential(mean_flow_bytes=60e3, epoch_seconds=0.05, jitter_seconds=0.002),
         ),
         duration=2.0,
         seed=203,
@@ -320,7 +313,7 @@ register_scenario(
         network=PathSpec.dumbbell(4, rtt=0.050, loss_rate=0.01),
         trace=TraceSpec("verizon", duration_seconds=4.0, seed=9),
         protocols=(ProtocolSpec("newreno"),),
-        workload=_paper_onoff(),
+        workloads=(_paper_onoff(),),
         duration=4.0,
         seed=204,
     )
@@ -350,9 +343,7 @@ register_scenario(
             forward_hops=((0, 1), (0, 1), (0,), (1,)),
         ),
         protocols=(ProtocolSpec("newreno"),),
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=100e3, mean_off_seconds=0.2
-        ),
+        workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=100e3, mean_off_seconds=0.2),),
         duration=2.5,
         seed=301,
         smoke=True,
@@ -377,9 +368,7 @@ register_scenario(
             n_flows=4,
         ),
         protocols=(ProtocolSpec("cubic"),),
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=150e3, mean_off_seconds=0.2
-        ),
+        workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=150e3, mean_off_seconds=0.2),),
         duration=2.5,
         seed=302,
     )
@@ -430,9 +419,7 @@ register_scenario(
             n_flows=4,
         ),
         protocols=(ProtocolSpec("newreno"),),
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=200e3, mean_off_seconds=0.3
-        ),
+        workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=200e3, mean_off_seconds=0.3),),
         duration=2.5,
         seed=304,
     )
@@ -457,7 +444,7 @@ register_scenario(
         trace=TraceSpec("verizon", duration_seconds=3.0, seed=11),
         trace_link=1,
         protocols=(ProtocolSpec("newreno"),),
-        workload=_paper_onoff(),
+        workloads=(_paper_onoff(),),
         duration=3.0,
         seed=305,
     )
@@ -527,7 +514,7 @@ register_scenario(
         topology="aqm",
         network=PathSpec.dumbbell(4),
         protocols=(ProtocolSpec("bbr"),),
-        workload=_paper_onoff(),
+        workloads=(_paper_onoff(),),
         duration=3.0,
         seed=401,
         smoke=True,
@@ -547,9 +534,7 @@ register_scenario(
             buffer_packets=300,
         ),
         protocols=(ProtocolSpec("bbr"),),
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=150e3, mean_off_seconds=0.2
-        ),
+        workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=150e3, mean_off_seconds=0.2),),
         duration=3.0,
         seed=402,
     )
@@ -573,9 +558,7 @@ register_scenario(
             forward_hops=((0, 1), (0, 1), (0,), (1,)),
         ),
         protocols=(ProtocolSpec("bbr"),),
-        workload=ByteFlowWorkload.exponential(
-            mean_flow_bytes=150e3, mean_off_seconds=0.2
-        ),
+        workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=150e3, mean_off_seconds=0.2),),
         duration=3.0,
         seed=403,
     )

@@ -20,9 +20,9 @@ Three sub-specs keep the cell declarative where instantiation is non-trivial:
   duration)`` and generated on materialization, so the cell pickles as three
   scalars instead of thousands of timestamps;
 * :class:`ProtocolSpec` — a protocol named by its registry key (plus the
-  pretrained-tree name and training flag for RemyCCs), so fresh protocol
-  instances are constructed per run and rule tables are shared across the
-  flows of one run exactly like the hand-written harnesses did;
+  pretrained-tree name and training flag for RemyCCs), the one description
+  of what runs on a flow in cells, harness schemes and runner jobs alike;
+  :func:`build_protocols` turns a tuple of them into fresh instances;
 * workload objects themselves (:class:`~repro.netsim.sender.Workload`
   subclasses) are already declarative and picklable — every draw goes through
   the per-flow rng handed in by the sender — so cells embed them directly.
@@ -31,7 +31,7 @@ Three sub-specs keep the cell declarative where instantiation is non-trivial:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.sender import Workload
@@ -39,6 +39,7 @@ from repro.netsim.simulator import Simulation, SimulationResult
 from repro.traces.cellular import att_lte_trace, verizon_lte_trace
 
 if TYPE_CHECKING:  # annotation-only: avoids importing protocols at module load
+    from repro.core.whisker_tree import WhiskerTree
     from repro.protocols.base import CongestionControl
 
 #: Trace generators addressable from a :class:`TraceSpec`.
@@ -83,6 +84,7 @@ class ProtocolSpec:
     ``name`` is a key of :data:`repro.protocols.PROTOCOLS`.  RemyCC cells set
     ``name="remy"`` plus the pretrained ``tree`` name (and optionally
     ``training=True`` for the statistics-gathering mode the design loop uses).
+    Unknown names are rejected here, before any job is built or shipped.
     """
 
     name: str = "newreno"
@@ -90,10 +92,63 @@ class ProtocolSpec:
     training: bool = False
 
     def __post_init__(self) -> None:
+        # Imported here: both import repro.core, whose evaluator imports the
+        # runner, which builds protocols through this module.
+        from repro.core.serialization import pretrained_tree_names
+        from repro.protocols import PROTOCOLS
+
+        if self.name not in PROTOCOLS:
+            raise ValueError(
+                f"unknown protocol {self.name!r}; expected one of {sorted(PROTOCOLS)}"
+            )
         if self.name == "remy" and self.tree is None:
             raise ValueError("remy protocols need a pretrained tree name")
         if self.name != "remy" and (self.tree is not None or self.training):
             raise ValueError("tree/training only apply to remy protocols")
+        if self.tree is not None and self.tree not in pretrained_tree_names():
+            raise ValueError(
+                f"unknown pretrained RemyCC {self.tree!r}; "
+                f"available: {pretrained_tree_names()}"
+            )
+
+
+#: Execution-mode rule tables by name, loaded once per process and shared by
+#: every run: executing a table never writes to it.
+_SHARED_TABLES: dict[str, "WhiskerTree"] = {}
+
+
+def build_protocols(
+    protocols: Sequence[ProtocolSpec], n_flows: int
+) -> list["CongestionControl"]:
+    """Fresh protocol instances, one per flow.
+
+    ``protocols`` holds one spec for every flow, or one per flow.  An
+    execution-mode RemyCC runs its process-wide shared table; a
+    training-mode one gets a table loaded fresh for this call, shared by
+    the call's flows of that name (its statistics accumulate across them).
+    """
+    # Imported here: protocols imports repro.core, keep this module light.
+    from repro.core.serialization import pretrained_remycc
+    from repro.protocols import PROTOCOLS
+    from repro.protocols.remycc import RemyCCProtocol
+
+    if len(protocols) not in (1, n_flows):
+        raise ValueError(
+            f"got {len(protocols)} protocol specs for {n_flows} flows (need 1 or {n_flows})"
+        )
+    training_tables: dict[str, "WhiskerTree"] = {}
+    built: list["CongestionControl"] = []
+    for flow_id in range(n_flows):
+        proto = protocols[0] if len(protocols) == 1 else protocols[flow_id]
+        if proto.tree is None:
+            built.append(PROTOCOLS[proto.name]())
+            continue
+        tables = training_tables if proto.training else _SHARED_TABLES
+        tree = tables.get(proto.tree)
+        if tree is None:
+            tree = tables[proto.tree] = pretrained_remycc(proto.tree)
+        built.append(RemyCCProtocol(tree, training=proto.training))
+    return built
 
 
 @dataclass(frozen=True)
@@ -122,12 +177,9 @@ class ScenarioSpec:
     protocols:
         Either a single :class:`ProtocolSpec` applied to every flow, or one
         per flow (mixed protocol sets, e.g. a RemyCC competing with Cubic).
-    workload:
-        Workload template applied to every flow (``None`` = always-on
-        sources), unless ``per_flow_workloads`` is set.
-    per_flow_workloads:
-        Explicit per-flow workloads (length ``network.n_flows``); wins over
-        ``workload``.
+    workloads:
+        The same rule: empty for always-on sources, one workload applied to
+        every flow, or one per flow.
     duration, seed:
         The cell's canonical run length and seed — what the committed golden
         fingerprint pins.  Consumers with their own budgets (the events/sec
@@ -141,8 +193,7 @@ class ScenarioSpec:
     topology: str
     network: PathSpec
     protocols: tuple[ProtocolSpec, ...] = (ProtocolSpec(),)
-    workload: Optional[Workload] = None
-    per_flow_workloads: tuple[Workload, ...] = ()
+    workloads: tuple[Workload, ...] = ()
     trace: Optional[TraceSpec] = None
     trace_link: int = 0
     duration: float = 3.0
@@ -160,10 +211,10 @@ class ScenarioSpec:
                 f"{self.name}: got {len(self.protocols)} protocol specs for "
                 f"{n_flows} flows (need 1 or {n_flows})"
             )
-        if self.per_flow_workloads and len(self.per_flow_workloads) != n_flows:
+        if len(self.workloads) not in (0, 1, n_flows):
             raise ValueError(
-                f"{self.name}: got {len(self.per_flow_workloads)} per-flow "
-                f"workloads for {n_flows} flows"
+                f"{self.name}: got {len(self.workloads)} workloads for "
+                f"{n_flows} flows (need 0, 1 or {n_flows})"
             )
         if self.trace is not None:
             if not 0 <= self.trace_link < len(self.network.forward):
@@ -188,49 +239,17 @@ class ScenarioSpec:
         )
         return replace(self.network, forward=tuple(forward))
 
-    def protocol_spec_for(self, flow_id: int) -> ProtocolSpec:
-        if len(self.protocols) == 1:
-            return self.protocols[0]
-        return self.protocols[flow_id]
-
     def make_protocols(self) -> list["CongestionControl"]:
-        """Fresh protocol instances, one per flow.
+        """Fresh protocol instances, one per flow (see :func:`build_protocols`)."""
+        return build_protocols(self.protocols, self.network.n_flows)
 
-        RemyCC flows of one run share a single freshly loaded rule table per
-        distinct tree name — the same sharing the hand-written harnesses used
-        (training-mode statistics accumulate on one tree across the run's
-        flows, and the last-leaf cache invariant is exercised under sharing).
-        """
-        # Imported here: protocols imports repro.core, keep this module light.
-        from repro.core.serialization import pretrained_remycc
-        from repro.core.whisker_tree import WhiskerTree
-        from repro.protocols import PROTOCOLS
-        from repro.protocols.remycc import RemyCCProtocol
-
-        trees: dict[str, WhiskerTree] = {}
-        protocols: list["CongestionControl"] = []
-        for flow_id in range(self.network.n_flows):
-            proto = self.protocol_spec_for(flow_id)
-            if proto.name == "remy":
-                assert proto.tree is not None  # __post_init__ guarantees it
-                tree = trees.get(proto.tree)
-                if tree is None:
-                    tree = trees[proto.tree] = pretrained_remycc(proto.tree)
-                protocols.append(RemyCCProtocol(tree, training=proto.training))
-            else:
-                protocols.append(PROTOCOLS[proto.name]())
-        return protocols
-
-    def workload_for(self, flow_id: int) -> Optional[Workload]:
-        if self.per_flow_workloads:
-            return self.per_flow_workloads[flow_id]
-        return self.workload
-
-    def make_workloads(self) -> Optional[list[Optional[Workload]]]:
+    def make_workloads(self) -> Optional[list[Workload]]:
         """Per-flow workload list, or ``None`` for all-always-on sources."""
-        if not self.per_flow_workloads and self.workload is None:
+        if not self.workloads:
             return None
-        return [self.workload_for(flow_id) for flow_id in range(self.network.n_flows)]
+        if len(self.workloads) == 1:
+            return list(self.workloads) * self.network.n_flows
+        return list(self.workloads)
 
     def build(
         self,
@@ -269,11 +288,7 @@ class ScenarioSpec:
         registry.
 
         Composition rules: an explicit ``network=`` replacement is applied
-        first, then path fields, then hop fields from the same call; a
-        ``workload=`` template override also clears
-        ``per_flow_workloads`` (which would otherwise keep winning via
-        :meth:`workload_for`'s precedence) unless the same call replaces the
-        per-flow list explicitly.
+        first, then path fields, then hop fields from the same call.
 
         Validation re-runs on the copy: changing ``n_flows`` on a cell with
         per-flow workloads or a per-flow protocol tuple raises unless
@@ -290,8 +305,6 @@ class ScenarioSpec:
             network = replace(network, **path_changes)
         if hop_changes:
             network = network.with_hops(**hop_changes)
-        if "workload" in changes and "per_flow_workloads" not in changes:
-            changes["per_flow_workloads"] = ()
         if network is not self.network:
             changes["network"] = network
         return replace(self, **changes) if changes else self

@@ -20,7 +20,7 @@ def cell_job(name: str, **fields) -> SimJob:
     cell = get_scenario(name)
     job = SimJob(
         job_id=0, spec=cell.network_spec(), duration=cell.duration, seed=cell.seed,
-        workloads=tuple(cell.make_workloads() or ()), scenario=cell,
+        workloads=tuple(cell.make_workloads() or ()), protocols=cell.protocols,
     )
     return replace(job, **fields)
 

@@ -16,9 +16,7 @@ from repro.analysis.summary import SchemeSummary, format_summary_table, summariz
 from repro.experiments.base import SchemeSpec
 from repro.netsim.simulator import SimulationResult
 from repro.netsim.stats import FlowStats
-from repro.protocols.newreno import NewReno
-from repro.protocols.vegas import Vegas
-from repro.scenarios import get_scenario
+from repro.scenarios import ProtocolSpec, get_scenario
 from tools import run_study as run_study_tool
 
 
@@ -162,7 +160,10 @@ class TestSpeedupTable:
 class TestStudy:
     """``run_study`` on a two-cell, two-scheme, sub-second grid."""
 
-    SCHEMES = [SchemeSpec("Vegas", Vegas), SchemeSpec("NewReno", NewReno)]
+    SCHEMES = [
+        SchemeSpec("Vegas", ProtocolSpec("vegas")),
+        SchemeSpec("NewReno", ProtocolSpec("newreno")),
+    ]
 
     @staticmethod
     def cells():

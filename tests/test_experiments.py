@@ -25,15 +25,13 @@ from repro.experiments.datacenter import run_datacenter
 from repro.experiments.clouds import run_cloud_figure
 from repro.experiments.prior_knowledge import run_figure11
 from repro.experiments.rtt_fairness import FIGURE10_RTTS, run_figure10
-from repro.protocols.cubic import Cubic
-from repro.protocols.newreno import NewReno
 from repro.runner import SerialBackend
-from repro.scenarios import get_scenario
+from repro.scenarios import ProtocolSpec, get_scenario
 
 #: A reduced comparison set used by the smoke tests (fast but representative).
 FAST_SCHEMES = [
-    SchemeSpec("NewReno", NewReno),
-    SchemeSpec("Cubic", Cubic),
+    SchemeSpec("NewReno", ProtocolSpec("newreno")),
+    SchemeSpec("Cubic", ProtocolSpec("cubic")),
     remycc_scheme("delta1", label="Remy d=1"),
 ]
 
@@ -76,7 +74,7 @@ HARNESS_AXES = {
     "vs_compound": (
         lambda: run_vs_compound(off_times_seconds=(0.2,), n_runs=1, duration=0.2),
         "competing-remy-cubic",
-        lambda cell: cell.override(workload=get_scenario("fig5-dumbbell12").workload),
+        lambda cell: cell.override(workloads=get_scenario("fig5-dumbbell12").workloads),
     ),
     "vs_cubic": (
         lambda: run_vs_cubic(mean_flow_bytes=(100e3,), n_runs=1, duration=0.2),
@@ -92,8 +90,8 @@ class TestRunCells:
     def test_every_job_is_sweep_seeded_and_schemes_share_seeds(self):
         cells = [get_scenario("fig4-dumbbell8"), get_scenario("parking-lot-2bn")]
         schemes = [
-            SchemeSpec("NewReno", NewReno),
-            SchemeSpec("Cubic/sfqCoDel", Cubic, queue="sfqcodel"),
+            SchemeSpec("NewReno", ProtocolSpec("newreno")),
+            SchemeSpec("Cubic/sfqCoDel", ProtocolSpec("cubic"), queue="sfqcodel"),
             remycc_scheme("delta1"),
         ]
         backend = RecordingBackend()
@@ -128,7 +126,7 @@ class TestRunCells:
         backend = RecordingBackend()
         [[[result]]] = run_cells([cell], n_runs=1, duration=1.0, backend=backend)
         [[job]] = backend.batches
-        assert job.scenario is cell and job.tree is None and job.protocol_factory is None
+        assert job.protocols == cell.protocols and job.tree is None
         assert [type(p) for p in job.build_protocols()] == [RemyCCProtocol, CubicProtocol]
         assert len(result.flow_stats) == 2
 

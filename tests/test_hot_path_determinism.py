@@ -26,7 +26,6 @@ from repro.netsim.packet import AckInfo
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.protocols.remycc import RemyCCProtocol
-from repro.protocols.vegas import Vegas
 from repro.traffic.onoff import ByteFlowWorkload
 
 
@@ -180,7 +179,7 @@ class TestRunSchemesSharding:
         # same (cell, scheme) points run one call at a time.
         from repro.analysis.summary import summarize_runs
         from repro.experiments.base import SchemeSpec, run_cells
-        from repro.scenarios import ScenarioSpec
+        from repro.scenarios import ProtocolSpec, ScenarioSpec
 
         cells = [
             ScenarioSpec(
@@ -191,16 +190,14 @@ class TestRunSchemesSharding:
                     rate_bps=6e6, rtt=0.1, n_flows=n_flows, queue="droptail",
                     buffer_packets=200,
                 ),
-                workload=ByteFlowWorkload.exponential(
-                    mean_flow_bytes=40e3, mean_off_seconds=0.4
-                ),
+                workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=40e3, mean_off_seconds=0.4),),
             )
             for n_flows in (2, 3)
         ]
         schemes = [
-            SchemeSpec("NewReno", NewReno),
-            SchemeSpec("Vegas", Vegas),
-            SchemeSpec("NewReno/sfqCoDel", NewReno, queue="sfqcodel"),
+            SchemeSpec("NewReno", ProtocolSpec("newreno")),
+            SchemeSpec("Vegas", ProtocolSpec("vegas")),
+            SchemeSpec("NewReno/sfqCoDel", ProtocolSpec("newreno"), queue="sfqcodel"),
         ]
         run_kwargs = dict(n_runs=2, duration=3.0, base_seed=9)
         batched = [

@@ -74,24 +74,26 @@ class TestConstantRateLink:
 
 
 class TestTraceDrivenLink:
+    # The trace repeats, and the first instant of a repeat is the last of
+    # the cycle before it; these two stop inside the first cycle.
     def test_packets_released_at_trace_instants(self, scheduler):
-        link = TraceDrivenLink(scheduler, delivery_times=[0.01, 0.02, 0.05], cyclic=False)
+        link = TraceDrivenLink(scheduler, delivery_times=[0.01, 0.02, 0.05, 0.06])
         arrivals = []
         link.route(0, (0.0, None, lambda p: arrivals.append(scheduler.now)))
         for seq in range(3):
             link.receive(_packet(seq))
-        scheduler.run_until(10.0)
+        scheduler.run_until(0.055)
         assert arrivals == [pytest.approx(0.01), pytest.approx(0.02), pytest.approx(0.05)]
 
     def test_opportunities_without_packets_are_wasted(self, scheduler):
-        link = TraceDrivenLink(scheduler, delivery_times=[0.01, 0.02, 0.03], cyclic=False)
+        link = TraceDrivenLink(scheduler, delivery_times=[0.01, 0.02, 0.03, 0.04])
         link.route(0, (0.0, None, lambda p: None))
         link.start()
-        scheduler.run_until(10.0)
+        scheduler.run_until(0.035)
         assert link.wasted_opportunities == 3
 
     def test_cyclic_trace_repeats(self, scheduler):
-        link = TraceDrivenLink(scheduler, delivery_times=[0.0, 0.01, 0.02], cyclic=True)
+        link = TraceDrivenLink(scheduler, delivery_times=[0.0, 0.01, 0.02])
         arrivals = []
         link.route(0, (0.0, None, lambda p: arrivals.append(scheduler.now)))
         for seq in range(5):

@@ -265,6 +265,9 @@ RETIRED = {
     **dict.fromkeys(("UTILITY_FLOOR", "score_flow"), 41),
     **dict.fromkeys((
         "delay_observer", "DelayObserver", "DeliverFn", "hand_off", "_far_end", "_emit"), 43),
+    **dict.fromkeys((
+        "protocol_factory", "ProtocolFactory", "check_factories_picklable", "per_flow_workloads",
+        "workload_for", "protocol_spec_for"), 44),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -362,8 +365,19 @@ KNOBS = {
     "repro.netsim.simulator:Simulation.run": ["self"],
     "repro.runner.jobs:run_sim_job": ["job"],
     "repro.runner.jobs:SimJob": [
-        "job_id", "spec", "duration", "seed", "workloads", "tree", "training", "protocol_factory",
-        "scenario", "max_events", "trace_flows"],
+        "job_id", "spec", "duration", "seed", "workloads", "tree", "training", "protocols",
+        "max_events", "trace_flows"],
+    "repro.scenarios:ProtocolSpec": ["name", "tree", "training"],
+    "repro.experiments:SchemeSpec": ["name", "protocol", "queue"],
+    "repro.scenarios:ScenarioSpec": [
+        "name", "description", "topology", "network", "protocols", "workloads", "trace",
+        "trace_link", "duration", "seed", "smoke"],
+    "repro.netsim:LinkSpec": [
+        "rate_bps", "delay", "queue", "buffer_packets", "loss_rate", "delivery_trace", "name",
+        "red_min_thresh", "red_max_thresh"],
+    "repro.netsim:build_queue": [
+        "queue", "buffer_packets", "rng", "red_min_thresh", "red_max_thresh",
+        "red_idle_decay_seconds", "xcp_rate_bps", "xcp_mean_rtt"],
     "repro.runner:ProcessPoolBackend.__init__": ["self", "max_workers"],
     "repro.experiments.clouds:run_cloud_figure": [
         "figure", "n_runs", "duration", "schemes", "n_flows", "backend"],
@@ -590,6 +604,17 @@ class TestOneParallelBackend:
             "src/repro/runner/backends.py:ProcessPoolBackend",
             "src/repro/runner/backends.py:SerialBackend",
         ]
+
+
+class TestOneProtocolDescription:
+    """A flow's protocol is a ``ProtocolSpec`` in a cell, a scheme and a job, and
+    a one-value option is a constant, not a field."""
+
+    def test_cells_schemes_and_jobs_name_protocols_one_way(self):
+        assert_knobs("repro.scenarios:", "repro.experiments:", "repro.runner.jobs:SimJob")
+
+    def test_the_queue_options_are_the_ones_in_use(self):
+        assert_knobs("repro.netsim:")
 
 
 class TestOneRecoveryRule:

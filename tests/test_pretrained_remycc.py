@@ -23,7 +23,9 @@ from repro.core.serialization import (
 from repro.netsim.packet import AckInfo
 from repro.protocols.remycc import RemyCCProtocol
 from repro.runner.jobs import whisker_tree_token
+from repro.experiments.base import remycc_scheme, run_cells
 from repro.scenarios import ProtocolSpec, get_scenario
+from repro.scenarios.spec import build_protocols
 
 coords = st.floats(min_value=0.0, max_value=MAX_MEMORY, allow_nan=False)
 
@@ -215,11 +217,14 @@ class TestRemyCCProtocol:
 
 
 class TestTableLoadsPerCell:
-    """A cell loads each distinct table once; its flows share that tree."""
+    """An execution-mode table is loaded once per process, by name, and shared
+    by every flow and every run; a training-mode table is loaded fresh for
+    each run and shared by that run's flows."""
 
     @pytest.fixture
     def loads(self, monkeypatch):
         import repro.core.serialization as serialization
+        from repro.scenarios import spec
 
         names = []
         real = serialization.load_remycc
@@ -229,12 +234,17 @@ class TestTableLoadsPerCell:
             return real(path)
 
         monkeypatch.setattr(serialization, "load_remycc", counting)
+        monkeypatch.setattr(spec, "_SHARED_TABLES", {})
         return names
 
     def test_four_remy_flows_load_one_table(self, loads):
-        protocols = get_scenario("bench-remy-droptail").make_protocols()
+        cell = get_scenario("bench-remy-droptail")
+        protocols = cell.make_protocols()
         assert loads == ["delta1"]
         assert len({id(p.tree) for p in protocols}) == 1
+        # The next run loads nothing: it executes the same table.
+        assert cell.make_protocols()[0].tree is protocols[0].tree
+        assert loads == ["delta1"]
 
     def test_mixed_cell_loads_each_name_once(self, loads):
         mixed = get_scenario("bench-remy-droptail").override(
@@ -249,3 +259,30 @@ class TestTableLoadsPerCell:
         assert loads == ["coexist", "delta1"]
         assert protocols[0].tree is protocols[3].tree
         assert protocols[0].tree is not protocols[2].tree
+
+    def test_training_tables_load_fresh_for_each_run(self, loads):
+        cell = get_scenario("bench-remy-training")
+        first, second = cell.make_protocols(), cell.make_protocols()
+        assert loads == ["delta1", "delta1"]
+        assert len({id(p.tree) for p in first}) == 1
+        assert first[0].tree is not second[0].tree
+        shared = build_protocols((ProtocolSpec("remy", "delta1"),), 1)[0].tree
+        assert shared not in (first[0].tree, second[0].tree)
+
+
+class TestSharedTables:
+    """Running a shared execution-mode table never writes to it."""
+
+    def test_two_passes_leave_every_shared_table_as_loaded(self):
+        names = ("delta1", "delta10", "coexist")
+        specs = [ProtocolSpec("remy", name) for name in names]
+        shared = [protocol.tree for protocol in build_protocols(specs, len(specs))]
+        as_loaded = [(TOKENS[name], pretrained_remycc(name).usage()) for name in names]
+        for _ in range(2):
+            # A cell's own RemyCC flows, then two RemyCC schemes over a cell.
+            run_cells(["bench-remy-droptail"], n_runs=1, duration=0.5)
+            run_cells(["fig4-dumbbell8"], [remycc_scheme("delta10"), remycc_scheme("coexist")],
+                      n_runs=1, duration=0.5)
+            assert [(whisker_tree_token(tree), tree.usage()) for tree in shared] == as_loaded
+        again = [protocol.tree for protocol in build_protocols(specs, len(specs))]
+        assert all(tree is first for tree, first in zip(again, shared))

@@ -29,7 +29,6 @@ import pytest
 
 from conftest import cell_job
 from repro.netsim.path import PathSpec
-from repro.protocols.newreno import NewReno
 from repro.runner import (
     FaultPlan,
     ProcessPoolBackend,
@@ -43,7 +42,7 @@ from repro.runner import (
 )
 from repro.runner import backends
 from repro.runner.faults import worker_fault_plan
-from repro.scenarios import load_golden, simulation_fingerprint, smoke_scenarios
+from repro.scenarios import ProtocolSpec, load_golden, simulation_fingerprint, smoke_scenarios
 
 SPEC = PathSpec.dumbbell(
     rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail", buffer_packets=100
@@ -63,7 +62,7 @@ def make_jobs(n: int = BATCH, duration: float = 1.0, first_id: int = 0) -> list[
             spec=SPEC,
             duration=duration,
             seed=100 + i,
-            protocol_factory=NewReno,
+            protocols=(ProtocolSpec("newreno"),),
         )
         for i in range(n)
     ]

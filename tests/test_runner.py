@@ -29,9 +29,13 @@ from repro.runner import (
     SimJob,
     backend_from_spec,
     mix_seed,
+    prepare_jobs,
     run_sim_job,
     whisker_tree_token,
 )
+from repro.scenarios import ProtocolSpec
+
+NEWRENO = (ProtocolSpec("newreno"),)
 
 
 def tiny_range() -> ConfigRange:
@@ -100,7 +104,7 @@ class TestSimJob:
                 duration=1.0,
                 seed=0,
                 tree=WhiskerTree(),
-                protocol_factory=NewReno,
+                protocols=NEWRENO,
             )
 
     def test_workload_count_validated(self):
@@ -113,14 +117,12 @@ class TestSimJob:
                 duration=1.0,
                 seed=0,
                 workloads=(AlwaysOnWorkload(),),
-                protocol_factory=NewReno,
+                protocols=NEWRENO,
             )
 
     def test_run_sim_job_matches_direct_simulation(self):
         spec = self._spec()
-        job = SimJob(
-            job_id=7, spec=spec, duration=3.0, seed=5, protocol_factory=NewReno
-        )
+        job = SimJob(job_id=7, spec=spec, duration=3.0, seed=5, protocols=NEWRENO)
         job_result = run_sim_job(job)
         direct = Simulation(
             spec, [NewReno() for _ in range(2)], None, duration=3.0, seed=5
@@ -270,7 +272,7 @@ class TestBackendConstruction:
 
 
 class TestScenarioJobs:
-    """SimJob's third protocol source: a registered scenario cell."""
+    """Jobs that replay a registered cell: its own (possibly mixed) protocols."""
 
     def test_from_scenario_matches_direct_cell_run(self):
         from repro.scenarios import get_scenario, simulation_fingerprint
@@ -284,7 +286,7 @@ class TestScenarioJobs:
         from repro.scenarios import simulation_fingerprint
 
         # competing-remy-cubic mixes a RemyCC and Cubic — inexpressible as a
-        # single tree or factory; the registry name ships instead.
+        # single tree; the job ships one ProtocolSpec per flow instead.
         job = cell_job("competing-remy-cubic")
         [serial] = SerialBackend().run_batch([job])
         with ProcessPoolBackend(max_workers=2) as backend:
@@ -292,21 +294,6 @@ class TestScenarioJobs:
         assert simulation_fingerprint(pooled.result) == simulation_fingerprint(
             serial.result
         )
-
-    def test_scenario_is_exclusive_with_other_sources(self):
-        spec = PathSpec.dumbbell(
-            rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
-            buffer_packets=100,
-        )
-        with pytest.raises(ValueError):
-            SimJob(
-                job_id=0,
-                spec=spec,
-                duration=1.0,
-                seed=0,
-                scenario="fig4-dumbbell8",
-                protocol_factory=NewReno,
-            )
 
     def test_from_scenario_accepts_overrides(self):
         # The job's duration and seed run, not the cell's own.
@@ -319,9 +306,10 @@ class TestScenarioJobs:
 
     def test_runtime_registered_cell_survives_the_pool(self):
         # A cell registered in THIS process does not exist in a fresh
-        # worker's registry; the job must ship the spec itself (and a bare
-        # name must be resolved at submission time, not in the worker).
+        # worker's registry; run_cells resolves the name here, and its jobs
+        # carry the topology and the protocol specs, never the name.
         from dataclasses import replace
+        from repro.experiments.base import run_cells
         from repro.scenarios import (
             get_scenario,
             register_scenario,
@@ -329,96 +317,34 @@ class TestScenarioJobs:
             unregister_scenario,
         )
 
-        base = get_scenario("fig4-dumbbell8")
+        base = get_scenario("competing-remy-cubic")
         custom = replace(base, name="runtime-only-cell", duration=1.0, smoke=False)
         register_scenario(custom)
         try:
-            by_spec = cell_job("runtime-only-cell")
-            by_name = replace(by_spec, scenario="runtime-only-cell")
-            [serial] = SerialBackend().run_batch([by_spec])
+            [[[serial]]] = run_cells(["runtime-only-cell"], n_runs=1)
             with ProcessPoolBackend(max_workers=1) as backend:
-                [from_spec] = backend.run_batch([by_spec])
-                [from_name] = backend.run_batch([by_name])
+                [[[pooled]]] = run_cells(["runtime-only-cell"], n_runs=1, backend=backend)
         finally:
             unregister_scenario("runtime-only-cell")
-        expected = simulation_fingerprint(serial.result)
-        assert simulation_fingerprint(from_spec.result) == expected
-        assert simulation_fingerprint(from_name.result) == expected
-
-    def test_unknown_scenario_name_fails_fast_on_the_pool(self):
-        bad = cell_job("fig4-dumbbell8", duration=1.0, scenario="never-registered")
-        with ProcessPoolBackend(max_workers=1) as backend:
-            with pytest.raises(KeyError, match="never-registered"):
-                backend.run_batch([bad])
+        assert simulation_fingerprint(pooled) == simulation_fingerprint(serial)
 
 
-class TestClosureFactoryFailFast:
-    """Closure factories must fail fast with a clear error on the pool."""
+class TestUnknownNamesFailFast:
+    """A protocol is a name, checked when it is written down, not in a worker."""
 
-    def _job(self, factory) -> SimJob:
-        spec = PathSpec.dumbbell(
-            rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
-            buffer_packets=100,
-        )
-        return SimJob(
-            job_id=0, spec=spec, duration=1.0, seed=0, protocol_factory=factory
-        )
+    def test_unknown_protocol_name_raises_clear_error(self):
+        with pytest.raises(ValueError, match="'nope'.*newreno"):
+            ProtocolSpec("nope")
 
-    def test_lambda_factory_raises_clear_error(self):
-        job = self._job(lambda: NewReno())
-        with ProcessPoolBackend(max_workers=1) as backend:
-            with pytest.raises(ValueError, match="not.*picklable|picklable"):
-                backend.run_batch([job])
-
-    def test_closure_factory_raises_before_any_execution(self):
-        captured = NewReno  # a closure over a local, not a module-level name
-
-        def factory():
-            return captured()
-
-        job = self._job(factory)
-        with ProcessPoolBackend(max_workers=1) as backend:
-            with pytest.raises(ValueError) as excinfo:
-                backend.run_batch([job])
-        message = str(excinfo.value)
-        # The error must teach the fix, not just restate the pickle failure.
-        assert "SerialBackend" in message
-        assert "tree" in message
-
-    def test_run_scheme_with_closure_scheme_fails_fast(self):
-        # Through the harness entry point (run_cells) rather than a bare job.
-        from repro.experiments.base import SchemeSpec, run_cells
-        from repro.scenarios import ScenarioSpec
-        from repro.traffic.onoff import ByteFlowWorkload
-
-        cell = ScenarioSpec(
-            name="closure-cell",
-            description="two-flow dumbbell for the closure-scheme check",
-            topology="dumbbell",
-            network=PathSpec.dumbbell(
-                rate_bps=4e6, rtt=0.08, n_flows=2, queue="droptail",
-                buffer_packets=100,
-            ),
-            workload=ByteFlowWorkload.exponential(
-                mean_flow_bytes=50e3, mean_off_seconds=0.5
-            ),
-        )
-        scheme = SchemeSpec("closure", lambda: NewReno())
+    def test_unknown_table_name_fails_before_the_pool(self):
+        from repro.experiments.base import remycc_scheme, run_cells
 
         with ProcessPoolBackend(max_workers=1) as backend:
-            with pytest.raises(ValueError, match="picklable"):
-                run_cells([cell], [scheme], n_runs=1, duration=1.0, backend=backend)
-
-    def test_class_factory_still_ships(self):
-        job = self._job(NewReno)
-        with ProcessPoolBackend(max_workers=1) as backend:
-            [result] = backend.run_batch([job])
-        assert result.job_id == 0
-
-    def test_serial_backend_still_accepts_closures(self):
-        job = self._job(lambda: NewReno())
-        [result] = SerialBackend().run_batch([job])
-        assert result.result.events_processed > 0
+            with pytest.raises(ValueError, match="'delta2'.*delta1"):
+                run_cells(["fig4-dumbbell8"], [remycc_scheme("delta2")], n_runs=1,
+                          backend=backend)
+            # No worker was ever spawned.
+            assert backend._executor is None
 
 
 class TestBackendDeterminism:
@@ -554,9 +480,7 @@ class TestRunSchemeBackends:
             network=PathSpec.dumbbell(
                 rate_bps=6e6, rtt=0.1, n_flows=2, queue="droptail", buffer_packets=200
             ),
-            workload=ByteFlowWorkload.exponential(
-                mean_flow_bytes=50e3, mean_off_seconds=0.5
-            ),
+            workloads=(ByteFlowWorkload.exponential(mean_flow_bytes=50e3, mean_off_seconds=0.5),),
         )
 
         def summary_of(scheme, backend=None):
@@ -565,12 +489,32 @@ class TestRunSchemeBackends:
             )
             return summarize_runs(scheme.name, runs)
 
-        for scheme in (SchemeSpec("NewReno", NewReno), remycc_scheme("delta1")):
+        for scheme in (SchemeSpec("NewReno", ProtocolSpec("newreno")), remycc_scheme("delta1")):
             serial = summary_of(scheme)
             with ProcessPoolBackend(max_workers=2) as backend:
                 pooled = summary_of(scheme, backend=backend)
             assert pooled.throughputs_mbps == serial.throughputs_mbps
             assert pooled.queue_delays_ms == serial.queue_delays_ms
+
+    def test_every_scheme_job_pickles_by_construction(self):
+        # No scheme can hold a closure: every job of the study grid ships,
+        # and a job names its RemyCC table instead of carrying it.
+        import pickle
+
+        from repro.analysis.study import study_schemes
+        from repro.experiments.base import run_cells
+
+        class Recording(SerialBackend):
+            def run_batch(self, jobs):
+                self.jobs = list(jobs)
+                return super().run_batch(jobs)
+
+        backend = Recording()
+        run_cells(["fig4-dumbbell8"], study_schemes(), n_runs=1, duration=0.2, backend=backend)
+        shipped = pickle.loads(pickle.dumps(prepare_jobs(backend.jobs)))
+        assert [job.protocols for job in shipped] == [job.protocols for job in backend.jobs]
+        assert all(job.tree is None for job in shipped)
+        assert ProtocolSpec("remy", tree="delta1") in {job.protocols[0] for job in shipped}
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from conftest import cell_job
 from repro.netsim.simulator import Simulation
 from repro.runner import ProcessPoolBackend, SerialBackend
 from repro.scenarios import (
+    ProtocolSpec,
     all_scenarios,
     get_scenario,
     load_golden,
@@ -157,21 +158,6 @@ class TestRegistryShape:
         # The registered cell itself is untouched.
         assert get_scenario("fig4-dumbbell8").network.n_flows == 8
 
-    def test_override_workload_supersedes_per_flow_workloads(self):
-        from repro.traffic.onoff import ByteFlowWorkload
-
-        template = ByteFlowWorkload.exponential(
-            mean_flow_bytes=10e3, mean_off_seconds=0.1
-        )
-        # fig6 carries per-flow workloads; a template override must actually
-        # take effect rather than being shadowed by them.
-        varied = get_scenario("fig6-convergence").override(workload=template)
-        assert varied.per_flow_workloads == ()
-        assert all(
-            varied.workload_for(fid) is template
-            for fid in range(varied.network.n_flows)
-        )
-
     def test_override_composes_explicit_network_with_field_kwargs(self):
         cell = get_scenario("fig4-dumbbell8")
         other = get_scenario("bursty-onoff-codel").network
@@ -293,10 +279,11 @@ class TestScenarioSweep:
     def test_sweep_grid_shape_and_determinism(self):
         from repro.analysis.summary import summarize_runs
         from repro.experiments.base import SchemeSpec, run_cells
-        from repro.protocols.newreno import NewReno
-        from repro.protocols.vegas import Vegas
 
-        schemes = [SchemeSpec("NewReno", NewReno), SchemeSpec("Vegas", Vegas)]
+        schemes = [
+            SchemeSpec("NewReno", ProtocolSpec("newreno")),
+            SchemeSpec("Vegas", ProtocolSpec("vegas")),
+        ]
         cells = ["parking-lot-2bn", "reverse-ack-congestion"]
 
         def sweep():

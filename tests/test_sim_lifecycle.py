@@ -30,10 +30,10 @@ from repro.netsim.kernel import unwired
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.sender import Workload
 from repro.netsim.simulator import Simulation, gc_paused
-from repro.protocols import NewReno
+from repro.protocols import PROTOCOLS, NewReno
 from repro.runner import SerialBackend, SimJob
 from repro.runner.jobs import run_sim_job
-from repro.scenarios import get_scenario, scenario_names, smoke_scenarios
+from repro.scenarios import ProtocolSpec, get_scenario, scenario_names, smoke_scenarios
 from repro.traces.cellular import verizon_lte_trace
 
 FULL_MATRIX = os.environ.get("SCENARIO_MATRIX", "").lower() in {"full", "all", "1"}
@@ -197,7 +197,10 @@ class RaisesOnAck(NewReno):
 
 
 def _job(**fields) -> SimJob:
-    fields = {"job_id": 0, "spec": DUMBBELL, "duration": 1.0, "seed": 1, "protocol_factory": NewReno, **fields}
+    fields = {
+        "job_id": 0, "spec": DUMBBELL, "duration": 1.0, "seed": 1,
+        "protocols": (ProtocolSpec("newreno"),), **fields,
+    }
     return SimJob(**fields)
 
 
@@ -224,9 +227,10 @@ class TestCollectorSetting:
         assert run_sim_job(_job(max_events=uncapped.events_processed // 2)).result.truncated
         assert gc.isenabled() is caller_setting
 
-    def test_after_a_protocol_that_raises(self, caller_setting):
+    def test_after_a_protocol_that_raises(self, caller_setting, monkeypatch):
+        monkeypatch.setitem(PROTOCOLS, "raises-on-ack", RaisesOnAck)
         with pytest.raises(ZeroDivisionError):
-            run_sim_job(_job(protocol_factory=RaisesOnAck))
+            run_sim_job(_job(protocols=(ProtocolSpec("raises-on-ack"),)))
         assert gc.isenabled() is caller_setting
 
     def test_after_a_constructor_that_raises(self, caller_setting):

@@ -57,9 +57,8 @@ def extras_fingerprint() -> dict:
     from repro.experiments.clouds import run_cloud_figure
     from repro.netsim.path import PathSpec
     from repro.netsim.simulator import Simulation
-    from repro.protocols.newreno import NewReno
     from repro.protocols.remycc import RemyCCProtocol
-    from repro.protocols.vegas import Vegas
+    from repro.scenarios import ProtocolSpec
 
     fp = {}
 
@@ -102,13 +101,11 @@ def extras_fingerprint() -> dict:
 
     # Figure-style harness (the sender-count override, scheme fan-out, the
     # ExperimentResult fold).
-    result = run_cloud_figure(
-        4,
-        n_flows=3,
-        n_runs=2,
-        duration=3.0,
-        schemes=[SchemeSpec("NewReno", NewReno), SchemeSpec("Vegas", Vegas)],
-    )
+    schemes = [
+        SchemeSpec("NewReno", ProtocolSpec("newreno")),
+        SchemeSpec("Vegas", ProtocolSpec("vegas")),
+    ]
+    result = run_cloud_figure(4, n_flows=3, n_runs=2, duration=3.0, schemes=schemes)
     fp["figure4-mini"] = {
         name: {
             "tputs": [repr(v) for v in summary.throughputs_mbps],
@@ -120,7 +117,6 @@ def extras_fingerprint() -> dict:
     # Multi-cell grid (multi-bottleneck and congested-reverse topologies
     # through the scheme/backend job path).
     cells = ["parking-lot-2bn", "reverse-ack-congestion"]
-    schemes = [SchemeSpec("NewReno", NewReno), SchemeSpec("Vegas", Vegas)]
     grid = run_cells(cells, schemes, n_runs=2, duration=1.5)
     fp["path-sweep-mini"] = {}
     for cell, cell_runs in zip(cells, grid):
