@@ -63,8 +63,9 @@ class NetConfig:
     mean_on_seconds: float
     mean_off_seconds: float
     mean_on_bytes: Optional[float] = None
-    #: The bottleneck queue: ``None`` is the unlimited FIFO of §5.1, an
-    #: integer a DropTail queue of that many packets.
+    #: The bottleneck's DropTail buffer in packets
+    #: (:attr:`~repro.netsim.path.LinkSpec.buffer_packets`): ``None`` is the
+    #: unlimited FIFO of §5.1.
     buffer_packets: Optional[int] = None
 
     def __post_init__(self) -> None:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from repro.core.config import ConfigRange, NetConfig
 from repro.core.objective import Objective
 from repro.core.whisker_tree import WhiskerTree
-from repro.netsim.path import LinkSpec, PathSpec
+from repro.netsim.path import PathSpec
 from repro.netsim.simulator import SimulationResult
 from repro.runner import ExecutionBackend, SerialBackend, SimJob, SimJobResult, mix_seed
 from repro.traffic.onoff import ByteFlowWorkload, TimedFlowWorkload
@@ -139,17 +139,12 @@ class Evaluator:
 
     # -- specimen construction ---------------------------------------------------
     def _spec_for(self, specimen: NetConfig) -> PathSpec:
-        # The specimen's own buffer: none is the unlimited FIFO of §5.1.
-        if specimen.buffer_packets is None:
-            queue, buffer_packets = "infinite", LinkSpec.buffer_packets
-        else:
-            queue, buffer_packets = "droptail", specimen.buffer_packets
+        # The specimen's own DropTail buffer: none is the unlimited FIFO of §5.1.
         return PathSpec.dumbbell(
             n_flows=specimen.n_senders,
             rtt=specimen.rtt_seconds,
             rate_bps=specimen.link_speed_bps,
-            queue=queue,
-            buffer_packets=buffer_packets,
+            buffer_packets=specimen.buffer_packets,
         )
 
     def _specimen_workload(self, specimen: NetConfig):

@@ -133,7 +133,7 @@ def run_cells(
     scheme_slots: Sequence[Optional[SchemeSpec]] = (None,) if schemes is None else schemes
     jobs: list[SimJob] = []
     for cell in cells:
-        spec = cell.network_spec()
+        spec = cell.network
         workloads = tuple(cell.make_workloads() or ())
         for scheme in scheme_slots:
             protocols = cell.protocols if scheme is None else (scheme.protocol,)

@@ -32,6 +32,7 @@ from repro.experiments.base import (
 )
 from repro.runner import ExecutionBackend
 from repro.scenarios import get_scenario
+from repro.traces import TraceSpec
 
 #: Figure → (registry cell, label).  The cell pins everything that tells the
 #: figures apart: topology, trace, sender count, workload and seeds.
@@ -64,10 +65,11 @@ def run_cloud_figure(
     cell = get_scenario(cell_name)
     if n_flows is not None:
         cell = cell.override(n_flows=n_flows)
-    if cell.trace is not None:
+    trace = cell.network.forward[0].delivery_trace
+    if isinstance(trace, TraceSpec):
         # The trace is re-described at the run's duration so it covers the
         # whole run without cycling.
-        cell = cell.override(trace=replace(cell.trace, duration_seconds=duration))
+        cell = cell.override(delivery_trace=replace(trace, duration_seconds=duration))
     schemes = list(schemes) if schemes is not None else standard_schemes()
     [runs] = run_cells([cell], schemes, n_runs=n_runs, duration=duration, backend=backend)
     return ExperimentResult.from_runs(

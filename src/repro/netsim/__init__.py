@@ -23,7 +23,7 @@ played by ns-2 in the original work).  It provides:
 from repro.netsim.events import EventScheduler
 from repro.netsim.packet import Packet, AckInfo
 from repro.netsim.link import ConstantRateLink, TraceDrivenLink
-from repro.netsim.queue import DropTailQueue, InfiniteQueue, build_queue
+from repro.netsim.queue import DropTailQueue, build_queue
 from repro.netsim.aqm import REDQueue, CoDelQueue
 from repro.netsim.sfq import SfqCoDelQueue
 from repro.netsim.sender import Sender
@@ -39,7 +39,6 @@ __all__ = [
     "ConstantRateLink",
     "TraceDrivenLink",
     "DropTailQueue",
-    "InfiniteQueue",
     "REDQueue",
     "CoDelQueue",
     "SfqCoDelQueue",

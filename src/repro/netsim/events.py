@@ -180,8 +180,11 @@ class EventScheduler:
 
         Returns the number of events executed.  ``max_events`` guards against
         runaway simulations (e.g. a protocol bug producing an event storm):
-        only an event *beyond* the cap raises :class:`EventCapExceeded`,
-        leaving it queued.
+        only a due event *beyond* the cap raises :class:`EventCapExceeded`,
+        leaving it queued and the clock at the last event run.  The cap may
+        fall inside an instant; ``run_until(now)`` then runs the rest of it,
+        so a caller can stop at an instant boundary
+        (:meth:`~repro.netsim.simulator.Simulation.run` does).
 
         The simulator's dispatch loop.  Entries due at one timestamp are
         dispatched back to back (the clock is stored once per distinct
@@ -240,15 +243,15 @@ class EventScheduler:
                                 src = heap
                             break
                     time = best[0]
+                    if executed == limit and time <= end_time:
+                        raise EventCapExceeded(
+                            f"exceeded max_events={max_events} before reaching t={end_time}"
+                        )
                     if time != batch_time:
                         if time > end_time:
                             break
                         batch_time = time
                         self.now = time
-                    if executed == limit:
-                        raise EventCapExceeded(
-                            f"exceeded max_events={max_events} before reaching t={end_time}"
-                        )
                     executed += 1
                     if src is heap:
                         pop(heap)
@@ -265,17 +268,17 @@ class EventScheduler:
                     if callback is None:  # lazily cancelled
                         continue
                     time = entry[0]
+                    if executed == limit and time <= end_time:
+                        _heappush(heap, entry)
+                        raise EventCapExceeded(
+                            f"exceeded max_events={max_events} before reaching t={end_time}"
+                        )
                     if time != batch_time:
                         if time > end_time:
                             _heappush(heap, entry)  # not due: queued as it was
                             break
                         batch_time = time
                         self.now = time
-                    if executed == limit:
-                        _heappush(heap, entry)
-                        raise EventCapExceeded(
-                            f"exceeded max_events={max_events} before reaching t={end_time}"
-                        )
                     entry[2] = None  # mark executed so a late cancel is a no-op
                     executed += 1
                     callback(*entry[3])

@@ -16,7 +16,7 @@ counting wrapper are sinks like any other.  A link owns its queue: the
 sender calls its first hop's entry, and only the link's closures know the
 queue's bookkeeping and the seal check.
 
-A dumbbell's FIFO bottleneck (DropTail or unlimited) is *eager*: its
+A dumbbell's FIFO bottleneck (DropTail, limited or not) is *eager*: its
 ``receive`` computes each packet's service and arrival at enqueue and hands
 the packet to the receiver then, so the packet's only event is its ACK
 (:class:`~repro.netsim.link.ConstantRateLink`).  Every other hop keeps the
@@ -96,9 +96,8 @@ def across(scheduler: EventScheduler, delay: float, route: Route) -> Route:
 
 
 def plain_fifo(queue: QueueDiscipline) -> Optional["deque[Packet]"]:
-    """The queue's FIFO when it is an un-overridden DropTail (or
-    InfiniteQueue), whose bookkeeping the link's closures may inline; else
-    ``None``."""
+    """The queue's FIFO when it is an un-overridden DropTail (limited or
+    not), whose bookkeeping the link's closures may inline; else ``None``."""
     if (
         isinstance(queue, DropTailQueue)
         and type(queue).enqueue is DropTailQueue.enqueue

@@ -123,9 +123,9 @@ class ConstantRateLink(LinkBase):
     set, every serialization of a packet that size rides the scheduler's
     serialization lane; otherwise it goes on the heap.
 
-    **Eager FIFO.**  With ``eager`` set and a plain FIFO queue (DropTail or
-    infinite), a packet costs no event here at all.  A constant-rate FIFO
-    serves packets in arrival order, so when a packet is enqueued its
+    **Eager FIFO.**  With ``eager`` set and a plain FIFO queue (DropTail,
+    limited or not), a packet costs no event here at all.  A constant-rate
+    FIFO serves packets in arrival order, so when a packet is enqueued its
     service start is already known by Lindley's recursion, ``start =
     max(now, free_at)``, and so is ``done = start + size * 8 / rate``: the
     same float operations as the event path's chained finish times.

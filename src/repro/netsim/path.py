@@ -70,6 +70,7 @@ from repro.netsim.queue import QUEUE_KINDS, QueueDiscipline, QueueFactory, build
 from repro.netsim.receiver import Receiver
 from repro.netsim.sender import Sender
 from repro.netsim.stats import HopDelayStats
+from repro.traces import TraceSpec
 
 
 def validate_flows(
@@ -116,13 +117,16 @@ class LinkSpec:
         :data:`~repro.netsim.queue.QUEUE_KINDS`) or a factory returning a
         :class:`~repro.netsim.queue.QueueDiscipline`.
     buffer_packets:
-        Buffer size in packets.
+        Buffer size in packets; ``None`` (``droptail`` only, the one kind
+        that needs no limit) is the unlimited FIFO of §5.1's design model.
     loss_rate:
         Probability a packet is lost at this hop's entry, before its queue
         (stochastic non-congestive loss, e.g. a radio segment).
     delivery_trace:
-        Optional ascending delivery timestamps; the hop becomes a
-        :class:`~repro.netsim.link.TraceDrivenLink` (a cellular tail link).
+        Optional ascending delivery timestamps, a list or a
+        :class:`~repro.traces.TraceSpec` (generated on first use); the hop
+        becomes a :class:`~repro.netsim.link.TraceDrivenLink` (a cellular
+        tail link).
     name:
         Label used in link names (diagnostics only).
     """
@@ -130,7 +134,7 @@ class LinkSpec:
     rate_bps: float = 15e6
     delay: float = 0.0
     queue: Union[str, QueueFactory] = "droptail"
-    buffer_packets: int = 1000
+    buffer_packets: Optional[int] = 1000
     loss_rate: float = 0.0
     delivery_trace: Optional[Sequence[float]] = None
     name: str = ""
@@ -141,7 +145,10 @@ class LinkSpec:
     def __post_init__(self) -> None:
         if self.rate_bps <= 0 and self.delivery_trace is None:
             raise ValueError("rate_bps must be positive")
-        if self.buffer_packets <= 0:
+        if self.buffer_packets is None:
+            if isinstance(self.queue, str) and self.queue != "droptail":
+                raise ValueError(f"queue {self.queue!r} needs a buffer limit")
+        elif self.buffer_packets <= 0:
             raise ValueError("buffer_packets must be positive")
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
@@ -151,14 +158,14 @@ class LinkSpec:
             )
         if self.delay < 0:
             raise ValueError("delay cannot be negative")
-        if self.delivery_trace is not None:
+        if self.delivery_trace is not None and not isinstance(self.delivery_trace, TraceSpec):
             validate_delivery_trace(self.delivery_trace)
 
     def effective_rate_bps(self, mss_bytes: int = 1500) -> float:
         """The hop's rate: constant, or the trace's long-term mean."""
-        if self.delivery_trace is None:
+        times = self.delivery_trace
+        if times is None:
             return self.rate_bps
-        times = list(self.delivery_trace)
         span = times[-1] - times[0]
         if span <= 0:
             return self.rate_bps
@@ -391,17 +398,19 @@ class PathSpec:
         """Whether a drowned bottleneck may be sealed (README "Performance").
 
         True for exactly the design-time model of §5.1: a constant-rate
-        dumbbell (:meth:`dumbbell_hop`) behind the built-in unlimited FIFO
-        with no stochastic loss.  There a packet, once queued, is served
-        strictly in arrival order at a known rate and nothing is ever
-        dropped, so "this packet cannot leave before the run ends" is
-        decidable at enqueue time.  A finite buffer, any AQM, a trace-driven
+        dumbbell (:meth:`dumbbell_hop`) behind an unlimited DropTail FIFO
+        (``buffer_packets=None``) with no stochastic loss.  There a packet,
+        once queued, is served strictly in arrival order at a known rate and
+        nothing is ever dropped, so "this packet cannot leave before the run
+        ends" is decidable at enqueue time.  A finite buffer, any AQM, a trace-driven
         link, ``loss_rate > 0``, a second hop in either direction or a hop
         delay breaks one of those premises; a queue *factory* is opaque and
         never eligible.
         """
         hop = self.dumbbell_hop()
-        return hop is not None and hop.queue == "infinite" and hop.loss_rate == 0.0
+        if hop is None:
+            return False
+        return (hop.queue, hop.buffer_packets, hop.loss_rate) == ("droptail", None, 0.0)
 
     # -- generalisation hooks ---------------------------------------------------
     def with_hops(self, **link_fields: Any) -> "PathSpec":

@@ -1,5 +1,5 @@
-"""Queueing disciplines: the abstract interface, DropTail and infinite
-queues, and :func:`build_queue`, the one construction path behind every hop.
+"""Queueing disciplines: the abstract interface, the DropTail FIFO (limited
+or not), and :func:`build_queue`, the one construction path behind every hop.
 
 A queue is attached to a link.  The link calls :meth:`QueueDiscipline.enqueue`
 when a packet arrives and :meth:`QueueDiscipline.dequeue` when the link is
@@ -12,6 +12,7 @@ discipline, so a queue kind behaves identically wherever it appears.
 from __future__ import annotations
 
 import random
+import sys
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Callable, Optional, Union
@@ -56,12 +57,16 @@ class DropTailQueue(QueueDiscipline):
     """FIFO queue with a fixed capacity in packets; arrivals overflow at the tail.
 
     This is the 1000-packet tail-drop buffer used throughout the paper's
-    evaluation topologies.
+    evaluation topologies.  ``capacity_packets=None`` is the unlimited queue
+    of Remy's design-time model (§5.1): nothing is ever dropped, and the
+    objective's delay term is what discourages standing queues.
     """
 
-    def __init__(self, capacity_packets: int = 1000) -> None:
+    def __init__(self, capacity_packets: Optional[int] = 1000) -> None:
         super().__init__()
-        if capacity_packets <= 0:
+        if capacity_packets is None:
+            capacity_packets = sys.maxsize  # an int: the links' inlined test compares ints
+        elif capacity_packets <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_packets}")
         self.capacity_packets = capacity_packets
         self._queue: deque[Packet] = deque()
@@ -92,25 +97,10 @@ class DropTailQueue(QueueDiscipline):
         return self._bytes
 
 
-class InfiniteQueue(DropTailQueue):
-    """Unbounded FIFO queue — the 'queue capacity unlimited' design-time model.
-
-    Remy's design-phase network model uses unlimited queues (§5.1); losses are
-    then impossible and the objective's delay term is what discourages
-    standing queues.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(capacity_packets=1)
-        # Effectively unbounded; chosen large enough that no sane simulation
-        # ever reaches it while still being a finite int.
-        self.capacity_packets = 10**9
-
-
 QueueFactory = Callable[[], QueueDiscipline]
 
 #: Built-in queue discipline names a :class:`~repro.netsim.path.LinkSpec` accepts.
-QUEUE_KINDS = ("droptail", "infinite", "codel", "sfqcodel", "red", "red-dctcp", "xcp")
+QUEUE_KINDS = ("droptail", "codel", "sfqcodel", "red", "red-dctcp", "xcp")
 
 #: DCTCP's marking threshold K in packets (``red-dctcp``), the value the
 #: DCTCP paper recommends for 10 Gbps links.
@@ -120,7 +110,7 @@ DCTCP_MARKING_THRESHOLD = 65.0
 def build_queue(
     queue: Union[str, QueueFactory],
     *,
-    buffer_packets: int,
+    buffer_packets: Optional[int],
     rng: Optional[random.Random] = None,
     red_min_thresh: float = 20.0,
     red_max_thresh: float = 60.0,
@@ -144,8 +134,6 @@ def build_queue(
         return queue()
     if queue == "droptail":
         return DropTailQueue(capacity_packets=buffer_packets)
-    if queue == "infinite":
-        return InfiniteQueue()
     if queue == "codel":
         return CoDelQueue(capacity_packets=buffer_packets)
     if queue == "sfqcodel":

@@ -17,7 +17,7 @@ import gc
 import math
 import random
 import statistics
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -162,8 +162,10 @@ class Simulation:
         Flow ids whose (time, cumulative-ack) trajectory should be recorded
         (used by the Figure 6 convergence experiment).
     max_events:
-        Stop after this many events (``None``: no cap; else an int ≥ 0) and
-        flag the result ``truncated``.
+        Stop at the end of the instant in which this many events have run
+        (``None``: no cap; else an int ≥ 0; the rest of that instant is
+        capped at ``max_events`` again) and flag the result ``truncated``:
+        its statistics are those of an uncapped run ending at that instant.
     debug_invariants:
         Arm the runtime sanitizer (:mod:`repro.netsim.invariants`):
         conservation (by a census of the packets held in queues and
@@ -279,10 +281,13 @@ class Simulation:
             try:
                 self.scheduler.run_until(end_time, max_events=self.max_events)
             except EventCapExceeded:
-                # Report the prefix that was simulated, flagged, rather than
-                # failing the batch the run belongs to.
+                # Report the prefix that was simulated, to the end of the
+                # instant the cap fell in, flagged, rather than failing the
+                # batch the run belongs to.
                 truncated = True
                 end_time = self.scheduler.now
+                with suppress(EventCapExceeded):
+                    self.scheduler.run_until(end_time, max_events=self.max_events)
             self.network.settle(end_time)
             for sender in self.senders:
                 sender.finalize(end_time)

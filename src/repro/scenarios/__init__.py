@@ -14,7 +14,7 @@ Typical use::
     sim = cell.build(duration=30.0, seed=7)   # paper-scale override
 """
 
-from repro.scenarios.spec import ProtocolSpec, ScenarioSpec, TraceSpec
+from repro.scenarios.spec import ProtocolSpec, ScenarioSpec
 from repro.scenarios.registry import (
     all_scenarios,
     get_scenario,
@@ -39,7 +39,6 @@ from repro.scenarios.fingerprint import (
 __all__ = [
     "ScenarioSpec",
     "ProtocolSpec",
-    "TraceSpec",
     "register_scenario",
     "unregister_scenario",
     "get_scenario",

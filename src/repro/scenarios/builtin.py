@@ -34,7 +34,8 @@ from __future__ import annotations
 
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.scenarios.registry import register_scenario
-from repro.scenarios.spec import ProtocolSpec, ScenarioSpec, TraceSpec
+from repro.scenarios.spec import ProtocolSpec, ScenarioSpec
+from repro.traces import TraceSpec
 from repro.traffic.flowsize import icsi_flow_length_distribution
 from repro.traffic.incast import IncastWorkload
 from repro.traffic.onoff import (
@@ -54,6 +55,11 @@ ASYM_RTTS = (0.030, 0.075, 0.150, 0.300)
 def _paper_onoff() -> ByteFlowWorkload:
     """The paper's most common workload: 100 kB flows, 0.5 s mean off time."""
     return ByteFlowWorkload.exponential(mean_flow_bytes=100e3, mean_off_seconds=0.5)
+
+
+def _lte_dumbbell(n_flows: int, kind: str, seed: int, **hop: float) -> PathSpec:
+    """A 50 ms dumbbell whose bottleneck replays a 4 s LTE trace (its rate is nominal)."""
+    return PathSpec.dumbbell(n_flows, rtt=0.050, delivery_trace=TraceSpec(kind, 4.0, seed), **hop)
 
 
 def _icsi_onoff(mean_off_seconds: float = 0.2) -> ByteFlowWorkload:
@@ -115,8 +121,7 @@ register_scenario(
         name="fig7-lte4",
         description="Figure 7: Verizon LTE downlink trace, 4 senders over DropTail",
         topology="cellular",
-        network=PathSpec.dumbbell(4, rtt=0.050),  # nominal rate; the trace governs
-        trace=TraceSpec("verizon", duration_seconds=4.0, seed=1),
+        network=_lte_dumbbell(4, "verizon", seed=1),
         protocols=(ProtocolSpec("newreno"),),
         workloads=(_paper_onoff(),),
         duration=4.0,
@@ -130,8 +135,7 @@ register_scenario(
         name="fig8-lte8",
         description="Figure 8: Verizon LTE downlink trace, 8 senders",
         topology="cellular",
-        network=PathSpec.dumbbell(8, rtt=0.050),
-        trace=TraceSpec("verizon", duration_seconds=4.0, seed=1),
+        network=_lte_dumbbell(8, "verizon", seed=1),
         protocols=(ProtocolSpec("cubic"),),
         workloads=(_paper_onoff(),),
         duration=4.0,
@@ -144,8 +148,7 @@ register_scenario(
         name="fig9-att4",
         description="Figure 9: AT&T LTE downlink trace (slower, choppier), 4 senders",
         topology="cellular",
-        network=PathSpec.dumbbell(4, rtt=0.050),
-        trace=TraceSpec("att", duration_seconds=4.0, seed=2),
+        network=_lte_dumbbell(4, "att", seed=2),
         protocols=(ProtocolSpec("vegas"),),
         workloads=(_paper_onoff(),),
         duration=4.0,
@@ -310,8 +313,7 @@ register_scenario(
         name="cellular-lossy",
         description="Lossy-link cellular: Verizon trace with 1% stochastic forward loss",
         topology="cellular",
-        network=PathSpec.dumbbell(4, rtt=0.050, loss_rate=0.01),
-        trace=TraceSpec("verizon", duration_seconds=4.0, seed=9),
+        network=_lte_dumbbell(4, "verizon", seed=9, loss_rate=0.01),
         protocols=(ProtocolSpec("newreno"),),
         workloads=(_paper_onoff(),),
         duration=4.0,
@@ -436,13 +438,11 @@ register_scenario(
         network=PathSpec(
             forward=(
                 LinkSpec(rate_bps=20e6, delay=0.010, buffer_packets=200),
-                LinkSpec(rate_bps=15e6, buffer_packets=1000),  # trace governs
+                LinkSpec(buffer_packets=1000, delivery_trace=TraceSpec("verizon", 3.0, seed=11)),
             ),
             rtt=0.050,
             n_flows=4,
         ),
-        trace=TraceSpec("verizon", duration_seconds=3.0, seed=11),
-        trace_link=1,
         protocols=(ProtocolSpec("newreno"),),
         workloads=(_paper_onoff(),),
         duration=3.0,

@@ -14,11 +14,9 @@ cells from :mod:`repro.scenarios.registry` instead of hand-rolling network
 construction, so a new cell registered once is immediately covered by all of
 them.
 
-Three sub-specs keep the cell declarative where instantiation is non-trivial:
+Two sub-specs keep the cell declarative where instantiation is non-trivial
+(a trace-driven hop's :class:`~repro.traces.TraceSpec` is the network's own):
 
-* :class:`TraceSpec` — a cellular delivery trace described by ``(kind, seed,
-  duration)`` and generated on materialization, so the cell pickles as three
-  scalars instead of thousands of timestamps;
 * :class:`ProtocolSpec` — a protocol named by its registry key (plus the
   pretrained-tree name and training flag for RemyCCs), the one description
   of what runs on a flow in cells, harness schemes and runner jobs alike;
@@ -31,51 +29,15 @@ Three sub-specs keep the cell declarative where instantiation is non-trivial:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.sender import Workload
 from repro.netsim.simulator import Simulation, SimulationResult
-from repro.traces.cellular import att_lte_trace, verizon_lte_trace
 
 if TYPE_CHECKING:  # annotation-only: avoids importing protocols at module load
     from repro.core.whisker_tree import WhiskerTree
     from repro.protocols.base import CongestionControl
-
-#: Trace generators addressable from a :class:`TraceSpec`.
-TRACE_KINDS: dict[str, Callable[..., list[float]]] = {
-    "verizon": verizon_lte_trace,
-    "att": att_lte_trace,
-}
-
-
-@dataclass(frozen=True)
-class TraceSpec:
-    """A cellular delivery trace described declaratively.
-
-    ``kind`` names one of :data:`TRACE_KINDS`; the trace itself is generated
-    on demand by :meth:`delivery_times`, so a scenario cell stays a few
-    scalars instead of embedding thousands of delivery timestamps.
-    """
-
-    kind: str
-    duration_seconds: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in TRACE_KINDS:
-            raise ValueError(
-                f"unknown trace kind {self.kind!r}; expected one of {sorted(TRACE_KINDS)}"
-            )
-        if self.duration_seconds <= 0:
-            raise ValueError("duration_seconds must be positive")
-
-    def delivery_times(self) -> list[float]:
-        """Materialize the per-packet delivery instants."""
-        return TRACE_KINDS[self.kind](
-            duration_seconds=self.duration_seconds, seed=self.seed
-        )
-
 
 @dataclass(frozen=True)
 class ProtocolSpec:
@@ -167,13 +129,9 @@ class ScenarioSpec:
         one smoke cell per topology.
     network:
         The topology: a :class:`~repro.netsim.path.PathSpec` (the paper's
-        dumbbell is :meth:`~repro.netsim.path.PathSpec.dumbbell`).  For
-        trace-driven cells leave the trace unset on the network and supply
-        ``trace`` instead.
-    trace_link:
-        Index of the forward hop that replays ``trace`` (e.g. the cellular
-        tail link of a multi-hop path; a dumbbell's one hop is ``0``).
-        Ignored without ``trace``.
+        dumbbell is :meth:`~repro.netsim.path.PathSpec.dumbbell`).  A
+        trace-driven hop names its trace by a
+        :class:`~repro.traces.TraceSpec`, so the cell stays a few scalars.
     protocols:
         Either a single :class:`ProtocolSpec` applied to every flow, or one
         per flow (mixed protocol sets, e.g. a RemyCC competing with Cubic).
@@ -194,8 +152,6 @@ class ScenarioSpec:
     network: PathSpec
     protocols: tuple[ProtocolSpec, ...] = (ProtocolSpec(),)
     workloads: tuple[Workload, ...] = ()
-    trace: Optional[TraceSpec] = None
-    trace_link: int = 0
     duration: float = 3.0
     seed: int = 0
     smoke: bool = False
@@ -216,29 +172,8 @@ class ScenarioSpec:
                 f"{self.name}: got {len(self.workloads)} workloads for "
                 f"{n_flows} flows (need 0, 1 or {n_flows})"
             )
-        if self.trace is not None:
-            if not 0 <= self.trace_link < len(self.network.forward):
-                raise ValueError(
-                    f"{self.name}: trace_link {self.trace_link} out of "
-                    f"range for {len(self.network.forward)} forward hops"
-                )
-            if self.network.forward[self.trace_link].delivery_trace is not None:
-                raise ValueError(
-                    f"{self.name}: hop {self.trace_link} already has a "
-                    "delivery_trace; set either that or trace, not both"
-                )
 
     # -- materialization -----------------------------------------------------
-    def network_spec(self) -> PathSpec:
-        """The topology spec to simulate, with any trace materialized."""
-        if self.trace is None:
-            return self.network
-        forward = list(self.network.forward)
-        forward[self.trace_link] = replace(
-            forward[self.trace_link], delivery_trace=self.trace.delivery_times()
-        )
-        return replace(self.network, forward=tuple(forward))
-
     def make_protocols(self) -> list["CongestionControl"]:
         """Fresh protocol instances, one per flow (see :func:`build_protocols`)."""
         return build_protocols(self.protocols, self.network.n_flows)
@@ -260,7 +195,7 @@ class ScenarioSpec:
     ) -> Simulation:
         """Materialize the cell into a ready-to-run :class:`Simulation`."""
         return Simulation(
-            self.network_spec(),
+            self.network,
             self.make_protocols(),
             self.make_workloads(),
             duration=self.duration if duration is None else duration,

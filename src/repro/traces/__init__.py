@@ -6,11 +6,14 @@ subpackage *synthesizes* LTE-like delivery traces from a Markov-modulated
 rate process with the qualitative characteristics the paper reports
 (0-50 Mbps variation, multi-second coherence times, occasional outages) and
 turns them into the per-packet delivery timestamps consumed by
-:class:`repro.netsim.link.TraceDrivenLink`.
+:class:`repro.netsim.link.TraceDrivenLink`.  A hop names its trace by a
+:class:`TraceSpec` (one of :data:`TRACE_KINDS`, a duration and a seed).
 """
 
 from repro.traces.cellular import (
+    TRACE_KINDS,
     CellularTraceConfig,
+    TraceSpec,
     att_lte_trace,
     generate_cellular_trace,
     rate_series_to_delivery_times,
@@ -18,6 +21,8 @@ from repro.traces.cellular import (
 )
 
 __all__ = [
+    "TRACE_KINDS",
+    "TraceSpec",
     "CellularTraceConfig",
     "generate_cellular_trace",
     "rate_series_to_delivery_times",

@@ -9,6 +9,9 @@ per-packet delivery instants: at each instant exactly one MTU-sized packet
 may leave the queue, matching the paper's replay semantics ("packets are
 enqueued by the network until they can be dequeued and delivered at the same
 instants seen in the trace").
+
+A hop names its trace by a :class:`TraceSpec`, ``(kind, duration, seed)``,
+which generates the instants on first use, once per process.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -148,3 +151,57 @@ def att_lte_trace(duration_seconds: float = 120.0, seed: int = 2) -> list[float]
         outage_probability=0.04,
     )
     return generate_cellular_trace(duration_seconds, config, seed=seed)
+
+
+#: Trace generators addressable from a :class:`TraceSpec`.
+TRACE_KINDS: dict[str, Callable[..., list[float]]] = {
+    "verizon": verizon_lte_trace,
+    "att": att_lte_trace,
+}
+
+#: Generated traces by spec, shared by every hop in the process that names one.
+_TRACES: dict["TraceSpec", list[float]] = {}
+
+
+@dataclass(frozen=True)
+class TraceSpec(Sequence[float]):
+    """A cellular delivery trace described by ``(kind, duration, seed)``.
+
+    It is the sequence of delivery instants that :data:`TRACE_KINDS`'s
+    ``kind`` generator yields, generated on first use and cached once per
+    process, so a hop (:attr:`~repro.netsim.path.LinkSpec.delivery_trace`)
+    pickles as these three fields instead of thousands of timestamps.  Its
+    generators yield non-decreasing instants, so the hop skips the list
+    check and nothing generates the trace before a link needs it; a trace
+    too short to hold an instant (one outage step at most) raises then.
+    """
+
+    kind: str
+    duration_seconds: float
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.kind not in TRACE_KINDS:
+            raise ValueError(
+                f"unknown trace kind {self.kind!r}; expected one of {sorted(TRACE_KINDS)}"
+            )
+        if self.duration_seconds <= 0:
+            raise ValueError("duration_seconds must be positive")
+
+    def _times(self) -> list[float]:
+        times = _TRACES.get(self)
+        if times is None:
+            times = TRACE_KINDS[self.kind](duration_seconds=self.duration_seconds, seed=self.seed)
+            if not times:
+                raise ValueError(f"{self!r} holds no delivery instant; lengthen duration_seconds")
+            _TRACES[self] = times
+        return times
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._times()[index]
+
+    def __len__(self) -> int:
+        return len(self._times())
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._times())

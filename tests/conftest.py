@@ -19,7 +19,7 @@ def cell_job(name: str, **fields) -> SimJob:
     it, with ``fields`` replaced."""
     cell = get_scenario(name)
     job = SimJob(
-        job_id=0, spec=cell.network_spec(), duration=cell.duration, seed=cell.seed,
+        job_id=0, spec=cell.network, duration=cell.duration, seed=cell.seed,
         workloads=tuple(cell.make_workloads() or ()), protocols=cell.protocols,
     )
     return replace(job, **fields)
@@ -35,7 +35,7 @@ class HeapOnlySimulation(Simulation):
     def of(cls, cell) -> "HeapOnlySimulation":
         """``cell.build()``, heap only."""
         return cls(
-            cell.network_spec(), cell.make_protocols(), cell.make_workloads(),
+            cell.network, cell.make_protocols(), cell.make_workloads(),
             duration=cell.duration, seed=cell.seed,
         )
 
@@ -68,8 +68,10 @@ def event_path() -> type[EventPathSimulation]:
 def sim_class(kernel) -> type[Simulation]:
     """What a test parametrized over ``kernel`` builds: ``"auto"`` is
     :class:`Simulation` (lanes where the shape allows them), ``"generic"``
-    the heap-only reference."""
-    return {"auto": Simulation, "generic": HeapOnlySimulation}[kernel]
+    the heap-only reference, ``"event-path"`` the event-path reference."""
+    return {
+        "auto": Simulation, "generic": HeapOnlySimulation, "event-path": EventPathSimulation,
+    }[kernel]
 
 
 @pytest.fixture

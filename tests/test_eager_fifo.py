@@ -43,10 +43,10 @@ ENGINES = {
 
 def serves_eagerly(spec: PathSpec) -> bool:
     hop = spec.dumbbell_hop()
-    return hop is not None and hop.queue in ("droptail", "infinite")
+    return hop is not None and hop.queue == "droptail"
 
 
-DUMBBELL_CELLS = [cell for cell in all_scenarios() if serves_eagerly(cell.network_spec())]
+DUMBBELL_CELLS = [cell for cell in all_scenarios() if serves_eagerly(cell.network)]
 
 
 def outcome(sim_class, spec, make_protocols, workloads, duration, seed, **options):
@@ -93,12 +93,12 @@ def assert_eager_matches_event_path(spec, make_protocols, workloads, duration, s
 @pytest.mark.parametrize("cell", DUMBBELL_CELLS, ids=lambda cell: cell.name)
 def test_every_dumbbell_cell(cell):
     assert_eager_matches_event_path(
-        cell.network_spec(), cell.make_protocols, cell.make_workloads, cell.duration, cell.seed
+        cell.network, cell.make_protocols, cell.make_workloads, cell.duration, cell.seed
     )
 
 
 def test_the_cells_cover_both_fifo_kinds_and_training():
-    kinds = {cell.network_spec().dumbbell_hop().queue for cell in DUMBBELL_CELLS}
+    kinds = {cell.network.dumbbell_hop().queue for cell in DUMBBELL_CELLS}
     assert len(DUMBBELL_CELLS) >= 10 and kinds >= {"droptail"}
     assert any(cell.name == "bench-remy-training" for cell in DUMBBELL_CELLS)
 
@@ -124,7 +124,7 @@ def specimen(kind: str, seed: int):
         hop.update(queue="droptail", buffer_packets=rng.randint(4, 20))
         workloads = None
     elif kind == "unlimited-seals":
-        hop.update(queue="infinite")
+        hop.update(queue="droptail", buffer_packets=None)
         tree = WhiskerTree(default_action=RUNAWAY)
         make_protocols = lambda: [RemyCCProtocol(tree, training=True) for _ in range(n_flows)]  # noqa: E731
     elif kind == "mixed-rtts":

@@ -143,8 +143,8 @@ class TestEvaluator:
                 rate_bps=specimen.link_speed_bps,
                 rtt=specimen.rtt_seconds,
                 n_flows=specimen.n_senders,
-                queue="infinite",
-                buffer_packets=1000,
+                queue="droptail",
+                buffer_packets=None,
                 mss_bytes=1500,
             )
 

@@ -25,8 +25,9 @@ from repro.experiments.datacenter import run_datacenter
 from repro.experiments.clouds import run_cloud_figure
 from repro.experiments.prior_knowledge import run_figure11
 from repro.experiments.rtt_fairness import FIGURE10_RTTS, run_figure10
-from repro.runner import SerialBackend
+from repro.runner import ProcessPoolBackend, SerialBackend
 from repro.scenarios import ProtocolSpec, get_scenario
+from repro.traces import TraceSpec
 
 #: A reduced comparison set used by the smoke tests (fast but representative).
 FAST_SCHEMES = [
@@ -49,7 +50,8 @@ class RecordingBackend(SerialBackend):
 
 def retraced(cell):
     """A cellular cell with its trace re-described at the 0.2 s runs below."""
-    return cell.override(trace=replace(cell.trace, duration_seconds=0.2))
+    trace = cell.network.forward[0].delivery_trace
+    return cell.override(delivery_trace=replace(trace, duration_seconds=0.2))
 
 
 #: Every harness entry point, called with only its run size and the axis its
@@ -164,7 +166,7 @@ class TestRunCells:
         monkeypatch.setattr(base, "SerialBackend", lambda: backend)
         run()
         [jobs] = backend.batches
-        spec = cell.network_spec()
+        spec = cell.network
         workloads = pickle.dumps(tuple(cell.make_workloads() or ()))
         queue = spec.forward[0].queue
         assert [job.spec.with_hops(queue=queue) for job in jobs] == [spec] * len(jobs)
@@ -219,6 +221,25 @@ class TestDumbbell:
     def test_figure5_smoke(self):
         result = run_cloud_figure(5, n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES)
         assert len(result.summaries) == len(FAST_SCHEMES)
+
+
+class TestCellular:
+    def test_a_pooled_figure7_equals_the_serial_run_and_ships_small_jobs(self):
+        # The cell's trace rides its hop as a TraceSpec, re-described at the
+        # run's duration: a job is a few scalars, not thousands of instants.
+        recording = RecordingBackend()
+        def figure7(backend):
+            return run_cloud_figure(7, n_runs=2, duration=1.0, schemes=FAST_SCHEMES, backend=backend)
+
+        recording = RecordingBackend()
+        serial = figure7(recording)
+        [jobs] = recording.batches
+        traces = {job.spec.forward[0].delivery_trace for job in jobs}
+        assert traces == {TraceSpec("verizon", 1.0, 1)}
+        assert max(len(pickle.dumps(job)) for job in jobs) <= 1024
+        with ProcessPoolBackend(max_workers=2) as pool:
+            assert figure7(pool) == serial
+        assert all(summary.n_points for summary in serial.summaries.values())
 
 
 class TestConvergence:

@@ -268,13 +268,17 @@ RETIRED = {
     **dict.fromkeys((
         "protocol_factory", "ProtocolFactory", "check_factories_picklable", "per_flow_workloads",
         "workload_for", "protocol_spec_for"), 44),
+    **dict.fromkeys(("InfiniteQueue", "trace_link", "network_spec"), 45),
 }
 
 #: What may name deleted code: the history files, and the guards here.
 MAY_NAME_DELETED = {"CHANGES.md", "ROADMAP.md", "ISSUE.md", "tests/test_lint.py"}
 
 #: (name, file) pairs allowed until a benchmark change may edit ``bench/``.
-STALE_IN_BENCH = {("FlatKernel", "bench/README.md"), ("merge_whisker_stats", "bench/README.md")}
+STALE_IN_BENCH = {
+    ("FlatKernel", "bench/README.md"), ("merge_whisker_stats", "bench/README.md"),
+    ("network_spec", "bench/README.md"), ("network_spec", "bench/spans.py"),
+}
 
 #: A name starts where the character before it is not an identifier
 #: character, past any leading underscores: ``self._pending`` names ``_pending``
@@ -370,8 +374,8 @@ KNOBS = {
     "repro.scenarios:ProtocolSpec": ["name", "tree", "training"],
     "repro.experiments:SchemeSpec": ["name", "protocol", "queue"],
     "repro.scenarios:ScenarioSpec": [
-        "name", "description", "topology", "network", "protocols", "workloads", "trace",
-        "trace_link", "duration", "seed", "smoke"],
+        "name", "description", "topology", "network", "protocols", "workloads", "duration", "seed",
+        "smoke"],
     "repro.netsim:LinkSpec": [
         "rate_bps", "delay", "queue", "buffer_packets", "loss_rate", "delivery_trace", "name",
         "red_min_thresh", "red_max_thresh"],

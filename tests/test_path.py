@@ -15,6 +15,7 @@ import pytest
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.path import LinkSpec, PathNetwork, PathSpec
+from repro.netsim.queue import QUEUE_KINDS, DropTailQueue
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.scenarios import all_scenarios, get_scenario, simulation_fingerprint
@@ -56,6 +57,14 @@ class TestLinkSpecValidation:
     def test_trace_effective_rate(self):
         link = LinkSpec(delivery_trace=[i * 0.01 for i in range(101)])
         assert link.effective_rate_bps(1500) == pytest.approx(100 * 1500 * 8)
+
+    @pytest.mark.parametrize("kind", QUEUE_KINDS)
+    def test_only_droptail_takes_an_unlimited_buffer(self, kind):
+        if kind == "droptail":
+            assert type(LinkSpec(buffer_packets=None).make_queue()) is DropTailQueue
+        else:
+            with pytest.raises(ValueError, match="needs a buffer limit"):
+                LinkSpec(queue=kind, buffer_packets=None)
 
 
 class TestPathSpecValidation:
@@ -163,7 +172,7 @@ class TestOneNetworkClass:
         for cell in all_scenarios():
             sim = cell.build()
             assert type(sim.network) is PathNetwork, cell.name
-            assert sim.network.spec == cell.network_spec(), cell.name
+            assert sim.network.spec == cell.network, cell.name
 
     def test_lanes_follow_the_shape_not_the_spelling(self, rides_lanes):
         def lanes(spec):

@@ -1,9 +1,9 @@
-"""Unit tests for DropTail and infinite queues."""
+"""Unit tests for DropTail queues, limited and unlimited."""
 
 import pytest
 
 from repro.netsim.packet import Packet
-from repro.netsim.queue import DropTailQueue, InfiniteQueue
+from repro.netsim.queue import DropTailQueue
 
 
 def _packet(seq: int, flow: int = 0) -> Packet:
@@ -51,7 +51,7 @@ def test_invalid_capacity_rejected():
 
 
 def test_infinite_queue_never_drops():
-    queue = InfiniteQueue()
+    queue = DropTailQueue(capacity_packets=None)
     for seq in range(5000):
         assert queue.enqueue(_packet(seq), 0.0)
     assert queue.drops == 0

@@ -120,7 +120,9 @@ class TestRegistryShape:
 
         assert any(resolve(n).network.reverse for n in registered)
         assert any(resolve(n).network.forward_hops for n in registered)
-        assert any(resolve(n).trace is not None for n in registered)
+        assert any(
+            hop.delivery_trace is not None for n in registered for hop in resolve(n).network.forward
+        )
 
     def test_every_topology_has_exactly_one_smoke_cell(self):
         # The tier-1 smoke subset is "one cell per topology": the smoke flag
@@ -243,7 +245,7 @@ class TestReversePathDeterminism:
         """Per flow, when each ACK reached the sender and what it acked."""
         cell = get_scenario(cell_name)
         sim = Simulation(
-            cell.network_spec(), cell.make_protocols(), cell.make_workloads(),
+            cell.network, cell.make_protocols(), cell.make_workloads(),
             duration=cell.duration, seed=cell.seed, trace_flows=range(cell.network.n_flows),
         )
         return [stats.sequence_trace for stats in sim.run().flow_stats]

@@ -33,7 +33,7 @@ from repro.netsim.events import EventScheduler
 from repro.netsim.link import ConstantRateLink
 from repro.netsim.packet import Packet
 from repro.netsim.path import LinkSpec, PathSpec
-from repro.netsim.queue import InfiniteQueue
+from repro.netsim.queue import DropTailQueue
 from repro.netsim.sender import AlwaysOnWorkload
 from repro.netsim.simulator import Simulation, SimulationResult
 from repro.netsim.stats import FlowStats
@@ -62,13 +62,15 @@ DURATION = 2.0
 FLOOD_SEED = 2
 
 
-def flood_spec(queue: str, **overrides) -> PathSpec:
+def flood_spec(queue: str = "droptail", **overrides) -> PathSpec:
+    """The flood dumbbell: an unlimited DropTail FIFO, or ``queue``'s
+    1000-packet buffer."""
     fields = dict(
         rate_bps=10e6,
         rtt=0.1,
         n_flows=3,
         queue=queue,
-        buffer_packets=GIANT_BUFFER if queue == "droptail" else 1000,
+        buffer_packets=None if queue == "droptail" else 1000,
     )
     fields.update(overrides)
     return PathSpec.dumbbell(**fields)
@@ -136,7 +138,7 @@ def references(heap_only):
         key = (workload_kind, training)
         if key not in cache:
             cache[key] = run_flood(
-                flood_spec("droptail"), workload_kind, training, heap_only
+                flood_spec(buffer_packets=GIANT_BUFFER), workload_kind, training, heap_only
             )
         return cache[key]
 
@@ -147,14 +149,14 @@ def references(heap_only):
 @pytest.mark.parametrize("training", [True, False], ids=["training", "execution"])
 @pytest.mark.parametrize("workload_kind", ["timed", "byte"])
 def test_sealed_run_matches_unsealed_reference(references, workload_kind, training, sim_class):
-    sealed = run_flood(flood_spec("infinite"), workload_kind, training, sim_class)
+    sealed = run_flood(flood_spec(), workload_kind, training, sim_class)
     assert_sealed_matches_reference(sealed, references(workload_kind, training))
 
 
 @pytest.mark.parametrize("workload_kind", ["timed", "byte"])
 def test_both_kernels_seal_at_the_same_instant(workload_kind, heap_only):
-    generic, _ = run_flood(flood_spec("infinite"), workload_kind, sim_class=heap_only)
-    fused, _ = run_flood(flood_spec("infinite"), workload_kind)
+    generic, _ = run_flood(flood_spec(), workload_kind, sim_class=heap_only)
+    fused, _ = run_flood(flood_spec(), workload_kind)
     assert generic.sealed_at is not None
     assert fused.sealed_at == generic.sealed_at
     # Past the seal the two wirings still do the same thing.
@@ -165,7 +167,7 @@ def test_both_kernels_seal_at_the_same_instant(workload_kind, heap_only):
 
 
 def test_sealed_at_is_past_the_point_of_no_return():
-    spec = flood_spec("infinite")
+    spec = flood_spec()
     result, _ = run_flood(spec)
     # At the seal the backlog outlasts the run: fewer packets were delivered
     # by the end than had been accepted by the seal.
@@ -181,7 +183,8 @@ def test_an_armed_link_seals_itself_on_a_direct_receive():
     # a run ending at 1 s the budget is 1 s of service plus 2 MSS = 4500
     # bytes; the enqueue that leaves more than that queued seals, once.
     scheduler = EventScheduler()
-    link = ConstantRateLink(scheduler, rate_bps=12_000.0, queue=InfiniteQueue())
+    unlimited = DropTailQueue(capacity_packets=None)
+    link = ConstantRateLink(scheduler, rate_bps=12_000.0, queue=unlimited)
     link.route(0, (0.0, None, lambda packet: None))
     seals: list[int] = []
     link.arm_seal(end_time=1.0, mss_bytes=1500, on_seal=lambda: seals.append(len(link.queue)))
@@ -206,11 +209,9 @@ def test_retransmission_clock_survives_the_seal(sim_class):
     reproduce that: the whisker samples are the witness.
     """
 
-    def run(queue):
+    def run(buffer_packets):
         tree = WhiskerTree(default_action=Action(1.0, 0.0, 0.01))
-        spec = PathSpec.dumbbell(
-            rate_bps=1e6, rtt=0.05, n_flows=2, queue=queue, buffer_packets=GIANT_BUFFER
-        )
+        spec = PathSpec.dumbbell(rate_bps=1e6, rtt=0.05, n_flows=2, buffer_packets=buffer_packets)
         result = sim_class(
             spec,
             [RemyCCProtocol(tree, training=True), ConstantRate(2500.0)],
@@ -220,7 +221,7 @@ def test_retransmission_clock_survives_the_seal(sim_class):
         ).run()
         return result, [(w.use_count, list(w._samples)) for w in tree.whiskers()]
 
-    sealed, reference = run("infinite"), run("droptail")
+    sealed, reference = run(None), run(GIANT_BUFFER)
     assert_sealed_matches_reference(sealed, reference)
     # The scenario is the one described: timeouts on both sides of the seal,
     # a duplicate (retransmitted) delivery, and the memory resets all of it
@@ -231,8 +232,8 @@ def test_retransmission_clock_survives_the_seal(sim_class):
 
 @pytest.mark.parametrize("kernel", ["generic", "auto"])
 def test_sealed_run_passes_the_invariant_sanitizer(sim_class):
-    plain = run_flood(flood_spec("infinite"), sim_class=sim_class)
-    checked = run_flood(flood_spec("infinite"), sim_class=sim_class, debug_invariants=True)
+    plain = run_flood(flood_spec(), sim_class=sim_class)
+    checked = run_flood(flood_spec(), sim_class=sim_class, debug_invariants=True)
     assert checked[0].sealed_at == plain[0].sealed_at is not None
     assert [dataclasses.asdict(s) for s in checked[0].flow_stats] == [
         dataclasses.asdict(s) for s in plain[0].flow_stats
@@ -246,20 +247,18 @@ def test_sealed_run_passes_the_invariant_sanitizer(sim_class):
 # ---------------------------------------------------------------------------
 #: The flood dumbbell built hop by hop.
 ONE_HOP = PathSpec(
-    forward=(LinkSpec(rate_bps=10e6, queue="infinite", name="bottleneck"),),
+    forward=(LinkSpec(rate_bps=10e6, buffer_packets=None, name="bottleneck"),),
     rtt=0.1,
     n_flows=3,
 )
 INELIGIBLE = {
-    "finite-droptail": flood_spec("droptail", buffer_packets=1000),
-    "giant-droptail": flood_spec("droptail"),
+    "finite-droptail": flood_spec(buffer_packets=1000),
+    "giant-droptail": flood_spec(buffer_packets=GIANT_BUFFER),
     "codel": flood_spec("codel"),
     "sfqcodel": flood_spec("sfqcodel"),
-    "lossy": flood_spec("infinite", loss_rate=0.01),
-    "trace-driven": flood_spec(
-        "infinite", delivery_trace=verizon_lte_trace(duration_seconds=4.0, seed=1)
-    ),
-    "queue-factory": flood_spec("infinite").with_hops(queue=ONE_HOP.forward[0].make_queue),
+    "lossy": flood_spec(loss_rate=0.01),
+    "trace-driven": flood_spec(delivery_trace=verizon_lte_trace(duration_seconds=4.0, seed=1)),
+    "queue-factory": flood_spec().with_hops(queue=ONE_HOP.forward[0].make_queue),
     # Paths that are not dumbbells, each with an unlimited first queue.
     "two-hop": dataclasses.replace(
         ONE_HOP, forward=(ONE_HOP.forward[0], LinkSpec(rate_bps=20e6))
@@ -273,7 +272,7 @@ INELIGIBLE = {
 
 def test_sealable_is_exactly_the_design_time_model():
     # A property of the path's shape: either constructor of the dumbbell has it.
-    assert ONE_HOP.sealable and flood_spec("infinite").sealable
+    assert ONE_HOP.sealable and flood_spec().sealable
     for name, spec in INELIGIBLE.items():
         assert not spec.sealable, name
 
@@ -290,13 +289,13 @@ def test_single_hop_path_simulates_every_send(heap_only):
     # dumbbell seals at the same instant with identical results; behind a
     # giant DropTail the same one-hop path simulates every send and stays
     # the unsealed reference.
-    assert ONE_HOP == flood_spec("infinite")
+    assert ONE_HOP == flood_spec()
     for sim_class in (heap_only, Simulation):
-        dumbbell = run_flood(flood_spec("infinite"), sim_class=sim_class)
+        dumbbell = run_flood(flood_spec(), sim_class=sim_class)
         path = run_flood(ONE_HOP, sim_class=sim_class)
         assert path[0].sealed_at == dumbbell[0].sealed_at is not None, sim_class
         assert path == dumbbell, sim_class
-    reference = run_flood(flood_spec("droptail"))
+    reference = run_flood(flood_spec(buffer_packets=GIANT_BUFFER))
     assert_sealed_matches_reference(path, reference)
 
 
@@ -313,7 +312,7 @@ def test_no_registered_cell_seals_at_canonical_size(cell_name):
 # Backends carry the sealed result unchanged
 # ---------------------------------------------------------------------------
 def test_serial_and_pool_return_the_same_sealed_result():
-    spec = flood_spec("infinite")
+    spec = flood_spec()
     job = SimJob(
         job_id=0,
         spec=spec,
@@ -331,7 +330,7 @@ def test_serial_and_pool_return_the_same_sealed_result():
 
 
 def test_results_pickled_before_the_flags_existed_still_load():
-    result, _ = run_flood(flood_spec("infinite"), training=False)
+    result, _ = run_flood(flood_spec(), training=False)
     for name in ("sealed_at", "truncated"):
         del result.__dict__[name]  # what an older worker's pickle carries
     loaded = pickle.loads(pickle.dumps(result))
@@ -383,7 +382,7 @@ def test_design_run_is_unchanged_by_sealing():
 # Event-cap truncation is loud
 # ---------------------------------------------------------------------------
 def test_event_cap_sets_truncated_and_stops_the_clock():
-    spec = flood_spec("droptail", buffer_packets=100)
+    spec = flood_spec(buffer_packets=100)
     full, _ = run_flood(spec, training=False)
     capped, _ = run_flood(spec, training=False, max_events=2_000)
     assert not full.truncated

@@ -127,20 +127,41 @@ class TestCasesTheMatrixDoesNotReach:
         assert leftovers(lambda: build(spec, sim_class).run()) == 0
 
 
+#: ``kernel`` and the cell (``None``: ``DUMBBELL``) of each truncation case:
+#: the eager dumbbell on every engine, and a production cell whose CoDel hop
+#: keeps the event path.
+TRUNCATED = {
+    "auto": ("auto", None),
+    "generic": ("generic", None),
+    "event-path": ("event-path", None),
+    "codel-cell": ("auto", "bench-newreno-codel"),
+}
+
+
+def truncation_case(sim_class, cell_name, duration, **options) -> Simulation:
+    if cell_name is None:
+        return sim_class(DUMBBELL, [NewReno(), NewReno()], duration=duration, seed=5, **options)
+    cell = get_scenario(cell_name)
+    return sim_class(
+        cell.network, cell.make_protocols(), cell.make_workloads(),
+        duration=duration, seed=cell.seed, **options,
+    )
+
+
 @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.75])
-@pytest.mark.parametrize("kernel", ["auto", "generic"])
-def test_a_truncated_run_counts_nothing_after_its_stop(sim_class, fraction):
-    """The eager hop accounts arrivals and waits at enqueue, ahead of their
-    time: a run cut by ``max_events`` must count exactly what an uncapped run
-    ending at the instant it stopped counts.  (On the event path the cap may
-    stop the run between two events of that instant, an arrival among
-    them.)"""
-    cap = int(build(DUMBBELL, sim_class).run().events_processed * fraction)
-    capped = build(DUMBBELL, sim_class, max_events=cap)
+@pytest.mark.parametrize(("kernel", "cell_name"), list(TRUNCATED.values()), ids=list(TRUNCATED))
+def test_a_truncated_run_counts_nothing_after_its_stop(sim_class, cell_name, fraction):
+    """A run cut by ``max_events`` must count exactly what an uncapped run
+    ending at the instant it stopped counts.  The eager hop accounts arrivals
+    and waits at enqueue, ahead of their time, and settles them at the stop;
+    on the event path the cap may fall between two events of one instant,
+    an arrival among them, and the run finishes that instant."""
+    events = truncation_case(sim_class, cell_name, 2.0).run().events_processed
+    capped = truncation_case(sim_class, cell_name, 2.0, max_events=int(events * fraction))
     result = capped.run()
     assert result.truncated
     stop = capped.scheduler.now
-    uncapped = sim_class(DUMBBELL, [NewReno(), NewReno()], duration=stop, seed=5).run()
+    uncapped = truncation_case(sim_class, cell_name, stop).run()
 
     def fields(result):
         return [

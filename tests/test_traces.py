@@ -1,9 +1,17 @@
 """Tests for the synthetic cellular trace generator."""
 
+import itertools
+import pickle
+
 import pytest
 
+from repro.netsim.link import validate_delivery_trace
+from repro.scenarios import all_scenarios, get_scenario
+from repro.traces import cellular
 from repro.traces.cellular import (
+    TRACE_KINDS,
     CellularTraceConfig,
+    TraceSpec,
     att_lte_trace,
     generate_cellular_trace,
     generate_rate_series,
@@ -67,3 +75,51 @@ def test_invalid_inputs():
         CellularTraceConfig(mean_rate_bps=-1)
     with pytest.raises(ValueError):
         CellularTraceConfig(outage_probability=1.5)
+
+
+@pytest.mark.parametrize("kind", sorted(TRACE_KINDS))
+def test_every_trace_kind_yields_a_valid_delivery_trace(kind):
+    # The check a TraceSpec hop skips at construction: non-empty and
+    # non-decreasing, at the durations cells and harnesses use.
+    for duration, seed in itertools.product((1.0, 3.0, 4.0, 30.0), range(8)):
+        validate_delivery_trace(TraceSpec(kind, duration, seed))
+
+
+def test_every_registered_trace_is_a_valid_delivery_trace():
+    specs = [
+        hop.delivery_trace for cell in all_scenarios() for hop in cell.network.forward
+        if isinstance(hop.delivery_trace, TraceSpec)
+    ]
+    assert len(specs) == 5
+    for spec in specs:
+        validate_delivery_trace(spec)
+
+
+def test_a_trace_with_no_instant_fails_on_first_use():
+    spec = TraceSpec("verizon", 0.2, 57)  # an outage step covers all of it
+    with pytest.raises(ValueError, match="no delivery instant"):
+        len(spec)
+
+
+def test_two_builds_of_a_trace_cell_generate_its_trace_once(monkeypatch):
+    calls = []
+
+    def counting(**kwargs):
+        calls.append(kwargs)
+        return verizon_lte_trace(**kwargs)
+
+    monkeypatch.setitem(TRACE_KINDS, "verizon", counting)
+    monkeypatch.setattr(cellular, "_TRACES", {})  # as in a fresh process
+    cell = get_scenario("fig7-lte4")
+    assert calls == []  # the cell names its trace; nothing generated it yet
+    cell.build()
+    cell.build()
+    assert calls == [{"duration_seconds": 4.0, "seed": 1}]
+
+
+def test_a_trace_spec_pickles_as_its_fields_and_reads_as_its_trace():
+    spec = TraceSpec("att", 4.0, 2)
+    clone = pickle.loads(pickle.dumps(spec))
+    assert clone == spec and len(pickle.dumps(spec)) < 200
+    assert list(clone) == att_lte_trace(duration_seconds=4.0, seed=2)
+    assert clone[-1] == spec[-1] and len(clone) == len(spec)

@@ -68,7 +68,7 @@ def build_simulation(case: str, sim_class: type[Simulation] = Simulation) -> Sim
     except KeyError as error:  # the message lists scenario_names()
         raise SystemExit(error.args[0]) from None
     return sim_class(
-        cell.network_spec(), cell.make_protocols(), cell.make_workloads(),
+        cell.network, cell.make_protocols(), cell.make_workloads(),
         duration=5.0, seed=cell.seed,
     )
 
