@@ -67,7 +67,6 @@ class Claim:
 
 
 REMY = "Remy d=0.1"
-REMYS = (REMY, "Remy d=1", "Remy d=10")
 CUBIC_SFQ = "Cubic/sfqCoDel"
 #: The existing protocols of the §1 tables, in the paper's order.
 BASELINES = ("Compound", "NewReno", "Cubic", "Vegas", CUBIC_SFQ, "XCP")
@@ -75,6 +74,11 @@ BASELINES = ("Compound", "NewReno", "Cubic", "Vegas", CUBIC_SFQ, "XCP")
 #: frontier against them (Cubic-over-sfqCoDel edges ahead of Remy d=0.1 by ~2 %
 #: in median throughput), so that claim's frontier is over the end-to-end schemes.
 ROUTER_ASSISTED = frozenset({CUBIC_SFQ, "XCP"})
+#: The rows this scaled-down run disagrees with the paper on, with the left side each
+#: measures: on the LTE cell Remy d=0.1 queues longer than these three.  The tests run
+#: them as strict xfails, and ``tools/claims.py`` exits 1 if one holds.
+XFAIL = {"s1-lte-delay-reduction-compound": 0.964756, "s1-lte-delay-reduction-newreno": 0.964756,
+         "s1-lte-delay-reduction-cubic-sfqcodel": 0.916036}
 
 
 def attr(path: str) -> Side:
@@ -82,7 +86,7 @@ def attr(path: str) -> Side:
 
 
 def slug(scheme: str) -> str:
-    return scheme.lower().replace("remy d=", "remy").replace("/", "-")
+    return scheme.lower().replace("/", "-")
 
 
 def tput(scheme: str) -> Side:
@@ -186,14 +190,13 @@ CLAIMS = (
         ("remy-on-frontier", remys_on_frontier(), ">=", 1),
     ]),
     *table("s1-lte", "§1 (Fig. 7)", "fig7", [
-        *[(f"speedup-{slug(b)}", speedup(b), ">", 1.0) for b in ("NewReno", "Vegas")],
-        # Every comparison produced a finite, positive result.
-        *[(f"{column.replace('_', '-')}-{slug(b)}-positive", speedup(b, column), ">", 0)
-          for b in BASELINES for column in ("median_speedup", "median_delay_reduction")],
+        *[(f"speedup-{slug(b)}", speedup(b), ">", 1.0) for b in BASELINES],
+        # Remy d=0.1 queues less than all but Vegas, the table's one down-arrow.
+        *[(f"delay-reduction-{slug(b)}", speedup(b, "median_delay_reduction"),
+           "<" if b == "Vegas" else ">", 1.0) for b in BASELINES],
     ]),
     *table("fig8", "Fig. 8", "fig8", [
-        *[(f"{slug(s)}-sends", tput(s), ">", 0) for s in (*BASELINES, *REMYS)],
-        # The schemes bunch together: every one gets a nontrivial share.
+        # The schemes bunch together: every one gets a nontrivial share, so every one sends.
         ("bunched", Side("worst median throughput (Mbps)", lambda r: min(tputs(r))), ">",
          Side("0.1 * best median throughput (Mbps)", lambda r: 0.1 * max(tputs(r)))),
     ]),
@@ -202,9 +205,6 @@ CLAIMS = (
         ("remy-on-frontier", remys_on_frontier(), ">=", 1),
     ]),
     *table("fig10", "Fig. 10", "fig10", [
-        *[(f"{slug(s)}-shares-sum-to-1",
-           profile(s, "abs(share sum - 1)", lambda p: abs(sum(p.shares) - 1.0)), "<", 1e-6)
-          for s in (CUBIC_SFQ, *REMYS)],
         # Some RemyCC is no less RTT-fair than Cubic-over-sfqCoDel.
         ("remy-spread-within-cubic",
          remys("smallest RemyCC share spread", min, lambda p: p.share_spread()), "<=",
@@ -221,9 +221,7 @@ CLAIMS = (
         ("10x-holds-in-band", score("RemyCC 10x", 4.7, 15.0, 47.0), ">", score("RemyCC 1x", 80.0)),
     ]),
     *table("datacenter", "§5.5", "datacenter", [
-        ("dctcp-sends", attr("dctcp.mean_throughput_mbps"), ">", 0),
-        ("remy-sends", attr("remycc.mean_throughput_mbps"), ">", 0),
-        # Comparable throughput: within a factor of two of each other.
+        # Comparable throughput: within a factor of two of each other (so both send).
         ("ratio-above-half", DC_RATIO, ">", 0.5),
         ("ratio-below-double", DC_RATIO, "<", 2.0),
         # The RemyCC pays for DropTail with higher RTTs than DCTCP's ECN gateway.

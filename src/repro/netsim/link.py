@@ -18,6 +18,7 @@ from repro.netsim.kernel import NO_ROUTE, Lane, Route, across, plain_fifo, unwir
 from repro.netsim.packet import Packet
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
 from repro.netsim.stats import FlowStats, HopDelayStats
+from repro.traces import TraceSpec
 
 #: An eager FIFO hop's hand-off for one flow: ``(delay, arrive, stats)``.
 Arrival = tuple[float, Callable[..., None], Optional[FlowStats]]
@@ -28,8 +29,9 @@ def validate_delivery_trace(delivery_trace: Sequence[float]) -> None:
 
     An empty trace used to slip through construction and crash later with an
     ``IndexError`` inside ``effective_rate_bps``.  Specs check at
-    construction; :class:`TraceDrivenLink` checks again, for links built
-    directly.
+    construction; :class:`TraceDrivenLink` checks a raw list again, for
+    links built directly, and takes a :class:`~repro.traces.TraceSpec`'s
+    cached list as it is.
     """
     times = list(delivery_trace)
     if not times:
@@ -438,9 +440,15 @@ class TraceDrivenLink(LinkBase):
         mss_bytes: int = 1500,
     ) -> None:
         super().__init__(scheduler, queue, propagation_delay, name)
-        validate_delivery_trace(delivery_times)
+        if isinstance(delivery_times, TraceSpec):
+            # Non-decreasing by construction and cached once per process:
+            # every hop built from the spec shares its one list.
+            times = delivery_times.times()
+        else:
+            validate_delivery_trace(delivery_times)
+            times = list(delivery_times)
         validate_mss(mss_bytes)
-        self.delivery_times = times = list(delivery_times)
+        self.delivery_times = times
         self.mss_bytes = mss_bytes
         self._started = False
         self.wasted_opportunities = 0

@@ -188,7 +188,9 @@ class TraceSpec(Sequence[float]):
         if self.duration_seconds <= 0:
             raise ValueError("duration_seconds must be positive")
 
-    def _times(self) -> list[float]:
+    def times(self) -> list[float]:
+        """The instants as one list, cached per process and shared by every
+        hop built from this spec: read it, never change it."""
         times = _TRACES.get(self)
         if times is None:
             times = TRACE_KINDS[self.kind](duration_seconds=self.duration_seconds, seed=self.seed)
@@ -198,10 +200,10 @@ class TraceSpec(Sequence[float]):
         return times
 
     def __getitem__(self, index: Any) -> Any:
-        return self._times()[index]
+        return self.times()[index]
 
     def __len__(self) -> int:
-        return len(self._times())
+        return len(self.times())
 
     def __iter__(self) -> Iterator[float]:
-        return iter(self._times())
+        return iter(self.times())

@@ -12,6 +12,7 @@ from repro.protocols.cubic import Cubic
 from repro.protocols.dctcp import DCTCP
 from repro.protocols.newreno import NewReno
 from repro.protocols.vegas import Vegas
+from repro.scenarios import ProtocolSpec, get_scenario
 
 
 def make_ack(now=1.0, rtt=0.1, newly_acked=1500, ecn=False, in_flight=0):
@@ -166,6 +167,19 @@ class TestCompound:
         before_loss_window = cc.cwnd_loss
         cc.on_loss(2.0)
         assert cc.cwnd_loss == pytest.approx(max(2.0, before_loss_window / 2))
+
+    def test_delay_window_acts_on_the_dumbbell_with_always_on_flows(self):
+        # With the cell's on/off flows no flow leaves slow start, where
+        # Compound runs NewReno's arithmetic; always-on flows leave it (a
+        # timeout, no drop) and the delay window makes them differ.
+        cell = get_scenario("fig4-dumbbell8").override(workloads=())
+        compound, newreno = (
+            cell.override(protocols=(ProtocolSpec(name),)).run(duration=10.0, seed=1)
+            for name in ("compound", "newreno")
+        )
+        assert compound.queue_drops == newreno.queue_drops == 0
+        assert compound.flow_stats != newreno.flow_stats
+        assert compound.flow_stats[0].packets_sent != newreno.flow_stats[0].packets_sent
 
 
 class TestDCTCP:

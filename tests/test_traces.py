@@ -5,6 +5,7 @@ import pickle
 
 import pytest
 
+from repro.netsim import link, path
 from repro.netsim.link import validate_delivery_trace
 from repro.scenarios import all_scenarios, get_scenario
 from repro.traces import cellular
@@ -115,6 +116,19 @@ def test_two_builds_of_a_trace_cell_generate_its_trace_once(monkeypatch):
     cell.build()
     cell.build()
     assert calls == [{"duration_seconds": 4.0, "seed": 1}]
+
+
+def test_two_builds_of_a_trace_cell_share_its_list_and_never_check_it(monkeypatch):
+    def refuse(trace):
+        raise AssertionError("a TraceSpec hop re-checked its trace")
+
+    monkeypatch.setattr(link, "validate_delivery_trace", refuse)
+    monkeypatch.setattr(path, "validate_delivery_trace", refuse)
+    cell = get_scenario("fig7-lte4")
+    first, second = (cell.build().network.forward_links[0] for _ in range(2))
+    assert isinstance(first, link.TraceDrivenLink)
+    assert first.delivery_times is second.delivery_times
+    assert type(first.delivery_times) is list
 
 
 def test_a_trace_spec_pickles_as_its_fields_and_reads_as_its_trace():
