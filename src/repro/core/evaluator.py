@@ -264,12 +264,9 @@ class Evaluator:
         self, result: SimulationResult, specimen: NetConfig, index: int
     ) -> list[FlowScore]:
         fair_share = specimen.link_speed_bps / specimen.n_senders
-        mss_bytes = self._spec_for(specimen).mss_bytes
         scores = []
         for stats in result.flow_stats:
-            score = self.objective.score_stats(
-                stats, fair_share, specimen.rtt_seconds, mss_bytes
-            )
+            score = self.objective.score_stats(stats, fair_share, specimen.rtt_seconds)
             if score is None:
                 continue
             scores.append(

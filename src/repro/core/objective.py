@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from repro.netsim.packet import DATA_PACKET_BYTES
+
 if TYPE_CHECKING:
     from repro.netsim.stats import FlowStats
 
@@ -62,7 +64,6 @@ class Objective:
         stats: "FlowStats",
         fair_share_bps: float,
         base_rtt_seconds: float,
-        mss_bytes: int,
     ) -> Optional[float]:
         """Score one simulated flow, or ``None`` if it was on for less than
         its base RTT (see the module docstring).  Its mean RTT is floored at
@@ -71,7 +72,7 @@ class Objective:
             raise ValueError("fair_share_bps and base_rtt_seconds must be positive")
         if stats.on_time < base_rtt_seconds:
             return None
-        throughput_bps = (stats.bytes_received or mss_bytes) * 8 / stats.on_time
+        throughput_bps = (stats.bytes_received or DATA_PACKET_BYTES) * 8 / stats.on_time
         score = alpha_fairness_utility(throughput_bps / fair_share_bps, self.alpha)
         if self.delta != 0.0:
             avg_rtt = stats.avg_rtt() if stats.rtt_count else base_rtt_seconds

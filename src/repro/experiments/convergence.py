@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.experiments.base import run_cells
+from repro.netsim.packet import DATA_PACKET_BYTES
 from repro.runner import ExecutionBackend
 from repro.scenarios import get_scenario
 from repro.traffic.onoff import FixedOnPeriodWorkload
@@ -61,7 +62,7 @@ def run_figure6(
         (ta, sa), (tb, sb) = points[0], points[-1]
         if tb <= ta:
             return 0.0
-        return (sb - sa) * cell.network.mss_bytes * 8 / (tb - ta) / 1e6
+        return (sb - sa) * DATA_PACKET_BYTES * 8 / (tb - ta) / 1e6
 
     # Leave a settling margin after the departure and ignore the initial ramp.
     settle = 4 * cell.network.rtt_for_flow(0)

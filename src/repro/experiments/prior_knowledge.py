@@ -82,7 +82,6 @@ def run_figure11(
     base_cell = get_scenario("fig11-prior-1x")
     n_flows = base_cell.network.n_flows
     rtt = base_cell.network.rtt_for_flow(0)
-    mss_bytes = base_cell.network.mss_bytes
     cells = [
         base_cell.override(rate_bps=speed_mbps * 1e6, queue="droptail")
         for speed_mbps in link_speeds_mbps
@@ -94,7 +93,7 @@ def run_figure11(
             scores, tputs, delays = [], [], []
             for run_result in run_results:
                 for stats in run_result.flow_stats:
-                    score = objective.score_stats(stats, fair_share, rtt, mss_bytes)
+                    score = objective.score_stats(stats, fair_share, rtt)
                     if score is None:
                         continue
                     scores.append(score)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Any, Callable, Optional, Sequence, Union, cast
+from typing import Callable, Optional, Sequence, Union, cast
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.kernel import NO_ROUTE, Lane, Route, across, plain_fifo, unwired
-from repro.netsim.packet import Packet
+from repro.netsim.packet import DATA_PACKET_BYTES, Packet
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
 from repro.netsim.stats import FlowStats, HopDelayStats
 from repro.traces import TraceSpec
@@ -47,12 +47,6 @@ def validate_delivery_trace(delivery_trace: Sequence[float]) -> None:
                 "delivery traces are cumulative instants, not "
                 "inter-delivery gaps"
             )
-
-
-def validate_mss(mss_bytes: int) -> None:
-    """Fail fast on a non-positive segment size (specs and trace links)."""
-    if mss_bytes <= 0:
-        raise ValueError("mss_bytes must be positive")
 
 
 def _nothing_owed(until: float) -> None:
@@ -121,9 +115,12 @@ class ConstantRateLink(LinkBase):
     of :meth:`arm_seal`; any other discipline keeps its ``enqueue``), which
     calls ``start_transmission`` (dequeue, record the wait, serialize) when
     the link is idle, and ``_finish_transmission`` (count, hand the packet
-    on along its flow's route, start the successor).  With ``lane_bytes``
-    set, every serialization of a packet that size rides the scheduler's
-    serialization lane; otherwise it goes on the heap.
+    on along its flow's route, start the successor).  With ``lanes`` set,
+    every serialization rides the scheduler's serialization lane; otherwise
+    it goes on the heap.  :class:`~repro.netsim.path.PathNetwork` sets it
+    only on a one-hop dumbbell, where every packet is a data packet of
+    :data:`~repro.netsim.packet.DATA_PACKET_BYTES`, so every serialization
+    takes the same time.
 
     **Eager FIFO.**  With ``eager`` set and a plain FIFO queue (DropTail,
     limited or not), a packet costs no event here at all.  A constant-rate
@@ -156,7 +153,7 @@ class ConstantRateLink(LinkBase):
         queue: Optional[QueueDiscipline] = None,
         propagation_delay: float = 0.0,
         name: str = "link",
-        lane_bytes: Optional[int] = None,
+        lanes: bool = False,
         eager: bool = False,
     ) -> None:
         super().__init__(scheduler, queue, propagation_delay, name)
@@ -181,10 +178,7 @@ class ConstantRateLink(LinkBase):
         fifo = plain_fifo(discipline)
         droptail = cast(DropTailQueue, discipline)  # only touched when ``fifo`` is set
         heap = scheduler._heap
-        ser_lane: Lane = scheduler._lanes[0] if lane_bytes is not None else None
-        # Appended to only when ``lane_bytes`` matches, i.e. on a lane topology.
-        ser = cast("deque[list[Any]]", ser_lane)
-        size_on_lane = -1 if lane_bytes is None else lane_bytes
+        ser: Lane = scheduler._lanes[0] if lanes else None
         routes = self._routes
         # Filled in place as flows attach.
         stats_map = self.delay_stats
@@ -244,14 +238,11 @@ class ConstantRateLink(LinkBase):
             # calls this closure, and two closures naming each other are a
             # cycle ``release`` cannot cut.
             done = now + size_bytes * 8 / rate_bps
-            if size_bytes == size_on_lane:
+            if ser is not None:
                 ser.append([done, scheduler._sequence, link._finish_transmission, packet])
-                scheduler._sequence += 1
-            elif ser_lane is None:
+            else:
                 heappush(heap, [done, scheduler._sequence, link._finish_transmission, (packet,)])
-                scheduler._sequence += 1
-            else:  # an off-size packet on a lane topology
-                scheduler.post_after(size_bytes * 8 / rate_bps, link._finish_transmission, packet)
+            scheduler._sequence += 1
 
         if fifo is not None:
 
@@ -350,19 +341,13 @@ class ConstantRateLink(LinkBase):
         self.receive = eager_receive
         self._retire = retire
 
-    @property
-    def rate_pps(self) -> float:
-        """Nominal rate in 1500-byte packets per second (used by XCP)."""
-        return self.rate_bps / (1500 * 8)
-
     # -- sealing a drowned link ----------------------------------------------
-    def arm_seal(
-        self, end_time: float, mss_bytes: int, on_seal: Callable[[], None]
-    ) -> None:
+    def arm_seal(self, end_time: float, on_seal: Callable[[], None]) -> None:
         """Watch for the instant nothing enqueued any more can leave by ``end_time``.
 
         Only sound on a link whose queue is a loss-free, never-dropping FIFO
-        fed ``mss_bytes`` packets (the caller vouches for that; see
+        fed :data:`~repro.netsim.packet.DATA_PACKET_BYTES` packets (the
+        caller vouches for that; see
         :attr:`~repro.netsim.path.PathSpec.sealable`).  When an enqueue
         leaves ``Q`` bytes queued at time ``t``, a later arrival waits behind
         at least ``Q`` minus what the link dequeues in between — at most one
@@ -382,7 +367,7 @@ class ConstantRateLink(LinkBase):
         the arrival's, exactly what the event path's queue holds then.
         """
         self._seal_drain = self.rate_bps / 8
-        self._seal_budget = end_time * self._seal_drain + 2 * mss_bytes
+        self._seal_budget = end_time * self._seal_drain + 2 * DATA_PACKET_BYTES
         self._on_seal = on_seal
 
     def seal(self) -> None:
@@ -437,7 +422,6 @@ class TraceDrivenLink(LinkBase):
         queue: Optional[QueueDiscipline] = None,
         propagation_delay: float = 0.0,
         name: str = "trace-link",
-        mss_bytes: int = 1500,
     ) -> None:
         super().__init__(scheduler, queue, propagation_delay, name)
         if isinstance(delivery_times, TraceSpec):
@@ -447,9 +431,7 @@ class TraceDrivenLink(LinkBase):
         else:
             validate_delivery_trace(delivery_times)
             times = list(delivery_times)
-        validate_mss(mss_bytes)
         self.delivery_times = times
-        self.mss_bytes = mss_bytes
         self._started = False
         self.wasted_opportunities = 0
 
@@ -551,19 +533,6 @@ class TraceDrivenLink(LinkBase):
     def release(self) -> None:
         super().release()
         self.receive = self._opportunity = unwired
-
-    @property
-    def mean_rate_bps(self) -> float:
-        """Long-term average delivery rate implied by the trace (for XCP).
-
-        Each delivery opportunity carries one ``mss_bytes`` segment, so the
-        capacity estimate scales with the configured MSS rather than assuming
-        1500-byte packets.
-        """
-        span = self.delivery_times[-1] - self.delivery_times[0]
-        if span <= 0:
-            return float("inf")
-        return (len(self.delivery_times) - 1) * self.mss_bytes * 8 / span
 
 
 #: A hop of a path: either kind of link.

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-#: Default data segment size in bytes (Ethernet MTU payload, as in ns-2 runs).
+#: The data segment size in bytes (Ethernet MTU payload, as in ns-2 runs):
+#: every data packet is this size, and every rate in packets (link
+#: serialization, trace opportunities, protocol windows) converts with it.
 DATA_PACKET_BYTES = 1500
 
 #: Default acknowledgment size in bytes.

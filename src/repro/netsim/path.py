@@ -63,9 +63,8 @@ from repro.netsim.link import (
     Link,
     TraceDrivenLink,
     validate_delivery_trace,
-    validate_mss,
 )
-from repro.netsim.packet import Packet
+from repro.netsim.packet import DATA_PACKET_BYTES, Packet
 from repro.netsim.queue import QUEUE_KINDS, QueueDiscipline, QueueFactory, build_queue
 from repro.netsim.receiver import Receiver
 from repro.netsim.sender import Sender
@@ -73,9 +72,7 @@ from repro.netsim.stats import HopDelayStats
 from repro.traces import TraceSpec
 
 
-def validate_flows(
-    rtt: Union[float, Sequence[float]], n_flows: int, mss_bytes: int
-) -> None:
+def validate_flows(rtt: Union[float, Sequence[float]], n_flows: int) -> None:
     """Fail fast on a path's per-flow fields.
 
     A negative RTT used to die inside a callback (``negative delay``) on the
@@ -85,7 +82,6 @@ def validate_flows(
     """
     if n_flows <= 0:
         raise ValueError("n_flows must be positive")
-    validate_mss(mss_bytes)
     if isinstance(rtt, (int, float)):
         rtts = [float(rtt)]
     else:
@@ -161,31 +157,31 @@ class LinkSpec:
         if self.delivery_trace is not None and not isinstance(self.delivery_trace, TraceSpec):
             validate_delivery_trace(self.delivery_trace)
 
-    def effective_rate_bps(self, mss_bytes: int = 1500) -> float:
-        """The hop's rate: constant, or the trace's long-term mean."""
+    def effective_rate_bps(self) -> float:
+        """The hop's rate: constant, or the trace's long-term mean (one
+        :data:`~repro.netsim.packet.DATA_PACKET_BYTES` packet per delivery
+        instant; a trace of one instant has no mean and keeps ``rate_bps``)."""
         times = self.delivery_trace
         if times is None:
             return self.rate_bps
         span = times[-1] - times[0]
         if span <= 0:
             return self.rate_bps
-        return (len(times) - 1) * mss_bytes * 8 / span
+        return (len(times) - 1) * DATA_PACKET_BYTES * 8 / span
 
     def make_queue(
-        self,
-        rng: Optional[random.Random] = None,
-        mss_bytes: int = 1500,
-        mean_rtt: float = 0.05,
+        self, rng: Optional[random.Random] = None, mean_rtt: float = 0.05
     ) -> QueueDiscipline:
         """Instantiate this hop's queue discipline."""
+        rate_bps = self.effective_rate_bps()
         return build_queue(
             self.queue,
             buffer_packets=self.buffer_packets,
             rng=rng,
             red_min_thresh=self.red_min_thresh,
             red_max_thresh=self.red_max_thresh,
-            red_idle_decay_seconds=mss_bytes * 8 / self.effective_rate_bps(mss_bytes),
-            xcp_rate_bps=self.effective_rate_bps(mss_bytes),
+            red_idle_decay_seconds=DATA_PACKET_BYTES * 8 / rate_bps,
+            xcp_rate_bps=rate_bps,
             xcp_mean_rtt=mean_rtt,
         )
 
@@ -194,12 +190,11 @@ class LinkSpec:
         scheduler: EventScheduler,
         queue: QueueDiscipline,
         name: str,
-        mss_bytes: int = 1500,
-        lane_bytes: Optional[int] = None,
+        lanes: bool = False,
         eager: bool = False,
     ) -> Link:
-        """Materialize the hop (constant-rate or trace-driven; ``lane_bytes``
-        and ``eager``: see :class:`~repro.netsim.link.ConstantRateLink`)."""
+        """Materialize the hop (constant-rate or trace-driven; ``lanes`` and
+        ``eager``: see :class:`~repro.netsim.link.ConstantRateLink`)."""
         if self.delivery_trace is not None:
             return TraceDrivenLink(
                 scheduler,
@@ -207,7 +202,6 @@ class LinkSpec:
                 queue=queue,
                 propagation_delay=self.delay,
                 name=name,
-                mss_bytes=mss_bytes,
             )
         return ConstantRateLink(
             scheduler,
@@ -215,7 +209,7 @@ class LinkSpec:
             queue=queue,
             propagation_delay=self.delay,
             name=name,
-            lane_bytes=lane_bytes,
+            lanes=lanes,
             eager=eager,
         )
 
@@ -273,8 +267,8 @@ class PathSpec:
         chain.  Parking-lot cross traffic names a subset (e.g. ``(0,)``).
         A flow's ``reverse_hops`` may be empty (ideal reverse for that
         flow); ``forward_hops`` must name at least one hop.
-    mss_bytes:
-        Data segment size.
+
+    Every data packet is :data:`~repro.netsim.packet.DATA_PACKET_BYTES`.
     """
 
     forward: tuple[LinkSpec, ...] = (LinkSpec(),)
@@ -283,10 +277,9 @@ class PathSpec:
     n_flows: int = 2
     forward_hops: Optional[tuple[tuple[int, ...], ...]] = None
     reverse_hops: Optional[tuple[tuple[int, ...], ...]] = None
-    mss_bytes: int = 1500
 
     def __post_init__(self) -> None:
-        validate_flows(self.rtt, self.n_flows, self.mss_bytes)
+        validate_flows(self.rtt, self.n_flows)
         self.forward = tuple(self.forward)
         self.reverse = tuple(self.reverse)
         if not self.forward:
@@ -309,7 +302,6 @@ class PathSpec:
         cls,
         n_flows: int = 2,
         rtt: Union[float, Sequence[float]] = 0.150,
-        mss_bytes: int = 1500,
         **hop: Any,
     ) -> "PathSpec":
         """The paper's single-bottleneck network (Figure 2, §5.1).
@@ -324,7 +316,6 @@ class PathSpec:
             forward=(LinkSpec(name="bottleneck", **hop),),
             rtt=rtt,
             n_flows=n_flows,
-            mss_bytes=mss_bytes,
         )
 
     # -- per-flow accessors -----------------------------------------------------
@@ -355,10 +346,7 @@ class PathSpec:
 
     def bottleneck_rate_bps(self, flow_id: int = 0) -> float:
         """The flow's narrowest forward-hop rate (sanity checks, summaries)."""
-        return min(
-            self.forward[i].effective_rate_bps(self.mss_bytes)
-            for i in self.forward_hops_for(flow_id)
-        )
+        return min(self.forward[i].effective_rate_bps() for i in self.forward_hops_for(flow_id))
 
     def bandwidth_delay_product_packets(self, flow_id: int = 0) -> float:
         """Bandwidth-delay product in packets: the flow's narrowest forward-hop
@@ -372,7 +360,7 @@ class PathSpec:
         hop_delays = sum(self.forward[i].delay for i in self.forward_hops_for(flow_id))
         hop_delays += sum(self.reverse[i].delay for i in self.reverse_hops_for(flow_id))
         round_trip = self.rtt_for_flow(flow_id) + hop_delays
-        return self.bottleneck_rate_bps(flow_id) * round_trip / (self.mss_bytes * 8)
+        return self.bottleneck_rate_bps(flow_id) * round_trip / (DATA_PACKET_BYTES * 8)
 
     # -- shape -------------------------------------------------------------------
     def dumbbell_hop(self) -> Optional[LinkSpec]:
@@ -485,7 +473,6 @@ class PathNetwork:
             and spec.dumbbell_hop() is not None
             and len({spec.rtt_for_flow(i) for i in range(spec.n_flows)}) == 1
         )
-        lane_bytes = spec.mss_bytes if lanes else None
         self._flow_lane: Lane = scheduler._lanes[1] if lanes else None
         # A dumbbell's FIFO bottleneck computes its service and its
         # receivers' arrivals at enqueue (the link keeps any other queue on
@@ -501,12 +488,9 @@ class PathNetwork:
         self.losses = tuple([0] * len(chain) for chain in chains)
         for direction, chain in enumerate(chains):
             for index, hop in enumerate(chain):
-                queue = hop.make_queue(self.rng, spec.mss_bytes, mean_rtt)
+                queue = hop.make_queue(self.rng, mean_rtt)
                 name = hop.name or f"{'rev' if direction else 'fwd'}{index}"
-                link = hop.build_link(
-                    scheduler, queue, name, mss_bytes=spec.mss_bytes,
-                    lane_bytes=lane_bytes, eager=eager,
-                )
+                link = hop.build_link(scheduler, queue, name, lanes=lanes, eager=eager)
                 self.links[direction].append(link)
                 gate = None
                 if hop.loss_rate > 0.0:
@@ -542,7 +526,7 @@ class PathNetwork:
         """
         link = self.forward_links[0]
         if self.spec.sealable and isinstance(link, ConstantRateLink):
-            link.arm_seal(end_time, self.spec.mss_bytes, self._seal)
+            link.arm_seal(end_time, self._seal)
 
     def _seal(self) -> None:
         self.sealed_at = self.scheduler.now

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.netsim.events import EventScheduler
 from repro.netsim.kernel import unwired
-from repro.netsim.packet import AckInfo, Packet
+from repro.netsim.packet import DATA_PACKET_BYTES, AckInfo, Packet
 from repro.netsim.stats import FlowStats
 
 if TYPE_CHECKING:  # imported only for type annotations; avoids a package cycle
@@ -105,7 +105,6 @@ class Sender:
         cc: "CongestionControl",
         workload: Optional[Workload] = None,
         stats: Optional[FlowStats] = None,
-        mss_bytes: int = 1500,
         rng: Optional[random.Random] = None,
         trace_sequence: bool = False,
     ) -> None:
@@ -114,7 +113,6 @@ class Sender:
         self.cc = cc
         self.workload = workload if workload is not None else AlwaysOnWorkload()
         self.stats = stats if stats is not None else FlowStats(flow_id)
-        self.mss_bytes = mss_bytes
         self.rng = rng if rng is not None else random.Random(flow_id)
         self.trace_sequence = trace_sequence
         # Skip the per-packet on_packet_sent call for modules that keep the
@@ -213,7 +211,6 @@ class Sender:
         stats = self.stats
         in_flight = self.in_flight
         frontier = self._flight_frontier
-        mss_bytes = self.mss_bytes
         flow_id = self.flow_id
         trace_sequence = self.trace_sequence
         cc_observes_sends = self._cc_observes_sends
@@ -386,7 +383,7 @@ class Sender:
                 else:
                     packet, ack = ack, None
                 packet.seq = seq
-                packet.size_bytes = mss_bytes
+                packet.size_bytes = DATA_PACKET_BYTES
                 packet.sent_time = now
                 packet.is_ack = False
                 packet.ack_seq = -1
@@ -404,7 +401,7 @@ class Sender:
                 # A retransmission still in flight keeps its entry; one
                 # selectively acknowledged meanwhile re-enters the flight.
                 if not retransmit or seq not in in_flight:
-                    in_flight[seq] = mss_bytes
+                    in_flight[seq] = DATA_PACKET_BYTES
                     heappush(frontier, seq)
                 stats.packets_sent += 1
                 if retransmit:
@@ -491,7 +488,7 @@ class Sender:
 
         demand = self.workload.next_flow(self.rng)
         if demand.size_bytes is not None:
-            self.segments_remaining = max(1, math.ceil(demand.size_bytes / self.mss_bytes))
+            self.segments_remaining = max(1, math.ceil(demand.size_bytes / DATA_PACKET_BYTES))
         else:
             self.segments_remaining = None
             if demand.duration is not None and math.isfinite(demand.duration):

@@ -13,7 +13,7 @@ from collections import deque
 from typing import Optional
 
 from repro.netsim.aqm import CoDelQueue
-from repro.netsim.packet import Packet
+from repro.netsim.packet import DATA_PACKET_BYTES, Packet
 from repro.netsim.queue import QueueDiscipline
 
 
@@ -56,7 +56,7 @@ class SfqCoDelQueue(QueueDiscipline):
         self,
         n_queues: int = 64,
         capacity_packets: int = 1000,
-        quantum_bytes: int = 1500,
+        quantum_bytes: int = DATA_PACKET_BYTES,
         target: float = 0.005,
         interval: float = 0.100,
     ) -> None:

@@ -254,7 +254,6 @@ class Simulation:
                 cc=self.protocols[flow_id],
                 workload=self.workloads[flow_id],
                 stats=stats,
-                mss_bytes=self.spec.mss_bytes,
                 rng=flow_rng,
                 trace_sequence=flow_id in self.trace_flows,
             )

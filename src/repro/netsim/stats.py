@@ -66,28 +66,6 @@ class FlowStats:
     sequence_trace: list[tuple[float, int]] = field(default_factory=list)
 
     # -- recording -----------------------------------------------------------
-    def record_delivery(self, size_bytes: int) -> None:
-        """A new (non-duplicate) data packet reached the receiver."""
-        self.bytes_received += size_bytes
-        self.packets_received += 1
-
-    def record_send(self, retransmit: bool) -> None:
-        self.packets_sent += 1
-        if retransmit:
-            self.retransmissions += 1
-
-    def record_queue_delay(self, delay: float) -> None:
-        self.queue_delay_sum += delay
-        self.queue_delay_count += 1
-        if delay > self.max_queue_delay:
-            self.max_queue_delay = delay
-
-    def record_rtt(self, rtt: float) -> None:
-        self.rtt_sum += rtt
-        self.rtt_count += 1
-        if self.min_rtt is None or rtt < self.min_rtt:
-            self.min_rtt = rtt
-
     def record_on_time(self, duration: float) -> None:
         if duration < 0:
             raise ValueError("on-interval duration cannot be negative")

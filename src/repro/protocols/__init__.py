@@ -7,7 +7,6 @@ compares against.
 """
 
 from repro.protocols.base import CongestionControl
-from repro.protocols.aimd import AIMD
 from repro.protocols.constant_rate import ConstantRate
 from repro.protocols.newreno import NewReno
 from repro.protocols.vegas import Vegas
@@ -21,7 +20,6 @@ from repro.protocols.remycc import RemyCCProtocol
 #: Registry mapping protocol names (as used by experiment configuration and
 #: the command-line examples) to their classes.
 PROTOCOLS = {
-    "aimd": AIMD,
     "constant": ConstantRate,
     "newreno": NewReno,
     "vegas": Vegas,
@@ -35,7 +33,6 @@ PROTOCOLS = {
 
 __all__ = [
     "CongestionControl",
-    "AIMD",
     "ConstantRate",
     "NewReno",
     "Vegas",

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.netsim.packet import AckInfo
+from repro.netsim.packet import DATA_PACKET_BYTES, AckInfo
 from repro.protocols.base import CongestionControl
 
 #: STARTUP/DRAIN pacing gain: doubles the sending rate every round trip.
@@ -82,19 +82,16 @@ class BBR(CongestionControl):
     ----------
     initial_window:
         Window before the first bandwidth estimate exists (packets).
-    mss_bytes:
-        Segment size used to convert the byte-rate model into the harness's
-        packet-denominated ``cwnd`` / ``intersend_time`` knobs.  Must match
-        the topology's MSS for the BDP arithmetic to be meaningful.
+
+    The byte-rate model becomes the harness's packet-denominated ``cwnd`` /
+    ``intersend_time`` knobs through
+    :data:`~repro.netsim.packet.DATA_PACKET_BYTES`, the one segment size.
     """
 
     name = "bbr"
 
-    def __init__(self, initial_window: float = 10.0, mss_bytes: int = 1500):
+    def __init__(self, initial_window: float = 10.0):
         super().__init__(initial_window=initial_window)
-        if mss_bytes <= 0:
-            raise ValueError("mss_bytes must be positive")
-        self.mss_bytes = mss_bytes
         self.on_flow_start(0.0)
 
     # ------------------------------------------------------------- lifecycle
@@ -131,7 +128,7 @@ class BBR(CongestionControl):
         """Estimated bandwidth-delay product in packets (0 before estimates)."""
         if self.btl_bw <= 0.0 or self.rt_prop is None:
             return 0.0
-        return self.btl_bw * self.rt_prop / self.mss_bytes
+        return self.btl_bw * self.rt_prop / DATA_PACKET_BYTES
 
     def _update_btl_bw(self, sample_bps: float) -> None:
         """Fold one delivery-rate sample into the windowed-max filter."""
@@ -276,7 +273,7 @@ class BBR(CongestionControl):
     def _apply_model(self) -> None:
         """Translate (btl_bw, rt_prop, gains) into the harness's knobs."""
         if self.btl_bw > 0.0:
-            self.intersend_time = self.mss_bytes / (self.pacing_gain * self.btl_bw)
+            self.intersend_time = DATA_PACKET_BYTES / (self.pacing_gain * self.btl_bw)
         else:
             self.intersend_time = 0.0  # no estimate yet: cwnd-limited startup
         if self.state == "probe_rtt":

@@ -8,7 +8,7 @@ building block for simple cross-traffic in the convergence experiment.
 
 from __future__ import annotations
 
-from repro.netsim.packet import AckInfo
+from repro.netsim.packet import DATA_PACKET_BYTES, AckInfo
 from repro.protocols.base import CongestionControl
 
 
@@ -17,19 +17,18 @@ class ConstantRate(CongestionControl):
 
     name = "constant"
 
-    def __init__(self, rate_pps: float, window: float = 1e6, mss_bytes: int = 1500):
+    def __init__(self, rate_pps: float, window: float = 1e6):
         super().__init__(initial_window=window)
         if rate_pps <= 0:
             raise ValueError("rate_pps must be positive")
         self.rate_pps = rate_pps
-        self.mss_bytes = mss_bytes
         self.intersend_time = 1.0 / rate_pps
         self._window_cap = window
 
     @property
     def rate_bps(self) -> float:
         """Sending rate in bits/second."""
-        return self.rate_pps * self.mss_bytes * 8
+        return self.rate_pps * DATA_PACKET_BYTES * 8
 
     def reset(self, now: float) -> None:
         super().reset(now)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from repro.netsim.packet import AckInfo, Packet
+from repro.netsim.packet import DATA_PACKET_BYTES, AckInfo, Packet
 from repro.netsim.queue import QueueDiscipline
 from repro.protocols.base import CongestionControl
 
@@ -51,7 +51,6 @@ class XCPRouterQueue(QueueDiscipline):
         capacity_packets: int = 1000,
         link_rate_bps: float = 15e6,
         control_interval: float = 0.1,
-        mss_bytes: int = 1500,
     ):
         super().__init__()
         if capacity_packets <= 0:
@@ -61,7 +60,7 @@ class XCPRouterQueue(QueueDiscipline):
         if control_interval <= 0:
             raise ValueError("control_interval must be positive")
         self.capacity_packets = capacity_packets
-        self.capacity_pps = link_rate_bps / (mss_bytes * 8)
+        self.capacity_pps = link_rate_bps / (DATA_PACKET_BYTES * 8)
         self.control_interval = control_interval
         self._queue: deque[Packet] = deque()
         self._bytes = 0

@@ -42,8 +42,6 @@ class CellularTraceConfig:
     outage_probability: float = 0.02
     #: Rate during an outage (bits/second).
     outage_rate_bps: float = 50e3
-    #: Packet size used to convert rates into delivery opportunities.
-    mss_bytes: int = 1500
 
     def __post_init__(self) -> None:
         if self.mean_rate_bps <= 0 or self.max_rate_bps <= 0:
@@ -85,13 +83,17 @@ def generate_rate_series(
 def rate_series_to_delivery_times(
     rate_series: Sequence[tuple[float, float]],
     duration_seconds: float,
-    mss_bytes: int = 1500,
 ) -> list[float]:
-    """Convert a piecewise-constant rate series into per-packet delivery instants."""
+    """Convert a piecewise-constant rate series into per-packet delivery
+    instants, one :data:`~repro.netsim.packet.DATA_PACKET_BYTES` packet each."""
+    # Imported here: ``repro.netsim`` imports this package (a hop names its
+    # trace by a TraceSpec), and a trace is generated on first use.
+    from repro.netsim.packet import DATA_PACKET_BYTES
+
     if not rate_series:
         raise ValueError("rate_series must not be empty")
     times: list[float] = []
-    packet_bits = mss_bytes * 8
+    packet_bits = DATA_PACKET_BYTES * 8
     for index, (start, rate) in enumerate(rate_series):
         end = (
             rate_series[index + 1][0]
@@ -118,7 +120,7 @@ def generate_cellular_trace(
     """Generate delivery timestamps for a synthetic cellular downlink."""
     config = config if config is not None else CellularTraceConfig()
     series = generate_rate_series(duration_seconds, config, seed=seed)
-    return rate_series_to_delivery_times(series, duration_seconds, config.mss_bytes)
+    return rate_series_to_delivery_times(series, duration_seconds)
 
 
 def verizon_lte_trace(duration_seconds: float = 120.0, seed: int = 1) -> list[float]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 
+from repro.netsim.packet import DATA_PACKET_BYTES
 from repro.netsim.sender import FlowDemand, Workload
 from repro.traffic.distributions import Distribution, ExponentialDistribution, UniformDistribution
 
@@ -23,7 +24,6 @@ class IncastWorkload(Workload):
         flow_size: Distribution,
         epoch_seconds: float = 0.1,
         jitter_seconds: float = 0.002,
-        min_bytes: int = 1500,
     ):
         if epoch_seconds <= 0:
             raise ValueError("epoch_seconds must be positive")
@@ -32,7 +32,6 @@ class IncastWorkload(Workload):
         self.flow_size = flow_size
         self.epoch_seconds = epoch_seconds
         self.jitter = UniformDistribution(0.0, jitter_seconds) if jitter_seconds > 0 else None
-        self.min_bytes = min_bytes
 
     @classmethod
     def exponential(
@@ -53,5 +52,5 @@ class IncastWorkload(Workload):
         return delay
 
     def next_flow(self, rng: random.Random) -> FlowDemand:
-        size = max(self.min_bytes, int(round(self.flow_size.sample(rng))))
+        size = max(DATA_PACKET_BYTES, int(round(self.flow_size.sample(rng))))
         return FlowDemand(size_bytes=size)

@@ -17,6 +17,7 @@ import math
 import random
 from typing import Optional
 
+from repro.netsim.packet import DATA_PACKET_BYTES
 from repro.netsim.sender import FlowDemand, Workload
 from repro.traffic.distributions import ConstantDistribution, Distribution, ExponentialDistribution
 
@@ -87,15 +88,11 @@ class ByteFlowWorkload(OnOffWorkload):
         self,
         flow_size: Distribution,
         mean_off_seconds: float,
-        min_bytes: int = 1500,
         start_on: bool = False,
         initial_delay: Optional[Distribution] = None,
     ):
         super().__init__(mean_off_seconds, start_on=start_on, initial_delay=initial_delay)
-        if min_bytes <= 0:
-            raise ValueError("min_bytes must be positive")
         self.flow_size = flow_size
-        self.min_bytes = min_bytes
 
     @classmethod
     def exponential(
@@ -108,7 +105,7 @@ class ByteFlowWorkload(OnOffWorkload):
         return cls(ExponentialDistribution(mean_flow_bytes), mean_off_seconds, **kwargs)
 
     def next_flow(self, rng: random.Random) -> FlowDemand:
-        size = max(self.min_bytes, int(round(self.flow_size.sample(rng))))
+        size = max(DATA_PACKET_BYTES, int(round(self.flow_size.sample(rng))))
         return FlowDemand(size_bytes=size)
 
 

@@ -68,10 +68,11 @@ class TestEllipse:
 
 class TestSummary:
     def test_add_result_collects_active_flows(self):
-        stats = FlowStats(0)
+        stats = FlowStats(
+            0, bytes_received=1_250_000, packets_received=1,
+            queue_delay_sum=0.01, queue_delay_count=1,
+        )
         stats.record_on_time(10.0)
-        stats.record_delivery(1_250_000)
-        stats.record_queue_delay(0.01)
         result = SimulationResult(duration=10.0, flow_stats=[stats, FlowStats(1)])
         summary = summarize_runs("test", [result])
         assert summary.n_points == 1

@@ -16,6 +16,7 @@ from repro.core.config import (
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective, alpha_fairness_utility
 from repro.core.whisker_tree import WhiskerTree
+from repro.netsim.packet import DATA_PACKET_BYTES
 from repro.netsim.path import PathSpec
 from repro.netsim.stats import FlowStats
 from repro.runner import SerialBackend
@@ -119,10 +120,6 @@ class TestAlphaFairness:
         assert alpha_fairness_utility(low, alpha) <= alpha_fairness_utility(high, alpha) + 1e-12
 
 
-#: The MSS every scored flow below is simulated with.
-MSS = 1500
-
-
 def flow(throughput_bps: float, delay_seconds: float, on_time: float = 1.0) -> FlowStats:
     """A flow that delivered ``throughput_bps`` over ``on_time`` at one RTT sample."""
     return FlowStats(
@@ -135,9 +132,8 @@ def flow(throughput_bps: float, delay_seconds: float, on_time: float = 1.0) -> F
 
 
 def score(objective, throughput_bps, delay_seconds, fair_share_bps, base_rtt_seconds):
-    return objective.score_stats(
-        flow(throughput_bps, delay_seconds), fair_share_bps, base_rtt_seconds, MSS
-    )
+    stats = flow(throughput_bps, delay_seconds)
+    return objective.score_stats(stats, fair_share_bps, base_rtt_seconds)
 
 
 class TestObjective:
@@ -172,21 +168,21 @@ class TestObjective:
     def test_nothing_delivered_scores_one_mss(self, objective):
         # No RTT was sampled, so the delay term is U_beta(1) = 0 and the
         # score is the throughput term of one MSS over 2 s alone.
-        nothing = objective.score_stats(FlowStats(0, on_time=2.0), 1e6, 0.1, MSS)
+        nothing = objective.score_stats(FlowStats(0, on_time=2.0), 1e6, 0.1)
         assert math.isfinite(nothing)
-        assert nothing == alpha_fairness_utility(MSS * 8 / 2.0 / 1e6, objective.alpha)
-        one_packet = FlowStats(0, bytes_received=MSS, packets_received=1, on_time=2.0)
-        assert nothing == objective.score_stats(one_packet, 1e6, 0.1, MSS)
+        assert nothing == alpha_fairness_utility(DATA_PACKET_BYTES * 8 / 2.0 / 1e6, objective.alpha)
+        one_packet = FlowStats(0, bytes_received=DATA_PACKET_BYTES, packets_received=1, on_time=2.0)
+        assert nothing == objective.score_stats(one_packet, 1e6, 0.1)
         # Waiting longer for nothing costs more.
-        assert objective.score_stats(FlowStats(0, on_time=4.0), 1e6, 0.1, MSS) < nothing
+        assert objective.score_stats(FlowStats(0, on_time=4.0), 1e6, 0.1) < nothing
 
     def test_a_flow_on_for_less_than_its_base_rtt_is_not_scored(self):
         objective = Objective.proportional(delta=1.0)
         for on_time in (0.0, 0.05, 0.0999):
-            for delivered in (0, MSS):
+            for delivered in (0, DATA_PACKET_BYTES):
                 stats = FlowStats(0, bytes_received=delivered, on_time=on_time)
-                assert objective.score_stats(stats, 1e6, 0.1, MSS) is None
-        assert objective.score_stats(FlowStats(0, on_time=0.1), 1e6, 0.1, MSS) is not None
+                assert objective.score_stats(stats, 1e6, 0.1) is None
+        assert objective.score_stats(FlowStats(0, on_time=0.1), 1e6, 0.1) is not None
 
     def test_score_stats_floors_the_flow_rtt_at_the_base_rtt(self):
         # One §3.3 per-flow score for the evaluator and Figure 11: the mean
@@ -195,10 +191,10 @@ class TestObjective:
         objective = Objective.proportional(delta=1.0)
         stats = FlowStats(0, bytes_received=125_000, on_time=1.0, rtt_sum=0.6, rtt_count=2)
         half = 125_000 * 8 / 1.0 / 2e6
-        assert objective.score_stats(stats, 2e6, 0.1, MSS) == math.log(half) - math.log(0.3 / 0.1)
-        assert objective.score_stats(stats, 2e6, 0.5, MSS) == math.log(half) - math.log(0.5 / 0.5)
+        assert objective.score_stats(stats, 2e6, 0.1) == math.log(half) - math.log(0.3 / 0.1)
+        assert objective.score_stats(stats, 2e6, 0.5) == math.log(half) - math.log(0.5 / 0.5)
         unsampled = FlowStats(0, bytes_received=125_000, on_time=1.0)
-        assert objective.score_stats(unsampled, 2e6, 0.1, MSS) == math.log(half) - math.log(1.0)
+        assert objective.score_stats(unsampled, 2e6, 0.1) == math.log(half) - math.log(1.0)
 
     def test_describe(self):
         assert "delay" in Objective.min_potential_delay().describe()

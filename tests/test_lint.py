@@ -269,6 +269,9 @@ RETIRED = {
         "protocol_factory", "ProtocolFactory", "check_factories_picklable", "per_flow_workloads",
         "workload_for", "protocol_spec_for"), 44),
     **dict.fromkeys(("InfiniteQueue", "trace_link", "network_spec"), 45),
+    **dict.fromkeys((
+        "mss_bytes", "validate_mss", "lane_bytes", "record_delivery", "record_send",
+        "record_queue_delay", "record_rtt", "src/repro/protocols/aimd.py"), 47),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -376,6 +379,8 @@ KNOBS = {
     "repro.scenarios:ScenarioSpec": [
         "name", "description", "topology", "network", "protocols", "workloads", "duration", "seed",
         "smoke"],
+    "repro.netsim:PathSpec": [
+        "forward", "reverse", "rtt", "n_flows", "forward_hops", "reverse_hops"],
     "repro.netsim:LinkSpec": [
         "rate_bps", "delay", "queue", "buffer_packets", "loss_rate", "delivery_trace", "name",
         "red_min_thresh", "red_max_thresh"],

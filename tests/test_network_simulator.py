@@ -55,11 +55,6 @@ class TestNetworkSpec:
     def test_zero_rtt_is_valid(self):
         assert PathSpec.dumbbell(rtt=0.0).rtt_for_flow(0) == 0.0
 
-    @pytest.mark.parametrize("mss_bytes", [0, -1500])
-    def test_nonpositive_mss_rejected(self, mss_bytes):
-        with pytest.raises(ValueError, match="mss_bytes must be positive"):
-            PathSpec.dumbbell(mss_bytes=mss_bytes)
-
     def test_unknown_queue_kind_rejected(self):
         with pytest.raises(ValueError):
             PathSpec.dumbbell(queue="mystery")

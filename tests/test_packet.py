@@ -1,6 +1,9 @@
 """Unit tests for packets and acknowledgment construction (the receiver's
 in-place conversion)."""
 
+import ast
+from pathlib import Path
+
 from repro.netsim.events import EventScheduler
 from repro.netsim.packet import ACK_PACKET_BYTES, DATA_PACKET_BYTES, AckInfo, Packet
 from repro.netsim.receiver import Receiver
@@ -73,3 +76,17 @@ def test_ack_info_is_frozen():
     except AttributeError:
         raised = True
     assert raised
+
+
+def test_the_segment_size_is_said_once():
+    # Links, traces, protocols, workloads and scoring read DATA_PACKET_BYTES;
+    # a second 1500 would be a second segment size that can drift from it.
+    src = Path(__file__).resolve().parent.parent / "src" / "repro"
+    sites = [
+        str(path.relative_to(src))
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and type(node.value) is int
+        and node.value == DATA_PACKET_BYTES
+    ]
+    assert sites == ["netsim/packet.py"]

@@ -56,7 +56,7 @@ class TestLinkSpecValidation:
 
     def test_trace_effective_rate(self):
         link = LinkSpec(delivery_trace=[i * 0.01 for i in range(101)])
-        assert link.effective_rate_bps(1500) == pytest.approx(100 * 1500 * 8)
+        assert link.effective_rate_bps() == pytest.approx(100 * 1500 * 8)
 
     @pytest.mark.parametrize("kind", QUEUE_KINDS)
     def test_only_droptail_takes_an_unlimited_buffer(self, kind):
@@ -123,10 +123,8 @@ class TestPathSpecValidation:
         with pytest.raises(ValueError, match="rtt must be finite and non-negative"):
             PathSpec(rtt=rtt, n_flows=2)
 
-    def test_zero_rtt_and_positive_mss_required(self):
+    def test_zero_rtt_is_valid(self):
         assert PathSpec(rtt=0.0).rtt_for_flow(0) == 0.0
-        with pytest.raises(ValueError, match="mss_bytes must be positive"):
-            PathSpec(mss_bytes=0)
 
     def test_bottleneck_rate_respects_flow_route(self):
         spec = PathSpec(

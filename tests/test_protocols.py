@@ -4,7 +4,6 @@ import pytest
 
 from repro.netsim.packet import AckInfo
 from repro.protocols import PROTOCOLS
-from repro.protocols.aimd import AIMD
 from repro.protocols.bbr import BBR
 from repro.protocols.compound import CompoundTCP
 from repro.protocols.constant_rate import ConstantRate
@@ -36,7 +35,7 @@ def feed_acks(cc, count, rtt=0.1, start=1.0, spacing=0.01, ecn=False):
 
 class TestRegistry:
     def test_registry_contains_all_protocols(self):
-        expected = {"aimd", "constant", "newreno", "vegas", "cubic", "bbr", "compound", "dctcp", "xcp", "remy"}
+        expected = {"constant", "newreno", "vegas", "cubic", "bbr", "compound", "dctcp", "xcp", "remy"}
         assert expected == set(PROTOCOLS)
 
 
@@ -207,24 +206,6 @@ class TestDCTCP:
         assert cc.alpha < 0.5
 
 
-class TestAIMD:
-    def test_additive_increase(self):
-        cc = AIMD(increase_per_rtt=1.0, decrease_factor=0.5, initial_window=10, use_slow_start=False)
-        feed_acks(cc, 10)
-        assert cc.cwnd == pytest.approx(11.0, rel=0.05)
-
-    def test_multiplicative_decrease(self):
-        cc = AIMD(initial_window=16, use_slow_start=False)
-        cc.on_loss(1.0)
-        assert cc.cwnd == 8.0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            AIMD(increase_per_rtt=0)
-        with pytest.raises(ValueError):
-            AIMD(decrease_factor=1.5)
-
-
 class TestConstantRate:
     def test_intersend_matches_rate(self):
         cc = ConstantRate(rate_pps=100)
@@ -275,10 +256,6 @@ class TestBBR:
     def test_registered(self):
         assert PROTOCOLS["bbr"] is BBR
         assert BBR().name == "bbr"
-
-    def test_rejects_nonpositive_mss(self):
-        with pytest.raises(ValueError):
-            BBR(mss_bytes=0)
 
     def test_startup_exits_to_drain_when_bandwidth_plateaus(self):
         cc = BBR()

@@ -31,7 +31,7 @@ from repro.core.serialization import save_json_atomic, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.events import EventScheduler
 from repro.netsim.link import ConstantRateLink
-from repro.netsim.packet import Packet
+from repro.netsim.packet import DATA_PACKET_BYTES, Packet
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.queue import DropTailQueue
 from repro.netsim.sender import AlwaysOnWorkload
@@ -172,7 +172,7 @@ def test_sealed_at_is_past_the_point_of_no_return():
     # At the seal the backlog outlasts the run: fewer packets were delivered
     # by the end than had been accepted by the seal.
     delivered = sum(stats.queue_delay_count for stats in result.flow_stats)
-    capacity = spec.forward[0].rate_bps * DURATION / (spec.mss_bytes * 8)
+    capacity = spec.forward[0].rate_bps * DURATION / (DATA_PACKET_BYTES * 8)
     assert 0.0 < result.sealed_at < DURATION
     assert delivered <= capacity + 1
 
@@ -187,7 +187,7 @@ def test_an_armed_link_seals_itself_on_a_direct_receive():
     link = ConstantRateLink(scheduler, rate_bps=12_000.0, queue=unlimited)
     link.route(0, (0.0, None, lambda packet: None))
     seals: list[int] = []
-    link.arm_seal(end_time=1.0, mss_bytes=1500, on_seal=lambda: seals.append(len(link.queue)))
+    link.arm_seal(end_time=1.0, on_seal=lambda: seals.append(len(link.queue)))
     for seq in range(4):  # the first starts service at once: 4500 bytes queued
         link.receive(Packet(0, seq))
     assert seals == []

@@ -7,6 +7,7 @@ import pytest
 
 from repro.netsim import link, path
 from repro.netsim.link import validate_delivery_trace
+from repro.netsim.packet import DATA_PACKET_BYTES
 from repro.scenarios import all_scenarios, get_scenario
 from repro.traces import cellular
 from repro.traces.cellular import (
@@ -41,7 +42,7 @@ def test_delivery_times_are_sorted_and_within_duration():
 def test_mean_rate_close_to_configured_mean():
     config = CellularTraceConfig(mean_rate_bps=10e6, volatility=0.2, outage_probability=0.0)
     trace = generate_cellular_trace(120.0, config, seed=3)
-    delivered_bits = len(trace) * config.mss_bytes * 8
+    delivered_bits = len(trace) * DATA_PACKET_BYTES * 8
     mean_rate = delivered_bits / 120.0
     # The log-normal modulation biases the realised mean; just require the
     # right order of magnitude.
