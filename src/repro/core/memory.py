@@ -158,8 +158,8 @@ class MemoryRange:
     def contains_point(self, v0: float, v1: float, v2: float) -> bool:
         """Scalar fast path of :meth:`contains`: no Memory object, no zip.
 
-        Sits on the per-ACK whisker-lookup path (both the last-leaf cache
-        check and the linear scan over a grid node's children).
+        The reference for the last-leaf cache check that
+        ``RemyCCProtocol.on_ack`` inlines.
         """
         lower = self.lower
         upper = self.upper

@@ -78,9 +78,8 @@ def _node_from_dict(data: dict[str, Any]) -> _Node:
         return _Node(domain, whisker)
     node = _Node(domain)
     node.children = [_node_from_dict(child) for child in data["children"]]
-    # Re-derive the fast-descent metadata so reloaded trees keep the
-    # three-comparison octant descent (or the grid-edge bisection for
-    # the grid nodes of the named tables; anything else falls back to the scan).
+    # Lookup descends by the node's product-grid index; children that do
+    # not form one raise a ValueError naming the node.
     index_node(node)
     return node
 

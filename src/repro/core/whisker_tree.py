@@ -10,144 +10,80 @@ with finer-grained actions.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Iterator, Optional
+from bisect import bisect_left, bisect_right
+from typing import Iterator, Optional
 
 from repro.core.action import Action
 from repro.core.memory import MAX_MEMORY, Memory, MemoryRange
 from repro.core.whisker import Whisker, WhiskerUsage
 
+#: An inner node's index: the interior cuts along ack_ewma, send_ewma and
+#: rtt_ratio, the bin strides of the first two, and the children by bin.
+GridIndex = tuple[
+    tuple[float, ...], tuple[float, ...], tuple[float, ...], int, int, tuple["_Node", ...]
+]
+
 
 class _Node:
     """Internal tree node: either a leaf holding a whisker or a list of children.
 
-    A node produced by an octant split additionally stores the split point as
-    ``split_point = (s0, s1, s2)``: lookup then computes the child index with
-    three float comparisons instead of scanning children.  Nodes whose
-    children form a row-major 2-D grid over (ack_ewma, rtt_ratio) — the shape
-    the named tables under ``results/remycc/`` attach under the root — store
-    the bin edges in ``grid_index`` and are descended by bisection.  Anything
-    else is scanned linearly.
+    An inner node's children tile its domain as a product grid, and ``index``
+    describes it: per memory dimension the sorted interior cuts, and the
+    children in row-major bin order (ack_ewma outermost, rtt_ratio innermost).
+    Lookup picks a child with one ``bisect_right`` per dimension.  An octant
+    split is a 2×2×2 grid, a split that leaves a one-ulp dimension whole a
+    1×2×2 or similar, and each named table's root a 14×1×9 grid.
+    ``children`` keeps split (or file) order, which iteration, usage
+    summaries and serialization read.
     """
 
-    __slots__ = ("domain", "whisker", "children", "split_point", "grid_index")
+    __slots__ = ("domain", "whisker", "children", "index")
 
     def __init__(self, domain: MemoryRange, whisker: Optional[Whisker] = None):
         self.domain = domain
         self.whisker = whisker
         self.children: list["_Node"] = []
-        self.split_point: Optional[tuple[float, float, float]] = None
-        self.grid_index: Optional[tuple[tuple[float, ...], tuple[float, ...], int]] = None
+        self.index: Optional[GridIndex] = None
 
     @property
     def is_leaf(self) -> bool:
         return self.whisker is not None
 
 
-def detect_octant_split(node: _Node) -> Optional[tuple[float, float, float]]:
-    """Return the split point if ``node``'s children form an octant partition.
+def index_node(node: _Node) -> None:
+    """Index ``node``'s children as a product grid over its domain.
 
-    Children must be in :meth:`MemoryRange.split` order: child ``code`` takes
-    the upper half along dimension ``d`` iff bit ``d`` of ``code`` is set, so
-    ``children[0].domain.upper == children[7].domain.lower == split point``.
-    Any other arrangement (or child count) returns ``None``, which makes the
-    lookup fall back to the containment scan.
+    The cuts along a dimension are the children's lower bounds strictly
+    inside the node's extent, so ``bisect_right(cuts, value)`` is the bin
+    with :meth:`MemoryRange.contains_point`'s boundary semantics (lower
+    bounds inclusive, upper bounds exclusive except at ``MAX_MEMORY``).
+    Raises ``ValueError`` naming the node unless each grid cell is exactly
+    one child's domain.
     """
-    children = node.children
-    if len(children) != 8:
-        return None
-    split = children[7].domain.lower.as_tuple()
     low = node.domain.lower.as_tuple()
     high = node.domain.upper.as_tuple()
-    for code, child in enumerate(children):
-        child_low = child.domain.lower.as_tuple()
-        child_high = child.domain.upper.as_tuple()
-        for dim in range(3):
-            upper_half = code & (1 << dim)
-            if child_low[dim] != (split[dim] if upper_half else low[dim]):
-                return None
-            if child_high[dim] != (high[dim] if upper_half else split[dim]):
-                return None
-    return split
-
-
-def detect_grid_partition(
-    node: _Node,
-) -> Optional[tuple[tuple[float, ...], tuple[float, ...], int]]:
-    """Return bisection metadata if ``node``'s children tile a 2-D grid.
-
-    The named tables under ``results/remycc/`` (loaded by
-    :func:`repro.core.serialization.pretrained_remycc`) attach a flat
-    row-major grid of cells under the root: children iterate
-    ack_ewma bins in the outer loop and rtt_ratio bins in the inner loop,
-    and every cell spans the node's full send_ewma extent.  For such nodes
-    lookup can bisect the two sorted edge lists instead of scanning 126
-    cells with a containment test each.
-
-    Returns ``(interior_ack_edges, interior_ratio_edges, n_ratio_bins)`` —
-    interior edges only, so ``bisect_right(edges, value)`` yields the bin
-    index directly with the same boundary semantics as
-    :meth:`MemoryRange.contains_point` (lower edges inclusive, upper edges
-    exclusive except at ``MAX_MEMORY``) — or ``None`` for any other shape.
-    """
-    children = node.children
-    n = len(children)
-    if n < 4:
-        return None
-    lower = node.domain.lower
-    upper = node.domain.upper
-    # Infer the rtt_ratio edges from the leading run of children that share
-    # the first ack_ewma bin.
-    first = children[0].domain
-    ack_low = first.lower.ack_ewma
-    ack_high = first.upper.ack_ewma
-    ratio_edges = [first.lower.rtt_ratio]
-    n_ratio = 0
-    for child in children:
-        domain = child.domain
-        if domain.lower.ack_ewma != ack_low:
-            break
-        if domain.upper.ack_ewma != ack_high:
-            return None
-        if domain.lower.rtt_ratio != ratio_edges[-1]:
-            return None
-        ratio_edges.append(domain.upper.rtt_ratio)
-        n_ratio += 1
-    if n_ratio < 2 or n % n_ratio != 0:
-        return None
-    n_ack = n // n_ratio
-    if n_ack < 2:
-        return None
-    if ratio_edges[0] != lower.rtt_ratio or ratio_edges[-1] != upper.rtt_ratio:
-        return None
-    # Verify every cell against the inferred grid, row by row.
-    ack_edges = [lower.ack_ewma]
-    for row in range(n_ack):
-        row_low = children[row * n_ratio].domain.lower.ack_ewma
-        row_high = children[row * n_ratio].domain.upper.ack_ewma
-        if row_low != ack_edges[-1]:
-            return None
-        ack_edges.append(row_high)
-        for col in range(n_ratio):
-            domain = children[row * n_ratio + col].domain
-            if (
-                domain.lower.ack_ewma != row_low
-                or domain.upper.ack_ewma != row_high
-                or domain.lower.rtt_ratio != ratio_edges[col]
-                or domain.upper.rtt_ratio != ratio_edges[col + 1]
-                or domain.lower.send_ewma != lower.send_ewma
-                or domain.upper.send_ewma != upper.send_ewma
-            ):
-                return None
-    if ack_edges[-1] != upper.ack_ewma:
-        return None
-    return tuple(ack_edges[1:-1]), tuple(ratio_edges[1:-1]), n_ratio
-
-
-def index_node(node: _Node) -> None:
-    """(Re)derive the fast-descent metadata for a node's current children."""
-    node.split_point = detect_octant_split(node)
-    node.grid_index = None if node.split_point is not None else detect_grid_partition(node)
+    bounds = [child.domain.as_tuple() for child in node.children]
+    edges = []
+    for dim in range(3):
+        cuts = sorted({lo[dim] for lo, _ in bounds if low[dim] < lo[dim] < high[dim]})
+        edges.append([low[dim], *cuts, high[dim]])
+    n1 = len(edges[1]) - 1
+    n2 = len(edges[2]) - 1
+    cells: list[Optional[_Node]] = [None] * ((len(edges[0]) - 1) * n1 * n2)
+    for child, (lo, hi) in zip(node.children, bounds):
+        bins = [bisect_left(edges[dim], lo[dim]) for dim in range(3)]
+        if all(edges[dim][bins[dim]:bins[dim] + 2] == [lo[dim], hi[dim]] for dim in range(3)):
+            cells[(bins[0] * n1 + bins[1]) * n2 + bins[2]] = child
+    # As many children as cells, and every cell filled: one child per cell.
+    if len(bounds) != len(cells) or None in cells:
+        raise ValueError(
+            f"node {node.domain.as_tuple()}: its {len(bounds)} children do not tile it "
+            "as a product grid"
+        )
+    node.index = (
+        tuple(edges[0][1:-1]), tuple(edges[1][1:-1]), tuple(edges[2][1:-1]),
+        n1 * n2, n2, tuple(cells),
+    )
 
 
 class WhiskerTree:
@@ -158,9 +94,9 @@ class WhiskerTree:
         action = default_action if default_action is not None else Action.default()
         self._root = _Node(domain, Whisker(domain=domain, action=action))
         self.name = name
-        #: Structure/action revision counter.  Incremented by
-        #: :meth:`split_whisker` and :meth:`replace_action` so leaf caches
-        #: held outside the tree (see ``RemyCCProtocol``) can be invalidated.
+        #: Structure revision counter.  Incremented by :meth:`split_whisker`
+        #: so leaf caches held outside the tree (see ``RemyCCProtocol``) can
+        #: be invalidated; an action is changed in place on its whisker.
         self.version = 0
 
     # ------------------------------------------------------------------ lookup
@@ -186,36 +122,19 @@ class WhiskerTree:
         return self.find_point(m0, m1, m2)
 
     def find_point(self, m0: float, m1: float, m2: float) -> Whisker:
-        """Leaf lookup for an already-clamped scalar memory point."""
+        """Leaf lookup for an already-clamped scalar memory point.
+
+        Each level bisects the node's cuts once per dimension and takes the
+        child in that grid cell.
+        """
         node = self._root
-        while node.whisker is None:
-            split = node.split_point
-            if split is not None:
-                # Octant descent: three float comparisons pick the child.
-                node = node.children[
-                    (m0 >= split[0])
-                    | ((m1 >= split[1]) << 1)
-                    | ((m2 >= split[2]) << 2)
-                ]
-                continue
-            grid = node.grid_index
-            if grid is not None:
-                # Grid descent (pretrained tables): two bisections over the
-                # (ack_ewma, rtt_ratio) bin edges pick the cell directly.
-                ack_edges, ratio_edges, n_ratio = grid
-                node = node.children[
-                    bisect_right(ack_edges, m0) * n_ratio
-                    + bisect_right(ratio_edges, m2)
-                ]
-                continue
-            for child in node.children:
-                if child.domain.contains_point(m0, m1, m2):
-                    node = child
-                    break
-            else:  # pragma: no cover - regions tile the space, so unreachable
-                raise RuntimeError(
-                    f"no child contains memory ({m0}, {m1}, {m2})"
-                )
+        while (index := node.index) is not None:
+            cuts0, cuts1, cuts2, stride0, stride1, cells = index
+            node = cells[
+                bisect_right(cuts0, m0) * stride0
+                + bisect_right(cuts1, m1) * stride1
+                + bisect_right(cuts2, m2)
+            ]
         return node.whisker
 
     def use(self, memory: Memory) -> Action:
@@ -271,13 +190,6 @@ class WhiskerTree:
                 best = whisker
         return best
 
-    def replace_action(self, whisker: Whisker, action: Action) -> None:
-        """Install ``action`` on the leaf currently holding ``whisker``."""
-        node = self._find_leaf_node(whisker)
-        assert node.whisker is not None
-        node.whisker.action = action
-        self.version += 1
-
     def split_whisker(self, whisker: Whisker) -> list[Whisker]:
         """Replace ``whisker`` with eight children split at its median trigger."""
         node = self._find_leaf_node(whisker)
@@ -295,11 +207,6 @@ class WhiskerTree:
         raise ValueError("whisker is not a leaf of this tree")
 
     # ------------------------------------------------------------------ misc
-    def map_actions(self, transform: Callable[[Action], Action]) -> None:
-        """Apply a transformation to every rule's action (used in tests/ablations)."""
-        for whisker in self.whiskers():
-            whisker.action = transform(whisker.action)
-
     def total_use_count(self) -> int:
         return sum(whisker.use_count for whisker in self.whiskers())
 

@@ -78,7 +78,6 @@ class LinkBase:
         #: Updated in addition to ``delay_stats``; empty on a one-forward-hop
         #: path, whose breakdown would repeat the flow totals.
         self.hop_delay_stats: dict[int, HopDelayStats] = {}
-        self.bytes_delivered = 0
         #: Per flow id, where a packet goes once it leaves this hop, as seen
         #: from the near end (propagation delay folded in, see
         #: :func:`~repro.netsim.kernel.across`); set by :meth:`route`.
@@ -187,7 +186,6 @@ class ConstantRateLink(LinkBase):
         def finish_transmission(packet: Packet) -> None:
             now = scheduler.now
             route = routes[packet.flow_id]
-            link.bytes_delivered += packet.size_bytes
             lane = route[1]
             if lane is not None:
                 lane.append([now + route[0], scheduler._sequence, route[2], packet])
@@ -291,7 +289,6 @@ class ConstantRateLink(LinkBase):
                 _, wait, stats, size, _ = backlog.popleft()
                 backlog_bytes -= size
                 droptail.dequeues += 1
-                link.bytes_delivered += size
                 if stats is not None:
                     stats.queue_delay_sum += wait
                     stats.queue_delay_count += 1
@@ -317,7 +314,6 @@ class ConstantRateLink(LinkBase):
                 backlog.popleft()
                 backlog_bytes -= size
                 droptail.dequeues += 1
-                link.bytes_delivered += size
                 if waited is not None:
                     waited.queue_delay_sum += wait
                     waited.queue_delay_count += 1
@@ -433,7 +429,6 @@ class TraceDrivenLink(LinkBase):
             times = list(delivery_times)
         self.delivery_times = times
         self._started = False
-        self.wasted_opportunities = 0
 
         link = self
         discipline = self.queue
@@ -461,9 +456,7 @@ class TraceDrivenLink(LinkBase):
                 packet = discipline.dequeue(now)
             else:
                 packet = None
-            if packet is None:
-                link.wasted_opportunities += 1
-            else:
+            if packet is not None:
                 stats = stats_map.get(packet.flow_id)
                 if stats is not None:
                     delay = now - packet.enqueue_time
@@ -480,7 +473,6 @@ class TraceDrivenLink(LinkBase):
                         if delay > hop.max_delay:
                             hop.max_delay = delay
                 route = routes[packet.flow_id]
-                link.bytes_delivered += packet.size_bytes
                 # No lane holds entries beside a trace link (it is never a
                 # dumbbell's), so a heap push needs no ``_heap_version``.
                 if route[0]:

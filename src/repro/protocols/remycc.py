@@ -47,11 +47,11 @@ class RemyCCProtocol(CongestionControl):
         # Last-leaf cache: consecutive ACKs usually hit the same rule, so the
         # previous leaf is revalidated against its six bounds before walking
         # the tree.  ``tree.version`` invalidates the cache whenever the
-        # tree's structure or actions change (split_whisker /
-        # replace_action); in-place mutation of the cached whisker's action
-        # (the optimizer's hill-climb) is visible through the shared object
-        # either way.  Held as (leaf, version, low0, high0, low1, high1,
-        # low2, high2); tree versions start at 0, so -1 never validates.
+        # tree's structure changes (split_whisker); an action is changed in
+        # place on its whisker (the optimizer's hill-climb), which the cache
+        # sees through the shared object.  Held as (leaf, version, low0,
+        # high0, low1, high1, low2, high2); tree versions start at 0, so -1
+        # never validates.
         self._cache: tuple = (None, -1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         if label is not None:
             self.name = label

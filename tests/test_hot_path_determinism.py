@@ -137,7 +137,7 @@ class TestLastLeafCache:
         assert fresh is not leaf
         assert (leaf.use_count, fresh.use_count) == (2, 1)
 
-    def test_cache_invalidated_by_replace_action(self):
+    def test_cache_sees_an_in_place_action_swap(self):
         from repro.core.action import Action
 
         tree = WhiskerTree()
@@ -145,7 +145,7 @@ class TestLastLeafCache:
         protocol.on_ack(_ack(1.0, 0.9, 0.1))
         window = protocol.cwnd
         new_action = Action(1.2, 3.0, 0.5)
-        tree.replace_action(tree.find(protocol.memory), new_action)
+        tree.find(protocol.memory).action = new_action  # no version bump
         protocol.on_ack(_ack(1.0, 0.9, 0.1))
         assert protocol.cwnd == new_action.apply(window)
         assert protocol.intersend_time == new_action.intersend_seconds

@@ -272,6 +272,9 @@ RETIRED = {
     **dict.fromkeys((
         "mss_bytes", "validate_mss", "lane_bytes", "record_delivery", "record_send",
         "record_queue_delay", "record_rtt", "src/repro/protocols/aimd.py"), 47),
+    **dict.fromkeys((
+        "detect_octant_split", "detect_grid_partition", "grid_index", "replace_action",
+        "map_actions", "bytes_delivered", "wasted_opportunities"), 49),
 }
 
 #: What may name deleted code: the history files, and the guards here.

@@ -57,7 +57,8 @@ class TestPretrainedTables:
         assert raw.pop("origin") == "synthesized"
         assert raw == whisker_tree_to_dict(tree)
         assert len(tree) == 126
-        assert tree._root.grid_index is not None
+        # The root is a 14 x 1 x 9 grid over (ack_ewma, send_ewma, rtt_ratio).
+        assert [len(cuts) for cuts in tree._root.index[:3]] == [13, 0, 8]
         assert whisker_tree_token(tree) == TOKENS[name]
 
     def test_every_call_returns_a_fresh_tree(self):

@@ -11,8 +11,8 @@ pacing interval, memory, and every whisker's use count and sample reservoir.
 
 The streams cover what the inlining could get wrong: ``rtt`` of ``None`` / 0 /
 positive, RTT ratios and ACK gaps beyond the ``MAX_MEMORY`` clamp,
-non-monotone echo times, and — for the cache — ``split_whisker`` /
-``replace_action`` version bumps, ``on_timeout`` and ``reset`` mid-stream.
+non-monotone echo times, and — for the cache — ``split_whisker`` version
+bumps, in-place action swaps, ``on_timeout`` and ``reset`` mid-stream.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def _twice_split_octree() -> WhiskerTree:
     for point in ((2.0, 3.0, 1.1), (4.0, 2.0, 1.4), (1.0, 6.0, 1.2)):
         root.use(Memory(*point))
     children = tree.split_whisker(root)
-    tree.replace_action(children[0], Action(1.1, -1.0, 0.2))
+    children[0].action = Action(1.1, -1.0, 0.2)
     tree.split_whisker(children[0])  # no samples: splits at the centre
     tree.reset_statistics()
     return tree
@@ -148,8 +148,9 @@ def test_one_frame_path_matches_the_public_pieces(shape, training, seed):
             fast.reset(now)
             ref.reset(now)
         else:
-            # A version bump on both trees, on the rule at the same position
-            # (the one the protocol has cached, half of the time).
+            # A split (a version bump) or an in-place action swap on both
+            # trees, on the rule at the same position (the one the protocol
+            # has cached, half of the time).
             whiskers = fast.tree.whiskers()
             index = (
                 whiskers.index(fast.tree.find(fast.memory))
@@ -164,7 +165,7 @@ def test_one_frame_path_matches_the_public_pieces(shape, training, seed):
                     rng.uniform(0.0, 2.0), rng.uniform(-8.0, 8.0), rng.uniform(0.01, 5.0)
                 )
                 for tree in (fast.tree, ref.tree):
-                    tree.replace_action(tree.whiskers()[index], action)
+                    tree.whiskers()[index].action = action
         _assert_equal(step, fast, ref)
     assert clamped, "the stream never reached the MAX_MEMORY clamp"
     if training:

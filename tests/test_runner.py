@@ -547,7 +547,7 @@ class TestSameTreeByConstruction:
         tree = optimizer.optimize()
         return (
             whisker_tree_token(tree),
-            tree._root.split_point,
+            tree._root.index[:3],
             [repr(score) for score in optimizer.state.score_history],
         )
 
@@ -556,7 +556,7 @@ class TestSameTreeByConstruction:
         for spec in ("process:1", "process:2"):
             with backend_from_spec(spec) as backend:
                 outcomes[spec] = self.design(backend)
-        token, split_point, history = outcomes["serial"]
-        assert split_point is not None and len(history) == 106
+        token, cuts, history = outcomes["serial"]
+        assert all(len(dim_cuts) == 1 for dim_cuts in cuts) and len(history) == 106
         for name, outcome in outcomes.items():
-            assert outcome == (token, split_point, history), name
+            assert outcome == (token, cuts, history), name

@@ -1,6 +1,7 @@
 """Round-trip tests for RemyCC serialization."""
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from repro.core.whisker_tree import WhiskerTree
 
 coords = st.floats(min_value=0.0, max_value=MAX_MEMORY, allow_nan=False)
 memories = st.tuples(coords, coords, coords).map(lambda t: Memory(*t))
+ACTION = {"window_multiple": 1.0, "window_increment": 1.0, "intersend_ms": 1.0}
 
 
 def test_round_trip_single_rule_tree():
@@ -62,6 +64,25 @@ def test_unsupported_version_rejected():
     data = whisker_tree_to_dict(tree)
     data["format_version"] = 99
     with pytest.raises(ValueError):
+        whisker_tree_from_dict(data)
+
+
+def test_a_node_whose_children_are_not_a_product_grid_does_not_load():
+    # Three rules that tile the space, but not as a grid: the lower ack_ewma
+    # half is one rule while the upper half is cut along rtt_ratio.
+    def rule(lower, upper):
+        return {"domain": {"lower": lower, "upper": upper}, "whisker": {"action": ACTION}}
+
+    top = MAX_MEMORY
+    data = whisker_tree_to_dict(WhiskerTree())
+    data["root"]["children"] = [
+        rule([0.0, 0.0, 0.0], [5.0, top, top]),
+        rule([5.0, 0.0, 0.0], [top, top, 2.0]),
+        rule([5.0, 0.0, 2.0], [top, top, top]),
+    ]
+    del data["root"]["whisker"]
+    root = "((0.0, 0.0, 0.0), (16384.0, 16384.0, 16384.0))"
+    with pytest.raises(ValueError, match=re.escape(f"node {root}: its 3 children")):
         whisker_tree_from_dict(data)
 
 

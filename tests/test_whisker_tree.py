@@ -149,13 +149,6 @@ class TestWhiskerTree:
         tree = WhiskerTree()
         assert tree.most_used() is None
 
-    def test_replace_action(self):
-        tree = WhiskerTree()
-        whisker = tree.whiskers()[0]
-        new_action = Action(0.5, -1.0, 2.0)
-        tree.replace_action(whisker, new_action)
-        assert tree.action_for(Memory(0, 0, 0)) == new_action
-
     def test_set_epoch_and_reset_statistics(self):
         tree = WhiskerTree()
         tree.use(Memory(1, 1, 1))
@@ -164,12 +157,6 @@ class TestWhiskerTree:
         whisker = tree.whiskers()[0]
         assert whisker.epoch == 3
         assert whisker.use_count == 0
-
-    def test_map_actions(self):
-        tree = WhiskerTree()
-        tree.split_whisker(tree.whiskers()[0])
-        tree.map_actions(lambda a: a.with_values(window_increment=9.0))
-        assert all(w.action.window_increment == 9.0 for w in tree.whiskers())
 
     def test_split_nonexistent_whisker_rejected(self):
         tree = WhiskerTree()
@@ -209,12 +196,36 @@ class TestWhiskerTree:
             assert len(containing) == 1
 
 
+#: The first split cuts ack_ewma one ulp below MAX_MEMORY; the second lands
+#: on that one-ulp-wide region, leaves ack_ewma whole and makes 4 children.
+ONE_ULP_ACK_SPLITS = [Memory(16383.999999999998, 1.0, 1.0), Memory(MAX_MEMORY, 1.0, 1.0)]
+
+
+def grow(split_seeds):
+    """A tree split at data-driven (median-trigger) points, one per seed."""
+    tree = WhiskerTree()
+    for seed_point in split_seeds:
+        whisker = tree.find(seed_point)
+        whisker.use(seed_point)
+        tree.split_whisker(whisker)
+    return tree
+
+
+def inner_nodes(node):
+    if node.whisker is None:
+        yield node
+        for child in node.children:
+            yield from inner_nodes(child)
+
+
 class TestOctantLookup:
-    """The octant-indexed descent must agree with a containment region scan."""
+    """The grid-indexed descent of split trees must agree with a region scan."""
 
     @given(
         points=st.lists(memories, min_size=1, max_size=40),
-        split_seeds=st.lists(memories, min_size=3, max_size=8),
+        split_seeds=st.one_of(
+            st.lists(memories, min_size=3, max_size=8), st.just(ONE_ULP_ACK_SPLITS)
+        ),
     )
     # The third split lands on a region one ulp wide in rtt_ratio, whose
     # "center" is MAX_MEMORY itself: that dimension must not be split.
@@ -226,15 +237,25 @@ class TestOctantLookup:
             Memory(0.0, 0.0, 16384.0),
         ],
     )
+    @example(
+        points=[Memory(MAX_MEMORY, 0.5, 2.0), Memory(16383.999999999998, 3.0, 0.5)],
+        split_seeds=ONE_ULP_ACK_SPLITS,
+    )
     @settings(max_examples=50, deadline=None)
-    def test_octant_index_matches_region_scan(self, points, split_seeds):
-        tree = WhiskerTree()
-        # Grow a tree with data-driven (median-trigger) split points.
+    def test_grid_index_matches_region_scan(self, points, split_seeds):
+        tree = grow(split_seeds)
+        for node in inner_nodes(tree._root):
+            cells = node.index[-1]
+            assert sorted(map(id, cells)) == sorted(map(id, node.children))
+        # Each point again on every split plane: thin regions get probed too.
+        probes = list(points)
         for seed_point in split_seeds:
-            whisker = tree.find(seed_point)
-            whisker.use(seed_point)
-            tree.split_whisker(whisker)
-        for point in points:
+            for point in points[:5]:
+                for dim in range(3):
+                    values = list(point.as_tuple())
+                    values[dim] = seed_point.as_tuple()[dim]
+                    probes.append(Memory(*values))
+        for point in probes:
             clamped = point.clamped()
             by_descent = tree.find(point)
             by_scan = [w for w in tree.whiskers() if w.domain.contains(clamped)]
@@ -247,18 +268,15 @@ class TestOctantLookup:
         whisker.use(Memory(100.0, 200.0, 3.0))
         tree.split_whisker(whisker)
         root = tree._root
-        assert root.split_point is not None
-        assert root.split_point == root.children[7].domain.lower.as_tuple()
-        assert root.split_point == root.children[0].domain.upper.as_tuple()
+        assert root.index[:3] == ((100.0,), (200.0,), (3.0,))
+        assert root.children[7].domain.lower.as_tuple() == (100.0, 200.0, 3.0)
+        assert root.children[0].domain.upper.as_tuple() == (100.0, 200.0, 3.0)
 
-    def test_version_bumped_by_structural_and_action_changes(self):
+    def test_version_bumped_by_a_split(self):
         tree = WhiskerTree()
         initial = tree.version
         tree.split_whisker(tree.whiskers()[0])
         assert tree.version > initial
-        after_split = tree.version
-        tree.replace_action(tree.whiskers()[0], Action(1.1, 2.0, 1.0))
-        assert tree.version > after_split
 
     def test_grid_trees_use_bisection_not_the_scan(self):
         # The synthesized pretrained tables attach a flat (non-octant) grid of
@@ -267,8 +285,7 @@ class TestOctantLookup:
         from repro.core.serialization import pretrained_remycc
 
         tree = pretrained_remycc("delta1")
-        assert tree._root.split_point is None
-        assert tree._root.grid_index is not None
+        assert [len(cuts) for cuts in tree._root.index[:3]] == [13, 0, 8]
         for point in (
             Memory(0, 0, 0),
             Memory(1.0, 1.0, 1.2),
@@ -286,7 +303,7 @@ class TestOctantLookup:
         tree.split_whisker(whisker)
         tree.split_whisker(tree.whiskers()[2])
         reloaded = whisker_tree_from_dict(whisker_tree_to_dict(tree))
-        assert reloaded._root.split_point == tree._root.split_point
+        assert reloaded._root.index[:3] == tree._root.index[:3]
         for point in (Memory(0, 0, 0), Memory(7.0, 9.0, 1.5), Memory(8, 10, 2)):
             assert reloaded.find(point).domain.as_tuple() == tree.find(
                 point
@@ -319,7 +336,6 @@ class TestGridBisection:
         from repro.core.serialization import pretrained_remycc
 
         tree = pretrained_remycc("delta10")
-        assert tree._root.grid_index is not None
         for point in points:
             memory = Memory(*point)
             assert tree.find(memory) is self._reference_scan(tree, memory)
@@ -331,7 +347,7 @@ class TestGridBisection:
         from repro.core.serialization import pretrained_remycc
 
         tree = pretrained_remycc("delta1")
-        ack_edges, ratio_edges, _ = tree._root.grid_index
+        ack_edges, _, ratio_edges = tree._root.index[:3]
         probes = {(0.0, 0.0), (MAX_MEMORY, MAX_MEMORY)}
         for edge in ack_edges:
             probes.update(
@@ -346,8 +362,8 @@ class TestGridBisection:
             assert tree.find(memory) is self._reference_scan(tree, memory)
 
     def test_octant_splits_inside_a_grid_keep_both_descents(self):
-        # Splitting a grid cell turns that leaf into an octant node; the grid
-        # bisection at the root and the octant descent below must compose.
+        # Splitting a grid cell turns that leaf into a 2 x 2 x 2 node; the
+        # root's 14 x 1 x 9 grid and the split below must compose.
         from repro.core.serialization import pretrained_remycc
 
         tree = pretrained_remycc("delta1")
@@ -355,7 +371,7 @@ class TestGridBisection:
         whisker = tree.find(point)
         whisker.use(point)
         tree.split_whisker(whisker)
-        assert tree._root.grid_index is not None  # root layout unchanged
+        assert [len(cuts) for cuts in tree._root.index[:3]] == [13, 0, 8]
         assert tree.find(point) is self._reference_scan(tree, point)
 
     def test_serialization_round_trip_preserves_grid_index(self):
@@ -364,18 +380,9 @@ class TestGridBisection:
 
         tree = pretrained_remycc("delta0.1")
         reloaded = whisker_tree_from_dict(whisker_tree_to_dict(tree))
-        assert reloaded._root.grid_index == tree._root.grid_index
+        assert reloaded._root.index[:3] == tree._root.index[:3]
         for point in (Memory(0, 0, 0), Memory(2.0, 1.0, 1.3), Memory(600, 5, 8)):
             assert (
                 reloaded.find(point).domain.as_tuple()
                 == tree.find(point).domain.as_tuple()
             )
-
-    def test_octant_children_are_not_misdetected_as_a_grid(self):
-        tree = WhiskerTree()
-        [whisker] = tree.whiskers()
-        whisker.use(Memory(7.0, 9.0, 1.5))
-        tree.split_whisker(whisker)
-        root = tree._root
-        assert root.split_point is not None
-        assert root.grid_index is None
