@@ -1,14 +1,13 @@
 """Event scheduler for the discrete-event simulator.
 
 One scheduler: a binary heap of plain ``[time, sequence, callback, args]``
-list entries, plus two constant-delay FIFO lanes that stay empty unless the
-wiring (:mod:`repro.netsim.kernel`) routes a uniform-RTT
-dumbbell's per-packet hand-offs onto them.  The monotonically increasing
-sequence number makes ordering deterministic when two events share the same
-timestamp, which in turn makes every simulation reproducible for a given
-random seed.  Because the sequence number is unique, entry comparisons never
-reach the callback slot, so entries compare as cheaply as ``(float, int)``
-tuples.
+list entries, plus one constant-delay FIFO lane that stays empty unless the
+wiring (:mod:`repro.netsim.kernel`) routes a uniform-RTT dumbbell's one-way
+hand-offs onto it.  The monotonically increasing sequence number makes
+ordering deterministic when two events share the same timestamp, which in
+turn makes every simulation reproducible for a given random seed.  Because
+the sequence number is unique, entry comparisons never reach the callback
+slot, so entries compare as cheaply as ``(float, int)`` tuples.
 
 Scheduling is :meth:`EventScheduler.post` (absolute time) or
 :meth:`~EventScheduler.post_after` (relative delay).  Both return the entry,
@@ -19,19 +18,19 @@ cancelled entry stays queued until popped.  Work posted for *right now*
 runs after everything already due at the current timestamp, in posting
 order — the ``(time, sequence)`` order gives that for free.
 
-**Constant-delay lanes.**  A lane is a plain deque of entries appended in
-``(time, sequence)`` order, in O(1) where the heap pays O(log n) twice;
-:meth:`~EventScheduler.run_until` merges the two lane heads with the heap
-top, which reproduces exactly the order heap-pushing the same entries would
-produce.  Only a constant-rate dumbbell whose flows share one RTT uses them.
-On its FIFO bottleneck (the eager path, :mod:`repro.netsim.link`) every
-packet's one event is its ACK, posted at enqueue one serialization-chained
-finish time plus one RTT ahead: those times grow with the enqueue order, so
-lane 1 holds the ACKs and lane 0 stays empty.  Behind an AQM the events are
-the event path's, each one of two *constant* delays ahead of a
-non-decreasing clock (serialize at the bottleneck on lane 0; propagate one
-way on lane 1).  Every other topology has more distinct delays than the
-merge is worth (README "Kernel architecture") and leaves the lanes empty.
+**The constant-delay lane.**  The lane is a plain deque of entries appended
+in ``(time, sequence)`` order, in O(1) where the heap pays O(log n) twice;
+:meth:`~EventScheduler.run_until` compares the lane head with the heap head,
+which reproduces exactly the order heap-pushing the same entries would
+produce, whoever pushed onto the heap and however.  Only a constant-rate
+dumbbell whose flows share one RTT uses it, for the one-way hand-offs.  On
+its FIFO bottleneck (the eager path, :mod:`repro.netsim.link`) those are
+the ACKs, posted at enqueue one serialization-chained finish time plus one
+RTT ahead, times that grow with the enqueue order; behind an AQM they are
+the arrivals at the receivers and the ACKs, each the one-way delay ahead of
+a non-decreasing clock.  Every other topology has more distinct delays
+than the merge is worth (README "Kernel architecture") and leaves the lane
+empty.
 """
 
 from __future__ import annotations
@@ -60,28 +59,20 @@ class EventCapExceeded(SimulationError):
 
 
 class EventScheduler:
-    """Heap plus two constant-delay lanes, with deterministic tie-breaking."""
+    """Heap plus one constant-delay lane, with deterministic tie-breaking."""
 
-    __slots__ = ("_heap", "_lanes", "_sequence", "_heap_version", "now", "_processed", "_loop")
+    __slots__ = ("_heap", "_lane", "_sequence", "now", "_processed", "_loop")
 
     def __init__(self) -> None:
         self._heap: list[list[Any]] = []
-        #: The serialization lane and the one-way-delay lane.  A lane entry
-        #: is ``[time, sequence, callback, arg]`` — the bare callback
-        #: argument (always exactly one on the per-packet chain), not an args
-        #: tuple.  The fused closures append ``[now + delay, _sequence,
-        #: callback, arg]`` and bump ``_sequence`` themselves, always with the
-        #: same ``delay`` on the same lane (lane sortedness depends on it).
-        #: Nothing cancels a lane entry.
-        self._lanes: tuple[deque[list[Any]], deque[list[Any]]] = (deque(), deque())
+        #: The one-way-delay lane.  A lane entry is ``[time, sequence,
+        #: callback, arg]`` — the bare callback argument (always exactly one
+        #: on the per-packet chain), not an args tuple.  The fused closures
+        #: append ``[now + delay, _sequence, callback, arg]`` and bump
+        #: ``_sequence`` themselves, always with the same ``delay`` (lane
+        #: sortedness depends on it).  Nothing cancels a lane entry.
+        self._lane: deque[list[Any]] = deque()
         self._sequence = 0
-        #: Bumped by every heap push that can happen while lanes hold
-        #: entries (:meth:`post`, :meth:`post_after`, the fused pacing
-        #: timer).  While lanes are in use the dispatch loop caches the heap
-        #: head's timestamp and only re-reads the heap when this moves: a
-        #: pop or a cancellation only raises the live head's time, so the
-        #: cached one stays a valid lower bound.
-        self._heap_version = 0
         #: Current simulation time in seconds.  A plain attribute (not a
         #: property): it is read on every hop of the per-packet hot path.
         self.now = 0.0
@@ -106,11 +97,9 @@ class EventScheduler:
 
     @property
     def pending(self) -> int:
-        """Queued, not-yet-cancelled entries, lanes included.  A scan, for
-        diagnostics only: nothing maintains a counter on the hot path."""
-        lane_a, lane_b = self._lanes
-        live = sum(entry[2] is not None for entry in self._heap)
-        return live + len(lane_a) + len(lane_b)
+        """Queued, not-yet-cancelled entries, the lane's included.  A scan,
+        for diagnostics only: nothing maintains a counter on the hot path."""
+        return sum(entry[2] is not None for entry in self._heap) + len(self._lane)
 
     # ------------------------------------------------------------------ scheduling
     def post(self, time: float, callback: Callable[..., None], *args: Any) -> list[Any]:
@@ -131,7 +120,6 @@ class EventScheduler:
         entry = [time, self._sequence, callback, args]
         self._sequence += 1
         _heappush(self._heap, entry)
-        self._heap_version += 1
         return entry
 
     def post_after(self, delay: float, callback: Callable[..., None], *args: Any) -> list[Any]:
@@ -141,7 +129,6 @@ class EventScheduler:
         entry = [self.now + delay, self._sequence, callback, args]
         self._sequence += 1
         _heappush(self._heap, entry)
-        self._heap_version += 1
         return entry
 
     def cancel_entry(self, entry: list[Any]) -> None:
@@ -166,13 +153,12 @@ class EventScheduler:
         """Drop everything still queued (a finished simulation's teardown),
         marking each heap entry executed so cancelling a token that outlived
         the run stays a no-op; emptied in place (the fused closures alias
-        the heap and the lanes)."""
+        the heap and the lane)."""
         for entry in self._heap:
             entry[2] = None
             entry[3] = ()
         self._heap.clear()
-        for lane in self._lanes:
-            lane.clear()
+        self._lane.clear()
 
     # ------------------------------------------------------------------ execution
     def run_until(self, end_time: float, max_events: Optional[int] = None) -> int:
@@ -190,58 +176,31 @@ class EventScheduler:
         dispatched back to back (the clock is stored once per distinct
         timestamp) and ``_processed`` is reconciled once per call (mid-run,
         :attr:`events_processed` reads the loop's local count).
-        With both lanes empty it is the plain heap loop.  Otherwise the lane
-        heads merge with the heap top: a lane head strictly earlier than the
-        cached heap-head bound (re-read only when ``_heap_version`` moves)
-        cannot be outrun by any heap entry and dispatches at once; ties and
-        later lane heads take the slow path, which purges cancelled heap
-        heads and does the full ``(time, sequence)`` comparison.
+        With the lane empty it is the plain heap loop.  Otherwise the lane
+        head is compared with the live heap head (cancelled heap heads are
+        purged first) by ``(time, sequence)``, and the earlier one runs.
         """
         heap = self._heap
-        lane_a, lane_b = self._lanes
+        lane = self._lane
         pop = _heappop
         limit = -1 if max_events is None else max_events
         executed = 0
         batch_time = None  # timestamp currently being dispatched
-        cached_version = self._heap_version - 1  # force the first read
-        heap_time = 0.0
-        heap_live = False
         self._loop = sys._getframe()
         try:
             while True:
-                if lane_a or lane_b:
-                    if lane_a:
-                        best = lane_a[0]
-                        src: Any = lane_a
-                        if lane_b:
-                            head = lane_b[0]
-                            if head < best:
-                                best = head
-                                src = lane_b
-                    else:
-                        best = lane_b[0]
-                        src = lane_b
-                    version = self._heap_version
-                    if version != cached_version:
-                        cached_version = version
-                        while heap and heap[0][2] is None:  # lazily cancelled
+                if lane:
+                    best = lane[0]
+                    on_heap = False
+                    while heap:
+                        head = heap[0]
+                        if head[2] is None:  # lazily cancelled
                             pop(heap)
-                        if heap:
-                            heap_time = heap[0][0]
-                            heap_live = True
-                        else:
-                            heap_live = False
-                    if heap_live and not best[0] < heap_time:
-                        # Slow path: the heap head may be due first.
-                        while heap:
-                            head = heap[0]
-                            if head[2] is None:  # lazily cancelled
-                                pop(heap)
-                                continue
-                            if head < best:
-                                best = head
-                                src = heap
-                            break
+                            continue
+                        if head < best:
+                            best = head
+                            on_heap = True
+                        break
                     time = best[0]
                     if executed == limit and time <= end_time:
                         raise EventCapExceeded(
@@ -253,14 +212,13 @@ class EventScheduler:
                         batch_time = time
                         self.now = time
                     executed += 1
-                    if src is heap:
+                    if on_heap:
                         pop(heap)
-                        cached_version -= 1  # head changed: force a re-read
                         callback = best[2]
                         best[2] = None  # mark executed so a late cancel is a no-op
                         callback(*best[3])
                     else:
-                        src.popleft()
+                        lane.popleft()
                         best[2](best[3])
                 elif heap:
                     entry = pop(heap)

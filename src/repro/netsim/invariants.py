@@ -165,9 +165,7 @@ class InvariantChecker:
             if entry[2] is not None
             for arg in entry[3]
         )
-        scheduled += sum(
-            isinstance(entry[3], Packet) for lane in scheduler._lanes for entry in lane
-        )
+        scheduled += sum(isinstance(entry[3], Packet) for entry in scheduler._lane)
         return queued, scheduled
 
     def check_now(self) -> None:

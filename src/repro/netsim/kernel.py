@@ -1,4 +1,4 @@
-"""How a packet moves between the engine's closures: routes, lanes, the drop sink.
+"""How a packet moves between the engine's closures: routes, the lane, the drop sink.
 
 Every per-packet step of the simulator is a closure that its object builds
 once, when it is wired: the sender's ACK-and-send loop
@@ -26,20 +26,16 @@ The reference for the eager path is a
 False``: the event path everywhere, every result but ``events_processed``
 bit-identical.
 
-A constant-rate dumbbell whose flows share one RTT posts its per-packet
-events on the scheduler's two constant-delay lanes (see
-:mod:`repro.netsim.events`): the ACKs behind an eager bottleneck, every
-serialization and one-way hand-off behind an AQM.  Every other shape posts
-the same entries on the heap, and so does every shape under the heap-only
-reference (a subclass with ``_lanes = False``).  Both run the same float
-program in the same event order, so they reproduce the committed golden
-fingerprints bit-identically.
-
-A heap push that can happen while lanes hold entries must bump
-``_heap_version`` (the lane merge trusts a cached heap head until it moves).
-No inlined packet hand-off pays that: the one topology with lanes routes
-every hand-off and every ACK over a lane, and the only inline push that can
-land on its heap, the sender's pacing timer, bumps it.
+A constant-rate dumbbell whose flows share one RTT posts its one-way
+hand-offs on the scheduler's constant-delay lane (see
+:mod:`repro.netsim.events`): the ACKs behind an eager bottleneck, the
+arrivals and the ACKs behind an AQM.  Every other shape posts the same
+entries on the heap, and so does every shape under the heap-only reference
+(a subclass with ``_lanes = False``).  Both run the same float program in
+the same event order, so they reproduce the committed golden fingerprints
+bit-identically.  Any closure may push onto ``scheduler._heap`` directly,
+lane or no lane: the dispatch loop compares the lane head with the heap
+head at every step.
 
 The closures are stored on the objects they capture.  These cycles are by
 design and are cut by ``release()`` when ``Simulation.run`` ends, which is
@@ -56,7 +52,7 @@ from repro.netsim.events import EventScheduler
 from repro.netsim.packet import Packet
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
 
-#: One of the scheduler's constant-delay lanes, or ``None``: post on the heap.
+#: The scheduler's constant-delay lane, or ``None``: post on the heap.
 Lane = Optional["deque[list[Any]]"]
 
 #: Where a packet goes next, ``(delay, lane, sink)`` (see the module doc).
@@ -78,8 +74,8 @@ def across(scheduler: EventScheduler, delay: float, route: Route) -> Route:
     The packet arrives at the far end that far ahead and goes on from there:
     straight into the next hop's entry (posted here in the far end's place),
     or across a further delay, which stays a second event.  (Heap only: the
-    dumbbell bottleneck, the one hop that rides lanes, has no propagation
-    delay.)
+    dumbbell bottleneck, the one hop whose routes ride the lane, has no
+    propagation delay.)
     """
     if not delay:
         return route

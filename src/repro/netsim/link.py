@@ -14,7 +14,7 @@ from heapq import heappush
 from typing import Callable, Optional, Sequence, Union, cast
 
 from repro.netsim.events import EventScheduler
-from repro.netsim.kernel import NO_ROUTE, Lane, Route, across, plain_fifo, unwired
+from repro.netsim.kernel import NO_ROUTE, Route, across, plain_fifo, unwired
 from repro.netsim.packet import DATA_PACKET_BYTES, Packet
 from repro.netsim.queue import DropTailQueue, QueueDiscipline
 from repro.netsim.stats import FlowStats, HopDelayStats
@@ -114,12 +114,8 @@ class ConstantRateLink(LinkBase):
     of :meth:`arm_seal`; any other discipline keeps its ``enqueue``), which
     calls ``start_transmission`` (dequeue, record the wait, serialize) when
     the link is idle, and ``_finish_transmission`` (count, hand the packet
-    on along its flow's route, start the successor).  With ``lanes`` set,
-    every serialization rides the scheduler's serialization lane; otherwise
-    it goes on the heap.  :class:`~repro.netsim.path.PathNetwork` sets it
-    only on a one-hop dumbbell, where every packet is a data packet of
-    :data:`~repro.netsim.packet.DATA_PACKET_BYTES`, so every serialization
-    takes the same time.
+    on along its flow's route, start the successor); every serialization
+    goes on the heap.
 
     **Eager FIFO.**  With ``eager`` set and a plain FIFO queue (DropTail,
     limited or not), a packet costs no event here at all.  A constant-rate
@@ -152,7 +148,6 @@ class ConstantRateLink(LinkBase):
         queue: Optional[QueueDiscipline] = None,
         propagation_delay: float = 0.0,
         name: str = "link",
-        lanes: bool = False,
         eager: bool = False,
     ) -> None:
         super().__init__(scheduler, queue, propagation_delay, name)
@@ -177,7 +172,6 @@ class ConstantRateLink(LinkBase):
         fifo = plain_fifo(discipline)
         droptail = cast(DropTailQueue, discipline)  # only touched when ``fifo`` is set
         heap = scheduler._heap
-        ser: Lane = scheduler._lanes[0] if lanes else None
         routes = self._routes
         # Filled in place as flows attach.
         stats_map = self.delay_stats
@@ -236,10 +230,7 @@ class ConstantRateLink(LinkBase):
             # calls this closure, and two closures naming each other are a
             # cycle ``release`` cannot cut.
             done = now + size_bytes * 8 / rate_bps
-            if ser is not None:
-                ser.append([done, scheduler._sequence, link._finish_transmission, packet])
-            else:
-                heappush(heap, [done, scheduler._sequence, link._finish_transmission, (packet,)])
+            heappush(heap, [done, scheduler._sequence, link._finish_transmission, (packet,)])
             scheduler._sequence += 1
 
         if fifo is not None:
@@ -473,8 +464,7 @@ class TraceDrivenLink(LinkBase):
                         if delay > hop.max_delay:
                             hop.max_delay = delay
                 route = routes[packet.flow_id]
-                # No lane holds entries beside a trace link (it is never a
-                # dumbbell's), so a heap push needs no ``_heap_version``.
+                # A trace link is never a dumbbell's, so no route has a lane.
                 if route[0]:
                     heappush(heap, [now + route[0], scheduler._sequence, route[2], (packet,)])
                     scheduler._sequence += 1

@@ -21,7 +21,7 @@ Every topology is a path:
 The paper's dumbbell is the one-forward-hop, no-reverse-hop case, built by
 :meth:`PathSpec.dumbbell`.  What a dumbbell alone can do — seal a drowned
 bottleneck (:attr:`PathSpec.sealable`), serve a FIFO bottleneck eagerly (one
-event per data packet) and ride the scheduler's two constant-delay lanes
+event per data packet) and ride the scheduler's constant-delay lane
 (:meth:`PathSpec.dumbbell_hop`) — is decided from the path's shape, so it
 does not matter which constructor built it.
 
@@ -76,7 +76,7 @@ def validate_flows(rtt: Union[float, Sequence[float]], n_flows: int) -> None:
     """Fail fast on a path's per-flow fields.
 
     A negative RTT used to die inside a callback (``negative delay``) on the
-    heap and to *run* on the lanes, whose entries are ``now + delay``
+    heap and to *run* on the lane, whose entries are ``now + delay``
     unchecked; a short RTT sequence surfaced only when the missing flow was
     attached.
     """
@@ -190,11 +190,10 @@ class LinkSpec:
         scheduler: EventScheduler,
         queue: QueueDiscipline,
         name: str,
-        lanes: bool = False,
         eager: bool = False,
     ) -> Link:
-        """Materialize the hop (constant-rate or trace-driven; ``lanes`` and
-        ``eager``: see :class:`~repro.netsim.link.ConstantRateLink`)."""
+        """Materialize the hop (constant-rate or trace-driven; ``eager``: see
+        :class:`~repro.netsim.link.ConstantRateLink`)."""
         if self.delivery_trace is not None:
             return TraceDrivenLink(
                 scheduler,
@@ -209,7 +208,6 @@ class LinkSpec:
             queue=queue,
             propagation_delay=self.delay,
             name=name,
-            lanes=lanes,
             eager=eager,
         )
 
@@ -370,8 +368,8 @@ class PathSpec:
         its own and no reverse hops, whichever constructor built it: every
         per-packet event is then scheduled one serialization time or one
         flow's one-way delay ahead, which is what the seal's proof and the
-        scheduler's two constant-delay lanes (:mod:`repro.netsim.kernel`)
-        both need.  Every route out of the hop is then a flow's one-way delay
+        scheduler's constant-delay lane (:mod:`repro.netsim.kernel`) both
+        need.  Every route out of the hop is then a flow's one-way delay
         to its receiver, which is what the eager FIFO path needs
         (:class:`~repro.netsim.link.ConstantRateLink`).
         """
@@ -446,7 +444,7 @@ class PathNetwork:
     given network rng yields identical streams run to run.  Routing is
     precomputed per ``(hop, flow)`` (:meth:`attach_flow`); ``lanes=False``
     (the heap-only reference, ``Simulation._lanes``) keeps the scheduler's
-    constant-delay lanes empty on every shape, and ``eager=False`` (the
+    constant-delay lane empty on every shape, and ``eager=False`` (the
     event-path reference, ``Simulation._eager``) keeps a dumbbell's FIFO
     bottleneck on its finish and arrival events.
     """
@@ -463,17 +461,16 @@ class PathNetwork:
         self.spec = spec
         self.rng = rng if rng is not None else random.Random(0)
         mean_rtt = spec.mean_rtt()
-        # The lanes, where there are exactly two constant delays: a
-        # constant-rate dumbbell whose flows share one RTT serializes every
-        # data packet in one fixed time and propagates everything one fixed
-        # one-way delay.  Any other shape has more distinct delays than the
-        # lane merge is worth and stays on the heap.
+        # The lane, where every one-way hand-off is one constant delay
+        # ahead: a constant-rate dumbbell whose flows share one RTT.  Any
+        # other shape has more distinct delays than the lane merge is worth
+        # and stays on the heap.
         lanes = (
             lanes
             and spec.dumbbell_hop() is not None
             and len({spec.rtt_for_flow(i) for i in range(spec.n_flows)}) == 1
         )
-        self._flow_lane: Lane = scheduler._lanes[1] if lanes else None
+        self._flow_lane: Lane = scheduler._lane if lanes else None
         # A dumbbell's FIFO bottleneck computes its service and its
         # receivers' arrivals at enqueue (the link keeps any other queue on
         # its events).
@@ -490,7 +487,7 @@ class PathNetwork:
             for index, hop in enumerate(chain):
                 queue = hop.make_queue(self.rng, mean_rtt)
                 name = hop.name or f"{'rev' if direction else 'fwd'}{index}"
-                link = hop.build_link(scheduler, queue, name, lanes=lanes, eager=eager)
+                link = hop.build_link(scheduler, queue, name, eager=eager)
                 self.links[direction].append(link)
                 gate = None
                 if hop.loss_rate > 0.0:
@@ -547,10 +544,10 @@ class PathNetwork:
         for link in self.forward_links:
             link.settle(until)
         # An ACK entry is the one kind with a fifth slot; its argument is an
-        # args tuple on the heap and bare on a lane.
+        # args tuple on the heap and bare on the lane.
         scheduler = self.scheduler
         queued = [(entry[3][0], entry[4]) for entry in scheduler._heap if len(entry) == 5]
-        queued += [(entry[3], entry[4]) for lane in scheduler._lanes for entry in lane if len(entry) == 5]
+        queued += [(entry[3], entry[4]) for entry in scheduler._lane if len(entry) == 5]
         for ack, counted in queued:
             if ack.sent_time > until:
                 self.flows[ack.flow_id].receiver.retract(counted)

@@ -362,7 +362,6 @@ class Sender:
                         ]
                         scheduler._sequence += 1
                         heappush(heap, entry)
-                        scheduler._heap_version += 1
                         return
                 if retransmit_queue:
                     seq = retransmit_queue.popleft()

@@ -44,8 +44,7 @@ class SimulationResult:
     #: Per-forward-hop queueing-delay attribution: one ``flow id ->``
     #: :class:`~repro.netsim.stats.HopDelayStats` map per forward hop, in
     #: chain order.  Empty for topologies with one forward hop, whose
-    #: bottleneck *is* the flow-total queueing delay.  Defaulted so results
-    #: pickled by older workers still unpickle.
+    #: bottleneck *is* the flow-total queueing delay.
     hop_delays: list[dict[int, HopDelayStats]] = field(default_factory=list)
     #: Simulated time at which a drowned bottleneck was sealed (``None`` =
     #: never; only :attr:`~repro.netsim.path.PathSpec.sealable`
@@ -175,10 +174,10 @@ class Simulation:
     A dumbbell's FIFO bottleneck serves each data packet at enqueue, so the
     packet costs one event, its ACK (the eager path, see
     :class:`~repro.netsim.link.ConstantRateLink`); a uniform-RTT dumbbell
-    posts its per-packet events on the scheduler's two constant-delay lanes
-    (see :mod:`repro.netsim.kernel`).  Two private class attributes switch
-    those off for the references the parity tests compare against: a
-    subclass with ``_lanes = False`` leaves the lanes empty (bit-identical,
+    posts its one-way hand-offs on the scheduler's constant-delay lane (see
+    :mod:`repro.netsim.kernel`).  Two private class attributes switch those
+    off for the references the parity tests compare against: a subclass
+    with ``_lanes = False`` leaves the lane empty (bit-identical,
     events included), one with ``_eager = False`` keeps the finish and
     arrival events (bit-identical but for ``events_processed``).
     """

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Optional
 
 from repro.netsim.packet import DATA_PACKET_BYTES
 from repro.netsim.sender import FlowDemand, Workload
@@ -55,7 +54,6 @@ class OnOffWorkload(Workload):
         self,
         mean_off_seconds: float,
         start_on: bool = False,
-        initial_delay: Optional[Distribution] = None,
     ):
         if not mean_off_seconds >= 0:  # NaN-failing form
             raise ValueError(f"mean_off_seconds cannot be negative, got {mean_off_seconds!r}")
@@ -65,11 +63,8 @@ class OnOffWorkload(Workload):
         else:
             self.off_distribution = ExponentialDistribution(mean_off_seconds)
         self.start_on = start_on
-        self.initial_delay = initial_delay
 
     def first_on_delay(self, rng: random.Random) -> float:
-        if self.initial_delay is not None:
-            return self.initial_delay.sample(rng)
         if self.start_on:
             return 0.0
         return self.off_distribution.sample(rng)
@@ -89,9 +84,8 @@ class ByteFlowWorkload(OnOffWorkload):
         flow_size: Distribution,
         mean_off_seconds: float,
         start_on: bool = False,
-        initial_delay: Optional[Distribution] = None,
     ):
-        super().__init__(mean_off_seconds, start_on=start_on, initial_delay=initial_delay)
+        super().__init__(mean_off_seconds, start_on=start_on)
         self.flow_size = flow_size
 
     @classmethod
@@ -118,9 +112,8 @@ class TimedFlowWorkload(OnOffWorkload):
         mean_off_seconds: float,
         min_seconds: float = 0.01,
         start_on: bool = False,
-        initial_delay: Optional[Distribution] = None,
     ):
-        super().__init__(mean_off_seconds, start_on=start_on, initial_delay=initial_delay)
+        super().__init__(mean_off_seconds, start_on=start_on)
         if not min_seconds > 0:  # NaN-failing form
             raise ValueError(f"min_seconds must be positive, got {min_seconds!r}")
         self.on_duration = on_duration

@@ -27,7 +27,7 @@ def cell_job(name: str, **fields) -> SimJob:
 
 class HeapOnlySimulation(Simulation):
     """The heap-only reference the parity tests compare against: the same
-    closures on the same scheduler, its two constant-delay lanes left empty."""
+    closures on the same scheduler, its constant-delay lane left empty."""
 
     _lanes = False
 
@@ -49,7 +49,7 @@ class EventPathSimulation(Simulation):
 
 
 class EventPathHeapOnlySimulation(EventPathSimulation):
-    """The event path with the scheduler's lanes left empty."""
+    """The event path with the scheduler's lane left empty."""
 
     _lanes = False
 
@@ -97,15 +97,15 @@ def small_dumbbell() -> PathSpec:
 
 
 @pytest.fixture
-def rides_lanes():
-    """Whether a built simulation's constant-delay lanes hold entries
-    part-way through its run (lanes are read off the spec's shape; nothing
-    public names them)."""
+def rides_the_lane():
+    """Whether a built simulation's constant-delay lane holds entries
+    part-way through its run (the lane is read off the spec's shape; nothing
+    public names it)."""
 
     def check(sim) -> bool:
         for sender in sim.senders:
             sender.start()
         sim.scheduler.run_until(0.5)
-        return any(sim.scheduler._lanes)
+        return bool(sim.scheduler._lane)
 
     return check

@@ -6,7 +6,7 @@ packet's service and arrival at enqueue, so a data packet costs one event,
 its ACK (``ConstantRateLink``'s class doc).  The oracle is the event path it
 replaces, the reference subclass with ``_eager = False``: every result but
 ``events_processed`` must be bit-identical — per-flow statistics, drops,
-marks, ``sealed_at`` and a training run's whisker usage — with the lanes on
+marks, ``sealed_at`` and a training run's whisker usage — with the lane on
 and off and under the sanitizer.  Cases: every registered dumbbell cell the
 eager path serves, and seeded random specimens for what no cell reaches (a
 finite DropTail that drops, an unlimited FIFO that seals, mixed RTTs, a
@@ -33,7 +33,7 @@ from repro.traffic.onoff import TimedFlowWorkload
 #: ``tests/test_seal.py``'s runaway rule: it drowns an unlimited queue.
 RUNAWAY = Action(window_multiple=1.01, window_increment=2.0, intersend_ms=0.002)
 
-#: Eager and event path, lanes on and off; the sanitizer rides the first three.
+#: Eager and event path, the lane on and off; the sanitizer rides the first three.
 ENGINES = {
     "eager-lanes": Simulation,
     "eager-heap": HeapOnlySimulation,

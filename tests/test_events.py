@@ -1,6 +1,7 @@
 """Unit tests for the event scheduler: the heap contract, and the merge of
-the two constant-delay lanes with the heap in ``run_until``."""
+the constant-delay lane with the heap in ``run_until``."""
 
+import heapq
 import math
 
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from repro.netsim.events import EventCapExceeded, SimulationError
 
 
-def _lane_post(scheduler, lane, delay, callback, arg):
-    """Append to a constant-delay lane the way the fused closures do."""
-    scheduler._lanes[lane].append([scheduler.now + delay, scheduler._sequence, callback, arg])
+def _lane_post(scheduler, delay, callback, arg):
+    """Append to the constant-delay lane the way the fused closures do."""
+    scheduler._lane.append([scheduler.now + delay, scheduler._sequence, callback, arg])
     scheduler._sequence += 1
 
 
@@ -247,7 +248,7 @@ def test_tiebreak_is_fifo_across_many_same_time_events(scheduler):
 def test_clear_drops_everything_and_leaves_late_cancels_harmless(scheduler):
     calls = []
     entry = scheduler.post(1.0, calls.append, "heap")
-    _lane_post(scheduler, 0, 0.5, calls.append, "lane")
+    _lane_post(scheduler, 0.5, calls.append, "lane")
     scheduler.clear()
     assert scheduler.pending == 0
     assert entry[2] is None and entry[3] == ()
@@ -308,28 +309,29 @@ def test_same_time_posts_survive_a_max_events_abort(scheduler):
 
 
 # ---------------------------------------------------------------------------
-# The lane merge: lane heads against the heap top, by (time, sequence).
+# The lane merge: the lane head against the heap head, by (time, sequence).
 # ---------------------------------------------------------------------------
-def test_lanes_merge_with_the_heap_by_time_then_sequence(scheduler):
+def test_the_lane_merges_with_the_heap_by_time_then_sequence(scheduler):
     order = []
-    _lane_post(scheduler, 1, 0.5, order.append, "slow")
-    _lane_post(scheduler, 0, 0.25, order.append, "fast")
-    scheduler.post_after(0.25, order.append, "heap")
-    assert scheduler.pending == 3
-    assert scheduler.run_until(1.0) == 3
-    assert order == ["fast", "heap", "slow"]
-    assert scheduler.pending == 0 and scheduler.events_processed == 3
+    _lane_post(scheduler, 0.25, order.append, "lane-first")
+    _lane_post(scheduler, 0.5, order.append, "lane-last")
+    scheduler.post_after(0.4, order.append, "heap-between")
+    scheduler.post_after(0.25, order.append, "heap-tie")
+    scheduler.post_after(0.1, order.append, "heap-first")
+    assert scheduler.pending == 5
+    assert scheduler.run_until(1.0) == 5
+    assert order == ["heap-first", "lane-first", "heap-tie", "heap-between", "lane-last"]
+    assert scheduler.pending == 0 and scheduler.events_processed == 5
 
 
 def test_a_cancelled_heap_head_beneath_a_later_lane_head(scheduler):
-    # The loop caches the heap head's time (0.5) while it is live; cancelling
-    # it bumps nothing, so the next lane head (1.0) is compared on the slow
-    # path, which must purge the cancelled head before it compares.
+    # The lane head at 1.0 meets a cancelled heap head (0.5): the loop must
+    # purge it before comparing, and then compare with the live head (2.0).
     order = []
     doomed = scheduler.post(0.5, order.append, "cancelled")
     scheduler.post(2.0, order.append, "heap")
-    _lane_post(scheduler, 0, 0.2, lambda _: scheduler.cancel_entry(doomed), None)
-    _lane_post(scheduler, 0, 1.0, order.append, "lane")
+    _lane_post(scheduler, 0.2, lambda _: scheduler.cancel_entry(doomed), None)
+    _lane_post(scheduler, 1.0, order.append, "lane")
     assert scheduler.run_until(3.0) == 3
     assert order == ["lane", "heap"]
 
@@ -337,16 +339,14 @@ def test_a_cancelled_heap_head_beneath_a_later_lane_head(scheduler):
 def test_a_heap_entry_tying_a_lane_head_with_a_lower_sequence_runs_first(scheduler):
     order = []
     scheduler.post(1.0, order.append, "heap")
-    _lane_post(scheduler, 0, 1.0, order.append, "lane")
+    _lane_post(scheduler, 1.0, order.append, "lane")
     scheduler.post(1.0, order.append, "heap-after")
-    _lane_post(scheduler, 1, 1.0, order.append, "lane-after")
+    _lane_post(scheduler, 1.0, order.append, "lane-after")
     scheduler.run_until(2.0)
     assert order == ["heap", "lane", "heap-after", "lane-after"]
 
 
-def test_a_heap_push_earlier_than_the_cached_head_while_lanes_are_queued(scheduler):
-    # The cached heap head is 5.0 when ``fire`` pushes 1.5: the version bump
-    # must stop the lane head at 2.0 from dispatching ahead of it.
+def test_a_post_from_a_lane_callback_runs_before_a_later_lane_head(scheduler):
     order = []
 
     def fire(_):
@@ -354,16 +354,35 @@ def test_a_heap_push_earlier_than_the_cached_head_while_lanes_are_queued(schedul
         scheduler.post_after(0.5, order.append, "pushed")
 
     scheduler.post(5.0, order.append, "late")
-    _lane_post(scheduler, 0, 1.0, fire, None)
-    _lane_post(scheduler, 1, 2.0, order.append, "lane")
+    _lane_post(scheduler, 1.0, fire, None)
+    _lane_post(scheduler, 2.0, order.append, "lane")
     scheduler.run_until(10.0)
     assert order == ["fire", "pushed", "lane", "late"]
+
+
+def test_a_raw_heap_push_from_a_lane_callback_runs_in_time_order(scheduler):
+    # The fused closures push onto ``_heap`` directly, bypassing ``post``:
+    # the entry at 1.5 must still run between the lane heads at 1 and 2 s,
+    # however the heap head (5.0) was read before the push.
+    order = []
+
+    def push(_):
+        order.append("lane-1")
+        heapq.heappush(scheduler._heap, [1.5, scheduler._sequence, order.append, ("raw-1.5",)])
+        scheduler._sequence += 1
+
+    scheduler.post(5.0, order.append, "heap-5")
+    _lane_post(scheduler, 1.0, push, None)
+    _lane_post(scheduler, 2.0, order.append, "lane-2")
+    _lane_post(scheduler, 3.0, order.append, "lane-3")
+    scheduler.run_until(10.0)
+    assert order == ["lane-1", "raw-1.5", "lane-2", "lane-3", "heap-5"]
 
 
 def test_a_max_events_abort_with_lane_entries_queued_then_resumes(scheduler):
     order = []
     for index, label in enumerate("abc"):
-        _lane_post(scheduler, 0, 0.1 * (index + 1), order.append, label)
+        _lane_post(scheduler, 0.1 * (index + 1), order.append, label)
     scheduler.post(0.25, order.append, "heap")
     with pytest.raises(EventCapExceeded):
         scheduler.run_until(1.0, max_events=2)
@@ -375,8 +394,8 @@ def test_a_max_events_abort_with_lane_entries_queued_then_resumes(scheduler):
 
 def test_pending_counts_live_heap_and_lane_entries_after_cancels(scheduler):
     entries = [scheduler.post(1.0 + i, lambda: None) for i in range(3)]
-    _lane_post(scheduler, 0, 0.5, lambda _: None, None)
-    _lane_post(scheduler, 1, 0.7, lambda _: None, None)
+    _lane_post(scheduler, 0.5, lambda _: None, None)
+    _lane_post(scheduler, 0.7, lambda _: None, None)
     assert scheduler.pending == 5
     scheduler.cancel_entry(entries[0])
     scheduler.cancel_entry(entries[2])

@@ -161,11 +161,11 @@ class TestCleanRuns:
 
 class TestSeededViolations:
     # The faulty queues come in through the spec's queue factory, so each
-    # case runs the one engine with lanes and on the heap only.
+    # case runs the one engine with the lane and on the heap only.
     @pytest.mark.parametrize("kernel", ["auto", "generic"])
     def test_duplicated_packet_is_caught(self, sim_class):
         # One packet held in two places: the census counts it twice against
-        # one send, and the identity breaks (on the lanes under "auto", on
+        # one send, and the identity breaks (on the lane under "auto", on
         # the heap under "generic").
         sim = build_sim(
             sim_class, spec=SPEC.with_hops(queue=_DuplicatingQueue), debug_invariants=True

@@ -1,11 +1,11 @@
-"""Lanes vs heap: lane rule and parity.
+"""Lane vs heap: lane rule and parity.
 
 Two contracts:
 
-* **Lanes** — a :class:`Simulation` uses the scheduler's two constant-delay
-  lanes on a constant-rate dumbbell whose flows share one RTT and leaves
-  them empty on everything else; the heap-only reference (the ``heap_only``
-  fixture, ``_lanes = False``) runs the same closures with both lanes empty.
+* **Lane** — a :class:`Simulation` uses the scheduler's constant-delay lane
+  on a constant-rate dumbbell whose flows share one RTT and leaves it empty
+  on everything else; the heap-only reference (the ``heap_only`` fixture,
+  ``_lanes = False``) runs the same closures with the lane empty.
 * **Parity** — lane and heap runs of the same spec are bit-identical, in
   their results and per ACK at every sender (the full registry sweep lives
   in ``test_scenario_matrix.py``; here the shapes no registered cell
@@ -56,22 +56,22 @@ def _fingerprint(spec, sim_class, **kwargs):
 # The lane rule
 # ---------------------------------------------------------------------------
 class TestResolution:
-    def test_auto_rides_the_lanes_on_a_dumbbell(self, rides_lanes):
-        assert rides_lanes(_build(FLAT_SPEC))
+    def test_auto_rides_the_lanes_on_a_dumbbell(self, rides_the_lane):
+        assert rides_the_lane(_build(FLAT_SPEC))
 
-    def test_auto_stays_on_the_heap_for_a_path(self, rides_lanes):
-        assert not rides_lanes(_build(PATH_SPEC))
+    def test_auto_stays_on_the_heap_for_a_path(self, rides_the_lane):
+        assert not rides_the_lane(_build(PATH_SPEC))
 
-    def test_auto_stays_on_the_heap_for_a_delivery_trace(self, rides_lanes):
-        assert not rides_lanes(_build(FLAT_SPEC.with_hops(delivery_trace=TRACE)))
+    def test_auto_stays_on_the_heap_for_a_delivery_trace(self, rides_the_lane):
+        assert not rides_the_lane(_build(FLAT_SPEC.with_hops(delivery_trace=TRACE)))
 
-    def test_per_flow_rtts_select_the_heap_and_equal_ones_the_lanes(self, rides_lanes):
-        assert not rides_lanes(_build(replace(FLAT_SPEC, rtt=(0.05, 0.08))))
-        assert rides_lanes(_build(replace(FLAT_SPEC, rtt=(0.08, 0.08))))
+    def test_per_flow_rtts_select_the_heap_and_equal_ones_the_lanes(self, rides_the_lane):
+        assert not rides_the_lane(_build(replace(FLAT_SPEC, rtt=(0.05, 0.08))))
+        assert rides_the_lane(_build(replace(FLAT_SPEC, rtt=(0.08, 0.08))))
 
-    def test_generic_never_rides_the_lanes(self, rides_lanes, heap_only):
+    def test_generic_never_rides_the_lanes(self, rides_the_lane, heap_only):
         for spec in (FLAT_SPEC, PATH_SPEC):
-            assert not rides_lanes(_build(spec, heap_only))
+            assert not rides_the_lane(_build(spec, heap_only))
 
     def test_every_registry_cell_is_fused_under_auto(self, heap_only):
         # One engine: lanes or not, every flow's ACK and data sinks are the
@@ -87,7 +87,8 @@ class TestResolution:
 
     def test_a_lane_with_the_serialization_delay_equal_to_the_one_way_delay(self, heap_only):
         # 1500 B at 12 Mbps serializes in 1 ms, the one-way delay of a 2 ms
-        # RTT: both lanes carry the same delay and still merge in order.
+        # RTT: finish events on the heap tie hand-offs on the lane and still
+        # merge in order.
         spec = replace(FLAT_SPEC.with_hops(rate_bps=12e6), rtt=0.002)
         assert _fingerprint(spec, Simulation) == _fingerprint(spec, heap_only)
 

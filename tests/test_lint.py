@@ -275,6 +275,7 @@ RETIRED = {
     **dict.fromkeys((
         "detect_octant_split", "detect_grid_partition", "grid_index", "replace_action",
         "map_actions", "bytes_delivered", "wasted_opportunities"), 49),
+    **dict.fromkeys(("_heap_version", "cached_version", "initial_delay"), 50),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -559,7 +560,7 @@ class TestOneTopology:
 
 
 class TestOneScheduler:
-    """``EventScheduler`` alone dispatches events, and its lanes add no knob."""
+    """``EventScheduler`` alone dispatches events, and its lane adds no knob."""
 
     def test_one_class_dispatches(self):
         dispatching = classes_with("run_until", "src/repro/netsim")

@@ -11,7 +11,7 @@ so the counts follow from arithmetic alone — no golden of ours is consulted:
 * λ = 0.8 C: every segment finds the link idle — no drops, and every
   queueing-delay sample is exactly 0.
 
-Each case runs with lanes and on the heap only, with and without the
+Each case runs with the lane and on the heap only, with and without the
 invariant sanitizer; in all four the pacing timer re-enters the sender's
 one closure, which skips the acknowledgment half and falls into the send
 loop.

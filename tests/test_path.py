@@ -3,7 +3,7 @@
 The load-bearing contract: there is one topology spec and one network class.
 The dumbbell is the one-forward-hop case of a path — ``PathSpec.dumbbell``
 builds it, not a second spec or engine — and what only a dumbbell can do (the
-scheduler's two constant-delay lanes, the seal in ``tests/test_seal.py``)
+scheduler's constant-delay lane, the seal in ``tests/test_seal.py``)
 follows the path's shape, not the constructor that built it.  The goldens pin the numbers; these tests pin the
 structure.
 """
@@ -172,9 +172,9 @@ class TestOneNetworkClass:
             assert type(sim.network) is PathNetwork, cell.name
             assert sim.network.spec == cell.network, cell.name
 
-    def test_lanes_follow_the_shape_not_the_spelling(self, rides_lanes):
+    def test_lanes_follow_the_shape_not_the_spelling(self, rides_the_lane):
         def lanes(spec):
-            return rides_lanes(Simulation(spec, _newreno(spec.n_flows), duration=1.0))
+            return rides_the_lane(Simulation(spec, _newreno(spec.n_flows), duration=1.0))
 
         dumbbell = PathSpec.dumbbell(rate_bps=4e6, rtt=0.08, n_flows=2)
         hop = LinkSpec(rate_bps=4e6)

@@ -171,15 +171,3 @@ def test_one_frame_path_matches_the_public_pieces(shape, training, seed):
     if training:
         assert fast.tree.total_use_count() > 0
 
-
-def test_an_in_place_action_swap_is_seen_without_a_version_bump():
-    # The hill-climb writes ``whisker.action`` directly; the cached leaf is
-    # the same object, so the next ACK must already apply the new action.
-    tree = _single_rule()
-    protocol = RemyCCProtocol(tree)
-    protocol.reset(0.0)
-    protocol.on_ack(AckInfo(0.1, 1500, 0.1, 0.0, False, 1, 0.0))
-    tree.whiskers()[0].action = Action(0.0, 7.0, 3.0)
-    protocol.on_ack(AckInfo(0.2, 1500, 0.1, 0.1, False, 1, 0.0))
-    assert protocol.cwnd == 7.0
-    assert protocol.intersend_time == 3.0 / 1000.0

@@ -14,7 +14,7 @@ For each cell of the scenario registry this suite checks:
   (``debug_invariants=True``; conservation, monotonic time, queue
   accounting) and the instrumented run still reproduces the committed
   fingerprint bit-exactly;
-* **kernel parity** — the cell's run (constant-delay lanes on uniform-RTT
+* **kernel parity** — the cell's run (the constant-delay lane on uniform-RTT
   dumbbells, see :mod:`repro.netsim.kernel`) is bit-identical to a
   heap-only run (the ``heap_only`` fixture) and reproduces the cell's
   committed golden fingerprint.
@@ -222,7 +222,7 @@ def test_cell_serial_matches_process_pool(cell_name, pool_backend):
 
 @pytest.mark.parametrize("cell_name", ALL_CELLS)
 def test_cell_generic_vs_selected_kernel_parity(cell_name, heap_only):
-    # The kernel contract: what every cell runs — lanes on uniform-RTT
+    # The kernel contract: what every cell runs — the lane on uniform-RTT
     # dumbbells, the plain heap elsewhere — is bit-identical to a heap-only
     # run, and both reproduce the committed golden fingerprint, which
     # predates the fused engine.

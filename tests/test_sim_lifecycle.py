@@ -308,14 +308,14 @@ def test_a_second_run_is_an_error_raised_before_anything_is_touched(sim_class):
 # ---------------------------------------------------------------------------
 # Bugfix: clear() leaves late cancels harmless
 # ---------------------------------------------------------------------------
-def test_clear_empties_every_lane_and_marks_entries_executed():
+def test_clear_empties_the_lane_and_marks_entries_executed():
     scheduler = EventScheduler()
     calls = []
     entry = scheduler.post(1.0, calls.append, "heap")
     later = scheduler.post_after(2.0, calls.append, "entry")
     same_time = scheduler.post(0.0, calls.append, "heap-now")
-    for lane in scheduler._lanes:
-        lane.append([0.5, scheduler._sequence, calls.append, "lane"])
+    for time in (0.5, 0.75):
+        scheduler._lane.append([time, scheduler._sequence, calls.append, "lane"])
         scheduler._sequence += 1
     assert scheduler.pending == 5
     scheduler.clear()

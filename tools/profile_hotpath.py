@@ -15,13 +15,14 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpath.py --compare-kernels  # dumbbell, path, trace
 
 The profiler sees what every caller runs: a uniform-RTT dumbbell posts its
-hand-offs on the scheduler's two constant-delay lanes.  ``--compare-kernels``
-skips the profiler entirely and times each case (default: one dumbbell, one
-path and one trace-driven case) with lanes and on the heap only (the same
-closures with the lanes left empty, ``Simulation._lanes = False``), in
-interleaved paired repetitions (alternating rep by rep, reporting the median
-of paired ratios, which cancels machine-load drift), printing the
-lanes-vs-heap speedup.  Only the dumbbell has lanes to ride, so the path and
+one-way hand-offs on the scheduler's constant-delay lane.
+``--compare-kernels`` skips the profiler entirely and times each case
+(default: one dumbbell, one path and one trace-driven case) with the lane
+and on the heap only (the same closures with the lane left empty,
+``Simulation._lanes = False``), in interleaved paired repetitions
+(alternating rep by rep, reporting the median of paired ratios, which
+cancels machine-load drift), printing the lane-vs-heap speedup (the
+``lanes`` columns).  Only the dumbbell has a lane to ride, so the path and
 trace ratios measure noise around x1.00.
 
 Dumped ``.pstats`` files can be explored interactively with
@@ -56,7 +57,7 @@ COMPARE_CASES = ["bench-newreno-droptail", "bench-newreno-twohop", "fig7-lte4"]
 
 
 class HeapOnlySimulation(Simulation):
-    """The same closures with the scheduler's constant-delay lanes left empty."""
+    """The same closures with the scheduler's constant-delay lane left empty."""
 
     _lanes = False
 
@@ -152,7 +153,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--compare-kernels",
         action="store_true",
-        help="instead of profiling, time each case on the heap and with lanes "
+        help="instead of profiling, time each case on the heap and with the lane "
         "(interleaved paired reps) and print the speedup",
     )
     parser.add_argument(
