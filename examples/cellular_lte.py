@@ -46,7 +46,7 @@ def main() -> None:
         n_runs=args.runs,
         duration=args.duration,
         schemes=schemes,
-    )
+    ).run()
 
     print(result.format_table())
     print()

@@ -54,7 +54,7 @@ def main() -> None:
     args = parser.parse_args()
 
     print(f"datacenter comparison at 1/{args.scale} of the paper's absolute size")
-    result = run_datacenter(scale=args.scale, duration=args.duration)
+    result = run_datacenter(scale=args.scale, duration=args.duration).run()
     print(result.format_table())
     print()
     incast_demo(args.scale, args.duration)

@@ -36,7 +36,7 @@ def main() -> None:
     ]
     result = run_cloud_figure(
         4, n_flows=args.senders, n_runs=1, duration=args.duration, schemes=schemes
-    )
+    ).run()
 
     print(result.format_table())
     print()

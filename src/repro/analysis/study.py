@@ -13,11 +13,11 @@ throughput/delay frontier as the topology leaves the design space — across
 parking lots, congested reverse paths, mixed AQM chains — and where the
 model-based BBR lands relative to the learned RemyCCs.
 
-Everything here is a thin layer over :func:`~repro.experiments.base.
-run_cells` (one backend batch for the whole grid) and
-:mod:`repro.analysis.summary` / :mod:`repro.analysis.frontier` (the paper's
-§5.1 summary statistics), so the study inherits the harness's collision-free
-seeding and bit-exact backend parity.
+:func:`run_study` is one more fold over the harnesses' runner: a
+:class:`~repro.experiments.base.Plan` of the whole grid (one backend batch)
+folded with :mod:`repro.analysis.summary` / :mod:`repro.analysis.frontier`
+(the paper's §5.1 summary statistics), so the study inherits the harnesses'
+collision-free seeding and bit-exact backend parity.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from typing import Optional, Sequence, Union
 
 from repro.analysis.frontier import efficient_frontier
 from repro.analysis.summary import SchemeSummary, summarize_runs
-from repro.experiments.base import (
-    SchemeSpec,
-    resolve_scenario,
-    run_cells,
-    standard_schemes,
-)
+from repro.experiments.base import Grid, Plan, SchemeSpec, Slice, resolve_scenario, standard_schemes
 from repro.runner import ExecutionBackend
 from repro.scenarios import ProtocolSpec, ScenarioSpec, iter_scenarios
 
@@ -173,28 +168,19 @@ def run_study(
     the committed artifact is generated at paper-scale durations via
     ``tools/run_study.py``.
     """
-    if cells is None:
-        cell_specs = study_cells()
-    else:
-        cell_specs = [resolve_scenario(c) for c in cells]
+    cell_specs = study_cells() if cells is None else [resolve_scenario(c) for c in cells]
     scheme_specs = list(schemes) if schemes is not None else study_schemes()
-    grid = run_cells(
-        cell_specs,
-        scheme_specs,
-        n_runs=n_runs,
-        duration=duration,
-        backend=backend,
-        max_events=max_events,
-    )
-    result = StudyResult(duration=duration, n_runs=n_runs)
-    for cell, cell_runs in zip(cell_specs, grid):
-        summaries = [
-            summarize_runs(scheme.name, runs)
-            for scheme, runs in zip(scheme_specs, cell_runs)
-        ]
-        ranked = sorted(
-            summaries, key=lambda s: s.median_throughput_mbps(), reverse=True
-        )
-        frontier = [s.scheme for s in efficient_frontier(summaries)]
-        result.cells.append(CellStudy(cell=cell, ranked=ranked, frontier=frontier))
-    return result
+
+    def fold(grid: Slice) -> StudyResult:
+        result = StudyResult(duration=duration, n_runs=n_runs)
+        for cell, cell_runs in zip(cell_specs, grid):
+            summaries = [
+                summarize_runs(scheme.name, runs) for scheme, runs in zip(scheme_specs, cell_runs)
+            ]
+            ranked = sorted(summaries, key=lambda s: s.median_throughput_mbps(), reverse=True)
+            frontier = [s.scheme for s in efficient_frontier(summaries)]
+            result.cells.append(CellStudy(cell=cell, ranked=ranked, frontier=frontier))
+        return result
+
+    grid = Grid(cell_specs, scheme_specs, n_runs=n_runs, duration=duration, max_events=max_events)
+    return Plan(grid, fold).run(backend)

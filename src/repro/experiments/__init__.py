@@ -1,11 +1,13 @@
 """Experiment harnesses: one module per figure/table of the paper's evaluation.
 
-Every harness exposes a ``run_*`` function returning a structured result, and
-``experiments.claims`` holds the paper's claims about each as table rows.  A
-harness resolves its registry cell, overrides only the axis its figure
-sweeps, and takes the run size (``n_runs``, ``duration``) as options: scaled
-down by default so it completes in seconds with a pure-Python simulator,
-raised for paper-scale runs.
+Every harness exposes a ``run_*`` function returning its plan: the grid of
+jobs it needs and the fold that turns their results into a structured result.
+``plan.run(backend)`` runs one harness; ``run_plans(plans, backend)`` runs any
+number as one batch.  ``experiments.claims`` holds the paper's claims about
+each as table rows.  A harness resolves its registry cell, overrides only the
+axis its figure sweeps, and takes the run size (``n_runs``, ``duration``) as
+options: scaled down by default so it completes in seconds with a
+pure-Python simulator, raised for paper-scale runs.
 
 ==============================  ============================================
 Module                          Reproduces
@@ -21,17 +23,23 @@ Module                          Reproduces
 """
 
 from repro.experiments.base import (
+    Grid,
+    Plan,
     SchemeSpec,
     remycc_scheme,
     run_cells,
+    run_plans,
     standard_schemes,
     sweep_seed,
 )
 
 __all__ = [
+    "Grid",
+    "Plan",
     "SchemeSpec",
     "remycc_scheme",
     "run_cells",
+    "run_plans",
     "standard_schemes",
     "sweep_seed",
 ]

@@ -6,17 +6,18 @@ bottleneck queue discipline it requires (Cubic-over-sfqCoDel needs the
 sfqCoDel gateway, XCP needs the XCP router, DCTCP needs the ECN-marking RED
 gateway; everything else keeps the cell's queue).
 
-:func:`run_cells` is the one harness entry point: it builds every
-``(cell, scheme, run)`` simulation of a grid, seeds each run with
-:func:`sweep_seed`, submits the whole grid as ONE :mod:`repro.runner` backend
-batch and hands back the raw per-run results.  Every figure harness is cells
-+ schemes + a reducer around a single :func:`run_cells` call; the
-(throughput, delay)-cloud figures reduce into an :class:`ExperimentResult`.
-The simulations are independent, so passing a
-:class:`~repro.runner.ProcessPoolBackend` spreads them across cores with
-results bit-identical to the default :class:`~repro.runner.SerialBackend`:
-a job names its protocols, so it pickles by construction, and a worker loads
-a named RemyCC table itself.
+A harness is a :class:`Plan`: its jobs, a frozen :class:`Grid` (cells,
+schemes, run size), and its fold, which turns the grid's
+``[cell][scheme][run]`` results into the harness's result class.
+:func:`run_cells` is the one function that submits a batch: it builds every
+job of any number of grids, seeds each run with :func:`sweep_seed`, submits
+them all as ONE :mod:`repro.runner` backend batch and hands back each grid's
+slice; :func:`run_plans` folds each plan's slice, so many harnesses share one
+batch and a process pool stays saturated across all of them.  The
+simulations are independent, so a :class:`~repro.runner.ProcessPoolBackend`
+gives results bit-identical to the default
+:class:`~repro.runner.SerialBackend`: a job names its protocols, so it
+pickles by construction, and a worker loads a named RemyCC table itself.
 
 Cells come from the declarative registry (:mod:`repro.scenarios`): each
 figure harness resolves its base cell by name and, via
@@ -27,11 +28,11 @@ topology/queue/workload definitions live in exactly one place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import KW_ONLY, dataclass, field
+from typing import Callable, Generic, Optional, Sequence, TypeVar, Union
 
 from repro.analysis.frontier import efficient_frontier
-from repro.analysis.summary import SchemeSummary, format_summary_table, summarize_runs
+from repro.analysis.summary import SchemeSummary, format_summary_table
 from repro.netsim.simulator import SimulationResult
 from repro.runner import ExecutionBackend, SerialBackend, SimJob
 from repro.runner.jobs import mix_seed
@@ -100,70 +101,99 @@ def sweep_seed(cell_name: str, base_seed: int, run_index: int) -> int:
     return mix_seed("scenario-sweep", cell_name, base_seed, run_index)
 
 
-def run_cells(
-    cells: Sequence[Union[str, ScenarioSpec]],
-    schemes: Optional[Sequence[SchemeSpec]] = None,
-    *,
-    n_runs: int,
-    duration: Optional[float] = None,
-    base_seed: Optional[int] = None,
-    max_events: Optional[int] = None,
-    trace_flows: tuple[int, ...] = (),
-    backend: Optional[ExecutionBackend] = None,
-) -> list[list[list[SimulationResult]]]:
-    """Run a ``cell × scheme × run`` grid as ONE backend batch.
+@dataclass(frozen=True)
+class Grid:
+    """A harness's jobs: a ``cell × scheme × run`` grid, everything but the backend.
 
     ``cells`` are registered names and/or explicit specs.  Each scheme swaps
     in its own protocol and, if it needs router support, its own queue;
     ``schemes=None`` runs every cell once under its own (possibly mixed)
     protocol set.  ``duration`` and ``base_seed`` override the cells'
     canonical values; run ``r`` of a cell is seeded
-    ``sweep_seed(cell.name, base seed, r)`` whatever the scheme.  Jobs name
-    their protocols, which are instantiated fresh in whichever process runs
-    each job, so the whole grid ships to ``backend``
-    (default :class:`~repro.runner.SerialBackend`) at once and a process
-    pool stays saturated across cells, not just within one.
-
-    Returns the raw results as ``grid[cell][scheme][run]`` in the order
-    given (one scheme slot when ``schemes`` is ``None``).
+    ``sweep_seed(cell.name, base seed, r)`` whatever the scheme.
     """
-    if n_runs <= 0:
-        raise ValueError("n_runs must be positive")
-    cells = [resolve_scenario(cell) for cell in cells]
-    scheme_slots: Sequence[Optional[SchemeSpec]] = (None,) if schemes is None else schemes
+
+    cells: Sequence[Union[str, ScenarioSpec]]
+    schemes: Optional[Sequence[SchemeSpec]] = None
+    _: KW_ONLY
+    n_runs: int
+    duration: Optional[float] = None
+    base_seed: Optional[int] = None
+    max_events: Optional[int] = None
+    trace_flows: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.n_runs <= 0:
+            raise ValueError("n_runs must be positive")
+
+
+#: One grid's raw results, ``[cell][scheme][run]`` in the grid's order (one
+#: scheme slot when ``schemes`` is ``None``).
+Slice = list[list[list[SimulationResult]]]
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class Plan(Generic[T]):
+    """A harness: its grid and the fold that turns the grid's slice into its result."""
+
+    grid: Grid
+    fold: Callable[[Slice], T]
+
+    def run(self, backend: Optional[ExecutionBackend] = None) -> T:
+        [result] = run_plans([self], backend)
+        return result
+
+
+def run_cells(*grids: Grid, backend: Optional[ExecutionBackend] = None) -> list[Slice]:
+    """Run every job of ``grids`` as ONE backend batch; return each grid's slice.
+
+    Jobs name their protocols, which are instantiated fresh in whichever
+    process runs each job, so every grid ships to ``backend`` (default
+    :class:`~repro.runner.SerialBackend`) at once, with job ids ``0..n-1``
+    in grid order, and a process pool stays saturated across grids and cells.
+    """
     jobs: list[SimJob] = []
-    for cell in cells:
-        spec = cell.network
-        workloads = tuple(cell.make_workloads() or ())
-        for scheme in scheme_slots:
-            protocols = cell.protocols if scheme is None else (scheme.protocol,)
-            scheme_spec = spec
-            if scheme is not None and scheme.queue is not None:
-                scheme_spec = spec.with_hops(queue=scheme.queue)
-            for run_index in range(n_runs):
-                jobs.append(
+    shapes = []
+    for grid in grids:
+        cells = [resolve_scenario(cell) for cell in grid.cells]
+        scheme_slots = (None,) if grid.schemes is None else grid.schemes
+        shapes.append((len(cells), len(scheme_slots), grid.n_runs))
+        for cell in cells:
+            workloads = tuple(cell.make_workloads() or ())
+            duration = cell.duration if grid.duration is None else grid.duration
+            base_seed = cell.seed if grid.base_seed is None else grid.base_seed
+            for scheme in scheme_slots:
+                protocols = cell.protocols if scheme is None else (scheme.protocol,)
+                spec = cell.network
+                if scheme is not None and scheme.queue is not None:
+                    spec = spec.with_hops(queue=scheme.queue)
+                jobs += [
                     SimJob(
-                        job_id=len(jobs),
-                        spec=scheme_spec,
-                        duration=cell.duration if duration is None else duration,
-                        seed=sweep_seed(
-                            cell.name,
-                            cell.seed if base_seed is None else base_seed,
-                            run_index,
-                        ),
+                        job_id=len(jobs) + run_index,
+                        spec=spec,
+                        duration=duration,
+                        seed=sweep_seed(cell.name, base_seed, run_index),
                         workloads=workloads,
                         protocols=protocols,
-                        max_events=max_events,
-                        trace_flows=trace_flows,
+                        max_events=grid.max_events,
+                        trace_flows=grid.trace_flows,
                     )
-                )
+                    for run_index in range(grid.n_runs)
+                ]
     if backend is None:
         backend = SerialBackend()
     results = iter(backend.run_batch(jobs))
     return [
-        [[next(results).result for _ in range(n_runs)] for _ in scheme_slots]
-        for _ in cells
+        [[[next(results).result for _ in range(runs)] for _ in range(slots)] for _ in range(cells)]
+        for cells, slots, runs in shapes
     ]
+
+
+def run_plans(plans: Sequence[Plan[T]], backend: Optional[ExecutionBackend] = None) -> list[T]:
+    """Run every plan's jobs as ONE :func:`run_cells` batch and fold each plan's slice."""
+    slices = run_cells(*(plan.grid for plan in plans), backend=backend)
+    return [plan.fold(grid) for plan, grid in zip(plans, slices)]
 
 
 @dataclass
@@ -172,22 +202,6 @@ class ExperimentResult:
 
     name: str
     summaries: dict[str, SchemeSummary] = field(default_factory=dict)
-
-    @classmethod
-    def from_runs(
-        cls,
-        name: str,
-        schemes: Sequence[SchemeSpec],
-        runs: Sequence[Sequence[SimulationResult]],
-    ) -> "ExperimentResult":
-        """Fold one cell's ``run_cells`` slice (``runs[scheme][run]``)."""
-        return cls(
-            name,
-            {
-                scheme.name: summarize_runs(scheme.name, scheme_runs)
-                for scheme, scheme_runs in zip(schemes, runs)
-            },
-        )
 
     def __getitem__(self, scheme: str) -> SchemeSummary:
         return self.summaries[scheme]

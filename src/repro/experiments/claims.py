@@ -1,8 +1,10 @@
 """The paper's evaluation claims as one table (§1, §5.2-5.7, Figures 4-11).
 
 A :class:`Claim` is ``left relation right`` on the result of one :data:`HARNESSES`
-call (scaled down from the paper's 128 x 100 s runs).  ``tests/test_claims.py``
-checks every row; ``tools/claims.py`` writes both sides to ``results/CLAIMS.md``.
+entry, scaled down from the paper's 128 x 100 s runs.  An entry is a harness call
+that returns its plan; ``run_plans`` runs all 11 plans as one batch and folds each
+harness's slice.  ``tests/test_claims.py`` checks every row; ``tools/claims.py``
+writes both sides to ``results/CLAIMS.md``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro.experiments.rtt_fairness import run_figure10
 
 RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
-#: Key -> the one harness call every claim with that key reads.
+#: Key -> the harness call whose plan, folded, every claim with that key reads.
 HARNESSES = {
     "fig4": partial(run_cloud_figure, 4, n_runs=2, duration=20.0),
     "fig5": partial(run_cloud_figure, 5, n_runs=1, duration=20.0),

@@ -24,13 +24,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from repro.experiments.base import (
-    ExperimentResult,
-    SchemeSpec,
-    run_cells,
-    standard_schemes,
-)
-from repro.runner import ExecutionBackend
+from repro.analysis.summary import summarize_runs
+from repro.experiments.base import ExperimentResult, Grid, Plan, SchemeSpec, standard_schemes
 from repro.scenarios import get_scenario
 from repro.traces import TraceSpec
 
@@ -52,9 +47,8 @@ def run_cloud_figure(
     duration: float = 30.0,
     schemes: Optional[Sequence[SchemeSpec]] = None,
     n_flows: Optional[int] = None,
-    backend: Optional[ExecutionBackend] = None,
-) -> ExperimentResult:
-    """Run one of Figures 4, 5, 7, 8, 9 and return per-scheme summaries.
+) -> Plan[ExperimentResult]:
+    """Plan one of Figures 4, 5, 7, 8, 9: its grid, folded into per-scheme summaries.
 
     ``schemes`` defaults to :func:`~repro.experiments.base.standard_schemes`
     and ``n_flows`` to the figure's cell.  The paper uses 100-second runs
@@ -71,7 +65,10 @@ def run_cloud_figure(
         # whole run without cycling.
         cell = cell.override(delivery_trace=replace(trace, duration_seconds=duration))
     schemes = list(schemes) if schemes is not None else standard_schemes()
-    [runs] = run_cells([cell], schemes, n_runs=n_runs, duration=duration, backend=backend)
-    return ExperimentResult.from_runs(
-        f"Figure {figure}: {label}, n={cell.network.n_flows}", schemes, runs
+    name = f"Figure {figure}: {label}, n={cell.network.n_flows}"
+    return Plan(
+        Grid((cell,), schemes, n_runs=n_runs, duration=duration),
+        lambda grid: ExperimentResult(name, {
+            scheme.name: summarize_runs(scheme.name, runs) for scheme, runs in zip(schemes, grid[0])
+        }),
     )

@@ -14,9 +14,8 @@ Two sweeps reproduce the paper's two tables:
 
 Each table row is a mixed-protocol cell — the registry's
 ``competing-remy-cubic`` with the contender and workload swapped in — and a
-whole table is one :func:`~repro.experiments.base.run_cells` batch.  The rows
-share the registry cell's name, so every row of a table sees the same
-per-run seeds.
+whole table is one grid.  The rows share the registry cell's name, so every
+row of a table sees the same per-run seeds.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.experiments.base import run_cells
-from repro.runner import ExecutionBackend
+from repro.experiments.base import Grid, Plan, Slice
+from repro.netsim.simulator import SimulationResult
 from repro.scenarios import ProtocolSpec, get_scenario
 from repro.traffic.flowsize import icsi_flow_length_distribution
 from repro.traffic.onoff import ByteFlowWorkload
@@ -55,9 +54,8 @@ def _competing_table(
     settings: Sequence[tuple[str, ByteFlowWorkload]],
     n_runs: int,
     duration: float,
-    backend: Optional[ExecutionBackend],
     base_seed: Optional[int] = None,
-) -> CompetingResult:
+) -> Plan[CompetingResult]:
     """One table: the RemyCC vs one contender, a row per (label, workload)."""
     base_cell = get_scenario("competing-remy-cubic")
     cells = [
@@ -67,45 +65,38 @@ def _competing_table(
         )
         for _setting, workload in settings
     ]
-    grid = run_cells(
-        cells, n_runs=n_runs, duration=duration, base_seed=base_seed, backend=backend
-    )
-    result = CompetingResult()
-    for (setting, _workload), [runs] in zip(settings, grid):
-        remy_tputs = [run.flow_stats[0].throughput_mbps() for run in runs]
-        other_tputs = [run.flow_stats[1].throughput_mbps() for run in runs]
-        result.rows.append(
-            CompetingRow(
-                setting=setting,
-                remy_mean_mbps=statistics.fmean(remy_tputs),
-                other_mean_mbps=statistics.fmean(other_tputs),
-                other_name=other_name,
-            )
-        )
-    return result
+
+    def fold(grid: Slice) -> CompetingResult:
+        def mean_mbps(runs: list[SimulationResult], flow: int) -> float:
+            return statistics.fmean(run.flow_stats[flow].throughput_mbps() for run in runs)
+
+        return CompetingResult([
+            CompetingRow(setting, mean_mbps(runs, 0), mean_mbps(runs, 1), other_name)
+            for (setting, _workload), [runs] in zip(settings, grid)
+        ])
+
+    return Plan(Grid(cells, n_runs=n_runs, duration=duration, base_seed=base_seed), fold)
 
 
 def run_vs_compound(
     off_times_seconds: tuple[float, ...] = (0.200, 0.100, 0.010),
     n_runs: int = 3,
     duration: float = 30.0,
-    backend: Optional[ExecutionBackend] = None,
-) -> CompetingResult:
+) -> Plan[CompetingResult]:
     """RemyCC vs Compound: ICSI flow lengths, sweeping the mean off time."""
     flow_sizes = icsi_flow_length_distribution(maximum_bytes=20e6)
     settings = [
         (f"off={off * 1000:.0f} ms", ByteFlowWorkload(flow_size=flow_sizes, mean_off_seconds=off))
         for off in off_times_seconds
     ]
-    return _competing_table("compound", "Compound", settings, n_runs, duration, backend)
+    return _competing_table("compound", "Compound", settings, n_runs, duration)
 
 
 def run_vs_cubic(
     mean_flow_bytes: tuple[float, ...] = (100e3, 1e6),
     n_runs: int = 3,
     duration: float = 30.0,
-    backend: Optional[ExecutionBackend] = None,
-) -> CompetingResult:
+) -> Plan[CompetingResult]:
     """RemyCC vs Cubic: exponential flow lengths of mean 100 kB and 1 MB."""
     off = get_scenario("competing-remy-cubic").workloads[0].off_distribution
     settings = [
@@ -116,4 +107,4 @@ def run_vs_cubic(
         for mean_bytes in mean_flow_bytes
     ]
     # 62, not the cell's 61: this table keeps the randomness its rows were always run on.
-    return _competing_table("cubic", "Cubic", settings, n_runs, duration, backend, base_seed=62)
+    return _competing_table("cubic", "Cubic", settings, n_runs, duration, base_seed=62)

@@ -16,18 +16,16 @@ exact parameters.
 
 The registry cell (pinned at 1/32 scale) is re-scaled via ``override`` and
 the RemyCC row derives from it by swapping the queue and protocol set; both
-rows are one :func:`~repro.experiments.base.run_cells` batch.
+rows are one grid.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.experiments.base import run_cells
+from repro.experiments.base import Grid, Plan, Slice
 from repro.netsim.simulator import SimulationResult
-from repro.runner import ExecutionBackend
 from repro.scenarios import ProtocolSpec, get_scenario
 from repro.traffic.onoff import ByteFlowWorkload
 
@@ -78,12 +76,8 @@ def _summarise(scheme: str, result: SimulationResult) -> DatacenterRow:
     )
 
 
-def run_datacenter(
-    scale: int = 16,
-    duration: float = 3.0,
-    backend: Optional[ExecutionBackend] = None,
-) -> DatacenterResult:
-    """Run the §5.5 comparison at ``1/scale`` of the paper's absolute size.
+def run_datacenter(scale: int = 16, duration: float = 3.0) -> Plan[DatacenterResult]:
+    """Plan the §5.5 comparison at ``1/scale`` of the paper's absolute size.
 
     With ``scale=16`` the scenario becomes 4 senders sharing 625 Mbps with
     1.25 MB flows — the same per-flow share and buffer-to-BDP ratio as the
@@ -113,15 +107,17 @@ def run_datacenter(
         queue="droptail",
         protocols=(ProtocolSpec("remy", tree="datacenter"),),
     )
+
+    def fold(grid: Slice) -> DatacenterResult:
+        [[[dctcp_run]], [[remy_run]]] = grid
+        return DatacenterResult(
+            dctcp=_summarise("DCTCP (ECN)", dctcp_run),
+            remycc=_summarise("RemyCC (DropTail)", remy_run),
+            scale=scale,
+            n_flows=n_flows,
+            link_rate_bps=link_rate,
+        )
+
     # Both cells keep the registry name, so both rows run at the same seed:
     # the paper compares the two schemes on identical workload randomness.
-    [[[dctcp_run]], [[remy_run]]] = run_cells(
-        [dctcp_cell, remy_cell], n_runs=1, duration=duration, backend=backend
-    )
-    return DatacenterResult(
-        dctcp=_summarise("DCTCP (ECN)", dctcp_run),
-        remycc=_summarise("RemyCC (DropTail)", remy_run),
-        scale=scale,
-        n_flows=n_flows,
-        link_rate_bps=link_rate,
-    )
+    return Plan(Grid((dctcp_cell, remy_cell), n_runs=1, duration=duration), fold)

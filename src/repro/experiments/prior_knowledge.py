@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.core.objective import Objective
-from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
-from repro.runner import ExecutionBackend
+from repro.experiments.base import Grid, Plan, SchemeSpec, Slice, remycc_scheme
 from repro.scenarios import ProtocolSpec, get_scenario
 
 #: Link speeds swept in the scaled-down default run (the paper sweeps roughly
@@ -65,18 +64,15 @@ def run_figure11(
     schemes: Optional[Sequence[SchemeSpec]] = None,
     n_runs: int = 2,
     duration: float = 20.0,
-    backend: Optional[ExecutionBackend] = None,
-) -> PriorKnowledgeResult:
-    """Sweep the true link speed and score every scheme with the §3.3 objective.
+) -> Plan[PriorKnowledgeResult]:
+    """Plan the true-link-speed sweep, each scheme scored with the §3.3 objective.
 
     One cell per link speed, all derived from the same registry cell — so the
-    speeds (and the schemes) share per-run seeds — and one ``run_cells``
-    batch for the whole ``speed × scheme × run`` grid.
+    speeds (and the schemes) share per-run seeds — in one grid of
+    ``speed × scheme × run``.
     """
     schemes = list(schemes) if schemes is not None else default_schemes()
     objective = Objective.proportional(delta=1.0)
-    result = PriorKnowledgeResult()
-
     # The registry cell pins the senders, their workloads, the RTT and the
     # seed; schemes without router support run over plain tail-drop.
     base_cell = get_scenario("fig11-prior-1x")
@@ -86,26 +82,30 @@ def run_figure11(
         base_cell.override(rate_bps=speed_mbps * 1e6, queue="droptail")
         for speed_mbps in link_speeds_mbps
     ]
-    grid = run_cells(cells, schemes, n_runs=n_runs, duration=duration, backend=backend)
-    for speed_mbps, cell_runs in zip(link_speeds_mbps, grid):
-        fair_share = speed_mbps * 1e6 / n_flows
-        for scheme, run_results in zip(schemes, cell_runs):
-            scores, tputs, delays = [], [], []
-            for run_result in run_results:
-                for stats in run_result.flow_stats:
-                    score = objective.score_stats(stats, fair_share, rtt)
-                    if score is None:
-                        continue
-                    scores.append(score)
-                    tputs.append(stats.throughput_mbps())
-                    delays.append(stats.avg_queue_delay_ms())
-            result.points.append(
-                PriorKnowledgePoint(
-                    scheme=scheme.name,
-                    link_speed_mbps=speed_mbps,
-                    score=statistics.fmean(scores) if scores else float("-inf"),
-                    mean_throughput_mbps=statistics.fmean(tputs) if tputs else 0.0,
-                    mean_queue_delay_ms=statistics.fmean(delays) if delays else 0.0,
+
+    def fold(grid: Slice) -> PriorKnowledgeResult:
+        result = PriorKnowledgeResult()
+        for speed_mbps, cell_runs in zip(link_speeds_mbps, grid):
+            fair_share = speed_mbps * 1e6 / n_flows
+            for scheme, run_results in zip(schemes, cell_runs):
+                scores, tputs, delays = [], [], []
+                for run_result in run_results:
+                    for stats in run_result.flow_stats:
+                        score = objective.score_stats(stats, fair_share, rtt)
+                        if score is None:
+                            continue
+                        scores.append(score)
+                        tputs.append(stats.throughput_mbps())
+                        delays.append(stats.avg_queue_delay_ms())
+                result.points.append(
+                    PriorKnowledgePoint(
+                        scheme=scheme.name,
+                        link_speed_mbps=speed_mbps,
+                        score=statistics.fmean(scores) if scores else float("-inf"),
+                        mean_throughput_mbps=statistics.fmean(tputs) if tputs else 0.0,
+                        mean_queue_delay_ms=statistics.fmean(delays) if delays else 0.0,
+                    )
                 )
-            )
-    return result
+        return result
+
+    return Plan(Grid(cells, schemes, n_runs=n_runs, duration=duration), fold)

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.analysis.fairness import jain_index, normalized_shares
-from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
-from repro.runner import ExecutionBackend
+from repro.experiments.base import Grid, Plan, SchemeSpec, Slice, remycc_scheme
 from repro.scenarios import FIGURE10_RTTS, ProtocolSpec, get_scenario
 
 __all__ = ["FIGURE10_RTTS", "RttFairnessResult", "run_figure10"]
@@ -54,39 +53,36 @@ def run_figure10(
     schemes: Optional[Sequence[SchemeSpec]] = None,
     n_runs: int = 4,
     duration: float = 30.0,
-    backend: Optional[ExecutionBackend] = None,
-) -> list[RttFairnessResult]:
-    """Run the differing-RTT scenario and return per-scheme share profiles."""
+) -> Plan[list[RttFairnessResult]]:
+    """Plan the differing-RTT scenario, folded into per-scheme share profiles."""
     schemes = list(schemes) if schemes is not None else default_schemes()
     # The registry cell pins the link, the four RTTs, the workload and the
     # seed; schemes without router support run over plain tail-drop.
     cell = get_scenario("fig10-rtt-fairness").override(queue="droptail")
-    [runs] = run_cells([cell], schemes, n_runs=n_runs, duration=duration, backend=backend)
-    results = []
-    for scheme, run_results in zip(schemes, runs):
-        per_run_shares: list[list[float]] = []
-        for run_result in run_results:
-            throughputs = [stats.throughput_bps() for stats in run_result.flow_stats]
-            per_run_shares.append(normalized_shares(throughputs))
 
-        mean_shares = [
-            statistics.fmean(run[i] for run in per_run_shares)
-            for i in range(len(FIGURE10_RTTS))
-        ]
-        stderr = []
-        for i in range(len(FIGURE10_RTTS)):
-            values = [run[i] for run in per_run_shares]
-            if len(values) > 1:
-                stderr.append(statistics.stdev(values) / len(values) ** 0.5)
-            else:
-                stderr.append(0.0)
-        results.append(
-            RttFairnessResult(
-                scheme=scheme.name,
-                rtts=FIGURE10_RTTS,
-                shares=mean_shares,
-                jain=jain_index(mean_shares),
-                share_stderr=stderr,
+    def fold(grid: Slice) -> list[RttFairnessResult]:
+        results = []
+        for scheme, run_results in zip(schemes, grid[0]):
+            per_run_shares = [
+                normalized_shares([stats.throughput_bps() for stats in run_result.flow_stats])
+                for run_result in run_results
+            ]
+            # One tuple per flow (same order as ``FIGURE10_RTTS``): its share in each run.
+            per_flow = list(zip(*per_run_shares))
+            mean_shares = [statistics.fmean(values) for values in per_flow]
+            stderr = [
+                statistics.stdev(values) / len(values) ** 0.5 if len(values) > 1 else 0.0
+                for values in per_flow
+            ]
+            results.append(
+                RttFairnessResult(
+                    scheme=scheme.name,
+                    rtts=FIGURE10_RTTS,
+                    shares=mean_shares,
+                    jain=jain_index(mean_shares),
+                    share_stderr=stderr,
+                )
             )
-        )
-    return results
+        return results
+
+    return Plan(Grid((cell,), schemes, n_runs=n_runs, duration=duration), fold)

@@ -1,7 +1,8 @@
 """The paper's claims, one test per row of ``repro.experiments.claims.CLAIMS``.
 
-Each harness runs once per session, however many rows read it;
-``tools/claims.py`` writes the same measured values to ``results/CLAIMS.md``.
+The plans of all 11 harnesses run once per session, as one batch, and each
+harness folds its slice, however many rows read it; ``tools/claims.py`` writes
+the same measured values to ``results/CLAIMS.md``.
 The rows of ``XFAIL`` run as strict xfails: each fails until the reproduction
 agrees with the paper there, and then the test says so.
 """
@@ -10,12 +11,13 @@ import functools
 
 import pytest
 
+from repro.experiments.base import run_plans
 from repro.experiments.claims import CLAIMS, HARNESSES, XFAIL, Side
 
 
 @functools.cache
-def measured(harness):
-    return HARNESSES[harness]()
+def measured():
+    return dict(zip(HARNESSES, run_plans([harness() for harness in HARNESSES.values()])))
 
 
 def expected(claim):
@@ -28,7 +30,7 @@ def expected(claim):
 
 @pytest.mark.parametrize("claim", [expected(claim) for claim in CLAIMS])
 def test_claim(claim):
-    left, right, holds = claim.check(measured(claim.harness))
+    left, right, holds = claim.check(measured()[claim.harness])
     right_name = claim.right.name if isinstance(claim.right, Side) else "constant"
     assert holds, f"{claim.left.name} = {left!r} {claim.relation} {right_name} = {right!r}"
 

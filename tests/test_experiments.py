@@ -7,18 +7,21 @@ scaled) sizes and checks the paper's claims (``repro.experiments.claims``).
 
 import pickle
 from dataclasses import replace
+from functools import cache, partial
 
 import pytest
 
-from repro.experiments import base
 from repro.experiments.base import (
     ExperimentResult,
+    Grid,
     SchemeSpec,
     remycc_scheme,
     run_cells,
+    run_plans,
     standard_schemes,
     sweep_seed,
 )
+from repro.experiments.claims import HARNESSES
 from repro.experiments.competing import run_vs_compound, run_vs_cubic
 from repro.experiments.convergence import run_figure6
 from repro.experiments.datacenter import run_datacenter
@@ -54,36 +57,45 @@ def retraced(cell):
     return cell.override(delivery_trace=replace(trace, duration_seconds=0.2))
 
 
-#: Every harness entry point, called with only its run size and the axis its
-#: figure sweeps, beside the registry cell it runs and that axis applied to it.
+#: Every harness entry point, in ``HARNESSES``' order, called with only its run
+#: size and the axis its figure sweeps, beside the registry cell it runs and
+#: that axis applied to it.
 HARNESS_AXES = {
-    "figure4": (lambda: run_cloud_figure(4, n_runs=1, duration=0.2), "fig4-dumbbell8", None),
-    "figure5": (lambda: run_cloud_figure(5, n_runs=1, duration=0.2), "fig5-dumbbell12", None),
-    "figure6": (lambda: run_figure6(duration=3.0, departure_time=1.5), "fig6-convergence", None),
-    "figure7": (lambda: run_cloud_figure(7, n_runs=1, duration=0.2), "fig7-lte4", retraced),
-    "figure8": (lambda: run_cloud_figure(8, n_runs=1, duration=0.2), "fig8-lte8", retraced),
-    "figure9": (lambda: run_cloud_figure(9, n_runs=1, duration=0.2), "fig9-att4", retraced),
+    "figure4": (partial(run_cloud_figure, 4, n_runs=1, duration=0.2), "fig4-dumbbell8", None),
+    "figure5": (partial(run_cloud_figure, 5, n_runs=1, duration=0.2), "fig5-dumbbell12", None),
+    "figure6": (partial(run_figure6, duration=3.0, departure_time=1.5), "fig6-convergence", None),
+    "figure7": (partial(run_cloud_figure, 7, n_runs=1, duration=0.2), "fig7-lte4", retraced),
+    "figure8": (partial(run_cloud_figure, 8, n_runs=1, duration=0.2), "fig8-lte8", retraced),
+    "figure9": (partial(run_cloud_figure, 9, n_runs=1, duration=0.2), "fig9-att4", retraced),
     "figure10": (
-        lambda: run_figure10(n_runs=1, duration=0.2), "fig10-rtt-fairness",
+        partial(run_figure10, n_runs=1, duration=0.2), "fig10-rtt-fairness",
         lambda cell: cell.override(queue="droptail"),
     ),
     "figure11": (
-        lambda: run_figure11(link_speeds_mbps=(8.0,), n_runs=1, duration=0.2), "fig11-prior-1x",
+        partial(run_figure11, link_speeds_mbps=(8.0,), n_runs=1, duration=0.2), "fig11-prior-1x",
         lambda cell: cell.override(rate_bps=8e6, queue="droptail"),
     ),
-    "datacenter": (lambda: run_datacenter(scale=32, duration=0.2), "datacenter-dctcp", None),
+    "datacenter": (partial(run_datacenter, scale=32, duration=0.2), "datacenter-dctcp", None),
     # The off=0.2 s row is the registry's ICSI workload.
     "vs_compound": (
-        lambda: run_vs_compound(off_times_seconds=(0.2,), n_runs=1, duration=0.2),
+        partial(run_vs_compound, off_times_seconds=(0.2,), n_runs=1, duration=0.2),
         "competing-remy-cubic",
         lambda cell: cell.override(workloads=get_scenario("fig5-dumbbell12").workloads),
     ),
     "vs_cubic": (
-        lambda: run_vs_cubic(mean_flow_bytes=(100e3,), n_runs=1, duration=0.2),
+        partial(run_vs_cubic, mean_flow_bytes=(100e3,), n_runs=1, duration=0.2),
         "competing-remy-cubic",
         lambda cell: cell.override(seed=62),
     ),
 }
+
+
+@cache
+def harnesses_in_one_batch():
+    """Every ``HARNESS_AXES`` plan run by ``run_plans``: the batches, and each fold."""
+    backend = RecordingBackend()
+    results = run_plans([run() for run, *_ in HARNESS_AXES.values()], backend)
+    return backend.batches, dict(zip(HARNESS_AXES, results))
 
 
 class TestRunCells:
@@ -97,7 +109,9 @@ class TestRunCells:
             remycc_scheme("delta1"),
         ]
         backend = RecordingBackend()
-        grid = run_cells(cells, schemes, n_runs=2, duration=0.5, base_seed=9, backend=backend)
+        [grid] = run_cells(
+            Grid(cells, schemes, n_runs=2, duration=0.5, base_seed=9), backend=backend
+        )
         [jobs] = backend.batches
         assert [len(per_scheme) for per_scheme in grid] == [3, 3]
         assert all(len(runs) == 2 for per_scheme in grid for runs in per_scheme)
@@ -114,7 +128,7 @@ class TestRunCells:
     def test_base_seed_defaults_to_each_cells_canonical_seed(self):
         cell = get_scenario("fig4-dumbbell8")
         backend = RecordingBackend()
-        run_cells([cell.name], n_runs=2, duration=0.5, backend=backend)
+        run_cells(Grid([cell.name], n_runs=2, duration=0.5), backend=backend)
         assert [job.seed for job in backend.batches[0]] == [
             sweep_seed(cell.name, cell.seed, 0),
             sweep_seed(cell.name, cell.seed, 1),
@@ -126,7 +140,7 @@ class TestRunCells:
 
         cell = get_scenario("competing-remy-cubic")
         backend = RecordingBackend()
-        [[[result]]] = run_cells([cell], n_runs=1, duration=1.0, backend=backend)
+        [[[[result]]]] = run_cells(Grid([cell], n_runs=1, duration=1.0), backend=backend)
         [[job]] = backend.batches
         assert job.protocols == cell.protocols and job.tree is None
         assert [type(p) for p in job.build_protocols()] == [RemyCCProtocol, CubicProtocol]
@@ -135,36 +149,30 @@ class TestRunCells:
     def test_n_runs_must_be_positive(self):
         for n_runs in (0, -1):
             with pytest.raises(ValueError, match="n_runs"):
-                run_cells(["fig4-dumbbell8"], n_runs=n_runs)
-
-    @pytest.mark.parametrize(
-        "run, kwargs",
-        [
-            (run_figure10, dict(n_runs=1, duration=0.5)),
-            (run_figure11, dict(n_runs=1, duration=0.5)),
-            (run_vs_compound, dict(n_runs=1, duration=0.5)),
-            (run_vs_cubic, dict(n_runs=1, duration=0.5)),
-            (run_datacenter, dict(scale=32, duration=0.2)),
-        ],
-        ids=["figure10", "figure11", "vs_compound", "vs_cubic", "datacenter"],
-    )
-    def test_a_figure_is_one_batch(self, run, kwargs):
-        # A process pool must see the whole figure at once, not drain
-        # between schemes, rows or link speeds.
-        backend = RecordingBackend()
-        run(backend=backend, **kwargs)
-        assert len(backend.batches) == 1
+                Grid(["fig4-dumbbell8"], n_runs=n_runs)
 
     @pytest.mark.parametrize("entry", sorted(HARNESS_AXES))
-    def test_a_harness_restates_nothing(self, entry, monkeypatch):
+    def test_every_harness_is_one_slice_of_one_batch(self, entry):
+        # A process pool sees all 11 harnesses at once, not one figure,
+        # scheme, row or link speed at a time, and each harness's slice
+        # folds to what the harness gives when run alone.
+        assert [run.func for run, *_ in HARNESS_AXES.values()] == [
+            harness.func for harness in HARNESSES.values()
+        ]
+        [jobs], results = harnesses_in_one_batch()
+        assert [job.job_id for job in jobs] == list(range(len(jobs)))
+        run, *_ = HARNESS_AXES[entry]
+        assert results[entry] == run().run()
+
+    @pytest.mark.parametrize("entry", sorted(HARNESS_AXES))
+    def test_a_harness_restates_nothing(self, entry):
         # Each job runs the registry cell but for the swept axis and the queue a
         # scheme (or the datacenter's DropTail RemyCC row) brings.
         run, cell_name, axis = HARNESS_AXES[entry]
         cell = get_scenario(cell_name)
         cell = axis(cell) if axis else cell
         backend = RecordingBackend()
-        monkeypatch.setattr(base, "SerialBackend", lambda: backend)
-        run()
+        run().run(backend)
         [jobs] = backend.batches
         spec = cell.network
         workloads = pickle.dumps(tuple(cell.make_workloads() or ()))
@@ -205,21 +213,21 @@ class TestBase:
 
 class TestDumbbell:
     def test_figure4_smoke(self):
-        result = run_cloud_figure(4, n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES)
+        result = run_cloud_figure(4, n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES).run()
         assert set(result.schemes()) == {s.name for s in FAST_SCHEMES}
         for summary in result.summaries.values():
             assert summary.n_points > 0
             assert summary.median_throughput_mbps() > 0
 
     def test_figure4_remy_outperforms_newreno(self):
-        result = run_cloud_figure(4, n_flows=4, n_runs=2, duration=12.0, schemes=FAST_SCHEMES)
+        result = run_cloud_figure(4, n_flows=4, n_runs=2, duration=12.0, schemes=FAST_SCHEMES).run()
         assert (
             result["Remy d=1"].median_throughput_mbps()
             > result["NewReno"].median_throughput_mbps()
         )
 
     def test_figure5_smoke(self):
-        result = run_cloud_figure(5, n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES)
+        result = run_cloud_figure(5, n_flows=4, n_runs=1, duration=8.0, schemes=FAST_SCHEMES).run()
         assert len(result.summaries) == len(FAST_SCHEMES)
 
 
@@ -227,24 +235,21 @@ class TestCellular:
     def test_a_pooled_figure7_equals_the_serial_run_and_ships_small_jobs(self):
         # The cell's trace rides its hop as a TraceSpec, re-described at the
         # run's duration: a job is a few scalars, not thousands of instants.
+        figure7 = run_cloud_figure(7, n_runs=2, duration=1.0, schemes=FAST_SCHEMES)
         recording = RecordingBackend()
-        def figure7(backend):
-            return run_cloud_figure(7, n_runs=2, duration=1.0, schemes=FAST_SCHEMES, backend=backend)
-
-        recording = RecordingBackend()
-        serial = figure7(recording)
+        serial = figure7.run(recording)
         [jobs] = recording.batches
         traces = {job.spec.forward[0].delivery_trace for job in jobs}
         assert traces == {TraceSpec("verizon", 1.0, 1)}
         assert max(len(pickle.dumps(job)) for job in jobs) <= 1024
         with ProcessPoolBackend(max_workers=2) as pool:
-            assert figure7(pool) == serial
+            assert figure7.run(pool) == serial
         assert all(summary.n_points for summary in serial.summaries.values())
 
 
 class TestConvergence:
     def test_flow_speeds_up_when_competitor_departs(self):
-        result = run_figure6(duration=16.0, departure_time=8.0)
+        result = run_figure6(duration=16.0, departure_time=8.0).run()
         assert result.rate_after_mbps > result.rate_before_mbps
         assert result.sequence_trace
         assert result.rate_after_mbps < result.link_rate_mbps * 1.05
@@ -256,7 +261,7 @@ class TestConvergence:
 
 class TestRttFairness:
     def test_share_profile_structure(self):
-        results = run_figure10(n_runs=1, duration=10.0)
+        results = run_figure10(n_runs=1, duration=10.0).run()
         assert {r.scheme for r in results} >= {"Cubic/sfqCoDel"}
         for result in results:
             assert len(result.shares) == len(FIGURE10_RTTS)
@@ -264,7 +269,7 @@ class TestRttFairness:
             assert 0 < result.jain <= 1.0
 
     def test_shorter_rtt_gets_no_smaller_share_for_cubic(self):
-        results = run_figure10(n_runs=2, duration=15.0)
+        results = run_figure10(n_runs=2, duration=15.0).run()
         cubic = next(r for r in results if r.scheme == "Cubic/sfqCoDel")
         # RTT unfairness: the 50 ms flow should do at least as well as the 200 ms flow.
         assert cubic.shares[0] >= cubic.shares[-1] - 0.05
@@ -272,7 +277,7 @@ class TestRttFairness:
 
 class TestDatacenter:
     def test_scaled_datacenter_run(self):
-        result = run_datacenter(scale=32, duration=1.5)
+        result = run_datacenter(scale=32, duration=1.5).run()
         assert result.n_flows == 2
         assert result.dctcp.mean_throughput_mbps > 0
         assert result.remycc.mean_throughput_mbps > 0
@@ -285,14 +290,14 @@ class TestDatacenter:
 
 class TestCompeting:
     def test_vs_cubic_produces_rows(self):
-        result = run_vs_cubic(mean_flow_bytes=(100e3,), n_runs=1, duration=10.0)
+        result = run_vs_cubic(mean_flow_bytes=(100e3,), n_runs=1, duration=10.0).run()
         assert len(result.rows) == 1
         row = result.rows[0]
         assert row.remy_mean_mbps > 0
         assert row.other_mean_mbps > 0
 
     def test_vs_compound_produces_rows(self):
-        result = run_vs_compound(off_times_seconds=(0.2,), n_runs=1, duration=10.0)
+        result = run_vs_compound(off_times_seconds=(0.2,), n_runs=1, duration=10.0).run()
         assert len(result.rows) == 1
         assert result.rows[0].other_name == "Compound"
 
@@ -303,7 +308,7 @@ class TestPriorKnowledge:
             link_speeds_mbps=(4.7, 15.0, 47.0),
             n_runs=1,
             duration=10.0,
-        )
+        ).run()
         assert {p.scheme for p in result.points} == {"RemyCC 1x", "RemyCC 10x", "Cubic/sfqCoDel"}
         # The 1x table should be at least competitive at its design point...
         at_design = result.score_at("RemyCC 1x", 15.0)

@@ -178,7 +178,7 @@ class TestRunSchemesSharding:
         # A multi-cell, multi-scheme grid in one run_cells call equals the
         # same (cell, scheme) points run one call at a time.
         from repro.analysis.summary import summarize_runs
-        from repro.experiments.base import SchemeSpec, run_cells
+        from repro.experiments.base import Grid, SchemeSpec, run_cells
         from repro.scenarios import ProtocolSpec, ScenarioSpec
 
         cells = [
@@ -202,11 +202,11 @@ class TestRunSchemesSharding:
         run_kwargs = dict(n_runs=2, duration=3.0, base_seed=9)
         batched = [
             summarize_runs(scheme.name, runs)
-            for cell_runs in run_cells(cells, schemes, **run_kwargs)
+            for cell_runs in run_cells(Grid(cells, schemes, **run_kwargs))[0]
             for scheme, runs in zip(schemes, cell_runs)
         ]
         individual = [
-            summarize_runs(scheme.name, run_cells([cell], [scheme], **run_kwargs)[0][0])
+            summarize_runs(scheme.name, run_cells(Grid([cell], [scheme], **run_kwargs))[0][0][0])
             for cell in cells
             for scheme in schemes
         ]

@@ -276,6 +276,7 @@ RETIRED = {
         "detect_octant_split", "detect_grid_partition", "grid_index", "replace_action",
         "map_actions", "bytes_delivered", "wasted_opportunities"), 49),
     **dict.fromkeys(("_heap_version", "cached_version", "initial_delay"), 50),
+    **dict.fromkeys(("from_runs",), 51),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -393,15 +394,14 @@ KNOBS = {
         "red_idle_decay_seconds", "xcp_rate_bps", "xcp_mean_rtt"],
     "repro.runner:ProcessPoolBackend.__init__": ["self", "max_workers"],
     "repro.experiments.clouds:run_cloud_figure": [
-        "figure", "n_runs", "duration", "schemes", "n_flows", "backend"],
-    "repro.experiments.convergence:run_figure6": ["duration", "departure_time", "backend"],
-    "repro.experiments.rtt_fairness:run_figure10": ["schemes", "n_runs", "duration", "backend"],
+        "figure", "n_runs", "duration", "schemes", "n_flows"],
+    "repro.experiments.convergence:run_figure6": ["duration", "departure_time"],
+    "repro.experiments.rtt_fairness:run_figure10": ["schemes", "n_runs", "duration"],
     "repro.experiments.prior_knowledge:run_figure11": [
-        "link_speeds_mbps", "schemes", "n_runs", "duration", "backend"],
-    "repro.experiments.datacenter:run_datacenter": ["scale", "duration", "backend"],
-    "repro.experiments.competing:run_vs_compound": [
-        "off_times_seconds", "n_runs", "duration", "backend"],
-    "repro.experiments.competing:run_vs_cubic": ["mean_flow_bytes", "n_runs", "duration", "backend"],
+        "link_speeds_mbps", "schemes", "n_runs", "duration"],
+    "repro.experiments.datacenter:run_datacenter": ["scale", "duration"],
+    "repro.experiments.competing:run_vs_compound": ["off_times_seconds", "n_runs", "duration"],
+    "repro.experiments.competing:run_vs_cubic": ["mean_flow_bytes", "n_runs", "duration"],
     "examples/train_remycc.py": [
         "--table", "--output", "--specimens", "--sim-duration", "--max-epochs",
         "--max-evaluations", "--paper-scale", "--seed", "--workers", "--checkpoint", "--resume"],

@@ -23,7 +23,7 @@ from repro.core.serialization import (
 from repro.netsim.packet import AckInfo
 from repro.protocols.remycc import RemyCCProtocol
 from repro.runner.jobs import whisker_tree_token
-from repro.experiments.base import remycc_scheme, run_cells
+from repro.experiments.base import Grid, remycc_scheme, run_cells
 from repro.scenarios import ProtocolSpec, get_scenario
 from repro.scenarios.spec import build_protocols
 
@@ -281,9 +281,11 @@ class TestSharedTables:
         as_loaded = [(TOKENS[name], pretrained_remycc(name).usage()) for name in names]
         for _ in range(2):
             # A cell's own RemyCC flows, then two RemyCC schemes over a cell.
-            run_cells(["bench-remy-droptail"], n_runs=1, duration=0.5)
-            run_cells(["fig4-dumbbell8"], [remycc_scheme("delta10"), remycc_scheme("coexist")],
-                      n_runs=1, duration=0.5)
+            run_cells(
+                Grid(["bench-remy-droptail"], n_runs=1, duration=0.5),
+                Grid(["fig4-dumbbell8"], [remycc_scheme("delta10"), remycc_scheme("coexist")],
+                     n_runs=1, duration=0.5),
+            )
             assert [(whisker_tree_token(tree), tree.usage()) for tree in shared] == as_loaded
         again = [protocol.tree for protocol in build_protocols(specs, len(specs))]
         assert all(tree is first for tree, first in zip(again, shared))

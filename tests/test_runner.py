@@ -309,7 +309,7 @@ class TestScenarioJobs:
         # worker's registry; run_cells resolves the name here, and its jobs
         # carry the topology and the protocol specs, never the name.
         from dataclasses import replace
-        from repro.experiments.base import run_cells
+        from repro.experiments.base import Grid, run_cells
         from repro.scenarios import (
             get_scenario,
             register_scenario,
@@ -321,9 +321,9 @@ class TestScenarioJobs:
         custom = replace(base, name="runtime-only-cell", duration=1.0, smoke=False)
         register_scenario(custom)
         try:
-            [[[serial]]] = run_cells(["runtime-only-cell"], n_runs=1)
+            [[[[serial]]]] = run_cells(Grid(["runtime-only-cell"], n_runs=1))
             with ProcessPoolBackend(max_workers=1) as backend:
-                [[[pooled]]] = run_cells(["runtime-only-cell"], n_runs=1, backend=backend)
+                [[[[pooled]]]] = run_cells(Grid(["runtime-only-cell"], n_runs=1), backend=backend)
         finally:
             unregister_scenario("runtime-only-cell")
         assert simulation_fingerprint(pooled) == simulation_fingerprint(serial)
@@ -337,11 +337,11 @@ class TestUnknownNamesFailFast:
             ProtocolSpec("nope")
 
     def test_unknown_table_name_fails_before_the_pool(self):
-        from repro.experiments.base import remycc_scheme, run_cells
+        from repro.experiments.base import Grid, remycc_scheme, run_cells
 
         with ProcessPoolBackend(max_workers=1) as backend:
             with pytest.raises(ValueError, match="'delta2'.*delta1"):
-                run_cells(["fig4-dumbbell8"], [remycc_scheme("delta2")], n_runs=1,
+                run_cells(Grid(["fig4-dumbbell8"], [remycc_scheme("delta2")], n_runs=1),
                           backend=backend)
             # No worker was ever spawned.
             assert backend._executor is None
@@ -469,7 +469,7 @@ class TestRunSchemeBackends:
     def test_run_scheme_identical_under_process_pool(self):
         # A scheme's run_cells fan-out, serial vs. pooled.
         from repro.analysis.summary import summarize_runs
-        from repro.experiments.base import SchemeSpec, remycc_scheme, run_cells
+        from repro.experiments.base import Grid, SchemeSpec, remycc_scheme, run_cells
         from repro.scenarios import ScenarioSpec
         from repro.traffic.onoff import ByteFlowWorkload
 
@@ -484,8 +484,8 @@ class TestRunSchemeBackends:
         )
 
         def summary_of(scheme, backend=None):
-            [[runs]] = run_cells(
-                [cell], [scheme], n_runs=2, duration=4.0, base_seed=0, backend=backend
+            [[[runs]]] = run_cells(
+                Grid([cell], [scheme], n_runs=2, duration=4.0, base_seed=0), backend=backend
             )
             return summarize_runs(scheme.name, runs)
 
@@ -502,7 +502,7 @@ class TestRunSchemeBackends:
         import pickle
 
         from repro.analysis.study import study_schemes
-        from repro.experiments.base import run_cells
+        from repro.experiments.base import Grid, run_cells
 
         class Recording(SerialBackend):
             def run_batch(self, jobs):
@@ -510,7 +510,8 @@ class TestRunSchemeBackends:
                 return super().run_batch(jobs)
 
         backend = Recording()
-        run_cells(["fig4-dumbbell8"], study_schemes(), n_runs=1, duration=0.2, backend=backend)
+        run_cells(Grid(["fig4-dumbbell8"], study_schemes(), n_runs=1, duration=0.2),
+                  backend=backend)
         shipped = pickle.loads(pickle.dumps(prepare_jobs(backend.jobs)))
         assert [job.protocols for job in shipped] == [job.protocols for job in backend.jobs]
         assert all(job.tree is None for job in shipped)

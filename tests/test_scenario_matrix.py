@@ -280,7 +280,7 @@ class TestScenarioSweep:
 
     def test_sweep_grid_shape_and_determinism(self):
         from repro.analysis.summary import summarize_runs
-        from repro.experiments.base import SchemeSpec, run_cells
+        from repro.experiments.base import Grid, SchemeSpec, run_cells
 
         schemes = [
             SchemeSpec("NewReno", ProtocolSpec("newreno")),
@@ -289,7 +289,7 @@ class TestScenarioSweep:
         cells = ["parking-lot-2bn", "reverse-ack-congestion"]
 
         def sweep():
-            grid = run_cells(cells, schemes, n_runs=2, duration=1.0)
+            [grid] = run_cells(Grid(cells, schemes, n_runs=2, duration=1.0))
             return {
                 cell: [
                     summarize_runs(scheme.name, runs)

@@ -4,10 +4,11 @@ Usage (no flags)::
 
     PYTHONPATH=src python tools/claims.py
 
-Runs each harness of ``repro.experiments.claims.HARNESSES`` once and writes
-one section per call, with both measured sides of each of its claims.  The
-simulations are bit-reproducible and values print to six significant digits,
-so CI regenerates the file and diffs it against the committed copy.  A row of
+Runs the plans of all of ``repro.experiments.claims.HARNESSES`` as one batch on
+a process pool and writes one section per harness, with both measured sides of
+each of its claims.  The simulations are bit-reproducible (pooled equals
+serial) and values print to six significant digits, so CI regenerates the file
+and diffs it against the committed copy.  A row of
 ``XFAIL`` is expected to fail and prints as ``xfail``.  Exits 1 if any other
 row fails, or if an ``XFAIL`` row holds.
 """
@@ -18,7 +19,9 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from repro.experiments.base import run_plans
 from repro.experiments.claims import CLAIMS, HARNESSES, XFAIL, Side
+from repro.runner import ProcessPoolBackend
 
 OUT = Path(__file__).resolve().parent.parent / "results" / "CLAIMS.md"
 
@@ -54,8 +57,9 @@ def main() -> int:
         "with the paper (`xfail`).  No row compares a ratio or a throughput with 0.",
     ]
     status = []
-    for key, harness in HARNESSES.items():
-        result = harness()
+    with ProcessPoolBackend() as pool:
+        results = run_plans([harness() for harness in HARNESSES.values()], pool)
+    for (key, harness), result in zip(HARNESSES.items(), results):
         args = [repr(arg) for arg in harness.args]
         args += [f"{name}={value!r}" for name, value in harness.keywords.items()]
         lines += [

@@ -53,7 +53,7 @@ def extras_fingerprint() -> dict:
     from repro.core.serialization import pretrained_remycc
     from repro.analysis.summary import summarize_runs
     from repro.core.whisker_tree import WhiskerTree
-    from repro.experiments.base import SchemeSpec, run_cells
+    from repro.experiments.base import Grid, SchemeSpec, run_cells
     from repro.experiments.clouds import run_cloud_figure
     from repro.netsim.path import PathSpec
     from repro.netsim.simulator import Simulation
@@ -105,7 +105,7 @@ def extras_fingerprint() -> dict:
         SchemeSpec("NewReno", ProtocolSpec("newreno")),
         SchemeSpec("Vegas", ProtocolSpec("vegas")),
     ]
-    result = run_cloud_figure(4, n_flows=3, n_runs=2, duration=3.0, schemes=schemes)
+    result = run_cloud_figure(4, n_flows=3, n_runs=2, duration=3.0, schemes=schemes).run()
     fp["figure4-mini"] = {
         name: {
             "tputs": [repr(v) for v in summary.throughputs_mbps],
@@ -117,7 +117,7 @@ def extras_fingerprint() -> dict:
     # Multi-cell grid (multi-bottleneck and congested-reverse topologies
     # through the scheme/backend job path).
     cells = ["parking-lot-2bn", "reverse-ack-congestion"]
-    grid = run_cells(cells, schemes, n_runs=2, duration=1.5)
+    [grid] = run_cells(Grid(cells, schemes, n_runs=2, duration=1.5))
     fp["path-sweep-mini"] = {}
     for cell, cell_runs in zip(cells, grid):
         fp["path-sweep-mini"][cell] = {}
