@@ -14,15 +14,21 @@ Two contracts:
 
 from __future__ import annotations
 
+import ast
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.netsim.events import EventScheduler
 from repro.netsim.path import LinkSpec, PathSpec
 from repro.netsim.simulator import Simulation
 from repro.protocols.newreno import NewReno
 from repro.scenarios import all_scenarios, simulation_fingerprint
-from tools import profile_hotpath
+from tools import count
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The two-lane shape: a constant-rate dumbbell, one RTT for every flow.
 FLAT_SPEC = PathSpec.dumbbell(
@@ -183,25 +189,68 @@ class TestParity:
 
 
 # ---------------------------------------------------------------------------
-# tools/profile_hotpath.py: the lanes-vs-heap timing the bench CI job runs
+# tools/count.py: the exact work counts the bench CI job prints
 # ---------------------------------------------------------------------------
-class TestProfileTool:
-    def test_compare_kernels_prints_both_rates(self, capsys):
-        profile_hotpath.main(["--compare-kernels", "--reps", "1", "bench-newreno-droptail"])
-        [line] = capsys.readouterr().out.splitlines()
-        assert line.startswith("bench-newreno-droptail: ")
-        assert "| heap " in line and "| lanes " in line and "ev/s" in line
-        assert "lanes speedup" in line
+CELL = "bench-newreno-droptail"
 
-    @pytest.mark.parametrize("reps", ["0", "-1"])
-    def test_compare_kernels_rejects_fewer_than_one_rep(self, capsys, reps):
-        with pytest.raises(SystemExit) as exit_info:
-            profile_hotpath.main(["--compare-kernels", "--reps", reps, "bench-newreno-droptail"])
-        assert exit_info.value.code == 2
-        assert "usage:" in capsys.readouterr().err
 
-    def test_the_flat_spelling_is_rejected(self, capsys):
+def _events_by_kind(row):
+    return {key: n for key, n in row.items() if key.startswith("events")}
+
+
+class TestCountTool:
+    @pytest.fixture(autouse=True)
+    def one_second_slice(self, monkeypatch):
+        monkeypatch.setattr(count, "SLICE", 1.0)
+
+    def test_two_counts_of_a_slice_are_equal(self):
+        first, second = (count.count(lambda: count.run_cell(CELL, Simulation)) for _ in range(2))
+        assert first == second
+        assert first["opcodes"] > first["calls"] > first["events"] > 0
+
+    def test_event_kinds_reconcile_with_events_processed(self):
+        # count() checks frames - re-checks == events_processed itself; here
+        # the RTO re-checks (uncount_event) do fire, so the check has teeth.
+        row = count.count(lambda: count.run_cell(CELL, Simulation))
+        frames = sum(n for key, n in row.items() if key.startswith("events: "))
+        assert row["events: Sender._rto_fire"] > frames - row["events"] > 0
+
+    def test_a_miscounted_event_is_caught(self, monkeypatch):
+        def uncount_twice(scheduler):
+            scheduler._processed -= 2
+
+        monkeypatch.setattr(EventScheduler, "uncount_event", uncount_twice)
+        with pytest.raises(SystemExit, match="re-checks are not"):
+            count.count(lambda: count.run_cell(CELL, Simulation))
+
+    def test_lanes_off_runs_the_lanes_events_by_kind(self, monkeypatch):
+        rows = {}
+        monkeypatch.setattr(count, "show", lambda name, row, parent: rows.update({name: row}))
+        count.main(["--kernels", CELL])  # exits non-zero if they differ
+        assert list(rows) == [CELL, f"{CELL} lanes-off", f"{CELL} eager-off"]
+        assert _events_by_kind(rows[f"{CELL} lanes-off"]) == _events_by_kind(rows[CELL])
+        assert rows[f"{CELL} eager-off"]["events"] > rows[CELL]["events"]
+
+    def test_compare_against_its_own_tree_reads_one(self, capsys):
+        count.main(["--compare", str(REPO_ROOT), CELL])
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert header == f"{CELL}: change / parent, per simulated second"
+        assert len(lines) > 3
+        assert all(re.search(r" 1\.000( +[0-9.]+%)?$", line) for line in lines), lines
+
+    def test_an_unknown_cell_names_the_registry(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            profile_hotpath.main(["--kernel", "flat", "bench-newreno-droptail"])
+            count.main(["no-such-cell"])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown cell 'no-such-cell'; the registry: " in err and CELL in err
+
+    def test_the_default_cells_are_the_sim_long_cells(self):
+        # bench/metrics.py is read, not imported: the counter and
+        # netsim.ns_per_event.<cell> name the same cells.
+        metrics = ast.parse((REPO_ROOT / "bench" / "metrics.py").read_text())
+        [cells] = [
+            node.value for node in metrics.body
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "SIM_LONG_CELLS"
+        ]
+        assert count.DEFAULT_CELLS == ast.literal_eval(cells)

@@ -277,6 +277,7 @@ RETIRED = {
         "map_actions", "bytes_delivered", "wasted_opportunities"), 49),
     **dict.fromkeys(("_heap_version", "cached_version", "initial_delay"), 50),
     **dict.fromkeys(("from_runs",), 51),
+    **dict.fromkeys(("tools/profile_hotpath.py", "profile_hotpath", "compare_kernels"), 52),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -579,24 +580,24 @@ class TestOneScheduler:
         assert [node.name for node in kernel if isinstance(node, ast.ClassDef)] == []
 
     def test_the_lanes_are_a_private_class_attribute_and_add_no_knob(self):
-        # Only the parity reference (tests/conftest.py) and the profiling
-        # tool's lanes-vs-heap timing override it.
+        # Only the parity references (tests/conftest.py, tools/count.py) override it.
         assert_knobs("repro.netsim.simulator:Simulation.__init__")
         overrides = lines_matching(r"^\s*_lanes = ", "src", "tests", "tools", "examples")
         assert overrides == [
             ("src/repro/netsim/simulator.py", "_lanes = True"),
             ("tests/conftest.py", "_lanes = False"),  # heap only
             ("tests/conftest.py", "_lanes = False"),  # the event path, heap only
-            ("tools/profile_hotpath.py", "_lanes = False"),
+            ("tools/count.py", "_lanes = False"),
         ]
 
     def test_the_eager_fifo_is_a_private_class_attribute_and_adds_no_knob(self):
-        # Only the event-path references (tests/conftest.py) override it.
+        # Only the event-path references (tests/conftest.py, tools/count.py) override it.
         assert_knobs("repro.netsim.simulator:Simulation.__init__")
         overrides = lines_matching(r"^\s*_eager = ", "src", "tests", "tools", "examples")
         assert overrides == [
             ("src/repro/netsim/simulator.py", "_eager = True"),
             ("tests/conftest.py", "_eager = False"),
+            ("tools/count.py", "_eager = False"),
         ]
 
 
