@@ -56,7 +56,7 @@ from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.optimizer import OptimizerSettings, RemyOptimizer, design_inputs
 from repro.core.serialization import save_json_atomic, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
-from repro.runner import backend_from_spec
+from repro.runner import ProcessPoolBackend, SerialBackend
 
 
 def main() -> None:
@@ -106,12 +106,7 @@ def main() -> None:
         parser.error(f"--workers must be >= 0, got {args.workers}")
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint PATH")
-    if args.workers == 1:
-        backend = backend_from_spec("serial")
-    elif args.workers == 0:
-        backend = backend_from_spec("process")
-    else:
-        backend = backend_from_spec(f"process:{args.workers}")
+    backend = SerialBackend() if args.workers == 1 else ProcessPoolBackend(args.workers or None)
 
     design_range, objective = TABLES[args.table]
     evaluator = Evaluator(design_range, objective, evaluator_settings, backend=backend)

@@ -20,12 +20,17 @@ A training evaluation's rule-usage statistics take one path on every backend:
 each job returns its own per-rule summary and the evaluator *sets* the tree's
 statistics to their fold, in specimen order — so scores, use counts and split
 points are a pure function of the ordered jobs, whatever ran them.
+
+An evaluation's outcome is one frozen :class:`EvaluationResult`: the score,
+the per-specimen scores it is the mean of, and the sealed and truncated
+simulation counts.  It holds nothing per flow, so the optimizer's design memo
+keeps it as it is.
 """
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.core.config import ConfigRange, NetConfig
@@ -50,42 +55,24 @@ def specimen_seed(evaluator_seed: int, specimen_index: int) -> int:
     return mix_seed("remy-specimen", evaluator_seed, specimen_index)
 
 
-@dataclass
-class FlowScore:
-    """Score and raw metrics for one sender in one specimen."""
-
-    specimen_index: int
-    flow_id: int
-    throughput_bps: float
-    #: As measured: 0.0 when no RTT was sampled (the score falls back to the
-    #: base RTT, see :meth:`~repro.core.objective.Objective.score_stats`).
-    avg_rtt_seconds: float
-    avg_queue_delay_seconds: float
-    score: float
-
-
-@dataclass
+@dataclass(frozen=True)
 class EvaluationResult:
-    """Outcome of evaluating one rule table over the specimen set."""
+    """One evaluation of one rule table over the specimen set: the objective
+    per specimen and its mean, which is all the search reads and what the
+    design memo keeps."""
 
     score: float
-    flow_scores: list[FlowScore] = field(default_factory=list)
-    specimen_scores: list[float] = field(default_factory=list)
-    specimens: list[NetConfig] = field(default_factory=list)
-    simulations: int = 0
+    #: Per specimen, in specimen order: the mean objective over its scored senders.
+    specimen_scores: tuple[float, ...]
     #: How many of those simulations sealed a drowned bottleneck (their
     #: send-side counters stop at the seal; the score is unaffected) and how
     #: many ran out of ``max_events_per_sim`` (the score covers a prefix).
     sealed_simulations: int = 0
     truncated_simulations: int = 0
 
-    def mean_throughput_mbps(self) -> float:
-        values = [fs.throughput_bps / 1e6 for fs in self.flow_scores]
-        return statistics.fmean(values) if values else 0.0
-
-    def mean_queue_delay_ms(self) -> float:
-        values = [fs.avg_queue_delay_seconds * 1000 for fs in self.flow_scores]
-        return statistics.fmean(values) if values else 0.0
+    @property
+    def simulations(self) -> int:
+        return len(self.specimen_scores)
 
 
 @dataclass
@@ -240,43 +227,25 @@ class Evaluator:
             whisker.set_usage([job_result.whisker_stats[index] for job_result in batch])
 
     def _score_tree(self, batch) -> EvaluationResult:
-        flow_scores: list[FlowScore] = []
         specimen_scores: list[float] = []
-        for index, (specimen, job_result) in enumerate(zip(self.specimens, batch)):
-            scores = self._score_specimen(job_result.result, specimen, index)
-            flow_scores.extend(scores)
-            per_flow = [fs.score for fs in scores]
+        for specimen, job_result in zip(self.specimens, batch):
+            per_flow = self._score_specimen(job_result.result, specimen)
             specimen_scores.append(statistics.fmean(per_flow) if per_flow else 0.0)
-        total = statistics.fmean(specimen_scores) if specimen_scores else 0.0
         return EvaluationResult(
-            score=total,
-            flow_scores=flow_scores,
-            specimen_scores=specimen_scores,
-            specimens=list(self.specimens),
-            simulations=len(self.specimens),
+            score=statistics.fmean(specimen_scores),
+            specimen_scores=tuple(specimen_scores),
             sealed_simulations=sum(
                 jr.result.sealed_at is not None for jr in batch
             ),
             truncated_simulations=sum(jr.result.truncated for jr in batch),
         )
 
-    def _score_specimen(
-        self, result: SimulationResult, specimen: NetConfig, index: int
-    ) -> list[FlowScore]:
+    def _score_specimen(self, result: SimulationResult, specimen: NetConfig) -> list[float]:
+        """The objective of every sender that has a score, in flow order."""
         fair_share = specimen.link_speed_bps / specimen.n_senders
         scores = []
         for stats in result.flow_stats:
             score = self.objective.score_stats(stats, fair_share, specimen.rtt_seconds)
-            if score is None:
-                continue
-            scores.append(
-                FlowScore(
-                    specimen_index=index,
-                    flow_id=stats.flow_id,
-                    throughput_bps=stats.throughput_bps(),
-                    avg_rtt_seconds=stats.avg_rtt(),
-                    avg_queue_delay_seconds=stats.avg_queue_delay(),
-                    score=score,
-                )
-            )
+            if score is not None:
+                scores.append(score)
         return scores

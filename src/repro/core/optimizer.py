@@ -42,7 +42,9 @@ ProgressCallback = Callable[[str, "OptimizerState"], None]
 
 #: ``kind`` marker distinguishing checkpoints from plain RemyCC files.
 CHECKPOINT_KIND = "remy-optimizer-checkpoint"
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
+#: The search stops splitting rules at this many.
+MAX_RULES = 256
 
 
 def design_inputs(evaluator: Evaluator) -> dict[str, Any]:
@@ -69,7 +71,6 @@ class OptimizerSettings:
     candidate_magnitudes: int = 1
     max_epochs: int = 8
     max_evaluations: int = 400
-    max_rules: int = 256
     improvement_threshold: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -82,24 +83,6 @@ class OptimizerSettings:
         if not (math.isfinite(self.improvement_threshold) and self.improvement_threshold >= 0):
             # Negative accepts worse actions; NaN accepts none.
             raise ValueError("improvement_threshold must be finite and non-negative")
-
-
-@dataclass(frozen=True)
-class ScoreCard:
-    """What the search reads of one evaluation: its score and its counts.
-
-    The design memo keeps these, not :class:`EvaluationResult`\\ s, whose
-    per-flow lists grow with the specimen set.
-    """
-
-    score: float
-    simulations: int
-    sealed_simulations: int
-    truncated_simulations: int
-
-    @classmethod
-    def of(cls, r: EvaluationResult) -> "ScoreCard":
-        return cls(r.score, r.simulations, r.sealed_simulations, r.truncated_simulations)
 
 
 @dataclass
@@ -115,7 +98,6 @@ class OptimizerState:
     #: Simulations, over all evaluations so far, that sealed a drowned
     #: bottleneck (harmless: scores are exact) or ran out of
     #: ``max_events_per_sim`` (not harmless: the score covers a prefix).
-    #: Defaulted so checkpoints written before these existed still load.
     sealed_simulations: int = 0
     truncated_simulations: int = 0
     #: Evaluations, of ``evaluations_used``, whose result the design memo
@@ -146,7 +128,7 @@ class RemyOptimizer:
         )
         #: The design memo: every rule table scored since the last split,
         #: keyed by its rules' actions in depth-first order.
-        self._memo: dict[tuple[Action, ...], ScoreCard] = {}
+        self._memo: dict[tuple[Action, ...], EvaluationResult] = {}
 
     # ------------------------------------------------------------------ helpers
     def _notify(self, message: str) -> None:
@@ -160,7 +142,7 @@ class RemyOptimizer:
             or self.state.global_epoch >= self.settings.max_epochs
         )
 
-    def _record(self, result: ScoreCard) -> None:
+    def _record(self, result: EvaluationResult) -> None:
         """Charge one budget unit and fold ``result`` into the state."""
         state = self.state
         state.evaluations_used += 1
@@ -181,8 +163,8 @@ class RemyOptimizer:
                 result.score,
             )
 
-    def _evaluate(self, training: bool = True) -> ScoreCard:
-        result = ScoreCard.of(self.evaluator.evaluate(self.tree, training=training))
+    def _evaluate(self, training: bool = True) -> EvaluationResult:
+        result = self.evaluator.evaluate(self.tree, training=training)
         self._record(result)
         return result
 
@@ -360,7 +342,7 @@ class RemyOptimizer:
                 f"(action {whisker.action.as_tuple()})"
             )
 
-    def _improve_whisker(self, whisker: Whisker, incumbent: ScoreCard) -> ScoreCard:
+    def _improve_whisker(self, whisker: Whisker, incumbent: EvaluationResult) -> EvaluationResult:
         """Step 3: hill-climb the rule's action over its candidate neighbourhood.
 
         ``incumbent`` is the evaluation of the tree as it stands; the result
@@ -399,7 +381,7 @@ class RemyOptimizer:
             if fresh:
                 trees = self._candidate_trees(slot, fresh)
                 results = self.evaluator.evaluate_many(trees, training=False)
-                memo.update((table(a), ScoreCard.of(r)) for a, r in zip(fresh, results))
+                memo.update(zip(map(table, fresh), results))
             self.state.remembered_evaluations += len(candidates) - len(fresh)
             best_action = whisker.action
             for candidate in candidates:
@@ -422,7 +404,7 @@ class RemyOptimizer:
         produces the octree structure its epoch count implies.  No table of
         the old shape can come back, so the design memo is cleared.
         """
-        if len(self.tree) >= self.settings.max_rules:
+        if len(self.tree) >= MAX_RULES:
             return
         self._evaluate(training=True)
         whisker = self.tree.most_used()

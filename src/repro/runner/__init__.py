@@ -18,7 +18,6 @@ from repro.runner.backends import (
     ProcessPoolBackend,
     SerialBackend,
     available_workers,
-    backend_from_spec,
     prepare_jobs,
 )
 from repro.runner.faults import FaultPlan, active_fault_plan, fault_plan_installed
@@ -40,7 +39,6 @@ __all__ = [
     "SimJobResult",
     "active_fault_plan",
     "available_workers",
-    "backend_from_spec",
     "chunk_result_mismatch",
     "fault_plan_installed",
     "mix_seed",

@@ -235,34 +235,3 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ProcessPoolBackend(max_workers={self.max_workers})"
-
-
-#: Grammar reminder appended to every spec-format error.
-_SPEC_GRAMMAR = (
-    "expected 'serial' or 'process[:workers]' (workers a positive integer; "
-    "without it, one per available CPU)."
-)
-
-
-def backend_from_spec(spec: str) -> ExecutionBackend:
-    """Build a backend from a CLI-style spec string.
-
-    ``"serial"`` → :class:`SerialBackend`; ``"process"`` →
-    :class:`ProcessPoolBackend` with one worker per available CPU;
-    ``"process:N"`` → a pool of exactly N workers.  Malformed specs raise a
-    :class:`ValueError` that restates the grammar.
-    """
-    name, _, workers = spec.partition(":")
-    if name not in ("serial", "process"):
-        raise ValueError(
-            f"unknown backend spec {spec!r}: family {name!r} is not one of "
-            f"'serial' or 'process'; {_SPEC_GRAMMAR}"
-        )
-    if not workers:
-        return SerialBackend() if name == "serial" else ProcessPoolBackend()
-    if name == "serial" or not (workers.isdecimal() and int(workers) > 0):
-        raise ValueError(
-            f"invalid backend spec {spec!r}: {workers!r} is not a workers field "
-            f"(a positive integer, after 'process' only); {_SPEC_GRAMMAR}"
-        )
-    return ProcessPoolBackend(int(workers))

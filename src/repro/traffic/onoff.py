@@ -20,6 +20,9 @@ from repro.netsim.packet import DATA_PACKET_BYTES
 from repro.netsim.sender import FlowDemand, Workload
 from repro.traffic.distributions import ConstantDistribution, Distribution, ExponentialDistribution
 
+#: The shortest on period a :class:`TimedFlowWorkload` draws, in seconds.
+MIN_ON_SECONDS = 0.01
+
 
 class FixedOnPeriodWorkload(Workload):
     """On from ``start`` for exactly ``duration`` seconds, then off forever.
@@ -110,14 +113,10 @@ class TimedFlowWorkload(OnOffWorkload):
         self,
         on_duration: Distribution,
         mean_off_seconds: float,
-        min_seconds: float = 0.01,
         start_on: bool = False,
     ):
         super().__init__(mean_off_seconds, start_on=start_on)
-        if not min_seconds > 0:  # NaN-failing form
-            raise ValueError(f"min_seconds must be positive, got {min_seconds!r}")
         self.on_duration = on_duration
-        self.min_seconds = min_seconds
 
     @classmethod
     def exponential(
@@ -130,5 +129,5 @@ class TimedFlowWorkload(OnOffWorkload):
         return cls(ExponentialDistribution(mean_on_seconds), mean_off_seconds, **kwargs)
 
     def next_flow(self, rng: random.Random) -> FlowDemand:
-        duration = max(self.min_seconds, self.on_duration.sample(rng))
+        duration = max(MIN_ON_SECONDS, self.on_duration.sample(rng))
         return FlowDemand(duration=duration)

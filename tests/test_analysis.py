@@ -226,13 +226,13 @@ class TestStudy:
         assert self.synthetic().frontier_appearances() == [("a", 2), ("b", 2), ("dominated", 0)]
 
     def test_tool_reaps_its_worker_pool(self, capsys):
-        args = ["--jobs", "2", "--cells", "fig4-dumbbell8", "--runs", "1", "--duration", "0.5"]
+        args = ["--workers", "2", "--cells", "fig4-dumbbell8", "--runs", "1", "--duration", "0.5"]
         assert run_study_tool.main(args + ["--out", "-"]) == 0
         assert "| NewReno" in capsys.readouterr().out
         assert multiprocessing.active_children() == []
 
     def test_tool_rejects_a_negative_worker_count(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            run_study_tool.main(["--jobs", "-1", "--cells", "fig4-dumbbell8", "--out", "-"])
+            run_study_tool.main(["--workers", "-1", "--cells", "fig4-dumbbell8", "--out", "-"])
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err

@@ -254,9 +254,11 @@ class TestEvaluatorScoresServableFlows:
     def test_an_unservable_flow_leaves_the_score_bit_identical(self):
         plain = self.score()
         added = self.score(AddsAFlow(on_time=self.RTT * 0.99))
-        assert added.score == plain.score  # bit for bit
-        assert added.flow_scores == plain.flow_scores
-        # The same flow on for one base RTT is scored, and it moves the score.
+        assert added == plain  # bit for bit, every specimen's score too
+        # The same flow on for one base RTT is scored in both specimens, and
+        # it moves each one's score.
         served = self.score(AddsAFlow(on_time=self.RTT))
-        assert [fs.flow_id for fs in served.flow_scores].count(99) == 2
+        assert len(served.specimen_scores) == 2
+        for served_score, plain_score in zip(served.specimen_scores, plain.specimen_scores):
+            assert served_score != plain_score
         assert served.score != plain.score

@@ -5,8 +5,8 @@ evaluator seeds) the default rule table and the synthesized ``delta1`` table
 are scored, and every simulation the evaluator runs is recorded.  No
 specimen's flows together receive more than its link can carry in the run,
 and no sampled RTT is shorter than the specimen's base RTT.  The RTT is the
-raw ``FlowScore.avg_rtt_seconds``: the objective clamps it to the base RTT,
-which would hide a violation.
+raw ``FlowStats.avg_rtt()`` of the recorded run: the objective clamps it to
+the base RTT, which would hide a violation.
 
 One flow alone may show more than the link rate: a timed on-period's
 throughput is its bytes over its on-time, and bytes that arrive after the
@@ -48,7 +48,7 @@ def test_no_score_beats_the_physics(seed, table):
         design_range, objective,
         EvaluatorSettings(num_specimens=4, sim_duration=4.0, seed=seed), backend=backend,
     )
-    evaluation = evaluator.evaluate(TABLES_SCORED[table](), training=False)
+    evaluator.evaluate(TABLES_SCORED[table](), training=False)
 
     assert len(backend.runs) == 4
     shares = []
@@ -58,8 +58,12 @@ def test_no_score_beats_the_physics(seed, table):
     assert max(shares) > 0.1  # a specimen whose senders all stay off reads 0
     assert max(shares) <= 1 + 1e-9
 
-    sampled = [score for score in evaluation.flow_scores if score.avg_rtt_seconds > 0.0]
+    sampled = [
+        (stats.avg_rtt(), job.spec.rtt_for_flow(stats.flow_id))
+        for job, job_result in backend.runs
+        for stats in job_result.result.flow_stats
+        if stats.avg_rtt() > 0.0
+    ]
     assert sampled
-    for score in sampled:
-        base_rtt = evaluation.specimens[score.specimen_index].rtt_seconds
-        assert score.avg_rtt_seconds >= base_rtt
+    for avg_rtt, base_rtt in sampled:
+        assert avg_rtt >= base_rtt

@@ -278,6 +278,9 @@ RETIRED = {
     **dict.fromkeys(("_heap_version", "cached_version", "initial_delay"), 50),
     **dict.fromkeys(("from_runs",), 51),
     **dict.fromkeys(("tools/profile_hotpath.py", "profile_hotpath", "compare_kernels"), 52),
+    **dict.fromkeys((
+        "ScoreCard", "FlowScore", "flow_scores", "backend_from_spec", "_SPEC_GRAMMAR",
+        "min_seconds", "--jobs"), 53),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -361,7 +364,7 @@ def test_bench_is_the_one_yardstick():
 #: one recovery rule, the one scheduler or a figure harness's sweep axis.
 KNOBS = {
     "repro.core.optimizer:OptimizerSettings": [
-        "epochs_per_split", "candidate_magnitudes", "max_epochs", "max_evaluations", "max_rules",
+        "epochs_per_split", "candidate_magnitudes", "max_epochs", "max_evaluations",
         "improvement_threshold"],
     "repro.core.optimizer:OptimizerState": [
         "global_epoch", "evaluations_used", "improvements", "splits", "best_score",

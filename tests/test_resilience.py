@@ -35,7 +35,6 @@ from repro.runner import (
     SerialBackend,
     SimJob,
     active_fault_plan,
-    backend_from_spec,
     chunk_result_mismatch,
     fault_plan_installed,
     run_sim_job,
@@ -218,53 +217,6 @@ class TestResilientBackend:
         with ProcessPoolBackend(max_workers=1) as backend:
             assert backend.run_batch([]) == []
             assert backend._executor is None  # no pool for nothing
-
-
-# ---------------------------------------------------------------------------
-# Spec grammar
-# ---------------------------------------------------------------------------
-GRAMMAR = "process[:workers]"
-
-
-class TestSpecGrammar:
-    def test_retries_field_is_rejected(self):
-        for spec in ("process:2:4:3", "process:::3", "process:2:4", "process::4"):
-            with pytest.raises(ValueError) as excinfo:
-                backend_from_spec(spec)
-            assert GRAMMAR in str(excinfo.value)
-            assert "retries" not in str(excinfo.value)
-
-    def test_plain_process_specs_still_plain(self):
-        with backend_from_spec("process:2") as backend:
-            assert type(backend) is ProcessPoolBackend
-            assert backend.max_workers == 2
-
-    @pytest.mark.parametrize(
-        "spec", ["process:x", "process:0", "process:-2", "process:1:2:3:4", "serial:2", "gpu"]
-    )
-    def test_malformed_specs_raise_instructive_errors(self, spec):
-        with pytest.raises(ValueError) as excinfo:
-            backend_from_spec(spec)
-        assert GRAMMAR in str(excinfo.value)
-
-    def test_field_name_in_error(self):
-        with pytest.raises(ValueError, match="workers"):
-            backend_from_spec("process:zero")
-        with pytest.raises(ValueError, match="'1:huge' is not a workers field"):
-            backend_from_spec("process:1:huge")
-
-    def test_unknown_family_error_lists_every_family(self):
-        with pytest.raises(ValueError) as excinfo:
-            backend_from_spec("gpu:8")
-        message = str(excinfo.value)
-        assert "'serial'" in message
-        assert "'process'" in message
-        assert "'queue'" not in message
-
-    def test_queue_is_an_unknown_family(self):
-        # It was a family once; it is now as unknown as any other.
-        with pytest.raises(ValueError, match="family 'queue' is not one of"):
-            backend_from_spec("queue::0")
 
 
 # ---------------------------------------------------------------------------

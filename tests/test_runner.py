@@ -27,7 +27,6 @@ from repro.runner import (
     ProcessPoolBackend,
     SerialBackend,
     SimJob,
-    backend_from_spec,
     mix_seed,
     prepare_jobs,
     run_sim_job,
@@ -242,25 +241,6 @@ class TestWhiskerStatsMerge:
 # Backends
 # ---------------------------------------------------------------------------
 class TestBackendConstruction:
-    def test_backend_from_spec(self):
-        assert isinstance(backend_from_spec("serial"), SerialBackend)
-        with backend_from_spec("process:3") as backend:
-            assert isinstance(backend, ProcessPoolBackend)
-            assert backend.max_workers == 3
-        with pytest.raises(ValueError):
-            backend_from_spec("gpu")
-        with pytest.raises(ValueError):
-            backend_from_spec("serial:2")
-
-    def test_unknown_spec_error_names_every_family(self):
-        # "thread" was a family once; it is now as unknown as any other.
-        with pytest.raises(ValueError) as err:
-            backend_from_spec("thread")
-        message = str(err.value)
-        assert "family 'thread' is not one of" in message
-        for family in ("'serial'", "'process'"):
-            assert family in message
-
     def test_process_pool_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
             ProcessPoolBackend(max_workers=0)
@@ -367,15 +347,10 @@ class TestBackendDeterminism:
         with ProcessPoolBackend(max_workers=2) as backend:
             pool_result, pool_usage = self._evaluate(backend, training=True)
 
-        assert pool_result.score == serial_result.score
-        assert pool_result.specimen_scores == serial_result.specimen_scores
-        assert [
-            (fs.specimen_index, fs.flow_id, fs.throughput_bps, fs.score)
-            for fs in pool_result.flow_scores
-        ] == [
-            (fs.specimen_index, fs.flow_id, fs.throughput_bps, fs.score)
-            for fs in serial_result.flow_scores
-        ]
+        # The whole record: score, every specimen's score and the counts.
+        assert pool_result == serial_result
+        assert pool_result.simulations == tiny_settings().num_specimens
+        assert any(pool_result.specimen_scores)
         assert pool_usage == serial_usage
         assert sum(count for count, _ in pool_usage) > 0
 
@@ -554,9 +529,9 @@ class TestSameTreeByConstruction:
 
     def test_every_backend_designs_the_same_tree(self):
         outcomes = {"serial": self.design(SerialBackend())}
-        for spec in ("process:1", "process:2"):
-            with backend_from_spec(spec) as backend:
-                outcomes[spec] = self.design(backend)
+        for workers in (1, 2):
+            with ProcessPoolBackend(workers) as backend:
+                outcomes[f"pool of {workers}"] = self.design(backend)
         token, cuts, history = outcomes["serial"]
         assert all(len(dim_cuts) == 1 for dim_cuts in cuts) and len(history) == 106
         for name, outcome in outcomes.items():

@@ -26,7 +26,7 @@ from repro.core.action import Action
 from repro.core.config import ConfigRange, ParameterRange
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
-from repro.core.optimizer import OptimizerSettings, OptimizerState, RemyOptimizer
+from repro.core.optimizer import OptimizerSettings, RemyOptimizer
 from repro.core.serialization import save_json_atomic, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
 from repro.netsim.events import EventScheduler
@@ -407,7 +407,7 @@ def test_optimizer_counts_and_warns_once_per_truncated_evaluation(caplog):
         ),
     )
     result = evaluator.evaluate(WhiskerTree(), training=False)
-    assert 1 <= result.truncated_simulations <= result.simulations == 2
+    assert 1 <= result.truncated_simulations <= len(result.specimen_scores) == 2
 
     optimizer = RemyOptimizer(
         evaluator, settings=OptimizerSettings(max_epochs=1, max_evaluations=3)
@@ -427,20 +427,17 @@ def test_untruncated_design_run_logs_no_warning(caplog):
     assert not caplog.records
 
 
-def test_checkpoint_without_the_new_counters_still_loads(tmp_path):
+def test_a_version_2_checkpoint_is_refused_by_its_version(tmp_path):
     evaluator = Evaluator(
         design_range(),
         Objective.proportional(delta=1.0),
         EvaluatorSettings(num_specimens=2, sim_duration=1.0, seed=3),
     )
     optimizer = RemyOptimizer(evaluator)
-    optimizer.state = OptimizerState(evaluations_used=5, sealed_simulations=7)
     document = optimizer.checkpoint_dict()
-    assert document["state"]["sealed_simulations"] == 7
-    del document["state"]["sealed_simulations"]
-    del document["state"]["truncated_simulations"]
-    path = save_json_atomic(json.loads(json.dumps(document)), tmp_path / "old.json")
-    restored = RemyOptimizer.resume_from_checkpoint(path, evaluator)
-    assert restored.state.evaluations_used == 5
-    assert restored.state.sealed_simulations == 0
-    assert restored.state.truncated_simulations == 0
+    # Version 2 wrote the rule cap as a setting.
+    document["format_version"] = 2
+    document["settings"]["max_rules"] = 256
+    path = save_json_atomic(json.loads(json.dumps(document)), tmp_path / "v2.json")
+    with pytest.raises(ValueError, match="unsupported checkpoint format version 2"):
+        RemyOptimizer.resume_from_checkpoint(path, evaluator)

@@ -114,7 +114,7 @@ class TestWorkloads:
         with pytest.raises(ValueError):
             ByteFlowWorkload.exponential(1e4, -1.0)
         with pytest.raises(ValueError):
-            TimedFlowWorkload.exponential(5.0, 5.0, min_seconds=0)
+            TimedFlowWorkload.exponential(0.0, 5.0)
 
     def test_incast_synchronises_flow_starts(self, rng):
         workload = IncastWorkload.exponential(1e6, epoch_seconds=0.1, jitter_seconds=0.002)

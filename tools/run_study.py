@@ -3,7 +3,7 @@
 The committed artifact (``results/STUDY.md``) is generated at paper-scale
 durations::
 
-    PYTHONPATH=src python tools/run_study.py --jobs 0          # all cores
+    PYTHONPATH=src python tools/run_study.py --workers 0       # all cores
 
 CI's bench job regenerates a smoke-scale copy (``--smoke``) on every run as
 an uploaded artifact, so grid regressions show up without paying the
@@ -69,12 +69,12 @@ def main(argv=None) -> int:
         help="CI scale: short runs, fewer repetitions",
     )
     parser.add_argument(
-        "--jobs",
+        "--workers",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
-        help="run the grid on a process pool of N workers (0 = all cores; "
-        "default: serial in-process)",
+        help="simulation worker processes (1 = serial, the default; 0 = one "
+        "per available CPU)",
     )
     parser.add_argument(
         "--out",
@@ -82,8 +82,8 @@ def main(argv=None) -> int:
         help=f"output markdown path, or '-' for stdout (default {DEFAULT_OUT})",
     )
     args = parser.parse_args(argv)
-    if args.jobs is not None and args.jobs < 0:
-        parser.error(f"--jobs must be 0 (all cores) or a worker count, not {args.jobs}")
+    if args.workers < 0:
+        parser.error(f"--workers must be >= 0, got {args.workers}")
 
     duration = args.duration
     if duration is None:
@@ -92,10 +92,7 @@ def main(argv=None) -> int:
     if n_runs is None:
         n_runs = SMOKE_RUNS if args.smoke else PAPER_RUNS
 
-    if args.jobs is None:
-        backend = SerialBackend()
-    else:
-        backend = ProcessPoolBackend(max_workers=args.jobs or None)
+    backend = SerialBackend() if args.workers == 1 else ProcessPoolBackend(args.workers or None)
 
     cells = args.cells  # None -> the full study grid
     n_cells = len(cells) if cells is not None else len(study_cells())
