@@ -5,8 +5,8 @@ The paper notes that "digging through the dozens of rules in a RemyCC and
 figuring out their purpose and function is a challenging job in reverse-
 engineering" (§6).  This example makes that job easier: it prints any rule
 table — a named one from ``results/remycc/<name>.json``, or any file written
-by ``save_remycc`` (for instance by ``examples/train_remycc.py``) — and shows
-how the action changes as the congestion signals sweep through
+by ``save_remycc`` or by a design run (``examples/train_remycc.py``) — and
+shows how the action changes as the congestion signals sweep through
 representative values.  It first prints where the table came from (its
 ``origin``) and, for a designed table, its ``design`` block: the design
 problem, the evaluation size, the search shape and how the search went.
@@ -45,10 +45,10 @@ def describe_range(design_range: dict) -> str:
     return ", ".join(parts)
 
 
-def print_design(design: dict) -> None:
-    """The ``design`` block ``examples/train_remycc.py`` writes."""
-    history = design["score_history"]
-    print(f"Designed as {design['table']!r}:")
+def print_design(name: str, design: dict) -> None:
+    """The ``design`` block a design run writes."""
+    state = design["state"]
+    print(f"Designed as {name!r}:")
     print(f"  range: {describe_range(design['range'])}")
     print(f"  objective: {Objective(**design['objective']).describe()}")
     print(
@@ -57,8 +57,13 @@ def print_design(design: dict) -> None:
     )
     print("  search: " + ", ".join(f"{k}={v}" for k, v in design["search"].items()))
     print(
-        f"  {design['evaluations']} evaluations, final score {history[-1]:.4f} "
-        f"(best {max(history):.4f})"
+        f"  {state['evaluations_used']} evaluations, {state['splits']} splits; "
+        f"{state['sealed_simulations']} simulations sealed, "
+        f"{state['truncated_simulations']} truncated"
+    )
+    print(
+        f"  final score {state['score_history'][-1]:.4f} "
+        f"(best {state['best_score']:.4f})"
     )
 
 
@@ -77,7 +82,7 @@ def main() -> None:
     document = json.loads(Path(args.load or REMYCC_DIR / f"{args.name}.json").read_text())
     print(f"RemyCC {tree.name!r}: {len(tree)} rules, origin {document.get('origin', 'unrecorded')}")
     if "design" in document:
-        print_design(document["design"])
+        print_design(tree.name, document["design"])
     print()
 
     print(f"First {args.max_rules} rules (by memory region):")

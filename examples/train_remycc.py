@@ -2,36 +2,36 @@
 """Run the Remy design procedure (§4.3) and save the resulting RemyCC.
 
 This drives the actual optimizer — specimen sampling, greedy per-rule action
-improvement and octree splitting — over one named design problem, then
-writes the resulting rule table to JSON so it can be loaded into any
-experiment with :func:`repro.core.serialization.load_remycc`.  ``--table
-NAME`` picks the problem: a key of :data:`repro.core.config.TABLES`, which
-maps each named RemyCC under ``results/remycc/`` to its design range and
-objective.  The file is the table ``remy-NAME`` with ``"origin":
-"designed"`` and a ``design`` block that loading ignores: the table name,
-the evaluator settings, objective and drawn specimens, the range, the search
-shape, and the evaluations used with their score history.  Nothing in it
-depends on the backend or the clock, so serial and pooled runs write the
-same bytes.
+improvement and octree splitting — over one named design problem, writing
+the rule table to JSON so it can be loaded into any experiment with
+:func:`repro.core.serialization.load_remycc`.  ``--table NAME`` picks the
+problem: a key of :data:`repro.core.config.TABLES`, which maps each named
+RemyCC under ``results/remycc/`` to its design range and objective.  The
+file is the table ``remy-NAME`` with ``"origin": "designed"`` and a
+``design`` block that loading ignores: the evaluator settings, objective,
+drawn specimens and their seed schedule, the range, the search shape, and
+the search state with its score history.  Nothing in it depends on the
+backend or the clock, so serial and pooled runs write the same bytes.
 
-The defaults are laptop-scale (minutes); pass ``--paper-scale`` to request
-the paper's 16-specimen, 100-second evaluations (CPU-days in pure
-Python).  ``--workers N`` fans the specimen and
-candidate-neighbourhood simulations out over N worker processes, the way the
-paper's design runs used many cores; ``--workers 1`` (the default) runs them
-in this process.  The designed tree is the same at every width.  Between two
-splits no rule table is simulated twice: the evaluation count printed at the
-end is what the budget was charged, and says how much of it was remembered.
+The defaults are laptop-scale (minutes); the paper's evaluations are
+``--specimens 16 --sim-duration 100`` (CPU-days in pure Python).
+``--workers N`` fans the specimen and candidate-neighbourhood simulations
+out over N worker processes, the way the paper's design runs used many
+cores; ``--workers 1`` (the default) runs them in this process.  The
+designed tree is the same at every width.  Between two splits no rule table
+is simulated twice: the evaluation count printed at the end is what the
+budget was charged, and says how much of it was remembered.
 
-Long runs should checkpoint: ``--checkpoint design.ckpt.json`` writes the
-full resumable search state (tree, progress counters, settings, seed
-schedule) atomically at every epoch boundary, and ``--resume`` continues
-from it bit-identically after an interruption — the resumed run's final
-tree and score history match an uninterrupted run exactly (it starts with
-an empty memo, so it may simulate more and remember less).  The pool itself
-survives a dead worker: a broken pool is rebuilt once, and if it breaks
-again the batch finishes in this process (with a warning); a job that
-raises stops the run with its own error, naming the job.
+The table is also the design's checkpoint: it is written atomically at
+every epoch boundary, and ``--resume`` continues from ``--output``
+bit-identically after an interruption — the resumed run's final tree and
+score history match an uninterrupted run exactly (it starts with an empty
+memo, so it may simulate more and remember less).  The budget flags still
+apply on ``--resume``, so a finished design grows by raising them; a budget
+the file has already spent is refused.  The pool itself survives a dead
+worker: a broken pool is rebuilt once, and if it breaks again the batch
+finishes in this process (with a warning); a job that raises stops the run
+with its own error, naming the job.
 
 Usage::
 
@@ -39,22 +39,19 @@ Usage::
     python examples/train_remycc.py --table 1x \
         --output results/remycc/1x.json       # replace a named table
     python examples/train_remycc.py --workers 8 --max-evaluations 1000
-    python examples/train_remycc.py --workers 8 \
-        --checkpoint design.ckpt.json          # long run
-    python examples/train_remycc.py --workers 8 \
-        --checkpoint design.ckpt.json --resume # ... continue after a crash
+    python examples/train_remycc.py --table delta1 --workers 8 \
+        --output my_remycc.json --resume      # ... continue after a crash
 """
 
 from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 from repro.core.config import TABLES
 from repro.core.evaluator import Evaluator, EvaluatorSettings
-from repro.core.optimizer import OptimizerSettings, RemyOptimizer, design_inputs
-from repro.core.serialization import save_json_atomic, whisker_tree_to_dict
+from repro.core.optimizer import OptimizerSettings, RemyOptimizer
 from repro.core.whisker_tree import WhiskerTree
 from repro.runner import ProcessPoolBackend, SerialBackend
 
@@ -67,12 +64,15 @@ def main() -> None:
         default="delta1",
         help="the design problem (range and objective) of this named RemyCC",
     )
-    parser.add_argument("--output", default="remycc.json", help="where to save the rule table")
+    parser.add_argument(
+        "--output",
+        default="remycc.json",
+        help="where to save the rule table, at every epoch boundary",
+    )
     parser.add_argument("--specimens", type=int, default=3, help="network specimens per evaluation")
     parser.add_argument("--sim-duration", type=float, default=6.0, help="seconds simulated per specimen")
     parser.add_argument("--max-epochs", type=int, default=4, help="greedy epochs to run")
     parser.add_argument("--max-evaluations", type=int, default=250, help="evaluation budget")
-    parser.add_argument("--paper-scale", action="store_true", help="use the paper's evaluation size")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--workers",
@@ -82,30 +82,19 @@ def main() -> None:
         "CPU; the designed tree is the same at every width)",
     )
     parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="write a resumable checkpoint here at every epoch boundary",
-    )
-    parser.add_argument(
         "--resume",
         action="store_true",
-        help="resume the search from --checkpoint instead of starting fresh "
+        help="resume the search from --output instead of starting fresh "
         "(budget flags still apply, so a finished run can be extended)",
     )
     args = parser.parse_args()
 
-    if args.paper_scale:
-        evaluator_settings = EvaluatorSettings.paper_scale(seed=args.seed)
-    else:
-        evaluator_settings = EvaluatorSettings(
-            num_specimens=args.specimens, sim_duration=args.sim_duration, seed=args.seed
-        )
+    evaluator_settings = EvaluatorSettings(
+        num_specimens=args.specimens, sim_duration=args.sim_duration, seed=args.seed
+    )
 
     if args.workers < 0:
         parser.error(f"--workers must be >= 0, got {args.workers}")
-    if args.resume and not args.checkpoint:
-        parser.error("--resume requires --checkpoint PATH")
     backend = SerialBackend() if args.workers == 1 else ProcessPoolBackend(args.workers or None)
 
     design_range, objective = TABLES[args.table]
@@ -119,19 +108,31 @@ def main() -> None:
 
     if args.resume:
         optimizer = RemyOptimizer.resume_from_checkpoint(
-            args.checkpoint, evaluator, progress=progress
+            args.output, evaluator, progress=progress
         )
         # The search shape (split cadence, neighbourhood) comes from the
-        # checkpoint; the CLI budget flags still apply so a finished run can
-        # be extended with a larger --max-epochs / --max-evaluations.
+        # file; the CLI budget flags still apply so a finished run can be
+        # extended with a larger --max-epochs / --max-evaluations.  One it
+        # has already spent would run nothing and rewrite the file's search.
+        state = optimizer.state
+        if state.evaluations_used >= args.max_evaluations:
+            parser.error(
+                f"{args.output} has already used {state.evaluations_used} "
+                f"evaluations; raise --max-evaluations above that to extend it"
+            )
+        if state.global_epoch >= args.max_epochs:
+            parser.error(
+                f"{args.output} has already run {state.global_epoch} epochs; "
+                "raise --max-epochs above that to extend it"
+            )
         optimizer.settings = replace(
             optimizer.settings,
             max_epochs=args.max_epochs,
             max_evaluations=args.max_evaluations,
         )
         print(
-            f"resumed from {args.checkpoint}: epoch {optimizer.state.global_epoch}, "
-            f"{optimizer.state.evaluations_used} evaluations used, "
+            f"resumed from {args.output}: epoch {state.global_epoch}, "
+            f"{state.evaluations_used} evaluations used, "
             f"{len(optimizer.tree)} rules"
         )
     else:
@@ -145,7 +146,7 @@ def main() -> None:
                 epochs_per_split=2,
             ),
             progress=progress,
-            checkpoint_path=args.checkpoint,
+            checkpoint_path=args.output,
         )
 
     print(f"designing {args.table}: {objective.describe()}")
@@ -172,18 +173,7 @@ def main() -> None:
         f"bottleneck (scores exact), {optimizer.state.truncated_simulations} "
         "truncated by the event cap (scores cover a prefix)"
     )
-    document = whisker_tree_to_dict(tree)
-    document["origin"] = "designed"
-    document["design"] = {
-        "table": args.table,
-        **design_inputs(evaluator),
-        "range": asdict(design_range),
-        "search": asdict(optimizer.settings),
-        "evaluations": optimizer.state.evaluations_used,
-        "score_history": optimizer.state.score_history,
-    }
-    path = save_json_atomic(document, args.output)
-    print(f"saved rule table to {path}")
+    print(f"saved rule table to {args.output}")
 
 
 if __name__ == "__main__":

@@ -81,8 +81,6 @@ class EvaluatorSettings:
 
     The paper draws 16+ specimens and simulates each for 100 seconds; with a
     pure-Python packet simulator the defaults here are deliberately smaller.
-    The full-size settings can be requested explicitly (see
-    ``examples/train_remycc.py``).
     """
 
     num_specimens: int = 4
@@ -93,11 +91,6 @@ class EvaluatorSettings:
     def __post_init__(self) -> None:
         if self.num_specimens < 1:  # or every table scores 0.0, simulating nothing
             raise ValueError(f"num_specimens must be at least 1, got {self.num_specimens}")
-
-    @classmethod
-    def paper_scale(cls, seed: int = 0) -> "EvaluatorSettings":
-        """The settings the paper actually used (expensive in pure Python)."""
-        return cls(num_specimens=16, sim_duration=100.0, seed=seed)
 
 
 class Evaluator:

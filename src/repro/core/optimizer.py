@@ -40,22 +40,30 @@ logger = logging.getLogger(__name__)
 
 ProgressCallback = Callable[[str, "OptimizerState"], None]
 
-#: ``kind`` marker distinguishing checkpoints from plain RemyCC files.
-CHECKPOINT_KIND = "remy-optimizer-checkpoint"
-CHECKPOINT_FORMAT_VERSION = 3
+#: The version of a designed table's ``design`` block.
+CHECKPOINT_FORMAT_VERSION = 4
 #: The search stops splitting rules at this many.
 MAX_RULES = 256
 
 
 def design_inputs(evaluator: Evaluator) -> dict[str, Any]:
     """What a design run scores against, as JSON: every evaluator setting
-    under its own name, the objective and the drawn specimens.  A checkpoint
-    records it, and so does a designed table's ``design`` block."""
+    under its own name, the objective, the drawn specimens and each one's
+    packet-schedule seed.  A designed table's ``design`` block records it
+    beside ``_DESIGN_RECORD``."""
+    settings = evaluator.settings
     return {
-        **asdict(evaluator.settings),
+        **asdict(settings),
         "objective": asdict(evaluator.objective),
         "specimens": [asdict(specimen) for specimen in evaluator.specimens],
+        "seed_schedule": [
+            specimen_seed(settings.seed, index) for index in range(settings.num_specimens)
+        ],
     }
+
+
+#: The ``design`` block's keys that are not :func:`design_inputs`.
+_DESIGN_RECORD = ("format_version", "range", "search", "state")
 
 
 @dataclass
@@ -186,14 +194,13 @@ class RemyOptimizer:
 
     # ------------------------------------------------------------------ checkpoint
     def checkpoint_dict(self) -> dict[str, Any]:
-        """The full resumable search state as a JSON-able document.
+        """The designed table as a JSON-able document, resumable as it stands.
 
-        Captures everything the search depends on going forward: the rule
-        table (structure, actions, epochs), the :class:`OptimizerState`
-        counters and score history, both settings objects, the objective,
-        the drawn specimens (their queues among them) and the evaluator's
-        specimen seed schedule.  Per-whisker usage statistics
-        are deliberately *not* captured — every epoch begins with a training
+        The rule table (structure, actions, epochs) with ``"origin":
+        "designed"`` and a ``design`` block, which loading ignores: the
+        format version, :func:`design_inputs`, the range, the search shape
+        and the :class:`OptimizerState`.  Per-whisker usage statistics are
+        deliberately *not* captured — every epoch begins with a training
         evaluation that replaces them (see :meth:`_run_epoch`) — which is
         exactly why the epoch boundary is a bit-identical resume point.
         """
@@ -202,22 +209,21 @@ class RemyOptimizer:
         if self.state.best_score == float("-inf"):
             state["best_score"] = None
         return {
-            "format_version": CHECKPOINT_FORMAT_VERSION,
-            "kind": CHECKPOINT_KIND,
-            "tree": whisker_tree_to_dict(self.tree),
-            "state": state,
-            "settings": asdict(self.settings),
-            "design_inputs": design_inputs(self.evaluator),
-            "seed_schedule": [
-                specimen_seed(self.evaluator.settings.seed, index)
-                for index in range(self.evaluator.settings.num_specimens)
-            ],
+            **whisker_tree_to_dict(self.tree),
+            "origin": "designed",
+            "design": {
+                "format_version": CHECKPOINT_FORMAT_VERSION,
+                **design_inputs(self.evaluator),
+                "range": asdict(self.evaluator.config_range),
+                "search": asdict(self.settings),
+                "state": state,
+            },
         }
 
     def save_checkpoint(
         self, path: Optional[Union[str, Path]] = None
     ) -> Optional[Path]:
-        """Write a resume checkpoint (atomically), returning its path.
+        """Write the designed table (atomically), returning its path.
 
         Uses ``path``, falling back to the constructor's ``checkpoint_path``;
         with neither set this is a no-op returning ``None``, so the
@@ -236,12 +242,12 @@ class RemyOptimizer:
         progress: Optional[ProgressCallback] = None,
         checkpoint_path: Optional[Union[str, Path]] = None,
     ) -> "RemyOptimizer":
-        """Restore an optimizer from a checkpoint written by :meth:`save_checkpoint`.
+        """Restore an optimizer from a table written by :meth:`save_checkpoint`.
 
         ``evaluator`` must be constructed with the same settings, objective
-        and design range the checkpointed run used — the checkpoint records
-        them (the range as its drawn specimens) and the specimen seed
-        schedule, and resume refuses a mismatch rather than silently
+        and design range the checkpointed run used — the ``design`` block
+        records them (the range as its drawn specimens) and the specimen
+        seed schedule, and resume refuses a mismatch rather than silently
         continuing a *different* search.  The returned optimizer continues
         bit-identically: calling :meth:`optimize` produces the same final
         tree and score history as the uninterrupted run.  ``checkpoint_path``
@@ -249,17 +255,17 @@ class RemyOptimizer:
         """
         path = Path(path)
         data = json.loads(path.read_text())
-        if data.get("kind") != CHECKPOINT_KIND:
+        design = data.get("design")
+        if design is None:
             raise ValueError(
-                f"{path} is not a {CHECKPOINT_KIND} file "
-                f"(kind={data.get('kind')!r}); note that plain RemyCC rule "
-                "tables are loaded with repro.core.serialization.load_remycc"
+                f"{path} has no design block, so no design run wrote it; a "
+                "rule table alone is loaded with repro.core.serialization.load_remycc"
             )
-        version = data.get("format_version")
+        version = design.get("format_version")
         if version != CHECKPOINT_FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint format version {version}")
-        recorded = data["design_inputs"]
+            raise ValueError(f"{path}: unsupported checkpoint format version {version}")
         current = design_inputs(evaluator)
+        recorded = {key: value for key, value in design.items() if key not in _DESIGN_RECORD}
         if recorded != current:
             diffs = sorted(
                 key
@@ -267,28 +273,19 @@ class RemyOptimizer:
                 if recorded.get(key) != current.get(key)
             )
             raise ValueError(
-                "evaluator settings, objective or specimens differ from the "
-                f"checkpointed run (fields: {', '.join(diffs)}); resuming would "
-                "continue a different search and break bit-identical continuation"
-            )
-        schedule = [
-            specimen_seed(evaluator.settings.seed, index)
-            for index in range(evaluator.settings.num_specimens)
-        ]
-        if data["seed_schedule"] != schedule:
-            raise ValueError(
-                "evaluator specimen seed schedule differs from the "
-                "checkpointed run; resuming would simulate different packet "
-                "schedules"
+                "evaluator settings, objective, specimens or seed schedule "
+                f"differ from the run that wrote {path} (fields: "
+                f"{', '.join(diffs)}); resuming would continue a different "
+                "search and break bit-identical continuation"
             )
         optimizer = cls(
             evaluator,
-            tree=whisker_tree_from_dict(data["tree"]),
-            settings=OptimizerSettings(**data["settings"]),
+            tree=whisker_tree_from_dict(data),
+            settings=OptimizerSettings(**design["search"]),
             progress=progress,
             checkpoint_path=checkpoint_path if checkpoint_path is not None else path,
         )
-        state = dict(data["state"])
+        state = dict(design["state"])
         if state.get("best_score") is None:
             state["best_score"] = float("-inf")
         optimizer.state = OptimizerState(**state)

@@ -8,8 +8,10 @@ performs lookups identically to the original.
 The named tables every experiment runs (``delta1``, ``1x``, ``datacenter``,
 ...) are such files, one per name under ``results/remycc/``.  Each also
 records where the table came from in a top-level ``origin`` key, and a
-designed one its design problem and search in a ``design`` block
-(``examples/train_remycc.py``); loading ignores both.
+designed one its design problem and search in a ``design`` block, which
+makes the file the design's checkpoint
+(:meth:`repro.core.optimizer.RemyOptimizer.resume_from_checkpoint`);
+loading ignores both.
 """
 
 from __future__ import annotations

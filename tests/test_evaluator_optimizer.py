@@ -116,11 +116,6 @@ class TestEvaluator:
         evaluator.evaluate_many(twins, training=True)
         assert twins[0].total_use_count() == twins[1].total_use_count() > 0
 
-    def test_paper_scale_settings(self):
-        settings = EvaluatorSettings.paper_scale()
-        assert settings.num_specimens == 16
-        assert settings.sim_duration == 100.0
-
     @pytest.mark.parametrize("count", [0, -2])
     def test_an_evaluation_needs_a_specimen(self, count):
         # No specimen would score every table 0.0 from no simulation.

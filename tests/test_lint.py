@@ -281,6 +281,9 @@ RETIRED = {
     **dict.fromkeys((
         "ScoreCard", "FlowScore", "flow_scores", "backend_from_spec", "_SPEC_GRAMMAR",
         "min_seconds", "--jobs"), 53),
+    **dict.fromkeys((
+        "CHECKPOINT_KIND", "remy-optimizer-checkpoint", "--checkpoint", "--paper-scale",
+        "paper_scale"), 54),
 }
 
 #: What may name deleted code: the history files, and the guards here.
@@ -408,7 +411,7 @@ KNOBS = {
     "repro.experiments.competing:run_vs_cubic": ["mean_flow_bytes", "n_runs", "duration"],
     "examples/train_remycc.py": [
         "--table", "--output", "--specimens", "--sim-duration", "--max-epochs",
-        "--max-evaluations", "--paper-scale", "--seed", "--workers", "--checkpoint", "--resume"],
+        "--max-evaluations", "--seed", "--workers", "--resume"],
 }
 
 

@@ -1,10 +1,11 @@
 """Checkpoint/resume tests for the Remy design loop.
 
-The acceptance property: a run interrupted at an epoch boundary and resumed
-from its checkpoint produces exactly the same final tree and score history
-as an uninterrupted run.  That works because ``_run_epoch`` begins with a
-training evaluation that replaces the per-whisker statistics, so the epoch
-boundary depends on nothing but what the checkpoint captures — tree
+The checkpoint is the designed table itself: the rule table with a
+``design`` block.  The acceptance property: a run interrupted at an epoch
+boundary and resumed from its file produces exactly the same final tree and
+score history as an uninterrupted run.  That works because ``_run_epoch``
+begins with a training evaluation that replaces the per-whisker statistics,
+so the epoch boundary depends on nothing but what the file captures — tree
 structure/actions/epochs, the ``OptimizerState`` counters, both settings
 objects, the objective, the drawn specimens and the evaluator seed
 schedule.  The backend is not among them: a run may be resumed on a box of
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import replace
 
 import pytest
@@ -23,13 +25,13 @@ import pytest
 from repro.core.config import ConfigRange, ParameterRange, general_purpose_range
 from repro.core.evaluator import Evaluator, EvaluatorSettings
 from repro.core.objective import Objective
-from repro.core.optimizer import (
-    CHECKPOINT_FORMAT_VERSION,
-    CHECKPOINT_KIND,
-    OptimizerSettings,
-    RemyOptimizer,
+from repro.core.optimizer import CHECKPOINT_FORMAT_VERSION, OptimizerSettings, RemyOptimizer
+from repro.core.serialization import (
+    REMYCC_DIR,
+    load_remycc,
+    save_json_atomic,
+    whisker_tree_to_dict,
 )
-from repro.core.serialization import save_json_atomic, save_remycc, whisker_tree_to_dict
 from repro.core.whisker_tree import WhiskerTree
 from repro.runner import (
     FaultPlan,
@@ -75,9 +77,18 @@ SETTINGS = OptimizerSettings(
 
 
 @pytest.fixture(scope="module")
-def reference_run():
+def reference_file(tmp_path_factory):
+    """Where the reference run writes its designed table."""
+    return tmp_path_factory.mktemp("reference") / "design.json"
+
+
+@pytest.fixture(scope="module")
+def reference_run(reference_file):
     optimizer = RemyOptimizer(
-        make_evaluator(), tree=WhiskerTree(name="ckpt"), settings=SETTINGS
+        make_evaluator(),
+        tree=WhiskerTree(name="ckpt"),
+        settings=SETTINGS,
+        checkpoint_path=reference_file,
     )
     tree = optimizer.optimize()
     assert optimizer.state.splits >= 1, "reference run must exercise a split"
@@ -122,28 +133,43 @@ class TestCheckpointWriting:
         )
         optimizer.optimize()
         data = json.loads(path.read_text())
-        assert data["kind"] == CHECKPOINT_KIND
-        assert data["format_version"] == CHECKPOINT_FORMAT_VERSION
-        assert data["state"]["global_epoch"] == 1
-        assert data["design_inputs"]["seed"] == 3
-        assert len(data["seed_schedule"]) == 2
+        assert data["origin"] == "designed"
+        design = data["design"]
+        assert design["format_version"] == CHECKPOINT_FORMAT_VERSION
+        assert design["state"]["global_epoch"] == 1
+        assert design["seed"] == 3
+        assert len(design["seed_schedule"]) == 2
         # Atomic write: no temp file left behind.
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_the_file_loads_as_the_designed_table(self, tmp_path):
+        path = tmp_path / "design.json"
+        optimizer = RemyOptimizer(
+            make_evaluator(),
+            tree=WhiskerTree(name="ckpt"),
+            settings=replace(SETTINGS, max_epochs=1),
+            checkpoint_path=path,
+        )
+        optimizer.optimize()
+        tree = load_remycc(path)
+        assert tree.name == "ckpt"
+        assert whisker_tree_token(tree) == whisker_tree_token(optimizer.tree)
+
     def test_fresh_state_round_trips_minus_inf_best_score(self, tmp_path):
         optimizer = RemyOptimizer(make_evaluator())
-        assert optimizer.checkpoint_dict()["state"]["best_score"] is None
+        assert optimizer.checkpoint_dict()["design"]["state"]["best_score"] is None
         path = save_json_atomic(optimizer.checkpoint_dict(), tmp_path / "c.json")
         restored = RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
         assert restored.state.best_score == float("-inf")
 
 
 class TestResume:
-    def test_resumed_run_is_bit_identical(self, tmp_path, reference_run):
+    def test_resumed_run_is_bit_identical(self, tmp_path, reference_run, reference_file):
         ref_tree, ref_state = reference_run
         path = tmp_path / "design.ckpt.json"
 
-        # Interrupt at the epoch-2 boundary (of 4), then resume.
+        # Interrupt at the epoch-2 boundary (of 4), where the first split
+        # clears the design memo, then resume.
         partial = RemyOptimizer(
             make_evaluator(),
             tree=WhiskerTree(name="ckpt"),
@@ -158,12 +184,10 @@ class TestResume:
         resumed_tree = resumed.optimize()
 
         assert whisker_tree_to_dict(resumed_tree) == whisker_tree_to_dict(ref_tree)
-        assert resumed.state.score_history == ref_state.score_history
-        assert resumed.state.best_score == ref_state.best_score
-        assert resumed.state.evaluations_used == ref_state.evaluations_used
-        assert resumed.state.improvements == ref_state.improvements
-        assert resumed.state.splits == ref_state.splits
-        assert resumed.state.sealed_simulations == ref_state.sealed_simulations
+        # Both memos were empty at the split, so even the remembered count
+        # matches: the resumed run writes the uninterrupted run's file.
+        assert resumed.state == ref_state
+        assert path.read_bytes() == reference_file.read_bytes()
 
     def test_serial_checkpoint_resumed_on_a_pool_matches_the_serial_run(self, tmp_path):
         # Long enough that the post-resume split evaluation fires one rule
@@ -257,7 +281,7 @@ class TestResume:
     def test_checkpoint_written_before_the_memo_still_loads(self, tmp_path):
         optimizer = RemyOptimizer(make_evaluator())
         document = optimizer.checkpoint_dict()
-        assert document["state"].pop("remembered_evaluations") == 0
+        assert document["design"]["state"].pop("remembered_evaluations") == 0
         path = save_json_atomic(document, tmp_path / "old.json")
         restored = RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
         assert restored.state.remembered_evaluations == 0
@@ -275,7 +299,7 @@ class TestResume:
         assert resumed.checkpoint_path == path
         resumed.settings = replace(resumed.settings, max_epochs=2)
         resumed.optimize()
-        assert json.loads(path.read_text())["state"]["global_epoch"] == 2
+        assert json.loads(path.read_text())["design"]["state"]["global_epoch"] == 2
 
 
 class RecoveryLog(ProcessPoolBackend):
@@ -364,7 +388,7 @@ class TestResumeGuards:
         # scored a constant.  Scores from the two rules must not mix.
         path = self._checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        data["design_inputs"]["objective"]["normalize"] = True
+        data["design"]["objective"]["normalize"] = True
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match=r"differ.*\(fields: objective\)"):
             RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
@@ -380,25 +404,51 @@ class TestResumeGuards:
         with pytest.raises(ValueError, match=r"differ.*\(fields: specimens\)"):
             RemyOptimizer.resume_from_checkpoint(path, make_evaluator(config_range=other))
 
+    def test_rejects_a_different_seed_schedule(self, tmp_path):
+        # The specimens' packet-schedule seeds, should their derivation change.
+        path = self._checkpoint(tmp_path)
+        data = json.loads(path.read_text())
+        data["design"]["seed_schedule"].reverse()
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=r"differ.*\(fields: seed_schedule\)"):
+            RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
+
     def test_rejects_format_version_1(self, tmp_path):
         # Version 1 recorded neither the objective nor the specimens.
         path = self._checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        data["format_version"] = 1
+        data["design"]["format_version"] = 1
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="unsupported checkpoint format version 1"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unsupported checkpoint format version 1")):
             RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
 
-    def test_rejects_non_checkpoint_files(self, tmp_path):
-        table = tmp_path / "table.json"
-        save_remycc(WhiskerTree(name="plain"), table)
-        with pytest.raises(ValueError, match="load_remycc"):
+    def test_rejects_non_checkpoint_files(self):
+        # A synthesized table has no design block.
+        table = REMYCC_DIR / "delta1.json"
+        with pytest.raises(ValueError, match=re.escape(f"{table} has no design block") + ".*load_remycc"):
             RemyOptimizer.resume_from_checkpoint(table, make_evaluator())
+
+    def test_rejects_a_version_3_checkpoint(self, tmp_path):
+        # Version 3 was a second file beside the table: the tree, state and
+        # settings at the top level, with no design block.
+        optimizer = RemyOptimizer(make_evaluator())
+        design = optimizer.checkpoint_dict()["design"]
+        path = save_json_atomic(
+            {
+                "format_version": 3,
+                "tree": whisker_tree_to_dict(optimizer.tree),
+                "state": design["state"],
+                "settings": design["search"],
+            },
+            tmp_path / "v3.json",
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path} has no design block")):
+            RemyOptimizer.resume_from_checkpoint(path, make_evaluator())
 
     def test_rejects_unknown_format_version(self, tmp_path):
         path = self._checkpoint(tmp_path)
         data = json.loads(path.read_text())
-        data["format_version"] = 99
+        data["design"]["format_version"] = 99
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError, match="version"):
+        with pytest.raises(ValueError, match="version 99"):
             RemyOptimizer.resume_from_checkpoint(path, make_evaluator())

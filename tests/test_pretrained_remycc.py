@@ -133,19 +133,36 @@ class TestDesignedTable:
         )
         assert proc.returncode == 0, proc.stderr
         raw = json.loads(out.read_text())
+        assert raw["name"] == "remy-1x"
         assert raw.pop("origin") == "designed"
         design = raw.pop("design")
         design_range, objective = TABLES["1x"]
-        assert design["table"] == "1x"
         assert design["range"] == asdict(design_range)
         assert design["objective"] == asdict(objective)
         assert (design["num_specimens"], design["sim_duration"]) == (1, 0.5)
         assert design["search"]["max_evaluations"] == 3
-        assert design["evaluations"] == len(design["score_history"]) >= 1
+        state = design["state"]
+        assert state["evaluations_used"] == len(state["score_history"]) >= 1
         # The loader ignores the block: the table is the tree without it.
         tree = load_remycc(out)
         assert tree.name == "remy-1x"
         assert whisker_tree_token(tree) == whisker_tree_token(whisker_tree_from_dict(raw))
+
+    def test_a_resume_whose_budget_is_spent_is_refused_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "1x.json"
+        design = ("--table", "1x", "--specimens", "1", "--sim-duration", "0.5", "--output", str(out))
+        proc = train(*design, "--max-epochs", "1", "--max-evaluations", "3")
+        assert proc.returncode == 0, proc.stderr
+        written = out.read_bytes()
+        used = json.loads(written)["design"]["state"]["evaluations_used"]
+        for budget, spent in [
+            (("--max-evaluations", str(used)), f"already used {used} evaluations"),
+            (("--max-evaluations", "100", "--max-epochs", "1"), "already run 1 epochs"),
+        ]:
+            proc = train(*design, "--resume", *budget)
+            assert proc.returncode == 2
+            assert f"error: {out} has {spent}" in proc.stderr
+            assert out.read_bytes() == written
 
     def test_an_unknown_table_is_refused_with_the_names(self, tmp_path):
         proc = train("--table", "delta2", "--output", str(tmp_path / "out.json"))

@@ -436,8 +436,8 @@ def test_a_version_2_checkpoint_is_refused_by_its_version(tmp_path):
     optimizer = RemyOptimizer(evaluator)
     document = optimizer.checkpoint_dict()
     # Version 2 wrote the rule cap as a setting.
-    document["format_version"] = 2
-    document["settings"]["max_rules"] = 256
+    document["design"]["format_version"] = 2
+    document["design"]["search"]["max_rules"] = 256
     path = save_json_atomic(json.loads(json.dumps(document)), tmp_path / "v2.json")
     with pytest.raises(ValueError, match="unsupported checkpoint format version 2"):
         RemyOptimizer.resume_from_checkpoint(path, evaluator)
